@@ -94,8 +94,11 @@ pub fn save_profile(conn: &Connection, trial_id: i64, profile: &Profile) -> Resu
         }
 
         // Fact rows go through the group-commit bulk path: one validated
-        // batch per metric instead of one prepared execution per row.
+        // batch per metric instead of one prepared execution per row. Each
+        // tuple names every column (a NULL id is assigned), so the engine
+        // stores it as the row without a copy.
         const LOC_COLS: &[&str] = &[
+            "id",
             "interval_event",
             "metric",
             "node",
@@ -116,6 +119,7 @@ pub fn save_profile(conn: &Connection, trial_id: i64, profile: &Profile) -> Resu
                 .iter_metric(metric)
                 .map(|(event, thread, d)| {
                     vec![
+                        Value::Null,
                         Value::Int(event_ids[event.0]),
                         Value::Int(metric_ids[mi]),
                         Value::Int(thread.node as i64),
@@ -179,6 +183,7 @@ pub fn save_profile(conn: &Connection, trial_id: i64, profile: &Profile) -> Resu
             .into_iter()
             .map(|(ae, thread, d)| {
                 vec![
+                    Value::Null,
                     Value::Int(aevent_ids[ae.0]),
                     Value::Int(thread.node as i64),
                     Value::Int(thread.context as i64),
@@ -194,6 +199,7 @@ pub fn save_profile(conn: &Connection, trial_id: i64, profile: &Profile) -> Resu
         tx.bulk_insert(
             "atomic_location_profile",
             &[
+                "id",
                 "atomic_event",
                 "node",
                 "context",

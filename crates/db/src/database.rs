@@ -14,12 +14,14 @@
 use crate::error::{DbError, Result};
 use crate::schema::{ColumnDef, TableSchema};
 use crate::storage::{
-    read_snapshot_with, scan_wal, write_snapshot_with, Durability, Wal, WalRecord,
+    read_snapshot_with, scan_wal, write_snapshot_with, BatchMark, Durability, Wal, WalBatch,
+    WalRecord,
 };
 use crate::table::{Row, RowId, Table};
-use crate::value::Value;
+use crate::value::{DataType, Value};
 use crate::vfs::Vfs;
 use perfdmf_telemetry as telemetry;
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -27,9 +29,11 @@ use std::sync::Arc;
 /// Inverse operations for rollback.
 #[derive(Debug)]
 enum Undo {
+    /// Rows inserted by one statement, in insertion order (a bulk insert
+    /// logs its whole batch as one entry).
     Insert {
         table: String,
-        id: RowId,
+        ids: Vec<RowId>,
     },
     Delete {
         table: String,
@@ -62,7 +66,7 @@ pub struct Database {
     /// index name → table name (index names are global, like PostgreSQL).
     index_owner: BTreeMap<String, String>,
     undo: Vec<Undo>,
-    pending: Vec<WalRecord>,
+    pending: WalBatch,
     in_txn: bool,
     wal: Option<Wal>,
     dir: Option<PathBuf>,
@@ -74,7 +78,7 @@ pub struct Database {
 #[derive(Debug, Clone, Copy)]
 pub struct StmtMark {
     undo_len: usize,
-    pending_len: usize,
+    pending: BatchMark,
 }
 
 impl Default for Database {
@@ -90,7 +94,7 @@ impl Database {
             tables: BTreeMap::new(),
             index_owner: BTreeMap::new(),
             undo: Vec::new(),
-            pending: Vec::new(),
+            pending: WalBatch::default(),
             in_txn: false,
             wal: None,
             dir: None,
@@ -138,13 +142,10 @@ impl Database {
             }
         }
         let wal_path = dir.join("wal.pdmf");
-        let mut wal_gen = snap_gen;
-        let mut wal_len = 0u64;
-        let mut committed: Vec<WalRecord> = Vec::new();
-        let mut needs_rewrite = false;
-        if vfs.exists(&wal_path) {
-            let scan = scan_wal(&*vfs, &wal_path)?;
-            wal_len = scan.file_bytes;
+        let wal = if vfs.exists(&wal_path) {
+            // Committed records are applied as the scan reaches them, each
+            // moved into its table rather than copied.
+            let scan = scan_wal(&*vfs, &wal_path, snap_gen, |rec| db.apply_record(rec))?;
             if scan.torn_tail || scan.torn_header {
                 telemetry::add("db.recovery.torn_tail", 1);
                 let _ = telemetry::trace::fault_dump("torn wal tail repaired on open");
@@ -157,22 +158,24 @@ impl Database {
                 // record in it is already part of the snapshot image.
                 telemetry::add("db.recovery.stale_wal", 1);
                 let _ = telemetry::trace::fault_dump("stale wal discarded on open");
-                needs_rewrite = true;
+                telemetry::add("db.recovery.wal_rewrites", 1);
+                Wal::rewrite(vfs.clone(), &wal_path, snap_gen, &[])?
             } else {
-                wal_gen = scan.generation;
-                telemetry::add("db.recovery.replayed_records", scan.records.len() as u64);
-                for rec in scan.records.clone() {
-                    db.apply_record(rec)?;
+                telemetry::add("db.recovery.replayed_records", scan.visited as u64);
+                if scan.needs_rewrite() {
+                    telemetry::add("db.recovery.wal_rewrites", 1);
+                    Wal::rewrite(
+                        vfs.clone(),
+                        &wal_path,
+                        scan.generation,
+                        scan.committed_frames(),
+                    )?
+                } else {
+                    Wal::attach(vfs.clone(), &wal_path, scan.generation, scan.file_bytes)?
                 }
-                needs_rewrite = scan.needs_rewrite();
-                committed = scan.records;
             }
-        }
-        let wal = if needs_rewrite {
-            telemetry::add("db.recovery.wal_rewrites", 1);
-            Wal::rewrite(vfs.clone(), &wal_path, wal_gen, &committed)?
         } else {
-            Wal::attach(vfs.clone(), &wal_path, wal_gen, wal_len)?
+            Wal::attach(vfs.clone(), &wal_path, snap_gen, 0)?
         };
         db.wal = Some(wal);
         db.dir = Some(dir.to_path_buf());
@@ -294,13 +297,17 @@ impl Database {
 
     /// Look up a table.
     pub fn table(&self, name: &str) -> Result<&Table> {
-        let key = name.to_ascii_lowercase();
-        self.tables.get(&key).ok_or(DbError::NoSuchTable(key))
+        let key = catalog_key(name);
+        self.tables
+            .get(&*key)
+            .ok_or_else(|| DbError::NoSuchTable(key.into_owned()))
     }
 
     fn table_mut_raw(&mut self, name: &str) -> Result<&mut Table> {
-        let key = name.to_ascii_lowercase();
-        self.tables.get_mut(&key).ok_or(DbError::NoSuchTable(key))
+        let key = catalog_key(name);
+        self.tables
+            .get_mut(&*key)
+            .ok_or_else(|| DbError::NoSuchTable(key.into_owned()))
     }
 
     /// Names of all tables, sorted.
@@ -310,7 +317,7 @@ impl Database {
 
     /// Does a table exist?
     pub fn has_table(&self, name: &str) -> bool {
-        self.tables.contains_key(&name.to_ascii_lowercase())
+        self.tables.contains_key(&*catalog_key(name))
     }
 
     // ---------------- statement atomicity ----------------
@@ -319,14 +326,14 @@ impl Database {
     pub fn stmt_begin(&mut self) -> StmtMark {
         StmtMark {
             undo_len: self.undo.len(),
-            pending_len: self.pending.len(),
+            pending: self.pending.mark(),
         }
     }
 
     /// Roll back the effects of a failed statement.
     pub fn stmt_abort(&mut self, mark: StmtMark) {
         self.undo_to(mark.undo_len);
-        self.pending.truncate(mark.pending_len);
+        self.pending.truncate(mark.pending);
     }
 
     /// Finish a successful statement: autocommit if no transaction is open.
@@ -341,8 +348,12 @@ impl Database {
         while self.undo.len() > len {
             let op = self.undo.pop().expect("len checked");
             match op {
-                Undo::Insert { table, id } => {
-                    let _ = self.table_mut_raw(&table).and_then(|t| t.delete(id));
+                Undo::Insert { table, ids } => {
+                    if let Ok(t) = self.table_mut_raw(&table) {
+                        for &id in ids.iter().rev() {
+                            let _ = t.delete(id);
+                        }
+                    }
                 }
                 Undo::Delete { table, id, row } => {
                     let _ = self
@@ -408,7 +419,7 @@ impl Database {
     fn commit_internal(&mut self) -> Result<()> {
         if let Some(wal) = &mut self.wal {
             if !self.pending.is_empty() {
-                self.pending.push(WalRecord::Commit);
+                self.pending.push(&WalRecord::Commit);
                 if let Err(e) = wal.append(&self.pending) {
                     // The log rejected the batch: undo the in-memory
                     // changes so memory and disk agree the transaction
@@ -469,7 +480,7 @@ impl Database {
         }
         self.tables.insert(name.clone(), Table::new(schema.clone()));
         self.undo.push(Undo::CreateTable { name: name.clone() });
-        self.pending.push(WalRecord::CreateTable { schema });
+        self.pending.push(&WalRecord::CreateTable { schema });
         Ok(())
     }
 
@@ -507,7 +518,7 @@ impl Database {
             name: key.clone(),
             table: Box::new(table),
         });
-        self.pending.push(WalRecord::DropTable { name: key });
+        self.pending.push(&WalRecord::DropTable { name: key });
         Ok(())
     }
 
@@ -531,7 +542,7 @@ impl Database {
             table: Box::new(snapshot),
         });
         self.pending
-            .push(WalRecord::AddColumn { table: key, column });
+            .push(&WalRecord::AddColumn { table: key, column });
         Ok(())
     }
 
@@ -558,7 +569,7 @@ impl Database {
             name: key.clone(),
             table: Box::new(snapshot),
         });
-        self.pending.push(WalRecord::DropColumn {
+        self.pending.push(&WalRecord::DropColumn {
             table: key,
             column: column.to_ascii_lowercase(),
         });
@@ -587,7 +598,7 @@ impl Database {
             table: tkey.clone(),
             name: iname.clone(),
         });
-        self.pending.push(WalRecord::CreateIndex {
+        self.pending.push(&WalRecord::CreateIndex {
             table: tkey,
             name: iname,
             column: column.to_ascii_lowercase(),
@@ -612,7 +623,7 @@ impl Database {
             name: tkey.clone(),
             table: Box::new(snapshot),
         });
-        self.pending.push(WalRecord::DropIndex {
+        self.pending.push(&WalRecord::DropIndex {
             table: tkey,
             name: iname,
         });
@@ -621,39 +632,69 @@ impl Database {
 
     // ---------------- DML ----------------
 
+    /// Resolve the FOREIGN KEY columns of `schema` once, so a statement
+    /// checks each row without repeating the catalog lookups.
+    fn foreign_keys(&self, schema: &TableSchema) -> Vec<ForeignKey> {
+        schema
+            .columns
+            .iter()
+            .enumerate()
+            .filter_map(|(column, col)| {
+                let (table, target_column) = col.references.clone()?;
+                let target = self
+                    .tables
+                    .get(&table)
+                    .and_then(|t| t.schema.column_index(&target_column));
+                Some(ForeignKey {
+                    column,
+                    name: col.name.clone(),
+                    ty: col.ty,
+                    table,
+                    target_column,
+                    target,
+                    last_found: None,
+                })
+            })
+            .collect()
+    }
+
     /// Check FK constraints for a prospective row of `table`.
-    fn check_foreign_keys(&self, table: &Table, row: &Row) -> Result<()> {
-        for (i, col) in table.schema.columns.iter().enumerate() {
-            let Some((ftable, fcol)) = &col.references else {
-                continue;
-            };
-            if row[i].is_null() {
+    fn check_foreign_keys(&self, table: &str, fks: &mut [ForeignKey], row: &Row) -> Result<()> {
+        for fk in fks {
+            let raw = &row[fk.column];
+            if raw.is_null() {
                 continue;
             }
             // FK checks run before column coercion; coerce a copy so a
             // text '1' matches an integer key 1 the same way the stored
             // row eventually will.
-            let coerced = row[i].coerce(col.ty);
-            let v = coerced.as_ref().unwrap_or(&row[i]);
-            let target = self.table(ftable)?;
-            let fidx = target
-                .schema
-                .column_index(fcol)
-                .ok_or_else(|| DbError::NoSuchColumn {
-                    table: ftable.clone(),
-                    column: fcol.clone(),
-                })?;
+            let coerced;
+            let v = if raw.data_type() == Some(fk.ty) {
+                raw
+            } else {
+                coerced = raw.coerce(fk.ty);
+                coerced.as_ref().unwrap_or(raw)
+            };
+            if fk.last_found.as_ref() == Some(v) {
+                continue;
+            }
+            let target = self.table(&fk.table)?;
+            let fidx = fk.target.ok_or_else(|| DbError::NoSuchColumn {
+                table: fk.table.clone(),
+                column: fk.target_column.clone(),
+            })?;
             let found = match target.index_on(fidx) {
-                Some(ix) => !ix.get(v).is_empty(),
+                Some(ix) => ix.contains(v),
                 None => target.iter().any(|(_, r)| r[fidx].sql_eq(v) == Some(true)),
             };
             if !found {
                 return Err(DbError::ForeignKeyViolation {
-                    table: table.schema.name.clone(),
-                    column: col.name.clone(),
-                    references: format!("{ftable}.{fcol}"),
+                    table: table.to_string(),
+                    column: fk.name.clone(),
+                    references: format!("{}.{}", fk.table, fk.target_column),
                 });
             }
+            fk.last_found = Some(v.clone());
         }
         Ok(())
     }
@@ -676,7 +717,7 @@ impl Database {
                     continue;
                 }
                 let referenced = match rtable.index_on(ci) {
-                    Some(ix) => !ix.get(key).is_empty(),
+                    Some(ix) => ix.contains(key),
                     None => rtable.iter().any(|(_, r)| r[ci].sql_eq(key) == Some(true)),
                 };
                 if referenced {
@@ -694,8 +735,8 @@ impl Database {
     /// Insert a row (values in schema order, `Value::Null` for omitted
     /// AUTO_INCREMENT). Returns the row id and the stored row.
     pub fn insert_row(&mut self, table: &str, row: Row) -> Result<RowId> {
-        let key = table.to_ascii_lowercase();
-        {
+        let key = catalog_key(table).into_owned();
+        let mut fks = {
             let t = self.table(&key)?;
             if row.len() != t.schema.columns.len() {
                 return Err(DbError::Arity {
@@ -703,28 +744,29 @@ impl Database {
                     got: row.len(),
                 });
             }
-            // FK check against a coerced copy: coercion happens in insert,
-            // but FK values compare cross-type anyway, so raw check is fine.
-            self.check_foreign_keys(t, &row)?;
-        }
-        let logging = self.logging();
-        let t = self.table_mut_raw(&key)?;
-        let id = t.insert(row)?;
-        let stored = if logging {
-            Some(t.row(id).expect("just inserted").clone())
-        } else {
-            None
+            self.foreign_keys(&t.schema)
         };
+        let id = self.insert_checked(&key, &mut fks, row)?;
         self.undo.push(Undo::Insert {
-            table: key.clone(),
-            id,
+            table: key,
+            ids: vec![id],
         });
-        if let Some(row) = stored {
-            self.pending.push(WalRecord::Insert {
-                table: key,
-                id,
-                row,
-            });
+        Ok(id)
+    }
+
+    /// Check `row`'s foreign keys, insert it into the table `key`, and log
+    /// it for the pending commit. The caller records the undo entry.
+    fn insert_checked(&mut self, key: &str, fks: &mut [ForeignKey], row: Row) -> Result<RowId> {
+        self.check_foreign_keys(key, fks, &row)?;
+        let logging = self.logging();
+        let t = self
+            .tables
+            .get_mut(key)
+            .ok_or_else(|| DbError::NoSuchTable(key.to_string()))?;
+        let id = t.insert(row)?;
+        if logging {
+            let row = t.row(id).expect("just inserted");
+            self.pending.push_insert(key, id, row);
         }
         Ok(id)
     }
@@ -736,6 +778,9 @@ impl Database {
     /// primary key is assigned as usual. All rows join the current pending
     /// batch, so under autocommit the entire bulk lands in **one** WAL
     /// append (and one fsync under [`crate::storage::Durability::Fsync`]).
+    /// The table, column map and foreign-key targets are resolved once per
+    /// batch, and the batch is one undo entry. Tuples that give every
+    /// column in schema order are stored as they are, without a copy.
     ///
     /// Returns the inserted-row count and the last generated
     /// AUTO_INCREMENT id, mirroring `INSERT`'s outcome.
@@ -745,8 +790,9 @@ impl Database {
         columns: &[&str],
         rows: Vec<Row>,
     ) -> Result<(usize, Option<i64>)> {
-        let (col_map, auto_pk, defaults): (Vec<usize>, Option<usize>, Row) = {
-            let t = self.table(table)?;
+        let key = catalog_key(table).into_owned();
+        let (col_map, auto_pk, defaults, mut fks) = {
+            let t = self.table(&key)?;
             let n = t.schema.columns.len();
             let map: Vec<usize> = if columns.is_empty() {
                 (0..n).collect()
@@ -768,42 +814,59 @@ impl Database {
                 .schema
                 .primary_key_index()
                 .filter(|&i| t.schema.columns[i].auto_increment);
-            let defaults = t
+            let defaults: Row = t
                 .schema
                 .columns
                 .iter()
                 .map(|c| c.default.clone().unwrap_or(Value::Null))
                 .collect();
-            (map, auto, defaults)
+            (map, auto, defaults, self.foreign_keys(&t.schema))
         };
-        let mut count = 0;
-        let mut last = None;
+        // Tuples that name every column in schema order are already rows.
+        let full_width = col_map.iter().copied().eq(0..defaults.len());
+        let mut ids = Vec::with_capacity(rows.len());
+        let mut result = Ok(());
         for tuple in rows {
             if tuple.len() != col_map.len() {
-                return Err(DbError::Arity {
+                result = Err(DbError::Arity {
                     expected: col_map.len(),
                     got: tuple.len(),
                 });
+                break;
             }
-            let mut row: Row = defaults.clone();
-            for (slot, value) in col_map.iter().zip(tuple) {
-                row[*slot] = value;
-            }
-            let id = self.insert_row(table, row)?;
-            if let Some(pk) = auto_pk {
-                if let Some(Value::Int(v)) = self.table(table)?.row(id).map(|r| r[pk].clone()) {
-                    last = Some(v);
+            let row = if full_width {
+                tuple
+            } else {
+                let mut row: Row = defaults.clone();
+                for (slot, value) in col_map.iter().zip(tuple) {
+                    row[*slot] = value;
+                }
+                row
+            };
+            match self.insert_checked(&key, &mut fks, row) {
+                Ok(id) => ids.push(id),
+                Err(e) => {
+                    result = Err(e);
+                    break;
                 }
             }
-            count += 1;
         }
+        let count = ids.len();
+        let last = match (auto_pk, ids.last()) {
+            (Some(pk), Some(&id)) => self.table(&key)?.row(id).and_then(|r| r[pk].as_int()),
+            _ => None,
+        };
+        if !ids.is_empty() {
+            self.undo.push(Undo::Insert { table: key, ids });
+        }
+        result?;
         telemetry::add("db.bulk_insert.rows", count as u64);
         Ok((count, last))
     }
 
     /// Delete a row by id.
     pub fn delete_row(&mut self, table: &str, id: RowId) -> Result<()> {
-        let key = table.to_ascii_lowercase();
+        let key = catalog_key(table).into_owned();
         {
             let t = self.table(&key)?;
             let row = t
@@ -822,17 +885,17 @@ impl Database {
             row,
         });
         if logging {
-            self.pending.push(WalRecord::Delete { table: key, id });
+            self.pending.push(&WalRecord::Delete { table: key, id });
         }
         Ok(())
     }
 
     /// Update a row by id with a full replacement row.
     pub fn update_row(&mut self, table: &str, id: RowId, new_row: Row) -> Result<()> {
-        let key = table.to_ascii_lowercase();
+        let key = catalog_key(table).into_owned();
         {
             let t = self.table(&key)?;
-            self.check_foreign_keys(t, &new_row)?;
+            self.check_foreign_keys(&key, &mut self.foreign_keys(&t.schema), &new_row)?;
             // If a referenced key column changes, enforce RESTRICT.
             let old = t
                 .row(id)
@@ -859,33 +922,57 @@ impl Database {
             }
         }
         let logging = self.logging();
-        let t = self.table_mut_raw(&key)?;
+        let t = self
+            .tables
+            .get_mut(&key)
+            .ok_or_else(|| DbError::NoSuchTable(key.clone()))?;
         let old = t.update(id, new_row)?;
-        let stored = if logging {
-            Some(t.row(id).expect("just updated").clone())
-        } else {
-            None
-        };
+        if logging {
+            self.pending
+                .push_update(&key, id, t.row(id).expect("just updated"));
+        }
         self.undo.push(Undo::Update {
-            table: key.clone(),
+            table: key,
             id,
             old,
         });
-        if let Some(row) = stored {
-            self.pending.push(WalRecord::Update {
-                table: key,
-                id,
-                row,
-            });
-        }
         Ok(())
     }
+}
+
+/// Catalog key of a table name: names are case-insensitive and stored
+/// lower-case, so an already lower-case name is used as is.
+fn catalog_key(name: &str) -> Cow<'_, str> {
+    if name.bytes().any(|b| b.is_ascii_uppercase()) {
+        Cow::Owned(name.to_ascii_lowercase())
+    } else {
+        Cow::Borrowed(name)
+    }
+}
+
+/// A FOREIGN KEY column of a table, resolved against the catalog.
+struct ForeignKey {
+    /// Offset of the referencing column.
+    column: usize,
+    /// Name of the referencing column (for errors).
+    name: String,
+    /// Declared type of the referencing column; probes coerce to it.
+    ty: DataType,
+    /// Referenced table (catalog key) and column name.
+    table: String,
+    target_column: String,
+    /// Offset of the referenced column; `None` if it does not exist,
+    /// which is reported only when a row sets the key.
+    target: Option<usize>,
+    /// The key most recently found in the target. A statement only adds
+    /// rows while it checks keys, so a found key stays found, and the
+    /// consecutive rows of a bulk insert that share a key probe once.
+    last_found: Option<Value>,
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::value::DataType;
 
     fn db_with_parent_child() -> Database {
         let mut db = Database::new();

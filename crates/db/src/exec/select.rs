@@ -1445,7 +1445,7 @@ pub(crate) fn index_candidates(
                 continue;
             };
             let ids = match op {
-                BinaryOp::Eq => ix.get(&val),
+                BinaryOp::Eq => ix.ids(&val).to_vec(),
                 BinaryOp::Lt => ix.range(Bound::Unbounded, Bound::Excluded(&val)),
                 BinaryOp::LtEq => ix.range(Bound::Unbounded, Bound::Included(&val)),
                 BinaryOp::Gt => ix.range(Bound::Excluded(&val), Bound::Unbounded),
@@ -1482,7 +1482,7 @@ pub(crate) fn index_candidates(
                     let mut all_const = true;
                     for item in list {
                         match const_val(item) {
-                            Some(v) => ids.extend(ix.get(&v)),
+                            Some(v) => ids.extend_from_slice(ix.ids(&v)),
                             None => {
                                 all_const = false;
                                 break;

@@ -78,7 +78,8 @@ fn put_str(buf: &mut Vec<u8>, s: &str) {
     buf.put_slice(s.as_bytes());
 }
 
-fn get_str(buf: &mut &[u8]) -> Result<String> {
+/// Decode a length-prefixed string, borrowing it from the buffer.
+fn get_str_ref<'a>(buf: &mut &'a [u8]) -> Result<&'a str> {
     if buf.remaining() < 4 {
         return Err(DbError::Corrupt("truncated string length".into()));
     }
@@ -86,8 +87,13 @@ fn get_str(buf: &mut &[u8]) -> Result<String> {
     if buf.remaining() < len {
         return Err(DbError::Corrupt("truncated string body".into()));
     }
-    let bytes = buf.copy_to_bytes(len);
-    String::from_utf8(bytes.to_vec()).map_err(|_| DbError::Corrupt("invalid UTF-8".into()))
+    let (body, rest) = buf.split_at(len);
+    *buf = rest;
+    std::str::from_utf8(body).map_err(|_| DbError::Corrupt("invalid UTF-8".into()))
+}
+
+fn get_str(buf: &mut &[u8]) -> Result<String> {
+    get_str_ref(buf).map(str::to_owned)
 }
 
 /// Encode a value.
@@ -137,7 +143,9 @@ pub fn get_value(buf: &mut &[u8]) -> Result<Value> {
             }
             Ok(Value::Float(buf.get_f64_le()))
         }
-        3 => Ok(Value::Text(get_str(buf)?.into())),
+        // Interned straight from the buffer: a string already in the
+        // dictionary decodes without allocating.
+        3 => Ok(Value::Text(get_str_ref(buf)?.into())),
         4 => {
             if buf.remaining() < 1 {
                 return Err(DbError::Corrupt("truncated bool".into()));
@@ -170,7 +178,9 @@ fn get_row(buf: &mut &[u8]) -> Result<Row> {
         return Err(DbError::Corrupt("truncated row length".into()));
     }
     let n = buf.get_u32_le() as usize;
-    let mut row = Vec::with_capacity(n);
+    // Each value takes at least one byte, so a corrupt count cannot
+    // reserve more than the buffer could hold.
+    let mut row = Vec::with_capacity(n.min(buf.remaining()));
     for _ in 0..n {
         row.push(get_value(buf)?);
     }
@@ -275,7 +285,7 @@ fn get_schema(buf: &mut &[u8]) -> Result<TableSchema> {
         return Err(DbError::Corrupt("truncated schema".into()));
     }
     let n = buf.get_u32_le() as usize;
-    let mut columns = Vec::with_capacity(n);
+    let mut columns = Vec::with_capacity(n.min(buf.remaining()));
     for _ in 0..n {
         columns.push(get_column(buf)?);
     }
@@ -287,41 +297,61 @@ fn get_schema(buf: &mut &[u8]) -> Result<TableSchema> {
 /// Encode a WAL record payload (without framing).
 pub fn encode_record(rec: &WalRecord) -> Vec<u8> {
     let mut buf = Vec::with_capacity(64);
+    put_record(&mut buf, rec);
+    buf
+}
+
+/// Append one record to `out` framed as on disk: payload length, the
+/// payload `put_payload` writes, and the payload's FNV-1a checksum. The
+/// payload is encoded in place, so a batch of records costs no allocation
+/// beyond `out` itself.
+fn put_frame(out: &mut Vec<u8>, put_payload: impl FnOnce(&mut Vec<u8>)) {
+    let at = out.len();
+    out.put_u32_le(0);
+    put_payload(out);
+    let len = (out.len() - at - 4) as u32;
+    out[at..at + 4].copy_from_slice(&len.to_le_bytes());
+    let sum = fnv1a(&out[at + 4..]);
+    out.put_u64_le(sum);
+}
+
+const TAG_INSERT: u8 = 1;
+const TAG_UPDATE: u8 = 3;
+
+/// Payload of an Insert or Update record.
+fn put_row_change(buf: &mut Vec<u8>, tag: u8, table: &str, id: RowId, row: &Row) {
+    buf.put_u8(tag);
+    put_str(buf, table);
+    buf.put_u64_le(id);
+    put_row(buf, row);
+}
+
+fn put_record(buf: &mut Vec<u8>, rec: &WalRecord) {
     match rec {
-        WalRecord::Insert { table, id, row } => {
-            buf.put_u8(1);
-            put_str(&mut buf, table);
-            buf.put_u64_le(*id);
-            put_row(&mut buf, row);
-        }
+        WalRecord::Insert { table, id, row } => put_row_change(buf, TAG_INSERT, table, *id, row),
         WalRecord::Delete { table, id } => {
             buf.put_u8(2);
-            put_str(&mut buf, table);
+            put_str(buf, table);
             buf.put_u64_le(*id);
         }
-        WalRecord::Update { table, id, row } => {
-            buf.put_u8(3);
-            put_str(&mut buf, table);
-            buf.put_u64_le(*id);
-            put_row(&mut buf, row);
-        }
+        WalRecord::Update { table, id, row } => put_row_change(buf, TAG_UPDATE, table, *id, row),
         WalRecord::CreateTable { schema } => {
             buf.put_u8(4);
-            put_schema(&mut buf, schema);
+            put_schema(buf, schema);
         }
         WalRecord::DropTable { name } => {
             buf.put_u8(5);
-            put_str(&mut buf, name);
+            put_str(buf, name);
         }
         WalRecord::AddColumn { table, column } => {
             buf.put_u8(6);
-            put_str(&mut buf, table);
-            put_column(&mut buf, column);
+            put_str(buf, table);
+            put_column(buf, column);
         }
         WalRecord::DropColumn { table, column } => {
             buf.put_u8(7);
-            put_str(&mut buf, table);
-            put_str(&mut buf, column);
+            put_str(buf, table);
+            put_str(buf, column);
         }
         WalRecord::CreateIndex {
             table,
@@ -330,21 +360,20 @@ pub fn encode_record(rec: &WalRecord) -> Vec<u8> {
             unique,
         } => {
             buf.put_u8(8);
-            put_str(&mut buf, table);
-            put_str(&mut buf, name);
-            put_str(&mut buf, column);
+            put_str(buf, table);
+            put_str(buf, name);
+            put_str(buf, column);
             buf.put_u8(*unique as u8);
         }
         WalRecord::DropIndex { table, name } => {
             buf.put_u8(9);
-            put_str(&mut buf, table);
-            put_str(&mut buf, name);
+            put_str(buf, table);
+            put_str(buf, name);
         }
         WalRecord::Commit => {
             buf.put_u8(10);
         }
     }
-    buf
 }
 
 /// Decode a WAL record payload.
@@ -354,7 +383,7 @@ pub fn decode_record(mut buf: &[u8]) -> Result<WalRecord> {
         return Err(DbError::Corrupt("empty WAL record".into()));
     }
     let rec = match b.get_u8() {
-        1 => WalRecord::Insert {
+        TAG_INSERT => WalRecord::Insert {
             table: get_str(b)?,
             id: {
                 if b.remaining() < 8 {
@@ -373,7 +402,7 @@ pub fn decode_record(mut buf: &[u8]) -> Result<WalRecord> {
                 b.get_u64_le()
             },
         },
-        3 => WalRecord::Update {
+        TAG_UPDATE => WalRecord::Update {
             table: get_str(b)?,
             id: {
                 if b.remaining() < 8 {
@@ -456,6 +485,73 @@ pub enum Durability {
     Fsync,
 }
 
+/// Records waiting for their commit, already framed exactly as
+/// [`Wal::append`] writes them. Row changes are encoded straight from the
+/// table's row, so logging a row costs its encoded bytes and nothing else.
+#[derive(Debug, Default)]
+pub struct WalBatch {
+    frames: Vec<u8>,
+    records: usize,
+}
+
+/// A position in a [`WalBatch`], for rolling a failed statement back.
+#[derive(Debug, Clone, Copy)]
+pub struct BatchMark {
+    bytes: usize,
+    records: usize,
+}
+
+impl WalBatch {
+    /// Add a record.
+    pub fn push(&mut self, rec: &WalRecord) {
+        put_frame(&mut self.frames, |b| put_record(b, rec));
+        self.records += 1;
+    }
+
+    /// Add an Insert record for `row` at `id` in `table`.
+    pub fn push_insert(&mut self, table: &str, id: RowId, row: &Row) {
+        put_frame(&mut self.frames, |b| {
+            put_row_change(b, TAG_INSERT, table, id, row)
+        });
+        self.records += 1;
+    }
+
+    /// Add an Update record replacing row `id` of `table` with `row`.
+    pub fn push_update(&mut self, table: &str, id: RowId, row: &Row) {
+        put_frame(&mut self.frames, |b| {
+            put_row_change(b, TAG_UPDATE, table, id, row)
+        });
+        self.records += 1;
+    }
+
+    /// True if the batch holds no records.
+    pub fn is_empty(&self) -> bool {
+        self.records == 0
+    }
+
+    /// The current end of the batch.
+    pub fn mark(&self) -> BatchMark {
+        BatchMark {
+            bytes: self.frames.len(),
+            records: self.records,
+        }
+    }
+
+    /// Drop every record added after `mark`.
+    pub fn truncate(&mut self, mark: BatchMark) {
+        self.frames.truncate(mark.bytes);
+        self.records = mark.records;
+    }
+
+    /// Empty the batch, keeping its buffer for the next one.
+    pub fn clear(&mut self) {
+        self.truncate(BatchMark {
+            bytes: 0,
+            records: 0,
+        });
+    }
+}
+
 /// Append-only write-ahead log handle.
 pub struct Wal {
     file: Box<dyn VfsFile>,
@@ -491,7 +587,7 @@ impl Wal {
     /// the generation from an existing header.
     pub fn open_with(vfs: Arc<dyn Vfs>, path: &Path) -> Result<Wal> {
         let (generation, file_bytes) = if vfs.exists(path) {
-            let scan = scan_wal(&*vfs, path)?;
+            let scan = scan_wal(&*vfs, path, 0, |_| Ok(()))?;
             (scan.generation, scan.file_bytes)
         } else {
             (0, 0)
@@ -537,22 +633,14 @@ impl Wal {
         self.durability
     }
 
-    /// Atomically replace the log with exactly `records` at `generation`
-    /// (write temp + fsync + rename), then open it for appending. Used on
-    /// recovery so a crash mid-rewrite can never lose the committed prefix.
-    pub fn rewrite(
-        vfs: Arc<dyn Vfs>,
-        path: &Path,
-        generation: u64,
-        records: &[WalRecord],
-    ) -> Result<Wal> {
+    /// Atomically replace the log with a fresh header at `generation`
+    /// followed by exactly `frames` — already-framed records, such as
+    /// [`WalScan::committed_frames`] — (write temp + fsync + rename), then
+    /// open it for appending. Used on recovery so a crash mid-rewrite can
+    /// never lose the committed prefix.
+    pub fn rewrite(vfs: Arc<dyn Vfs>, path: &Path, generation: u64, frames: &[u8]) -> Result<Wal> {
         let mut out = wal_header(generation);
-        for rec in records {
-            let payload = encode_record(rec);
-            out.put_u32_le(payload.len() as u32);
-            out.put_slice(&payload);
-            out.put_u64_le(fnv1a(&payload));
-        }
+        out.put_slice(frames);
         let tmp = path.with_extension("tmp");
         {
             let mut f = vfs
@@ -571,9 +659,9 @@ impl Wal {
         Wal::attach(vfs, path, generation, out.len() as u64)
     }
 
-    /// Append a batch of records followed by framing checksums; flushes to
-    /// the OS at the end (one syscall per batch, not per record).
-    pub fn append(&mut self, records: &[WalRecord]) -> Result<()> {
+    /// Append a batch of framed records; flushes to the OS at the end (one
+    /// syscall per batch, not per record).
+    pub fn append(&mut self, batch: &WalBatch) -> Result<()> {
         let _span = telemetry::span("db.wal.append");
         if self.poisoned {
             return Err(DbError::Corrupt(
@@ -582,16 +670,10 @@ impl Wal {
                     .into(),
             ));
         }
-        let mut out = Vec::with_capacity(records.len() * 64);
-        for rec in records {
-            let payload = encode_record(rec);
-            out.put_u32_le(payload.len() as u32);
-            out.put_slice(&payload);
-            out.put_u64_le(fnv1a(&payload));
-        }
+        let out = &batch.frames;
         let result = self
             .file
-            .write_all(&out)
+            .write_all(out)
             .map_err(|e| DbError::io("wal append", e))
             .and_then(|()| self.file.flush().map_err(|e| DbError::io("wal flush", e)))
             .and_then(|()| {
@@ -610,7 +692,7 @@ impl Wal {
             Ok(()) => {
                 self.len += out.len() as u64;
                 telemetry::add("db.wal.commit_batches", 1);
-                telemetry::record("db.wal.batch_records", records.len() as u64);
+                telemetry::record("db.wal.batch_records", batch.records as u64);
                 telemetry::meter::add_wal_bytes(out.len() as u64);
                 Ok(())
             }
@@ -670,12 +752,17 @@ impl Wal {
     }
 }
 
-/// What a full scan of a WAL file found: the committed records plus
-/// everything recovery needs to decide whether (and how) to repair it.
+/// What a full scan of a WAL file found: everything recovery needs to
+/// decide whether (and how) to repair it. The committed records themselves
+/// went to the scan's visitor.
 #[derive(Debug, Clone)]
 pub struct WalScan {
-    /// Committed records, in order.
-    pub records: Vec<WalRecord>,
+    /// The whole file as read.
+    bytes: Vec<u8>,
+    /// Header length (0 if the header itself was torn).
+    header_bytes: usize,
+    /// Committed records handed to the visitor (Commit markers included).
+    pub visited: usize,
     /// Generation from the header (0 for v1 files and torn headers).
     pub generation: u64,
     /// Header version found (0 if the header itself was torn).
@@ -704,13 +791,21 @@ impl WalScan {
             || self.committed_bytes != self.file_bytes
     }
 
-    fn empty(file_bytes: u64) -> WalScan {
+    /// The committed records as framed on disk (header excluded), ready
+    /// for [`Wal::rewrite`]. Frames are the same in every format version.
+    pub fn committed_frames(&self) -> &[u8] {
+        &self.bytes[self.header_bytes..self.committed_bytes as usize]
+    }
+
+    fn empty(bytes: Vec<u8>) -> WalScan {
         WalScan {
-            records: Vec::new(),
+            file_bytes: bytes.len() as u64,
+            bytes,
+            header_bytes: 0,
+            visited: 0,
             generation: 0,
             version: 0,
             committed_bytes: 0,
-            file_bytes,
             uncommitted: 0,
             torn_tail: false,
             torn_header: true,
@@ -720,27 +815,36 @@ impl WalScan {
 
 /// Scan a WAL file: parse the header, walk the framed records, and stop
 /// at the first torn or corrupt one. Only records up to the last `Commit`
-/// marker count as committed.
-pub fn scan_wal(vfs: &dyn Vfs, path: &Path) -> Result<WalScan> {
+/// marker count as committed; each committed record (markers included) is
+/// handed to `visit` in log order, as soon as its transaction's marker is
+/// read, so a replay holds at most one transaction's decoded records at a
+/// time. A log whose generation is below `min_generation` predates the
+/// snapshot: it is still scanned, but nothing is visited. An error from
+/// `visit` ends the scan with that error.
+pub fn scan_wal(
+    vfs: &dyn Vfs,
+    path: &Path,
+    min_generation: u64,
+    mut visit: impl FnMut(WalRecord) -> Result<()>,
+) -> Result<WalScan> {
     let _span = telemetry::span("db.wal.recover");
     let bytes = vfs.read(path).map_err(|e| DbError::io("wal read", e))?;
-    let file_bytes = bytes.len() as u64;
     if bytes.len() < 4 {
         // Crash during creation before even the magic landed.
-        return Ok(WalScan::empty(file_bytes));
+        return Ok(WalScan::empty(bytes));
     }
     if &bytes[..4] != WAL_MAGIC {
         return Err(DbError::Corrupt("bad WAL magic".into()));
     }
     if bytes.len() < 8 {
-        return Ok(WalScan::empty(file_bytes));
+        return Ok(WalScan::empty(bytes));
     }
     let version = u32::from_le_bytes([bytes[4], bytes[5], bytes[6], bytes[7]]);
     let (generation, header_len) = match version {
         1 => (0u64, 8usize),
         2 => {
             if bytes.len() < 16 {
-                return Ok(WalScan::empty(file_bytes));
+                return Ok(WalScan::empty(bytes));
             }
             let mut g = &bytes[8..16];
             (g.get_u64_le(), 16)
@@ -749,9 +853,11 @@ pub fn scan_wal(vfs: &dyn Vfs, path: &Path) -> Result<WalScan> {
             return Err(DbError::Corrupt(format!("unsupported WAL version {v}")));
         }
     };
+    let replay = generation >= min_generation;
     let mut buf = &bytes[header_len..];
-    let mut all = Vec::new();
-    let mut committed_len = 0usize;
+    // Well-formed records of the transaction still open at `buf`.
+    let mut open_txn = Vec::new();
+    let mut visited = 0usize;
     let mut consumed = 0usize;
     let mut committed_body = 0usize;
     let torn_tail;
@@ -775,11 +881,16 @@ pub fn scan_wal(vfs: &dyn Vfs, path: &Path) -> Result<WalScan> {
         match decode_record(payload) {
             Ok(rec) => {
                 let is_commit = rec == WalRecord::Commit;
-                all.push(rec);
+                open_txn.push(rec);
                 consumed += 4 + len + 8;
                 if is_commit {
-                    committed_len = all.len();
                     committed_body = consumed;
+                    visited += open_txn.len();
+                    for rec in open_txn.drain(..) {
+                        if replay {
+                            visit(rec)?;
+                        }
+                    }
                 }
             }
             Err(_) => {
@@ -789,15 +900,15 @@ pub fn scan_wal(vfs: &dyn Vfs, path: &Path) -> Result<WalScan> {
         }
         buf.advance(4 + len + 8);
     }
-    let uncommitted = all.len() - committed_len;
-    all.truncate(committed_len);
     Ok(WalScan {
-        records: all,
+        file_bytes: bytes.len() as u64,
+        bytes,
+        header_bytes: header_len,
+        visited: if replay { visited } else { 0 },
         generation,
         version,
         committed_bytes: (header_len + committed_body) as u64,
-        file_bytes,
-        uncommitted,
+        uncommitted: open_txn.len(),
         torn_tail,
         torn_header: false,
     })
@@ -808,7 +919,12 @@ pub fn scan_wal(vfs: &dyn Vfs, path: &Path) -> Result<WalScan> {
 /// Records after the last `Commit` marker, and anything after the first
 /// corrupt/truncated record, are discarded.
 pub fn read_wal(path: &Path) -> Result<Vec<WalRecord>> {
-    Ok(scan_wal(&RealVfs, path)?.records)
+    let mut records = Vec::new();
+    scan_wal(&RealVfs, path, 0, |rec| {
+        records.push(rec);
+        Ok(())
+    })?;
+    Ok(records)
 }
 
 // ---------------- snapshot ----------------
@@ -828,6 +944,28 @@ pub fn write_snapshot_with(
     tables: &[(&String, &Table)],
     generation: u64,
 ) -> Result<()> {
+    let buf = encode_snapshot(tables, generation);
+    let tmp = path.with_extension("tmp");
+    {
+        let mut f = vfs
+            .create(&tmp)
+            .map_err(|e| DbError::io("snapshot create", e))?;
+        f.write_all(&buf)
+            .map_err(|e| DbError::io("snapshot write", e))?;
+        f.sync_all().map_err(|e| {
+            telemetry::add("db.fsync_errors", 1);
+            let _ = telemetry::trace::fault_dump("snapshot fsync failed");
+            DbError::io("snapshot fsync", e)
+        })?;
+    }
+    vfs.rename(&tmp, path)
+        .map_err(|e| DbError::io("snapshot rename", e))?;
+    Ok(())
+}
+
+/// Encode a snapshot image: header, every table, and the trailing
+/// whole-body checksum.
+pub fn encode_snapshot(tables: &[(&String, &Table)], generation: u64) -> Vec<u8> {
     let mut buf = Vec::with_capacity(1 << 16);
     buf.put_slice(SNAPSHOT_MAGIC);
     buf.put_u32_le(FORMAT_VERSION);
@@ -856,22 +994,7 @@ pub fn write_snapshot_with(
     }
     let sum = fnv1a(&buf);
     buf.put_u64_le(sum);
-    let tmp = path.with_extension("tmp");
-    {
-        let mut f = vfs
-            .create(&tmp)
-            .map_err(|e| DbError::io("snapshot create", e))?;
-        f.write_all(&buf)
-            .map_err(|e| DbError::io("snapshot write", e))?;
-        f.sync_all().map_err(|e| {
-            telemetry::add("db.fsync_errors", 1);
-            let _ = telemetry::trace::fault_dump("snapshot fsync failed");
-            DbError::io("snapshot fsync", e)
-        })?;
-    }
-    vfs.rename(&tmp, path)
-        .map_err(|e| DbError::io("snapshot rename", e))?;
-    Ok(())
+    buf
 }
 
 /// Load tables from a snapshot file on the real file system.
@@ -884,16 +1007,25 @@ pub fn read_snapshot_with(vfs: &dyn Vfs, path: &Path) -> Result<(Vec<Table>, u64
     let bytes = vfs
         .read(path)
         .map_err(|e| DbError::io("snapshot read", e))?;
+    decode_snapshot(&bytes)
+}
+
+/// Decode a snapshot image into its tables and header generation.
+///
+/// Each table costs O(1) per row: rows go straight into their slots (the
+/// writer emits them in ascending id order, and a row out of order is
+/// corruption), and each index is built once, after the rows, with
+/// uniqueness checked as it fills. Any truncation or malformed field is
+/// `DbError::Corrupt`.
+pub fn decode_snapshot(bytes: &[u8]) -> Result<(Vec<Table>, u64)> {
     if bytes.len() < 20 {
         return Err(DbError::Corrupt("snapshot too small".into()));
     }
-    let body_len = bytes.len() - 8;
-    let mut tail = &bytes[body_len..];
-    let stored = tail.get_u64_le();
-    if fnv1a(&bytes[..body_len]) != stored {
+    let (body, mut tail) = bytes.split_at(bytes.len() - 8);
+    if fnv1a(body) != tail.get_u64_le() {
         return Err(DbError::Corrupt("snapshot checksum mismatch".into()));
     }
-    let mut buf = &bytes[..body_len];
+    let mut buf = body;
     if &buf[..4] != SNAPSHOT_MAGIC {
         return Err(DbError::Corrupt("bad snapshot magic".into()));
     }
@@ -917,14 +1049,14 @@ pub fn read_snapshot_with(vfs: &dyn Vfs, path: &Path) -> Result<(Vec<Table>, u64
         return Err(DbError::Corrupt("truncated snapshot header".into()));
     }
     let ntables = buf.get_u32_le() as usize;
-    let mut tables = Vec::with_capacity(ntables);
+    let mut tables = Vec::with_capacity(ntables.min(buf.remaining()));
     for _ in 0..ntables {
         let schema = get_schema(&mut buf)?;
         if buf.remaining() < 16 {
             return Err(DbError::Corrupt("truncated table header".into()));
         }
         let next_auto = buf.get_i64_le();
-        let nrows = buf.get_u64_le() as usize;
+        let nrows = buf.get_u64_le();
         let mut table = Table::new(schema);
         for _ in 0..nrows {
             if buf.remaining() < 8 {
@@ -932,8 +1064,9 @@ pub fn read_snapshot_with(vfs: &dyn Vfs, path: &Path) -> Result<(Vec<Table>, u64
             }
             let id = buf.get_u64_le();
             let row = get_row(&mut buf)?;
-            table.insert_at(id, row)?;
+            table.load_row(id, row)?;
         }
+        table.index_loaded_rows()?;
         table.set_next_auto_value(next_auto);
         if buf.remaining() < 4 {
             return Err(DbError::Corrupt("truncated index count".into()));
@@ -941,12 +1074,12 @@ pub fn read_snapshot_with(vfs: &dyn Vfs, path: &Path) -> Result<(Vec<Table>, u64
         let nix = buf.get_u32_le() as usize;
         for _ in 0..nix {
             let name = get_str(&mut buf)?;
-            let column = get_str(&mut buf)?;
+            let column = get_str_ref(&mut buf)?;
             if buf.remaining() < 1 {
                 return Err(DbError::Corrupt("truncated index flags".into()));
             }
             let unique = buf.get_u8() != 0;
-            table.create_index(&name, &column, unique)?;
+            table.create_index(&name, column, unique)?;
         }
         tables.push(table);
     }
@@ -1052,6 +1185,49 @@ mod tests {
         }
     }
 
+    fn batch(records: &[WalRecord]) -> WalBatch {
+        let mut b = WalBatch::default();
+        for rec in records {
+            b.push(rec);
+        }
+        b
+    }
+
+    #[test]
+    fn batch_frames_match_record_encoding() {
+        let row = vec![Value::Int(3), Value::Text("x".into()), Value::Null];
+        let mut direct = WalBatch::default();
+        direct.push_insert("t", 9, &row);
+        direct.push_update("t", 9, &row);
+        let via_records = batch(&[
+            WalRecord::Insert {
+                table: "t".into(),
+                id: 9,
+                row: row.clone(),
+            },
+            WalRecord::Update {
+                table: "t".into(),
+                id: 9,
+                row: row.clone(),
+            },
+        ]);
+        assert_eq!(direct.frames, via_records.frames);
+        let payload = encode_record(&WalRecord::Insert {
+            table: "t".into(),
+            id: 9,
+            row,
+        });
+        let frame = &direct.frames[..4 + payload.len() + 8];
+        assert_eq!(frame[..4], (payload.len() as u32).to_le_bytes());
+        assert_eq!(frame[4..4 + payload.len()], payload[..]);
+        assert_eq!(frame[4 + payload.len()..], fnv1a(&payload).to_le_bytes());
+        let mark = direct.mark();
+        direct.push(&WalRecord::Commit);
+        direct.truncate(mark);
+        assert_eq!(direct.records, 2);
+        assert_eq!(direct.frames, via_records.frames);
+    }
+
     #[test]
     fn wal_append_and_read() {
         let dir = std::env::temp_dir().join(format!("pdmf_wal_{}", std::process::id()));
@@ -1059,19 +1235,19 @@ mod tests {
         let path = dir.join("wal_append.pdmf");
         let _ = std::fs::remove_file(&path);
         let mut wal = Wal::open(&path).unwrap();
-        wal.append(&[
+        wal.append(&batch(&[
             WalRecord::Insert {
                 table: "t".into(),
                 id: 0,
                 row: vec![Value::Int(1)],
             },
             WalRecord::Commit,
-        ])
+        ]))
         .unwrap();
-        wal.append(&[WalRecord::Delete {
+        wal.append(&batch(&[WalRecord::Delete {
             table: "t".into(),
             id: 0,
-        }])
+        }]))
         .unwrap(); // no commit marker: must be dropped on read
         let recs = read_wal(&path).unwrap();
         assert_eq!(recs.len(), 2);
@@ -1086,14 +1262,14 @@ mod tests {
         let path = dir.join("wal_torn.pdmf");
         let _ = std::fs::remove_file(&path);
         let mut wal = Wal::open(&path).unwrap();
-        wal.append(&[
+        wal.append(&batch(&[
             WalRecord::Insert {
                 table: "t".into(),
                 id: 0,
                 row: vec![Value::Int(1)],
             },
             WalRecord::Commit,
-        ])
+        ]))
         .unwrap();
         drop(wal);
         // Simulate a crash mid-append: write garbage bytes at the end.
@@ -1112,10 +1288,13 @@ mod tests {
         let path = dir.join("wal_sum.pdmf");
         let _ = std::fs::remove_file(&path);
         let mut wal = Wal::open(&path).unwrap();
-        wal.append(&[WalRecord::Commit]).unwrap();
+        wal.append(&batch(&[WalRecord::Commit])).unwrap();
         let good_len = std::fs::metadata(&path).unwrap().len();
-        wal.append(&[WalRecord::DropTable { name: "x".into() }, WalRecord::Commit])
-            .unwrap();
+        wal.append(&batch(&[
+            WalRecord::DropTable { name: "x".into() },
+            WalRecord::Commit,
+        ]))
+        .unwrap();
         drop(wal);
         // Flip a byte inside the second batch.
         let mut bytes = std::fs::read(&path).unwrap();

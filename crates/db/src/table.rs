@@ -80,6 +80,17 @@ impl Table {
         self.rows.len()
     }
 
+    /// Tombstone slots awaiting reuse, in reuse order (the last is taken
+    /// first by the next insert).
+    pub fn free_slots(&self) -> &[RowId] {
+        &self.free
+    }
+
+    /// Every index on the table, implicit constraint indexes included.
+    pub fn indexes(&self) -> impl Iterator<Item = &Index> {
+        self.indexes.values()
+    }
+
     /// Get a row by id.
     pub fn row(&self, id: RowId) -> Option<&Row> {
         self.rows.get(id as usize).and_then(|r| r.as_ref())
@@ -127,6 +138,9 @@ impl Table {
                 }
                 continue;
             }
+            if row[i].data_type() == Some(col.ty) {
+                continue; // already the column's type: nothing to coerce
+            }
             row[i] = row[i].coerce(col.ty).ok_or_else(|| DbError::TypeMismatch {
                 column: col.name.clone(),
                 expected: col.ty,
@@ -147,7 +161,7 @@ impl Table {
             if key.is_null() {
                 continue; // SQL: NULLs never conflict
             }
-            for id in index.get(key) {
+            for &id in index.ids(key) {
                 if Some(id) != skip {
                     return Err(DbError::UniqueViolation {
                         table: self.schema.name.clone(),
@@ -159,11 +173,8 @@ impl Table {
         Ok(())
     }
 
-    /// Insert a prepared row; returns its row id.
-    pub fn insert(&mut self, row: Row) -> Result<RowId> {
-        let row = self.prepare_row(row)?;
-        self.check_unique(&row, None)?;
-        // Advance the auto counter past any explicit value.
+    /// Advance the AUTO_INCREMENT counter past an explicit key in `row`.
+    fn bump_auto(&mut self, row: &Row) {
         if let Some(pk) = self.schema.primary_key_index() {
             if self.schema.columns[pk].auto_increment {
                 if let Value::Int(v) = row[pk] {
@@ -171,6 +182,13 @@ impl Table {
                 }
             }
         }
+    }
+
+    /// Insert a prepared row; returns its row id.
+    pub fn insert(&mut self, row: Row) -> Result<RowId> {
+        let row = self.prepare_row(row)?;
+        self.check_unique(&row, None)?;
+        self.bump_auto(&row);
         let id = match self.free.pop() {
             Some(slot) => {
                 self.rows[slot as usize] = Some(row);
@@ -190,33 +208,31 @@ impl Table {
         Ok(id)
     }
 
-    /// Insert at a specific row id (WAL replay only). The slot must be free.
+    /// Insert at a specific row id (WAL replay, and rollback of a
+    /// delete). The slot must be free: past the slab end, or a tombstone.
+    ///
+    /// O(1) per row: only the gap between the old slab end and `id` is
+    /// walked (each gap slot becomes free), and the free list is touched
+    /// only when `id` reuses a tombstone. That slot sits at or near the
+    /// back of the free list (inserts reuse the most recently freed slot
+    /// first), so the search runs from the back.
     pub fn insert_at(&mut self, id: RowId, row: Row) -> Result<()> {
-        let idx = id as usize;
-        if idx >= self.rows.len() {
-            self.rows.resize(idx + 1, None);
-            // any gap slots become free
-            for gap in (self.rows.len().saturating_sub(idx + 1))..idx {
-                if self.rows[gap].is_none() && !self.free.contains(&(gap as RowId)) {
-                    self.free.push(gap as RowId);
-                }
-            }
-        }
-        if self.rows[idx].is_some() {
+        let idx = self.slot_index(id)?;
+        let old_len = self.rows.len();
+        if self.rows.get(idx).is_some_and(Option::is_some) {
             return Err(DbError::Corrupt(format!(
                 "WAL replay: slot {id} in {} already occupied",
                 self.schema.name
             )));
         }
-        self.free.retain(|&f| f != id);
         let row = self.prepare_row(row)?;
         self.check_unique(&row, None)?;
-        if let Some(pk) = self.schema.primary_key_index() {
-            if self.schema.columns[pk].auto_increment {
-                if let Value::Int(v) = row[pk] {
-                    self.next_auto = self.next_auto.max(v + 1);
-                }
-            }
+        self.bump_auto(&row);
+        if idx >= old_len {
+            self.rows.resize(idx + 1, None);
+            self.free.extend((old_len..idx).map(|gap| gap as RowId));
+        } else if let Some(pos) = self.free.iter().rposition(|&f| f == id) {
+            self.free.remove(pos);
         }
         for index in self.indexes.values_mut() {
             index.insert(&row[index.column], id);
@@ -225,6 +241,62 @@ impl Table {
         self.live += 1;
         self.colcache.invalidate_row(idx);
         Ok(())
+    }
+
+    /// Slab position of a row id read from the log or a snapshot. An id
+    /// no slab could hold comes only from a damaged file.
+    fn slot_index(&self, id: RowId) -> Result<usize> {
+        let max_slots = isize::MAX as usize / std::mem::size_of::<Option<Row>>();
+        usize::try_from(id)
+            .ok()
+            .filter(|&idx| idx < max_slots)
+            .ok_or_else(|| {
+                DbError::Corrupt(format!("row id {id} out of range in {}", self.schema.name))
+            })
+    }
+
+    /// Place a snapshot row at `id` without touching the indexes. Ids must
+    /// arrive in strictly ascending order (the order a checkpoint writes);
+    /// every skipped slot becomes free. Call [`Table::index_loaded_rows`]
+    /// once all rows are in.
+    pub(crate) fn load_row(&mut self, id: RowId, row: Row) -> Result<()> {
+        let idx = self.slot_index(id)?;
+        let old_len = self.rows.len();
+        if idx < old_len {
+            return Err(DbError::Corrupt(format!(
+                "snapshot: row {id} in {} out of order",
+                self.schema.name
+            )));
+        }
+        let row = self.prepare_row(row)?;
+        self.free.extend((old_len..idx).map(|gap| gap as RowId));
+        self.rows.resize(idx, None);
+        self.rows.push(Some(row));
+        self.live += 1;
+        Ok(())
+    }
+
+    /// Build every index from the rows placed by [`Table::load_row`], one
+    /// pass per index, enforcing uniqueness as each index fills.
+    pub(crate) fn index_loaded_rows(&mut self) -> Result<()> {
+        let mut indexes = std::mem::take(&mut self.indexes);
+        for index in indexes.values_mut() {
+            self.fill_index(index)?;
+        }
+        self.indexes = indexes;
+        Ok(())
+    }
+
+    /// Fill `index` from every live row in one bulk load, rejecting a
+    /// duplicate non-NULL key when the index is unique.
+    fn fill_index(&self, index: &mut Index) -> Result<()> {
+        let col = index.column;
+        index
+            .fill(self.iter().map(|(id, row)| (&row[col], id)))
+            .map_err(|_| DbError::UniqueViolation {
+                table: self.schema.name.clone(),
+                column: self.schema.columns[col].name.clone(),
+            })
     }
 
     /// Delete a row by id; returns the removed row.
@@ -279,15 +351,7 @@ impl Table {
             return Err(DbError::Unsupported(format!("index {name} already exists")));
         }
         let mut index = Index::new(name.to_string(), col, unique);
-        for (id, row) in self.iter() {
-            if unique && !row[col].is_null() && !index.get(&row[col]).is_empty() {
-                return Err(DbError::UniqueViolation {
-                    table: self.schema.name.clone(),
-                    column: column.to_string(),
-                });
-            }
-            index.insert(&row[col], id);
-        }
+        self.fill_index(&mut index)?;
         self.indexes.insert(name.to_string(), index);
         Ok(())
     }
@@ -471,6 +535,91 @@ mod tests {
     }
 
     #[test]
+    fn insert_at_past_a_gap_frees_exactly_the_gap_once() {
+        let mut t = people();
+        let row = |id: i64| vec![Value::Int(id), format!("p{id}").into(), Value::Null];
+        let sorted_free = |t: &Table| {
+            let mut free = t.free_slots().to_vec();
+            free.sort_unstable();
+            free
+        };
+        t.insert_at(2, row(3)).unwrap();
+        assert_eq!(sorted_free(&t), [0, 1]);
+        // A second gap adds only its own slots; the first gap's are not
+        // pushed again.
+        t.insert_at(5, row(6)).unwrap();
+        assert_eq!(sorted_free(&t), [0, 1, 3, 4]);
+        assert_eq!((t.slab_len(), t.len()), (6, 2));
+        // Filling a gap slot takes exactly that slot off the free list.
+        t.insert_at(3, row(4)).unwrap();
+        assert_eq!(sorted_free(&t), [0, 1, 4]);
+        // An occupied slot is refused and changes nothing.
+        assert!(matches!(t.insert_at(5, row(9)), Err(DbError::Corrupt(_))));
+        assert_eq!(sorted_free(&t), [0, 1, 4]);
+        assert_eq!(t.len(), 3);
+        // Ordinary inserts reuse each free slot once, then grow the slab.
+        let mut ids: Vec<RowId> = (0..4)
+            .map(|_| {
+                t.insert(vec![Value::Null, "n".into(), Value::Null])
+                    .unwrap()
+            })
+            .collect();
+        ids.sort_unstable();
+        assert_eq!(ids, [0, 1, 4, 6]);
+        assert!(t.free_slots().is_empty());
+        assert_eq!(t.index_on(0).unwrap().len(), 7);
+    }
+
+    #[test]
+    fn insert_at_into_a_tombstone_removes_only_that_slot() {
+        let mut t = people();
+        for name in ["a", "b", "c", "d"] {
+            t.insert(vec![Value::Null, name.into(), Value::Null])
+                .unwrap();
+        }
+        let b = t.delete(1).unwrap();
+        t.delete(3).unwrap();
+        assert_eq!(t.free_slots(), [1, 3]);
+        // Rollback of the delete of row 1 puts it back in its own slot.
+        t.insert_at(1, b).unwrap();
+        assert_eq!(t.free_slots(), [3]);
+        assert_eq!(t.row(1).unwrap()[1], Value::Text("b".into()));
+        assert_eq!(t.index_on(0).unwrap().ids(&Value::Int(2)), [1]);
+    }
+
+    #[test]
+    fn loaded_rows_rebuild_indexes_and_free_the_gaps() {
+        let mut t = people();
+        t.load_row(1, vec![Value::Int(5), "x".into(), Value::Int(40)])
+            .unwrap();
+        t.load_row(4, vec![Value::Int(9), "y".into(), Value::Int(41)])
+            .unwrap();
+        assert!(matches!(
+            t.load_row(4, vec![Value::Int(10), "z".into(), Value::Null]),
+            Err(DbError::Corrupt(_))
+        ));
+        t.index_loaded_rows().unwrap();
+        assert_eq!(t.free_slots(), [0, 2, 3]);
+        assert_eq!((t.len(), t.slab_len()), (2, 5));
+        assert_eq!(t.index_on(0).unwrap().ids(&Value::Int(9)), [4]);
+        // The next insert takes the most recently listed free slot.
+        let id = t
+            .insert(vec![Value::Null, "n".into(), Value::Null])
+            .unwrap();
+        assert_eq!(id, 3);
+
+        let mut dup = people();
+        dup.load_row(0, vec![Value::Int(1), "a".into(), Value::Null])
+            .unwrap();
+        dup.load_row(1, vec![Value::Int(1), "b".into(), Value::Null])
+            .unwrap();
+        assert!(matches!(
+            dup.index_loaded_rows(),
+            Err(DbError::UniqueViolation { .. })
+        ));
+    }
+
+    #[test]
     fn update_maintains_indexes() {
         let mut t = people();
         t.create_index("ix_age", "age", false).unwrap();
@@ -480,8 +629,8 @@ mod tests {
         t.update(a, vec![Value::Int(1), "a".into(), Value::Int(31)])
             .unwrap();
         let ix = t.index_on(2).unwrap();
-        assert!(ix.get(&Value::Int(30)).is_empty());
-        assert_eq!(ix.get(&Value::Int(31)), vec![a]);
+        assert!(!ix.contains(&Value::Int(30)));
+        assert_eq!(ix.ids(&Value::Int(31)), [a]);
     }
 
     #[test]
@@ -511,7 +660,7 @@ mod tests {
         // index on "city" survived with shifted offset
         let ix = t.indexes.get("ix_city").unwrap();
         assert_eq!(ix.column, 2);
-        assert_eq!(ix.get(&Value::Text("eugene".into())), vec![0]);
+        assert_eq!(ix.ids(&Value::Text("eugene".into())), [0]);
     }
 
     #[test]

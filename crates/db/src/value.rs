@@ -93,20 +93,22 @@ pub struct IStr {
 impl IStr {
     /// Intern `s`, returning the canonical handle for its contents.
     pub fn intern(s: &str) -> IStr {
+        // A hit clones the map's own key, which the lookup just compared,
+        // instead of touching the id-ordered `strings` table as well.
         {
             let rd = interner().read().unwrap();
-            if let Some(&id) = rd.ids.get(s) {
+            if let Some((arc, &id)) = rd.ids.get_key_value(s) {
                 return IStr {
                     id,
-                    s: Arc::clone(&rd.strings[id as usize]),
+                    s: Arc::clone(arc),
                 };
             }
         }
         let mut wr = interner().write().unwrap();
-        if let Some(&id) = wr.ids.get(s) {
+        if let Some((arc, &id)) = wr.ids.get_key_value(s) {
             return IStr {
                 id,
-                s: Arc::clone(&wr.strings[id as usize]),
+                s: Arc::clone(arc),
             };
         }
         let arc: Arc<str> = Arc::from(s);
@@ -342,6 +344,7 @@ impl Value {
 
     /// Total order used by indexes and sorting. NULL first, then booleans,
     /// then numbers (cross-type), then text, then blobs.
+    #[inline]
     pub fn total_cmp(&self, other: &Value) -> Ordering {
         use Value::*;
         fn rank(v: &Value) -> u8 {
@@ -379,6 +382,7 @@ pub fn format_float(f: f64) -> String {
 }
 
 impl PartialEq for Value {
+    #[inline]
     fn eq(&self, other: &Self) -> bool {
         self.total_cmp(other) == Ordering::Equal
     }
@@ -387,12 +391,14 @@ impl PartialEq for Value {
 impl Eq for Value {}
 
 impl PartialOrd for Value {
+    #[inline]
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
 
 impl Ord for Value {
+    #[inline]
     fn cmp(&self, other: &Self) -> Ordering {
         self.total_cmp(other)
     }
