@@ -8,17 +8,17 @@
 //! histogram's p50/p95/p99 are printed — the numbers recorded in
 //! `EXPERIMENTS.md` §E11.
 //!
-//! The swarm is the interesting part: 1000 sessions means 1000 server
-//! threads polling small frames through the admission-control queue,
-//! so the measurement covers accept pressure, session bookkeeping, and
-//! queue contention — not just codec cost.
+//! The swarm is the interesting part: 1000 sessions parked on the
+//! server's event loops, feeding small frames through the
+//! admission-control queue, so the measurement covers accept pressure,
+//! session bookkeeping, and queue contention — not just codec cost.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use perfdmf_core::DatabaseSession;
 use perfdmf_db::Connection;
 use perfdmf_explorer::{ClusterMethod, FeatureSpace, Request, Response, RetryPolicy};
 use perfdmf_profile::{IntervalData, IntervalEvent, Metric, Profile, ThreadId};
-use perfdmf_server::{ExecutorMode, NetClient, PerfdmfServer, ServerConfig};
+use perfdmf_server::{NetClient, PerfdmfServer, ServerConfig};
 
 fn swarm_clients() -> usize {
     std::env::var("PERFDMF_E11_CLIENTS")
@@ -161,16 +161,15 @@ fn bench_swarm(c: &mut Criterion) {
     server.shutdown();
 }
 
-/// Tail-latency comparison of the two session executors.
+/// Tail latency of the event-loop executor at N live sessions.
 ///
 /// Criterion's `<mean>/iter` lines can't carry percentiles, and the
-/// tail is exactly what distinguishes the executors (thread-per-session
-/// means N runnable threads fighting the scheduler; the event loop
-/// parks N sessions on poll(2)). So this group runs one measured burst
-/// per (client count, executor), collects the client-observed
+/// tail is what N sessions parked on poll(2) cost. So this group runs
+/// one measured burst per client count, collects the client-observed
 /// round-trip histogram, and prints its own `bench:` lines in the
 /// shim's format so `scripts/bench_snapshot.sh` archives p50/p95/p99
-/// alongside the means.
+/// alongside the means. The `_eventloop_` infix keeps the line names
+/// comparable with earlier snapshots.
 ///
 /// Unlike `bench_swarm` (which prices the whole arrival storm —
 /// connect, handshake, serve, close), this burst pre-connects every
@@ -195,94 +194,87 @@ fn bench_swarm_tail(c: &mut Criterion) {
         Err(_) => vec![100, 1000],
     };
     let requests_per_client = 4;
-    for executor in [ExecutorMode::EventLoop, ExecutorMode::Threads] {
-        let label = match executor {
-            ExecutorMode::EventLoop => "eventloop",
-            ExecutorMode::Threads => "threads",
-        };
-        for &clients in &sizes {
-            let (conn, _trial) = seeded_database();
-            let server = PerfdmfServer::start_with_config(
-                conn,
-                ServerConfig {
-                    workers: 4,
-                    queue_capacity: 4096,
-                    executor,
-                    ..ServerConfig::default()
-                },
-            )
-            .expect("server start");
-            let addr = server.addr();
-            // Two barriers: `connected` holds every client until all N
-            // sessions are live (one warmup ping each), `released`
-            // holds the measured pings until the main thread has reset
-            // the telemetry registry — so the histogram contains
-            // exactly the steady-state round trips.
-            let connected = std::sync::Arc::new(std::sync::Barrier::new(clients + 1));
-            let released = std::sync::Arc::new(std::sync::Barrier::new(clients + 1));
-            let handles: Vec<_> = (0..clients)
-                .map(|id| {
-                    let connected = std::sync::Arc::clone(&connected);
-                    let released = std::sync::Arc::clone(&released);
-                    std::thread::spawn(move || {
-                        let mut client = NetClient::new(addr, format!("e11-tail-{id}"));
-                        assert!(
-                            matches!(client.request(Request::Ping), Response::Pong),
-                            "warmup ping must connect"
-                        );
-                        connected.wait();
-                        released.wait();
-                        let mut good = 0;
-                        for _ in 0..requests_per_client {
-                            if matches!(client.request(Request::Ping), Response::Pong) {
-                                good += 1;
-                            }
+    for &clients in &sizes {
+        let (conn, _trial) = seeded_database();
+        let server = PerfdmfServer::start_with_config(
+            conn,
+            ServerConfig {
+                workers: 4,
+                queue_capacity: 4096,
+                ..ServerConfig::default()
+            },
+        )
+        .expect("server start");
+        let addr = server.addr();
+        // Two barriers: `connected` holds every client until all N
+        // sessions are live (one warmup ping each), `released`
+        // holds the measured pings until the main thread has reset
+        // the telemetry registry — so the histogram contains
+        // exactly the steady-state round trips.
+        let connected = std::sync::Arc::new(std::sync::Barrier::new(clients + 1));
+        let released = std::sync::Arc::new(std::sync::Barrier::new(clients + 1));
+        let handles: Vec<_> = (0..clients)
+            .map(|id| {
+                let connected = std::sync::Arc::clone(&connected);
+                let released = std::sync::Arc::clone(&released);
+                std::thread::spawn(move || {
+                    let mut client = NetClient::new(addr, format!("e11-tail-{id}"));
+                    assert!(
+                        matches!(client.request(Request::Ping), Response::Pong),
+                        "warmup ping must connect"
+                    );
+                    connected.wait();
+                    released.wait();
+                    let mut good = 0;
+                    for _ in 0..requests_per_client {
+                        if matches!(client.request(Request::Ping), Response::Pong) {
+                            good += 1;
                         }
-                        client.close();
-                        good
-                    })
+                    }
+                    client.close();
+                    good
                 })
-                .collect();
-            connected.wait();
-            perfdmf_telemetry::reset();
-            let started = std::time::Instant::now();
-            released.wait();
-            let good: usize = handles.into_iter().map(|h| h.join().expect("client")).sum();
-            let wall = started.elapsed();
-            assert_eq!(
-                good,
-                clients * requests_per_client,
-                "every swarm request must be answered"
+            })
+            .collect();
+        connected.wait();
+        perfdmf_telemetry::reset();
+        let started = std::time::Instant::now();
+        released.wait();
+        let good: usize = handles.into_iter().map(|h| h.join().expect("client")).sum();
+        let wall = started.elapsed();
+        assert_eq!(
+            good,
+            clients * requests_per_client,
+            "every swarm request must be answered"
+        );
+        let snap = perfdmf_telemetry::snapshot();
+        let h = snap
+            .histograms
+            .iter()
+            .find(|h| h.name == "netclient.request_latency_ns")
+            .expect("swarm must record client latencies");
+        let us = |q: f64| h.quantile(q).unwrap_or(0) as f64 / 1_000.0;
+        for (tag, val) in [
+            ("p50", us(0.50)),
+            ("p95", us(0.95)),
+            ("p99", us(0.99)),
+            ("max", h.max.unwrap_or(0) as f64 / 1_000.0),
+        ] {
+            println!(
+                "bench: e11_swarm_tail/{clients}_clients_eventloop_{tag}            \
+                 {val:.1}µs/iter"
             );
-            let snap = perfdmf_telemetry::snapshot();
-            let h = snap
-                .histograms
-                .iter()
-                .find(|h| h.name == "netclient.request_latency_ns")
-                .expect("swarm must record client latencies");
-            let us = |q: f64| h.quantile(q).unwrap_or(0) as f64 / 1_000.0;
-            for (tag, val) in [
-                ("p50", us(0.50)),
-                ("p95", us(0.95)),
-                ("p99", us(0.99)),
-                ("max", h.max.unwrap_or(0) as f64 / 1_000.0),
-            ] {
-                println!(
-                    "bench: e11_swarm_tail/{clients}_clients_{label}_{tag}            \
-                     {val:.1}µs/iter"
-                );
-            }
-            let rate = good as f64 / wall.as_secs_f64();
-            eprintln!(
-                "e11_swarm_tail {clients} clients ({label}): {good} requests in {wall:?} \
-                 ({rate:.0} req/s), p50={:.0}us p95={:.0}us p99={:.0}us max={:.0}us",
-                us(0.50),
-                us(0.95),
-                us(0.99),
-                h.max.unwrap_or(0) as f64 / 1_000.0,
-            );
-            server.shutdown();
         }
+        let rate = good as f64 / wall.as_secs_f64();
+        eprintln!(
+            "e11_swarm_tail {clients} clients: {good} requests in {wall:?} \
+             ({rate:.0} req/s), p50={:.0}us p95={:.0}us p99={:.0}us max={:.0}us",
+            us(0.50),
+            us(0.95),
+            us(0.99),
+            h.max.unwrap_or(0) as f64 / 1_000.0,
+        );
+        server.shutdown();
     }
 }
 

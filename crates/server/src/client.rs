@@ -166,7 +166,7 @@ impl NetClient {
     /// The server-side [`telemetry::ResourceUsage`] attached to the most
     /// recent reply: what the last request cost the server in rows,
     /// cache traffic, WAL bytes, and queue/execute time. `None` before
-    /// the first reply or when the peer predates protocol v3.
+    /// the first reply, or when the reply carried no usage.
     pub fn last_usage(&self) -> Option<telemetry::ResourceUsage> {
         self.last_usage
     }

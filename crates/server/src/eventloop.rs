@@ -1,11 +1,10 @@
-//! The event-driven session executor: many connections per thread.
+//! The server's session executor: many connections per thread.
 //!
-//! The thread-per-session executor in [`crate::server`] spends one OS
-//! thread (stack, scheduler slot, context switches) per connection,
-//! which collapses under thousands of mostly-idle sessions — the
-//! classic C10K wall. This module replaces the *session* threads with a
+//! One OS thread per connection (stack, scheduler slot, context
+//! switches) collapses under thousands of mostly-idle sessions — the
+//! classic C10K wall. This module instead drives every session from a
 //! small sharded set of event-loop threads; the analysis worker pool
-//! behind the explorer queue is untouched.
+//! behind the explorer queue is separate.
 //!
 //! Architecture:
 //!
@@ -33,29 +32,25 @@
 //! stays intact underneath.
 //!
 //! Because sessions are state machines rather than blocked threads,
-//! this executor also serves **pipelined** calls: a client may keep a
+//! the executor also serves **pipelined** calls: a client may keep a
 //! bounded window ([`crate::server::ServerConfig::window`]) of seqs
 //! outstanding on one connection; replies are written as executions
 //! complete, matched by seq, possibly out of order. Calls beyond the
 //! window are answered immediately with a typed `Response::Error` so a
 //! runaway client cannot queue unbounded work.
 //!
-//! Every protocol semantic of the threaded executor is preserved:
-//! idempotency admission (replay, park-on-duplicate, at-most-once),
-//! deadline expiry with the same retryable failure text, tracing-v3
-//! span parentage, `RequestMeter` resource accounting, panic artifacts,
-//! and the same telemetry counters in the same situations — the chaos
-//! harness runs its full invariant suite against both executors.
+//! Every session gets the full protocol semantics: idempotency
+//! admission (replay, park-on-duplicate, at-most-once), deadline expiry
+//! with a retryable failure, span parentage into the caller's trace,
+//! `RequestMeter` resource accounting, panic artifacts, and the
+//! telemetry counters the chaos harness asserts on.
 
 use crate::server::{
     authenticate, deadline_slack, finish_request, validate, InFlightGuard, PanicArtifact,
-    ReplayEntry, Shared, DUPLICATE_WAIT, POLL_INTERVAL,
+    ReplayEntry, Shared, DUPLICATE_WAIT, NEXT_SESSION, POLL_INTERVAL,
 };
 use crate::stream::{write_all, write_available, RealStream, Stream};
-use crate::wire::{
-    parse_header, verify_body, Message, WireError, HEADER_LEN, MIN_PROTOCOL_VERSION,
-    PROTOCOL_VERSION,
-};
+use crate::wire::{parse_header, verify_body, Message, WireError, HEADER_LEN, PROTOCOL_VERSION};
 use crossbeam::channel::{unbounded, Receiver, Sender, TryRecvError};
 use perfdmf_explorer::{Request, Response};
 use perfdmf_telemetry as telemetry;
@@ -345,12 +340,12 @@ impl ExecutorHandle {
 }
 
 // ---------------------------------------------------------------------
-// Accept loop (event-loop mode).
+// Accept loop.
 // ---------------------------------------------------------------------
 
-/// Accept connections and deal them round-robin across the shards.
-/// Mirrors the threaded accept loop's capacity shed, fault-plan
-/// decorrelation, and drain behavior — only the hand-off differs.
+/// Accept connections and deal them round-robin across the shards,
+/// shedding connections past [`crate::ServerConfig::max_sessions`] and
+/// stopping once the server drains.
 pub(crate) fn accept_loop(listener: TcpListener, shared: Arc<Shared>, intakes: Vec<Intake>) {
     let mut next = 0usize;
     while !shared.draining.load(Ordering::SeqCst) {
@@ -363,8 +358,9 @@ pub(crate) fn accept_loop(listener: TcpListener, shared: Arc<Shared>, intakes: V
                 let mut stream: Box<dyn Stream> = Box::new(RealStream::new(socket));
                 if let Some(plan) = shared.config.fault.clone() {
                     // Decorrelate per-connection schedules while keeping
-                    // the whole run a function of the configured seed.
-                    let nth = shared.next_session.load(Ordering::Relaxed);
+                    // each a function of the configured seed and the
+                    // process's session count.
+                    let nth = NEXT_SESSION.load(Ordering::Relaxed);
                     let mut plan = plan;
                     plan.seed = plan.seed.wrapping_add(nth.wrapping_mul(0x9E37_79B9));
                     stream = Box::new(crate::stream::FaultStream::new(stream, plan));
@@ -402,8 +398,7 @@ pub(crate) fn accept_loop(listener: TcpListener, shared: Arc<Shared>, intakes: V
 // Per-session state machine.
 // ---------------------------------------------------------------------
 
-/// Incremental frame reassembly over a nonblocking stream: the
-/// state-machine form of the threaded executor's `read_frame`.
+/// Incremental frame reassembly over a nonblocking stream.
 struct FrameReader {
     header: [u8; HEADER_LEN],
     filled: usize,
@@ -510,8 +505,8 @@ impl FrameReader {
 }
 
 /// Identity of one admitted call, threaded through dispatch so the
-/// completion (whenever and wherever it lands) can file the same
-/// accounting row and reply the threaded executor would.
+/// completion (whenever and wherever it lands) can file its accounting
+/// row and reply.
 struct CallCtx {
     seq: u64,
     kind: &'static str,
@@ -537,8 +532,7 @@ struct Inflight {
 
 /// A call parked behind a duplicate idempotency key still executing
 /// (possibly submitted by a *different* connection). Re-checked against
-/// the replay cache every tick — the nonblocking analogue of the
-/// threaded executor's condvar wait.
+/// the replay cache every tick.
 struct Parked {
     ctx: CallCtx,
     key: u64,
@@ -574,11 +568,9 @@ struct Session {
     stream: Box<dyn Stream>,
     fd: RawFd,
     phase: Phase,
-    peer_protocol: u32,
     record: SessionRecord,
     /// `false` until the handshake succeeds (no registry row exists to
-    /// finalize) and after a session panic (the threaded executor's
-    /// panicked sessions never write a closing upsert either).
+    /// finalize) and after a session panic.
     record_on_close: bool,
     started: Instant,
     last_progress: Instant,
@@ -597,7 +589,6 @@ impl Session {
             stream: new.stream,
             fd: new.fd,
             phase: Phase::Handshake,
-            peer_protocol: PROTOCOL_VERSION,
             record: SessionRecord::new(0, ""),
             record_on_close: false,
             started: now,
@@ -672,8 +663,7 @@ impl Session {
                     self.farewell("idle timeout", "idle timeout".into(), now);
                 } else {
                     // A peer that connects and never says Hello is
-                    // filed as a disconnect, like the threaded
-                    // executor's pre-handshake bailout.
+                    // filed as a disconnect.
                     telemetry::add("server.disconnects", 1);
                     self.dead = true;
                 }
@@ -853,13 +843,12 @@ impl Session {
         self.queue_reply(ctx.seq, usage, response);
     }
 
-    /// Queue a `Reply` frame, downgrading the encoding for v2 peers.
+    /// Queue a `Reply` frame carrying the call's resource usage.
     fn queue_reply(&mut self, seq: u64, usage: telemetry::ResourceUsage, response: Response) {
-        let usage = (self.peer_protocol >= 3).then_some(usage);
         self.outbuf.extend_from_slice(
             &Message::Reply {
                 seq,
-                usage,
+                usage: Some(usage),
                 response,
             }
             .to_frame(),
@@ -963,8 +952,8 @@ impl Session {
         }
     }
 
-    /// Handshake: the first frame must be a protocol-compatible,
-    /// (when required) authenticated Hello.
+    /// Handshake: the first frame must be a Hello speaking exactly
+    /// [`PROTOCOL_VERSION`] and, when required, authenticated.
     fn on_hello(&mut self, shared: &Arc<Shared>, body: Vec<u8>, now: Instant) {
         match Message::decode(&body) {
             Ok(Message::Hello {
@@ -972,21 +961,20 @@ impl Session {
                 tenant,
                 token,
             }) => {
-                if !(MIN_PROTOCOL_VERSION..=PROTOCOL_VERSION).contains(&protocol) {
+                if protocol != PROTOCOL_VERSION {
                     telemetry::add("server.protocol_errors", 1);
                     self.farewell(
                         &format!(
-                            "protocol version {protocol} unsupported \
-                             (want {MIN_PROTOCOL_VERSION}..={PROTOCOL_VERSION})"
+                            "protocol version {protocol} unsupported (want {PROTOCOL_VERSION})"
                         ),
                         "protocol error: unsupported version".into(),
                         now,
                     );
                     return;
                 }
-                match authenticate(&shared.config, protocol, &token) {
+                match authenticate(&shared.config, &token) {
                     Ok(authenticated) => {
-                        let id = shared.next_session.fetch_add(1, Ordering::Relaxed);
+                        let id = NEXT_SESSION.fetch_add(1, Ordering::Relaxed);
                         self.outbuf.extend_from_slice(
                             &Message::HelloAck {
                                 session: id,
@@ -999,7 +987,6 @@ impl Session {
                         telemetry::sessions::upsert(record.clone());
                         self.record = record;
                         self.record_on_close = true;
-                        self.peer_protocol = protocol;
                         self.phase = Phase::Serving;
                     }
                     Err(rejection) => {
@@ -1095,9 +1082,8 @@ impl Session {
     }
 
     /// Admit one call: window check, then the same traced, metered,
-    /// panic-instrumented admission pipeline as the threaded executor's
-    /// `answer`/`dispatch` — except the explorer submission parks an
-    /// [`Inflight`] entry instead of blocking on the reply.
+    /// panic-instrumented admission pipeline: the explorer submission
+    /// parks an [`Inflight`] entry instead of blocking on the reply.
     fn begin_call(&mut self, shared: &Arc<Shared>, waker: &Arc<WakeHandle>, call: CallFrame) {
         let CallFrame {
             seq,
@@ -1153,8 +1139,7 @@ impl Session {
         // The traced, metered scope: everything from here to the
         // explorer hand-off runs under the adopted client context and a
         // `server.request` span, so worker spans parent correctly and a
-        // session-injected panic leaves the same artifacts as on a
-        // session thread.
+        // session-injected panic leaves its artifacts inside the span.
         let _adopted = trace.map(telemetry::trace::adopt_context);
         let meter = telemetry::RequestMeter::new();
         let _metered = telemetry::adopt_meter(meter.clone());
@@ -1278,7 +1263,7 @@ impl Session {
 
     /// A panic escaped this session's tick or I/O dispatch: count it,
     /// freeze the flight recorder, and close without the final registry
-    /// upsert — exactly what a dying session thread leaves behind.
+    /// upsert.
     fn panic_close(&mut self) {
         telemetry::add("server.session_panics", 1);
         telemetry::trace::fault_dump("session panic");
@@ -1294,8 +1279,7 @@ impl Session {
         self.stream.shutdown();
         orphans.append(&mut self.inflight);
         // Parked entries hold no cache guard; dropping them simply
-        // stops the wait, as a dying session thread's condvar wait
-        // would.
+        // stops the wait.
         if self.record_on_close {
             self.record.state = SessionState::Closed;
             self.record.connected_ms =

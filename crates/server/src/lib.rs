@@ -21,12 +21,10 @@
 //!   strictly-increasing sequence numbers, idempotency replay cache),
 //!   graceful drain, and telemetry that surfaces in the
 //!   `perfdmf_sessions` system table.
-//! * [`eventloop`] — the default session executor: sharded event-loop
-//!   threads over nonblocking sockets behind a minimal poll(2)
-//!   reactor, so sessions scale as parked state machines rather than
-//!   OS threads, with bounded-window request pipelining. The original
-//!   thread-per-session executor remains one env var away
-//!   (`PERFDMF_SERVER_EXECUTOR=threads`) for differential chaos runs.
+//! * [`eventloop`] — the session executor: sharded event-loop threads
+//!   over nonblocking sockets behind a minimal poll(2) reactor, so
+//!   sessions scale as parked state machines rather than OS threads,
+//!   with bounded-window request pipelining.
 //! * [`client`] — [`NetClient`]: `ExplorerClient` semantics over TCP
 //!   with reconnect-on-failure retries (seed-deterministic backoff
 //!   jitter), idempotency keys so retried writes apply at most once,
@@ -44,7 +42,7 @@ pub mod stream;
 pub mod wire;
 
 pub use client::NetClient;
-pub use server::{ExecutorMode, PerfdmfServer, ServerConfig, DEFAULT_PIPELINE_WINDOW};
+pub use server::{PerfdmfServer, ServerConfig, DEFAULT_PIPELINE_WINDOW};
 pub use stream::{FaultStream, NetFaultPlan, RealStream, Stream};
 pub use wire::{Message, WireError, MAX_FRAME_LEN, PROTOCOL_VERSION};
 

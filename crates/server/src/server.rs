@@ -1,28 +1,17 @@
-//! The TCP front door: acceptor, per-connection sessions, graceful
-//! drain.
+//! The TCP front door's shared protocol logic: configuration, the
+//! handshake's token check, the idempotency replay cache, network
+//! boundary validation, request accounting, and the server handle with
+//! its graceful drain.
 //!
-//! Two session executors share this module's protocol logic:
+//! Sessions are driven by the sharded event loop in
+//! [`crate::eventloop`]; each accepted connection becomes a nonblocking
+//! state machine parked on poll(2) readiness, so ten thousand idle
+//! sessions cost ten thousand small structs, not ten thousand OS
+//! threads. A session may keep a bounded window of calls outstanding,
+//! answered out of order as they complete.
 //!
-//! * **`eventloop`** (the default) — a sharded set of event-loop
-//!   threads ([`crate::eventloop`]); each accepted connection becomes a
-//!   nonblocking state machine parked on poll(2) readiness, so ten
-//!   thousand idle sessions cost ten thousand small structs, not ten
-//!   thousand OS threads. This executor also serves *pipelined* calls:
-//!   a bounded window of outstanding seqs per connection, answered out
-//!   of order as they complete.
-//!
-//! * **`threads`** — the original thread-per-session layer below, kept
-//!   for differential chaos runs (`PERFDMF_SERVER_EXECUTOR=threads`):
-//!
-//! ```text
-//! TcpListener ── acceptor thread ──┬── session thread ──┐
-//!                                  ├── session thread ──┼─► ExplorerClient ─► AnalysisServer
-//!                                  └── session thread ──┘      (bounded queue, shed,
-//!                                                               deadlines, panic isolation)
-//! ```
-//!
-//! Either way each session speaks the frame protocol ([`crate::wire`]),
-//! tracks per-session state (tenant tag, statement sequence numbers,
+//! Each session speaks the frame protocol ([`crate::wire`]), tracks
+//! per-session state (tenant tag, statement sequence numbers,
 //! idempotency replays), and funnels decoded requests into the
 //! explorer's admission control. Every admission decision the
 //! in-process explorer makes — shed on a full queue, discard
@@ -41,25 +30,28 @@
 //!   then every session gets `ShuttingDown`/`Goodbye` and the acceptor
 //!   stops; telemetry is flushed into the metrics time series.
 
-use crate::stream::{write_all, NetFaultPlan, RealStream, Stream};
-use crate::wire::{
-    parse_header, verify_body, Message, WireError, HEADER_LEN, MIN_PROTOCOL_VERSION,
-    PROTOCOL_VERSION,
-};
+use crate::stream::NetFaultPlan;
+use crate::wire::Message;
 use perfdmf_db::Connection;
 use perfdmf_explorer::{AnalysisServer, ExplorerClient, Request, Response};
 use perfdmf_telemetry as telemetry;
-use perfdmf_telemetry::sessions::{SessionRecord, SessionState};
+use perfdmf_telemetry::sessions::SessionRecord;
 use std::collections::{HashMap, VecDeque};
 use std::net::{SocketAddr, TcpListener};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// How often blocked reads wake up to check the drain flag.
+/// Longest the acceptor and each event-loop shard sleep before
+/// re-checking the drain flag, deadlines, and idle budgets.
 pub(crate) const POLL_INTERVAL: Duration = Duration::from_millis(25);
+
+/// Next session id to grant. Process-wide rather than per server: the
+/// session registry behind `perfdmf_sessions` is keyed by id and shared
+/// by every server in the process, so two servers must never grant the
+/// same id.
+pub(crate) static NEXT_SESSION: AtomicU64 = AtomicU64::new(1);
 
 /// Entries retained by the idempotency replay cache.
 const REPLAY_CACHE_CAPACITY: usize = 4096;
@@ -75,28 +67,6 @@ pub(crate) const DUPLICATE_WAIT: Duration = Duration::from_secs(10);
 /// immediately with a typed `Response::Error` naming the window, so a
 /// runaway client cannot queue unbounded work behind one connection.
 pub const DEFAULT_PIPELINE_WINDOW: usize = 32;
-
-/// Which session executor drives accepted connections.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ExecutorMode {
-    /// One OS thread per session, blocking reads (the PR 7 design).
-    Threads,
-    /// Sharded event loops over nonblocking sockets (the default):
-    /// sessions are state machines parked on poll(2) readiness, and
-    /// calls may be pipelined within a bounded window.
-    EventLoop,
-}
-
-impl ExecutorMode {
-    /// Resolve from `PERFDMF_SERVER_EXECUTOR` (`threads` | `eventloop`),
-    /// defaulting to [`ExecutorMode::EventLoop`].
-    pub fn from_env() -> ExecutorMode {
-        match std::env::var("PERFDMF_SERVER_EXECUTOR").as_deref() {
-            Ok("threads") => ExecutorMode::Threads,
-            _ => ExecutorMode::EventLoop,
-        }
-    }
-}
 
 /// Tuning knobs for [`PerfdmfServer`].
 #[derive(Debug, Clone)]
@@ -115,16 +85,12 @@ pub struct ServerConfig {
     /// Close sessions that fail to deliver a complete frame for this
     /// long (defense against stalled peers holding threads hostage).
     pub idle_timeout: Duration,
-    /// Which session executor to run. Defaults from
-    /// `PERFDMF_SERVER_EXECUTOR` (eventloop unless told otherwise).
-    pub executor: ExecutorMode,
     /// Event-loop shards (0 = `PERFDMF_SERVER_EXECUTORS`, falling back
-    /// to the machine's core count). Ignored by the threads executor.
+    /// to the machine's core count).
     pub executors: usize,
     /// Bound on outstanding pipelined calls per session (0 =
     /// `PERFDMF_SERVER_WINDOW`, falling back to
-    /// [`DEFAULT_PIPELINE_WINDOW`]). The threads executor reads one
-    /// call at a time, so the window only binds under the event loop.
+    /// [`DEFAULT_PIPELINE_WINDOW`]).
     pub window: usize,
     /// Shared-secret session token. `Some` requires every `Hello` to
     /// present a matching token (constant-time compare) before any
@@ -152,7 +118,6 @@ impl Default for ServerConfig {
             queue_capacity: perfdmf_explorer::DEFAULT_QUEUE_CAPACITY,
             max_sessions: 4096,
             idle_timeout: Duration::from_secs(30),
-            executor: ExecutorMode::from_env(),
             executors: 0,
             window: 0,
             token: std::env::var("PERFDMF_SERVER_TOKEN").ok(),
@@ -209,12 +174,10 @@ fn constant_time_eq(a: &[u8], b: &[u8]) -> bool {
 
 /// Check a `Hello`'s token against the configured secret. `Ok(flag)`
 /// admits the session (`flag` = a secret was required and matched);
-/// `Err(message)` is the rejection frame to send before closing —
-/// a typed [`Message::AuthFailed`] to v4 peers, a `Goodbye` to older
-/// peers that cannot decode the new tag.
+/// `Err(message)` is the typed [`Message::AuthFailed`] rejection frame
+/// to send before closing.
 pub(crate) fn authenticate(
     config: &ServerConfig,
-    protocol: u32,
     token: &Option<String>,
 ) -> Result<bool, Box<Message>> {
     let Some(expected) = &config.token else {
@@ -236,15 +199,7 @@ pub(crate) fn authenticate(
     } else {
         "session token required".to_string()
     };
-    // Older peers cannot decode the AuthFailed tag; they get a Goodbye
-    // carrying the same reason instead.
-    Err(Box::new(if protocol >= 4 {
-        Message::AuthFailed { reason }
-    } else {
-        Message::Goodbye {
-            reason: format!("authentication failed: {reason}"),
-        }
-    }))
+    Err(Box::new(Message::AuthFailed { reason }))
 }
 
 /// One replay-cache slot: either the recorded response of a completed
@@ -325,18 +280,13 @@ impl ReplayCache {
     }
 }
 
-/// State shared by the acceptor and every session (thread or
-/// event-loop state machine).
+/// State shared by the acceptor and every session state machine.
 pub(crate) struct Shared {
     pub(crate) explorer: ExplorerClient,
     pub(crate) config: ServerConfig,
     pub(crate) draining: AtomicBool,
-    pub(crate) next_session: AtomicU64,
     pub(crate) live_sessions: AtomicUsize,
     pub(crate) replay: Mutex<ReplayCache>,
-    /// Signalled whenever a replay-cache entry completes or is
-    /// abandoned, waking sessions parked on an in-flight duplicate.
-    pub(crate) replay_done: Condvar,
 }
 
 /// A running network server.
@@ -344,7 +294,6 @@ pub struct PerfdmfServer {
     addr: SocketAddr,
     shared: Arc<Shared>,
     acceptor: Option<JoinHandle<()>>,
-    sessions: Arc<Mutex<Vec<JoinHandle<()>>>>,
     executors: Vec<crate::eventloop::ExecutorHandle>,
     analysis: Option<AnalysisServer>,
 }
@@ -368,46 +317,26 @@ impl PerfdmfServer {
         let listener = TcpListener::bind(config.addr).map_err(io_to_db)?;
         listener.set_nonblocking(true).map_err(io_to_db)?;
         let addr = listener.local_addr().map_err(io_to_db)?;
-        let executor = config.executor;
         let shard_count = config.resolved_executors();
         let shared = Arc::new(Shared {
             explorer,
             config,
             draining: AtomicBool::new(false),
-            next_session: AtomicU64::new(1),
             live_sessions: AtomicUsize::new(0),
             replay: Mutex::new(ReplayCache::new()),
-            replay_done: Condvar::new(),
         });
-        let sessions: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
-        let (acceptor, executors) = match executor {
-            ExecutorMode::Threads => {
-                let acceptor = {
-                    let shared = shared.clone();
-                    let sessions = sessions.clone();
-                    std::thread::spawn(move || accept_loop(listener, shared, sessions))
-                };
-                (acceptor, Vec::new())
-            }
-            ExecutorMode::EventLoop => {
-                let executors: Vec<crate::eventloop::ExecutorHandle> = (0..shard_count)
-                    .map(|i| crate::eventloop::ExecutorHandle::spawn(shared.clone(), i))
-                    .collect();
-                let intakes: Vec<_> = executors.iter().map(|e| e.intake()).collect();
-                let acceptor = {
-                    let shared = shared.clone();
-                    std::thread::spawn(move || {
-                        crate::eventloop::accept_loop(listener, shared, intakes)
-                    })
-                };
-                (acceptor, executors)
-            }
+        let executors: Vec<crate::eventloop::ExecutorHandle> = (0..shard_count)
+            .map(|i| crate::eventloop::ExecutorHandle::spawn(shared.clone(), i))
+            .collect();
+        let intakes: Vec<_> = executors.iter().map(|e| e.intake()).collect();
+        let acceptor = {
+            let shared = shared.clone();
+            std::thread::spawn(move || crate::eventloop::accept_loop(listener, shared, intakes))
         };
         Ok(PerfdmfServer {
             addr,
             shared,
             acceptor: Some(acceptor),
-            sessions,
             executors,
             analysis: Some(analysis),
         })
@@ -423,26 +352,23 @@ impl PerfdmfServer {
         self.shared.live_sessions.load(Ordering::Relaxed)
     }
 
-    /// Number of session thread handles currently tracked (live
-    /// sessions plus any finished ones not yet reaped — the acceptor
-    /// reaps on every accept, so this stays near [`Self::live_sessions`]
-    /// on a long-running server instead of growing without bound).
-    pub fn tracked_session_handles(&self) -> usize {
-        self.sessions.lock().unwrap().len()
-    }
-
     /// Graceful drain: stop accepting, let every session finish (or
     /// shed) its in-flight request and say goodbye, stop the analysis
     /// workers, and flush a final telemetry sample into the metrics
     /// time series.
     pub fn shutdown(mut self) {
+        self.stop();
+        telemetry::add("server.drains", 1);
+        telemetry::sample_now();
+    }
+
+    /// Raise the drain flag, then join the acceptor, the event-loop
+    /// shards (each says goodbye to its sessions), and the analysis
+    /// workers. Idempotent: later calls find the handles taken.
+    fn stop(&mut self) {
         self.shared.draining.store(true, Ordering::SeqCst);
         if let Some(acceptor) = self.acceptor.take() {
             let _ = acceptor.join();
-        }
-        let handles = std::mem::take(&mut *self.sessions.lock().unwrap());
-        for handle in handles {
-            let _ = handle.join();
         }
         for executor in std::mem::take(&mut self.executors) {
             executor.join();
@@ -450,404 +376,17 @@ impl PerfdmfServer {
         if let Some(analysis) = self.analysis.take() {
             analysis.shutdown();
         }
-        telemetry::add("server.drains", 1);
-        telemetry::sample_now();
     }
 }
 
 impl Drop for PerfdmfServer {
     fn drop(&mut self) {
-        // `shutdown` consumed the handles; a plain drop still stops the
-        // acceptor and sessions, just without waiting for the analysis
-        // pool (AnalysisServer's own shutdown handles that when taken).
-        self.shared.draining.store(true, Ordering::SeqCst);
-        if let Some(acceptor) = self.acceptor.take() {
-            let _ = acceptor.join();
-        }
-        let handles = std::mem::take(&mut *self.sessions.lock().unwrap());
-        for handle in handles {
-            let _ = handle.join();
-        }
-        for executor in std::mem::take(&mut self.executors) {
-            executor.join();
-        }
-        if let Some(analysis) = self.analysis.take() {
-            analysis.shutdown();
-        }
+        self.stop();
     }
 }
 
 fn io_to_db(e: std::io::Error) -> perfdmf_db::DbError {
     perfdmf_db::DbError::Unsupported(format!("server socket: {e}"))
-}
-
-fn accept_loop(
-    listener: TcpListener,
-    shared: Arc<Shared>,
-    sessions: Arc<Mutex<Vec<JoinHandle<()>>>>,
-) {
-    while !shared.draining.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((socket, _peer)) => {
-                let mut stream: Box<dyn Stream> = Box::new(RealStream::new(socket));
-                if let Some(plan) = shared.config.fault.clone() {
-                    // Decorrelate per-connection schedules while keeping
-                    // the whole run a function of the configured seed.
-                    let nth = shared.next_session.load(Ordering::Relaxed);
-                    let mut plan = plan;
-                    plan.seed = plan.seed.wrapping_add(nth.wrapping_mul(0x9E37_79B9));
-                    stream = Box::new(crate::stream::FaultStream::new(stream, plan));
-                }
-                if shared.live_sessions.load(Ordering::Relaxed) >= shared.config.max_sessions {
-                    telemetry::add("server.connection_sheds", 1);
-                    let _ = write_all(
-                        stream.as_mut(),
-                        &Message::Goodbye {
-                            reason: "server at connection capacity".into(),
-                        }
-                        .to_frame(),
-                    );
-                    stream.shutdown();
-                    continue;
-                }
-                shared.live_sessions.fetch_add(1, Ordering::Relaxed);
-                telemetry::add("server.connections", 1);
-                let shared = shared.clone();
-                let handle = std::thread::spawn(move || {
-                    // A session-loop panic must never take the process
-                    // down; it is counted so chaos tests can assert the
-                    // loop itself is panic-free.
-                    if catch_unwind(AssertUnwindSafe(|| session_loop(stream, &shared))).is_err() {
-                        telemetry::add("server.session_panics", 1);
-                        // Freeze the flight recorder at the moment of
-                        // death so the trace leading up to the panic
-                        // survives for post-mortem analysis.
-                        telemetry::trace::fault_dump("session panic");
-                    }
-                    shared.live_sessions.fetch_sub(1, Ordering::Relaxed);
-                });
-                let mut sessions = sessions.lock().unwrap();
-                // Reap finished handles so a long-running server does
-                // not accumulate one per past connection.
-                sessions.retain(|h| !h.is_finished());
-                sessions.push(handle);
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                // Idle tick: reap finished session handles even when no
-                // fresh connection arrives, so a server that goes quiet
-                // after a burst does not hold a handle per past session
-                // until the next accept.
-                sessions.lock().unwrap().retain(|h| !h.is_finished());
-                std::thread::sleep(POLL_INTERVAL);
-            }
-            Err(_) => std::thread::sleep(POLL_INTERVAL),
-        }
-    }
-}
-
-/// What one attempt to read a frame produced.
-enum FrameEvent {
-    /// A complete frame body, already length-checked.
-    Frame(Vec<u8>),
-    /// The peer closed cleanly between frames.
-    Eof,
-    /// The server is draining.
-    Draining,
-    /// No complete frame within the idle timeout.
-    IdleTimeout,
-    /// The frame failed validation (bad magic / oversized / checksum).
-    Wire(WireError),
-    /// The transport failed (reset, mid-frame EOF, ...).
-    Io(std::io::Error),
-}
-
-/// Read one complete frame, waking every [`POLL_INTERVAL`] to check the
-/// drain flag and the idle budget. The idle clock resets on every byte
-/// of progress, so a slow-but-live peer is fine and a stalled one is
-/// not.
-fn read_frame(stream: &mut dyn Stream, shared: &Shared) -> FrameEvent {
-    let mut header = [0u8; HEADER_LEN];
-    let mut filled = 0usize;
-    let mut crc = 0u32;
-    let mut body: Option<(Vec<u8>, usize)> = None;
-    let mut last_progress = Instant::now();
-    loop {
-        if shared.draining.load(Ordering::SeqCst) {
-            return FrameEvent::Draining;
-        }
-        if last_progress.elapsed() > shared.config.idle_timeout {
-            return FrameEvent::IdleTimeout;
-        }
-        let target: &mut [u8] = match &mut body {
-            None => &mut header[filled..],
-            Some((buf, at)) => &mut buf[*at..],
-        };
-        match stream.read(target) {
-            Ok(0) => {
-                let mid_frame = filled > 0 || body.is_some();
-                return if mid_frame {
-                    FrameEvent::Io(std::io::Error::new(
-                        std::io::ErrorKind::UnexpectedEof,
-                        "peer closed mid-frame",
-                    ))
-                } else {
-                    FrameEvent::Eof
-                };
-            }
-            Ok(n) => {
-                last_progress = Instant::now();
-                match &mut body {
-                    None => {
-                        filled += n;
-                        if filled == header.len() {
-                            match parse_header(&header) {
-                                Ok((len, declared)) => {
-                                    crc = declared;
-                                    if len == 0 {
-                                        return match verify_body(crc, &[]) {
-                                            Ok(()) => FrameEvent::Frame(Vec::new()),
-                                            Err(e) => FrameEvent::Wire(e),
-                                        };
-                                    }
-                                    body = Some((vec![0u8; len as usize], 0));
-                                }
-                                Err(e) => return FrameEvent::Wire(e),
-                            }
-                        }
-                    }
-                    Some((buf, at)) => {
-                        *at += n;
-                        if *at == buf.len() {
-                            let (buf, _) = body.take().expect("body present");
-                            return match verify_body(crc, &buf) {
-                                Ok(()) => FrameEvent::Frame(buf),
-                                Err(e) => FrameEvent::Wire(e),
-                            };
-                        }
-                    }
-                }
-            }
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut => {}
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(e) => return FrameEvent::Io(e),
-        }
-    }
-}
-
-/// Send a best-effort goodbye and close.
-fn farewell(stream: &mut dyn Stream, reason: &str) {
-    let _ = write_all(
-        stream,
-        &Message::Goodbye {
-            reason: reason.into(),
-        }
-        .to_frame(),
-    );
-    stream.shutdown();
-}
-
-/// Drive one session from handshake to close.
-fn session_loop(mut stream: Box<dyn Stream>, shared: &Arc<Shared>) {
-    let _ = stream.set_read_timeout(Some(POLL_INTERVAL));
-    let started = Instant::now();
-
-    // Handshake: the first frame must be a protocol-compatible Hello.
-    // Anything in `MIN_PROTOCOL_VERSION..=PROTOCOL_VERSION` is served;
-    // the peer's version is remembered so replies to v2 clients never
-    // carry v3-only encodings (the usage-bearing Reply).
-    let (record, peer_protocol) = match read_frame(stream.as_mut(), shared) {
-        FrameEvent::Frame(body) => match Message::decode(&body) {
-            Ok(Message::Hello {
-                protocol,
-                tenant,
-                token,
-            }) => {
-                if !(MIN_PROTOCOL_VERSION..=PROTOCOL_VERSION).contains(&protocol) {
-                    telemetry::add("server.protocol_errors", 1);
-                    farewell(
-                        stream.as_mut(),
-                        &format!(
-                            "protocol version {protocol} unsupported \
-                             (want {MIN_PROTOCOL_VERSION}..={PROTOCOL_VERSION})"
-                        ),
-                    );
-                    return;
-                }
-                let authenticated = match authenticate(&shared.config, protocol, &token) {
-                    Ok(authenticated) => authenticated,
-                    Err(rejection) => {
-                        let _ = write_all(stream.as_mut(), &rejection.to_frame());
-                        stream.shutdown();
-                        return;
-                    }
-                };
-                let id = shared.next_session.fetch_add(1, Ordering::Relaxed);
-                // The key space must be unique server-wide so clients
-                // in different processes can never collide in the
-                // replay cache; the session counter provides exactly
-                // that. Only the low 32 bits participate in keys
-                // (`key_space << 32 | counter`), which wraps after 2^32
-                // sessions of one server process — far beyond any
-                // replay-cache lifetime.
-                if write_all(
-                    stream.as_mut(),
-                    &Message::HelloAck {
-                        session: id,
-                        key_space: id & 0xFFFF_FFFF,
-                    }
-                    .to_frame(),
-                )
-                .is_err()
-                {
-                    telemetry::add("server.disconnects", 1);
-                    return;
-                }
-                let mut record = SessionRecord::new(id, tenant);
-                record.authenticated = authenticated;
-                telemetry::sessions::upsert(record.clone());
-                (record, protocol)
-            }
-            Ok(_) => {
-                telemetry::add("server.protocol_errors", 1);
-                farewell(stream.as_mut(), "expected Hello as the first frame");
-                return;
-            }
-            Err(e) => {
-                telemetry::add("server.frames_rejected", 1);
-                farewell(stream.as_mut(), &format!("bad hello frame: {e}"));
-                return;
-            }
-        },
-        FrameEvent::Draining => {
-            farewell(stream.as_mut(), "server draining");
-            return;
-        }
-        _ => {
-            telemetry::add("server.disconnects", 1);
-            stream.shutdown();
-            return;
-        }
-    };
-
-    let mut record = record;
-    let close_reason = serve_session(stream.as_mut(), shared, &mut record, peer_protocol);
-    record.state = SessionState::Closed;
-    record.connected_ms = started.elapsed().as_millis().min(u64::MAX as u128) as u64;
-    record.close_reason = Some(close_reason);
-    telemetry::sessions::upsert(record);
-    telemetry::record_duration("server.session_lifetime_ns", started.elapsed());
-}
-
-/// The post-handshake request loop. Returns the close reason.
-fn serve_session(
-    stream: &mut dyn Stream,
-    shared: &Arc<Shared>,
-    record: &mut SessionRecord,
-    peer_protocol: u32,
-) -> String {
-    loop {
-        let body = match read_frame(stream, shared) {
-            FrameEvent::Frame(body) => body,
-            FrameEvent::Eof => {
-                telemetry::add("server.disconnects", 1);
-                stream.shutdown();
-                return "client closed".into();
-            }
-            FrameEvent::Draining => {
-                farewell(stream, "server draining");
-                return "server drained".into();
-            }
-            FrameEvent::IdleTimeout => {
-                telemetry::add("server.idle_closes", 1);
-                farewell(stream, "idle timeout");
-                return "idle timeout".into();
-            }
-            FrameEvent::Wire(e) => {
-                telemetry::add("server.frames_rejected", 1);
-                record.protocol_errors += 1;
-                farewell(stream, &format!("bad frame: {e}"));
-                return format!("protocol error: {e}");
-            }
-            FrameEvent::Io(e) => {
-                telemetry::add("server.disconnects", 1);
-                stream.shutdown();
-                return format!("transport error: {e}");
-            }
-        };
-        let message = match Message::decode(&body) {
-            Ok(message) => message,
-            Err(e) => {
-                telemetry::add("server.frames_rejected", 1);
-                record.protocol_errors += 1;
-                telemetry::sessions::upsert(record.clone());
-                farewell(stream, &format!("bad frame: {e}"));
-                return format!("protocol error: {e}");
-            }
-        };
-        match message {
-            Message::Goodbye { .. } => {
-                stream.shutdown();
-                return "client goodbye".into();
-            }
-            Message::Call {
-                seq,
-                deadline_ms,
-                idempotency,
-                trace,
-                request,
-            } => {
-                if seq <= record.last_seq {
-                    telemetry::add("server.protocol_errors", 1);
-                    record.protocol_errors += 1;
-                    telemetry::sessions::upsert(record.clone());
-                    farewell(
-                        stream,
-                        &format!("sequence regression: {seq} after {}", record.last_seq),
-                    );
-                    return "protocol error: sequence regression".into();
-                }
-                record.last_seq = seq;
-                record.requests_inflight += 1;
-                record.trace_id = trace.map(|c| c.trace.0);
-                telemetry::sessions::note_request_started(record.id, record.trace_id);
-                let (response, usage) =
-                    answer(shared, record, deadline_ms, idempotency, trace, request);
-                record.requests_inflight = record.requests_inflight.saturating_sub(1);
-                record.trace_id = None;
-                telemetry::sessions::note_request_finished(record.id);
-                // A v2 peer cannot decode the usage-bearing Reply tag;
-                // its replies stay in the legacy encoding.
-                let usage = (peer_protocol >= 3).then_some(usage);
-                if write_all(
-                    stream,
-                    &Message::Reply {
-                        seq,
-                        usage,
-                        response,
-                    }
-                    .to_frame(),
-                )
-                .is_err()
-                {
-                    telemetry::add("server.disconnects", 1);
-                    stream.shutdown();
-                    return "transport error: reply write failed".into();
-                }
-            }
-            Message::Hello { .. }
-            | Message::HelloAck { .. }
-            | Message::Reply { .. }
-            | Message::AuthFailed { .. } => {
-                telemetry::add("server.protocol_errors", 1);
-                record.protocol_errors += 1;
-                telemetry::sessions::upsert(record.clone());
-                farewell(stream, "unexpected message kind");
-                return "protocol error: unexpected message kind".into();
-            }
-        }
-    }
 }
 
 /// Largest accepted value for any clustering cardinality parameter
@@ -903,7 +442,7 @@ pub(crate) fn validate(request: &Request, config: &ServerConfig) -> Result<(), S
 
 /// Removes the in-flight replay-cache marker if the execution never
 /// reported an outcome (a panic between dispatch and completion, caught
-/// by the session loop's `catch_unwind`). Without this, a stuck
+/// by the event loop's per-session `catch_unwind`). Without this, a stuck
 /// `InFlight` entry would park every future retry of the key forever.
 pub(crate) struct InFlightGuard {
     shared: Arc<Shared>,
@@ -925,7 +464,8 @@ impl InFlightGuard {
 
     /// Record the execution's outcome: cache successful responses for
     /// replay, drop the marker for outcomes an honest retry should
-    /// re-attempt. Either way, waiters are woken.
+    /// re-attempt. Sessions parked on the key see the outcome on their
+    /// next tick.
     pub(crate) fn resolve(mut self, response: &Response) {
         let cacheable = !matches!(
             response,
@@ -941,9 +481,7 @@ impl InFlightGuard {
         } else {
             cache.abandon(self.key);
         }
-        drop(cache);
         self.resolved = true;
-        self.shared.replay_done.notify_all();
     }
 }
 
@@ -951,13 +489,12 @@ impl Drop for InFlightGuard {
     fn drop(&mut self) {
         if !self.resolved {
             self.shared.replay.lock().unwrap().abandon(self.key);
-            self.shared.replay_done.notify_all();
         }
     }
 }
 
-/// Emits the panic artifacts for a request that dies on the session
-/// thread: without it, the `catch_unwind` in the accept loop swallows
+/// Emits the panic artifacts for a request that dies on its event-loop
+/// shard: without it, the per-session `catch_unwind` swallows
 /// the unwinding with nothing but a counter, losing the trace context
 /// of the request that killed the session. Dropped while panicking (and
 /// not `completed`), it records the request in the accounting ring with
@@ -1013,163 +550,9 @@ pub(crate) fn deadline_slack(deadline_ms: u32, elapsed: Duration) -> Option<i64>
         .then(|| i64::from(deadline_ms) - (elapsed.as_millis().min(i64::MAX as u128) as i64))
 }
 
-/// Resolve one `Call` into a `Response` plus the resources it consumed.
-///
-/// This is the server end of the causal trace: the client's propagated
-/// context (if any) is adopted so the `server.request` span — and every
-/// span below it on the worker and pool threads — parents into the
-/// caller's `client.request` span. A fresh [`telemetry::RequestMeter`]
-/// is adopted for the duration, and the finished request is recorded in
-/// the bounded accounting ring behind `perfdmf_requests`.
-fn answer(
-    shared: &Arc<Shared>,
-    record: &mut SessionRecord,
-    deadline_ms: u32,
-    idempotency: u64,
-    trace: Option<telemetry::SpanContext>,
-    request: Request,
-) -> (Response, telemetry::ResourceUsage) {
-    let kind = request.kind();
-    let started = Instant::now();
-    let _adopted = trace.map(telemetry::trace::adopt_context);
-    let meter = telemetry::RequestMeter::new();
-    let _metered = telemetry::adopt_meter(meter.clone());
-    let mut artifact = PanicArtifact {
-        kind,
-        session: record.id,
-        tenant: record.tenant.clone(),
-        trace_id: trace.map(|c| c.trace.0),
-        deadline_ms,
-        started,
-        meter: meter.clone(),
-        completed: false,
-    };
-    let _span = telemetry::span("server.request");
-    // A server tracing without a propagated client context still stamps
-    // its own fresh trace id on the accounting row.
-    let trace_id = artifact
-        .trace_id
-        .or_else(|| telemetry::trace::current_trace_id().map(|t| t.0));
-    artifact.trace_id = trace_id;
-    if shared.config.allow_fault_injection {
-        if let Request::InjectPanic(message) = &request {
-            // `session:`-prefixed injections panic *here*, on the
-            // session thread inside the `server.request` span — the
-            // deterministic trigger for the panic-artifact path (plain
-            // injections panic on a worker and are isolated there).
-            if let Some(rest) = message.strip_prefix("session:") {
-                panic!("injected session panic: {rest}");
-            }
-        }
-    }
-    let (response, status) = dispatch(shared, record, deadline_ms, idempotency, request);
-    artifact.completed = true;
-    let usage = meter.snapshot();
-    let elapsed = started.elapsed();
-    telemetry::requests::record(telemetry::RequestRecord {
-        seq: 0,
-        trace_id,
-        session: record.id,
-        tenant: record.tenant.clone(),
-        kind,
-        status,
-        deadline_slack_ms: deadline_slack(deadline_ms, elapsed),
-        elapsed_ns: elapsed.as_nanos().min(u64::MAX as u128) as u64,
-        slow: false,
-        usage,
-    });
-    (response, usage)
-}
-
-/// Replay-cache hit, drain rejection, or dispatch through the
-/// explorer's admission control. Returns the response plus the status
-/// label the accounting ring files it under.
-///
-/// Keyed requests are registered in the replay cache **before**
-/// dispatch, so a retry that arrives while the original is still
-/// executing waits for its outcome (bounded by the retry's own
-/// deadline) instead of executing the write a second time.
-fn dispatch(
-    shared: &Arc<Shared>,
-    record: &mut SessionRecord,
-    deadline_ms: u32,
-    idempotency: u64,
-    request: Request,
-) -> (Response, &'static str) {
-    if let Err(reason) = validate(&request, &shared.config) {
-        telemetry::add("server.requests_rejected", 1);
-        record.errors += 1;
-        return (Response::Error(reason), "rejected");
-    }
-    if shared.draining.load(Ordering::SeqCst) {
-        return (Response::ShuttingDown, "shutting_down");
-    }
-    let guard = if idempotency != 0 {
-        let wait_until = Instant::now()
-            + if deadline_ms > 0 {
-                Duration::from_millis(u64::from(deadline_ms))
-            } else {
-                DUPLICATE_WAIT
-            };
-        let mut cache = shared.replay.lock().unwrap();
-        loop {
-            match cache.entry(idempotency) {
-                Some(ReplayEntry::Done(response)) => {
-                    let response = response.clone();
-                    telemetry::add("server.idempotent_replays", 1);
-                    record.replays += 1;
-                    return (response, "replayed");
-                }
-                Some(ReplayEntry::InFlight) => {
-                    if shared.draining.load(Ordering::SeqCst) {
-                        return (Response::ShuttingDown, "shutting_down");
-                    }
-                    let now = Instant::now();
-                    if now >= wait_until {
-                        telemetry::add("server.duplicate_waits_expired", 1);
-                        return (
-                            Response::Failed {
-                                reason: "duplicate request still executing".into(),
-                                retryable: true,
-                            },
-                            "failed",
-                        );
-                    }
-                    // Short slices so the drain flag stays responsive
-                    // even if the wakeup is missed.
-                    let slice = (wait_until - now).min(POLL_INTERVAL);
-                    let (c, _) = shared.replay_done.wait_timeout(cache, slice).unwrap();
-                    cache = c;
-                }
-                None => {
-                    cache.begin(idempotency);
-                    break;
-                }
-            }
-        }
-        Some(InFlightGuard::new(shared.clone(), idempotency))
-    } else {
-        None
-    };
-    let submitted = Instant::now();
-    let response = if deadline_ms > 0 {
-        shared
-            .explorer
-            .request_with_deadline(request, Duration::from_millis(u64::from(deadline_ms)))
-    } else {
-        shared.explorer.request(request)
-    };
-    let status = finish_request(record, &response, submitted);
-    if let Some(guard) = guard {
-        guard.resolve(&response);
-    }
-    (response, status)
-}
-
 /// Account a completed dispatch: the shared counters, the per-session
 /// tallies, and the status label the accounting ring files the request
-/// under. Used by both executors so the counter deltas chaos tests
-/// assert on are identical in either mode.
+/// under.
 pub(crate) fn finish_request(
     record: &mut SessionRecord,
     response: &Response,

@@ -23,9 +23,8 @@
 //!   attacker sent.
 //!
 //! The codec is versioned by [`PROTOCOL_VERSION`], carried in the
-//! [`Message::Hello`] handshake; servers reject clients speaking a
-//! version outside [`MIN_PROTOCOL_VERSION`]..=[`PROTOCOL_VERSION`] with
-//! a `Goodbye`.
+//! [`Message::Hello`] handshake; servers serve exactly
+//! [`PROTOCOL_VERSION`] and reject any other version with a `Goodbye`.
 //!
 //! **Version 3** added end-to-end tracing and metering without breaking
 //! version 2 peers: a `Call` *may* carry a trace context and a `Reply`
@@ -74,11 +73,6 @@ pub const MAX_FRAME_LEN: u32 = 8 * 1024 * 1024;
 /// pipelined (out-of-order) replies (see the module docs for the compat
 /// scheme).
 pub const PROTOCOL_VERSION: u32 = 4;
-
-/// Oldest protocol version the server still accepts in a handshake.
-/// Version 2 peers never send trace context or auth tokens and are
-/// never sent resource usage; everything else is identical.
-pub const MIN_PROTOCOL_VERSION: u32 = 2;
 
 /// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) lookup table.
 const CRC32_TABLE: [u32; 256] = {

@@ -6,11 +6,18 @@
 //! with a typed `AuthFailed` before any session state is created, and
 //! the client gives up immediately — re-presenting the same bad token
 //! can never succeed, so retrying would only hammer the server.
+//!
+//! The handshake also pins the wire protocol: a `Hello` speaking any
+//! version other than [`PROTOCOL_VERSION`] gets a `Goodbye` naming the
+//! version and never a `HelloAck`.
 
 use perfdmf_core::DatabaseSession;
 use perfdmf_db::Connection;
 use perfdmf_explorer::Response;
-use perfdmf_server::{NetClient, PerfdmfServer, ServerConfig};
+use perfdmf_server::wire::{parse_header, verify_body, Message, HEADER_LEN};
+use perfdmf_server::{NetClient, PerfdmfServer, ServerConfig, PROTOCOL_VERSION};
+use std::io::{Read, Write};
+use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
 fn open_database() -> Connection {
@@ -150,5 +157,51 @@ fn open_server_admits_but_does_not_claim_authentication() {
         !record.authenticated,
         "an open server verifies nothing and must claim nothing"
     );
+    server.shutdown();
+}
+
+/// Every frame the server sends on `stream` until it closes.
+fn frames_until_close(stream: &mut TcpStream) -> Vec<Message> {
+    let mut frames = Vec::new();
+    loop {
+        let mut header = [0u8; HEADER_LEN];
+        if stream.read_exact(&mut header).is_err() {
+            return frames;
+        }
+        let (len, crc) = parse_header(&header).expect("valid header");
+        let mut body = vec![0u8; len as usize];
+        stream.read_exact(&mut body).expect("frame body");
+        verify_body(crc, &body).expect("valid checksum");
+        frames.push(Message::decode(&body).expect("decodable frame"));
+    }
+}
+
+#[test]
+fn hello_with_any_other_protocol_version_gets_goodbye() {
+    let server = PerfdmfServer::start(open_database()).expect("server start");
+    for protocol in [PROTOCOL_VERSION - 1, PROTOCOL_VERSION + 1] {
+        let mut stream = TcpStream::connect(server.addr()).expect("connect");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .expect("read timeout");
+        stream
+            .write_all(
+                &Message::Hello {
+                    protocol,
+                    tenant: "version-probe".into(),
+                    token: None,
+                }
+                .to_frame(),
+            )
+            .expect("hello");
+        let frames = frames_until_close(&mut stream);
+        match frames.as_slice() {
+            [Message::Goodbye { reason }] => assert!(
+                reason.contains(&format!("protocol version {protocol} ")),
+                "goodbye for v{protocol} must name the version, got: {reason}"
+            ),
+            other => panic!("v{protocol} hello must get exactly one Goodbye, got {other:?}"),
+        }
+    }
     server.shutdown();
 }

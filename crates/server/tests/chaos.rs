@@ -32,7 +32,7 @@ use perfdmf_core::DatabaseSession;
 use perfdmf_db::Connection;
 use perfdmf_explorer::{ClusterMethod, FeatureSpace, Request, Response, RetryPolicy};
 use perfdmf_profile::{IntervalData, IntervalEvent, Metric, Profile, ThreadId};
-use perfdmf_server::{ExecutorMode, NetClient, NetFaultPlan, PerfdmfServer, ServerConfig};
+use perfdmf_server::{NetClient, NetFaultPlan, PerfdmfServer, ServerConfig};
 use std::time::{Duration, Instant};
 
 /// Fixed chaos seeds every run must survive.
@@ -195,18 +195,14 @@ fn storm_client(addr: std::net::SocketAddr, seed: u64, client: usize, trial: i64
     report
 }
 
-/// Run one full storm for `seed` on `executor` and check every
-/// invariant. The same seeds run on both executors (the chaos matrix):
-/// any invariant the threaded executor upholds under a fault schedule,
-/// the event loop must uphold under the identical schedule.
-fn run_storm(seed: u64, executor: ExecutorMode) {
+/// Run one full storm for `seed` and check every invariant.
+fn run_storm(seed: u64) {
     let (conn, trial) = seeded_database();
     let server = PerfdmfServer::start_with_config(
         conn.clone(),
         ServerConfig {
             workers: 3,
             queue_capacity: 16,
-            executor,
             ..ServerConfig::default()
         },
     )
@@ -242,7 +238,7 @@ fn run_storm(seed: u64, executor: ExecutorMode) {
     let total_failures: usize = reports.iter().map(|r| r.failures).sum();
     let slowest = reports.iter().map(|r| r.slowest).max().unwrap_or_default();
     eprintln!(
-        "chaos seed {seed} ({executor:?}): {} acked writes, {} clean failures, \
+        "chaos seed {seed}: {} acked writes, {} clean failures, \
          slowest request {slowest:?}",
         total_acked, total_failures
     );
@@ -289,15 +285,7 @@ fn run_storm(seed: u64, executor: ExecutorMode) {
 fn storms_across_fixed_seeds_hold_every_invariant() {
     let _g = telemetry_lock();
     for seed in FIXED_SEEDS {
-        run_storm(seed, ExecutorMode::EventLoop);
-    }
-}
-
-#[test]
-fn storms_across_fixed_seeds_hold_every_invariant_on_threads() {
-    let _g = telemetry_lock();
-    for seed in FIXED_SEEDS {
-        run_storm(seed, ExecutorMode::Threads);
+        run_storm(seed);
     }
 }
 
@@ -305,13 +293,10 @@ fn storms_across_fixed_seeds_hold_every_invariant_on_threads() {
 fn storm_for_env_seed_holds_every_invariant() {
     // CI passes RUST_SEED=${{ github.run_id }} so every run explores a
     // fresh schedule; locally the test is a no-op unless the var is set.
-    // The fresh schedule runs on both executors — a differential check
-    // with an identical fault plan.
     if let Ok(seed) = std::env::var("RUST_SEED") {
         let seed: u64 = seed.parse().expect("RUST_SEED must be a u64");
         let _g = telemetry_lock();
-        run_storm(seed, ExecutorMode::EventLoop);
-        run_storm(seed, ExecutorMode::Threads);
+        run_storm(seed);
     }
 }
 
@@ -344,7 +329,7 @@ fn injected_session_panic_is_observable_and_contained() {
     let session_panics_before = counter("server.session_panics");
     let request_panics_before = counter("server.request_panics");
 
-    // The victim's session thread dies mid-request, so the client sees
+    // The victim's session dies mid-request, so the client sees
     // a transport failure, not a reply.
     let mut victim = NetClient::new(server.addr(), "panic-victim").with_policy(RetryPolicy::none());
     let response = victim.request(Request::InjectPanic("session:chaos".into()));

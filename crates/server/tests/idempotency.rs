@@ -9,14 +9,14 @@
 //!   second time (in-flight replay-cache markers);
 //! * fault-injection requests (`Stall`, `InjectPanic`) are rejected at
 //!   the network boundary unless the server opts in for testing;
-//! * finished session thread handles are reaped by the acceptor instead
-//!   of accumulating for the life of the server.
+//! * a closed session leaves no server state behind, even when no
+//!   further connection arrives to prompt a sweep.
 
 use perfdmf_core::DatabaseSession;
 use perfdmf_db::Connection;
 use perfdmf_explorer::{ClusterMethod, FeatureSpace, Request, Response, RetryPolicy};
 use perfdmf_profile::{IntervalData, IntervalEvent, Metric, Profile, ThreadId};
-use perfdmf_server::{ExecutorMode, NetClient, NetFaultPlan, PerfdmfServer, ServerConfig};
+use perfdmf_server::{NetClient, NetFaultPlan, PerfdmfServer, ServerConfig};
 use std::time::{Duration, Instant};
 
 /// Small two-group trial so clustering requests do real work.
@@ -172,60 +172,13 @@ fn fault_injection_requests_are_rejected_by_default() {
     server.shutdown();
 }
 
-/// A threaded-executor server (the event loop tracks no per-session
-/// thread handles, so these reap tests pin [`ExecutorMode::Threads`]).
-fn threads_server(conn: Connection) -> PerfdmfServer {
-    PerfdmfServer::start_with_config(
-        conn,
-        ServerConfig {
-            executor: ExecutorMode::Threads,
-            ..ServerConfig::default()
-        },
-    )
-    .expect("server start")
-}
-
 #[test]
-fn finished_session_handles_are_reaped() {
+fn closed_sessions_release_server_state_without_new_connections() {
+    // After a burst of short sessions the server must drop back to zero
+    // live sessions on its own: a quiet server must not hold state for
+    // connections that are already gone.
     let (conn, _trial) = seeded_database();
-    let server = threads_server(conn);
-
-    for i in 0..8 {
-        let mut c = NetClient::new(server.addr(), format!("churn-{i}"));
-        assert!(c.ping());
-        c.close();
-    }
-
-    // Session threads take a moment to finish after the close; poll
-    // with fresh connections until the tracked-handle count collapses
-    // to the live tail.
-    let deadline = Instant::now() + Duration::from_secs(5);
-    loop {
-        let mut c = NetClient::new(server.addr(), "reap-probe");
-        assert!(c.ping());
-        c.close();
-        let tracked = server.tracked_session_handles();
-        if tracked <= 2 {
-            break;
-        }
-        assert!(
-            Instant::now() < deadline,
-            "handles never reaped: still tracking {tracked}"
-        );
-        std::thread::sleep(Duration::from_millis(25));
-    }
-    server.shutdown();
-}
-
-#[test]
-fn finished_session_handles_are_reaped_without_new_connections() {
-    // Regression: the acceptor used to sweep finished handles only on
-    // *accept*, so a server that went quiet after a burst kept every
-    // dead handle for its lifetime. The sweep now also runs on the
-    // acceptor's idle tick — the count must collapse with no further
-    // connections arriving.
-    let (conn, _trial) = seeded_database();
-    let server = threads_server(conn);
+    let server = PerfdmfServer::start(conn).expect("server start");
 
     for i in 0..8 {
         let mut c = NetClient::new(server.addr(), format!("quiet-churn-{i}"));
@@ -235,13 +188,13 @@ fn finished_session_handles_are_reaped_without_new_connections() {
 
     let deadline = Instant::now() + Duration::from_secs(5);
     loop {
-        let tracked = server.tracked_session_handles();
-        if tracked == 0 {
+        let live = server.live_sessions();
+        if live == 0 {
             break;
         }
         assert!(
             Instant::now() < deadline,
-            "idle tick never reaped: still tracking {tracked}"
+            "closed sessions never released: still {live} live"
         );
         std::thread::sleep(Duration::from_millis(25));
     }

@@ -437,7 +437,7 @@ fn usage() -> String {
        dump    --db DIR --out DIR\n\
        restore --db DIR --from DIR\n\
      serve honors PERFDMF_SERVER_TOKEN (required client token),\n\
-     PERFDMF_SERVER_EXECUTOR (eventloop|threads), PERFDMF_SERVER_EXECUTORS,\n\
-     and PERFDMF_SERVER_WINDOW; clients send PERFDMF_SERVER_TOKEN when set"
+     PERFDMF_SERVER_EXECUTORS and PERFDMF_SERVER_WINDOW;\n\
+     clients send PERFDMF_SERVER_TOKEN when set"
         .to_string()
 }
