@@ -4,7 +4,7 @@
 //!
 //! The baseline is a per-routine [`AtomicData`] accumulator — Welford
 //! mean/stddev per event, merged across trials with Chan et al.'s
-//! pairwise combination (the same statistics machinery the parallel
+//! pairwise combination (the same [`perfdmf_profile::Moments`] the SQL
 //! aggregate kernels use). A candidate routine is flagged when it is
 //! both *proportionally* slower (`candidate / mean ≥ min_ratio`) and
 //! *statistically* surprising (`z-score ≥ min_zscore`, skipped when the
@@ -165,17 +165,17 @@ fn judge(
     candidate: f64,
     config: &WatchdogConfig,
 ) -> Option<Finding> {
-    if stats.count < config.min_baseline {
+    if stats.count() < config.min_baseline {
         return None;
     }
-    let ratio = if stats.mean == 0.0 {
+    let ratio = if stats.mean() == 0.0 {
         if candidate == 0.0 {
             1.0
         } else {
             f64::INFINITY
         }
     } else {
-        candidate / stats.mean
+        candidate / stats.mean()
     };
     // NaN (a NaN sample snuck in) compares as None and is not flagged.
     if !matches!(
@@ -185,7 +185,7 @@ fn judge(
         return None;
     }
     let stddev = stats.stddev().unwrap_or(0.0);
-    let zscore = (stddev > 0.0).then(|| (candidate - stats.mean) / stddev);
+    let zscore = (stddev > 0.0).then(|| (candidate - stats.mean()) / stddev);
     // A constant baseline has no spread to score against: the ratio test
     // alone decides. Otherwise both tests must agree.
     if let Some(z) = zscore {
@@ -196,9 +196,9 @@ fn judge(
     Some(Finding {
         event: event.to_string(),
         metric: metric.to_string(),
-        baseline_mean: stats.mean,
+        baseline_mean: stats.mean(),
         baseline_stddev: stddev,
-        baseline_count: stats.count,
+        baseline_count: stats.count(),
         candidate,
         ratio,
         zscore,
@@ -351,8 +351,8 @@ mod tests {
             Baseline::from_profiles("TIME", &[trial(0.9), trial(1.0), trial(1.1), trial(1.2)]);
         let ms = merged.stats("compute").unwrap();
         let bs = bulk.stats("compute").unwrap();
-        assert_eq!(ms.count, bs.count);
-        assert!((ms.mean - bs.mean).abs() < 1e-9);
+        assert_eq!(ms.count(), bs.count());
+        assert!((ms.mean() - bs.mean()).abs() < 1e-9);
         assert!((ms.stddev().unwrap() - bs.stddev().unwrap()).abs() < 1e-9);
     }
 }

@@ -3,6 +3,8 @@
 //! These are the reusable numeric kernels of the analysis toolkit — the
 //! Rust stand-ins for the summary statistics PerfExplorer obtained from R.
 
+use perfdmf_profile::AtomicData;
+
 /// Summary of a sample.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Summary {
@@ -25,27 +27,16 @@ pub fn summarize(xs: &[f64]) -> Option<Summary> {
     if xs.is_empty() {
         return None;
     }
-    let mut min = f64::INFINITY;
-    let mut max = f64::NEG_INFINITY;
-    let mut mean = 0.0;
-    let mut m2 = 0.0;
-    for (i, &x) in xs.iter().enumerate() {
-        min = min.min(x);
-        max = max.max(x);
-        let delta = x - mean;
-        mean += delta / (i + 1) as f64;
-        m2 += delta * (x - mean);
+    let mut acc = AtomicData::new();
+    for &x in xs {
+        acc.record(x);
     }
-    let variance = if xs.len() > 1 {
-        m2 / (xs.len() - 1) as f64
-    } else {
-        0.0
-    };
+    let variance = acc.moments.variance().unwrap_or(0.0);
     Some(Summary {
         count: xs.len(),
-        min,
-        max,
-        mean,
+        min: acc.min,
+        max: acc.max,
+        mean: acc.mean(),
         variance,
         stddev: variance.sqrt(),
     })

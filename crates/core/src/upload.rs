@@ -188,10 +188,10 @@ pub fn save_profile(conn: &Connection, trial_id: i64, profile: &Profile) -> Resu
                     Value::Int(thread.node as i64),
                     Value::Int(thread.context as i64),
                     Value::Int(thread.thread as i64),
-                    Value::Int(d.count as i64),
+                    Value::Int(d.count() as i64),
                     Value::Float(d.max),
                     Value::Float(d.min),
-                    Value::Float(d.mean),
+                    Value::Float(d.mean()),
                     Value::Float(d.stddev().unwrap_or(0.0)),
                 ]
             })
@@ -582,7 +582,7 @@ mod tests {
         // atomic data round-trips
         let ae = back.find_atomic_event("Message size").unwrap();
         let a = back.atomic(ae, ThreadId::new(2, 0, 0)).unwrap();
-        assert_eq!(a.count, 3);
+        assert_eq!(a.count(), 3);
         assert_eq!(a.min, 64.0);
         // summaries written
         let n: i64 = conn

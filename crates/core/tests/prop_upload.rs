@@ -111,10 +111,10 @@ proptest! {
                 .find_atomic_event(&truth.atomic_events()[ae.0].name)
                 .unwrap();
             let got = back.atomic(bae, t).unwrap();
-            prop_assert_eq!(got.count, d.count);
+            prop_assert_eq!(got.count(), d.count());
             prop_assert_eq!(got.min, d.min);
             prop_assert_eq!(got.max, d.max);
-            prop_assert!((got.mean - d.mean).abs() < 1e-9 * (1.0 + d.mean.abs()));
+            prop_assert!((got.mean() - d.mean()).abs() < 1e-9 * (1.0 + d.mean().abs()));
         }
     }
 

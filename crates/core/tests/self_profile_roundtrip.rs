@@ -42,7 +42,7 @@ fn telemetry_snapshot_round_trips_through_database() {
         .find_atomic_event("rt.core.rows")
         .expect("counter became an atomic event");
     let ad = loaded.atomic(atomic, ThreadId::ZERO).expect("atomic data");
-    assert_eq!(ad.mean, 42.0);
+    assert_eq!(ad.mean(), 42.0);
 
     // The instrumented store/load above fed the registry in turn: the
     // session spans themselves show up as latency histograms.
@@ -94,8 +94,8 @@ fn histogram_quantiles_survive_the_round_trip() {
             .find_atomic_event(name)
             .unwrap_or_else(|| panic!("{name} survives store/load"));
         let data = loaded.atomic(event, ThreadId::ZERO).expect("atomic data");
-        assert_eq!(data.mean, *want as f64, "{name}");
-        stored.push(data.mean);
+        assert_eq!(data.mean(), *want as f64, "{name}");
+        stored.push(data.mean());
     }
     // p50 <= p95 <= p99, and the tail actually separated from the median.
     assert!(stored[0] <= stored[1] && stored[1] <= stored[2]);

@@ -1,12 +1,15 @@
 //! Aggregate accumulators: COUNT, SUM, AVG, MIN, MAX, STDDEV.
 //!
-//! STDDEV uses Welford's online algorithm for numerical stability — the
-//! same algorithm the profile model uses for atomic events, so SQL results
-//! and toolkit statistics agree bit-for-bit on the same data.
+//! STDDEV keeps its running mean and spread in [`Moments`] — the one
+//! Welford/Chan accumulator the profile model uses for atomic events and
+//! the analysis toolkit uses for its summaries — so SQL results and
+//! toolkit statistics agree bit-for-bit on the same data, serially and
+//! across merged partitions.
 
 use crate::error::{DbError, Result};
 use crate::sql::ast::AggregateFn;
 use crate::value::Value;
+use perfdmf_telemetry::Moments;
 use std::collections::HashSet;
 
 /// One accumulator instance (per aggregate expression per group).
@@ -22,9 +25,8 @@ pub struct Accumulator {
     float_sum: f64,
     min: Option<Value>,
     max: Option<Value>,
-    // Welford state
-    mean: f64,
-    m2: f64,
+    /// Mean and spread of the numeric inputs (SUM/AVG/STDDEV).
+    moments: Moments,
 }
 
 impl Accumulator {
@@ -40,8 +42,7 @@ impl Accumulator {
             float_sum: 0.0,
             min: None,
             max: None,
-            mean: 0.0,
-            m2: 0.0,
+            moments: Moments::default(),
         }
     }
 
@@ -58,76 +59,78 @@ impl Accumulator {
         if self.distinct && !self.seen.insert(v.clone()) {
             return Ok(());
         }
-        self.count += 1;
         match self.func {
-            AggregateFn::Count => {}
+            AggregateFn::Count => self.count += 1,
             AggregateFn::Min => {
+                self.count += 1;
                 if self.min.as_ref().is_none_or(|m| v < m) {
                     self.min = Some(v.clone());
                 }
             }
             AggregateFn::Max => {
+                self.count += 1;
                 if self.max.as_ref().is_none_or(|m| v > m) {
                     self.max = Some(v.clone());
                 }
             }
-            AggregateFn::Sum | AggregateFn::Avg | AggregateFn::StdDev => {
-                let x = v.as_float().ok_or_else(|| {
+            AggregateFn::Sum | AggregateFn::Avg | AggregateFn::StdDev => match v {
+                Value::Int(i) => self.push_int(*i),
+                _ => self.push_float(v.as_float().ok_or_else(|| {
                     DbError::Eval(format!("{} of non-numeric value {v}", self.func.name()))
-                })?;
-                match v {
-                    Value::Int(i) if self.int_exact => match self.int_sum.checked_add(*i) {
-                        Some(s) => self.int_sum = s,
-                        None => {
-                            self.int_exact = false;
-                            self.float_sum = self.int_sum as f64 + *i as f64;
-                        }
-                    },
-                    _ => {
-                        if self.int_exact {
-                            self.float_sum = self.int_sum as f64;
-                            self.int_exact = false;
-                        }
-                        self.float_sum += x;
-                    }
-                }
-                // Welford
-                let delta = x - self.mean;
-                self.mean += delta / self.count as f64;
-                self.m2 += delta * (x - self.mean);
-            }
+                })?),
+            },
         }
         Ok(())
     }
 
-    /// Assemble an accumulator from kernel-computed state. The columnar
-    /// path (see `exec::vector`) runs tight typed loops per chunk and
-    /// packages the result here, so merging and `finish` reuse the exact
-    /// serial semantics. DISTINCT never reaches the columnar path.
-    #[allow(clippy::too_many_arguments)]
+    /// Fold one integer input into SUM/AVG/STDDEV state: the checked
+    /// integer sum (degrading to float on overflow) and the moments. The
+    /// columnar kernels (see `exec::vector`) call this and
+    /// [`Accumulator::push_float`] directly from their typed loops, so a
+    /// chunk partial is bit-identical to row execution over the same rows.
+    #[inline]
+    pub(crate) fn push_int(&mut self, i: i64) {
+        self.count += 1;
+        if self.int_exact {
+            match self.int_sum.checked_add(i) {
+                Some(s) => self.int_sum = s,
+                None => {
+                    self.int_exact = false;
+                    self.float_sum = self.int_sum as f64 + i as f64;
+                }
+            }
+        } else {
+            self.float_sum += i as f64;
+        }
+        self.moments.push(i as f64);
+    }
+
+    /// Fold one non-integer numeric input into SUM/AVG/STDDEV state (the
+    /// sum turns float for good).
+    #[inline]
+    pub(crate) fn push_float(&mut self, x: f64) {
+        self.count += 1;
+        if self.int_exact {
+            self.float_sum = self.int_sum as f64;
+            self.int_exact = false;
+        }
+        self.float_sum += x;
+        self.moments.push(x);
+    }
+
+    /// A COUNT/MIN/MAX partial computed by a columnar kernel. DISTINCT
+    /// never reaches the columnar path.
     pub(crate) fn from_parts(
         func: AggregateFn,
         count: u64,
-        int_sum: i64,
-        int_exact: bool,
-        float_sum: f64,
         min: Option<Value>,
         max: Option<Value>,
-        mean: f64,
-        m2: f64,
     ) -> Self {
         Accumulator {
-            func,
-            distinct: false,
-            seen: HashSet::new(),
             count,
-            int_sum,
-            int_exact,
-            float_sum,
             min,
             max,
-            mean,
-            m2,
+            ..Accumulator::new(func, false)
         }
     }
 
@@ -142,7 +145,7 @@ impl Accumulator {
     /// this one. Used by the parallel execution path: each partition feeds
     /// its rows into a private accumulator, then partials are merged in
     /// partition-index order. The merge is commutative up to float
-    /// rounding (mean/m2 use the Chan et al. pairwise combination).
+    /// rounding ([`Moments::merge`] is Chan et al.'s pairwise update).
     pub fn merge(&mut self, other: &Accumulator) -> Result<()> {
         debug_assert_eq!(self.func, other.func);
         if self.distinct || other.distinct {
@@ -198,13 +201,7 @@ impl Accumulator {
                     self.int_exact = false;
                     self.float_sum = lhs + rhs;
                 }
-                // Chan et al. parallel Welford combination.
-                let n1 = self.count as f64;
-                let n2 = other.count as f64;
-                let n = n1 + n2;
-                let delta = other.mean - self.mean;
-                self.mean += delta * n2 / n;
-                self.m2 += other.m2 + delta * delta * n1 * n2 / n;
+                self.moments.merge(&other.moments);
             }
         }
         self.count += other.count;
@@ -238,13 +235,7 @@ impl Accumulator {
                     Value::Float(sum / self.count as f64)
                 }
             }
-            AggregateFn::StdDev => {
-                if self.count < 2 {
-                    Value::Null
-                } else {
-                    Value::Float((self.m2 / (self.count - 1) as f64).sqrt())
-                }
-            }
+            AggregateFn::StdDev => self.moments.stddev().map_or(Value::Null, Value::Float),
         }
     }
 }

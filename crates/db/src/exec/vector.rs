@@ -4,19 +4,19 @@
 //! (no joins, no GROUP BY) into a [`ColumnarPlan`]: typed predicates
 //! plus one aggregate kernel per expression. Execution walks the
 //! table's [`Chunk`]s with tight per-type loops — no per-row `Value`
-//! dispatch, no row materialization — and packages each chunk's state
-//! into an [`Accumulator`] partial via `Accumulator::from_parts`.
+//! dispatch, no row materialization — and leaves one [`Accumulator`]
+//! partial per chunk.
 //! Partials merge in ascending chunk order (a fixed left-deep merge
 //! tree), so the result is deterministic regardless of how many pool
 //! workers processed the chunks.
 //!
-//! Kernels replicate the serial accumulator update sequence exactly
-//! within a chunk (checked integer sums with the same overflow
-//! degradation point, the same Welford recurrence), and cross-chunk
-//! merging uses the same Chan et al. combination as the parallel row
-//! path — so columnar results match serial results to within the float
-//! tolerance the differential oracle already accepts, and bit-for-bit
-//! on integer aggregates.
+//! SUM/AVG/STDDEV kernels feed the row path's own
+//! `Accumulator::push_int`/`push_float` from their typed loops (the same
+//! checked integer sums and the same `Moments` update), and cross-chunk
+//! merging is the parallel row path's `Accumulator::merge` — so columnar
+//! results match serial results to within the float tolerance the
+//! differential oracle already accepts, and bit-for-bit on integer
+//! aggregates.
 //!
 //! Compilation is deliberately strict: any predicate or aggregate whose
 //! typed semantics could diverge from the row path (booleans in SUM,
@@ -537,80 +537,6 @@ fn selection(chunk: &Chunk, preds: &[ColPred]) -> Option<Vec<u64>> {
 
 // ---------------- aggregate kernels ----------------
 
-/// Welford + checked-integer-sum state, updated in exactly the serial
-/// accumulator's operation order so a chunk partial is bit-identical to
-/// a serial accumulator fed the same rows.
-struct NumState {
-    count: u64,
-    int_sum: i64,
-    int_exact: bool,
-    float_sum: f64,
-    mean: f64,
-    m2: f64,
-}
-
-impl NumState {
-    fn new() -> Self {
-        NumState {
-            count: 0,
-            int_sum: 0,
-            int_exact: true,
-            float_sum: 0.0,
-            mean: 0.0,
-            m2: 0.0,
-        }
-    }
-
-    #[inline]
-    fn push_int(&mut self, i: i64) {
-        self.count += 1;
-        if self.int_exact {
-            match self.int_sum.checked_add(i) {
-                Some(s) => self.int_sum = s,
-                None => {
-                    self.int_exact = false;
-                    self.float_sum = self.int_sum as f64 + i as f64;
-                }
-            }
-        } else {
-            self.float_sum += i as f64;
-        }
-        self.welford(i as f64);
-    }
-
-    #[inline]
-    fn push_float(&mut self, x: f64) {
-        self.count += 1;
-        if self.int_exact {
-            self.float_sum = self.int_sum as f64;
-            self.int_exact = false;
-        }
-        self.float_sum += x;
-        self.welford(x);
-    }
-
-    #[inline]
-    fn welford(&mut self, x: f64) {
-        let delta = x - self.mean;
-        self.mean += delta / self.count as f64;
-        self.m2 += delta * (x - self.mean);
-    }
-
-    fn into_accumulator(self, func: AggregateFn) -> Accumulator {
-        Accumulator::from_parts(
-            func,
-            self.count,
-            self.int_sum,
-            self.int_exact,
-            self.float_sum,
-            None,
-            None,
-            self.mean,
-            self.m2,
-        )
-    }
-}
-
 /// Count of selected rows with bit clear in `nulls`.
 fn count_non_null(sel: &[u64], nulls: &[u64]) -> u64 {
     sel.iter()
@@ -626,35 +552,31 @@ fn agg_partial(chunk: &Chunk, sel: &[u64], spec: AggSpec) -> Option<Accumulator>
     let Some(col) = col else {
         // COUNT(*): every selected row.
         let count: u64 = sel.iter().map(|w| w.count_ones() as u64).sum();
-        return Some(Accumulator::from_parts(
-            func, count, 0, true, 0.0, None, None, 0.0, 0.0,
-        ));
+        return Some(Accumulator::from_parts(func, count, None, None));
     };
     let cc = &chunk.cols[col];
     if func == AggregateFn::Count {
         let count = count_non_null(sel, &cc.nulls);
-        return Some(Accumulator::from_parts(
-            func, count, 0, true, 0.0, None, None, 0.0, 0.0,
-        ));
+        return Some(Accumulator::from_parts(func, count, None, None));
     }
     match (&cc.data, func) {
         (ColumnData::Int(xs), AggregateFn::Sum | AggregateFn::Avg | AggregateFn::StdDev) => {
-            let mut st = NumState::new();
+            let mut acc = Accumulator::new(func, false);
             for (i, &x) in xs.iter().enumerate() {
                 if bit(sel, i) && !bit(&cc.nulls, i) {
-                    st.push_int(x);
+                    acc.push_int(x);
                 }
             }
-            Some(st.into_accumulator(func))
+            Some(acc)
         }
         (ColumnData::Float(xs), AggregateFn::Sum | AggregateFn::Avg | AggregateFn::StdDev) => {
-            let mut st = NumState::new();
+            let mut acc = Accumulator::new(func, false);
             for (i, &x) in xs.iter().enumerate() {
                 if bit(sel, i) && !bit(&cc.nulls, i) {
-                    st.push_float(x);
+                    acc.push_float(x);
                 }
             }
-            Some(st.into_accumulator(func))
+            Some(acc)
         }
         (ColumnData::Int(xs), AggregateFn::Min | AggregateFn::Max) => {
             let mut count = 0u64;
@@ -731,7 +653,7 @@ fn minmax_accumulator(func: AggregateFn, count: u64, best: Option<Value>) -> Acc
     } else {
         (None, best)
     };
-    Accumulator::from_parts(func, count, 0, true, 0.0, min, max, 0.0, 0.0)
+    Accumulator::from_parts(func, count, min, max)
 }
 
 // ---------------- chunk dispatch ----------------

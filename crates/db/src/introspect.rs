@@ -577,16 +577,16 @@ fn request_summary_table() -> Table {
         telemetry::requests::summary().into_iter().map(|s| {
             let mut row = vec![
                 text(s.kind),
-                int(s.count),
+                int(s.latency.count),
                 int(s.errors),
                 int(s.slow),
-                if s.count > 0 {
+                if s.latency.count > 0 {
                     Value::Float(s.latency.mean)
                 } else {
                     Value::Null
                 },
-                if s.count > 0 {
-                    Value::Float(s.latency.stddev())
+                if s.latency.count > 0 {
+                    Value::Float(s.latency.population_stddev())
                 } else {
                     Value::Null
                 },

@@ -24,13 +24,11 @@
 //!
 //! Statements slower than the configurable threshold additionally emit a
 //! `slow_query` structured event carrying the SQL text (truncated),
-//! latency, and row counts, and are retained in a bounded process-wide
-//! ring ([`slow_query_log`]) that backs the `perfdmf_slow_queries`
-//! virtual system table.
+//! latency, and row counts, and are retained in a process-wide
+//! [`telemetry::BoundedLog`] ([`slow_query_log`]) that backs the
+//! `perfdmf_slow_queries` virtual system table.
 
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::OnceLock;
 use std::time::Duration;
 
 use parking_lot::Mutex;
@@ -38,6 +36,7 @@ use parking_lot::Mutex;
 use crate::error::Result;
 use crate::exec::Outcome;
 use perfdmf_telemetry as telemetry;
+use perfdmf_telemetry::BoundedLog;
 
 /// Default slow-query threshold: 50ms.
 const DEFAULT_SLOW_QUERY_NS: u64 = 50_000_000;
@@ -67,35 +66,23 @@ pub struct SlowQueryRecord {
     pub ok: bool,
 }
 
-#[derive(Default)]
-struct SlowLog {
-    ring: VecDeque<SlowQueryRecord>,
-    next_seq: u64,
-}
-
-fn slow_log() -> &'static Mutex<SlowLog> {
-    static LOG: OnceLock<Mutex<SlowLog>> = OnceLock::new();
-    LOG.get_or_init(|| Mutex::new(SlowLog::default()))
-}
+static SLOW_LOG: Mutex<BoundedLog<SlowQueryRecord>> =
+    Mutex::new(BoundedLog::new(SLOW_LOG_CAPACITY));
 
 /// Copy of the retained slow statements, oldest first.
 pub fn slow_query_log() -> Vec<SlowQueryRecord> {
-    slow_log().lock().ring.iter().cloned().collect()
+    SLOW_LOG.lock().to_vec()
 }
 
 /// Drop all retained slow statements (sequence numbers keep counting).
 pub fn clear_slow_query_log() {
-    slow_log().lock().ring.clear();
+    SLOW_LOG.lock().clear();
 }
 
-fn retain_slow_query(mut record: SlowQueryRecord) {
-    let mut log = slow_log().lock();
-    record.seq = log.next_seq;
-    log.next_seq += 1;
-    if log.ring.len() >= SLOW_LOG_CAPACITY {
-        log.ring.pop_front();
-    }
-    log.ring.push_back(record);
+fn retain_slow_query(record: SlowQueryRecord) {
+    SLOW_LOG
+        .lock()
+        .push(|seq| SlowQueryRecord { seq, ..record });
 }
 
 static SLOW_QUERY_THRESHOLD_NS: AtomicU64 = AtomicU64::new(DEFAULT_SLOW_QUERY_NS);

@@ -370,9 +370,9 @@ mod tests {
         assert_eq!(p.event(p.find_event("MPI_Send()").unwrap()).group, "MPI");
         let ae = p.find_atomic_event("Message size").unwrap();
         let a = p.atomic(ae, ThreadId::ZERO).unwrap();
-        assert_eq!(a.count, 4);
+        assert_eq!(a.count(), 4);
         assert_eq!(a.max, 1024.0);
-        assert_eq!(a.mean, 512.0);
+        assert_eq!(a.mean(), 512.0);
     }
 
     #[test]

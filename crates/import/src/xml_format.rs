@@ -139,10 +139,10 @@ pub fn export_xml(profile: &Profile) -> String {
         w.attr_fmt("n", thread.node).expect("attr");
         w.attr_fmt("c", thread.context).expect("attr");
         w.attr_fmt("t", thread.thread).expect("attr");
-        w.attr_fmt("count", d.count).expect("attr");
+        w.attr_fmt("count", d.count()).expect("attr");
         w.attr("min", &format_f64(d.min)).expect("attr");
         w.attr("max", &format_f64(d.max)).expect("attr");
-        w.attr("mean", &format_f64(d.mean)).expect("attr");
+        w.attr("mean", &format_f64(d.mean())).expect("attr");
         w.attr("stddev", &format_f64(d.stddev().unwrap_or(0.0)))
             .expect("attr");
         w.end().expect("close");
@@ -355,7 +355,7 @@ mod tests {
         // atomic data
         let ae = back.find_atomic_event("Message size").unwrap();
         let a = back.atomic(ae, t1).unwrap();
-        assert_eq!(a.count, 3);
+        assert_eq!(a.count(), 3);
         assert_eq!(a.max, 1024.0);
         let orig_a = p
             .atomic(p.find_atomic_event("Message size").unwrap(), t1)

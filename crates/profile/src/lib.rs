@@ -11,7 +11,8 @@
 //!   exclusive, percentages, per-call, calls, subroutines) with support
 //!   for tool-specific undefined fields.
 //! * [`AtomicData`] — one ATOMIC_LOCATION_PROFILE record (count, min, max,
-//!   mean, stddev) with Welford accumulation and parallel merge.
+//!   mean, stddev): min/max plus a [`Moments`] accumulator, the one
+//!   Welford/Chan implementation behind every mean and stddev.
 //! * [`Profile`] — the trial container, with total/mean summaries
 //!   (INTERVAL_TOTAL_SUMMARY / INTERVAL_MEAN_SUMMARY), cross-thread event
 //!   statistics, consistency validation, and dense storage sized for
@@ -29,7 +30,7 @@ mod interval;
 mod profile;
 mod thread;
 
-pub use atomic::AtomicData;
+pub use atomic::{AtomicData, Moments};
 pub use callpath::{
     build_call_tree, flatten_callpaths, is_callpath, parse_callpath, validate_call_tree, CallNode,
     CALLPATH_SEPARATOR,

@@ -438,37 +438,21 @@ impl Profile {
     ) -> Option<EventStats> {
         let n_threads = self.threads.len();
         let plane = &self.planes[metric.0];
-        let mut count = 0usize;
-        let mut min = f64::INFINITY;
-        let mut max = f64::NEG_INFINITY;
-        let mut mean = 0.0f64;
-        let mut m2 = 0.0f64;
-        for t in 0..n_threads {
-            let d = &plane[event.0 * n_threads + t];
-            let Some(x) = field.get(d) else {
-                continue;
-            };
-            count += 1;
-            min = min.min(x);
-            max = max.max(x);
-            let delta = x - mean;
-            mean += delta / count as f64;
-            m2 += delta * (x - mean);
+        let mut acc = AtomicData::new();
+        for d in &plane[event.0 * n_threads..(event.0 + 1) * n_threads] {
+            if let Some(x) = field.get(d) {
+                acc.record(x);
+            }
         }
-        if count == 0 {
+        if acc.count() == 0 {
             return None;
         }
-        let stddev = if count > 1 {
-            (m2 / (count - 1) as f64).sqrt()
-        } else {
-            0.0
-        };
         Some(EventStats {
-            count,
-            min,
-            max,
-            mean,
-            stddev,
+            count: acc.count() as usize,
+            min: acc.min,
+            max: acc.max,
+            mean: acc.mean(),
+            stddev: acc.stddev().unwrap_or(0.0),
         })
     }
 
@@ -521,10 +505,14 @@ impl Profile {
             }
         }
         for (&(e, t), d) in &self.atomic_data {
-            if d.count > 0 && !(d.min <= d.mean + EPS && d.mean <= d.max + EPS) {
+            if d.count() > 0 && !(d.min <= d.mean() + EPS && d.mean() <= d.max + EPS) {
                 problems.push(format!(
                     "atomic {}@{}: min {} mean {} max {} out of order",
-                    self.atomic_events[e].name, self.threads[t], d.min, d.mean, d.max
+                    self.atomic_events[e].name,
+                    self.threads[t],
+                    d.min,
+                    d.mean(),
+                    d.max
                 ));
             }
         }
@@ -675,10 +663,10 @@ mod tests {
             p.record_atomic(ae, ThreadId::ZERO, x);
         }
         let d = p.atomic(ae, ThreadId::ZERO).unwrap();
-        assert_eq!(d.count, 3);
+        assert_eq!(d.count(), 3);
         assert_eq!(d.min, 100.0);
         assert_eq!(d.max, 300.0);
-        assert_eq!(d.mean, 200.0);
+        assert_eq!(d.mean(), 200.0);
         assert_eq!(p.iter_atomic().count(), 1);
         assert!(p.validate().is_empty());
     }

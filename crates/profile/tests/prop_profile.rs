@@ -5,6 +5,8 @@ use perfdmf_profile::{
     Profile, ThreadId,
 };
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 fn build_profile(values: &[Vec<f64>]) -> (Profile, Vec<perfdmf_profile::EventId>) {
     // values[e][t] = exclusive time of event e on thread t
@@ -91,25 +93,52 @@ proptest! {
         }
     }
 
-    /// Welford merge is associative enough: merging in any split equals
-    /// the sequential result.
+    /// Chan merge is free of order and partitioning: samples cut into
+    /// k ≤ 8 contiguous parts and merged in shuffled order match the
+    /// sequential Welford result to 1e-12. Inputs are kept to
+    /// |mean| ≤ 1e3·stddev; beyond that the variance itself is
+    /// ill-conditioned, merge or no merge.
     #[test]
     fn atomic_merge_split_invariance(
-        xs in proptest::collection::vec(-1e6f64..1e6, 2..50),
-        split in 1usize..49,
+        unit in proptest::collection::vec(-1.0f64..1.0, 2..64),
+        offset in -1e3f64..1e3,
+        scale_exp in -6i32..7,
+        cuts in proptest::collection::vec(0usize..64, 0..8),
+        order_seed in any::<u64>(),
     ) {
-        let split = split.min(xs.len() - 1);
+        let scale = 10f64.powi(scale_exp);
+        let xs: Vec<f64> = unit.iter().map(|u| (offset + u) * scale).collect();
         let mut whole = AtomicData::new();
         for &x in &xs { whole.record(x); }
-        let mut a = AtomicData::new();
-        let mut b = AtomicData::new();
-        for &x in &xs[..split] { a.record(x); }
-        for &x in &xs[split..] { b.record(x); }
-        a.merge(&b);
-        prop_assert_eq!(a.count, whole.count);
-        prop_assert!((a.mean - whole.mean).abs() < 1e-6 * (1.0 + whole.mean.abs()));
-        let (sa, sw) = (a.stddev().unwrap_or(0.0), whole.stddev().unwrap_or(0.0));
-        prop_assert!((sa - sw).abs() < 1e-6 * (1.0 + sw));
+        let sw = whole.stddev().unwrap();
+        if whole.mean().abs() > 1e3 * sw {
+            return Ok(());
+        }
+        let mut bounds: Vec<usize> = cuts.iter().map(|&c| c % (xs.len() + 1)).collect();
+        bounds.extend([0, xs.len()]);
+        bounds.sort_unstable();
+        let mut parts: Vec<AtomicData> = bounds
+            .windows(2)
+            .map(|w| {
+                let mut part = AtomicData::new();
+                for &x in &xs[w[0]..w[1]] { part.record(x); }
+                part
+            })
+            .collect();
+        // Fisher–Yates shuffle of the merge order.
+        let mut rng = StdRng::seed_from_u64(order_seed);
+        for i in (1..parts.len()).rev() {
+            parts.swap(i, rng.gen_range(0..=i));
+        }
+        let mut merged = AtomicData::new();
+        for part in &parts { merged.merge(part); }
+        prop_assert_eq!(merged.count(), whole.count());
+        prop_assert_eq!(merged.min, whole.min);
+        prop_assert_eq!(merged.max, whole.max);
+        let mean_err = (merged.mean() - whole.mean()).abs() / (whole.mean().abs() + sw);
+        prop_assert!(mean_err <= 1e-12, "mean off by {mean_err:e}");
+        let sd_err = (merged.stddev().unwrap() - sw).abs() / sw;
+        prop_assert!(sd_err <= 1e-12, "stddev off by {sd_err:e}");
     }
 
     /// recompute_derived_fields keeps validate() clean and percentages

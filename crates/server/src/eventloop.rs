@@ -24,10 +24,9 @@
 //! (one byte down a socketpair) pokes the loop out of `poll` the moment
 //! a worker finishes — no thread ever blocks on a reply.
 //!
-//! Readiness comes from a minimal [`Reactor`] seam whose production
-//! implementation, [`PollReactor`], calls `poll(2)` directly through a
-//! one-function `extern "C"` declaration — no async runtime, no
-//! polling-crate dependency, and the blocking [`crate::stream::Stream`]
+//! Readiness comes from [`PollReactor`], which calls `poll(2)` directly
+//! through a one-function `extern "C"` declaration — no async runtime,
+//! no polling-crate dependency, and the blocking [`crate::stream::Stream`]
 //! seam (including [`crate::stream::FaultStream`] chaos injection)
 //! stays intact underneath.
 //!
@@ -71,7 +70,7 @@ use std::time::{Duration, Instant};
 const EAGER_SPINS: usize = 4;
 
 // ---------------------------------------------------------------------
-// Reactor: the readiness seam.
+// PollReactor: readiness via poll(2).
 // ---------------------------------------------------------------------
 
 /// One descriptor the reactor should watch, and for what.
@@ -94,20 +93,6 @@ pub struct Readiness {
     pub writable: bool,
     /// The peer hung up or the descriptor is in an error state.
     pub hangup: bool,
-}
-
-/// The one operation an event loop needs from the OS: block until any
-/// watched descriptor is ready or the timeout lapses. Narrow by design
-/// so tests can drive the executor with a scripted reactor and
-/// production stays a single `poll(2)` call.
-pub trait Reactor: Send {
-    /// Wait up to `timeout`; returns one [`Readiness`] per `interests`
-    /// slot (all-false on timeout).
-    fn wait(
-        &mut self,
-        interests: &[Interest],
-        timeout: Duration,
-    ) -> std::io::Result<Vec<Readiness>>;
 }
 
 /// `struct pollfd` from `<poll.h>`.
@@ -135,29 +120,21 @@ unsafe extern "C" {
     ) -> core::ffi::c_int;
 }
 
-/// The production [`Reactor`]: `poll(2)` over the interest list.
-/// `poll` (not `epoll`/`kqueue`) keeps it portable across POSIX and
-/// dependency-free; the interest lists here are per-shard (hundreds,
-/// not millions), where poll's O(n) scan is noise next to the syscall.
+/// The one operation an event loop needs from the OS: block on
+/// `poll(2)` until any watched descriptor is ready or the timeout
+/// lapses. `poll` (not `epoll`/`kqueue`) keeps it portable across
+/// POSIX and dependency-free; the interest lists here are per-shard
+/// (hundreds, not millions), where poll's O(n) scan is noise next to
+/// the syscall.
+#[derive(Default)]
 pub struct PollReactor {
     fds: Vec<PollFd>,
 }
 
 impl PollReactor {
-    /// A reactor with an empty scratch buffer.
-    pub fn new() -> PollReactor {
-        PollReactor { fds: Vec::new() }
-    }
-}
-
-impl Default for PollReactor {
-    fn default() -> Self {
-        PollReactor::new()
-    }
-}
-
-impl Reactor for PollReactor {
-    fn wait(
+    /// Wait up to `timeout`; returns one [`Readiness`] per `interests`
+    /// slot (all-false on timeout).
+    pub fn wait(
         &mut self,
         interests: &[Interest],
         timeout: Duration,
@@ -1381,7 +1358,7 @@ fn run(
     wake_rx: UnixStream,
     waker: Arc<WakeHandle>,
 ) {
-    let mut reactor = PollReactor::new();
+    let mut reactor = PollReactor::default();
     let window = shared.config.resolved_window();
     let wake_fd = wake_rx.as_raw_fd();
     let mut wake_scratch = [0u8; 64];
@@ -1560,7 +1537,7 @@ mod tests {
         let (a, b) = UnixStream::pair().expect("pair");
         a.set_nonblocking(true).unwrap();
         b.set_nonblocking(true).unwrap();
-        let mut reactor = PollReactor::new();
+        let mut reactor = PollReactor::default();
         let interests = [Interest {
             fd: b.as_raw_fd(),
             read: true,
@@ -1580,7 +1557,7 @@ mod tests {
     #[test]
     fn poll_reactor_reports_writable_and_hangup() {
         let (a, b) = UnixStream::pair().expect("pair");
-        let mut reactor = PollReactor::new();
+        let mut reactor = PollReactor::default();
         let writable = reactor
             .wait(
                 &[Interest {
@@ -1621,7 +1598,7 @@ mod tests {
             std::thread::sleep(Duration::from_millis(30));
             poker.wake();
         });
-        let mut reactor = PollReactor::new();
+        let mut reactor = PollReactor::default();
         let started = Instant::now();
         let ready = reactor
             .wait(

@@ -1,0 +1,126 @@
+//! [`BoundedLog`]: the one retention policy behind every process-wide
+//! record ring — the db slow-query log, the metrics history, the
+//! [`crate::RingBufferSink`] event buffer, the request and slow-request
+//! rings, and the regression log.
+
+/// Keeps the most recent `capacity` entries, evicting the oldest first,
+/// and numbers entries in push order. Numbers are never reused: they
+/// keep counting across eviction and [`BoundedLog::clear`].
+#[derive(Debug)]
+pub struct BoundedLog<T> {
+    /// A ring once full: the oldest entry sits at `head`.
+    entries: Vec<T>,
+    head: usize,
+    capacity: usize,
+    next_seq: u64,
+}
+
+impl<T> BoundedLog<T> {
+    /// An empty log retaining at most `capacity` entries (min 1). `const`,
+    /// so a process-wide log is a plain `static Mutex<BoundedLog<_>>`.
+    pub const fn new(capacity: usize) -> Self {
+        BoundedLog {
+            entries: Vec::new(),
+            head: 0,
+            capacity: if capacity == 0 { 1 } else { capacity },
+            next_seq: 0,
+        }
+    }
+
+    /// Append the entry `make` builds from its sequence number, evicting
+    /// the oldest entry when full; returns that number.
+    pub fn push(&mut self, make: impl FnOnce(u64) -> T) -> u64 {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        if self.entries.len() < self.capacity {
+            self.entries.push(make(seq));
+        } else {
+            self.entries[self.head] = make(seq);
+            self.head = (self.head + 1) % self.capacity;
+        }
+        seq
+    }
+
+    /// Maximum number of retained entries.
+    pub(crate) fn capacity(&self) -> usize {
+        self.capacity
+    }
+
+    /// Number of entries currently retained.
+    pub(crate) fn len(&self) -> usize {
+        self.entries.len()
+    }
+
+    /// The retained entries, oldest first.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &T> {
+        let (newer, older) = self.entries.split_at(self.head);
+        older.iter().chain(newer)
+    }
+
+    /// Drop every retained entry (sequence numbers keep counting).
+    pub fn clear(&mut self) {
+        self.entries.clear();
+        self.head = 0;
+    }
+
+    /// Remove and return every retained entry, oldest first.
+    pub(crate) fn drain(&mut self) -> Vec<T> {
+        self.entries.rotate_left(self.head);
+        self.head = 0;
+        std::mem::take(&mut self.entries)
+    }
+}
+
+impl<T: Clone> BoundedLog<T> {
+    /// Copy of the retained entries, oldest first.
+    pub fn to_vec(&self) -> Vec<T> {
+        self.iter().cloned().collect()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn evicts_oldest_and_numbers_in_push_order() {
+        let mut log = BoundedLog::new(3);
+        let seqs: Vec<u64> = (0..5).map(|i| log.push(|seq| (seq, i))).collect();
+        assert_eq!(seqs, vec![0, 1, 2, 3, 4]);
+        assert_eq!(log.to_vec(), vec![(2, 2), (3, 3), (4, 4)]);
+        assert_eq!(log.len(), log.capacity());
+    }
+
+    #[test]
+    fn wraps_repeatedly_in_order() {
+        let mut log = BoundedLog::new(3);
+        for i in 0..11u64 {
+            log.push(|_| i);
+            let want: Vec<u64> = (i.saturating_sub(2)..=i).collect();
+            assert_eq!(log.to_vec(), want);
+        }
+        assert_eq!(log.drain(), vec![8, 9, 10]);
+        log.push(|_| 11);
+        assert_eq!(log.to_vec(), vec![11]);
+    }
+
+    #[test]
+    fn numbers_survive_clear_and_drain() {
+        let mut log = BoundedLog::new(4);
+        log.push(|seq| seq);
+        log.push(|seq| seq);
+        log.clear();
+        assert_eq!(log.len(), 0);
+        assert_eq!(log.push(|seq| seq), 2);
+        assert_eq!(log.drain(), vec![2]);
+        assert_eq!(log.push(|seq| seq), 3);
+    }
+
+    #[test]
+    fn zero_capacity_keeps_one() {
+        let mut log = BoundedLog::new(0);
+        log.push(|_| 'a');
+        log.push(|_| 'b');
+        assert_eq!(log.to_vec(), vec!['b']);
+    }
+}

@@ -5,12 +5,13 @@
 //! installed decides where it goes. The bundled [`RingBufferSink`] keeps
 //! the last N events in memory with text and JSON export.
 
-use std::collections::VecDeque;
 use std::fmt;
 use std::time::{SystemTime, UNIX_EPOCH};
 
 use parking_lot::{Mutex, RwLock};
 use std::sync::{Arc, OnceLock};
+
+use crate::BoundedLog;
 
 /// Event importance.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -208,26 +209,24 @@ pub trait EventSink: Send + Sync {
 
 /// Keeps the most recent `capacity` events in memory.
 pub struct RingBufferSink {
-    capacity: usize,
-    buf: Mutex<VecDeque<Event>>,
+    buf: Mutex<BoundedLog<Event>>,
 }
 
 impl RingBufferSink {
     pub fn new(capacity: usize) -> Self {
         RingBufferSink {
-            capacity: capacity.max(1),
-            buf: Mutex::new(VecDeque::new()),
+            buf: Mutex::new(BoundedLog::new(capacity)),
         }
     }
 
     /// Copy of the buffered events, oldest first.
     pub fn events(&self) -> Vec<Event> {
-        self.buf.lock().iter().cloned().collect()
+        self.buf.lock().to_vec()
     }
 
     /// Remove and return all buffered events, oldest first.
     pub fn drain(&self) -> Vec<Event> {
-        self.buf.lock().drain(..).collect()
+        self.buf.lock().drain()
     }
 
     pub fn len(&self) -> usize {
@@ -263,11 +262,7 @@ impl RingBufferSink {
 
 impl EventSink for RingBufferSink {
     fn accept(&self, event: &Event) {
-        let mut buf = self.buf.lock();
-        if buf.len() == self.capacity {
-            buf.pop_front();
-        }
-        buf.push_back(event.clone());
+        self.buf.lock().push(|_| event.clone());
     }
 }
 

@@ -29,9 +29,9 @@
 //! [`sessions`] keeps one record per network session (the
 //! `perfdmf_sessions` system table fed by `perfdmf-server`), and
 //! [`requests`] keeps a bounded ring of recent network requests with
-//! their per-request [`meter::ResourceUsage`] plus per-kind Chan–Welford
-//! aggregates (the `perfdmf_requests` / `perfdmf_request_summary`
-//! system tables).
+//! their per-request [`meter::ResourceUsage`] plus per-kind latency
+//! [`Moments`] (the `perfdmf_requests` / `perfdmf_request_summary`
+//! system tables). Every record ring is one [`BoundedLog`].
 //!
 //! When telemetry is disabled ([`set_enabled`]`(false)`) every
 //! instrumentation point reduces to one relaxed atomic load.
@@ -41,6 +41,7 @@
 //! atomic events), so the framework's own behavior can be stored,
 //! queried, and analyzed with the very machinery it instruments.
 
+mod bounded;
 pub mod event;
 pub mod meter;
 pub mod metrics;
@@ -55,12 +56,14 @@ pub mod trace;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
+pub use bounded::BoundedLog;
 pub use event::{emit, install_sink, Event, EventSink, FieldValue, RingBufferSink, Severity};
 pub use meter::{adopt_meter, current_meter, MeterGuard, RequestMeter, ResourceUsage};
 pub use metrics::{sample_now, start_sampler, MetricsRecorder, MetricsSample, SamplerHandle};
+pub use perfdmf_profile::Moments;
 pub use registry::{Counter, Histogram, LocalCounter};
 pub use regressions::RegressionRecord;
-pub use requests::{RequestKindSummary, RequestRecord, Welford};
+pub use requests::{RequestKindSummary, RequestRecord};
 pub use sessions::{SessionRecord, SessionState};
 pub use snapshot::{snapshot, snapshot_to_profile, CounterSnapshot, HistogramSnapshot, Snapshot};
 pub use span::{span, SpanGuard};

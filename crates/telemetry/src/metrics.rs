@@ -10,26 +10,26 @@
 //!   interval until the returned [`SamplerHandle`] is dropped. The default
 //!   interval comes from `PERFDMF_METRICS_INTERVAL_MS` (250ms).
 //!
-//! The ring holds the most recent `PERFDMF_METRICS_CAPACITY` samples
-//! (default 512); older samples fall off the front. Each sample is a full
+//! The ring is a [`BoundedLog`] of the most recent [`METRICS_CAPACITY`]
+//! samples; older samples fall off the front. Each sample is a full
 //! [`Snapshot`] stamped with a monotonically increasing sequence number
-//! and milliseconds since the recorder was created, so windowed queries
-//! (`WHERE sample >= ...`, `WHERE elapsed_ms > ...`) work without wall
-//! clocks. `perfdmf-db` exposes the ring as the `perfdmf_metrics_history`
+//! and milliseconds since the telemetry epoch (the clock span timestamps
+//! use), so windowed queries (`WHERE sample >= ...`,
+//! `WHERE elapsed_ms > ...`) work without wall clocks. `perfdmf-db` exposes the ring as the `perfdmf_metrics_history`
 //! virtual system table (see `docs/introspection.md`).
 
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use parking_lot::Mutex;
 
 use crate::snapshot::{snapshot, Snapshot};
+use crate::BoundedLog;
 
-/// Default ring capacity when `PERFDMF_METRICS_CAPACITY` is unset.
-const DEFAULT_CAPACITY: usize = 512;
+/// Samples retained by the process-wide recorder.
+pub const METRICS_CAPACITY: usize = 512;
 
 /// Default sampling interval when `PERFDMF_METRICS_INTERVAL_MS` is unset.
 const DEFAULT_INTERVAL_MS: u64 = 250;
@@ -40,7 +40,7 @@ pub struct MetricsSample {
     /// Monotonically increasing sample number (never reused, survives
     /// ring eviction).
     pub seq: u64,
-    /// Milliseconds since the recorder was created.
+    /// Milliseconds since the telemetry epoch.
     pub elapsed_ms: u64,
     /// The full registry snapshot taken at that moment.
     pub snapshot: Snapshot,
@@ -48,35 +48,25 @@ pub struct MetricsSample {
 
 /// Bounded ring of [`MetricsSample`]s.
 pub struct MetricsRecorder {
-    epoch: Instant,
-    capacity: usize,
-    inner: Mutex<RecorderInner>,
-}
-
-#[derive(Default)]
-struct RecorderInner {
-    ring: VecDeque<MetricsSample>,
-    next_seq: u64,
+    ring: Mutex<BoundedLog<MetricsSample>>,
 }
 
 impl MetricsRecorder {
     /// A recorder retaining at most `capacity` samples (min 1).
-    pub fn with_capacity(capacity: usize) -> Self {
+    pub const fn with_capacity(capacity: usize) -> Self {
         MetricsRecorder {
-            epoch: Instant::now(),
-            capacity: capacity.max(1),
-            inner: Mutex::new(RecorderInner::default()),
+            ring: Mutex::new(BoundedLog::new(capacity)),
         }
     }
 
     /// Maximum number of retained samples.
     pub fn capacity(&self) -> usize {
-        self.capacity
+        self.ring.lock().capacity()
     }
 
     /// Number of samples currently retained.
     pub fn len(&self) -> usize {
-        self.inner.lock().ring.len()
+        self.ring.lock().len()
     }
 
     /// True when no samples have been taken (or all have been evicted).
@@ -87,47 +77,34 @@ impl MetricsRecorder {
     /// Snapshot the registry into the ring now; returns the sample's
     /// sequence number.
     pub fn sample_now(&self) -> u64 {
-        let snap = snapshot();
-        let elapsed_ms = self.epoch.elapsed().as_millis().min(u64::MAX as u128) as u64;
-        let mut inner = self.inner.lock();
-        let seq = inner.next_seq;
-        inner.next_seq += 1;
-        if inner.ring.len() >= self.capacity {
-            inner.ring.pop_front();
-        }
-        inner.ring.push_back(MetricsSample {
+        let snapshot = snapshot();
+        let elapsed_ms = crate::trace::epoch()
+            .elapsed()
+            .as_millis()
+            .min(u64::MAX as u128) as u64;
+        self.ring.lock().push(|seq| MetricsSample {
             seq,
             elapsed_ms,
-            snapshot: snap,
-        });
-        seq
+            snapshot,
+        })
     }
 
     /// Copy of the retained samples, oldest first.
     pub fn history(&self) -> Vec<MetricsSample> {
-        self.inner.lock().ring.iter().cloned().collect()
+        self.ring.lock().to_vec()
     }
 
     /// Drop all retained samples (sequence numbers keep counting).
     pub fn clear(&self) {
-        self.inner.lock().ring.clear();
+        self.ring.lock().clear();
     }
 }
 
-fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .unwrap_or(default)
-}
+static RECORDER: MetricsRecorder = MetricsRecorder::with_capacity(METRICS_CAPACITY);
 
-/// The process-wide recorder. Capacity is read from
-/// `PERFDMF_METRICS_CAPACITY` once, at first use.
+/// The process-wide recorder ([`METRICS_CAPACITY`] samples).
 pub fn recorder() -> &'static MetricsRecorder {
-    static GLOBAL: OnceLock<MetricsRecorder> = OnceLock::new();
-    GLOBAL.get_or_init(|| {
-        MetricsRecorder::with_capacity(env_usize("PERFDMF_METRICS_CAPACITY", DEFAULT_CAPACITY))
-    })
+    &RECORDER
 }
 
 /// Sample the global recorder once, immediately.

@@ -2,17 +2,16 @@
 //!
 //! Detection lives in `perfdmf-analysis` (the Chan–Welford baseline
 //! comparison) and in callers like the explorer's watchdog hook; this
-//! module only *retains* what they flag, in a bounded ring, so the
+//! module only *retains* what they flag, in a [`BoundedLog`], so the
 //! findings are observable after the fact — `perfdmf-db` exposes the
 //! ring as the `perfdmf_regressions` virtual system table.
 //!
 //! Reporters should also emit a structured [`crate::Event`] so sinks see
 //! the finding in real time; the ring is the queryable archive half.
 
-use std::collections::VecDeque;
-use std::sync::OnceLock;
-
 use parking_lot::Mutex;
+
+use crate::BoundedLog;
 
 /// Findings retained by the ring (oldest evicted first).
 const LOG_CAPACITY: usize = 1024;
@@ -43,38 +42,21 @@ pub struct RegressionRecord {
     pub zscore: Option<f64>,
 }
 
-#[derive(Default)]
-struct LogInner {
-    ring: VecDeque<RegressionRecord>,
-    next_seq: u64,
-}
-
-fn log_inner() -> &'static Mutex<LogInner> {
-    static LOG: OnceLock<Mutex<LogInner>> = OnceLock::new();
-    LOG.get_or_init(|| Mutex::new(LogInner::default()))
-}
+static LOG: Mutex<BoundedLog<RegressionRecord>> = Mutex::new(BoundedLog::new(LOG_CAPACITY));
 
 /// Append a finding to the log, assigning its sequence number (returned).
-pub fn report(mut record: RegressionRecord) -> u64 {
-    let mut inner = log_inner().lock();
-    let seq = inner.next_seq;
-    inner.next_seq += 1;
-    record.seq = seq;
-    if inner.ring.len() >= LOG_CAPACITY {
-        inner.ring.pop_front();
-    }
-    inner.ring.push_back(record);
-    seq
+pub fn report(record: RegressionRecord) -> u64 {
+    LOG.lock().push(|seq| RegressionRecord { seq, ..record })
 }
 
 /// Copy of the retained findings, oldest first.
 pub fn log() -> Vec<RegressionRecord> {
-    log_inner().lock().ring.iter().cloned().collect()
+    LOG.lock().to_vec()
 }
 
 /// Drop all retained findings (sequence numbers keep counting).
 pub fn clear() {
-    log_inner().lock().ring.clear();
+    LOG.lock().clear();
 }
 
 #[cfg(test)]

@@ -1,7 +1,7 @@
-//! The process-wide network-request log: a bounded ring of recent
-//! requests with their [`ResourceUsage`], per-kind Chan–Welford
-//! latency/cost aggregates, and a slow-request log symmetrical to the
-//! db layer's slow-query log.
+//! The process-wide network-request log: a [`BoundedLog`] of recent
+//! requests with their [`ResourceUsage`], per-kind latency [`Moments`]
+//! and cost totals, and a slow-request log symmetrical to the db
+//! layer's slow-query log.
 //!
 //! `perfdmf-server` calls [`record`] once per answered request;
 //! `perfdmf-db` materializes the retained state as the
@@ -16,18 +16,16 @@
 //! so a burst of fast traffic cannot evict the evidence of a slow one.
 
 use std::collections::BTreeMap;
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::OnceLock;
 use std::time::Duration;
 
 use parking_lot::Mutex;
 
 use crate::meter::ResourceUsage;
+use crate::{BoundedLog, Moments};
 
-/// Default bound on retained request records; override with
-/// `PERFDMF_REQUESTS_CAPACITY`.
-pub const DEFAULT_REQUESTS_CAPACITY: usize = 256;
+/// Request records retained by the ring.
+pub const REQUESTS_CAPACITY: usize = 256;
 
 /// Slow requests retained by their dedicated ring.
 const SLOW_RING_CAPACITY: usize = 256;
@@ -64,69 +62,21 @@ pub struct RequestRecord {
     pub usage: ResourceUsage,
 }
 
-/// Chan–Welford accumulator: single observations fold in as
-/// count-1 accumulators via the parallel combine, so the same merge
-/// serves streaming updates and cross-accumulator merges.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct Welford {
-    pub count: u64,
-    pub mean: f64,
-    pub m2: f64,
-}
-
-impl Welford {
-    /// Accumulator holding the single observation `x`.
-    pub fn of(x: f64) -> Welford {
-        Welford {
-            count: 1,
-            mean: x,
-            m2: 0.0,
-        }
-    }
-
-    /// Chan et al.'s parallel combine of two accumulators.
-    pub fn merge(self, other: Welford) -> Welford {
-        if self.count == 0 {
-            return other;
-        }
-        if other.count == 0 {
-            return self;
-        }
-        let count = self.count + other.count;
-        let delta = other.mean - self.mean;
-        let mean = self.mean + delta * (other.count as f64 / count as f64);
-        let m2 = self.m2
-            + other.m2
-            + delta * delta * (self.count as f64 * other.count as f64 / count as f64);
-        Welford { count, mean, m2 }
-    }
-
-    /// Population standard deviation (0 for fewer than two samples).
-    pub fn stddev(&self) -> f64 {
-        if self.count < 2 {
-            0.0
-        } else {
-            (self.m2 / self.count as f64).sqrt()
-        }
-    }
-}
-
 /// Aggregates for one request kind, as exposed by
 /// `perfdmf_request_summary`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RequestKindSummary {
     pub kind: &'static str,
-    /// Requests of this kind recorded (all statuses).
-    pub count: u64,
     /// Requests that resolved as anything but `"ok"` or `"replayed"`.
     pub errors: u64,
     /// Requests that met the slow threshold.
     pub slow: u64,
-    /// Chan–Welford latency accumulator (nanoseconds).
-    pub latency: Welford,
+    /// Latency moments, nanoseconds; `latency.count` is the number of
+    /// requests of this kind recorded (all statuses).
+    pub latency: Moments,
     /// Largest single latency seen, nanoseconds.
     pub max_latency_ns: u64,
-    /// Element-wise resource totals (divide by `count` for means).
+    /// Element-wise resource totals (divide by `latency.count` for means).
     pub totals: ResourceUsage,
 }
 
@@ -134,39 +84,26 @@ impl RequestKindSummary {
     fn new(kind: &'static str) -> RequestKindSummary {
         RequestKindSummary {
             kind,
-            count: 0,
             errors: 0,
             slow: 0,
-            latency: Welford::default(),
+            latency: Moments::default(),
             max_latency_ns: 0,
             totals: ResourceUsage::default(),
         }
     }
 }
 
-#[derive(Default)]
 struct Log {
-    ring: VecDeque<RequestRecord>,
-    slow_ring: VecDeque<RequestRecord>,
+    ring: BoundedLog<RequestRecord>,
+    slow_ring: BoundedLog<RequestRecord>,
     summary: BTreeMap<&'static str, RequestKindSummary>,
-    next_seq: u64,
-    capacity: usize,
 }
 
-fn log_cell() -> &'static Mutex<Log> {
-    static LOG: OnceLock<Mutex<Log>> = OnceLock::new();
-    LOG.get_or_init(|| {
-        let capacity = std::env::var("PERFDMF_REQUESTS_CAPACITY")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .filter(|&c| c > 0)
-            .unwrap_or(DEFAULT_REQUESTS_CAPACITY);
-        Mutex::new(Log {
-            capacity,
-            ..Log::default()
-        })
-    })
-}
+static LOG: Mutex<Log> = Mutex::new(Log {
+    ring: BoundedLog::new(REQUESTS_CAPACITY),
+    slow_ring: BoundedLog::new(SLOW_RING_CAPACITY),
+    summary: BTreeMap::new(),
+});
 
 static SLOW_REQUEST_THRESHOLD_NS: AtomicU64 = AtomicU64::new(DEFAULT_SLOW_REQUEST_NS);
 
@@ -193,30 +130,23 @@ pub fn record(mut record: RequestRecord) {
     record.slow = record.elapsed_ns >= SLOW_REQUEST_THRESHOLD_NS.load(Ordering::Relaxed);
     let ok = matches!(record.status, "ok" | "replayed");
     {
-        let mut log = log_cell().lock();
-        record.seq = log.next_seq;
-        log.next_seq += 1;
-
+        let mut log = LOG.lock();
         let entry = log
             .summary
             .entry(record.kind)
             .or_insert_with(|| RequestKindSummary::new(record.kind));
-        entry.count += 1;
         entry.errors += u64::from(!ok);
         entry.slow += u64::from(record.slow);
-        entry.latency = entry.latency.merge(Welford::of(record.elapsed_ns as f64));
+        entry.latency.push(record.elapsed_ns as f64);
         entry.max_latency_ns = entry.max_latency_ns.max(record.elapsed_ns);
         entry.totals = entry.totals.saturating_add(&record.usage);
 
-        if log.ring.len() >= log.capacity {
-            log.ring.pop_front();
-        }
-        log.ring.push_back(record.clone());
+        log.ring.push(|seq| {
+            record.seq = seq;
+            record.clone()
+        });
         if record.slow {
-            if log.slow_ring.len() >= SLOW_RING_CAPACITY {
-                log.slow_ring.pop_front();
-            }
-            log.slow_ring.push_back(record.clone());
+            log.slow_ring.push(|_| record.clone());
         }
     }
     if record.slow {
@@ -240,24 +170,24 @@ pub fn record(mut record: RequestRecord) {
 
 /// Copy of the retained request records, oldest first.
 pub fn log() -> Vec<RequestRecord> {
-    log_cell().lock().ring.iter().cloned().collect()
+    LOG.lock().ring.to_vec()
 }
 
 /// Copy of the retained *slow* request records, oldest first.
 pub fn slow_request_log() -> Vec<RequestRecord> {
-    log_cell().lock().slow_ring.iter().cloned().collect()
+    LOG.lock().slow_ring.to_vec()
 }
 
 /// Per-kind aggregates, ordered by kind name. Aggregates cover every
 /// request ever recorded, not just those still in the ring.
 pub fn summary() -> Vec<RequestKindSummary> {
-    log_cell().lock().summary.values().cloned().collect()
+    LOG.lock().summary.values().cloned().collect()
 }
 
 /// Drop all retained records and aggregates (sequence numbers keep
 /// counting).
 pub fn clear() {
-    let mut log = log_cell().lock();
+    let mut log = LOG.lock();
     log.ring.clear();
     log.slow_ring.clear();
     log.summary.clear();
@@ -269,8 +199,8 @@ mod tests {
 
     /// Serializes the tests that mutate the shared request log.
     fn test_lock() -> parking_lot::MutexGuard<'static, ()> {
-        static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-        LOCK.get_or_init(|| Mutex::new(())).lock()
+        static LOCK: Mutex<()> = Mutex::new(());
+        LOCK.lock()
     }
 
     fn sample(kind: &'static str, elapsed_ns: u64, status: &'static str) -> RequestRecord {
@@ -306,7 +236,6 @@ mod tests {
             .into_iter()
             .find(|s| s.kind == "reqtest.Ping")
             .expect("kind aggregated");
-        assert_eq!(summary.count, 3);
         assert_eq!(summary.errors, 1);
         assert_eq!(summary.latency.count, 3);
         assert!((summary.latency.mean - 2_000.0).abs() < 1e-6);
@@ -341,40 +270,14 @@ mod tests {
     }
 
     #[test]
-    fn welford_merge_matches_direct_computation() {
-        let xs = [1.0f64, 2.0, 4.0, 8.0, 16.0, 32.0];
-        // Streaming fold.
-        let streamed = xs
-            .iter()
-            .fold(Welford::default(), |acc, &x| acc.merge(Welford::of(x)));
-        // Two-way split merged with Chan's combine.
-        let left = xs[..3]
-            .iter()
-            .fold(Welford::default(), |acc, &x| acc.merge(Welford::of(x)));
-        let right = xs[3..]
-            .iter()
-            .fold(Welford::default(), |acc, &x| acc.merge(Welford::of(x)));
-        let merged = left.merge(right);
-        let n = xs.len() as f64;
-        let mean = xs.iter().sum::<f64>() / n;
-        let var = xs.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / n;
-        for w in [streamed, merged] {
-            assert_eq!(w.count, xs.len() as u64);
-            assert!((w.mean - mean).abs() < 1e-9);
-            assert!((w.stddev() - var.sqrt()).abs() < 1e-9);
-        }
-    }
-
-    #[test]
     fn ring_is_bounded() {
         let _serial = test_lock();
         let _on = crate::enabled_flag_lock().read();
         clear();
-        let cap = log_cell().lock().capacity;
-        for i in 0..cap + 10 {
+        for i in 0..REQUESTS_CAPACITY + 10 {
             record(sample("reqtest.Bound", i as u64, "ok"));
         }
-        assert_eq!(log().len(), cap);
+        assert_eq!(log().len(), REQUESTS_CAPACITY);
         clear();
     }
 }

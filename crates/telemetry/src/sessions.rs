@@ -13,13 +13,11 @@
 //! into it.
 
 use std::collections::BTreeMap;
-use std::sync::OnceLock;
 
 use parking_lot::Mutex;
 
-/// Default bound on retained session records; override with
-/// `PERFDMF_SESSIONS_CAPACITY`.
-pub const DEFAULT_SESSIONS_CAPACITY: usize = 1024;
+/// Bound on retained session records.
+pub const SESSIONS_CAPACITY: usize = 1024;
 
 /// Lifecycle state of a session.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -102,51 +100,31 @@ impl SessionRecord {
     }
 }
 
-struct RegistryInner {
-    sessions: BTreeMap<u64, SessionRecord>,
-    capacity: usize,
-}
-
-fn registry() -> &'static Mutex<RegistryInner> {
-    static REGISTRY: OnceLock<Mutex<RegistryInner>> = OnceLock::new();
-    REGISTRY.get_or_init(|| {
-        let capacity = std::env::var("PERFDMF_SESSIONS_CAPACITY")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .filter(|&c| c > 0)
-            .unwrap_or(DEFAULT_SESSIONS_CAPACITY);
-        Mutex::new(RegistryInner {
-            sessions: BTreeMap::new(),
-            capacity,
-        })
-    })
-}
+static REGISTRY: Mutex<BTreeMap<u64, SessionRecord>> = Mutex::new(BTreeMap::new());
 
 /// Insert or update the record for `record.id`. When the registry is
 /// full, closed sessions are evicted oldest-id first; live sessions are
 /// never evicted to make room (the bound applies to the retained
 /// history, not to concurrency).
 pub fn upsert(record: SessionRecord) {
-    let mut inner = registry().lock();
-    let is_update = inner.sessions.contains_key(&record.id);
-    if !is_update && inner.sessions.len() >= inner.capacity {
-        if let Some(oldest_closed) = inner
-            .sessions
+    let mut sessions = REGISTRY.lock();
+    if !sessions.contains_key(&record.id) && sessions.len() >= SESSIONS_CAPACITY {
+        if let Some(oldest_closed) = sessions
             .iter()
             .find(|(_, r)| r.state == SessionState::Closed)
             .map(|(&id, _)| id)
         {
-            inner.sessions.remove(&oldest_closed);
+            sessions.remove(&oldest_closed);
         }
     }
-    inner.sessions.insert(record.id, record);
+    sessions.insert(record.id, record);
 }
 
 /// Mark a retained session as having one more request in flight,
 /// carrying `trace` (when the request was traced). In-place — no
 /// record clone — because it runs on every network request.
 pub fn note_request_started(id: u64, trace: Option<u64>) {
-    if let Some(r) = registry().lock().sessions.get_mut(&id) {
+    if let Some(r) = REGISTRY.lock().get_mut(&id) {
         r.requests_inflight += 1;
         r.trace_id = trace;
     }
@@ -154,7 +132,7 @@ pub fn note_request_started(id: u64, trace: Option<u64>) {
 
 /// Undo [`note_request_started`] once the request is answered.
 pub fn note_request_finished(id: u64) {
-    if let Some(r) = registry().lock().sessions.get_mut(&id) {
+    if let Some(r) = REGISTRY.lock().get_mut(&id) {
         r.requests_inflight = r.requests_inflight.saturating_sub(1);
         if r.requests_inflight == 0 {
             r.trace_id = None;
@@ -164,12 +142,12 @@ pub fn note_request_finished(id: u64) {
 
 /// Copy of every retained session record, ordered by session id.
 pub fn log() -> Vec<SessionRecord> {
-    registry().lock().sessions.values().cloned().collect()
+    REGISTRY.lock().values().cloned().collect()
 }
 
 /// Drop all retained records (tests and process resets).
 pub fn clear() {
-    registry().lock().sessions.clear();
+    REGISTRY.lock().clear();
 }
 
 #[cfg(test)]
@@ -200,8 +178,7 @@ mod tests {
         clear();
         // Fill well past any plausible capacity with closed sessions,
         // then insert one live session: it must survive.
-        let cap = registry().lock().capacity;
-        for id in 0..cap as u64 {
+        for id in 0..SESSIONS_CAPACITY as u64 {
             let mut r = SessionRecord::new(id, "old");
             r.state = SessionState::Closed;
             upsert(r);

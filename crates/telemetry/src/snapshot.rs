@@ -292,8 +292,8 @@ mod tests {
 
         let a = p.find_atomic_event("snap.test.rows").expect("atomic event");
         let ad = p.atomic(a, ThreadId::ZERO).expect("atomic data");
-        assert_eq!(ad.count, 1);
-        assert_eq!(ad.mean, 17.0);
+        assert_eq!(ad.count(), 1);
+        assert_eq!(ad.mean(), 17.0);
     }
 
     #[test]
@@ -310,14 +310,14 @@ mod tests {
                 .find_atomic_event(&format!("snap.test.quant.{label}"))
                 .unwrap_or_else(|| panic!("missing quantile event {label}"));
             let d = p.atomic(e, ThreadId::ZERO).expect("data");
-            assert_eq!(d.mean, h.quantile(q).unwrap() as f64);
+            assert_eq!(d.mean(), h.quantile(q).unwrap() as f64);
         }
         // p50 sits in the 1000-sample bucket, p99 in the outlier's.
         let p50 = p.find_atomic_event("snap.test.quant.p50").unwrap();
         let p99 = p.find_atomic_event("snap.test.quant.p99").unwrap();
         assert!(
-            p.atomic(p99, ThreadId::ZERO).unwrap().mean
-                > p.atomic(p50, ThreadId::ZERO).unwrap().mean
+            p.atomic(p99, ThreadId::ZERO).unwrap().mean()
+                > p.atomic(p50, ThreadId::ZERO).unwrap().mean()
         );
         // Empty histograms export no quantile events.
         assert!(p.find_atomic_event("snap.test.empty.p50").is_none());

@@ -136,7 +136,7 @@ fn next_id() -> u64 {
 }
 
 /// Monotonic process epoch all span timestamps are relative to.
-fn epoch() -> Instant {
+pub(crate) fn epoch() -> Instant {
     static EPOCH: OnceLock<Instant> = OnceLock::new();
     *EPOCH.get_or_init(Instant::now)
 }

@@ -87,17 +87,17 @@ pub fn tau_file_text(
             out.push_str("# eventname numevents max min mean sumsqr\n");
             for (ae, _, d) in atomics {
                 // reconstruct sum of squares from the moments
-                let n = d.count as f64;
+                let n = d.count() as f64;
                 let var = d.stddev().map(|s| s * s).unwrap_or(0.0);
-                let sumsqr = var * (n - 1.0).max(0.0) + n * d.mean * d.mean;
+                let sumsqr = var * (n - 1.0).max(0.0) + n * d.mean() * d.mean();
                 let _ = writeln!(
                     out,
                     "\"{}\" {} {} {} {} {}",
                     profile.atomic_events()[ae.0].name,
-                    d.count,
+                    d.count(),
                     d.max,
                     d.min,
-                    d.mean,
+                    d.mean(),
                     sumsqr
                 );
             }

@@ -89,10 +89,10 @@ fn snapshot(profile: &Profile) -> String {
             out.push_str(&format!(
                 "    {}: count={} min={} max={} mean={} stddev={}\n",
                 thread,
-                d.count,
+                d.count(),
                 num(d.min),
                 num(d.max),
-                num(d.mean),
+                num(d.mean()),
                 num(d.stddev().unwrap_or(f64::NAN)),
             ));
         }
