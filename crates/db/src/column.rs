@@ -357,6 +357,9 @@ mod tests {
 
     #[test]
     fn budget_accounting_releases_on_drop() {
+        if crate::isolation::run_alone("column::tests::budget_accounting_releases_on_drop") {
+            return;
+        }
         let rows = slab(256);
         let before = cached_bytes();
         {

@@ -491,6 +491,9 @@ mod tests {
 
     #[test]
     fn repeated_sql_parses_once() {
+        if crate::isolation::run_alone("connection::tests::repeated_sql_parses_once") {
+            return;
+        }
         let conn = Connection::open_in_memory();
         conn.execute("CREATE TABLE t (id INTEGER PRIMARY KEY, v INTEGER)", &[])
             .unwrap();

@@ -17,9 +17,15 @@
 //! prints no timings, and both the optimizer configuration and the
 //! columnar mode are pinned per query — environment toggles
 //! (`PERFDMF_OPTIMIZER`, `PERFDMF_COLUMNAR`) cannot reach this test.
+//! The `virtual_scan` plan cites the live `perfdmf_counters` row count,
+//! and counters register lazily in a process-global registry, so the
+//! corpus is rendered exactly once per process, in case order, and
+//! every test reads that one rendering. Two tests rendering it
+//! concurrently would let one register counters the other then counts.
 
 use std::fmt::Write as _;
 use std::path::PathBuf;
+use std::sync::OnceLock;
 
 use perfdmf_db::{
     override_columnar, override_optimizer, ColumnarMode, Connection, OptimizerConfig, Value,
@@ -280,18 +286,26 @@ fn render(conn: &Connection, case: &Case) -> String {
     out
 }
 
+/// The whole corpus, rendered once per process in case order.
+fn rendered() -> &'static [String] {
+    static RENDERED: OnceLock<Vec<String>> = OnceLock::new();
+    RENDERED.get_or_init(|| {
+        let conn = fixture_db();
+        CASES.iter().map(|c| render(&conn, c)).collect()
+    })
+}
+
 #[test]
 fn explain_plans_match_goldens() {
-    let conn = fixture_db();
     let dir = fixtures_dir();
     let update = std::env::var("UPDATE_GOLDEN").is_ok_and(|v| v == "1");
     let mut drift = Vec::new();
-    for case in CASES {
-        let got = render(&conn, case);
+    for (case, got) in CASES.iter().zip(rendered()) {
+        let got = got.as_str();
         let path = dir.join(format!("{}.txt", case.0));
         if update {
             std::fs::create_dir_all(&dir).unwrap();
-            std::fs::write(&path, &got).unwrap();
+            std::fs::write(&path, got).unwrap();
             continue;
         }
         match std::fs::read_to_string(&path) {
@@ -321,12 +335,7 @@ fn explain_plans_match_goldens() {
 /// self-consistent goldens green.
 #[test]
 fn golden_corpus_exercises_the_rules() {
-    let conn = fixture_db();
-    let all = CASES
-        .iter()
-        .map(|c| render(&conn, c))
-        .collect::<Vec<_>>()
-        .join("\n");
+    let all = rendered().join("\n");
     for needle in [
         "optimizer: predicate-pushdown:",
         "optimizer: projection-pruning:",
