@@ -6,7 +6,8 @@ use crossbeam::channel::{bounded, RecvTimeoutError, Sender, TrySendError};
 use perfdmf_telemetry as telemetry;
 use std::time::{Duration, Instant};
 
-/// How a client retries requests that fail transiently.
+/// How the network client (`perfdmf_server::NetClient`) retries
+/// requests that fail transiently.
 ///
 /// Retries apply to [`Response::Overloaded`] (the queue was full) and to
 /// [`Response::Failed`] with `retryable: true` (a deadline expired in
@@ -19,8 +20,8 @@ use std::time::{Duration, Instant};
 /// The jitter is **seed-deterministic**: it is a pure function of
 /// `(seed, key, attempt)`, where the seed comes from the
 /// `PERFDMF_RETRY_SEED` environment variable (same convention as
-/// `PERFDMF_POOL_SEED`) and `key` identifies the logical request (the
-/// network client passes its idempotency key). A chaos-test failure
+/// `PERFDMF_POOL_SEED`) and `key` is the network client's per-exchange
+/// nonce (not the idempotency key: reads have none). A chaos-test failure
 /// therefore replays with exactly the same backoff schedule.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryPolicy {
@@ -108,10 +109,6 @@ impl RetryPolicy {
 #[derive(Clone)]
 pub struct ExplorerClient {
     tx: Sender<Job>,
-    /// Monotonic ticket shared by all clones: each retried request gets
-    /// a distinct jitter key, so backoff schedules are deterministic per
-    /// (seed, submission order) without coupling unrelated requests.
-    retry_ticket: std::sync::Arc<std::sync::atomic::AtomicU64>,
 }
 
 impl ExplorerClient {
@@ -119,7 +116,6 @@ impl ExplorerClient {
     pub fn connect(server: &AnalysisServer) -> ExplorerClient {
         ExplorerClient {
             tx: server.sender(),
-            retry_ticket: std::sync::Arc::new(std::sync::atomic::AtomicU64::new(0)),
         }
     }
 
@@ -171,41 +167,6 @@ impl ExplorerClient {
                 }
             },
             Err(shed) => shed,
-        }
-    }
-
-    /// Send a request, retrying transient failures (shed and queue
-    /// timeouts) with exponential backoff per `policy`. `deadline`, if
-    /// given, applies to each attempt separately.
-    pub fn request_with_retry(
-        &self,
-        request: Request,
-        deadline: Option<Duration>,
-        policy: RetryPolicy,
-    ) -> Response {
-        let key = self
-            .retry_ticket
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        let mut attempt = 0u32;
-        loop {
-            let response = match deadline {
-                Some(d) => self.request_with_deadline(request.clone(), d),
-                None => self.request(request.clone()),
-            };
-            let transient = matches!(
-                response,
-                Response::Overloaded
-                    | Response::Failed {
-                        retryable: true,
-                        ..
-                    }
-            );
-            if !transient || attempt >= policy.max_retries {
-                return response;
-            }
-            telemetry::add("explorer.retries", 1);
-            std::thread::sleep(policy.delay(attempt, key));
-            attempt += 1;
         }
     }
 

@@ -1,34 +1,45 @@
 //! The network client: `ExplorerClient` semantics over a TCP
 //! connection, with retries that survive torn connections.
 //!
-//! [`NetClient`] mirrors the in-process [`ExplorerClient`] API —
-//! `request(Request) -> Response` — but adds what a network hop
-//! requires:
+//! [`NetClient`] mirrors the in-process
+//! [`ExplorerClient`](perfdmf_explorer::ExplorerClient) API —
+//! `request(Request) -> Response` — and adds pipelining
+//! ([`NetClient::pipeline`]) plus what a network hop requires. A single
+//! request is a pipelined batch of one: every call goes through one
+//! retry loop over one windowed send pass, so these rules hold for
+//! both:
 //!
-//! * **reconnect-and-retry** — transport failures (reset, torn frame,
-//!   refused reply) tear down the connection and retry on a fresh one,
-//!   paced by the explorer's [`RetryPolicy`] with its seed-deterministic
-//!   backoff jitter;
+//! * **reconnect-and-retry** — a transport failure (reset, torn or
+//!   corrupt frame, `Goodbye`, reply timeout) tears down the connection
+//!   and resends only the unanswered calls on a fresh one; `Overloaded`
+//!   and retryable `Failed` verdicts are resent too, until the policy's
+//!   last attempt. Retries are paced by the explorer's [`RetryPolicy`]
+//!   with seed-deterministic backoff jitter; an auth rejection is
+//!   terminal;
 //! * **idempotency keys** — every *effectful* request carries a key
 //!   drawn from the client's server-assigned key space (granted in
-//!   `HelloAck`, so clients in different processes can never collide);
-//!   the server records the response under it, so a retry whose
-//!   predecessor *did* execute (the ack was lost, not the write)
-//!   replays the recorded response instead of applying the write twice.
-//!   Pure reads and pings send no key, keeping the server's bounded
-//!   replay cache for the writes that need it;
-//! * **deadline propagation** — an optional per-request deadline covers
-//!   *all* attempts; each `Call` frame carries the milliseconds still
+//!   `HelloAck`, so clients in different processes can never collide)
+//!   and keeps it on every resend; the server records the response
+//!   under it, so a retry whose predecessor *did* execute (the ack was
+//!   lost, not the write) replays the recorded response instead of
+//!   applying the write twice. Pure reads and pings send no key,
+//!   keeping the server's bounded replay cache for the writes that
+//!   need it;
+//! * **deadline propagation** — an optional deadline covers *all*
+//!   attempts; each `Call` frame carries the milliseconds still
 //!   remaining at send time, and the server enforces that budget across
-//!   queue wait and execution.
+//!   queue wait and execution. A call whose deadline expires before it
+//!   is sent gets a non-retryable `Failed`;
+//! * **tracing** — one `client.request` span per exchange, its context
+//!   carried on every `Call`.
 //!
 //! Transport failures that outlive the retry budget surface as
 //! [`Response::Failed`] with `retryable: true` — the caller sees the
 //! same vocabulary the in-process client uses, never an `io::Error`.
 
 use crate::server::DEFAULT_PIPELINE_WINDOW;
-use crate::stream::{write_all, NetFaultPlan, RealStream, Stream};
-use crate::wire::{parse_header, verify_body, Message, HEADER_LEN, PROTOCOL_VERSION};
+use crate::stream::{write_all, FrameReader, NetFaultPlan, ReadStep, RealStream, Stream};
+use crate::wire::{Message, PROTOCOL_VERSION};
 use perfdmf_explorer::{Request, Response, RetryPolicy};
 use perfdmf_telemetry as telemetry;
 use std::net::{SocketAddr, TcpStream};
@@ -185,21 +196,26 @@ impl NetClient {
         matches!(self.request(Request::Ping), Response::Pong)
     }
 
-    /// Send `request`, retrying transport failures and retryable
-    /// rejections per the policy. Effectful requests (see
+    /// Send `request` as a batch of one, through the same retry loop as
+    /// [`NetClient::pipeline`]: transport failures and retryable
+    /// rejections are retried per the policy. Effectful requests (see
     /// [`Request::is_effectful`]) automatically draw an idempotency key
-    /// from the server-assigned key space on their first attempt; pure
+    /// from the server-assigned key space on their first send; pure
     /// reads and pings carry none. Use [`NetClient::request_keyed`] to
     /// control the key explicitly.
     pub fn request(&mut self, request: Request) -> Response {
-        self.run_request(request, None)
+        self.exchange(std::slice::from_ref(&request), vec![None])
+            .pop()
+            .expect("one reply per request")
     }
 
     /// Send `request` under an explicit idempotency key. Reusing a key
     /// re-delivers the recorded response of the first successful
     /// execution instead of executing again.
     pub fn request_keyed(&mut self, request: Request, key: u64) -> Response {
-        self.run_request(request, Some(key))
+        self.exchange(std::slice::from_ref(&request), vec![Some(key)])
+            .pop()
+            .expect("one reply per request")
     }
 
     /// Send `requests` pipelined on one connection: up to the client
@@ -207,23 +223,45 @@ impl NetClient {
     /// requests by seq (the server may answer them out of order), and
     /// the result lines up index-for-index with the input.
     ///
-    /// A transport failure tears the connection down and resends only
-    /// the *unanswered* requests on a fresh one, under their original
-    /// idempotency keys — so an effectful request whose reply was lost
-    /// replays the recorded response instead of executing twice, the
-    /// same at-most-once contract as [`NetClient::request`]. Server
-    /// verdicts (including window-overflow errors and overload sheds)
-    /// are returned as-is, never retried here.
+    /// Retries follow the same rules as [`NetClient::request`]: a
+    /// transport failure reconnects and resends only the *unanswered*
+    /// requests, under their original idempotency keys, so an effectful
+    /// request whose reply was lost replays the recorded response
+    /// instead of executing twice; `Overloaded` and retryable `Failed`
+    /// verdicts are resent until the policy's last attempt. Other
+    /// verdicts, window-overflow errors included, are returned as-is.
     pub fn pipeline(&mut self, requests: &[Request]) -> Vec<Response> {
         telemetry::add("netclient.pipelines", 1);
-        let deadline = self.deadline.map(|d| Instant::now() + d);
-        let mut responses: Vec<Option<Response>> = vec![None; requests.len()];
-        let mut keys: Vec<Option<u64>> = vec![None; requests.len()];
+        self.exchange(requests, vec![None; requests.len()])
+    }
+
+    /// The one retry loop. `keys[i]` is `None` until the first send of
+    /// request `i` resolves it (drawn post-handshake so the space is
+    /// the server-assigned one); every resend reuses it. Each attempt
+    /// is one [`NetClient::send_pending`] pass over the requests that
+    /// are still unanswered or hold a transient verdict.
+    fn exchange(&mut self, requests: &[Request], mut keys: Vec<Option<u64>>) -> Vec<Response> {
+        let started = Instant::now();
+        telemetry::add("netclient.requests", requests.len() as u64);
+        let deadline = self.deadline.map(|d| started + d);
+        // The client half of the end-to-end trace: when tracing is on
+        // and the sampler elects this exchange (`PERFDMF_TRACE_SAMPLE`),
+        // open a `client.request` span covering every attempt and
+        // propagate its context in each Call frame, so the server's
+        // `server.request` spans parent into it across the wire.
+        let sampled = telemetry::tracing_enabled() && telemetry::trace::sample_request();
+        let _span = sampled.then(|| telemetry::span("client.request"));
+        let trace = sampled.then(telemetry::trace::current_context).flatten();
+        // Backoff jitter seed: a per-exchange nonce, deterministic and
+        // independent of idempotency keys (reads have none).
+        self.next_jitter = self.next_jitter.wrapping_add(1);
+        let jitter = self.next_jitter;
+        let mut replies: Vec<Option<Response>> = vec![None; requests.len()];
+        let mut pending: Vec<usize> = (0..requests.len()).collect();
+        let mut transport = String::from("transport: no reply");
         for attempt in 0..=self.policy.max_retries {
             if attempt > 0 {
-                telemetry::add("netclient.retries", 1);
-                self.next_jitter = self.next_jitter.wrapping_add(1);
-                let mut pause = self.policy.delay(attempt - 1, self.next_jitter);
+                let mut pause = self.policy.delay(attempt - 1, jitter);
                 if let Some(deadline) = deadline {
                     let remaining = deadline.saturating_duration_since(Instant::now());
                     if remaining.is_zero() {
@@ -231,60 +269,90 @@ impl NetClient {
                     }
                     pause = pause.min(remaining);
                 }
+                telemetry::add("netclient.retries", 1);
                 std::thread::sleep(pause);
             }
-            match self.pipeline_attempt(requests, &mut keys, &mut responses, deadline) {
-                Ok(()) => break,
+            match self.send_pending(requests, &pending, &mut keys, &mut replies, deadline, trace) {
+                Ok(()) => {}
                 Err(e) if e.kind() == std::io::ErrorKind::PermissionDenied => {
                     telemetry::add("netclient.auth_rejections", 1);
                     self.disconnect();
-                    let reason = e.to_string();
-                    for slot in responses.iter_mut().filter(|s| s.is_none()) {
-                        *slot = Some(Response::Error(reason.clone()));
+                    for &i in &pending {
+                        replies[i] = Some(Response::Error(e.to_string()));
                     }
                     break;
                 }
-                Err(_) => {
+                Err(e) => {
                     telemetry::add("netclient.transport_errors", 1);
                     self.disconnect();
+                    transport = format!("transport: {e}");
                 }
             }
+            pending.retain(|&i| {
+                matches!(
+                    replies[i],
+                    None | Some(Response::Overloaded)
+                        | Some(Response::Failed {
+                            retryable: true,
+                            ..
+                        })
+                )
+            });
+            if pending.is_empty() {
+                break;
+            }
         }
-        responses
+        telemetry::record_duration("netclient.request_latency_ns", started.elapsed());
+        replies
             .into_iter()
-            .map(|r| {
-                r.unwrap_or(Response::Failed {
-                    reason: "transport: pipelined request unanswered after retries".into(),
+            .map(|reply| {
+                reply.unwrap_or_else(|| Response::Failed {
+                    reason: transport.clone(),
                     retryable: true,
                 })
             })
             .collect()
     }
 
-    /// One pipelined pass: keep the window full of unanswered requests,
-    /// read replies (any order) until none remain. `Err` means the
-    /// transport failed mid-flight; answered slots keep their verdicts
-    /// and only the rest are retried by [`NetClient::pipeline`].
-    fn pipeline_attempt(
+    /// One windowed pass over the current (or a fresh) connection: keep
+    /// up to `window` of the `pending` requests outstanding and read
+    /// replies (any order) until none remain. Answered slots keep their
+    /// verdicts even when the pass fails; `Err` means the transport
+    /// failed (a reply timeout included) and the caller reconnects.
+    fn send_pending(
         &mut self,
         requests: &[Request],
+        pending: &[usize],
         keys: &mut [Option<u64>],
-        responses: &mut [Option<Response>],
+        replies: &mut [Option<Response>],
         deadline: Option<Instant>,
+        trace: Option<telemetry::SpanContext>,
     ) -> std::io::Result<()> {
         self.ensure_connected()?;
-        let pending: Vec<usize> = (0..requests.len())
-            .filter(|&i| responses[i].is_none())
-            .collect();
-        let mut outstanding: Vec<(u64, usize)> = Vec::new();
-        let mut next = 0usize;
+        // Give the server its full deadline plus slack for the reply to
+        // cross the wire; without a deadline, wait a bounded default.
         let reply_by = deadline
             .map(|d| d + Duration::from_millis(250))
             .unwrap_or_else(|| Instant::now() + DEFAULT_REPLY_WAIT);
-        while next < pending.len() || !outstanding.is_empty() {
-            while next < pending.len() && outstanding.len() < self.window {
-                let i = pending[next];
-                next += 1;
+        let mut outstanding: Vec<(u64, usize)> = Vec::new();
+        let mut unsent = pending.iter().copied();
+        loop {
+            while outstanding.len() < self.window {
+                let Some(i) = unsent.next() else { break };
+                let deadline_ms = match deadline {
+                    Some(d) => {
+                        let remaining = d.saturating_duration_since(Instant::now());
+                        if remaining.is_zero() {
+                            replies[i] = Some(Response::Failed {
+                                reason: "deadline expired before send".into(),
+                                retryable: false,
+                            });
+                            continue;
+                        }
+                        remaining.as_millis().min(u128::from(u32::MAX)) as u32
+                    }
+                    None => 0,
+                };
                 let key = match keys[i] {
                     Some(k) => k,
                     None if requests[i].is_effectful() => {
@@ -294,32 +362,22 @@ impl NetClient {
                     }
                     None => 0,
                 };
-                let deadline_ms = match deadline {
-                    Some(d) => {
-                        let remaining = d.saturating_duration_since(Instant::now());
-                        if remaining.is_zero() {
-                            return Err(std::io::Error::new(
-                                std::io::ErrorKind::TimedOut,
-                                "deadline expired before send",
-                            ));
-                        }
-                        remaining.as_millis().min(u128::from(u32::MAX)) as u32
-                    }
-                    None => 0,
-                };
                 let seq = self.next_seq;
                 self.next_seq += 1;
                 let frame = Message::Call {
                     seq,
                     deadline_ms,
                     idempotency: key,
-                    trace: None,
+                    trace,
                     request: requests[i].clone(),
                 }
                 .to_frame();
                 let stream = self.stream.as_mut().expect("connected");
                 write_all(stream.as_mut(), &frame)?;
                 outstanding.push((seq, i));
+            }
+            if outstanding.is_empty() {
+                return Ok(());
             }
             let stream = self.stream.as_mut().expect("connected");
             match read_message(stream.as_mut(), reply_by)? {
@@ -328,13 +386,17 @@ impl NetClient {
                     usage,
                     response,
                 }) => {
-                    if let Some(pos) = outstanding.iter().position(|&(s, _)| s == seq) {
-                        let (_, i) = outstanding.swap_remove(pos);
-                        self.last_usage = usage;
-                        responses[i] = Some(response);
-                    }
-                    // Unknown seq: a stale reply from an abandoned
-                    // attempt on this connection; skip it.
+                    // Every failed pass drops its connection, so a reply
+                    // on this one can only answer a call of this pass.
+                    let Some(pos) = outstanding.iter().position(|&(s, _)| s == seq) else {
+                        return Err(std::io::Error::new(
+                            std::io::ErrorKind::InvalidData,
+                            format!("reply to seq {seq}, which is not outstanding"),
+                        ));
+                    };
+                    let (_, i) = outstanding.swap_remove(pos);
+                    self.last_usage = usage;
+                    replies[i] = Some(response);
                 }
                 Some(Message::Goodbye { reason }) => {
                     return Err(std::io::Error::new(
@@ -345,200 +407,13 @@ impl NetClient {
                 Some(_) => {
                     return Err(std::io::Error::new(
                         std::io::ErrorKind::InvalidData,
-                        "unexpected message while awaiting pipelined replies",
+                        "unexpected message while awaiting replies",
                     ));
                 }
                 None => {
                     return Err(std::io::Error::new(
                         std::io::ErrorKind::TimedOut,
-                        "pipelined reply deadline expired",
-                    ));
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// The retry loop shared by [`NetClient::request`] and
-    /// [`NetClient::request_keyed`]. `key` is `None` until the first
-    /// attempt resolves it (drawn post-handshake so the space is the
-    /// server-assigned one); every retry then reuses the same key.
-    fn run_request(&mut self, request: Request, mut key: Option<u64>) -> Response {
-        let deadline = self.deadline.map(|d| Instant::now() + d);
-        telemetry::add("netclient.requests", 1);
-        let started = Instant::now();
-        // The client half of the end-to-end trace: when tracing is on
-        // and the sampler elects this request (`PERFDMF_TRACE_SAMPLE`),
-        // open a `client.request` span covering every attempt and
-        // propagate its context in each Call frame, so the server's
-        // `server.request` span parents into it across the wire.
-        let sampled = telemetry::tracing_enabled() && telemetry::trace::sample_request();
-        let _span = sampled.then(|| telemetry::span("client.request"));
-        let trace = if sampled {
-            telemetry::trace::current_context()
-        } else {
-            None
-        };
-        // Backoff jitter seed: the pinned key when there is one, else a
-        // per-client nonce — deterministic either way, and independent
-        // of the idempotency key, which may not exist yet (or at all,
-        // for reads).
-        let jitter = key.unwrap_or_else(|| {
-            self.next_jitter = self.next_jitter.wrapping_add(1);
-            self.next_jitter
-        });
-        let mut last = Response::Failed {
-            reason: "request not attempted".into(),
-            retryable: true,
-        };
-        for attempt in 0..=self.policy.max_retries {
-            if attempt > 0 {
-                telemetry::add("netclient.retries", 1);
-                let mut pause = self.policy.delay(attempt - 1, jitter);
-                if let Some(deadline) = deadline {
-                    let remaining = deadline.saturating_duration_since(Instant::now());
-                    if remaining.is_zero() {
-                        break;
-                    }
-                    pause = pause.min(remaining);
-                }
-                std::thread::sleep(pause);
-            }
-            match self.attempt(&request, &mut key, deadline, trace) {
-                Ok(response) => {
-                    let transient = matches!(
-                        response,
-                        Response::Overloaded
-                            | Response::Failed {
-                                retryable: true,
-                                ..
-                            }
-                    );
-                    if !transient || attempt == self.policy.max_retries {
-                        telemetry::record_duration(
-                            "netclient.request_latency_ns",
-                            started.elapsed(),
-                        );
-                        return response;
-                    }
-                    last = response;
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::PermissionDenied => {
-                    telemetry::add("netclient.auth_rejections", 1);
-                    self.disconnect();
-                    telemetry::record_duration("netclient.request_latency_ns", started.elapsed());
-                    return Response::Error(e.to_string());
-                }
-                Err(e) => {
-                    telemetry::add("netclient.transport_errors", 1);
-                    self.disconnect();
-                    last = Response::Failed {
-                        reason: format!("transport: {e}"),
-                        retryable: true,
-                    };
-                    if deadline.is_some_and(|d| Instant::now() >= d) {
-                        break;
-                    }
-                }
-            }
-        }
-        telemetry::record_duration("netclient.request_latency_ns", started.elapsed());
-        last
-    }
-
-    /// One attempt over the current (or a fresh) connection.
-    /// `Err` means the transport failed and the caller should
-    /// reconnect; `Ok` is the server's verdict, favorable or not.
-    ///
-    /// An unresolved `key` is settled here, after the handshake has
-    /// granted a key space: effectful requests draw a fresh key (stored
-    /// back so retries reuse it), everything else sends 0 (no key).
-    fn attempt(
-        &mut self,
-        request: &Request,
-        key: &mut Option<u64>,
-        deadline: Option<Instant>,
-        trace: Option<telemetry::SpanContext>,
-    ) -> std::io::Result<Response> {
-        self.ensure_connected()?;
-        let key = match *key {
-            Some(k) => k,
-            None if request.is_effectful() => {
-                let k = self.draw_key();
-                *key = Some(k);
-                k
-            }
-            None => 0,
-        };
-        let deadline_ms = match deadline {
-            Some(d) => {
-                let remaining = d.saturating_duration_since(Instant::now());
-                if remaining.is_zero() {
-                    return Ok(Response::Failed {
-                        reason: "deadline expired before send".into(),
-                        retryable: false,
-                    });
-                }
-                remaining.as_millis().min(u128::from(u32::MAX)) as u32
-            }
-            None => 0,
-        };
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        let frame = Message::Call {
-            seq,
-            deadline_ms,
-            idempotency: key,
-            trace,
-            request: request.clone(),
-        }
-        .to_frame();
-        let stream = self.stream.as_mut().expect("connected");
-        write_all(stream.as_mut(), &frame)?;
-        // Give the server its full deadline plus slack for the reply to
-        // cross the wire; without a deadline, wait a bounded default.
-        let reply_by = deadline
-            .map(|d| d + Duration::from_millis(250))
-            .unwrap_or_else(|| Instant::now() + DEFAULT_REPLY_WAIT);
-        loop {
-            let message = match read_message(stream.as_mut(), reply_by) {
-                Ok(Some(message)) => message,
-                Ok(None) => {
-                    // No reply in time. Drop the connection so a stale
-                    // reply can never be matched to a future request.
-                    self.disconnect();
-                    return Ok(Response::Failed {
-                        reason: "reply deadline expired".into(),
-                        retryable: true,
-                    });
-                }
-                Err(e) => return Err(e),
-            };
-            match message {
-                Message::Reply {
-                    seq: reply_seq,
-                    usage,
-                    response,
-                } => {
-                    if reply_seq == seq {
-                        self.last_usage = usage;
-                        return Ok(response);
-                    }
-                    // A stale reply from an abandoned attempt on this
-                    // connection; skip it and keep reading.
-                }
-                Message::Goodbye { reason } => {
-                    self.disconnect();
-                    return Err(std::io::Error::new(
-                        std::io::ErrorKind::ConnectionAborted,
-                        format!("server goodbye: {reason}"),
-                    ));
-                }
-                _ => {
-                    self.disconnect();
-                    return Err(std::io::Error::new(
-                        std::io::ErrorKind::InvalidData,
-                        "unexpected message while awaiting reply",
+                        "reply deadline expired",
                     ));
                 }
             }
@@ -634,52 +509,21 @@ impl NetClient {
 /// wait expired with no complete frame; any transport or protocol
 /// defect is an `Err` (the connection is no longer trustworthy).
 fn read_message(stream: &mut dyn Stream, reply_by: Instant) -> std::io::Result<Option<Message>> {
-    let mut header = [0u8; HEADER_LEN];
-    let mut filled = 0usize;
-    let mut crc = 0u32;
-    let mut body: Option<(Vec<u8>, usize)> = None;
+    let mut reader = FrameReader::new();
+    let mut progressed = false;
     loop {
-        if Instant::now() >= reply_by {
-            return Ok(None);
-        }
-        let target: &mut [u8] = match &mut body {
-            None => &mut header[filled..],
-            Some((buf, at)) => &mut buf[*at..],
-        };
-        match stream.read(target) {
-            Ok(0) => {
+        match reader.step(stream, &mut progressed) {
+            ReadStep::Frame(body) => return Message::decode(&body).map(Some).map_err(wire_to_io),
+            ReadStep::Blocked if Instant::now() >= reply_by => return Ok(None),
+            ReadStep::Blocked => {}
+            ReadStep::Eof | ReadStep::TornEof => {
                 return Err(std::io::Error::new(
                     std::io::ErrorKind::UnexpectedEof,
                     "server closed the connection",
-                ));
+                ))
             }
-            Ok(n) => match &mut body {
-                None => {
-                    filled += n;
-                    if filled == header.len() {
-                        let (len, declared) = parse_header(&header).map_err(wire_to_io)?;
-                        crc = declared;
-                        if len == 0 {
-                            verify_body(crc, &[]).map_err(wire_to_io)?;
-                            return Message::decode(&[]).map(Some).map_err(wire_to_io);
-                        }
-                        body = Some((vec![0u8; len as usize], 0));
-                    }
-                }
-                Some((buf, at)) => {
-                    *at += n;
-                    if *at == buf.len() {
-                        let (buf, _) = body.take().expect("body present");
-                        verify_body(crc, &buf).map_err(wire_to_io)?;
-                        return Message::decode(&buf).map(Some).map_err(wire_to_io);
-                    }
-                }
-            },
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut
-                    || e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
+            ReadStep::Wire(e) => return Err(wire_to_io(e)),
+            ReadStep::Io(e) => return Err(e),
         }
     }
 }

@@ -48,8 +48,8 @@ use crate::server::{
     authenticate, deadline_slack, finish_request, validate, InFlightGuard, PanicArtifact,
     ReplayEntry, Shared, DUPLICATE_WAIT, NEXT_SESSION, POLL_INTERVAL,
 };
-use crate::stream::{write_all, write_available, RealStream, Stream};
-use crate::wire::{parse_header, verify_body, Message, WireError, HEADER_LEN, PROTOCOL_VERSION};
+use crate::stream::{write_all, write_available, FrameReader, ReadStep, RealStream, Stream};
+use crate::wire::{Message, PROTOCOL_VERSION};
 use crossbeam::channel::{unbounded, Receiver, Sender, TryRecvError};
 use perfdmf_explorer::{Request, Response};
 use perfdmf_telemetry as telemetry;
@@ -374,112 +374,6 @@ pub(crate) fn accept_loop(listener: TcpListener, shared: Arc<Shared>, intakes: V
 // ---------------------------------------------------------------------
 // Per-session state machine.
 // ---------------------------------------------------------------------
-
-/// Incremental frame reassembly over a nonblocking stream.
-struct FrameReader {
-    header: [u8; HEADER_LEN],
-    filled: usize,
-    crc: u32,
-    body: Option<(Vec<u8>, usize)>,
-}
-
-/// What one [`FrameReader::step`] produced.
-enum ReadStep {
-    /// A complete frame body, already length- and checksum-checked.
-    Frame(Vec<u8>),
-    /// No complete frame buffered and the socket would block.
-    Blocked,
-    /// The peer closed cleanly between frames.
-    Eof,
-    /// The peer closed mid-frame (a torn frame).
-    TornEof,
-    /// The frame failed validation (bad magic / oversized / checksum).
-    Wire(WireError),
-    /// The transport failed (reset, ...).
-    Io(std::io::Error),
-}
-
-impl FrameReader {
-    fn new() -> FrameReader {
-        FrameReader {
-            header: [0u8; HEADER_LEN],
-            filled: 0,
-            crc: 0,
-            body: None,
-        }
-    }
-
-    /// Pull bytes until a complete frame, `WouldBlock`, or failure.
-    /// Sets `*progressed` whenever any bytes arrived, so the caller can
-    /// reset its idle clock exactly like the blocking reader does.
-    fn step(&mut self, stream: &mut dyn Stream, progressed: &mut bool) -> ReadStep {
-        loop {
-            let target: &mut [u8] = match &mut self.body {
-                None => &mut self.header[self.filled..],
-                Some((buf, at)) => &mut buf[*at..],
-            };
-            match stream.read(target) {
-                Ok(0) => {
-                    let mid_frame = self.filled > 0 || self.body.is_some();
-                    return if mid_frame {
-                        ReadStep::TornEof
-                    } else {
-                        ReadStep::Eof
-                    };
-                }
-                Ok(n) => {
-                    *progressed = true;
-                    match &mut self.body {
-                        None => {
-                            self.filled += n;
-                            if self.filled == self.header.len() {
-                                match parse_header(&self.header) {
-                                    Ok((len, declared)) => {
-                                        self.crc = declared;
-                                        if len == 0 {
-                                            self.reset_header();
-                                            match verify_body(declared, &[]) {
-                                                Ok(()) => return ReadStep::Frame(Vec::new()),
-                                                Err(e) => return ReadStep::Wire(e),
-                                            }
-                                        }
-                                        self.body = Some((vec![0u8; len as usize], 0));
-                                    }
-                                    Err(e) => return ReadStep::Wire(e),
-                                }
-                            }
-                        }
-                        Some((buf, at)) => {
-                            *at += n;
-                            if *at == buf.len() {
-                                let (buf, _) = self.body.take().expect("body present");
-                                let crc = self.crc;
-                                self.reset_header();
-                                return match verify_body(crc, &buf) {
-                                    Ok(()) => ReadStep::Frame(buf),
-                                    Err(e) => ReadStep::Wire(e),
-                                };
-                            }
-                        }
-                    }
-                }
-                Err(e)
-                    if e.kind() == std::io::ErrorKind::WouldBlock
-                        || e.kind() == std::io::ErrorKind::TimedOut =>
-                {
-                    return ReadStep::Blocked
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                Err(e) => return ReadStep::Io(e),
-            }
-        }
-    }
-
-    fn reset_header(&mut self) {
-        self.filled = 0;
-        self.crc = 0;
-    }
-}
 
 /// Identity of one admitted call, threaded through dispatch so the
 /// completion (whenever and wherever it lands) can file its accounting
@@ -1359,7 +1253,7 @@ fn run(
     waker: Arc<WakeHandle>,
 ) {
     let mut reactor = PollReactor::default();
-    let window = shared.config.resolved_window();
+    let window = shared.config.window;
     let wake_fd = wake_rx.as_raw_fd();
     let mut wake_scratch = [0u8; 64];
     let mut sessions: Vec<Session> = Vec::new();

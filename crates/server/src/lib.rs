@@ -7,15 +7,16 @@
 //! without weakening any of it:
 //!
 //! * [`wire`] — a length-prefixed binary frame protocol (`"PDMF"`
-//!   magic, u32 length, tagged-tree body) carrying the existing
-//!   `Request`/`Response` enums. Decoding is *total*: truncated,
+//!   magic, u32 length, CRC-32, tagged-tree body with one tag per
+//!   message) carrying the existing `Request`/`Response` enums. Decoding is *total*: truncated,
 //!   oversized, and garbage frames produce typed [`wire::WireError`]s,
 //!   never panics and never attacker-controlled allocation.
 //! * [`stream`] — the transport seam. [`RealStream`] is a plain
 //!   `TcpStream`; [`FaultStream`] injects seed-deterministic delays,
 //!   partial reads/writes, mid-frame disconnects, corruption, and
 //!   stalls per a [`NetFaultPlan`] — the network analogue of the
-//!   storage layer's `RealVfs`/`FaultVfs` split.
+//!   storage layer's `RealVfs`/`FaultVfs` split — and the one frame
+//!   reader both the client and the event loop use.
 //! * [`server`] — [`PerfdmfServer`]: acceptor, per-connection sessions
 //!   (handshake with optional token auth, tenant tag,
 //!   strictly-increasing sequence numbers, idempotency replay cache),
@@ -26,9 +27,10 @@
 //!   sessions scale as parked state machines rather than OS threads,
 //!   with bounded-window request pipelining.
 //! * [`client`] — [`NetClient`]: `ExplorerClient` semantics over TCP
-//!   with reconnect-on-failure retries (seed-deterministic backoff
-//!   jitter), idempotency keys so retried writes apply at most once,
-//!   and per-request deadlines propagated in every frame.
+//!   with pipelining, and one retry loop for single requests and
+//!   batches alike: reconnect-on-failure retries (seed-deterministic
+//!   backoff jitter), idempotency keys so retried writes apply at most
+//!   once, and deadlines propagated in every frame.
 //!
 //! The chaos harness (`tests/chaos.rs`) drives seeded multi-client
 //! workloads through randomized fault schedules and asserts the

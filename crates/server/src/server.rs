@@ -61,11 +61,12 @@ const REPLAY_CACHE_CAPACITY: usize = 4096;
 /// Matches the client's default reply wait.
 pub(crate) const DUPLICATE_WAIT: Duration = Duration::from_secs(10);
 
-/// Default bound on outstanding pipelined calls per session
-/// (overridable via `PERFDMF_SERVER_WINDOW` or
-/// [`ServerConfig::window`]). Calls beyond the window are answered
-/// immediately with a typed `Response::Error` naming the window, so a
-/// runaway client cannot queue unbounded work behind one connection.
+/// Default bound on outstanding pipelined calls per session, on both
+/// the server ([`ServerConfig::window`]) and the client
+/// ([`crate::NetClient::with_window`]). Calls beyond the window are
+/// answered immediately with a typed `Response::Error` naming the
+/// window, so a runaway client cannot queue unbounded work behind one
+/// connection.
 pub const DEFAULT_PIPELINE_WINDOW: usize = 32;
 
 /// Tuning knobs for [`PerfdmfServer`].
@@ -88,9 +89,7 @@ pub struct ServerConfig {
     /// Event-loop shards (0 = `PERFDMF_SERVER_EXECUTORS`, falling back
     /// to the machine's core count).
     pub executors: usize,
-    /// Bound on outstanding pipelined calls per session (0 =
-    /// `PERFDMF_SERVER_WINDOW`, falling back to
-    /// [`DEFAULT_PIPELINE_WINDOW`]).
+    /// Bound on outstanding pipelined calls per session.
     pub window: usize,
     /// Shared-secret session token. `Some` requires every `Hello` to
     /// present a matching token (constant-time compare) before any
@@ -119,7 +118,7 @@ impl Default for ServerConfig {
             max_sessions: 4096,
             idle_timeout: Duration::from_secs(30),
             executors: 0,
-            window: 0,
+            window: DEFAULT_PIPELINE_WINDOW,
             token: std::env::var("PERFDMF_SERVER_TOKEN").ok(),
             fault: None,
             allow_fault_injection: false,
@@ -143,19 +142,6 @@ impl ServerConfig {
                     .map(|n| n.get())
                     .unwrap_or(1)
             })
-    }
-
-    /// The resolved pipelining window: the explicit setting, else
-    /// `PERFDMF_SERVER_WINDOW`, else [`DEFAULT_PIPELINE_WINDOW`].
-    pub(crate) fn resolved_window(&self) -> usize {
-        if self.window > 0 {
-            return self.window;
-        }
-        std::env::var("PERFDMF_SERVER_WINDOW")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .filter(|&n| n > 0)
-            .unwrap_or(DEFAULT_PIPELINE_WINDOW)
     }
 }
 

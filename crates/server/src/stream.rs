@@ -9,7 +9,13 @@
 //! crash-consistency harness enumerate disk failures lets the chaos
 //! harness enumerate network failures: a given `(plan, workload)` pair
 //! always tears the connection at the same byte.
+//!
+//! On top of the seam sit the byte movers both ends of a connection
+//! share: [`write_all`] (blocking), [`write_available`] (the event
+//! loop's nonblocking write) and `FrameReader`, the one incremental
+//! frame reader.
 
+use crate::wire::{parse_header, verify_body, WireError, HEADER_LEN};
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;
@@ -339,6 +345,97 @@ pub fn write_available(stream: &mut dyn Stream, buf: &mut Vec<u8>) -> std::io::R
         stream.flush()?;
     }
     Ok(done)
+}
+
+/// Incremental frame reassembly: the one reader both ends of the
+/// connection use. Validates each header (magic, [`MAX_FRAME_LEN`])
+/// before buffering any body byte, and each body against its CRC-32.
+///
+/// [`MAX_FRAME_LEN`]: crate::wire::MAX_FRAME_LEN
+pub(crate) struct FrameReader {
+    header: [u8; HEADER_LEN],
+    filled: usize,
+    crc: u32,
+    body: Option<(Vec<u8>, usize)>,
+}
+
+/// What one [`FrameReader::step`] produced.
+pub(crate) enum ReadStep {
+    /// A complete frame body, already length- and checksum-checked.
+    Frame(Vec<u8>),
+    /// No complete frame buffered and the socket would block.
+    Blocked,
+    /// The peer closed cleanly between frames.
+    Eof,
+    /// The peer closed mid-frame (a torn frame).
+    TornEof,
+    /// The frame failed validation (bad magic / oversized / checksum).
+    Wire(WireError),
+    /// The transport failed (reset, ...).
+    Io(std::io::Error),
+}
+
+impl FrameReader {
+    pub(crate) fn new() -> FrameReader {
+        FrameReader {
+            header: [0u8; HEADER_LEN],
+            filled: 0,
+            crc: 0,
+            body: None,
+        }
+    }
+
+    /// Pull bytes until a complete frame, `WouldBlock` (or a read
+    /// timeout), or failure. Sets `*progressed` whenever any bytes
+    /// arrived, so the caller can reset its idle clock.
+    pub(crate) fn step(&mut self, stream: &mut dyn Stream, progressed: &mut bool) -> ReadStep {
+        loop {
+            let target: &mut [u8] = match &mut self.body {
+                None => &mut self.header[self.filled..],
+                Some((buf, at)) => &mut buf[*at..],
+            };
+            let n = match stream.read(target) {
+                Ok(0) if self.filled > 0 || self.body.is_some() => return ReadStep::TornEof,
+                Ok(0) => return ReadStep::Eof,
+                Ok(n) => n,
+                Err(e)
+                    if e.kind() == std::io::ErrorKind::WouldBlock
+                        || e.kind() == std::io::ErrorKind::TimedOut =>
+                {
+                    return ReadStep::Blocked
+                }
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+                Err(e) => return ReadStep::Io(e),
+            };
+            *progressed = true;
+            match &mut self.body {
+                None => {
+                    self.filled += n;
+                    if self.filled < HEADER_LEN {
+                        continue;
+                    }
+                    self.filled = 0;
+                    match parse_header(&self.header) {
+                        Ok((len, crc)) => {
+                            self.crc = crc;
+                            self.body = Some((vec![0u8; len as usize], 0));
+                        }
+                        Err(e) => return ReadStep::Wire(e),
+                    }
+                }
+                Some((_, at)) => *at += n,
+            }
+            if let Some((buf, at)) = &self.body {
+                if *at == buf.len() {
+                    let (buf, _) = self.body.take().expect("body present");
+                    return match verify_body(self.crc, &buf) {
+                        Ok(()) => ReadStep::Frame(buf),
+                        Err(e) => ReadStep::Wire(e),
+                    };
+                }
+            }
+        }
+    }
 }
 
 /// Fill the whole buffer through partial-read-returning streams.

@@ -26,28 +26,26 @@
 //! [`Message::Hello`] handshake; servers serve exactly
 //! [`PROTOCOL_VERSION`] and reject any other version with a `Goodbye`.
 //!
-//! **Version 3** added end-to-end tracing and metering without breaking
-//! version 2 peers: a `Call` *may* carry a trace context and a `Reply`
-//! *may* carry the server-side [`ResourceUsage`], each encoded under a
-//! new message tag (5 and 6). A `Call` without trace context and a
-//! `Reply` without usage still encode under their v2 tags (2 and 3),
-//! bit-identical to version 2 — so a v2 peer's frames decode unchanged
-//! on a v3 server, and a v3 server answering a v2 session simply never
-//! sends tag 6. The trace context rides *inside* the CRC-protected
-//! body, so a corrupted trace id is caught at the frame boundary like
-//! any other field.
+//! Each message has exactly one tag and one layout:
 //!
-//! **Version 4** adds session authentication and request pipelining,
-//! again additively. A `Hello` *may* carry a shared-secret token under
-//! a new tag (7); a token-less `Hello` still encodes under tag 0,
-//! bit-identical to earlier versions. A server that rejects the token
-//! answers with a typed [`Message::AuthFailed`] (tag 8) before any
-//! request is admitted. Pipelining required no new frames at all:
-//! `Call` already carries a per-session `seq` and every `Reply` echoes
-//! it, so a client may keep a bounded window of calls outstanding and
-//! match replies out of order; the server bounds the window
-//! (`PERFDMF_SERVER_WINDOW`) and answers overflow calls with a typed
-//! `Response::Error` naming the window.
+//! | tag | message      | body after the tag                                          |
+//! |-----|--------------|-------------------------------------------------------------|
+//! | 0   | `Hello`      | protocol, tenant, flag, [token]                             |
+//! | 1   | `HelloAck`   | session, key_space                                          |
+//! | 2   | `Call`       | seq, deadline_ms, idempotency, flag, [trace id, span id], request |
+//! | 3   | `Reply`      | seq, flag, [seven `ResourceUsage` u64s], response           |
+//! | 4   | `Goodbye`    | reason                                                      |
+//! | 5   | `AuthFailed` | reason                                                      |
+//!
+//! A flag byte is 0 (the bracketed field is absent) or 1 (it follows);
+//! any other value is a typed [`WireError::UnknownTag`]. The trace
+//! context rides inside the CRC-protected body, so a corrupted trace id
+//! is caught at the frame boundary like any other field.
+//!
+//! Pipelining needs no frames of its own: every `Call` carries a
+//! per-session `seq` and every `Reply` echoes it, so a client may keep
+//! a bounded window of calls outstanding and match replies out of
+//! order.
 
 use perfdmf_explorer::{ClusterMethod, ClusterSummary, FeatureSpace, Request, Response};
 use perfdmf_telemetry::{ResourceUsage, SpanContext, SpanId, TraceId};
@@ -64,15 +62,10 @@ pub const HEADER_LEN: usize = 12;
 /// allocation.
 pub const MAX_FRAME_LEN: u32 = 8 * 1024 * 1024;
 
-/// Wire-protocol version carried in the handshake. Version 2 added the
-/// server-assigned `key_space` field to [`Message::HelloAck`] and the
-/// body CRC-32 to the frame header; version 3 added optional trace
-/// context on [`Message::Call`] and optional [`ResourceUsage`] on
-/// [`Message::Reply`]; version 4 added the optional auth token on
-/// [`Message::Hello`], the typed [`Message::AuthFailed`] rejection, and
-/// pipelined (out-of-order) replies (see the module docs for the compat
-/// scheme).
-pub const PROTOCOL_VERSION: u32 = 4;
+/// Wire-protocol version carried in the handshake. A peer speaking any
+/// other version gets a `Goodbye`: the byte layout in the module docs
+/// is the only one this codec reads or writes.
+pub const PROTOCOL_VERSION: u32 = 5;
 
 /// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) lookup table.
 const CRC32_TABLE: [u32; 256] = {
@@ -193,8 +186,8 @@ pub enum Message {
         /// Tenant tag attached to the session (multi-tenant accounting;
         /// surfaces in the `perfdmf_sessions` system table).
         tenant: String,
-        /// Shared-secret session token (v4; `None` from older peers or
-        /// when the deployment runs open). Compared in constant time
+        /// Shared-secret session token (`None` when the deployment runs
+        /// open). Compared in constant time
         /// against `PERFDMF_SERVER_TOKEN` before any request is
         /// admitted.
         token: Option<String>,
@@ -222,9 +215,9 @@ pub enum Message {
         /// must carry the same key; the server replays the recorded
         /// response instead of applying the write twice.
         idempotency: u64,
-        /// Trace context of the client span issuing this call (v3;
-        /// `None` from v2 peers or when tracing/sampling skips the
-        /// request). The server adopts it so its `server.request` span
+        /// Trace context of the client span issuing this call (`None`
+        /// when tracing/sampling skips the request). The server adopts
+        /// it so its `server.request` span
         /// joins the client's causal trace.
         trace: Option<SpanContext>,
         /// The request itself.
@@ -234,8 +227,8 @@ pub enum Message {
     Reply {
         /// Echo of the request's sequence number.
         seq: u64,
-        /// Server-side resource accounting for this request (v3; `None`
-        /// to v2 peers or when the server did not meter the request).
+        /// Server-side resource accounting for this request (`None`
+        /// when the server did not meter the request).
         usage: Option<ResourceUsage>,
         /// The response.
         response: Response,
@@ -246,7 +239,7 @@ pub enum Message {
         /// Why the connection is closing.
         reason: String,
     },
-    /// Server → client (v4): the `Hello` token was rejected. Sent
+    /// Server → client: the `Hello` token was rejected. Sent
     /// instead of `HelloAck`, after which the server closes the
     /// connection; no request was admitted.
     AuthFailed {
@@ -873,12 +866,6 @@ fn decode_usage(r: &mut Reader) -> Result<ResourceUsage, WireError> {
 
 impl Message {
     /// Encode the message body (without the frame header).
-    ///
-    /// A `Call` without trace context and a `Reply` without usage
-    /// encode under their version-2 tags, byte-identical to a v2 peer's
-    /// encoding; the v3 payloads get tags of their own (5 and 6), so no
-    /// version negotiation is needed to *decode* — the tag says which
-    /// shape follows.
     pub fn encode(&self) -> Vec<u8> {
         let mut w = Writer::new();
         match self {
@@ -887,12 +874,10 @@ impl Message {
                 tenant,
                 token,
             } => {
-                match token {
-                    None => w.u8(0),
-                    Some(_) => w.u8(7),
-                }
+                w.u8(0);
                 w.u32(*protocol);
                 w.str(tenant);
+                w.bool(token.is_some());
                 if let Some(token) = token {
                     w.str(token);
                 }
@@ -909,17 +894,15 @@ impl Message {
                 trace,
                 request,
             } => {
-                match trace {
-                    None => w.u8(2),
-                    Some(ctx) => {
-                        w.u8(5);
-                        w.u64(ctx.trace.0);
-                        w.u64(ctx.span.0);
-                    }
-                }
+                w.u8(2);
                 w.u64(*seq);
                 w.u32(*deadline_ms);
                 w.u64(*idempotency);
+                w.bool(trace.is_some());
+                if let Some(ctx) = trace {
+                    w.u64(ctx.trace.0);
+                    w.u64(ctx.span.0);
+                }
                 encode_request(&mut w, request);
             }
             Message::Reply {
@@ -927,14 +910,12 @@ impl Message {
                 usage,
                 response,
             } => {
-                match usage {
-                    None => w.u8(3),
-                    Some(u) => {
-                        w.u8(6);
-                        encode_usage(&mut w, u);
-                    }
-                }
+                w.u8(3);
                 w.u64(*seq);
+                w.bool(usage.is_some());
+                if let Some(u) = usage {
+                    encode_usage(&mut w, u);
+                }
                 encode_response(&mut w, response);
             }
             Message::Goodbye { reason } => {
@@ -942,7 +923,7 @@ impl Message {
                 w.str(reason);
             }
             Message::AuthFailed { reason } => {
-                w.u8(8);
+                w.u8(5);
                 w.str(reason);
             }
         }
@@ -957,7 +938,11 @@ impl Message {
             0 => Message::Hello {
                 protocol: r.u32("Hello protocol")?,
                 tenant: r.str("Hello tenant")?,
-                token: None,
+                token: if r.bool("Hello token flag")? {
+                    Some(r.str("Hello token")?)
+                } else {
+                    None
+                },
             },
             1 => Message::HelloAck {
                 session: r.u64("HelloAck session")?,
@@ -967,39 +952,29 @@ impl Message {
                 seq: r.u64("Call seq")?,
                 deadline_ms: r.u32("Call deadline_ms")?,
                 idempotency: r.u64("Call idempotency")?,
-                trace: None,
+                trace: if r.bool("Call trace flag")? {
+                    Some(SpanContext {
+                        trace: TraceId(r.u64("Call trace id")?),
+                        span: SpanId(r.u64("Call span id")?),
+                    })
+                } else {
+                    None
+                },
                 request: decode_request(&mut r)?,
             },
             3 => Message::Reply {
                 seq: r.u64("Reply seq")?,
-                usage: None,
+                usage: if r.bool("Reply usage flag")? {
+                    Some(decode_usage(&mut r)?)
+                } else {
+                    None
+                },
                 response: decode_response(&mut r)?,
             },
             4 => Message::Goodbye {
                 reason: r.str("Goodbye reason")?,
             },
-            5 => {
-                let trace = TraceId(r.u64("Call trace id")?);
-                let span = SpanId(r.u64("Call span id")?);
-                Message::Call {
-                    trace: Some(SpanContext { trace, span }),
-                    seq: r.u64("Call seq")?,
-                    deadline_ms: r.u32("Call deadline_ms")?,
-                    idempotency: r.u64("Call idempotency")?,
-                    request: decode_request(&mut r)?,
-                }
-            }
-            6 => Message::Reply {
-                usage: Some(decode_usage(&mut r)?),
-                seq: r.u64("Reply seq")?,
-                response: decode_response(&mut r)?,
-            },
-            7 => Message::Hello {
-                protocol: r.u32("Hello protocol")?,
-                tenant: r.str("Hello tenant")?,
-                token: Some(r.str("Hello token")?),
-            },
-            8 => Message::AuthFailed {
+            5 => Message::AuthFailed {
                 reason: r.str("AuthFailed reason")?,
             },
             tag => {
@@ -1091,25 +1066,6 @@ mod tests {
     }
 
     #[test]
-    fn tokenless_hello_encodes_bit_identical_to_v2() {
-        // Same compat contract as the traceless Call: `token: None`
-        // must produce the exact byte layout older peers emit — tag 0,
-        // protocol, tenant — so a v4 client running open (no token)
-        // is indistinguishable on the wire from a v2/v3 client.
-        let body = Message::Hello {
-            protocol: 2,
-            tenant: "acme".into(),
-            token: None,
-        }
-        .encode();
-        let mut v2 = vec![0u8];
-        v2.extend_from_slice(&2u32.to_le_bytes());
-        v2.extend_from_slice(&4u32.to_le_bytes());
-        v2.extend_from_slice(b"acme");
-        assert_eq!(body, v2);
-    }
-
-    #[test]
     fn every_request_variant_roundtrips() {
         for request in [
             Request::ClusterTrial {
@@ -1164,36 +1120,80 @@ mod tests {
         }
     }
 
+    // The one layout per tag (see the module docs) is built by hand in
+    // the next two tests, so the bytes are checked against the spec,
+    // not against the codec.
     #[test]
-    fn traceless_call_encodes_bit_identical_to_v2() {
-        // The compat contract: `trace: None` must produce the exact
-        // byte layout a version-2 peer emits — tag 2, then seq,
-        // deadline, idempotency, request.
-        let body = Message::Call {
+    fn hello_layout_is_pinned_byte_for_byte() {
+        let hello = Message::Hello {
+            protocol: 5,
+            tenant: "acme".into(),
+            token: Some("s3".into()),
+        };
+        let mut bytes = vec![0u8];
+        bytes.extend_from_slice(&5u32.to_le_bytes());
+        bytes.extend_from_slice(&4u32.to_le_bytes());
+        bytes.extend_from_slice(b"acme");
+        bytes.push(1); // token flag
+        bytes.extend_from_slice(&2u32.to_le_bytes());
+        bytes.extend_from_slice(b"s3");
+        assert_eq!(hello.encode(), bytes);
+        // A flag byte other than 0/1 is a typed error, not a guess.
+        let flag = bytes.len() - 7;
+        bytes[flag] = 2;
+        assert_eq!(
+            Message::decode(&bytes),
+            Err(WireError::UnknownTag {
+                context: "Hello token flag",
+                tag: 2,
+            })
+        );
+    }
+
+    #[test]
+    fn call_and_reply_layout_is_pinned_byte_for_byte() {
+        let call = Message::Call {
             seq: 0x0102_0304_0506_0708,
             deadline_ms: 250,
             idempotency: 0xAA,
-            trace: None,
+            trace: Some(SpanContext {
+                trace: TraceId(0x11),
+                span: SpanId(0x22),
+            }),
             request: Request::Ping,
-        }
-        .encode();
-        let mut v2 = vec![2u8];
-        v2.extend_from_slice(&0x0102_0304_0506_0708u64.to_le_bytes());
-        v2.extend_from_slice(&250u32.to_le_bytes());
-        v2.extend_from_slice(&0xAAu64.to_le_bytes());
-        v2.push(6); // Request::Ping
-        assert_eq!(body, v2);
-        // And the usage-less Reply likewise: tag 3, seq, response.
-        let body = Message::Reply {
+        };
+        let mut bytes = vec![2u8];
+        bytes.extend_from_slice(&0x0102_0304_0506_0708u64.to_le_bytes());
+        bytes.extend_from_slice(&250u32.to_le_bytes());
+        bytes.extend_from_slice(&0xAAu64.to_le_bytes());
+        bytes.push(1); // trace flag
+        assert_eq!(bytes.len(), 22, "trace ids start at byte 22");
+        bytes.extend_from_slice(&0x11u64.to_le_bytes());
+        bytes.extend_from_slice(&0x22u64.to_le_bytes());
+        bytes.push(6); // Request::Ping
+        assert_eq!(call.encode(), bytes);
+
+        let reply = Message::Reply {
             seq: 7,
-            usage: None,
+            usage: Some(ResourceUsage {
+                rows_scanned: 1,
+                chunk_hits: 2,
+                chunk_misses: 3,
+                pool_tasks: 4,
+                wal_bytes: 5,
+                queue_wait_ns: 6,
+                execute_ns: 7,
+            }),
             response: Response::Pong,
+        };
+        let mut bytes = vec![3u8];
+        bytes.extend_from_slice(&7u64.to_le_bytes());
+        bytes.push(1); // usage flag
+        for field in 1u64..=7 {
+            bytes.extend_from_slice(&field.to_le_bytes());
         }
-        .encode();
-        let mut v2 = vec![3u8];
-        v2.extend_from_slice(&7u64.to_le_bytes());
-        v2.push(6); // Response::Pong
-        assert_eq!(body, v2);
+        bytes.push(6); // Response::Pong
+        assert_eq!(reply.encode(), bytes);
     }
 
     #[test]
@@ -1378,6 +1378,7 @@ mod tests {
         // BadLength, not attempt a 32 GiB Vec.
         let mut body = vec![3u8]; // Message::Reply
         body.extend_from_slice(&7u64.to_le_bytes()); // seq
+        body.push(0); // no usage
         body.push(0); // Response::Clustering
         body.extend_from_slice(&1i64.to_le_bytes()); // settings_id
         body.extend_from_slice(&2u64.to_le_bytes()); // k

@@ -8,13 +8,13 @@
 //! can never succeed, so retrying would only hammer the server.
 //!
 //! The handshake also pins the wire protocol: a `Hello` speaking any
-//! version other than [`PROTOCOL_VERSION`] gets a `Goodbye` naming the
-//! version and never a `HelloAck`.
+//! version other than [`PROTOCOL_VERSION`], or in an older version's
+//! byte layout, gets a `Goodbye` and never a `HelloAck`.
 
 use perfdmf_core::DatabaseSession;
 use perfdmf_db::Connection;
 use perfdmf_explorer::Response;
-use perfdmf_server::wire::{parse_header, verify_body, Message, HEADER_LEN};
+use perfdmf_server::wire::{crc32, parse_header, verify_body, Message, HEADER_LEN, MAGIC};
 use perfdmf_server::{NetClient, PerfdmfServer, ServerConfig, PROTOCOL_VERSION};
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -201,6 +201,47 @@ fn hello_with_any_other_protocol_version_gets_goodbye() {
                 "goodbye for v{protocol} must name the version, got: {reason}"
             ),
             other => panic!("v{protocol} hello must get exactly one Goodbye, got {other:?}"),
+        }
+    }
+    server.shutdown();
+}
+
+/// A peer still speaking the version-4 layout (a `Hello` with no token
+/// flag byte, or the old tag 7 for a tokened `Hello`) fails to decode:
+/// it gets one `Goodbye` naming the bad frame, never a `HelloAck`, and
+/// the server closes the session.
+#[test]
+fn v4_layout_hello_gets_goodbye_and_close() {
+    let server = PerfdmfServer::start(open_database()).expect("server start");
+    let mut tokenless = vec![0u8];
+    tokenless.extend_from_slice(&4u32.to_le_bytes());
+    tokenless.extend_from_slice(&4u32.to_le_bytes());
+    tokenless.extend_from_slice(b"old4");
+    let mut tokened = tokenless.clone();
+    tokened[0] = 7;
+    tokened.extend_from_slice(&6u32.to_le_bytes());
+    tokened.extend_from_slice(b"sesame");
+    for body in [tokenless, tokened] {
+        let mut frame = MAGIC.to_le_bytes().to_vec();
+        frame.extend_from_slice(&(body.len() as u32).to_le_bytes());
+        frame.extend_from_slice(&crc32(&body).to_le_bytes());
+        frame.extend_from_slice(&body);
+        let mut stream = TcpStream::connect(server.addr()).expect("connect");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .expect("read timeout");
+        stream.write_all(&frame).expect("hello");
+        let frames = frames_until_close(&mut stream);
+        match frames.as_slice() {
+            [Message::Goodbye { reason }] => {
+                assert!(reason.contains("bad hello frame"), "got: {reason}")
+            }
+            other => panic!("a v4 hello must get exactly one Goodbye, got {other:?}"),
+        }
+        match stream.read(&mut [0u8; 1]) {
+            Ok(0) => {}
+            Err(e) if e.kind() == std::io::ErrorKind::ConnectionReset => {}
+            other => panic!("the server must close the session, got {other:?}"),
         }
     }
     server.shutdown();

@@ -1,6 +1,6 @@
 //! Request pipelining on the event-loop executor.
 //!
-//! A v4 connection may keep a bounded window of calls outstanding; the
+//! A connection may keep a bounded window of calls outstanding; the
 //! server admits them concurrently and writes replies as executions
 //! finish — possibly out of the order the calls were sent. These tests
 //! pin the three load-bearing properties:
@@ -69,7 +69,7 @@ fn read_frame(stream: &mut TcpStream) -> Message {
     Message::decode(&body).expect("decodable frame")
 }
 
-/// Raw v4 handshake on a plain socket (the pipelining shape under test
+/// Raw handshake on a plain socket (the pipelining shape under test
 /// is below the `NetClient` API, so the test speaks wire directly).
 fn raw_handshake(addr: std::net::SocketAddr, tenant: &str) -> TcpStream {
     let mut stream = TcpStream::connect(addr).expect("connect");

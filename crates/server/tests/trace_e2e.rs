@@ -6,7 +6,8 @@
 //! export must render the two sides as distinct processes joined by
 //! flow arrows. The same request must also land in the
 //! `perfdmf_requests` system table with its resource bill and the same
-//! trace id.
+//! trace id. A pipelined batch is one exchange: one `client.request`
+//! span parents the `server.request` span of every call in it.
 
 use perfdmf_core::DatabaseSession;
 use perfdmf_db::{Connection, Value};
@@ -39,8 +40,8 @@ fn seeded_database() -> (Connection, i64) {
     (conn, trial)
 }
 
-fn find<'a>(records: &'a [SpanRecord], name: &str) -> Option<&'a SpanRecord> {
-    records.iter().find(|r| r.name == name)
+fn find<'a>(records: &'a [SpanRecord], name: &str, trace: u64) -> Option<&'a SpanRecord> {
+    records.iter().find(|r| r.name == name && r.trace == trace)
 }
 
 #[test]
@@ -76,19 +77,32 @@ fn cluster_trial_over_tcp_yields_one_cross_process_trace() {
     // The reply carried the server-side resource bill.
     let usage = client
         .last_usage()
-        .expect("v3 reply must carry resource usage");
+        .expect("the reply must carry resource usage");
     assert!(usage.execute_ns > 0, "execution must be metered: {usage:?}");
     assert!(
         usage.rows_scanned > 0,
         "loading the trial must scan rows: {usage:?}"
+    );
+    let batch = client.pipeline(&[Request::Ping, Request::Ping, Request::Ping]);
+    assert!(
+        batch.iter().all(|r| matches!(r, Response::Pong)),
+        "pipelined pings must all be answered, got {batch:?}"
     );
     client.close();
     server.shutdown();
     telemetry::set_tracing(false);
 
     let records = telemetry::trace::recorder().dump();
-    let client_span = find(&records, "client.request").expect("client span recorded");
-    let server_span = find(&records, "server.request").expect("server span recorded");
+    let mut client_spans: Vec<&SpanRecord> = records
+        .iter()
+        .filter(|r| r.name == "client.request")
+        .collect();
+    client_spans.sort_by_key(|r| r.start_ns);
+    let [client_span, batch_span] = client_spans[..] else {
+        panic!("one client span per exchange, got {client_spans:?}");
+    };
+    let server_span =
+        find(&records, "server.request", client_span.trace).expect("server span recorded");
 
     // One causal tree across the wire: same trace id, parent link from
     // the server's slice back to the client's.
@@ -102,9 +116,23 @@ fn cluster_trial_over_tcp_yields_one_cross_process_trace() {
     );
     // …and the tree keeps growing on the server side: the explorer
     // worker ran inside the server span, on the same trace.
-    let explorer_span = find(&records, "explorer.request").expect("explorer span recorded");
+    let explorer_span =
+        find(&records, "explorer.request", client_span.trace).expect("explorer span recorded");
     assert_eq!(explorer_span.trace, client_span.trace);
     assert_eq!(explorer_span.parent, server_span.span);
+
+    // The pipelined batch sampled its trace once: each of its three
+    // calls carried the batch's client span, so each `server.request`
+    // parents into it.
+    let batch_server: Vec<&SpanRecord> = records
+        .iter()
+        .filter(|r| r.name == "server.request" && r.trace == batch_span.trace)
+        .collect();
+    assert_eq!(batch_server.len(), 3, "one server span per pipelined call");
+    assert!(
+        batch_server.iter().all(|r| r.parent == batch_span.span),
+        "every pipelined server.request must be parented by the batch's client.request"
+    );
 
     // Merged export: the client-side spans as one Chrome-trace process,
     // everything server-side as another.

@@ -8,7 +8,7 @@
 //!    so the server's `server.request` span (and the explorer/db work
 //!    under it) joins the client's `client.request` trace.
 //! 3. Print the server's resource bill for the clustering (carried on
-//!    the v3 `Reply`) and the `perfdmf_requests` accounting rows.
+//!    the `Reply`) and the `perfdmf_requests` accounting rows.
 //! 4. Partition the recorder dump into a client "process" and a server
 //!    "process", export them as one merged Chrome-trace JSON
 //!    (loadable in <https://ui.perfetto.dev>), and self-validate: two
@@ -72,7 +72,7 @@ fn main() {
         Response::Clustering { k, .. } => k,
         other => panic!("clustering failed: {other:?}"),
     };
-    let usage = client.last_usage().expect("v3 reply carries usage");
+    let usage = client.last_usage().expect("the reply carries usage");
     println!(
         "clustered trial {trial} into k={k}; server-side bill: \
          {} rows scanned, {} chunk hits, {} chunk misses, {} pool tasks, \

@@ -436,8 +436,8 @@ fn usage() -> String {
        ping    --connect HOST:PORT\n\
        dump    --db DIR --out DIR\n\
        restore --db DIR --from DIR\n\
-     serve honors PERFDMF_SERVER_TOKEN (required client token),\n\
-     PERFDMF_SERVER_EXECUTORS and PERFDMF_SERVER_WINDOW;\n\
+     serve honors PERFDMF_SERVER_TOKEN (required client token)\n\
+     and PERFDMF_SERVER_EXECUTORS;\n\
      clients send PERFDMF_SERVER_TOKEN when set"
         .to_string()
 }
