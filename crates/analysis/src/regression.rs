@@ -10,9 +10,8 @@
 //! *statistically* surprising (`z-score ≥ min_zscore`, skipped when the
 //! baseline never varied). Flagged findings are pushed into the global
 //! `perfdmf_telemetry::regressions` log — queryable as the
-//! `perfdmf_regressions` system table — and emitted as `perf_regression`
-//! events, with the `analysis.regressions_flagged` counter tracking the
-//! total.
+//! `perfdmf_regressions` system table — with the
+//! `analysis.regressions_flagged` counter tracking the total.
 
 use std::collections::BTreeMap;
 
@@ -206,9 +205,8 @@ fn judge(
 }
 
 /// Compare named candidate samples against the baseline, reporting every
-/// flagged finding to the global regression log (and as `perf_regression`
-/// events). `context` describes the comparison for the log, e.g.
-/// `"trial 7 vs experiment 1 baseline"`.
+/// flagged finding to the global regression log. `context` describes
+/// the comparison for the log, e.g. `"trial 7 vs experiment 1 baseline"`.
 pub fn check_samples(
     baseline: &Baseline,
     samples: &[(String, f64)],
@@ -234,15 +232,6 @@ pub fn check_samples(
                 zscore: finding.zscore,
             });
             telemetry::add("analysis.regressions_flagged", 1);
-            telemetry::emit(
-                telemetry::Event::new(telemetry::Severity::Warn, "perf_regression")
-                    .field("context", context.to_string())
-                    .field("event", finding.event.clone())
-                    .field("metric", finding.metric.clone())
-                    .field("baseline_mean", finding.baseline_mean)
-                    .field("candidate", finding.candidate)
-                    .field("ratio", finding.ratio),
-            );
             findings.push(finding);
         }
     }

@@ -46,9 +46,8 @@ fn bench_sql_aggregates_overhead(c: &mut Criterion) {
     });
     // The background metrics sampler snapshots the whole registry on its
     // own thread; the workload only pays for cache pressure and registry
-    // shard contention. Same 5% bar, at the configured cadence (250ms
-    // default; set PERFDMF_METRICS_INTERVAL_MS to price faster rates).
-    let sampler = telemetry::metrics::start_sampler(telemetry::metrics::default_interval());
+    // shard contention. Same 5% bar, at the default 250ms cadence.
+    let sampler = telemetry::metrics::start_sampler(telemetry::metrics::DEFAULT_INTERVAL);
     group.bench_function("sampler_on", |b| {
         b.iter(|| session.event_aggregates("GET_TIME_OF_DAY").expect("aggs"));
     });

@@ -148,7 +148,7 @@ impl Database {
             let scan = scan_wal(&*vfs, &wal_path, snap_gen, |rec| db.apply_record(rec))?;
             if scan.torn_tail || scan.torn_header {
                 telemetry::add("db.recovery.torn_tail", 1);
-                let _ = telemetry::trace::fault_dump("torn wal tail repaired on open");
+                let _ = telemetry::trace::fault_dump();
             }
             if scan.uncommitted > 0 {
                 telemetry::add("db.recovery.uncommitted_dropped", scan.uncommitted as u64);
@@ -157,7 +157,7 @@ impl Database {
                 // Stale log from before the snapshot was taken: every
                 // record in it is already part of the snapshot image.
                 telemetry::add("db.recovery.stale_wal", 1);
-                let _ = telemetry::trace::fault_dump("stale wal discarded on open");
+                let _ = telemetry::trace::fault_dump();
                 telemetry::add("db.recovery.wal_rewrites", 1);
                 Wal::rewrite(vfs.clone(), &wal_path, snap_gen, &[])?
             } else {

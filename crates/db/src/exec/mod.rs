@@ -9,7 +9,7 @@ use crate::database::Database;
 use crate::error::{DbError, Result};
 use crate::schema::TableSchema;
 use crate::sql::ast::{Expr, Statement};
-use crate::table::{Row, RowId};
+use crate::table::{Row, RowId, Table};
 use crate::value::Value;
 use eval::{Env, Layout};
 
@@ -290,11 +290,10 @@ fn execute_insert(
     params: &[Value],
 ) -> Result<(usize, Option<i64>)> {
     // Resolve the column mapping once.
-    let (schema_cols, col_map, auto_pk): (usize, Vec<usize>, Option<usize>) = {
+    let (col_map, auto_pk): (Vec<usize>, Option<usize>) = {
         let t = db.table(&ins.table)?;
-        let n = t.schema.columns.len();
         let map: Vec<usize> = if ins.columns.is_empty() {
-            (0..n).collect()
+            (0..t.schema.columns.len()).collect()
         } else {
             let mut m = Vec::with_capacity(ins.columns.len());
             for c in &ins.columns {
@@ -313,7 +312,7 @@ fn execute_insert(
             .schema
             .primary_key_index()
             .filter(|&i| t.schema.columns[i].auto_increment);
-        (n, map, auto)
+        (map, auto)
     };
     let defaults: Vec<Value> = {
         let t = db.table(&ins.table)?;
@@ -345,8 +344,47 @@ fn execute_insert(
         }
         count += 1;
     }
-    let _ = schema_cols;
     Ok((count, last))
+}
+
+/// Layout binding a single table's columns under its own name.
+fn table_layout(t: &Table) -> Layout {
+    Layout::single(
+        t.schema.name.clone(),
+        t.schema.columns.iter().map(|c| c.name.clone()).collect(),
+    )
+}
+
+/// The rows of `t` that `where_clause` selects, found through an index
+/// when the predicate allows one and by a sequential scan otherwise.
+/// UPDATE and DELETE collect them before mutating the table.
+fn matching_rows(
+    t: &Table,
+    layout: &Layout,
+    where_clause: Option<&Expr>,
+    params: &[Value],
+) -> Result<Vec<(RowId, Row)>> {
+    let rows: Box<dyn Iterator<Item = (RowId, &Row)>> =
+        match select::index_candidates(t, &t.schema.name, layout, where_clause, params)? {
+            Some(choice) => Box::new(
+                choice
+                    .ids
+                    .into_iter()
+                    .filter_map(|id| t.row(id).map(|row| (id, row))),
+            ),
+            None => Box::new(t.iter()),
+        };
+    let mut found = Vec::new();
+    for (id, row) in rows {
+        let matched = match where_clause {
+            None => true,
+            Some(pred) => eval::eval_condition(pred, &Env::new(layout, row, params))?,
+        };
+        if matched {
+            found.push((id, row.clone()));
+        }
+    }
+    Ok(found)
 }
 
 fn execute_update(
@@ -362,10 +400,7 @@ fn execute_update(
     #[allow(clippy::type_complexity)]
     let (layout, assignments, targets): (Layout, Vec<(usize, Expr)>, Vec<(RowId, Row)>) = {
         let t = db.table(&upd.table)?;
-        let layout = Layout::single(
-            t.schema.name.clone(),
-            t.schema.columns.iter().map(|c| c.name.clone()).collect(),
-        );
+        let layout = table_layout(t);
         let mut assigns = Vec::with_capacity(upd.assignments.len());
         for (col, e) in &upd.assignments {
             let idx = t
@@ -377,41 +412,7 @@ fn execute_update(
                 })?;
             assigns.push((idx, select::resolve_subqueries(db, e, params)?));
         }
-        let mut targets = Vec::new();
-        let candidates = select::index_candidates(
-            t,
-            &t.schema.name.clone(),
-            &layout,
-            where_clause.as_ref(),
-            params,
-        )?;
-        let mut check = |id: RowId, row: &Row| -> Result<()> {
-            let matched = match &where_clause {
-                None => true,
-                Some(pred) => {
-                    let env = Env::new(&layout, row, params);
-                    eval::eval_condition(pred, &env)?
-                }
-            };
-            if matched {
-                targets.push((id, row.clone()));
-            }
-            Ok(())
-        };
-        match candidates {
-            Some(choice) => {
-                for id in choice.ids {
-                    if let Some(row) = t.row(id) {
-                        check(id, row)?;
-                    }
-                }
-            }
-            None => {
-                for (id, row) in t.iter() {
-                    check(id, row)?;
-                }
-            }
-        }
+        let targets = matching_rows(t, &layout, where_clause.as_ref(), params)?;
         (layout, assigns, targets)
     };
     let count = targets.len();
@@ -436,51 +437,12 @@ fn execute_delete(
         .as_ref()
         .map(|w| select::resolve_subqueries(db, w, params))
         .transpose()?;
-    let targets: Vec<RowId> = {
+    let targets = {
         let t = db.table(&del.table)?;
-        let layout = Layout::single(
-            t.schema.name.clone(),
-            t.schema.columns.iter().map(|c| c.name.clone()).collect(),
-        );
-        let mut ids = Vec::new();
-        let candidates = select::index_candidates(
-            t,
-            &t.schema.name.clone(),
-            &layout,
-            where_clause.as_ref(),
-            params,
-        )?;
-        let mut check = |id: RowId, row: &Row| -> Result<()> {
-            let matched = match &where_clause {
-                None => true,
-                Some(pred) => {
-                    let env = Env::new(&layout, row, params);
-                    eval::eval_condition(pred, &env)?
-                }
-            };
-            if matched {
-                ids.push(id);
-            }
-            Ok(())
-        };
-        match candidates {
-            Some(choice) => {
-                for id in choice.ids {
-                    if let Some(row) = t.row(id) {
-                        check(id, row)?;
-                    }
-                }
-            }
-            None => {
-                for (id, row) in t.iter() {
-                    check(id, row)?;
-                }
-            }
-        }
-        ids
+        matching_rows(t, &table_layout(t), where_clause.as_ref(), params)?
     };
     let count = targets.len();
-    for id in targets {
+    for (id, _) in targets {
         db.delete_row(&del.table, id)?;
     }
     Ok(count)

@@ -198,6 +198,7 @@ fn slow_queries_table() -> Table {
             ColumnDef::new("rows_scanned", DataType::Integer).not_null(),
             ColumnDef::new("rows_affected", DataType::Integer).not_null(),
             ColumnDef::new("ok", DataType::Boolean).not_null(),
+            ColumnDef::new("trace_id", DataType::Text),
         ],
         crate::observe::slow_query_log().into_iter().map(|r| {
             vec![
@@ -208,6 +209,7 @@ fn slow_queries_table() -> Table {
                 int(r.rows_scanned),
                 int(r.rows_affected),
                 Value::Bool(r.ok),
+                hex_or_null(r.trace_id),
             ]
         }),
     )

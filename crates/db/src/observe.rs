@@ -22,11 +22,11 @@
 //! prepared-statement parse cache (`db.sql.parse_cache_hits` /
 //! `.parse_cache_misses`). See `docs/columnar.md`.
 //!
-//! Statements slower than the configurable threshold additionally emit a
-//! `slow_query` structured event carrying the SQL text (truncated),
-//! latency, and row counts, and are retained in a process-wide
-//! [`telemetry::BoundedLog`] ([`slow_query_log`]) that backs the
-//! `perfdmf_slow_queries` virtual system table.
+//! Statements slower than the configurable threshold are additionally
+//! retained, with their SQL text (truncated), latency, row counts and
+//! active trace id, in a process-wide [`telemetry::BoundedLog`]
+//! ([`slow_query_log`]) that backs the `perfdmf_slow_queries` virtual
+//! system table.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
@@ -41,7 +41,7 @@ use perfdmf_telemetry::BoundedLog;
 /// Default slow-query threshold: 50ms.
 const DEFAULT_SLOW_QUERY_NS: u64 = 50_000_000;
 
-/// Longest SQL prefix included in a `slow_query` event.
+/// Longest SQL prefix retained in a [`SlowQueryRecord`].
 const SQL_SNIPPET_LEN: usize = 512;
 
 /// Slow statements retained by the ring (oldest evicted first).
@@ -64,6 +64,8 @@ pub struct SlowQueryRecord {
     pub rows_affected: u64,
     /// False when the statement returned an error.
     pub ok: bool,
+    /// Causal trace the statement ran in, when tracing was on.
+    pub trace_id: Option<u64>,
 }
 
 static SLOW_LOG: Mutex<BoundedLog<SlowQueryRecord>> =
@@ -87,7 +89,7 @@ fn retain_slow_query(record: SlowQueryRecord) {
 
 static SLOW_QUERY_THRESHOLD_NS: AtomicU64 = AtomicU64::new(DEFAULT_SLOW_QUERY_NS);
 
-/// Statements at or above this duration emit a `slow_query` event.
+/// Statements at or above this duration enter the slow-query log.
 pub fn slow_query_threshold() -> Duration {
     Duration::from_nanos(SLOW_QUERY_THRESHOLD_NS.load(Ordering::Relaxed))
 }
@@ -100,12 +102,11 @@ pub fn set_slow_query_threshold(threshold: Duration) {
 }
 
 /// Record one executed statement into the telemetry registry and, when
-/// slow, the event log. No-op while telemetry is disabled.
+/// slow, the slow-query log. No-op while telemetry is disabled.
 ///
 /// Called while the statement's `db.exec` span is still open, so with
-/// causal tracing on the `slow_query` event is stamped with the active
-/// trace id and can be joined to its span tree in a flight-recorder
-/// dump.
+/// causal tracing on the retained record carries the active trace id
+/// and can be joined to its span tree in a flight-recorder dump.
 pub fn record_statement(sql: &str, outcome: &Result<Outcome>, elapsed: Duration) {
     if !telemetry::enabled() {
         return;
@@ -140,24 +141,15 @@ pub fn record_statement(sql: &str, outcome: &Result<Outcome>, elapsed: Duration)
         } else {
             sql.to_string()
         };
-        let elapsed_ns = elapsed.as_nanos().min(u64::MAX as u128) as u64;
-        telemetry::emit(
-            telemetry::Event::new(telemetry::Severity::Warn, "slow_query")
-                .field("sql", snippet.clone())
-                .field("elapsed_ns", elapsed_ns)
-                .field("rows_returned", rows_returned)
-                .field("rows_scanned", rows_scanned)
-                .field("rows_affected", rows_affected)
-                .field("ok", u64::from(outcome.is_ok())),
-        );
         retain_slow_query(SlowQueryRecord {
             seq: 0,
             sql: snippet,
-            elapsed_ns,
+            elapsed_ns: elapsed.as_nanos().min(u64::MAX as u128) as u64,
             rows_returned,
             rows_scanned,
             rows_affected,
             ok: outcome.is_ok(),
+            trace_id: telemetry::trace::current_trace_id().map(|t| t.0),
         });
     }
 }

@@ -22,10 +22,10 @@
 //! excepted), which is what the differential oracle's optimizer legs
 //! and the per-rule rewrite-equivalence suite check.
 //!
-//! Configuration: `PERFDMF_OPTIMIZER=off|0|false` disables every rule;
-//! `PERFDMF_OPT_DISABLE=rule[,rule...]` disables individual rules by
-//! the names above. Tests pin a config per thread with
-//! [`override_for_thread`], which shadows both variables.
+//! Configuration: `PERFDMF_OPTIMIZER=off|0|false` disables every rule.
+//! Tests pin a config per thread with [`override_for_thread`], which
+//! shadows the variable; [`OptimizerConfig::without`] turns off one
+//! rule by the names above.
 
 use std::cell::Cell;
 
@@ -75,35 +75,22 @@ impl OptimizerConfig {
     /// docs). Unknown names leave everything on.
     pub fn without(rule: &str) -> Self {
         let mut cfg = Self::all_on();
-        cfg.disable(rule);
-        cfg
-    }
-
-    fn disable(&mut self, rule: &str) {
         match rule.trim() {
-            "predicate-pushdown" => self.predicate_pushdown = false,
-            "projection-pruning" => self.projection_pruning = false,
-            "limit-pushdown" => self.limit_pushdown = false,
-            "sort-elision" => self.sort_elision = false,
-            "join-reorder" => self.join_reorder = false,
+            "predicate-pushdown" => cfg.predicate_pushdown = false,
+            "projection-pruning" => cfg.projection_pruning = false,
+            "limit-pushdown" => cfg.limit_pushdown = false,
+            "sort-elision" => cfg.sort_elision = false,
+            "join-reorder" => cfg.join_reorder = false,
             _ => {}
         }
+        cfg
     }
 
     fn from_env() -> Self {
-        if matches!(
-            std::env::var("PERFDMF_OPTIMIZER").ok().as_deref(),
-            Some("off") | Some("0") | Some("false")
-        ) {
-            return Self::disabled();
+        match std::env::var("PERFDMF_OPTIMIZER").ok().as_deref() {
+            Some("off" | "0" | "false") => Self::disabled(),
+            _ => Self::all_on(),
         }
-        let mut cfg = Self::all_on();
-        if let Ok(list) = std::env::var("PERFDMF_OPT_DISABLE") {
-            for rule in list.split(',') {
-                cfg.disable(rule);
-            }
-        }
-        cfg
     }
 }
 

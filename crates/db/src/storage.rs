@@ -650,7 +650,7 @@ impl Wal {
                 .map_err(|e| DbError::io("wal rewrite write", e))?;
             f.sync_all().map_err(|e| {
                 telemetry::add("db.fsync_errors", 1);
-                let _ = telemetry::trace::fault_dump("wal rewrite fsync failed");
+                let _ = telemetry::trace::fault_dump();
                 DbError::io("wal rewrite fsync", e)
             })?;
         }
@@ -681,7 +681,7 @@ impl Wal {
                     let _fsync_span = telemetry::span("db.wal.fsync");
                     self.file.sync_all().map_err(|e| {
                         telemetry::add("db.fsync_errors", 1);
-                        let _ = telemetry::trace::fault_dump("wal fsync failed");
+                        let _ = telemetry::trace::fault_dump();
                         DbError::io("wal fsync", e)
                     })?;
                     telemetry::add("db.wal.fsyncs", 1);
@@ -708,7 +708,7 @@ impl Wal {
                     Err(_) => {
                         self.poisoned = true;
                         telemetry::add("db.wal.poisoned", 1);
-                        let _ = telemetry::trace::fault_dump("wal poisoned after failed append");
+                        let _ = telemetry::trace::fault_dump();
                     }
                 }
                 Err(e)
@@ -954,7 +954,7 @@ pub fn write_snapshot_with(
             .map_err(|e| DbError::io("snapshot write", e))?;
         f.sync_all().map_err(|e| {
             telemetry::add("db.fsync_errors", 1);
-            let _ = telemetry::trace::fault_dump("snapshot fsync failed");
+            let _ = telemetry::trace::fault_dump();
             DbError::io("snapshot fsync", e)
         })?;
     }

@@ -222,13 +222,21 @@ fn single_row_tables_have_sane_values() {
     assert!(matches!(cache.rows[0][1], Value::Int(b) if b > 0));
 }
 
+/// Serializes the tests that toggle the process-wide tracing flag.
+static TRACING: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
 #[test]
 fn slow_query_log_surfaces_through_sql() {
     let conn = Connection::open_in_memory();
+    let _tracing = TRACING.lock().unwrap_or_else(|e| e.into_inner());
     let before = perfdmf_db::slow_query_threshold();
     perfdmf_db::set_slow_query_threshold(Duration::ZERO); // log everything
     conn.execute("CREATE TABLE slowq_marker_xyz (a INTEGER)", &[])
         .unwrap();
+    telemetry::set_tracing(true);
+    conn.execute("INSERT INTO slowq_marker_xyz VALUES (1)", &[])
+        .unwrap();
+    telemetry::set_tracing(false);
     perfdmf_db::set_slow_query_threshold(before);
 
     let rows = conn
@@ -239,11 +247,22 @@ fn slow_query_log_surfaces_through_sql() {
         .unwrap();
     assert!(!rows.rows.is_empty(), "statement must be retained");
     assert!(rows.rows.iter().all(|r| r[1] == Value::Bool(true)));
+
+    let traced = conn
+        .query(
+            "SELECT trace_id FROM perfdmf_slow_queries \
+             WHERE sql LIKE 'INSERT INTO slowq_marker_xyz%' AND trace_id IS NOT NULL",
+            &[],
+        )
+        .unwrap();
+    assert_eq!(traced.rows.len(), 1, "the traced INSERT keeps its trace id");
+    assert_eq!(traced.rows[0][0].as_text().map(str::len), Some(16));
 }
 
 #[test]
 fn spans_table_exposes_flight_recorder() {
     let conn = Connection::open_in_memory();
+    let _tracing = TRACING.lock().unwrap_or_else(|e| e.into_inner());
     telemetry::set_tracing(true);
     workload(&conn);
     telemetry::set_tracing(false);

@@ -1,10 +1,9 @@
 //! End-to-end checks that statements executed through [`Connection`]
 //! feed the telemetry registry and the slow-query log.
 
-use std::sync::Arc;
 use std::time::Duration;
 
-use perfdmf_db::{set_slow_query_threshold, Connection, Value};
+use perfdmf_db::{set_slow_query_threshold, slow_query_log, Connection, Value};
 use perfdmf_telemetry as telemetry;
 
 fn seeded_connection() -> Connection {
@@ -92,42 +91,31 @@ fn transaction_statements_are_recorded_too() {
 #[test]
 fn slow_queries_emit_structured_events() {
     let conn = seeded_connection();
-    let sink = Arc::new(telemetry::RingBufferSink::new(4096));
-    telemetry::install_sink(sink.clone());
 
     // Zero threshold: every statement is "slow".
     set_slow_query_threshold(Duration::ZERO);
+    telemetry::set_tracing(true);
     let marker = "SELECT name, node_count FROM trial WHERE id = 7";
     conn.query(marker, &[]).unwrap();
+    telemetry::set_tracing(false);
     set_slow_query_threshold(Duration::from_millis(50));
 
-    let events = sink.events();
-    let slow = events
+    let log = slow_query_log();
+    let slow = log
         .iter()
-        .find(|e| {
-            e.kind == "slow_query"
-                && matches!(e.get("sql"), Some(telemetry::FieldValue::Str(s)) if s == marker)
-        })
-        .expect("slow_query event for the marker statement");
-    assert!(matches!(
-        slow.get("rows_returned"),
-        Some(&telemetry::FieldValue::U64(1))
-    ));
+        .find(|r| r.sql == marker)
+        .expect("the marker statement is retained");
+    assert_eq!(slow.rows_returned, 1);
     assert!(
-        slow.span_path.contains("db.exec"),
-        "emitted inside the exec span"
+        slow.trace_id.is_some(),
+        "retained inside the traced db.exec span"
     );
-    let json = slow.to_json();
-    assert!(json.contains("\"kind\":\"slow_query\""), "{json}");
 
-    // Default threshold restored: an ordinary fast query adds no event.
+    // Default threshold restored: an ordinary fast query is not retained.
     let fast = "SELECT COUNT(*) FROM trial";
     conn.query(fast, &[]).unwrap();
     assert!(
-        !sink
-            .events()
-            .iter()
-            .any(|e| matches!(e.get("sql"), Some(telemetry::FieldValue::Str(s)) if s == fast)),
+        !slow_query_log().iter().any(|r| r.sql == fast),
         "fast query under threshold logged nothing"
     );
 }

@@ -149,11 +149,6 @@ impl ExplorerClient {
                 Ok(response) => response,
                 Err(RecvTimeoutError::Timeout) => {
                     telemetry::add("explorer.timeouts", 1);
-                    telemetry::emit(
-                        telemetry::Event::new(telemetry::Severity::Warn, "explorer_timeout")
-                            .field("where", "client")
-                            .field("deadline_ns", deadline.as_nanos() as u64),
-                    );
                     let trace_tag = telemetry::trace::current_trace_id()
                         .map(|t| format!(" [trace {}]", t.as_hex()))
                         .unwrap_or_default();
@@ -208,10 +203,6 @@ impl ExplorerClient {
             Ok(()) => Ok(rrx),
             Err(TrySendError::Full(_)) => {
                 telemetry::add("explorer.sheds", 1);
-                telemetry::emit(telemetry::Event::new(
-                    telemetry::Severity::Warn,
-                    "explorer_shed",
-                ));
                 Err(Response::Overloaded)
             }
             Err(TrySendError::Disconnected(_)) => {

@@ -85,8 +85,7 @@ pub enum Request {
     /// Chan–Welford baseline, and the candidate trial's routines are
     /// flagged where they exceed the configured ratio and z-score.
     /// Flagged findings are also pushed to the global telemetry
-    /// regression log (the `perfdmf_regressions` system table) and
-    /// emitted as `perf_regression` events.
+    /// regression log (the `perfdmf_regressions` system table).
     WatchdogCheck {
         /// Experiment whose other trials form the baseline.
         experiment_id: i64,

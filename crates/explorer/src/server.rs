@@ -206,11 +206,6 @@ fn worker_loop(conn: &Connection, rx: &Receiver<Job>) -> WorkerExit {
         if let Some(deadline) = deadline {
             if Instant::now() > deadline {
                 telemetry::add("explorer.timeouts", 1);
-                telemetry::emit(
-                    telemetry::Event::new(telemetry::Severity::Warn, "explorer_timeout")
-                        .field("where", "queue")
-                        .field("queued_ns", submitted.elapsed().as_nanos() as u64),
-                );
                 send_reply(
                     &reply,
                     &notify,
@@ -239,10 +234,6 @@ fn worker_loop(conn: &Connection, rx: &Receiver<Job>) -> WorkerExit {
                 Err(payload) => {
                     let reason = panic_message(payload.as_ref());
                     telemetry::add("explorer.request_panics", 1);
-                    telemetry::emit(
-                        telemetry::Event::new(telemetry::Severity::Warn, "explorer_panic")
-                            .field("reason", reason),
-                    );
                     send_reply(
                         &reply,
                         &notify,
@@ -262,12 +253,6 @@ fn worker_loop(conn: &Connection, rx: &Receiver<Job>) -> WorkerExit {
                     telemetry::add("explorer.request_errors", 1);
                 }
                 telemetry::record_duration("explorer.request_latency_ns", submitted.elapsed());
-            }
-            if let Response::Error(msg) = &response {
-                telemetry::emit(
-                    telemetry::Event::new(telemetry::Severity::Warn, "explorer_error")
-                        .field("reason", msg.clone()),
-                );
             }
             response
         };

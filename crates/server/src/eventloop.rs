@@ -1137,7 +1137,7 @@ impl Session {
     /// upsert.
     fn panic_close(&mut self) {
         telemetry::add("server.session_panics", 1);
-        telemetry::trace::fault_dump("session panic");
+        telemetry::trace::fault_dump();
         self.record_on_close = false;
         self.stream.shutdown();
         self.dead = true;
@@ -1172,11 +1172,6 @@ impl Session {
 fn synthesize_timeout(ctx: &CallCtx) -> Response {
     let deadline = Duration::from_millis(u64::from(ctx.deadline_ms));
     telemetry::add("explorer.timeouts", 1);
-    telemetry::emit(
-        telemetry::Event::new(telemetry::Severity::Warn, "explorer_timeout")
-            .field("where", "eventloop")
-            .field("deadline_ns", deadline.as_nanos() as u64),
-    );
     let trace_tag = ctx
         .trace_id
         .map(|t| format!(" [trace {t:016x}]"))

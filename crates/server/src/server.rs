@@ -176,10 +176,6 @@ pub(crate) fn authenticate(
         return Ok(true);
     }
     telemetry::add("server.auth_failures", 1);
-    telemetry::emit(
-        telemetry::Event::new(telemetry::Severity::Warn, "auth_failed")
-            .field("presented", u64::from(token.is_some())),
-    );
     let reason = if token.is_some() {
         "session token mismatch".to_string()
     } else {
@@ -505,14 +501,6 @@ impl Drop for PanicArtifact {
         }
         telemetry::add("server.request_panics", 1);
         let elapsed = self.started.elapsed();
-        let mut event = telemetry::Event::new(telemetry::Severity::Warn, "session_panic")
-            .field("kind", self.kind)
-            .field("session", self.session)
-            .field("tenant", self.tenant.clone());
-        if let Some(trace_id) = self.trace_id {
-            event = event.field("trace", format!("{trace_id:016x}"));
-        }
-        telemetry::emit(event);
         telemetry::requests::record(telemetry::RequestRecord {
             seq: 0,
             trace_id: self.trace_id,
@@ -525,7 +513,7 @@ impl Drop for PanicArtifact {
             slow: false,
             usage: self.meter.snapshot(),
         });
-        telemetry::trace::fault_dump("session panic");
+        telemetry::trace::fault_dump();
     }
 }
 

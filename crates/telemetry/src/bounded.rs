@@ -1,7 +1,6 @@
 //! [`BoundedLog`]: the one retention policy behind every process-wide
 //! record ring — the db slow-query log, the metrics history, the
-//! [`crate::RingBufferSink`] event buffer, the request and slow-request
-//! rings, and the regression log.
+//! request and slow-request rings, and the regression log.
 
 /// Keeps the most recent `capacity` entries, evicting the oldest first,
 /// and numbers entries in push order. Numbers are never reused: they
@@ -62,13 +61,6 @@ impl<T> BoundedLog<T> {
         self.entries.clear();
         self.head = 0;
     }
-
-    /// Remove and return every retained entry, oldest first.
-    pub(crate) fn drain(&mut self) -> Vec<T> {
-        self.entries.rotate_left(self.head);
-        self.head = 0;
-        std::mem::take(&mut self.entries)
-    }
 }
 
 impl<T: Clone> BoundedLog<T> {
@@ -99,21 +91,22 @@ mod tests {
             let want: Vec<u64> = (i.saturating_sub(2)..=i).collect();
             assert_eq!(log.to_vec(), want);
         }
-        assert_eq!(log.drain(), vec![8, 9, 10]);
+        log.clear();
         log.push(|_| 11);
         assert_eq!(log.to_vec(), vec![11]);
     }
 
     #[test]
-    fn numbers_survive_clear_and_drain() {
+    fn numbers_survive_clear() {
         let mut log = BoundedLog::new(4);
         log.push(|seq| seq);
         log.push(|seq| seq);
         log.clear();
         assert_eq!(log.len(), 0);
         assert_eq!(log.push(|seq| seq), 2);
-        assert_eq!(log.drain(), vec![2]);
+        log.clear();
         assert_eq!(log.push(|seq| seq), 3);
+        assert_eq!(log.to_vec(), vec![3]);
     }
 
     #[test]

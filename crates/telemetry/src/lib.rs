@@ -1,27 +1,26 @@
 //! Self-observability for PerfDMF — the performance data framework
 //! measuring itself.
 //!
-//! Three primitives, all behind one global on/off switch:
+//! Two primitives, both behind one global on/off switch:
 //!
 //! * **Spans** ([`span`]) — RAII scoped timers on a monotonic clock.
 //!   Each span records its elapsed nanoseconds into a latency
-//!   [`Histogram`] named after the span, and nests via a thread-local
-//!   stack so events can capture where they happened
-//!   ([`span::current_path`]).
+//!   [`Histogram`] named after the span.
 //! * **Counters and histograms** ([`counter`], [`histogram`]) — named
 //!   atomics in a sharded global registry; histograms bucket by
 //!   power of two (65 buckets cover the full `u64` range).
-//! * **Structured events** ([`event::emit`]) — key/value records (e.g.
-//!   the slow-query log) fanned out to installed [`event::EventSink`]s
-//!   such as the bundled ring buffer with text/JSON export.
 //!
-//! A fourth layer, [`trace`], turns the same spans into causal traces:
+//! A third layer, [`trace`], turns the same spans into causal traces:
 //! trace/span ids with parent links, cross-thread context propagation,
 //! a lock-free flight recorder, and Chrome-trace export. It has its own
 //! switch ([`set_tracing`], default off) so its cost can be priced
-//! separately; events stamp the active trace id automatically.
+//! separately; record logs stamp the active trace id
+//! ([`trace::current_trace_id`]).
 //!
-//! Four retention layers make the instruments queryable after the
+//! A notable occurrence (a slow request, a flagged regression, a
+//! panicked request) is recorded once: as a counter, plus a typed record
+//! in one of the retention layers below where one exists. Four
+//! retention layers make the instruments queryable after the
 //! fact: [`metrics`] keeps a bounded time series of registry snapshots
 //! (the background sampler behind the `perfdmf_metrics_history` system
 //! table), [`regressions`] keeps the bounded log of flagged
@@ -42,7 +41,6 @@
 //! queried, and analyzed with the very machinery it instruments.
 
 mod bounded;
-pub mod event;
 pub mod meter;
 pub mod metrics;
 pub mod registry;
@@ -57,7 +55,6 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
 pub use bounded::BoundedLog;
-pub use event::{emit, install_sink, Event, EventSink, FieldValue, RingBufferSink, Severity};
 pub use meter::{adopt_meter, current_meter, MeterGuard, RequestMeter, ResourceUsage};
 pub use metrics::{sample_now, start_sampler, MetricsRecorder, MetricsSample, SamplerHandle};
 pub use perfdmf_profile::Moments;
@@ -117,12 +114,11 @@ pub fn record_duration(name: &str, elapsed: Duration) {
     record(name, elapsed.as_nanos().min(u64::MAX as u128) as u64);
 }
 
-/// Clear all counters, histograms, and installed sinks. Intended for
-/// tests and between self-profiling runs; instruments running
-/// concurrently will re-create their metrics on next use.
+/// Clear all counters and histograms. Intended for tests and between
+/// self-profiling runs; instruments running concurrently will re-create
+/// their metrics on next use.
 pub fn reset() {
     registry::global().reset();
-    event::clear_sinks();
 }
 
 /// Serializes tests that toggle the global enabled flag against tests

@@ -7,8 +7,8 @@
 //! * [`sample_now`] takes one snapshot immediately (deterministic; used by
 //!   tests and by callers that sample at their own cadence).
 //! * [`start_sampler`] spawns a background thread that samples on a fixed
-//!   interval until the returned [`SamplerHandle`] is dropped. The default
-//!   interval comes from `PERFDMF_METRICS_INTERVAL_MS` (250ms).
+//!   interval until the returned [`SamplerHandle`] is dropped;
+//!   [`DEFAULT_INTERVAL`] (250ms) is the usual cadence.
 //!
 //! The ring is a [`BoundedLog`] of the most recent [`METRICS_CAPACITY`]
 //! samples; older samples fall off the front. Each sample is a full
@@ -31,8 +31,8 @@ use crate::BoundedLog;
 /// Samples retained by the process-wide recorder.
 pub const METRICS_CAPACITY: usize = 512;
 
-/// Default sampling interval when `PERFDMF_METRICS_INTERVAL_MS` is unset.
-const DEFAULT_INTERVAL_MS: u64 = 250;
+/// The usual sampler interval.
+pub const DEFAULT_INTERVAL: Duration = Duration::from_millis(250);
 
 /// One snapshot in the time series.
 #[derive(Debug, Clone)]
@@ -110,17 +110,6 @@ pub fn recorder() -> &'static MetricsRecorder {
 /// Sample the global recorder once, immediately.
 pub fn sample_now() -> u64 {
     recorder().sample_now()
-}
-
-/// Configured sampler interval: `PERFDMF_METRICS_INTERVAL_MS` or 250ms.
-pub fn default_interval() -> Duration {
-    Duration::from_millis(
-        std::env::var("PERFDMF_METRICS_INTERVAL_MS")
-            .ok()
-            .and_then(|v| v.trim().parse::<u64>().ok())
-            .unwrap_or(DEFAULT_INTERVAL_MS)
-            .max(1),
-    )
 }
 
 /// Owner handle of a background sampler thread. Dropping it stops the

@@ -4,10 +4,8 @@
 //! comparison) and in callers like the explorer's watchdog hook; this
 //! module only *retains* what they flag, in a [`BoundedLog`], so the
 //! findings are observable after the fact — `perfdmf-db` exposes the
-//! ring as the `perfdmf_regressions` virtual system table.
-//!
-//! Reporters should also emit a structured [`crate::Event`] so sinks see
-//! the finding in real time; the ring is the queryable archive half.
+//! ring as the `perfdmf_regressions` virtual system table. Reporters
+//! count each finding in `analysis.regressions_flagged`.
 
 use parking_lot::Mutex;
 

@@ -10,10 +10,10 @@
 //! the db layer cannot depend on the server crate without a cycle).
 //!
 //! Requests at or over the configurable threshold
-//! ([`set_slow_request_threshold`], default 100ms) additionally emit a
-//! `slow_request` structured event, bump the `server.slow_requests`
-//! counter, and are retained in their own ring ([`slow_request_log`])
-//! so a burst of fast traffic cannot evict the evidence of a slow one.
+//! ([`set_slow_request_threshold`], default 100ms) additionally bump
+//! the `server.slow_requests` counter and are retained in their own
+//! ring ([`slow_request_log`]) so a burst of fast traffic cannot evict
+//! the evidence of a slow one.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -121,7 +121,7 @@ pub fn set_slow_request_threshold(threshold: Duration) {
 
 /// Record one completed request: assigns its sequence number, computes
 /// the `slow` flag, folds it into the per-kind summary, and — when slow
-/// — emits the `slow_request` event and retains it in the slow ring.
+/// — counts it in `server.slow_requests` and retains it in the slow ring.
 /// No-op while telemetry is disabled.
 pub fn record(mut record: RequestRecord) {
     if !crate::enabled() {
@@ -151,20 +151,6 @@ pub fn record(mut record: RequestRecord) {
     }
     if record.slow {
         crate::add("server.slow_requests", 1);
-        let mut event = crate::event::Event::new(crate::event::Severity::Warn, "slow_request")
-            .field("kind", record.kind)
-            .field("status", record.status)
-            .field("tenant", record.tenant.clone())
-            .field("session", record.session)
-            .field("elapsed_ns", record.elapsed_ns)
-            .field("rows_scanned", record.usage.rows_scanned)
-            .field("queue_wait_ns", record.usage.queue_wait_ns)
-            .field("execute_ns", record.usage.execute_ns)
-            .field("wal_bytes", record.usage.wal_bytes);
-        if let Some(trace) = record.trace_id {
-            event = event.field("trace", format!("{trace:016x}"));
-        }
-        crate::event::emit(event);
     }
 }
 

@@ -42,20 +42,21 @@ impl HistogramSnapshot {
     }
 
     /// Approximate quantile (`q` in `[0, 1]`): the upper bound of the
-    /// bucket where the cumulative count crosses `q * count`.
+    /// bucket where the cumulative count crosses `q * count`, clamped
+    /// to the observed `[min, max]` so it never leaves the sample range.
     pub fn quantile(&self, q: f64) -> Option<u64> {
         if self.count == 0 {
             return None;
         }
         let rank = (q.clamp(0.0, 1.0) * self.count as f64).ceil().max(1.0) as u64;
         let mut seen = 0;
-        for (i, n) in self.buckets.iter().enumerate() {
+        let bound = self.buckets.iter().position(|n| {
             seen += n;
-            if seen >= rank {
-                return Some(registry::bucket_upper_bound(i));
-            }
-        }
-        self.max
+            seen >= rank
+        });
+        let value = bound.map(registry::bucket_upper_bound).or(self.max)?;
+        let (lo, hi) = (self.min.unwrap_or(0), self.max.unwrap_or(u64::MAX));
+        Some(value.min(hi).max(lo))
     }
 }
 
@@ -207,11 +208,45 @@ mod tests {
             max: Some(1500),
             buckets,
         };
-        // Every quantile of a single sample lands in its bucket.
+        // Every quantile of a single sample is that sample, not the
+        // upper bound of its bucket.
         for q in [0.0, 0.5, 0.95, 0.99, 1.0] {
-            assert_eq!(h.quantile(q), Some(registry::bucket_upper_bound(11)));
+            assert_eq!(h.quantile(q), Some(1500));
         }
         assert_eq!(h.mean(), Some(1500.0));
+    }
+
+    #[test]
+    fn quantile_stays_within_observed_range() {
+        // Random fills of 1..40 samples spread over all 64 bit widths.
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        for _ in 0..500 {
+            let n = 1 + next() % 40;
+            let samples: Vec<u64> = (0..n).map(|_| next() >> (next() % 64)).collect();
+            let mut buckets = [0u64; BUCKETS];
+            for &v in &samples {
+                buckets[registry::bucket_index(v)] += 1;
+            }
+            let (min, max) = (samples.iter().min().copied(), samples.iter().max().copied());
+            let h = HistogramSnapshot {
+                name: "fill".into(),
+                count: n,
+                sum: 0,
+                min,
+                max,
+                buckets,
+            };
+            for q in [0.0, 0.01, 0.25, 0.5, 0.9, 0.99, 1.0] {
+                let v = h.quantile(q);
+                assert!(min <= v && v <= max, "q={q}: {v:?} not in {min:?}..{max:?}");
+            }
+        }
     }
 
     #[test]

@@ -1,17 +1,11 @@
-//! Scoped timers with nesting.
+//! Scoped timers.
 //!
 //! [`span`] starts a timer on the monotonic clock and returns a guard;
 //! when the guard drops, the elapsed nanoseconds land in the histogram
-//! named after the span. Active span names sit on a thread-local stack
-//! so code deeper in the call tree (event emitters, error paths) can ask
-//! "where am I?" via [`current_path`].
+//! named after the span. Nesting lives in [`crate::trace`]'s frame
+//! stack, which links each span to its parent while tracing is on.
 
-use std::cell::RefCell;
 use std::time::Instant;
-
-thread_local! {
-    static SPAN_STACK: RefCell<Vec<&'static str>> = const { RefCell::new(Vec::new()) };
-}
 
 /// RAII guard for one span; records on drop.
 pub struct SpanGuard {
@@ -21,9 +15,8 @@ pub struct SpanGuard {
     trace_span: u64,
 }
 
-/// Open a span named `name`. While the returned guard lives, the name is
-/// on this thread's span stack; on drop the elapsed time is recorded
-/// into histogram `name` (in nanoseconds). With causal tracing on
+/// Open a span named `name`. On drop the elapsed time is recorded into
+/// histogram `name` (in nanoseconds). With causal tracing on
 /// ([`crate::trace::set_tracing`]), the span also gets a trace/span id
 /// linked to its parent and lands in the flight recorder on drop.
 /// Disabled telemetry makes this a single atomic load.
@@ -35,7 +28,6 @@ pub fn span(name: &'static str) -> SpanGuard {
             trace_span: 0,
         };
     }
-    SPAN_STACK.with(|stack| stack.borrow_mut().push(name));
     let trace_span = crate::trace::enter_span(name);
     SpanGuard {
         armed: Some((name, Instant::now())),
@@ -57,58 +49,28 @@ impl Drop for SpanGuard {
     fn drop(&mut self) {
         if let Some((name, start)) = self.armed.take() {
             let nanos = start.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-            SPAN_STACK.with(|stack| {
-                let mut stack = stack.borrow_mut();
-                // Pop our own frame. Guards are usually dropped in LIFO
-                // order; if a caller held one across scopes, remove the
-                // matching name instead of corrupting the stack.
-                match stack.last() {
-                    Some(&top) if std::ptr::eq(top, name) => {
-                        stack.pop();
-                    }
-                    _ => {
-                        if let Some(pos) = stack.iter().rposition(|&n| std::ptr::eq(n, name)) {
-                            stack.remove(pos);
-                        }
-                    }
-                }
-            });
             crate::trace::exit_span(self.trace_span);
             crate::histogram(name).record(nanos);
         }
     }
 }
 
-/// Slash-joined names of the spans currently open on this thread, e.g.
-/// `"session.store_profile/db.execute"`. Empty when no span is open.
-pub fn current_path() -> String {
-    SPAN_STACK.with(|stack| stack.borrow().join("/"))
-}
-
-/// Depth of the current span stack on this thread.
-pub fn depth() -> usize {
-    SPAN_STACK.with(|stack| stack.borrow().len())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::trace::{current_context, open_spans, set_tracing};
 
     #[test]
     fn spans_nest_and_record() {
         let _on = crate::enabled_flag_lock().read();
-        assert_eq!(depth(), 0);
         {
             let _outer = span("span.test.outer");
-            assert_eq!(current_path(), "span.test.outer");
             {
                 let _inner = span("span.test.inner");
-                assert_eq!(current_path(), "span.test.outer/span.test.inner");
                 std::thread::sleep(std::time::Duration::from_millis(1));
             }
-            assert_eq!(current_path(), "span.test.outer");
+            assert_eq!(crate::histogram("span.test.outer").count(), 0);
         }
-        assert_eq!(depth(), 0);
         let h = crate::histogram("span.test.inner");
         assert_eq!(h.count(), 1);
         assert!(h.sum() >= 1_000_000, "slept 1ms, recorded {}ns", h.sum());
@@ -117,13 +79,19 @@ mod tests {
 
     #[test]
     fn out_of_order_drop_keeps_stack_sane() {
-        let _on = crate::enabled_flag_lock().read();
+        let _g = crate::enabled_flag_lock().write();
+        crate::set_enabled(true);
+        set_tracing(true);
         let outer = span("span.order.outer");
         let inner = span("span.order.inner");
+        let inner_ctx = current_context().unwrap();
         drop(outer);
-        assert_eq!(current_path(), "span.order.inner");
+        let after_outer = current_context();
         drop(inner);
-        assert_eq!(depth(), 0);
+        let left_open = open_spans();
+        set_tracing(false);
+        assert_eq!(after_outer, Some(inner_ctx));
+        assert!(left_open.is_empty(), "{left_open:?}");
     }
 
     #[test]

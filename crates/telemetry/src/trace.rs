@@ -33,9 +33,8 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Once, OnceLock};
 use std::time::Instant;
 
-/// Default flight-recorder capacity (spans); override with the
-/// `PERFDMF_TRACE_CAPACITY` environment variable.
-pub const DEFAULT_RECORDER_CAPACITY: usize = 16 * 1024;
+/// Capacity of the process-global flight recorder, in spans.
+pub const RECORDER_CAPACITY: usize = 16 * 1024;
 
 /// Identifies one causal trace (a request and everything it triggered).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -464,18 +463,10 @@ impl FlightRecorder {
     }
 }
 
-/// The process-global flight recorder; capacity comes from
-/// `PERFDMF_TRACE_CAPACITY` (default [`DEFAULT_RECORDER_CAPACITY`]).
+/// The process-global flight recorder ([`RECORDER_CAPACITY`] spans).
 pub fn recorder() -> &'static FlightRecorder {
     static RECORDER: OnceLock<FlightRecorder> = OnceLock::new();
-    RECORDER.get_or_init(|| {
-        let cap = std::env::var("PERFDMF_TRACE_CAPACITY")
-            .ok()
-            .and_then(|s| s.trim().parse::<usize>().ok())
-            .filter(|&n| n >= 16)
-            .unwrap_or(DEFAULT_RECORDER_CAPACITY);
-        FlightRecorder::with_capacity(cap)
-    })
+    RECORDER.get_or_init(|| FlightRecorder::with_capacity(RECORDER_CAPACITY))
 }
 
 /// Records for the calling thread's currently-open spans (marked
@@ -514,9 +505,10 @@ pub fn set_fault_dump_path(path: Option<PathBuf>) {
 
 /// Dump the flight recorder (plus this thread's open spans) as
 /// Chrome-trace JSON to the configured fault-dump path. Called by the db
-/// layer when a durability fault counter fires; a no-op returning `None`
-/// when tracing is off or no path is configured.
-pub fn fault_dump(reason: &str) -> Option<PathBuf> {
+/// layer when a durability fault counter fires (the counter names the
+/// fault); a no-op returning `None` when tracing is off or no path is
+/// configured.
+pub fn fault_dump() -> Option<PathBuf> {
     if !tracing_enabled() {
         return None;
     }
@@ -528,23 +520,17 @@ pub fn fault_dump(reason: &str) -> Option<PathBuf> {
         return None;
     }
     crate::add("trace.fault_dumps", 1);
-    crate::event::emit(
-        crate::event::Event::new(crate::event::Severity::Warn, "trace_fault_dump")
-            .field("reason", reason)
-            .field("path", path.display().to_string())
-            .field("spans", records.len() as u64),
-    );
     Some(path)
 }
 
 /// Install a process panic hook (once; chains any existing hook) that
-/// writes a fault dump with reason `"panic"` before unwinding continues.
+/// writes a fault dump before unwinding continues.
 pub fn install_panic_dump() {
     static HOOK: Once = Once::new();
     HOOK.call_once(|| {
         let prev = std::panic::take_hook();
         std::panic::set_hook(Box::new(move |info| {
-            let _ = fault_dump("panic");
+            let _ = fault_dump();
             prev(info);
         }));
     });
@@ -594,7 +580,7 @@ pub fn export_chrome_trace_merged(processes: &[TraceProcess<'_>]) -> String {
             "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{},\"tid\":0,\
              \"args\":{{\"name\":\"{}\"}}}}",
             proc.pid,
-            crate::event::json_escape(proc.name)
+            json_escape(proc.name)
         ));
     }
     for proc in processes {
@@ -605,7 +591,7 @@ pub fn export_chrome_trace_merged(processes: &[TraceProcess<'_>]) -> String {
                 "{{\"name\":\"{}\",\"cat\":\"perfdmf\",\"ph\":\"X\",\"ts\":{ts:.3},\"dur\":{dur:.3},\
                  \"pid\":{},\"tid\":{},\"args\":{{\"trace\":\"{:016x}\",\"span\":\"{:016x}\",\
                  \"parent\":\"{:016x}\",\"open\":{}}}}}",
-                crate::event::json_escape(r.name),
+                json_escape(r.name),
                 proc.pid,
                 r.thread,
                 r.trace,
@@ -638,6 +624,22 @@ pub fn export_chrome_trace_merged(processes: &[TraceProcess<'_>]) -> String {
         "{{\"traceEvents\":[{}],\"displayTimeUnit\":\"ms\"}}",
         events.join(",")
     )
+}
+
+fn json_escape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out
 }
 
 #[cfg(test)]
@@ -774,6 +776,14 @@ mod tests {
             },
         ];
         assert!(!export_chrome_trace(&same_thread).contains("\"ph\":\"s\""));
+    }
+
+    #[test]
+    fn json_escapes_quotes_newlines_and_controls() {
+        assert_eq!(
+            json_escape("SELECT \"a\",\n\t'b\\c'\u{1} FROM t\r"),
+            "SELECT \\\"a\\\",\\n\\t'b\\\\c'\\u0001 FROM t\\r"
+        );
     }
 
     #[test]

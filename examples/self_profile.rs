@@ -2,9 +2,9 @@
 //!
 //! 1. Run a normal workload — import a synthetic TAU trial, store it,
 //!    query SQL aggregates — with telemetry collecting and an
-//!    aggressive slow-query threshold feeding the event log.
+//!    aggressive slow-query threshold feeding the slow-query log.
 //! 2. Print the live instruments (latency quantiles, row counters) and
-//!    the captured slow-query events.
+//!    the slowest statements, read from `perfdmf_slow_queries` by SQL.
 //! 3. Export the registry as a PerfDMF profile, store it as a trial in
 //!    the same database, and read it back through the `DataSession`
 //!    API — the framework's own behavior browsed with the framework.
@@ -15,15 +15,12 @@ use perfdmf::core::DatabaseSession;
 use perfdmf::db::Connection;
 use perfdmf::import::load_path;
 use perfdmf::profile::ThreadId;
-use perfdmf::telemetry::{self, RingBufferSink};
+use perfdmf::telemetry;
 use perfdmf::workload::{write_tau_directory, Evh1Model};
-use std::sync::Arc;
 use std::time::Duration;
 
 fn main() {
     // --- 1. instrument an ordinary run ---
-    let sink = Arc::new(RingBufferSink::new(256));
-    telemetry::install_sink(sink.clone());
     // Log any statement slower than 100µs (the default is 50ms).
     perfdmf::db::set_slow_query_threshold(Duration::from_micros(100));
 
@@ -34,7 +31,7 @@ fn main() {
 
     let profile = load_path(&dir).expect("import");
     let conn = Connection::open_in_memory();
-    let mut session = DatabaseSession::new(conn).expect("schema");
+    let mut session = DatabaseSession::new(conn.clone()).expect("schema");
     let trial = session
         .store_profile("evh1", "instrumented-run", &profile)
         .expect("store");
@@ -79,13 +76,16 @@ fn main() {
             );
         }
     }
-    let slow = sink.events();
-    println!("\nslow-query log captured {} events; slowest:", slow.len());
-    if let Some(e) = slow.iter().max_by_key(|e| match e.get("elapsed_ns") {
-        Some(&telemetry::FieldValue::U64(ns)) => ns,
-        _ => 0,
-    }) {
-        println!("  {}", e.to_text());
+    let slowest = conn
+        .query(
+            "SELECT elapsed_ns, rows_scanned, sql FROM perfdmf_slow_queries \
+             ORDER BY elapsed_ns DESC LIMIT 3",
+            &[],
+        )
+        .expect("query the slow-query log");
+    println!("\nslowest statements in perfdmf_slow_queries:");
+    for row in &slowest.rows {
+        println!("  {:>10}ns {:>6} rows scanned  {}", row[0], row[1], row[2]);
     }
 
     // --- 3. close the loop: the telemetry becomes a trial ---

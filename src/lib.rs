@@ -25,8 +25,8 @@
 //!   paper's LLNL workloads (EVH1, sPPM, Miranda).
 //! * [`xml`] — the XML substrate.
 //! * [`telemetry`] — the framework's own instrumentation layer (spans,
-//!   counters, histograms, structured events, self-profiling export);
-//!   see `docs/observability.md`.
+//!   counters, histograms, causal tracing, bounded record logs,
+//!   self-profiling export); see `docs/observability.md`.
 
 pub use perfdmf_analysis as analysis;
 pub use perfdmf_core as core;
