@@ -207,20 +207,7 @@ impl Connection {
             }
             Statement::Explain { statement, analyze } => {
                 if let Statement::Select(sel) = statement.as_ref() {
-                    let db = self.db.read();
-                    let lines = if *analyze {
-                        crate::exec::select::explain_analyze_select(&db, sel, params)?
-                    } else {
-                        crate::exec::select::explain_select(&db, sel, params)?
-                    };
-                    return Ok(Outcome::Rows(crate::exec::ResultSet {
-                        columns: vec!["plan".to_string()],
-                        rows: lines
-                            .into_iter()
-                            .map(|l| vec![Value::Text(l.into())])
-                            .collect(),
-                        ..Default::default()
-                    }));
+                    return crate::exec::explain_select(&self.db.read(), sel, params, *analyze);
                 }
                 // EXPLAIN ANALYZE of DML executes the statement, so it
                 // takes the write lock like any other mutation.

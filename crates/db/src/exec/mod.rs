@@ -8,7 +8,7 @@ pub mod vector;
 use crate::database::Database;
 use crate::error::{DbError, Result};
 use crate::schema::TableSchema;
-use crate::sql::ast::{Expr, Statement};
+use crate::sql::ast::{Expr, Select, Statement};
 use crate::table::{Row, RowId, Table};
 use crate::value::Value;
 use eval::{Env, Layout};
@@ -136,13 +136,39 @@ pub fn execute(db: &mut Database, stmt: &Statement, params: &[Value]) -> Result<
     }
 }
 
+/// `EXPLAIN [ANALYZE]` of a SELECT. It only reads, so callers may hold
+/// the read lock.
+pub(crate) fn explain_select(
+    db: &Database,
+    sel: &Select,
+    params: &[Value],
+    analyze: bool,
+) -> Result<Outcome> {
+    Ok(plan_rows(if analyze {
+        select::explain_analyze_select(db, sel, params)?
+    } else {
+        select::explain_select(db, sel, params)?
+    }))
+}
+
+/// Plan lines as the one-column `plan` result of an EXPLAIN.
+fn plan_rows(lines: Vec<String>) -> Outcome {
+    Outcome::Rows(ResultSet {
+        columns: vec!["plan".to_string()],
+        rows: lines
+            .into_iter()
+            .map(|l| vec![Value::Text(l.into())])
+            .collect(),
+        ..ResultSet::default()
+    })
+}
+
 fn execute_inner(db: &mut Database, stmt: &Statement, params: &[Value]) -> Result<Outcome> {
     match stmt {
         Statement::Explain { statement, analyze } => {
-            let lines = match (statement.as_ref(), *analyze) {
-                (Statement::Select(sel), false) => select::explain_select(db, sel, params)?,
-                (Statement::Select(sel), true) => select::explain_analyze_select(db, sel, params)?,
-                (other, false) => vec![describe_statement(other)],
+            let line = match (statement.as_ref(), *analyze) {
+                (Statement::Select(sel), _) => return explain_select(db, sel, params, *analyze),
+                (other, false) => describe_statement(other),
                 (other, true) => {
                     // EXPLAIN ANALYZE of DML/DDL executes the statement for
                     // real (PostgreSQL semantics) and annotates the plan
@@ -155,20 +181,13 @@ fn execute_inner(db: &mut Database, stmt: &Statement, params: &[Value]) -> Resul
                         Outcome::Affected { count, .. } => count,
                         _ => 0,
                     };
-                    vec![format!(
+                    format!(
                         "{} [actual rows_affected={affected}, {elapsed_ms:.3}ms]",
                         describe_statement(other)
-                    )]
+                    )
                 }
             };
-            Ok(Outcome::Rows(ResultSet {
-                columns: vec!["plan".to_string()],
-                rows: lines
-                    .into_iter()
-                    .map(|l| vec![Value::Text(l.into())])
-                    .collect(),
-                ..ResultSet::default()
-            }))
+            Ok(plan_rows(vec![line]))
         }
         Statement::Select(sel) => Ok(Outcome::Rows(select::execute_select(db, sel, params)?)),
         Statement::Insert(ins) => {

@@ -17,13 +17,15 @@ use crate::database::Database;
 use crate::error::{DbError, Result};
 use crate::introspect;
 use crate::plan;
-use crate::plan::ir::{base_scan, Access, LogicalPlan, PlannedSelect, ScanNode};
+use crate::plan::ir::{Access, LogicalPlan, PlannedSelect, ScanNode};
 use crate::sql::ast::*;
 use crate::table::{Row, RowId, Table};
 use crate::value::Value;
 use perfdmf_pool as pool;
 use perfdmf_telemetry as telemetry;
+use std::cmp::Ordering;
 use std::collections::HashMap;
+use std::convert::Infallible;
 use std::ops::Bound;
 use std::ops::Range;
 use std::time::Instant;
@@ -89,6 +91,8 @@ pub(crate) struct ExecProfile {
     sort_ns: u64,
     /// (rows in, rows out) of the DISTINCT pass.
     distinct: Option<(u64, u64)>,
+    /// Rows the statement returned.
+    returned: u64,
 }
 
 fn stage_ns(t0: Option<Instant>) -> u64 {
@@ -100,154 +104,71 @@ fn fmt_ns(ns: u64) -> String {
     format!("{:.3}ms", ns as f64 / 1e6)
 }
 
-fn partitions_label(n: usize) -> String {
-    if n == 0 {
-        "serial".to_string()
-    } else {
-        n.to_string()
-    }
+/// The `actual ..., partitions=..., ...ms` note of a measured operator.
+fn measured(what: String, partitions: usize, ns: u64) -> String {
+    let partitions = match partitions {
+        0 => "serial".to_string(),
+        n => n.to_string(),
+    };
+    format!("actual {what}, partitions={partitions}, {}", fmt_ns(ns))
 }
 
 /// Replace uncorrelated subqueries (`IN (SELECT ...)`, scalar
 /// `(SELECT ...)`) in an expression by executing them once up front.
 pub(crate) fn resolve_subqueries(db: &Database, expr: &Expr, params: &[Value]) -> Result<Expr> {
-    let rec = |e: &Expr| resolve_subqueries(db, e, params);
     Ok(match expr {
         Expr::InSubquery {
             operand,
             select,
             negated,
         } => {
-            let rs = execute_select(db, select, params)?;
-            if rs.columns.len() != 1 {
-                return Err(DbError::Eval(format!(
-                    "IN subquery must return one column, got {}",
-                    rs.columns.len()
-                )));
-            }
+            let values = subquery_column(db, select, params, "IN")?;
             Expr::InList {
-                operand: Box::new(rec(operand)?),
-                list: rs
-                    .rows
-                    .into_iter()
-                    .map(|mut r| Expr::Literal(r.remove(0)))
-                    .collect(),
+                operand: Box::new(resolve_subqueries(db, operand, params)?),
+                list: values.into_iter().map(Expr::Literal).collect(),
                 negated: *negated,
             }
         }
         Expr::ScalarSubquery(select) => {
-            let rs = execute_select(db, select, params)?;
-            if rs.columns.len() != 1 {
-                return Err(DbError::Eval(format!(
-                    "scalar subquery must return one column, got {}",
-                    rs.columns.len()
-                )));
-            }
-            if rs.rows.len() > 1 {
+            let mut values = subquery_column(db, select, params, "scalar")?;
+            if values.len() > 1 {
                 return Err(DbError::Eval(format!(
                     "scalar subquery returned {} rows",
-                    rs.rows.len()
+                    values.len()
                 )));
             }
-            Expr::Literal(
-                rs.rows
-                    .into_iter()
-                    .next()
-                    .map(|mut r| r.remove(0))
-                    .unwrap_or(Value::Null),
-            )
+            Expr::Literal(values.pop().unwrap_or(Value::Null))
         }
         Expr::Exists { select, negated } => {
             let rs = execute_select(db, select, params)?;
             Expr::Literal(Value::Bool(rs.rows.is_empty() == *negated))
         }
-        Expr::Unary { op, operand } => Expr::Unary {
-            op: *op,
-            operand: Box::new(rec(operand)?),
-        },
-        Expr::Binary { op, left, right } => Expr::Binary {
-            op: *op,
-            left: Box::new(rec(left)?),
-            right: Box::new(rec(right)?),
-        },
-        Expr::IsNull { operand, negated } => Expr::IsNull {
-            operand: Box::new(rec(operand)?),
-            negated: *negated,
-        },
-        Expr::InList {
-            operand,
-            list,
-            negated,
-        } => Expr::InList {
-            operand: Box::new(rec(operand)?),
-            list: list.iter().map(rec).collect::<Result<_>>()?,
-            negated: *negated,
-        },
-        Expr::Between {
-            operand,
-            low,
-            high,
-            negated,
-        } => Expr::Between {
-            operand: Box::new(rec(operand)?),
-            low: Box::new(rec(low)?),
-            high: Box::new(rec(high)?),
-            negated: *negated,
-        },
-        Expr::Aggregate {
-            func,
-            arg,
-            distinct,
-        } => Expr::Aggregate {
-            func: *func,
-            arg: arg.as_ref().map(|a| rec(a).map(Box::new)).transpose()?,
-            distinct: *distinct,
-        },
-        Expr::Function { name, args } => Expr::Function {
-            name: name.clone(),
-            args: args.iter().map(rec).collect::<Result<_>>()?,
-        },
-        Expr::Case {
-            branches,
-            else_branch,
-        } => Expr::Case {
-            branches: branches
-                .iter()
-                .map(|(c, v)| Ok((rec(c)?, rec(v)?)))
-                .collect::<Result<_>>()?,
-            else_branch: else_branch
-                .as_ref()
-                .map(|e| rec(e).map(Box::new))
-                .transpose()?,
-        },
-        leaf => leaf.clone(),
+        other => other.try_map_children(|c| resolve_subqueries(db, c, params))?,
     })
 }
 
-fn expr_has_subquery(expr: &Expr) -> bool {
-    match expr {
-        Expr::InSubquery { .. } | Expr::ScalarSubquery(_) | Expr::Exists { .. } => true,
-        Expr::Unary { operand, .. } | Expr::IsNull { operand, .. } => expr_has_subquery(operand),
-        Expr::Binary { left, right, .. } => expr_has_subquery(left) || expr_has_subquery(right),
-        Expr::InList { operand, list, .. } => {
-            expr_has_subquery(operand) || list.iter().any(expr_has_subquery)
-        }
-        Expr::Between {
-            operand, low, high, ..
-        } => expr_has_subquery(operand) || expr_has_subquery(low) || expr_has_subquery(high),
-        Expr::Aggregate { arg, .. } => arg.as_ref().is_some_and(|a| expr_has_subquery(a)),
-        Expr::Function { args, .. } => args.iter().any(expr_has_subquery),
-        Expr::Case {
-            branches,
-            else_branch,
-        } => {
-            branches
-                .iter()
-                .any(|(c, v)| expr_has_subquery(c) || expr_has_subquery(v))
-                || else_branch.as_ref().is_some_and(|e| expr_has_subquery(e))
-        }
-        _ => false,
+/// Run an uncorrelated subquery that must yield one column; its values.
+fn subquery_column(
+    db: &Database,
+    sel: &Select,
+    params: &[Value],
+    kind: &str,
+) -> Result<Vec<Value>> {
+    let rs = execute_select(db, sel, params)?;
+    if rs.columns.len() != 1 {
+        return Err(DbError::Eval(format!(
+            "{kind} subquery must return one column, got {}",
+            rs.columns.len()
+        )));
     }
+    Ok(rs.rows.into_iter().map(|mut r| r.remove(0)).collect())
+}
+
+fn expr_has_subquery(expr: &Expr) -> bool {
+    matches!(
+        expr,
+        Expr::InSubquery { .. } | Expr::ScalarSubquery(_) | Expr::Exists { .. }
+    ) || expr.any_child(expr_has_subquery)
 }
 
 fn select_has_subqueries(sel: &Select) -> bool {
@@ -299,27 +220,7 @@ pub(crate) fn has_bare_column(expr: &Expr) -> bool {
     match expr {
         Expr::Column { .. } => true,
         Expr::Aggregate { .. } => false, // columns inside the arg are fine
-        Expr::Literal(_) | Expr::Param(_) => false,
-        Expr::Unary { operand, .. } | Expr::IsNull { operand, .. } => has_bare_column(operand),
-        Expr::Binary { left, right, .. } => has_bare_column(left) || has_bare_column(right),
-        Expr::InList { operand, list, .. } => {
-            has_bare_column(operand) || list.iter().any(has_bare_column)
-        }
-        Expr::Between {
-            operand, low, high, ..
-        } => has_bare_column(operand) || has_bare_column(low) || has_bare_column(high),
-        Expr::Function { args, .. } => args.iter().any(has_bare_column),
-        Expr::Case {
-            branches,
-            else_branch,
-        } => {
-            branches
-                .iter()
-                .any(|(c, v)| has_bare_column(c) || has_bare_column(v))
-                || else_branch.as_ref().is_some_and(|e| has_bare_column(e))
-        }
-        Expr::InSubquery { operand, .. } => has_bare_column(operand),
-        Expr::ScalarSubquery(_) | Expr::Exists { .. } => false,
+        _ => expr.any_child(has_bare_column),
     }
 }
 
@@ -327,31 +228,29 @@ pub(crate) fn has_bare_column(expr: &Expr) -> bool {
 
 /// Execute a SELECT.
 pub fn execute_select(db: &Database, sel: &Select, params: &[Value]) -> Result<ResultSet> {
-    execute_select_profiled(db, sel, params, None)
+    Ok(run_select(db, sel, params, None)?.1)
 }
 
-/// Execute a SELECT, optionally collecting per-operator measurements
-/// (the `EXPLAIN ANALYZE` path).
-fn execute_select_profiled(
-    db: &Database,
+/// Plan and execute a SELECT, optionally collecting per-operator
+/// measurements (the `EXPLAIN ANALYZE` path). Returns the plan that ran
+/// together with its result.
+fn run_select<'a>(
+    db: &'a Database,
     sel: &Select,
     params: &[Value],
     prof: Option<&mut ExecProfile>,
-) -> Result<ResultSet> {
+) -> Result<(PlannedSelect<'a>, ResultSet)> {
     let started = Instant::now();
-    // Uncorrelated subqueries run once, up front.
-    let had_subqueries = select_has_subqueries(sel);
-    let resolved;
-    let sel = if had_subqueries {
-        resolved = resolve_select(db, sel, params)?;
-        &resolved
+    // Uncorrelated subqueries run once, up front; the resolved statement
+    // is what gets planned.
+    let planned = if select_has_subqueries(sel) {
+        plan::plan_select(db, &resolve_select(db, sel, params)?, params, true)?
     } else {
-        sel
+        plan::plan_select(db, sel, params, false)?
     };
-    let planned = plan::plan_select(db, sel, params, had_subqueries)?;
     let mut out = run_planned(&planned, params, prof)?;
     out.elapsed = started.elapsed();
-    Ok(out)
+    Ok((planned, out))
 }
 
 /// The operator tail of a plan, decomposed for direct execution. The
@@ -445,8 +344,13 @@ fn run_planned(
 
     // Columnar fast path: fused scan + filter + aggregate over column
     // chunks. A `None` from the kernels (unsupported chunk data) falls
-    // through to row execution below.
-    if let Some(scan) = base_scan(tail.pipeline) {
+    // through to row execution below. Only a single-table `Filter?(Scan)`
+    // pipeline is ever planned columnar.
+    let single = match tail.pipeline {
+        LogicalPlan::Filter { input, .. } => &**input,
+        node => node,
+    };
+    if let LogicalPlan::Scan(scan) = single {
         if let Access::Columnar { plan: cplan, .. } = &scan.access {
             if let Some(mut out) =
                 exec_columnar(scan, cplan, tail.projections, params, prof.as_deref_mut())?
@@ -604,94 +508,63 @@ fn exec_scan(
         .map(|c| c.ids),
     };
 
-    // Early-exit scan (LIMIT pushdown): serial, stops after `take`
-    // matches, and reports rows *examined* as the scanned count.
-    if let Some(take) = scan.stop_after {
-        let mut kept: Vec<Row> = Vec::new();
-        let mut examined = 0u64;
-        if take > 0 {
-            match ids {
-                Some(ids) => {
-                    for id in ids {
-                        if let Some(row) = table.row(id) {
-                            examined += 1;
-                            if pushed_match(scan, &layout1, row, params)? {
-                                kept.push(masked_clone(row, &scan.mask));
-                                if kept.len() >= take {
-                                    break;
-                                }
-                            }
-                        }
-                    }
-                }
-                None => {
-                    for (_, row) in table.iter() {
-                        examined += 1;
-                        if pushed_match(scan, &layout1, row, params)? {
-                            kept.push(masked_clone(row, &scan.mask));
-                            if kept.len() >= take {
-                                break;
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        if let Some(p) = prof {
-            p.scan = Some((examined, 0, stage_ns(t0)));
-        }
-        return Ok((layout1, kept, examined));
-    }
-
+    // A full scan without early exit runs partition-parallel when the
+    // pool and row count justify it. The slab is chunked by row-id range;
+    // live rows concatenated in partition order match `Table::iter`'s
+    // ascending-id order, so the parallel scan returns rows in exactly
+    // the serial order.
+    let parallel = match (&ids, scan.stop_after) {
+        (None, None) => pool::partitions(table.slab_len()),
+        _ => None,
+    };
     let mut partitions = 0usize;
-    let rows: Vec<Row> = match ids {
-        Some(ids) => {
-            let mut out = Vec::with_capacity(ids.len());
-            for id in ids {
-                if let Some(row) = table.row(id) {
-                    if pushed_match(scan, &layout1, row, params)? {
-                        out.push(masked_clone(row, &scan.mask));
+    let mut examined = 0u64;
+    let rows: Vec<Row> = match parallel {
+        Some(ranges) => {
+            telemetry::add("db.exec.parallel_scans", 1);
+            partitions = ranges.len();
+            let layout1 = &layout1;
+            let chunks = pool::try_run(ranges.len(), |pi| {
+                let mut part = Vec::new();
+                for id in ranges[pi].clone() {
+                    if let Some(row) = table.row(id as RowId) {
+                        if pushed_match(scan, layout1, row, params)? {
+                            part.push(masked_clone(row, &scan.mask));
+                        }
                     }
                 }
-            }
-            out
+                Ok::<Vec<Row>, DbError>(part)
+            })?;
+            chunks.into_iter().flatten().collect()
         }
         None => {
-            // Full scan. The slab is chunked by row-id range; live rows
-            // concatenated in partition order match `Table::iter`'s
-            // ascending-id order, so the parallel scan returns rows in
-            // exactly the serial order.
-            match pool::partitions(table.slab_len()) {
-                Some(ranges) => {
-                    telemetry::add("db.exec.parallel_scans", 1);
-                    partitions = ranges.len();
-                    let layout1 = &layout1;
-                    let chunks = pool::try_run(ranges.len(), |pi| {
-                        let mut part = Vec::new();
-                        for id in ranges[pi].clone() {
-                            if let Some(row) = table.row(id as RowId) {
-                                if pushed_match(scan, layout1, row, params)? {
-                                    part.push(masked_clone(row, &scan.mask));
-                                }
-                            }
-                        }
-                        Ok::<Vec<Row>, DbError>(part)
-                    })?;
-                    chunks.into_iter().flatten().collect()
-                }
-                None => {
-                    let mut out = Vec::new();
-                    for (_, row) in table.iter() {
-                        if pushed_match(scan, &layout1, row, params)? {
-                            out.push(masked_clone(row, &scan.mask));
+            // Serial scan over the candidate rows. With LIMIT pushdown it
+            // stops after `take` matches.
+            let take = scan.stop_after.unwrap_or(usize::MAX);
+            let candidates: Box<dyn Iterator<Item = &Row>> = match &ids {
+                Some(ids) => Box::new(ids.iter().filter_map(|&id| table.row(id))),
+                None => Box::new(table.iter().map(|(_, row)| row)),
+            };
+            let mut kept = Vec::new();
+            if take > 0 {
+                for row in candidates {
+                    examined += 1;
+                    if pushed_match(scan, &layout1, row, params)? {
+                        kept.push(masked_clone(row, &scan.mask));
+                        if kept.len() >= take {
+                            break;
                         }
                     }
-                    out
                 }
             }
+            kept
         }
     };
-    let scanned = rows.len() as u64;
+    // An early-exit scan reports rows *examined* as its scanned count.
+    let scanned = match scan.stop_after {
+        Some(_) => examined,
+        None => rows.len() as u64,
+    };
     if let Some(p) = prof {
         p.scan = Some((scanned, partitions, stage_ns(t0)));
     }
@@ -755,9 +628,7 @@ fn exec_join(
         JoinKind::Inner | JoinKind::Left => {
             let on = on.ok_or_else(|| DbError::Unsupported("JOIN requires ON".into()))?;
             // Try hash join on a simple equi-condition.
-            if let Some((l_off, r_off)) =
-                equi_offsets(on, &left_layout, &right.binding, &right.columns)
-            {
+            if let Some((l_off, r_off)) = equi_offsets(on, &left_layout, right) {
                 let mut table: HashMap<Value, Vec<&Row>> = HashMap::new();
                 for r in &right_rows {
                     let key = &r[r_off];
@@ -935,15 +806,50 @@ fn exec_columnar(
 ///
 /// The description is rendered from the very plan tree the executor
 /// walks — same lowering, same rewrite rules, same access decisions —
-/// so it cannot drift from reality. Fired rewrite rules are appended as
+/// so it cannot drift from reality. Subqueries are not run, so this
+/// plans the unresolved statement. Fired rewrite rules are appended as
 /// `optimizer:` trail lines.
 pub fn explain_select(db: &Database, sel: &Select, params: &[Value]) -> Result<Vec<String>> {
-    let had_subqueries = select_has_subqueries(sel);
-    let planned = plan::plan_select(db, sel, params, had_subqueries)?;
-    Ok(render_plan(&planned))
+    let planned = plan::plan_select(db, sel, params, select_has_subqueries(sel))?;
+    Ok(render_plan(&planned, None))
 }
 
-fn render_plan(planned: &PlannedSelect<'_>) -> Vec<String> {
+/// `EXPLAIN ANALYZE` for a SELECT: execute it for real with per-operator
+/// instrumentation, then render the plan that ran (after subquery
+/// resolution) with each operator's actual rows, partitions used, and
+/// wall time. The closing `total:` line carries the executed query's
+/// `ResultSet` provenance verbatim (rows returned, rows scanned,
+/// elapsed), so the annotated plan cannot disagree with what a plain
+/// execution reports.
+pub fn explain_analyze_select(
+    db: &Database,
+    sel: &Select,
+    params: &[Value],
+) -> Result<Vec<String>> {
+    let mut prof = ExecProfile::default();
+    let (planned, rs) = run_select(db, sel, params, Some(&mut prof))?;
+    prof.returned = rs.rows.len() as u64;
+    let mut lines = render_plan(&planned, Some(&prof));
+    lines.push(format!(
+        "total: {} row(s) returned, {} row(s) scanned, {}",
+        rs.rows.len(),
+        rs.rows_scanned,
+        fmt_ns(rs.elapsed.as_nanos().min(u64::MAX as u128) as u64)
+    ));
+    Ok(lines)
+}
+
+/// Append ` [note]` to a plan line when there is a note.
+fn noted(mut line: String, note: Option<String>) -> String {
+    if let Some(note) = note {
+        line.push_str(&format!(" [{note}]"));
+    }
+    line
+}
+
+/// Render a plan, one line per operator. With a profile (`EXPLAIN
+/// ANALYZE`) each operator's line carries what it measured.
+fn render_plan(planned: &PlannedSelect<'_>, prof: Option<&ExecProfile>) -> Vec<String> {
     let tail = decompose(&planned.root);
     let mut lines = Vec::new();
     // Strip an optional Filter to reach the join chain / base scan.
@@ -951,10 +857,6 @@ fn render_plan(planned: &PlannedSelect<'_>) -> Vec<String> {
         LogicalPlan::Filter { input, .. } => (true, &**input),
         n => (false, n),
     };
-    if matches!(node, LogicalPlan::Empty) {
-        lines.push("result: constant row (no FROM)".to_string());
-        return lines;
-    }
     // Flatten the left-deep join chain, outermost last.
     let mut joins: Vec<(&ScanNode<'_>, JoinKind, Option<&Expr>)> = Vec::new();
     while let LogicalPlan::Join {
@@ -969,11 +871,11 @@ fn render_plan(planned: &PlannedSelect<'_>) -> Vec<String> {
     }
     joins.reverse();
     let LogicalPlan::Scan(base) = node else {
-        lines.push("result: constant row (no FROM)".to_string());
-        return lines;
+        let note = prof.map(|_| "actual rows=1".to_string());
+        return vec![noted("result: constant row (no FROM)".to_string(), note)];
     };
 
-    lines.push(scan_line(base));
+    lines.push(scan_line(base, prof));
     if !joins.is_empty() && !base.pushed.is_empty() {
         lines.push(format!(
             "  pushdown: {} base-only conjunct(s)",
@@ -984,7 +886,7 @@ fn render_plan(planned: &PlannedSelect<'_>) -> Vec<String> {
 
     let mut bindings: Vec<(String, Vec<String>)> =
         vec![(base.binding.clone(), base.columns.clone())];
-    for (right, kind, on) in &joins {
+    for (i, (right, kind, on)) in joins.iter().enumerate() {
         let left_layout = Layout::new(bindings.clone());
         let strategy = match kind {
             JoinKind::Cross => "cross join (cartesian)".to_string(),
@@ -994,18 +896,22 @@ fn render_plan(planned: &PlannedSelect<'_>) -> Vec<String> {
                 } else {
                     "inner"
                 };
-                match on
-                    .and_then(|on| equi_offsets(on, &left_layout, &right.binding, &right.columns))
-                {
+                match on.and_then(|on| equi_offsets(on, &left_layout, right)) {
                     Some(_) => format!("{k} hash join"),
                     None => format!("{k} nested-loop join"),
                 }
             }
         };
-        lines.push(format!(
-            "{strategy} with {} ({} row(s))",
-            right.table_name,
-            right.source.len()
+        let note = prof
+            .and_then(|p| p.joins.get(i))
+            .map(|(rows_out, ns)| format!("actual rows={rows_out}, {}", fmt_ns(*ns)));
+        lines.push(noted(
+            format!(
+                "{strategy} with {} ({} row(s))",
+                right.table_name,
+                right.source.len()
+            ),
+            note,
         ));
         if !right.pushed.is_empty() {
             lines.push(format!(
@@ -1021,23 +927,38 @@ fn render_plan(planned: &PlannedSelect<'_>) -> Vec<String> {
     // A columnar scan fuses the WHERE predicates into the scan itself, so
     // there is no separate filter operator to report.
     if filter_present && !matches!(base.access, Access::Columnar { .. }) {
-        lines.push("filter: WHERE".to_string());
+        let note = prof
+            .and_then(|p| p.filter)
+            .map(|(rows_in, rows_out, parts, ns)| {
+                measured(format!("rows={rows_out} of {rows_in}"), parts, ns)
+            });
+        lines.push(noted("filter: WHERE".to_string(), note));
     }
     if let Some((group_by, having)) = tail.aggregate {
-        lines.push(format!(
+        let note = prof
+            .and_then(|p| p.aggregate)
+            .map(|(groups, parts, ns)| measured(format!("groups={groups}"), parts, ns));
+        let line = format!(
             "aggregate: group by {} expr(s){}",
             group_by.len(),
             if having.is_some() { ", having" } else { "" }
-        ));
+        );
+        lines.push(noted(line, note));
     }
     if tail.distinct {
-        lines.push("distinct".to_string());
+        let note = prof
+            .and_then(|p| p.distinct)
+            .map(|(rows_in, rows_out)| format!("actual rows={rows_out} of {rows_in}"));
+        lines.push(noted("distinct".to_string(), note));
     }
     if !tail.order_by.is_empty() {
-        lines.push(format!("sort: {} key(s)", tail.order_by.len()));
+        let note = prof.map(|p| fmt_ns(p.sort_ns));
+        lines.push(noted(format!("sort: {} key(s)", tail.order_by.len()), note));
     }
     if tail.has_limit {
-        lines.push(format!("limit {:?} offset {:?}", tail.limit, tail.offset));
+        let note = prof.map(|p| format!("actual rows={}", p.returned));
+        let line = format!("limit {:?} offset {:?}", tail.limit, tail.offset);
+        lines.push(noted(line, note));
     }
     if planned.optimizer_off {
         lines.push("optimizer: off (rewrite rules disabled)".to_string());
@@ -1049,7 +970,7 @@ fn render_plan(planned: &PlannedSelect<'_>) -> Vec<String> {
     lines
 }
 
-fn scan_line(scan: &ScanNode<'_>) -> String {
+fn scan_line(scan: &ScanNode<'_>, prof: Option<&ExecProfile>) -> String {
     let table: &Table = &scan.source;
     let mut line = if scan.source.is_virtual() {
         // System tables have no indexes or chunk caches; the executor
@@ -1095,12 +1016,27 @@ fn scan_line(scan: &ScanNode<'_>) -> String {
             Access::Seq => format!("seq scan on {} ({} row(s))", scan.table_name, table.len()),
         }
     };
+    let columnar = matches!(scan.access, Access::Columnar { .. });
     if let Some(take) = scan.stop_after {
-        if !matches!(scan.access, Access::Columnar { .. }) {
+        if !columnar {
             line.push_str(&format!(" [early exit after {take} match(es)]"));
         }
     }
-    line
+    let note = prof.and_then(|p| match (columnar, p.colscan, p.scan) {
+        (true, Some((live, chunks, hits, misses, parts, ns)), _) => Some(measured(
+            format!("rows={live}, chunks={chunks}, cache hits={hits} misses={misses}"),
+            parts,
+            ns,
+        )),
+        // The plan chose columnar but the kernels declined a chunk at
+        // run time and the row path executed instead.
+        (true, None, Some(_)) => Some("fell back to row execution".to_string()),
+        (false, _, Some((rows_out, parts, ns))) => {
+            Some(measured(format!("rows={rows_out}"), parts, ns))
+        }
+        _ => None,
+    });
+    noted(line, note)
 }
 
 fn push_mask_line(lines: &mut Vec<String>, scan: &ScanNode<'_>) {
@@ -1114,141 +1050,13 @@ fn push_mask_line(lines: &mut Vec<String>, scan: &ScanNode<'_>) {
     }
 }
 
-/// `EXPLAIN ANALYZE` for a SELECT: execute it for real with per-operator
-/// instrumentation, then annotate the [`explain_select`] plan lines with
-/// actual rows, partitions used, and wall time. The closing `total:`
-/// line carries the executed query's `ResultSet` provenance verbatim
-/// (rows returned, rows scanned, elapsed), so the annotated plan cannot
-/// disagree with what a plain execution reports.
-pub fn explain_analyze_select(
-    db: &Database,
-    sel: &Select,
-    params: &[Value],
-) -> Result<Vec<String>> {
-    let mut prof = ExecProfile::default();
-    let rs = execute_select_profiled(db, sel, params, Some(&mut prof))?;
-    // The static plan comes from the same planner the execution just ran,
-    // against the same database state, so lines match operators
-    // one-to-one.
-    let mut lines = explain_select(db, sel, params)?;
-    let mut joins = prof.joins.iter();
-    for line in lines.iter_mut() {
-        if line.starts_with("columnar scan on ") {
-            if let Some((live, chunks, hits, misses, parts, ns)) = prof.colscan {
-                line.push_str(&format!(
-                    " [actual rows={live}, chunks={chunks}, cache hits={hits} misses={misses}, partitions={}, {}]",
-                    partitions_label(parts),
-                    fmt_ns(ns)
-                ));
-            } else if prof.scan.is_some() {
-                // The plan chose columnar but the kernels declined a
-                // chunk at run time and the row path executed instead.
-                line.push_str(" [fell back to row execution]");
-            }
-        } else if line.starts_with("index scan on ")
-            || line.starts_with("index-order scan on ")
-            || line.starts_with("seq scan on ")
-            || line.starts_with("virtual scan on ")
-        {
-            if let Some((rows_out, parts, ns)) = prof.scan {
-                line.push_str(&format!(
-                    " [actual rows={rows_out}, partitions={}, {}]",
-                    partitions_label(parts),
-                    fmt_ns(ns)
-                ));
-            }
-        } else if line.contains(" join with ") || line.starts_with("cross join") {
-            if let Some((rows_out, ns)) = joins.next() {
-                line.push_str(&format!(" [actual rows={rows_out}, {}]", fmt_ns(*ns)));
-            }
-        } else if line.starts_with("filter: WHERE") {
-            if let Some((rows_in, rows_out, parts, ns)) = prof.filter {
-                line.push_str(&format!(
-                    " [actual rows={rows_out} of {rows_in}, partitions={}, {}]",
-                    partitions_label(parts),
-                    fmt_ns(ns)
-                ));
-            }
-        } else if line.starts_with("aggregate: ") {
-            if let Some((groups, parts, ns)) = prof.aggregate {
-                line.push_str(&format!(
-                    " [actual groups={groups}, partitions={}, {}]",
-                    partitions_label(parts),
-                    fmt_ns(ns)
-                ));
-            }
-        } else if line == "distinct" {
-            if let Some((rows_in, rows_out)) = prof.distinct {
-                line.push_str(&format!(" [actual rows={rows_out} of {rows_in}]"));
-            }
-        } else if line.starts_with("sort: ") {
-            line.push_str(&format!(" [{}]", fmt_ns(prof.sort_ns)));
-        } else if line.starts_with("limit ") {
-            line.push_str(&format!(" [actual rows={}]", rs.rows.len()));
-        } else if line.starts_with("result: constant row") {
-            line.push_str(" [actual rows=1]");
-        }
-    }
-    lines.push(format!(
-        "total: {} row(s) returned, {} row(s) scanned, {}",
-        rs.rows.len(),
-        rs.rows_scanned,
-        fmt_ns(rs.elapsed.as_nanos().min(u64::MAX as u128) as u64)
-    ));
-    Ok(lines)
-}
-
 // ---------------- shared analysis helpers ----------------
 
 /// Collect every column reference in an expression tree.
 pub(crate) fn collect_columns<'a>(expr: &'a Expr, out: &mut Vec<(Option<&'a str>, &'a str)>) {
     match expr {
         Expr::Column { table, column } => out.push((table.as_deref(), column)),
-        Expr::Literal(_) | Expr::Param(_) => {}
-        Expr::Unary { operand, .. } | Expr::IsNull { operand, .. } => collect_columns(operand, out),
-        Expr::Binary { left, right, .. } => {
-            collect_columns(left, out);
-            collect_columns(right, out);
-        }
-        Expr::InList { operand, list, .. } => {
-            collect_columns(operand, out);
-            for e in list {
-                collect_columns(e, out);
-            }
-        }
-        Expr::Between {
-            operand, low, high, ..
-        } => {
-            collect_columns(operand, out);
-            collect_columns(low, out);
-            collect_columns(high, out);
-        }
-        Expr::Aggregate { arg, .. } => {
-            if let Some(a) = arg {
-                collect_columns(a, out);
-            }
-        }
-        Expr::Function { args, .. } => {
-            for a in args {
-                collect_columns(a, out);
-            }
-        }
-        Expr::Case {
-            branches,
-            else_branch,
-        } => {
-            for (c, v) in branches {
-                collect_columns(c, out);
-                collect_columns(v, out);
-            }
-            if let Some(e) = else_branch {
-                collect_columns(e, out);
-            }
-        }
-        // Subqueries are resolved before this pass runs; their operand is
-        // the only outer-query reference.
-        Expr::InSubquery { operand, .. } => collect_columns(operand, out),
-        Expr::ScalarSubquery(_) | Expr::Exists { .. } => {}
+        _ => expr.for_each_child(|c| collect_columns(c, out)),
     }
 }
 
@@ -1265,91 +1073,42 @@ fn masked_clone(row: &Row, mask: &Option<Vec<bool>>) -> Row {
 
 /// If `on` is `left_col = right_col` (either order), return flat offsets
 /// (left offset in the accumulated layout, right offset in the right table).
-fn equi_offsets(
-    on: &Expr,
-    left_layout: &Layout,
-    right_binding: &str,
-    right_cols: &[String],
-) -> Option<(usize, usize)> {
+fn equi_offsets(on: &Expr, left_layout: &Layout, right: &ScanNode<'_>) -> Option<(usize, usize)> {
     let Expr::Binary {
         op: BinaryOp::Eq,
-        left,
-        right,
+        left: a,
+        right: b,
     } = on
     else {
         return None;
     };
-    let as_col = |e: &Expr| -> Option<(Option<String>, String)> {
-        if let Expr::Column { table, column } = e {
-            Some((table.clone(), column.clone()))
-        } else {
-            None
-        }
-    };
-    let (lt, lc) = as_col(left)?;
-    let (rt, rc) = as_col(right)?;
-    let right_off = |t: &Option<String>, c: &str| -> Option<usize> {
-        match t {
-            Some(t) if !t.eq_ignore_ascii_case(right_binding) => None,
-            _ => right_cols.iter().position(|n| n.eq_ignore_ascii_case(c)),
-        }
-    };
-    let left_off = |t: &Option<String>, c: &str| -> Option<usize> {
-        left_layout.resolve(t.as_deref(), c).ok()
-    };
-    // (left = right)
-    if let (Some(lo), Some(ro)) = (left_off(&lt, &lc), right_off(&rt, &rc)) {
-        // ensure "right" side really refers to the right table (unqualified
-        // names could resolve on both sides — prefer explicit qualification)
-        if rt.is_some() || left_layout.resolve(None, &rc).is_err() {
-            return Some((lo, ro));
-        }
-    }
-    // (right = left)
-    if let (Some(lo), Some(ro)) = (left_off(&rt, &rc), right_off(&lt, &lc)) {
-        if lt.is_some() || left_layout.resolve(None, &lc).is_err() {
-            return Some((lo, ro));
-        }
-    }
-    None
+    let right_layout = right.layout1();
+    [(a, b), (b, a)].into_iter().find_map(|(l, r)| {
+        let (
+            Expr::Column { table, column },
+            Expr::Column {
+                table: rt,
+                column: rc,
+            },
+        ) = (&**l, &**r)
+        else {
+            return None;
+        };
+        let lo = left_layout.resolve(table.as_deref(), column).ok()?;
+        let ro = resolve_base_col(r, &right.binding, &right_layout)?;
+        // An unqualified right-side name that also resolves on the left
+        // is ambiguous; only explicit qualification settles it.
+        (rt.is_some() || left_layout.resolve(None, rc).is_err()).then_some((lo, ro))
+    })
 }
 
 /// True if every column reference in `expr` resolves within `layout`.
 pub(crate) fn refs_only_layout(expr: &Expr, layout: &Layout) -> bool {
     match expr {
         Expr::Column { table, column } => layout.resolve(table.as_deref(), column).is_ok(),
-        Expr::Literal(_) | Expr::Param(_) => true,
-        Expr::Unary { operand, .. } | Expr::IsNull { operand, .. } => {
-            refs_only_layout(operand, layout)
-        }
-        Expr::Binary { left, right, .. } => {
-            refs_only_layout(left, layout) && refs_only_layout(right, layout)
-        }
-        Expr::InList { operand, list, .. } => {
-            refs_only_layout(operand, layout) && list.iter().all(|e| refs_only_layout(e, layout))
-        }
-        Expr::Between {
-            operand, low, high, ..
-        } => {
-            refs_only_layout(operand, layout)
-                && refs_only_layout(low, layout)
-                && refs_only_layout(high, layout)
-        }
-        Expr::Aggregate { arg, .. } => arg.as_ref().is_none_or(|a| refs_only_layout(a, layout)),
-        Expr::Function { args, .. } => args.iter().all(|e| refs_only_layout(e, layout)),
-        Expr::Case {
-            branches,
-            else_branch,
-        } => {
-            branches
-                .iter()
-                .all(|(c, v)| refs_only_layout(c, layout) && refs_only_layout(v, layout))
-                && else_branch
-                    .as_ref()
-                    .is_none_or(|e| refs_only_layout(e, layout))
-        }
         // Unresolved subqueries cannot be pushed down safely.
         Expr::InSubquery { .. } | Expr::ScalarSubquery(_) | Expr::Exists { .. } => false,
+        _ => !expr.any_child(|c| !refs_only_layout(c, layout)),
     }
 }
 
@@ -1411,104 +1170,148 @@ pub(crate) fn index_candidates(
     let Some(pred) = where_clause else {
         return Ok(None);
     };
-    let resolve_base_col = |e: &Expr| -> Option<usize> {
-        if let Expr::Column { table: t, column } = e {
-            match t {
-                Some(t) if !t.eq_ignore_ascii_case(binding) => None,
-                _ => layout1.resolve(None, column).ok(),
-            }
-        } else {
-            None
-        }
-    };
-    let const_val = |e: &Expr| -> Option<Value> {
-        match e {
-            Expr::Literal(v) => Some(v.clone()),
-            Expr::Param(i) => params.get(*i).cloned(),
-            _ => None,
-        }
-    };
     for c in conjuncts(pred) {
-        if let Expr::Binary { op, left, right } = c {
-            // col op const / const op col
-            let (col, val, op) = match (resolve_base_col(left), const_val(right)) {
-                (Some(col), Some(v)) => (col, v, *op),
-                _ => match (resolve_base_col(right), const_val(left)) {
-                    (Some(col), Some(v)) => (col, v, flip(*op)),
-                    _ => continue,
-                },
-            };
-            if val.is_null() {
-                continue;
-            }
-            let Some(ix) = table.index_on(col) else {
-                continue;
-            };
-            let ids = match op {
-                BinaryOp::Eq => ix.ids(&val).to_vec(),
-                BinaryOp::Lt => ix.range(Bound::Unbounded, Bound::Excluded(&val)),
-                BinaryOp::LtEq => ix.range(Bound::Unbounded, Bound::Included(&val)),
-                BinaryOp::Gt => ix.range(Bound::Excluded(&val), Bound::Unbounded),
-                BinaryOp::GtEq => ix.range(Bound::Included(&val), Bound::Unbounded),
+        let Some(ColumnTest { col, kind }) = column_test(c, binding, layout1, params) else {
+            continue;
+        };
+        let Some(ix) = table.index_on(col) else {
+            continue;
+        };
+        let ids = match kind {
+            TestKind::Cmp { op, value } => match op {
+                BinaryOp::Eq => ix.ids(&value).to_vec(),
+                BinaryOp::Lt => ix.range(Bound::Unbounded, Bound::Excluded(&value)),
+                BinaryOp::LtEq => ix.range(Bound::Unbounded, Bound::Included(&value)),
+                BinaryOp::Gt => ix.range(Bound::Excluded(&value), Bound::Unbounded),
+                BinaryOp::GtEq => ix.range(Bound::Included(&value), Bound::Unbounded),
                 _ => continue,
-            };
-            return Ok(Some(IndexChoice::new(ix, ids)));
-        }
-        if let Expr::Between {
-            operand,
-            low,
-            high,
-            negated: false,
-        } = c
-        {
-            if let (Some(col), Some(lo), Some(hi)) =
-                (resolve_base_col(operand), const_val(low), const_val(high))
-            {
-                if let Some(ix) = table.index_on(col) {
-                    let ids = ix.range(Bound::Included(&lo), Bound::Included(&hi));
-                    return Ok(Some(IndexChoice::new(ix, ids)));
-                }
+            },
+            TestKind::Between {
+                low,
+                high,
+                negated: false,
+            } => ix.range(Bound::Included(&low), Bound::Included(&high)),
+            TestKind::InList {
+                items,
+                negated: false,
+            } => {
+                let mut ids: Vec<RowId> = items.iter().flat_map(|v| ix.ids(v)).copied().collect();
+                ids.sort_unstable();
+                ids.dedup();
+                ids
             }
-        }
-        if let Expr::InList {
-            operand,
-            list,
-            negated: false,
-        } = c
-        {
-            if let Some(col) = resolve_base_col(operand) {
-                if let Some(ix) = table.index_on(col) {
-                    let mut ids = Vec::new();
-                    let mut all_const = true;
-                    for item in list {
-                        match const_val(item) {
-                            Some(v) => ids.extend_from_slice(ix.ids(&v)),
-                            None => {
-                                all_const = false;
-                                break;
-                            }
-                        }
-                    }
-                    if all_const {
-                        ids.sort_unstable();
-                        ids.dedup();
-                        return Ok(Some(IndexChoice::new(ix, ids)));
-                    }
-                }
-            }
-        }
+            _ => continue,
+        };
+        return Ok(Some(IndexChoice::new(ix, ids)));
     }
     Ok(None)
 }
 
-fn flip(op: BinaryOp) -> BinaryOp {
-    match op {
-        BinaryOp::Lt => BinaryOp::Gt,
-        BinaryOp::LtEq => BinaryOp::GtEq,
-        BinaryOp::Gt => BinaryOp::Lt,
-        BinaryOp::GtEq => BinaryOp::LtEq,
-        other => other,
+/// A WHERE conjunct that tests one base-table column against constants,
+/// as matched by [`column_test`]. Index selection and the columnar
+/// predicate compiler both consume it, each serving the shapes it can.
+pub(crate) struct ColumnTest {
+    /// Offset of the tested column in the base layout.
+    pub col: usize,
+    pub kind: TestKind,
+}
+
+/// The shape of a [`ColumnTest`], with every constant bound.
+pub(crate) enum TestKind {
+    /// `col op value`: `op` is `=`, `!=`, `<`, `<=`, `>` or `>=`, already
+    /// flipped when the constant was written first, and `value` is never
+    /// NULL.
+    Cmp { op: BinaryOp, value: Value },
+    /// `col [NOT] BETWEEN low AND high` (either bound may be NULL).
+    Between {
+        low: Value,
+        high: Value,
+        negated: bool,
+    },
+    /// `col [NOT] IN (items)`, every item a constant (NULLs included).
+    InList { items: Vec<Value>, negated: bool },
+    /// `col IS [NOT] NULL`.
+    IsNull { negated: bool },
+}
+
+/// Offset of `e` in the base layout when it is a column of `binding`.
+pub(crate) fn resolve_base_col(e: &Expr, binding: &str, layout1: &Layout) -> Option<usize> {
+    match e {
+        Expr::Column { table: Some(t), .. } if !t.eq_ignore_ascii_case(binding) => None,
+        Expr::Column { column, .. } => layout1.resolve(None, column).ok(),
+        _ => None,
     }
+}
+
+/// The value of a literal or a bound parameter.
+fn const_val(e: &Expr, params: &[Value]) -> Option<Value> {
+    match e {
+        Expr::Literal(v) => Some(v.clone()),
+        Expr::Param(i) => params.get(*i).cloned(),
+        _ => None,
+    }
+}
+
+/// Match a conjunct against the column-vs-constant(s) shapes of
+/// [`TestKind`]; `None` when it has none of them.
+pub(crate) fn column_test(
+    c: &Expr,
+    binding: &str,
+    layout1: &Layout,
+    params: &[Value],
+) -> Option<ColumnTest> {
+    let col = |e: &Expr| resolve_base_col(e, binding, layout1);
+    let val = |e: &Expr| const_val(e, params);
+    let (col, kind) = match c {
+        Expr::Binary { op, left, right } => {
+            // The operator that reads the same with its operands swapped.
+            let flipped = match op {
+                BinaryOp::Eq | BinaryOp::NotEq => *op,
+                BinaryOp::Lt => BinaryOp::Gt,
+                BinaryOp::LtEq => BinaryOp::GtEq,
+                BinaryOp::Gt => BinaryOp::Lt,
+                BinaryOp::GtEq => BinaryOp::LtEq,
+                _ => return None,
+            };
+            let (col, op, value) = match (col(left), val(right)) {
+                (Some(c), Some(v)) => (c, *op, v),
+                _ => (col(right)?, flipped, val(left)?),
+            };
+            if value.is_null() {
+                return None;
+            }
+            (col, TestKind::Cmp { op, value })
+        }
+        Expr::Between {
+            operand,
+            low,
+            high,
+            negated,
+        } => (
+            col(operand)?,
+            TestKind::Between {
+                low: val(low)?,
+                high: val(high)?,
+                negated: *negated,
+            },
+        ),
+        Expr::InList {
+            operand,
+            list,
+            negated,
+        } => (
+            col(operand)?,
+            TestKind::InList {
+                items: list.iter().map(val).collect::<Option<_>>()?,
+                negated: *negated,
+            },
+        ),
+        Expr::IsNull { operand, negated } => {
+            (col(operand)?, TestKind::IsNull { negated: *negated })
+        }
+        _ => return None,
+    };
+    Some(ColumnTest { col, kind })
 }
 
 // ---------------- projection ----------------
@@ -1569,7 +1372,7 @@ fn plain_path(
         let _stage = telemetry::span("db.exec.sort");
         let t0 = prof.is_some().then(Instant::now);
         let keys = order_keys(order_by, layout, rows, params, &projections)?;
-        sort_indices(&mut indices, &keys, order_by);
+        indices.sort_by(|&a, &b| cmp_order_keys(&keys[a], &keys[b], order_by));
         if let Some(p) = prof {
             p.sort_ns = stage_ns(t0);
         }
@@ -1601,46 +1404,7 @@ pub(crate) fn collect_aggregates<'a>(expr: &'a Expr, out: &mut Vec<&'a Expr>) {
                 out.push(expr);
             }
         }
-        Expr::Unary { operand, .. } | Expr::IsNull { operand, .. } => {
-            collect_aggregates(operand, out)
-        }
-        Expr::Binary { left, right, .. } => {
-            collect_aggregates(left, out);
-            collect_aggregates(right, out);
-        }
-        Expr::InList { operand, list, .. } => {
-            collect_aggregates(operand, out);
-            for e in list {
-                collect_aggregates(e, out);
-            }
-        }
-        Expr::Between {
-            operand, low, high, ..
-        } => {
-            collect_aggregates(operand, out);
-            collect_aggregates(low, out);
-            collect_aggregates(high, out);
-        }
-        Expr::Function { args, .. } => {
-            for a in args {
-                collect_aggregates(a, out);
-            }
-        }
-        Expr::Case {
-            branches,
-            else_branch,
-        } => {
-            for (c, v) in branches {
-                collect_aggregates(c, out);
-                collect_aggregates(v, out);
-            }
-            if let Some(e) = else_branch {
-                collect_aggregates(e, out);
-            }
-        }
-        Expr::InSubquery { operand, .. } => collect_aggregates(operand, out),
-        Expr::ScalarSubquery(_) | Expr::Exists { .. } => {}
-        Expr::Literal(_) | Expr::Param(_) | Expr::Column { .. } => {}
+        _ => expr.for_each_child(|c| collect_aggregates(c, out)),
     }
 }
 
@@ -1649,58 +1413,8 @@ fn substitute(expr: &Expr, aggs: &[&Expr], values: &[Value]) -> Expr {
     if let Some(pos) = aggs.iter().position(|a| *a == expr) {
         return Expr::Literal(values[pos].clone());
     }
-    match expr {
-        Expr::Unary { op, operand } => Expr::Unary {
-            op: *op,
-            operand: Box::new(substitute(operand, aggs, values)),
-        },
-        Expr::Binary { op, left, right } => Expr::Binary {
-            op: *op,
-            left: Box::new(substitute(left, aggs, values)),
-            right: Box::new(substitute(right, aggs, values)),
-        },
-        Expr::IsNull { operand, negated } => Expr::IsNull {
-            operand: Box::new(substitute(operand, aggs, values)),
-            negated: *negated,
-        },
-        Expr::InList {
-            operand,
-            list,
-            negated,
-        } => Expr::InList {
-            operand: Box::new(substitute(operand, aggs, values)),
-            list: list.iter().map(|e| substitute(e, aggs, values)).collect(),
-            negated: *negated,
-        },
-        Expr::Between {
-            operand,
-            low,
-            high,
-            negated,
-        } => Expr::Between {
-            operand: Box::new(substitute(operand, aggs, values)),
-            low: Box::new(substitute(low, aggs, values)),
-            high: Box::new(substitute(high, aggs, values)),
-            negated: *negated,
-        },
-        Expr::Function { name, args } => Expr::Function {
-            name: name.clone(),
-            args: args.iter().map(|e| substitute(e, aggs, values)).collect(),
-        },
-        Expr::Case {
-            branches,
-            else_branch,
-        } => Expr::Case {
-            branches: branches
-                .iter()
-                .map(|(c, v)| (substitute(c, aggs, values), substitute(v, aggs, values)))
-                .collect(),
-            else_branch: else_branch
-                .as_ref()
-                .map(|e| Box::new(substitute(e, aggs, values))),
-        },
-        other => other.clone(),
-    }
+    let Ok(out) = expr.try_map_children(|c| Ok::<_, Infallible>(substitute(c, aggs, values)));
+    out
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -1809,16 +1523,7 @@ fn aggregate_path(
     if !order_by.is_empty() {
         let _stage = telemetry::span("db.exec.sort");
         let t0 = prof.is_some().then(Instant::now);
-        out_rows.sort_by(|a, b| {
-            for (i, o) in order_by.iter().enumerate() {
-                let ord = a.0[i].total_cmp(&b.0[i]);
-                let ord = if o.descending { ord.reverse() } else { ord };
-                if ord != std::cmp::Ordering::Equal {
-                    return ord;
-                }
-            }
-            std::cmp::Ordering::Equal
-        });
+        out_rows.sort_by(|a, b| cmp_order_keys(&a.0, &b.0, order_by));
         if let Some(p) = prof {
             p.sort_ns = stage_ns(t0);
         }
@@ -2006,15 +1711,19 @@ fn order_keys(
     Ok(keys)
 }
 
-fn sort_indices(indices: &mut [usize], keys: &[Vec<Value>], order_by: &[OrderItem]) {
-    indices.sort_by(|&a, &b| {
-        for (i, o) in order_by.iter().enumerate() {
-            let ord = keys[a][i].total_cmp(&keys[b][i]);
-            let ord = if o.descending { ord.reverse() } else { ord };
-            if ord != std::cmp::Ordering::Equal {
-                return ord;
+/// Compare two rows' ORDER BY keys, honouring each item's direction.
+fn cmp_order_keys(a: &[Value], b: &[Value], order_by: &[OrderItem]) -> Ordering {
+    a.iter()
+        .zip(b)
+        .zip(order_by)
+        .map(|((x, y), o)| {
+            let ord = x.total_cmp(y);
+            if o.descending {
+                ord.reverse()
+            } else {
+                ord
             }
-        }
-        std::cmp::Ordering::Equal
-    });
+        })
+        .find(|ord| ord.is_ne())
+        .unwrap_or(Ordering::Equal)
 }

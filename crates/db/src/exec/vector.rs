@@ -25,6 +25,7 @@
 
 use super::aggregate::Accumulator;
 use super::eval::Layout;
+use super::select::{column_test, resolve_base_col, ColumnTest, TestKind};
 use crate::column::{bit, Chunk, ColumnData};
 use crate::error::Result;
 use crate::schema::TableSchema;
@@ -129,16 +130,6 @@ impl PredOp {
         })
     }
 
-    fn flip(self) -> PredOp {
-        match self {
-            PredOp::Lt => PredOp::Gt,
-            PredOp::Le => PredOp::Ge,
-            PredOp::Gt => PredOp::Lt,
-            PredOp::Ge => PredOp::Le,
-            other => other,
-        }
-    }
-
     #[inline]
     fn test(self, ord: Ordering) -> bool {
         match self {
@@ -206,25 +197,6 @@ pub(crate) struct ColScanStats {
 }
 
 // ---------------- compilation ----------------
-
-fn resolve_base_col(e: &Expr, binding: &str, layout1: &Layout) -> Option<usize> {
-    if let Expr::Column { table, column } = e {
-        match table {
-            Some(t) if !t.eq_ignore_ascii_case(binding) => None,
-            _ => layout1.resolve(None, column).ok(),
-        }
-    } else {
-        None
-    }
-}
-
-fn const_val(e: &Expr, params: &[Value]) -> Option<Value> {
-    match e {
-        Expr::Literal(v) => Some(v.clone()),
-        Expr::Param(i) => params.get(*i).cloned(),
-        _ => None,
-    }
-}
 
 /// Type a constant against a column. `None` declines the predicate:
 /// either the comparison is cross-type (the total order ranks by type,
@@ -309,26 +281,12 @@ fn compile_conjunct(
     layout1: &Layout,
     params: &[Value],
 ) -> Option<ColPred> {
-    match c {
-        Expr::Binary { op, left, right } => {
-            let (col, v, op) = match (
-                resolve_base_col(left, binding, layout1),
-                const_val(right, params),
-            ) {
-                (Some(col), Some(v)) => (col, v, PredOp::from_binary(*op)?),
-                _ => match (
-                    resolve_base_col(right, binding, layout1),
-                    const_val(left, params),
-                ) {
-                    (Some(col), Some(v)) => (col, v, PredOp::from_binary(*op)?.flip()),
-                    _ => return None,
-                },
-            };
-            if v.is_null() {
-                return None; // NULL comparisons are never true; row path
-            }
-            let ty = schema.columns[col].ty;
-            let k = typed_const(ty, &v)?;
+    let ColumnTest { col, kind } = column_test(c, binding, layout1, params)?;
+    let ty = schema.columns[col].ty;
+    match kind {
+        TestKind::Cmp { op, value } => {
+            let op = PredOp::from_binary(op)?;
+            let k = typed_const(ty, &value)?;
             // Text supports only dictionary-id equality; ordered text
             // comparisons stay on the row path.
             if matches!(k, ColConst::T(_)) && !matches!(op, PredOp::Eq | PredOp::Ne) {
@@ -336,65 +294,27 @@ fn compile_conjunct(
             }
             Some(ColPred::Cmp { col, op, k })
         }
-        Expr::Between {
-            operand,
-            low,
-            high,
-            negated,
-        } => {
-            let col = resolve_base_col(operand, binding, layout1)?;
-            let ty = schema.columns[col].ty;
-            if !matches!(ty, DataType::Integer | DataType::Double) {
-                return None;
-            }
-            let lo = const_val(low, params)?;
-            let hi = const_val(high, params)?;
-            if lo.is_null() || hi.is_null() {
+        TestKind::Between { low, high, negated } => {
+            let numeric = matches!(ty, DataType::Integer | DataType::Double);
+            if !numeric || low.is_null() || high.is_null() {
                 return None;
             }
             Some(ColPred::Between {
                 col,
-                lo: typed_const(ty, &lo)?,
-                hi: typed_const(ty, &hi)?,
-                negated: *negated,
+                lo: typed_const(ty, &low)?,
+                hi: typed_const(ty, &high)?,
+                negated,
             })
         }
-        Expr::InList {
-            operand,
-            list,
+        TestKind::InList { items, negated } => Some(ColPred::InList {
+            col,
+            // A NULL or cross-type item never equals this column's values
+            // (sql_eq ranks by type): inert, drop it.
+            items: items.iter().filter_map(|v| typed_const(ty, v)).collect(),
             negated,
-        } => {
-            let col = resolve_base_col(operand, binding, layout1)?;
-            let ty = schema.columns[col].ty;
-            let mut items = Vec::with_capacity(list.len());
-            let mut saw_null = false;
-            for item in list {
-                let v = const_val(item, params)?;
-                if v.is_null() {
-                    saw_null = true;
-                    continue;
-                }
-                // A cross-type item never equals this column's values
-                // (sql_eq ranks by type): inert, drop it.
-                if let Some(k) = typed_const(ty, &v) {
-                    items.push(k);
-                }
-            }
-            Some(ColPred::InList {
-                col,
-                items,
-                negated: *negated,
-                saw_null,
-            })
-        }
-        Expr::IsNull { operand, negated } => {
-            let col = resolve_base_col(operand, binding, layout1)?;
-            Some(ColPred::IsNull {
-                col,
-                negated: *negated,
-            })
-        }
-        _ => None,
+            saw_null: items.iter().any(Value::is_null),
+        }),
+        TestKind::IsNull { negated } => Some(ColPred::IsNull { col, negated }),
     }
 }
 

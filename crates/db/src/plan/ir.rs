@@ -258,21 +258,6 @@ pub(crate) fn base_scan_mut<'p, 'a>(node: &'p mut LogicalPlan<'a>) -> Option<&'p
     }
 }
 
-/// Immutable counterpart of [`base_scan_mut`].
-pub(crate) fn base_scan<'p, 'a>(node: &'p LogicalPlan<'a>) -> Option<&'p ScanNode<'a>> {
-    match node {
-        LogicalPlan::Scan(s) => Some(s),
-        LogicalPlan::Join { left, .. } => base_scan(left),
-        LogicalPlan::Filter { input, .. }
-        | LogicalPlan::Aggregate { input, .. }
-        | LogicalPlan::Project { input, .. }
-        | LogicalPlan::Distinct { input }
-        | LogicalPlan::Sort { input, .. }
-        | LogicalPlan::Limit { input, .. } => base_scan(input),
-        LogicalPlan::Empty => None,
-    }
-}
-
 /// True if the pipeline subtree contains a Join.
 pub(crate) fn contains_join(node: &LogicalPlan<'_>) -> bool {
     match node {

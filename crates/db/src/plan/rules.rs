@@ -30,7 +30,9 @@
 use std::cell::Cell;
 
 use super::ir::{base_scan_mut, contains_join, map_pipeline, LogicalPlan, ScanNode, TrailEntry};
-use crate::exec::select::{collect_columns, conjuncts, has_bare_column, refs_only_layout};
+use crate::exec::select::{
+    collect_columns, conjuncts, has_bare_column, refs_only_layout, resolve_base_col,
+};
 use crate::sql::ast::{Expr, JoinKind, Projection};
 
 /// Which rewrite rules run. `enabled: false` turns the optimizer off
@@ -428,8 +430,8 @@ fn limit_rules(
         LogicalPlan::Sort { keys, .. } if cfg.sort_elision => {
             // Single ascending bare-column key only.
             let [key] = keys.as_slice() else { return };
-            let (key_table, key_col) = match (&key.expr, key.descending) {
-                (Expr::Column { table, column }, false) => (table.clone(), column.clone()),
+            let key_col = match (&key.expr, key.descending) {
+                (Expr::Column { column, .. }, false) => column.clone(),
                 _ => return,
             };
             let saved_keys = keys.clone();
@@ -463,10 +465,8 @@ fn limit_rules(
             let index = (!shadowed)
                 .then(|| match peel_filter(pinput) {
                     LogicalPlan::Scan(scan) => {
-                        let col = match &key_table {
-                            Some(t) if !t.eq_ignore_ascii_case(&scan.binding) => None,
-                            _ => scan.layout1().resolve(None, &key_col).ok(),
-                        }?;
+                        let col =
+                            resolve_base_col(&saved_keys[0].expr, &scan.binding, &scan.layout1())?;
                         scan.source.index_on(col).map(|ix| ix.name.clone())
                     }
                     _ => None,

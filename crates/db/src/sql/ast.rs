@@ -291,39 +291,135 @@ impl Expr {
         Expr::Literal(v.into())
     }
 
-    /// True if this expression (sub)tree contains an aggregate call.
-    pub fn contains_aggregate(&self) -> bool {
+    /// True if `f` holds for some direct child, trying the children in
+    /// source order and stopping at the first hit. This and
+    /// [`Expr::try_map_children`] are the only walks that list every
+    /// variant; tree analyses recurse through them and match only the
+    /// variants they treat specially. A subquery body is a separate
+    /// statement, not a child: `IN (SELECT ...)` has its operand as its
+    /// one child, scalar and `EXISTS` subqueries none.
+    pub fn any_child<'a>(&'a self, mut f: impl FnMut(&'a Expr) -> bool) -> bool {
         match self {
-            Expr::Aggregate { .. } => true,
-            Expr::Literal(_) | Expr::Param(_) | Expr::Column { .. } => false,
-            Expr::Unary { operand, .. } => operand.contains_aggregate(),
-            Expr::Binary { left, right, .. } => {
-                left.contains_aggregate() || right.contains_aggregate()
-            }
-            Expr::IsNull { operand, .. } => operand.contains_aggregate(),
-            Expr::InList { operand, list, .. } => {
-                operand.contains_aggregate() || list.iter().any(Expr::contains_aggregate)
-            }
-            Expr::InSubquery { operand, .. } => operand.contains_aggregate(),
-            Expr::ScalarSubquery(_) | Expr::Exists { .. } => false,
+            Expr::Literal(_)
+            | Expr::Param(_)
+            | Expr::Column { .. }
+            | Expr::ScalarSubquery(_)
+            | Expr::Exists { .. } => false,
+            Expr::Unary { operand, .. }
+            | Expr::IsNull { operand, .. }
+            | Expr::InSubquery { operand, .. } => f(operand),
+            Expr::Binary { left, right, .. } => f(left) || f(right),
+            Expr::InList { operand, list, .. } => f(operand) || list.iter().any(f),
             Expr::Between {
                 operand, low, high, ..
-            } => {
-                operand.contains_aggregate()
-                    || low.contains_aggregate()
-                    || high.contains_aggregate()
-            }
-            Expr::Function { args, .. } => args.iter().any(Expr::contains_aggregate),
+            } => f(operand) || f(low) || f(high),
+            Expr::Aggregate { arg, .. } => arg.as_deref().is_some_and(f),
+            Expr::Function { args, .. } => args.iter().any(f),
             Expr::Case {
                 branches,
                 else_branch,
             } => {
-                branches
-                    .iter()
-                    .any(|(c, v)| c.contains_aggregate() || v.contains_aggregate())
-                    || else_branch.as_ref().is_some_and(|e| e.contains_aggregate())
+                branches.iter().any(|(c, v)| f(c) || f(v)) || else_branch.as_deref().is_some_and(f)
             }
         }
+    }
+
+    /// Call `f` on every direct child.
+    pub fn for_each_child<'a>(&'a self, mut f: impl FnMut(&'a Expr)) {
+        self.any_child(|c| {
+            f(c);
+            false
+        });
+    }
+
+    /// Rebuild this node with each direct child replaced by `f(child)`,
+    /// visiting the children [`Expr::any_child`] visits, in the
+    /// same order. Everything else (operators, names, subquery bodies) is
+    /// copied.
+    pub fn try_map_children<E>(
+        &self,
+        mut f: impl FnMut(&Expr) -> Result<Expr, E>,
+    ) -> Result<Expr, E> {
+        Ok(match self {
+            Expr::Literal(_)
+            | Expr::Param(_)
+            | Expr::Column { .. }
+            | Expr::ScalarSubquery(_)
+            | Expr::Exists { .. } => self.clone(),
+            Expr::Unary { op, operand } => Expr::Unary {
+                op: *op,
+                operand: Box::new(f(operand)?),
+            },
+            Expr::Binary { op, left, right } => Expr::Binary {
+                op: *op,
+                left: Box::new(f(left)?),
+                right: Box::new(f(right)?),
+            },
+            Expr::IsNull { operand, negated } => Expr::IsNull {
+                operand: Box::new(f(operand)?),
+                negated: *negated,
+            },
+            Expr::InList {
+                operand,
+                list,
+                negated,
+            } => Expr::InList {
+                operand: Box::new(f(operand)?),
+                list: list.iter().map(&mut f).collect::<Result<_, E>>()?,
+                negated: *negated,
+            },
+            Expr::InSubquery {
+                operand,
+                select,
+                negated,
+            } => Expr::InSubquery {
+                operand: Box::new(f(operand)?),
+                select: select.clone(),
+                negated: *negated,
+            },
+            Expr::Between {
+                operand,
+                low,
+                high,
+                negated,
+            } => Expr::Between {
+                operand: Box::new(f(operand)?),
+                low: Box::new(f(low)?),
+                high: Box::new(f(high)?),
+                negated: *negated,
+            },
+            Expr::Aggregate {
+                func,
+                arg,
+                distinct,
+            } => Expr::Aggregate {
+                func: *func,
+                arg: arg.as_deref().map(|a| f(a).map(Box::new)).transpose()?,
+                distinct: *distinct,
+            },
+            Expr::Function { name, args } => Expr::Function {
+                name: name.clone(),
+                args: args.iter().map(&mut f).collect::<Result<_, E>>()?,
+            },
+            Expr::Case {
+                branches,
+                else_branch,
+            } => Expr::Case {
+                branches: branches
+                    .iter()
+                    .map(|(c, v)| Ok((f(c)?, f(v)?)))
+                    .collect::<Result<_, E>>()?,
+                else_branch: else_branch
+                    .as_deref()
+                    .map(|e| f(e).map(Box::new))
+                    .transpose()?,
+            },
+        })
+    }
+
+    /// True if this expression (sub)tree contains an aggregate call.
+    pub fn contains_aggregate(&self) -> bool {
+        matches!(self, Expr::Aggregate { .. }) || self.any_child(Expr::contains_aggregate)
     }
 
     /// Display name used for an unaliased projection of this expression.
@@ -338,5 +434,65 @@ impl Expr {
             Expr::Literal(v) => v.to_string(),
             _ => "expr".to_string(),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::sql::parser::parse_statement;
+    use std::convert::Infallible;
+
+    #[test]
+    fn child_walks_cover_every_variant() {
+        // One expression of every variant (a new variant belongs here),
+        // with its number of direct children.
+        let cases = [
+            ("1", 0),
+            ("?", 0),
+            ("a", 0),
+            ("-a", 1),
+            ("a + 1", 2),
+            ("a IS NOT NULL", 1),
+            ("a IN (1, ?)", 3),
+            ("a IN (SELECT b FROM z WHERE b > a)", 1),
+            ("(SELECT b FROM z)", 0),
+            ("EXISTS (SELECT b FROM z)", 0),
+            ("a BETWEEN 1 AND a + 2", 3),
+            ("COUNT(*)", 0),
+            ("SUM(DISTINCT a)", 1),
+            ("COALESCE(a, 1)", 2),
+            ("CASE WHEN a THEN 1 WHEN b THEN a ELSE 0 END", 5),
+        ];
+        let mut variants = Vec::new();
+        for (sql, children) in cases {
+            let Ok(Statement::Select(sel)) = parse_statement(&format!("SELECT {sql} FROM t"))
+            else {
+                panic!("{sql}");
+            };
+            let Projection::Expr { expr, .. } = &sel.projections[0] else {
+                panic!("{sql}");
+            };
+            variants.push(std::mem::discriminant(expr));
+            let mut visited = Vec::new();
+            expr.for_each_child(|c| visited.push(c.clone()));
+            assert_eq!(visited.len(), children, "{expr:?}");
+            // The identity map rebuilds an equal tree, passing the
+            // children the traversal visits, in the same order.
+            let mut mapped = Vec::new();
+            let Ok(copy) = expr.try_map_children(|c| {
+                mapped.push(c.clone());
+                Ok::<_, Infallible>(c.clone())
+            });
+            assert_eq!(&copy, expr);
+            assert_eq!(mapped, visited, "{expr:?}");
+            // A replacing map reaches every child.
+            let Ok(zeroed) = expr.try_map_children(|_| Ok::<_, Infallible>(Expr::lit(0)));
+            let mut after = Vec::new();
+            zeroed.for_each_child(|c| after.push(c.clone()));
+            assert_eq!(after, vec![Expr::lit(0); children], "{sql}");
+        }
+        variants.dedup();
+        assert_eq!(variants.len(), 14, "every variant once, aggregates twice");
     }
 }

@@ -426,7 +426,7 @@ fn sessions_table_reflects_the_session_registry() {
         .query(
             "SELECT id, tenant, state, requests, sheds, errors, replays, \
                     protocol_errors, last_seq, connected_ms, close_reason \
-             FROM perfdmf_sessions WHERE id >= 9000001 ORDER BY id",
+             FROM perfdmf_sessions WHERE id BETWEEN 9000001 AND 9000002 ORDER BY id",
             &[],
         )
         .unwrap();

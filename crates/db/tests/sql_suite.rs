@@ -714,6 +714,46 @@ fn explain_analyze_matches_parallel_execution() {
 }
 
 #[test]
+fn explain_analyze_reports_the_plan_that_ran_after_subquery_resolution() {
+    let conn = Connection::open_in_memory();
+    conn.execute("CREATE TABLE t (k INTEGER, v TEXT)", &[])
+        .unwrap();
+    conn.execute("CREATE INDEX ix_k ON t (k)", &[]).unwrap();
+    for k in 0..8 {
+        conn.execute(
+            "INSERT INTO t (k, v) VALUES (?, ?)",
+            &[Value::Int(k), Value::Text(format!("v{k}").into())],
+        )
+        .unwrap();
+    }
+    conn.execute("CREATE TABLE s (x INTEGER)", &[]).unwrap();
+    conn.execute("INSERT INTO s (x) VALUES (3)", &[]).unwrap();
+    let sql = "SELECT v FROM t WHERE k IN (SELECT x FROM s)";
+    let plain = conn.query(sql, &[]).unwrap();
+    assert_eq!(plain.rows, vec![vec![Value::Text("v3".into())]]);
+
+    // The subquery resolves to `k IN (3)`, which runs as an index probe;
+    // ANALYZE must label that scan, not the seq scan of the unresolved
+    // statement.
+    let rs = conn.query(&format!("EXPLAIN ANALYZE {sql}"), &[]).unwrap();
+    let plan = plan_text(&rs);
+    let scan = plan.lines().next().unwrap();
+    assert!(
+        scan.starts_with("index scan on t (1 candidate row(s) of 8)"),
+        "{plan}"
+    );
+    assert!(scan.contains("[actual rows=1, partitions=serial"), "{plan}");
+    assert!(!plan.contains("seq scan"), "{plan}");
+    let (returned, scanned) = analyze_totals(&plan);
+    assert_eq!(returned, 1);
+    assert_eq!(scanned, plain.rows_scanned);
+
+    // Plain EXPLAIN runs nothing, so it plans the unresolved statement.
+    let rs = conn.query(&format!("EXPLAIN {sql}"), &[]).unwrap();
+    assert!(plan_text(&rs).starts_with("seq scan on t (8 row(s))"));
+}
+
+#[test]
 fn explain_analyze_dml_executes_and_reports_rows() {
     let conn = seeded();
     let before = conn.row_count("trial").unwrap();
