@@ -102,6 +102,22 @@ impl RetryPolicy {
     }
 }
 
+/// The reply to a call whose `deadline` lapsed before any response
+/// arrived: a retryable [`Response::Failed`] tagged with the caller's
+/// trace, counted in `explorer.timeouts`. The blocking
+/// [`ExplorerClient::request_with_deadline`] and the network server's
+/// event loop both answer an expired wait with it.
+pub fn deadline_timeout(deadline: Duration, trace_id: Option<u64>) -> Response {
+    telemetry::add("explorer.timeouts", 1);
+    let trace_tag = trace_id
+        .map(|t| format!(" [trace {t:016x}]"))
+        .unwrap_or_default();
+    Response::Failed {
+        reason: format!("no response within {deadline:?}{trace_tag}"),
+        retryable: true,
+    }
+}
+
 /// A client connected to an [`AnalysisServer`].
 ///
 /// Cheap to clone; requests from multiple clients are served concurrently
@@ -148,14 +164,7 @@ impl ExplorerClient {
             Ok(rrx) => match rrx.recv_timeout(deadline) {
                 Ok(response) => response,
                 Err(RecvTimeoutError::Timeout) => {
-                    telemetry::add("explorer.timeouts", 1);
-                    let trace_tag = telemetry::trace::current_trace_id()
-                        .map(|t| format!(" [trace {}]", t.as_hex()))
-                        .unwrap_or_default();
-                    Response::Failed {
-                        reason: format!("no response within {deadline:?}{trace_tag}"),
-                        retryable: true,
-                    }
+                    deadline_timeout(deadline, telemetry::trace::current_trace_id().map(|t| t.0))
                 }
                 Err(RecvTimeoutError::Disconnected) => {
                     Response::Error("analysis server dropped the request".into())

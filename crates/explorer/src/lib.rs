@@ -22,7 +22,7 @@ mod client;
 mod protocol;
 mod server;
 
-pub use client::{ExplorerClient, RetryPolicy};
+pub use client::{deadline_timeout, ExplorerClient, RetryPolicy};
 pub use protocol::{ClusterMethod, ClusterSummary, FeatureSpace, Request, Response};
 pub use server::{AnalysisServer, ANALYSIS_DDL, DEFAULT_QUEUE_CAPACITY};
 

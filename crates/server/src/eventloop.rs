@@ -41,17 +41,19 @@
 //! Every session gets the full protocol semantics: idempotency
 //! admission (replay, park-on-duplicate, at-most-once), deadline expiry
 //! with a retryable failure, span parentage into the caller's trace,
-//! `RequestMeter` resource accounting, panic artifacts, and the
-//! telemetry counters the chaos harness asserts on.
+//! `RequestMeter` resource accounting, and the telemetry counters the
+//! chaos harness asserts on. Each admitted call is one `Call` from
+//! admission to reply, and `Call::settle` is its one exit: it moves
+//! the counters, resolves the replay cache, and files the
+//! `perfdmf_requests` row (`docs/server.md`, "Call lifecycle").
 
 use crate::server::{
-    authenticate, deadline_slack, finish_request, validate, InFlightGuard, PanicArtifact,
-    ReplayEntry, Shared, DUPLICATE_WAIT, NEXT_SESSION, POLL_INTERVAL,
+    authenticate, validate, ReplayEntry, Shared, DUPLICATE_WAIT, NEXT_SESSION, POLL_INTERVAL,
 };
 use crate::stream::{write_all, write_available, FrameReader, ReadStep, RealStream, Stream};
 use crate::wire::{Message, PROTOCOL_VERSION};
 use crossbeam::channel::{unbounded, Receiver, Sender, TryRecvError};
-use perfdmf_explorer::{Request, Response};
+use perfdmf_explorer::{deadline_timeout, Request, Response};
 use perfdmf_telemetry as telemetry;
 use perfdmf_telemetry::sessions::{SessionRecord, SessionState};
 use std::io::{Read, Write};
@@ -372,55 +374,302 @@ pub(crate) fn accept_loop(listener: TcpListener, shared: Arc<Shared>, intakes: V
 }
 
 // ---------------------------------------------------------------------
-// Per-session state machine.
+// One call, from admission to reply.
 // ---------------------------------------------------------------------
 
-/// Identity of one admitted call, threaded through dispatch so the
-/// completion (whenever and wherever it lands) can file its accounting
-/// row and reply.
-struct CallCtx {
+/// Where an admitted call waits.
+enum State {
+    /// Holding its request: about to be dispatched, or waiting behind a
+    /// duplicate idempotency key still executing (possibly on another
+    /// connection), re-checked against the replay cache every tick
+    /// until `wait_until`.
+    Parked {
+        request: Request,
+        wait_until: Instant,
+    },
+    /// Submitted to the explorer; the reply channel is polled until a
+    /// response arrives or `deadline` lapses.
+    Dispatched {
+        rx: Receiver<Response>,
+        deadline: Option<Instant>,
+    },
+}
+
+/// How a call leaves the server. The exit fixes the status its row is
+/// filed under and the counters and session tallies it moves
+/// (`docs/server.md`, "Call lifecycle").
+enum Exit {
+    /// The explorer answered, shed it at submission, or its deadline
+    /// lapsed: the status is read off the response.
+    Answered,
+    /// The recorded response of its idempotency key was re-delivered.
+    Replayed,
+    /// Network-boundary validation refused it.
+    Rejected,
+    /// It arrived with the session's pipelining window full.
+    Overflowed,
+    /// The server began draining before it ran.
+    Drained,
+    /// Its duplicate key was still executing when the wait ran out.
+    WaitExpired,
+}
+
+/// What a call needs from its session next.
+enum Step {
+    Wait,
+    Dispatch,
+    Settle(Response, Exit),
+}
+
+/// One admitted call: its identity, its resource meter, its
+/// idempotency key, and where it waits. Every call ends in exactly one
+/// [`Call::settle`], which files its `perfdmf_requests` row; a call
+/// dropped unsettled while its thread panics files `status = "panic"`
+/// instead.
+struct Call {
     seq: u64,
     kind: &'static str,
+    /// Client deadline in milliseconds (0 = none).
     deadline_ms: u32,
+    /// Admission: the base of the row's elapsed time and slack.
     started: Instant,
-    trace_id: Option<u64>,
-}
-
-/// One dispatched call whose reply channel is being polled.
-struct Inflight {
-    ctx: CallCtx,
-    /// Wall-clock expiry, when the call carried a deadline.
-    deadline: Option<Instant>,
-    /// When the explorer accepted the job (latency histogram base).
+    /// Dispatch: the base of `server.request_latency_ns`.
     submitted: Instant,
-    rx: Receiver<Response>,
-    guard: Option<InFlightGuard>,
-    meter: telemetry::RequestMeter,
-    /// For orphan accounting after the session is gone.
+    /// The caller's trace context, adopted while dispatching.
+    trace: Option<telemetry::SpanContext>,
+    /// The trace the row is filed under.
+    trace_id: Option<u64>,
     session: u64,
     tenant: String,
-}
-
-/// A call parked behind a duplicate idempotency key still executing
-/// (possibly submitted by a *different* connection). Re-checked against
-/// the replay cache every tick.
-struct Parked {
-    ctx: CallCtx,
-    key: u64,
-    wait_until: Instant,
-    trace: Option<telemetry::SpanContext>,
     meter: telemetry::RequestMeter,
-    request: Request,
+    /// Idempotency key (0 = none).
+    key: u64,
+    /// Set while this call's execution owns the key's in-flight marker
+    /// in the server's replay cache: settling resolves the marker, and
+    /// dropping the call unsettled abandons it so a retry re-executes.
+    replay: Option<Arc<Shared>>,
+    settled: bool,
+    state: State,
 }
 
-/// Decoded pieces of one `Call` frame.
-struct CallFrame {
-    seq: u64,
-    deadline_ms: u32,
-    idempotency: u64,
-    trace: Option<telemetry::SpanContext>,
-    request: Request,
+impl Call {
+    /// Admit one decoded `Call` frame on the session `record`.
+    fn new(
+        seq: u64,
+        deadline_ms: u32,
+        key: u64,
+        trace: Option<telemetry::SpanContext>,
+        request: Request,
+        record: &SessionRecord,
+    ) -> Call {
+        let started = Instant::now();
+        let wait = if deadline_ms > 0 {
+            Duration::from_millis(u64::from(deadline_ms))
+        } else {
+            DUPLICATE_WAIT
+        };
+        Call {
+            seq,
+            kind: request.kind(),
+            deadline_ms,
+            started,
+            submitted: started,
+            trace,
+            trace_id: trace.map(|c| c.trace.0),
+            session: record.id,
+            tenant: record.tenant.clone(),
+            meter: telemetry::RequestMeter::new(),
+            key,
+            replay: None,
+            settled: false,
+            state: State::Parked {
+                request,
+                wait_until: started + wait,
+            },
+        }
+    }
+
+    /// The request of a call not yet dispatched.
+    fn request(&mut self) -> &mut Request {
+        match &mut self.state {
+            State::Parked { request, .. } => request,
+            State::Dispatched { .. } => unreachable!("a dispatched call's request is submitted"),
+        }
+    }
+
+    /// The reply channel of a dispatched call.
+    fn reply(&self) -> Option<&Receiver<Response>> {
+        match &self.state {
+            State::Dispatched { rx, .. } => Some(rx),
+            State::Parked { .. } => None,
+        }
+    }
+
+    /// When the loop must look at this call even if nothing wakes it.
+    fn wake_at(&self) -> Option<Instant> {
+        match self.state {
+            State::Parked { wait_until, .. } => Some(wait_until),
+            State::Dispatched { deadline, .. } => deadline,
+        }
+    }
+
+    /// Decide the call's next step. A dispatched call settles once its
+    /// reply arrives or its deadline lapses. A parked call without a
+    /// key dispatches; with one, the replay cache decides: a recorded
+    /// response replays, a free key is claimed and the call dispatches,
+    /// and a key still in flight keeps it waiting until the server
+    /// drains or `wait_until` passes.
+    fn poll(&mut self, shared: &Arc<Shared>, now: Instant) -> Step {
+        let wait_until = match &self.state {
+            State::Dispatched { rx, deadline } => {
+                return match rx.try_recv() {
+                    Ok(response) => Step::Settle(response, Exit::Answered),
+                    Err(TryRecvError::Disconnected) => Step::Settle(
+                        Response::Error("analysis server dropped the request".into()),
+                        Exit::Answered,
+                    ),
+                    // Dropping `rx` with the call discards a late reply.
+                    Err(TryRecvError::Empty) if deadline.is_some_and(|d| now >= d) => {
+                        let deadline = Duration::from_millis(u64::from(self.deadline_ms));
+                        Step::Settle(deadline_timeout(deadline, self.trace_id), Exit::Answered)
+                    }
+                    Err(TryRecvError::Empty) => Step::Wait,
+                };
+            }
+            State::Parked { wait_until, .. } => *wait_until,
+        };
+        if self.key == 0 {
+            return Step::Dispatch;
+        }
+        let mut cache = shared.replay.lock().expect("replay cache lock poisoned");
+        match cache.entry(self.key) {
+            Some(ReplayEntry::Done(response)) => Step::Settle(response.clone(), Exit::Replayed),
+            None => {
+                cache.begin(self.key);
+                self.replay = Some(shared.clone());
+                Step::Dispatch
+            }
+            Some(ReplayEntry::InFlight) if shared.draining.load(Ordering::SeqCst) => {
+                Step::Settle(Response::ShuttingDown, Exit::Drained)
+            }
+            Some(ReplayEntry::InFlight) if now >= wait_until => Step::Settle(
+                Response::Failed {
+                    reason: "duplicate request still executing".into(),
+                    retryable: true,
+                },
+                Exit::WaitExpired,
+            ),
+            Some(ReplayEntry::InFlight) => Step::Wait,
+        }
+    }
+
+    /// Settle the call: move the counters and `record` tallies its exit
+    /// names, resolve its replay-cache marker, and file its row.
+    /// Returns the usage filed, which the reply carries. A live session
+    /// passes its registry row; an orphan passes a scratch record.
+    fn settle(
+        mut self,
+        record: &mut SessionRecord,
+        response: &Response,
+        exit: Exit,
+    ) -> telemetry::ResourceUsage {
+        let status = match exit {
+            Exit::Answered => {
+                telemetry::add("server.requests", 1);
+                telemetry::record_duration("server.request_latency_ns", self.submitted.elapsed());
+                record.requests += 1;
+                match response {
+                    Response::Overloaded => {
+                        telemetry::add("server.sheds", 1);
+                        record.sheds += 1;
+                        "overloaded"
+                    }
+                    Response::Error(_) | Response::Failed { .. } => {
+                        telemetry::add("server.request_errors", 1);
+                        record.errors += 1;
+                        if matches!(response, Response::Error(_)) {
+                            "error"
+                        } else {
+                            "failed"
+                        }
+                    }
+                    Response::ShuttingDown => "shutting_down",
+                    _ => "ok",
+                }
+            }
+            Exit::Replayed => {
+                telemetry::add("server.idempotent_replays", 1);
+                record.replays += 1;
+                "replayed"
+            }
+            Exit::Rejected | Exit::Overflowed => {
+                if let Exit::Overflowed = exit {
+                    telemetry::add("server.window_overflows", 1);
+                }
+                telemetry::add("server.requests_rejected", 1);
+                record.errors += 1;
+                "rejected"
+            }
+            Exit::Drained => "shutting_down",
+            Exit::WaitExpired => {
+                telemetry::add("server.duplicate_waits_expired", 1);
+                "failed"
+            }
+        };
+        if let Some(shared) = self.replay.take() {
+            let mut cache = shared.replay.lock().expect("replay cache lock poisoned");
+            cache.resolve(self.key, response);
+        }
+        self.file(status)
+    }
+
+    /// File the call's `perfdmf_requests` row; returns its usage.
+    fn file(&mut self, status: &'static str) -> telemetry::ResourceUsage {
+        self.settled = true;
+        let usage = self.meter.snapshot();
+        let elapsed = self.started.elapsed();
+        telemetry::requests::record(telemetry::RequestRecord {
+            seq: 0,
+            trace_id: self.trace_id,
+            session: self.session,
+            tenant: std::mem::take(&mut self.tenant),
+            kind: self.kind,
+            status,
+            // Milliseconds of deadline left; negative once exceeded.
+            deadline_slack_ms: (self.deadline_ms > 0).then(|| {
+                i64::from(self.deadline_ms) - elapsed.as_millis().min(i64::MAX as u128) as i64
+            }),
+            elapsed_ns: elapsed.as_nanos().min(u64::MAX as u128) as u64,
+            slow: false,
+            usage,
+        });
+        usage
+    }
 }
+
+impl Drop for Call {
+    /// An unsettled call abandons its replay-cache marker. If its thread
+    /// is panicking, it also files `status = "panic"` and freezes the
+    /// flight recorder, so the request that killed a session keeps its
+    /// row and its trace.
+    fn drop(&mut self) {
+        if let Some(shared) = self.replay.take() {
+            // Skip a poisoned lock: panicking in `drop` would abort.
+            if let Ok(mut cache) = shared.replay.lock() {
+                cache.abandon(self.key);
+            }
+        }
+        if !self.settled && std::thread::panicking() {
+            telemetry::add("server.request_panics", 1);
+            self.file("panic");
+            telemetry::trace::fault_dump();
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// Per-session state machine.
+// ---------------------------------------------------------------------
 
 /// Lifecycle phase of a session state machine.
 enum Phase {
@@ -447,8 +696,8 @@ struct Session {
     last_progress: Instant,
     reader: FrameReader,
     outbuf: Vec<u8>,
-    inflight: Vec<Inflight>,
-    parked: Vec<Parked>,
+    /// Admitted calls not yet settled, in admission order.
+    calls: Vec<Call>,
     window: usize,
     close_reason: Option<String>,
     dead: bool,
@@ -466,8 +715,7 @@ impl Session {
             last_progress: now,
             reader: FrameReader::new(),
             outbuf: Vec::new(),
-            inflight: Vec::new(),
-            parked: Vec::new(),
+            calls: Vec::new(),
             window,
             close_reason: None,
             dead: false,
@@ -480,18 +728,6 @@ impl Session {
             fd: self.fd,
             read: !matches!(self.phase, Phase::Closing { .. }),
             write: !self.outbuf.is_empty(),
-        }
-    }
-
-    /// The nearest instant at which this session needs the loop to act
-    /// even without I/O readiness (deadline expiry, duplicate-wait
-    /// expiry). Idle and linger budgets ride on the loop's 25ms tick.
-    fn next_deadline(&self) -> Option<Instant> {
-        let inflight = self.inflight.iter().filter_map(|i| i.deadline).min();
-        let parked = self.parked.iter().map(|p| p.wait_until).min();
-        match (inflight, parked) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
         }
     }
 
@@ -515,10 +751,9 @@ impl Session {
         if self.dead {
             return;
         }
-        self.poll_completions(shared, now);
-        self.poll_parked(shared, waker, now);
+        self.poll_calls(shared, waker, now);
         let draining = shared.draining.load(Ordering::SeqCst);
-        let quiescent = self.inflight.is_empty() && self.parked.is_empty();
+        let quiescent = self.calls.is_empty();
         match self.phase {
             Phase::Handshake if draining => {
                 self.farewell("server draining", "server drained".into(), now);
@@ -549,169 +784,77 @@ impl Session {
         }
     }
 
-    /// Drain finished (or expired) in-flight calls.
-    fn poll_completions(&mut self, shared: &Arc<Shared>, now: Instant) {
+    /// Take every call one step: settle the answered and expired,
+    /// dispatch the unblocked, leave the rest waiting.
+    fn poll_calls(&mut self, shared: &Arc<Shared>, waker: &Arc<WakeHandle>, now: Instant) {
         let mut i = 0;
-        while i < self.inflight.len() {
-            match self.inflight[i].rx.try_recv() {
-                Ok(response) => {
-                    let inf = self.inflight.remove(i);
-                    self.complete(inf, response);
-                }
-                Err(TryRecvError::Disconnected) => {
-                    let inf = self.inflight.remove(i);
-                    self.complete(
-                        inf,
-                        Response::Error("analysis server dropped the request".into()),
-                    );
-                }
-                Err(TryRecvError::Empty) => {
-                    if self.inflight[i].deadline.is_some_and(|d| now >= d) {
-                        // Same synthesized failure (and counter) the
-                        // blocking `request_with_deadline` produces;
-                        // dropping `rx` discards any late completion.
-                        let inf = self.inflight.remove(i);
-                        let response = synthesize_timeout(&inf.ctx);
-                        self.complete(inf, response);
-                    } else {
-                        i += 1;
-                    }
-                }
-            }
-        }
-        let _ = shared;
-    }
-
-    /// Account and answer one finished dispatch.
-    fn complete(&mut self, inf: Inflight, response: Response) {
-        let status = finish_request(&mut self.record, &response, inf.submitted);
-        if let Some(guard) = inf.guard {
-            guard.resolve(&response);
-        }
-        let usage = inf.meter.snapshot();
-        self.finish_call(&inf.ctx, usage, response, status);
-    }
-
-    /// Re-check parked duplicates against the replay cache.
-    fn poll_parked(&mut self, shared: &Arc<Shared>, waker: &Arc<WakeHandle>, now: Instant) {
-        enum Action {
-            Replay(Response),
-            Promote,
-            Shed,
-            Expire,
-        }
-        let mut i = 0;
-        while i < self.parked.len() {
-            let action = {
-                let parked = &self.parked[i];
-                let mut cache = shared.replay.lock().unwrap();
-                match cache.entry(parked.key) {
-                    Some(ReplayEntry::Done(response)) => Action::Replay(response.clone()),
-                    None => {
-                        // The original execution was abandoned; this
-                        // retry now runs it, registered under the same
-                        // key before the lock drops.
-                        cache.begin(parked.key);
-                        Action::Promote
-                    }
-                    Some(ReplayEntry::InFlight) => {
-                        if shared.draining.load(Ordering::SeqCst) {
-                            Action::Shed
-                        } else if now >= parked.wait_until {
-                            telemetry::add("server.duplicate_waits_expired", 1);
-                            Action::Expire
-                        } else {
-                            i += 1;
-                            continue;
-                        }
-                    }
-                }
-            };
-            let parked = self.parked.remove(i);
-            match action {
-                Action::Replay(response) => {
-                    telemetry::add("server.idempotent_replays", 1);
-                    self.record.replays += 1;
-                    let usage = parked.meter.snapshot();
-                    self.finish_call(&parked.ctx, usage, response, "replayed");
-                }
-                Action::Shed => {
-                    let usage = parked.meter.snapshot();
-                    self.finish_call(&parked.ctx, usage, Response::ShuttingDown, "shutting_down");
-                }
-                Action::Expire => {
-                    let usage = parked.meter.snapshot();
-                    let response = Response::Failed {
-                        reason: "duplicate request still executing".into(),
-                        retryable: true,
-                    };
-                    self.finish_call(&parked.ctx, usage, response, "failed");
-                }
-                Action::Promote => {
-                    let guard = InFlightGuard::new(shared.clone(), parked.key);
-                    // Re-adopt the call's trace and meter for the
-                    // submission so worker spans and usage attribute to
-                    // the right request, as the blocking wait (which
-                    // held them adopted throughout) did.
-                    let _adopted = parked.trace.map(telemetry::trace::adopt_context);
-                    let _metered = telemetry::adopt_meter(parked.meter.clone());
-                    let deadline = (parked.ctx.deadline_ms > 0)
-                        .then(|| now + Duration::from_millis(u64::from(parked.ctx.deadline_ms)));
-                    let notify = notify_via(waker);
-                    match shared
-                        .explorer
-                        .submit_with_notify(parked.request, deadline, Some(notify))
-                    {
-                        Ok(rx) => self.inflight.push(Inflight {
-                            session: self.record.id,
-                            tenant: self.record.tenant.clone(),
-                            ctx: parked.ctx,
-                            deadline,
-                            submitted: now,
-                            rx,
-                            guard: Some(guard),
-                            meter: parked.meter,
-                        }),
-                        Err(shed) => {
-                            let status = finish_request(&mut self.record, &shed, now);
-                            guard.resolve(&shed);
-                            let usage = parked.meter.snapshot();
-                            self.finish_call(&parked.ctx, usage, shed, status);
-                        }
-                    }
+        while i < self.calls.len() {
+            match self.calls[i].poll(shared, now) {
+                Step::Wait => i += 1,
+                step => {
+                    let call = self.calls.remove(i);
+                    self.advance(shared, waker, call, step, now);
                 }
             }
         }
     }
 
-    /// File the accounting row, balance the in-flight bookkeeping, and
-    /// queue the reply frame.
-    fn finish_call(
+    /// Carry out `step` for `call`.
+    fn advance(
         &mut self,
-        ctx: &CallCtx,
-        usage: telemetry::ResourceUsage,
-        response: Response,
-        status: &'static str,
+        shared: &Arc<Shared>,
+        waker: &Arc<WakeHandle>,
+        call: Call,
+        step: Step,
+        now: Instant,
     ) {
-        let elapsed = ctx.started.elapsed();
-        telemetry::requests::record(telemetry::RequestRecord {
-            seq: 0,
-            trace_id: ctx.trace_id,
-            session: self.record.id,
-            tenant: self.record.tenant.clone(),
-            kind: ctx.kind,
-            status,
-            deadline_slack_ms: deadline_slack(ctx.deadline_ms, elapsed),
-            elapsed_ns: elapsed.as_nanos().min(u64::MAX as u128) as u64,
-            slow: false,
-            usage,
-        });
+        match step {
+            Step::Wait => self.calls.push(call),
+            Step::Dispatch => self.dispatch(shared, waker, call, now),
+            Step::Settle(response, exit) => self.finish(call, response, exit),
+        }
+    }
+
+    /// Submit a parked call to the explorer under its trace and meter,
+    /// so worker spans and usage attribute to it, with its deadline
+    /// counted from `now`. The call then waits dispatched, or settles
+    /// the shed.
+    fn dispatch(
+        &mut self,
+        shared: &Arc<Shared>,
+        waker: &Arc<WakeHandle>,
+        mut call: Call,
+        now: Instant,
+    ) {
+        let request = std::mem::replace(call.request(), Request::Ping);
+        let _adopted = call.trace.map(telemetry::trace::adopt_context);
+        let _metered = telemetry::adopt_meter(call.meter.clone());
+        let deadline = (call.deadline_ms > 0)
+            .then(|| now + Duration::from_millis(u64::from(call.deadline_ms)));
+        call.submitted = now;
+        match shared
+            .explorer
+            .submit_with_notify(request, deadline, Some(notify_via(waker)))
+        {
+            Ok(rx) => {
+                call.state = State::Dispatched { rx, deadline };
+                self.calls.push(call);
+            }
+            Err(shed) => self.finish(call, shed, Exit::Answered),
+        }
+    }
+
+    /// Settle an admitted call, release its in-flight slot in the
+    /// session's bookkeeping, and queue its reply.
+    fn finish(&mut self, call: Call, response: Response, exit: Exit) {
+        let seq = call.seq;
+        let usage = call.settle(&mut self.record, &response, exit);
         self.record.requests_inflight = self.record.requests_inflight.saturating_sub(1);
         if self.record.requests_inflight == 0 {
             self.record.trace_id = None;
         }
         telemetry::sessions::note_request_finished(self.record.id);
-        self.queue_reply(ctx.seq, usage, response);
+        self.queue_reply(seq, usage, response);
     }
 
     /// Queue a `Reply` frame carrying the call's resource usage.
@@ -919,17 +1062,9 @@ impl Session {
                     );
                     return;
                 }
-                self.begin_call(
-                    shared,
-                    waker,
-                    CallFrame {
-                        seq,
-                        deadline_ms,
-                        idempotency,
-                        trace,
-                        request,
-                    },
-                );
+                self.record.last_seq = seq;
+                let call = Call::new(seq, deadline_ms, idempotency, trace, request, &self.record);
+                self.begin_call(shared, waker, call);
             }
             Ok(_) => {
                 telemetry::add("server.protocol_errors", 1);
@@ -952,183 +1087,54 @@ impl Session {
         }
     }
 
-    /// Admit one call: window check, then the same traced, metered,
-    /// panic-instrumented admission pipeline: the explorer submission
-    /// parks an [`Inflight`] entry instead of blocking on the reply.
-    fn begin_call(&mut self, shared: &Arc<Shared>, waker: &Arc<WakeHandle>, call: CallFrame) {
-        let CallFrame {
-            seq,
-            deadline_ms,
-            idempotency,
-            trace,
-            request,
-        } = call;
-        self.record.last_seq = seq;
-        let kind = request.kind();
-        let started = Instant::now();
-        if self.inflight.len() + self.parked.len() >= self.window {
+    /// Admit one call: the window check, then the traced, metered scope
+    /// in which it is validated, checked against the drain and the
+    /// replay cache, and dispatched.
+    fn begin_call(&mut self, shared: &Arc<Shared>, waker: &Arc<WakeHandle>, mut call: Call) {
+        if self.calls.len() >= self.window {
             // The window bounds queued work per connection; rejecting
             // beyond it is a protocol-visible, typed error the client's
-            // pipeline API surfaces verbatim.
-            telemetry::add("server.window_overflows", 1);
-            telemetry::add("server.requests_rejected", 1);
-            self.record.errors += 1;
-            let ctx = CallCtx {
-                seq,
-                kind,
-                deadline_ms,
-                started,
-                trace_id: trace.map(|c| c.trace.0),
-            };
-            let usage = telemetry::RequestMeter::new().snapshot();
+            // pipeline API surfaces verbatim. The call never took an
+            // in-flight slot, so it settles and replies directly.
             let response = Response::Error(format!(
                 "pipelining window of {} outstanding calls exceeded",
                 self.window
             ));
-            // No in-flight bookkeeping was started for this seq, so
-            // file the row and reply directly.
-            let elapsed = started.elapsed();
-            telemetry::requests::record(telemetry::RequestRecord {
-                seq: 0,
-                trace_id: ctx.trace_id,
-                session: self.record.id,
-                tenant: self.record.tenant.clone(),
-                kind,
-                status: "rejected",
-                deadline_slack_ms: deadline_slack(deadline_ms, elapsed),
-                elapsed_ns: elapsed.as_nanos().min(u64::MAX as u128) as u64,
-                slow: false,
-                usage,
-            });
+            let seq = call.seq;
+            let usage = call.settle(&mut self.record, &response, Exit::Overflowed);
             self.queue_reply(seq, usage, response);
             return;
         }
         self.record.requests_inflight += 1;
-        self.record.trace_id = trace.map(|c| c.trace.0);
+        self.record.trace_id = call.trace_id;
         telemetry::sessions::note_request_started(self.record.id, self.record.trace_id);
 
         // The traced, metered scope: everything from here to the
         // explorer hand-off runs under the adopted client context and a
-        // `server.request` span, so worker spans parent correctly and a
-        // session-injected panic leaves its artifacts inside the span.
-        let _adopted = trace.map(telemetry::trace::adopt_context);
-        let meter = telemetry::RequestMeter::new();
-        let _metered = telemetry::adopt_meter(meter.clone());
-        let mut artifact = PanicArtifact {
-            kind,
-            session: self.record.id,
-            tenant: self.record.tenant.clone(),
-            trace_id: trace.map(|c| c.trace.0),
-            deadline_ms,
-            started,
-            meter: meter.clone(),
-            completed: false,
-        };
+        // `server.request` span, so worker spans parent correctly. The
+        // span closes before `call` drops, so a session-injected panic
+        // dumps the span along with the call's row.
+        let _adopted = call.trace.map(telemetry::trace::adopt_context);
+        let _metered = telemetry::adopt_meter(call.meter.clone());
         let _span = telemetry::span("server.request");
-        let trace_id = artifact
+        call.trace_id = call
             .trace_id
             .or_else(|| telemetry::trace::current_trace_id().map(|t| t.0));
-        artifact.trace_id = trace_id;
-        let ctx = CallCtx {
-            seq,
-            kind,
-            deadline_ms,
-            started,
-            trace_id,
-        };
         if shared.config.allow_fault_injection {
-            if let Request::InjectPanic(message) = &request {
+            if let Request::InjectPanic(message) = call.request() {
                 if let Some(rest) = message.strip_prefix("session:") {
                     panic!("injected session panic: {rest}");
                 }
             }
         }
-        if let Err(reason) = validate(&request, &shared.config) {
-            telemetry::add("server.requests_rejected", 1);
-            self.record.errors += 1;
-            artifact.completed = true;
-            let usage = meter.snapshot();
-            self.finish_call(&ctx, usage, Response::Error(reason), "rejected");
-            return;
-        }
-        if shared.draining.load(Ordering::SeqCst) {
-            artifact.completed = true;
-            let usage = meter.snapshot();
-            self.finish_call(&ctx, usage, Response::ShuttingDown, "shutting_down");
-            return;
-        }
-        let mut guard = None;
-        if idempotency != 0 {
-            let wait_until = started
-                + if deadline_ms > 0 {
-                    Duration::from_millis(u64::from(deadline_ms))
-                } else {
-                    DUPLICATE_WAIT
-                };
-            let mut cache = shared.replay.lock().unwrap();
-            match cache.entry(idempotency) {
-                Some(ReplayEntry::Done(response)) => {
-                    let response = response.clone();
-                    drop(cache);
-                    telemetry::add("server.idempotent_replays", 1);
-                    self.record.replays += 1;
-                    artifact.completed = true;
-                    let usage = meter.snapshot();
-                    self.finish_call(&ctx, usage, response, "replayed");
-                    return;
-                }
-                Some(ReplayEntry::InFlight) => {
-                    drop(cache);
-                    // Park: the original execution (possibly on another
-                    // connection) is still running; every tick
-                    // re-checks the cache until it resolves or the wait
-                    // budget lapses.
-                    artifact.completed = true;
-                    self.parked.push(Parked {
-                        ctx,
-                        key: idempotency,
-                        wait_until,
-                        trace,
-                        meter,
-                        request,
-                    });
-                    return;
-                }
-                None => {
-                    cache.begin(idempotency);
-                    guard = Some(InFlightGuard::new(shared.clone(), idempotency));
-                }
-            }
-        }
-        let deadline =
-            (deadline_ms > 0).then(|| started + Duration::from_millis(u64::from(deadline_ms)));
-        let notify = notify_via(waker);
-        match shared
-            .explorer
-            .submit_with_notify(request, deadline, Some(notify))
-        {
-            Ok(rx) => {
-                artifact.completed = true;
-                self.inflight.push(Inflight {
-                    session: self.record.id,
-                    tenant: self.record.tenant.clone(),
-                    ctx,
-                    deadline,
-                    submitted: started,
-                    rx,
-                    guard,
-                    meter,
-                });
-            }
-            Err(shed) => {
-                artifact.completed = true;
-                let status = finish_request(&mut self.record, &shed, started);
-                if let Some(guard) = guard {
-                    guard.resolve(&shed);
-                }
-                let usage = meter.snapshot();
-                self.finish_call(&ctx, usage, shed, status);
-            }
+        if let Err(reason) = validate(call.request(), &shared.config) {
+            self.finish(call, Response::Error(reason), Exit::Rejected);
+        } else if shared.draining.load(Ordering::SeqCst) {
+            self.finish(call, Response::ShuttingDown, Exit::Drained);
+        } else {
+            let now = call.started;
+            let step = call.poll(shared, now);
+            self.advance(shared, waker, call, step, now);
         }
     }
 
@@ -1143,14 +1149,15 @@ impl Session {
         self.dead = true;
     }
 
-    /// Tear down: release the socket, push unfinished dispatches to the
-    /// executor's orphan list (their completions must still resolve
-    /// replay-cache guards), and finalize the registry row.
-    fn finalize(mut self, shared: &Arc<Shared>, orphans: &mut Vec<Inflight>) {
+    /// Tear down: release the socket, hand dispatched calls to the
+    /// executor's orphan list (their outcomes must still resolve
+    /// replay-cache markers and move the counters), and finalize the
+    /// registry row.
+    fn finalize(mut self, shared: &Arc<Shared>, orphans: &mut Vec<Call>) {
         self.stream.shutdown();
-        orphans.append(&mut self.inflight);
-        // Parked entries hold no cache guard; dropping them simply
-        // stops the wait.
+        // Parked calls hold no cache marker; dropping them stops the
+        // wait and files no row.
+        orphans.extend(self.calls.drain(..).filter(|call| call.reply().is_some()));
         if self.record_on_close {
             self.record.state = SessionState::Closed;
             self.record.connected_ms =
@@ -1167,72 +1174,10 @@ impl Session {
     }
 }
 
-/// The synthesized deadline failure, bit-compatible with the one the
-/// blocking `request_with_deadline` path produces.
-fn synthesize_timeout(ctx: &CallCtx) -> Response {
-    let deadline = Duration::from_millis(u64::from(ctx.deadline_ms));
-    telemetry::add("explorer.timeouts", 1);
-    let trace_tag = ctx
-        .trace_id
-        .map(|t| format!(" [trace {t:016x}]"))
-        .unwrap_or_default();
-    Response::Failed {
-        reason: format!("no response within {deadline:?}{trace_tag}"),
-        retryable: true,
-    }
-}
-
 /// Wrap a waker in the `Arc<dyn Fn()>` shape `submit_with_notify` takes.
 fn notify_via(waker: &Arc<WakeHandle>) -> Arc<dyn Fn() + Send + Sync> {
     let waker = waker.clone();
     Arc::new(move || waker.wake())
-}
-
-/// Resolve an orphaned completion (session gone before its dispatch
-/// finished): the replay-cache guard and global counters must still see
-/// the outcome so a retry on a *new* connection replays instead of
-/// re-executing. Returns `true` when the orphan is finished.
-fn orphan_tick(orphan: &mut Inflight, now: Instant) -> bool {
-    let outcome = match orphan.rx.try_recv() {
-        Ok(response) => Some(response),
-        Err(TryRecvError::Disconnected) => {
-            // Worker pool gone (shutdown); the guard's drop abandons
-            // the in-flight marker so future retries re-execute.
-            return true;
-        }
-        Err(TryRecvError::Empty) => {
-            if orphan.deadline.is_some_and(|d| now >= d) {
-                Some(synthesize_timeout(&orphan.ctx))
-            } else {
-                None
-            }
-        }
-    };
-    let Some(response) = outcome else {
-        return false;
-    };
-    // `finish_request` against a scratch record: the global counters
-    // and histograms must move exactly as they would have; the
-    // session's registry row is already final.
-    let mut scratch = SessionRecord::new(orphan.session, orphan.tenant.clone());
-    let status = finish_request(&mut scratch, &response, orphan.submitted);
-    if let Some(guard) = orphan.guard.take() {
-        guard.resolve(&response);
-    }
-    let elapsed = orphan.ctx.started.elapsed();
-    telemetry::requests::record(telemetry::RequestRecord {
-        seq: 0,
-        trace_id: orphan.ctx.trace_id,
-        session: orphan.session,
-        tenant: orphan.tenant.clone(),
-        kind: orphan.ctx.kind,
-        status,
-        deadline_slack_ms: deadline_slack(orphan.ctx.deadline_ms, elapsed),
-        elapsed_ns: elapsed.as_nanos().min(u64::MAX as u128) as u64,
-        slow: false,
-        usage: orphan.meter.snapshot(),
-    });
-    true
 }
 
 // ---------------------------------------------------------------------
@@ -1252,7 +1197,7 @@ fn run(
     let wake_fd = wake_rx.as_raw_fd();
     let mut wake_scratch = [0u8; 64];
     let mut sessions: Vec<Session> = Vec::new();
-    let mut orphans: Vec<Inflight> = Vec::new();
+    let mut orphans: Vec<Call> = Vec::new();
     let mut interests: Vec<Interest> = Vec::new();
     // Whether the last poll reported the wake pipe readable; pending
     // bytes must be drained then (level-triggered poll would spin on
@@ -1282,8 +1227,19 @@ fn run(
                 session.panic_close();
             }
         }
-        // Orphaned dispatches from closed sessions.
-        orphans.retain_mut(|orphan| !orphan_tick(orphan, now));
+        // Calls orphaned by closed sessions settle with no reply. The
+        // session's registry row is already final, so their tallies go
+        // to a scratch record; the global counters still move.
+        let mut i = 0;
+        while i < orphans.len() {
+            match orphans[i].poll(&shared, now) {
+                Step::Settle(response, exit) => {
+                    let call = orphans.swap_remove(i);
+                    call.settle(&mut SessionRecord::new(0, ""), &response, exit);
+                }
+                _ => i += 1,
+            }
+        }
         // Reap the dead.
         let mut i = 0;
         while i < sessions.len() {
@@ -1308,18 +1264,18 @@ fn run(
         // completion channels; park only once the spin comes up dry.
         // Slow calls cost at most EAGER_SPINS sched_yields here, noise
         // against their execution time.
-        let mut pending: usize = sessions.iter().map(|s| s.inflight.len()).sum();
+        let mut pending: usize = sessions.iter().map(|s| s.calls.len()).sum();
         if pending > 0 {
             for _ in 0..EAGER_SPINS {
                 std::thread::yield_now();
                 let now = Instant::now();
                 let mut remaining = 0;
                 for session in &mut sessions {
-                    if session.dead || session.inflight.is_empty() {
+                    if session.dead || session.calls.is_empty() {
                         continue;
                     }
                     if catch_unwind(AssertUnwindSafe(|| {
-                        session.poll_completions(&shared, now);
+                        session.poll_calls(&shared, &waker, now);
                         session.flush_outbuf();
                     }))
                     .is_err()
@@ -1327,7 +1283,7 @@ fn run(
                         session.panic_close();
                         continue;
                     }
-                    remaining += session.inflight.len();
+                    remaining += session.calls.len();
                 }
                 if remaining < pending {
                     // Progress: replies are flushed; resume the loop so
@@ -1350,12 +1306,8 @@ fn run(
         // swept: every sleep is capped at POLL_INTERVAL, so a drain
         // landing mid-gate is noticed one tick later at worst.
         waker.parked.store(true, Ordering::SeqCst);
-        if !intake.is_empty()
-            || sessions
-                .iter()
-                .any(|s| s.inflight.iter().any(|i| !i.rx.is_empty()))
-            || orphans.iter().any(|o| !o.rx.is_empty())
-        {
+        let mut calls = sessions.iter().flat_map(|s| &s.calls).chain(&orphans);
+        if !intake.is_empty() || calls.any(|c| c.reply().is_some_and(|rx| !rx.is_empty())) {
             waker.parked.store(false, Ordering::SeqCst);
             continue;
         }
@@ -1366,15 +1318,13 @@ fn run(
             read: true,
             write: false,
         });
+        interests.extend(sessions.iter().map(Session::interest));
+        // Deadlines and duplicate-wait expiries need the loop even
+        // without I/O; idle and linger budgets ride on the tick.
         let mut timeout = POLL_INTERVAL;
-        for session in &sessions {
-            interests.push(session.interest());
-            if let Some(deadline) = session.next_deadline() {
-                timeout = timeout.min(deadline.saturating_duration_since(now));
-            }
-        }
-        if let Some(deadline) = orphans.iter().filter_map(|o| o.deadline).min() {
-            timeout = timeout.min(deadline.saturating_duration_since(now));
+        let calls = sessions.iter().flat_map(|s| &s.calls).chain(&orphans);
+        if let Some(wake_at) = calls.filter_map(Call::wake_at).min() {
+            timeout = timeout.min(wake_at.saturating_duration_since(now));
         }
         let waited = reactor.wait(&interests, timeout);
         waker.parked.store(false, Ordering::SeqCst);

@@ -35,13 +35,12 @@ use crate::wire::Message;
 use perfdmf_db::Connection;
 use perfdmf_explorer::{AnalysisServer, ExplorerClient, Request, Response};
 use perfdmf_telemetry as telemetry;
-use perfdmf_telemetry::sessions::SessionRecord;
 use std::collections::{HashMap, VecDeque};
 use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Longest the acceptor and each event-loop shard sleep before
 /// re-checking the drain flag, deadlines, and idle budgets.
@@ -224,6 +223,23 @@ impl ReplayCache {
         self.order.push_back(key);
     }
 
+    /// Record the outcome of the execution running under `key`: cache a
+    /// successful response for replay, drop the marker for outcomes an
+    /// honest retry should re-attempt. Calls parked on the key see the
+    /// outcome on their next tick.
+    pub(crate) fn resolve(&mut self, key: u64, response: &Response) {
+        match response {
+            Response::Overloaded
+            | Response::Error(_)
+            | Response::Failed { .. }
+            | Response::ShuttingDown => self.abandon(key),
+            _ => {
+                self.finish(key, response.clone());
+                telemetry::add("server.replay_inserts", 1);
+            }
+        }
+    }
+
     /// Record the response of a completed execution under `key`.
     fn finish(&mut self, key: u64, response: Response) {
         self.map.insert(key, ReplayEntry::Done(response));
@@ -231,8 +247,9 @@ impl ReplayCache {
     }
 
     /// Drop `key` without recording a response (the execution failed in
-    /// a way that an honest retry should re-attempt).
-    fn abandon(&mut self, key: u64) {
+    /// a way that an honest retry should re-attempt, or never reported
+    /// an outcome).
+    pub(crate) fn abandon(&mut self, key: u64) {
         self.map.remove(&key);
         if let Some(pos) = self.order.iter().position(|&k| k == key) {
             self.order.remove(pos);
@@ -419,139 +436,6 @@ pub(crate) fn validate(request: &Request, config: &ServerConfig) -> Result<(), S
             "stall of {millis}ms exceeds limit {MAX_STALL_MS}ms"
         )),
         _ => Ok(()),
-    }
-}
-
-/// Removes the in-flight replay-cache marker if the execution never
-/// reported an outcome (a panic between dispatch and completion, caught
-/// by the event loop's per-session `catch_unwind`). Without this, a stuck
-/// `InFlight` entry would park every future retry of the key forever.
-pub(crate) struct InFlightGuard {
-    shared: Arc<Shared>,
-    key: u64,
-    resolved: bool,
-}
-
-impl InFlightGuard {
-    /// Register `key` as in flight. The caller must already hold the
-    /// cache decision that the key is fresh (no `Done`/`InFlight`
-    /// entry).
-    pub(crate) fn new(shared: Arc<Shared>, key: u64) -> InFlightGuard {
-        InFlightGuard {
-            shared,
-            key,
-            resolved: false,
-        }
-    }
-
-    /// Record the execution's outcome: cache successful responses for
-    /// replay, drop the marker for outcomes an honest retry should
-    /// re-attempt. Sessions parked on the key see the outcome on their
-    /// next tick.
-    pub(crate) fn resolve(mut self, response: &Response) {
-        let cacheable = !matches!(
-            response,
-            Response::Overloaded
-                | Response::Error(_)
-                | Response::Failed { .. }
-                | Response::ShuttingDown
-        );
-        let mut cache = self.shared.replay.lock().unwrap();
-        if cacheable {
-            cache.finish(self.key, response.clone());
-            telemetry::add("server.replay_inserts", 1);
-        } else {
-            cache.abandon(self.key);
-        }
-        self.resolved = true;
-    }
-}
-
-impl Drop for InFlightGuard {
-    fn drop(&mut self) {
-        if !self.resolved {
-            self.shared.replay.lock().unwrap().abandon(self.key);
-        }
-    }
-}
-
-/// Emits the panic artifacts for a request that dies on its event-loop
-/// shard: without it, the per-session `catch_unwind` swallows
-/// the unwinding with nothing but a counter, losing the trace context
-/// of the request that killed the session. Dropped while panicking (and
-/// not `completed`), it records the request in the accounting ring with
-/// `status = "panic"` and freezes the flight recorder. Declared
-/// *before* the `server.request` span guard so the span publishes its
-/// record first and the dump captures it.
-pub(crate) struct PanicArtifact {
-    pub(crate) kind: &'static str,
-    pub(crate) session: u64,
-    pub(crate) tenant: String,
-    pub(crate) trace_id: Option<u64>,
-    pub(crate) deadline_ms: u32,
-    pub(crate) started: Instant,
-    pub(crate) meter: telemetry::RequestMeter,
-    pub(crate) completed: bool,
-}
-
-impl Drop for PanicArtifact {
-    fn drop(&mut self) {
-        if self.completed || !std::thread::panicking() {
-            return;
-        }
-        telemetry::add("server.request_panics", 1);
-        let elapsed = self.started.elapsed();
-        telemetry::requests::record(telemetry::RequestRecord {
-            seq: 0,
-            trace_id: self.trace_id,
-            session: self.session,
-            tenant: std::mem::take(&mut self.tenant),
-            kind: self.kind,
-            status: "panic",
-            deadline_slack_ms: deadline_slack(self.deadline_ms, elapsed),
-            elapsed_ns: elapsed.as_nanos().min(u64::MAX as u128) as u64,
-            slow: false,
-            usage: self.meter.snapshot(),
-        });
-        telemetry::trace::fault_dump();
-    }
-}
-
-/// Milliseconds of deadline left when the reply was formed (negative =
-/// the deadline was exceeded); `None` for calls without a deadline.
-pub(crate) fn deadline_slack(deadline_ms: u32, elapsed: Duration) -> Option<i64> {
-    (deadline_ms > 0)
-        .then(|| i64::from(deadline_ms) - (elapsed.as_millis().min(i64::MAX as u128) as i64))
-}
-
-/// Account a completed dispatch: the shared counters, the per-session
-/// tallies, and the status label the accounting ring files the request
-/// under.
-pub(crate) fn finish_request(
-    record: &mut SessionRecord,
-    response: &Response,
-    submitted: Instant,
-) -> &'static str {
-    telemetry::add("server.requests", 1);
-    telemetry::record_duration("server.request_latency_ns", submitted.elapsed());
-    record.requests += 1;
-    match response {
-        Response::Overloaded => {
-            telemetry::add("server.sheds", 1);
-            record.sheds += 1;
-        }
-        Response::Error(_) | Response::Failed { .. } => {
-            telemetry::add("server.request_errors", 1);
-            record.errors += 1;
-        }
-        _ => {}
-    }
-    match response {
-        Response::Overloaded => "overloaded",
-        Response::Error(_) => "error",
-        Response::Failed { .. } => "failed",
-        Response::ShuttingDown => "shutting_down",
-        _ => "ok",
     }
 }
 

@@ -508,7 +508,12 @@ pub fn set_fault_dump_path(path: Option<PathBuf>) {
 /// layer when a durability fault counter fires (the counter names the
 /// fault); a no-op returning `None` when tracing is off or no path is
 /// configured.
+///
+/// The dump is written to a temp file beside the target and renamed
+/// over it, so a concurrent reader sees a whole dump, never a
+/// truncated one.
 pub fn fault_dump() -> Option<PathBuf> {
+    static NEXT_TEMP: AtomicU64 = AtomicU64::new(0);
     if !tracing_enabled() {
         return None;
     }
@@ -516,7 +521,14 @@ pub fn fault_dump() -> Option<PathBuf> {
     let mut records = recorder().dump();
     records.extend(open_spans());
     let json = export_chrome_trace(&records);
-    if std::fs::write(&path, json).is_err() {
+    let mut temp = path.clone().into_os_string();
+    let nth = NEXT_TEMP.fetch_add(1, Ordering::Relaxed);
+    temp.push(format!(".{}.{nth}.tmp", std::process::id()));
+    if std::fs::write(&temp, json)
+        .and_then(|()| std::fs::rename(&temp, &path))
+        .is_err()
+    {
+        let _ = std::fs::remove_file(&temp);
         return None;
     }
     crate::add("trace.fault_dumps", 1);
