@@ -87,6 +87,26 @@ impl ParseCache {
     fn len(&self) -> usize {
         self.inner.lock().map.len()
     }
+
+    /// Parse `sql` for execution. Repeated SQL text hits the cache and
+    /// skips the parser entirely.
+    fn prepare(&self, sql: &str) -> Result<Prepared> {
+        let (statement, param_count) = match self.get(sql) {
+            Some(hit) => hit,
+            None => {
+                let _span = telemetry::span("db.parse");
+                let (statement, param_count) = parse_statement_with_params(sql)?;
+                let statement = Arc::new(statement);
+                self.put(sql, Arc::clone(&statement), param_count);
+                (statement, param_count)
+            }
+        };
+        Ok(Prepared {
+            statement,
+            param_count,
+            sql: sql.to_string(),
+        })
+    }
 }
 
 /// A handle to a shared database.
@@ -126,6 +146,26 @@ impl Prepared {
     pub fn sql(&self) -> &str {
         &self.sql
     }
+
+    /// Run this statement with `params` through `exec`, inside one
+    /// `db.exec` span, and record it in the statement metrics and the
+    /// slow-query log. Every execution path of both handles ends here.
+    fn run(
+        &self,
+        params: &[Value],
+        exec: impl FnOnce(&Statement) -> Result<Outcome>,
+    ) -> Result<Outcome> {
+        if params.len() < self.param_count {
+            return Err(DbError::MissingParameter(params.len()));
+        }
+        let _span = telemetry::span("db.exec");
+        let started = telemetry::enabled().then(Instant::now);
+        let outcome = exec(&self.statement);
+        if let Some(started) = started {
+            observe::record_statement(&self.sql, &outcome, started.elapsed());
+        }
+        outcome
+    }
 }
 
 impl Connection {
@@ -160,23 +200,7 @@ impl Connection {
     /// Parse a statement for repeated execution. Repeated SQL text hits
     /// the connection's LRU parse cache and skips the parser entirely.
     pub fn prepare(&self, sql: &str) -> Result<Prepared> {
-        if let Some((statement, param_count)) = self.parse_cache.get(sql) {
-            return Ok(Prepared {
-                statement,
-                param_count,
-                sql: sql.to_string(),
-            });
-        }
-        let _span = telemetry::span("db.parse");
-        let (statement, param_count) = parse_statement_with_params(sql)?;
-        let statement = Arc::new(statement);
-        self.parse_cache
-            .put(sql, Arc::clone(&statement), param_count);
-        Ok(Prepared {
-            statement,
-            param_count,
-            sql: sql.to_string(),
-        })
+        self.parse_cache.prepare(sql)
     }
 
     /// Number of statements currently retained by the parse cache.
@@ -184,19 +208,9 @@ impl Connection {
         self.parse_cache.len()
     }
 
-    fn check_params(prepared: &Prepared, params: &[Value]) -> Result<()> {
-        if params.len() < prepared.param_count {
-            return Err(DbError::MissingParameter(params.len()));
-        }
-        Ok(())
-    }
-
     /// Execute a prepared statement.
     pub fn execute_prepared(&self, prepared: &Prepared, params: &[Value]) -> Result<Outcome> {
-        Self::check_params(prepared, params)?;
-        let _span = telemetry::span("db.exec");
-        let started = telemetry::enabled().then(Instant::now);
-        let outcome = (|| match prepared.statement.as_ref() {
+        prepared.run(params, |statement| match statement {
             // SELECT and EXPLAIN SELECT never mutate; run them under the
             // read lock so they share with other readers.
             Statement::Select(sel) => {
@@ -205,24 +219,19 @@ impl Connection {
                     &db, sel, params,
                 )?))
             }
-            Statement::Explain { statement, analyze } => {
-                if let Statement::Select(sel) = statement.as_ref() {
-                    return crate::exec::explain_select(&self.db.read(), sel, params, *analyze);
+            Statement::Explain {
+                statement: inner,
+                analyze,
+            } => match inner.as_ref() {
+                Statement::Select(sel) => {
+                    crate::exec::explain_select(&self.db.read(), sel, params, *analyze)
                 }
                 // EXPLAIN ANALYZE of DML executes the statement, so it
                 // takes the write lock like any other mutation.
-                let mut db = self.db.write();
-                execute(&mut db, &prepared.statement, params)
-            }
-            _ => {
-                let mut db = self.db.write();
-                execute(&mut db, &prepared.statement, params)
-            }
-        })();
-        if let Some(started) = started {
-            observe::record_statement(&prepared.sql, &outcome, started.elapsed());
-        }
-        outcome
+                _ => execute(&mut self.db.write(), statement, params),
+            },
+            _ => execute(&mut self.db.write(), statement, params),
+        })
     }
 
     /// Parse and execute a statement.
@@ -233,12 +242,7 @@ impl Connection {
 
     /// Execute a SELECT and return its rows.
     pub fn query(&self, sql: &str, params: &[Value]) -> Result<ResultSet> {
-        match self.execute(sql, params)? {
-            Outcome::Rows(rs) => Ok(rs),
-            _ => Err(DbError::Unsupported(
-                "query() requires a SELECT statement".into(),
-            )),
-        }
+        self.execute(sql, params)?.rows()
     }
 
     /// Execute a scalar SELECT (first column of first row).
@@ -249,23 +253,12 @@ impl Connection {
 
     /// Execute DML and return the affected-row count.
     pub fn update(&self, sql: &str, params: &[Value]) -> Result<usize> {
-        match self.execute(sql, params)? {
-            Outcome::Affected { count, .. } => Ok(count),
-            Outcome::Done => Ok(0),
-            Outcome::Rows(_) => Err(DbError::Unsupported(
-                "update() cannot run a SELECT statement".into(),
-            )),
-        }
+        self.execute(sql, params)?.affected()
     }
 
     /// Execute an INSERT and return the generated AUTO_INCREMENT id, if any.
     pub fn insert(&self, sql: &str, params: &[Value]) -> Result<Option<i64>> {
-        match self.execute(sql, params)? {
-            Outcome::Affected { last_insert_id, .. } => Ok(last_insert_id),
-            _ => Err(DbError::Unsupported(
-                "insert() requires an INSERT statement".into(),
-            )),
-        }
+        self.execute(sql, params)?.last_insert_id()
     }
 
     /// Bulk-insert pre-evaluated value tuples as one group-committed batch:
@@ -280,18 +273,9 @@ impl Connection {
         rows: Vec<crate::table::Row>,
     ) -> Result<(usize, Option<i64>)> {
         let _span = telemetry::span("db.bulk_insert");
-        let mut db = self.db.write();
-        let mark = db.stmt_begin();
-        match db.bulk_insert(table, columns, rows) {
-            Ok(res) => {
-                db.stmt_finish()?;
-                Ok(res)
-            }
-            Err(e) => {
-                db.stmt_abort(mark);
-                Err(e)
-            }
-        }
+        self.db
+            .write()
+            .atomically(|db| db.bulk_insert(table, columns, rows))
     }
 
     /// Set when WAL commit batches must reach stable storage.
@@ -307,7 +291,10 @@ impl Connection {
     ) -> Result<T> {
         let mut db = self.db.write();
         db.begin()?;
-        let mut handle = TransactionHandle { db: &mut db };
+        let mut handle = TransactionHandle {
+            db: &mut db,
+            parse_cache: &self.parse_cache,
+        };
         match f(&mut handle) {
             Ok(v) => {
                 db.commit()?;
@@ -353,42 +340,20 @@ impl Connection {
 /// Exclusive access to the database within [`Connection::transaction`].
 pub struct TransactionHandle<'a> {
     db: &'a mut Database,
+    parse_cache: &'a ParseCache,
 }
 
 impl TransactionHandle<'_> {
-    /// Execute a statement inside the transaction.
+    /// Execute a statement inside the transaction. The SQL text goes
+    /// through the connection's parse cache, like [`Connection::execute`].
     pub fn execute(&mut self, sql: &str, params: &[Value]) -> Result<Outcome> {
-        let statement = {
-            let _span = telemetry::span("db.parse");
-            let (statement, param_count) = parse_statement_with_params(sql)?;
-            if params.len() < param_count {
-                return Err(DbError::MissingParameter(params.len()));
-            }
-            statement
-        };
-        if matches!(
-            statement,
-            Statement::Begin | Statement::Commit | Statement::Rollback
-        ) {
-            return Err(DbError::Transaction(
-                "transaction control statements are managed by transaction()".into(),
-            ));
-        }
-        let _span = telemetry::span("db.exec");
-        let started = telemetry::enabled().then(Instant::now);
-        let outcome = execute(self.db, &statement, params);
-        if let Some(started) = started {
-            observe::record_statement(sql, &outcome, started.elapsed());
-        }
-        outcome
+        let prepared = self.parse_cache.prepare(sql)?;
+        self.execute_prepared(&prepared, params)
     }
 
     /// Execute a pre-parsed statement inside the transaction (parse once,
     /// run many — the bulk-load fast path).
     pub fn execute_prepared(&mut self, prepared: &Prepared, params: &[Value]) -> Result<Outcome> {
-        if params.len() < prepared.param_count {
-            return Err(DbError::MissingParameter(params.len()));
-        }
         if matches!(
             *prepared.statement,
             Statement::Begin | Statement::Commit | Statement::Rollback
@@ -397,13 +362,7 @@ impl TransactionHandle<'_> {
                 "transaction control statements are managed by transaction()".into(),
             ));
         }
-        let _span = telemetry::span("db.exec");
-        let started = telemetry::enabled().then(Instant::now);
-        let outcome = execute(self.db, &prepared.statement, params);
-        if let Some(started) = started {
-            observe::record_statement(&prepared.sql, &outcome, started.elapsed());
-        }
-        outcome
+        prepared.run(params, |statement| execute(self.db, statement, params))
     }
 
     /// Execute a pre-parsed INSERT and return the generated id.
@@ -412,12 +371,7 @@ impl TransactionHandle<'_> {
         prepared: &Prepared,
         params: &[Value],
     ) -> Result<Option<i64>> {
-        match self.execute_prepared(prepared, params)? {
-            Outcome::Affected { last_insert_id, .. } => Ok(last_insert_id),
-            _ => Err(DbError::Unsupported(
-                "insert_prepared() requires an INSERT statement".into(),
-            )),
-        }
+        self.execute_prepared(prepared, params)?.last_insert_id()
     }
 
     /// Bulk-insert pre-evaluated value tuples inside the transaction with
@@ -431,37 +385,18 @@ impl TransactionHandle<'_> {
         rows: Vec<crate::table::Row>,
     ) -> Result<(usize, Option<i64>)> {
         let _span = telemetry::span("db.bulk_insert");
-        let mark = self.db.stmt_begin();
-        match self.db.bulk_insert(table, columns, rows) {
-            Ok(res) => {
-                self.db.stmt_finish()?;
-                Ok(res)
-            }
-            Err(e) => {
-                self.db.stmt_abort(mark);
-                Err(e)
-            }
-        }
+        self.db
+            .atomically(|db| db.bulk_insert(table, columns, rows))
     }
 
     /// Query inside the transaction.
     pub fn query(&mut self, sql: &str, params: &[Value]) -> Result<ResultSet> {
-        match self.execute(sql, params)? {
-            Outcome::Rows(rs) => Ok(rs),
-            _ => Err(DbError::Unsupported(
-                "query() requires a SELECT statement".into(),
-            )),
-        }
+        self.execute(sql, params)?.rows()
     }
 
     /// INSERT returning the generated id.
     pub fn insert(&mut self, sql: &str, params: &[Value]) -> Result<Option<i64>> {
-        match self.execute(sql, params)? {
-            Outcome::Affected { last_insert_id, .. } => Ok(last_insert_id),
-            _ => Err(DbError::Unsupported(
-                "insert() requires an INSERT statement".into(),
-            )),
-        }
+        self.execute(sql, params)?.last_insert_id()
     }
 }
 
@@ -496,6 +431,16 @@ mod tests {
         let (h2, m2) = cache_counters();
         assert_eq!(h2 - h1, 5, "every repeat must hit the parse cache");
         assert_eq!(m2 - m1, 0, "repeats must not re-parse");
+        conn.transaction(|tx| {
+            for i in 0..3 {
+                tx.query(sql, &[Value::Int(i)])?;
+            }
+            Ok(())
+        })
+        .unwrap();
+        let (h3, m3) = cache_counters();
+        assert_eq!(h3 - h2, 3, "a transaction must use the same cache");
+        assert_eq!(m3 - m2, 0, "a transaction must not re-parse");
     }
 
     #[test]

@@ -3,21 +3,26 @@
 //! All mutation goes through methods on [`Database`], which
 //!
 //! * validate constraints (types, NOT NULL, UNIQUE, FOREIGN KEY),
-//! * push inverse operations onto an undo log (for ROLLBACK and for
-//!   statement-level atomicity), and
+//! * push the entry that reverses each change onto an undo log (for
+//!   ROLLBACK and for statement-level atomicity), and
 //! * buffer [`WalRecord`]s that are appended to the write-ahead log when
 //!   the enclosing transaction (or autocommit statement) commits.
+//!
+//! A catalog change is made by one function, [`Database::apply`]: WAL
+//! replay applies the logged record, rollback applies the inverse record,
+//! and each DDL method validates, takes its undo entry, and applies the
+//! record it logs.
 //!
 //! [`Database`] is single-threaded by design; [`crate::Connection`] wraps it
 //! in a reader/writer lock for concurrent use.
 
 use crate::error::{DbError, Result};
+use crate::introspect::check_ddl_name;
 use crate::schema::{ColumnDef, TableSchema};
 use crate::storage::{
-    read_snapshot_with, scan_wal, write_snapshot_with, BatchMark, Durability, Wal, WalBatch,
-    WalRecord,
+    read_snapshot, scan_wal, write_snapshot, Durability, Wal, WalBatch, WalRecord,
 };
-use crate::table::{Row, RowId, Table};
+use crate::table::{is_implicit_index, Row, RowId, Table};
 use crate::value::{DataType, Value};
 use crate::vfs::Vfs;
 use perfdmf_telemetry as telemetry;
@@ -26,59 +31,30 @@ use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-/// Inverse operations for rollback.
+/// The entry that reverses one change, for rollback.
 #[derive(Debug)]
 enum Undo {
     /// Rows inserted by one statement, in insertion order (a bulk insert
     /// logs its whole batch as one entry).
-    Insert {
-        table: String,
-        ids: Vec<RowId>,
-    },
-    Delete {
-        table: String,
-        id: RowId,
-        row: Row,
-    },
-    Update {
-        table: String,
-        id: RowId,
-        old: Row,
-    },
-    CreateTable {
-        name: String,
-    },
-    /// Whole-table snapshot taken before destructive DDL.
-    RestoreTable {
-        name: String,
-        table: Box<Table>,
-    },
-    CreateIndex {
-        table: String,
-        name: String,
-    },
+    Inserted { table: String, ids: Vec<RowId> },
+    /// The inverse record: a deleted row's `Insert`, an updated row's
+    /// `Update` to its old value, a created table's `DropTable`, a
+    /// created index's `DropIndex`.
+    Apply(WalRecord),
+    /// The whole table as it was before destructive DDL.
+    Restore { name: String, table: Box<Table> },
 }
 
 /// An embedded relational database: the persistent store under PerfDMF.
 #[derive(Debug)]
 pub struct Database {
     tables: BTreeMap<String, Table>,
-    /// index name → table name (index names are global, like PostgreSQL).
-    index_owner: BTreeMap<String, String>,
     undo: Vec<Undo>,
     pending: WalBatch,
     in_txn: bool,
     wal: Option<Wal>,
     dir: Option<PathBuf>,
     vfs: Arc<dyn Vfs>,
-}
-
-/// Marker for statement-level atomicity: positions in the undo/pending logs
-/// captured before a statement runs.
-#[derive(Debug, Clone, Copy)]
-pub struct StmtMark {
-    undo_len: usize,
-    pending: BatchMark,
 }
 
 impl Default for Database {
@@ -92,7 +68,6 @@ impl Database {
     pub fn new() -> Self {
         Database {
             tables: BTreeMap::new(),
-            index_owner: BTreeMap::new(),
             undo: Vec::new(),
             pending: WalBatch::default(),
             in_txn: false,
@@ -129,23 +104,18 @@ impl Database {
         let snap_path = dir.join("snapshot.pdmf");
         let mut snap_gen = 0u64;
         if vfs.exists(&snap_path) {
-            let (tables, generation) = read_snapshot_with(&*vfs, &snap_path)?;
+            let (tables, generation) = read_snapshot(&*vfs, &snap_path)?;
             snap_gen = generation;
-            for table in tables {
-                let name = table.schema.name.clone();
-                for ix_name in table.indexes.keys() {
-                    if !ix_name.starts_with("__uniq_") {
-                        db.index_owner.insert(ix_name.clone(), name.clone());
-                    }
-                }
-                db.tables.insert(name, table);
-            }
+            db.tables = tables
+                .into_iter()
+                .map(|t| (t.schema.name.clone(), t))
+                .collect();
         }
         let wal_path = dir.join("wal.pdmf");
         let wal = if vfs.exists(&wal_path) {
             // Committed records are applied as the scan reaches them, each
             // moved into its table rather than copied.
-            let scan = scan_wal(&*vfs, &wal_path, snap_gen, |rec| db.apply_record(rec))?;
+            let scan = scan_wal(&*vfs, &wal_path, snap_gen, |rec| db.apply(rec))?;
             if scan.torn_tail || scan.torn_header {
                 telemetry::add("db.recovery.torn_tail", 1);
                 let _ = telemetry::trace::fault_dump();
@@ -199,76 +169,49 @@ impl Database {
         }
         let next_gen = self.wal.as_ref().map(|w| w.generation() + 1).unwrap_or(1);
         let entries: Vec<(&String, &Table)> = self.tables.iter().collect();
-        write_snapshot_with(&*self.vfs, &dir.join("snapshot.pdmf"), &entries, next_gen)?;
+        write_snapshot(&*self.vfs, &dir.join("snapshot.pdmf"), &entries, next_gen)?;
         if let Some(wal) = &mut self.wal {
             wal.reset_to(next_gen)?;
         }
         Ok(())
     }
 
-    /// Apply a WAL record during recovery (no undo, no re-logging).
-    fn apply_record(&mut self, rec: WalRecord) -> Result<()> {
+    /// Apply one logged change: WAL replay applies each committed record,
+    /// rollback applies the inverse record an undo entry holds, and every DDL
+    /// method applies the record it logs. It checks nothing beyond what the
+    /// table methods refuse, so every log the engine once wrote replays.
+    fn apply(&mut self, rec: WalRecord) -> Result<()> {
         match rec {
-            WalRecord::Insert { table, id, row } => {
-                self.table_mut_raw(&table)?.insert_at(id, row)?;
-            }
-            WalRecord::Delete { table, id } => {
-                self.table_mut_raw(&table)?.delete(id)?;
-            }
+            WalRecord::Insert { table, id, row } => self.table_mut_raw(&table)?.insert_at(id, row),
+            WalRecord::Delete { table, id } => self.table_mut_raw(&table)?.delete(id).map(drop),
             WalRecord::Update { table, id, row } => {
-                self.table_mut_raw(&table)?.update(id, row)?;
+                self.table_mut_raw(&table)?.update(id, row).map(drop)
             }
             WalRecord::CreateTable { schema } => {
-                let name = schema.name.clone();
-                self.tables.insert(name, Table::new(schema));
+                self.tables.insert(schema.name.clone(), Table::new(schema));
+                Ok(())
             }
             WalRecord::DropTable { name } => {
-                if let Some(t) = self.tables.remove(&name) {
-                    for ix in t.indexes.keys() {
-                        self.index_owner.remove(ix);
-                    }
-                }
+                self.tables.remove(&name);
+                Ok(())
             }
             WalRecord::AddColumn { table, column } => {
-                self.table_mut_raw(&table)?.add_column(column)?;
+                self.table_mut_raw(&table)?.add_column(column)
             }
             WalRecord::DropColumn { table, column } => {
-                let t = self.table_mut_raw(&table)?;
-                // capture dropped index names before mutation
-                let dropped: Vec<String> = {
-                    let idx = t.schema.column_index(&column);
-                    match idx {
-                        Some(i) => t
-                            .indexes
-                            .iter()
-                            .filter(|(_, ix)| ix.column == i)
-                            .map(|(n, _)| n.clone())
-                            .collect(),
-                        None => Vec::new(),
-                    }
-                };
-                t.drop_column(&column)?;
-                for n in dropped {
-                    self.index_owner.remove(&n);
-                }
+                self.table_mut_raw(&table)?.drop_column(&column)
             }
             WalRecord::CreateIndex {
                 table,
                 name,
                 column,
                 unique,
-            } => {
-                self.table_mut_raw(&table)?
-                    .create_index(&name, &column, unique)?;
-                self.index_owner.insert(name, table);
-            }
-            WalRecord::DropIndex { table, name } => {
-                self.table_mut_raw(&table)?.drop_index(&name)?;
-                self.index_owner.remove(&name);
-            }
-            WalRecord::Commit => {}
+            } => self
+                .table_mut_raw(&table)?
+                .create_index(&name, &column, unique),
+            WalRecord::DropIndex { table, name } => self.table_mut_raw(&table)?.drop_index(&name),
+            WalRecord::Commit => Ok(()),
         }
-        Ok(())
     }
 
     /// Is a write-ahead log attached (persistent database)?
@@ -322,66 +265,44 @@ impl Database {
 
     // ---------------- statement atomicity ----------------
 
-    /// Capture undo/WAL positions before executing a statement.
-    pub fn stmt_begin(&mut self) -> StmtMark {
-        StmtMark {
-            undo_len: self.undo.len(),
-            pending: self.pending.mark(),
+    /// Run `f` as one statement: if it fails, every change it made is
+    /// undone and its records leave the pending batch; if it succeeds
+    /// outside an explicit transaction, its changes commit (autocommit).
+    pub fn atomically<T>(&mut self, f: impl FnOnce(&mut Database) -> Result<T>) -> Result<T> {
+        let undo_len = self.undo.len();
+        let mark = self.pending.mark();
+        match f(self) {
+            Ok(value) => {
+                if !self.in_txn {
+                    self.commit_internal()?;
+                }
+                Ok(value)
+            }
+            Err(e) => {
+                self.undo_to(undo_len);
+                self.pending.truncate(mark);
+                Err(e)
+            }
         }
     }
 
-    /// Roll back the effects of a failed statement.
-    pub fn stmt_abort(&mut self, mark: StmtMark) {
-        self.undo_to(mark.undo_len);
-        self.pending.truncate(mark.pending);
-    }
-
-    /// Finish a successful statement: autocommit if no transaction is open.
-    pub fn stmt_finish(&mut self) -> Result<()> {
-        if !self.in_txn {
-            self.commit_internal()?;
-        }
-        Ok(())
-    }
-
+    /// Reverse every change after the first `len` undo entries, newest
+    /// first.
     fn undo_to(&mut self, len: usize) {
         while self.undo.len() > len {
-            let op = self.undo.pop().expect("len checked");
-            match op {
-                Undo::Insert { table, ids } => {
+            match self.undo.pop().expect("len checked") {
+                Undo::Inserted { table, ids } => {
                     if let Ok(t) = self.table_mut_raw(&table) {
                         for &id in ids.iter().rev() {
                             let _ = t.delete(id);
                         }
                     }
                 }
-                Undo::Delete { table, id, row } => {
-                    let _ = self
-                        .table_mut_raw(&table)
-                        .and_then(|t| t.insert_at(id, row));
+                Undo::Apply(rec) => {
+                    let _ = self.apply(rec);
                 }
-                Undo::Update { table, id, old } => {
-                    let _ = self.table_mut_raw(&table).and_then(|t| t.update(id, old));
-                }
-                Undo::CreateTable { name } => {
-                    if let Some(t) = self.tables.remove(&name) {
-                        for ix in t.indexes.keys() {
-                            self.index_owner.remove(ix);
-                        }
-                    }
-                }
-                Undo::RestoreTable { name, table } => {
-                    // Re-register this table's named indexes.
-                    for ix in table.indexes.keys() {
-                        if !ix.starts_with("__uniq_") {
-                            self.index_owner.insert(ix.clone(), name.clone());
-                        }
-                    }
+                Undo::Restore { name, table } => {
                     self.tables.insert(name, *table);
-                }
-                Undo::CreateIndex { table, name } => {
-                    let _ = self.table_mut_raw(&table).and_then(|t| t.drop_index(&name));
-                    self.index_owner.remove(&name);
                 }
             }
         }
@@ -454,10 +375,39 @@ impl Database {
 
     // ---------------- DDL ----------------
 
+    /// Make a DDL change: apply `rec`, then log it and keep `undo`, the
+    /// entry that reverses it.
+    fn change(&mut self, rec: WalRecord, undo: Undo) -> Result<()> {
+        self.apply(rec.clone())?;
+        self.pending.push(&rec);
+        self.undo.push(undo);
+        Ok(())
+    }
+
+    /// The undo entry that reinstalls table `key` as it is now.
+    fn restore_point(&self, key: &str) -> Result<Undo> {
+        Ok(Undo::Restore {
+            name: key.to_string(),
+            table: Box::new(self.table(key)?.clone()),
+        })
+    }
+
+    /// The table holding the index `name`. Implicit constraint indexes
+    /// are skipped: no statement names them.
+    fn index_table(&self, name: &str) -> Option<String> {
+        if is_implicit_index(name) {
+            return None;
+        }
+        self.tables
+            .iter()
+            .find(|(_, t)| t.indexes.contains_key(name))
+            .map(|(table, _)| table.clone())
+    }
+
     /// CREATE TABLE.
     pub fn create_table(&mut self, schema: TableSchema, if_not_exists: bool) -> Result<()> {
         let name = schema.name.clone();
-        crate::introspect::check_ddl_name(&name)?;
+        check_ddl_name(&name)?;
         if self.tables.contains_key(&name) {
             if if_not_exists {
                 return Ok(());
@@ -478,14 +428,15 @@ impl Database {
                 }
             }
         }
-        self.tables.insert(name.clone(), Table::new(schema.clone()));
-        self.undo.push(Undo::CreateTable { name: name.clone() });
-        self.pending.push(&WalRecord::CreateTable { schema });
-        Ok(())
+        self.change(
+            WalRecord::CreateTable { schema },
+            Undo::Apply(WalRecord::DropTable { name }),
+        )
     }
 
     /// DROP TABLE.
     pub fn drop_table(&mut self, name: &str, if_exists: bool) -> Result<()> {
+        check_ddl_name(name)?;
         let key = name.to_ascii_lowercase();
         if !self.tables.contains_key(&key) {
             if if_exists {
@@ -510,20 +461,21 @@ impl Database {
                 }
             }
         }
+        // The undo entry takes the table itself rather than a copy, which
+        // leaves `apply` nothing to remove.
         let table = self.tables.remove(&key).expect("checked above");
-        for ix in table.indexes.keys() {
-            self.index_owner.remove(ix);
-        }
-        self.undo.push(Undo::RestoreTable {
-            name: key.clone(),
-            table: Box::new(table),
-        });
-        self.pending.push(&WalRecord::DropTable { name: key });
-        Ok(())
+        self.change(
+            WalRecord::DropTable { name: key.clone() },
+            Undo::Restore {
+                name: key,
+                table: Box::new(table),
+            },
+        )
     }
 
     /// ALTER TABLE ADD COLUMN.
     pub fn add_column(&mut self, table: &str, column: ColumnDef) -> Result<()> {
+        check_ddl_name(table)?;
         if let Some((ftable, fcol)) = &column.references {
             let target = self.table(ftable)?;
             if target.schema.column_index(fcol).is_none() {
@@ -534,49 +486,20 @@ impl Database {
             }
         }
         let key = table.to_ascii_lowercase();
-        let t = self.table_mut_raw(&key)?;
-        let snapshot = t.clone();
-        t.add_column(column.clone())?;
-        self.undo.push(Undo::RestoreTable {
-            name: key.clone(),
-            table: Box::new(snapshot),
-        });
-        self.pending
-            .push(&WalRecord::AddColumn { table: key, column });
-        Ok(())
+        let undo = self.restore_point(&key)?;
+        self.change(WalRecord::AddColumn { table: key, column }, undo)
     }
 
     /// ALTER TABLE DROP COLUMN.
     pub fn drop_column(&mut self, table: &str, column: &str) -> Result<()> {
+        check_ddl_name(table)?;
         let key = table.to_ascii_lowercase();
-        let t = self.table_mut_raw(&key)?;
-        let snapshot = t.clone();
-        let col_idx = t.schema.column_index(column);
-        let dropped_ix: Vec<String> = match col_idx {
-            Some(i) => t
-                .indexes
-                .iter()
-                .filter(|(_, ix)| ix.column == i)
-                .map(|(n, _)| n.clone())
-                .collect(),
-            None => Vec::new(),
-        };
-        t.drop_column(column)?;
-        for n in dropped_ix {
-            self.index_owner.remove(&n);
-        }
-        self.undo.push(Undo::RestoreTable {
-            name: key.clone(),
-            table: Box::new(snapshot),
-        });
-        self.pending.push(&WalRecord::DropColumn {
-            table: key,
-            column: column.to_ascii_lowercase(),
-        });
-        Ok(())
+        let undo = self.restore_point(&key)?;
+        let column = column.to_ascii_lowercase();
+        self.change(WalRecord::DropColumn { table: key, column }, undo)
     }
 
-    /// CREATE \[UNIQUE\] INDEX.
+    /// CREATE \[UNIQUE\] INDEX. Index names are global, like PostgreSQL's.
     pub fn create_index(
         &mut self,
         name: &str,
@@ -584,50 +507,47 @@ impl Database {
         column: &str,
         unique: bool,
     ) -> Result<()> {
+        check_ddl_name(table)?;
         let iname = name.to_ascii_lowercase();
-        let tkey = table.to_ascii_lowercase();
-        if self.index_owner.contains_key(&iname) {
+        if is_implicit_index(&iname) {
+            return Err(DbError::Unsupported(format!(
+                "index name {iname} is reserved for constraint indexes"
+            )));
+        }
+        if self.index_table(&iname).is_some() {
             return Err(DbError::Unsupported(format!(
                 "index {iname} already exists"
             )));
         }
-        let t = self.table_mut_raw(&tkey)?;
-        t.create_index(&iname, column, unique)?;
-        self.index_owner.insert(iname.clone(), tkey.clone());
-        self.undo.push(Undo::CreateIndex {
-            table: tkey.clone(),
-            name: iname.clone(),
-        });
-        self.pending.push(&WalRecord::CreateIndex {
-            table: tkey,
-            name: iname,
-            column: column.to_ascii_lowercase(),
-            unique,
-        });
-        Ok(())
+        let tkey = table.to_ascii_lowercase();
+        self.change(
+            WalRecord::CreateIndex {
+                table: tkey.clone(),
+                name: iname.clone(),
+                column: column.to_ascii_lowercase(),
+                unique,
+            },
+            Undo::Apply(WalRecord::DropIndex {
+                table: tkey,
+                name: iname,
+            }),
+        )
     }
 
     /// DROP INDEX.
     pub fn drop_index(&mut self, name: &str) -> Result<()> {
         let iname = name.to_ascii_lowercase();
         let tkey = self
-            .index_owner
-            .get(&iname)
-            .cloned()
+            .index_table(&iname)
             .ok_or_else(|| DbError::Unsupported(format!("no such index: {iname}")))?;
-        let t = self.table_mut_raw(&tkey)?;
-        let snapshot = t.clone();
-        t.drop_index(&iname)?;
-        self.index_owner.remove(&iname);
-        self.undo.push(Undo::RestoreTable {
-            name: tkey.clone(),
-            table: Box::new(snapshot),
-        });
-        self.pending.push(&WalRecord::DropIndex {
-            table: tkey,
-            name: iname,
-        });
-        Ok(())
+        let undo = self.restore_point(&tkey)?;
+        self.change(
+            WalRecord::DropIndex {
+                table: tkey,
+                name: iname,
+            },
+            undo,
+        )
     }
 
     // ---------------- DML ----------------
@@ -747,7 +667,7 @@ impl Database {
             self.foreign_keys(&t.schema)
         };
         let id = self.insert_checked(&key, &mut fks, row)?;
-        self.undo.push(Undo::Insert {
+        self.undo.push(Undo::Inserted {
             table: key,
             ids: vec![id],
         });
@@ -857,7 +777,7 @@ impl Database {
             _ => None,
         };
         if !ids.is_empty() {
-            self.undo.push(Undo::Insert { table: key, ids });
+            self.undo.push(Undo::Inserted { table: key, ids });
         }
         result?;
         telemetry::add("db.bulk_insert.rows", count as u64);
@@ -879,11 +799,11 @@ impl Database {
         let logging = self.logging();
         let t = self.table_mut_raw(&key)?;
         let row = t.delete(id)?;
-        self.undo.push(Undo::Delete {
+        self.undo.push(Undo::Apply(WalRecord::Insert {
             table: key.clone(),
             id,
             row,
-        });
+        }));
         if logging {
             self.pending.push(&WalRecord::Delete { table: key, id });
         }
@@ -931,11 +851,11 @@ impl Database {
             self.pending
                 .push_update(&key, id, t.row(id).expect("just updated"));
         }
-        self.undo.push(Undo::Update {
+        self.undo.push(Undo::Apply(WalRecord::Update {
             table: key,
             id,
-            old,
-        });
+            row: old,
+        }));
         Ok(())
     }
 }
@@ -976,35 +896,35 @@ mod tests {
 
     fn db_with_parent_child() -> Database {
         let mut db = Database::new();
-        db.create_table(
-            TableSchema::new(
-                "parent",
-                vec![
-                    ColumnDef::new("id", DataType::Integer)
-                        .primary_key()
-                        .auto_increment(),
-                    ColumnDef::new("name", DataType::Text),
-                ],
+        db.atomically(|db| {
+            db.create_table(
+                TableSchema::new(
+                    "parent",
+                    vec![
+                        ColumnDef::new("id", DataType::Integer)
+                            .primary_key()
+                            .auto_increment(),
+                        ColumnDef::new("name", DataType::Text),
+                    ],
+                )
+                .unwrap(),
+                false,
+            )?;
+            db.create_table(
+                TableSchema::new(
+                    "child",
+                    vec![
+                        ColumnDef::new("id", DataType::Integer)
+                            .primary_key()
+                            .auto_increment(),
+                        ColumnDef::new("parent", DataType::Integer).references("parent", "id"),
+                    ],
+                )
+                .unwrap(),
+                false,
             )
-            .unwrap(),
-            false,
-        )
+        })
         .unwrap();
-        db.create_table(
-            TableSchema::new(
-                "child",
-                vec![
-                    ColumnDef::new("id", DataType::Integer)
-                        .primary_key()
-                        .auto_increment(),
-                    ColumnDef::new("parent", DataType::Integer).references("parent", "id"),
-                ],
-            )
-            .unwrap(),
-            false,
-        )
-        .unwrap();
-        db.stmt_finish().unwrap();
         db
     }
 
@@ -1081,9 +1001,8 @@ mod tests {
     #[test]
     fn transaction_rollback_restores_rows() {
         let mut db = db_with_parent_child();
-        db.insert_row("parent", vec![Value::Null, "keep".into()])
+        db.atomically(|db| db.insert_row("parent", vec![Value::Null, "keep".into()]))
             .unwrap();
-        db.stmt_finish().unwrap();
         db.begin().unwrap();
         db.insert_row("parent", vec![Value::Null, "gone".into()])
             .unwrap();
@@ -1119,10 +1038,11 @@ mod tests {
         db.begin().unwrap();
         db.insert_row("parent", vec![Value::Null, "a".into()])
             .unwrap();
-        let mark = db.stmt_begin();
-        db.insert_row("parent", vec![Value::Null, "b".into()])
-            .unwrap();
-        db.stmt_abort(mark);
+        let failed = db.atomically(|db| {
+            db.insert_row("parent", vec![Value::Null, "b".into()])?;
+            db.insert_row("parent", vec![Value::Null])
+        });
+        assert!(matches!(failed, Err(DbError::Arity { .. })));
         db.commit().unwrap();
         assert_eq!(db.table("parent").unwrap().len(), 1);
     }
@@ -1147,29 +1067,26 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         {
             let mut db = Database::open(&dir).unwrap();
-            db.create_table(
-                TableSchema::new(
-                    "t",
-                    vec![
-                        ColumnDef::new("id", DataType::Integer)
-                            .primary_key()
-                            .auto_increment(),
-                        ColumnDef::new("v", DataType::Double),
-                    ],
+            db.atomically(|db| {
+                db.create_table(
+                    TableSchema::new(
+                        "t",
+                        vec![
+                            ColumnDef::new("id", DataType::Integer)
+                                .primary_key()
+                                .auto_increment(),
+                            ColumnDef::new("v", DataType::Double),
+                        ],
+                    )
+                    .unwrap(),
+                    false,
                 )
-                .unwrap(),
-                false,
-            )
+            })
             .unwrap();
-            db.stmt_finish().unwrap();
-            let mark = db.stmt_begin();
-            let _ = mark;
-            db.insert_row("t", vec![Value::Null, Value::Float(1.5)])
+            db.atomically(|db| db.insert_row("t", vec![Value::Null, Value::Float(1.5)]))
                 .unwrap();
-            db.stmt_finish().unwrap();
-            db.insert_row("t", vec![Value::Null, Value::Float(2.5)])
+            db.atomically(|db| db.insert_row("t", vec![Value::Null, Value::Float(2.5)]))
                 .unwrap();
-            db.stmt_finish().unwrap();
         }
         // Reopen: WAL replay restores everything.
         {
@@ -1177,9 +1094,8 @@ mod tests {
             assert_eq!(db.table("t").unwrap().len(), 2);
             // Checkpoint, add more, reopen again: snapshot + WAL combine.
             db.checkpoint().unwrap();
-            db.insert_row("t", vec![Value::Null, Value::Float(9.0)])
+            db.atomically(|db| db.insert_row("t", vec![Value::Null, Value::Float(9.0)]))
                 .unwrap();
-            db.stmt_finish().unwrap();
         }
         {
             let db = Database::open(&dir).unwrap();
@@ -1201,12 +1117,13 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         {
             let mut db = Database::open(&dir).unwrap();
-            db.create_table(
-                TableSchema::new("t", vec![ColumnDef::new("x", DataType::Integer)]).unwrap(),
-                false,
-            )
+            db.atomically(|db| {
+                db.create_table(
+                    TableSchema::new("t", vec![ColumnDef::new("x", DataType::Integer)]).unwrap(),
+                    false,
+                )
+            })
             .unwrap();
-            db.stmt_finish().unwrap();
             db.begin().unwrap();
             db.insert_row("t", vec![Value::Int(1)]).unwrap();
             // drop without commit — simulated crash

@@ -117,23 +117,46 @@ pub enum Outcome {
     Done,
 }
 
+impl Outcome {
+    /// The rows of a SELECT.
+    pub fn rows(self) -> Result<ResultSet> {
+        match self {
+            Outcome::Rows(rs) => Ok(rs),
+            _ => Err(DbError::Unsupported(
+                "query() requires a SELECT statement".into(),
+            )),
+        }
+    }
+
+    /// The rows a statement affected (0 for DDL and transaction control).
+    pub fn affected(self) -> Result<usize> {
+        match self {
+            Outcome::Affected { count, .. } => Ok(count),
+            Outcome::Done => Ok(0),
+            Outcome::Rows(_) => Err(DbError::Unsupported(
+                "update() cannot run a SELECT statement".into(),
+            )),
+        }
+    }
+
+    /// The AUTO_INCREMENT id an INSERT generated, if any.
+    pub fn last_insert_id(self) -> Result<Option<i64>> {
+        match self {
+            Outcome::Affected { last_insert_id, .. } => Ok(last_insert_id),
+            _ => Err(DbError::Unsupported(
+                "insert() requires an INSERT statement".into(),
+            )),
+        }
+    }
+}
+
 /// Execute a parsed statement with bound parameters.
 ///
 /// Statement-level atomicity: on error, any partial effects are rolled
 /// back; on success outside an explicit transaction, effects are committed
 /// (autocommit).
 pub fn execute(db: &mut Database, stmt: &Statement, params: &[Value]) -> Result<Outcome> {
-    let mark = db.stmt_begin();
-    match execute_inner(db, stmt, params) {
-        Ok(out) => {
-            db.stmt_finish()?;
-            Ok(out)
-        }
-        Err(e) => {
-            db.stmt_abort(mark);
-            Err(e)
-        }
-    }
+    db.atomically(|db| execute_inner(db, stmt, params))
 }
 
 /// `EXPLAIN [ANALYZE]` of a SELECT. It only reads, so callers may hold
@@ -174,13 +197,9 @@ fn execute_inner(db: &mut Database, stmt: &Statement, params: &[Value]) -> Resul
                     // real (PostgreSQL semantics) and annotates the plan
                     // description with measured effects.
                     let started = std::time::Instant::now();
-                    let outcome = execute_inner(db, other, params)?;
+                    let affected = execute_inner(db, other, params)?.affected().unwrap_or(0);
                     let elapsed_ms =
                         started.elapsed().as_nanos().min(u64::MAX as u128) as f64 / 1e6;
-                    let affected = match outcome {
-                        Outcome::Affected { count, .. } => count,
-                        _ => 0,
-                    };
                     format!(
                         "{} [actual rows_affected={affected}, {elapsed_ms:.3}ms]",
                         describe_statement(other)
@@ -224,17 +243,14 @@ fn execute_inner(db: &mut Database, stmt: &Statement, params: &[Value]) -> Resul
             Ok(Outcome::Done)
         }
         Statement::DropTable { name, if_exists } => {
-            crate::introspect::check_ddl_name(name)?;
             db.drop_table(name, *if_exists)?;
             Ok(Outcome::Done)
         }
         Statement::AlterTableAddColumn { table, column } => {
-            crate::introspect::check_ddl_name(table)?;
             db.add_column(table, column.clone())?;
             Ok(Outcome::Done)
         }
         Statement::AlterTableDropColumn { table, column } => {
-            crate::introspect::check_ddl_name(table)?;
             db.drop_column(table, column)?;
             Ok(Outcome::Done)
         }
@@ -244,7 +260,6 @@ fn execute_inner(db: &mut Database, stmt: &Statement, params: &[Value]) -> Resul
             column,
             unique,
         } => {
-            crate::introspect::check_ddl_name(table)?;
             db.create_index(name, table, column, *unique)?;
             Ok(Outcome::Done)
         }

@@ -26,9 +26,9 @@
 
 use crate::error::{DbError, Result};
 use crate::schema::{ColumnDef, TableSchema};
-use crate::table::{Row, RowId, Table};
+use crate::table::{is_implicit_index, Row, RowId, Table};
 use crate::value::{DataType, Value};
-use crate::vfs::{RealVfs, Vfs, VfsFile};
+use crate::vfs::{Vfs, VfsFile};
 use bytes::{Buf, BufMut};
 use perfdmf_telemetry as telemetry;
 use std::path::{Path, PathBuf};
@@ -578,23 +578,6 @@ impl std::fmt::Debug for Wal {
 }
 
 impl Wal {
-    /// Open (creating if absent) the WAL at `path` on the real file system.
-    pub fn open(path: &Path) -> Result<Wal> {
-        Wal::open_with(crate::vfs::real(), path)
-    }
-
-    /// Open (creating if absent) the WAL at `path` through `vfs`, reading
-    /// the generation from an existing header.
-    pub fn open_with(vfs: Arc<dyn Vfs>, path: &Path) -> Result<Wal> {
-        let (generation, file_bytes) = if vfs.exists(path) {
-            let scan = scan_wal(&*vfs, path, 0, |_| Ok(()))?;
-            (scan.generation, scan.file_bytes)
-        } else {
-            (0, 0)
-        };
-        Wal::attach(vfs, path, generation, file_bytes)
-    }
-
     /// Open an append handle, trusting `generation` and `file_bytes` (the
     /// caller has just scanned or rewritten the file; `file_bytes` is its
     /// current length and is ignored when the file does not exist yet).
@@ -714,11 +697,6 @@ impl Wal {
                 Err(e)
             }
         }
-    }
-
-    /// Truncate the log back to empty at the current generation.
-    pub fn reset(&mut self) -> Result<()> {
-        self.reset_to(self.generation)
     }
 
     /// Truncate the log back to empty and stamp a new generation (after a
@@ -914,31 +892,12 @@ pub fn scan_wal(
     })
 }
 
-/// Read all *committed* records from a WAL file on the real file system.
-///
-/// Records after the last `Commit` marker, and anything after the first
-/// corrupt/truncated record, are discarded.
-pub fn read_wal(path: &Path) -> Result<Vec<WalRecord>> {
-    let mut records = Vec::new();
-    scan_wal(&RealVfs, path, 0, |rec| {
-        records.push(rec);
-        Ok(())
-    })?;
-    Ok(records)
-}
-
 // ---------------- snapshot ----------------
-
-/// Serialize all tables to a snapshot file on the real file system
-/// (generation 0 — use [`write_snapshot_with`] inside the engine).
-pub fn write_snapshot(path: &Path, tables: &[(&String, &Table)]) -> Result<()> {
-    write_snapshot_with(&RealVfs, path, tables, 0)
-}
 
 /// Serialize all tables to a snapshot file (atomic: write temp + fsync +
 /// rename). A sync failure is propagated — a snapshot that may not have
 /// reached stable storage must not replace the old one silently.
-pub fn write_snapshot_with(
+pub fn write_snapshot(
     vfs: &dyn Vfs,
     path: &Path,
     tables: &[(&String, &Table)],
@@ -983,7 +942,7 @@ pub fn encode_snapshot(tables: &[(&String, &Table)], generation: u64) -> Vec<u8>
         let named: Vec<_> = table
             .indexes
             .iter()
-            .filter(|(n, _)| !n.starts_with("__uniq_"))
+            .filter(|(n, _)| !is_implicit_index(n))
             .collect();
         buf.put_u32_le(named.len() as u32);
         for (name, ix) in named {
@@ -997,13 +956,8 @@ pub fn encode_snapshot(tables: &[(&String, &Table)], generation: u64) -> Vec<u8>
     buf
 }
 
-/// Load tables from a snapshot file on the real file system.
-pub fn read_snapshot(path: &Path) -> Result<Vec<Table>> {
-    Ok(read_snapshot_with(&RealVfs, path)?.0)
-}
-
 /// Load tables (and the header generation) from a snapshot file.
-pub fn read_snapshot_with(vfs: &dyn Vfs, path: &Path) -> Result<(Vec<Table>, u64)> {
+pub fn read_snapshot(vfs: &dyn Vfs, path: &Path) -> Result<(Vec<Table>, u64)> {
     let bytes = vfs
         .read(path)
         .map_err(|e| DbError::io("snapshot read", e))?;
@@ -1185,6 +1139,23 @@ mod tests {
         }
     }
 
+    /// A fresh log at `path` on the real file system.
+    fn new_wal(path: &Path) -> Wal {
+        let _ = std::fs::remove_file(path);
+        Wal::attach(crate::vfs::real(), path, 0, 0).unwrap()
+    }
+
+    /// The committed records of the log at `path`.
+    fn committed(path: &Path) -> Vec<WalRecord> {
+        let mut records = Vec::new();
+        scan_wal(&*crate::vfs::real(), path, 0, |rec| {
+            records.push(rec);
+            Ok(())
+        })
+        .unwrap();
+        records
+    }
+
     fn batch(records: &[WalRecord]) -> WalBatch {
         let mut b = WalBatch::default();
         for rec in records {
@@ -1233,8 +1204,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("pdmf_wal_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("wal_append.pdmf");
-        let _ = std::fs::remove_file(&path);
-        let mut wal = Wal::open(&path).unwrap();
+        let mut wal = new_wal(&path);
         wal.append(&batch(&[
             WalRecord::Insert {
                 table: "t".into(),
@@ -1249,7 +1219,7 @@ mod tests {
             id: 0,
         }]))
         .unwrap(); // no commit marker: must be dropped on read
-        let recs = read_wal(&path).unwrap();
+        let recs = committed(&path);
         assert_eq!(recs.len(), 2);
         assert_eq!(recs[1], WalRecord::Commit);
         std::fs::remove_file(&path).unwrap();
@@ -1260,8 +1230,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("pdmf_wal_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("wal_torn.pdmf");
-        let _ = std::fs::remove_file(&path);
-        let mut wal = Wal::open(&path).unwrap();
+        let mut wal = new_wal(&path);
         wal.append(&batch(&[
             WalRecord::Insert {
                 table: "t".into(),
@@ -1276,7 +1245,7 @@ mod tests {
         let mut f = OpenOptions::new().append(true).open(&path).unwrap();
         f.write_all(&[9, 9, 9]).unwrap();
         drop(f);
-        let recs = read_wal(&path).unwrap();
+        let recs = committed(&path);
         assert_eq!(recs.len(), 2, "committed prefix survives torn tail");
         std::fs::remove_file(&path).unwrap();
     }
@@ -1286,8 +1255,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("pdmf_wal_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("wal_sum.pdmf");
-        let _ = std::fs::remove_file(&path);
-        let mut wal = Wal::open(&path).unwrap();
+        let mut wal = new_wal(&path);
         wal.append(&batch(&[WalRecord::Commit])).unwrap();
         let good_len = std::fs::metadata(&path).unwrap().len();
         wal.append(&batch(&[
@@ -1301,7 +1269,7 @@ mod tests {
         let idx = good_len as usize + 5;
         bytes[idx] ^= 0xFF;
         std::fs::write(&path, &bytes).unwrap();
-        let recs = read_wal(&path).unwrap();
+        let recs = committed(&path);
         assert_eq!(recs, vec![WalRecord::Commit]);
         std::fs::remove_file(&path).unwrap();
     }
@@ -1341,12 +1309,8 @@ mod tests {
         table.delete(1).unwrap();
         assert_eq!(c, 2);
 
-        let dir = std::env::temp_dir().join(format!("pdmf_snap_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("snap.pdmf");
         let name = "trial".to_string();
-        write_snapshot(&path, &[(&name, &table)]).unwrap();
-        let back = read_snapshot(&path).unwrap();
+        let (back, _) = decode_snapshot(&encode_snapshot(&[(&name, &table)], 0)).unwrap();
         assert_eq!(back.len(), 1);
         let t2 = &back[0];
         assert_eq!(t2.schema, table.schema);
@@ -1356,22 +1320,15 @@ mod tests {
         assert_eq!(t2.row(2).unwrap()[1], Value::Text("c".into()));
         assert_eq!(t2.next_auto_value(), table.next_auto_value());
         assert!(t2.indexes.contains_key("ix_nodes"));
-        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
     fn snapshot_detects_corruption() {
         let table = Table::new(sample_schema());
-        let dir = std::env::temp_dir().join(format!("pdmf_snap_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("snap_bad.pdmf");
         let name = "trial".to_string();
-        write_snapshot(&path, &[(&name, &table)]).unwrap();
-        let mut bytes = std::fs::read(&path).unwrap();
+        let mut bytes = encode_snapshot(&[(&name, &table)], 0);
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0xFF;
-        std::fs::write(&path, &bytes).unwrap();
-        assert!(matches!(read_snapshot(&path), Err(DbError::Corrupt(_))));
-        std::fs::remove_file(&path).unwrap();
+        assert!(matches!(decode_snapshot(&bytes), Err(DbError::Corrupt(_))));
     }
 }

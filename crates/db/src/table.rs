@@ -18,6 +18,16 @@ pub type Row = Vec<Value>;
 /// Stable identifier of a row within its table.
 pub type RowId = u64;
 
+/// Name prefix of the implicit indexes behind PRIMARY KEY and UNIQUE
+/// columns. The schema rebuilds those indexes, so a snapshot stores none
+/// by such a name, and no statement may create or drop one.
+const IMPLICIT_INDEX_PREFIX: &str = "__uniq_";
+
+/// Is `name` the name of an implicit constraint index?
+pub(crate) fn is_implicit_index(name: &str) -> bool {
+    name.starts_with(IMPLICIT_INDEX_PREFIX)
+}
+
 /// A single table: schema, row slab, and secondary indexes.
 #[derive(Debug, Clone)]
 pub struct Table {
@@ -57,7 +67,10 @@ impl Table {
             .iter()
             .enumerate()
             .filter(|(_, c)| c.unique || c.primary_key)
-            .map(|(i, c)| (format!("__uniq_{}_{}", t.schema.name, c.name), i))
+            .map(|(i, c)| {
+                let name = format!("{IMPLICIT_INDEX_PREFIX}{}_{}", t.schema.name, c.name);
+                (name, i)
+            })
             .collect();
         for (name, col) in implicit {
             t.indexes.insert(name.clone(), Index::new(name, col, true));
@@ -358,7 +371,7 @@ impl Table {
 
     /// Drop a named index. Implicit constraint indexes cannot be dropped.
     pub fn drop_index(&mut self, name: &str) -> Result<()> {
-        if name.starts_with("__uniq_") {
+        if is_implicit_index(name) {
             return Err(DbError::Unsupported(
                 "cannot drop an implicit constraint index".into(),
             ));

@@ -235,13 +235,14 @@ fn long_text_roundtrips() {
     assert!(slice.is_empty());
 }
 
-// ---------------- recovery of the row slab ----------------
+// ---------------- recovery of the row slab and the catalog ----------------
 
 use perfdmf_db::storage::{decode_snapshot, encode_snapshot, fnv1a};
 use perfdmf_db::{Database, DbError, RowId, Table};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// One step of a generated workload against the `t` table.
+/// One step of a generated workload against the `t` table and a second
+/// table `s` that comes and goes.
 #[derive(Debug, Clone)]
 enum Op {
     /// Insert with an optional explicit id and a `u` value from a small
@@ -261,12 +262,58 @@ enum Op {
         u: i64,
         v: u8,
     },
+    /// Add column `x{n}` to `t`, with a default or without one.
+    AddColumn {
+        n: u8,
+        default: bool,
+    },
+    /// Drop the `pick`-th column of `t` after its primary key.
+    DropColumn {
+        pick: usize,
+    },
+    /// Create index `INDEX_NAMES[name]` over the `column`-th column of `t`
+    /// or of `s`; the names are shared, so one dropped from `t` is reused
+    /// on `s`.
+    CreateIndex {
+        on_s: bool,
+        name: usize,
+        column: usize,
+        unique: bool,
+    },
+    DropIndex {
+        name: usize,
+    },
+    CreateS,
+    DropS,
+    /// Insert into `s`; its key comes from a small range, so PRIMARY KEY
+    /// conflicts happen.
+    InsertS {
+        k: i64,
+        w: u8,
+    },
     Begin,
     Commit,
     Rollback,
     /// Fold the log into a snapshot; later ops then replay on top of a
     /// slab that ends at its last live row.
     Checkpoint,
+}
+
+const INDEX_NAMES: [&str; 3] = ["ix_t_v", "ix0", "ix1"];
+
+fn arb_create_index() -> impl Strategy<Value = Op> {
+    (
+        any::<bool>(),
+        0..INDEX_NAMES.len(),
+        any::<usize>(),
+        any::<bool>(),
+    )
+        .prop_map(|(on_s, name, column, unique)| Op::CreateIndex {
+            on_s,
+            name,
+            column,
+            unique,
+        })
 }
 
 fn arb_op() -> impl Strategy<Value = Op> {
@@ -282,6 +329,14 @@ fn arb_op() -> impl Strategy<Value = Op> {
         any::<usize>().prop_map(|pick| Op::Delete { pick }),
         any::<usize>().prop_map(|pick| Op::Delete { pick }),
         (any::<usize>(), 0i64..40, 0u8..6).prop_map(|(pick, u, v)| Op::Update { pick, u, v }),
+        (0u8..3, any::<bool>()).prop_map(|(n, default)| Op::AddColumn { n, default }),
+        any::<usize>().prop_map(|pick| Op::DropColumn { pick }),
+        arb_create_index(),
+        arb_create_index(),
+        (0..INDEX_NAMES.len()).prop_map(|name| Op::DropIndex { name }),
+        Just(Op::CreateS),
+        Just(Op::DropS),
+        (0i64..8, 0u8..6).prop_map(|(k, w)| Op::InsertS { k, w }),
         Just(Op::Begin),
         Just(Op::Commit),
         Just(Op::Rollback),
@@ -297,61 +352,157 @@ fn scratch_dir(tag: &str) -> std::path::PathBuf {
     dir
 }
 
+/// A row of `t`'s current width: `id`, `u` and `v` fill their columns,
+/// and each added `x` column takes `v` as an integer.
+fn t_row(t: &Table, id: Value, u: i64, v: u8) -> Row {
+    t.schema
+        .columns
+        .iter()
+        .map(|c| match c.name.as_str() {
+            "id" => id.clone(),
+            "u" => Value::Int(u),
+            "v" => Value::Text(format!("v{v}").into()),
+            _ => Value::Int(i64::from(v)),
+        })
+        .collect()
+}
+
+/// Apply one non-transaction-control op as one statement.
+fn apply_op(db: &mut Database, op: &Op) -> perfdmf_db::Result<()> {
+    let live: Vec<RowId> = db.table("t")?.iter().map(|(id, _)| id).collect();
+    let nth = |pick: usize| (!live.is_empty()).then(|| live[pick % live.len()]);
+    match op {
+        Op::Insert { id, u, v } => {
+            let row = t_row(db.table("t")?, id.map_or(Value::Null, Value::Int), *u, *v);
+            db.insert_row("t", row).map(drop)
+        }
+        Op::Delete { pick } => nth(*pick).map_or(Ok(()), |id| db.delete_row("t", id)),
+        Op::Update { pick, u, v } => nth(*pick).map_or(Ok(()), |id| {
+            let t = db.table("t")?;
+            let pk = t.row(id).unwrap()[0].clone();
+            let row = t_row(t, pk, *u, *v);
+            db.update_row("t", id, row)
+        }),
+        Op::AddColumn { n, default } => {
+            let mut column = ColumnDef::new(format!("x{n}"), DataType::Integer);
+            if *default {
+                column = column.default_value(i64::from(*n));
+            }
+            db.add_column("t", column)
+        }
+        Op::DropColumn { pick } => {
+            let columns = &db.table("t")?.schema.columns;
+            match columns.len() {
+                1 => Ok(()),
+                n => {
+                    let name = columns[1 + pick % (n - 1)].name.clone();
+                    db.drop_column("t", &name)
+                }
+            }
+        }
+        Op::CreateIndex {
+            on_s,
+            name,
+            column,
+            unique,
+        } => {
+            let table = if *on_s { "s" } else { "t" };
+            let columns = &db.table(table)?.schema.columns;
+            let column = columns[column % columns.len()].name.clone();
+            db.create_index(INDEX_NAMES[*name], table, &column, *unique)
+        }
+        Op::DropIndex { name } => db.drop_index(INDEX_NAMES[*name]),
+        Op::CreateS => db.create_table(
+            TableSchema::new(
+                "s",
+                vec![
+                    ColumnDef::new("k", DataType::Integer).primary_key(),
+                    ColumnDef::new("w", DataType::Text),
+                ],
+            )
+            .unwrap(),
+            false,
+        ),
+        Op::DropS => db.drop_table("s", false),
+        Op::InsertS { k, w } => db
+            .insert_row(
+                "s",
+                vec![Value::Int(*k), Value::Text(format!("w{w}").into())],
+            )
+            .map(drop),
+        Op::Begin | Op::Commit | Op::Rollback | Op::Checkpoint => {
+            unreachable!("run_ops handles transaction control")
+        }
+    }
+}
+
 /// Run `ops` against a fresh on-disk database; every statement is atomic
 /// (a failed one is rolled back) and an open transaction is committed at
 /// the end, so the returned database holds exactly its committed state.
 fn run_ops(dir: &std::path::Path, ops: &[Op]) -> Database {
     let mut db = Database::open(dir).expect("open");
-    db.create_table(
-        TableSchema::new(
-            "t",
-            vec![
-                ColumnDef::new("id", DataType::Integer)
-                    .primary_key()
-                    .auto_increment(),
-                ColumnDef::new("u", DataType::Integer).unique(),
-                ColumnDef::new("v", DataType::Text),
-            ],
-        )
-        .unwrap(),
-        false,
-    )
+    db.atomically(|db| {
+        db.create_table(
+            TableSchema::new(
+                "t",
+                vec![
+                    ColumnDef::new("id", DataType::Integer)
+                        .primary_key()
+                        .auto_increment(),
+                    ColumnDef::new("u", DataType::Integer).unique(),
+                    ColumnDef::new("v", DataType::Text),
+                ],
+            )
+            .unwrap(),
+            false,
+        )?;
+        db.create_index("ix_t_v", "t", "v", false)
+    })
     .unwrap();
-    db.create_index("ix_t_v", "t", "v", false).unwrap();
-    db.stmt_finish().unwrap();
     for op in ops {
-        let live: Vec<RowId> = db.table("t").unwrap().iter().map(|(id, _)| id).collect();
-        let nth = |pick: usize| (!live.is_empty()).then(|| live[pick % live.len()]);
-        let text = |v: u8| Value::Text(format!("v{v}").into());
-        let mark = db.stmt_begin();
-        let result = match op {
+        // A failed statement is rolled back; the workload goes on.
+        let _ = db.atomically(|db| match op {
             Op::Begin if !db.in_transaction() => db.begin(),
             Op::Commit if db.in_transaction() => db.commit(),
             Op::Rollback if db.in_transaction() => db.rollback(),
             Op::Checkpoint if !db.in_transaction() => db.checkpoint(),
             Op::Begin | Op::Commit | Op::Rollback | Op::Checkpoint => Ok(()),
-            Op::Insert { id, u, v } => db
-                .insert_row(
-                    "t",
-                    vec![id.map_or(Value::Null, Value::Int), Value::Int(*u), text(*v)],
-                )
-                .map(drop),
-            Op::Delete { pick } => nth(*pick).map_or(Ok(()), |id| db.delete_row("t", id)),
-            Op::Update { pick, u, v } => nth(*pick).map_or(Ok(()), |id| {
-                let pk = db.table("t").unwrap().row(id).unwrap()[0].clone();
-                db.update_row("t", id, vec![pk, Value::Int(*u), text(*v)])
-            }),
-        };
-        match result {
-            Ok(()) if matches!(op, Op::Begin | Op::Commit | Op::Rollback | Op::Checkpoint) => {}
-            Ok(()) => db.stmt_finish().unwrap(),
-            Err(_) => db.stmt_abort(mark),
-        }
+            op => apply_op(db, op),
+        });
     }
     if db.in_transaction() {
         db.commit().unwrap();
     }
     db
+}
+
+/// One table of the catalog: name, schema, every index as (name, column
+/// name, unique), and the live rows by row id.
+type CatalogEntry = (
+    String,
+    TableSchema,
+    Vec<(String, String, bool)>,
+    Vec<(RowId, Row)>,
+);
+
+/// The whole catalog, in table-name order.
+fn catalog(db: &Database) -> Vec<CatalogEntry> {
+    db.table_names()
+        .into_iter()
+        .map(|name| {
+            let t = db.table(&name).unwrap();
+            let mut indexes: Vec<_> = t
+                .indexes()
+                .map(|ix| {
+                    let column = t.schema.columns[ix.column].name.clone();
+                    (ix.name.clone(), column, ix.unique)
+                })
+                .collect();
+            indexes.sort();
+            let rows = t.iter().map(|(id, r)| (id, r.clone())).collect();
+            (name, t.schema.clone(), indexes, rows)
+        })
+        .collect()
 }
 
 /// One index: name, uniqueness, and its (key, row ids) entries in key order.
@@ -428,27 +579,38 @@ fn assert_same_table(before: &Table, after: &Table, how: &str) -> Result<(), Tes
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
+    // Each case is a few milliseconds; DDL rolled back inside a
+    // transaction needs a few hundred cases to come up reliably.
+    #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// Random inserts, deletes and updates — tombstones, failed statements
+    /// Random inserts, deletes, updates and DDL — ADD/DROP COLUMN,
+    /// CREATE/DROP INDEX, CREATE/DROP TABLE, tombstones, failed statements
     /// and rolled-back transactions included — survive a crash: WAL replay
-    /// rebuilds the slab and indexes exactly, and so does the snapshot
-    /// reopen after a checkpoint.
+    /// rebuilds the whole catalog (table names, schemas, indexes, rows) and
+    /// `t`'s slab exactly, and so does the snapshot reopen after a
+    /// checkpoint.
     #[test]
     fn slab_survives_replay_and_snapshot(ops in proptest::collection::vec(arb_op(), 0..80)) {
         let dir = scratch_dir("slab");
         let before = run_ops(&dir, &ops);
         let table = before.table("t").unwrap().clone();
+        let live = catalog(&before);
         drop(before); // crash: no checkpoint
         let replayed = Database::open(&dir).expect("WAL replay");
+        same("WAL replay: catalog", &live, &catalog(&replayed))?;
         assert_same_table(&table, replayed.table("t").unwrap(), "WAL replay")?;
         let mut replayed = replayed;
         replayed.checkpoint().expect("checkpoint");
         drop(replayed);
         let reopened = Database::open(&dir).expect("snapshot reopen");
+        same("snapshot reopen: catalog", &live, &catalog(&reopened))?;
         assert_same_table(&table, reopened.table("t").unwrap(), "snapshot reopen")?;
         let _ = std::fs::remove_dir_all(&dir);
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// Every strict prefix of an encoded record is `Corrupt`, not some
     /// other error and never a panic.

@@ -342,6 +342,30 @@ fn unique_index_enforced() {
     ));
 }
 
+/// Index names under the prefix of the implicit PRIMARY KEY / UNIQUE
+/// indexes are refused: a snapshot stores no index by such a name (the
+/// schema rebuilds the implicit ones), so a user index named that way
+/// would vanish at the next checkpoint.
+#[test]
+fn constraint_index_names_are_reserved() {
+    let conn = seeded();
+    for name in ["__uniq_user", "__UNIQ_trial_name"] {
+        let got = conn.execute(&format!("CREATE INDEX {name} ON trial (name)"), &[]);
+        assert!(
+            matches!(got, Err(DbError::Unsupported(_))),
+            "{name}: {got:?}"
+        );
+    }
+    // The implicit index on trial's primary key cannot be dropped either.
+    assert!(matches!(
+        conn.execute("DROP INDEX __uniq_trial_id", &[]),
+        Err(DbError::Unsupported(_))
+    ));
+    conn.execute("CREATE INDEX uniq_user ON trial (name)", &[])
+        .unwrap();
+    conn.execute("DROP INDEX uniq_user", &[]).unwrap();
+}
+
 #[test]
 fn order_by_alias_and_ordinal() {
     let conn = seeded();
