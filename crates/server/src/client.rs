@@ -29,7 +29,9 @@
 //!   attempts; each `Call` frame carries the milliseconds still
 //!   remaining at send time, and the server enforces that budget across
 //!   queue wait and execution. A call whose deadline expires before it
-//!   is sent gets a non-retryable `Failed`;
+//!   is sent gets a non-retryable `Failed`, and so does a call whose
+//!   frame would exceed [`MAX_FRAME_LEN`](crate::MAX_FRAME_LEN), which
+//!   is never sent;
 //! * **tracing** — one `client.request` span per exchange, its context
 //!   carried on every `Call`.
 //!
@@ -364,14 +366,25 @@ impl NetClient {
                 };
                 let seq = self.next_seq;
                 self.next_seq += 1;
-                let frame = Message::Call {
+                let call = Message::Call {
                     seq,
                     deadline_ms,
                     idempotency: key,
                     trace,
                     request: requests[i].clone(),
-                }
-                .to_frame();
+                };
+                let frame = match call.frame() {
+                    Ok(frame) => frame,
+                    Err(e) => {
+                        // Resending cannot shrink it: a final verdict,
+                        // and the connection stays in frame sync.
+                        replies[i] = Some(Response::Failed {
+                            reason: format!("call {e}"),
+                            retryable: false,
+                        });
+                        continue;
+                    }
+                };
                 let stream = self.stream.as_mut().expect("connected");
                 write_all(stream.as_mut(), &frame)?;
                 outstanding.push((seq, i));
@@ -437,15 +450,12 @@ impl NetClient {
         stream.set_read_timeout(Some(READ_POLL))?;
         self.connects += 1;
         telemetry::add("netclient.connects", 1);
-        write_all(
-            stream.as_mut(),
-            &Message::Hello {
-                protocol: PROTOCOL_VERSION,
-                tenant: self.tenant.clone(),
-                token: self.token.clone(),
-            }
-            .to_frame(),
-        )?;
+        let hello = Message::Hello {
+            protocol: PROTOCOL_VERSION,
+            tenant: self.tenant.clone(),
+            token: self.token.clone(),
+        };
+        write_all(stream.as_mut(), &hello.frame().map_err(wire_to_io)?)?;
         let reply_by = Instant::now() + DEFAULT_REPLY_WAIT;
         match read_message(stream.as_mut(), reply_by)? {
             Some(Message::HelloAck { session, key_space }) => {

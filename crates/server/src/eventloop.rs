@@ -857,16 +857,23 @@ impl Session {
         self.queue_reply(seq, usage, response);
     }
 
-    /// Queue a `Reply` frame carrying the call's resource usage.
+    /// Queue a `Reply` frame carrying the call's resource usage. A
+    /// reply over the frame cap, which the client would reject with
+    /// its connection, goes out as a final `Failed` under the same seq.
     fn queue_reply(&mut self, seq: u64, usage: telemetry::ResourceUsage, response: Response) {
-        self.outbuf.extend_from_slice(
-            &Message::Reply {
-                seq,
-                usage: Some(usage),
-                response,
-            }
-            .to_frame(),
-        );
+        let reply = |response| Message::Reply {
+            seq,
+            usage: Some(usage),
+            response,
+        };
+        let frame = reply(response).frame().unwrap_or_else(|e| {
+            reply(Response::Failed {
+                reason: format!("reply {e}"),
+                retryable: false,
+            })
+            .to_frame()
+        });
+        self.outbuf.extend_from_slice(&frame);
     }
 
     /// Push queued bytes at the socket; park the rest on `WouldBlock`.

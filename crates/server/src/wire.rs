@@ -6,6 +6,17 @@
 //! `u8` tag per enum variant, `u64`/`i64`/`u32` little-endian integers,
 //! `f64` as IEEE bits, strings and vectors as `u32` length + elements.
 //!
+//! Each layout is written once, as one line per variant or struct in
+//! the codec table (the `wire!` invocations below): the tag, the
+//! variant and its fields in order. Both directions and the allocation
+//! bound of every collection are generated from that line, so a field
+//! cannot be added on one side only.
+//!
+//! Encoding is **bounded**: [`Message::frame`] refuses a body longer
+//! than [`MAX_FRAME_LEN`] with [`WireError::Oversized`] instead of
+//! sending a frame the peer would reject, so the cap holds in both
+//! directions.
+//!
 //! Decoding is **total**: any byte sequence yields either a value or a
 //! typed [`WireError`] — never a panic and never an unbounded
 //! allocation. Three guards enforce that:
@@ -101,13 +112,16 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 
 /// Why a frame or body failed to decode. Every variant is a protocol
 /// error: the connection that produced it cannot be trusted to stay in
-/// frame sync and should be closed.
+/// frame sync and should be closed. The one exception is `Oversized`
+/// from [`Message::frame`], which refuses to encode and sends nothing.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum WireError {
     /// The frame header carried the wrong magic — the peer is not
     /// speaking this protocol (or the stream lost sync).
     BadMagic(u32),
-    /// The declared frame length exceeds [`MAX_FRAME_LEN`].
+    /// The frame length exceeds [`MAX_FRAME_LEN`]: declared by a
+    /// received header, or measured on an encoded body before sending
+    /// (saturated at `u32::MAX`).
     Oversized(u32),
     /// The body ended before the value it declared was complete.
     Truncated {
@@ -249,82 +263,18 @@ pub enum Message {
 }
 
 // ---------------------------------------------------------------------
-// Encoding
+// The codec: one trait, implemented once per layout
 // ---------------------------------------------------------------------
 
-struct Writer {
-    buf: Vec<u8>,
-}
-
-impl Writer {
-    fn new() -> Writer {
-        Writer { buf: Vec::new() }
-    }
-
-    fn u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-
-    fn bool(&mut self, v: bool) {
-        self.buf.push(v as u8);
-    }
-
-    fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    fn i64(&mut self, v: i64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    fn f64(&mut self, v: f64) {
-        self.u64(v.to_bits());
-    }
-
-    fn str(&mut self, s: &str) {
-        self.u32(s.len() as u32);
-        self.buf.extend_from_slice(s.as_bytes());
-    }
-
-    fn opt_f64(&mut self, v: Option<f64>) {
-        match v {
-            None => self.u8(0),
-            Some(x) => {
-                self.u8(1);
-                self.f64(x);
-            }
-        }
-    }
-
-    fn opt_u64(&mut self, v: Option<u64>) {
-        match v {
-            None => self.u8(0),
-            Some(x) => {
-                self.u8(1);
-                self.u64(x);
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// Decoding
-// ---------------------------------------------------------------------
-
+/// A cursor over one frame body. Every read goes through
+/// [`Reader::take`], so running out of bytes is always a typed
+/// `Truncated`, and every collection count through [`Reader::len`].
 struct Reader<'a> {
     buf: &'a [u8],
     pos: usize,
 }
 
 impl<'a> Reader<'a> {
-    fn new(buf: &'a [u8]) -> Reader<'a> {
-        Reader { buf, pos: 0 }
-    }
-
     fn remaining(&self) -> usize {
         self.buf.len() - self.pos
     }
@@ -338,652 +288,331 @@ impl<'a> Reader<'a> {
         Ok(slice)
     }
 
-    fn u8(&mut self, context: &'static str) -> Result<u8, WireError> {
-        Ok(self.take(1, context)?[0])
+    fn array<const N: usize>(&mut self, context: &'static str) -> Result<[u8; N], WireError> {
+        Ok(self.take(N, context)?.try_into().expect("N bytes"))
     }
 
-    fn bool(&mut self, context: &'static str) -> Result<bool, WireError> {
-        match self.u8(context)? {
+    /// A bool or presence flag: 0 or 1, any other byte is a typed
+    /// `UnknownTag` rather than a guess.
+    fn flag(&mut self, context: &'static str) -> Result<bool, WireError> {
+        match self.take(1, context)?[0] {
             0 => Ok(false),
             1 => Ok(true),
             tag => Err(WireError::UnknownTag { context, tag }),
         }
     }
 
-    fn u32(&mut self, context: &'static str) -> Result<u32, WireError> {
-        Ok(u32::from_le_bytes(
-            self.take(4, context)?.try_into().expect("4 bytes"),
-        ))
-    }
-
-    fn u64(&mut self, context: &'static str) -> Result<u64, WireError> {
-        Ok(u64::from_le_bytes(
-            self.take(8, context)?.try_into().expect("8 bytes"),
-        ))
-    }
-
-    fn i64(&mut self, context: &'static str) -> Result<i64, WireError> {
-        Ok(i64::from_le_bytes(
-            self.take(8, context)?.try_into().expect("8 bytes"),
-        ))
-    }
-
-    fn f64(&mut self, context: &'static str) -> Result<f64, WireError> {
-        Ok(f64::from_bits(self.u64(context)?))
-    }
-
-    /// Declared element count, pre-checked so `count * min_elem_bytes`
-    /// never exceeds the bytes actually present — the allocation bound.
-    fn len(&mut self, min_elem_bytes: usize, context: &'static str) -> Result<usize, WireError> {
-        let declared = self.u32(context)?;
-        let need = (declared as usize).saturating_mul(min_elem_bytes.max(1));
+    /// Declared element count of a collection of `T`, pre-checked so
+    /// `count * T::MIN` never exceeds the bytes actually present — the
+    /// allocation bound.
+    fn len<T: Wire>(&mut self, context: &'static str) -> Result<usize, WireError> {
+        let declared = u32::from_le_bytes(self.array(context)?);
+        let need = (declared as usize).saturating_mul(T::MIN.max(1));
         if need > self.remaining() {
             return Err(WireError::BadLength { context, declared });
         }
         Ok(declared as usize)
     }
+}
 
-    fn str(&mut self, context: &'static str) -> Result<String, WireError> {
-        let n = self.len(1, context)?;
-        let bytes = self.take(n, context)?;
+/// What a decode error names: `what` for the value itself, `flag` for
+/// an `Option`'s presence byte (`"Hello token"`, `"Hello token flag"`).
+#[derive(Clone, Copy)]
+struct Ctx {
+    what: &'static str,
+    flag: &'static str,
+}
+
+/// The context of field `$field` of `$owner` (a struct or variant).
+macro_rules! ctx {
+    ($owner:ident $field:ident) => {
+        Ctx {
+            what: concat!(stringify!($owner), " ", stringify!($field)),
+            flag: concat!(stringify!($owner), " ", stringify!($field), " flag"),
+        }
+    };
+}
+
+/// One layout, both directions. `put` appends the encoding; `take`
+/// reads it back, naming `ctx` in any error; `MIN` is the fewest bytes
+/// an encoding can occupy, which bounds what a declared collection
+/// count may allocate. Counts are written as `u32`; a count that does
+/// not fit comes only with a body far over [`MAX_FRAME_LEN`], which
+/// [`Message::frame`] refuses to send.
+trait Wire: Sized {
+    const MIN: usize;
+    fn put(&self, buf: &mut Vec<u8>);
+    fn take(r: &mut Reader, ctx: Ctx) -> Result<Self, WireError>;
+}
+
+macro_rules! wire_int {
+    ($($int:ty),*) => {$(
+        impl Wire for $int {
+            const MIN: usize = std::mem::size_of::<$int>();
+            fn put(&self, buf: &mut Vec<u8>) {
+                buf.extend_from_slice(&self.to_le_bytes());
+            }
+            fn take(r: &mut Reader, ctx: Ctx) -> Result<Self, WireError> {
+                Ok(<$int>::from_le_bytes(r.array(ctx.what)?))
+            }
+        }
+    )*};
+}
+
+wire_int!(u8, u32, u64, i64);
+
+/// Types that travel as one `u64`: `usize`, `f64` (IEEE bits) and the
+/// trace ids.
+macro_rules! wire_as_u64 {
+    ($($ty:ty: |$v:ident| $to:expr, |$w:ident| $from:expr;)*) => {$(
+        impl Wire for $ty {
+            const MIN: usize = 8;
+            fn put(&self, buf: &mut Vec<u8>) {
+                let $v = *self;
+                u64::put(&$to, buf);
+            }
+            fn take(r: &mut Reader, ctx: Ctx) -> Result<Self, WireError> {
+                let $w = u64::take(r, ctx)?;
+                Ok($from)
+            }
+        }
+    )*};
+}
+
+wire_as_u64! {
+    usize: |v| v as u64, |w| w as usize;
+    f64: |v| v.to_bits(), |w| f64::from_bits(w);
+    TraceId: |v| v.0, |w| TraceId(w);
+    SpanId: |v| v.0, |w| SpanId(w);
+}
+
+impl Wire for bool {
+    const MIN: usize = 1;
+    fn put(&self, buf: &mut Vec<u8>) {
+        buf.push(*self as u8);
+    }
+    fn take(r: &mut Reader, ctx: Ctx) -> Result<Self, WireError> {
+        r.flag(ctx.what)
+    }
+}
+
+impl Wire for String {
+    const MIN: usize = 4;
+    fn put(&self, buf: &mut Vec<u8>) {
+        (self.len() as u32).put(buf);
+        buf.extend_from_slice(self.as_bytes());
+    }
+    fn take(r: &mut Reader, ctx: Ctx) -> Result<Self, WireError> {
+        let n = r.len::<u8>(ctx.what)?;
+        let bytes = r.take(n, ctx.what)?;
         String::from_utf8(bytes.to_vec()).map_err(|_| WireError::BadUtf8)
     }
+}
 
-    fn opt_f64(&mut self, context: &'static str) -> Result<Option<f64>, WireError> {
-        match self.u8(context)? {
-            0 => Ok(None),
-            1 => Ok(Some(self.f64(context)?)),
-            tag => Err(WireError::UnknownTag { context, tag }),
+impl<T: Wire> Wire for Option<T> {
+    const MIN: usize = 1;
+    fn put(&self, buf: &mut Vec<u8>) {
+        buf.push(self.is_some() as u8);
+        if let Some(v) = self {
+            v.put(buf);
         }
     }
-
-    fn opt_u64(&mut self, context: &'static str) -> Result<Option<u64>, WireError> {
-        match self.u8(context)? {
-            0 => Ok(None),
-            1 => Ok(Some(self.u64(context)?)),
-            tag => Err(WireError::UnknownTag { context, tag }),
-        }
+    fn take(r: &mut Reader, ctx: Ctx) -> Result<Self, WireError> {
+        Ok(if r.flag(ctx.flag)? {
+            Some(T::take(r, ctx)?)
+        } else {
+            None
+        })
     }
 }
 
-// ---------------------------------------------------------------------
-// Request / Response codecs
-// ---------------------------------------------------------------------
-
-fn encode_feature_space(w: &mut Writer, fs: &FeatureSpace) {
-    match fs {
-        FeatureSpace::EventsOfMetric(m) => {
-            w.u8(0);
-            w.str(m);
+impl<T: Wire> Wire for Vec<T> {
+    const MIN: usize = 4;
+    fn put(&self, buf: &mut Vec<u8>) {
+        (self.len() as u32).put(buf);
+        for v in self {
+            v.put(buf);
         }
-        FeatureSpace::MetricsOfEvent(e) => {
-            w.u8(1);
-            w.str(e);
+    }
+    fn take(r: &mut Reader, ctx: Ctx) -> Result<Self, WireError> {
+        let n = r.len::<T>(ctx.what)?;
+        let mut v = Vec::with_capacity(n);
+        for _ in 0..n {
+            v.push(T::take(r, ctx)?);
         }
+        Ok(v)
     }
 }
 
-fn decode_feature_space(r: &mut Reader) -> Result<FeatureSpace, WireError> {
-    match r.u8("FeatureSpace")? {
-        0 => Ok(FeatureSpace::EventsOfMetric(r.str("FeatureSpace metric")?)),
-        1 => Ok(FeatureSpace::MetricsOfEvent(r.str("FeatureSpace event")?)),
-        tag => Err(WireError::UnknownTag {
-            context: "FeatureSpace",
-            tag,
-        }),
-    }
-}
-
-fn encode_request(w: &mut Writer, req: &Request) {
-    match req {
-        Request::ClusterTrial {
-            trial_id,
-            features,
-            k,
-            max_k,
-            pca_components,
-            method,
-        } => {
-            w.u8(0);
-            w.i64(*trial_id);
-            encode_feature_space(w, features);
-            w.opt_u64(k.map(|v| v as u64));
-            w.u64(*max_k as u64);
-            w.u64(*pca_components as u64);
-            w.u8(match method {
-                ClusterMethod::KMeans => 0,
-                ClusterMethod::Hierarchical => 1,
-            });
-        }
-        Request::CorrelateMetrics { trial_id, event } => {
-            w.u8(1);
-            w.i64(*trial_id);
-            w.str(event);
-        }
-        Request::FetchResult { settings_id } => {
-            w.u8(2);
-            w.i64(*settings_id);
-        }
-        Request::SpeedupStudy {
-            experiment_id,
-            metric,
-        } => {
-            w.u8(3);
-            w.i64(*experiment_id);
-            w.str(metric);
-        }
-        Request::RegressionScan {
-            experiment_id,
-            threshold,
-        } => {
-            w.u8(4);
-            w.i64(*experiment_id);
-            w.f64(*threshold);
-        }
-        Request::WatchdogCheck {
-            experiment_id,
-            trial_id,
-            metric,
-            min_ratio,
-        } => {
-            w.u8(5);
-            w.i64(*experiment_id);
-            w.i64(*trial_id);
-            w.str(metric);
-            w.f64(*min_ratio);
-        }
-        Request::Ping => w.u8(6),
-        Request::Shutdown => w.u8(7),
-        Request::InjectPanic(msg) => {
-            w.u8(8);
-            w.str(msg);
-        }
-        Request::Stall { millis } => {
-            w.u8(9);
-            w.u64(*millis);
-        }
-    }
-}
-
-fn decode_request(r: &mut Reader) -> Result<Request, WireError> {
-    match r.u8("Request")? {
-        0 => Ok(Request::ClusterTrial {
-            trial_id: r.i64("ClusterTrial trial_id")?,
-            features: decode_feature_space(r)?,
-            k: r.opt_u64("ClusterTrial k")?.map(|v| v as usize),
-            max_k: r.u64("ClusterTrial max_k")? as usize,
-            pca_components: r.u64("ClusterTrial pca_components")? as usize,
-            method: match r.u8("ClusterMethod")? {
-                0 => ClusterMethod::KMeans,
-                1 => ClusterMethod::Hierarchical,
-                tag => {
-                    return Err(WireError::UnknownTag {
-                        context: "ClusterMethod",
-                        tag,
-                    })
-                }
-            },
-        }),
-        1 => Ok(Request::CorrelateMetrics {
-            trial_id: r.i64("CorrelateMetrics trial_id")?,
-            event: r.str("CorrelateMetrics event")?,
-        }),
-        2 => Ok(Request::FetchResult {
-            settings_id: r.i64("FetchResult settings_id")?,
-        }),
-        3 => Ok(Request::SpeedupStudy {
-            experiment_id: r.i64("SpeedupStudy experiment_id")?,
-            metric: r.str("SpeedupStudy metric")?,
-        }),
-        4 => Ok(Request::RegressionScan {
-            experiment_id: r.i64("RegressionScan experiment_id")?,
-            threshold: r.f64("RegressionScan threshold")?,
-        }),
-        5 => Ok(Request::WatchdogCheck {
-            experiment_id: r.i64("WatchdogCheck experiment_id")?,
-            trial_id: r.i64("WatchdogCheck trial_id")?,
-            metric: r.str("WatchdogCheck metric")?,
-            min_ratio: r.f64("WatchdogCheck min_ratio")?,
-        }),
-        6 => Ok(Request::Ping),
-        7 => Ok(Request::Shutdown),
-        8 => Ok(Request::InjectPanic(r.str("InjectPanic message")?)),
-        9 => Ok(Request::Stall {
-            millis: r.u64("Stall millis")?,
-        }),
-        tag => Err(WireError::UnknownTag {
-            context: "Request",
-            tag,
-        }),
-    }
-}
-
-fn encode_response(w: &mut Writer, resp: &Response) {
-    match resp {
-        Response::Clustering {
-            settings_id,
-            k,
-            assignments,
-            summaries,
-            silhouette,
-            columns,
-        } => {
-            w.u8(0);
-            w.i64(*settings_id);
-            w.u64(*k as u64);
-            w.u32(assignments.len() as u32);
-            for &a in assignments {
-                w.u64(a as u64);
+/// Tuple elements are unnamed: each reports its collection's context.
+macro_rules! wire_tuple {
+    ($($t:ident $i:tt),+) => {
+        impl<$($t: Wire),+> Wire for ($($t,)+) {
+            const MIN: usize = 0 $(+ $t::MIN)+;
+            fn put(&self, buf: &mut Vec<u8>) {
+                $(self.$i.put(buf);)+
             }
-            w.u32(summaries.len() as u32);
-            for s in summaries {
-                w.u64(s.cluster as u64);
-                w.u64(s.size as u64);
-                w.u32(s.centroid.len() as u32);
-                for &c in &s.centroid {
-                    w.f64(c);
+            fn take(r: &mut Reader, ctx: Ctx) -> Result<Self, WireError> {
+                Ok(($($t::take(r, ctx)?,)+))
+            }
+        }
+    };
+}
+
+wire_tuple!(A 0, B 1);
+wire_tuple!(A 0, B 1, C 2);
+wire_tuple!(A 0, B 1, C 2, D 3);
+wire_tuple!(A 0, B 1, C 2, D 3, E 4);
+
+/// The codec table. A struct is its fields in order. An enum is a `u8`
+/// tag, written explicitly per variant, then that variant's fields in
+/// order; a variant is a unit, a tuple with named positions, or a
+/// struct. `put`, `take` and `MIN` are all generated from the one
+/// entry, and each field decodes under the context `"Owner field"`.
+macro_rules! wire {
+    (struct $ty:ident { $($field:ident: $fty:ty),* $(,)? }) => {
+        impl Wire for $ty {
+            const MIN: usize = 0 $(+ <$fty as Wire>::MIN)*;
+            fn put(&self, buf: &mut Vec<u8>) {
+                $(self.$field.put(buf);)*
+            }
+            fn take(r: &mut Reader, _: Ctx) -> Result<Self, WireError> {
+                Ok($ty { $($field: <$fty as Wire>::take(r, ctx!($ty $field))?),* })
+            }
+        }
+    };
+    (enum $ty:ident { $($tag:literal => $variant:ident
+        $(($($pos:ident: $pty:ty),*))?
+        $({$($field:ident: $fty:ty),* $(,)?})?),* $(,)? }) => {
+        impl Wire for $ty {
+            const MIN: usize = 1 + {
+                let mut min = usize::MAX;
+                $(
+                    let body = 0 $($(+ <$pty as Wire>::MIN)*)? $($(+ <$fty as Wire>::MIN)*)?;
+                    if body < min {
+                        min = body;
+                    }
+                )*
+                min
+            };
+            fn put(&self, buf: &mut Vec<u8>) {
+                match self {
+                    $($ty::$variant $(($($pos),*))? $({$($field),*})? => {
+                        buf.push($tag);
+                        $($($pos.put(buf);)*)?
+                        $($($field.put(buf);)*)?
+                    })*
                 }
             }
-            w.f64(*silhouette);
-            w.u32(columns.len() as u32);
-            for c in columns {
-                w.str(c);
+            fn take(r: &mut Reader, _: Ctx) -> Result<Self, WireError> {
+                Ok(match r.take(1, stringify!($ty))?[0] {
+                    $($tag => $ty::$variant
+                        $(($(<$pty as Wire>::take(r, ctx!($variant $pos))?),*))?
+                        $({$($field: <$fty as Wire>::take(r, ctx!($variant $field))?),*})?,)*
+                    tag => return Err(WireError::UnknownTag { context: stringify!($ty), tag }),
+                })
             }
         }
-        Response::Correlation {
-            settings_id,
-            metrics,
-            matrix,
-        } => {
-            w.u8(1);
-            w.i64(*settings_id);
-            w.u32(metrics.len() as u32);
-            for m in metrics {
-                w.str(m);
-            }
-            w.u32(matrix.len() as u32);
-            for row in matrix {
-                w.u32(row.len() as u32);
-                for &v in row {
-                    w.f64(v);
-                }
-            }
-        }
-        Response::Speedup {
-            application,
-            amdahl_serial_fraction,
-            routines,
-        } => {
-            w.u8(2);
-            w.u32(application.len() as u32);
-            for &(p, s, e) in application {
-                w.u64(p as u64);
-                w.f64(s);
-                w.f64(e);
-            }
-            w.opt_f64(*amdahl_serial_fraction);
-            w.u32(routines.len() as u32);
-            for (name, p, min, mean, max) in routines {
-                w.str(name);
-                w.u64(*p as u64);
-                w.f64(*min);
-                w.f64(*mean);
-                w.f64(*max);
-            }
-        }
-        Response::Regressions {
-            findings,
-            pairs_compared,
-        } => {
-            w.u8(3);
-            w.u32(findings.len() as u32);
-            for (older, newer, event, metric, rel) in findings {
-                w.i64(*older);
-                w.i64(*newer);
-                w.str(event);
-                w.str(metric);
-                w.f64(*rel);
-            }
-            w.u64(*pairs_compared as u64);
-        }
-        Response::Watchdog {
-            baseline_trials,
-            findings,
-        } => {
-            w.u8(4);
-            w.u64(*baseline_trials as u64);
-            w.u32(findings.len() as u32);
-            for (event, baseline, candidate, ratio) in findings {
-                w.str(event);
-                w.f64(*baseline);
-                w.f64(*candidate);
-                w.f64(*ratio);
-            }
-        }
-        Response::Stored { method, rows } => {
-            w.u8(5);
-            w.str(method);
-            w.u32(rows.len() as u32);
-            for (ty, item, value, label) in rows {
-                w.str(ty);
-                w.i64(*item);
-                w.f64(*value);
-                w.str(label);
-            }
-        }
-        Response::Pong => w.u8(6),
-        Response::Error(msg) => {
-            w.u8(7);
-            w.str(msg);
-        }
-        Response::Overloaded => w.u8(8),
-        Response::Failed { reason, retryable } => {
-            w.u8(9);
-            w.str(reason);
-            w.bool(*retryable);
-        }
-        Response::ShuttingDown => w.u8(10),
-    }
+    };
 }
 
-fn decode_response(r: &mut Reader) -> Result<Response, WireError> {
-    match r.u8("Response")? {
-        0 => {
-            let settings_id = r.i64("Clustering settings_id")?;
-            let k = r.u64("Clustering k")? as usize;
-            let n = r.len(8, "Clustering assignments")?;
-            let mut assignments = Vec::with_capacity(n);
-            for _ in 0..n {
-                assignments.push(r.u64("Clustering assignment")? as usize);
-            }
-            let n = r.len(20, "Clustering summaries")?;
-            let mut summaries = Vec::with_capacity(n);
-            for _ in 0..n {
-                let cluster = r.u64("ClusterSummary cluster")? as usize;
-                let size = r.u64("ClusterSummary size")? as usize;
-                let d = r.len(8, "ClusterSummary centroid")?;
-                let mut centroid = Vec::with_capacity(d);
-                for _ in 0..d {
-                    centroid.push(r.f64("ClusterSummary centroid value")?);
-                }
-                summaries.push(ClusterSummary {
-                    cluster,
-                    size,
-                    centroid,
-                });
-            }
-            let silhouette = r.f64("Clustering silhouette")?;
-            let n = r.len(4, "Clustering columns")?;
-            let mut columns = Vec::with_capacity(n);
-            for _ in 0..n {
-                columns.push(r.str("Clustering column")?);
-            }
-            Ok(Response::Clustering {
-                settings_id,
-                k,
-                assignments,
-                summaries,
-                silhouette,
-                columns,
-            })
-        }
-        1 => {
-            let settings_id = r.i64("Correlation settings_id")?;
-            let n = r.len(4, "Correlation metrics")?;
-            let mut metrics = Vec::with_capacity(n);
-            for _ in 0..n {
-                metrics.push(r.str("Correlation metric")?);
-            }
-            let n = r.len(4, "Correlation matrix")?;
-            let mut matrix = Vec::with_capacity(n);
-            for _ in 0..n {
-                let d = r.len(8, "Correlation matrix row")?;
-                let mut row = Vec::with_capacity(d);
-                for _ in 0..d {
-                    row.push(r.f64("Correlation matrix value")?);
-                }
-                matrix.push(row);
-            }
-            Ok(Response::Correlation {
-                settings_id,
-                metrics,
-                matrix,
-            })
-        }
-        2 => {
-            let n = r.len(24, "Speedup application")?;
-            let mut application = Vec::with_capacity(n);
-            for _ in 0..n {
-                application.push((
-                    r.u64("Speedup processors")? as usize,
-                    r.f64("Speedup speedup")?,
-                    r.f64("Speedup efficiency")?,
-                ));
-            }
-            let amdahl_serial_fraction = r.opt_f64("Speedup amdahl")?;
-            let n = r.len(36, "Speedup routines")?;
-            let mut routines = Vec::with_capacity(n);
-            for _ in 0..n {
-                routines.push((
-                    r.str("Speedup routine name")?,
-                    r.u64("Speedup routine processors")? as usize,
-                    r.f64("Speedup routine min")?,
-                    r.f64("Speedup routine mean")?,
-                    r.f64("Speedup routine max")?,
-                ));
-            }
-            Ok(Response::Speedup {
-                application,
-                amdahl_serial_fraction,
-                routines,
-            })
-        }
-        3 => {
-            let n = r.len(32, "Regressions findings")?;
-            let mut findings = Vec::with_capacity(n);
-            for _ in 0..n {
-                findings.push((
-                    r.i64("Regression older")?,
-                    r.i64("Regression newer")?,
-                    r.str("Regression event")?,
-                    r.str("Regression metric")?,
-                    r.f64("Regression relative")?,
-                ));
-            }
-            let pairs_compared = r.u64("Regressions pairs_compared")? as usize;
-            Ok(Response::Regressions {
-                findings,
-                pairs_compared,
-            })
-        }
-        4 => {
-            let baseline_trials = r.u64("Watchdog baseline_trials")? as usize;
-            let n = r.len(28, "Watchdog findings")?;
-            let mut findings = Vec::with_capacity(n);
-            for _ in 0..n {
-                findings.push((
-                    r.str("Watchdog event")?,
-                    r.f64("Watchdog baseline")?,
-                    r.f64("Watchdog candidate")?,
-                    r.f64("Watchdog ratio")?,
-                ));
-            }
-            Ok(Response::Watchdog {
-                baseline_trials,
-                findings,
-            })
-        }
-        5 => {
-            let method = r.str("Stored method")?;
-            let n = r.len(24, "Stored rows")?;
-            let mut rows = Vec::with_capacity(n);
-            for _ in 0..n {
-                rows.push((
-                    r.str("Stored result_type")?,
-                    r.i64("Stored item")?,
-                    r.f64("Stored value")?,
-                    r.str("Stored label")?,
-                ));
-            }
-            Ok(Response::Stored { method, rows })
-        }
-        6 => Ok(Response::Pong),
-        7 => Ok(Response::Error(r.str("Error message")?)),
-        8 => Ok(Response::Overloaded),
-        9 => Ok(Response::Failed {
-            reason: r.str("Failed reason")?,
-            retryable: r.bool("Failed retryable")?,
-        }),
-        10 => Ok(Response::ShuttingDown),
-        tag => Err(WireError::UnknownTag {
-            context: "Response",
-            tag,
-        }),
-    }
-}
+wire! { enum Message {
+    0 => Hello { protocol: u32, tenant: String, token: Option<String> },
+    1 => HelloAck { session: u64, key_space: u64 },
+    2 => Call {
+        seq: u64,
+        deadline_ms: u32,
+        idempotency: u64,
+        trace: Option<SpanContext>,
+        request: Request
+    },
+    3 => Reply { seq: u64, usage: Option<ResourceUsage>, response: Response },
+    4 => Goodbye { reason: String },
+    5 => AuthFailed { reason: String },
+}}
 
-fn encode_usage(w: &mut Writer, usage: &ResourceUsage) {
-    w.u64(usage.rows_scanned);
-    w.u64(usage.chunk_hits);
-    w.u64(usage.chunk_misses);
-    w.u64(usage.pool_tasks);
-    w.u64(usage.wal_bytes);
-    w.u64(usage.queue_wait_ns);
-    w.u64(usage.execute_ns);
-}
+wire! { enum Request {
+    0 => ClusterTrial {
+        trial_id: i64,
+        features: FeatureSpace,
+        k: Option<usize>,
+        max_k: usize,
+        pca_components: usize,
+        method: ClusterMethod
+    },
+    1 => CorrelateMetrics { trial_id: i64, event: String },
+    2 => FetchResult { settings_id: i64 },
+    3 => SpeedupStudy { experiment_id: i64, metric: String },
+    4 => RegressionScan { experiment_id: i64, threshold: f64 },
+    5 => WatchdogCheck { experiment_id: i64, trial_id: i64, metric: String, min_ratio: f64 },
+    6 => Ping,
+    7 => Shutdown,
+    8 => InjectPanic(message: String),
+    9 => Stall { millis: u64 },
+}}
 
-fn decode_usage(r: &mut Reader) -> Result<ResourceUsage, WireError> {
-    Ok(ResourceUsage {
-        rows_scanned: r.u64("ResourceUsage rows_scanned")?,
-        chunk_hits: r.u64("ResourceUsage chunk_hits")?,
-        chunk_misses: r.u64("ResourceUsage chunk_misses")?,
-        pool_tasks: r.u64("ResourceUsage pool_tasks")?,
-        wal_bytes: r.u64("ResourceUsage wal_bytes")?,
-        queue_wait_ns: r.u64("ResourceUsage queue_wait_ns")?,
-        execute_ns: r.u64("ResourceUsage execute_ns")?,
-    })
-}
+wire! { enum Response {
+    0 => Clustering {
+        settings_id: i64,
+        k: usize,
+        assignments: Vec<usize>,
+        summaries: Vec<ClusterSummary>,
+        silhouette: f64,
+        columns: Vec<String>
+    },
+    1 => Correlation { settings_id: i64, metrics: Vec<String>, matrix: Vec<Vec<f64>> },
+    2 => Speedup {
+        application: Vec<(usize, f64, f64)>,
+        amdahl_serial_fraction: Option<f64>,
+        routines: Vec<(String, usize, f64, f64, f64)>
+    },
+    3 => Regressions { findings: Vec<(i64, i64, String, String, f64)>, pairs_compared: usize },
+    4 => Watchdog { baseline_trials: usize, findings: Vec<(String, f64, f64, f64)> },
+    5 => Stored { method: String, rows: Vec<(String, i64, f64, String)> },
+    6 => Pong,
+    7 => Error(message: String),
+    8 => Overloaded,
+    9 => Failed { reason: String, retryable: bool },
+    10 => ShuttingDown,
+}}
+
+wire! { enum FeatureSpace {
+    0 => EventsOfMetric(metric: String),
+    1 => MetricsOfEvent(event: String),
+}}
+
+wire! { enum ClusterMethod {
+    0 => KMeans,
+    1 => Hierarchical,
+}}
+
+wire! { struct ClusterSummary { cluster: usize, size: usize, centroid: Vec<f64> } }
+
+wire! { struct ResourceUsage {
+    rows_scanned: u64,
+    chunk_hits: u64,
+    chunk_misses: u64,
+    pool_tasks: u64,
+    wal_bytes: u64,
+    queue_wait_ns: u64,
+    execute_ns: u64,
+}}
+
+wire! { struct SpanContext { trace: TraceId, span: SpanId } }
 
 impl Message {
     /// Encode the message body (without the frame header).
     pub fn encode(&self) -> Vec<u8> {
-        let mut w = Writer::new();
-        match self {
-            Message::Hello {
-                protocol,
-                tenant,
-                token,
-            } => {
-                w.u8(0);
-                w.u32(*protocol);
-                w.str(tenant);
-                w.bool(token.is_some());
-                if let Some(token) = token {
-                    w.str(token);
-                }
-            }
-            Message::HelloAck { session, key_space } => {
-                w.u8(1);
-                w.u64(*session);
-                w.u64(*key_space);
-            }
-            Message::Call {
-                seq,
-                deadline_ms,
-                idempotency,
-                trace,
-                request,
-            } => {
-                w.u8(2);
-                w.u64(*seq);
-                w.u32(*deadline_ms);
-                w.u64(*idempotency);
-                w.bool(trace.is_some());
-                if let Some(ctx) = trace {
-                    w.u64(ctx.trace.0);
-                    w.u64(ctx.span.0);
-                }
-                encode_request(&mut w, request);
-            }
-            Message::Reply {
-                seq,
-                usage,
-                response,
-            } => {
-                w.u8(3);
-                w.u64(*seq);
-                w.bool(usage.is_some());
-                if let Some(u) = usage {
-                    encode_usage(&mut w, u);
-                }
-                encode_response(&mut w, response);
-            }
-            Message::Goodbye { reason } => {
-                w.u8(4);
-                w.str(reason);
-            }
-            Message::AuthFailed { reason } => {
-                w.u8(5);
-                w.str(reason);
-            }
-        }
-        w.buf
+        let mut buf = Vec::new();
+        self.put(&mut buf);
+        buf
     }
 
     /// Decode a message body. Total: every input yields a value or a
     /// typed error, and trailing bytes are rejected.
     pub fn decode(body: &[u8]) -> Result<Message, WireError> {
-        let mut r = Reader::new(body);
-        let msg = match r.u8("Message")? {
-            0 => Message::Hello {
-                protocol: r.u32("Hello protocol")?,
-                tenant: r.str("Hello tenant")?,
-                token: if r.bool("Hello token flag")? {
-                    Some(r.str("Hello token")?)
-                } else {
-                    None
-                },
-            },
-            1 => Message::HelloAck {
-                session: r.u64("HelloAck session")?,
-                key_space: r.u64("HelloAck key_space")?,
-            },
-            2 => Message::Call {
-                seq: r.u64("Call seq")?,
-                deadline_ms: r.u32("Call deadline_ms")?,
-                idempotency: r.u64("Call idempotency")?,
-                trace: if r.bool("Call trace flag")? {
-                    Some(SpanContext {
-                        trace: TraceId(r.u64("Call trace id")?),
-                        span: SpanId(r.u64("Call span id")?),
-                    })
-                } else {
-                    None
-                },
-                request: decode_request(&mut r)?,
-            },
-            3 => Message::Reply {
-                seq: r.u64("Reply seq")?,
-                usage: if r.bool("Reply usage flag")? {
-                    Some(decode_usage(&mut r)?)
-                } else {
-                    None
-                },
-                response: decode_response(&mut r)?,
-            },
-            4 => Message::Goodbye {
-                reason: r.str("Goodbye reason")?,
-            },
-            5 => Message::AuthFailed {
-                reason: r.str("AuthFailed reason")?,
-            },
-            tag => {
-                return Err(WireError::UnknownTag {
-                    context: "Message",
-                    tag,
-                })
-            }
-        };
+        let mut r = Reader { buf: body, pos: 0 };
+        let msg = Message::take(&mut r, ctx!(Message body))?;
         if r.remaining() > 0 {
             return Err(WireError::TrailingBytes(r.remaining()));
         }
@@ -991,15 +620,28 @@ impl Message {
     }
 
     /// Encode the message as a complete frame: header (magic, length,
-    /// body CRC-32) + body.
+    /// body CRC-32) + body. Bounded: a body over [`MAX_FRAME_LEN`] is
+    /// refused as [`WireError::Oversized`], because the peer's
+    /// [`parse_header`] would reject it and drop the connection.
+    pub fn frame(&self) -> Result<Vec<u8>, WireError> {
+        let mut frame = vec![0; HEADER_LEN];
+        self.put(&mut frame);
+        let len = frame.len() - HEADER_LEN;
+        if len > MAX_FRAME_LEN as usize {
+            return Err(WireError::Oversized(u32::try_from(len).unwrap_or(u32::MAX)));
+        }
+        let crc = crc32(&frame[HEADER_LEN..]);
+        frame[..4].copy_from_slice(&MAGIC.to_le_bytes());
+        frame[4..8].copy_from_slice(&(len as u32).to_le_bytes());
+        frame[8..HEADER_LEN].copy_from_slice(&crc.to_le_bytes());
+        Ok(frame)
+    }
+
+    /// [`Message::frame`] for a message that cannot reach the cap: the
+    /// handshake, `Goodbye`, and replies the server already bounded.
+    /// Panics on an over-cap message.
     pub fn to_frame(&self) -> Vec<u8> {
-        let body = self.encode();
-        let mut frame = Vec::with_capacity(HEADER_LEN + body.len());
-        frame.extend_from_slice(&MAGIC.to_le_bytes());
-        frame.extend_from_slice(&(body.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&crc32(&body).to_le_bytes());
-        frame.extend_from_slice(&body);
-        frame
+        self.frame().expect("message within MAX_FRAME_LEN")
     }
 }
 
@@ -1373,23 +1015,76 @@ mod tests {
 
     #[test]
     fn forged_length_is_rejected_before_allocation() {
-        // A Reply/Clustering body whose assignments count claims 2^32-1
-        // elements with no bytes behind it: must fail fast with
-        // BadLength, not attempt a 32 GiB Vec.
-        let mut body = vec![3u8]; // Message::Reply
-        body.extend_from_slice(&7u64.to_le_bytes()); // seq
-        body.push(0); // no usage
-        body.push(0); // Response::Clustering
-        body.extend_from_slice(&1i64.to_le_bytes()); // settings_id
-        body.extend_from_slice(&2u64.to_le_bytes()); // k
-        body.extend_from_slice(&u32::MAX.to_le_bytes()); // assignments len
-        assert_eq!(
-            Message::decode(&body),
-            Err(WireError::BadLength {
-                context: "Clustering assignments",
-                declared: u32::MAX,
-            })
-        );
+        // Reply bodies whose innermost collection count claims 2^32-1
+        // elements with no bytes behind it: each must fail fast with
+        // BadLength, not attempt a multi-gigabyte Vec. One count per
+        // shape: a flat collection, a tuple collection, and one nested
+        // inside a struct inside a collection.
+        let reply = |tag: u8| {
+            let mut body = vec![3u8]; // Message::Reply
+            body.extend_from_slice(&7u64.to_le_bytes()); // seq
+            body.push(0); // no usage
+            body.push(tag);
+            body
+        };
+        let mut assignments = reply(0); // Response::Clustering
+        assignments.extend_from_slice(&1i64.to_le_bytes()); // settings_id
+        assignments.extend_from_slice(&2u64.to_le_bytes()); // k
+        let mut centroid = assignments.clone();
+        assignments.extend_from_slice(&u32::MAX.to_le_bytes()); // assignments len
+        centroid.extend_from_slice(&0u32.to_le_bytes()); // no assignments
+        centroid.extend_from_slice(&1u32.to_le_bytes()); // one summary
+        centroid.extend_from_slice(&0u64.to_le_bytes()); // cluster
+        centroid.extend_from_slice(&1u64.to_le_bytes()); // size
+        centroid.extend_from_slice(&u32::MAX.to_le_bytes()); // centroid len
+        centroid.extend_from_slice(&[0u8; 16]); // silhouette, no columns
+        let mut routines = reply(2); // Response::Speedup
+        routines.extend_from_slice(&0u32.to_le_bytes()); // no application
+        routines.push(0); // no amdahl fraction
+        routines.extend_from_slice(&u32::MAX.to_le_bytes()); // routines len
+        routines.extend_from_slice(&[0u8; 35]); // less than one routine
+        for (body, context) in [
+            (assignments, "Clustering assignments"),
+            (centroid, "ClusterSummary centroid"),
+            (routines, "Speedup routines"),
+        ] {
+            assert_eq!(
+                Message::decode(&body),
+                Err(WireError::BadLength {
+                    context,
+                    declared: u32::MAX,
+                })
+            );
+        }
+    }
+
+    #[test]
+    fn derived_minimums_match_the_allocation_bounds() {
+        // The bound each collection had when it was written by hand.
+        for (collection, derived, bound) in [
+            ("Clustering assignments", <usize as Wire>::MIN, 8),
+            ("Clustering summaries", ClusterSummary::MIN, 20),
+            ("ClusterSummary centroid", <f64 as Wire>::MIN, 8),
+            ("Clustering columns", <String as Wire>::MIN, 4),
+            ("Correlation metrics", <String as Wire>::MIN, 4),
+            ("Correlation matrix", <Vec<f64> as Wire>::MIN, 4),
+            ("Correlation matrix row", <f64 as Wire>::MIN, 8),
+            ("Speedup application", <(usize, f64, f64)>::MIN, 24),
+            (
+                "Speedup routines",
+                <(String, usize, f64, f64, f64)>::MIN,
+                36,
+            ),
+            (
+                "Regressions findings",
+                <(i64, i64, String, String, f64)>::MIN,
+                32,
+            ),
+            ("Watchdog findings", <(String, f64, f64, f64)>::MIN, 28),
+            ("Stored rows", <(String, i64, f64, String)>::MIN, 24),
+        ] {
+            assert_eq!(derived, bound, "{collection}");
+        }
     }
 
     #[test]

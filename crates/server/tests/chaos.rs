@@ -28,9 +28,12 @@
 //! a fresh schedule without giving up replayability — the seed is in
 //! the log).
 
+mod common;
+
+use common::cluster_request;
 use perfdmf_core::DatabaseSession;
 use perfdmf_db::Connection;
-use perfdmf_explorer::{ClusterMethod, FeatureSpace, Request, Response, RetryPolicy};
+use perfdmf_explorer::{Request, Response, RetryPolicy};
 use perfdmf_profile::{IntervalData, IntervalEvent, Metric, Profile, ThreadId};
 use perfdmf_server::{NetClient, NetFaultPlan, PerfdmfServer, ServerConfig};
 use std::time::{Duration, Instant};
@@ -96,17 +99,6 @@ fn seeded_database() -> (Connection, i64) {
         .store_profile("chaos-app", "chaos-exp", &p)
         .expect("store");
     (conn, trial)
-}
-
-fn cluster_request(trial_id: i64) -> Request {
-    Request::ClusterTrial {
-        trial_id,
-        features: FeatureSpace::EventsOfMetric("TIME".into()),
-        k: None,
-        max_k: 4,
-        pca_components: 0,
-        method: ClusterMethod::KMeans,
-    }
 }
 
 /// A client-side fault plan derived from (scenario seed, client index).

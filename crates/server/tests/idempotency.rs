@@ -12,47 +12,16 @@
 //! * a closed session leaves no server state behind, even when no
 //!   further connection arrives to prompt a sweep.
 
-use perfdmf_core::DatabaseSession;
-use perfdmf_db::Connection;
-use perfdmf_explorer::{ClusterMethod, FeatureSpace, Request, Response, RetryPolicy};
-use perfdmf_profile::{IntervalData, IntervalEvent, Metric, Profile, ThreadId};
+mod common;
+
+use common::{cluster_request, seeded_database};
+use perfdmf_explorer::{Request, Response, RetryPolicy};
 use perfdmf_server::{NetClient, NetFaultPlan, PerfdmfServer, ServerConfig};
 use std::time::{Duration, Instant};
 
-/// Small two-group trial so clustering requests do real work.
-fn seeded_database() -> (Connection, i64) {
-    let conn = Connection::open_in_memory();
-    let mut session = DatabaseSession::new(conn.clone()).expect("schema");
-    let mut p = Profile::new("idem");
-    let m = p.add_metric(Metric::measured("TIME"));
-    let a = p.add_event(IntervalEvent::ungrouped("compute"));
-    let b = p.add_event(IntervalEvent::ungrouped("exchange"));
-    p.add_threads((0..8).map(|n| ThreadId::new(n, 0, 0)));
-    for (i, &t) in p.threads().to_vec().iter().enumerate() {
-        let (ca, cb) = if i < 4 { (100.0, 5.0) } else { (10.0, 80.0) };
-        p.set_interval(a, t, m, IntervalData::new(ca, ca, 10.0, 0.0));
-        p.set_interval(b, t, m, IntervalData::new(cb, cb, 10.0, 0.0));
-    }
-    let trial = session
-        .store_profile("idem-app", "idem-exp", &p)
-        .expect("store");
-    (conn, trial)
-}
-
-fn cluster_request(trial_id: i64) -> Request {
-    Request::ClusterTrial {
-        trial_id,
-        features: FeatureSpace::EventsOfMetric("TIME".into()),
-        k: None,
-        max_k: 4,
-        pca_components: 0,
-        method: ClusterMethod::KMeans,
-    }
-}
-
 #[test]
 fn key_spaces_are_server_assigned_distinct_and_stable() {
-    let (conn, _trial) = seeded_database();
+    let (conn, _trial) = seeded_database("idem", 8);
     let server = PerfdmfServer::start(conn).expect("server start");
 
     // Two fresh clients: each adopts the space granted in HelloAck.
@@ -97,7 +66,7 @@ fn key_spaces_are_server_assigned_distinct_and_stable() {
 
 #[test]
 fn concurrent_duplicate_with_same_key_executes_once() {
-    let (conn, trial) = seeded_database();
+    let (conn, trial) = seeded_database("idem", 8);
     let server = PerfdmfServer::start_with_config(
         conn,
         ServerConfig {
@@ -150,7 +119,7 @@ fn concurrent_duplicate_with_same_key_executes_once() {
 
 #[test]
 fn fault_injection_requests_are_rejected_by_default() {
-    let (conn, _trial) = seeded_database();
+    let (conn, _trial) = seeded_database("idem", 8);
     let server = PerfdmfServer::start(conn).expect("server start");
     let mut client = NetClient::new(server.addr(), "hostile").with_policy(RetryPolicy::none());
     for request in [
@@ -177,7 +146,7 @@ fn closed_sessions_release_server_state_without_new_connections() {
     // After a burst of short sessions the server must drop back to zero
     // live sessions on its own: a quiet server must not hold state for
     // connections that are already gone.
-    let (conn, _trial) = seeded_database();
+    let (conn, _trial) = seeded_database("idem", 8);
     let server = PerfdmfServer::start(conn).expect("server start");
 
     for i in 0..8 {

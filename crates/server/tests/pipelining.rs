@@ -16,10 +16,11 @@
 //!    original idempotency keys, so every acknowledged write executed
 //!    exactly once.
 
-use perfdmf_core::DatabaseSession;
+mod common;
+
+use common::{cluster_request, seeded_database};
 use perfdmf_db::Connection;
-use perfdmf_explorer::{ClusterMethod, FeatureSpace, Request, Response};
-use perfdmf_profile::{IntervalData, IntervalEvent, Metric, Profile, ThreadId};
+use perfdmf_explorer::{Request, Response};
 use perfdmf_server::wire::{parse_header, verify_body, Message, HEADER_LEN};
 use perfdmf_server::{NetClient, NetFaultPlan, PerfdmfServer, ServerConfig, PROTOCOL_VERSION};
 use proptest::prelude::*;
@@ -27,36 +28,6 @@ use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;
-
-fn seeded_database() -> (Connection, i64) {
-    let conn = Connection::open_in_memory();
-    let mut session = DatabaseSession::new(conn.clone()).expect("schema");
-    let mut p = Profile::new("pipeline");
-    let m = p.add_metric(Metric::measured("TIME"));
-    let a = p.add_event(IntervalEvent::ungrouped("compute"));
-    let b = p.add_event(IntervalEvent::ungrouped("exchange"));
-    p.add_threads((0..8).map(|n| ThreadId::new(n, 0, 0)));
-    for (i, &t) in p.threads().to_vec().iter().enumerate() {
-        let (ca, cb) = if i < 4 { (100.0, 5.0) } else { (10.0, 80.0) };
-        p.set_interval(a, t, m, IntervalData::new(ca, ca, 10.0, 0.0));
-        p.set_interval(b, t, m, IntervalData::new(cb, cb, 10.0, 0.0));
-    }
-    let trial = session
-        .store_profile("pipe-app", "pipe-exp", &p)
-        .expect("store");
-    (conn, trial)
-}
-
-fn cluster_request(trial_id: i64) -> Request {
-    Request::ClusterTrial {
-        trial_id,
-        features: FeatureSpace::EventsOfMetric("TIME".into()),
-        k: None,
-        max_k: 4,
-        pca_components: 0,
-        method: ClusterMethod::KMeans,
-    }
-}
 
 /// Read one complete frame off a blocking socket.
 fn read_frame(stream: &mut TcpStream) -> Message {
@@ -96,7 +67,7 @@ fn raw_handshake(addr: std::net::SocketAddr, tenant: &str) -> TcpStream {
 /// immediately, while the admitted calls are still executing.
 #[test]
 fn calls_beyond_the_window_get_typed_errors() {
-    let (conn, _trial) = seeded_database();
+    let (conn, _trial) = seeded_database("pipe", 8);
     let server = PerfdmfServer::start_with_config(
         conn,
         ServerConfig {
@@ -167,7 +138,7 @@ fn calls_beyond_the_window_get_typed_errors() {
 /// reply seqs prove the out-of-order matching.
 #[test]
 fn fast_calls_overtake_slow_ones_and_replies_match_by_seq() {
-    let (conn, _trial) = seeded_database();
+    let (conn, _trial) = seeded_database("pipe", 8);
     let server = PerfdmfServer::start_with_config(
         conn,
         ServerConfig {
@@ -218,7 +189,7 @@ fn fast_calls_overtake_slow_ones_and_replies_match_by_seq() {
 /// key is presented again by a clean client.
 #[test]
 fn pipelined_retries_apply_at_most_once_under_faults() {
-    let (conn, trial) = seeded_database();
+    let (conn, trial) = seeded_database("pipe", 8);
     let server = PerfdmfServer::start_with_config(
         conn.clone(),
         ServerConfig {
@@ -303,7 +274,7 @@ proptest! {
     /// type its request demands, regardless of wire arrival order.
     #[test]
     fn pipelined_replies_always_line_up_with_requests(kinds in proptest::collection::vec(0u8..3, 1..12)) {
-        let (conn, trial) = seeded_database();
+        let (conn, trial) = seeded_database("pipe", 8);
         let server = PerfdmfServer::start_with_config(
             conn,
             ServerConfig { workers: 3, ..ServerConfig::default() },

@@ -6,41 +6,11 @@
 //! This lives in its own test binary (own process) because it asserts
 //! exact deltas of process-global telemetry counters.
 
-use perfdmf_core::DatabaseSession;
-use perfdmf_db::Connection;
-use perfdmf_explorer::{ClusterMethod, FeatureSpace, Request, Response};
-use perfdmf_profile::{IntervalData, IntervalEvent, Metric, Profile, ThreadId};
+mod common;
+
+use common::{cluster_request, seeded_database};
+use perfdmf_explorer::{Request, Response};
 use perfdmf_server::{NetClient, PerfdmfServer};
-
-fn seeded_database() -> (Connection, i64) {
-    let conn = Connection::open_in_memory();
-    let mut session = DatabaseSession::new(conn.clone()).expect("schema");
-    let mut p = Profile::new("churn");
-    let m = p.add_metric(Metric::measured("TIME"));
-    let a = p.add_event(IntervalEvent::ungrouped("compute"));
-    let b = p.add_event(IntervalEvent::ungrouped("exchange"));
-    p.add_threads((0..8).map(|n| ThreadId::new(n, 0, 0)));
-    for (i, &t) in p.threads().to_vec().iter().enumerate() {
-        let (ca, cb) = if i < 4 { (100.0, 5.0) } else { (10.0, 80.0) };
-        p.set_interval(a, t, m, IntervalData::new(ca, ca, 10.0, 0.0));
-        p.set_interval(b, t, m, IntervalData::new(cb, cb, 10.0, 0.0));
-    }
-    let trial = session
-        .store_profile("churn-app", "churn-exp", &p)
-        .expect("store");
-    (conn, trial)
-}
-
-fn cluster_request(trial_id: i64) -> Request {
-    Request::ClusterTrial {
-        trial_id,
-        features: FeatureSpace::EventsOfMetric("TIME".into()),
-        k: None,
-        max_k: 4,
-        pca_components: 0,
-        method: ClusterMethod::KMeans,
-    }
-}
 
 fn counter(name: &str) -> u64 {
     perfdmf_telemetry::snapshot()
@@ -51,7 +21,7 @@ fn counter(name: &str) -> u64 {
 
 #[test]
 fn only_effectful_requests_populate_the_replay_cache() {
-    let (conn, trial) = seeded_database();
+    let (conn, trial) = seeded_database("churn", 8);
     let server = PerfdmfServer::start(conn).expect("server start");
     let mut client = NetClient::new(server.addr(), "churn");
 

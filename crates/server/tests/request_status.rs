@@ -21,10 +21,10 @@
 //! no other test uses, so process-global counters and the 256-row
 //! request ring cannot blur what it reads.
 
-use perfdmf_core::DatabaseSession;
-use perfdmf_db::Connection;
-use perfdmf_explorer::{ClusterMethod, FeatureSpace, Request, Response, RetryPolicy};
-use perfdmf_profile::{IntervalData, IntervalEvent, Metric, Profile, ThreadId};
+mod common;
+
+use common::{cluster_request, seeded_database};
+use perfdmf_explorer::{Request, Response, RetryPolicy};
 use perfdmf_server::{NetClient, PerfdmfServer, ServerConfig};
 use perfdmf_telemetry::requests::RequestRecord;
 use perfdmf_telemetry::sessions::{SessionRecord, SessionState};
@@ -32,36 +32,6 @@ use std::net::SocketAddr;
 use std::time::{Duration, Instant};
 
 const PREFIX: &str = "request-status-";
-
-fn seeded_database() -> (Connection, i64) {
-    let conn = Connection::open_in_memory();
-    let mut session = DatabaseSession::new(conn.clone()).expect("schema");
-    let mut p = Profile::new("status");
-    let m = p.add_metric(Metric::measured("TIME"));
-    let a = p.add_event(IntervalEvent::ungrouped("compute"));
-    let b = p.add_event(IntervalEvent::ungrouped("exchange"));
-    p.add_threads((0..8).map(|n| ThreadId::new(n, 0, 0)));
-    for (i, &t) in p.threads().to_vec().iter().enumerate() {
-        let (ca, cb) = if i < 4 { (100.0, 5.0) } else { (10.0, 80.0) };
-        p.set_interval(a, t, m, IntervalData::new(ca, ca, 10.0, 0.0));
-        p.set_interval(b, t, m, IntervalData::new(cb, cb, 10.0, 0.0));
-    }
-    let trial = session
-        .store_profile("status-app", "status-exp", &p)
-        .expect("store");
-    (conn, trial)
-}
-
-fn cluster_request(trial_id: i64) -> Request {
-    Request::ClusterTrial {
-        trial_id,
-        features: FeatureSpace::EventsOfMetric("TIME".into()),
-        k: None,
-        max_k: 4,
-        pca_components: 0,
-        method: ClusterMethod::KMeans,
-    }
-}
 
 /// A client with no retries (each call is one server row) and a
 /// generous deadline (so every row but the timed-out one has positive
@@ -116,7 +86,7 @@ fn check(row: &RequestRecord, status: &str, kind: &str, slack_positive: bool) {
 
 #[test]
 fn each_exit_files_one_row_with_its_status_and_tallies() {
-    let (conn, trial) = seeded_database();
+    let (conn, trial) = seeded_database("status", 8);
     let server = PerfdmfServer::start_with_config(
         conn,
         ServerConfig {
