@@ -6,7 +6,8 @@
 //! counts and measures the three pipeline stages: store into the DBMS,
 //! full trial load, and a node-selective load. Expected shape: all three
 //! scale ~linearly in data points (the 16K point itself is exercised by
-//! `examples/large_scale_miranda.rs --full`).
+//! `examples/large_scale_miranda.rs --full`), while loading one trial
+//! stays flat in the number of other trials archived alongside it.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use perfdmf_bench::{sizes, store_fresh};
@@ -76,6 +77,83 @@ fn bench_summaries(c: &mut Criterion) {
         group.throughput(Throughput::Elements(profile.data_point_count() as u64));
         group.bench_with_input(BenchmarkId::from_parameter(procs), &(), |b, _| {
             b.iter(|| profile.total_summary(m));
+        });
+    }
+    group.finish();
+}
+
+/// Trial-scoped reads against a growing archive: the full load, a
+/// one-node load and `event_aggregates` of one Miranda@128 trial, with
+/// 1, 4, 16 and 64 trials stored. Trial-scoped joins probe the fact
+/// table's index, so the times should stay flat as the archive grows.
+/// Every answer must equal the 1-trial answer before it is timed.
+fn bench_archive_scaling(c: &mut Criterion) {
+    use perfdmf_core::{DatabaseSession, EventAggregate};
+    use perfdmf_db::Connection;
+    use perfdmf_profile::{MetricId, Profile};
+
+    // Every exclusive value, sorted: a profile's own iteration order is
+    // not part of its answer.
+    let fingerprint = |p: &Profile| {
+        let mut values: Vec<u64> = (0..p.metrics().len())
+            .flat_map(|m| p.iter_metric(MetricId(m)).map(|(_, _, d)| d.exclusive()))
+            .flatten()
+            .map(f64::to_bits)
+            .collect();
+        values.sort_unstable();
+        (p.threads().to_vec(), values)
+    };
+    let one_node = LoadFilter {
+        node: Some(0),
+        ..Default::default()
+    };
+    let trial_model = |i: u64| MirandaModel {
+        events: 101,
+        seed: 0x5eed ^ (i << 20),
+    };
+    let conn = Connection::open_in_memory();
+    let mut session = DatabaseSession::new(conn.clone()).expect("schema");
+    let target = trial_model(0).generate(128);
+    let trial = session
+        .store_profile("miranda", "archive", &target)
+        .expect("store");
+    let metric = target.metrics()[0].name.clone();
+    session.set_trial(trial);
+    type Fingerprint = (Vec<perfdmf_profile::ThreadId>, Vec<u64>);
+    type Answer = (Fingerprint, Fingerprint, Vec<EventAggregate>);
+    let answer = |session: &DatabaseSession| -> Answer {
+        (
+            fingerprint(&load_trial(&conn, trial).expect("load")),
+            fingerprint(&load_trial_filtered(&conn, trial, &one_node).expect("filtered load")),
+            session.event_aggregates(&metric).expect("aggregates"),
+        )
+    };
+    let reference = answer(&session);
+
+    let mut group = c.benchmark_group("e1_archive_scaling");
+    group.sample_size(10);
+    let mut stored = 1;
+    for trials in sizes(&[1, 4, 16, 64]) {
+        while stored < trials {
+            let other = trial_model(stored as u64).generate(128);
+            session
+                .store_profile("miranda", "archive", &other)
+                .expect("store");
+            stored += 1;
+        }
+        session.set_trial(trial); // storing selects the stored trial
+        assert!(
+            answer(&session) == reference,
+            "answers moved at {trials} trials"
+        );
+        group.bench_with_input(BenchmarkId::new("load_trial", trials), &(), |b, _| {
+            b.iter(|| load_trial(&conn, trial).expect("load"));
+        });
+        group.bench_with_input(BenchmarkId::new("load_one_node", trials), &(), |b, _| {
+            b.iter(|| load_trial_filtered(&conn, trial, &one_node).expect("filtered load"));
+        });
+        group.bench_with_input(BenchmarkId::new("event_aggregates", trials), &(), |b, _| {
+            b.iter(|| session.event_aggregates(&metric).expect("aggregates"));
         });
     }
     group.finish();
@@ -165,6 +243,7 @@ criterion_group!(
     bench_load,
     bench_selective_load,
     bench_summaries,
+    bench_archive_scaling,
     bench_parallel_import,
     bench_group_commit
 );

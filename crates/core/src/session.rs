@@ -66,6 +66,23 @@ pub struct EventAggregate {
     pub mean_inclusive: Option<f64>,
 }
 
+/// The statement behind [`DatabaseSession::event_aggregates`] (`?` =
+/// trial id, trial id, metric name), public so it can be `EXPLAIN`ed.
+/// `m.trial = ?` restates what the foreign keys imply, so the metric side
+/// is selected through its trial index too. The ORDER BY covers both
+/// GROUP BY keys, so the planner may let an index-selected table drive
+/// the join; `e.id` is the primary key, so the order is by event id.
+pub const EVENT_AGGREGATES_SQL: &str = "SELECT e.id, e.name, COUNT(*) AS n,
+        MIN(p.exclusive) AS mn, MAX(p.exclusive) AS mx,
+        AVG(p.exclusive) AS avg_excl, STDDEV(p.exclusive) AS sd,
+        AVG(p.inclusive) AS avg_incl
+     FROM interval_location_profile p
+     JOIN interval_event e ON p.interval_event = e.id
+     JOIN metric m ON p.metric = m.id
+     WHERE e.trial = ? AND m.trial = ? AND m.name = ?
+     GROUP BY e.id, e.name
+     ORDER BY e.id, e.name";
+
 /// Database-backed session with hierarchical selection filters.
 #[derive(Debug, Clone)]
 pub struct DatabaseSession {
@@ -362,17 +379,12 @@ impl DatabaseSession {
     pub fn event_aggregates(&self, metric_name: &str) -> Result<Vec<EventAggregate>> {
         let trial = self.require_trial()?;
         let rs = self.conn.query(
-            "SELECT e.id, e.name, COUNT(*) AS n,
-                    MIN(p.exclusive) AS mn, MAX(p.exclusive) AS mx,
-                    AVG(p.exclusive) AS avg_excl, STDDEV(p.exclusive) AS sd,
-                    AVG(p.inclusive) AS avg_incl
-             FROM interval_location_profile p
-             JOIN interval_event e ON p.interval_event = e.id
-             JOIN metric m ON p.metric = m.id
-             WHERE e.trial = ? AND m.name = ?
-             GROUP BY e.id, e.name
-             ORDER BY e.id",
-            &[Value::Int(trial), Value::Text(metric_name.into())],
+            EVENT_AGGREGATES_SQL,
+            &[
+                Value::Int(trial),
+                Value::Int(trial),
+                Value::Text(metric_name.into()),
+            ],
         )?;
         Ok(rs
             .rows

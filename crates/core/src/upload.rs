@@ -229,6 +229,17 @@ pub struct LoadFilter {
     pub metric: Option<String>,
 }
 
+/// The statement [`load_trial_filtered`] reads a trial's interval fact
+/// rows with (`?` = trial id), public so it can be `EXPLAIN`ed. Node,
+/// context and thread filters are appended as conjuncts on `p`.
+pub const INTERVAL_ROWS_SQL: &str =
+    "SELECT p.interval_event, p.metric, p.node, p.context, p.thread,
+            p.inclusive, p.inclusive_percentage, p.exclusive,
+            p.exclusive_percentage, p.inclusive_per_call, p.num_calls, p.num_subrs
+     FROM interval_event e
+     JOIN interval_location_profile p ON p.interval_event = e.id
+     WHERE e.trial = ?";
+
 /// Load a complete trial into a [`Profile`].
 pub fn load_trial(conn: &Connection, trial_id: i64) -> Result<Profile> {
     load_trial_filtered(conn, trial_id, &LoadFilter::default())
@@ -295,31 +306,9 @@ pub fn load_trial_filtered(
         event_map.insert(db_id, profile.add_event(IntervalEvent::new(name, group)));
     }
 
-    // Location rows, filtered in SQL where possible.
-    // Join order matters at Miranda scale (~10⁶ fact rows): for full
-    // loads the small dimension table (interval_event) is the base so the
-    // trial filter is pushed down before the hash join probes the fact
-    // table; for node/context/thread-selective loads the fact table is
-    // the base so its filters are pushed down before joining instead.
-    let selective = filter.node.is_some() || filter.context.is_some() || filter.thread.is_some();
-    const COLS: &str = "p.interval_event, p.metric, p.node, p.context, p.thread,
-                p.inclusive, p.inclusive_percentage, p.exclusive,
-                p.exclusive_percentage, p.inclusive_per_call, p.num_calls, p.num_subrs";
-    let mut sql = if selective {
-        format!(
-            "SELECT {COLS}
-             FROM interval_location_profile p
-             JOIN interval_event e ON p.interval_event = e.id
-             WHERE e.trial = ?"
-        )
-    } else {
-        format!(
-            "SELECT {COLS}
-             FROM interval_event e
-             JOIN interval_location_profile p ON p.interval_event = e.id
-             WHERE e.trial = ?"
-        )
-    };
+    // Location rows, filtered in SQL: the trial's events drive, and the
+    // fact table is reached through its event index.
+    let mut sql = String::from(INTERVAL_ROWS_SQL);
     let mut params = vec![Value::Int(trial_id)];
     if let Some(n) = filter.node {
         sql.push_str(" AND p.node = ?");

@@ -1,10 +1,12 @@
 //! Property test: arbitrary profiles survive the database round trip
-//! (save_profile → load_trial) with all coordinates and values intact.
+//! (save_profile → load_trial) with all coordinates and values intact,
+//! and a filtered load is the full load with the filter applied.
 
-use perfdmf_core::{load_trial, DatabaseSession};
+use perfdmf_core::{load_trial, load_trial_filtered, DatabaseSession, LoadFilter};
 use perfdmf_db::Connection;
 use perfdmf_profile::{
-    AtomicData, AtomicEvent, IntervalData, IntervalEvent, Metric, Profile, ThreadId, UNDEFINED,
+    AtomicData, AtomicEvent, IntervalData, IntervalEvent, Metric, MetricId, Profile, ThreadId,
+    UNDEFINED,
 };
 use proptest::prelude::*;
 
@@ -115,6 +117,49 @@ proptest! {
             prop_assert_eq!(got.min, d.min);
             prop_assert_eq!(got.max, d.max);
             prop_assert!((got.mean() - d.mean()).abs() < 1e-9 * (1.0 + d.mean().abs()));
+        }
+    }
+
+    /// A node-, context- or thread-filtered load equals the same filter
+    /// applied to a full load, with another trial in the archive.
+    #[test]
+    fn filtered_load_equals_filtered_full_load(
+        spec in arb_spec(),
+        axis in 0usize..3,
+        value in 0u32..4,
+    ) {
+        let truth = build(&spec);
+        let conn = Connection::open_in_memory();
+        let mut session = DatabaseSession::new(conn.clone()).unwrap();
+        let other = Spec { threads: 3, ..spec.clone() };
+        session.store_profile("a", "e", &build(&other)).unwrap();
+        let trial = session.store_profile("a", "e", &truth).unwrap();
+        let (filter, keep): (LoadFilter, fn(&ThreadId, u32) -> bool) = match axis {
+            0 => (LoadFilter { node: Some(value), ..LoadFilter::default() }, |t, v| t.node == v),
+            1 => (LoadFilter { context: Some(value), ..LoadFilter::default() }, |t, v| t.context == v),
+            _ => (LoadFilter { thread: Some(value), ..LoadFilter::default() }, |t, v| t.thread == v),
+        };
+        let full = load_trial(&conn, trial).unwrap();
+        let part = load_trial_filtered(&conn, trial, &filter).unwrap();
+        let threads: Vec<ThreadId> =
+            full.threads().iter().copied().filter(|t| keep(t, value)).collect();
+        prop_assert_eq!(part.threads(), &threads[..]);
+        prop_assert_eq!(part.metrics(), full.metrics());
+        prop_assert_eq!(part.events(), full.events());
+        let mut points = 0;
+        for (mi, _) in full.metrics().iter().enumerate() {
+            let m = MetricId(mi);
+            for (e, t, d) in full.iter_metric(m).filter(|(_, t, _)| keep(t, value)) {
+                points += 1;
+                let got = part.interval(e, t, m).map(|g| (g.inclusive(), g.exclusive(), g.calls()));
+                prop_assert_eq!(got, Some((d.inclusive(), d.exclusive(), d.calls())));
+            }
+        }
+        prop_assert_eq!(part.data_point_count(), points);
+        let atomics: Vec<_> = full.iter_atomic().filter(|(_, t, _)| keep(t, value)).collect();
+        prop_assert_eq!(part.iter_atomic().count(), atomics.len());
+        for (ae, t, d) in atomics {
+            prop_assert_eq!(part.atomic(ae, t).map(|g| g.count()), Some(d.count()));
         }
     }
 

@@ -81,8 +81,8 @@ pub(crate) struct ExecProfile {
     /// (live rows, chunks, cache hits, cache misses, partitions, wall ns)
     /// of a columnar scan (fused scan + filter + aggregate).
     colscan: Option<(u64, usize, u64, u64, usize, u64)>,
-    /// (rows out, wall ns) per join, left to right.
-    joins: Vec<(u64, u64)>,
+    /// (rows out, right-side rows read, wall ns) per join, left to right.
+    joins: Vec<(u64, u64, u64)>,
     /// (rows in, rows out, partitions used, wall ns) of the WHERE pass.
     filter: Option<(u64, u64, usize, u64)>,
     /// (groups, partitions used, wall ns) of the aggregate pass.
@@ -213,15 +213,18 @@ fn resolve_select(db: &Database, sel: &Select, params: &[Value]) -> Result<Selec
     Ok(out)
 }
 
-/// True if the expression reads a column outside of any aggregate call.
-/// Such expressions need a representative row, which the columnar path
-/// never materializes (and which join reordering may permute).
-pub(crate) fn has_bare_column(expr: &Expr) -> bool {
-    match expr {
-        Expr::Column { .. } => true,
-        Expr::Aggregate { .. } => false, // columns inside the arg are fine
-        _ => expr.any_child(has_bare_column),
-    }
+/// True if every column `expr` reads outside an aggregate call lies
+/// inside one of the `group_by` expressions, so its value is the same on
+/// every row of a group. With no GROUP BY this means no bare column: the
+/// expression needs no representative row, which the columnar path never
+/// materializes (and which join reordering may permute).
+pub(crate) fn grouped_only(expr: &Expr, group_by: &[Expr]) -> bool {
+    group_by.contains(expr)
+        || match expr {
+            Expr::Column { .. } => false,
+            Expr::Aggregate { .. } => true, // columns inside the arg are fine
+            _ => !expr.any_child(|c| !grouped_only(c, group_by)),
+        }
 }
 
 // ---------------- execution ----------------
@@ -256,20 +259,20 @@ fn run_select<'a>(
 /// The operator tail of a plan, decomposed for direct execution. The
 /// lowering's canonical spine ordering makes this a straight-line
 /// pattern match.
-struct Tail<'p, 'a> {
+pub(crate) struct Tail<'p, 'a> {
     limit: Option<u64>,
     offset: Option<u64>,
     has_limit: bool,
     distinct: bool,
-    order_by: &'p [OrderItem],
-    projections: &'p [Projection],
+    pub order_by: &'p [OrderItem],
+    pub projections: &'p [Projection],
     /// `Some((group_by, having))` when an Aggregate node is present.
-    aggregate: Option<(&'p [Expr], Option<&'p Expr>)>,
+    pub aggregate: Option<(&'p [Expr], Option<&'p Expr>)>,
     /// The scan/join/filter pipeline below the tail.
     pipeline: &'p LogicalPlan<'a>,
 }
 
-fn decompose<'p, 'a>(root: &'p LogicalPlan<'a>) -> Tail<'p, 'a> {
+pub(crate) fn decompose<'p, 'a>(root: &'p LogicalPlan<'a>) -> Tail<'p, 'a> {
     let mut node = root;
     let (mut limit, mut offset, mut has_limit) = (None, None, false);
     if let LogicalPlan::Limit {
@@ -475,7 +478,7 @@ fn exec_scan(
     // Candidate ids, when the access method prescribes an order other
     // than ascending row id.
     let ids: Option<Vec<RowId>> = match &scan.access {
-        Access::Seq => None,
+        Access::Seq | Access::Probe { .. } => None,
         Access::Index(choice) => Some(choice.ids.clone()),
         Access::IndexOrder { column, .. } => {
             let col = layout1.resolve(None, column)?;
@@ -571,7 +574,11 @@ fn exec_scan(
     Ok((layout1, rows, scanned))
 }
 
-/// Join already-materialized left rows against a right scan node.
+/// Join already-materialized left rows against a right scan node: an
+/// index nested-loop join when the cost pass chose a probe, else a hash
+/// join on an equi-condition, else a nested loop evaluating the full ON.
+/// Each left row's matches come in right-table row-id order whichever
+/// strategy runs.
 fn exec_join(
     left_layout: Layout,
     left_rows: Vec<Row>,
@@ -585,101 +592,115 @@ fn exec_join(
     let join_t0 = prof.is_some().then(Instant::now);
     let right_table: &Table = &right.source;
     let right_layout1 = right.layout1();
-    let right_width = right.columns.len();
 
     let mut bindings = left_layout.bindings().to_vec();
     bindings.push((right.binding.clone(), right.columns.clone()));
     let full_layout = Layout::new(bindings);
 
-    // Right rows in insertion order, prefiltered by pushed conjuncts.
-    // Prefiltering INNER/CROSS right sides only drops rows that could
-    // never survive the residual WHERE, and keeps survivors in the same
-    // relative order — so join output is a verbatim subsequence-free
-    // match of the unoptimized result.
+    // One output row: `l` joined with `r`, or NULL-extended when `r` is
+    // `None` (a LEFT-join miss).
+    let extend = |l: &Row, r: Option<&Row>| -> Row {
+        let mut row = Vec::with_capacity(l.len() + right.columns.len());
+        row.extend_from_slice(l);
+        match (r, &right.mask) {
+            (None, _) => row.resize(l.len() + right.columns.len(), Value::Null),
+            (Some(r), None) => row.extend_from_slice(r),
+            (Some(r), Some(mask)) => {
+                row.extend(
+                    r.iter()
+                        .zip(mask)
+                        .map(|(v, &keep)| if keep { v.clone() } else { Value::Null }),
+                )
+            }
+        }
+        row
+    };
+
+    // An index probe reads the index entries under each left key. Every
+    // other strategy reads the right rows in row-id order, prefiltered by
+    // pushed conjuncts: that drops only rows that could never survive the
+    // WHERE, and keeps the survivors' order.
+    let probe = match &right.access {
+        Access::Probe {
+            left_col,
+            right_col,
+            ..
+        } => match right_table.index_on(*right_col) {
+            Some(ix) => Some((*left_col, ix)),
+            None => {
+                return Err(DbError::Unsupported(format!(
+                    "index probe lost its index on {}",
+                    right.columns[*right_col]
+                )))
+            }
+        },
+        _ => None,
+    };
     let mut right_rows: Vec<&Row> = Vec::new();
-    for (_, row) in right_table.iter() {
-        if pushed_match(right, &right_layout1, row, params)? {
-            right_rows.push(row);
+    if probe.is_none() {
+        for (_, row) in right_table.iter() {
+            if pushed_match(right, &right_layout1, row, params)? {
+                right_rows.push(row);
+            }
         }
     }
-
-    let extend_masked = |row: &mut Row, r: &Row| match &right.mask {
-        None => row.extend(r.iter().cloned()),
-        Some(mask) => {
-            row.extend(
-                r.iter()
-                    .zip(mask)
-                    .map(|(v, &keep)| if keep { v.clone() } else { Value::Null }),
-            )
+    let mut read = right_rows.len() as u64;
+    let on = match kind {
+        JoinKind::Cross => None,
+        JoinKind::Inner | JoinKind::Left => {
+            Some(on.ok_or_else(|| DbError::Unsupported("JOIN requires ON".into()))?)
         }
+    };
+    // A hash join on an equi-condition; NULL keys are never hashed.
+    let hashed = match (
+        probe,
+        on.and_then(|on| equi_offsets(on, &left_layout, right)),
+    ) {
+        (None, Some((l_off, r_off))) => {
+            let mut table: HashMap<&Value, Vec<&Row>> = HashMap::new();
+            for r in right_rows.iter().filter(|r| !r[r_off].is_null()) {
+                table.entry(&r[r_off]).or_default().push(r);
+            }
+            Some((l_off, table))
+        }
+        _ => None,
     };
 
     let mut joined: Vec<Row> = Vec::new();
-    match kind {
-        JoinKind::Cross => {
-            for l in &left_rows {
-                for r in &right_rows {
-                    let mut row = l.clone();
-                    extend_masked(&mut row, r);
+    for l in &left_rows {
+        let before = joined.len();
+        if let Some((left_col, ix)) = probe {
+            // NULL keys are not indexed: a NULL key matches nothing.
+            let key = &l[left_col];
+            let ids = if key.is_null() { &[][..] } else { ix.ids(key) };
+            read += ids.len() as u64;
+            for r in ids.iter().filter_map(|&id| right_table.row(id)) {
+                if pushed_match(right, &right_layout1, r, params)? {
+                    joined.push(extend(l, Some(r)));
+                }
+            }
+        } else if let Some((l_off, table)) = &hashed {
+            if let Some(ms) = table.get(&l[*l_off]) {
+                joined.extend(ms.iter().map(|m| extend(l, Some(m))));
+            }
+        } else {
+            // Nested loop with full ON evaluation (none for CROSS).
+            for r in &right_rows {
+                let row = extend(l, Some(r));
+                if on.map_or(Ok(true), |on| {
+                    eval_condition(on, &Env::new(&full_layout, &row, params))
+                })? {
                     joined.push(row);
                 }
             }
         }
-        JoinKind::Inner | JoinKind::Left => {
-            let on = on.ok_or_else(|| DbError::Unsupported("JOIN requires ON".into()))?;
-            // Try hash join on a simple equi-condition.
-            if let Some((l_off, r_off)) = equi_offsets(on, &left_layout, right) {
-                let mut table: HashMap<Value, Vec<&Row>> = HashMap::new();
-                for r in &right_rows {
-                    let key = &r[r_off];
-                    if !key.is_null() {
-                        table.entry(key.clone()).or_default().push(r);
-                    }
-                }
-                for l in &left_rows {
-                    let key = &l[l_off];
-                    let matches = if key.is_null() { None } else { table.get(key) };
-                    match matches {
-                        Some(ms) if !ms.is_empty() => {
-                            for m in ms {
-                                let mut row = l.clone();
-                                extend_masked(&mut row, m);
-                                joined.push(row);
-                            }
-                        }
-                        _ if kind == JoinKind::Left => {
-                            let mut row = l.clone();
-                            row.extend(std::iter::repeat_n(Value::Null, right_width));
-                            joined.push(row);
-                        }
-                        _ => {}
-                    }
-                }
-            } else {
-                // General nested loop with full ON evaluation.
-                for l in &left_rows {
-                    let mut matched = false;
-                    for r in &right_rows {
-                        let mut row = l.clone();
-                        extend_masked(&mut row, r);
-                        let env = Env::new(&full_layout, &row, params);
-                        if eval_condition(on, &env)? {
-                            joined.push(row);
-                            matched = true;
-                        }
-                    }
-                    if !matched && kind == JoinKind::Left {
-                        let mut row = l.clone();
-                        row.extend(std::iter::repeat_n(Value::Null, right_width));
-                        joined.push(row);
-                    }
-                }
-            }
+        if kind == JoinKind::Left && joined.len() == before {
+            joined.push(extend(l, None));
         }
     }
     let scanned = joined.len() as u64;
     if let Some(p) = prof {
-        p.joins.push((scanned, stage_ns(join_t0)));
+        p.joins.push((scanned, read, stage_ns(join_t0)));
     }
     Ok((full_layout, joined, scanned))
 }
@@ -888,31 +909,41 @@ fn render_plan(planned: &PlannedSelect<'_>, prof: Option<&ExecProfile>) -> Vec<S
         vec![(base.binding.clone(), base.columns.clone())];
     for (i, (right, kind, on)) in joins.iter().enumerate() {
         let left_layout = Layout::new(bindings.clone());
-        let strategy = match kind {
-            JoinKind::Cross => "cross join (cartesian)".to_string(),
-            JoinKind::Inner | JoinKind::Left => {
-                let k = if *kind == JoinKind::Left {
-                    "left"
-                } else {
-                    "inner"
-                };
-                match on.and_then(|on| equi_offsets(on, &left_layout, right)) {
-                    Some(_) => format!("{k} hash join"),
-                    None => format!("{k} nested-loop join"),
-                }
+        let k = match kind {
+            JoinKind::Left => "left",
+            _ => "inner",
+        };
+        let (table, rows) = (&right.table_name, right.source.len());
+        let line = match (kind, &right.access) {
+            (JoinKind::Cross, _) => format!("cross join (cartesian) with {table} ({rows} row(s))"),
+            (
+                _,
+                Access::Probe {
+                    index_name,
+                    right_col,
+                    ..
+                },
+            ) => {
+                let keys = right
+                    .source
+                    .index_on(*right_col)
+                    .map_or(0, |ix| ix.distinct_keys());
+                format!(
+                    "{k} index nested-loop join with {table} via {index_name} \
+                     ({rows} row(s), {keys} distinct key(s))"
+                )
             }
+            _ => match on.and_then(|on| equi_offsets(on, &left_layout, right)) {
+                Some(_) => format!("{k} hash join with {table} ({rows} row(s))"),
+                None => format!("{k} nested-loop join with {table} ({rows} row(s))"),
+            },
         };
         let note = prof
             .and_then(|p| p.joins.get(i))
-            .map(|(rows_out, ns)| format!("actual rows={rows_out}, {}", fmt_ns(*ns)));
-        lines.push(noted(
-            format!(
-                "{strategy} with {} ({} row(s))",
-                right.table_name,
-                right.source.len()
-            ),
-            note,
-        ));
+            .map(|(rows_out, read, ns)| {
+                format!("actual rows={rows_out}, read={read}, {}", fmt_ns(*ns))
+            });
+        lines.push(noted(line, note));
         if !right.pushed.is_empty() {
             lines.push(format!(
                 "  pushdown: {} conjunct(s) into {}",
@@ -1013,7 +1044,10 @@ fn scan_line(scan: &ScanNode<'_>, prof: Option<&ExecProfile>) -> String {
                 index_name,
                 column
             ),
-            Access::Seq => format!("seq scan on {} ({} row(s))", scan.table_name, table.len()),
+            // Only join right sides probe; a base scan never does.
+            Access::Seq | Access::Probe { .. } => {
+                format!("seq scan on {} ({} row(s))", scan.table_name, table.len())
+            }
         }
     };
     let columnar = matches!(scan.access, Access::Columnar { .. });
@@ -1073,7 +1107,11 @@ fn masked_clone(row: &Row, mask: &Option<Vec<bool>>) -> Row {
 
 /// If `on` is `left_col = right_col` (either order), return flat offsets
 /// (left offset in the accumulated layout, right offset in the right table).
-fn equi_offsets(on: &Expr, left_layout: &Layout, right: &ScanNode<'_>) -> Option<(usize, usize)> {
+pub(crate) fn equi_offsets(
+    on: &Expr,
+    left_layout: &Layout,
+    right: &ScanNode<'_>,
+) -> Option<(usize, usize)> {
     let Expr::Binary {
         op: BinaryOp::Eq,
         left: a,

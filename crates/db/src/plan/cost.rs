@@ -1,6 +1,7 @@
 //! Physical access selection: decide per [`ScanNode`] how its rows are
 //! read — columnar kernels, index candidates, index-order, or a
-//! sequential scan — using table and index statistics.
+//! sequential scan for the base; an index probe or a full read for each
+//! join right side — using table and index statistics.
 //!
 //! This is a *cost* decision, not a rewrite: it runs with the optimizer
 //! off too (matching the pre-IR engine, where index and columnar
@@ -8,13 +9,18 @@
 //! and it never changes what rows the plan produces, only how they are
 //! found.
 
-use super::ir::{base_scan_mut, Access, LogicalPlan};
+use super::ir::{base_scan_mut, pipeline_layout, pipeline_mut, Access, LogicalPlan};
 use crate::column::CHUNK_ROWS;
 use crate::error::Result;
-use crate::exec::select::{collect_aggregates, has_bare_column, index_candidates};
+use crate::exec::select::{collect_aggregates, equi_offsets, grouped_only, index_candidates};
 use crate::exec::vector;
-use crate::sql::ast::{Expr, Projection};
+use crate::sql::ast::{Expr, JoinKind, Projection};
 use crate::value::Value;
+
+/// An index is selective when the rows it selects, times this factor,
+/// are at most the table's live rows: it then beats a columnar scan, and
+/// a join probes it instead of hashing the whole right table.
+const SELECTIVE: usize = 4;
 
 /// Annotate every scan in the plan with its access decision.
 pub(crate) fn decide_access(
@@ -31,29 +37,73 @@ pub(crate) fn decide_access(
         }
         return Ok(());
     }
-    // Join right sides always scan sequentially in insertion order (an
-    // index-ordered right side would permute join output), so only the
-    // base scan gets an index decision.
     let Some(scan) = base_scan_mut(root) else {
         return Ok(());
     };
-    if !matches!(scan.access, Access::Seq) {
-        return Ok(()); // sort-elision preset an index-order scan
+    // Sort-elision may have preset an index-order scan; per-statement
+    // virtual materializations have no indexes.
+    if matches!(scan.access, Access::Seq) && !scan.source.is_virtual() {
+        let choice = index_candidates(
+            &scan.source,
+            &scan.binding,
+            &scan.layout1(),
+            scan.index_filter.as_ref(),
+            params,
+        )?;
+        if let Some(choice) = choice {
+            scan.access = Access::Index(choice);
+        }
     }
-    if scan.source.is_virtual() {
-        return Ok(()); // per-statement materializations have no indexes
-    }
-    let choice = index_candidates(
-        &scan.source,
-        &scan.binding,
-        &scan.layout1(),
-        scan.index_filter.as_ref(),
-        params,
-    )?;
-    if let Some(choice) = choice {
-        scan.access = Access::Index(choice);
-    }
+    decide_joins(pipeline_mut(root));
     Ok(())
+}
+
+/// Pick each join's right-side access, left to right. Returns the
+/// pipeline's estimated rows: the base contributes its index candidate
+/// count (exact) or its live rows, and each join multiplies by the
+/// fan-out of the right side's index on the join column (live entries
+/// per distinct key; 1 without such an index).
+fn decide_joins(node: &mut LogicalPlan<'_>) -> usize {
+    match node {
+        LogicalPlan::Scan(scan) => match &scan.access {
+            Access::Index(choice) => choice.ids.len(),
+            _ => scan.source.len(),
+        },
+        LogicalPlan::Filter { input, .. } => decide_joins(input),
+        LogicalPlan::Join {
+            left,
+            right,
+            kind,
+            on,
+        } => {
+            let left_rows = decide_joins(left);
+            let equi = match (*kind, on) {
+                (JoinKind::Inner | JoinKind::Left, Some(on)) => {
+                    equi_offsets(on, &pipeline_layout(left), right)
+                }
+                _ => None,
+            };
+            let mut rows = left_rows;
+            if let Some((left_col, right_col)) = equi {
+                if let Some(ix) = right.source.index_on(right_col) {
+                    rows = left_rows.saturating_mul(ix.len()) / ix.distinct_keys().max(1);
+                    if left_rows.saturating_mul(SELECTIVE) <= right.source.len() {
+                        right.access = Access::Probe {
+                            index_name: ix.name.clone(),
+                            left_col,
+                            right_col,
+                        };
+                    }
+                }
+            }
+            match *kind {
+                JoinKind::Left => rows.max(left_rows),
+                JoinKind::Cross => left_rows.saturating_mul(right.source.len()),
+                JoinKind::Inner => rows,
+            }
+        }
+        _ => 0,
+    }
 }
 
 /// Decide between columnar, index, and sequential execution for an
@@ -111,7 +161,7 @@ fn columnar_choice(
     }
     if projections.is_empty()
         || !projections.iter().all(|p| match p {
-            Projection::Expr { expr, .. } => expr.contains_aggregate() && !has_bare_column(expr),
+            Projection::Expr { expr, .. } => expr.contains_aggregate() && grouped_only(expr, &[]),
             _ => false,
         })
     {
@@ -150,7 +200,7 @@ fn columnar_choice(
                 Some(choice) => {
                     // A selective index beats scanning every chunk; a
                     // low-selectivity one does not.
-                    if choice.ids.len().saturating_mul(4) <= live {
+                    if choice.ids.len().saturating_mul(SELECTIVE) <= live {
                         return Ok(None);
                     }
                     format!(

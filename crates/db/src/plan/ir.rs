@@ -18,6 +18,7 @@
 
 use crate::database::Database;
 use crate::error::{DbError, Result};
+use crate::exec::eval::Layout;
 use crate::exec::select::{resolve_table, IndexChoice, TableSource};
 use crate::exec::vector;
 use crate::sql::ast::{Expr, JoinKind, OrderItem, Projection, Select, TableRef};
@@ -43,6 +44,16 @@ pub(crate) enum Access {
         plan: Box<vector::ColumnarPlan>,
         reason: String,
     },
+    /// Join right sides only — an index nested-loop join: each left
+    /// row's key (offset `left_col` of the accumulated row) is looked up
+    /// in the index on `right_col`. Ids ascend within a key, so a left
+    /// row's matches come in row-id order, exactly as the hash join
+    /// emits them.
+    Probe {
+        index_name: String,
+        left_col: usize,
+        right_col: usize,
+    },
 }
 
 /// A table scan: the resolved source plus everything the optimizer has
@@ -58,9 +69,10 @@ pub(crate) struct ScanNode<'a> {
     pub binding: String,
     /// Column names of the table, in schema order.
     pub columns: Vec<String>,
-    /// The full WHERE clause as an index-selection hint. This is not a
-    /// rewrite: index selection is a physical access decision and stays
-    /// active even with the optimizer off, matching the pre-IR engine.
+    /// The full WHERE clause as the base scan's index-selection hint
+    /// (join-reorder hands it to a new driver). This is not a rewrite:
+    /// index selection is a physical access decision and stays active
+    /// even with the optimizer off, matching the pre-IR engine.
     pub index_filter: Option<Expr>,
     /// Conjuncts the predicate-pushdown / limit-pushdown rules moved
     /// into the scan, evaluated on the unmasked row while scanning.
@@ -76,8 +88,8 @@ pub(crate) struct ScanNode<'a> {
 
 impl ScanNode<'_> {
     /// Single-binding layout of this scan's output.
-    pub fn layout1(&self) -> crate::exec::eval::Layout {
-        crate::exec::eval::Layout::single(self.binding.clone(), self.columns.clone())
+    pub fn layout1(&self) -> Layout {
+        Layout::single(self.binding.clone(), self.columns.clone())
     }
 }
 
@@ -258,12 +270,29 @@ pub(crate) fn base_scan_mut<'p, 'a>(node: &'p mut LogicalPlan<'a>) -> Option<&'p
     }
 }
 
-/// True if the pipeline subtree contains a Join.
-pub(crate) fn contains_join(node: &LogicalPlan<'_>) -> bool {
+/// The scan/join/filter pipeline below the operator tail.
+pub(crate) fn pipeline_mut<'p, 'a>(node: &'p mut LogicalPlan<'a>) -> &'p mut LogicalPlan<'a> {
     match node {
-        LogicalPlan::Join { .. } => true,
-        LogicalPlan::Filter { input, .. } => contains_join(input),
-        _ => false,
+        LogicalPlan::Aggregate { input, .. }
+        | LogicalPlan::Project { input, .. }
+        | LogicalPlan::Distinct { input }
+        | LogicalPlan::Sort { input, .. }
+        | LogicalPlan::Limit { input, .. } => pipeline_mut(input),
+        other => other,
+    }
+}
+
+/// The layout of a join pipeline's output rows.
+pub(crate) fn pipeline_layout(node: &LogicalPlan<'_>) -> Layout {
+    match node {
+        LogicalPlan::Scan(s) => s.layout1(),
+        LogicalPlan::Join { left, right, .. } => {
+            let mut bindings = pipeline_layout(left).bindings().to_vec();
+            bindings.push((right.binding.clone(), right.columns.clone()));
+            Layout::new(bindings)
+        }
+        LogicalPlan::Filter { input, .. } => pipeline_layout(input),
+        _ => Default::default(),
     }
 }
 

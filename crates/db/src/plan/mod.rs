@@ -49,7 +49,7 @@ pub(crate) fn plan_select<'a>(
 
     let cfg = rules::optimizer_config();
     let t1 = std::time::Instant::now();
-    let (mut root, trail) = rules::optimize(root, &cfg, had_subqueries);
+    let (mut root, trail) = rules::optimize(root, &cfg, params, had_subqueries);
     cost::decide_access(&mut root, params, had_subqueries)?;
     telemetry::add("db.plan.rewrite_ns", elapsed_ns(t1));
     telemetry::add("db.plan.rules_fired", trail.len() as u64);

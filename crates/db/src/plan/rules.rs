@@ -5,10 +5,12 @@
 //! | `predicate-pushdown` | move single-table WHERE conjuncts into scans of a    |
 //! |                      | join pipeline (base always; join right sides only    |
 //! |                      | for INNER/CROSS — LEFT right sides would turn        |
-//! |                      | filtered matches into NULL extensions)               |
-//! | `join-reorder`       | joins of an ungrouped aggregate query run smallest   |
-//! |                      | right side first (table stats), when ON conditions   |
-//! |                      | are qualified and local to base + own right table    |
+//! |                      | filtered matches into NULL extensions); drop the     |
+//! |                      | WHERE when every conjunct moved                      |
+//! | `join-reorder`       | in an aggregate whose result ignores row order, an   |
+//! |                      | index-selected scan drives (becomes the base) and    |
+//! |                      | the other INNER joins follow smallest first, each    |
+//! |                      | after every binding its qualified ON reads           |
 //! | `sort-elision`       | `ORDER BY col ASC ... LIMIT` with an index on `col`  |
 //! |                      | drops the Sort and scans in index key order          |
 //! | `limit-pushdown`     | single-table `LIMIT` fuses the WHERE into the scan   |
@@ -29,11 +31,15 @@
 
 use std::cell::Cell;
 
-use super::ir::{base_scan_mut, contains_join, map_pipeline, LogicalPlan, ScanNode, TrailEntry};
-use crate::exec::select::{
-    collect_columns, conjuncts, has_bare_column, refs_only_layout, resolve_base_col,
+use super::ir::{
+    base_scan_mut, map_pipeline, pipeline_layout, pipeline_mut, LogicalPlan, ScanNode, TrailEntry,
 };
-use crate::sql::ast::{Expr, JoinKind, Projection};
+use crate::exec::select::{
+    collect_columns, conjuncts, decompose, grouped_only, index_candidates, refs_only_layout,
+    resolve_base_col,
+};
+use crate::sql::ast::{BinaryOp, Expr, JoinKind, Projection};
+use crate::value::Value;
 
 /// Which rewrite rules run. `enabled: false` turns the optimizer off
 /// wholesale (physical access selection — index and columnar — is not a
@@ -139,6 +145,7 @@ impl Drop for OptimizerOverrideGuard {
 pub(crate) fn optimize<'a>(
     root: LogicalPlan<'a>,
     cfg: &OptimizerConfig,
+    params: &[Value],
     had_subqueries: bool,
 ) -> (LogicalPlan<'a>, Vec<TrailEntry>) {
     let mut trail = Vec::new();
@@ -150,7 +157,7 @@ pub(crate) fn optimize<'a>(
         root = predicate_pushdown(root, &mut trail);
     }
     if cfg.join_reorder {
-        join_reorder(&mut root, &mut trail);
+        join_reorder(&mut root, params, &mut trail);
     }
     limit_rules(&mut root, cfg, had_subqueries, &mut trail);
     if cfg.projection_pruning {
@@ -162,10 +169,10 @@ pub(crate) fn optimize<'a>(
 // ---------------- predicate pushdown ----------------
 
 /// Push single-table WHERE conjuncts of a join query into the scans
-/// that own their columns. The residual Filter keeps the full predicate
-/// (re-evaluating a pushed conjunct is cheap and keeps the residual a
-/// verbatim copy of the WHERE clause), so the rewrite only shrinks the
-/// rows materialized for the join — it cannot change the result.
+/// that own their columns. When every conjunct moved, the Filter goes:
+/// conjuncts only enter the base and INNER/CROSS right sides, where
+/// dropping a row early removes exactly the joined rows the WHERE would
+/// have dropped. Otherwise the Filter keeps the full predicate.
 fn predicate_pushdown<'a>(root: LogicalPlan<'a>, trail: &mut Vec<TrailEntry>) -> LogicalPlan<'a> {
     map_pipeline(root, &mut |pipe| {
         let LogicalPlan::Filter {
@@ -175,21 +182,23 @@ fn predicate_pushdown<'a>(root: LogicalPlan<'a>, trail: &mut Vec<TrailEntry>) ->
         else {
             return pipe;
         };
-        if !contains_join(&input) {
+        if !matches!(*input, LogicalPlan::Join { .. }) {
             // Single-table WHERE stays a residual filter: the main
             // filter pass is partition-parallel, a pushed conjunct
             // would run serially in the scan.
             return LogicalPlan::Filter { input, predicate };
         }
+        // A conjunct whose columns do not all resolve in the joined
+        // layout (an ambiguous unqualified name) must still fail there.
+        let joined = pipeline_layout(&input);
         let mut pushed: Vec<(String, usize)> = Vec::new();
         let mut note = |table: String| match pushed.iter_mut().find(|(t, _)| *t == table) {
             Some((_, n)) => *n += 1,
             None => pushed.push((table, 1)),
         };
+        let mut residual = false;
         for c in conjuncts(&predicate) {
-            if c.contains_aggregate() {
-                continue;
-            }
+            residual |= !refs_only_layout(c, &joined);
             if let Some(base) = base_scan_mut(&mut input) {
                 if refs_only_layout(c, &base.layout1()) {
                     let t = base.table_name.clone();
@@ -198,8 +207,9 @@ fn predicate_pushdown<'a>(root: LogicalPlan<'a>, trail: &mut Vec<TrailEntry>) ->
                     continue;
                 }
             }
-            if let Some(t) = try_push_right(&mut input, c) {
-                note(t);
+            match try_push_right(&mut input, c) {
+                Some(t) => note(t),
+                None => residual = true,
             }
         }
         for (table, n) in pushed {
@@ -208,7 +218,11 @@ fn predicate_pushdown<'a>(root: LogicalPlan<'a>, trail: &mut Vec<TrailEntry>) ->
                 detail: format!("{n} conjunct(s) into scan of {table}"),
             });
         }
-        LogicalPlan::Filter { input, predicate }
+        if residual {
+            LogicalPlan::Filter { input, predicate }
+        } else {
+            *input
+        }
     })
 }
 
@@ -239,52 +253,25 @@ fn try_push_right(node: &mut LogicalPlan<'_>, c: &Expr) -> Option<String> {
 
 // ---------------- join reordering ----------------
 
-/// Reorder the joins of an ungrouped aggregate query so smaller right
-/// sides join first, shrinking intermediate row counts. Gated hard:
-/// only full-query aggregates with no bare column references (their
-/// result is order-insensitive up to float reassociation), only INNER
-/// joins, and only ON conditions whose columns are explicitly qualified
-/// with the base or their own right binding — so any permutation
-/// resolves names identically and joins legally.
-fn join_reorder(root: &mut LogicalPlan<'_>, trail: &mut Vec<TrailEntry>) {
-    // Walk the tail, proving the query shape is order-insensitive.
-    let mut node = &mut *root;
-    loop {
-        match node {
-            LogicalPlan::Limit { input, .. } | LogicalPlan::Distinct { input } => {
-                node = &mut **input;
-            }
-            LogicalPlan::Sort { input, keys } => {
-                if keys.iter().any(|k| has_bare_column(&k.expr)) {
-                    return;
-                }
-                node = &mut **input;
-            }
-            LogicalPlan::Project { input, projections } => {
-                let pure_aggregates = projections.iter().all(|p| match p {
-                    Projection::Expr { expr, .. } => !has_bare_column(expr),
-                    _ => false,
-                });
-                if !pure_aggregates {
-                    return;
-                }
-                node = &mut **input;
-            }
-            LogicalPlan::Aggregate {
-                input,
-                group_by,
-                having,
-            } => {
-                if !group_by.is_empty() || having.as_ref().is_some_and(has_bare_column) {
-                    return;
-                }
-                node = &mut **input;
-                break;
-            }
-            _ => return, // no Aggregate in the tail: row order is the result
-        }
+/// Reorder the INNER joins of an aggregate whose result ignores row
+/// order (see [`order_insensitive`]) to shrink intermediate row counts:
+///
+/// * a scan whose pushed conjuncts select through an index becomes the
+///   driver (the base) when its candidate count is below the current
+///   base's estimate — the base's own index candidates, else its live
+///   rows;
+/// * the other scans follow smallest first (table stats), each once
+///   every binding its ON condition reads is placed.
+///
+/// Every ON column must be qualified with a binding the written order
+/// already placed, so any permutation resolves names identically and
+/// joins legally. An order that would hand one join two ON conditions
+/// is not taken.
+fn join_reorder(root: &mut LogicalPlan<'_>, params: &[Value], trail: &mut Vec<TrailEntry>) {
+    if !order_insensitive(root) {
+        return;
     }
-    let pipe = match node {
+    let pipe = match pipeline_mut(root) {
         LogicalPlan::Filter { input, .. } => &mut **input,
         other => other,
     };
@@ -293,8 +280,30 @@ fn join_reorder(root: &mut LogicalPlan<'_>, trail: &mut Vec<TrailEntry>) {
     }
     let owned = std::mem::replace(pipe, LogicalPlan::Empty);
     let (base, joins) = flatten_joins(owned);
-    let rebuilt = reorder_chain(base, joins, trail);
-    *pipe = rebuilt;
+    *pipe = reorder_chain(base, joins, params, trail);
+}
+
+/// True when an aggregate tail's result does not depend on the order its
+/// input rows arrive in (float reassociation aside): every column read
+/// outside an aggregate — in projections, HAVING and ORDER BY — is a
+/// GROUP BY expression, and ORDER BY sorts on every GROUP BY expression
+/// (as a qualified column or a non-column expression, which no output
+/// alias can shadow), so the groups come out in one total order.
+fn order_insensitive(root: &LogicalPlan<'_>) -> bool {
+    let tail = decompose(root);
+    let Some((group_by, having)) = tail.aggregate else {
+        return false; // no Aggregate in the tail: row order is the result
+    };
+    let grouped = |e: &Expr| grouped_only(e, group_by);
+    let keys = tail.order_by;
+    tail.projections
+        .iter()
+        .all(|p| matches!(p, Projection::Expr { expr, .. } if grouped(expr)))
+        && having.is_none_or(grouped)
+        && keys.iter().all(|k| grouped(&k.expr))
+        && group_by.iter().all(|g| {
+            !matches!(g, Expr::Column { table: None, .. }) && keys.iter().any(|k| k.expr == *g)
+        })
 }
 
 type JoinPart<'a> = (JoinKind, Option<Expr>, Box<ScanNode<'a>>);
@@ -328,53 +337,126 @@ fn rebuild_joins<'a>(base: LogicalPlan<'a>, joins: Vec<JoinPart<'a>>) -> Logical
     node
 }
 
+/// Index candidates selected by a scan's pushed conjuncts: (count,
+/// index name), or `None` when no pushed conjunct uses an index.
+fn index_selected(scan: &ScanNode<'_>, params: &[Value]) -> Option<(usize, String)> {
+    let filter = scan.pushed.iter().cloned().reduce(|a, b| Expr::Binary {
+        op: BinaryOp::And,
+        left: Box::new(a),
+        right: Box::new(b),
+    })?;
+    let layout1 = scan.layout1();
+    let choice = index_candidates(&scan.source, &scan.binding, &layout1, Some(&filter), params);
+    choice.ok()?.map(|c| (c.ids.len(), c.index_name))
+}
+
 fn reorder_chain<'a>(
     base: LogicalPlan<'a>,
     joins: Vec<JoinPart<'a>>,
+    params: &[Value],
     trail: &mut Vec<TrailEntry>,
 ) -> LogicalPlan<'a> {
-    let base_binding = match &base {
-        LogicalPlan::Scan(s) => s.binding.clone(),
-        _ => return rebuild_joins(base, joins),
-    };
-    let eligible = joins.len() >= 2
-        && joins.iter().all(|(kind, on, right)| {
-            *kind == JoinKind::Inner
-                && on.as_ref().is_some_and(|on| {
-                    let mut cols = Vec::new();
-                    collect_columns(on, &mut cols);
-                    !cols.is_empty()
-                        && cols.iter().all(|(t, _)| {
-                            t.is_some_and(|t| {
-                                t.eq_ignore_ascii_case(&base_binding)
-                                    || t.eq_ignore_ascii_case(&right.binding)
-                            })
-                        })
-                })
-        });
-    if !eligible {
+    let LogicalPlan::Scan(base) = base else {
         return rebuild_joins(base, joins);
-    }
-    let mut order: Vec<usize> = (0..joins.len()).collect();
-    order.sort_by_key(|&i| joins[i].2.source.len());
-    if order.iter().enumerate().all(|(pos, &i)| pos == i) {
-        return rebuild_joins(base, joins); // already smallest-first
-    }
-    let detail = order
-        .iter()
-        .map(|&i| format!("{}({})", joins[i].2.table_name, joins[i].2.source.len()))
-        .collect::<Vec<_>>()
-        .join(" ⋈ ");
+    };
+    let Some((first, steps, detail)) = new_order(&base, &joins, params) else {
+        return rebuild_joins(LogicalPlan::Scan(base), joins);
+    };
     trail.push(TrailEntry {
         rule: "join-reorder",
-        detail: format!("smallest right side first: {detail} (table stats)"),
+        detail,
     });
-    let mut by_order: Vec<Option<JoinPart<'a>>> = joins.into_iter().map(Some).collect();
-    let reordered: Vec<JoinPart<'a>> = order
-        .into_iter()
-        .map(|i| by_order[i].take().expect("each join moved once"))
-        .collect();
-    rebuild_joins(base, reordered)
+    let mut ons = Vec::new();
+    let mut scans = vec![Some(base)];
+    for (_, on, right) in joins {
+        ons.push(on);
+        scans.push(Some(right));
+    }
+    let mut driver = scans[first].take().expect("each scan moves once");
+    if let Some(old_base) = scans[0].as_mut() {
+        driver.index_filter = old_base.index_filter.take();
+    }
+    let steps = steps.into_iter().map(|(s, j)| {
+        let scan = scans[s].take().expect("each scan moves once");
+        (JoinKind::Inner, ons[j].take(), scan)
+    });
+    rebuild_joins(LogicalPlan::Scan(driver), steps.collect())
+}
+
+/// A reordered chain, indexing scans base first and ON conditions by
+/// written join: the driver, then (scan, ON) steps, and the trail detail.
+type Order = (usize, Vec<(usize, usize)>, String);
+
+/// The chain's new order; `None` keeps the written order.
+fn new_order(base: &ScanNode<'_>, joins: &[JoinPart<'_>], params: &[Value]) -> Option<Order> {
+    let mut scans = vec![base];
+    scans.extend(joins.iter().map(|(_, _, right)| &**right));
+    let bindings: Vec<&str> = scans.iter().map(|s| s.binding.as_str()).collect();
+    // The scans each ON reads: its own right side, and only bindings the
+    // written order placed before it.
+    let refs: Vec<Vec<usize>> = joins
+        .iter()
+        .enumerate()
+        .map(|(i, (kind, on, _))| {
+            let mut cols = Vec::new();
+            collect_columns(on.as_ref()?, &mut cols);
+            let refs: Vec<usize> = cols
+                .iter()
+                .map(|(t, _)| {
+                    let t = (*t)?;
+                    bindings[..=i + 1]
+                        .iter()
+                        .position(|b| b.eq_ignore_ascii_case(t))
+                })
+                .collect::<Option<_>>()?;
+            (*kind == JoinKind::Inner && refs.contains(&(i + 1))).then_some(refs)
+        })
+        .collect::<Option<_>>()?;
+
+    let base_rows = index_selected(base, params).map_or(base.source.len(), |(n, _)| n);
+    let driver = (1..scans.len())
+        .filter_map(|i| index_selected(scans[i], params).map(|(n, ix)| (i, n, ix)))
+        .filter(|(_, n, _)| *n < base_rows)
+        .min_by_key(|(_, n, _)| *n);
+    let first = driver.as_ref().map_or(0, |(i, _, _)| *i);
+
+    // Greedy: next comes the smallest scan that exactly one unused ON
+    // joins to the scans already placed.
+    let mut placed = vec![first];
+    let mut steps: Vec<(usize, usize)> = Vec::new();
+    while placed.len() < scans.len() {
+        let step = (0..scans.len())
+            .filter(|s| !placed.contains(s))
+            .filter_map(|s| {
+                let mut ready = (0..refs.len()).filter(|&j| {
+                    steps.iter().all(|&(_, used)| used != j)
+                        && refs[j].iter().all(|r| *r == s || placed.contains(r))
+                });
+                match (ready.next(), ready.next()) {
+                    (Some(j), None) => Some((s, j)),
+                    _ => None,
+                }
+            })
+            .min_by_key(|(s, _)| scans[*s].source.len())?;
+        placed.push(step.0);
+        steps.push(step);
+    }
+    if placed.iter().enumerate().all(|(pos, &s)| pos == s) {
+        return None; // already in order
+    }
+    let order = steps
+        .iter()
+        .map(|&(s, _)| format!("{}({})", scans[s].table_name, scans[s].source.len()))
+        .collect::<Vec<_>>()
+        .join(" ⋈ ");
+    let detail = match driver {
+        Some((i, n, ix)) => format!(
+            "driver {} via {ix} ({n} candidate row(s) < {base_rows}), then {order} (table stats)",
+            scans[i].table_name
+        ),
+        None => format!("smallest right side first: {order} (table stats)"),
+    };
+    Some((first, steps, detail))
 }
 
 // ---------------- LIMIT pushdown + sort elision ----------------

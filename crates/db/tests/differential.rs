@@ -703,8 +703,11 @@ fn known_answer_spot_check() {
 // 4 workers, and every leg must agree with the naive oracle. This is
 // the plan-equivalence harness keeping the rewrite rules honest:
 // predicate pushdown (correlated and single-table conjuncts, LEFT-join
-// IS NULL probes), join reordering (ungrouped aggregates over 2 joins),
-// projection pruning, and LIMIT pushdown all fire on these shapes.
+// IS NULL probes), join reordering (ungrouped aggregates, and grouped
+// ones whose ORDER BY covers the GROUP BY), projection pruning, and
+// LIMIT pushdown all fire on these shapes. A further leg pads u and w
+// with rows that never match, so the cost pass probes their indexes
+// instead of hashing them.
 
 /// Flattened layout of the joined row: t ⋈ u [⋈ w].
 const JCOL_NAMES: [&str; 9] = [
@@ -774,6 +777,14 @@ enum JoinShape {
     Aggregate {
         aggs: Vec<AggSpec>,
     },
+    /// `SELECT g, aggs ... GROUP BY g [ORDER BY g]`: with the ORDER BY
+    /// covering the GROUP BY, join reordering may fire; without it,
+    /// groups come in first-occurrence order and it must not.
+    GroupBy {
+        group: usize,
+        aggs: Vec<AggSpec>,
+        ordered: bool,
+    },
 }
 
 /// Predicates over the joined layout: correlated conjuncts reference
@@ -829,7 +840,8 @@ fn decode_join_query(seed: u64) -> JoinQuery {
     let second_on_base = pick(&mut r, 2) == 0;
     let width = if with_w { 9 } else { 7 };
     let pred = (pick(&mut r, 3) != 0).then(|| decode_jpred(&mut r, 0, width));
-    let shape = if pick(&mut r, 2) == 0 {
+    let kind = pick(&mut r, 3);
+    let shape = if kind == 0 {
         let ncols = 1 + pick(&mut r, 4) as usize;
         let cols = (0..ncols)
             .map(|_| pick(&mut r, width as u64) as usize)
@@ -856,7 +868,23 @@ fn decode_join_query(seed: u64) -> JoinQuery {
                 }
             })
             .collect();
-        JoinShape::Aggregate { aggs }
+        if kind == 1 {
+            JoinShape::Aggregate { aggs }
+        } else {
+            // Any column but the float ones (t.c, u.v) as the group key.
+            let keys: &[usize] = if with_w {
+                &[JCOL_TA, JCOL_TB, 3, JCOL_UK, JCOL_UD, JCOL_WX, 8]
+            } else {
+                &[JCOL_TA, JCOL_TB, 3, JCOL_UK, JCOL_UD]
+            };
+            let group = keys[pick(&mut r, keys.len() as u64) as usize];
+            let ordered = pick(&mut r, 4) != 0;
+            JoinShape::GroupBy {
+                group,
+                aggs,
+                ordered,
+            }
+        }
     };
     JoinQuery {
         left_join,
@@ -913,6 +941,24 @@ fn join_query_sql(q: &JoinQuery) -> String {
         JoinShape::Aggregate { aggs } => {
             let proj: Vec<String> = aggs.iter().map(|a| agg_sql(a, &JCOL_NAMES)).collect();
             format!("SELECT {} {from}{where_sql}", proj.join(", "))
+        }
+        JoinShape::GroupBy {
+            group,
+            aggs,
+            ordered,
+        } => {
+            let g = JCOL_NAMES[*group];
+            let mut proj = vec![g.to_string()];
+            proj.extend(aggs.iter().map(|a| agg_sql(a, &JCOL_NAMES)));
+            let order = if *ordered {
+                format!(" ORDER BY {g}")
+            } else {
+                String::new()
+            };
+            format!(
+                "SELECT {} {from}{where_sql} GROUP BY {g}{order}",
+                proj.join(", ")
+            )
         }
     }
 }
@@ -989,6 +1035,34 @@ fn oracle_join_run(
         JoinShape::Aggregate { aggs } => {
             vec![aggs.iter().map(|a| oracle_agg(a, &filtered)).collect()]
         }
+        JoinShape::GroupBy {
+            group,
+            aggs,
+            ordered,
+        } => {
+            // Groups in first-occurrence order; group keys are distinct
+            // under `Value`'s total order, which is also the ascending
+            // ORDER BY order (NULL first).
+            let mut groups: Vec<(Value, Vec<&Vec<Value>>)> = Vec::new();
+            for row in &filtered {
+                let key = &row[*group];
+                match groups.iter_mut().find(|(k, _)| k == key) {
+                    Some((_, members)) => members.push(row),
+                    None => groups.push((key.clone(), vec![row])),
+                }
+            }
+            if *ordered {
+                groups.sort_by(|a, b| a.0.cmp(&b.0));
+            }
+            groups
+                .into_iter()
+                .map(|(key, members)| {
+                    let mut out = vec![key];
+                    out.extend(aggs.iter().map(|a| oracle_agg(a, &members)));
+                    out
+                })
+                .collect()
+        }
     }
 }
 
@@ -1014,23 +1088,49 @@ fn engine_rows(
         .map_err(|e| TestCaseError::fail(format!("engine run failed: {e}\n  sql: {sql}")))
 }
 
+/// Rows of u and w that join nothing: their keys lie outside every
+/// value t, u and w generate.
+const PAD_ROWS: usize = 320;
+
 fn build_join_connection(t: &[Vec<Value>], u: &[Vec<Value>], w: &[Vec<Value>]) -> Connection {
+    build_padded_join_connection(t, u, w, 0)
+}
+
+/// The join tables with `pad` never-matching rows in u and in w, half
+/// before and half after the generated rows.
+fn build_padded_join_connection(
+    t: &[Vec<Value>],
+    u: &[Vec<Value>],
+    w: &[Vec<Value>],
+    pad: usize,
+) -> Connection {
     let conn = build_connection(t);
     conn.execute("CREATE TABLE u (k INTEGER, d INTEGER, v DOUBLE)", &[])
         .expect("create u");
     conn.execute("CREATE TABLE w (x INTEGER, y TEXT)", &[])
         .expect("create w");
-    // A right-side index exercises the cost pass's base-scan-only rule
-    // (right scans must stay sequential or join output would permute).
-    // No index on t: an index scan returns rows in key order, which the
-    // insertion-order oracle deliberately does not model.
+    // Indexes on the right sides' join keys let the cost pass probe them
+    // when the left side is small; a probe yields each left row's
+    // matches in row-id order, as the hash join does. No index on t: an
+    // index scan returns rows in key order, which the insertion-order
+    // oracle deliberately does not model.
     conn.execute("CREATE INDEX ix_u_k ON u (k)", &[]).unwrap();
+    conn.execute("CREATE INDEX ix_w_x ON w (x)", &[]).unwrap();
+    let padded = |rows: &[Vec<Value>], pad_row: &dyn Fn(i64) -> Vec<Value>| {
+        let (front, back) = (pad / 2, pad - pad / 2);
+        let mut all: Vec<Vec<Value>> = (0..front as i64).map(pad_row).collect();
+        all.extend_from_slice(rows);
+        all.extend((front as i64..(front + back) as i64).map(pad_row));
+        all
+    };
+    let u = padded(u, &|i| vec![Value::Int(1000 + i), Value::Null, Value::Null]);
+    let w = padded(w, &|i| vec![Value::Int(1000 + i), Value::Null]);
     if !u.is_empty() {
-        conn.bulk_insert("u", &["k", "d", "v"], u.to_vec())
+        conn.bulk_insert("u", &["k", "d", "v"], u)
             .expect("bulk insert u");
     }
     if !w.is_empty() {
-        conn.bulk_insert("w", &["x", "y"], w.to_vec())
+        conn.bulk_insert("w", &["x", "y"], w)
             .expect("bulk insert w");
     }
     conn
@@ -1053,6 +1153,7 @@ proptest! {
         let u: Vec<Vec<Value>> = u_seeds.iter().map(|s| decode_u_row(*s)).collect();
         let w: Vec<Vec<Value>> = w_seeds.iter().map(|s| decode_w_row(*s)).collect();
         let conn = build_join_connection(&t, &u, &w);
+        let padded = build_padded_join_connection(&t, &u, &w, PAD_ROWS);
 
         for seed in &query_seeds {
             let query = decode_join_query(*seed);
@@ -1068,6 +1169,7 @@ proptest! {
                 ("optimizer-off serial", engine_rows(&conn, &sql, 1, off)?),
                 ("optimizer-off 4-way", engine_rows(&conn, &sql, 4, off)?),
                 (rule, engine_rows(&conn, &sql, 1, perfdmf_db::OptimizerConfig::without(rule))?),
+                ("padded (index probes)", engine_rows(&padded, &sql, 1, all_on)?),
             ];
             for (name, rows) in &legs {
                 prop_assert!(
@@ -1174,4 +1276,16 @@ fn join_known_answer_spot_check() {
     };
     let expected = oracle_join_run(&q, &t, &u, &[]);
     assert_eq!(expected, vec![vec![Value::Int(2)], vec![Value::Int(3)]]);
+
+    // Padding makes the cost pass probe u's index; the answers stay.
+    let padded = build_padded_join_connection(&t, &u, &[], PAD_ROWS);
+    let sql = "SELECT t.a FROM t LEFT JOIN u ON t.b = u.k WHERE u.k IS NULL";
+    let plan = padded.query(&format!("EXPLAIN {sql}"), &[]).unwrap();
+    let plan: Vec<&str> = plan.rows.iter().map(|r| r[0].as_text().unwrap()).collect();
+    assert!(
+        plan.iter()
+            .any(|l| l.starts_with("left index nested-loop join with u via ix_u_k")),
+        "{plan:?}"
+    );
+    assert_eq!(padded.query(sql, &[]).unwrap().rows, rs.rows);
 }

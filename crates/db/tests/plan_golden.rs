@@ -145,6 +145,13 @@ const CASES: &[Case] = &[
         "SELECT COUNT(*), SUM(t.time) FROM trial t JOIN experiment e ON t.experiment = e.id \
          JOIN application a ON t.experiment = a.id",
     ),
+    (
+        "index_probe_driver",
+        all_on,
+        ColumnarMode::Auto,
+        "SELECT t.name, COUNT(*), SUM(m.v) FROM metric m JOIN trial t ON m.g = t.node_count \
+         WHERE t.node_count = 4 GROUP BY t.name ORDER BY t.name",
+    ),
     // --- tail operators and rewrites ---
     (
         "limit_pushdown",
@@ -348,6 +355,8 @@ fn golden_corpus_exercises_the_rules() {
         "index-order scan on",
         "virtual scan on",
         "hash join",
+        "index nested-loop join",
+        "optimizer: join-reorder: driver",
         "nested-loop join",
         "cross join (cartesian)",
         "[early exit after",

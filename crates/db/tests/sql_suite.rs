@@ -452,6 +452,15 @@ fn error_on_unknown_entities() {
         ),
         Err(DbError::AmbiguousColumn(_))
     ));
+    // Pushed into the scan of `trial`, the conjunct still meets the
+    // joined row, where `id` is ambiguous.
+    assert!(matches!(
+        conn.query(
+            "SELECT t.name FROM trial t JOIN experiment e ON t.experiment = e.id WHERE id = 1",
+            &[]
+        ),
+        Err(DbError::AmbiguousColumn(_))
+    ));
 }
 
 #[test]
