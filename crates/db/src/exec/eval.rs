@@ -6,29 +6,24 @@
 
 use crate::error::{DbError, Result};
 use crate::sql::ast::{BinaryOp, Expr, UnaryOp};
+use crate::table::Row;
 use crate::value::Value;
+use std::borrow::Cow;
 
 /// Column layout of the row stream an expression is evaluated against.
 ///
-/// Each *binding* is a table (or alias) with its column names; the flattened
-/// row contains the bindings' columns concatenated in order.
+/// Each *binding* is a table (or alias) with its column names. A row of
+/// the stream is a tuple holding one base row per binding, so a column
+/// resolves to a (binding, column) pair.
 #[derive(Debug, Clone, Default)]
 pub struct Layout {
     bindings: Vec<(String, Vec<String>)>,
-    /// Flat (binding, column) pairs, offset = position.
-    flat: Vec<(String, String)>,
 }
 
 impl Layout {
     /// Build a layout from `(binding_name, column_names)` pairs.
     pub fn new(bindings: Vec<(String, Vec<String>)>) -> Self {
-        let mut flat = Vec::new();
-        for (b, cols) in &bindings {
-            for c in cols {
-                flat.push((b.clone(), c.clone()));
-            }
-        }
-        Layout { bindings, flat }
+        Layout { bindings }
     }
 
     /// Single-binding layout.
@@ -36,58 +31,41 @@ impl Layout {
         Layout::new(vec![(name.into(), columns)])
     }
 
-    /// Total number of columns in the flattened row.
-    pub fn width(&self) -> usize {
-        self.flat.len()
-    }
-
     /// Bindings (table name/alias → column list).
     pub fn bindings(&self) -> &[(String, Vec<String>)] {
         &self.bindings
     }
 
-    /// Flattened `(binding, column)` pairs in offset order.
-    pub fn flat(&self) -> &[(String, String)] {
-        &self.flat
+    /// Position of a binding, by case-insensitive name.
+    pub fn binding_index(&self, name: &str) -> Option<usize> {
+        self.bindings
+            .iter()
+            .position(|(b, _)| b.eq_ignore_ascii_case(name))
     }
 
-    /// Offsets covered by one binding, as `(start, len)`.
-    pub fn binding_span(&self, name: &str) -> Option<(usize, usize)> {
-        let mut start = 0;
-        for (b, cols) in &self.bindings {
-            if b.eq_ignore_ascii_case(name) {
-                return Some((start, cols.len()));
-            }
-            start += cols.len();
-        }
-        None
-    }
-
-    /// Resolve a column reference to a flat offset.
-    pub fn resolve(&self, table: Option<&str>, column: &str) -> Result<usize> {
+    /// Resolve a column reference to `(binding, column)`.
+    pub fn resolve(&self, table: Option<&str>, column: &str) -> Result<(usize, usize)> {
+        let find = |cols: &[String]| cols.iter().position(|c| c.eq_ignore_ascii_case(column));
         match table {
             Some(t) => {
-                let (start, len) = self
-                    .binding_span(t)
+                let b = self
+                    .binding_index(t)
                     .ok_or_else(|| DbError::NoSuchTable(t.to_string()))?;
-                for i in 0..len {
-                    if self.flat[start + i].1.eq_ignore_ascii_case(column) {
-                        return Ok(start + i);
-                    }
-                }
-                Err(DbError::NoSuchColumn {
-                    table: t.to_string(),
-                    column: column.to_string(),
-                })
+                find(&self.bindings[b].1)
+                    .map(|c| (b, c))
+                    .ok_or_else(|| DbError::NoSuchColumn {
+                        table: t.to_string(),
+                        column: column.to_string(),
+                    })
             }
             None => {
                 let mut found = None;
-                for (i, (_, c)) in self.flat.iter().enumerate() {
-                    if c.eq_ignore_ascii_case(column) {
+                for (b, (_, cols)) in self.bindings.iter().enumerate() {
+                    if let Some(c) = find(cols) {
                         if found.is_some() {
                             return Err(DbError::AmbiguousColumn(column.to_string()));
                         }
-                        found = Some(i);
+                        found = Some((b, c));
                     }
                 }
                 found.ok_or_else(|| DbError::NoSuchColumn {
@@ -101,32 +79,57 @@ impl Layout {
             }
         }
     }
+
+    /// Bind every column reference in `expr` to its [`Expr::Slot`]. This
+    /// is where the executor resolves names: once per statement, before
+    /// any row is read, so an unknown or ambiguous column fails whatever
+    /// the tables hold.
+    pub fn bind(&self, expr: &Expr) -> Result<Expr> {
+        match expr {
+            Expr::Column { table, column } => {
+                let (binding, column) = self.resolve(table.as_deref(), column)?;
+                Ok(Expr::Slot { binding, column })
+            }
+            other => other.try_map_children(|c| self.bind(c)),
+        }
+    }
 }
 
-/// Evaluation context: the current flattened row and bound parameters.
+static NULL: Value = Value::Null;
+
+/// Evaluation context: the current row tuple and bound parameters.
 #[derive(Debug, Clone, Copy)]
 pub struct Env<'a> {
-    /// Layout describing `row`.
-    pub layout: &'a Layout,
-    /// Current row values.
-    pub row: &'a [Value],
+    /// One base row per binding of the layout the expression was bound
+    /// against; `None` (a LEFT-join miss) reads as NULL.
+    pub row: &'a [Option<&'a Row>],
     /// Bound `?` parameters.
     pub params: &'a [Value],
 }
 
 impl<'a> Env<'a> {
     /// Construct an environment.
-    pub fn new(layout: &'a Layout, row: &'a [Value], params: &'a [Value]) -> Self {
-        Env {
-            layout,
-            row,
-            params,
-        }
+    pub fn new(row: &'a [Option<&'a Row>], params: &'a [Value]) -> Self {
+        Env { row, params }
+    }
+
+    /// The value in a bound slot, borrowed from its base row.
+    pub fn slot(&self, binding: usize, column: usize) -> &'a Value {
+        self.row[binding].map_or(&NULL, |r| &r[column])
     }
 }
 
-/// Evaluate an expression. Aggregate nodes are an error here — the grouped
-/// executor substitutes them with literals before calling this.
+/// Evaluate an expression, borrowing the value when it is a bound column.
+pub fn eval_ref<'a>(expr: &Expr, env: &Env<'a>) -> Result<Cow<'a, Value>> {
+    match expr {
+        Expr::Slot { binding, column } => Ok(Cow::Borrowed(env.slot(*binding, *column))),
+        _ => eval(expr, env).map(Cow::Owned),
+    }
+}
+
+/// Evaluate an expression whose columns were bound by [`Layout::bind`].
+/// Aggregate nodes are an error here — the grouped executor substitutes
+/// them with literals before calling this.
 pub fn eval(expr: &Expr, env: &Env<'_>) -> Result<Value> {
     match expr {
         Expr::Literal(v) => Ok(v.clone()),
@@ -135,10 +138,10 @@ pub fn eval(expr: &Expr, env: &Env<'_>) -> Result<Value> {
             .get(*i)
             .cloned()
             .ok_or(DbError::MissingParameter(*i)),
-        Expr::Column { table, column } => {
-            let off = env.layout.resolve(table.as_deref(), column)?;
-            Ok(env.row[off].clone())
-        }
+        Expr::Slot { binding, column } => Ok(env.slot(*binding, *column).clone()),
+        Expr::Column { column, .. } => Err(DbError::Eval(format!(
+            "column {column} was not bound before evaluation"
+        ))),
         Expr::Unary { op, operand } => {
             let v = eval(operand, env)?;
             match op {
@@ -159,7 +162,7 @@ pub fn eval(expr: &Expr, env: &Env<'_>) -> Result<Value> {
         }
         Expr::Binary { op, left, right } => eval_binary(*op, left, right, env),
         Expr::IsNull { operand, negated } => {
-            let v = eval(operand, env)?;
+            let v = eval_ref(operand, env)?;
             Ok(Value::Bool(v.is_null() != *negated))
         }
         Expr::InList {
@@ -167,13 +170,13 @@ pub fn eval(expr: &Expr, env: &Env<'_>) -> Result<Value> {
             list,
             negated,
         } => {
-            let v = eval(operand, env)?;
+            let v = eval_ref(operand, env)?;
             if v.is_null() {
                 return Ok(Value::Null);
             }
             let mut saw_null = false;
             for item in list {
-                let w = eval(item, env)?;
+                let w = eval_ref(item, env)?;
                 match v.sql_eq(&w) {
                     Some(true) => return Ok(Value::Bool(!*negated)),
                     Some(false) => {}
@@ -192,9 +195,9 @@ pub fn eval(expr: &Expr, env: &Env<'_>) -> Result<Value> {
             high,
             negated,
         } => {
-            let v = eval(operand, env)?;
-            let lo = eval(low, env)?;
-            let hi = eval(high, env)?;
+            let v = eval_ref(operand, env)?;
+            let lo = eval_ref(low, env)?;
+            let hi = eval_ref(high, env)?;
             match (v.sql_cmp(&lo), v.sql_cmp(&hi)) {
                 (Some(a), Some(b)) => {
                     let inside = a != std::cmp::Ordering::Less && b != std::cmp::Ordering::Greater;
@@ -230,7 +233,7 @@ pub fn eval(expr: &Expr, env: &Env<'_>) -> Result<Value> {
 
 /// Evaluate a condition for WHERE/HAVING/ON: NULL counts as false.
 pub fn eval_condition(expr: &Expr, env: &Env<'_>) -> Result<bool> {
-    Ok(eval(expr, env)?.as_bool() == Some(true))
+    Ok(eval_ref(expr, env)?.as_bool() == Some(true))
 }
 
 fn eval_binary(op: BinaryOp, left: &Expr, right: &Expr, env: &Env<'_>) -> Result<Value> {
@@ -262,8 +265,8 @@ fn eval_binary(op: BinaryOp, left: &Expr, right: &Expr, env: &Env<'_>) -> Result
         }
         _ => {}
     }
-    let l = eval(left, env)?;
-    let r = eval(right, env)?;
+    let l = eval_ref(left, env)?;
+    let r = eval_ref(right, env)?;
     match op {
         BinaryOp::Add | BinaryOp::Sub | BinaryOp::Mul | BinaryOp::Div | BinaryOp::Mod => {
             arithmetic(op, &l, &r)
@@ -553,9 +556,7 @@ mod tests {
             },
             other => panic!("{other:?}"),
         };
-        let layout = Layout::default();
-        let env = Env::new(&layout, &[], &[]);
-        eval(&expr, &env)
+        eval(&Layout::default().bind(&expr)?, &Env::new(&[], &[]))
     }
 
     #[test]
@@ -676,23 +677,100 @@ mod tests {
             ("t".into(), vec!["id".into(), "name".into()]),
             ("e".into(), vec!["id".into(), "kind".into()]),
         ]);
-        assert_eq!(layout.resolve(Some("e"), "kind").unwrap(), 3);
-        assert_eq!(layout.resolve(None, "name").unwrap(), 1);
+        assert_eq!(layout.resolve(Some("e"), "kind").unwrap(), (1, 1));
+        assert_eq!(layout.resolve(None, "name").unwrap(), (0, 1));
         assert!(matches!(
             layout.resolve(None, "id"),
             Err(DbError::AmbiguousColumn(_))
         ));
         assert!(layout.resolve(Some("x"), "id").is_err());
         assert!(layout.resolve(Some("t"), "zzz").is_err());
-        assert_eq!(layout.binding_span("e"), Some((2, 2)));
-        assert_eq!(layout.width(), 4);
+        assert_eq!(layout.binding_index("E"), Some(1));
+        // Binding fails on a bad name before any row exists.
+        assert!(matches!(
+            layout.bind(&Expr::col("zzz")),
+            Err(DbError::NoSuchColumn { .. })
+        ));
+        assert!(matches!(
+            layout.bind(&Expr::col("id")),
+            Err(DbError::AmbiguousColumn(_))
+        ));
+    }
+
+    /// A bound slot read from a row tuple equals the value at the same
+    /// column's offset in the flattened row (the bindings' rows
+    /// concatenated, a missing binding NULL-filled), for layouts of one
+    /// to four bindings with every pattern of LEFT-join misses.
+    #[test]
+    fn slot_reads_match_flattened_rows() {
+        let widths = [3usize, 1, 4, 2];
+        for n in 1..=widths.len() {
+            let bindings: Vec<(String, Vec<String>)> = (0..n)
+                .map(|b| {
+                    // `k` repeats in every binding (qualified reads only);
+                    // `c{b}_{i}` is unique (unqualified reads too).
+                    let mut cols = vec!["k".to_string()];
+                    cols.extend((1..widths[b]).map(|i| format!("c{b}_{i}")));
+                    (format!("t{b}"), cols)
+                })
+                .collect();
+            let layout = Layout::new(bindings.clone());
+            let rows: Vec<Row> = (0..n)
+                .map(|b| {
+                    (0..widths[b])
+                        .map(|i| Value::Int((10 * b + i) as i64))
+                        .collect()
+                })
+                .collect();
+            for misses in 0..(1u32 << n) {
+                let tuple: Vec<Option<&Row>> = (0..n)
+                    .map(|b| (misses & (1 << b) == 0).then_some(&rows[b]))
+                    .collect();
+                let mut flat: Vec<Value> = Vec::new();
+                for (b, row) in tuple.iter().enumerate() {
+                    match row {
+                        Some(r) => flat.extend(r.iter().cloned()),
+                        None => flat.extend(vec![Value::Null; widths[b]]),
+                    }
+                }
+                let env = Env::new(&tuple, &[]);
+                let mut offset = 0;
+                for (b, (name, cols)) in bindings.iter().enumerate() {
+                    for (i, col) in cols.iter().enumerate() {
+                        let mut refs = vec![Expr::Column {
+                            table: Some(name.to_uppercase()),
+                            column: col.clone(),
+                        }];
+                        if i > 0 || n == 1 {
+                            refs.push(Expr::col(col));
+                        }
+                        for e in refs {
+                            let bound = layout.bind(&e).unwrap();
+                            assert_eq!(
+                                bound,
+                                Expr::Slot {
+                                    binding: b,
+                                    column: i
+                                }
+                            );
+                            let want = &flat[offset + i];
+                            assert_eq!(&eval(&bound, &env).unwrap(), want, "{e:?}");
+                            assert_eq!(eval_ref(&bound, &env).unwrap().as_ref(), want);
+                            if tuple[b].is_none() {
+                                assert!(want.is_null());
+                            }
+                        }
+                    }
+                    offset += cols.len();
+                }
+            }
+        }
     }
 
     #[test]
     fn params() {
-        let layout = Layout::default();
         let params = vec![Value::Int(5)];
-        let env = Env::new(&layout, &[], &params);
+        let env = Env::new(&[], &params);
         assert_eq!(eval(&Expr::Param(0), &env).unwrap(), Value::Int(5));
         assert!(matches!(
             eval(&Expr::Param(1), &env),

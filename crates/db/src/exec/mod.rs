@@ -24,7 +24,7 @@ pub struct ResultSet {
     pub columns: Vec<String>,
     /// Result rows.
     pub rows: Vec<Row>,
-    /// Rows the executor materialized from base tables (after index
+    /// Rows the scan and joins passed on from base tables (after index
     /// pruning, before WHERE filtering); a selectivity denominator.
     pub rows_scanned: u64,
     /// Wall-clock time spent executing the SELECT.
@@ -313,9 +313,7 @@ fn describe_statement(stmt: &Statement) -> String {
 }
 
 fn eval_const(expr: &Expr, params: &[Value]) -> Result<Value> {
-    let layout = Layout::default();
-    let env = Env::new(&layout, &[], params);
-    eval::eval(expr, &env)
+    eval::eval(&Layout::default().bind(expr)?, &Env::new(&[], params))
 }
 
 fn execute_insert(
@@ -398,6 +396,7 @@ fn matching_rows(
     where_clause: Option<&Expr>,
     params: &[Value],
 ) -> Result<Vec<(RowId, Row)>> {
+    let pred = where_clause.map(|w| layout.bind(w)).transpose()?;
     let rows: Box<dyn Iterator<Item = (RowId, &Row)>> =
         match select::index_candidates(t, &t.schema.name, layout, where_clause, params)? {
             Some(choice) => Box::new(
@@ -410,9 +409,9 @@ fn matching_rows(
         };
     let mut found = Vec::new();
     for (id, row) in rows {
-        let matched = match where_clause {
+        let matched = match &pred {
             None => true,
-            Some(pred) => eval::eval_condition(pred, &Env::new(layout, row, params))?,
+            Some(pred) => eval::eval_condition(pred, &Env::new(&[Some(row)], params))?,
         };
         if matched {
             found.push((id, row.clone()));
@@ -431,8 +430,7 @@ fn execute_update(
         .as_ref()
         .map(|w| select::resolve_subqueries(db, w, params))
         .transpose()?;
-    #[allow(clippy::type_complexity)]
-    let (layout, assignments, targets): (Layout, Vec<(usize, Expr)>, Vec<(RowId, Row)>) = {
+    let (assignments, targets) = {
         let t = db.table(&upd.table)?;
         let layout = table_layout(t);
         let mut assigns = Vec::with_capacity(upd.assignments.len());
@@ -444,14 +442,18 @@ fn execute_update(
                     table: upd.table.clone(),
                     column: col.clone(),
                 })?;
-            assigns.push((idx, select::resolve_subqueries(db, e, params)?));
+            assigns.push((
+                idx,
+                layout.bind(&select::resolve_subqueries(db, e, params)?)?,
+            ));
         }
         let targets = matching_rows(t, &layout, where_clause.as_ref(), params)?;
-        (layout, assigns, targets)
+        (assigns, targets)
     };
     let count = targets.len();
     for (id, old_row) in targets {
-        let env = Env::new(&layout, &old_row, params);
+        let tuple = [Some(&old_row)];
+        let env = Env::new(&tuple, params);
         let mut new_row = old_row.clone();
         for (idx, e) in &assignments {
             new_row[*idx] = eval::eval(e, &env)?;

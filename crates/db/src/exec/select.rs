@@ -9,7 +9,7 @@
 //! cannot drift from what executes.
 
 use super::aggregate::Accumulator;
-use super::eval::{eval, eval_condition, Env, Layout};
+use super::eval::{eval, eval_condition, eval_ref, Env, Layout};
 use super::vector;
 use super::ResultSet;
 use crate::column::CHUNK_ROWS;
@@ -23,6 +23,7 @@ use crate::table::{Row, RowId, Table};
 use crate::value::Value;
 use perfdmf_pool as pool;
 use perfdmf_telemetry as telemetry;
+use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::convert::Infallible;
@@ -76,8 +77,10 @@ pub(crate) fn resolve_table<'a>(db: &'a Database, name: &str) -> Result<TableSou
 /// the normal path pays one `Option` check per stage.
 #[derive(Debug, Default)]
 pub(crate) struct ExecProfile {
-    /// (rows out, partitions used, wall ns) of the base scan.
-    scan: Option<(u64, usize, u64)>,
+    /// (rows out, rows read, partitions used, wall ns) of the base scan.
+    /// Rows read are the index candidates or live rows visited, before
+    /// pushed conjuncts.
+    scan: Option<(u64, u64, usize, u64)>,
     /// (live rows, chunks, cache hits, cache misses, partitions, wall ns)
     /// of a columnar scan (fused scan + filter + aggregate).
     colscan: Option<(u64, usize, u64, u64, usize, u64)>,
@@ -408,17 +411,57 @@ fn run_planned(
     Ok(out)
 }
 
+/// The rows one pipeline stage hands the next, late-materialized: each
+/// row is a tuple of borrowed base rows, one entry per layout binding
+/// (`None` for a LEFT-join miss), stored flat with a fixed stride so a
+/// row needs no allocation of its own. Base tables stay borrowed under
+/// the statement's read lock, and a virtual table is owned by the plan,
+/// so the tuples live as long as the plan. A value is copied only when
+/// an output row or a new group key is built.
+struct Tuples<'r> {
+    stride: usize,
+    refs: Vec<Option<&'r Row>>,
+}
+
+impl<'r> Tuples<'r> {
+    fn len(&self) -> usize {
+        self.refs.len() / self.stride
+    }
+
+    fn get(&self, i: usize) -> &[Option<&'r Row>] {
+        &self.refs[i * self.stride..(i + 1) * self.stride]
+    }
+
+    fn iter(&self) -> std::slice::ChunksExact<'_, Option<&'r Row>> {
+        self.refs.chunks_exact(self.stride)
+    }
+}
+
+/// Bind each expression against `layout` (see [`Layout::bind`]).
+fn bind_all<'e>(exprs: impl IntoIterator<Item = &'e Expr>, layout: &Layout) -> Result<Vec<Expr>> {
+    exprs.into_iter().map(|e| layout.bind(e)).collect()
+}
+
 /// Execute the scan/join/filter pipeline of a plan, returning the
-/// accumulated layout, the materialized rows, and the scanned-row count
-/// (rows materialized after scan + joins, before WHERE; or rows
-/// *examined* when a scan early-exits).
-fn exec_pipeline(
-    node: &LogicalPlan<'_>,
+/// accumulated layout, the row tuples, and the scanned-row count (rows
+/// after scan + joins, before WHERE; or rows *examined* when a scan
+/// early-exits).
+fn exec_pipeline<'p>(
+    node: &'p LogicalPlan<'_>,
     params: &[Value],
     mut prof: Option<&mut ExecProfile>,
-) -> Result<(Layout, Vec<Row>, u64)> {
+) -> Result<(Layout, Tuples<'p>, u64)> {
     match node {
-        LogicalPlan::Empty => Ok((Layout::default(), vec![Vec::new()], 0)),
+        // A FROM-less SELECT reads one tuple of no bindings; its one
+        // unused entry keeps the stride nonzero.
+        LogicalPlan::Empty => Ok((
+            Layout::default(),
+            Tuples {
+                stride: 1,
+                refs: vec![None],
+            },
+            0,
+        )),
         LogicalPlan::Scan(scan) => exec_scan(scan, params, prof),
         LogicalPlan::Join {
             left,
@@ -448,15 +491,11 @@ fn exec_pipeline(
     }
 }
 
-/// Evaluate a scan's pushed conjuncts against one of its rows.
-fn pushed_match(
-    scan: &ScanNode<'_>,
-    layout1: &Layout,
-    row: &Row,
-    params: &[Value],
-) -> Result<bool> {
-    for c in &scan.pushed {
-        let env = Env::new(layout1, row, params);
+/// Evaluate a scan's bound pushed conjuncts against one of its rows.
+fn pushed_match(pushed: &[Expr], row: &Row, params: &[Value]) -> Result<bool> {
+    let tuple = [Some(row)];
+    let env = Env::new(&tuple, params);
+    for c in pushed {
         if !eval_condition(c, &env)? {
             return Ok(false);
         }
@@ -464,14 +503,15 @@ fn pushed_match(
     Ok(true)
 }
 
-/// Materialize one scan according to its access decision.
-fn exec_scan(
-    scan: &ScanNode<'_>,
+/// Read one scan according to its access decision.
+fn exec_scan<'p>(
+    scan: &'p ScanNode<'_>,
     params: &[Value],
     prof: Option<&mut ExecProfile>,
-) -> Result<(Layout, Vec<Row>, u64)> {
-    let table: &Table = &scan.source;
+) -> Result<(Layout, Tuples<'p>, u64)> {
+    let table: &'p Table = &scan.source;
     let layout1 = scan.layout1();
+    let pushed = bind_all(&scan.pushed, &layout1)?;
     let _stage = telemetry::span("db.exec.scan");
     let t0 = prof.is_some().then(Instant::now);
 
@@ -481,7 +521,7 @@ fn exec_scan(
         Access::Seq | Access::Probe { .. } => None,
         Access::Index(choice) => Some(choice.ids.clone()),
         Access::IndexOrder { column, .. } => {
-            let col = layout1.resolve(None, column)?;
+            let (_, col) = layout1.resolve(None, column)?;
             let Some(ix) = table.index_on(col) else {
                 return Err(DbError::Unsupported(format!(
                     "index-order scan lost its index on {column}"
@@ -521,24 +561,23 @@ fn exec_scan(
         _ => None,
     };
     let mut partitions = 0usize;
-    let mut examined = 0u64;
-    let rows: Vec<Row> = match parallel {
+    let mut read = 0u64;
+    let refs: Vec<Option<&'p Row>> = match parallel {
         Some(ranges) => {
             telemetry::add("db.exec.parallel_scans", 1);
             partitions = ranges.len();
-            let layout1 = &layout1;
             let chunks = pool::try_run(ranges.len(), |pi| {
-                let mut part = Vec::new();
-                for id in ranges[pi].clone() {
-                    if let Some(row) = table.row(id as RowId) {
-                        if pushed_match(scan, layout1, row, params)? {
-                            part.push(masked_clone(row, &scan.mask));
-                        }
+                let (mut part, mut read) = (Vec::new(), 0u64);
+                for row in ranges[pi].clone().filter_map(|id| table.row(id as RowId)) {
+                    read += 1;
+                    if pushed_match(&pushed, row, params)? {
+                        part.push(Some(row));
                     }
                 }
-                Ok::<Vec<Row>, DbError>(part)
+                Ok::<_, DbError>((part, read))
             })?;
-            chunks.into_iter().flatten().collect()
+            read = chunks.iter().map(|(_, n)| n).sum();
+            chunks.into_iter().flat_map(|(part, _)| part).collect()
         }
         None => {
             // Serial scan over the candidate rows. With LIMIT pushdown it
@@ -551,9 +590,9 @@ fn exec_scan(
             let mut kept = Vec::new();
             if take > 0 {
                 for row in candidates {
-                    examined += 1;
-                    if pushed_match(scan, &layout1, row, params)? {
-                        kept.push(masked_clone(row, &scan.mask));
+                    read += 1;
+                    if pushed_match(&pushed, row, params)? {
+                        kept.push(Some(row));
                         if kept.len() >= take {
                             break;
                         }
@@ -563,58 +602,41 @@ fn exec_scan(
             kept
         }
     };
+    let rows_out = refs.len() as u64;
     // An early-exit scan reports rows *examined* as its scanned count.
     let scanned = match scan.stop_after {
-        Some(_) => examined,
-        None => rows.len() as u64,
+        Some(_) => read,
+        None => rows_out,
     };
     if let Some(p) = prof {
-        p.scan = Some((scanned, partitions, stage_ns(t0)));
+        p.scan = Some((rows_out, read, partitions, stage_ns(t0)));
     }
-    Ok((layout1, rows, scanned))
+    Ok((layout1, Tuples { stride: 1, refs }, scanned))
 }
 
-/// Join already-materialized left rows against a right scan node: an
-/// index nested-loop join when the cost pass chose a probe, else a hash
-/// join on an equi-condition, else a nested loop evaluating the full ON.
+/// Join left tuples against a right scan node: an index nested-loop join
+/// when the cost pass chose a probe, else a hash join on an
+/// equi-condition, else a nested loop evaluating the full ON. Each
+/// output tuple is its left tuple plus one reference to the right row.
 /// Each left row's matches come in right-table row-id order whichever
 /// strategy runs.
-fn exec_join(
+fn exec_join<'p>(
     left_layout: Layout,
-    left_rows: Vec<Row>,
-    right: &ScanNode<'_>,
+    left_rows: Tuples<'p>,
+    right: &'p ScanNode<'_>,
     kind: JoinKind,
     on: Option<&Expr>,
     params: &[Value],
     prof: Option<&mut ExecProfile>,
-) -> Result<(Layout, Vec<Row>, u64)> {
+) -> Result<(Layout, Tuples<'p>, u64)> {
     let _stage = telemetry::span("db.exec.join");
     let join_t0 = prof.is_some().then(Instant::now);
-    let right_table: &Table = &right.source;
-    let right_layout1 = right.layout1();
+    let right_table: &'p Table = &right.source;
+    let right_pushed = bind_all(&right.pushed, &right.layout1())?;
 
     let mut bindings = left_layout.bindings().to_vec();
     bindings.push((right.binding.clone(), right.columns.clone()));
     let full_layout = Layout::new(bindings);
-
-    // One output row: `l` joined with `r`, or NULL-extended when `r` is
-    // `None` (a LEFT-join miss).
-    let extend = |l: &Row, r: Option<&Row>| -> Row {
-        let mut row = Vec::with_capacity(l.len() + right.columns.len());
-        row.extend_from_slice(l);
-        match (r, &right.mask) {
-            (None, _) => row.resize(l.len() + right.columns.len(), Value::Null),
-            (Some(r), None) => row.extend_from_slice(r),
-            (Some(r), Some(mask)) => {
-                row.extend(
-                    r.iter()
-                        .zip(mask)
-                        .map(|(v, &keep)| if keep { v.clone() } else { Value::Null }),
-                )
-            }
-        }
-        row
-    };
 
     // An index probe reads the index entries under each left key. Every
     // other strategy reads the right rows in row-id order, prefiltered by
@@ -622,11 +644,11 @@ fn exec_join(
     // WHERE, and keeps the survivors' order.
     let probe = match &right.access {
         Access::Probe {
-            left_col,
+            left_slot,
             right_col,
             ..
         } => match right_table.index_on(*right_col) {
-            Some(ix) => Some((*left_col, ix)),
+            Some(ix) => Some((*left_slot, ix)),
             None => {
                 return Err(DbError::Unsupported(format!(
                     "index probe lost its index on {}",
@@ -636,10 +658,10 @@ fn exec_join(
         },
         _ => None,
     };
-    let mut right_rows: Vec<&Row> = Vec::new();
+    let mut right_rows: Vec<&'p Row> = Vec::new();
     if probe.is_none() {
         for (_, row) in right_table.iter() {
-            if pushed_match(right, &right_layout1, row, params)? {
+            if pushed_match(&right_pushed, row, params)? {
                 right_rows.push(row);
             }
         }
@@ -651,53 +673,64 @@ fn exec_join(
             Some(on.ok_or_else(|| DbError::Unsupported("JOIN requires ON".into()))?)
         }
     };
+    let on_bound = on.map(|on| full_layout.bind(on)).transpose()?;
     // A hash join on an equi-condition; NULL keys are never hashed.
     let hashed = match (
         probe,
         on.and_then(|on| equi_offsets(on, &left_layout, right)),
     ) {
-        (None, Some((l_off, r_off))) => {
-            let mut table: HashMap<&Value, Vec<&Row>> = HashMap::new();
-            for r in right_rows.iter().filter(|r| !r[r_off].is_null()) {
+        (None, Some((l_slot, r_off))) => {
+            let mut table: HashMap<&Value, Vec<&'p Row>> = HashMap::new();
+            for &r in right_rows.iter().filter(|r| !r[r_off].is_null()) {
                 table.entry(&r[r_off]).or_default().push(r);
             }
-            Some((l_off, table))
+            Some((l_slot, table))
         }
         _ => None,
     };
 
-    let mut joined: Vec<Row> = Vec::new();
-    for l in &left_rows {
-        let before = joined.len();
-        if let Some((left_col, ix)) = probe {
+    let mut out: Vec<Option<&'p Row>> = Vec::new();
+    for l in left_rows.iter() {
+        let before = out.len();
+        let left_value = |(b, c): (usize, usize)| Env::new(l, params).slot(b, c);
+        if let Some((left_slot, ix)) = probe {
             // NULL keys are not indexed: a NULL key matches nothing.
-            let key = &l[left_col];
+            let key = left_value(left_slot);
             let ids = if key.is_null() { &[][..] } else { ix.ids(key) };
             read += ids.len() as u64;
             for r in ids.iter().filter_map(|&id| right_table.row(id)) {
-                if pushed_match(right, &right_layout1, r, params)? {
-                    joined.push(extend(l, Some(r)));
+                if pushed_match(&right_pushed, r, params)? {
+                    out.extend_from_slice(l);
+                    out.push(Some(r));
                 }
             }
-        } else if let Some((l_off, table)) = &hashed {
-            if let Some(ms) = table.get(&l[*l_off]) {
-                joined.extend(ms.iter().map(|m| extend(l, Some(m))));
+        } else if let Some((l_slot, table)) = &hashed {
+            for &m in table.get(left_value(*l_slot)).into_iter().flatten() {
+                out.extend_from_slice(l);
+                out.push(Some(m));
             }
         } else {
             // Nested loop with full ON evaluation (none for CROSS).
-            for r in &right_rows {
-                let row = extend(l, Some(r));
-                if on.map_or(Ok(true), |on| {
-                    eval_condition(on, &Env::new(&full_layout, &row, params))
-                })? {
-                    joined.push(row);
+            for &r in &right_rows {
+                let start = out.len();
+                out.extend_from_slice(l);
+                out.push(Some(r));
+                if let Some(on) = &on_bound {
+                    if !eval_condition(on, &Env::new(&out[start..], params))? {
+                        out.truncate(start);
+                    }
                 }
             }
         }
-        if kind == JoinKind::Left && joined.len() == before {
-            joined.push(extend(l, None));
+        if kind == JoinKind::Left && out.len() == before {
+            out.extend_from_slice(l);
+            out.push(None);
         }
     }
+    let joined = Tuples {
+        stride: left_rows.stride + 1,
+        refs: out,
+    };
     let scanned = joined.len() as u64;
     if let Some(p) = prof {
         p.joins.push((scanned, read, stage_ns(join_t0)));
@@ -705,47 +738,42 @@ fn exec_join(
     Ok((full_layout, joined, scanned))
 }
 
-/// The WHERE pass: partition-parallel filtering of materialized rows.
-fn exec_filter(
+/// The WHERE pass: partition-parallel filtering of row tuples.
+fn exec_filter<'p>(
     layout: &Layout,
-    rows: Vec<Row>,
+    rows: Tuples<'p>,
     pred: &Expr,
     params: &[Value],
     prof: Option<&mut ExecProfile>,
-) -> Result<Vec<Row>> {
+) -> Result<Tuples<'p>> {
+    let pred = layout.bind(pred)?;
     let _stage = telemetry::span("db.exec.filter");
     let t0 = prof.is_some().then(Instant::now);
     let rows_in = rows.len();
+    let keep = |range: Range<usize>| -> Result<Vec<Option<&'p Row>>> {
+        let mut kept = Vec::new();
+        for i in range {
+            let tuple = rows.get(i);
+            if eval_condition(&pred, &Env::new(tuple, params))? {
+                kept.extend_from_slice(tuple);
+            }
+        }
+        Ok(kept)
+    };
     let mut partitions_used = 0;
-    let rows: Vec<Row> = match pool::partitions(rows.len()) {
+    let refs = match pool::partitions(rows_in) {
         Some(ranges) => {
-            // Partition the materialized rows; concatenating kept rows
-            // in partition order preserves the serial result order.
+            // Concatenating kept tuples in partition order preserves the
+            // serial result order.
             telemetry::add("db.exec.parallel_filters", 1);
             partitions_used = ranges.len();
-            let rows_ref = &rows;
-            let chunks = pool::try_run(ranges.len(), |pi| {
-                let mut kept = Vec::new();
-                for row in &rows_ref[ranges[pi].clone()] {
-                    let env = Env::new(layout, row, params);
-                    if eval_condition(pred, &env)? {
-                        kept.push(row.clone());
-                    }
-                }
-                Ok::<Vec<Row>, DbError>(kept)
-            })?;
-            chunks.into_iter().flatten().collect()
+            pool::try_run(ranges.len(), |pi| keep(ranges[pi].clone()))?.concat()
         }
-        None => {
-            let mut kept = Vec::with_capacity(rows.len());
-            for row in rows {
-                let env = Env::new(layout, &row, params);
-                if eval_condition(pred, &env)? {
-                    kept.push(row);
-                }
-            }
-            kept
-        }
+        None => keep(0..rows_in)?,
+    };
+    let rows = Tuples {
+        stride: rows.stride,
+        refs,
     };
     if let Some(p) = prof {
         p.filter = Some((
@@ -793,11 +821,11 @@ fn exec_columnar(
 
     // No bare columns survive the shape check, so a NULL row suffices as
     // the evaluation environment (matching the serial empty-group case).
-    let null_row: Row = vec![Value::Null; layout.width()];
-    let env = Env::new(&layout, &null_row, params);
+    let null_tuple = [None];
+    let env = Env::new(&null_tuple, params);
     let mut out_row = Vec::with_capacity(projections.len());
     for (_, e) in &projections {
-        let e_sub = substitute(e, &aggs, &agg_values);
+        let e_sub = layout.bind(&substitute(e, &aggs, &agg_values))?;
         out_row.push(eval(&e_sub, &env)?);
     }
 
@@ -903,7 +931,6 @@ fn render_plan(planned: &PlannedSelect<'_>, prof: Option<&ExecProfile>) -> Vec<S
             base.pushed.len()
         ));
     }
-    push_mask_line(&mut lines, base);
 
     let mut bindings: Vec<(String, Vec<String>)> =
         vec![(base.binding.clone(), base.columns.clone())];
@@ -951,7 +978,6 @@ fn render_plan(planned: &PlannedSelect<'_>, prof: Option<&ExecProfile>) -> Vec<S
                 right.table_name
             ));
         }
-        push_mask_line(&mut lines, right);
         bindings.push((right.binding.clone(), right.columns.clone()));
     }
 
@@ -1065,23 +1091,12 @@ fn scan_line(scan: &ScanNode<'_>, prof: Option<&ExecProfile>) -> String {
         // The plan chose columnar but the kernels declined a chunk at
         // run time and the row path executed instead.
         (true, None, Some(_)) => Some("fell back to row execution".to_string()),
-        (false, _, Some((rows_out, parts, ns))) => {
-            Some(measured(format!("rows={rows_out}"), parts, ns))
+        (false, _, Some((rows_out, read, parts, ns))) => {
+            Some(measured(format!("rows={rows_out}, read={read}"), parts, ns))
         }
         _ => None,
     });
     noted(line, note)
-}
-
-fn push_mask_line(lines: &mut Vec<String>, scan: &ScanNode<'_>) {
-    if let Some(mask) = &scan.mask {
-        let masked = mask.iter().filter(|&&k| !k).count();
-        lines.push(format!(
-            "  projection pruning: {masked}/{} column(s) of {} masked",
-            scan.columns.len(),
-            scan.table_name
-        ));
-    }
 }
 
 // ---------------- shared analysis helpers ----------------
@@ -1094,24 +1109,14 @@ pub(crate) fn collect_columns<'a>(expr: &'a Expr, out: &mut Vec<(Option<&'a str>
     }
 }
 
-fn masked_clone(row: &Row, mask: &Option<Vec<bool>>) -> Row {
-    match mask {
-        None => row.clone(),
-        Some(mask) => row
-            .iter()
-            .zip(mask)
-            .map(|(v, &keep)| if keep { v.clone() } else { Value::Null })
-            .collect(),
-    }
-}
-
-/// If `on` is `left_col = right_col` (either order), return flat offsets
-/// (left offset in the accumulated layout, right offset in the right table).
+/// If `on` is `left_col = right_col` (either order), return the left
+/// column's slot in the accumulated layout and the right column's offset
+/// in the right table.
 pub(crate) fn equi_offsets(
     on: &Expr,
     left_layout: &Layout,
     right: &ScanNode<'_>,
-) -> Option<(usize, usize)> {
+) -> Option<((usize, usize), usize)> {
     let Expr::Binary {
         op: BinaryOp::Eq,
         left: a,
@@ -1276,7 +1281,7 @@ pub(crate) enum TestKind {
 pub(crate) fn resolve_base_col(e: &Expr, binding: &str, layout1: &Layout) -> Option<usize> {
     match e {
         Expr::Column { table: Some(t), .. } if !t.eq_ignore_ascii_case(binding) => None,
-        Expr::Column { column, .. } => layout1.resolve(None, column).ok(),
+        Expr::Column { column, .. } => layout1.resolve(None, column).ok().map(|(_, c)| c),
         _ => None,
     }
 }
@@ -1357,32 +1362,29 @@ pub(crate) fn column_test(
 /// Expand projections into (name, expr) pairs; wildcards become columns.
 fn expand_projections(projections: &[Projection], layout: &Layout) -> Result<Vec<(String, Expr)>> {
     let mut out = Vec::new();
+    let push_binding = |out: &mut Vec<_>, (binding, cols): &(String, Vec<String>)| {
+        for col in cols {
+            out.push((
+                col.clone(),
+                Expr::Column {
+                    table: Some(binding.clone()),
+                    column: col.clone(),
+                },
+            ));
+        }
+    };
     for p in projections {
         match p {
             Projection::Wildcard => {
-                for (binding, col) in layout.flat() {
-                    out.push((
-                        col.clone(),
-                        Expr::Column {
-                            table: Some(binding.clone()),
-                            column: col.clone(),
-                        },
-                    ));
+                for b in layout.bindings() {
+                    push_binding(&mut out, b);
                 }
             }
             Projection::TableWildcard(t) => {
-                let (start, len) = layout
-                    .binding_span(t)
+                let b = layout
+                    .binding_index(t)
                     .ok_or_else(|| DbError::NoSuchTable(t.clone()))?;
-                for (binding, col) in &layout.flat()[start..start + len] {
-                    out.push((
-                        col.clone(),
-                        Expr::Column {
-                            table: Some(binding.clone()),
-                            column: col.clone(),
-                        },
-                    ));
-                }
+                push_binding(&mut out, &layout.bindings()[b]);
             }
             Projection::Expr { expr, alias } => {
                 let name = alias.clone().unwrap_or_else(|| expr.default_name());
@@ -1397,33 +1399,44 @@ fn plain_path(
     proj: &[Projection],
     order_by: &[OrderItem],
     layout: &Layout,
-    rows: &[Row],
+    rows: &Tuples<'_>,
     params: &[Value],
     prof: Option<&mut ExecProfile>,
 ) -> Result<ResultSet> {
     let projections = expand_projections(proj, layout)?;
     let columns: Vec<String> = projections.iter().map(|(n, _)| n.clone()).collect();
-
-    // ORDER BY before projection so sort keys can use any source column.
-    let mut indices: Vec<usize> = (0..rows.len()).collect();
-    if !order_by.is_empty() {
-        let _stage = telemetry::span("db.exec.sort");
-        let t0 = prof.is_some().then(Instant::now);
-        let keys = order_keys(order_by, layout, rows, params, &projections)?;
-        indices.sort_by(|&a, &b| cmp_order_keys(&keys[a], &keys[b], order_by));
-        if let Some(p) = prof {
-            p.sort_ns = stage_ns(t0);
-        }
-    }
+    let exprs = bind_all(projections.iter().map(|(_, e)| e), layout)?;
+    let keys = bind_order_keys(order_by, &projections, layout)?;
 
     let mut out_rows = Vec::with_capacity(rows.len());
-    for &i in &indices {
-        let env = Env::new(layout, &rows[i], params);
-        let mut out = Vec::with_capacity(projections.len());
-        for (_, e) in &projections {
+    for tuple in rows.iter() {
+        let env = Env::new(tuple, params);
+        let mut out = Vec::with_capacity(exprs.len());
+        for e in &exprs {
             out.push(eval(e, &env)?);
         }
         out_rows.push(out);
+    }
+
+    // ORDER BY sees the source row as well as the projected one, so sort
+    // keys can use any source column.
+    if !order_by.is_empty() {
+        let _stage = telemetry::span("db.exec.sort");
+        let t0 = prof.is_some().then(Instant::now);
+        let mut sort_keys = Vec::with_capacity(out_rows.len());
+        for (tuple, out) in rows.iter().zip(&out_rows) {
+            let env = Env::new(tuple, params);
+            sort_keys.push(order_key_values(&keys, out, |e| eval(e, &env))?);
+        }
+        let mut indices: Vec<usize> = (0..out_rows.len()).collect();
+        indices.sort_by(|&a, &b| cmp_order_keys(&sort_keys[a], &sort_keys[b], order_by));
+        out_rows = indices
+            .into_iter()
+            .map(|i| std::mem::take(&mut out_rows[i]))
+            .collect();
+        if let Some(p) = prof {
+            p.sort_ns = stage_ns(t0);
+        }
     }
     Ok(ResultSet {
         columns,
@@ -1462,24 +1475,30 @@ fn aggregate_path(
     having: Option<&Expr>,
     order_by: &[OrderItem],
     layout: &Layout,
-    rows: &[Row],
+    rows: &Tuples<'_>,
     params: &[Value],
     mut prof: Option<&mut ExecProfile>,
 ) -> Result<ResultSet> {
     let agg_t0 = prof.is_some().then(Instant::now);
     let projections = expand_projections(proj, layout)?;
     let columns: Vec<String> = projections.iter().map(|(n, _)| n.clone()).collect();
+    let exprs = bind_all(projections.iter().map(|(_, e)| e), layout)?;
+    let group_by = bind_all(group_by, layout)?;
+    let having = having.map(|h| layout.bind(h)).transpose()?;
+    let keys = bind_order_keys(order_by, &projections, layout)?;
 
     // All aggregate expressions across projections, HAVING, ORDER BY.
     let mut aggs: Vec<&Expr> = Vec::new();
-    for (_, e) in &projections {
+    for e in &exprs {
         collect_aggregates(e, &mut aggs);
     }
-    if let Some(h) = having {
+    if let Some(h) = &having {
         collect_aggregates(h, &mut aggs);
     }
-    for o in order_by {
-        collect_aggregates(&o.expr, &mut aggs);
+    for k in &keys {
+        if let OrderKey::Expr(e) = k {
+            collect_aggregates(e, &mut aggs);
+        }
     }
 
     // Group rows and accumulate aggregates, in parallel when the row count
@@ -1499,56 +1518,49 @@ fn aggregate_path(
             telemetry::add("db.exec.parallel_aggregates", 1);
             agg_partitions = ranges.len();
             let aggs_ref = &aggs;
+            let group_by = &group_by;
             let partials = pool::try_run(ranges.len(), |pi| {
-                group_and_accumulate(group_by, layout, rows, params, aggs_ref, ranges[pi].clone())
+                group_and_accumulate(group_by, rows, params, aggs_ref, ranges[pi].clone())
             })?;
             let _merge = telemetry::span("db.exec.merge");
             merge_group_partials(partials)?
         }
-        None => group_and_accumulate(group_by, layout, rows, params, &aggs, 0..rows.len())?,
+        None => group_and_accumulate(&group_by, rows, params, &aggs, 0..rows.len())?,
     };
     let group_count = groups.len() as u64;
 
-    let null_row: Row = vec![Value::Null; layout.width()];
+    let null_tuple = vec![None; rows.stride];
     let mut out_rows = Vec::with_capacity(groups.len());
     for (_, rep_idx, accs) in &groups {
         let agg_values: Vec<Value> = accs.iter().map(|a| a.finish()).collect();
 
         // Representative row for evaluating group-key expressions. An empty
         // group (aggregate over zero rows, no GROUP BY) uses a NULL row.
-        let rep: &Row = match rep_idx {
-            Some(i) => &rows[*i],
-            None => &null_row,
+        let rep = match rep_idx {
+            Some(i) => rows.get(*i),
+            None => &null_tuple,
         };
-        let env = Env::new(layout, rep, params);
+        let env = Env::new(rep, params);
 
         // HAVING
-        if let Some(h) = having {
+        if let Some(h) = &having {
             let h_sub = substitute(h, &aggs, &agg_values);
             if !eval_condition(&h_sub, &env)? {
                 continue;
             }
         }
 
-        let mut out = Vec::with_capacity(projections.len());
-        for (_, e) in &projections {
+        let mut out = Vec::with_capacity(exprs.len());
+        for e in &exprs {
             let e_sub = substitute(e, &aggs, &agg_values);
             out.push(eval(&e_sub, &env)?);
         }
 
         // ORDER BY keys for this group (computed now, sorted below).
-        let mut keys = Vec::with_capacity(order_by.len());
-        for o in order_by {
-            let key = resolve_order_expr(&o.expr, &projections, &columns, &out)?;
-            match key {
-                Some(v) => keys.push(v),
-                None => {
-                    let e_sub = substitute(&o.expr, &aggs, &agg_values);
-                    keys.push(eval(&e_sub, &env)?);
-                }
-            }
-        }
-        out_rows.push((keys, out));
+        let key = order_key_values(&keys, &out, |e| {
+            eval(&substitute(e, &aggs, &agg_values), &env)
+        })?;
+        out_rows.push((key, out));
     }
 
     // Aggregate time excludes the group sort, reported on its own line.
@@ -1574,9 +1586,10 @@ fn aggregate_path(
     })
 }
 
-/// Grouping state: key values, index of the group's first (representative)
-/// row, and one accumulator per aggregate expression.
-type GroupState = (Vec<Value>, Option<usize>, Vec<Accumulator>);
+/// Grouping state: key values (borrowed from the base rows where the key
+/// is a bare column), index of the group's first (representative) row,
+/// and one accumulator per aggregate expression.
+type GroupState<'t> = (Vec<Cow<'t, Value>>, Option<usize>, Vec<Accumulator>);
 
 fn new_accumulators(aggs: &[&Expr]) -> Vec<Accumulator> {
     aggs.iter()
@@ -1588,16 +1601,13 @@ fn new_accumulators(aggs: &[&Expr]) -> Vec<Accumulator> {
 }
 
 fn update_accumulators(accs: &mut [Accumulator], aggs: &[&Expr], env: &Env) -> Result<()> {
-    for (ai, a) in aggs.iter().enumerate() {
+    for (acc, a) in accs.iter_mut().zip(aggs) {
         let Expr::Aggregate { arg, .. } = a else {
             unreachable!()
         };
         match arg {
-            None => accs[ai].update(None)?,
-            Some(e) => {
-                let v = eval(e, env)?;
-                accs[ai].update(Some(&v))?;
-            }
+            None => acc.update(None)?,
+            Some(e) => acc.update(Some(eval_ref(e, env)?.as_ref()))?,
         }
     }
     Ok(())
@@ -1607,36 +1617,36 @@ fn update_accumulators(accs: &mut [Accumulator], aggs: &[&Expr], env: &Env) -> R
 /// first-occurrence order with the range's first member as representative.
 /// Called with the full range on the serial path, and once per partition on
 /// the parallel path.
-fn group_and_accumulate(
+fn group_and_accumulate<'t>(
     group_by: &[Expr],
-    layout: &Layout,
-    rows: &[Row],
-    params: &[Value],
+    rows: &'t Tuples<'_>,
+    params: &'t [Value],
     aggs: &[&Expr],
     range: Range<usize>,
-) -> Result<Vec<GroupState>> {
-    let mut groups: Vec<GroupState> = Vec::new();
+) -> Result<Vec<GroupState<'t>>> {
+    let mut groups: Vec<GroupState<'t>> = Vec::new();
     if group_by.is_empty() {
         let rep = (!range.is_empty()).then_some(range.start);
         let mut accs = new_accumulators(aggs);
         for i in range {
-            let env = Env::new(layout, &rows[i], params);
-            update_accumulators(&mut accs, aggs, &env)?;
+            update_accumulators(&mut accs, aggs, &Env::new(rows.get(i), params))?;
         }
         groups.push((Vec::new(), rep, accs));
     } else {
-        let mut group_index: HashMap<Vec<Value>, usize> = HashMap::new();
+        let mut group_index: HashMap<Vec<Cow<'t, Value>>, usize> = HashMap::new();
+        // Reused per row; a key is copied only when its group is new.
+        let mut key: Vec<Cow<'t, Value>> = Vec::with_capacity(group_by.len());
         for i in range {
-            let env = Env::new(layout, &rows[i], params);
-            let mut key = Vec::with_capacity(group_by.len());
+            let env = Env::new(rows.get(i), params);
+            key.clear();
             for g in group_by {
-                key.push(eval(g, &env)?);
+                key.push(eval_ref(g, &env)?);
             }
-            let gi = match group_index.get(&key) {
+            let gi = match group_index.get(key.as_slice()) {
                 Some(&gi) => gi,
                 None => {
                     group_index.insert(key.clone(), groups.len());
-                    groups.push((key, Some(i), new_accumulators(aggs)));
+                    groups.push((key.clone(), Some(i), new_accumulators(aggs)));
                     groups.len() - 1
                 }
             };
@@ -1650,9 +1660,9 @@ fn group_and_accumulate(
 /// partitions cover ascending row ranges, first occurrence across the merge
 /// equals global first occurrence — group output order and representative
 /// rows match the serial path exactly.
-fn merge_group_partials(partials: Vec<Vec<GroupState>>) -> Result<Vec<GroupState>> {
+fn merge_group_partials(partials: Vec<Vec<GroupState<'_>>>) -> Result<Vec<GroupState<'_>>> {
     let mut groups: Vec<GroupState> = Vec::new();
-    let mut group_index: HashMap<Vec<Value>, usize> = HashMap::new();
+    let mut group_index: HashMap<Vec<Cow<Value>>, usize> = HashMap::new();
     for partial in partials {
         for (key, rep, accs) in partial {
             match group_index.get(&key) {
@@ -1677,24 +1687,56 @@ fn merge_group_partials(partials: Vec<Vec<GroupState>>) -> Result<Vec<GroupState
 
 // ---------------- ORDER BY helpers ----------------
 
-/// Resolve ORDER BY shortcuts: ordinal (`ORDER BY 2`) or output alias.
-/// Returns the already-computed output value when applicable.
-fn resolve_order_expr(
-    expr: &Expr,
+/// An ORDER BY key, bound once per statement: an output column (by
+/// ordinal or alias) or an expression bound against the input layout.
+enum OrderKey {
+    Output(usize),
+    Expr(Expr),
+}
+
+/// Bind the ORDER BY keys; ordinals and output aliases resolve first.
+fn bind_order_keys(
+    order_by: &[OrderItem],
     projections: &[(String, Expr)],
-    columns: &[String],
-    out_row: &[Value],
-) -> Result<Option<Value>> {
+    layout: &Layout,
+) -> Result<Vec<OrderKey>> {
+    order_by
+        .iter()
+        .map(|o| match resolve_order_expr(&o.expr, projections)? {
+            Some(i) => Ok(OrderKey::Output(i)),
+            None => layout.bind(&o.expr).map(OrderKey::Expr),
+        })
+        .collect()
+}
+
+/// One row's ORDER BY key values: output columns are read from the
+/// projected row `out`, expressions are evaluated by `eval_key`.
+fn order_key_values(
+    keys: &[OrderKey],
+    out: &[Value],
+    eval_key: impl Fn(&Expr) -> Result<Value>,
+) -> Result<Vec<Value>> {
+    keys.iter()
+        .map(|k| match k {
+            OrderKey::Output(i) => Ok(out[*i].clone()),
+            OrderKey::Expr(e) => eval_key(e),
+        })
+        .collect()
+}
+
+/// Resolve ORDER BY shortcuts: ordinal (`ORDER BY 2`) or output alias.
+/// Returns the index of the output column when applicable.
+fn resolve_order_expr(expr: &Expr, projections: &[(String, Expr)]) -> Result<Option<usize>> {
     match expr {
         Expr::Literal(Value::Int(n)) => {
             let i = *n as usize;
-            if i == 0 || i > columns.len() {
+            if i == 0 || i > projections.len() {
                 return Err(DbError::Eval(format!(
                     "ORDER BY ordinal {n} out of range 1..={}",
-                    columns.len()
+                    projections.len()
                 )));
             }
-            Ok(Some(out_row[i - 1].clone()))
+            Ok(Some(i - 1))
         }
         Expr::Column {
             table: None,
@@ -1702,51 +1744,12 @@ fn resolve_order_expr(
         } => {
             // Prefer an explicit output alias over a source column only if
             // the alias was explicitly given (it shadows).
-            if let Some(pos) = projections
+            Ok(projections
                 .iter()
-                .position(|(n, e)| n.eq_ignore_ascii_case(column) && !matches!(e, Expr::Column { column: c, .. } if c.eq_ignore_ascii_case(column)))
-            {
-                return Ok(Some(out_row[pos].clone()));
-            }
-            Ok(None)
+                .position(|(n, e)| n.eq_ignore_ascii_case(column) && !matches!(e, Expr::Column { column: c, .. } if c.eq_ignore_ascii_case(column))))
         }
         _ => Ok(None),
     }
-}
-
-/// Evaluate ORDER BY keys for every row (plain path).
-fn order_keys(
-    order_by: &[OrderItem],
-    layout: &Layout,
-    rows: &[Row],
-    params: &[Value],
-    projections: &[(String, Expr)],
-) -> Result<Vec<Vec<Value>>> {
-    let columns: Vec<String> = projections.iter().map(|(n, _)| n.clone()).collect();
-    let mut keys = Vec::with_capacity(rows.len());
-    for row in rows {
-        let env = Env::new(layout, row, params);
-        let mut k = Vec::with_capacity(order_by.len());
-        for o in order_by {
-            // For ordinals/aliases we must project first.
-            let needs_projection = matches!(&o.expr, Expr::Literal(Value::Int(_)))
-                || matches!(&o.expr, Expr::Column { table: None, .. });
-            if needs_projection {
-                // compute the projected row lazily only when required
-                let mut out = Vec::with_capacity(projections.len());
-                for (_, e) in projections {
-                    out.push(eval(e, &env)?);
-                }
-                if let Some(v) = resolve_order_expr(&o.expr, projections, &columns, &out)? {
-                    k.push(v);
-                    continue;
-                }
-            }
-            k.push(eval(&o.expr, &env)?);
-        }
-        keys.push(k);
-    }
-    Ok(keys)
 }
 
 /// Compare two rows' ORDER BY keys, honouring each item's direction.

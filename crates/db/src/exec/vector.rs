@@ -744,9 +744,11 @@ mod tests {
                 _ => unreachable!(),
             })
             .collect();
+        let pred = where_clause.map(|w| l1.bind(w).unwrap());
         for row in env_rows {
-            if let Some(pred) = where_clause {
-                let env = super::super::eval::Env::new(&l1, row, &[]);
+            let tuple = [Some(row)];
+            let env = super::super::eval::Env::new(&tuple, &[]);
+            if let Some(pred) = &pred {
                 if !super::super::eval::eval_condition(pred, &env).unwrap() {
                     continue;
                 }
@@ -758,8 +760,7 @@ mod tests {
                 match arg {
                     None => acc.update(None).unwrap(),
                     Some(a) => {
-                        let env = super::super::eval::Env::new(&l1, row, &[]);
-                        let v = super::super::eval::eval(a, &env).unwrap();
+                        let v = super::super::eval::eval(&l1.bind(a).unwrap(), &env).unwrap();
                         acc.update(Some(&v)).unwrap();
                     }
                 }

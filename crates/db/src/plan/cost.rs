@@ -84,13 +84,13 @@ fn decide_joins(node: &mut LogicalPlan<'_>) -> usize {
                 _ => None,
             };
             let mut rows = left_rows;
-            if let Some((left_col, right_col)) = equi {
+            if let Some((left_slot, right_col)) = equi {
                 if let Some(ix) = right.source.index_on(right_col) {
                     rows = left_rows.saturating_mul(ix.len()) / ix.distinct_keys().max(1);
                     if left_rows.saturating_mul(SELECTIVE) <= right.source.len() {
                         right.access = Access::Probe {
                             index_name: ix.name.clone(),
-                            left_col,
+                            left_slot,
                             right_col,
                         };
                     }

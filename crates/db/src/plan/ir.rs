@@ -13,7 +13,7 @@
 //!
 //! with optional nodes present only when the query uses them. Rules
 //! rewrite the tree in place (fusing filters into scans, eliding sorts,
-//! masking columns) but never change that spine ordering, so the
+//! reordering joins) but never change that spine ordering, so the
 //! executor can decompose the tail with simple pattern matches.
 
 use crate::database::Database;
@@ -45,20 +45,20 @@ pub(crate) enum Access {
         reason: String,
     },
     /// Join right sides only — an index nested-loop join: each left
-    /// row's key (offset `left_col` of the accumulated row) is looked up
-    /// in the index on `right_col`. Ids ascend within a key, so a left
+    /// row's key (slot `left_slot` of the left tuple: binding, column) is
+    /// looked up in the index on `right_col`. Ids ascend within a key, so a left
     /// row's matches come in row-id order, exactly as the hash join
     /// emits them.
     Probe {
         index_name: String,
-        left_col: usize,
+        left_slot: (usize, usize),
         right_col: usize,
     },
 }
 
 /// A table scan: the resolved source plus everything the optimizer has
-/// pushed into it (predicates, column masks, an early-exit bound) and
-/// the access method the cost pass decided on.
+/// pushed into it (predicates, an early-exit bound) and the access
+/// method the cost pass decided on.
 pub(crate) struct ScanNode<'a> {
     /// The resolved table (borrowed base table or owned per-statement
     /// virtual materialization).
@@ -75,10 +75,8 @@ pub(crate) struct ScanNode<'a> {
     /// even with the optimizer off, matching the pre-IR engine.
     pub index_filter: Option<Expr>,
     /// Conjuncts the predicate-pushdown / limit-pushdown rules moved
-    /// into the scan, evaluated on the unmasked row while scanning.
+    /// into the scan, evaluated on each row while scanning.
     pub pushed: Vec<Expr>,
-    /// Per-column keep flags from projection pruning (`None` keeps all).
-    pub mask: Option<Vec<bool>>,
     /// Early-exit bound from LIMIT pushdown: stop after this many
     /// matching rows.
     pub stop_after: Option<usize>,
@@ -161,7 +159,6 @@ fn scan_node<'a>(db: &'a Database, tref: &TableRef) -> Result<ScanNode<'a>> {
         columns,
         index_filter: None,
         pushed: Vec::new(),
-        mask: None,
         stop_after: None,
         access: Access::Seq,
     })

@@ -6,8 +6,8 @@
 //! 1. [`ir::lower`] turns a parsed `Select` into the canonical
 //!    [`ir::LogicalPlan`] operator tree.
 //! 2. [`rules::optimize`] applies the enabled rewrite rules (predicate
-//!    pushdown, join reordering, sort elision, LIMIT pushdown,
-//!    projection pruning), recording a trail of what fired.
+//!    pushdown, join reordering, sort elision, LIMIT pushdown),
+//!    recording a trail of what fired.
 //! 3. [`cost::decide_access`] picks each scan's physical access method
 //!    (columnar / index / index-order / seq) from table and index
 //!    statistics. This runs even with the optimizer off.

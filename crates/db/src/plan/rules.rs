@@ -16,8 +16,6 @@
 //! | `limit-pushdown`     | single-table `LIMIT` fuses the WHERE into the scan   |
 //! |                      | and stops after OFFSET+LIMIT matches — never under a |
 //! |                      | Sort unless sort-elision removed it first            |
-//! | `projection-pruning` | columns no operator reads are masked to NULL at      |
-//! |                      | materialization time, per scan                       |
 //!
 //! Every rewrite preserves the result multiset AND row order of the
 //! unoptimized plan (float aggregate reassociation under join-reorder
@@ -48,7 +46,6 @@ use crate::value::Value;
 pub struct OptimizerConfig {
     pub enabled: bool,
     pub predicate_pushdown: bool,
-    pub projection_pruning: bool,
     pub limit_pushdown: bool,
     pub sort_elision: bool,
     pub join_reorder: bool,
@@ -60,7 +57,6 @@ impl OptimizerConfig {
         OptimizerConfig {
             enabled: true,
             predicate_pushdown: true,
-            projection_pruning: true,
             limit_pushdown: true,
             sort_elision: true,
             join_reorder: true,
@@ -72,7 +68,6 @@ impl OptimizerConfig {
         OptimizerConfig {
             enabled: false,
             predicate_pushdown: false,
-            projection_pruning: false,
             limit_pushdown: false,
             sort_elision: false,
             join_reorder: false,
@@ -85,7 +80,6 @@ impl OptimizerConfig {
         let mut cfg = Self::all_on();
         match rule.trim() {
             "predicate-pushdown" => cfg.predicate_pushdown = false,
-            "projection-pruning" => cfg.projection_pruning = false,
             "limit-pushdown" => cfg.limit_pushdown = false,
             "sort-elision" => cfg.sort_elision = false,
             "join-reorder" => cfg.join_reorder = false,
@@ -160,9 +154,6 @@ pub(crate) fn optimize<'a>(
         join_reorder(&mut root, params, &mut trail);
     }
     limit_rules(&mut root, cfg, had_subqueries, &mut trail);
-    if cfg.projection_pruning {
-        projection_pruning(&mut root, &mut trail);
-    }
     (root, trail)
 }
 
@@ -627,138 +618,5 @@ fn fuse_filter_into_scan<'p, 'a>(
             Some((s, n))
         }
         _ => None,
-    }
-}
-
-// ---------------- projection pruning ----------------
-
-/// Mask columns no operator reads to NULL at materialization time —
-/// the masked slots never leave the scan, which avoids cloning large
-/// dimension-table strings into every joined fact row.
-fn projection_pruning(root: &mut LogicalPlan<'_>, trail: &mut Vec<TrailEntry>) {
-    let mut needed: Vec<(Option<String>, String)> = Vec::new();
-    if !collect_needed(root, &mut needed) {
-        return; // a wildcard projection reads everything
-    }
-    let mut details = Vec::new();
-    mask_scans(root, &needed, &mut details);
-    for d in details {
-        trail.push(TrailEntry {
-            rule: "projection-pruning",
-            detail: d,
-        });
-    }
-}
-
-/// Gather every column the tree reads; `false` means a wildcard needs
-/// them all.
-fn collect_needed(node: &LogicalPlan<'_>, out: &mut Vec<(Option<String>, String)>) -> bool {
-    let mut collect = |e: &Expr| {
-        let mut cols = Vec::new();
-        collect_columns(e, &mut cols);
-        out.extend(
-            cols.into_iter()
-                .map(|(t, c)| (t.map(str::to_string), c.to_string())),
-        );
-    };
-    match node {
-        LogicalPlan::Empty => true,
-        LogicalPlan::Scan(s) => {
-            s.pushed.iter().for_each(&mut collect);
-            true
-        }
-        LogicalPlan::Join {
-            left, right, on, ..
-        } => {
-            right.pushed.iter().for_each(&mut collect);
-            if let Some(on) = on {
-                collect(on);
-            }
-            collect_needed(left, out)
-        }
-        LogicalPlan::Filter { input, predicate } => {
-            collect(predicate);
-            collect_needed(input, out)
-        }
-        LogicalPlan::Aggregate {
-            input,
-            group_by,
-            having,
-        } => {
-            group_by.iter().for_each(&mut collect);
-            if let Some(h) = having {
-                collect(h);
-            }
-            collect_needed(input, out)
-        }
-        LogicalPlan::Project { input, projections } => {
-            for p in projections {
-                match p {
-                    Projection::Wildcard | Projection::TableWildcard(_) => return false,
-                    Projection::Expr { expr, .. } => collect(expr),
-                }
-            }
-            collect_needed(input, out)
-        }
-        LogicalPlan::Distinct { input } => collect_needed(input, out),
-        LogicalPlan::Sort { input, keys } => {
-            keys.iter().for_each(|k| collect(&k.expr));
-            collect_needed(input, out)
-        }
-        LogicalPlan::Limit { input, .. } => collect_needed(input, out),
-    }
-}
-
-fn mask_scans(
-    node: &mut LogicalPlan<'_>,
-    needed: &[(Option<String>, String)],
-    details: &mut Vec<String>,
-) {
-    let mask_one = |s: &mut ScanNode<'_>, details: &mut Vec<String>| {
-        if let Some(mask) = column_mask(&s.binding, &s.columns, needed) {
-            let masked = mask.iter().filter(|&&k| !k).count();
-            details.push(format!(
-                "{}: {masked}/{} column(s) masked",
-                s.table_name,
-                s.columns.len()
-            ));
-            s.mask = Some(mask);
-        }
-    };
-    match node {
-        LogicalPlan::Scan(s) => mask_one(s, details),
-        LogicalPlan::Join { left, right, .. } => {
-            mask_scans(left, needed, details);
-            mask_one(right, details);
-        }
-        LogicalPlan::Filter { input, .. }
-        | LogicalPlan::Aggregate { input, .. }
-        | LogicalPlan::Project { input, .. }
-        | LogicalPlan::Distinct { input }
-        | LogicalPlan::Sort { input, .. }
-        | LogicalPlan::Limit { input, .. } => mask_scans(input, needed, details),
-        LogicalPlan::Empty => {}
-    }
-}
-
-/// Per-column keep flags for one binding; `None` when nothing prunes.
-pub(crate) fn column_mask(
-    binding: &str,
-    columns: &[String],
-    needed: &[(Option<String>, String)],
-) -> Option<Vec<bool>> {
-    let mask: Vec<bool> = columns
-        .iter()
-        .map(|col| {
-            needed.iter().any(|(t, c)| {
-                c.eq_ignore_ascii_case(col)
-                    && t.as_deref().is_none_or(|t| t.eq_ignore_ascii_case(binding))
-            })
-        })
-        .collect();
-    if mask.iter().all(|&k| k) {
-        None // nothing to prune
-    } else {
-        Some(mask)
     }
 }

@@ -217,6 +217,14 @@ pub enum Expr {
         table: Option<String>,
         column: String,
     },
+    /// A column bound to its place in the executor's row tuple: column
+    /// `column` of the base row in entry `binding`. The parser never
+    /// produces it; `Layout::bind` turns every [`Expr::Column`] into one
+    /// before rows are read.
+    Slot {
+        binding: usize,
+        column: usize,
+    },
     Unary {
         op: UnaryOp,
         operand: Box<Expr>,
@@ -303,6 +311,7 @@ impl Expr {
             Expr::Literal(_)
             | Expr::Param(_)
             | Expr::Column { .. }
+            | Expr::Slot { .. }
             | Expr::ScalarSubquery(_)
             | Expr::Exists { .. } => false,
             Expr::Unary { operand, .. }
@@ -344,6 +353,7 @@ impl Expr {
             Expr::Literal(_)
             | Expr::Param(_)
             | Expr::Column { .. }
+            | Expr::Slot { .. }
             | Expr::ScalarSubquery(_)
             | Expr::Exists { .. } => self.clone(),
             Expr::Unary { op, operand } => Expr::Unary {
@@ -492,7 +502,16 @@ mod tests {
             zeroed.for_each_child(|c| after.push(c.clone()));
             assert_eq!(after, vec![Expr::lit(0); children], "{sql}");
         }
+        // The executor-only bound column has no SQL spelling.
+        let slot = Expr::Slot {
+            binding: 0,
+            column: 0,
+        };
+        assert!(!slot.any_child(|_| true));
+        let Ok(copy) = slot.try_map_children(|_| Ok::<_, Infallible>(Expr::lit(0)));
+        assert_eq!(copy, slot);
+        variants.push(std::mem::discriminant(&slot));
         variants.dedup();
-        assert_eq!(variants.len(), 14, "every variant once, aggregates twice");
+        assert_eq!(variants.len(), 15, "every variant once, aggregates twice");
     }
 }

@@ -345,7 +345,6 @@ fn golden_corpus_exercises_the_rules() {
     let all = rendered().join("\n");
     for needle in [
         "optimizer: predicate-pushdown:",
-        "optimizer: projection-pruning:",
         "optimizer: limit-pushdown:",
         "optimizer: sort-elision:",
         "optimizer: join-reorder:",

@@ -221,11 +221,11 @@ proptest! {
         assert_rule_equivalence(&conn, &sql, "sort-elision", true)?;
     }
 
-    /// projection-pruning: masked columns must never leak into results —
-    /// joins, filters, sorts, and projections over a strict column
-    /// subset all agree with the unpruned plan.
+    /// Joins read through borrowed row tuples: projections over a strict
+    /// column subset of a join, with filters and sorts, agree between
+    /// the optimized plan and the naive one.
     #[test]
-    fn projection_pruning_preserves_results(
+    fn wide_join_projections_preserve_results(
         t_seeds in proptest::collection::vec(0u64..=u64::MAX, 0..50),
         u_seeds in proptest::collection::vec(0u64..=u64::MAX, 0..30),
         q in 0u64..=u64::MAX,
@@ -237,7 +237,9 @@ proptest! {
             [pick(&mut r, 3) as usize];
         let order = ["", " ORDER BY t.b, u.d"][pick(&mut r, 2) as usize];
         let sql = format!("SELECT {proj} FROM t JOIN u ON t.b = u.k{wher}{order}");
-        assert_rule_equivalence(&conn, &sql, "projection-pruning", true)?;
+        let on = run(&conn, &sql, OptimizerConfig::all_on())?;
+        let naive = run(&conn, &sql, OptimizerConfig::disabled())?;
+        prop_assert!(on == naive, "sql: {sql}\n  all-on: {on:?}\n  optimizer-off: {naive:?}");
     }
 }
 
@@ -258,14 +260,9 @@ fn toggles_are_visible_in_explain() {
     let sql = "EXPLAIN SELECT t.a FROM t JOIN u ON t.b = u.k WHERE t.b > 0 LIMIT 3";
     let on = plan(OptimizerConfig::all_on(), sql);
     assert!(on.contains("optimizer: predicate-pushdown:"), "{on}");
-    assert!(on.contains("optimizer: projection-pruning:"), "{on}");
     let no_push = plan(OptimizerConfig::without("predicate-pushdown"), sql);
     assert!(
         !no_push.contains("optimizer: predicate-pushdown:"),
-        "{no_push}"
-    );
-    assert!(
-        no_push.contains("optimizer: projection-pruning:"),
         "{no_push}"
     );
     let off = plan(OptimizerConfig::disabled(), sql);

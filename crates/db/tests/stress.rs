@@ -206,7 +206,7 @@ fn wide_rows_and_long_strings() {
         .unwrap();
     assert!(rs.scalar().unwrap().as_text().unwrap().ends_with("-199-23"));
     assert_eq!(conn.row_count("wide").unwrap(), 200);
-    // projection pruning path with a join against itself via ids
+    // a wide self-join: tuples borrow both sides' rows via ids
     let n: i64 = conn
         .query_scalar(
             "SELECT COUNT(*) FROM wide a JOIN wide b ON a.id = b.id",
