@@ -5,12 +5,28 @@
 //! work; this module implements that extension: *difference* and *merge*
 //! operators over profiles (Song et al., ICPP'04 — the paper's \[26\]).
 //!
+//! An operand is one trial as per-metric [`EventAggregate`] records
+//! (metric name, one record per event), from the DBMS or from
+//! [`Profile::event_aggregates`](perfdmf_profile::Profile::event_aggregates).
 //! Operands are aligned by event name and metric name; the thread
-//! dimension is collapsed to the mean summary, which is how CUBE's algebra
-//! treats system-dimension mismatches.
+//! dimension is collapsed to the record's mean exclusive value, the mean
+//! over the threads that recorded the event (SQL `AVG`), which is how
+//! CUBE's algebra treats system-dimension mismatches.
 
-use perfdmf_profile::{MetricId, Profile};
-use std::collections::BTreeMap;
+use perfdmf_profile::EventAggregate;
+use std::collections::{BTreeMap, BTreeSet};
+
+/// Mean exclusive value per (event, metric) of one operand.
+fn by_key(trial: &[(String, Vec<EventAggregate>)]) -> BTreeMap<(&str, &str), f64> {
+    trial
+        .iter()
+        .flat_map(|(metric, events)| {
+            events.iter().filter_map(move |a| {
+                Some(((a.event_name.as_str(), metric.as_str()), a.mean_exclusive?))
+            })
+        })
+        .collect()
+}
 
 /// Comparison of one (event, metric) pair between two trials.
 #[derive(Debug, Clone, PartialEq)]
@@ -31,27 +47,25 @@ pub struct DiffEntry {
 
 /// Difference of two trials: for every (event, metric) present in either,
 /// the change in mean exclusive value from `left` to `right`.
-pub fn diff(left: &Profile, right: &Profile) -> Vec<DiffEntry> {
-    let lmap = mean_exclusive_map(left);
-    let rmap = mean_exclusive_map(right);
-    let mut keys: Vec<&(String, String)> = lmap.keys().chain(rmap.keys()).collect();
-    keys.sort();
-    keys.dedup();
+pub fn diff(
+    left: &[(String, Vec<EventAggregate>)],
+    right: &[(String, Vec<EventAggregate>)],
+) -> Vec<DiffEntry> {
+    let lmap = by_key(left);
+    let rmap = by_key(right);
+    let keys: BTreeSet<&(&str, &str)> = lmap.keys().chain(rmap.keys()).collect();
     keys.into_iter()
         .map(|key| {
             let l = lmap.get(key).copied();
             let r = rmap.get(key).copied();
-            let absolute = match (l, r) {
-                (Some(a), Some(b)) => Some(b - a),
-                _ => None,
-            };
-            let relative = match (l, absolute) {
-                (Some(a), Some(d)) if a != 0.0 => Some(d / a),
-                _ => None,
-            };
+            let absolute = l.zip(r).map(|(a, b)| b - a);
+            let relative = l
+                .zip(absolute)
+                .filter(|&(a, _)| a != 0.0)
+                .map(|(a, d)| d / a);
             DiffEntry {
-                event: key.0.clone(),
-                metric: key.1.clone(),
+                event: key.0.to_string(),
+                metric: key.1.to_string(),
                 left: l,
                 right: r,
                 absolute,
@@ -64,18 +78,16 @@ pub fn diff(left: &Profile, right: &Profile) -> Vec<DiffEntry> {
 /// Merge two trials: mean of the mean-exclusive values where both define
 /// an (event, metric), the defined one otherwise. Returns the merged map
 /// keyed by (event, metric).
-pub fn merge(left: &Profile, right: &Profile) -> BTreeMap<(String, String), f64> {
-    let lmap = mean_exclusive_map(left);
-    let rmap = mean_exclusive_map(right);
-    let mut out = BTreeMap::new();
-    for (k, v) in &lmap {
-        match rmap.get(k) {
-            Some(w) => out.insert(k.clone(), (v + w) / 2.0),
-            None => out.insert(k.clone(), *v),
-        };
-    }
-    for (k, w) in &rmap {
-        out.entry(k.clone()).or_insert(*w);
+pub fn merge(
+    left: &[(String, Vec<EventAggregate>)],
+    right: &[(String, Vec<EventAggregate>)],
+) -> BTreeMap<(String, String), f64> {
+    let key = |(e, m): (&str, &str)| (e.to_string(), m.to_string());
+    let mut out: BTreeMap<_, _> = by_key(left).into_iter().map(|(k, v)| (key(k), v)).collect();
+    for (k, w) in by_key(right) {
+        out.entry(key(k))
+            .and_modify(|v| *v = (*v + w) / 2.0)
+            .or_insert(w);
     }
     out
 }
@@ -96,23 +108,17 @@ pub fn regressions(entries: &[DiffEntry], threshold: f64) -> Vec<&DiffEntry> {
     out
 }
 
-fn mean_exclusive_map(p: &Profile) -> BTreeMap<(String, String), f64> {
-    let mut out = BTreeMap::new();
-    for (mi, metric) in p.metrics().iter().enumerate() {
-        let means = p.mean_summary(MetricId(mi));
-        for (ei, event) in p.events().iter().enumerate() {
-            if let Some(x) = means[ei].exclusive() {
-                out.insert((event.name.clone(), metric.name.clone()), x);
-            }
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use perfdmf_profile::{IntervalData, IntervalEvent, Metric, ThreadId};
+    use perfdmf_profile::{IntervalData, IntervalEvent, Metric, MetricId, Profile, ThreadId};
+
+    /// Per-metric records of every metric of `p`.
+    fn summaries(p: &Profile) -> Vec<(String, Vec<EventAggregate>)> {
+        (0..p.metrics().len())
+            .map(|m| (p.metrics()[m].name.clone(), p.event_aggregates(MetricId(m))))
+            .collect()
+    }
 
     fn profile(values: &[(&str, f64)]) -> Profile {
         let mut p = Profile::new("t");
@@ -129,7 +135,7 @@ mod tests {
     fn diff_basic() {
         let a = profile(&[("f", 10.0), ("g", 5.0)]);
         let b = profile(&[("f", 12.0), ("h", 3.0)]);
-        let d = diff(&a, &b);
+        let d = diff(&summaries(&a), &summaries(&b));
         assert_eq!(d.len(), 3);
         let f = d.iter().find(|e| e.event == "f").unwrap();
         assert_eq!(f.absolute, Some(2.0));
@@ -160,16 +166,33 @@ mod tests {
             IntervalData::new(20.0, 20.0, 1.0, 0.0),
         );
         let b = profile(&[("f", 30.0)]);
-        let d = diff(&a, &b);
+        let d = diff(&summaries(&a), &summaries(&b));
         assert_eq!(d[0].left, Some(15.0));
         assert_eq!(d[0].absolute, Some(15.0));
+    }
+
+    #[test]
+    fn diff_averages_only_threads_that_recorded_the_event() {
+        let mut a = profile(&[("f", 10.0), ("g", 4.0)]);
+        let (m, g) = (a.find_metric("TIME").unwrap(), a.find_event("g").unwrap());
+        let other = ThreadId::new(1, 0, 0);
+        a.add_thread(other);
+        a.set_interval(g, other, m, IntervalData::new(6.0, 6.0, 1.0, 0.0));
+        let d = diff(
+            &summaries(&a),
+            &summaries(&profile(&[("f", 10.0), ("g", 5.0)])),
+        );
+        // f ran on one of the two threads: its mean is 10, not 10 / 2.
+        assert_eq!((d[0].event.as_str(), d[0].left), ("f", Some(10.0)));
+        assert_eq!(d[0].relative, Some(0.0));
+        assert_eq!((d[1].event.as_str(), d[1].left), ("g", Some(5.0)));
     }
 
     #[test]
     fn merge_means_and_unions() {
         let a = profile(&[("f", 10.0), ("g", 4.0)]);
         let b = profile(&[("f", 20.0), ("h", 6.0)]);
-        let m = merge(&a, &b);
+        let m = merge(&summaries(&a), &summaries(&b));
         assert_eq!(m[&("f".to_string(), "TIME".to_string())], 15.0);
         assert_eq!(m[&("g".to_string(), "TIME".to_string())], 4.0);
         assert_eq!(m[&("h".to_string(), "TIME".to_string())], 6.0);
@@ -179,7 +202,7 @@ mod tests {
     fn regression_detection_sorted() {
         let a = profile(&[("stable", 10.0), ("slower", 10.0), ("much_slower", 10.0)]);
         let b = profile(&[("stable", 10.2), ("slower", 13.0), ("much_slower", 25.0)]);
-        let d = diff(&a, &b);
+        let d = diff(&summaries(&a), &summaries(&b));
         let reg = regressions(&d, 0.10);
         assert_eq!(reg.len(), 2);
         assert_eq!(reg[0].event, "much_slower");
@@ -198,7 +221,7 @@ mod tests {
             IntervalData::new(1e9, 1e9, 1.0, 0.0),
         );
         let b = profile(&[("f", 10.0)]);
-        let d = diff(&a, &b);
+        let d = diff(&summaries(&a), &summaries(&b));
         // TIME aligns, PAPI only on the left
         assert_eq!(d.len(), 2);
         let papi_entry = d.iter().find(|e| e.metric == "PAPI_FP_OPS").unwrap();

@@ -59,13 +59,7 @@ pub fn thread_event_matrix(
         let Some(tpos) = profile.thread_position(thread) else {
             continue;
         };
-        let value = match field {
-            IntervalField::Inclusive => d.inclusive(),
-            IntervalField::Exclusive => d.exclusive(),
-            IntervalField::Calls => d.calls(),
-            IntervalField::Subroutines => d.subroutines(),
-        };
-        rows[tpos][e.0] = value.unwrap_or(0.0);
+        rows[tpos][e.0] = field.of(d).unwrap_or(0.0);
     }
     FeatureMatrix {
         threads,
@@ -87,13 +81,7 @@ pub fn thread_metric_matrix(
     for (mi, _) in profile.metrics().iter().enumerate() {
         for (tpos, &thread) in threads.iter().enumerate() {
             if let Some(d) = profile.interval(event, thread, MetricId(mi)) {
-                let value = match field {
-                    IntervalField::Inclusive => d.inclusive(),
-                    IntervalField::Exclusive => d.exclusive(),
-                    IntervalField::Calls => d.calls(),
-                    IntervalField::Subroutines => d.subroutines(),
-                };
-                rows[tpos][mi] = value.unwrap_or(0.0);
+                rows[tpos][mi] = field.of(d).unwrap_or(0.0);
             }
         }
     }

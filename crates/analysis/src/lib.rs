@@ -36,9 +36,7 @@ pub use features::{thread_event_matrix, thread_metric_matrix, FeatureMatrix};
 pub use hierarchical::{hierarchical, Dendrogram, MergeStep};
 pub use kmeans::{adjusted_rand_index, kmeans, select_k, silhouette_score, KMeansResult};
 pub use pca::{pca, Pca};
-pub use regression::{
-    check_profile, check_samples, routine_samples, Baseline, Finding, WatchdogConfig,
-};
+pub use regression::{check_samples, check_trial, Baseline, Finding, WatchdogConfig};
 pub use report::{
     group_summaries, render_event_across_threads, render_profile_report, render_thread_view,
     GroupSummary, ReportOptions,

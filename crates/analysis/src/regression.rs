@@ -2,6 +2,10 @@
 //! named set of timings) against an archive baseline and flag routines
 //! that got meaningfully slower.
 //!
+//! A trial is read as the per-event [`EventAggregate`] records of one
+//! metric. Each routine's sample is its record's mean exclusive value:
+//! the mean over the threads that recorded it (SQL `AVG`).
+//!
 //! The baseline is a per-routine [`AtomicData`] accumulator — Welford
 //! mean/stddev per event, merged across trials with Chan et al.'s
 //! pairwise combination (the same [`perfdmf_profile::Moments`] the SQL
@@ -15,7 +19,7 @@
 
 use std::collections::BTreeMap;
 
-use perfdmf_profile::{AtomicData, Profile};
+use perfdmf_profile::{AtomicData, EventAggregate};
 use perfdmf_telemetry as telemetry;
 
 /// Thresholds for flagging a candidate sample.
@@ -71,24 +75,12 @@ impl Baseline {
             .record(sample);
     }
 
-    /// Fold one archive trial into the baseline: each interval event
-    /// contributes its mean exclusive value across threads as one sample.
-    pub fn add_profile(&mut self, profile: &Profile) {
-        for (event, sample) in routine_samples(profile, &self.metric) {
-            self.record(&event, sample);
+    /// Fold one archive trial into the baseline: each event contributes
+    /// its mean exclusive value as one sample.
+    pub fn add_trial(&mut self, events: &[EventAggregate]) {
+        for (event, sample) in samples(events) {
+            self.record(event, sample);
         }
-    }
-
-    /// Build a baseline from a set of archive trials.
-    pub fn from_profiles<'a>(
-        metric: impl Into<String>,
-        profiles: impl IntoIterator<Item = &'a Profile>,
-    ) -> Self {
-        let mut b = Baseline::new(metric);
-        for p in profiles {
-            b.add_profile(p);
-        }
-        b
     }
 
     /// Merge another baseline into this one (Chan–Welford combination per
@@ -136,23 +128,11 @@ pub struct Finding {
     pub zscore: Option<f64>,
 }
 
-/// Per-routine candidate samples of a trial: the mean exclusive value
-/// across threads of every interval event carrying data under `metric`.
-pub fn routine_samples(profile: &Profile, metric: &str) -> Vec<(String, f64)> {
-    let Some(mid) = profile.find_metric(metric) else {
-        return Vec::new();
-    };
-    let mut sums: BTreeMap<usize, (f64, u64)> = BTreeMap::new();
-    for (event, _thread, data) in profile.iter_metric(mid) {
-        if let Some(x) = data.exclusive() {
-            let e = sums.entry(event.0).or_insert((0.0, 0));
-            e.0 += x;
-            e.1 += 1;
-        }
-    }
-    sums.into_iter()
-        .map(|(eid, (sum, n))| (profile.events()[eid].name.clone(), sum / (n.max(1)) as f64))
-        .collect()
+/// One (routine, mean exclusive) sample per event with a defined mean.
+fn samples(events: &[EventAggregate]) -> impl Iterator<Item = (&str, f64)> {
+    events
+        .iter()
+        .filter_map(|a| Some((a.event_name.as_str(), a.mean_exclusive?)))
 }
 
 /// Judge one candidate sample against its baseline statistics. Returns
@@ -207,9 +187,9 @@ fn judge(
 /// Compare named candidate samples against the baseline, reporting every
 /// flagged finding to the global regression log. `context` describes
 /// the comparison for the log, e.g. `"trial 7 vs experiment 1 baseline"`.
-pub fn check_samples(
+pub fn check_samples<'a>(
     baseline: &Baseline,
-    samples: &[(String, f64)],
+    samples: impl IntoIterator<Item = (&'a str, f64)>,
     config: &WatchdogConfig,
     context: &str,
 ) -> Vec<Finding> {
@@ -218,7 +198,7 @@ pub fn check_samples(
         let Some(stats) = baseline.stats(event) else {
             continue; // new routine: nothing to compare against
         };
-        if let Some(finding) = judge(event, &baseline.metric, stats, *candidate, config) {
+        if let Some(finding) = judge(event, &baseline.metric, stats, candidate, config) {
             telemetry::regressions::report(telemetry::RegressionRecord {
                 seq: 0,
                 context: context.to_string(),
@@ -238,24 +218,23 @@ pub fn check_samples(
     findings
 }
 
-/// Compare a candidate trial's per-routine profile against the baseline.
+/// Compare a candidate trial's per-event records against the baseline.
 /// The watchdog entry point for new-trial-vs-archive checks.
-pub fn check_profile(
+pub fn check_trial(
     baseline: &Baseline,
-    candidate: &Profile,
+    candidate: &[EventAggregate],
     config: &WatchdogConfig,
     context: &str,
 ) -> Vec<Finding> {
-    let samples = routine_samples(candidate, baseline.metric());
-    check_samples(baseline, &samples, config, context)
+    check_samples(baseline, samples(candidate), config, context)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use perfdmf_profile::{IntervalData, IntervalEvent, Metric, ThreadId};
+    use perfdmf_profile::{IntervalData, IntervalEvent, Metric, MetricId, Profile, ThreadId};
 
-    fn trial(scale: f64) -> Profile {
+    fn profile(scale: f64) -> Profile {
         let mut p = Profile::new("watchdog-test");
         let m = p.add_metric(Metric::measured("TIME"));
         p.add_thread(ThreadId::ZERO);
@@ -267,12 +246,23 @@ mod tests {
         p
     }
 
+    fn trial(scale: f64) -> Vec<EventAggregate> {
+        profile(scale).event_aggregates(MetricId(0))
+    }
+
+    fn baseline(scales: &[f64]) -> Baseline {
+        let mut b = Baseline::new("TIME");
+        for &scale in scales {
+            b.add_trial(&trial(scale));
+        }
+        b
+    }
+
     #[test]
     fn flags_synthetic_two_x_slowdown() {
         // Baseline: four trials with ±2% jitter. Candidate: compute 2×.
-        let baseline =
-            Baseline::from_profiles("TIME", &[trial(0.98), trial(1.0), trial(1.01), trial(1.02)]);
-        let mut candidate = trial(1.0);
+        let baseline = baseline(&[0.98, 1.0, 1.01, 1.02]);
+        let mut candidate = profile(1.0);
         let m = candidate.find_metric("TIME").unwrap();
         let e = candidate.find_event("compute").unwrap();
         candidate.set_interval(
@@ -281,7 +271,8 @@ mod tests {
             m,
             IntervalData::new(200.0, 200.0, 1.0, 0.0),
         );
-        let findings = check_profile(&baseline, &candidate, &WatchdogConfig::default(), "test 2x");
+        let candidate = candidate.event_aggregates(m);
+        let findings = check_trial(&baseline, &candidate, &WatchdogConfig::default(), "test 2x");
         assert_eq!(findings.len(), 1, "only the slowed routine is flagged");
         let f = &findings[0];
         assert_eq!(f.event, "compute");
@@ -296,8 +287,8 @@ mod tests {
 
     #[test]
     fn steady_trial_is_not_flagged() {
-        let baseline = Baseline::from_profiles("TIME", &[trial(0.98), trial(1.0), trial(1.02)]);
-        let findings = check_profile(
+        let baseline = baseline(&[0.98, 1.0, 1.02]);
+        let findings = check_trial(
             &baseline,
             &trial(1.01),
             &WatchdogConfig::default(),
@@ -310,8 +301,8 @@ mod tests {
     fn constant_baseline_uses_ratio_alone() {
         // Identical trials ⇒ stddev 0 ⇒ z-score unavailable; the ratio
         // test alone must still catch the slowdown.
-        let baseline = Baseline::from_profiles("TIME", &[trial(1.0), trial(1.0)]);
-        let findings = check_profile(
+        let baseline = baseline(&[1.0, 1.0]);
+        let findings = check_trial(
             &baseline,
             &trial(2.0),
             &WatchdogConfig::default(),
@@ -325,19 +316,18 @@ mod tests {
     fn new_routines_and_thin_baselines_are_skipped() {
         let mut baseline = Baseline::new("TIME");
         baseline.record("thin", 1.0); // below min_baseline
-        let samples = vec![("thin".to_string(), 10.0), ("new".to_string(), 10.0)];
-        let findings = check_samples(&baseline, &samples, &WatchdogConfig::default(), "skip");
+        let samples = [("thin", 10.0), ("new", 10.0)];
+        let findings = check_samples(&baseline, samples, &WatchdogConfig::default(), "skip");
         assert!(findings.is_empty());
     }
 
     #[test]
     fn merge_matches_bulk_construction() {
-        let a = Baseline::from_profiles("TIME", &[trial(0.9), trial(1.0)]);
-        let b = Baseline::from_profiles("TIME", &[trial(1.1), trial(1.2)]);
+        let a = baseline(&[0.9, 1.0]);
+        let b = baseline(&[1.1, 1.2]);
         let mut merged = a.clone();
         merged.merge(&b);
-        let bulk =
-            Baseline::from_profiles("TIME", &[trial(0.9), trial(1.0), trial(1.1), trial(1.2)]);
+        let bulk = baseline(&[0.9, 1.0, 1.1, 1.2]);
         let ms = merged.stats("compute").unwrap();
         let bs = bulk.stats("compute").unwrap();
         assert_eq!(ms.count(), bs.count());

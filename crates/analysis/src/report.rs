@@ -2,7 +2,7 @@
 //! of performance data, with various groupings and contextual
 //! highlighting" (paper §5.1), rendered as plain text for terminal tools.
 
-use perfdmf_profile::{EventId, IntervalField, MetricId, Profile, ThreadId};
+use perfdmf_profile::{EventId, MetricId, Profile, ThreadId};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -100,18 +100,14 @@ pub fn render_profile_report(
 
     // per-event stats across threads
     let mut rows: Vec<(String, f64, f64, f64, bool)> = Vec::new();
-    for ei in 0..profile.events().len() {
-        let Some(s) = profile.event_stats(EventId(ei), metric, IntervalField::Exclusive) else {
+    for a in profile.event_aggregates(metric) {
+        let (Some(mean), Some(min), Some(max)) =
+            (a.mean_exclusive, a.min_exclusive, a.max_exclusive)
+        else {
             continue;
         };
-        let imbalanced = s.mean > 0.0 && s.max / s.mean > options.imbalance_threshold;
-        rows.push((
-            profile.events()[ei].name.clone(),
-            s.mean,
-            s.min,
-            s.max,
-            imbalanced,
-        ));
+        let imbalanced = mean > 0.0 && max / mean > options.imbalance_threshold;
+        rows.push((a.event_name, mean, min, max, imbalanced));
     }
     rows.sort_by(|a, b| b.1.total_cmp(&a.1));
     rows.truncate(options.top_events);
@@ -192,8 +188,15 @@ pub fn render_event_across_threads(
         profile.metric(metric).name,
         profile.threads().len()
     );
-    let stats = profile.event_stats(event, metric, IntervalField::Exclusive);
-    let scale = stats.map(|s| s.max).unwrap_or(1.0).max(1e-300);
+    let stats = profile
+        .event_aggregates(metric)
+        .into_iter()
+        .find(|a| a.event_id == event.0 as i64);
+    let scale = stats
+        .as_ref()
+        .and_then(|s| s.max_exclusive)
+        .unwrap_or(1.0)
+        .max(1e-300);
     for (tpos, &thread) in profile.threads().iter().enumerate() {
         let Some(x) = profile
             .interval_at(event, tpos, metric)
@@ -210,17 +213,20 @@ pub fn render_event_across_threads(
             "█".repeat(bar_len)
         );
     }
-    if let Some(s) = stats {
+    if let Some(s) = stats.filter(|s| s.mean_exclusive.is_some()) {
+        let x = |v: Option<f64>| v.unwrap_or(0.0);
+        let (min, mean, max) = (x(s.min_exclusive), x(s.mean_exclusive), x(s.max_exclusive));
+        let sd = x(s.stddev_exclusive);
         let _ = writeln!(
             out,
-            "  min {:.4}  mean {:.4}  max {:.4}  stddev {:.4}",
-            s.min, s.mean, s.max, s.stddev
+            "  min {min:.4}  mean {mean:.4}  max {max:.4}  stddev {sd:.4}"
         );
     }
     out
 }
 
-fn truncate(s: &str, n: usize) -> &str {
+/// `s` cut to at most `n` characters.
+pub(crate) fn truncate(s: &str, n: usize) -> &str {
     match s.char_indices().nth(n) {
         Some((i, _)) => &s[..i],
         None => s,

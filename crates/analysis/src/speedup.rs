@@ -4,13 +4,17 @@
 //! processors, the tool automatically calculates the minimum, mean and
 //! maximum values for the speedup \[of\] every profiled routine."
 //!
-//! [`SpeedupAnalysis`] consumes one [`Profile`] per processor count and
-//! produces per-routine min/mean/max speedup curves relative to the
+//! [`SpeedupAnalysis`] consumes one trial per processor count, as the
+//! per-event [`EventAggregate`] records of the analysed metric (from the
+//! DBMS or [`Profile::event_aggregates`](perfdmf_profile::Profile::event_aggregates)),
+//! and produces per-routine min/mean/max speedup curves relative to the
 //! smallest trial, plus whole-application speedup/efficiency and an
-//! Amdahl serial-fraction fit.
+//! Amdahl serial-fraction fit. Every mean is the record's: over the
+//! threads that recorded the event, as SQL `AVG` computes it.
 
+use crate::report::truncate;
 use crate::stats::linear_fit;
-use perfdmf_profile::{EventId, IntervalField, MetricId, Profile};
+use perfdmf_profile::EventAggregate;
 use std::collections::BTreeMap;
 
 /// Speedup of one routine at one processor count.
@@ -47,23 +51,15 @@ pub struct ApplicationScaling {
 /// Multi-trial speedup analyzer.
 #[derive(Debug, Default)]
 pub struct SpeedupAnalysis {
-    /// (processors, profile), sorted by processors.
-    trials: Vec<(usize, Profile)>,
-    metric: String,
+    /// (processors, per-event records), sorted by processors.
+    trials: Vec<(usize, Vec<EventAggregate>)>,
 }
 
 impl SpeedupAnalysis {
-    /// New analysis over the named metric (e.g. `TIME`).
-    pub fn new(metric: impl Into<String>) -> Self {
-        SpeedupAnalysis {
-            trials: Vec::new(),
-            metric: metric.into(),
-        }
-    }
-
-    /// Add one trial.
-    pub fn add_trial(&mut self, processors: usize, profile: Profile) {
-        self.trials.push((processors, profile));
+    /// Add one trial: its per-event records of the analysed metric (e.g.
+    /// `TIME`).
+    pub fn add_trial(&mut self, processors: usize, events: Vec<EventAggregate>) {
+        self.trials.push((processors, events));
         self.trials.sort_by_key(|(p, _)| *p);
     }
 
@@ -72,20 +68,13 @@ impl SpeedupAnalysis {
         self.trials.len()
     }
 
-    fn metric_of(&self, p: &Profile) -> Option<MetricId> {
-        p.find_metric(&self.metric)
-    }
-
-    /// Mean total time of the application in a profile: the mean-summary
-    /// inclusive of the event with the largest inclusive value (the root).
-    fn app_time(&self, p: &Profile) -> Option<f64> {
-        let m = self.metric_of(p)?;
-        let mean = p.mean_summary(m);
-        mean.iter()
-            .filter_map(|d| d.inclusive())
-            .fold(None, |acc: Option<f64>, x| {
-                Some(acc.map_or(x, |a| a.max(x)))
-            })
+    /// Mean total time of the application in a trial: the mean inclusive
+    /// value of the event with the largest one (the root).
+    fn app_time(events: &[EventAggregate]) -> Option<f64> {
+        events
+            .iter()
+            .filter_map(|a| a.mean_inclusive)
+            .reduce(f64::max)
     }
 
     /// Per-routine min/mean/max speedup relative to the smallest trial.
@@ -98,44 +87,35 @@ impl SpeedupAnalysis {
         let Some((_, base)) = self.trials.first() else {
             return Vec::new();
         };
-        let Some(base_metric) = self.metric_of(base) else {
-            return Vec::new();
-        };
         // Baseline mean exclusive per routine name.
-        let mut baseline: BTreeMap<&str, f64> = BTreeMap::new();
-        for (i, e) in base.events().iter().enumerate() {
-            if let Some(stats) = base.event_stats(EventId(i), base_metric, IntervalField::Exclusive)
-            {
-                if stats.mean > 0.0 {
-                    baseline.insert(e.name.as_str(), stats.mean);
-                }
-            }
-        }
-        let mut out: BTreeMap<String, RoutineSpeedup> = BTreeMap::new();
-        for (procs, profile) in &self.trials {
-            let Some(metric) = self.metric_of(profile) else {
-                continue;
-            };
-            for (i, e) in profile.events().iter().enumerate() {
-                let Some(&base_mean) = baseline.get(e.name.as_str()) else {
+        let baseline: BTreeMap<&str, f64> = base
+            .iter()
+            .filter_map(|a| Some((a.event_name.as_str(), a.mean_exclusive?)))
+            .filter(|&(_, mean)| mean > 0.0)
+            .collect();
+        let mut out: BTreeMap<&str, RoutineSpeedup> = BTreeMap::new();
+        for (procs, events) in &self.trials {
+            for a in events {
+                let Some(&base_mean) = baseline.get(a.event_name.as_str()) else {
                     continue;
                 };
-                let Some(stats) = profile.event_stats(EventId(i), metric, IntervalField::Exclusive)
+                let (Some(min), Some(mean), Some(max)) =
+                    (a.min_exclusive, a.mean_exclusive, a.max_exclusive)
                 else {
                     continue;
                 };
-                if stats.min <= 0.0 {
+                if min <= 0.0 {
                     continue;
                 }
-                let entry = out.entry(e.name.clone()).or_insert_with(|| RoutineSpeedup {
-                    event: e.name.clone(),
+                let entry = out.entry(&a.event_name).or_insert_with(|| RoutineSpeedup {
+                    event: a.event_name.clone(),
                     points: Vec::new(),
                 });
                 entry.points.push(SpeedupPoint {
                     processors: *procs,
-                    min: base_mean / stats.max,
-                    mean: base_mean / stats.mean,
-                    max: base_mean / stats.min,
+                    min: base_mean / max,
+                    mean: base_mean / mean,
+                    max: base_mean / min,
                 });
             }
         }
@@ -150,15 +130,15 @@ impl SpeedupAnalysis {
     /// T(p)/T(p0) vs p0/p.
     pub fn application_scaling(&self) -> Option<ApplicationScaling> {
         let (p0, base) = self.trials.first()?;
-        let t0 = self.app_time(base)?;
+        let t0 = Self::app_time(base)?;
         if t0 <= 0.0 {
             return None;
         }
         let mut points = Vec::with_capacity(self.trials.len());
         let mut xs = Vec::new(); // p0/p
         let mut ys = Vec::new(); // T(p)/T(p0)
-        for (p, profile) in &self.trials {
-            let t = self.app_time(profile)?;
+        for (p, events) in &self.trials {
+            let t = Self::app_time(events)?;
             let speedup = t0 / t;
             let efficiency = speedup * *p0 as f64 / *p as f64;
             points.push((*p, speedup, efficiency));
@@ -198,17 +178,15 @@ impl SpeedupAnalysis {
     }
 }
 
-fn truncate(s: &str, n: usize) -> &str {
-    match s.char_indices().nth(n) {
-        Some((i, _)) => &s[..i],
-        None => s,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use perfdmf_profile::{IntervalData, IntervalEvent, Metric, ThreadId};
+    use perfdmf_profile::{IntervalData, IntervalEvent, Metric, MetricId, Profile, ThreadId};
+
+    /// Records of the profile's only metric.
+    fn records(p: &Profile) -> Vec<EventAggregate> {
+        p.event_aggregates(MetricId(0))
+    }
 
     /// Perfect-scaling profile: per-thread exclusive time = total/p.
     fn trial(procs: usize, total_work: f64, serial: f64) -> Profile {
@@ -228,9 +206,9 @@ mod tests {
     }
 
     fn analysis() -> SpeedupAnalysis {
-        let mut a = SpeedupAnalysis::new("TIME");
+        let mut a = SpeedupAnalysis::default();
         for procs in [1usize, 2, 4, 8] {
-            a.add_trial(procs, trial(procs, 100.0, 5.0));
+            a.add_trial(procs, records(&trial(procs, 100.0, 5.0)));
         }
         a
     }
@@ -272,8 +250,8 @@ mod tests {
 
     #[test]
     fn imbalanced_threads_split_min_max() {
-        let mut a = SpeedupAnalysis::new("TIME");
-        a.add_trial(1, trial(1, 100.0, 0.0));
+        let mut a = SpeedupAnalysis::default();
+        a.add_trial(1, records(&trial(1, 100.0, 0.0)));
         // 2-proc trial with imbalance: thread0 60, thread1 40
         let mut p = Profile::new("p2");
         let m = p.add_metric(Metric::measured("TIME"));
@@ -291,7 +269,7 @@ mod tests {
             m,
             IntervalData::new(40.0, 40.0, 1.0, 0.0),
         );
-        a.add_trial(2, p);
+        a.add_trial(2, records(&p));
         let routines = a.routine_speedups();
         let r = routines
             .iter()
@@ -305,7 +283,7 @@ mod tests {
 
     #[test]
     fn empty_analysis_is_graceful() {
-        let a = SpeedupAnalysis::new("TIME");
+        let a = SpeedupAnalysis::default();
         assert!(a.routine_speedups().is_empty());
         assert!(a.application_scaling().is_none());
         assert_eq!(a.trial_count(), 0);

@@ -11,7 +11,6 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use perfdmf_bench::{quick, sizes, store_fresh};
 use perfdmf_core::{load_trial, DatabaseSession};
-use perfdmf_profile::IntervalField;
 use perfdmf_workload::Evh1Model;
 
 fn bench_sql_aggregates(c: &mut Criterion) {
@@ -40,17 +39,7 @@ fn bench_toolkit_aggregates(c: &mut Criterion) {
         let m = profile.find_metric("GET_TIME_OF_DAY").expect("metric");
         group.throughput(Throughput::Elements(profile.data_point_count() as u64));
         group.bench_with_input(BenchmarkId::from_parameter(procs), &(), |b, _| {
-            b.iter(|| {
-                (0..profile.events().len())
-                    .filter_map(|e| {
-                        profile.event_stats(
-                            perfdmf_profile::EventId(e),
-                            m,
-                            IntervalField::Exclusive,
-                        )
-                    })
-                    .count()
-            });
+            b.iter(|| profile.event_aggregates(m));
         });
     }
     group.finish();
@@ -72,12 +61,7 @@ fn bench_load_then_analyze(c: &mut Criterion) {
     group.bench_function("load_trial_then_stats", |b| {
         b.iter(|| {
             let p = load_trial(&conn, trial).expect("load");
-            let m = p.find_metric("GET_TIME_OF_DAY").expect("metric");
-            (0..p.events().len())
-                .filter_map(|e| {
-                    p.event_stats(perfdmf_profile::EventId(e), m, IntervalField::Exclusive)
-                })
-                .count()
+            p.event_aggregates(p.find_metric("GET_TIME_OF_DAY").expect("metric"))
         });
     });
     group.finish();

@@ -14,6 +14,8 @@
 //!   selection (application → experiment → trial → metric →
 //!   node/context/thread), list operations, profile store/load, and
 //!   SQL-pushed aggregates.
+//! * [`event_aggregates`] — one trial's per-event [`EventAggregate`]
+//!   records, computed by the DBMS: what the multi-trial analyses read.
 //! * [`FileSession`] — the file-based access method over the importers.
 //! * [`save_profile`] / [`load_trial`] / [`load_trial_filtered`] /
 //!   [`append_derived_metric`] — bulk transfer between [`Profile`] and the
@@ -46,7 +48,10 @@ pub mod upload;
 pub use archive::{dump_archive, restore_archive};
 pub use objects::{Application, Experiment, FlexRow, Trial};
 pub use schema::{create_schema, FLEXIBLE_TABLES, SCHEMA_DDL};
-pub use session::{AtomicEventRow, DatabaseSession, EventAggregate, FileSession, IntervalEventRow};
+pub use session::{
+    event_aggregates, AtomicEventRow, DatabaseSession, EventAggregate, FileSession,
+    IntervalEventRow,
+};
 pub use upload::{
     append_derived_metric, load_trial, load_trial_filtered, save_profile, LoadFilter,
 };

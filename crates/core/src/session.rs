@@ -18,6 +18,7 @@ use crate::objects::FlexRow;
 use crate::schema::create_schema;
 use crate::upload::{load_trial_filtered, save_profile, LoadFilter};
 use perfdmf_db::{Connection, DbError, Result, ResultSet, Value};
+pub use perfdmf_profile::EventAggregate;
 use perfdmf_profile::Profile;
 use perfdmf_telemetry as telemetry;
 
@@ -43,31 +44,8 @@ pub struct AtomicEventRow {
     pub group: String,
 }
 
-/// Cross-thread aggregate of one event+metric (paper §5.2: "standard SQL
-/// aggregate operations such as minimum, maximum, mean, standard deviation
-/// and others").
-#[derive(Debug, Clone, PartialEq)]
-pub struct EventAggregate {
-    /// Interval event database id.
-    pub event_id: i64,
-    /// Event name.
-    pub event_name: String,
-    /// Threads contributing.
-    pub count: i64,
-    /// MIN(exclusive).
-    pub min_exclusive: Option<f64>,
-    /// MAX(exclusive).
-    pub max_exclusive: Option<f64>,
-    /// AVG(exclusive).
-    pub mean_exclusive: Option<f64>,
-    /// STDDEV(exclusive).
-    pub stddev_exclusive: Option<f64>,
-    /// AVG(inclusive).
-    pub mean_inclusive: Option<f64>,
-}
-
-/// The statement behind [`DatabaseSession::event_aggregates`] (`?` =
-/// trial id, trial id, metric name), public so it can be `EXPLAIN`ed.
+/// The statement behind [`event_aggregates`] (`?` = trial id, trial id,
+/// metric name), public so it can be `EXPLAIN`ed.
 /// `m.trial = ?` restates what the foreign keys imply, so the metric side
 /// is selected through its trial index too. The ORDER BY covers both
 /// GROUP BY keys, so the planner may let an index-selected table drive
@@ -375,32 +353,42 @@ impl DatabaseSession {
     // ---------------- aggregates ----------------
 
     /// Per-event cross-thread aggregates of the selected trial, computed
-    /// by the DBMS (MIN/MAX/AVG/STDDEV pushed into SQL).
+    /// by the DBMS (MIN/MAX/AVG/STDDEV pushed into SQL): [`event_aggregates`].
     pub fn event_aggregates(&self, metric_name: &str) -> Result<Vec<EventAggregate>> {
-        let trial = self.require_trial()?;
-        let rs = self.conn.query(
-            EVENT_AGGREGATES_SQL,
-            &[
-                Value::Int(trial),
-                Value::Int(trial),
-                Value::Text(metric_name.into()),
-            ],
-        )?;
-        Ok(rs
-            .rows
-            .iter()
-            .map(|r| EventAggregate {
-                event_id: r[0].as_int().expect("pk"),
-                event_name: r[1].as_text().unwrap_or("").to_string(),
-                count: r[2].as_int().unwrap_or(0),
-                min_exclusive: r[3].as_float(),
-                max_exclusive: r[4].as_float(),
-                mean_exclusive: r[5].as_float(),
-                stddev_exclusive: r[6].as_float(),
-                mean_inclusive: r[7].as_float(),
-            })
-            .collect())
+        event_aggregates(&self.conn, self.require_trial()?, metric_name)
     }
+}
+
+/// Per-event cross-thread aggregates of one trial and metric, computed by
+/// the DBMS with [`EVENT_AGGREGATES_SQL`], in event-id order. A trial or
+/// metric with no location rows yields no records.
+pub fn event_aggregates(
+    conn: &Connection,
+    trial_id: i64,
+    metric_name: &str,
+) -> Result<Vec<EventAggregate>> {
+    let rs = conn.query(
+        EVENT_AGGREGATES_SQL,
+        &[
+            Value::Int(trial_id),
+            Value::Int(trial_id),
+            Value::Text(metric_name.into()),
+        ],
+    )?;
+    Ok(rs
+        .rows
+        .iter()
+        .map(|r| EventAggregate {
+            event_id: r[0].as_int().expect("pk"),
+            event_name: r[1].as_text().unwrap_or("").to_string(),
+            count: r[2].as_int().unwrap_or(0),
+            min_exclusive: r[3].as_float(),
+            max_exclusive: r[4].as_float(),
+            mean_exclusive: r[5].as_float(),
+            stddev_exclusive: r[6].as_float(),
+            mean_inclusive: r[7].as_float(),
+        })
+        .collect())
 }
 
 fn materialize(rs: &ResultSet) -> Vec<FlexRow> {
@@ -571,12 +559,9 @@ mod tests {
         assert_eq!(send.max_exclusive, Some(33.0));
         assert_eq!(send.mean_exclusive, Some(31.5));
         // cross-check stddev against the profile-side computation
-        let m = prof.find_metric("TIME").unwrap();
         let e = prof.find_event("MPI_Send()").unwrap();
-        let stats = prof
-            .event_stats(e, m, perfdmf_profile::IntervalField::Exclusive)
-            .unwrap();
-        assert!((send.stddev_exclusive.unwrap() - stats.stddev).abs() < 1e-9);
+        let stats = &prof.event_aggregates(prof.find_metric("TIME").unwrap())[e.0];
+        assert!((send.stddev_exclusive.unwrap() - stats.stddev_exclusive.unwrap()).abs() < 1e-9);
     }
 
     #[test]

@@ -15,10 +15,10 @@
 //! the database — the Trial object's "support for adding new, possibly
 //! derived, metrics to an existing trial" (§4).
 
-use perfdmf_db::{Connection, DbError, Result, Value};
+use perfdmf_db::{Connection, DbError, Result, TransactionHandle, Value};
 use perfdmf_profile::{
     derive_metric, AtomicData, AtomicEvent, IntervalData, IntervalEvent, Metric, MetricExpr,
-    Profile, ThreadId, UNDEFINED,
+    MetricId, Profile, ThreadId, UNDEFINED,
 };
 
 fn v(x: f64) -> Value {
@@ -33,24 +33,91 @@ fn f(val: Option<&Value>) -> f64 {
     val.and_then(|x| x.as_float()).unwrap_or(UNDEFINED)
 }
 
+/// Every column of an INTERVAL_LOCATION_PROFILE row, in tuple order.
+const LOCATION_COLUMNS: &[&str] = &[
+    "id",
+    "interval_event",
+    "metric",
+    "node",
+    "context",
+    "thread",
+    "inclusive",
+    "inclusive_percentage",
+    "exclusive",
+    "exclusive_percentage",
+    "inclusive_per_call",
+    "num_calls",
+    "num_subrs",
+];
+
+/// `head` followed by the seven measurement columns of `d`.
+fn measured_row(head: impl IntoIterator<Item = Value>, d: &IntervalData) -> Vec<Value> {
+    let measures = [
+        d.inclusive,
+        d.inclusive_percent,
+        d.exclusive,
+        d.exclusive_percent,
+        d.inclusive_per_call,
+        d.calls,
+        d.subroutines,
+    ];
+    head.into_iter().chain(measures.map(v)).collect()
+}
+
+/// Write one metric of `profile` under metric row `metric_db_id`: its
+/// location rows, then its total and mean summary rows, each table as one
+/// group-committed bulk batch (a NULL id is assigned, so the engine
+/// stores each tuple without a copy). `event_ids[e]` is the database id
+/// of the profile's event `e`. Returns the number of location rows.
+fn write_metric(
+    tx: &mut TransactionHandle<'_>,
+    profile: &Profile,
+    metric: MetricId,
+    metric_db_id: i64,
+    event_ids: &[i64],
+) -> Result<usize> {
+    let key = |e: usize| {
+        [
+            Value::Null,
+            Value::Int(event_ids[e]),
+            Value::Int(metric_db_id),
+        ]
+    };
+    let locations: Vec<Vec<Value>> = profile
+        .iter_metric(metric)
+        .map(|(e, t, d)| {
+            let place = [t.node, t.context, t.thread].map(|x| Value::Int(x as i64));
+            measured_row(key(e.0).into_iter().chain(place), d)
+        })
+        .collect();
+    let (rows, _) = tx.bulk_insert("interval_location_profile", LOCATION_COLUMNS, locations)?;
+    // A summary row is a location row without its place.
+    let summary_columns: Vec<&str> = LOCATION_COLUMNS
+        .iter()
+        .filter(|c| !matches!(**c, "node" | "context" | "thread"))
+        .copied()
+        .collect();
+    for (table, summary) in [
+        ("interval_total_summary", profile.total_summary(metric)),
+        ("interval_mean_summary", profile.mean_summary(metric)),
+    ] {
+        let batch: Vec<Vec<Value>> = summary
+            .iter()
+            .enumerate()
+            .filter(|(_, d)| !(d.inclusive.is_nan() && d.exclusive.is_nan() && d.calls.is_nan()))
+            .map(|(e, d)| measured_row(key(e), d))
+            .collect();
+        tx.bulk_insert(table, &summary_columns, batch)?;
+    }
+    Ok(rows)
+}
+
 /// Write `profile` under trial `trial_id`. Returns the number of
 /// interval-location rows written.
 pub fn save_profile(conn: &Connection, trial_id: i64, profile: &Profile) -> Result<usize> {
     let ins_metric = conn.prepare("INSERT INTO metric (trial, name, derived) VALUES (?, ?, ?)")?;
     let ins_event =
         conn.prepare("INSERT INTO interval_event (trial, name, group_name) VALUES (?, ?, ?)")?;
-    let ins_total = conn.prepare(
-        "INSERT INTO interval_total_summary
-            (interval_event, metric, inclusive, inclusive_percentage, exclusive,
-             exclusive_percentage, inclusive_per_call, num_calls, num_subrs)
-         VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?)",
-    )?;
-    let ins_mean = conn.prepare(
-        "INSERT INTO interval_mean_summary
-            (interval_event, metric, inclusive, inclusive_percentage, exclusive,
-             exclusive_percentage, inclusive_per_call, num_calls, num_subrs)
-         VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?)",
-    )?;
     let ins_aevent =
         conn.prepare("INSERT INTO atomic_event (trial, name, group_name) VALUES (?, ?, ?)")?;
 
@@ -93,74 +160,9 @@ pub fn save_profile(conn: &Connection, trial_id: i64, profile: &Profile) -> Resu
             event_ids.push(id);
         }
 
-        // Fact rows go through the group-commit bulk path: one validated
-        // batch per metric instead of one prepared execution per row. Each
-        // tuple names every column (a NULL id is assigned), so the engine
-        // stores it as the row without a copy.
-        const LOC_COLS: &[&str] = &[
-            "id",
-            "interval_event",
-            "metric",
-            "node",
-            "context",
-            "thread",
-            "inclusive",
-            "inclusive_percentage",
-            "exclusive",
-            "exclusive_percentage",
-            "inclusive_per_call",
-            "num_calls",
-            "num_subrs",
-        ];
         let mut rows = 0usize;
-        for (mi, _) in profile.metrics().iter().enumerate() {
-            let metric = perfdmf_profile::MetricId(mi);
-            let batch: Vec<Vec<Value>> = profile
-                .iter_metric(metric)
-                .map(|(event, thread, d)| {
-                    vec![
-                        Value::Null,
-                        Value::Int(event_ids[event.0]),
-                        Value::Int(metric_ids[mi]),
-                        Value::Int(thread.node as i64),
-                        Value::Int(thread.context as i64),
-                        Value::Int(thread.thread as i64),
-                        v(d.inclusive),
-                        v(d.inclusive_percent),
-                        v(d.exclusive),
-                        v(d.exclusive_percent),
-                        v(d.inclusive_per_call),
-                        v(d.calls),
-                        v(d.subroutines),
-                    ]
-                })
-                .collect();
-            let (n, _) = tx.bulk_insert("interval_location_profile", LOC_COLS, batch)?;
-            rows += n;
-            // summaries
-            let totals = profile.total_summary(metric);
-            let means = profile.mean_summary(metric);
-            for (stmt, summary) in [(&ins_total, &totals), (&ins_mean, &means)] {
-                for (e, d) in summary.iter().enumerate() {
-                    if d.inclusive.is_nan() && d.exclusive.is_nan() && d.calls.is_nan() {
-                        continue;
-                    }
-                    tx.execute_prepared(
-                        stmt,
-                        &[
-                            Value::Int(event_ids[e]),
-                            Value::Int(metric_ids[mi]),
-                            v(d.inclusive),
-                            v(d.inclusive_percent),
-                            v(d.exclusive),
-                            v(d.exclusive_percent),
-                            v(d.inclusive_per_call),
-                            v(d.calls),
-                            v(d.subroutines),
-                        ],
-                    )?;
-                }
-            }
+        for (mi, &metric_db_id) in metric_ids.iter().enumerate() {
+            rows += write_metric(tx, profile, MetricId(mi), metric_db_id, &event_ids)?;
         }
 
         let mut aevent_ids = Vec::with_capacity(profile.atomic_events().len());
@@ -240,6 +242,30 @@ pub const INTERVAL_ROWS_SQL: &str =
      JOIN interval_location_profile p ON p.interval_event = e.id
      WHERE e.trial = ?";
 
+/// `base` (`?` = trial id) narrowed by the filter's node, context and
+/// thread, appended as conjuncts on `alias`.
+fn place_filtered(base: &str, alias: &str, trial_id: i64, f: &LoadFilter) -> (String, Vec<Value>) {
+    let mut sql = String::from(base);
+    let mut params = vec![Value::Int(trial_id)];
+    for (column, want) in [
+        ("node", f.node),
+        ("context", f.context),
+        ("thread", f.thread),
+    ] {
+        if let Some(x) = want {
+            sql.push_str(&format!(" AND {alias}.{column} = ?"));
+            params.push(Value::Int(x as i64));
+        }
+    }
+    (sql, params)
+}
+
+/// The thread a row's node, context and thread columns address.
+fn thread_at(place: &[Value]) -> ThreadId {
+    let at = |i: usize| place[i].as_int().unwrap_or(0) as u32;
+    ThreadId::new(at(0), at(1), at(2))
+}
+
 /// Load a complete trial into a [`Profile`].
 pub fn load_trial(conn: &Connection, trial_id: i64) -> Result<Profile> {
     load_trial_filtered(conn, trial_id, &LoadFilter::default())
@@ -308,33 +334,10 @@ pub fn load_trial_filtered(
 
     // Location rows, filtered in SQL: the trial's events drive, and the
     // fact table is reached through its event index.
-    let mut sql = String::from(INTERVAL_ROWS_SQL);
-    let mut params = vec![Value::Int(trial_id)];
-    if let Some(n) = filter.node {
-        sql.push_str(" AND p.node = ?");
-        params.push(Value::Int(n as i64));
-    }
-    if let Some(c) = filter.context {
-        sql.push_str(" AND p.context = ?");
-        params.push(Value::Int(c as i64));
-    }
-    if let Some(t) = filter.thread {
-        sql.push_str(" AND p.thread = ?");
-        params.push(Value::Int(t as i64));
-    }
+    let (sql, params) = place_filtered(INTERVAL_ROWS_SQL, "p", trial_id, filter);
     let rows = conn.query(&sql, &params)?;
     // Register all threads up front (bulk, avoids re-striding).
-    let mut threads: Vec<ThreadId> = rows
-        .rows
-        .iter()
-        .map(|r| {
-            ThreadId::new(
-                r[2].as_int().unwrap_or(0) as u32,
-                r[3].as_int().unwrap_or(0) as u32,
-                r[4].as_int().unwrap_or(0) as u32,
-            )
-        })
-        .collect();
+    let mut threads: Vec<ThreadId> = rows.rows.iter().map(|r| thread_at(&r[2..5])).collect();
     threads.sort_unstable();
     threads.dedup();
     profile.add_threads(threads);
@@ -345,11 +348,7 @@ pub fn load_trial_filtered(
         let Some(&metric) = metric_map.get(&r[1].as_int().unwrap_or(-1)) else {
             continue; // filtered out
         };
-        let thread = ThreadId::new(
-            r[2].as_int().unwrap_or(0) as u32,
-            r[3].as_int().unwrap_or(0) as u32,
-            r[4].as_int().unwrap_or(0) as u32,
-        );
+        let thread = thread_at(&r[2..5]);
         let mut d = IntervalData::new(
             f(Some(&r[5])),
             f(Some(&r[7])),
@@ -378,36 +377,22 @@ pub fn load_trial_filtered(
         );
     }
     if !aevent_map.is_empty() {
-        let mut sql = String::from(
+        let (sql, params) = place_filtered(
             "SELECT a.atomic_event, a.node, a.context, a.thread, a.sample_count,
                     a.maximum_value, a.minimum_value, a.mean_value, a.standard_deviation
              FROM atomic_event e
              JOIN atomic_location_profile a ON a.atomic_event = e.id
              WHERE e.trial = ?",
+            "a",
+            trial_id,
+            filter,
         );
-        let mut params = vec![Value::Int(trial_id)];
-        if let Some(n) = filter.node {
-            sql.push_str(" AND a.node = ?");
-            params.push(Value::Int(n as i64));
-        }
-        if let Some(c) = filter.context {
-            sql.push_str(" AND a.context = ?");
-            params.push(Value::Int(c as i64));
-        }
-        if let Some(t) = filter.thread {
-            sql.push_str(" AND a.thread = ?");
-            params.push(Value::Int(t as i64));
-        }
         let arows = conn.query(&sql, &params)?;
         for r in &arows.rows {
             let Some(&ae) = aevent_map.get(&r[0].as_int().unwrap_or(-1)) else {
                 continue;
             };
-            let thread = ThreadId::new(
-                r[1].as_int().unwrap_or(0) as u32,
-                r[2].as_int().unwrap_or(0) as u32,
-                r[3].as_int().unwrap_or(0) as u32,
-            );
+            let thread = thread_at(&r[1..4]);
             profile.add_thread(thread);
             profile.set_atomic(
                 ae,
@@ -449,48 +434,25 @@ pub fn append_derived_metric(
                 &[Value::Int(trial_id), Value::Text(name.into())],
             )?
             .expect("metric auto id");
-        // Event name → db id map for this trial.
         let events = tx.query(
             "SELECT id, name FROM interval_event WHERE trial = ?",
             &[Value::Int(trial_id)],
         )?;
-        let mut by_name = std::collections::HashMap::new();
-        for r in &events.rows {
-            by_name.insert(
-                r[1].as_text().unwrap_or("").to_string(),
-                r[0].as_int().expect("pk"),
-            );
-        }
-        let ins = conn.prepare(
-            "INSERT INTO interval_location_profile
-                (interval_event, metric, node, context, thread,
-                 inclusive, inclusive_percentage, exclusive, exclusive_percentage,
-                 inclusive_per_call, num_calls, num_subrs)
-             VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
-        )?;
-        for (event, thread, d) in profile.iter_metric(new_metric) {
-            let ev_name = &profile.events()[event.0].name;
-            let Some(&ev_id) = by_name.get(ev_name) else {
-                continue;
-            };
-            tx.execute_prepared(
-                &ins,
-                &[
-                    Value::Int(ev_id),
-                    Value::Int(metric_db_id),
-                    Value::Int(thread.node as i64),
-                    Value::Int(thread.context as i64),
-                    Value::Int(thread.thread as i64),
-                    v(d.inclusive),
-                    v(d.inclusive_percent),
-                    v(d.exclusive),
-                    v(d.exclusive_percent),
-                    v(d.inclusive_per_call),
-                    v(d.calls),
-                    v(d.subroutines),
-                ],
-            )?;
-        }
+        let by_name: std::collections::HashMap<&str, i64> = events
+            .rows
+            .iter()
+            .map(|r| (r[1].as_text().unwrap_or(""), r[0].as_int().expect("pk")))
+            .collect();
+        let event_ids = profile
+            .events()
+            .iter()
+            .map(|e| {
+                by_name.get(e.name.as_str()).copied().ok_or_else(|| {
+                    DbError::Unsupported(format!("event {} left trial {trial_id}", e.name))
+                })
+            })
+            .collect::<Result<Vec<i64>>>()?;
+        write_metric(tx, &profile, new_metric, metric_db_id, &event_ids)?;
         Ok(metric_db_id)
     })?;
     Ok(metric_db_id)
@@ -619,6 +581,32 @@ mod tests {
             .as_int()
             .unwrap();
         assert_eq!(n, 1);
+        // Its summary rows are the reloaded profile's summaries.
+        for (table, want) in [
+            ("interval_total_summary", back.total_summary(flops)),
+            ("interval_mean_summary", back.mean_summary(flops)),
+        ] {
+            let rs = conn
+                .query(
+                    &format!(
+                        "SELECT e.name, s.inclusive, s.exclusive, s.num_calls, s.num_subrs
+                         FROM {table} s JOIN interval_event e ON s.interval_event = e.id
+                         WHERE s.metric = ? ORDER BY e.id"
+                    ),
+                    &[Value::Int(mid)],
+                )
+                .unwrap();
+            assert_eq!(rs.len(), back.events().len(), "{table}");
+            for r in &rs.rows {
+                let d = &want[back.find_event(r[0].as_text().unwrap()).unwrap().0];
+                let got: Vec<_> = r[1..].iter().map(Value::as_float).collect();
+                assert_eq!(
+                    got,
+                    [d.inclusive(), d.exclusive(), d.calls(), d.subroutines()],
+                    "{table}"
+                );
+            }
+        }
     }
 
     #[test]

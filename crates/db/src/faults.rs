@@ -116,14 +116,12 @@ fn enospc() -> std::io::Error {
     std::io::Error::from_raw_os_error(28) // ENOSPC
 }
 
-/// SplitMix64: tiny deterministic RNG, good enough for choosing torn
-/// prefix lengths and bit positions.
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+/// One SplitMix64 draw for operation `op` of a plan seeded with `seed`:
+/// tiny and deterministic, good enough for choosing torn prefix lengths
+/// and bit positions.
+fn draw(seed: u64, op: u64) -> u64 {
+    let state = seed ^ op.wrapping_mul(0x517C_C1B7_2722_0A95);
+    perfdmf_telemetry::mix64(state.wrapping_add(perfdmf_telemetry::GOLDEN_GAMMA))
 }
 
 impl FaultVfs {
@@ -173,9 +171,8 @@ impl FaultVfs {
         }
         if st.plan.crash_at_op == Some(op) {
             st.crashed = true;
-            let mut rng = st.plan.seed ^ op.wrapping_mul(0x517C_C1B7_2722_0A95);
             let torn = st.plan.torn;
-            let r = splitmix64(&mut rng);
+            let r = draw(st.plan.seed, op);
             return if torn {
                 Verdict::Fault(FaultKind::TornWrite, r)
             } else {
@@ -183,8 +180,7 @@ impl FaultVfs {
             };
         }
         if let Some(&(_, kind)) = st.plan.faults.iter().find(|&&(n, _)| n == op) {
-            let mut rng = st.plan.seed ^ op.wrapping_mul(0x517C_C1B7_2722_0A95);
-            let r = splitmix64(&mut rng);
+            let r = draw(st.plan.seed, op);
             return Verdict::Fault(kind, r);
         }
         Verdict::Ok

@@ -61,15 +61,6 @@ pub(crate) fn retry_seed() -> u64 {
     })
 }
 
-/// SplitMix64 — the same tiny deterministic generator the fault and
-/// pool seams use.
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 impl RetryPolicy {
     /// No retries at all: every failure is returned to the caller.
     pub fn none() -> RetryPolicy {
@@ -97,7 +88,9 @@ impl RetryPolicy {
         if jitter_ns == 0 {
             return exp;
         }
-        let draw = splitmix64(seed ^ key.rotate_left(17) ^ (u64::from(attempt) << 1));
+        // One SplitMix64 draw, the generator the fault seams use too.
+        let state = seed ^ key.rotate_left(17) ^ (u64::from(attempt) << 1);
+        let draw = telemetry::mix64(state.wrapping_add(telemetry::GOLDEN_GAMMA));
         exp + Duration::from_nanos(draw % (jitter_ns + 1))
     }
 }

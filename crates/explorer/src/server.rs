@@ -8,6 +8,10 @@
 //! developers were able to extend the PerfDMF database API to support
 //! saving and retrieving analysis results" — mirrored here by the
 //! `analysis_settings` / `analysis_result` tables created on startup.
+//!
+//! Speedup study, regression scan and watchdog read each trial as the
+//! DBMS's per-event aggregates (`perfdmf_core::event_aggregates`), not as
+//! a whole profile.
 
 use crate::protocol::{ClusterMethod, ClusterSummary, FeatureSpace, Request, Response};
 use crossbeam::channel::{bounded, Receiver, Sender};
@@ -15,8 +19,8 @@ use perfdmf_analysis::{
     correlation_matrix, kmeans, pca, select_k, silhouette_score, thread_event_matrix,
     thread_metric_matrix, FeatureMatrix,
 };
-use perfdmf_core::load_trial;
-use perfdmf_db::{Connection, Value};
+use perfdmf_core::{event_aggregates, load_trial, EventAggregate};
+use perfdmf_db::{Connection, DbError, Value};
 use perfdmf_profile::IntervalField;
 use perfdmf_telemetry as telemetry;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -329,35 +333,57 @@ fn regression_scan(
         &[Value::Int(experiment_id)],
     )?;
     if trials.len() < 2 {
-        return Err(perfdmf_db::DbError::Unsupported(format!(
+        return Err(DbError::Unsupported(format!(
             "experiment {experiment_id} has fewer than two trials to compare"
         )));
     }
-    let ids: Vec<i64> = trials
+    let summaries = trials
         .rows
         .iter()
-        .map(|r| r[0].as_int().expect("pk"))
-        .collect();
+        .map(|r| {
+            let id = r[0].as_int().expect("pk");
+            Ok((id, metric_aggregates(conn, id)?))
+        })
+        .collect::<perfdmf_db::Result<Vec<_>>>()?;
     let mut findings = Vec::new();
-    let mut prev = load_trial(conn, ids[0])?;
-    for pair in ids.windows(2) {
-        let next = load_trial(conn, pair[1])?;
-        let diffs = perfdmf_analysis::diff(&prev, &next);
+    for pair in summaries.windows(2) {
+        let ((older, left), (newer, right)) = (&pair[0], &pair[1]);
+        let diffs = perfdmf_analysis::diff(left, right);
         for entry in perfdmf_analysis::regressions(&diffs, threshold) {
+            let relative = entry.relative.unwrap_or(0.0);
             findings.push((
-                pair[0],
-                pair[1],
+                *older,
+                *newer,
                 entry.event.clone(),
                 entry.metric.clone(),
-                entry.relative.unwrap_or(0.0),
+                relative,
             ));
         }
-        prev = next;
     }
     Ok(Response::Regressions {
         findings,
-        pairs_compared: ids.len() - 1,
+        pairs_compared: summaries.len() - 1,
     })
+}
+
+/// Every metric of a trial with its per-event records, computed by the
+/// DBMS: the operand of `perfdmf_analysis::diff`.
+fn metric_aggregates(
+    conn: &Connection,
+    trial_id: i64,
+) -> perfdmf_db::Result<Vec<(String, Vec<EventAggregate>)>> {
+    let metrics = conn.query(
+        "SELECT name FROM metric WHERE trial = ? ORDER BY id",
+        &[Value::Int(trial_id)],
+    )?;
+    metrics
+        .rows
+        .iter()
+        .map(|r| {
+            let name = r[0].as_text().unwrap_or("");
+            Ok((name.to_string(), event_aggregates(conn, trial_id, name)?))
+        })
+        .collect()
 }
 
 fn watchdog_check(
@@ -372,21 +398,28 @@ fn watchdog_check(
         &[Value::Int(experiment_id), Value::Int(trial_id)],
     )?;
     if trials.rows.is_empty() {
-        return Err(perfdmf_db::DbError::Unsupported(format!(
+        return Err(DbError::Unsupported(format!(
             "experiment {experiment_id} has no baseline trials besides {trial_id}"
+        )));
+    }
+    let candidate_row = conn.query("SELECT id FROM trial WHERE id = ?", &[Value::Int(trial_id)])?;
+    if candidate_row.is_empty() {
+        return Err(DbError::Unsupported(format!(
+            "trial {trial_id} does not exist"
         )));
     }
     let mut baseline = perfdmf_analysis::Baseline::new(metric);
     for row in &trials.rows {
-        baseline.add_profile(&load_trial(conn, row[0].as_int().expect("pk"))?);
+        let id = row[0].as_int().expect("pk");
+        baseline.add_trial(&event_aggregates(conn, id, metric)?);
     }
-    let candidate = load_trial(conn, trial_id)?;
+    let candidate = event_aggregates(conn, trial_id, metric)?;
     let config = perfdmf_analysis::WatchdogConfig {
         min_ratio,
         ..Default::default()
     };
     let context = format!("trial {trial_id} vs experiment {experiment_id} baseline");
-    let findings = perfdmf_analysis::check_profile(&baseline, &candidate, &config, &context);
+    let findings = perfdmf_analysis::check_trial(&baseline, &candidate, &config, &context);
     Ok(Response::Watchdog {
         baseline_trials: trials.rows.len(),
         findings: findings
@@ -406,19 +439,19 @@ fn speedup_study(
         &[Value::Int(experiment_id)],
     )?;
     if trials.len() < 2 {
-        return Err(perfdmf_db::DbError::Unsupported(format!(
+        return Err(DbError::Unsupported(format!(
             "experiment {experiment_id} has fewer than two trials"
         )));
     }
-    let mut analysis = perfdmf_analysis::SpeedupAnalysis::new(metric);
+    let mut analysis = perfdmf_analysis::SpeedupAnalysis::default();
     for row in &trials.rows {
         let trial_id = row[0].as_int().expect("pk");
         let procs = row[1].as_int().unwrap_or(1).max(1) as usize;
-        analysis.add_trial(procs, load_trial(conn, trial_id)?);
+        analysis.add_trial(procs, event_aggregates(conn, trial_id, metric)?);
     }
-    let scaling = analysis.application_scaling().ok_or_else(|| {
-        perfdmf_db::DbError::Unsupported("application scaling could not be computed".into())
-    })?;
+    let scaling = analysis
+        .application_scaling()
+        .ok_or_else(|| DbError::Unsupported("application scaling could not be computed".into()))?;
     let routines = analysis
         .routine_speedups()
         .into_iter()
@@ -443,9 +476,7 @@ fn extract_features(
     match space {
         FeatureSpace::EventsOfMetric(metric_name) => {
             let metric = profile.find_metric(metric_name).ok_or_else(|| {
-                perfdmf_db::DbError::Unsupported(format!(
-                    "trial {trial_id} has no metric {metric_name}"
-                ))
+                DbError::Unsupported(format!("trial {trial_id} has no metric {metric_name}"))
             })?;
             Ok(thread_event_matrix(
                 profile,
@@ -455,9 +486,7 @@ fn extract_features(
         }
         FeatureSpace::MetricsOfEvent(event_name) => {
             let event = profile.find_event(event_name).ok_or_else(|| {
-                perfdmf_db::DbError::Unsupported(format!(
-                    "trial {trial_id} has no event {event_name}"
-                ))
+                DbError::Unsupported(format!("trial {trial_id} has no event {event_name}"))
             })?;
             Ok(thread_metric_matrix(
                 profile,
@@ -637,7 +666,7 @@ fn correlate_metrics(
 ) -> perfdmf_db::Result<Response> {
     let profile = load_trial(conn, trial_id)?;
     let event = profile.find_event(event_name).ok_or_else(|| {
-        perfdmf_db::DbError::Unsupported(format!("trial {trial_id} has no event {event_name}"))
+        DbError::Unsupported(format!("trial {trial_id} has no event {event_name}"))
     })?;
     let fm = perfdmf_analysis::thread_metric_matrix(&profile, event, IntervalField::Exclusive);
     // columns of the matrix = metrics; build column-major data

@@ -342,7 +342,6 @@ fn load_flat_dir(dir: &Path, profile: &mut Profile) -> Result<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use perfdmf_profile::IntervalField;
 
     const SAMPLE: &str = r#"3 templated_functions_MULTI_GET_TIME_OF_DAY
 # Name Calls Subrs Excl Incl ProfileCalls #
@@ -473,8 +472,7 @@ mod tests {
         // percentages recomputed
         let main = p.find_event("main()").unwrap();
         let m = p.find_metric("GET_TIME_OF_DAY").unwrap();
-        let s = p.event_stats(main, m, IntervalField::Inclusive).unwrap();
-        assert_eq!(s.count, 2);
+        assert_eq!(p.event_aggregates(m)[main.0].count, 2);
 
         // multi-metric layout
         let mdir = dir.join("multi");

@@ -15,8 +15,9 @@
 //!   Welford/Chan implementation behind every mean and stddev.
 //! * [`Profile`] — the trial container, with total/mean summaries
 //!   (INTERVAL_TOTAL_SUMMARY / INTERVAL_MEAN_SUMMARY), cross-thread event
-//!   statistics, consistency validation, and dense storage sized for
-//!   16K-processor trials.
+//!   statistics ([`EventAggregate`] records, which the DBMS builds too),
+//!   consistency validation, and dense storage sized for 16K-processor
+//!   trials.
 //! * [`MetricExpr`] / [`derive_metric`] — derived metrics
 //!   (e.g. `FLOPS = PAPI_FP_OPS / TIME`).
 //! * [`callpath`] — TAU callpath (`a => b`) parsing, call-tree
@@ -38,5 +39,5 @@ pub use callpath::{
 pub use derived::{derive_metric, DerivedError, MetricExpr};
 pub use event::{AtomicEvent, IntervalEvent, Metric};
 pub use interval::{IntervalData, UNDEFINED};
-pub use profile::{AtomicEventId, EventId, EventStats, IntervalField, MetricId, Profile};
+pub use profile::{AtomicEventId, EventAggregate, EventId, IntervalField, MetricId, Profile};
 pub use thread::ThreadId;

@@ -31,19 +31,33 @@ pub struct EventId(pub usize);
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct AtomicEventId(pub usize);
 
-/// Min / mean / max / stddev of one event across threads.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct EventStats {
-    /// Number of threads with defined data.
-    pub count: usize,
-    /// Minimum across threads.
-    pub min: f64,
-    /// Maximum across threads.
-    pub max: f64,
-    /// Mean across threads.
-    pub mean: f64,
-    /// Sample standard deviation across threads (0 when count < 2).
-    pub stddev: f64,
+/// Cross-thread summary of one event under one metric (paper §5.2's SQL
+/// MIN/MAX/AVG/STDDEV): the record the multi-trial analyses read. The
+/// DBMS (`perfdmf_core::event_aggregates`) and
+/// [`Profile::event_aggregates`] build it; on one trial they agree
+/// exactly on counts, min and max. `count` is `COUNT(*)`: the threads
+/// with a location row, including rows whose exclusive value is NULL.
+/// Each mean is over the threads that recorded the field (SQL `AVG`
+/// skips NULLs), so threads without the event do not dilute it.
+#[derive(Debug, Clone, PartialEq)]
+pub struct EventAggregate {
+    /// Event id in its source: the database id for SQL records, the
+    /// [`EventId`] index for profile records.
+    pub event_id: i64,
+    /// Event name.
+    pub event_name: String,
+    /// Threads with a location row (`COUNT(*)`).
+    pub count: i64,
+    /// MIN(exclusive).
+    pub min_exclusive: Option<f64>,
+    /// MAX(exclusive).
+    pub max_exclusive: Option<f64>,
+    /// AVG(exclusive).
+    pub mean_exclusive: Option<f64>,
+    /// STDDEV(exclusive), the sample (n−1) form; `None` below 2 values.
+    pub stddev_exclusive: Option<f64>,
+    /// AVG(inclusive).
+    pub mean_inclusive: Option<f64>,
 }
 
 /// Which interval field a statistic is computed over.
@@ -60,7 +74,8 @@ pub enum IntervalField {
 }
 
 impl IntervalField {
-    fn get(&self, d: &IntervalData) -> Option<f64> {
+    /// This field of `d`, `None` if undefined.
+    pub fn of(&self, d: &IntervalData) -> Option<f64> {
         match self {
             IntervalField::Inclusive => d.inclusive(),
             IntervalField::Exclusive => d.exclusive(),
@@ -429,31 +444,47 @@ impl Profile {
         totals
     }
 
-    /// Min/mean/max/stddev of one event's field across threads.
-    pub fn event_stats(
-        &self,
-        event: EventId,
-        metric: MetricId,
-        field: IntervalField,
-    ) -> Option<EventStats> {
+    /// Per-event summaries of one metric, in event order: the records the
+    /// DBMS returns for this trial once stored. Means are sum / count, as
+    /// SQL `AVG` computes them; stddevs go through [`Moments`](crate::Moments).
+    pub fn event_aggregates(&self, metric: MetricId) -> Vec<EventAggregate> {
         let n_threads = self.threads.len();
         let plane = &self.planes[metric.0];
-        let mut acc = AtomicData::new();
-        for d in &plane[event.0 * n_threads..(event.0 + 1) * n_threads] {
-            if let Some(x) = field.get(d) {
-                acc.record(x);
-            }
-        }
-        if acc.count() == 0 {
-            return None;
-        }
-        Some(EventStats {
-            count: acc.count() as usize,
-            min: acc.min,
-            max: acc.max,
-            mean: acc.mean(),
-            stddev: acc.stddev().unwrap_or(0.0),
-        })
+        let mean = |sum: f64, n: u64| (n > 0).then(|| sum / n as f64);
+        self.events
+            .iter()
+            .enumerate()
+            .filter_map(|(e, event)| {
+                let mut count = 0i64;
+                let mut exclusive = AtomicData::new();
+                let (mut exclusive_sum, mut inclusive_sum, mut inclusive_n) = (0.0, 0.0, 0u64);
+                for d in &plane[e * n_threads..(e + 1) * n_threads] {
+                    if !is_present(d) {
+                        continue;
+                    }
+                    count += 1;
+                    if let Some(x) = d.exclusive() {
+                        exclusive.record(x);
+                        exclusive_sum += x;
+                    }
+                    if let Some(x) = d.inclusive() {
+                        inclusive_sum += x;
+                        inclusive_n += 1;
+                    }
+                }
+                let defined = exclusive.count() > 0;
+                (count > 0).then(|| EventAggregate {
+                    event_id: e as i64,
+                    event_name: event.name.clone(),
+                    count,
+                    min_exclusive: defined.then_some(exclusive.min),
+                    max_exclusive: defined.then_some(exclusive.max),
+                    mean_exclusive: mean(exclusive_sum, exclusive.count()),
+                    stddev_exclusive: exclusive.stddev(),
+                    mean_inclusive: mean(inclusive_sum, inclusive_n),
+                })
+            })
+            .collect()
     }
 
     /// Check internal consistency; returns human-readable problems.
@@ -533,6 +564,7 @@ fn is_present(d: &IntervalData) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::interval::UNDEFINED;
 
     fn tiny() -> (Profile, EventId, EventId, MetricId) {
         let mut p = Profile::new("t");
@@ -642,16 +674,26 @@ mod tests {
 
     #[test]
     fn event_stats_across_threads() {
-        let (p, _main, send, m) = tiny();
-        let s = p.event_stats(send, m, IntervalField::Exclusive).unwrap();
-        assert_eq!(s.count, 4);
-        assert_eq!(s.min, 37.0);
-        assert_eq!(s.max, 40.0);
-        assert!((s.mean - 38.5).abs() < 1e-12);
-        let xs = [40.0f64, 39.0, 38.0, 37.0];
-        let mean = 38.5;
-        let var = xs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / 3.0;
-        assert!((s.stddev - var.sqrt()).abs() < 1e-12);
+        // `send` is missing on thread 3, and thread 2's row has no
+        // exclusive value: the count is rows, each mean covers the threads
+        // that recorded the field.
+        let (mut p, main, send, m) = tiny();
+        p.set_interval(send, ThreadId::new(3, 0, 0), m, IntervalData::default());
+        let no_exclusive = IntervalData::new(38.0, UNDEFINED, 10.0, 0.0);
+        p.set_interval(send, ThreadId::new(2, 0, 0), m, no_exclusive);
+        let aggs = p.event_aggregates(m);
+        assert_eq!(
+            (aggs[main.0].event_id, aggs[main.0].count),
+            (main.0 as i64, 4)
+        );
+        let s = &aggs[send.0];
+        assert_eq!((s.event_name.as_str(), s.count), ("MPI_Send()", 3));
+        assert_eq!((s.min_exclusive, s.max_exclusive), (Some(39.0), Some(40.0)));
+        assert_eq!(
+            (s.mean_exclusive, s.mean_inclusive),
+            (Some(39.5), Some(39.0))
+        );
+        assert!((s.stddev_exclusive.unwrap() - 0.5f64.sqrt()).abs() < 1e-15);
     }
 
     #[test]

@@ -1,8 +1,7 @@
 //! Property tests on profile-model invariants.
 
 use perfdmf_profile::{
-    derive_metric, AtomicData, IntervalData, IntervalEvent, IntervalField, Metric, MetricExpr,
-    Profile, ThreadId,
+    derive_metric, AtomicData, IntervalData, IntervalEvent, Metric, MetricExpr, Profile, ThreadId,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -61,14 +60,15 @@ proptest! {
     ) {
         let (p, events) = build_profile(std::slice::from_ref(&row));
         let m = p.find_metric("TIME").unwrap();
-        let s = p.event_stats(events[0], m, IntervalField::Exclusive).unwrap();
-        prop_assert_eq!(s.count, row.len());
+        let s = &p.event_aggregates(m)[events[0].0];
+        prop_assert_eq!(s.count as usize, row.len());
         let lo = row.iter().cloned().fold(f64::INFINITY, f64::min);
         let hi = row.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-        prop_assert_eq!(s.min, lo);
-        prop_assert_eq!(s.max, hi);
-        prop_assert!(s.mean >= lo - 1e-9 && s.mean <= hi + 1e-9);
-        prop_assert!(s.stddev >= 0.0);
+        prop_assert_eq!(s.min_exclusive, Some(lo));
+        prop_assert_eq!(s.max_exclusive, Some(hi));
+        let mean = s.mean_exclusive.unwrap();
+        prop_assert!(mean >= lo - 1e-9 && mean <= hi + 1e-9);
+        prop_assert!(s.stddev_exclusive.unwrap_or(0.0) >= 0.0);
     }
 
     /// Derived metric TIME * k scales inclusive/exclusive by k everywhere.

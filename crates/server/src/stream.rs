@@ -144,14 +144,6 @@ impl NetFaultPlan {
     }
 }
 
-/// SplitMix64, seeded per operation.
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 /// A [`Stream`] that injects deterministic faults per a
 /// [`NetFaultPlan`]. Wraps any inner stream (usually a [`RealStream`];
 /// tests also stack it over in-memory pipes).
@@ -185,9 +177,10 @@ impl FaultStream {
         self.disconnected
     }
 
-    /// One draw for the current operation.
+    /// One SplitMix64 draw for the current operation.
     fn draw(&self, salt: u64) -> u64 {
-        splitmix64(self.plan.seed ^ self.ops.wrapping_mul(0x517C_C1B7_2722_0A95) ^ salt)
+        let state = self.plan.seed ^ self.ops.wrapping_mul(0x517C_C1B7_2722_0A95) ^ salt;
+        perfdmf_telemetry::mix64(state.wrapping_add(perfdmf_telemetry::GOLDEN_GAMMA))
     }
 
     /// Meter one operation: apply delays/stalls, check the disconnect

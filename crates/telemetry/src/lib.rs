@@ -121,6 +121,18 @@ pub fn reset() {
     registry::global().reset();
 }
 
+/// SplitMix64's increment, the golden-ratio constant 2^64 / φ.
+pub const GOLDEN_GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// The SplitMix64 finaliser, the framework's one copy. Each caller steps
+/// its own state (a SplitMix64 stream adds [`GOLDEN_GAMMA`] per draw).
+#[inline]
+pub fn mix64(mut z: u64) -> u64 {
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
 /// Serializes tests that toggle the global enabled flag against tests
 /// that rely on it being on: flag-toggling tests take the write lock,
 /// flag-dependent tests take a read lock.
@@ -151,6 +163,15 @@ mod tests {
 
         add("lib.disabled.counter", 3);
         assert_eq!(c.value(), 3);
+    }
+
+    #[test]
+    fn splitmix64_stream_from_state_zero_matches_reference() {
+        let mut state = 0u64;
+        for want in [0xe220a8397b1dcdaf, 0x6e789e6aa1b965f4, 0x06c45d188009454f] {
+            state = state.wrapping_add(GOLDEN_GAMMA);
+            assert_eq!(mix64(state), want);
+        }
     }
 
     #[test]

@@ -122,16 +122,15 @@ pub fn sample_request() -> bool {
         .is_multiple_of(every)
 }
 
-/// Unique non-zero id: splitmix64 of a global sequence counter — well
-/// distributed, allocation-free, and deterministic given call order.
+/// Unique non-zero id: the SplitMix64 finaliser of a global sequence
+/// counter times the golden gamma — well distributed, allocation-free,
+/// and deterministic given call order.
 fn next_id() -> u64 {
     static NEXT: AtomicU64 = AtomicU64::new(1);
-    let mut z = NEXT
-        .fetch_add(1, Ordering::Relaxed)
-        .wrapping_mul(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    (z ^ (z >> 31)) | 1
+    crate::mix64(
+        NEXT.fetch_add(1, Ordering::Relaxed)
+            .wrapping_mul(crate::GOLDEN_GAMMA),
+    ) | 1
 }
 
 /// Monotonic process epoch all span timestamps are relative to.

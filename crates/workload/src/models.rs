@@ -344,7 +344,6 @@ impl MirandaModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use perfdmf_profile::IntervalField;
 
     #[test]
     fn evh1_scales_like_amdahl() {
@@ -354,57 +353,19 @@ mod tests {
         assert_eq!(p1.threads().len(), 1);
         assert_eq!(p8.threads().len(), 8);
         assert!(p1.validate().is_empty(), "{:?}", p1.validate());
+        // Mean exclusive time of one routine across threads.
+        let mean = |p: &Profile, event: &str| {
+            let aggs = p.event_aggregates(p.find_metric("GET_TIME_OF_DAY").unwrap());
+            let a = aggs.into_iter().find(|a| a.event_name == event).unwrap();
+            a.mean_exclusive.unwrap()
+        };
         // a compute sweep speeds up nearly 8x; the serial setup does not
-        let m1 = p1.find_metric("GET_TIME_OF_DAY").unwrap();
-        let m8 = p8.find_metric("GET_TIME_OF_DAY").unwrap();
-        let sweep1 = p1
-            .event_stats(
-                p1.find_event("sweep_x_stage1").unwrap(),
-                m1,
-                IntervalField::Exclusive,
-            )
-            .unwrap();
-        let sweep8 = p8
-            .event_stats(
-                p8.find_event("sweep_x_stage1").unwrap(),
-                m8,
-                IntervalField::Exclusive,
-            )
-            .unwrap();
-        let speedup = sweep1.mean / sweep8.mean;
+        let speedup = mean(&p1, "sweep_x_stage1") / mean(&p8, "sweep_x_stage1");
         assert!(speedup > 6.0 && speedup < 9.0, "sweep speedup {speedup}");
-        let setup1 = p1
-            .event_stats(
-                p1.find_event("init_grid").unwrap(),
-                m1,
-                IntervalField::Exclusive,
-            )
-            .unwrap();
-        let setup8 = p8
-            .event_stats(
-                p8.find_event("init_grid").unwrap(),
-                m8,
-                IntervalField::Exclusive,
-            )
-            .unwrap();
-        let serial_speedup = setup1.mean / setup8.mean;
+        let serial_speedup = mean(&p1, "init_grid") / mean(&p8, "init_grid");
         assert!(serial_speedup < 1.2, "serial speedup {serial_speedup}");
         // MPI time grows with scale
-        let mpi1 = p1
-            .event_stats(
-                p1.find_event("MPI_Allreduce()").unwrap(),
-                m1,
-                IntervalField::Exclusive,
-            )
-            .unwrap();
-        let mpi8 = p8
-            .event_stats(
-                p8.find_event("MPI_Allreduce()").unwrap(),
-                m8,
-                IntervalField::Exclusive,
-            )
-            .unwrap();
-        assert!(mpi8.mean > mpi1.mean);
+        assert!(mean(&p8, "MPI_Allreduce()") > mean(&p1, "MPI_Allreduce()"));
     }
 
     #[test]

@@ -32,7 +32,7 @@ fn main() {
     // ...then drive the analyzer from the database, like the paper's tool.
     println!("trial browser: evh1/scaling trials in the database");
     session.reset();
-    let mut analysis = SpeedupAnalysis::new("GET_TIME_OF_DAY");
+    let mut analysis = SpeedupAnalysis::default();
     for trial in session.trial_list().unwrap() {
         let id = trial.id.unwrap();
         let nodes = trial
@@ -41,7 +41,9 @@ fn main() {
             .unwrap_or(0) as usize;
         println!("  trial {id}: {} ({nodes} processors)", trial.name);
         session.set_trial(id);
-        analysis.add_trial(nodes, session.load_profile().unwrap());
+        let profile = session.load_profile().unwrap();
+        let time = profile.find_metric("GET_TIME_OF_DAY").unwrap();
+        analysis.add_trial(nodes, profile.event_aggregates(time));
     }
 
     // Whole-application scaling + Amdahl fit.

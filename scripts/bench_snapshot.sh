@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Run the headline benchmarks (e1 large-scale, e7 SQL aggregates,
-# e8 telemetry overhead, e9 recovery, e10 columnar, e11 server) and
+# Run the headline benchmarks (e1 large-scale, e3 speedup and trial
+# diff, e7 SQL aggregates, e8 telemetry overhead, e9 recovery,
+# e10 columnar, e11 server) and
 # snapshot every result into one dated JSON file, so runs can be diffed
 # across commits or archived as CI artifacts.
 #
@@ -27,7 +28,7 @@ out=${1:-bench_snapshot_$(date +%Y-%m-%d).json}
 log=$(mktemp)
 trap 'rm -f "$log"' EXIT
 
-benches="e1_large_scale e7_sql_aggregates e8_telemetry_overhead e9_recovery e10_columnar e11_server"
+benches="e1_large_scale e3_speedup e7_sql_aggregates e8_telemetry_overhead e9_recovery e10_columnar e11_server"
 # PERFDMF_BENCH_QUICK also shrinks the e11 swarm unless the caller
 # already pinned a size.
 if [ "${PERFDMF_BENCH_QUICK:-}" = "1" ] && [ -z "${PERFDMF_E11_CLIENTS:-}" ]; then

@@ -219,14 +219,17 @@ fn run(args: Vec<String>) -> Result<(), String> {
                 .unwrap_or_else(|| "GET_TIME_OF_DAY".into());
             let mut session = DatabaseSession::new(conn).map_err(|e| e.to_string())?;
             session.set_experiment(exp);
-            let mut analysis = SpeedupAnalysis::new(metric);
+            let mut analysis = SpeedupAnalysis::default();
             for trial in session.trial_list().map_err(|e| e.to_string())? {
                 let nodes = trial
                     .field("node_count")
                     .and_then(Value::as_int)
                     .unwrap_or(1) as usize;
                 session.set_trial(trial.id.unwrap_or(-1));
-                analysis.add_trial(nodes, session.load_profile().map_err(|e| e.to_string())?);
+                let events = session
+                    .event_aggregates(&metric)
+                    .map_err(|e| e.to_string())?;
+                analysis.add_trial(nodes, events);
             }
             if analysis.trial_count() < 2 {
                 return Err("speedup: need at least two trials in the experiment".into());
