@@ -4,7 +4,7 @@
 //!
 //! Implementation notes:
 //! * k-means++ seeding for robust initialization;
-//! * the assignment step is parallelized with crossbeam scoped threads —
+//! * the assignment step is parallelized with std scoped threads —
 //!   it is the O(n·k·d) hot loop at 16K-thread scale;
 //! * [`silhouette_score`] supports choosing k; [`adjusted_rand_index`]
 //!   scores recovered clusterings against ground truth (used by the E4
@@ -168,12 +168,12 @@ fn assign_chunked(
     }
     let chunk = data.len().div_ceil(workers);
     let mut any_changed = false;
-    crossbeam::thread::scope(|s| {
+    std::thread::scope(|s| {
         let mut handles = Vec::new();
         for (ci, slice) in assignments.chunks_mut(chunk).enumerate() {
             let start = ci * chunk;
             handles.push(
-                s.spawn(move |_| assign_range(&data[start..start + slice.len()], centroids, slice)),
+                s.spawn(move || assign_range(&data[start..start + slice.len()], centroids, slice)),
             );
         }
         for h in handles {
@@ -181,8 +181,7 @@ fn assign_chunked(
                 any_changed = true;
             }
         }
-    })
-    .expect("crossbeam scope");
+    });
     any_changed
 }
 

@@ -20,16 +20,18 @@
 //!   tables with imbalance highlighting, per-thread bars).
 //! * [`scalability`] — Amdahl/Gustafson model fitting and classification.
 
-pub mod compare;
-pub mod features;
-pub mod hierarchical;
-pub mod kmeans;
-pub mod pca;
-pub mod regression;
-pub mod report;
-pub mod scalability;
-pub mod speedup;
-pub mod stats;
+#![warn(unreachable_pub)]
+
+mod compare;
+mod features;
+mod hierarchical;
+mod kmeans;
+mod pca;
+mod regression;
+mod report;
+mod scalability;
+mod speedup;
+mod stats;
 
 pub use compare::{diff, merge, regressions, DiffEntry};
 pub use features::{thread_event_matrix, thread_metric_matrix, FeatureMatrix};

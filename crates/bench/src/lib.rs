@@ -4,6 +4,8 @@
 //! evaluation (see DESIGN.md §4 for the experiment index and
 //! EXPERIMENTS.md for recorded results).
 
+#![warn(unreachable_pub)]
+
 use perfdmf_core::DatabaseSession;
 use perfdmf_db::Connection;
 use perfdmf_profile::Profile;

@@ -39,21 +39,24 @@
 //! assert_eq!(session.metric_list().unwrap(), vec!["TIME".to_string()]);
 //! ```
 
-pub mod archive;
-pub mod objects;
-pub mod schema;
-pub mod session;
-pub mod upload;
+#![warn(unreachable_pub)]
+
+mod archive;
+mod objects;
+mod schema;
+mod session;
+mod upload;
 
 pub use archive::{dump_archive, restore_archive};
 pub use objects::{Application, Experiment, FlexRow, Trial};
 pub use schema::{create_schema, FLEXIBLE_TABLES, SCHEMA_DDL};
 pub use session::{
     event_aggregates, AtomicEventRow, DatabaseSession, EventAggregate, FileSession,
-    IntervalEventRow,
+    IntervalEventRow, EVENT_AGGREGATES_SQL,
 };
 pub use upload::{
     append_derived_metric, load_trial, load_trial_filtered, save_profile, LoadFilter,
+    INTERVAL_ROWS_SQL,
 };
 
 // Re-export the profile type the API is built around.

@@ -116,7 +116,7 @@ impl FlexRow {
     }
 
     /// Build from a result row (columns must include `id` and `name`).
-    pub fn from_result_row(columns: &[String], row: &[Value]) -> FlexRow {
+    pub(crate) fn from_result_row(columns: &[String], row: &[Value]) -> FlexRow {
         let mut out = FlexRow::new("");
         for (c, v) in columns.iter().zip(row) {
             match c.as_str() {

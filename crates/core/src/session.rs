@@ -150,11 +150,6 @@ impl DatabaseSession {
         };
     }
 
-    /// Currently selected trial id.
-    pub fn selected_trial(&self) -> Option<i64> {
-        self.trial
-    }
-
     // ---------------- listing (the getXxxList() family) ----------------
 
     /// All applications (`getApplicationList()`).
@@ -427,22 +422,6 @@ impl FileSession {
     pub fn profiles(&self) -> &[Profile] {
         &self.profiles
     }
-
-    /// Store every loaded profile into a database session under one
-    /// application/experiment. Returns trial ids. (Bridges the two access
-    /// methods — "the two are not mutually exclusive", §4.)
-    pub fn store_all(
-        &self,
-        session: &mut DatabaseSession,
-        application: &str,
-        experiment: &str,
-    ) -> Result<Vec<i64>> {
-        let mut ids = Vec::with_capacity(self.profiles.len());
-        for p in &self.profiles {
-            ids.push(session.store_profile(application, experiment, p)?);
-        }
-        Ok(ids)
-    }
 }
 
 #[cfg(test)]
@@ -543,6 +522,39 @@ mod tests {
         s.set_node(None);
         let p = s.load_profile().unwrap();
         assert_eq!(p.threads().len(), 4);
+    }
+
+    #[test]
+    fn node_context_thread_selection_loads_one_thread() {
+        // 2 nodes × 3 contexts × 2 threads; each thread's exclusive time
+        // is its position, so a row names the thread it came from.
+        let mut p = Profile::new("smp");
+        let m = p.add_metric(Metric::measured("TIME"));
+        let main = p.add_event(IntervalEvent::new("main", "TAU_USER"));
+        p.add_threads((0..12).map(|i| ThreadId::new(i / 6, i / 2 % 3, i % 2)));
+        for (i, &t) in p.threads().to_vec().iter().enumerate() {
+            p.set_interval(main, t, m, IntervalData::new(100.0, i as f64, 1.0, 0.0));
+        }
+        let mut s = session();
+        let trial = s.store_profile("a", "e", &p).unwrap();
+        s.set_trial(trial);
+        s.set_node(Some(1));
+        s.set_context(Some(2));
+        s.set_thread(Some(1));
+        let loaded = s.load_profile().unwrap();
+        let want = ThreadId::new(1, 2, 1);
+        assert_eq!(loaded.threads(), &[want]);
+        let main = loaded.find_event("main").unwrap();
+        let time = loaded.find_metric("TIME").unwrap();
+        let data = loaded.interval(main, want, time).unwrap();
+        assert_eq!(data.exclusive, p.thread_position(want).unwrap() as f64);
+
+        s.set_thread(None);
+        let contexts = s.load_profile().unwrap();
+        assert_eq!(
+            contexts.threads(),
+            &[ThreadId::new(1, 2, 0), ThreadId::new(1, 2, 1)]
+        );
     }
 
     #[test]

@@ -3,9 +3,7 @@
 //! many right-side rows (EXPLAIN ANALYZE `read=`) for a trial stored
 //! alone as for the same trial among seven others. Nothing is timed.
 
-use perfdmf_core::session::EVENT_AGGREGATES_SQL;
-use perfdmf_core::upload::INTERVAL_ROWS_SQL;
-use perfdmf_core::DatabaseSession;
+use perfdmf_core::{DatabaseSession, EVENT_AGGREGATES_SQL, INTERVAL_ROWS_SQL};
 use perfdmf_db::{Connection, Value};
 use perfdmf_profile::{IntervalData, IntervalEvent, Metric, Profile, ThreadId};
 

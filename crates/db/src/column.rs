@@ -15,7 +15,7 @@
 //! `db.colcache.build` span.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
 use crate::schema::TableSchema;
 use crate::table::Row;
@@ -23,7 +23,7 @@ use crate::value::{DataType, Value};
 use perfdmf_telemetry as telemetry;
 
 /// Rows covered by one column chunk.
-pub const CHUNK_ROWS: usize = 4096;
+pub(crate) const CHUNK_ROWS: usize = 4096;
 
 /// Default cache cap when `PERFDMF_COLCACHE_MB` is unset: 256 MiB.
 const DEFAULT_BUDGET_MB: usize = 256;
@@ -31,17 +31,21 @@ const DEFAULT_BUDGET_MB: usize = 256;
 /// Total bytes currently retained by all column caches in the process.
 static CACHED_BYTES: AtomicUsize = AtomicUsize::new(0);
 
-/// The configured budget in bytes. Read per build so tests can vary it.
-pub fn budget_bytes() -> usize {
-    std::env::var("PERFDMF_COLCACHE_MB")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .unwrap_or(DEFAULT_BUDGET_MB)
-        .saturating_mul(1024 * 1024)
+/// The configured budget in bytes (`PERFDMF_COLCACHE_MB`, read once per
+/// process).
+pub(crate) fn budget_bytes() -> usize {
+    static BUDGET: OnceLock<usize> = OnceLock::new();
+    *BUDGET.get_or_init(|| {
+        std::env::var("PERFDMF_COLCACHE_MB")
+            .ok()
+            .and_then(|v| v.trim().parse::<usize>().ok())
+            .unwrap_or(DEFAULT_BUDGET_MB)
+            .saturating_mul(1024 * 1024)
+    })
 }
 
 /// Bytes currently cached process-wide (approximate).
-pub fn cached_bytes() -> usize {
+pub(crate) fn cached_bytes() -> usize {
     CACHED_BYTES.load(Ordering::Relaxed)
 }
 
@@ -86,7 +90,7 @@ pub struct Chunk {
 
 /// Read bit `i` of a bitmap.
 #[inline]
-pub fn bit(words: &[u64], i: usize) -> bool {
+pub(crate) fn bit(words: &[u64], i: usize) -> bool {
     (words[i >> 6] >> (i & 63)) & 1 == 1
 }
 
@@ -162,7 +166,7 @@ impl Chunk {
 /// Per-table chunk cache. Lives inside [`crate::Table`] behind a mutex
 /// so read-locked query execution can populate it.
 #[derive(Default)]
-pub struct ColumnCache {
+pub(crate) struct ColumnCache {
     inner: Mutex<Vec<Option<Arc<Chunk>>>>,
 }
 
@@ -264,7 +268,7 @@ impl ColumnCache {
     }
 
     /// Number of chunks currently retained (tests / EXPLAIN stats).
-    pub fn cached_chunks(&self) -> usize {
+    pub(crate) fn cached_chunks(&self) -> usize {
         self.inner
             .lock()
             .unwrap()

@@ -84,6 +84,7 @@ impl ParseCache {
             .insert(sql.to_string(), (statement, param_count, tick));
     }
 
+    #[cfg(test)]
     fn len(&self) -> usize {
         self.inner.lock().map.len()
     }
@@ -132,11 +133,6 @@ pub struct Prepared {
 }
 
 impl Prepared {
-    /// Number of `?` placeholders.
-    pub fn param_count(&self) -> usize {
-        self.param_count
-    }
-
     /// The parsed statement.
     pub fn statement(&self) -> &Statement {
         &self.statement
@@ -204,7 +200,8 @@ impl Connection {
     }
 
     /// Number of statements currently retained by the parse cache.
-    pub fn parse_cache_len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn parse_cache_len(&self) -> usize {
         self.parse_cache.len()
     }
 

@@ -14,7 +14,7 @@ use std::collections::HashSet;
 
 /// One accumulator instance (per aggregate expression per group).
 #[derive(Debug, Clone)]
-pub struct Accumulator {
+pub(crate) struct Accumulator {
     func: AggregateFn,
     distinct: bool,
     seen: HashSet<Value>,
@@ -31,7 +31,7 @@ pub struct Accumulator {
 
 impl Accumulator {
     /// New accumulator for `func`.
-    pub fn new(func: AggregateFn, distinct: bool) -> Self {
+    pub(crate) fn new(func: AggregateFn, distinct: bool) -> Self {
         Accumulator {
             func,
             distinct,
@@ -47,7 +47,7 @@ impl Accumulator {
     }
 
     /// Feed one input value. `None` means `COUNT(*)` row marker.
-    pub fn update(&mut self, value: Option<&Value>) -> Result<()> {
+    pub(crate) fn update(&mut self, value: Option<&Value>) -> Result<()> {
         let Some(v) = value else {
             // COUNT(*): every row counts.
             self.count += 1;
@@ -134,19 +134,12 @@ impl Accumulator {
         }
     }
 
-    /// Does this accumulator carry DISTINCT state? DISTINCT aggregates
-    /// dedupe through a HashSet whose contents depend on which partition
-    /// saw a value first, so the parallel path must not split them.
-    pub fn is_distinct(&self) -> bool {
-        self.distinct
-    }
-
     /// Fold another accumulator over the same aggregate expression into
     /// this one. Used by the parallel execution path: each partition feeds
     /// its rows into a private accumulator, then partials are merged in
     /// partition-index order. The merge is commutative up to float
     /// rounding ([`Moments::merge`] is Chan et al.'s pairwise update).
-    pub fn merge(&mut self, other: &Accumulator) -> Result<()> {
+    pub(crate) fn merge(&mut self, other: &Accumulator) -> Result<()> {
         debug_assert_eq!(self.func, other.func);
         if self.distinct || other.distinct {
             return Err(DbError::Unsupported(
@@ -209,7 +202,7 @@ impl Accumulator {
     }
 
     /// Final aggregate value.
-    pub fn finish(&self) -> Value {
+    pub(crate) fn finish(&self) -> Value {
         match self.func {
             AggregateFn::Count => Value::Int(self.count as i64),
             AggregateFn::Min => self.min.clone().unwrap_or(Value::Null),

@@ -16,35 +16,35 @@ use std::borrow::Cow;
 /// the stream is a tuple holding one base row per binding, so a column
 /// resolves to a (binding, column) pair.
 #[derive(Debug, Clone, Default)]
-pub struct Layout {
+pub(crate) struct Layout {
     bindings: Vec<(String, Vec<String>)>,
 }
 
 impl Layout {
     /// Build a layout from `(binding_name, column_names)` pairs.
-    pub fn new(bindings: Vec<(String, Vec<String>)>) -> Self {
+    pub(crate) fn new(bindings: Vec<(String, Vec<String>)>) -> Self {
         Layout { bindings }
     }
 
     /// Single-binding layout.
-    pub fn single(name: impl Into<String>, columns: Vec<String>) -> Self {
+    pub(crate) fn single(name: impl Into<String>, columns: Vec<String>) -> Self {
         Layout::new(vec![(name.into(), columns)])
     }
 
     /// Bindings (table name/alias → column list).
-    pub fn bindings(&self) -> &[(String, Vec<String>)] {
+    pub(crate) fn bindings(&self) -> &[(String, Vec<String>)] {
         &self.bindings
     }
 
     /// Position of a binding, by case-insensitive name.
-    pub fn binding_index(&self, name: &str) -> Option<usize> {
+    pub(crate) fn binding_index(&self, name: &str) -> Option<usize> {
         self.bindings
             .iter()
             .position(|(b, _)| b.eq_ignore_ascii_case(name))
     }
 
     /// Resolve a column reference to `(binding, column)`.
-    pub fn resolve(&self, table: Option<&str>, column: &str) -> Result<(usize, usize)> {
+    pub(crate) fn resolve(&self, table: Option<&str>, column: &str) -> Result<(usize, usize)> {
         let find = |cols: &[String]| cols.iter().position(|c| c.eq_ignore_ascii_case(column));
         match table {
             Some(t) => {
@@ -84,7 +84,7 @@ impl Layout {
     /// is where the executor resolves names: once per statement, before
     /// any row is read, so an unknown or ambiguous column fails whatever
     /// the tables hold.
-    pub fn bind(&self, expr: &Expr) -> Result<Expr> {
+    pub(crate) fn bind(&self, expr: &Expr) -> Result<Expr> {
         match expr {
             Expr::Column { table, column } => {
                 let (binding, column) = self.resolve(table.as_deref(), column)?;
@@ -99,7 +99,7 @@ static NULL: Value = Value::Null;
 
 /// Evaluation context: the current row tuple and bound parameters.
 #[derive(Debug, Clone, Copy)]
-pub struct Env<'a> {
+pub(crate) struct Env<'a> {
     /// One base row per binding of the layout the expression was bound
     /// against; `None` (a LEFT-join miss) reads as NULL.
     pub row: &'a [Option<&'a Row>],
@@ -109,18 +109,18 @@ pub struct Env<'a> {
 
 impl<'a> Env<'a> {
     /// Construct an environment.
-    pub fn new(row: &'a [Option<&'a Row>], params: &'a [Value]) -> Self {
+    pub(crate) fn new(row: &'a [Option<&'a Row>], params: &'a [Value]) -> Self {
         Env { row, params }
     }
 
     /// The value in a bound slot, borrowed from its base row.
-    pub fn slot(&self, binding: usize, column: usize) -> &'a Value {
+    pub(crate) fn slot(&self, binding: usize, column: usize) -> &'a Value {
         self.row[binding].map_or(&NULL, |r| &r[column])
     }
 }
 
 /// Evaluate an expression, borrowing the value when it is a bound column.
-pub fn eval_ref<'a>(expr: &Expr, env: &Env<'a>) -> Result<Cow<'a, Value>> {
+pub(crate) fn eval_ref<'a>(expr: &Expr, env: &Env<'a>) -> Result<Cow<'a, Value>> {
     match expr {
         Expr::Slot { binding, column } => Ok(Cow::Borrowed(env.slot(*binding, *column))),
         _ => eval(expr, env).map(Cow::Owned),
@@ -130,7 +130,7 @@ pub fn eval_ref<'a>(expr: &Expr, env: &Env<'a>) -> Result<Cow<'a, Value>> {
 /// Evaluate an expression whose columns were bound by [`Layout::bind`].
 /// Aggregate nodes are an error here — the grouped executor substitutes
 /// them with literals before calling this.
-pub fn eval(expr: &Expr, env: &Env<'_>) -> Result<Value> {
+pub(crate) fn eval(expr: &Expr, env: &Env<'_>) -> Result<Value> {
     match expr {
         Expr::Literal(v) => Ok(v.clone()),
         Expr::Param(i) => env
@@ -232,7 +232,7 @@ pub fn eval(expr: &Expr, env: &Env<'_>) -> Result<Value> {
 }
 
 /// Evaluate a condition for WHERE/HAVING/ON: NULL counts as false.
-pub fn eval_condition(expr: &Expr, env: &Env<'_>) -> Result<bool> {
+pub(crate) fn eval_condition(expr: &Expr, env: &Env<'_>) -> Result<bool> {
     Ok(eval_ref(expr, env)?.as_bool() == Some(true))
 }
 
@@ -354,7 +354,7 @@ fn arithmetic(op: BinaryOp, l: &Value, r: &Value) -> Result<Value> {
 }
 
 /// SQL LIKE with `%` (any run) and `_` (any single char). Case-sensitive.
-pub fn like_match(text: &str, pattern: &str) -> bool {
+pub(crate) fn like_match(text: &str, pattern: &str) -> bool {
     fn rec(t: &[char], p: &[char]) -> bool {
         match p.split_first() {
             None => t.is_empty(),

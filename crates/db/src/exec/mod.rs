@@ -1,9 +1,9 @@
 //! Statement execution.
 
-pub mod aggregate;
-pub mod eval;
-pub mod select;
-pub mod vector;
+pub(crate) mod aggregate;
+pub(crate) mod eval;
+pub(crate) mod select;
+pub(crate) mod vector;
 
 use crate::database::Database;
 use crate::error::{DbError, Result};
@@ -49,7 +49,7 @@ impl ResultSet {
     }
 
     /// Index of a column by (case-insensitive) name.
-    pub fn column_index(&self, name: &str) -> Option<usize> {
+    pub(crate) fn column_index(&self, name: &str) -> Option<usize> {
         self.columns
             .iter()
             .position(|c| c.eq_ignore_ascii_case(name))
@@ -155,7 +155,7 @@ impl Outcome {
 /// Statement-level atomicity: on error, any partial effects are rolled
 /// back; on success outside an explicit transaction, effects are committed
 /// (autocommit).
-pub fn execute(db: &mut Database, stmt: &Statement, params: &[Value]) -> Result<Outcome> {
+pub(crate) fn execute(db: &mut Database, stmt: &Statement, params: &[Value]) -> Result<Outcome> {
     db.atomically(|db| execute_inner(db, stmt, params))
 }
 

@@ -233,7 +233,7 @@ pub(crate) fn grouped_only(expr: &Expr, group_by: &[Expr]) -> bool {
 // ---------------- execution ----------------
 
 /// Execute a SELECT.
-pub fn execute_select(db: &Database, sel: &Select, params: &[Value]) -> Result<ResultSet> {
+pub(crate) fn execute_select(db: &Database, sel: &Select, params: &[Value]) -> Result<ResultSet> {
     Ok(run_select(db, sel, params, None)?.1)
 }
 
@@ -858,7 +858,7 @@ fn exec_columnar(
 /// so it cannot drift from reality. Subqueries are not run, so this
 /// plans the unresolved statement. Fired rewrite rules are appended as
 /// `optimizer:` trail lines.
-pub fn explain_select(db: &Database, sel: &Select, params: &[Value]) -> Result<Vec<String>> {
+pub(crate) fn explain_select(db: &Database, sel: &Select, params: &[Value]) -> Result<Vec<String>> {
     let planned = plan::plan_select(db, sel, params, select_has_subqueries(sel))?;
     Ok(render_plan(&planned, None))
 }
@@ -870,7 +870,7 @@ pub fn explain_select(db: &Database, sel: &Select, params: &[Value]) -> Result<V
 /// `ResultSet` provenance verbatim (rows returned, rows scanned,
 /// elapsed), so the annotated plan cannot disagree with what a plain
 /// execution reports.
-pub fn explain_analyze_select(
+pub(crate) fn explain_analyze_select(
     db: &Database,
     sel: &Select,
     params: &[Value],

@@ -36,6 +36,7 @@ use perfdmf_pool as pool;
 use std::cell::Cell;
 use std::cmp::Ordering;
 use std::ops::Range;
+use std::sync::OnceLock;
 
 // ---------------- columnar mode ----------------
 
@@ -55,17 +56,18 @@ thread_local! {
 }
 
 /// The effective columnar mode: a thread-local override if set, else the
-/// `PERFDMF_COLUMNAR` environment variable (`0` off, `1` force), else
-/// [`ColumnarMode::Auto`].
+/// `PERFDMF_COLUMNAR` environment variable (`0` off, `1` force; read
+/// once per process), else [`ColumnarMode::Auto`].
 pub fn columnar_mode() -> ColumnarMode {
+    static FROM_ENV: OnceLock<ColumnarMode> = OnceLock::new();
     if let Some(m) = MODE_OVERRIDE.with(|c| c.get()) {
         return m;
     }
-    match std::env::var("PERFDMF_COLUMNAR").ok().as_deref() {
+    *FROM_ENV.get_or_init(|| match std::env::var("PERFDMF_COLUMNAR").ok().as_deref() {
         Some("0") | Some("off") | Some("false") => ColumnarMode::Off,
         Some("1") | Some("on") | Some("force") | Some("true") => ColumnarMode::Force,
         _ => ColumnarMode::Auto,
-    }
+    })
 }
 
 /// Force a columnar mode for the current thread until the guard drops.
@@ -182,7 +184,7 @@ pub(crate) struct ColumnarPlan {
 
 impl ColumnarPlan {
     /// Number of compiled predicates (EXPLAIN detail).
-    pub fn pred_count(&self) -> usize {
+    pub(crate) fn pred_count(&self) -> usize {
         self.preds.len()
     }
 }

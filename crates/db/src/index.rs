@@ -131,7 +131,7 @@ impl Index {
     }
 
     /// Smallest indexed key, if any.
-    pub fn min_key(&self) -> Option<&Value> {
+    pub(crate) fn min_key(&self) -> Option<&Value> {
         self.map.keys().next()
     }
 
@@ -215,7 +215,7 @@ impl Index {
     }
 
     /// All row ids in ascending key order.
-    pub fn scan_asc(&self) -> Vec<RowId> {
+    pub(crate) fn scan_asc(&self) -> Vec<RowId> {
         let mut out = Vec::with_capacity(self.entries);
         for ids in self.map.values() {
             out.extend_from_slice(ids.as_slice());

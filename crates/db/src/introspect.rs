@@ -38,24 +38,7 @@ use perfdmf_telemetry as telemetry;
 use perfdmf_telemetry::snapshot::EXPORTED_QUANTILES;
 
 /// The reserved table-name prefix.
-pub const SYSTEM_PREFIX: &str = "perfdmf_";
-
-/// Every virtual system table, in catalog order.
-pub const SYSTEM_TABLES: [&str; 13] = [
-    "perfdmf_counters",
-    "perfdmf_histograms",
-    "perfdmf_slow_queries",
-    "perfdmf_spans",
-    "perfdmf_tables",
-    "perfdmf_columns",
-    "perfdmf_colcache",
-    "perfdmf_pool",
-    "perfdmf_metrics_history",
-    "perfdmf_regressions",
-    "perfdmf_sessions",
-    "perfdmf_requests",
-    "perfdmf_request_summary",
-];
+pub(crate) const SYSTEM_PREFIX: &str = "perfdmf_";
 
 /// True when `name` falls in the reserved namespace (case-insensitive,
 /// like all table-name resolution).
@@ -64,14 +47,8 @@ pub fn is_reserved_name(name: &str) -> bool {
     lower.starts_with(SYSTEM_PREFIX)
 }
 
-/// True when `name` is one of the defined virtual system tables.
-pub fn is_system_table(name: &str) -> bool {
-    let lower = name.to_ascii_lowercase();
-    SYSTEM_TABLES.contains(&lower.as_str())
-}
-
 /// Reject DDL targeting the reserved namespace.
-pub fn check_ddl_name(name: &str) -> Result<()> {
+pub(crate) fn check_ddl_name(name: &str) -> Result<()> {
     if is_reserved_name(name) {
         Err(DbError::ReservedTableName(name.to_string()))
     } else {
@@ -81,7 +58,7 @@ pub fn check_ddl_name(name: &str) -> Result<()> {
 
 /// Reject DML targeting a system table (or any reserved name: even an
 /// undefined `perfdmf_x` cannot be written, it can only not exist).
-pub fn check_dml_name(name: &str) -> Result<()> {
+pub(crate) fn check_dml_name(name: &str) -> Result<()> {
     if is_reserved_name(name) {
         Err(DbError::ReadOnlySystemTable(name.to_string()))
     } else {
@@ -92,7 +69,7 @@ pub fn check_dml_name(name: &str) -> Result<()> {
 /// Materialize the named system table from live engine state. Returns
 /// `None` for names outside the catalog (including undefined reserved
 /// names, which then fall through to `NoSuchTable`).
-pub fn materialize(db: &Database, name: &str) -> Option<Table> {
+pub(crate) fn materialize(db: &Database, name: &str) -> Option<Table> {
     match name.to_ascii_lowercase().as_str() {
         "perfdmf_counters" => Some(counters_table()),
         "perfdmf_histograms" => Some(histograms_table()),
@@ -604,6 +581,23 @@ fn request_summary_table() -> Table {
 mod tests {
     use super::*;
 
+    /// Every virtual system table, in catalog order.
+    const SYSTEM_TABLES: [&str; 13] = [
+        "perfdmf_counters",
+        "perfdmf_histograms",
+        "perfdmf_slow_queries",
+        "perfdmf_spans",
+        "perfdmf_tables",
+        "perfdmf_columns",
+        "perfdmf_colcache",
+        "perfdmf_pool",
+        "perfdmf_metrics_history",
+        "perfdmf_regressions",
+        "perfdmf_sessions",
+        "perfdmf_requests",
+        "perfdmf_request_summary",
+    ];
+
     #[test]
     fn reserved_names_are_case_insensitive() {
         assert!(is_reserved_name("perfdmf_counters"));
@@ -620,7 +614,6 @@ mod tests {
     fn every_catalog_table_materializes() {
         let db = Database::new();
         for name in SYSTEM_TABLES {
-            assert!(is_system_table(name));
             let t = materialize(&db, name).expect(name);
             assert_eq!(t.schema.name, name);
             assert!(!t.schema.columns.is_empty());

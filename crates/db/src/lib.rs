@@ -46,22 +46,24 @@
 //! assert_eq!(rs.get(0, "name"), Some(&Value::from("EVH1")));
 //! ```
 
-pub mod column;
-pub mod connection;
-pub mod database;
+#![warn(unreachable_pub)]
+
+mod column;
+mod connection;
+mod database;
 mod error;
-pub mod exec;
-pub mod faults;
-pub mod index;
-pub mod introspect;
-pub mod observe;
-pub mod plan;
-pub mod schema;
-pub mod sql;
+mod exec;
+mod faults;
+mod index;
+mod introspect;
+mod observe;
+mod plan;
+mod schema;
+mod sql;
 pub mod storage;
-pub mod table;
-pub mod value;
-pub mod vfs;
+mod table;
+mod value;
+mod vfs;
 
 pub use connection::{Connection, Prepared, TransactionHandle};
 pub use database::Database;
@@ -69,6 +71,7 @@ pub use error::{DbError, Result};
 pub use exec::vector::{columnar_mode, override_for_thread as override_columnar, ColumnarMode};
 pub use exec::{Outcome, ResultSet};
 pub use faults::{FaultKind, FaultPlan, FaultVfs};
+pub use introspect::is_reserved_name;
 pub use observe::{
     set_slow_query_threshold, slow_query_log, slow_query_threshold, SlowQueryRecord,
 };

@@ -76,11 +76,6 @@ pub fn slow_query_log() -> Vec<SlowQueryRecord> {
     SLOW_LOG.lock().to_vec()
 }
 
-/// Drop all retained slow statements (sequence numbers keep counting).
-pub fn clear_slow_query_log() {
-    SLOW_LOG.lock().clear();
-}
-
 fn retain_slow_query(record: SlowQueryRecord) {
     SLOW_LOG
         .lock()
@@ -107,7 +102,7 @@ pub fn set_slow_query_threshold(threshold: Duration) {
 /// Called while the statement's `db.exec` span is still open, so with
 /// causal tracing on the retained record carries the active trace id
 /// and can be joined to its span tree in a flight-recorder dump.
-pub fn record_statement(sql: &str, outcome: &Result<Outcome>, elapsed: Duration) {
+pub(crate) fn record_statement(sql: &str, outcome: &Result<Outcome>, elapsed: Duration) {
     if !telemetry::enabled() {
         return;
     }

@@ -86,7 +86,7 @@ pub(crate) struct ScanNode<'a> {
 
 impl ScanNode<'_> {
     /// Single-binding layout of this scan's output.
-    pub fn layout1(&self) -> Layout {
+    pub(crate) fn layout1(&self) -> Layout {
         Layout::single(self.binding.clone(), self.columns.clone())
     }
 }

@@ -20,7 +20,7 @@
 
 pub(crate) mod cost;
 pub(crate) mod ir;
-pub mod rules;
+pub(crate) mod rules;
 
 pub use rules::{optimizer_config, override_for_thread, OptimizerConfig, OptimizerOverrideGuard};
 

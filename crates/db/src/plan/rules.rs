@@ -28,6 +28,7 @@
 //! rule by the names above.
 
 use std::cell::Cell;
+use std::sync::OnceLock;
 
 use super::ir::{
     base_scan_mut, map_pipeline, pipeline_layout, pipeline_mut, LogicalPlan, ScanNode, TrailEntry,
@@ -88,11 +89,15 @@ impl OptimizerConfig {
         cfg
     }
 
+    /// `PERFDMF_OPTIMIZER`, read once per process.
     fn from_env() -> Self {
-        match std::env::var("PERFDMF_OPTIMIZER").ok().as_deref() {
-            Some("off" | "0" | "false") => Self::disabled(),
-            _ => Self::all_on(),
-        }
+        static FROM_ENV: OnceLock<OptimizerConfig> = OnceLock::new();
+        *FROM_ENV.get_or_init(
+            || match std::env::var("PERFDMF_OPTIMIZER").ok().as_deref() {
+                Some("off" | "0" | "false") => Self::disabled(),
+                _ => Self::all_on(),
+            },
+        )
     }
 }
 

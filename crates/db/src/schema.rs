@@ -145,7 +145,7 @@ impl TableSchema {
     }
 
     /// Index of a column by (case-insensitive) name.
-    pub fn column_index(&self, name: &str) -> Option<usize> {
+    pub(crate) fn column_index(&self, name: &str) -> Option<usize> {
         self.columns
             .iter()
             .position(|c| c.name.eq_ignore_ascii_case(name))
@@ -157,12 +157,13 @@ impl TableSchema {
     }
 
     /// Index of the primary-key column, if any.
-    pub fn primary_key_index(&self) -> Option<usize> {
+    pub(crate) fn primary_key_index(&self) -> Option<usize> {
         self.columns.iter().position(|c| c.primary_key)
     }
 
     /// Column names in order (the `getMetaData()` equivalent).
-    pub fn column_names(&self) -> Vec<&str> {
+    #[cfg(test)]
+    pub(crate) fn column_names(&self) -> Vec<&str> {
         self.columns.iter().map(|c| c.name.as_str()).collect()
     }
 

@@ -84,7 +84,7 @@ pub struct TableRef {
 
 impl TableRef {
     /// Name this table is addressed by in the query.
-    pub fn effective_name(&self) -> &str {
+    pub(crate) fn effective_name(&self) -> &str {
         self.alias.as_deref().unwrap_or(&self.table)
     }
 }
@@ -295,7 +295,8 @@ impl Expr {
     }
 
     /// Literal shorthand.
-    pub fn lit(v: impl Into<Value>) -> Expr {
+    #[cfg(test)]
+    pub(crate) fn lit(v: impl Into<Value>) -> Expr {
         Expr::Literal(v.into())
     }
 
@@ -306,7 +307,7 @@ impl Expr {
     /// variants they treat specially. A subquery body is a separate
     /// statement, not a child: `IN (SELECT ...)` has its operand as its
     /// one child, scalar and `EXISTS` subqueries none.
-    pub fn any_child<'a>(&'a self, mut f: impl FnMut(&'a Expr) -> bool) -> bool {
+    pub(crate) fn any_child<'a>(&'a self, mut f: impl FnMut(&'a Expr) -> bool) -> bool {
         match self {
             Expr::Literal(_)
             | Expr::Param(_)
@@ -334,7 +335,7 @@ impl Expr {
     }
 
     /// Call `f` on every direct child.
-    pub fn for_each_child<'a>(&'a self, mut f: impl FnMut(&'a Expr)) {
+    pub(crate) fn for_each_child<'a>(&'a self, mut f: impl FnMut(&'a Expr)) {
         self.any_child(|c| {
             f(c);
             false
@@ -345,7 +346,7 @@ impl Expr {
     /// visiting the children [`Expr::any_child`] visits, in the
     /// same order. Everything else (operators, names, subquery bodies) is
     /// copied.
-    pub fn try_map_children<E>(
+    pub(crate) fn try_map_children<E>(
         &self,
         mut f: impl FnMut(&Expr) -> Result<Expr, E>,
     ) -> Result<Expr, E> {
@@ -428,12 +429,12 @@ impl Expr {
     }
 
     /// True if this expression (sub)tree contains an aggregate call.
-    pub fn contains_aggregate(&self) -> bool {
+    pub(crate) fn contains_aggregate(&self) -> bool {
         matches!(self, Expr::Aggregate { .. }) || self.any_child(Expr::contains_aggregate)
     }
 
     /// Display name used for an unaliased projection of this expression.
-    pub fn default_name(&self) -> String {
+    pub(crate) fn default_name(&self) -> String {
         match self {
             Expr::Column { column, .. } => column.clone(),
             Expr::Aggregate { func, arg, .. } => match arg {

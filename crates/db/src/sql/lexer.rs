@@ -4,7 +4,7 @@ use crate::error::{DbError, Result};
 
 /// A lexical token with its byte position in the source.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Token {
+pub(crate) struct Token {
     pub kind: TokenKind,
     pub pos: usize,
 }
@@ -13,7 +13,7 @@ pub struct Token {
 /// uppercase `Keyword`s; everything else that looks like a name is an
 /// `Ident`.
 #[derive(Debug, Clone, PartialEq)]
-pub enum TokenKind {
+pub(crate) enum TokenKind {
     Keyword(String),
     Ident(String),
     /// `"quoted identifier"` (case preserved).
@@ -114,7 +114,7 @@ const KEYWORDS: &[&str] = &[
 ];
 
 /// Tokenize SQL text.
-pub fn tokenize(sql: &str) -> Result<Vec<Token>> {
+pub(crate) fn tokenize(sql: &str) -> Result<Vec<Token>> {
     let bytes = sql.as_bytes();
     let mut tokens = Vec::new();
     let mut i = 0usize;

@@ -1,3 +1,3 @@
-pub mod ast;
-pub mod lexer;
-pub mod parser;
+pub(crate) mod ast;
+pub(crate) mod lexer;
+pub(crate) mod parser;

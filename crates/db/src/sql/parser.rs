@@ -7,21 +7,13 @@ use crate::schema::ColumnDef;
 use crate::value::{DataType, Value};
 
 /// Parse a single SQL statement (an optional trailing `;` is allowed).
-pub fn parse_statement(sql: &str) -> Result<Statement> {
-    let tokens = tokenize(sql)?;
-    let mut p = Parser {
-        tokens,
-        pos: 0,
-        params: 0,
-    };
-    let stmt = p.statement()?;
-    p.eat_kind(&TokenKind::Semicolon);
-    p.expect_eof()?;
-    Ok(stmt)
+#[cfg(test)]
+pub(crate) fn parse_statement(sql: &str) -> Result<Statement> {
+    parse_statement_with_params(sql).map(|(stmt, _)| stmt)
 }
 
 /// Parse a statement and report how many `?` parameters it uses.
-pub fn parse_statement_with_params(sql: &str) -> Result<(Statement, usize)> {
+pub(crate) fn parse_statement_with_params(sql: &str) -> Result<(Statement, usize)> {
     let tokens = tokenize(sql)?;
     let mut p = Parser {
         tokens,

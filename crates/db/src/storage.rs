@@ -38,7 +38,7 @@ const SNAPSHOT_MAGIC: &[u8; 4] = b"PDMF";
 const WAL_MAGIC: &[u8; 4] = b"PWAL";
 /// Current on-disk format. v2 added the generation field; v1 files are
 /// still readable (generation 0).
-pub const FORMAT_VERSION: u32 = 2;
+pub(crate) const FORMAT_VERSION: u32 = 2;
 
 /// A committed change, as recorded in the WAL.
 #[derive(Debug, Clone, PartialEq)]
@@ -489,27 +489,27 @@ pub enum Durability {
 /// [`Wal::append`] writes them. Row changes are encoded straight from the
 /// table's row, so logging a row costs its encoded bytes and nothing else.
 #[derive(Debug, Default)]
-pub struct WalBatch {
+pub(crate) struct WalBatch {
     frames: Vec<u8>,
     records: usize,
 }
 
 /// A position in a [`WalBatch`], for rolling a failed statement back.
 #[derive(Debug, Clone, Copy)]
-pub struct BatchMark {
+pub(crate) struct BatchMark {
     bytes: usize,
     records: usize,
 }
 
 impl WalBatch {
     /// Add a record.
-    pub fn push(&mut self, rec: &WalRecord) {
+    pub(crate) fn push(&mut self, rec: &WalRecord) {
         put_frame(&mut self.frames, |b| put_record(b, rec));
         self.records += 1;
     }
 
     /// Add an Insert record for `row` at `id` in `table`.
-    pub fn push_insert(&mut self, table: &str, id: RowId, row: &Row) {
+    pub(crate) fn push_insert(&mut self, table: &str, id: RowId, row: &Row) {
         put_frame(&mut self.frames, |b| {
             put_row_change(b, TAG_INSERT, table, id, row)
         });
@@ -517,7 +517,7 @@ impl WalBatch {
     }
 
     /// Add an Update record replacing row `id` of `table` with `row`.
-    pub fn push_update(&mut self, table: &str, id: RowId, row: &Row) {
+    pub(crate) fn push_update(&mut self, table: &str, id: RowId, row: &Row) {
         put_frame(&mut self.frames, |b| {
             put_row_change(b, TAG_UPDATE, table, id, row)
         });
@@ -525,12 +525,12 @@ impl WalBatch {
     }
 
     /// True if the batch holds no records.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.records == 0
     }
 
     /// The current end of the batch.
-    pub fn mark(&self) -> BatchMark {
+    pub(crate) fn mark(&self) -> BatchMark {
         BatchMark {
             bytes: self.frames.len(),
             records: self.records,
@@ -538,13 +538,13 @@ impl WalBatch {
     }
 
     /// Drop every record added after `mark`.
-    pub fn truncate(&mut self, mark: BatchMark) {
+    pub(crate) fn truncate(&mut self, mark: BatchMark) {
         self.frames.truncate(mark.bytes);
         self.records = mark.records;
     }
 
     /// Empty the batch, keeping its buffer for the next one.
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         self.truncate(BatchMark {
             bytes: 0,
             records: 0,
@@ -553,7 +553,7 @@ impl WalBatch {
 }
 
 /// Append-only write-ahead log handle.
-pub struct Wal {
+pub(crate) struct Wal {
     file: Box<dyn VfsFile>,
     path: PathBuf,
     generation: u64,
@@ -582,7 +582,12 @@ impl Wal {
     /// caller has just scanned or rewritten the file; `file_bytes` is its
     /// current length and is ignored when the file does not exist yet).
     /// Creates the file with a fresh header if absent.
-    pub fn attach(vfs: Arc<dyn Vfs>, path: &Path, generation: u64, file_bytes: u64) -> Result<Wal> {
+    pub(crate) fn attach(
+        vfs: Arc<dyn Vfs>,
+        path: &Path,
+        generation: u64,
+        file_bytes: u64,
+    ) -> Result<Wal> {
         let exists = vfs.exists(path);
         let mut file = vfs
             .open_append(path)
@@ -607,12 +612,12 @@ impl Wal {
     }
 
     /// Set when commit batches must reach stable storage.
-    pub fn set_durability(&mut self, durability: Durability) {
+    pub(crate) fn set_durability(&mut self, durability: Durability) {
         self.durability = durability;
     }
 
     /// Current durability mode.
-    pub fn durability(&self) -> Durability {
+    pub(crate) fn durability(&self) -> Durability {
         self.durability
     }
 
@@ -621,7 +626,12 @@ impl Wal {
     /// [`WalScan::committed_frames`] — (write temp + fsync + rename), then
     /// open it for appending. Used on recovery so a crash mid-rewrite can
     /// never lose the committed prefix.
-    pub fn rewrite(vfs: Arc<dyn Vfs>, path: &Path, generation: u64, frames: &[u8]) -> Result<Wal> {
+    pub(crate) fn rewrite(
+        vfs: Arc<dyn Vfs>,
+        path: &Path,
+        generation: u64,
+        frames: &[u8],
+    ) -> Result<Wal> {
         let mut out = wal_header(generation);
         out.put_slice(frames);
         let tmp = path.with_extension("tmp");
@@ -644,7 +654,7 @@ impl Wal {
 
     /// Append a batch of framed records; flushes to the OS at the end (one
     /// syscall per batch, not per record).
-    pub fn append(&mut self, batch: &WalBatch) -> Result<()> {
+    pub(crate) fn append(&mut self, batch: &WalBatch) -> Result<()> {
         let _span = telemetry::span("db.wal.append");
         if self.poisoned {
             return Err(DbError::Corrupt(
@@ -701,7 +711,7 @@ impl Wal {
 
     /// Truncate the log back to empty and stamp a new generation (after a
     /// checkpoint wrote the snapshot at that generation).
-    pub fn reset_to(&mut self, generation: u64) -> Result<()> {
+    pub(crate) fn reset_to(&mut self, generation: u64) -> Result<()> {
         self.file
             .set_len(0)
             .map_err(|e| DbError::io("wal truncate", e))?;
@@ -719,13 +729,8 @@ impl Wal {
         Ok(())
     }
 
-    /// Path of the log file.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
     /// Generation stamped in the log header.
-    pub fn generation(&self) -> u64 {
+    pub(crate) fn generation(&self) -> u64 {
         self.generation
     }
 }
@@ -734,7 +739,7 @@ impl Wal {
 /// decide whether (and how) to repair it. The committed records themselves
 /// went to the scan's visitor.
 #[derive(Debug, Clone)]
-pub struct WalScan {
+pub(crate) struct WalScan {
     /// The whole file as read.
     bytes: Vec<u8>,
     /// Header length (0 if the header itself was torn).
@@ -761,7 +766,7 @@ pub struct WalScan {
 impl WalScan {
     /// Does the on-disk file differ from the committed prefix at the
     /// current format version (i.e. should recovery rewrite it)?
-    pub fn needs_rewrite(&self) -> bool {
+    pub(crate) fn needs_rewrite(&self) -> bool {
         self.torn_header
             || self.torn_tail
             || self.uncommitted > 0
@@ -771,7 +776,7 @@ impl WalScan {
 
     /// The committed records as framed on disk (header excluded), ready
     /// for [`Wal::rewrite`]. Frames are the same in every format version.
-    pub fn committed_frames(&self) -> &[u8] {
+    pub(crate) fn committed_frames(&self) -> &[u8] {
         &self.bytes[self.header_bytes..self.committed_bytes as usize]
     }
 
@@ -799,7 +804,7 @@ impl WalScan {
 /// time. A log whose generation is below `min_generation` predates the
 /// snapshot: it is still scanned, but nothing is visited. An error from
 /// `visit` ends the scan with that error.
-pub fn scan_wal(
+pub(crate) fn scan_wal(
     vfs: &dyn Vfs,
     path: &Path,
     min_generation: u64,
@@ -897,7 +902,7 @@ pub fn scan_wal(
 /// Serialize all tables to a snapshot file (atomic: write temp + fsync +
 /// rename). A sync failure is propagated — a snapshot that may not have
 /// reached stable storage must not replace the old one silently.
-pub fn write_snapshot(
+pub(crate) fn write_snapshot(
     vfs: &dyn Vfs,
     path: &Path,
     tables: &[(&String, &Table)],
@@ -957,7 +962,7 @@ pub fn encode_snapshot(tables: &[(&String, &Table)], generation: u64) -> Vec<u8>
 }
 
 /// Load tables (and the header generation) from a snapshot file.
-pub fn read_snapshot(vfs: &dyn Vfs, path: &Path) -> Result<(Vec<Table>, u64)> {
+pub(crate) fn read_snapshot(vfs: &dyn Vfs, path: &Path) -> Result<(Vec<Table>, u64)> {
     let bytes = vfs
         .read(path)
         .map_err(|e| DbError::io("snapshot read", e))?;

@@ -123,7 +123,7 @@ impl Table {
     }
 
     /// Restore the AUTO_INCREMENT counter (used by WAL replay / rollback).
-    pub fn set_next_auto_value(&mut self, v: i64) {
+    pub(crate) fn set_next_auto_value(&mut self, v: i64) {
         self.next_auto = v;
     }
 
@@ -229,7 +229,7 @@ impl Table {
     /// only when `id` reuses a tombstone. That slot sits at or near the
     /// back of the free list (inserts reuse the most recently freed slot
     /// first), so the search runs from the back.
-    pub fn insert_at(&mut self, id: RowId, row: Row) -> Result<()> {
+    pub(crate) fn insert_at(&mut self, id: RowId, row: Row) -> Result<()> {
         let idx = self.slot_index(id)?;
         let old_len = self.rows.len();
         if self.rows.get(idx).is_some_and(Option::is_some) {
@@ -383,7 +383,7 @@ impl Table {
     }
 
     /// Find an index (any) on the given column offset, preferring unique.
-    pub fn index_on(&self, column: usize) -> Option<&Index> {
+    pub(crate) fn index_on(&self, column: usize) -> Option<&Index> {
         let mut best: Option<&Index> = None;
         for index in self.indexes.values() {
             if index.column == column && (best.is_none() || index.unique) {
@@ -433,7 +433,7 @@ impl Table {
     }
 
     /// Number of column chunks covering the slab.
-    pub fn chunk_count(&self) -> usize {
+    pub(crate) fn chunk_count(&self) -> usize {
         self.rows.len().div_ceil(CHUNK_ROWS)
     }
 
@@ -444,7 +444,7 @@ impl Table {
     }
 
     /// Number of column chunks currently cached (tests / EXPLAIN stats).
-    pub fn cached_chunk_count(&self) -> usize {
+    pub(crate) fn cached_chunk_count(&self) -> usize {
         self.colcache.cached_chunks()
     }
 }

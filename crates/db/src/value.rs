@@ -92,7 +92,7 @@ pub struct IStr {
 
 impl IStr {
     /// Intern `s`, returning the canonical handle for its contents.
-    pub fn intern(s: &str) -> IStr {
+    pub(crate) fn intern(s: &str) -> IStr {
         // A hit clones the map's own key, which the lookup just compared,
         // instead of touching the id-ordered `strings` table as well.
         {
@@ -124,7 +124,7 @@ impl IStr {
     }
 
     /// Resolve a dictionary id previously minted by [`IStr::id`].
-    pub fn from_id(id: u32) -> Option<IStr> {
+    pub(crate) fn from_id(id: u32) -> Option<IStr> {
         let rd = interner().read().unwrap();
         rd.strings.get(id as usize).map(|s| IStr {
             id,
@@ -241,7 +241,7 @@ pub enum Value {
 
 impl Value {
     /// The data type of this value, or `None` for NULL.
-    pub fn data_type(&self) -> Option<DataType> {
+    pub(crate) fn data_type(&self) -> Option<DataType> {
         match self {
             Value::Null => None,
             Value::Int(_) => Some(DataType::Integer),
@@ -300,7 +300,7 @@ impl Value {
     /// This implements column-type coercion on INSERT/UPDATE: integers widen
     /// to doubles, numeric text parses, booleans map to 0/1, etc. NULL
     /// coerces to any type.
-    pub fn coerce(&self, ty: DataType) -> Option<Value> {
+    pub(crate) fn coerce(&self, ty: DataType) -> Option<Value> {
         match (self, ty) {
             (Value::Null, _) => Some(Value::Null),
             (v, t) if v.data_type() == Some(t) => Some(v.clone()),
@@ -327,7 +327,7 @@ impl Value {
     /// SQL equality: NULL is not equal to anything (including NULL).
     ///
     /// Returns `None` when either side is NULL (unknown), per SQL semantics.
-    pub fn sql_eq(&self, other: &Value) -> Option<bool> {
+    pub(crate) fn sql_eq(&self, other: &Value) -> Option<bool> {
         if self.is_null() || other.is_null() {
             return None;
         }
@@ -335,7 +335,7 @@ impl Value {
     }
 
     /// SQL comparison (`None` if either side is NULL).
-    pub fn sql_cmp(&self, other: &Value) -> Option<Ordering> {
+    pub(crate) fn sql_cmp(&self, other: &Value) -> Option<Ordering> {
         if self.is_null() || other.is_null() {
             return None;
         }
@@ -373,7 +373,7 @@ impl Value {
 /// Format a float the way SQL text conversion expects (no trailing `.0`
 /// stripping surprises; integral values keep one decimal for round-trip
 /// clarity).
-pub fn format_float(f: f64) -> String {
+pub(crate) fn format_float(f: f64) -> String {
     if f.is_finite() && f.fract() == 0.0 && f.abs() < 1e15 {
         format!("{f:.1}")
     } else {

@@ -55,7 +55,7 @@ pub trait Vfs: Send + Sync + std::fmt::Debug {
 pub struct RealVfs;
 
 /// Shared handle to the production VFS.
-pub fn real() -> Arc<dyn Vfs> {
+pub(crate) fn real() -> Arc<dyn Vfs> {
     Arc::new(RealVfs)
 }
 

@@ -14,6 +14,7 @@
 //! environment variable adds one extra seed (CI passes a varying one).
 
 use perfdmf_db::{Connection, DbError, FaultKind, FaultPlan, FaultVfs, Value};
+use perfdmf_telemetry::{mix64, GOLDEN_GAMMA};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -27,12 +28,10 @@ fn tmpdir(tag: &str) -> std::path::PathBuf {
     d
 }
 
+/// One SplitMix64 draw: step the state, then mix it.
 fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+    *state = state.wrapping_add(GOLDEN_GAMMA);
+    mix64(*state)
 }
 
 /// Shadow model of the two workload tables.

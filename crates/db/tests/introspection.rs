@@ -378,7 +378,7 @@ fn reserved_prefix_rejects_ddl_and_dml() {
     // reserved prefix so generated DDL can never trip the guard.
     for name in ["t", "kv", "v", "l", "r", "big", "obs_t"] {
         assert!(
-            !perfdmf_db::introspect::is_reserved_name(name),
+            !perfdmf_db::is_reserved_name(name),
             "generator table {name:?} collides with the system prefix"
         );
     }

@@ -21,6 +21,7 @@ use std::sync::Arc;
 
 use perfdmf_db::{Connection, Durability, FaultKind, FaultPlan, FaultVfs, Value};
 use perfdmf_pool as pool;
+use perfdmf_telemetry::{mix64, GOLDEN_GAMMA};
 
 const BATCH: usize = 8;
 const BATCHES: i64 = 60;
@@ -35,14 +36,6 @@ fn tmpdir(tag: &str) -> std::path::PathBuf {
     ));
     let _ = std::fs::remove_dir_all(&d);
     d
-}
-
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 fn batch_rows(batch: i64) -> Vec<Vec<Value>> {
@@ -160,7 +153,8 @@ fn readers_race_writer_under_injected_faults() {
         for b in 0..BATCHES {
             // Seeded fault schedule: roughly a third of the batches hit
             // an injected WAL write or fsync failure.
-            let roll = splitmix64(&mut seed);
+            seed = seed.wrapping_add(GOLDEN_GAMMA);
+            let roll = mix64(seed);
             let plan = match roll % 3 {
                 0 => {
                     let kind = match roll % 2 {

@@ -18,11 +18,10 @@ use std::time::{Duration, Instant};
 /// lockstep.
 ///
 /// The jitter is **seed-deterministic**: it is a pure function of
-/// `(seed, key, attempt)`, where the seed comes from the
-/// `PERFDMF_RETRY_SEED` environment variable (same convention as
-/// `PERFDMF_POOL_SEED`) and `key` is the network client's per-exchange
-/// nonce (not the idempotency key: reads have none). A chaos-test failure
-/// therefore replays with exactly the same backoff schedule.
+/// `(seed, key, attempt)`, where the seed is the fixed `RETRY_SEED`
+/// and `key` is the network client's per-exchange nonce (not the
+/// idempotency key: reads have none). A chaos-test failure therefore
+/// replays with exactly the same backoff schedule.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryPolicy {
     /// Retries after the first attempt (0 = no retries).
@@ -47,19 +46,8 @@ impl Default for RetryPolicy {
     }
 }
 
-/// Default jitter seed; override with `PERFDMF_RETRY_SEED`.
-const DEFAULT_RETRY_SEED: u64 = 0x5045_5246_444D_4601;
-
-/// The process-wide jitter seed (`PERFDMF_RETRY_SEED`, read once).
-pub(crate) fn retry_seed() -> u64 {
-    static SEED: std::sync::OnceLock<u64> = std::sync::OnceLock::new();
-    *SEED.get_or_init(|| {
-        std::env::var("PERFDMF_RETRY_SEED")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(DEFAULT_RETRY_SEED)
-    })
-}
+/// The jitter seed.
+const RETRY_SEED: u64 = 0x5045_5246_444D_4601;
 
 impl RetryPolicy {
     /// No retries at all: every failure is returned to the caller.
@@ -77,7 +65,7 @@ impl RetryPolicy {
     /// saturating at `max_delay`, plus a deterministic jitter in
     /// `[0, jitter]` drawn from `(seed, key, attempt)`.
     pub fn delay(&self, attempt: u32, key: u64) -> Duration {
-        self.delay_seeded(attempt, key, retry_seed())
+        self.delay_seeded(attempt, key, RETRY_SEED)
     }
 
     /// [`RetryPolicy::delay`] with an explicit seed (tests).

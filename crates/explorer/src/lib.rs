@@ -18,6 +18,8 @@
 //! socket; the architecture (client → server → PerfDMF → DBMS → analysis
 //! package → results saved via PerfDMF) is preserved.
 
+#![warn(unreachable_pub)]
+
 mod client;
 mod protocol;
 mod server;

@@ -30,7 +30,7 @@ use perfdmf_profile::{IntervalData, IntervalEvent, Metric, Profile, ThreadId, UN
 const FORMAT: &str = "hpmtoolkit";
 
 /// Parse one HPMtoolkit task file into `profile` as `thread`.
-pub fn parse_hpm_text(text: &str, thread: ThreadId, profile: &mut Profile) -> Result<()> {
+pub(crate) fn parse_hpm_text(text: &str, thread: ThreadId, profile: &mut Profile) -> Result<()> {
     if !text.contains("libhpm") {
         return Err(ImportError::format(FORMAT, 1, "missing libhpm header line"));
     }
@@ -113,7 +113,7 @@ pub fn parse_hpm_text(text: &str, thread: ThreadId, profile: &mut Profile) -> Re
 }
 
 /// Parse the `<taskid>` out of a `perfhpm<taskid>.<pid>` filename.
-pub fn parse_hpm_filename(name: &str) -> Option<u32> {
+pub(crate) fn parse_hpm_filename(name: &str) -> Option<u32> {
     let rest = name.strip_prefix("perfhpm")?;
     rest.split('.').next()?.parse().ok()
 }

@@ -25,17 +25,19 @@
 //! [`load_path`] autodetects the format; [`load_directory_filtered`]
 //! scans directories with the prefix/suffix filters the paper describes.
 
-pub mod cube;
+#![warn(unreachable_pub)]
+
+mod cube;
 pub mod dynaprof;
 mod error;
 pub mod gprof;
 pub mod hpm;
 pub mod mpip;
 pub mod psrun;
-pub mod source;
+mod source;
 pub mod sppm;
 pub mod tau;
-pub mod xml_format;
+mod xml_format;
 
 pub use cube::{export_cube, import_cube};
 pub use error::{ImportError, Result};

@@ -71,7 +71,7 @@ impl ProfileFormat {
     }
 
     /// Does a text sample look like this format?
-    pub fn sniff_text(&self, sample: &str) -> bool {
+    pub(crate) fn sniff_text(&self, sample: &str) -> bool {
         match self {
             ProfileFormat::Tau => sample
                 .lines()

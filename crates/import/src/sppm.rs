@@ -65,7 +65,7 @@ pub fn parse_sppm_text(text: &str, profile: &mut Profile) -> Result<()> {
 }
 
 /// Load an sPPM timing file.
-pub fn load_sppm_file(path: &std::path::Path) -> Result<Profile> {
+pub(crate) fn load_sppm_file(path: &std::path::Path) -> Result<Profile> {
     let text = std::fs::read_to_string(path).map_err(|e| ImportError::io(path, e))?;
     let mut profile = Profile::new(
         path.file_stem()

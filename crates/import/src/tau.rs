@@ -28,7 +28,7 @@ use std::path::Path;
 const FORMAT: &str = "tau";
 
 /// Parse the `node.context.thread` suffix of a `profile.n.c.t` filename.
-pub fn parse_profile_filename(name: &str) -> Option<ThreadId> {
+pub(crate) fn parse_profile_filename(name: &str) -> Option<ThreadId> {
     let rest = name.strip_prefix("profile.")?;
     let mut parts = rest.split('.');
     let node = parts.next()?.parse().ok()?;
@@ -46,7 +46,7 @@ pub fn parse_profile_filename(name: &str) -> Option<ThreadId> {
 /// be produced on worker threads; applying them (which mutates the shared
 /// profile's registries) stays serial and cheap.
 #[derive(Debug, Clone)]
-pub struct TauShard {
+pub(crate) struct TauShard {
     /// Metric named in the file header.
     pub metric_name: String,
     /// `(event name, group, data)` per function line, in file order.
@@ -67,7 +67,11 @@ pub fn parse_tau_text(text: &str, thread: ThreadId, profile: &mut Profile) -> Re
 /// Register a parsed shard's metric, events, and data under `thread`.
 /// Registration order follows file order, so applying shards in sorted
 /// thread order reproduces the serial importer's event/metric numbering.
-pub fn apply_tau_shard(shard: &TauShard, thread: ThreadId, profile: &mut Profile) -> MetricId {
+pub(crate) fn apply_tau_shard(
+    shard: &TauShard,
+    thread: ThreadId,
+    profile: &mut Profile,
+) -> MetricId {
     let metric = profile.add_metric(Metric::measured(shard.metric_name.clone()));
     profile.add_thread(thread);
     for (name, group, data) in &shard.functions {
@@ -82,7 +86,7 @@ pub fn apply_tau_shard(shard: &TauShard, thread: ThreadId, profile: &mut Profile
 }
 
 /// Parse one TAU profile file's text into a standalone [`TauShard`].
-pub fn parse_tau_shard(text: &str) -> Result<TauShard> {
+pub(crate) fn parse_tau_shard(text: &str) -> Result<TauShard> {
     let mut lines = text.lines().enumerate();
 
     // Header: "<n> templated_functions[_MULTI_<METRIC>]"

@@ -18,8 +18,9 @@
 //! [`min_partition_items`]) or when only one thread is available — the
 //! caller then runs its existing serial path.
 
+#![warn(unreachable_pub)]
+
 use crossbeam::channel;
-use crossbeam::thread as cb_thread;
 use perfdmf_telemetry as telemetry;
 use std::cell::Cell;
 use std::ops::Range;
@@ -31,8 +32,8 @@ use std::time::Instant;
 /// never pay pool overhead (and keep bit-identical serial float results).
 pub const DEFAULT_MIN_PARTITION_ITEMS: usize = 4096;
 
-/// Default dispatch-order seed; override with `PERFDMF_POOL_SEED`.
-const DEFAULT_SEED: u64 = 0x5eed_9e37_79b9_7f4a;
+/// Dispatch-order seed.
+const DISPATCH_SEED: u64 = 0x5eed_9e37_79b9_7f4a;
 
 thread_local! {
     static OVERRIDE_THREADS: Cell<Option<usize>> = const { Cell::new(None) };
@@ -54,16 +55,6 @@ fn default_threads() -> usize {
                 .map(|n| n.get())
                 .unwrap_or(1)
         })
-    })
-}
-
-fn dispatch_seed() -> u64 {
-    static SEED: OnceLock<u64> = OnceLock::new();
-    *SEED.get_or_init(|| {
-        std::env::var("PERFDMF_POOL_SEED")
-            .ok()
-            .and_then(|s| s.trim().parse::<u64>().ok())
-            .unwrap_or(DEFAULT_SEED)
     })
 }
 
@@ -136,7 +127,7 @@ pub fn partitions(n_items: usize) -> Option<Vec<Range<usize>>> {
 /// order partitions are handed to workers (results still land by index).
 fn dispatch_order(n: usize) -> Vec<usize> {
     let mut order: Vec<usize> = (0..n).collect();
-    let mut state = dispatch_seed() | 1;
+    let mut state = DISPATCH_SEED | 1;
     for i in (1..n).rev() {
         state ^= state << 13;
         state ^= state >> 7;
@@ -182,12 +173,12 @@ where
     let meter = telemetry::current_meter();
     let f = &f;
 
-    let mut slots: Vec<Option<R>> = cb_thread::scope(|s| {
+    let mut slots: Vec<Option<R>> = std::thread::scope(|s| {
         for _ in 0..workers {
             let task_rx = task_rx.clone();
             let res_tx = res_tx.clone();
             let meter = meter.clone();
-            s.spawn(move |_| {
+            s.spawn(move || {
                 let _adopted = trace_ctx.map(telemetry::trace::adopt_context);
                 let _metered = meter.map(telemetry::adopt_meter);
                 let mut busy_ns: u64 = 0;
@@ -214,8 +205,7 @@ where
             slots[i] = Some(r);
         }
         slots
-    })
-    .expect("pool worker panicked");
+    });
 
     if let Some(started) = timing {
         // Utilization ≈ summed busy time / (wall time × workers); the busy

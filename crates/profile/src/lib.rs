@@ -23,8 +23,10 @@
 //! * [`callpath`] — TAU callpath (`a => b`) parsing, call-tree
 //!   reconstruction, and flat-view aggregation.
 
+#![warn(unreachable_pub)]
+
 mod atomic;
-pub mod callpath;
+mod callpath;
 mod derived;
 mod event;
 mod interval;

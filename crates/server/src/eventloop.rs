@@ -77,7 +77,7 @@ const EAGER_SPINS: usize = 4;
 
 /// One descriptor the reactor should watch, and for what.
 #[derive(Debug, Clone, Copy)]
-pub struct Interest {
+pub(crate) struct Interest {
     /// The raw descriptor.
     pub fd: RawFd,
     /// Wake when readable (or the peer hung up).
@@ -88,7 +88,7 @@ pub struct Interest {
 
 /// Readiness facts for one watched descriptor.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct Readiness {
+pub(crate) struct Readiness {
     /// Data (or EOF) is available to read.
     pub readable: bool,
     /// The socket will accept bytes.
@@ -129,14 +129,14 @@ unsafe extern "C" {
 /// (hundreds, not millions), where poll's O(n) scan is noise next to
 /// the syscall.
 #[derive(Default)]
-pub struct PollReactor {
+pub(crate) struct PollReactor {
     fds: Vec<PollFd>,
 }
 
 impl PollReactor {
     /// Wait up to `timeout`; returns one [`Readiness`] per `interests`
     /// slot (all-false on timeout).
-    pub fn wait(
+    pub(crate) fn wait(
         &mut self,
         interests: &[Interest],
         timeout: Duration,
@@ -268,7 +268,7 @@ impl Intake {
 }
 
 /// One spawned executor shard, owned by `PerfdmfServer`.
-pub struct ExecutorHandle {
+pub(crate) struct ExecutorHandle {
     tx: Sender<NewSession>,
     waker: Arc<WakeHandle>,
     thread: Option<JoinHandle<()>>,

@@ -37,9 +37,11 @@
 //! invariants that matter: no panics, every request answered or cleanly
 //! failed within its deadline, and no acknowledged write lost.
 
-pub mod client;
-pub mod eventloop;
-pub mod server;
+#![warn(unreachable_pub)]
+
+mod client;
+mod eventloop;
+mod server;
 pub mod stream;
 pub mod wire;
 

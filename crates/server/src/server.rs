@@ -85,9 +85,6 @@ pub struct ServerConfig {
     /// Close sessions that fail to deliver a complete frame for this
     /// long (defense against stalled peers holding threads hostage).
     pub idle_timeout: Duration,
-    /// Event-loop shards (0 = `PERFDMF_SERVER_EXECUTORS`, falling back
-    /// to the machine's core count).
-    pub executors: usize,
     /// Bound on outstanding pipelined calls per session.
     pub window: usize,
     /// Shared-secret session token. `Some` requires every `Hello` to
@@ -116,31 +113,11 @@ impl Default for ServerConfig {
             queue_capacity: perfdmf_explorer::DEFAULT_QUEUE_CAPACITY,
             max_sessions: 4096,
             idle_timeout: Duration::from_secs(30),
-            executors: 0,
             window: DEFAULT_PIPELINE_WINDOW,
             token: std::env::var("PERFDMF_SERVER_TOKEN").ok(),
             fault: None,
             allow_fault_injection: false,
         }
-    }
-}
-
-impl ServerConfig {
-    /// The resolved event-loop shard count: the explicit setting, else
-    /// `PERFDMF_SERVER_EXECUTORS`, else the core count.
-    pub(crate) fn resolved_executors(&self) -> usize {
-        if self.executors > 0 {
-            return self.executors;
-        }
-        std::env::var("PERFDMF_SERVER_EXECUTORS")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .filter(|&n| n > 0)
-            .unwrap_or_else(|| {
-                std::thread::available_parallelism()
-                    .map(|n| n.get())
-                    .unwrap_or(1)
-            })
     }
 }
 
@@ -316,7 +293,10 @@ impl PerfdmfServer {
         let listener = TcpListener::bind(config.addr).map_err(io_to_db)?;
         listener.set_nonblocking(true).map_err(io_to_db)?;
         let addr = listener.local_addr().map_err(io_to_db)?;
-        let shard_count = config.resolved_executors();
+        // One event-loop shard per core.
+        let shard_count = std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1);
         let shared = Arc::new(Shared {
             explorer,
             config,

@@ -173,7 +173,8 @@ impl FaultStream {
     }
 
     /// Did the disconnect budget fire?
-    pub fn disconnected(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn disconnected(&self) -> bool {
         self.disconnected
     }
 
@@ -310,7 +311,7 @@ pub fn write_all(stream: &mut dyn Stream, mut buf: &[u8]) -> std::io::Result<()>
 /// executor's write path: park the remainder and retry on writability.
 /// `Ok(0)` from a would-block-capable stream is treated as `WriteZero`
 /// like [`write_all`] does.
-pub fn write_available(stream: &mut dyn Stream, buf: &mut Vec<u8>) -> std::io::Result<bool> {
+pub(crate) fn write_available(stream: &mut dyn Stream, buf: &mut Vec<u8>) -> std::io::Result<bool> {
     let mut written = 0;
     let done = loop {
         if written == buf.len() {

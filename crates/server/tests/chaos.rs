@@ -36,6 +36,7 @@ use perfdmf_db::Connection;
 use perfdmf_explorer::{Request, Response, RetryPolicy};
 use perfdmf_profile::{IntervalData, IntervalEvent, Metric, Profile, ThreadId};
 use perfdmf_server::{NetClient, NetFaultPlan, PerfdmfServer, ServerConfig};
+use perfdmf_telemetry::{mix64, GOLDEN_GAMMA};
 use std::time::{Duration, Instant};
 
 /// Fixed chaos seeds every run must survive.
@@ -72,13 +73,6 @@ fn counter(name: &str) -> u64 {
         .unwrap_or(0)
 }
 
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 /// Trial with two obvious thread-behaviour groups (mirrors the
 /// explorer's own fixture) so clustering requests do real work.
 fn seeded_database() -> (Connection, i64) {
@@ -107,7 +101,9 @@ fn seeded_database() -> (Connection, i64) {
 /// rejected frame and a retry under the same idempotency key, so even
 /// writers keep their accounting sound under corruption.
 fn client_plan(seed: u64, client: usize) -> NetFaultPlan {
-    let d = splitmix64(seed ^ (client as u64).wrapping_mul(0xA076_1D64_78BD_642F));
+    let d = mix64(
+        (seed ^ (client as u64).wrapping_mul(0xA076_1D64_78BD_642F)).wrapping_add(GOLDEN_GAMMA),
+    );
     NetFaultPlan::seeded(d)
         .partial_io(1 + (d % 13) as usize)
         .delays(d >> 8 & 0x3)
@@ -140,7 +136,7 @@ fn storm_client(addr: std::net::SocketAddr, seed: u64, client: usize, trial: i64
         successes: 0,
     };
     for round in 0..ROUNDS {
-        let d = splitmix64(seed ^ ((client * 1000 + round) as u64));
+        let d = mix64((seed ^ ((client * 1000 + round) as u64)).wrapping_add(GOLDEN_GAMMA));
         let request = match d % 4 {
             0 => Request::Ping,
             1 => cluster_request(trial),

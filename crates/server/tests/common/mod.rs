@@ -7,6 +7,8 @@ use perfdmf_core::DatabaseSession;
 use perfdmf_db::Connection;
 use perfdmf_explorer::{ClusterMethod, FeatureSpace, Request};
 use perfdmf_profile::{IntervalData, IntervalEvent, Metric, Profile, ThreadId};
+use perfdmf_telemetry::sessions::{SessionRecord, SessionState};
+use std::time::{Duration, Instant};
 
 /// An in-memory archive holding one trial of `threads` threads in two
 /// behaviour classes (compute-heavy first half, exchange-heavy second
@@ -33,6 +35,21 @@ pub fn seeded_database(tag: &str, threads: u32) -> (Connection, i64) {
         .store_profile(&format!("{tag}-app"), &format!("{tag}-exp"), &p)
         .expect("store");
     (conn, trial)
+}
+
+/// Wait for the closed registry row of session `id`.
+pub fn closed_session(id: u64) -> SessionRecord {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    loop {
+        if let Some(record) = perfdmf_telemetry::sessions::log()
+            .into_iter()
+            .find(|r| r.id == id && r.state == SessionState::Closed)
+        {
+            return record;
+        }
+        assert!(Instant::now() < deadline, "session {id} never closed");
+        std::thread::sleep(Duration::from_millis(10));
+    }
 }
 
 /// A k-means clustering of `trial_id` over its TIME breakdown, k chosen

@@ -23,11 +23,10 @@
 
 mod common;
 
-use common::{cluster_request, seeded_database};
+use common::{closed_session, cluster_request, seeded_database};
 use perfdmf_explorer::{Request, Response, RetryPolicy};
 use perfdmf_server::{NetClient, PerfdmfServer, ServerConfig};
 use perfdmf_telemetry::requests::RequestRecord;
-use perfdmf_telemetry::sessions::{SessionRecord, SessionState};
 use std::net::SocketAddr;
 use std::time::{Duration, Instant};
 
@@ -49,21 +48,6 @@ fn rows(name: &str) -> Vec<RequestRecord> {
         .into_iter()
         .filter(|r| r.tenant == tenant)
         .collect()
-}
-
-/// Wait for the closed registry row of session `id`.
-fn closed_session(id: u64) -> SessionRecord {
-    let deadline = Instant::now() + Duration::from_secs(10);
-    loop {
-        if let Some(record) = perfdmf_telemetry::sessions::log()
-            .into_iter()
-            .find(|r| r.id == id && r.state == SessionState::Closed)
-        {
-            return record;
-        }
-        assert!(Instant::now() < deadline, "session {id} never closed");
-        std::thread::sleep(Duration::from_millis(10));
-    }
 }
 
 /// `(requests, sheds, errors, replays)` of a session once it closes.

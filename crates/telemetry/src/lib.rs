@@ -40,6 +40,8 @@
 //! atomic events), so the framework's own behavior can be stored,
 //! queried, and analyzed with the very machinery it instruments.
 
+#![warn(unreachable_pub)]
+
 mod bounded;
 pub mod meter;
 pub mod metrics;
@@ -48,7 +50,7 @@ pub mod regressions;
 pub mod requests;
 pub mod sessions;
 pub mod snapshot;
-pub mod span;
+mod span;
 pub mod trace;
 
 use std::sync::atomic::{AtomicBool, Ordering};

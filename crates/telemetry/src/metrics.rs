@@ -29,7 +29,7 @@ use crate::snapshot::{snapshot, Snapshot};
 use crate::BoundedLog;
 
 /// Samples retained by the process-wide recorder.
-pub const METRICS_CAPACITY: usize = 512;
+pub(crate) const METRICS_CAPACITY: usize = 512;
 
 /// The usual sampler interval.
 pub const DEFAULT_INTERVAL: Duration = Duration::from_millis(250);

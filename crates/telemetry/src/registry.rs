@@ -111,12 +111,12 @@ pub struct Histogram {
 /// Bucket index for a sample: 0 for 0, else the number of significant
 /// bits (1..=64).
 #[inline]
-pub fn bucket_index(value: u64) -> usize {
+pub(crate) fn bucket_index(value: u64) -> usize {
     (64 - value.leading_zeros()) as usize
 }
 
 /// Inclusive upper bound of a bucket, for reporting.
-pub fn bucket_upper_bound(index: usize) -> u64 {
+pub(crate) fn bucket_upper_bound(index: usize) -> u64 {
     match index {
         0 => 0,
         64 => u64::MAX,
@@ -174,7 +174,7 @@ impl Histogram {
 }
 
 /// Sharded name → instrument maps.
-pub struct Registry {
+pub(crate) struct Registry {
     counters: [RwLock<HashMap<String, Counter>>; SHARDS],
     histograms: [RwLock<HashMap<String, Histogram>>; SHARDS],
 }
@@ -194,7 +194,7 @@ impl Registry {
     }
 
     /// Get or create the named counter.
-    pub fn counter(&self, name: &str) -> Counter {
+    pub(crate) fn counter(&self, name: &str) -> Counter {
         let shard = &self.counters[shard_of(name)];
         if let Some(c) = shard.read().get(name) {
             return c.clone();
@@ -211,7 +211,7 @@ impl Registry {
     }
 
     /// Get or create the named histogram.
-    pub fn histogram(&self, name: &str) -> Histogram {
+    pub(crate) fn histogram(&self, name: &str) -> Histogram {
         let shard = &self.histograms[shard_of(name)];
         if let Some(h) = shard.read().get(name) {
             return h.clone();
@@ -232,7 +232,7 @@ impl Registry {
     }
 
     /// All counters as `(name, handle)` pairs, sorted by name.
-    pub fn counters(&self) -> Vec<(String, Counter)> {
+    pub(crate) fn counters(&self) -> Vec<(String, Counter)> {
         let mut out: Vec<_> = self
             .counters
             .iter()
@@ -248,7 +248,7 @@ impl Registry {
     }
 
     /// All histograms as `(name, handle)` pairs, sorted by name.
-    pub fn histograms(&self) -> Vec<(String, Histogram)> {
+    pub(crate) fn histograms(&self) -> Vec<(String, Histogram)> {
         let mut out: Vec<_> = self
             .histograms
             .iter()
@@ -265,7 +265,7 @@ impl Registry {
 
     /// Drop every registered instrument. Cached handles keep working but
     /// detach from future lookups of the same name.
-    pub fn reset(&self) {
+    pub(crate) fn reset(&self) {
         for shard in &self.counters {
             shard.write().clear();
         }
@@ -276,7 +276,7 @@ impl Registry {
 }
 
 /// The process-wide registry.
-pub fn global() -> &'static Registry {
+pub(crate) fn global() -> &'static Registry {
     static GLOBAL: OnceLock<Registry> = OnceLock::new();
     GLOBAL.get_or_init(Registry::new)
 }

@@ -25,7 +25,7 @@ use crate::meter::ResourceUsage;
 use crate::{BoundedLog, Moments};
 
 /// Request records retained by the ring.
-pub const REQUESTS_CAPACITY: usize = 256;
+pub(crate) const REQUESTS_CAPACITY: usize = 256;
 
 /// Slow requests retained by their dedicated ring.
 const SLOW_RING_CAPACITY: usize = 256;

@@ -17,7 +17,7 @@ use std::collections::BTreeMap;
 use parking_lot::Mutex;
 
 /// Bound on retained session records.
-pub const SESSIONS_CAPACITY: usize = 1024;
+pub(crate) const SESSIONS_CAPACITY: usize = 1024;
 
 /// Lifecycle state of a session.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

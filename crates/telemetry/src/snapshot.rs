@@ -109,7 +109,7 @@ pub fn snapshot() -> Snapshot {
 pub const TELEMETRY_METRIC: &str = "TELEMETRY_TIME_NS";
 
 /// Event group assigned to every exported telemetry event.
-pub const TELEMETRY_GROUP: &str = "TELEMETRY";
+pub(crate) const TELEMETRY_GROUP: &str = "TELEMETRY";
 
 /// Quantiles exported per histogram as `{name}.p50` / `.p95` / `.p99`
 /// atomic events.

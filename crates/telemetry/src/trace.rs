@@ -18,9 +18,8 @@
 //!   span — this is how one trace crosses thread boundaries;
 //! * otherwise the span starts a fresh trace as its root.
 //!
-//! Dump triggers: [`FlightRecorder::dump`] on demand, the panic hook
-//! installed by [`install_panic_dump`], and [`fault_dump`] which the db
-//! layer calls whenever a durability fault counter fires (fsync error,
+//! Dump triggers: [`FlightRecorder::dump`] on demand and [`fault_dump`],
+//! which the db layer calls whenever a durability fault counter fires (fsync error,
 //! torn WAL tail, poisoned WAL). Fault dumps also capture the calling
 //! thread's still-*open* spans, so the span that observed the fault is
 //! present even though it has not finished.
@@ -30,11 +29,11 @@ use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Once, OnceLock};
+use std::sync::OnceLock;
 use std::time::Instant;
 
 /// Capacity of the process-global flight recorder, in spans.
-pub const RECORDER_CAPACITY: usize = 16 * 1024;
+pub(crate) const RECORDER_CAPACITY: usize = 16 * 1024;
 
 /// Identifies one causal trace (a request and everything it triggered).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -90,7 +89,7 @@ static SAMPLE_COUNTER: AtomicU64 = AtomicU64::new(0);
 /// context to (and opens a `client.request` span for) one request in
 /// every `trace_sample_every()`. Initialized from `PERFDMF_TRACE_SAMPLE`
 /// (default 1 — every request while tracing is on).
-pub fn trace_sample_every() -> u64 {
+pub(crate) fn trace_sample_every() -> u64 {
     let current = SAMPLE_EVERY.load(Ordering::Relaxed);
     if current != 0 {
         return current;
@@ -471,7 +470,7 @@ pub fn recorder() -> &'static FlightRecorder {
 /// Records for the calling thread's currently-open spans (marked
 /// `open: true`, duration = elapsed so far). Fault dumps append these so
 /// the span inside which the fault fired is visible.
-pub fn open_spans() -> Vec<SpanRecord> {
+pub(crate) fn open_spans() -> Vec<SpanRecord> {
     let end = now_ns();
     let thread = thread_label();
     FRAMES.with(|f| {
@@ -532,19 +531,6 @@ pub fn fault_dump() -> Option<PathBuf> {
     }
     crate::add("trace.fault_dumps", 1);
     Some(path)
-}
-
-/// Install a process panic hook (once; chains any existing hook) that
-/// writes a fault dump before unwinding continues.
-pub fn install_panic_dump() {
-    static HOOK: Once = Once::new();
-    HOOK.call_once(|| {
-        let prev = std::panic::take_hook();
-        std::panic::set_hook(Box::new(move |info| {
-            let _ = fault_dump();
-            prev(info);
-        }));
-    });
 }
 
 /// One process's worth of spans for [`export_chrome_trace_merged`]:

@@ -12,8 +12,10 @@
 //!   PerfSuite XML, sPPM custom), so the importers are testable
 //!   end-to-end against known data.
 
-pub mod models;
-pub mod writers;
+#![warn(unreachable_pub)]
+
+mod models;
+mod writers;
 
 pub use models::{BehaviorClass, Evh1Model, MirandaModel, RoutineSpec, SppmModel};
 pub use writers::{

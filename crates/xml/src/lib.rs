@@ -39,6 +39,8 @@
 //! assert_eq!(doc.child("event").unwrap().text(), "MPI_Send()");
 //! ```
 
+#![warn(unreachable_pub)]
+
 mod dom;
 mod error;
 mod escape;

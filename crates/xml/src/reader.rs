@@ -117,37 +117,6 @@ impl<'a> Reader<'a> {
         }
     }
 
-    /// Pull events until the next non-text, non-comment event; collect text.
-    ///
-    /// Convenience for "give me the text content of this element" patterns.
-    pub fn collect_text_until_end(&mut self) -> Result<String> {
-        let mut out = String::new();
-        let start_depth = self.stack.len();
-        loop {
-            match self.next_event()? {
-                Event::Text(t) => out.push_str(&t),
-                Event::CData(t) => out.push_str(&t),
-                Event::Comment(_) | Event::ProcessingInstruction { .. } => {}
-                Event::End { .. } => {
-                    if self.stack.len() < start_depth {
-                        return Ok(out);
-                    }
-                }
-                Event::Start { .. } | Event::Empty { .. } => {
-                    return Err(self.syntax("unexpected child element while reading text content"))
-                }
-                Event::Declaration { .. } => {
-                    return Err(self.syntax("unexpected XML declaration inside element"))
-                }
-                Event::Eof => {
-                    return Err(Error::UnexpectedEof {
-                        context: "element text content",
-                    })
-                }
-            }
-        }
-    }
-
     fn parse_text(&mut self) -> Result<Event> {
         let start = self.pos;
         let end = self

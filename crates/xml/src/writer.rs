@@ -190,11 +190,6 @@ impl<'a> Writer<'a> {
         self.end()
     }
 
-    /// Convenience: `<name>value</name>` with a `Display` value.
-    pub fn value_element(&mut self, name: &str, value: impl std::fmt::Display) -> Result<()> {
-        self.text_element(name, &value.to_string())
-    }
-
     /// Verify the document is complete (all elements closed, root written).
     pub fn finish(&mut self) -> Result<()> {
         if !self.stack.is_empty() {

@@ -439,8 +439,7 @@ fn usage() -> String {
        ping    --connect HOST:PORT\n\
        dump    --db DIR --out DIR\n\
        restore --db DIR --from DIR\n\
-     serve honors PERFDMF_SERVER_TOKEN (required client token)\n\
-     and PERFDMF_SERVER_EXECUTORS;\n\
+     serve honors PERFDMF_SERVER_TOKEN (required client token);\n\
      clients send PERFDMF_SERVER_TOKEN when set"
         .to_string()
 }
