@@ -4,7 +4,7 @@
 //! extensible suite of common base analysis routines that can be reused
 //! across performance analysis programs."
 //!
-//! * [`stats`] — descriptive statistics, correlation, linear regression.
+//! * [`stats`] — descriptive statistics and correlation.
 //! * [`speedup`] — multi-trial speedup/scalability analysis (the §5.2
 //!   trial-browser/speedup-analyzer application), with Amdahl fitting.
 //! * [`compare`] — CUBE-style trial difference/merge algebra (paper §7
@@ -18,7 +18,7 @@
 //! * [`pca()`] — principal component analysis via cyclic Jacobi.
 //! * [`report`] — ParaProf-style text views (group summaries, top-event
 //!   tables with imbalance highlighting, per-thread bars).
-//! * [`scalability`] — Amdahl/Gustafson model fitting and classification.
+//! * [`scalability`] — Amdahl model fitting.
 
 #![warn(unreachable_pub)]
 
@@ -43,12 +43,8 @@ pub use report::{
     group_summaries, render_event_across_threads, render_profile_report, render_thread_view,
     GroupSummary, ReportOptions,
 };
-pub use scalability::{
-    amdahl_speedup, classify_scaling, fit_amdahl, fit_gustafson, gustafson_speedup, ScalingFit,
-    ScalingKind,
-};
+pub use scalability::{amdahl_speedup, fit_amdahl, ScalingFit};
 pub use speedup::{ApplicationScaling, RoutineSpeedup, SpeedupAnalysis, SpeedupPoint};
 pub use stats::{
-    correlation_matrix, covariance, linear_fit, mean, median, pearson, percentile, summarize,
-    LinearFit, Summary,
+    correlation_matrix, covariance, mean, median, pearson, percentile, summarize, Summary,
 };

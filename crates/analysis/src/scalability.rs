@@ -1,15 +1,15 @@
-//! Scalability model fitting: Amdahl and Gustafson laws.
+//! Scalability model fitting: Amdahl's law.
 //!
 //! The paper positions PerfDMF under "benchmarking, procurement
 //! evaluation, modeling, prediction" workflows (§2); these are the
-//! classic strong/weak-scaling models such studies fit to speedup data.
+//! classic strong-scaling model such studies fit to speedup data.
 
 use crate::stats::linear_fit;
 
 /// A fitted scaling model.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ScalingFit {
-    /// Estimated serial fraction (Amdahl) or serial share α (Gustafson).
+    /// Estimated serial fraction.
     pub serial_fraction: f64,
     /// Goodness of fit on the linearized form.
     pub r_squared: f64,
@@ -43,56 +43,6 @@ pub fn amdahl_speedup(s: f64, p: usize) -> f64 {
     1.0 / (s + (1.0 - s) / p as f64)
 }
 
-/// Fit Gustafson's law `S(p) = α + (1-α)·p` (scaled speedup) to
-/// (processors, speedup) observations. Returns `None` with fewer than 3
-/// points.
-pub fn fit_gustafson(points: &[(usize, f64)]) -> Option<ScalingFit> {
-    if points.len() < 3 {
-        return None;
-    }
-    let xs: Vec<f64> = points.iter().map(|&(p, _)| p as f64).collect();
-    let ys: Vec<f64> = points.iter().map(|&(_, s)| s).collect();
-    let fit = linear_fit(&xs, &ys)?;
-    // S(p) = α + (1-α)p → slope = 1-α
-    let alpha = (1.0 - fit.slope).clamp(0.0, 1.0);
-    Some(ScalingFit {
-        serial_fraction: alpha,
-        r_squared: fit.r_squared,
-    })
-}
-
-/// Predict Gustafson scaled speedup at `p` processors for serial share α.
-pub fn gustafson_speedup(alpha: f64, p: usize) -> f64 {
-    alpha + (1.0 - alpha) * p as f64
-}
-
-/// Which law better explains the observations (by linearized R²), with
-/// both fits. Useful for classifying a study as strong- vs weak-scaling
-/// behaviour.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum ScalingKind {
-    /// Amdahl (strong scaling, saturating speedup) fits better.
-    Amdahl(ScalingFit),
-    /// Gustafson (weak scaling, linear speedup) fits better.
-    Gustafson(ScalingFit),
-}
-
-/// Classify observations by the better-fitting law.
-pub fn classify_scaling(points: &[(usize, f64)]) -> Option<ScalingKind> {
-    let a = fit_amdahl(points);
-    let g = fit_gustafson(points);
-    match (a, g) {
-        (Some(a), Some(g)) => Some(if a.r_squared >= g.r_squared {
-            ScalingKind::Amdahl(a)
-        } else {
-            ScalingKind::Gustafson(g)
-        }),
-        (Some(a), None) => Some(ScalingKind::Amdahl(a)),
-        (None, Some(g)) => Some(ScalingKind::Gustafson(g)),
-        (None, None) => None,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -114,37 +64,9 @@ mod tests {
     }
 
     #[test]
-    fn gustafson_fit_recovers_alpha() {
-        let alpha = 0.1;
-        let pts: Vec<(usize, f64)> = [1usize, 2, 4, 8, 16]
-            .iter()
-            .map(|&p| (p, gustafson_speedup(alpha, p)))
-            .collect();
-        let fit = fit_gustafson(&pts).unwrap();
-        assert!((fit.serial_fraction - alpha).abs() < 1e-9);
-    }
-
-    #[test]
-    fn classification_distinguishes_laws() {
-        match classify_scaling(&amdahl_points(0.1)).unwrap() {
-            ScalingKind::Amdahl(f) => assert!((f.serial_fraction - 0.1).abs() < 1e-6),
-            other => panic!("{other:?}"),
-        }
-        let weak: Vec<(usize, f64)> = [1usize, 2, 4, 8, 16, 32]
-            .iter()
-            .map(|&p| (p, gustafson_speedup(0.05, p)))
-            .collect();
-        match classify_scaling(&weak).unwrap() {
-            ScalingKind::Gustafson(f) => assert!((f.serial_fraction - 0.05).abs() < 1e-6),
-            other => panic!("{other:?}"),
-        }
-    }
-
-    #[test]
     fn degenerate_inputs() {
         assert!(fit_amdahl(&[(1, 1.0), (2, 2.0)]).is_none());
         assert!(fit_amdahl(&[(1, 0.0), (2, 0.0), (4, 0.0)]).is_none());
-        assert!(classify_scaling(&[]).is_none());
     }
 
     #[test]

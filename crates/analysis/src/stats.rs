@@ -121,7 +121,7 @@ pub fn correlation_matrix(data: &[Vec<f64>]) -> Vec<Vec<f64>> {
 
 /// Ordinary least squares fit `y = a + b·x`.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LinearFit {
+pub(crate) struct LinearFit {
     /// Intercept.
     pub intercept: f64,
     /// Slope.
@@ -131,7 +131,7 @@ pub struct LinearFit {
 }
 
 /// Fit a line by least squares; `None` for degenerate input.
-pub fn linear_fit(xs: &[f64], ys: &[f64]) -> Option<LinearFit> {
+pub(crate) fn linear_fit(xs: &[f64], ys: &[f64]) -> Option<LinearFit> {
     if xs.len() != ys.len() || xs.len() < 2 {
         return None;
     }

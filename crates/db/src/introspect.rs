@@ -15,12 +15,12 @@
 //! | `perfdmf_counters`        | telemetry counter            | registry snapshot |
 //! | `perfdmf_histograms`      | telemetry histogram          | registry snapshot |
 //! | `perfdmf_slow_queries`    | retained slow statement      | [`crate::observe::slow_query_log`] |
-//! | `perfdmf_spans`           | flight-recorder span         | `telemetry::trace::recorder()` |
+//! | `perfdmf_spans`           | flight-recorder span         | `telemetry::trace::dump()` |
 //! | `perfdmf_tables`          | user table                   | the live [`Database`] |
 //! | `perfdmf_columns`         | user table column            | the live [`Database`] |
 //! | `perfdmf_colcache`        | process (single row)         | column-chunk cache globals |
 //! | `perfdmf_pool`            | process (single row)         | worker pool config + `pool.*` metrics |
-//! | `perfdmf_metrics_history` | (sample, instrument) pair    | `telemetry::metrics::recorder()` |
+//! | `perfdmf_metrics_history` | (sample, instrument) pair    | `telemetry::metrics::history()` |
 //! | `perfdmf_regressions`     | flagged perf regression      | `telemetry::regressions::log()` |
 //! | `perfdmf_sessions`        | network server session       | `telemetry::sessions::log()` |
 //! | `perfdmf_requests`        | answered network request     | `telemetry::requests::log()` |
@@ -208,7 +208,7 @@ fn spans_table() -> Table {
             ColumnDef::new("dur_ns", DataType::Integer).not_null(),
             ColumnDef::new("open", DataType::Boolean).not_null(),
         ],
-        telemetry::trace::recorder().dump().into_iter().map(|s| {
+        telemetry::trace::dump().into_iter().map(|s| {
             vec![
                 hex(s.trace),
                 hex(s.span),
@@ -378,7 +378,7 @@ fn metrics_history_table() -> Table {
     }));
     columns.insert(4, ColumnDef::new("value", DataType::Integer));
     let mut rows = Vec::new();
-    for s in telemetry::metrics::recorder().history() {
+    for s in telemetry::metrics::history() {
         let head = [int(s.seq), int(s.elapsed_ms)];
         for c in &s.snapshot.counters {
             let mut row: Row = head.to_vec();

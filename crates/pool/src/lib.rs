@@ -340,7 +340,7 @@ mod tests {
             ctx
         };
         telemetry::set_tracing(false);
-        let recs = telemetry::trace::recorder().dump();
+        let recs = telemetry::trace::dump();
         let root = recs
             .iter()
             .find(|r| r.span == ctx.span.0)

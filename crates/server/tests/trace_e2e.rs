@@ -47,7 +47,7 @@ fn find<'a>(records: &'a [SpanRecord], name: &str, trace: u64) -> Option<&'a Spa
 #[test]
 fn cluster_trial_over_tcp_yields_one_cross_process_trace() {
     telemetry::set_tracing(true);
-    telemetry::trace::recorder().clear();
+    telemetry::trace::clear();
     telemetry::requests::clear();
 
     let (conn, trial) = seeded_database();
@@ -92,7 +92,7 @@ fn cluster_trial_over_tcp_yields_one_cross_process_trace() {
     server.shutdown();
     telemetry::set_tracing(false);
 
-    let records = telemetry::trace::recorder().dump();
+    let records = telemetry::trace::dump();
     let mut client_spans: Vec<&SpanRecord> = records
         .iter()
         .filter(|r| r.name == "client.request")

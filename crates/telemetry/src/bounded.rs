@@ -1,6 +1,6 @@
 //! [`BoundedLog`]: the one retention policy behind every process-wide
-//! record ring — the db slow-query log, the metrics history, the
-//! request and slow-request rings, and the regression log.
+//! record ring — the flight recorder's spans, the db slow-query log, the
+//! metrics history, the request ring, and the regression log.
 
 /// Keeps the most recent `capacity` entries, evicting the oldest first,
 /// and numbers entries in push order. Numbers are never reused: they
@@ -40,20 +40,9 @@ impl<T> BoundedLog<T> {
         seq
     }
 
-    /// Maximum number of retained entries.
-    pub(crate) fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Number of entries currently retained.
-    pub(crate) fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// The retained entries, oldest first.
-    pub(crate) fn iter(&self) -> impl Iterator<Item = &T> {
-        let (newer, older) = self.entries.split_at(self.head);
-        older.iter().chain(newer)
+    /// Entries pushed over the log's lifetime: the next sequence number.
+    pub(crate) fn total(&self) -> u64 {
+        self.next_seq
     }
 
     /// Drop every retained entry (sequence numbers keep counting).
@@ -66,7 +55,8 @@ impl<T> BoundedLog<T> {
 impl<T: Clone> BoundedLog<T> {
     /// Copy of the retained entries, oldest first.
     pub fn to_vec(&self) -> Vec<T> {
-        self.iter().cloned().collect()
+        let (newer, older) = self.entries.split_at(self.head);
+        [older, newer].concat()
     }
 }
 
@@ -80,7 +70,7 @@ mod tests {
         let seqs: Vec<u64> = (0..5).map(|i| log.push(|seq| (seq, i))).collect();
         assert_eq!(seqs, vec![0, 1, 2, 3, 4]);
         assert_eq!(log.to_vec(), vec![(2, 2), (3, 3), (4, 4)]);
-        assert_eq!(log.len(), log.capacity());
+        assert_eq!(log.total(), 5);
     }
 
     #[test]
@@ -102,7 +92,8 @@ mod tests {
         log.push(|seq| seq);
         log.push(|seq| seq);
         log.clear();
-        assert_eq!(log.len(), 0);
+        assert!(log.to_vec().is_empty());
+        assert_eq!(log.total(), 2);
         assert_eq!(log.push(|seq| seq), 2);
         log.clear();
         assert_eq!(log.push(|seq| seq), 3);

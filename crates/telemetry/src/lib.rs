@@ -12,9 +12,9 @@
 //!
 //! A third layer, [`trace`], turns the same spans into causal traces:
 //! trace/span ids with parent links, cross-thread context propagation,
-//! a lock-free flight recorder, and Chrome-trace export. It has its own
-//! switch ([`set_tracing`], default off) so its cost can be priced
-//! separately; record logs stamp the active trace id
+//! a flight recorder of recent spans, and Chrome-trace export. It has
+//! its own switch ([`set_tracing`], default off) so its cost can be
+//! priced separately; record logs stamp the active trace id
 //! ([`trace::current_trace_id`]).
 //!
 //! A notable occurrence (a slow request, a flagged regression, a
@@ -30,7 +30,8 @@
 //! [`requests`] keeps a bounded ring of recent network requests with
 //! their per-request [`meter::ResourceUsage`] plus per-kind latency
 //! [`Moments`] (the `perfdmf_requests` / `perfdmf_request_summary`
-//! system tables). Every record ring is one [`BoundedLog`].
+//! system tables). Every record ring, the flight recorder's included,
+//! is one [`BoundedLog`].
 //!
 //! When telemetry is disabled ([`set_enabled`]`(false)`) every
 //! instrumentation point reduces to one relaxed atomic load.
@@ -58,7 +59,7 @@ use std::time::Duration;
 
 pub use bounded::BoundedLog;
 pub use meter::{adopt_meter, current_meter, MeterGuard, RequestMeter, ResourceUsage};
-pub use metrics::{sample_now, start_sampler, MetricsRecorder, MetricsSample, SamplerHandle};
+pub use metrics::{sample_now, start_sampler, MetricsSample, SamplerHandle};
 pub use perfdmf_profile::Moments;
 pub use registry::{Counter, Histogram, LocalCounter};
 pub use regressions::RegressionRecord;
@@ -66,9 +67,7 @@ pub use requests::{RequestKindSummary, RequestRecord};
 pub use sessions::{SessionRecord, SessionState};
 pub use snapshot::{snapshot, snapshot_to_profile, CounterSnapshot, HistogramSnapshot, Snapshot};
 pub use span::{span, SpanGuard};
-pub use trace::{
-    set_tracing, tracing_enabled, FlightRecorder, SpanContext, SpanId, SpanRecord, TraceId,
-};
+pub use trace::{set_tracing, tracing_enabled, SpanContext, SpanId, SpanRecord, TraceId};
 
 static ENABLED: AtomicBool = AtomicBool::new(true);
 

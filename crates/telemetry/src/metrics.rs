@@ -1,5 +1,5 @@
-//! Metrics time-series recorder: periodic snapshots of the registry in a
-//! bounded ring buffer, so the engine's *recent past* — not just its
+//! Metrics history: periodic snapshots of the registry in a
+//! [`BoundedLog`], so the engine's *recent past* — not just its
 //! lifetime totals — is queryable.
 //!
 //! Two entry points:
@@ -10,13 +10,14 @@
 //!   interval until the returned [`SamplerHandle`] is dropped;
 //!   [`DEFAULT_INTERVAL`] (250ms) is the usual cadence.
 //!
-//! The ring is a [`BoundedLog`] of the most recent [`METRICS_CAPACITY`]
-//! samples; older samples fall off the front. Each sample is a full
+//! [`history`] returns the most recent [`METRICS_CAPACITY`] samples;
+//! older samples fall off the front. Each sample is a full
 //! [`Snapshot`] stamped with a monotonically increasing sequence number
 //! and milliseconds since the telemetry epoch (the clock span timestamps
 //! use), so windowed queries (`WHERE sample >= ...`,
-//! `WHERE elapsed_ms > ...`) work without wall clocks. `perfdmf-db` exposes the ring as the `perfdmf_metrics_history`
-//! virtual system table (see `docs/introspection.md`).
+//! `WHERE elapsed_ms > ...`) work without wall clocks. `perfdmf-db`
+//! exposes the history as the `perfdmf_metrics_history` virtual system
+//! table (see `docs/introspection.md`).
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -28,7 +29,7 @@ use parking_lot::Mutex;
 use crate::snapshot::{snapshot, Snapshot};
 use crate::BoundedLog;
 
-/// Samples retained by the process-wide recorder.
+/// Samples retained by the process-wide history.
 pub(crate) const METRICS_CAPACITY: usize = 512;
 
 /// The usual sampler interval.
@@ -46,70 +47,27 @@ pub struct MetricsSample {
     pub snapshot: Snapshot,
 }
 
-/// Bounded ring of [`MetricsSample`]s.
-pub struct MetricsRecorder {
-    ring: Mutex<BoundedLog<MetricsSample>>,
-}
+/// The process-wide history: the most recent [`METRICS_CAPACITY`] samples.
+static HISTORY: Mutex<BoundedLog<MetricsSample>> = Mutex::new(BoundedLog::new(METRICS_CAPACITY));
 
-impl MetricsRecorder {
-    /// A recorder retaining at most `capacity` samples (min 1).
-    pub const fn with_capacity(capacity: usize) -> Self {
-        MetricsRecorder {
-            ring: Mutex::new(BoundedLog::new(capacity)),
-        }
-    }
-
-    /// Maximum number of retained samples.
-    pub fn capacity(&self) -> usize {
-        self.ring.lock().capacity()
-    }
-
-    /// Number of samples currently retained.
-    pub fn len(&self) -> usize {
-        self.ring.lock().len()
-    }
-
-    /// True when no samples have been taken (or all have been evicted).
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Snapshot the registry into the ring now; returns the sample's
-    /// sequence number.
-    pub fn sample_now(&self) -> u64 {
-        let snapshot = snapshot();
-        let elapsed_ms = crate::trace::epoch()
-            .elapsed()
-            .as_millis()
-            .min(u64::MAX as u128) as u64;
-        self.ring.lock().push(|seq| MetricsSample {
-            seq,
-            elapsed_ms,
-            snapshot,
-        })
-    }
-
-    /// Copy of the retained samples, oldest first.
-    pub fn history(&self) -> Vec<MetricsSample> {
-        self.ring.lock().to_vec()
-    }
-
-    /// Drop all retained samples (sequence numbers keep counting).
-    pub fn clear(&self) {
-        self.ring.lock().clear();
-    }
-}
-
-static RECORDER: MetricsRecorder = MetricsRecorder::with_capacity(METRICS_CAPACITY);
-
-/// The process-wide recorder ([`METRICS_CAPACITY`] samples).
-pub fn recorder() -> &'static MetricsRecorder {
-    &RECORDER
-}
-
-/// Sample the global recorder once, immediately.
+/// Snapshot the registry into the history now; returns the sample's
+/// sequence number.
 pub fn sample_now() -> u64 {
-    recorder().sample_now()
+    let snapshot = snapshot();
+    let elapsed_ms = crate::trace::epoch()
+        .elapsed()
+        .as_millis()
+        .min(u64::MAX as u128) as u64;
+    HISTORY.lock().push(|seq| MetricsSample {
+        seq,
+        elapsed_ms,
+        snapshot,
+    })
+}
+
+/// Copy of the retained samples, oldest first.
+pub fn history() -> Vec<MetricsSample> {
+    HISTORY.lock().to_vec()
 }
 
 /// Owner handle of a background sampler thread. Dropping it stops the
@@ -139,7 +97,7 @@ impl Drop for SamplerHandle {
     }
 }
 
-/// Start a background thread sampling the global recorder every
+/// Start a background thread sampling into the history every
 /// `interval`. The thread takes one sample immediately so short-lived
 /// processes still record history, then sleeps in small slices so stop
 /// requests are honored promptly.
@@ -172,43 +130,57 @@ pub fn start_sampler(interval: Duration) -> SamplerHandle {
 mod tests {
     use super::*;
 
+    /// Serializes the tests that sample into the shared history.
+    fn test_lock() -> parking_lot::MutexGuard<'static, ()> {
+        static LOCK: Mutex<()> = Mutex::new(());
+        LOCK.lock()
+    }
+
+    fn last_seq() -> Option<u64> {
+        history().last().map(|s| s.seq)
+    }
+
     #[test]
     fn ring_is_bounded_and_ordered() {
-        let rec = MetricsRecorder::with_capacity(4);
-        for _ in 0..10 {
-            rec.sample_now();
-        }
-        let hist = rec.history();
-        assert_eq!(hist.len(), 4);
-        let seqs: Vec<u64> = hist.iter().map(|s| s.seq).collect();
-        assert_eq!(seqs, vec![6, 7, 8, 9], "oldest evicted, order kept");
+        let _serial = test_lock();
+        let seqs: Vec<u64> = (0..10).map(|_| sample_now()).collect();
+        let hist = history();
+        assert!(hist.len() <= METRICS_CAPACITY);
+        let tail: Vec<u64> = hist[hist.len() - 10..].iter().map(|s| s.seq).collect();
+        assert_eq!(tail, seqs, "newest samples last, in order");
+        assert!(hist.windows(2).all(|w| w[0].seq < w[1].seq));
         assert!(hist.windows(2).all(|w| w[0].elapsed_ms <= w[1].elapsed_ms));
     }
 
     #[test]
     fn samples_capture_live_counters() {
+        let _serial = test_lock();
         crate::counter("metrics.test.c").add(3);
-        let rec = MetricsRecorder::with_capacity(8);
-        rec.sample_now();
+        let first = sample_now();
         crate::counter("metrics.test.c").add(4);
-        rec.sample_now();
-        let hist = rec.history();
-        let v0 = hist[0].snapshot.counter("metrics.test.c").unwrap().value;
-        let v1 = hist[1].snapshot.counter("metrics.test.c").unwrap().value;
-        assert_eq!(v1 - v0, 4, "consecutive samples expose the delta");
+        let second = sample_now();
+        let value = |seq: u64| {
+            let hist = history();
+            let sample = hist.iter().find(|s| s.seq == seq).expect("sample retained");
+            sample.snapshot.counter("metrics.test.c").unwrap().value
+        };
+        assert_eq!(
+            value(second) - value(first),
+            4,
+            "consecutive samples expose the delta"
+        );
     }
 
     #[test]
     fn sampler_thread_samples_and_stops() {
-        let rec = recorder();
-        let before = rec.len();
+        let _serial = test_lock();
+        let before = last_seq();
         let handle = start_sampler(Duration::from_millis(5));
         std::thread::sleep(Duration::from_millis(40));
         handle.stop();
-        let after = rec.len();
-        assert!(after > before, "sampler must have recorded samples");
-        let settled = rec.len();
+        let settled = last_seq();
+        assert!(settled > before, "sampler must have recorded samples");
         std::thread::sleep(Duration::from_millis(30));
-        assert_eq!(rec.len(), settled, "no samples after stop");
+        assert_eq!(last_seq(), settled, "no samples after stop");
     }
 }

@@ -1,7 +1,6 @@
 //! The process-wide network-request log: a [`BoundedLog`] of recent
-//! requests with their [`ResourceUsage`], per-kind latency [`Moments`]
-//! and cost totals, and a slow-request log symmetrical to the db
-//! layer's slow-query log.
+//! requests with their [`ResourceUsage`], plus per-kind latency
+//! [`Moments`] and cost totals.
 //!
 //! `perfdmf-server` calls [`record`] once per answered request;
 //! `perfdmf-db` materializes the retained state as the
@@ -9,15 +8,11 @@
 //! tables (the registry lives here, like [`crate::sessions`], because
 //! the db layer cannot depend on the server crate without a cycle).
 //!
-//! Requests at or over the configurable threshold
-//! ([`set_slow_request_threshold`], default 100ms) additionally bump
-//! the `server.slow_requests` counter and are retained in their own
-//! ring ([`slow_request_log`]) so a burst of fast traffic cannot evict
-//! the evidence of a slow one.
+//! A request at or over 100ms is flagged `slow` and counted in its
+//! kind's [`RequestKindSummary::slow`] (which, unlike the ring, fast
+//! traffic cannot evict) and in the `server.slow_requests` counter.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Duration;
 
 use parking_lot::Mutex;
 
@@ -27,12 +22,9 @@ use crate::{BoundedLog, Moments};
 /// Request records retained by the ring.
 pub(crate) const REQUESTS_CAPACITY: usize = 256;
 
-/// Slow requests retained by their dedicated ring.
-const SLOW_RING_CAPACITY: usize = 256;
-
-/// Default slow-request threshold: 100ms (a network request includes
-/// queue wait and retries, so it breathes wider than a statement).
-const DEFAULT_SLOW_REQUEST_NS: u64 = 100_000_000;
+/// The slow-request threshold: 100ms (a network request includes queue
+/// wait and retries, so it breathes wider than a statement).
+const SLOW_REQUEST_NS: u64 = 100_000_000;
 
 /// One answered (or failed) network request.
 #[derive(Debug, Clone, PartialEq)]
@@ -55,8 +47,8 @@ pub struct RequestRecord {
     pub deadline_slack_ms: Option<i64>,
     /// Wall time from dispatch to reply, nanoseconds.
     pub elapsed_ns: u64,
-    /// True when `elapsed_ns` met the slow-request threshold (set by
-    /// [`record`]).
+    /// True when `elapsed_ns` met the 100ms slow-request threshold (set
+    /// by [`record`]).
     pub slow: bool,
     /// Server-side resources the request consumed.
     pub usage: ResourceUsage,
@@ -95,39 +87,24 @@ impl RequestKindSummary {
 
 struct Log {
     ring: BoundedLog<RequestRecord>,
-    slow_ring: BoundedLog<RequestRecord>,
     summary: BTreeMap<&'static str, RequestKindSummary>,
 }
 
 static LOG: Mutex<Log> = Mutex::new(Log {
     ring: BoundedLog::new(REQUESTS_CAPACITY),
-    slow_ring: BoundedLog::new(SLOW_RING_CAPACITY),
     summary: BTreeMap::new(),
 });
 
-static SLOW_REQUEST_THRESHOLD_NS: AtomicU64 = AtomicU64::new(DEFAULT_SLOW_REQUEST_NS);
-
-/// Requests at or above this wall time are logged as slow.
-pub fn slow_request_threshold() -> Duration {
-    Duration::from_nanos(SLOW_REQUEST_THRESHOLD_NS.load(Ordering::Relaxed))
-}
-
-/// Change the slow-request threshold process-wide. `Duration::ZERO`
-/// flags every request.
-pub fn set_slow_request_threshold(threshold: Duration) {
-    let ns = threshold.as_nanos().min(u64::MAX as u128) as u64;
-    SLOW_REQUEST_THRESHOLD_NS.store(ns, Ordering::Relaxed);
-}
-
 /// Record one completed request: assigns its sequence number, computes
-/// the `slow` flag, folds it into the per-kind summary, and — when slow
-/// — counts it in `server.slow_requests` and retains it in the slow ring.
+/// the `slow` flag, folds it into the per-kind summary and the ring, and
+/// — when slow — counts it in `server.slow_requests`.
 /// No-op while telemetry is disabled.
 pub fn record(mut record: RequestRecord) {
     if !crate::enabled() {
         return;
     }
-    record.slow = record.elapsed_ns >= SLOW_REQUEST_THRESHOLD_NS.load(Ordering::Relaxed);
+    let slow = record.elapsed_ns >= SLOW_REQUEST_NS;
+    record.slow = slow;
     let ok = matches!(record.status, "ok" | "replayed");
     {
         let mut log = LOG.lock();
@@ -136,20 +113,14 @@ pub fn record(mut record: RequestRecord) {
             .entry(record.kind)
             .or_insert_with(|| RequestKindSummary::new(record.kind));
         entry.errors += u64::from(!ok);
-        entry.slow += u64::from(record.slow);
+        entry.slow += u64::from(slow);
         entry.latency.push(record.elapsed_ns as f64);
         entry.max_latency_ns = entry.max_latency_ns.max(record.elapsed_ns);
         entry.totals = entry.totals.saturating_add(&record.usage);
 
-        log.ring.push(|seq| {
-            record.seq = seq;
-            record.clone()
-        });
-        if record.slow {
-            log.slow_ring.push(|_| record.clone());
-        }
+        log.ring.push(|seq| RequestRecord { seq, ..record });
     }
-    if record.slow {
+    if slow {
         crate::add("server.slow_requests", 1);
     }
 }
@@ -157,11 +128,6 @@ pub fn record(mut record: RequestRecord) {
 /// Copy of the retained request records, oldest first.
 pub fn log() -> Vec<RequestRecord> {
     LOG.lock().ring.to_vec()
-}
-
-/// Copy of the retained *slow* request records, oldest first.
-pub fn slow_request_log() -> Vec<RequestRecord> {
-    LOG.lock().slow_ring.to_vec()
 }
 
 /// Per-kind aggregates, ordered by kind name. Aggregates cover every
@@ -175,7 +141,6 @@ pub fn summary() -> Vec<RequestKindSummary> {
 pub fn clear() {
     let mut log = LOG.lock();
     log.ring.clear();
-    log.slow_ring.clear();
     log.summary.clear();
 }
 
@@ -231,27 +196,23 @@ mod tests {
     }
 
     #[test]
-    fn slow_requests_land_in_the_slow_ring() {
+    fn slow_requests_are_flagged_and_counted() {
         let _serial = test_lock();
         let _on = crate::enabled_flag_lock().read();
         clear();
-        let before = slow_request_threshold();
-        set_slow_request_threshold(Duration::from_nanos(2_000));
         record(sample("reqtest.Slow", 1_000, "ok"));
-        record(sample("reqtest.Slow", 5_000, "ok"));
-        set_slow_request_threshold(before);
-        let slow: Vec<_> = slow_request_log()
+        record(sample("reqtest.Slow", SLOW_REQUEST_NS, "ok"));
+        let flags: Vec<(u64, bool)> = log()
             .into_iter()
             .filter(|r| r.kind == "reqtest.Slow")
+            .map(|r| (r.elapsed_ns, r.slow))
             .collect();
-        assert_eq!(slow.len(), 1);
-        assert_eq!(slow[0].elapsed_ns, 5_000);
-        assert!(slow[0].slow);
-        let fast = log()
+        assert_eq!(flags, vec![(1_000, false), (SLOW_REQUEST_NS, true)]);
+        let summary = summary()
             .into_iter()
-            .find(|r| r.kind == "reqtest.Slow" && r.elapsed_ns == 1_000)
-            .unwrap();
-        assert!(!fast.slow);
+            .find(|s| s.kind == "reqtest.Slow")
+            .expect("kind aggregated");
+        assert_eq!(summary.slow, 1, "only the 100ms request counts as slow");
         clear();
     }
 

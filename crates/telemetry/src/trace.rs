@@ -1,14 +1,14 @@
 //! Causal tracing: trace/span ids, cross-thread context propagation, a
-//! lock-free flight recorder, and Chrome-trace export.
+//! flight recorder, and Chrome-trace export.
 //!
 //! This rides on the same [`crate::span`] guards that feed the latency
 //! histograms. When tracing is on ([`set_tracing`]`(true)`, default
 //! **off**), each guard additionally allocates a `SpanId`, links it to
 //! the enclosing span (or to a context adopted from another thread via
-//! [`adopt_context`]), and on drop publishes a [`SpanRecord`] into the
-//! global [`FlightRecorder`] — a fixed-capacity ring of seqlock slots
-//! that writers never block on and readers can snapshot at any time,
-//! including from a panic hook.
+//! [`adopt_context`]), and on drop pushes a [`SpanRecord`] into the
+//! flight recorder — a [`BoundedLog`] of the most recent
+//! [`RECORDER_CAPACITY`] spans behind one mutex, held only to push a
+//! record or copy the log.
 //!
 //! Propagation rules:
 //! * a span opened while another span is live on the same thread becomes
@@ -18,19 +18,21 @@
 //!   span — this is how one trace crosses thread boundaries;
 //! * otherwise the span starts a fresh trace as its root.
 //!
-//! Dump triggers: [`FlightRecorder::dump`] on demand and [`fault_dump`],
-//! which the db layer calls whenever a durability fault counter fires (fsync error,
+//! Dump triggers: [`dump`] on demand and [`fault_dump`], which the db
+//! layer calls whenever a durability fault counter fires (fsync error,
 //! torn WAL tail, poisoned WAL). Fault dumps also capture the calling
 //! thread's still-*open* spans, so the span that observed the fault is
 //! present even though it has not finished.
 
-use parking_lot::RwLock;
+use parking_lot::{Mutex, RwLock};
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::OnceLock;
 use std::time::Instant;
+
+use crate::BoundedLog;
 
 /// Capacity of the process-global flight recorder, in spans.
 pub(crate) const RECORDER_CAPACITY: usize = 16 * 1024;
@@ -101,12 +103,6 @@ pub(crate) fn trace_sample_every() -> u64 {
         .unwrap_or(1);
     SAMPLE_EVERY.store(every, Ordering::Relaxed);
     every
-}
-
-/// Override the sampling period process-wide (values below 1 clamp
-/// to 1, i.e. sample everything).
-pub fn set_trace_sample(every: u64) {
-    SAMPLE_EVERY.store(every.max(1), Ordering::Relaxed);
 }
 
 /// Draw from the process-wide sampling sequence: true for one request
@@ -215,12 +211,13 @@ pub(crate) fn exit_span(span: u64) {
     });
     if let Some(fr) = frame {
         let end = now_ns();
-        recorder().record(SpanRecord {
+        let thread = thread_label();
+        RECORDER.lock().push(|_| SpanRecord {
             trace: fr.trace,
             span: fr.span,
             parent: fr.parent,
             name: fr.name,
-            thread: thread_label(),
+            thread,
             start_ns: fr.start_ns,
             dur_ns: end.saturating_sub(fr.start_ns),
             open: false,
@@ -299,172 +296,26 @@ impl SpanRecord {
     }
 }
 
-/// Span names interned to small indexes so recorder slots stay
-/// all-atomic (no pointers round-tripped through u64). Duplicate entries
-/// for the same text (one per distinct `&'static str` address) are fine.
-fn names() -> &'static RwLock<Vec<&'static str>> {
-    static NAMES: OnceLock<RwLock<Vec<&'static str>>> = OnceLock::new();
-    NAMES.get_or_init(|| RwLock::new(Vec::new()))
+/// The flight recorder: the most recent [`RECORDER_CAPACITY`] finished
+/// spans, oldest evicted first.
+static RECORDER: Mutex<BoundedLog<SpanRecord>> = Mutex::new(BoundedLog::new(RECORDER_CAPACITY));
+
+/// Snapshot the flight recorder's spans, ordered by `(start_ns, span)`.
+pub fn dump() -> Vec<SpanRecord> {
+    let mut out = RECORDER.lock().to_vec();
+    out.sort_by_key(|r| (r.start_ns, r.span));
+    out
 }
 
-fn name_index(name: &'static str) -> u64 {
-    {
-        let names = names().read();
-        if let Some(i) = names.iter().position(|n| std::ptr::eq(*n, name)) {
-            return i as u64 + 1;
-        }
-    }
-    let mut names = names().write();
-    if let Some(i) = names.iter().position(|n| std::ptr::eq(*n, name)) {
-        return i as u64 + 1;
-    }
-    names.push(name);
-    names.len() as u64
+/// Discard the buffered spans; [`recorded_total`] keeps counting.
+pub fn clear() {
+    RECORDER.lock().clear();
 }
 
-fn name_at(idx: u64) -> Option<&'static str> {
-    if idx == 0 {
-        return None;
-    }
-    names().read().get(idx as usize - 1).copied()
-}
-
-/// One seqlock slot. `seq` is 0 while never written, odd while a write
-/// is in flight, even once published; each wrap strictly increases it
-/// (ticket t writes 2t+1 then 2t+2, and tickets for a given slot differ
-/// by the ring capacity), so a torn read can never look stable.
-struct Slot {
-    seq: AtomicU64,
-    trace: AtomicU64,
-    span: AtomicU64,
-    parent: AtomicU64,
-    name: AtomicU64,
-    thread: AtomicU64,
-    start_ns: AtomicU64,
-    dur_ns: AtomicU64,
-}
-
-impl Slot {
-    fn empty() -> Self {
-        Slot {
-            seq: AtomicU64::new(0),
-            trace: AtomicU64::new(0),
-            span: AtomicU64::new(0),
-            parent: AtomicU64::new(0),
-            name: AtomicU64::new(0),
-            thread: AtomicU64::new(0),
-            start_ns: AtomicU64::new(0),
-            dur_ns: AtomicU64::new(0),
-        }
-    }
-}
-
-/// Fixed-capacity lock-free ring of the most recent finished spans.
-/// Writers claim a ticket with one `fetch_add` and never wait; an
-/// in-progress [`dump`](Self::dump) skips (only) slots being rewritten
-/// concurrently.
-pub struct FlightRecorder {
-    slots: Box<[Slot]>,
-    cursor: AtomicU64,
-}
-
-impl FlightRecorder {
-    pub fn with_capacity(capacity: usize) -> Self {
-        let capacity = capacity.max(1);
-        FlightRecorder {
-            slots: (0..capacity).map(|_| Slot::empty()).collect(),
-            cursor: AtomicU64::new(0),
-        }
-    }
-
-    pub fn capacity(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// Spans recorded over the recorder's lifetime (not capped).
-    pub fn recorded_total(&self) -> u64 {
-        self.cursor.load(Ordering::Relaxed)
-    }
-
-    /// Spans currently buffered.
-    pub fn len(&self) -> usize {
-        (self.recorded_total() as usize).min(self.slots.len())
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Publish one record, overwriting the oldest slot once full.
-    pub fn record(&self, rec: SpanRecord) {
-        let ticket = self.cursor.fetch_add(1, Ordering::Relaxed);
-        let slot = &self.slots[(ticket % self.slots.len() as u64) as usize];
-        slot.seq.store(ticket * 2 + 1, Ordering::Release);
-        slot.trace.store(rec.trace, Ordering::Relaxed);
-        slot.span.store(rec.span, Ordering::Relaxed);
-        slot.parent.store(rec.parent, Ordering::Relaxed);
-        slot.name.store(name_index(rec.name), Ordering::Relaxed);
-        slot.thread.store(rec.thread, Ordering::Relaxed);
-        slot.start_ns.store(rec.start_ns, Ordering::Relaxed);
-        slot.dur_ns.store(rec.dur_ns, Ordering::Relaxed);
-        std::sync::atomic::fence(Ordering::Release);
-        slot.seq.store(ticket * 2 + 2, Ordering::Release);
-    }
-
-    /// Snapshot the buffered spans, ordered by start time. Slots being
-    /// rewritten while the snapshot runs are skipped, never torn.
-    pub fn dump(&self) -> Vec<SpanRecord> {
-        let mut out = Vec::with_capacity(self.len());
-        for slot in self.slots.iter() {
-            for _attempt in 0..4 {
-                let s1 = slot.seq.load(Ordering::Acquire);
-                if s1 == 0 || s1 % 2 == 1 {
-                    break;
-                }
-                let trace = slot.trace.load(Ordering::Relaxed);
-                let span = slot.span.load(Ordering::Relaxed);
-                let parent = slot.parent.load(Ordering::Relaxed);
-                let name_idx = slot.name.load(Ordering::Relaxed);
-                let thread = slot.thread.load(Ordering::Relaxed);
-                let start_ns = slot.start_ns.load(Ordering::Relaxed);
-                let dur_ns = slot.dur_ns.load(Ordering::Relaxed);
-                std::sync::atomic::fence(Ordering::Acquire);
-                if slot.seq.load(Ordering::Relaxed) != s1 {
-                    continue;
-                }
-                if let Some(name) = name_at(name_idx) {
-                    out.push(SpanRecord {
-                        trace,
-                        span,
-                        parent,
-                        name,
-                        thread,
-                        start_ns,
-                        dur_ns,
-                        open: false,
-                    });
-                }
-                break;
-            }
-        }
-        out.sort_by_key(|r| (r.start_ns, r.span));
-        out
-    }
-
-    /// Discard all buffered spans. Not safe against concurrent writers
-    /// (a mid-flight record may survive); quiesce first in tests.
-    pub fn clear(&self) {
-        for slot in self.slots.iter() {
-            slot.seq.store(0, Ordering::Release);
-        }
-        self.cursor.store(0, Ordering::Release);
-    }
-}
-
-/// The process-global flight recorder ([`RECORDER_CAPACITY`] spans).
-pub fn recorder() -> &'static FlightRecorder {
-    static RECORDER: OnceLock<FlightRecorder> = OnceLock::new();
-    RECORDER.get_or_init(|| FlightRecorder::with_capacity(RECORDER_CAPACITY))
+/// Spans recorded over the process's lifetime (not capped, not reset by
+/// [`clear`]).
+pub fn recorded_total() -> u64 {
+    RECORDER.lock().total()
 }
 
 /// Records for the calling thread's currently-open spans (marked
@@ -516,7 +367,7 @@ pub fn fault_dump() -> Option<PathBuf> {
         return None;
     }
     let path = fault_dump_path().read().clone()?;
-    let mut records = recorder().dump();
+    let mut records = dump();
     records.extend(open_spans());
     let json = export_chrome_trace(&records);
     let mut temp = path.clone().into_os_string();
@@ -673,7 +524,7 @@ mod tests {
         set_tracing(false);
         assert_eq!(root_ctx.trace, child_ctx.trace);
         assert_ne!(root_ctx.span, child_ctx.span);
-        let recs = recorder().dump();
+        let recs = dump();
         let child = recs
             .iter()
             .find(|r| r.span == child_ctx.span.0)
@@ -706,7 +557,7 @@ mod tests {
         };
         set_tracing(false);
         assert_eq!(remote_span.trace, ctx.trace);
-        let recs = recorder().dump();
+        let recs = dump();
         let worker = recs.iter().find(|r| r.span == remote_span.span.0).unwrap();
         assert_eq!(worker.parent, ctx.span.0);
         let root = recs.iter().find(|r| r.span == ctx.span.0).unwrap();
@@ -714,24 +565,68 @@ mod tests {
     }
 
     #[test]
-    fn ring_wraps_keeping_newest() {
-        let ring = FlightRecorder::with_capacity(4);
-        for i in 0..10u64 {
-            ring.record(SpanRecord {
-                trace: 1,
-                span: i + 1,
-                parent: 0,
-                name: "trace.test.wrap",
-                thread: 1,
-                start_ns: i * 100,
-                dur_ns: 10,
-                open: false,
-            });
+    fn dump_during_recording_sees_whole_records() {
+        const THREADS: usize = 4;
+        const ROOTS: usize = 500;
+        const ROOT: &str = "trace.test.concurrent.root";
+        const CHILD: &str = "trace.test.concurrent.child";
+        let _g = tracing_test_lock();
+        crate::set_enabled(true);
+        set_tracing(true);
+        clear();
+        let before = recorded_total();
+        let start = std::sync::Barrier::new(THREADS + 1);
+        let finished = AtomicU64::new(0);
+        let opened: Vec<SpanContext> = std::thread::scope(|s| {
+            let writers: Vec<_> = (0..THREADS)
+                .map(|_| {
+                    s.spawn(|| {
+                        let mut opened = Vec::with_capacity(2 * ROOTS);
+                        start.wait();
+                        for _ in 0..ROOTS {
+                            let _root = crate::span(ROOT);
+                            opened.push(current_context().unwrap());
+                            let _child = crate::span(CHILD);
+                            opened.push(current_context().unwrap());
+                        }
+                        finished.fetch_add(1, Ordering::Relaxed);
+                        opened
+                    })
+                })
+                .collect();
+            start.wait();
+            loop {
+                let done = finished.load(Ordering::Relaxed) == THREADS as u64;
+                // Only this test records while it holds the tracing lock,
+                // so every record dumped is one of its spans.
+                let recs = dump();
+                let trace_of: HashMap<u64, u64> = recs.iter().map(|r| (r.span, r.trace)).collect();
+                for r in &recs {
+                    assert!(r.name == ROOT || r.name == CHILD, "torn name {:?}", r.name);
+                    assert_eq!(r.parent == 0, r.name == ROOT, "{r:?}");
+                    if let Some(&trace) = trace_of.get(&r.parent) {
+                        assert_eq!(trace, r.trace, "parent in another trace: {r:?}");
+                    }
+                }
+                if done {
+                    break;
+                }
+            }
+            writers
+                .into_iter()
+                .flat_map(|w| w.join().unwrap())
+                .collect()
+        });
+        set_tracing(false);
+        assert_eq!(recorded_total() - before, opened.len() as u64);
+        let recs: HashMap<u64, SpanRecord> = dump().into_iter().map(|r| (r.span, r)).collect();
+        for ctx in &opened {
+            let r = recs.get(&ctx.span.0).expect("every opened span recorded");
+            assert_eq!(r.trace, ctx.trace.0);
+            if r.name == CHILD {
+                assert_eq!(recs[&r.parent].trace, r.trace);
+            }
         }
-        assert_eq!(ring.recorded_total(), 10);
-        assert_eq!(ring.len(), 4);
-        let spans: Vec<u64> = ring.dump().iter().map(|r| r.span).collect();
-        assert_eq!(spans, vec![7, 8, 9, 10]);
     }
 
     #[test]
@@ -840,13 +735,13 @@ mod tests {
     #[test]
     fn sampling_period_is_configurable() {
         let before = trace_sample_every();
-        set_trace_sample(1);
+        SAMPLE_EVERY.store(1, Ordering::Relaxed);
         assert!(sample_request());
         assert!(sample_request());
-        set_trace_sample(3);
+        SAMPLE_EVERY.store(3, Ordering::Relaxed);
         let hits = (0..30).filter(|_| sample_request()).count();
         assert_eq!(hits, 10, "1-in-3 sampling must hit exactly a third");
-        set_trace_sample(before);
+        SAMPLE_EVERY.store(before, Ordering::Relaxed);
     }
 
     #[test]

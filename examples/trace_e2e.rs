@@ -110,7 +110,7 @@ fn main() {
     }
 
     // --- merge the two sides into one Chrome-trace timeline ---
-    let records = trace::recorder().dump();
+    let records = trace::dump();
     let client_traces: std::collections::BTreeSet<u64> = records
         .iter()
         .filter(|r| r.name == "client.request")

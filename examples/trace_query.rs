@@ -76,8 +76,7 @@ fn main() {
     }
 
     // --- export the flight recorder ---
-    let records: Vec<_> = trace::recorder()
-        .dump()
+    let records: Vec<_> = trace::dump()
         .into_iter()
         .filter(|r| r.trace == trace_id.0)
         .collect();

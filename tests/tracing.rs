@@ -41,8 +41,7 @@ fn parallel_query_leaves_cross_thread_trace() {
     };
     telemetry::set_tracing(false);
 
-    let records: Vec<trace::SpanRecord> = trace::recorder()
-        .dump()
+    let records: Vec<trace::SpanRecord> = trace::dump()
         .into_iter()
         .filter(|r| r.trace == trace_id.0)
         .collect();
@@ -112,11 +111,11 @@ fn tracing_off_records_nothing_new() {
     let _serial = TRACING_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let conn = seeded();
     telemetry::set_tracing(false);
-    let before = trace::recorder().recorded_total();
+    let before = trace::recorded_total();
     let _span = telemetry::span("tracing.test.off");
     conn.query("SELECT COUNT(*) FROM sample", &[]).unwrap();
     assert_eq!(
-        trace::recorder().recorded_total(),
+        trace::recorded_total(),
         before,
         "spans recorded while tracing was off"
     );
