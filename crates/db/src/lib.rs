@@ -82,7 +82,7 @@ pub use plan::{
 pub use schema::{ColumnDef, TableSchema};
 pub use storage::Durability;
 pub use table::{Row, RowId, Table};
-pub use value::{DataType, IStr, Value};
+pub use value::{Blob, DataType, IStr, Value};
 pub use vfs::{RealVfs, Vfs, VfsFile};
 
 /// Unit tests that assert exact deltas of process-wide state (telemetry

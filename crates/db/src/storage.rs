@@ -160,7 +160,7 @@ pub fn get_value(buf: &mut &[u8]) -> Result<Value> {
             if buf.remaining() < len {
                 return Err(DbError::Corrupt("truncated blob body".into()));
             }
-            Ok(Value::Bytes(buf.copy_to_bytes(len).to_vec()))
+            Ok(Value::Bytes(buf.copy_to_bytes(len).to_vec().into()))
         }
         t => Err(DbError::Corrupt(format!("unknown value tag {t}"))),
     }
@@ -1076,7 +1076,7 @@ mod tests {
             Value::Float(f64::NAN),
             Value::Text("λ profile".into()),
             Value::Bool(true),
-            Value::Bytes(vec![0, 1, 255]),
+            Value::Bytes(vec![0, 1, 255].into()),
         ];
         for v in vals {
             let mut buf = Vec::new();

@@ -4,7 +4,7 @@ use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::fmt;
 use std::ops::Deref;
-use std::sync::{Arc, OnceLock, RwLock};
+use std::sync::{OnceLock, RwLock};
 
 /// The type of a column.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -58,15 +58,22 @@ impl fmt::Display for DataType {
 
 /// Process-wide string dictionary backing [`IStr`].
 ///
-/// Interning is global so equal strings always share one id: `IStr`
-/// equality and hashing reduce to a `u32` compare, which makes group-by
-/// keys and DISTINCT sets cheap and lets column chunks store text
-/// columns as dictionary ids. Entries live for the process lifetime —
-/// acceptable for a metrics store whose event/metric name cardinality
-/// is bounded.
+/// Interning is global so equal strings always share one entry: `IStr`
+/// equality is a pointer compare and hashing uses the `u32` id, which
+/// makes group-by keys and DISTINCT sets cheap and lets column chunks
+/// store text columns as dictionary ids. Entries are leaked, so they live
+/// for the process lifetime — acceptable for a metrics store whose
+/// event/metric name cardinality is bounded.
 struct Interner {
-    ids: HashMap<Arc<str>, u32>,
-    strings: Vec<Arc<str>>,
+    ids: HashMap<&'static str, &'static Entry>,
+    strings: Vec<&'static Entry>,
+}
+
+/// One dictionary entry; each distinct string has exactly one.
+#[derive(Debug)]
+struct Entry {
+    id: u32,
+    s: Box<str>,
 }
 
 fn interner() -> &'static RwLock<Interner> {
@@ -81,79 +88,67 @@ fn interner() -> &'static RwLock<Interner> {
 
 /// An interned, immutable UTF-8 string.
 ///
-/// Cloning bumps an `Arc`; equality and hashing compare the dictionary
-/// id (O(1)); ordering still compares bytes, so the SQL total order is
-/// unchanged. Derefs to `str`, so call sites treat it like a `String`.
-#[derive(Debug, Clone)]
-pub struct IStr {
-    id: u32,
-    s: Arc<str>,
-}
+/// A one-pointer `Copy` handle to its dictionary entry, so copying it
+/// touches no reference count. Equality compares entry pointers and
+/// hashing the dictionary id (both O(1)); ordering still compares bytes,
+/// so the SQL total order is unchanged. Derefs to `str`, so call sites
+/// treat it like a `String`.
+#[derive(Debug, Clone, Copy)]
+pub struct IStr(&'static Entry);
 
 impl IStr {
     /// Intern `s`, returning the canonical handle for its contents.
     pub(crate) fn intern(s: &str) -> IStr {
-        // A hit clones the map's own key, which the lookup just compared,
-        // instead of touching the id-ordered `strings` table as well.
         {
             let rd = interner().read().unwrap();
-            if let Some((arc, &id)) = rd.ids.get_key_value(s) {
-                return IStr {
-                    id,
-                    s: Arc::clone(arc),
-                };
+            if let Some(&entry) = rd.ids.get(s) {
+                return IStr(entry);
             }
         }
         let mut wr = interner().write().unwrap();
-        if let Some((arc, &id)) = wr.ids.get_key_value(s) {
-            return IStr {
-                id,
-                s: Arc::clone(arc),
-            };
+        if let Some(&entry) = wr.ids.get(s) {
+            return IStr(entry);
         }
-        let arc: Arc<str> = Arc::from(s);
         let id = u32::try_from(wr.strings.len()).expect("string dictionary overflow");
-        wr.strings.push(Arc::clone(&arc));
-        wr.ids.insert(Arc::clone(&arc), id);
-        IStr { id, s: arc }
+        let entry: &'static Entry = Box::leak(Box::new(Entry { id, s: s.into() }));
+        wr.strings.push(entry);
+        wr.ids.insert(&entry.s, entry);
+        IStr(entry)
     }
 
     /// The dictionary id. Equal strings share one id process-wide.
     pub fn id(&self) -> u32 {
-        self.id
+        self.0.id
     }
 
     /// Resolve a dictionary id previously minted by [`IStr::id`].
     pub(crate) fn from_id(id: u32) -> Option<IStr> {
         let rd = interner().read().unwrap();
-        rd.strings.get(id as usize).map(|s| IStr {
-            id,
-            s: Arc::clone(s),
-        })
+        rd.strings.get(id as usize).map(|&entry| IStr(entry))
     }
 
     /// View as `&str`.
     pub fn as_str(&self) -> &str {
-        &self.s
+        &self.0.s
     }
 }
 
 impl Deref for IStr {
     type Target = str;
     fn deref(&self) -> &str {
-        &self.s
+        self.as_str()
     }
 }
 
 impl AsRef<str> for IStr {
     fn as_ref(&self) -> &str {
-        &self.s
+        self.as_str()
     }
 }
 
 impl PartialEq for IStr {
     fn eq(&self, other: &Self) -> bool {
-        self.id == other.id
+        std::ptr::eq(self.0, other.0)
     }
 }
 
@@ -179,23 +174,23 @@ impl PartialOrd for IStr {
 
 impl Ord for IStr {
     fn cmp(&self, other: &Self) -> Ordering {
-        if self.id == other.id {
+        if self == other {
             Ordering::Equal
         } else {
-            self.s.cmp(&other.s)
+            self.as_str().cmp(other.as_str())
         }
     }
 }
 
 impl std::hash::Hash for IStr {
     fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        self.id.hash(state);
+        self.id().hash(state);
     }
 }
 
 impl fmt::Display for IStr {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.s)
+        f.write_str(self.as_str())
     }
 }
 
@@ -214,6 +209,24 @@ impl From<String> for IStr {
 impl From<&String> for IStr {
     fn from(s: &String) -> Self {
         IStr::intern(s)
+    }
+}
+
+/// The payload of [`Value::Bytes`]: an immutable byte string behind one
+/// thin pointer, so it fits `Value`'s 8-byte payload slot.
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct Blob(Box<Box<[u8]>>);
+
+impl Deref for Blob {
+    type Target = [u8];
+    fn deref(&self) -> &[u8] {
+        &self.0
+    }
+}
+
+impl From<Vec<u8>> for Blob {
+    fn from(v: Vec<u8>) -> Self {
+        Blob(Box::new(v.into_boxed_slice()))
     }
 }
 
@@ -236,8 +249,11 @@ pub enum Value {
     /// Boolean.
     Bool(bool),
     /// Raw bytes.
-    Bytes(Vec<u8>),
+    Bytes(Blob),
 }
+
+// Every payload fits in 8 bytes, so a value is a tag plus one word.
+const _: () = assert!(std::mem::size_of::<Value>() == 16);
 
 impl Value {
     /// The data type of this value, or `None` for NULL.
@@ -597,7 +613,7 @@ mod tests {
         assert_eq!(Value::Float(2.0).to_string(), "2.0");
         assert_eq!(Value::Float(2.5).to_string(), "2.5");
         assert_eq!(Value::Null.to_string(), "NULL");
-        assert_eq!(Value::Bytes(vec![0xde, 0xad]).to_string(), "x'dead'");
+        assert_eq!(Value::Bytes(vec![0xde, 0xad].into()).to_string(), "x'dead'");
     }
 
     #[test]

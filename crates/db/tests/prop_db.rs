@@ -28,7 +28,7 @@ proptest! {
             let (i, f, s, b) = match v {
                 Value::Int(x) => (Value::Int(*x), Value::Null, Value::Null, Value::Null),
                 Value::Float(x) => (Value::Null, Value::Float(*x), Value::Null, Value::Null),
-                Value::Text(x) => (Value::Null, Value::Null, Value::Text(x.clone()), Value::Null),
+                Value::Text(x) => (Value::Null, Value::Null, Value::Text(*x), Value::Null),
                 Value::Bool(x) => (Value::Null, Value::Null, Value::Null, Value::Bool(*x)),
                 _ => (Value::Null, Value::Null, Value::Null, Value::Null),
             };

@@ -28,7 +28,7 @@ fn arb_value() -> impl Strategy<Value = Value> {
         prop_oneof![Just(String::new()), "[ -~]{0,48}".prop_map(String::from)]
             .prop_map(|s: String| Value::Text(s.into())),
         any::<bool>().prop_map(Value::Bool),
-        proptest::collection::vec(any::<u8>(), 0..256).prop_map(Value::Bytes),
+        proptest::collection::vec(any::<u8>(), 0..256).prop_map(|b| Value::Bytes(b.into())),
     ]
 }
 
@@ -65,7 +65,7 @@ fn arb_column_parts() -> impl Strategy<Value = (DataType, bool, bool, Option<Val
                     DataType::Double => Value::Float(seed as f64 / 3.0),
                     DataType::Text => Value::Text(format!("d{seed}").into()),
                     DataType::Boolean => Value::Bool(seed % 2 == 0),
-                    DataType::Blob => Value::Bytes(seed.to_le_bytes().to_vec()),
+                    DataType::Blob => Value::Bytes(seed.to_le_bytes().to_vec().into()),
                 }),
             };
             (ty, not_null, unique, default)
@@ -205,7 +205,7 @@ fn max_length_blob_roundtrips() {
     let blob: Vec<u8> = (0..16 * 1024 * 1024u32)
         .map(|i| (i * 31 + 7) as u8)
         .collect();
-    let v = Value::Bytes(blob);
+    let v = Value::Bytes(blob.into());
     let mut buf = Vec::new();
     put_value(&mut buf, &v);
     let mut slice = buf.as_slice();
@@ -648,7 +648,7 @@ proptest! {
         );
         for (name, score, blob) in rows {
             table
-                .insert(vec![Value::Null, Value::Text(name.into()), Value::Float(score), Value::Bytes(blob)])
+                .insert(vec![Value::Null, Value::Text(name.into()), Value::Float(score), Value::Bytes(blob.into())])
                 .unwrap();
         }
         table.create_index("ix_s_name", "name", false).unwrap();

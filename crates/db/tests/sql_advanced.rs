@@ -330,18 +330,18 @@ fn blob_values_via_parameters() {
     let payload = vec![0u8, 1, 2, 255, 254, 128];
     conn.insert(
         "INSERT INTO files (name, data) VALUES (?, ?)",
-        &[Value::from("raw"), Value::Bytes(payload.clone())],
+        &[Value::from("raw"), Value::Bytes(payload.clone().into())],
     )
     .unwrap();
     let rs = conn
         .query("SELECT data FROM files WHERE name = 'raw'", &[])
         .unwrap();
-    assert_eq!(rs.scalar(), Some(&Value::Bytes(payload.clone())));
+    assert_eq!(rs.scalar(), Some(&Value::Bytes(payload.clone().into())));
     // blobs compare by bytes in WHERE via parameters
     let rs = conn
         .query(
             "SELECT COUNT(*) FROM files WHERE data = ?",
-            &[Value::Bytes(payload)],
+            &[Value::Bytes(payload.into())],
         )
         .unwrap();
     assert_eq!(rs.scalar(), Some(&Value::Int(1)));

@@ -2,7 +2,7 @@
 
 use crate::protocol::{Request, Response};
 use crate::server::{AnalysisServer, Job};
-use crossbeam::channel::{bounded, RecvTimeoutError, Sender, TrySendError};
+use crossbeam::channel::{bounded, Sender, TrySendError};
 use perfdmf_telemetry as telemetry;
 use std::time::{Duration, Instant};
 
@@ -85,9 +85,8 @@ impl RetryPolicy {
 
 /// The reply to a call whose `deadline` lapsed before any response
 /// arrived: a retryable [`Response::Failed`] tagged with the caller's
-/// trace, counted in `explorer.timeouts`. The blocking
-/// [`ExplorerClient::request_with_deadline`] and the network server's
-/// event loop both answer an expired wait with it.
+/// trace, counted in `explorer.timeouts`. The network server's event
+/// loop answers an expired wait with it.
 pub fn deadline_timeout(deadline: Duration, trace_id: Option<u64>) -> Response {
     telemetry::add("explorer.timeouts", 1);
     let trace_tag = trace_id
@@ -139,15 +138,17 @@ impl ExplorerClient {
     /// (returning a retryable [`Response::Failed`]); if no reply arrives
     /// by the deadline the client stops waiting and returns a retryable
     /// [`Response::Failed`] itself, so the call returns within roughly
-    /// `deadline` even if the server stalls.
-    pub fn request_with_deadline(&self, request: Request, deadline: Duration) -> Response {
+    /// `deadline` even if the server stalls. Only tests call it; the
+    /// network server waits from its event loop.
+    #[cfg(test)]
+    pub(crate) fn request_with_deadline(&self, request: Request, deadline: Duration) -> Response {
         match self.submit(request, Some(Instant::now() + deadline)) {
             Ok(rrx) => match rrx.recv_timeout(deadline) {
                 Ok(response) => response,
-                Err(RecvTimeoutError::Timeout) => {
+                Err(crossbeam::channel::RecvTimeoutError::Timeout) => {
                     deadline_timeout(deadline, telemetry::trace::current_trace_id().map(|t| t.0))
                 }
-                Err(RecvTimeoutError::Disconnected) => {
+                Err(crossbeam::channel::RecvTimeoutError::Disconnected) => {
                     Response::Error("analysis server dropped the request".into())
                 }
             },

@@ -7,7 +7,8 @@
 //!
 //! This example sweeps Miranda-shaped trials over processor counts,
 //! measuring generate / store / query / summarize times and printing the
-//! data-point counts. The default sweep tops out at 4K processors to stay
+//! data-point counts and the process's resident memory right after each
+//! store. The default sweep tops out at 4K processors to stay
 //! quick in debug builds; pass `--full` for the paper's 8K and 16K points
 //! (use `--release`).
 //!
@@ -31,8 +32,8 @@ fn main() {
         model.events
     );
     println!(
-        "{:>8} {:>12} {:>10} {:>10} {:>10} {:>10}",
-        "procs", "data points", "gen (s)", "store (s)", "query (s)", "summ (s)"
+        "{:>8} {:>12} {:>10} {:>10} {:>10} {:>10} {:>10}",
+        "procs", "data points", "gen (s)", "store (s)", "rss (MiB)", "query (s)", "summ (s)"
     );
 
     for &procs in proc_counts {
@@ -47,6 +48,7 @@ fn main() {
         let t0 = Instant::now();
         let trial_id = session.store_profile("miranda", "bgl", &profile).unwrap();
         let store_s = t0.elapsed().as_secs_f64();
+        let rss = rss_mib();
 
         // Representative analysis queries over the mass of data:
         let t0 = Instant::now();
@@ -83,7 +85,7 @@ fn main() {
         assert_eq!(totals.len(), model.events);
 
         println!(
-            "{procs:>8} {points:>12} {gen_s:>10.3} {store_s:>10.3} {query_s:>10.3} {summ_s:>10.3}"
+            "{procs:>8} {points:>12} {gen_s:>10.3} {store_s:>10.3} {rss:>10.1} {query_s:>10.3} {summ_s:>10.3}"
         );
     }
     if full {
@@ -91,4 +93,16 @@ fn main() {
     } else {
         println!("\n(pass --full with --release for the paper's 8K/16K processor points)");
     }
+}
+
+/// The process's resident set size in MiB, read from `VmRSS` in
+/// `/proc/self/status`; NaN where that file is not available.
+fn rss_mib() -> f64 {
+    std::fs::read_to_string("/proc/self/status")
+        .ok()
+        .and_then(|status| {
+            let line = status.lines().find_map(|l| l.strip_prefix("VmRSS:"))?;
+            line.split_whitespace().next()?.parse::<f64>().ok()
+        })
+        .map_or(f64::NAN, |kib| kib / 1024.0)
 }
