@@ -4,21 +4,21 @@
 //! extensible suite of common base analysis routines that can be reused
 //! across performance analysis programs."
 //!
-//! * [`stats`] — descriptive statistics and correlation.
-//! * [`speedup`] — multi-trial speedup/scalability analysis (the §5.2
+//! * `stats` — descriptive statistics and correlation.
+//! * `speedup` — multi-trial speedup/scalability analysis (the §5.2
 //!   trial-browser/speedup-analyzer application), with Amdahl fitting.
-//! * [`compare`] — CUBE-style trial difference/merge algebra (paper §7
+//! * `compare` — CUBE-style trial difference/merge algebra (paper §7
 //!   planned work, implemented here).
-//! * [`features`] — profile → feature-matrix extraction for data mining.
+//! * `features` — profile → feature-matrix extraction for data mining.
 //! * [`hierarchical()`] — average-linkage agglomerative clustering with
 //!   dendrogram cut (PerfExplorer's second mining method).
 //! * [`kmeans()`] — k-means++ clustering with a parallel assignment step,
 //!   silhouette k-selection, adjusted Rand index (PerfExplorer's cluster
 //!   analysis, §5.3 — the R substitute).
 //! * [`pca()`] — principal component analysis via cyclic Jacobi.
-//! * [`report`] — ParaProf-style text views (group summaries, top-event
+//! * `report` — ParaProf-style text views (group summaries, top-event
 //!   tables with imbalance highlighting, per-thread bars).
-//! * [`scalability`] — Amdahl model fitting.
+//! * `scalability` — Amdahl model fitting.
 
 #![warn(unreachable_pub)]
 

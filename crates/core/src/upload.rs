@@ -29,10 +29,6 @@ fn v(x: f64) -> Value {
     }
 }
 
-fn f(val: Option<&Value>) -> f64 {
-    val.and_then(|x| x.as_float()).unwrap_or(UNDEFINED)
-}
-
 /// Every column of an INTERVAL_LOCATION_PROFILE row, in tuple order.
 const LOCATION_COLUMNS: &[&str] = &[
     "id",
@@ -266,117 +262,187 @@ fn thread_at(place: &[Value]) -> ThreadId {
     ThreadId::new(at(0), at(1), at(2))
 }
 
+/// A trial's dimension rows (metrics, events or atomic events), by
+/// ascending database id, with what each became in the profile.
+struct Dimension<T> {
+    ids: Vec<i64>,
+    items: Vec<T>,
+}
+
+impl<T: Copy> Dimension<T> {
+    /// Read `sql` (`?` = trial id; id first, ordered by id), turning each
+    /// row into an item with `item`.
+    fn load(
+        conn: &Connection,
+        sql: &str,
+        trial_id: i64,
+        mut item: impl FnMut(&[Value]) -> T,
+    ) -> Result<Self> {
+        let mut dim = Dimension {
+            ids: Vec::new(),
+            items: Vec::new(),
+        };
+        conn.query_each(sql, &[Value::Int(trial_id)], |r| {
+            dim.ids.push(r[0].as_int().expect("pk"));
+            dim.items.push(item(r));
+        })?;
+        Ok(dim)
+    }
+
+    /// The item of database id `id`. A trial's rows are saved in one
+    /// transaction, so their ids are usually consecutive and `id` sits
+    /// at its offset from the first; otherwise a binary search finds it.
+    fn get(&self, id: Option<i64>) -> Option<T> {
+        let id = id?;
+        let at = id.wrapping_sub(*self.ids.first()?) as usize;
+        let at = match self.ids.get(at) {
+            Some(&x) if x == id => at,
+            _ => self.ids.binary_search(&id).ok()?,
+        };
+        Some(self.items[at])
+    }
+}
+
+/// The threads a stream of location rows names, in first-seen order.
+/// Rows arrive grouped by event with their threads in a repeating
+/// order, so the thread after the previous row's, and then the first
+/// thread, are tried before the map.
+#[derive(Default)]
+struct SeenThreads {
+    threads: Vec<ThreadId>,
+    index: std::collections::HashMap<ThreadId, usize>,
+    last: usize,
+}
+
+impl SeenThreads {
+    /// The first-seen position of `thread`.
+    fn position(&mut self, thread: ThreadId) -> usize {
+        let next = self.last + 1;
+        self.last = if self.threads.get(next) == Some(&thread) {
+            next
+        } else if self.threads.first() == Some(&thread) {
+            0
+        } else {
+            *self.index.entry(thread).or_insert_with(|| {
+                self.threads.push(thread);
+                self.threads.len() - 1
+            })
+        };
+        self.last
+    }
+}
+
 /// Load a complete trial into a [`Profile`].
 pub fn load_trial(conn: &Connection, trial_id: i64) -> Result<Profile> {
     load_trial_filtered(conn, trial_id, &LoadFilter::default())
 }
 
 /// Load a trial with node/context/thread/metric selection (paper §4).
+///
+/// Every statement streams its rows through [`Connection::query_each`].
+/// Location rows map their event and metric ids through the trial's
+/// sorted id lists and are set by dense thread position once the
+/// threads, registered in ascending order, are known.
 pub fn load_trial_filtered(
     conn: &Connection,
     trial_id: i64,
     filter: &LoadFilter,
 ) -> Result<Profile> {
-    let trial_rs = conn.query(
+    let mut found = None;
+    conn.query_each(
         "SELECT name, source_format FROM trial WHERE id = ?",
         &[Value::Int(trial_id)],
+        |r| {
+            let mut profile = Profile::new(r[0].as_text().unwrap_or(""));
+            profile.source_format = r[1].as_text().unwrap_or("").to_string();
+            found = Some(profile);
+        },
     )?;
-    if trial_rs.is_empty() {
+    let Some(mut profile) = found else {
         return Err(DbError::Unsupported(format!(
             "trial {trial_id} does not exist"
         )));
-    }
-    let mut profile = Profile::new(
-        trial_rs
-            .get(0, "name")
-            .and_then(|v| v.as_text())
-            .unwrap_or(""),
-    );
-    profile.source_format = trial_rs
-        .get(0, "source_format")
-        .and_then(|v| v.as_text())
-        .unwrap_or("")
-        .to_string();
+    };
 
-    // Metrics and events, keyed by db id.
-    let metrics = conn.query(
+    // A metric the filter leaves out maps to `None`.
+    let metrics = Dimension::load(
+        conn,
         "SELECT id, name, derived FROM metric WHERE trial = ? ORDER BY id",
-        &[Value::Int(trial_id)],
-    )?;
-    let mut metric_map = std::collections::HashMap::new();
-    for row in &metrics.rows {
-        let db_id = row[0].as_int().expect("pk");
-        let name = row[1].as_text().unwrap_or("").to_string();
-        if let Some(want) = &filter.metric {
-            if *want != name {
-                continue;
+        trial_id,
+        |r| {
+            let name = r[1].as_text().unwrap_or("");
+            if filter.metric.as_deref().is_some_and(|want| want != name) {
+                return None;
             }
-        }
-        let derived = row[2].as_bool().unwrap_or(false);
-        let m = if derived {
-            Metric::derived(name)
-        } else {
-            Metric::measured(name)
-        };
-        metric_map.insert(db_id, profile.add_metric(m));
-    }
-    let events = conn.query(
-        "SELECT id, name, group_name FROM interval_event WHERE trial = ? ORDER BY id",
-        &[Value::Int(trial_id)],
+            Some(profile.add_metric(if r[2].as_bool().unwrap_or(false) {
+                Metric::derived(name)
+            } else {
+                Metric::measured(name)
+            }))
+        },
     )?;
-    let mut event_map = std::collections::HashMap::new();
-    for row in &events.rows {
-        let db_id = row[0].as_int().expect("pk");
-        let name = row[1].as_text().unwrap_or("");
-        let group = row[2].as_text().unwrap_or("TAU_DEFAULT");
-        event_map.insert(db_id, profile.add_event(IntervalEvent::new(name, group)));
-    }
+    let events = Dimension::load(
+        conn,
+        "SELECT id, name, group_name FROM interval_event WHERE trial = ? ORDER BY id",
+        trial_id,
+        |r| {
+            profile.add_event(IntervalEvent::new(
+                r[1].as_text().unwrap_or(""),
+                r[2].as_text().unwrap_or("TAU_DEFAULT"),
+            ))
+        },
+    )?;
 
     // Location rows, filtered in SQL: the trial's events drive, and the
-    // fact table is reached through its event index.
+    // fact table is reached through its event index. Every row's thread
+    // is registered, also when the metric filter drops its data.
     let (sql, params) = place_filtered(INTERVAL_ROWS_SQL, "p", trial_id, filter);
-    let rows = conn.query(&sql, &params)?;
-    // Register all threads up front (bulk, avoids re-striding).
-    let mut threads: Vec<ThreadId> = rows.rows.iter().map(|r| thread_at(&r[2..5])).collect();
-    threads.sort_unstable();
-    threads.dedup();
-    profile.add_threads(threads);
-    for r in &rows.rows {
-        let Some(&event) = event_map.get(&r[0].as_int().unwrap_or(-1)) else {
-            continue;
+    let mut seen = SeenThreads::default();
+    let mut points = Vec::new();
+    conn.query_each(&sql, &params, |r| {
+        let thread = seen.position(thread_at(&r[2..5]));
+        let (Some(event), Some(Some(metric))) =
+            (events.get(r[0].as_int()), metrics.get(r[1].as_int()))
+        else {
+            return;
         };
-        let Some(&metric) = metric_map.get(&r[1].as_int().unwrap_or(-1)) else {
-            continue; // filtered out
+        let f = |i: usize| r[i].as_float().unwrap_or(UNDEFINED);
+        let data = IntervalData {
+            inclusive: f(5),
+            inclusive_percent: f(6),
+            exclusive: f(7),
+            exclusive_percent: f(8),
+            inclusive_per_call: f(9),
+            calls: f(10),
+            subroutines: f(11),
         };
-        let thread = thread_at(&r[2..5]);
-        let mut d = IntervalData::new(
-            f(Some(&r[5])),
-            f(Some(&r[7])),
-            f(Some(&r[10])),
-            f(Some(&r[11])),
-        );
-        d.inclusive_percent = f(Some(&r[6]));
-        d.exclusive_percent = f(Some(&r[8]));
-        d.inclusive_per_call = f(Some(&r[9]));
-        profile.set_interval(event, thread, metric, d);
+        points.push((event, thread, metric, data));
+    })?;
+    let mut sorted = seen.threads.clone();
+    sorted.sort_unstable();
+    profile.add_threads(sorted);
+    let position: Vec<usize> = seen
+        .threads
+        .iter()
+        .map(|&t| profile.thread_position(t).expect("registered above"))
+        .collect();
+    for (event, thread, metric, data) in points {
+        profile.set_interval_at(event, position[thread], metric, data);
     }
 
     // Atomic events/data (not metric-filtered; they are metric-free).
-    let aevents = conn.query(
+    let aevents = Dimension::load(
+        conn,
         "SELECT id, name, group_name FROM atomic_event WHERE trial = ? ORDER BY id",
-        &[Value::Int(trial_id)],
+        trial_id,
+        |r| {
+            profile.add_atomic_event(AtomicEvent::new(
+                r[1].as_text().unwrap_or(""),
+                r[2].as_text().unwrap_or("TAU_EVENT"),
+            ))
+        },
     )?;
-    let mut aevent_map = std::collections::HashMap::new();
-    for row in &aevents.rows {
-        let db_id = row[0].as_int().expect("pk");
-        let name = row[1].as_text().unwrap_or("");
-        let group = row[2].as_text().unwrap_or("TAU_EVENT");
-        aevent_map.insert(
-            db_id,
-            profile.add_atomic_event(AtomicEvent::new(name, group)),
-        );
-    }
-    if !aevent_map.is_empty() {
+    if !aevents.ids.is_empty() {
         let (sql, params) = place_filtered(
             "SELECT a.atomic_event, a.node, a.context, a.thread, a.sample_count,
                     a.maximum_value, a.minimum_value, a.mean_value, a.standard_deviation
@@ -387,10 +453,9 @@ pub fn load_trial_filtered(
             trial_id,
             filter,
         );
-        let arows = conn.query(&sql, &params)?;
-        for r in &arows.rows {
-            let Some(&ae) = aevent_map.get(&r[0].as_int().unwrap_or(-1)) else {
-                continue;
+        conn.query_each(&sql, &params, |r| {
+            let Some(ae) = aevents.get(r[0].as_int()) else {
+                return;
             };
             let thread = thread_at(&r[1..4]);
             profile.add_thread(thread);
@@ -405,7 +470,7 @@ pub fn load_trial_filtered(
                     r[8].as_float().unwrap_or(0.0),
                 ),
             );
-        }
+        })?;
     }
     Ok(profile)
 }
@@ -542,6 +607,175 @@ mod tests {
             .as_int()
             .unwrap();
         assert_eq!(n, 4); // 2 metrics × 2 events
+    }
+
+    /// Two metrics over 6 events and 10 threads (three on each of nodes
+    /// 0 and 1, across two contexts and two threads; one on each of
+    /// nodes 2–5), each metric leaving different (event, thread) pairs
+    /// absent and some fields undefined, plus two atomic events recorded
+    /// on every other thread.
+    fn sparse_profile() -> Profile {
+        let mut p = Profile::new("sample");
+        p.source_format = "tau".into();
+        let metrics = [
+            p.add_metric(Metric::measured("TIME")),
+            p.add_metric(Metric::measured("PAPI_L2_DCM")),
+        ];
+        let events: Vec<_> = (0..6)
+            .map(|e| p.add_event(IntervalEvent::new(format!("f{e}()"), "TAU_USER")))
+            .collect();
+        let mut threads: Vec<ThreadId> = (0..2)
+            .flat_map(|n| [(n, 0, 0), (n, 0, 1), (n, 1, 0)].map(ThreadId::from))
+            .chain((2..6).map(|n| ThreadId::new(n, 0, 0)))
+            .collect();
+        threads.sort();
+        p.add_threads(threads.clone());
+        for (mi, &m) in metrics.iter().enumerate() {
+            for (ei, &e) in events.iter().enumerate() {
+                for (ti, &t) in threads.iter().enumerate() {
+                    if (ei * 7 + ti * 3 + mi) % 4 == 0 {
+                        continue;
+                    }
+                    let x = (ei * 31 + ti) as f64 / 7.0 + mi as f64;
+                    let mut d = IntervalData::new(x * 3.0, x, (ti + 1) as f64, ei as f64);
+                    if (ei + ti) % 5 == 0 {
+                        d.subroutines = UNDEFINED;
+                    }
+                    p.set_interval(e, t, m, d);
+                }
+            }
+            p.recompute_derived_fields(m);
+        }
+        let sizes = p.add_atomic_event(AtomicEvent::new("Message size", "TAU_EVENT"));
+        let depth = p.add_atomic_event(AtomicEvent::new("Queue depth", "TAU_EVENT"));
+        for (k, &t) in threads.iter().enumerate().filter(|(k, _)| k % 2 == 1) {
+            let mut d = AtomicData::new();
+            for x in [64.0, 96.0 + k as f64, 512.0] {
+                d.record(x);
+            }
+            p.set_atomic(if k < 4 { sizes } else { depth }, t, d);
+        }
+        p
+    }
+
+    /// Every present point, as (metric, event, thread, field bits).
+    fn points(p: &Profile) -> Vec<(String, String, ThreadId, [u64; 7])> {
+        let mut out = Vec::new();
+        for (mi, m) in p.metrics().iter().enumerate() {
+            for (e, t, d) in p.iter_metric(MetricId(mi)) {
+                let fields = [
+                    d.inclusive,
+                    d.exclusive,
+                    d.inclusive_percent,
+                    d.exclusive_percent,
+                    d.inclusive_per_call,
+                    d.calls,
+                    d.subroutines,
+                ];
+                out.push((
+                    m.name.clone(),
+                    p.event(e).name.clone(),
+                    t,
+                    fields.map(f64::to_bits),
+                ));
+            }
+        }
+        out.sort();
+        out
+    }
+
+    /// Every atomic record, as (event, thread, count and field bits).
+    fn atomics(p: &Profile) -> Vec<(String, ThreadId, u64, [u64; 4])> {
+        let mut out: Vec<_> = p
+            .iter_atomic()
+            .map(|(e, t, d)| {
+                let stddev = d.stddev().unwrap_or(0.0);
+                let fields = [d.min, d.max, d.mean(), stddev].map(f64::to_bits);
+                (p.atomic_events()[e.0].name.clone(), t, d.count(), fields)
+            })
+            .collect();
+        out.sort();
+        out
+    }
+
+    #[test]
+    fn sparse_trial_loads_bitwise_under_every_filter() {
+        let (conn, trial_id) = setup();
+        let stored = sparse_profile();
+        save_profile(&conn, trial_id, &stored).unwrap();
+        let on_node = |t: &ThreadId, node: Option<u32>| node.is_none_or(|n| t.node == n);
+        for (node, metric) in [
+            (None, None),
+            (None, Some("PAPI_L2_DCM")),
+            (Some(1), None),
+            (Some(3), Some("TIME")),
+            (Some(9), None),
+        ] {
+            let filter = LoadFilter {
+                node,
+                metric: metric.map(String::from),
+                ..Default::default()
+            };
+            let back = load_trial_filtered(&conn, trial_id, &filter).unwrap();
+            let how = format!("{filter:?}");
+            assert_eq!(back.name, stored.name, "{how}");
+            assert_eq!(back.source_format, stored.source_format, "{how}");
+            let want_metrics: Vec<_> = stored
+                .metrics()
+                .iter()
+                .filter(|m| metric.is_none_or(|want| m.name == want))
+                .collect();
+            assert_eq!(
+                back.metrics().iter().collect::<Vec<_>>(),
+                want_metrics,
+                "{how}"
+            );
+            assert_eq!(back.events(), stored.events(), "{how}");
+            let want_threads: Vec<_> = stored
+                .threads()
+                .iter()
+                .filter(|t| on_node(t, node))
+                .copied()
+                .collect();
+            assert_eq!(back.threads(), want_threads, "{how}");
+            let mut want = points(&stored);
+            want.retain(|(m, _, t, _)| on_node(t, node) && metric.is_none_or(|want| m == want));
+            assert_eq!(points(&back), want, "{how}");
+            let mut want = atomics(&stored);
+            want.retain(|(_, t, _, _)| on_node(t, node));
+            assert_eq!(atomics(&back), want, "{how}");
+        }
+    }
+
+    #[test]
+    fn dimension_ids_resolve_with_and_without_gaps() {
+        let dim = Dimension {
+            ids: vec![4, 5, 6, 9, 12],
+            items: vec!['a', 'b', 'c', 'd', 'e'],
+        };
+        let got: Vec<_> = [4, 6, 9, 12, 7, 3, 13, i64::MIN, i64::MAX]
+            .map(|id| dim.get(Some(id)))
+            .to_vec();
+        assert_eq!(
+            got,
+            [
+                Some('a'),
+                Some('c'),
+                Some('d'),
+                Some('e'),
+                None,
+                None,
+                None,
+                None,
+                None
+            ]
+        );
+        assert_eq!(dim.get(None), None);
+        let empty: Dimension<char> = Dimension {
+            ids: Vec::new(),
+            items: Vec::new(),
+        };
+        assert_eq!(empty.get(Some(4)), None);
     }
 
     #[test]

@@ -12,7 +12,7 @@
 use crate::database::Database;
 use crate::error::{DbError, Result};
 use crate::exec::{execute, Outcome, ResultSet};
-use crate::observe;
+use crate::observe::{self, RowCounts};
 use crate::schema::ColumnDef;
 use crate::sql::ast::Statement;
 use crate::sql::parser::parse_statement_with_params;
@@ -146,11 +146,11 @@ impl Prepared {
     /// Run this statement with `params` through `exec`, inside one
     /// `db.exec` span, and record it in the statement metrics and the
     /// slow-query log. Every execution path of both handles ends here.
-    fn run(
+    fn run<T: RowCounts>(
         &self,
         params: &[Value],
-        exec: impl FnOnce(&Statement) -> Result<Outcome>,
-    ) -> Result<Outcome> {
+        exec: impl FnOnce(&Statement) -> Result<T>,
+    ) -> Result<T> {
         if params.len() < self.param_count {
             return Err(DbError::MissingParameter(params.len()));
         }
@@ -240,6 +240,36 @@ impl Connection {
     /// Execute a SELECT and return its rows.
     pub fn query(&self, sql: &str, params: &[Value]) -> Result<ResultSet> {
         self.execute(sql, params)?.rows()
+    }
+
+    /// Execute a SELECT and call `each` with every output row, in order.
+    /// Each row is projected into one buffer that is reused for the next,
+    /// so no row is allocated unless ORDER BY, DISTINCT or grouping needs
+    /// the whole result first. Returns the number of rows delivered.
+    ///
+    /// `each` runs under the connection's read lock: it must not execute
+    /// statements on this connection or its clones. The statement is
+    /// measured like [`Connection::query`] (span, statement metrics,
+    /// slow-query log). A statement other than SELECT is an error and is
+    /// not executed.
+    pub fn query_each(
+        &self,
+        sql: &str,
+        params: &[Value],
+        mut each: impl FnMut(&[Value]),
+    ) -> Result<usize> {
+        let prepared = self.prepare(sql)?;
+        let done = prepared.run(params, |statement| match statement {
+            Statement::Select(sel) => {
+                crate::exec::select::stream_select(&self.db.read(), sel, params, &mut |row| {
+                    each(row)
+                })
+            }
+            _ => Err(DbError::Unsupported(
+                "query_each() requires a SELECT statement".into(),
+            )),
+        })?;
+        Ok(done.returned as usize)
     }
 
     /// Execute a scalar SELECT (first column of first row).

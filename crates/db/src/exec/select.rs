@@ -143,8 +143,8 @@ pub(crate) fn resolve_subqueries(db: &Database, expr: &Expr, params: &[Value]) -
             Expr::Literal(values.pop().unwrap_or(Value::Null))
         }
         Expr::Exists { select, negated } => {
-            let rs = execute_select(db, select, params)?;
-            Expr::Literal(Value::Bool(rs.rows.is_empty() == *negated))
+            let done = stream_select(db, select, params, &mut |_| {})?;
+            Expr::Literal(Value::Bool((done.returned == 0) == *negated))
         }
         other => other.try_map_children(|c| resolve_subqueries(db, c, params))?,
     })
@@ -157,14 +157,17 @@ fn subquery_column(
     params: &[Value],
     kind: &str,
 ) -> Result<Vec<Value>> {
-    let rs = execute_select(db, sel, params)?;
-    if rs.columns.len() != 1 {
+    let mut values = Vec::new();
+    let done = stream_select(db, sel, params, &mut |row| {
+        values.extend(row.first().cloned())
+    })?;
+    if done.columns.len() != 1 {
         return Err(DbError::Eval(format!(
             "{kind} subquery must return one column, got {}",
-            rs.columns.len()
+            done.columns.len()
         )));
     }
-    Ok(rs.rows.into_iter().map(|mut r| r.remove(0)).collect())
+    Ok(values)
 }
 
 fn expr_has_subquery(expr: &Expr) -> bool {
@@ -232,20 +235,63 @@ pub(crate) fn grouped_only(expr: &Expr, group_by: &[Expr]) -> bool {
 
 // ---------------- execution ----------------
 
-/// Execute a SELECT.
+/// Receives a SELECT's output rows in order. The row is lent for the
+/// call; a collector may take it with [`std::mem::take`].
+pub(crate) type Sink<'s> = dyn FnMut(&mut Row) + 's;
+
+/// What a SELECT reports besides its rows.
+#[derive(Debug, Default)]
+pub(crate) struct Streamed {
+    /// Output column names, in projection order.
+    pub columns: Vec<String>,
+    /// Rows handed to the sink.
+    pub returned: u64,
+    /// See [`ResultSet::rows_scanned`].
+    pub rows_scanned: u64,
+    /// Wall-clock time spent executing the SELECT.
+    pub elapsed: std::time::Duration,
+}
+
+impl crate::observe::RowCounts for Streamed {
+    fn row_counts(&self) -> (u64, u64, u64) {
+        (self.returned, self.rows_scanned, 0)
+    }
+}
+
+/// Execute a SELECT and collect its rows.
 pub(crate) fn execute_select(db: &Database, sel: &Select, params: &[Value]) -> Result<ResultSet> {
-    Ok(run_select(db, sel, params, None)?.1)
+    let mut rows = Vec::new();
+    let done = stream_select(db, sel, params, &mut |row| rows.push(std::mem::take(row)))?;
+    Ok(ResultSet {
+        columns: done.columns,
+        rows,
+        rows_scanned: done.rows_scanned,
+        elapsed: done.elapsed,
+    })
+}
+
+/// Execute a SELECT, handing each output row to `sink` as it is
+/// produced. Rows are materialized first only when ORDER BY, DISTINCT or
+/// grouping needs them all.
+pub(crate) fn stream_select(
+    db: &Database,
+    sel: &Select,
+    params: &[Value],
+    sink: &mut Sink<'_>,
+) -> Result<Streamed> {
+    Ok(run_select(db, sel, params, None, sink)?.1)
 }
 
 /// Plan and execute a SELECT, optionally collecting per-operator
 /// measurements (the `EXPLAIN ANALYZE` path). Returns the plan that ran
-/// together with its result.
+/// together with what it reported.
 fn run_select<'a>(
     db: &'a Database,
     sel: &Select,
     params: &[Value],
     prof: Option<&mut ExecProfile>,
-) -> Result<(PlannedSelect<'a>, ResultSet)> {
+    sink: &mut Sink<'_>,
+) -> Result<(PlannedSelect<'a>, Streamed)> {
     let started = Instant::now();
     // Uncorrelated subqueries run once, up front; the resolved statement
     // is what gets planned.
@@ -254,7 +300,7 @@ fn run_select<'a>(
     } else {
         plan::plan_select(db, sel, params, false)?
     };
-    let mut out = run_planned(&planned, params, prof)?;
+    let mut out = run_planned(&planned, params, prof, sink)?;
     out.elapsed = started.elapsed();
     Ok((planned, out))
 }
@@ -330,23 +376,65 @@ pub(crate) fn decompose<'p, 'a>(root: &'p LogicalPlan<'a>) -> Tail<'p, 'a> {
     }
 }
 
-fn apply_offset_limit(out: &mut ResultSet, offset: Option<u64>, limit: Option<u64>) {
-    let offset = offset.unwrap_or(0) as usize;
-    if offset > 0 {
-        out.rows.drain(..offset.min(out.rows.len()));
+/// OFFSET and LIMIT over the rows a SELECT hands its sink.
+struct Window<'w, 's> {
+    skip: u64,
+    left: u64,
+    returned: u64,
+    sink: &'w mut Sink<'s>,
+}
+
+impl<'w, 's> Window<'w, 's> {
+    fn new(offset: Option<u64>, limit: Option<u64>, sink: &'w mut Sink<'s>) -> Self {
+        Window {
+            skip: offset.unwrap_or(0),
+            left: limit.unwrap_or(u64::MAX),
+            returned: 0,
+            sink,
+        }
     }
-    if let Some(limit) = limit {
-        out.rows.truncate(limit as usize);
+
+    /// True once LIMIT rows have been handed on.
+    fn is_full(&self) -> bool {
+        self.left == 0
+    }
+
+    fn push(&mut self, row: &mut Row) {
+        if self.skip > 0 {
+            self.skip -= 1;
+        } else if self.left > 0 {
+            self.left -= 1;
+            self.returned += 1;
+            (self.sink)(row);
+        }
+    }
+
+    /// Hand on materialized rows, dropping repeats first under DISTINCT.
+    fn push_all(&mut self, mut rows: Vec<Row>, distinct: bool, prof: Option<&mut ExecProfile>) {
+        if distinct {
+            let rows_in = rows.len();
+            let mut seen = std::collections::HashSet::new();
+            rows.retain(|r| seen.insert(r.clone()));
+            if let Some(p) = prof {
+                p.distinct = Some((rows_in as u64, rows.len() as u64));
+            }
+        }
+        for row in &mut rows {
+            self.push(row);
+        }
     }
 }
 
-/// Walk an optimized, access-annotated plan.
+/// Walk an optimized, access-annotated plan, handing its output rows to
+/// `sink`.
 fn run_planned(
     planned: &PlannedSelect<'_>,
     params: &[Value],
     mut prof: Option<&mut ExecProfile>,
-) -> Result<ResultSet> {
+    sink: &mut Sink<'_>,
+) -> Result<Streamed> {
     let tail = decompose(&planned.root);
+    let mut window = Window::new(tail.offset, tail.limit, sink);
 
     // Columnar fast path: fused scan + filter + aggregate over column
     // chunks. A `None` from the kernels (unsupported chunk data) falls
@@ -358,21 +446,26 @@ fn run_planned(
     };
     if let LogicalPlan::Scan(scan) = single {
         if let Access::Columnar { plan: cplan, .. } = &scan.access {
-            if let Some(mut out) =
+            if let Some(out) =
                 exec_columnar(scan, cplan, tail.projections, params, prof.as_deref_mut())?
             {
-                apply_offset_limit(&mut out, tail.offset, tail.limit);
-                return Ok(out);
+                window.push_all(out.rows, false, None);
+                return Ok(Streamed {
+                    columns: out.columns,
+                    returned: window.returned,
+                    rows_scanned: out.rows_scanned,
+                    ..Streamed::default()
+                });
             }
         }
     }
 
     let (layout, rows, rows_scanned) = exec_pipeline(tail.pipeline, params, prof.as_deref_mut())?;
 
-    let mut out = match tail.aggregate {
+    let columns = match tail.aggregate {
         Some((group_by, having)) => {
             let _stage = telemetry::span("db.exec.aggregate");
-            aggregate_path(
+            let out = aggregate_path(
                 tail.projections,
                 group_by,
                 having,
@@ -381,34 +474,21 @@ fn run_planned(
                 &rows,
                 params,
                 prof.as_deref_mut(),
-            )?
+            )?;
+            window.push_all(out.rows, tail.distinct, prof);
+            out.columns
         }
         None => {
             let _stage = telemetry::span("db.exec.project");
-            plain_path(
-                tail.projections,
-                tail.order_by,
-                &layout,
-                &rows,
-                params,
-                prof.as_deref_mut(),
-            )?
+            plain_path(&tail, &layout, &rows, params, prof, &mut window)?
         }
     };
-
-    // DISTINCT
-    if tail.distinct {
-        let rows_in = out.rows.len();
-        let mut seen = std::collections::HashSet::new();
-        out.rows.retain(|r| seen.insert(r.clone()));
-        if let Some(p) = prof {
-            p.distinct = Some((rows_in as u64, out.rows.len() as u64));
-        }
-    }
-
-    apply_offset_limit(&mut out, tail.offset, tail.limit);
-    out.rows_scanned = rows_scanned;
-    Ok(out)
+    Ok(Streamed {
+        columns,
+        returned: window.returned,
+        rows_scanned,
+        ..Streamed::default()
+    })
 }
 
 /// The rows one pipeline stage hands the next, late-materialized: each
@@ -876,14 +956,14 @@ pub(crate) fn explain_analyze_select(
     params: &[Value],
 ) -> Result<Vec<String>> {
     let mut prof = ExecProfile::default();
-    let (planned, rs) = run_select(db, sel, params, Some(&mut prof))?;
-    prof.returned = rs.rows.len() as u64;
+    let (planned, done) = run_select(db, sel, params, Some(&mut prof), &mut |_| {})?;
+    prof.returned = done.returned;
     let mut lines = render_plan(&planned, Some(&prof));
     lines.push(format!(
         "total: {} row(s) returned, {} row(s) scanned, {}",
-        rs.rows.len(),
-        rs.rows_scanned,
-        fmt_ns(rs.elapsed.as_nanos().min(u64::MAX as u128) as u64)
+        done.returned,
+        done.rows_scanned,
+        fmt_ns(done.elapsed.as_nanos().min(u64::MAX as u128) as u64)
     ));
     Ok(lines)
 }
@@ -1396,37 +1476,54 @@ fn expand_projections(projections: &[Projection], layout: &Layout) -> Result<Vec
 }
 
 fn plain_path(
-    proj: &[Projection],
-    order_by: &[OrderItem],
+    tail: &Tail<'_, '_>,
     layout: &Layout,
     rows: &Tuples<'_>,
     params: &[Value],
-    prof: Option<&mut ExecProfile>,
-) -> Result<ResultSet> {
-    let projections = expand_projections(proj, layout)?;
+    mut prof: Option<&mut ExecProfile>,
+    out: &mut Window<'_, '_>,
+) -> Result<Vec<String>> {
+    let projections = expand_projections(tail.projections, layout)?;
     let columns: Vec<String> = projections.iter().map(|(n, _)| n.clone()).collect();
     let exprs = bind_all(projections.iter().map(|(_, e)| e), layout)?;
-    let keys = bind_order_keys(order_by, &projections, layout)?;
 
-    let mut out_rows = Vec::with_capacity(rows.len());
+    // Without ORDER BY or DISTINCT each row is projected into one reused
+    // buffer and handed on at once, stopping when LIMIT is reached;
+    // otherwise the rows are collected first.
+    let stream = tail.order_by.is_empty() && !tail.distinct;
+    let mut out_rows = Vec::new();
+    let mut buf = Vec::new();
     for tuple in rows.iter() {
-        let env = Env::new(tuple, params);
-        let mut out = Vec::with_capacity(exprs.len());
-        for e in &exprs {
-            out.push(eval(e, &env)?);
+        if out.is_full() {
+            break;
         }
-        out_rows.push(out);
+        let env = Env::new(tuple, params);
+        buf.clear();
+        buf.reserve_exact(exprs.len());
+        for e in &exprs {
+            buf.push(eval_ref(e, &env)?.into_owned());
+        }
+        if stream {
+            out.push(&mut buf);
+        } else {
+            out_rows.push(std::mem::take(&mut buf));
+        }
+    }
+    if stream {
+        return Ok(columns);
     }
 
     // ORDER BY sees the source row as well as the projected one, so sort
     // keys can use any source column.
+    let order_by = tail.order_by;
     if !order_by.is_empty() {
+        let keys = bind_order_keys(order_by, &projections, layout)?;
         let _stage = telemetry::span("db.exec.sort");
         let t0 = prof.is_some().then(Instant::now);
         let mut sort_keys = Vec::with_capacity(out_rows.len());
-        for (tuple, out) in rows.iter().zip(&out_rows) {
+        for (tuple, row) in rows.iter().zip(&out_rows) {
             let env = Env::new(tuple, params);
-            sort_keys.push(order_key_values(&keys, out, |e| eval(e, &env))?);
+            sort_keys.push(order_key_values(&keys, row, |e| eval(e, &env))?);
         }
         let mut indices: Vec<usize> = (0..out_rows.len()).collect();
         indices.sort_by(|&a, &b| cmp_order_keys(&sort_keys[a], &sort_keys[b], order_by));
@@ -1434,15 +1531,12 @@ fn plain_path(
             .into_iter()
             .map(|i| std::mem::take(&mut out_rows[i]))
             .collect();
-        if let Some(p) = prof {
+        if let Some(p) = prof.as_deref_mut() {
             p.sort_ns = stage_ns(t0);
         }
     }
-    Ok(ResultSet {
-        columns,
-        rows: out_rows,
-        ..ResultSet::default()
-    })
+    out.push_all(out_rows, tail.distinct, prof);
+    Ok(columns)
 }
 
 // ---------------- aggregation ----------------

@@ -96,13 +96,29 @@ pub fn set_slow_query_threshold(threshold: Duration) {
     SLOW_QUERY_THRESHOLD_NS.store(ns, Ordering::Relaxed);
 }
 
+/// What an executed statement reports to the statement metrics: rows
+/// returned, rows scanned and rows affected.
+pub(crate) trait RowCounts {
+    fn row_counts(&self) -> (u64, u64, u64);
+}
+
+impl RowCounts for Outcome {
+    fn row_counts(&self) -> (u64, u64, u64) {
+        match self {
+            Outcome::Rows(rs) => (rs.rows.len() as u64, rs.rows_scanned, 0),
+            Outcome::Affected { count, .. } => (0, 0, *count as u64),
+            Outcome::Done => (0, 0, 0),
+        }
+    }
+}
+
 /// Record one executed statement into the telemetry registry and, when
 /// slow, the slow-query log. No-op while telemetry is disabled.
 ///
 /// Called while the statement's `db.exec` span is still open, so with
 /// causal tracing on the retained record carries the active trace id
 /// and can be joined to its span tree in a flight-recorder dump.
-pub(crate) fn record_statement(sql: &str, outcome: &Result<Outcome>, elapsed: Duration) {
+pub(crate) fn record_statement<T: RowCounts>(sql: &str, outcome: &Result<T>, elapsed: Duration) {
     if !telemetry::enabled() {
         return;
     }
@@ -110,9 +126,7 @@ pub(crate) fn record_statement(sql: &str, outcome: &Result<Outcome>, elapsed: Du
     telemetry::add("db.statements", 1);
 
     let (rows_returned, rows_scanned, rows_affected) = match outcome {
-        Ok(Outcome::Rows(rs)) => (rs.rows.len() as u64, rs.rows_scanned, 0),
-        Ok(Outcome::Affected { count, .. }) => (0, 0, *count as u64),
-        Ok(Outcome::Done) => (0, 0, 0),
+        Ok(done) => done.row_counts(),
         Err(_) => {
             telemetry::add("db.statement_errors", 1);
             (0, 0, 0)

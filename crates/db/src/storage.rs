@@ -3,7 +3,7 @@
 //! A database directory contains:
 //!
 //! * `snapshot.pdmf` — a full binary image of all tables, written by
-//!   [`write_snapshot`] (checkpoint).
+//!   `write_snapshot` (checkpoint).
 //! * `wal.pdmf` — a log of committed row-level and DDL changes appended
 //!   after the snapshot was taken. On open, the snapshot is loaded and the
 //!   WAL replayed; a torn/corrupt tail (e.g. from a crash mid-append) is
@@ -943,12 +943,14 @@ pub fn encode_snapshot(tables: &[(&String, &Table)], generation: u64) -> Vec<u8>
             buf.put_u64_le(id);
             put_row(&mut buf, row);
         }
-        // persist explicit (non-implicit) indexes: name, column name, unique
-        let named: Vec<_> = table
+        // persist explicit (non-implicit) indexes by name, so the same
+        // tables always encode to the same bytes: name, column name, unique
+        let mut named: Vec<_> = table
             .indexes
             .iter()
             .filter(|(n, _)| !is_implicit_index(n))
             .collect();
+        named.sort_unstable_by_key(|(n, _)| *n);
         buf.put_u32_le(named.len() as u32);
         for (name, ix) in named {
             put_str(&mut buf, name);

@@ -551,6 +551,51 @@ fn rows_match(a: &[Vec<Value>], b: &[Vec<Value>]) -> bool {
 // The differential property
 // ---------------------------------------------------------------------------
 
+/// `sql` with DISTINCT, with `ORDER BY 1`, and with both: the shapes
+/// that make the executor collect every row before handing any on. A
+/// statement that already sorts gets only its DISTINCT variant.
+fn materializing_variants(sql: &str) -> Vec<String> {
+    let distinct = sql.replacen("SELECT ", "SELECT DISTINCT ", 1);
+    let mut out = vec![sql.to_string(), distinct.clone()];
+    if !sql.contains(" ORDER BY ") {
+        let ordered = |s: &str| match s.find(" LIMIT ") {
+            Some(i) => format!("{} ORDER BY 1{}", &s[..i], &s[i..]),
+            None => format!("{s} ORDER BY 1"),
+        };
+        out.push(ordered(sql));
+        out.push(ordered(&distinct));
+    }
+    out
+}
+
+/// `query_each` hands on exactly the rows `query` returns, in the same
+/// order and with the same types and bits, for `sql` and each of its
+/// materializing variants; where `query` fails, it fails too.
+fn check_query_each(conn: &Connection, sql: &str) -> Result<(), TestCaseError> {
+    for sql in materializing_variants(sql) {
+        let mut streamed = Vec::new();
+        let each = conn.query_each(&sql, &[], |row| streamed.push(row.to_vec()));
+        match (conn.query(&sql, &[]), each) {
+            (Ok(rs), Ok(n)) => {
+                let (got, want) = (format!("{streamed:?}"), format!("{:?}", rs.rows));
+                prop_assert!(
+                    n == rs.rows.len() && got == want,
+                    "query_each diverged from query\n  sql: {}\n  query_each ({} rows): {}\n  query: {}",
+                    sql, n, got, want,
+                );
+            }
+            (Err(_), Err(_)) => {}
+            (q, e) => {
+                return Err(TestCaseError::fail(format!(
+                    "query and query_each disagree on failing\n  sql: {sql}\n  query: {:?}\n  query_each: {e:?}",
+                    q.map(|rs| rs.rows)
+                )))
+            }
+        }
+    }
+    Ok(())
+}
+
 fn build_connection(table: &[Vec<Value>]) -> Connection {
     let conn = Connection::open_in_memory();
     conn.execute(
@@ -583,6 +628,7 @@ proptest! {
             let serial = {
                 let _serial = pool::override_for_thread(1, 1);
                 let _row = override_columnar(ColumnarMode::Off);
+                check_query_each(&conn, &sql)?;
                 conn.query(&sql, &[]).map_err(|e| {
                     TestCaseError::fail(format!("serial run failed: {e}\n  sql: {sql}"))
                 })?
@@ -599,6 +645,7 @@ proptest! {
             let columnar = {
                 let _serial = pool::override_for_thread(1, 1);
                 let _col = override_columnar(ColumnarMode::Force);
+                check_query_each(&conn, &sql)?;
                 conn.query(&sql, &[]).map_err(|e| {
                     TestCaseError::fail(format!("columnar run failed: {e}\n  sql: {sql}"))
                 })?
@@ -1171,6 +1218,12 @@ proptest! {
                 (rule, engine_rows(&conn, &sql, 1, perfdmf_db::OptimizerConfig::without(rule))?),
                 ("padded (index probes)", engine_rows(&padded, &sql, 1, all_on)?),
             ];
+            {
+                let _p = pool::override_for_thread(1, 1);
+                let _c = override_columnar(ColumnarMode::Off);
+                check_query_each(&conn, &sql)?;
+                check_query_each(&padded, &sql)?;
+            }
             for (name, rows) in &legs {
                 prop_assert!(
                     rows_match(rows, &expected),
@@ -1288,4 +1341,34 @@ fn join_known_answer_spot_check() {
         "{plan:?}"
     );
     assert_eq!(padded.query(sql, &[]).unwrap().rows, rs.rows);
+}
+
+/// `query_each` takes only SELECTs: any other statement is an error,
+/// not a panic, and is not executed.
+#[test]
+fn query_each_rejects_non_select() {
+    let conn = build_connection(&[vec![
+        Value::Int(1),
+        Value::Int(2),
+        Value::Float(0.5),
+        Value::Text("red".into()),
+    ]]);
+    for sql in [
+        "INSERT INTO t (a, b, c, s) VALUES (3, 4, 1.5, 'teal')",
+        "UPDATE t SET a = 9",
+        "DELETE FROM t",
+        "CREATE TABLE z (k INTEGER)",
+        "EXPLAIN SELECT a FROM t",
+    ] {
+        let mut called = false;
+        let got = conn.query_each(sql, &[], |_| called = true);
+        assert!(got.is_err(), "{sql} must be rejected");
+        assert!(!called, "{sql} must not hand on rows");
+    }
+    assert_eq!(conn.row_count("t").unwrap(), 1);
+    assert_eq!(
+        conn.query_scalar("SELECT a FROM t", &[]).unwrap(),
+        Value::Int(1)
+    );
+    assert!(!conn.has_table("z"));
 }

@@ -16,7 +16,7 @@
 //! | dynaprof | [`dynaprof::load_dynaprof_file`] | probe text report |
 //! | HPMtoolkit | [`hpm::load_hpm_directory`] | `perfhpm<task>.<pid>` files |
 //! | PerfSuite | [`psrun::load_psrun_file`] | `psrun` XML |
-//! | sPPM custom | [`sppm::load_sppm_file`] | self-instrumented timing table |
+//! | sPPM custom | [`sppm::parse_sppm_text`] | self-instrumented timing table |
 //! | PerfDMF XML | [`xml_format::import_xml`] / [`xml_format::export_xml`] | exchange format |
 //!
 //! [`cube::export_cube`] / [`cube::import_cube`] implement the paper's

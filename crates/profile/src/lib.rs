@@ -20,7 +20,7 @@
 //!   trials.
 //! * [`MetricExpr`] / [`derive_metric`] — derived metrics
 //!   (e.g. `FLOPS = PAPI_FP_OPS / TIME`).
-//! * [`callpath`] — TAU callpath (`a => b`) parsing, call-tree
+//! * `callpath` — TAU callpath (`a => b`) parsing, call-tree
 //!   reconstruction, and flat-view aggregation.
 
 #![warn(unreachable_pub)]

@@ -282,7 +282,18 @@ impl Profile {
         data: IntervalData,
     ) {
         let tpos = self.thread_index[&thread];
-        let slot = self.slot(event, tpos, metric);
+        self.set_interval_at(event, tpos, metric, data);
+    }
+
+    /// Store interval data by dense thread position (hot-loop access).
+    pub fn set_interval_at(
+        &mut self,
+        event: EventId,
+        thread_pos: usize,
+        metric: MetricId,
+        data: IntervalData,
+    ) {
+        let slot = self.slot(event, thread_pos, metric);
         self.planes[metric.0][slot] = data;
     }
 

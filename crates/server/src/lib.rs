@@ -17,16 +17,16 @@
 //!   stalls per a [`NetFaultPlan`] — the network analogue of the
 //!   storage layer's `RealVfs`/`FaultVfs` split — and the one frame
 //!   reader both the client and the event loop use.
-//! * [`server`] — [`PerfdmfServer`]: acceptor, per-connection sessions
+//! * `server` — [`PerfdmfServer`]: acceptor, per-connection sessions
 //!   (handshake with optional token auth, tenant tag,
 //!   strictly-increasing sequence numbers, idempotency replay cache),
 //!   graceful drain, and telemetry that surfaces in the
 //!   `perfdmf_sessions` system table.
-//! * [`eventloop`] — the session executor: sharded event-loop threads
+//! * `eventloop` — the session executor: sharded event-loop threads
 //!   over nonblocking sockets behind a minimal poll(2) reactor, so
 //!   sessions scale as parked state machines rather than OS threads,
 //!   with bounded-window request pipelining.
-//! * [`client`] — [`NetClient`]: `ExplorerClient` semantics over TCP
+//! * `client` — [`NetClient`]: `ExplorerClient` semantics over TCP
 //!   with pipelining, and one retry loop for single requests and
 //!   batches alike: reconnect-on-failure retries (seed-deterministic
 //!   backoff jitter), idempotency keys so retried writes apply at most

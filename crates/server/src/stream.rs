@@ -11,7 +11,7 @@
 //! always tears the connection at the same byte.
 //!
 //! On top of the seam sit the byte movers both ends of a connection
-//! share: [`write_all`] (blocking), [`write_available`] (the event
+//! share: [`write_all`] (blocking), `write_available` (the event
 //! loop's nonblocking write) and `FrameReader`, the one incremental
 //! frame reader.
 

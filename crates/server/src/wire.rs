@@ -41,7 +41,7 @@
 //!
 //! | tag | message      | body after the tag                                          |
 //! |-----|--------------|-------------------------------------------------------------|
-//! | 0   | `Hello`      | protocol, tenant, flag, [token]                             |
+//! | 0   | `Hello`      | protocol, tenant, flag, \[token\]                           |
 //! | 1   | `HelloAck`   | session, key_space                                          |
 //! | 2   | `Call`       | seq, deadline_ms, idempotency, flag, [trace id, span id], request |
 //! | 3   | `Reply`      | seq, flag, [seven `ResourceUsage` u64s], response           |

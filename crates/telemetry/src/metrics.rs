@@ -10,7 +10,7 @@
 //!   interval until the returned [`SamplerHandle`] is dropped;
 //!   [`DEFAULT_INTERVAL`] (250ms) is the usual cadence.
 //!
-//! [`history`] returns the most recent [`METRICS_CAPACITY`] samples;
+//! [`history`] returns the most recent `METRICS_CAPACITY` samples;
 //! older samples fall off the front. Each sample is a full
 //! [`Snapshot`] stamped with a monotonically increasing sequence number
 //! and milliseconds since the telemetry epoch (the clock span timestamps

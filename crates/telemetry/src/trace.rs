@@ -7,7 +7,7 @@
 //! the enclosing span (or to a context adopted from another thread via
 //! [`adopt_context`]), and on drop pushes a [`SpanRecord`] into the
 //! flight recorder — a [`BoundedLog`] of the most recent
-//! [`RECORDER_CAPACITY`] spans behind one mutex, held only to push a
+//! `RECORDER_CAPACITY` spans behind one mutex, held only to push a
 //! record or copy the log.
 //!
 //! Propagation rules:
@@ -106,7 +106,8 @@ pub(crate) fn trace_sample_every() -> u64 {
 }
 
 /// Draw from the process-wide sampling sequence: true for one request
-/// in every [`trace_sample_every`]. Always true at the default period.
+/// in every sampling period (`PERFDMF_TRACE_SAMPLE`). Always true at the
+/// default period of 1.
 pub fn sample_request() -> bool {
     let every = trace_sample_every();
     if every <= 1 {

@@ -5,9 +5,9 @@
 //! 8K/16K processors) and for the 2005 profiling tools whose output files
 //! we cannot run today.
 //!
-//! * [`models`] — seeded ground-truth profile generators with the
+//! * `models` — seeded ground-truth profile generators with the
 //!   statistical shape of the original workloads.
-//! * [`writers`] — emit those profiles as syntactically-faithful files in
+//! * `writers` — emit those profiles as syntactically-faithful files in
 //!   each supported tool format (TAU, gprof, mpiP, dynaprof, HPMtoolkit,
 //!   PerfSuite XML, sPPM custom), so the importers are testable
 //!   end-to-end against known data.
