@@ -3,10 +3,12 @@
 //! Row execution (Value-at-a-time over materialized rows) vs the
 //! columnar path (typed chunk kernels with fused predicates) on the
 //! aggregate shapes PerfDMF issues against its fact table: the
-//! total-summary scan (paper §5.2's MIN/MAX/AVG/STDDEV rollup) and a
-//! filtered variant. Before anything is timed, both paths must produce
-//! the same answer (floats within 1e-9 relative), so a speedup can
-//! never come from a wrong result.
+//! total-summary scan (paper §5.2's MIN/MAX/AVG/STDDEV rollup), a
+//! filtered variant, and the per-event star join (the fact joined to an
+//! event dimension on its INTEGER PRIMARY KEY, filtered on the
+//! dimension, grouped by event). Before anything is timed, both paths
+//! must produce the same answer (floats within 1e-9 relative), so a
+//! speedup can never come from a wrong result.
 //!
 //! Sizes sweep 65_536 → 1_048_576 fact rows; `PERFDMF_BENCH_QUICK`
 //! keeps only the small point. A pre-pass prints the measured
@@ -22,7 +24,16 @@ const TOTAL_SUMMARY: &str = "SELECT COUNT(*), SUM(calls), AVG(exclusive), \
 const FILTERED: &str = "SELECT COUNT(*), AVG(exclusive), MAX(inclusive) \
                         FROM fact WHERE node >= 8 AND exclusive > 50.0";
 
-/// Build a synthetic interval-profile fact table of `n` rows.
+const STAR: &str = "SELECT e.id, e.name, COUNT(*), MIN(f.exclusive), MAX(f.exclusive), \
+                    AVG(f.exclusive), STDDEV(f.exclusive) \
+                    FROM fact f JOIN ev e ON f.ev = e.id WHERE e.kind = 1 \
+                    GROUP BY e.id, e.name ORDER BY e.id";
+
+/// Events in the `ev` dimension (Miranda's "over one hundred").
+const EVENTS: u64 = 101;
+
+/// Build a synthetic interval-profile fact table of `n` rows, with an
+/// indexed foreign key `ev` into an `ev` dimension of [`EVENTS`] rows.
 fn fact_table(n: usize) -> Connection {
     let conn = Connection::open_in_memory();
     conn.execute(
@@ -32,10 +43,23 @@ fn fact_table(n: usize) -> Connection {
             event TEXT,
             calls INTEGER,
             exclusive DOUBLE,
-            inclusive DOUBLE)",
+            inclusive DOUBLE,
+            ev INTEGER)",
         &[],
     )
     .expect("create fact");
+    conn.execute("CREATE INDEX ix_fact_ev ON fact (ev)", &[])
+        .expect("create index");
+    conn.execute(
+        "CREATE TABLE ev (id INTEGER PRIMARY KEY AUTO_INCREMENT, name TEXT, kind INTEGER)",
+        &[],
+    )
+    .expect("create ev");
+    let dim = (0..EVENTS)
+        .map(|i| vec![Value::from(format!("event{i}")), Value::Int((i % 4) as i64)])
+        .collect();
+    conn.bulk_insert("ev", &["name", "kind"], dim)
+        .expect("insert ev");
     let mut state = 0x9E3779B97F4A7C15u64;
     let mut next = move || {
         state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
@@ -57,11 +81,20 @@ fn fact_table(n: usize) -> Connection {
                 Value::Int((r % 1000) as i64),
                 Value::Float(excl),
                 Value::Float(excl * 1.5 + 1.0),
+                Value::Int(1 + (r >> 7) as i64 % EVENTS as i64),
             ]);
         }
         conn.bulk_insert(
             "fact",
-            &["node", "thread", "event", "calls", "exclusive", "inclusive"],
+            &[
+                "node",
+                "thread",
+                "event",
+                "calls",
+                "exclusive",
+                "inclusive",
+                "ev",
+            ],
             batch.clone(),
         )
         .expect("bulk insert");
@@ -119,7 +152,11 @@ fn report_speedup(conn: &Connection, sql: &str, label: &str, rows: usize) {
 fn bench_columnar(c: &mut Criterion) {
     for rows in sizes(&[65_536, 1_048_576]) {
         let conn = fact_table(rows);
-        for (label, sql) in [("total_summary", TOTAL_SUMMARY), ("filtered", FILTERED)] {
+        for (label, sql) in [
+            ("total_summary", TOTAL_SUMMARY),
+            ("filtered", FILTERED),
+            ("star_join", STAR),
+        ] {
             assert_paths_agree(&conn, sql);
             report_speedup(&conn, sql, label, rows);
             let mut group = c.benchmark_group(format!("e10_{label}"));

@@ -52,7 +52,7 @@ pub(crate) fn cached_bytes() -> usize {
 /// Typed storage for one column within a chunk. Slots for NULL or dead
 /// rows hold an arbitrary value — kernels mask with the bitmaps.
 #[derive(Debug)]
-pub enum ColumnData {
+pub(crate) enum ColumnData {
     /// INTEGER and BOOLEAN columns (booleans as 0/1).
     Int(Vec<i64>),
     /// DOUBLE columns.
@@ -66,16 +66,31 @@ pub enum ColumnData {
 
 /// One column's values + null bitmap within a chunk.
 #[derive(Debug)]
-pub struct ColumnChunk {
+pub(crate) struct ColumnChunk {
     /// Bit `i` set ⇒ row `base + i` is NULL (only meaningful where live).
     pub nulls: Vec<u64>,
     /// The typed values.
     pub data: ColumnData,
 }
 
+impl ColumnChunk {
+    fn bytes(&self) -> usize {
+        self.nulls.len() * 8
+            + match &self.data {
+                ColumnData::Int(v) => v.len() * 8,
+                ColumnData::Float(v) => v.len() * 8,
+                ColumnData::Dict(v) => v.len() * 4,
+                ColumnData::Unsupported => 0,
+            }
+    }
+}
+
 /// A fixed-width horizontal slice of the row slab in columnar form.
+/// Columns are built on demand: a chunk holds the columns the plans
+/// that read it asked for, so a query pays for (and the cache keeps)
+/// only the columns it reads.
 #[derive(Debug)]
-pub struct Chunk {
+pub(crate) struct Chunk {
     /// First slab slot covered.
     pub base: usize,
     /// Slots covered (≤ [`CHUNK_ROWS`]; short only for the slab tail).
@@ -84,8 +99,8 @@ pub struct Chunk {
     pub live: Vec<u64>,
     /// Number of live rows in this chunk.
     pub live_count: usize,
-    /// One entry per schema column.
-    pub cols: Vec<ColumnChunk>,
+    /// One entry per schema column; `None` until a plan reads it.
+    cols: Vec<Option<Arc<ColumnChunk>>>,
 }
 
 /// Read bit `i` of a bitmap.
@@ -100,17 +115,42 @@ fn set_bit(words: &mut [u64], i: usize) {
 }
 
 impl Chunk {
-    /// Build a chunk from `rows` (the slab slice starting at slot `base`).
-    fn build(schema: &TableSchema, rows: &[Option<Row>], base: usize) -> Chunk {
+    /// Build a chunk from `rows` (the slab slice starting at slot `base`)
+    /// holding the columns `cols`.
+    fn build(schema: &TableSchema, rows: &[Option<Row>], base: usize, cols: &[usize]) -> Chunk {
         let len = rows.len();
-        let words = len.div_ceil(64).max(1);
-        let mut live = vec![0u64; words];
+        let mut live = vec![0u64; len.div_ceil(64).max(1)];
         let mut live_count = 0usize;
-        let mut nulls = vec![vec![0u64; words]; schema.columns.len()];
-        let mut data: Vec<ColumnData> = schema
-            .columns
+        for (i, slot) in rows.iter().enumerate() {
+            if slot.is_some() {
+                set_bit(&mut live, i);
+                live_count += 1;
+            }
+        }
+        let chunk = Chunk {
+            base,
+            len,
+            live,
+            live_count,
+            cols: vec![None; schema.columns.len()],
+        };
+        chunk.with_columns(schema, rows, cols)
+    }
+
+    /// This chunk plus the columns of `cols` it lacks, built from `rows`
+    /// in one pass. Columns it already holds are shared, not copied.
+    fn with_columns(&self, schema: &TableSchema, rows: &[Option<Row>], cols: &[usize]) -> Chunk {
+        let missing: Vec<usize> = cols
             .iter()
-            .map(|c| match c.ty {
+            .copied()
+            .filter(|&c| self.cols[c].is_none())
+            .collect();
+        let len = self.len;
+        let words = len.div_ceil(64).max(1);
+        let mut nulls = vec![vec![0u64; words]; missing.len()];
+        let mut data: Vec<ColumnData> = missing
+            .iter()
+            .map(|&c| match schema.columns[c].ty {
                 DataType::Integer | DataType::Boolean => ColumnData::Int(vec![0; len]),
                 DataType::Double => ColumnData::Float(vec![0.0; len]),
                 DataType::Text => ColumnData::Dict(vec![0; len]),
@@ -119,11 +159,9 @@ impl Chunk {
             .collect();
         for (i, slot) in rows.iter().enumerate() {
             let Some(row) = slot else { continue };
-            set_bit(&mut live, i);
-            live_count += 1;
-            for (c, v) in row.iter().enumerate() {
-                match (&mut data[c], v) {
-                    (_, Value::Null) => set_bit(&mut nulls[c], i),
+            for (j, &c) in missing.iter().enumerate() {
+                match (&mut data[j], &row[c]) {
+                    (_, Value::Null) => set_bit(&mut nulls[j], i),
                     (ColumnData::Int(xs), Value::Int(x)) => xs[i] = *x,
                     (ColumnData::Int(xs), Value::Bool(b)) => xs[i] = *b as i64,
                     (ColumnData::Float(xs), Value::Float(x)) => xs[i] = *x,
@@ -133,33 +171,32 @@ impl Chunk {
                 }
             }
         }
-        let cols = data
-            .into_iter()
-            .zip(nulls)
-            .map(|(data, nulls)| ColumnChunk { nulls, data })
-            .collect();
+        let mut out_cols = self.cols.clone();
+        for ((c, data), nulls) in missing.into_iter().zip(data).zip(nulls) {
+            out_cols[c] = Some(Arc::new(ColumnChunk { nulls, data }));
+        }
         Chunk {
-            base,
+            base: self.base,
             len,
-            live,
-            live_count,
-            cols,
+            live: self.live.clone(),
+            live_count: self.live_count,
+            cols: out_cols,
         }
     }
 
+    /// Column `c`, if this chunk holds it.
+    pub(crate) fn col(&self, c: usize) -> Option<&ColumnChunk> {
+        self.cols[c].as_deref()
+    }
+
+    /// True when the chunk holds every column of `cols`.
+    fn has(&self, cols: &[usize]) -> bool {
+        cols.iter().all(|&c| self.cols[c].is_some())
+    }
+
     /// Approximate heap footprint, used for budget accounting.
-    pub fn bytes(&self) -> usize {
-        let mut b = self.live.len() * 8;
-        for c in &self.cols {
-            b += c.nulls.len() * 8;
-            b += match &c.data {
-                ColumnData::Int(v) => v.len() * 8,
-                ColumnData::Float(v) => v.len() * 8,
-                ColumnData::Dict(v) => v.len() * 4,
-                ColumnData::Unsupported => 0,
-            };
-        }
-        b
+    pub(crate) fn bytes(&self) -> usize {
+        self.live.len() * 8 + self.cols.iter().flatten().map(|c| c.bytes()).sum::<usize>()
     }
 }
 
@@ -198,24 +235,34 @@ impl Drop for ColumnCache {
 }
 
 impl ColumnCache {
-    /// Get or build the chunk with index `idx`; the flag is true on a
-    /// cache hit. Returns `None` only when `idx` is past the slab end.
+    /// Get or build the chunk with index `idx` holding (at least) the
+    /// columns `cols`; the flag is true on a cache hit, i.e. when the
+    /// cached chunk already held all of them. A cached chunk missing some
+    /// is extended with them. Returns `None` only when `idx` is past the
+    /// slab end.
     pub(crate) fn chunk(
         &self,
         schema: &TableSchema,
         rows: &[Option<Row>],
         idx: usize,
+        cols: &[usize],
     ) -> (Option<Arc<Chunk>>, bool) {
         let base = idx * CHUNK_ROWS;
         if base >= rows.len() {
             return (None, false);
         }
-        {
-            let guard = self.inner.lock().unwrap();
-            if let Some(Some(c)) = guard.get(idx) {
+        let cached = self
+            .inner
+            .lock()
+            .expect("column cache lock")
+            .get(idx)
+            .cloned()
+            .flatten();
+        if let Some(c) = &cached {
+            if c.has(cols) {
                 telemetry::add("db.colcache.chunk_hits", 1);
                 telemetry::meter::add_chunk_hit();
-                return (Some(Arc::clone(c)), true);
+                return (cached, true);
             }
         }
         telemetry::add("db.colcache.chunk_misses", 1);
@@ -223,13 +270,18 @@ impl ColumnCache {
         let end = rows.len().min(base + CHUNK_ROWS);
         let built = {
             let _span = telemetry::span("db.colcache.build");
-            Chunk::build(schema, &rows[base..end], base)
+            match &cached {
+                Some(c) => c.with_columns(schema, &rows[base..end], cols),
+                None => Chunk::build(schema, &rows[base..end], base, cols),
+            }
         };
         let bytes = built.bytes();
         let arc = Arc::new(built);
         // Budget check is advisory (load + add are not one atomic step);
-        // a slight overshoot under contention is acceptable.
-        if CACHED_BYTES.load(Ordering::Relaxed) + bytes > budget_bytes() {
+        // a slight overshoot under contention is acceptable. The chunk
+        // replaces its cached narrower self, whose bytes it frees.
+        let replaced = cached.map_or(0, |c| c.bytes());
+        if CACHED_BYTES.load(Ordering::Relaxed) + bytes > budget_bytes() + replaced {
             telemetry::add("db.colcache.budget_declines", 1);
             return (Some(arc), false);
         }
@@ -319,7 +371,7 @@ mod tests {
     fn build_typed_chunks_with_bitmaps() {
         let rows = slab(100);
         let cache = ColumnCache::default();
-        let (chunk, hit) = cache.chunk(&schema(), &rows, 0);
+        let (chunk, hit) = cache.chunk(&schema(), &rows, 0, &[0, 1, 2]);
         let chunk = chunk.unwrap();
         assert!(!hit);
         assert_eq!(chunk.len, 100);
@@ -328,8 +380,11 @@ mod tests {
             rows.iter().filter(|r| r.is_some()).count()
         );
         assert!(!bit(&chunk.live, 3), "tombstone is dead");
-        assert!(bit(&chunk.cols[1].nulls, 0), "x is NULL every 5th row");
-        match (&chunk.cols[0].data, &chunk.cols[2].data) {
+        assert!(
+            bit(&chunk.col(1).unwrap().nulls, 0),
+            "x is NULL every 5th row"
+        );
+        match (&chunk.col(0).unwrap().data, &chunk.col(2).unwrap().data) {
             (ColumnData::Int(xs), ColumnData::Dict(ds)) => {
                 // Slots 11 and 12 are live (only i % 7 == 3 is tombstoned).
                 assert_eq!(xs[12], 12);
@@ -338,9 +393,31 @@ mod tests {
             }
             other => panic!("unexpected column data {other:?}"),
         }
-        // Second lookup hits.
-        let (_, hit) = cache.chunk(&schema(), &rows, 0);
+        // Second lookup hits, also for fewer columns.
+        let (_, hit) = cache.chunk(&schema(), &rows, 0, &[0, 1, 2]);
         assert!(hit);
+        let (_, hit) = cache.chunk(&schema(), &rows, 0, &[1]);
+        assert!(hit);
+        assert_eq!(cache.cached_chunks(), 1);
+    }
+
+    #[test]
+    fn columns_are_built_on_demand_and_shared() {
+        let rows = slab(300);
+        let cache = ColumnCache::default();
+        let (narrow, hit) = cache.chunk(&schema(), &rows, 0, &[1]);
+        let narrow = narrow.unwrap();
+        assert!(!hit);
+        assert!(narrow.col(0).is_none() && narrow.col(1).is_some());
+        // Asking for another column extends the cached chunk: a miss that
+        // builds only the new column and shares the old one.
+        let (wide, hit) = cache.chunk(&schema(), &rows, 0, &[0, 1]);
+        let wide = wide.unwrap();
+        assert!(!hit);
+        assert!(std::ptr::eq(narrow.col(1).unwrap(), wide.col(1).unwrap()));
+        assert!(wide.bytes() > narrow.bytes());
+        let (again, hit) = cache.chunk(&schema(), &rows, 0, &[0]);
+        assert!(hit && std::ptr::eq(again.unwrap().col(0).unwrap(), wide.col(0).unwrap()));
         assert_eq!(cache.cached_chunks(), 1);
     }
 
@@ -348,12 +425,12 @@ mod tests {
     fn invalidation_is_per_chunk() {
         let rows = slab(CHUNK_ROWS + 10);
         let cache = ColumnCache::default();
-        cache.chunk(&schema(), &rows, 0);
-        cache.chunk(&schema(), &rows, 1);
+        cache.chunk(&schema(), &rows, 0, &[0]);
+        cache.chunk(&schema(), &rows, 1, &[0]);
         assert_eq!(cache.cached_chunks(), 2);
         cache.invalidate_row(CHUNK_ROWS + 1);
         assert_eq!(cache.cached_chunks(), 1);
-        let (_, hit) = cache.chunk(&schema(), &rows, 0);
+        let (_, hit) = cache.chunk(&schema(), &rows, 0, &[0]);
         assert!(hit, "chunk 0 untouched by chunk-1 invalidation");
         cache.clear();
         assert_eq!(cache.cached_chunks(), 0);
@@ -368,7 +445,7 @@ mod tests {
         let before = cached_bytes();
         {
             let cache = ColumnCache::default();
-            cache.chunk(&schema(), &rows, 0);
+            cache.chunk(&schema(), &rows, 0, &[0, 2]);
             assert!(cached_bytes() > before);
         }
         assert_eq!(cached_bytes(), before, "drop released the budget");

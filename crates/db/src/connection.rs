@@ -164,6 +164,18 @@ impl Prepared {
     }
 }
 
+/// Reject a statement that yields no rows before it runs, so a caller
+/// that passes the wrong SQL to a row-returning method gets an error and
+/// no side effect. EXPLAIN (which returns plan rows) passes.
+fn returns_rows(prepared: &Prepared, method: &str) -> Result<()> {
+    match prepared.statement() {
+        Statement::Select(_) | Statement::Explain { .. } => Ok(()),
+        _ => Err(DbError::Unsupported(format!(
+            "{method}() requires a SELECT statement"
+        ))),
+    }
+}
+
 impl Connection {
     /// Open an in-memory database.
     pub fn open_in_memory() -> Connection {
@@ -237,9 +249,12 @@ impl Connection {
         self.execute_prepared(&prepared, params)
     }
 
-    /// Execute a SELECT and return its rows.
+    /// Execute a SELECT (or an EXPLAIN) and return its rows. Any other
+    /// statement is an error and is not executed.
     pub fn query(&self, sql: &str, params: &[Value]) -> Result<ResultSet> {
-        self.execute(sql, params)?.rows()
+        let prepared = self.prepare(sql)?;
+        returns_rows(&prepared, "query")?;
+        self.execute_prepared(&prepared, params)?.rows()
     }
 
     /// Execute a SELECT and call `each` with every output row, in order.
@@ -416,9 +431,12 @@ impl TransactionHandle<'_> {
             .atomically(|db| db.bulk_insert(table, columns, rows))
     }
 
-    /// Query inside the transaction.
+    /// Query inside the transaction; like [`Connection::query`], a
+    /// statement other than SELECT or EXPLAIN is rejected unexecuted.
     pub fn query(&mut self, sql: &str, params: &[Value]) -> Result<ResultSet> {
-        self.execute(sql, params)?.rows()
+        let prepared = self.parse_cache.prepare(sql)?;
+        returns_rows(&prepared, "query")?;
+        self.execute_prepared(&prepared, params)?.rows()
     }
 
     /// INSERT returning the generated id.

@@ -6,18 +6,18 @@
 //! toolkit statistics agree bit-for-bit on the same data, serially and
 //! across merged partitions.
 
+use super::hash::FastSet;
 use crate::error::{DbError, Result};
 use crate::sql::ast::AggregateFn;
 use crate::value::Value;
 use perfdmf_telemetry::Moments;
-use std::collections::HashSet;
 
 /// One accumulator instance (per aggregate expression per group).
 #[derive(Debug, Clone)]
 pub(crate) struct Accumulator {
     func: AggregateFn,
     distinct: bool,
-    seen: HashSet<Value>,
+    seen: FastSet<Value>,
     count: u64,
     /// Running sum kept as integer while possible (exact for counters).
     int_sum: i64,
@@ -25,7 +25,8 @@ pub(crate) struct Accumulator {
     float_sum: f64,
     min: Option<Value>,
     max: Option<Value>,
-    /// Mean and spread of the numeric inputs (SUM/AVG/STDDEV).
+    /// Mean and spread of the numeric inputs (STDDEV only; SUM and AVG
+    /// need just the sum and count).
     moments: Moments,
 }
 
@@ -35,7 +36,7 @@ impl Accumulator {
         Accumulator {
             func,
             distinct,
-            seen: HashSet::new(),
+            seen: FastSet::default(),
             count: 0,
             int_sum: 0,
             int_exact: true,
@@ -84,10 +85,11 @@ impl Accumulator {
     }
 
     /// Fold one integer input into SUM/AVG/STDDEV state: the checked
-    /// integer sum (degrading to float on overflow) and the moments. The
-    /// columnar kernels (see `exec::vector`) call this and
-    /// [`Accumulator::push_float`] directly from their typed loops, so a
-    /// chunk partial is bit-identical to row execution over the same rows.
+    /// integer sum (degrading to float on overflow) and, for STDDEV, the
+    /// moments. The columnar SUM/AVG kernels (see `exec::vector`) call
+    /// this and [`Accumulator::push_float`] directly from their typed
+    /// loops, so their chunk partial is bit-identical to row execution
+    /// over the same rows.
     #[inline]
     pub(crate) fn push_int(&mut self, i: i64) {
         self.count += 1;
@@ -102,7 +104,9 @@ impl Accumulator {
         } else {
             self.float_sum += i as f64;
         }
-        self.moments.push(i as f64);
+        if self.func == AggregateFn::StdDev {
+            self.moments.push(i as f64);
+        }
     }
 
     /// Fold one non-integer numeric input into SUM/AVG/STDDEV state (the
@@ -115,7 +119,9 @@ impl Accumulator {
             self.int_exact = false;
         }
         self.float_sum += x;
-        self.moments.push(x);
+        if self.func == AggregateFn::StdDev {
+            self.moments.push(x);
+        }
     }
 
     /// A COUNT/MIN/MAX partial computed by a columnar kernel. DISTINCT
@@ -131,6 +137,16 @@ impl Accumulator {
             min,
             max,
             ..Accumulator::new(func, false)
+        }
+    }
+
+    /// A STDDEV partial from the moments of its values, which a columnar
+    /// kernel computes in one batch.
+    pub(crate) fn from_moments(moments: Moments) -> Self {
+        Accumulator {
+            count: moments.count,
+            moments,
+            ..Accumulator::new(AggregateFn::StdDev, false)
         }
     }
 

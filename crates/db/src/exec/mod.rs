@@ -2,6 +2,7 @@
 
 pub(crate) mod aggregate;
 pub(crate) mod eval;
+pub(crate) mod hash;
 pub(crate) mod select;
 pub(crate) mod vector;
 
@@ -456,7 +457,7 @@ fn execute_update(
         let env = Env::new(&tuple, params);
         let mut new_row = old_row.clone();
         for (idx, e) in &assignments {
-            new_row[*idx] = eval::eval(e, &env)?;
+            new_row[*idx] = eval::eval_ref(e, &env)?.into_owned();
         }
         db.update_row(&upd.table, id, new_row)?;
     }

@@ -9,7 +9,8 @@
 //! cannot drift from what executes.
 
 use super::aggregate::Accumulator;
-use super::eval::{eval, eval_condition, eval_ref, Env, Layout};
+use super::eval::{eval_condition, eval_ref, Env, Layout};
+use super::hash::{FastMap, FastSet};
 use super::vector;
 use super::ResultSet;
 use crate::column::CHUNK_ROWS;
@@ -17,7 +18,9 @@ use crate::database::Database;
 use crate::error::{DbError, Result};
 use crate::introspect;
 use crate::plan;
-use crate::plan::ir::{Access, LogicalPlan, PlannedSelect, ScanNode};
+use crate::plan::ir::{
+    pipeline_layout, pipeline_scans, Access, LogicalPlan, PlannedSelect, ScanNode,
+};
 use crate::sql::ast::*;
 use crate::table::{Row, RowId, Table};
 use crate::value::Value;
@@ -25,10 +28,10 @@ use perfdmf_pool as pool;
 use perfdmf_telemetry as telemetry;
 use std::borrow::Cow;
 use std::cmp::Ordering;
-use std::collections::HashMap;
 use std::convert::Infallible;
 use std::ops::Bound;
 use std::ops::Range;
+use std::sync::Arc;
 use std::time::Instant;
 
 /// A resolved FROM-clause table: either a borrowed base table or a
@@ -227,7 +230,7 @@ fn resolve_select(db: &Database, sel: &Select, params: &[Value]) -> Result<Selec
 pub(crate) fn grouped_only(expr: &Expr, group_by: &[Expr]) -> bool {
     group_by.contains(expr)
         || match expr {
-            Expr::Column { .. } => false,
+            Expr::Column { .. } | Expr::Slot { .. } => false,
             Expr::Aggregate { .. } => true, // columns inside the arg are fine
             _ => !expr.any_child(|c| !grouped_only(c, group_by)),
         }
@@ -312,13 +315,13 @@ pub(crate) struct Tail<'p, 'a> {
     limit: Option<u64>,
     offset: Option<u64>,
     has_limit: bool,
-    distinct: bool,
+    pub distinct: bool,
     pub order_by: &'p [OrderItem],
     pub projections: &'p [Projection],
     /// `Some((group_by, having))` when an Aggregate node is present.
     pub aggregate: Option<(&'p [Expr], Option<&'p Expr>)>,
     /// The scan/join/filter pipeline below the tail.
-    pipeline: &'p LogicalPlan<'a>,
+    pub pipeline: &'p LogicalPlan<'a>,
 }
 
 pub(crate) fn decompose<'p, 'a>(root: &'p LogicalPlan<'a>) -> Tail<'p, 'a> {
@@ -413,7 +416,7 @@ impl<'w, 's> Window<'w, 's> {
     fn push_all(&mut self, mut rows: Vec<Row>, distinct: bool, prof: Option<&mut ExecProfile>) {
         if distinct {
             let rows_in = rows.len();
-            let mut seen = std::collections::HashSet::new();
+            let mut seen = FastSet::default();
             rows.retain(|r| seen.insert(r.clone()));
             if let Some(p) = prof {
                 p.distinct = Some((rows_in as u64, rows.len() as u64));
@@ -436,27 +439,18 @@ fn run_planned(
     let tail = decompose(&planned.root);
     let mut window = Window::new(tail.offset, tail.limit, sink);
 
-    // Columnar fast path: fused scan + filter + aggregate over column
-    // chunks. A `None` from the kernels (unsupported chunk data) falls
-    // through to row execution below. Only a single-table `Filter?(Scan)`
-    // pipeline is ever planned columnar.
-    let single = match tail.pipeline {
-        LogicalPlan::Filter { input, .. } => &**input,
-        node => node,
-    };
-    if let LogicalPlan::Scan(scan) = single {
-        if let Access::Columnar { plan: cplan, .. } = &scan.access {
-            if let Some(out) =
-                exec_columnar(scan, cplan, tail.projections, params, prof.as_deref_mut())?
-            {
-                window.push_all(out.rows, false, None);
-                return Ok(Streamed {
-                    columns: out.columns,
-                    returned: window.returned,
-                    rows_scanned: out.rows_scanned,
-                    ..Streamed::default()
-                });
-            }
+    // Columnar fast path: fused scan + filter + join + aggregate over the
+    // fact table's column chunks. A `None` from the kernels (unsupported
+    // chunk data) falls through to row execution below.
+    if let Some(cplan) = columnar_plan(tail.pipeline) {
+        if let Some(out) = exec_columnar(&tail, cplan, params, prof.as_deref_mut())? {
+            window.push_all(out.rows, tail.distinct, None);
+            return Ok(Streamed {
+                columns: out.columns,
+                returned: window.returned,
+                rows_scanned: out.rows_scanned,
+                ..Streamed::default()
+            });
         }
     }
 
@@ -572,7 +566,7 @@ fn exec_pipeline<'p>(
 }
 
 /// Evaluate a scan's bound pushed conjuncts against one of its rows.
-fn pushed_match(pushed: &[Expr], row: &Row, params: &[Value]) -> Result<bool> {
+pub(crate) fn pushed_match(pushed: &[Expr], row: &Row, params: &[Value]) -> Result<bool> {
     let tuple = [Some(row)];
     let env = Env::new(&tuple, params);
     for c in pushed {
@@ -760,7 +754,7 @@ fn exec_join<'p>(
         on.and_then(|on| equi_offsets(on, &left_layout, right)),
     ) {
         (None, Some((l_slot, r_off))) => {
-            let mut table: HashMap<&Value, Vec<&'p Row>> = HashMap::new();
+            let mut table: FastMap<&Value, Vec<&'p Row>> = FastMap::default();
             for &r in right_rows.iter().filter(|r| !r[r_off].is_null()) {
                 table.entry(&r[r_off]).or_default().push(r);
             }
@@ -866,65 +860,90 @@ fn exec_filter<'p>(
     Ok(rows)
 }
 
-/// Execute a decided columnar scan. Returns `Ok(None)` when a chunk
-/// exposed column data the kernels cannot handle — the caller falls
-/// back to row execution.
+/// The columnar plan the cost pass put on one of the pipeline's scans.
+fn columnar_plan<'p>(pipeline: &'p LogicalPlan<'_>) -> Option<&'p vector::ColumnarPlan> {
+    pipeline_scans(pipeline)
+        .into_iter()
+        .find_map(|s| match &s.access {
+            Access::Columnar { plan, .. } => Some(&**plan),
+            _ => None,
+        })
+}
+
+/// Execute a decided columnar plan over the fact scan at layout
+/// position `cplan.fact`. Returns `Ok(None)` when a chunk exposed column
+/// data the kernels cannot handle — the caller falls back to row
+/// execution.
 fn exec_columnar(
-    scan: &ScanNode<'_>,
+    tail: &Tail<'_, '_>,
     cplan: &vector::ColumnarPlan,
-    projections: &[Projection],
     params: &[Value],
-    prof: Option<&mut ExecProfile>,
+    mut prof: Option<&mut ExecProfile>,
 ) -> Result<Option<ResultSet>> {
-    let table: &Table = &scan.source;
+    let scans = pipeline_scans(tail.pipeline);
+    let fact: &Table = &scans[cplan.fact].source;
     let t0 = prof.is_some().then(Instant::now);
-    let (accs, stats) = {
+    let (groups, stats) = {
         let _stage = telemetry::span("db.exec.colscan");
-        match vector::execute_columnar(table, cplan)? {
+        match vector::execute_columnar(fact, cplan)? {
             Some(out) => out,
             None => return Ok(None),
         }
     };
     telemetry::add("db.exec.columnar_scans", 1);
 
-    let layout = scan.layout1();
-    // Same collection order as the access decision, so accumulator `i`
-    // belongs to aggregate expression `i`.
-    let projections = expand_projections(projections, &layout)?;
-    let columns: Vec<String> = projections.iter().map(|(n, _)| n.clone()).collect();
-    let mut aggs: Vec<&Expr> = Vec::new();
-    for (_, e) in &projections {
-        collect_aggregates(e, &mut aggs);
+    let layout = pipeline_layout(tail.pipeline);
+    let (group_by, having) = tail.aggregate.unwrap_or_default();
+    let bound = BoundAggregate::bind(tail.projections, group_by, having, tail.order_by, &layout)?;
+    let aggs = bound.aggs();
+    debug_assert_eq!(aggs.len(), cplan.aggs.len());
+    // Each group is represented by the joined tuple of its first fact
+    // row: the fact row plus the dimension row its foreign key names.
+    let mut dims: Vec<Option<&vector::Dimension>> = vec![None; scans.len()];
+    for d in &cplan.dims {
+        dims[d.binding] = Some(d);
     }
-    debug_assert_eq!(aggs.len(), accs.len());
-    let agg_values: Vec<Value> = accs.iter().map(|a| a.finish()).collect();
-
-    // No bare columns survive the shape check, so a NULL row suffices as
-    // the evaluation environment (matching the serial empty-group case).
-    let null_tuple = [None];
-    let env = Env::new(&null_tuple, params);
-    let mut out_row = Vec::with_capacity(projections.len());
-    for (_, e) in &projections {
-        let e_sub = layout.bind(&substitute(e, &aggs, &agg_values))?;
-        out_row.push(eval(&e_sub, &env)?);
-    }
-
-    if let Some(p) = prof {
-        let ns = stage_ns(t0);
+    let groups = groups
+        .into_iter()
+        .map(|g| {
+            let rep = g.first.and_then(|slot| fact.row(slot as RowId)).map(|row| {
+                let tuple = scans.iter().zip(&dims).map(|(scan, dim)| match dim {
+                    None => Some(row),
+                    Some(d) => {
+                        let key = row[d.fk].as_int()?;
+                        scan.source.row(d.keys.row_of(key)?)
+                    }
+                });
+                Cow::Owned(tuple.collect())
+            });
+            (rep, g.accs)
+        })
+        .collect();
+    if let Some(p) = prof.as_deref_mut() {
         p.colscan = Some((
-            table.len() as u64,
+            stats.rows,
             stats.chunks,
             stats.cache_hits,
             stats.cache_misses,
             stats.partitions,
-            ns,
+            stage_ns(t0),
         ));
-        p.aggregate = Some((1, stats.partitions, ns));
     }
+    let rows = finish_groups(
+        &bound,
+        &aggs,
+        groups,
+        scans.len(),
+        tail.order_by,
+        params,
+        stats.partitions,
+        t0,
+        prof,
+    )?;
     Ok(Some(ResultSet {
-        columns,
-        rows: vec![out_row],
-        rows_scanned: table.len() as u64,
+        columns: bound.columns,
+        rows,
+        rows_scanned: stats.rows,
         ..ResultSet::default()
     }))
 }
@@ -1004,7 +1023,65 @@ fn render_plan(planned: &PlannedSelect<'_>, prof: Option<&ExecProfile>) -> Vec<S
         return vec![noted("result: constant row (no FROM)".to_string(), note)];
     };
 
-    lines.push(scan_line(base, prof));
+    let cplan = columnar_plan(tail.pipeline);
+    match cplan.filter(|c| !c.dims.is_empty()) {
+        Some(cplan) => lines.extend(star_lines(tail.pipeline, cplan, prof)),
+        None => lines.extend(join_lines(base, &joins, prof)),
+    }
+
+    // A columnar scan fuses the WHERE predicates into the scan itself, so
+    // there is no separate filter operator to report.
+    if filter_present && cplan.is_none() {
+        let note = prof
+            .and_then(|p| p.filter)
+            .map(|(rows_in, rows_out, parts, ns)| {
+                measured(format!("rows={rows_out} of {rows_in}"), parts, ns)
+            });
+        lines.push(noted("filter: WHERE".to_string(), note));
+    }
+    if let Some((group_by, having)) = tail.aggregate {
+        let note = prof
+            .and_then(|p| p.aggregate)
+            .map(|(groups, parts, ns)| measured(format!("groups={groups}"), parts, ns));
+        let line = format!(
+            "aggregate: group by {} expr(s){}",
+            group_by.len(),
+            if having.is_some() { ", having" } else { "" }
+        );
+        lines.push(noted(line, note));
+    }
+    if tail.distinct {
+        let note = prof
+            .and_then(|p| p.distinct)
+            .map(|(rows_in, rows_out)| format!("actual rows={rows_out} of {rows_in}"));
+        lines.push(noted("distinct".to_string(), note));
+    }
+    if !tail.order_by.is_empty() {
+        let note = prof.map(|p| fmt_ns(p.sort_ns));
+        lines.push(noted(format!("sort: {} key(s)", tail.order_by.len()), note));
+    }
+    if tail.has_limit {
+        let note = prof.map(|p| format!("actual rows={}", p.returned));
+        let line = format!("limit {:?} offset {:?}", tail.limit, tail.offset);
+        lines.push(noted(line, note));
+    }
+    if planned.optimizer_off {
+        lines.push("optimizer: off (rewrite rules disabled)".to_string());
+    } else {
+        for t in &planned.trail {
+            lines.push(format!("optimizer: {}: {}", t.rule, t.detail));
+        }
+    }
+    lines
+}
+
+/// The base scan and join lines of a row-path plan, base first.
+fn join_lines(
+    base: &ScanNode<'_>,
+    joins: &[(&ScanNode<'_>, JoinKind, Option<&Expr>)],
+    prof: Option<&ExecProfile>,
+) -> Vec<String> {
+    let mut lines = vec![scan_line(base, prof)];
     if !joins.is_empty() && !base.pushed.is_empty() {
         lines.push(format!(
             "  pushdown: {} base-only conjunct(s)",
@@ -1061,48 +1138,38 @@ fn render_plan(planned: &PlannedSelect<'_>, prof: Option<&ExecProfile>) -> Vec<S
         bindings.push((right.binding.clone(), right.columns.clone()));
     }
 
-    // A columnar scan fuses the WHERE predicates into the scan itself, so
-    // there is no separate filter operator to report.
-    if filter_present && !matches!(base.access, Access::Columnar { .. }) {
-        let note = prof
-            .and_then(|p| p.filter)
-            .map(|(rows_in, rows_out, parts, ns)| {
-                measured(format!("rows={rows_out} of {rows_in}"), parts, ns)
-            });
-        lines.push(noted("filter: WHERE".to_string(), note));
-    }
-    if let Some((group_by, having)) = tail.aggregate {
-        let note = prof
-            .and_then(|p| p.aggregate)
-            .map(|(groups, parts, ns)| measured(format!("groups={groups}"), parts, ns));
+    lines
+}
+
+/// The lines of a columnar star join: the fact scan, then one key-set
+/// line per dimension, in layout order.
+fn star_lines(
+    pipeline: &LogicalPlan<'_>,
+    cplan: &vector::ColumnarPlan,
+    prof: Option<&ExecProfile>,
+) -> Vec<String> {
+    let scans = pipeline_scans(pipeline);
+    let fact = scans[cplan.fact];
+    let mut lines = vec![scan_line(fact, prof)];
+    for d in &cplan.dims {
+        let dim = scans[d.binding];
         let line = format!(
-            "aggregate: group by {} expr(s){}",
-            group_by.len(),
-            if having.is_some() { ", having" } else { "" }
+            "key-set join with {} on {}.{} ({} row(s), {} key(s))",
+            dim.table_name,
+            fact.binding,
+            fact.columns[d.fk],
+            dim.source.len(),
+            d.keys.len()
         );
+        let note = prof.map(|_| {
+            format!(
+                "actual keys={}, read={}, {}",
+                d.keys.len(),
+                d.read,
+                fmt_ns(d.ns)
+            )
+        });
         lines.push(noted(line, note));
-    }
-    if tail.distinct {
-        let note = prof
-            .and_then(|p| p.distinct)
-            .map(|(rows_in, rows_out)| format!("actual rows={rows_out} of {rows_in}"));
-        lines.push(noted("distinct".to_string(), note));
-    }
-    if !tail.order_by.is_empty() {
-        let note = prof.map(|p| fmt_ns(p.sort_ns));
-        lines.push(noted(format!("sort: {} key(s)", tail.order_by.len()), note));
-    }
-    if tail.has_limit {
-        let note = prof.map(|p| format!("actual rows={}", p.returned));
-        let line = format!("limit {:?} offset {:?}", tail.limit, tail.offset);
-        lines.push(noted(line, note));
-    }
-    if planned.optimizer_off {
-        lines.push("optimizer: off (rewrite rules disabled)".to_string());
-    } else {
-        for t in &planned.trail {
-            lines.push(format!("optimizer: {}: {}", t.rule, t.detail));
-        }
     }
     lines
 }
@@ -1119,16 +1186,37 @@ fn scan_line(scan: &ScanNode<'_>, prof: Option<&ExecProfile>) -> String {
         )
     } else {
         match &scan.access {
-            Access::Columnar { plan, reason } => format!(
-                "columnar scan on {} ({} live row(s), {} chunk(s) of {}, {} kernel(s), {} fused predicate(s); {})",
-                scan.table_name,
-                table.len(),
-                table.chunk_count(),
-                CHUNK_ROWS,
-                plan.aggs.len(),
-                plan.pred_count(),
-                reason
-            ),
+            Access::Columnar { plan, reason } => {
+                // A star join names its grouping and key-set tests; a
+                // single-table aggregate keeps the plain line.
+                let (kind, groups) = match plan.group.map(|g| &plan.dims[g]) {
+                    _ if plan.dims.is_empty() => ("columnar scan", String::new()),
+                    None => ("columnar star scan", String::new()),
+                    Some(d) => (
+                        "columnar star scan",
+                        format!(
+                            ", {} group slot(s) by {} ({})",
+                            d.keys.len(),
+                            scan.columns[d.fk],
+                            if d.keys.is_dense() {
+                                "dense key offsets"
+                            } else {
+                                "sorted keys"
+                            }
+                        ),
+                    ),
+                };
+                format!(
+                    "{kind} on {} ({} live row(s), {} chunk(s) of {}, {} kernel(s), {} fused predicate(s){groups}; {})",
+                    scan.table_name,
+                    table.len(),
+                    plan.chunk_count(table),
+                    CHUNK_ROWS,
+                    plan.aggs.len(),
+                    plan.pred_count(),
+                    reason
+                )
+            }
             Access::Index(choice) => {
                 let mut l = format!(
                     "index scan on {} ({} candidate row(s) of {}) via {}, {} distinct key(s)",
@@ -1293,46 +1381,48 @@ pub(crate) fn index_candidates(
     let Some(pred) = where_clause else {
         return Ok(None);
     };
-    for c in conjuncts(pred) {
-        let Some(ColumnTest { col, kind }) = column_test(c, binding, layout1, params) else {
-            continue;
-        };
-        let Some(ix) = table.index_on(col) else {
-            continue;
-        };
-        let ids = match kind {
-            TestKind::Cmp { op, value } => match op {
-                BinaryOp::Eq => ix.ids(&value).to_vec(),
-                BinaryOp::Lt => ix.range(Bound::Unbounded, Bound::Excluded(&value)),
-                BinaryOp::LtEq => ix.range(Bound::Unbounded, Bound::Included(&value)),
-                BinaryOp::Gt => ix.range(Bound::Excluded(&value), Bound::Unbounded),
-                BinaryOp::GtEq => ix.range(Bound::Included(&value), Bound::Unbounded),
-                _ => continue,
-            },
-            TestKind::Between {
-                low,
-                high,
-                negated: false,
-            } => ix.range(Bound::Included(&low), Bound::Included(&high)),
-            TestKind::InList {
-                items,
-                negated: false,
-            } => {
-                let mut ids: Vec<RowId> = items.iter().flat_map(|v| ix.ids(v)).copied().collect();
-                ids.sort_unstable();
-                ids.dedup();
-                ids
-            }
-            _ => continue,
-        };
-        return Ok(Some(IndexChoice::new(ix, ids)));
-    }
-    Ok(None)
+    Ok(conjuncts(pred).into_iter().find_map(|c| {
+        let test = column_test(c, binding, layout1, params)?;
+        index_choice(table, &test)
+    }))
+}
+
+/// The candidate rows of one column test through the table's index on
+/// its column, when there is one and it can serve the test.
+pub(crate) fn index_choice(table: &Table, test: &ColumnTest) -> Option<IndexChoice> {
+    let ix = table.index_on(test.col)?;
+    let ids = match &test.kind {
+        TestKind::Cmp { op, value } => match op {
+            BinaryOp::Eq => ix.ids(value).to_vec(),
+            BinaryOp::Lt => ix.range(Bound::Unbounded, Bound::Excluded(value)),
+            BinaryOp::LtEq => ix.range(Bound::Unbounded, Bound::Included(value)),
+            BinaryOp::Gt => ix.range(Bound::Excluded(value), Bound::Unbounded),
+            BinaryOp::GtEq => ix.range(Bound::Included(value), Bound::Unbounded),
+            _ => return None,
+        },
+        TestKind::Between {
+            low,
+            high,
+            negated: false,
+        } => ix.range(Bound::Included(low), Bound::Included(high)),
+        TestKind::InList {
+            items,
+            negated: false,
+        } => {
+            let mut ids: Vec<RowId> = items.iter().flat_map(|v| ix.ids(v)).copied().collect();
+            ids.sort_unstable();
+            ids.dedup();
+            ids
+        }
+        _ => return None,
+    };
+    Some(IndexChoice::new(ix, ids))
 }
 
 /// A WHERE conjunct that tests one base-table column against constants,
 /// as matched by [`column_test`]. Index selection and the columnar
 /// predicate compiler both consume it, each serving the shapes it can.
+#[derive(Clone)]
 pub(crate) struct ColumnTest {
     /// Offset of the tested column in the base layout.
     pub col: usize,
@@ -1340,6 +1430,7 @@ pub(crate) struct ColumnTest {
 }
 
 /// The shape of a [`ColumnTest`], with every constant bound.
+#[derive(Clone)]
 pub(crate) enum TestKind {
     /// `col op value`: `op` is `=`, `!=`, `<`, `<=`, `>` or `>=`, already
     /// flipped when the constant was written first, and `value` is never
@@ -1355,6 +1446,9 @@ pub(crate) enum TestKind {
     InList { items: Vec<Value>, negated: bool },
     /// `col IS [NOT] NULL`.
     IsNull { negated: bool },
+    /// `col` holds one of a dimension's primary keys: the equi-join of a
+    /// star, with the dimension's predicates evaluated once into the set.
+    KeySet(Arc<vector::KeySet>),
 }
 
 /// Offset of `e` in the base layout when it is a column of `binding`.
@@ -1523,7 +1617,9 @@ fn plain_path(
         let mut sort_keys = Vec::with_capacity(out_rows.len());
         for (tuple, row) in rows.iter().zip(&out_rows) {
             let env = Env::new(tuple, params);
-            sort_keys.push(order_key_values(&keys, row, |e| eval(e, &env))?);
+            sort_keys.push(order_key_values(&keys, row, |e| {
+                Ok(eval_ref(e, &env)?.into_owned())
+            })?);
         }
         let mut indices: Vec<usize> = (0..out_rows.len()).collect();
         indices.sort_by(|&a, &b| cmp_order_keys(&sort_keys[a], &sort_keys[b], order_by));
@@ -1562,6 +1658,140 @@ fn substitute(expr: &Expr, aggs: &[&Expr], values: &[Value]) -> Expr {
     out
 }
 
+/// The aggregate tail of a statement bound against its pipeline layout:
+/// the output expressions, HAVING and ORDER BY keys, with every aggregate
+/// call they hold collected in one canonical order. Accumulator `i` of a
+/// group belongs to `aggs()[i]`, on the row path and the columnar path
+/// alike, since both bind through here.
+pub(crate) struct BoundAggregate {
+    columns: Vec<String>,
+    exprs: Vec<Expr>,
+    group_by: Vec<Expr>,
+    having: Option<Expr>,
+    keys: Vec<OrderKey>,
+}
+
+impl BoundAggregate {
+    pub(crate) fn bind(
+        proj: &[Projection],
+        group_by: &[Expr],
+        having: Option<&Expr>,
+        order_by: &[OrderItem],
+        layout: &Layout,
+    ) -> Result<Self> {
+        let projections = expand_projections(proj, layout)?;
+        Ok(BoundAggregate {
+            columns: projections.iter().map(|(n, _)| n.clone()).collect(),
+            exprs: bind_all(projections.iter().map(|(_, e)| e), layout)?,
+            group_by: bind_all(group_by, layout)?,
+            having: having.map(|h| layout.bind(h)).transpose()?,
+            keys: bind_order_keys(order_by, &projections, layout)?,
+        })
+    }
+
+    /// Every aggregate call in the projections, HAVING and ORDER BY.
+    pub(crate) fn aggs(&self) -> Vec<&Expr> {
+        let mut aggs: Vec<&Expr> = Vec::new();
+        for e in &self.exprs {
+            collect_aggregates(e, &mut aggs);
+        }
+        if let Some(h) = &self.having {
+            collect_aggregates(h, &mut aggs);
+        }
+        for k in &self.keys {
+            if let OrderKey::Expr(e) = k {
+                collect_aggregates(e, &mut aggs);
+            }
+        }
+        aggs
+    }
+
+    /// The bound GROUP BY expressions.
+    pub(crate) fn group_by(&self) -> &[Expr] {
+        &self.group_by
+    }
+
+    /// True when every output, HAVING and ORDER BY expression reads
+    /// columns only inside aggregate calls or GROUP BY expressions, so
+    /// it has one value per group whichever row represents the group.
+    pub(crate) fn is_grouped_only(&self) -> bool {
+        let g = &self.group_by;
+        self.exprs.iter().all(|e| grouped_only(e, g))
+            && self.having.as_ref().is_none_or(|h| grouped_only(h, g))
+            && self.keys.iter().all(|k| match k {
+                OrderKey::Output(_) => true,
+                OrderKey::Expr(e) => grouped_only(e, g),
+            })
+    }
+}
+
+/// One group on its way out: its representative tuple (the joined tuple
+/// of one of its rows; `None` for the empty group of an ungrouped
+/// aggregate over no rows) and one accumulator per aggregate call.
+type Group<'t> = (Option<Cow<'t, [Option<&'t Row>]>>, Vec<Accumulator>);
+
+/// Turn accumulated groups into output rows: HAVING, the projections and
+/// the ORDER BY keys are evaluated on each group's representative tuple
+/// with its aggregate values substituted, then the rows are sorted. Both
+/// the row path and the columnar path end here. `agg_t0`/`partitions`
+/// describe the aggregate stage for EXPLAIN ANALYZE; its time excludes
+/// the sort, which is reported on its own line.
+#[allow(clippy::too_many_arguments)]
+fn finish_groups(
+    bound: &BoundAggregate,
+    aggs: &[&Expr],
+    groups: Vec<Group<'_>>,
+    stride: usize,
+    order_by: &[OrderItem],
+    params: &[Value],
+    partitions: usize,
+    agg_t0: Option<Instant>,
+    mut prof: Option<&mut ExecProfile>,
+) -> Result<Vec<Row>> {
+    let group_count = groups.len() as u64;
+    let null_tuple = vec![None; stride];
+    let mut out_rows = Vec::with_capacity(groups.len());
+    // An expression that is one aggregate call reads its value; one with
+    // none evaluates as it stands; only a mix is substituted per group.
+    let position = |e: &Expr| aggs.iter().position(|a| *a == e);
+    let mixed = |e: &Expr| position(e).is_none() && e.contains_aggregate();
+    for (rep, accs) in &groups {
+        let agg_values: Vec<Value> = accs.iter().map(|a| a.finish()).collect();
+        let env = Env::new(rep.as_deref().unwrap_or(&null_tuple), params);
+        let value = |e: &Expr| -> Result<Value> {
+            if let Some(i) = position(e) {
+                return Ok(agg_values[i].clone());
+            }
+            let e = if mixed(e) {
+                Cow::Owned(substitute(e, aggs, &agg_values))
+            } else {
+                Cow::Borrowed(e)
+            };
+            Ok(eval_ref(&e, &env)?.into_owned())
+        };
+        if let Some(h) = &bound.having {
+            if !eval_condition(&substitute(h, aggs, &agg_values), &env)? {
+                continue;
+            }
+        }
+        let out = bound.exprs.iter().map(&value).collect::<Result<Vec<_>>>()?;
+        let key = order_key_values(&bound.keys, &out, value)?;
+        out_rows.push((key, out));
+    }
+    if let Some(p) = prof.as_deref_mut() {
+        p.aggregate = Some((group_count, partitions, stage_ns(agg_t0)));
+    }
+    if !order_by.is_empty() {
+        let _stage = telemetry::span("db.exec.sort");
+        let t0 = prof.is_some().then(Instant::now);
+        out_rows.sort_by(|a, b| cmp_order_keys(&a.0, &b.0, order_by));
+        if let Some(p) = prof {
+            p.sort_ns = stage_ns(t0);
+        }
+    }
+    Ok(out_rows.into_iter().map(|(_, r)| r).collect())
+}
+
 #[allow(clippy::too_many_arguments)]
 fn aggregate_path(
     proj: &[Projection],
@@ -1571,29 +1801,11 @@ fn aggregate_path(
     layout: &Layout,
     rows: &Tuples<'_>,
     params: &[Value],
-    mut prof: Option<&mut ExecProfile>,
+    prof: Option<&mut ExecProfile>,
 ) -> Result<ResultSet> {
     let agg_t0 = prof.is_some().then(Instant::now);
-    let projections = expand_projections(proj, layout)?;
-    let columns: Vec<String> = projections.iter().map(|(n, _)| n.clone()).collect();
-    let exprs = bind_all(projections.iter().map(|(_, e)| e), layout)?;
-    let group_by = bind_all(group_by, layout)?;
-    let having = having.map(|h| layout.bind(h)).transpose()?;
-    let keys = bind_order_keys(order_by, &projections, layout)?;
-
-    // All aggregate expressions across projections, HAVING, ORDER BY.
-    let mut aggs: Vec<&Expr> = Vec::new();
-    for e in &exprs {
-        collect_aggregates(e, &mut aggs);
-    }
-    if let Some(h) = &having {
-        collect_aggregates(h, &mut aggs);
-    }
-    for k in &keys {
-        if let OrderKey::Expr(e) = k {
-            collect_aggregates(e, &mut aggs);
-        }
-    }
+    let bound = BoundAggregate::bind(proj, group_by, having, order_by, layout)?;
+    let aggs = bound.aggs();
 
     // Group rows and accumulate aggregates, in parallel when the row count
     // justifies it. DISTINCT aggregates dedupe through per-group hash sets
@@ -1607,75 +1819,37 @@ fn aggregate_path(
         pool::partitions(rows.len())
     };
     let mut agg_partitions = 0usize;
+    let group_by = bound.group_by();
     let groups = match parallel {
         Some(ranges) => {
             telemetry::add("db.exec.parallel_aggregates", 1);
             agg_partitions = ranges.len();
             let aggs_ref = &aggs;
-            let group_by = &group_by;
             let partials = pool::try_run(ranges.len(), |pi| {
                 group_and_accumulate(group_by, rows, params, aggs_ref, ranges[pi].clone())
             })?;
             let _merge = telemetry::span("db.exec.merge");
             merge_group_partials(partials)?
         }
-        None => group_and_accumulate(&group_by, rows, params, &aggs, 0..rows.len())?,
+        None => group_and_accumulate(group_by, rows, params, &aggs, 0..rows.len())?,
     };
-    let group_count = groups.len() as u64;
-
-    let null_tuple = vec![None; rows.stride];
-    let mut out_rows = Vec::with_capacity(groups.len());
-    for (_, rep_idx, accs) in &groups {
-        let agg_values: Vec<Value> = accs.iter().map(|a| a.finish()).collect();
-
-        // Representative row for evaluating group-key expressions. An empty
-        // group (aggregate over zero rows, no GROUP BY) uses a NULL row.
-        let rep = match rep_idx {
-            Some(i) => rows.get(*i),
-            None => &null_tuple,
-        };
-        let env = Env::new(rep, params);
-
-        // HAVING
-        if let Some(h) = &having {
-            let h_sub = substitute(h, &aggs, &agg_values);
-            if !eval_condition(&h_sub, &env)? {
-                continue;
-            }
-        }
-
-        let mut out = Vec::with_capacity(exprs.len());
-        for e in &exprs {
-            let e_sub = substitute(e, &aggs, &agg_values);
-            out.push(eval(&e_sub, &env)?);
-        }
-
-        // ORDER BY keys for this group (computed now, sorted below).
-        let key = order_key_values(&keys, &out, |e| {
-            eval(&substitute(e, &aggs, &agg_values), &env)
-        })?;
-        out_rows.push((key, out));
-    }
-
-    // Aggregate time excludes the group sort, reported on its own line.
-    let agg_ns = stage_ns(agg_t0);
-    if let Some(p) = prof.as_deref_mut() {
-        p.aggregate = Some((group_count, agg_partitions, agg_ns));
-    }
-
-    // Sort groups.
-    if !order_by.is_empty() {
-        let _stage = telemetry::span("db.exec.sort");
-        let t0 = prof.is_some().then(Instant::now);
-        out_rows.sort_by(|a, b| cmp_order_keys(&a.0, &b.0, order_by));
-        if let Some(p) = prof {
-            p.sort_ns = stage_ns(t0);
-        }
-    }
-
+    let groups = groups
+        .into_iter()
+        .map(|(_, rep, accs)| (rep.map(|i| Cow::Borrowed(rows.get(i))), accs))
+        .collect();
     Ok(ResultSet {
-        columns,
-        rows: out_rows.into_iter().map(|(_, r)| r).collect(),
+        rows: finish_groups(
+            &bound,
+            &aggs,
+            groups,
+            rows.stride,
+            order_by,
+            params,
+            agg_partitions,
+            agg_t0,
+            prof,
+        )?,
+        columns: bound.columns,
         ..ResultSet::default()
     })
 }
@@ -1727,7 +1901,7 @@ fn group_and_accumulate<'t>(
         }
         groups.push((Vec::new(), rep, accs));
     } else {
-        let mut group_index: HashMap<Vec<Cow<'t, Value>>, usize> = HashMap::new();
+        let mut group_index: FastMap<Vec<Cow<'t, Value>>, usize> = FastMap::default();
         // Reused per row; a key is copied only when its group is new.
         let mut key: Vec<Cow<'t, Value>> = Vec::with_capacity(group_by.len());
         for i in range {
@@ -1756,7 +1930,7 @@ fn group_and_accumulate<'t>(
 /// rows match the serial path exactly.
 fn merge_group_partials(partials: Vec<Vec<GroupState<'_>>>) -> Result<Vec<GroupState<'_>>> {
     let mut groups: Vec<GroupState> = Vec::new();
-    let mut group_index: HashMap<Vec<Cow<Value>>, usize> = HashMap::new();
+    let mut group_index: FastMap<Vec<Cow<Value>>, usize> = FastMap::default();
     for partial in partials {
         for (key, rep, accs) in partial {
             match group_index.get(&key) {

@@ -1,22 +1,40 @@
 //! Vectorized aggregate kernels over column chunks.
 //!
-//! The columnar execution path compiles a whole-table aggregate query
-//! (no joins, no GROUP BY) into a [`ColumnarPlan`]: typed predicates
-//! plus one aggregate kernel per expression. Execution walks the
-//! table's [`Chunk`]s with tight per-type loops — no per-row `Value`
-//! dispatch, no row materialization — and leaves one [`Accumulator`]
-//! partial per chunk.
-//! Partials merge in ascending chunk order (a fixed left-deep merge
-//! tree), so the result is deterministic regardless of how many pool
-//! workers processed the chunks.
+//! The columnar execution path compiles an aggregate over one *fact*
+//! table, optionally joined to *dimension* tables on their INTEGER
+//! PRIMARY KEY, into a [`ColumnarPlan`]: typed predicates, one key-set
+//! test per dimension, an optional grouping column, and one aggregate
+//! kernel per aggregate call. A single-table aggregate is the case with
+//! no dimension and no group.
 //!
-//! SUM/AVG/STDDEV kernels feed the row path's own
+//! * Each dimension's predicates were evaluated once, at plan time, to a
+//!   [`KeySet`] of its matching primary keys. The fact's foreign key is
+//!   then tested against the set like any other predicate
+//!   ([`TestKind::KeySet`]), so the join never materializes a row.
+//! * GROUP BY is the foreign key of one dimension, or columns of that
+//!   dimension (which its key determines). The grouping dimension's key
+//!   set numbers its keys, so a row finds its group through a dense
+//!   table indexed by `key - min_key` (or a binary search when the keys
+//!   are sparse); no row is hashed.
+//! * Only the chunks that hold candidate rows are read (the plan lists
+//!   them when an index located the candidates), so no other chunk is
+//!   built or scanned.
+//!
+//! Execution walks the chunks with tight per-type loops — no per-row
+//! `Value` dispatch, no row materialization — and leaves one
+//! [`Accumulator`] partial per group per chunk. Partials merge in
+//! ascending chunk order (a fixed left-deep merge tree), so the result
+//! is deterministic regardless of how many pool workers processed the
+//! chunks, and groups come out in the order of their first fact row.
+//!
+//! SUM/AVG kernels feed the row path's own
 //! `Accumulator::push_int`/`push_float` from their typed loops (the same
-//! checked integer sums and the same `Moments` update), and cross-chunk
+//! checked integer sums), STDDEV folds each group's values of a chunk
+//! two-pass into `Moments` (`Moments::from_samples`), and cross-chunk
 //! merging is the parallel row path's `Accumulator::merge` — so columnar
 //! results match serial results to within the float tolerance the
-//! differential oracle already accepts, and bit-for-bit on integer
-//! aggregates.
+//! differential oracle already accepts, and bit-for-bit on COUNT, MIN,
+//! MAX and integer SUM.
 //!
 //! Compilation is deliberately strict: any predicate or aggregate whose
 //! typed semantics could diverge from the row path (booleans in SUM,
@@ -25,18 +43,19 @@
 
 use super::aggregate::Accumulator;
 use super::eval::Layout;
-use super::select::{column_test, resolve_base_col, ColumnTest, TestKind};
-use crate::column::{bit, Chunk, ColumnData};
+use super::select::{column_test, ColumnTest, TestKind};
+use crate::column::{bit, Chunk, ColumnData, CHUNK_ROWS};
 use crate::error::Result;
 use crate::schema::TableSchema;
 use crate::sql::ast::{AggregateFn, BinaryOp, Expr};
-use crate::table::Table;
+use crate::table::{RowId, Table};
 use crate::value::{DataType, IStr, Value};
 use perfdmf_pool as pool;
+use perfdmf_telemetry::Moments;
 use std::cell::Cell;
 use std::cmp::Ordering;
 use std::ops::Range;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 // ---------------- columnar mode ----------------
 
@@ -100,7 +119,7 @@ pub(crate) struct AggSpec {
 
 /// A typed predicate constant.
 #[derive(Debug, Clone, Copy)]
-enum ColConst {
+pub(crate) enum ColConst {
     I(i64),
     F(f64),
     B(bool),
@@ -110,7 +129,7 @@ enum ColConst {
 
 /// Comparison operator on the column's total order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum PredOp {
+pub(crate) enum PredOp {
     Eq,
     Ne,
     Lt,
@@ -148,7 +167,7 @@ impl PredOp {
 /// One compiled WHERE conjunct. All variants treat a NULL operand as
 /// not-selected, matching three-valued WHERE semantics.
 #[derive(Debug, Clone)]
-enum ColPred {
+pub(crate) enum ColPred {
     Cmp {
         col: usize,
         op: PredOp,
@@ -172,20 +191,186 @@ enum ColPred {
         col: usize,
         negated: bool,
     },
+    /// An INTEGER foreign key whose value is in a dimension's key set.
+    InKeys {
+        col: usize,
+        keys: Arc<KeySet>,
+    },
 }
 
-/// A compiled whole-table aggregate query.
-#[derive(Debug, Clone)]
+/// The primary keys of the dimension rows that passed the dimension's
+/// predicates, each with its row, in ascending key order. A key's
+/// position in that order is its group number when the dimension groups.
+#[derive(Debug)]
+pub(crate) struct KeySet {
+    keys: Vec<i64>,
+    rows: Vec<RowId>,
+    /// `offsets[k - keys[0]]` is the position of key `k`, or `NO_GROUP`:
+    /// built when the keys span at most [`DENSE_SPAN`] slots per key.
+    offsets: Option<Vec<u32>>,
+}
+
+/// A key set is dense, and gets an offset table, when its key range is
+/// at most this many slots per key (or at most 64 slots).
+const DENSE_SPAN: usize = 4;
+
+/// No group: the row is unselected or its key is outside the set.
+const NO_GROUP: u32 = u32::MAX;
+
+impl KeySet {
+    /// The set of `(key, row)` pairs; primary keys are unique, so each
+    /// key appears once.
+    pub(crate) fn new(mut pairs: Vec<(i64, RowId)>) -> KeySet {
+        pairs.sort_unstable_by_key(|&(k, _)| k);
+        pairs.dedup_by_key(|&mut (k, _)| k);
+        let (keys, rows): (Vec<i64>, Vec<RowId>) = pairs.into_iter().unzip();
+        let offsets = match (keys.first(), keys.last()) {
+            (Some(&lo), Some(&hi)) => {
+                let span = (hi as i128 - lo as i128 + 1) as u128;
+                let dense = (keys.len() * DENSE_SPAN).max(64) as u128;
+                (span <= dense).then(|| {
+                    let mut offsets = vec![NO_GROUP; span as usize];
+                    for (pos, &k) in keys.iter().enumerate() {
+                        offsets[(k - lo) as usize] = pos as u32;
+                    }
+                    offsets
+                })
+            }
+            _ => None,
+        };
+        KeySet {
+            keys,
+            rows,
+            offsets,
+        }
+    }
+
+    /// Number of keys.
+    pub(crate) fn len(&self) -> usize {
+        self.keys.len()
+    }
+
+    /// The keys, ascending.
+    pub(crate) fn keys(&self) -> &[i64] {
+        &self.keys
+    }
+
+    /// True when keys are found through the dense offset table.
+    pub(crate) fn is_dense(&self) -> bool {
+        self.offsets.is_some()
+    }
+
+    /// Position of `k` in the ascending key order, if it is in the set.
+    #[inline]
+    fn position(&self, k: i64) -> Option<usize> {
+        match &self.offsets {
+            Some(offsets) => {
+                let off = k.checked_sub(self.keys[0])?;
+                let pos = *offsets.get(usize::try_from(off).ok()?)?;
+                (pos != NO_GROUP).then_some(pos as usize)
+            }
+            None => self.keys.binary_search(&k).ok(),
+        }
+    }
+
+    /// Bit `b` set ⇔ `xs[b]` is in the set (`xs` holds at most 64
+    /// keys): one selection word from 64 tests.
+    #[inline]
+    fn mask(&self, xs: &[i64]) -> u64 {
+        xs.iter().enumerate().fold(0, |m, (b, &x)| {
+            m | (u64::from(self.position(x).is_some()) << b)
+        })
+    }
+
+    /// The dimension row whose primary key is `k`.
+    pub(crate) fn row_of(&self, k: i64) -> Option<RowId> {
+        self.keys.binary_search(&k).ok().map(|i| self.rows[i])
+    }
+}
+
+/// A dimension of a star-join plan: where it sits in the pipeline
+/// layout, the fact's foreign key into it, and its key set with the
+/// statistics of building it (EXPLAIN).
+#[derive(Debug)]
+pub(crate) struct Dimension {
+    /// Binding position in the pipeline layout.
+    pub binding: usize,
+    /// The fact column holding the foreign key.
+    pub fk: usize,
+    pub keys: Arc<KeySet>,
+    /// Dimension rows read to build the key set.
+    pub read: u64,
+    /// Wall ns spent building the key set.
+    pub ns: u64,
+}
+
+/// A compiled aggregate over a fact table and its dimensions.
+#[derive(Debug)]
 pub(crate) struct ColumnarPlan {
-    /// One kernel per aggregate expression, in collection order.
+    /// One kernel per aggregate call, in collection order.
     pub aggs: Vec<AggSpec>,
     preds: Vec<ColPred>,
+    /// Binding position of the fact table in the pipeline layout.
+    pub fact: usize,
+    /// The dimensions, in layout order (empty for a single table).
+    pub dims: Vec<Dimension>,
+    /// The grouping dimension (an index into `dims`), when grouped.
+    pub group: Option<usize>,
+    /// The chunks that hold candidate rows, ascending; `None` reads
+    /// every chunk.
+    pub chunks: Option<Vec<usize>>,
+    /// The fact columns the plan reads, ascending: only these are built.
+    cols: Vec<usize>,
 }
 
 impl ColumnarPlan {
-    /// Number of compiled predicates (EXPLAIN detail).
+    /// A plan over `fact` with the compiled parts; `group` must index
+    /// `dims`.
+    pub(crate) fn new(
+        aggs: Vec<AggSpec>,
+        preds: Vec<ColPred>,
+        fact: usize,
+        dims: Vec<Dimension>,
+        group: Option<usize>,
+        chunks: Option<Vec<usize>>,
+    ) -> ColumnarPlan {
+        debug_assert!(group.is_none_or(|g| g < dims.len()));
+        let mut cols: Vec<usize> = preds
+            .iter()
+            .map(|p| match p {
+                ColPred::Cmp { col, .. }
+                | ColPred::Between { col, .. }
+                | ColPred::InList { col, .. }
+                | ColPred::IsNull { col, .. }
+                | ColPred::InKeys { col, .. } => *col,
+            })
+            .chain(aggs.iter().filter_map(|a| a.col))
+            .chain(group.map(|g| dims[g].fk))
+            .collect();
+        cols.sort_unstable();
+        cols.dedup();
+        ColumnarPlan {
+            cols,
+            aggs,
+            preds,
+            fact,
+            dims,
+            group,
+            chunks,
+        }
+    }
+
+    /// Number of compiled predicates, key-set tests included (EXPLAIN
+    /// detail).
     pub(crate) fn pred_count(&self) -> usize {
-        self.preds.len()
+        self.preds.len() + usize::from(self.group.is_some())
+    }
+
+    /// Number of chunks the plan reads from `table`.
+    pub(crate) fn chunk_count(&self, table: &Table) -> usize {
+        self.chunks
+            .as_ref()
+            .map_or_else(|| table.chunk_count(), Vec::len)
     }
 }
 
@@ -193,9 +378,20 @@ impl ColumnarPlan {
 #[derive(Debug, Default, Clone, Copy)]
 pub(crate) struct ColScanStats {
     pub chunks: usize,
+    /// Live rows in the chunks read.
+    pub rows: u64,
     pub cache_hits: u64,
     pub cache_misses: u64,
     pub partitions: usize,
+}
+
+/// One output group: its first fact row (slab slot; `None` only for the
+/// empty group of an ungrouped aggregate over no rows) and one
+/// accumulator per aggregate call.
+#[derive(Debug)]
+pub(crate) struct ColGroup {
+    pub first: Option<usize>,
+    pub accs: Vec<Accumulator>,
 }
 
 // ---------------- compilation ----------------
@@ -213,77 +409,52 @@ fn typed_const(ty: DataType, v: &Value) -> Option<ColConst> {
     }
 }
 
-/// Compile the aggregate expressions plus WHERE conjuncts of a
-/// single-table aggregate query. Returns `None` when any part has no
-/// exact columnar equivalent — the caller falls back to row execution.
-pub(crate) fn plan_columnar(
+/// Compile one aggregate call over fact column `col` (`None` for
+/// `COUNT(*)`). Returns `None` when it has no exact columnar
+/// equivalent — the caller falls back to row execution.
+pub(crate) fn compile_agg(
     schema: &TableSchema,
-    binding: &str,
-    layout1: &Layout,
-    agg_exprs: &[&Expr],
-    where_clause: Option<&Expr>,
-    params: &[Value],
-) -> Option<ColumnarPlan> {
-    let mut aggs = Vec::with_capacity(agg_exprs.len());
-    for a in agg_exprs {
-        let Expr::Aggregate {
-            func,
-            arg,
-            distinct: false,
-        } = a
-        else {
-            return None; // DISTINCT pins the row path
-        };
-        let spec = match arg {
-            None => AggSpec {
-                func: *func,
-                col: None,
-            },
-            Some(arg) => {
-                let col = resolve_base_col(arg, binding, layout1)?;
-                let ty = schema.columns[col].ty;
-                let eligible = match func {
-                    // COUNT(col) only needs the null bitmap.
-                    AggregateFn::Count => true,
-                    // Booleans SUM through the row path's float
-                    // degradation and text SUM is an eval error; both
-                    // decline so semantics stay identical.
-                    AggregateFn::Sum | AggregateFn::Avg | AggregateFn::StdDev => {
-                        matches!(ty, DataType::Integer | DataType::Double)
-                    }
-                    AggregateFn::Min | AggregateFn::Max => {
-                        matches!(ty, DataType::Integer | DataType::Double | DataType::Text)
-                    }
-                };
-                if !eligible {
-                    return None;
-                }
-                AggSpec {
-                    func: *func,
-                    col: Some(col),
-                }
+    func: AggregateFn,
+    col: Option<usize>,
+) -> Option<AggSpec> {
+    if let Some(col) = col {
+        let ty = schema.columns[col].ty;
+        let eligible = match func {
+            // COUNT(col) only needs the null bitmap.
+            AggregateFn::Count => true,
+            // Booleans SUM through the row path's float degradation and
+            // text SUM is an eval error; both decline so semantics stay
+            // identical.
+            AggregateFn::Sum | AggregateFn::Avg | AggregateFn::StdDev => {
+                matches!(ty, DataType::Integer | DataType::Double)
+            }
+            AggregateFn::Min | AggregateFn::Max => {
+                matches!(ty, DataType::Integer | DataType::Double | DataType::Text)
             }
         };
-        aggs.push(spec);
-    }
-
-    let mut preds = Vec::new();
-    if let Some(pred) = where_clause {
-        for c in super::select::conjuncts(pred) {
-            preds.push(compile_conjunct(c, schema, binding, layout1, params)?);
+        if !eligible {
+            return None;
         }
+    } else if func != AggregateFn::Count {
+        return None;
     }
-    Some(ColumnarPlan { aggs, preds })
+    Some(AggSpec { func, col })
 }
 
-fn compile_conjunct(
+/// Compile one WHERE conjunct over the fact table (see [`column_test`]).
+pub(crate) fn compile_conjunct(
     c: &Expr,
     schema: &TableSchema,
     binding: &str,
     layout1: &Layout,
     params: &[Value],
 ) -> Option<ColPred> {
-    let ColumnTest { col, kind } = column_test(c, binding, layout1, params)?;
+    compile_test(column_test(c, binding, layout1, params)?, schema)
+}
+
+/// Compile a column test; `None` when it has no exact typed kernel.
+pub(crate) fn compile_test(test: ColumnTest, schema: &TableSchema) -> Option<ColPred> {
+    let ColumnTest { col, kind } = test;
     let ty = schema.columns[col].ty;
     match kind {
         TestKind::Cmp { op, value } => {
@@ -317,14 +488,29 @@ fn compile_conjunct(
             saw_null: items.iter().any(Value::is_null),
         }),
         TestKind::IsNull { negated } => Some(ColPred::IsNull { col, negated }),
+        TestKind::KeySet(keys) => {
+            (ty == DataType::Integer).then_some(ColPred::InKeys { col, keys })
+        }
     }
 }
 
 // ---------------- predicate kernels ----------------
 
-#[inline]
-fn clear_bit(words: &mut [u64], i: usize) {
-    words[i >> 6] &= !(1u64 << (i & 63));
+/// Call `f` with the index of every set bit of a bitmap, ascending.
+#[inline(always)]
+fn for_each_one(words: &[u64], mut f: impl FnMut(usize)) {
+    for (w, &word) in words.iter().enumerate() {
+        let mut bits = word;
+        while bits != 0 {
+            f((w << 6) | bits.trailing_zeros() as usize);
+            bits &= bits - 1;
+        }
+    }
+}
+
+/// `sel` without the rows whose bit is set in `nulls`.
+fn and_not(sel: &[u64], nulls: &[u64]) -> Vec<u64> {
+    sel.iter().zip(nulls).map(|(s, n)| s & !n).collect()
 }
 
 /// Compare row `i` of a typed column against a constant, on the same
@@ -354,95 +540,90 @@ fn cmp_cell(data: &ColumnData, i: usize, k: ColConst) -> Option<Ordering> {
 /// Apply one predicate to the selection bitmap. Returns `false` when the
 /// column data is unsupported and the query must fall back.
 fn apply_pred(sel: &mut [u64], chunk: &Chunk, pred: &ColPred) -> bool {
-    match pred {
-        ColPred::IsNull { col, negated } => {
-            let nulls = &chunk.cols[*col].nulls;
-            for i in 0..chunk.len {
-                if bit(sel, i) && (bit(nulls, i) == *negated) {
-                    clear_bit(sel, i);
+    // Clear every selected row `keep` rejects.
+    fn retain(sel: &mut [u64], keep: impl Fn(usize) -> bool) {
+        for (w, word) in sel.iter_mut().enumerate() {
+            let mut bits = *word;
+            while bits != 0 {
+                let b = bits.trailing_zeros();
+                bits &= bits - 1;
+                if !keep((w << 6) | b as usize) {
+                    *word &= !(1u64 << b);
                 }
             }
-            true
         }
-        ColPred::Cmp { col, op, k } => {
-            let cc = &chunk.cols[*col];
-            if matches!(cc.data, ColumnData::Unsupported) {
-                return false;
-            }
-            for i in 0..chunk.len {
-                if !bit(sel, i) {
-                    continue;
-                }
-                let keep =
-                    !bit(&cc.nulls, i) && cmp_cell(&cc.data, i, *k).is_some_and(|ord| op.test(ord));
-                if !keep {
-                    clear_bit(sel, i);
-                }
-            }
-            true
+    }
+    if let ColPred::IsNull { col, negated } = pred {
+        let Some(cc) = chunk.col(*col) else {
+            return false;
+        };
+        let nulls = &cc.nulls;
+        retain(sel, |i| bit(nulls, i) != *negated);
+        return true;
+    }
+    // Every other test rejects NULL operands.
+    let (ColPred::Cmp { col, .. }
+    | ColPred::Between { col, .. }
+    | ColPred::InList { col, .. }
+    | ColPred::InKeys { col, .. }) = pred
+    else {
+        unreachable!("IS NULL handled above")
+    };
+    let Some(cc) = chunk.col(*col) else {
+        return false;
+    };
+    for (s, n) in sel.iter_mut().zip(&cc.nulls) {
+        *s &= !n;
+    }
+    // Only an empty IN list needs no column data.
+    let no_data = matches!(cc.data, ColumnData::Unsupported);
+    if no_data && !matches!(pred, ColPred::InList { items, .. } if items.is_empty()) {
+        return false;
+    }
+    match pred {
+        ColPred::IsNull { .. } => unreachable!("handled above"),
+        ColPred::Cmp { op, k, .. } => {
+            retain(sel, |i| {
+                cmp_cell(&cc.data, i, *k).is_some_and(|ord| op.test(ord))
+            });
         }
         ColPred::Between {
-            col,
-            lo,
-            hi,
-            negated,
-        } => {
-            let cc = &chunk.cols[*col];
-            if matches!(cc.data, ColumnData::Unsupported) {
-                return false;
+            lo, hi, negated, ..
+        } => retain(sel, |i| {
+            match (cmp_cell(&cc.data, i, *lo), cmp_cell(&cc.data, i, *hi)) {
+                (Some(a), Some(b)) => (a != Ordering::Less && b != Ordering::Greater) != *negated,
+                _ => false,
             }
-            for i in 0..chunk.len {
-                if !bit(sel, i) {
-                    continue;
-                }
-                let keep = !bit(&cc.nulls, i)
-                    && match (cmp_cell(&cc.data, i, *lo), cmp_cell(&cc.data, i, *hi)) {
-                        (Some(a), Some(b)) => {
-                            (a != Ordering::Less && b != Ordering::Greater) != *negated
-                        }
-                        _ => false,
-                    };
-                if !keep {
-                    clear_bit(sel, i);
-                }
-            }
-            true
-        }
+        }),
         ColPred::InList {
-            col,
             items,
             negated,
             saw_null,
-        } => {
-            let cc = &chunk.cols[*col];
-            if matches!(cc.data, ColumnData::Unsupported) && !items.is_empty() {
+            ..
+        } => retain(sel, |i| {
+            let matched = items
+                .iter()
+                .any(|k| cmp_cell(&cc.data, i, *k) == Some(Ordering::Equal));
+            if matched {
+                !*negated
+            } else if *saw_null {
+                false // NULL in the list ⇒ non-match is NULL
+            } else {
+                *negated
+            }
+        }),
+        ColPred::InKeys { keys, .. } => {
+            let ColumnData::Int(xs) = &cc.data else {
                 return false;
-            }
-            for i in 0..chunk.len {
-                if !bit(sel, i) {
-                    continue;
-                }
-                let keep = if bit(&cc.nulls, i) {
-                    false
-                } else {
-                    let matched = items
-                        .iter()
-                        .any(|k| cmp_cell(&cc.data, i, *k) == Some(Ordering::Equal));
-                    if matched {
-                        !*negated
-                    } else if *saw_null {
-                        false // NULL in the list ⇒ non-match is NULL
-                    } else {
-                        *negated
-                    }
-                };
-                if !keep {
-                    clear_bit(sel, i);
+            };
+            for (w, word) in sel.iter_mut().enumerate() {
+                if *word != 0 {
+                    *word &= keys.mask(&xs[w << 6..((w + 1) << 6).min(xs.len())]);
                 }
             }
-            true
         }
     }
+    true
 }
 
 /// Build the chunk's selection bitmap: live ∧ every predicate. `None`
@@ -459,130 +640,242 @@ fn selection(chunk: &Chunk, preds: &[ColPred]) -> Option<Vec<u64>> {
 
 // ---------------- aggregate kernels ----------------
 
-/// Count of selected rows with bit clear in `nulls`.
-fn count_non_null(sel: &[u64], nulls: &[u64]) -> u64 {
-    sel.iter()
-        .zip(nulls)
-        .map(|(s, n)| (s & !n).count_ones() as u64)
-        .sum()
+/// A chunk's selected rows bucketed by chunk-local group, each bucket in
+/// ascending row order: group `g`'s rows are
+/// `rows[starts[g]..starts[g + 1]]`. A kernel then folds each group's
+/// rows into a local accumulator, with no store-to-load chain through a
+/// group table per row.
+struct Buckets {
+    starts: Vec<usize>,
+    rows: Vec<u32>,
 }
 
-/// Run one aggregate kernel over a chunk's selected rows. `None` means
-/// the column data has no kernel (fallback).
-fn agg_partial(chunk: &Chunk, sel: &[u64], spec: AggSpec) -> Option<Accumulator> {
+impl Buckets {
+    /// One bucket per distinct value of `group`, numbered `0..n`, over
+    /// the rows of `rows` (ascending): a stable counting sort.
+    fn new(rows: &[u32], group: &[u32], n: usize) -> Buckets {
+        let mut starts = vec![0usize; n + 1];
+        for &g in group {
+            starts[g as usize + 1] += 1;
+        }
+        for g in 0..n {
+            starts[g + 1] += starts[g];
+        }
+        let mut next = starts.clone();
+        let mut sorted = vec![0u32; rows.len()];
+        for (&i, &g) in rows.iter().zip(group) {
+            sorted[next[g as usize]] = i;
+            next[g as usize] += 1;
+        }
+        Buckets {
+            starts,
+            rows: sorted,
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.starts.len() - 1
+    }
+
+    /// Fold every bucket's rows with `f`, in group order.
+    fn map<T>(&self, mut f: impl FnMut(&[u32]) -> T) -> Vec<T> {
+        self.starts
+            .windows(2)
+            .map(|w| f(&self.rows[w[0]..w[1]]))
+            .collect()
+    }
+}
+
+/// Run one aggregate kernel over a chunk's bucketed rows, into one
+/// accumulator per bucket. `None` means the column data has no kernel
+/// (fallback).
+fn agg_partial(chunk: &Chunk, buckets: &Buckets, spec: AggSpec) -> Option<Vec<Accumulator>> {
     let AggSpec { func, col } = spec;
+    let count = |n: usize| Accumulator::from_parts(func, n as u64, None, None);
     let Some(col) = col else {
         // COUNT(*): every selected row.
-        let count: u64 = sel.iter().map(|w| w.count_ones() as u64).sum();
-        return Some(Accumulator::from_parts(func, count, None, None));
+        return Some(buckets.map(|rows| count(rows.len())));
     };
-    let cc = &chunk.cols[col];
-    if func == AggregateFn::Count {
-        let count = count_non_null(sel, &cc.nulls);
-        return Some(Accumulator::from_parts(func, count, None, None));
+    let cc = chunk.col(col)?;
+    // The non-NULL rows of a bucket.
+    fn non_null<'a>(rows: &'a [u32], nulls: &'a [u64]) -> impl Iterator<Item = usize> + 'a {
+        rows.iter()
+            .map(|&i| i as usize)
+            .filter(move |&i| !bit(nulls, i))
     }
-    match (&cc.data, func) {
-        (ColumnData::Int(xs), AggregateFn::Sum | AggregateFn::Avg | AggregateFn::StdDev) => {
+    let nulls = &cc.nulls;
+    let want = if func == AggregateFn::Min {
+        Ordering::Less
+    } else {
+        Ordering::Greater
+    };
+    let mut samples: Vec<f64> = Vec::new();
+    // STDDEV folds each bucket two-pass into its moments (see
+    // `Moments::from_samples`): no division per value.
+    let mut stddev = |xs: &mut dyn Iterator<Item = f64>| {
+        samples.clear();
+        samples.extend(xs);
+        Accumulator::from_moments(Moments::from_samples(&samples))
+    };
+    Some(match (&cc.data, func) {
+        (_, AggregateFn::Count) => buckets.map(|rows| count(non_null(rows, nulls).count())),
+        (ColumnData::Int(xs), AggregateFn::StdDev) => {
+            buckets.map(|rows| stddev(&mut non_null(rows, nulls).map(|i| xs[i] as f64)))
+        }
+        (ColumnData::Float(xs), AggregateFn::StdDev) => {
+            buckets.map(|rows| stddev(&mut non_null(rows, nulls).map(|i| xs[i])))
+        }
+        (ColumnData::Int(xs), AggregateFn::Sum | AggregateFn::Avg) => buckets.map(|rows| {
             let mut acc = Accumulator::new(func, false);
-            for (i, &x) in xs.iter().enumerate() {
-                if bit(sel, i) && !bit(&cc.nulls, i) {
-                    acc.push_int(x);
-                }
+            for i in non_null(rows, nulls) {
+                acc.push_int(xs[i]);
             }
-            Some(acc)
-        }
-        (ColumnData::Float(xs), AggregateFn::Sum | AggregateFn::Avg | AggregateFn::StdDev) => {
+            acc
+        }),
+        (ColumnData::Float(xs), AggregateFn::Sum | AggregateFn::Avg) => buckets.map(|rows| {
             let mut acc = Accumulator::new(func, false);
-            for (i, &x) in xs.iter().enumerate() {
-                if bit(sel, i) && !bit(&cc.nulls, i) {
-                    acc.push_float(x);
+            for i in non_null(rows, nulls) {
+                acc.push_float(xs[i]);
+            }
+            acc
+        }),
+        (ColumnData::Int(xs), AggregateFn::Min | AggregateFn::Max) => buckets.map(|rows| {
+            let (mut n, mut best) = (0, None);
+            for x in non_null(rows, nulls).map(|i| xs[i]) {
+                n += 1;
+                if best.is_none_or(|b| x.cmp(&b) == want) {
+                    best = Some(x);
                 }
             }
-            Some(acc)
-        }
-        (ColumnData::Int(xs), AggregateFn::Min | AggregateFn::Max) => {
-            let mut count = 0u64;
-            let mut best: Option<i64> = None;
-            let want = if func == AggregateFn::Min {
-                Ordering::Less
-            } else {
-                Ordering::Greater
-            };
-            for (i, &x) in xs.iter().enumerate() {
-                if bit(sel, i) && !bit(&cc.nulls, i) {
-                    count += 1;
-                    if best.is_none_or(|b| x.cmp(&b) == want) {
-                        best = Some(x);
-                    }
+            minmax_accumulator(func, n, best.map(Value::Int))
+        }),
+        (ColumnData::Float(xs), AggregateFn::Min | AggregateFn::Max) => buckets.map(|rows| {
+            let (mut n, mut best) = (0, None);
+            for x in non_null(rows, nulls).map(|i| xs[i]) {
+                n += 1;
+                // total_cmp matches the row path's Value order (NaN and
+                // -0.0 included).
+                if best.is_none_or(|b| x.total_cmp(&b) == want) {
+                    best = Some(x);
                 }
             }
-            Some(minmax_accumulator(func, count, best.map(Value::Int)))
-        }
-        (ColumnData::Float(xs), AggregateFn::Min | AggregateFn::Max) => {
-            let mut count = 0u64;
-            let mut best: Option<f64> = None;
-            let want = if func == AggregateFn::Min {
-                Ordering::Less
-            } else {
-                Ordering::Greater
-            };
-            for (i, &x) in xs.iter().enumerate() {
-                if bit(sel, i) && !bit(&cc.nulls, i) {
-                    count += 1;
-                    // total_cmp matches the row path's Value order (NaN
-                    // and -0.0 included).
-                    if best.is_none_or(|b| x.total_cmp(&b) == want) {
-                        best = Some(x);
-                    }
-                }
-            }
-            Some(minmax_accumulator(func, count, best.map(Value::Float)))
-        }
+            minmax_accumulator(func, n, best.map(Value::Float))
+        }),
         (ColumnData::Dict(ds), AggregateFn::Min | AggregateFn::Max) => {
-            let mut count = 0u64;
-            let mut best: Option<IStr> = None;
-            let want = if func == AggregateFn::Min {
-                Ordering::Less
-            } else {
-                Ordering::Greater
-            };
-            for (i, &id) in ds.iter().enumerate() {
-                if bit(sel, i) && !bit(&cc.nulls, i) {
-                    count += 1;
-                    match &best {
-                        Some(b) if b.id() == id => {}
-                        _ => {
-                            let s = IStr::from_id(id)?;
-                            if best
-                                .as_ref()
-                                .is_none_or(|b| s.as_str().cmp(b.as_str()) == want)
-                            {
-                                best = Some(s);
-                            }
-                        }
+            let mut known = true;
+            let accs = buckets.map(|rows| {
+                let (mut n, mut best) = (0, None::<IStr>);
+                for i in non_null(rows, nulls) {
+                    n += 1;
+                    if best.is_some_and(|b| b.id() == ds[i]) {
+                        continue;
+                    }
+                    let Some(s) = IStr::from_id(ds[i]) else {
+                        known = false;
+                        continue;
+                    };
+                    if best.is_none_or(|b| s.as_str().cmp(b.as_str()) == want) {
+                        best = Some(s);
                     }
                 }
-            }
-            Some(minmax_accumulator(func, count, best.map(Value::Text)))
+                minmax_accumulator(func, n, best.map(Value::Text))
+            });
+            known.then_some(accs)?
         }
-        _ => None,
-    }
+        _ => return None,
+    })
 }
 
-fn minmax_accumulator(func: AggregateFn, count: u64, best: Option<Value>) -> Accumulator {
+/// A MIN/MAX partial over `count` values whose extreme is `best`.
+fn minmax_accumulator(func: AggregateFn, count: usize, best: Option<Value>) -> Accumulator {
     let (min, max) = if func == AggregateFn::Min {
         (best, None)
     } else {
         (None, best)
     };
-    Accumulator::from_parts(func, count, min, max)
+    Accumulator::from_parts(func, count as u64, min, max)
 }
 
 // ---------------- chunk dispatch ----------------
 
+/// One chunk's partial result: per chunk-local group, its global group
+/// number, its first row (slab slot), and one accumulator per aggregate.
+type ChunkPartial = Vec<(usize, usize, Vec<Accumulator>)>;
+
+/// Aggregate one chunk. `local` maps a global group number to its
+/// chunk-local one (`NO_GROUP` when absent); it is left all `NO_GROUP`.
+/// `None` means the chunk's data forced a fallback.
+fn chunk_partial(chunk: &Chunk, plan: &ColumnarPlan, local: &mut [u32]) -> Option<ChunkPartial> {
+    let mut sel = selection(chunk, &plan.preds)?;
+    // The selected rows, ascending, each with its chunk-local group, and
+    // per chunk-local group its global group and first slot.
+    let mut rows: Vec<u32> = Vec::with_capacity(chunk.live_count);
+    let mut row_group: Vec<u32> = Vec::with_capacity(chunk.live_count);
+    let mut groups: Vec<(usize, usize)> = Vec::new();
+    match plan.group {
+        None => {
+            for_each_one(&sel, |i| rows.push(i as u32));
+            row_group.resize(rows.len(), 0);
+            if let Some(&first) = rows.first() {
+                groups.push((0, chunk.base + first as usize));
+            }
+        }
+        Some(d) => {
+            let dim = &plan.dims[d];
+            let fk = chunk.col(dim.fk)?;
+            let ColumnData::Int(xs) = &fk.data else {
+                return None;
+            };
+            sel = and_not(&sel, &fk.nulls);
+            for_each_one(&sel, |i| {
+                // This lookup is the grouping dimension's key-set test: a
+                // key outside the set deselects the row.
+                let Some(g) = dim.keys.position(xs[i]) else {
+                    return;
+                };
+                if local[g] == NO_GROUP {
+                    local[g] = groups.len() as u32;
+                    groups.push((g, chunk.base + i));
+                }
+                rows.push(i as u32);
+                row_group.push(local[g]);
+            });
+            for &(g, _) in &groups {
+                local[g] = NO_GROUP;
+            }
+        }
+    }
+    let buckets = Buckets::new(&rows, &row_group, groups.len());
+    debug_assert_eq!(buckets.len(), groups.len());
+    let mut per_group: Vec<Vec<Accumulator>> = groups
+        .iter()
+        .map(|_| Vec::with_capacity(plan.aggs.len()))
+        .collect();
+    for spec in &plan.aggs {
+        for (dst, acc) in per_group
+            .iter_mut()
+            .zip(agg_partial(chunk, &buckets, *spec)?)
+        {
+            dst.push(acc);
+        }
+    }
+    Some(
+        groups
+            .into_iter()
+            .zip(per_group)
+            .map(|((g, first), accs)| (g, first, accs))
+            .collect(),
+    )
+}
+
+/// How many columnar rows cost as much as one row on the row path
+/// (`event_aggregates` over one trial: ~190 ns per row grouped on the
+/// row path, ~20 ns in the kernels).
+const ROW_COST_RATIO: usize = 8;
+
 /// Split `0..n_chunks` into at most `max_parts` contiguous runs.
 fn chunk_runs(n_chunks: usize, max_parts: usize) -> Vec<Range<usize>> {
-    let parts = max_parts.clamp(1, n_chunks);
+    let parts = max_parts.clamp(1, n_chunks.max(1));
     let per = n_chunks.div_ceil(parts);
     (0..parts)
         .map(|p| (p * per).min(n_chunks)..((p + 1) * per).min(n_chunks))
@@ -590,76 +883,100 @@ fn chunk_runs(n_chunks: usize, max_parts: usize) -> Vec<Range<usize>> {
         .collect()
 }
 
-/// Execute a compiled plan over a table. Returns `Ok(None)` when a chunk
-/// exposed unsupported column data — the caller must fall back to row
-/// execution. Chunk partials merge in ascending chunk order regardless
-/// of worker count, so results are deterministic under any
-/// `PERFDMF_THREADS` setting.
+/// Execute a compiled plan over its fact table. Returns `Ok(None)` when
+/// a chunk exposed unsupported column data — the caller must fall back
+/// to row execution. Otherwise returns the groups in the order of their
+/// first row; an ungrouped plan returns exactly one group. Chunk
+/// partials merge in ascending chunk order regardless of worker count,
+/// so results are deterministic under any `PERFDMF_THREADS` setting.
 pub(crate) fn execute_columnar(
     table: &Table,
     plan: &ColumnarPlan,
-) -> Result<Option<(Vec<Accumulator>, ColScanStats)>> {
-    let n_chunks = table.chunk_count();
-    let mut accs: Vec<Accumulator> = plan
-        .aggs
-        .iter()
-        .map(|a| Accumulator::new(a.func, false))
-        .collect();
+) -> Result<Option<(Vec<ColGroup>, ColScanStats)>> {
+    let chunks: Vec<usize> = match &plan.chunks {
+        Some(list) => list.clone(),
+        None => (0..table.chunk_count()).collect(),
+    };
+    let domain = plan.group.map_or(1, |d| plan.dims[d].keys.len());
     let mut stats = ColScanStats {
-        chunks: n_chunks,
+        chunks: chunks.len(),
         ..ColScanStats::default()
     };
-    if n_chunks == 0 {
-        return Ok(Some((accs, stats)));
-    }
-    let runs = match pool::partitions(table.slab_len()) {
-        Some(parts) => chunk_runs(n_chunks, parts.len()),
-        None => chunk_runs(n_chunks, 1),
+    // The pool's partition threshold is sized for row execution; a
+    // columnar row costs about an eighth of one, so the chunks go to the
+    // workers only when they hold eight times as many rows.
+    let slots = (chunks.len() * CHUNK_ROWS).min(table.slab_len());
+    let runs = match pool::partitions(slots / ROW_COST_RATIO) {
+        Some(parts) => chunk_runs(chunks.len(), parts.len()),
+        None => chunk_runs(chunks.len(), 1),
     };
     stats.partitions = if runs.len() > 1 { runs.len() } else { 0 };
 
-    type RunOut = Option<(Vec<Vec<Accumulator>>, u64, u64)>;
-    let runs_ref = &runs;
+    type RunOut = Option<(Vec<ChunkPartial>, u64, u64, u64)>;
+    let (runs_ref, chunks_ref) = (&runs, &chunks);
     let results: Vec<RunOut> = pool::try_run(runs.len(), |pi| -> Result<RunOut> {
         let mut partials = Vec::new();
-        let mut hits = 0u64;
-        let mut misses = 0u64;
-        for ci in runs_ref[pi].clone() {
-            let (chunk, hit) = table.chunk(ci);
+        let (mut rows, mut hits, mut misses) = (0u64, 0u64, 0u64);
+        let mut local = vec![NO_GROUP; if plan.group.is_some() { domain } else { 0 }];
+        for &ci in &chunks_ref[runs_ref[pi].clone()] {
+            let (chunk, hit) = table.chunk(ci, &plan.cols);
             let Some(chunk) = chunk else { continue };
             if hit {
                 hits += 1;
             } else {
                 misses += 1;
             }
-            let Some(sel) = selection(&chunk, &plan.preds) else {
-                return Ok(None);
-            };
-            let mut chunk_accs = Vec::with_capacity(plan.aggs.len());
-            for spec in &plan.aggs {
-                match agg_partial(&chunk, &sel, *spec) {
-                    Some(a) => chunk_accs.push(a),
-                    None => return Ok(None),
-                }
+            rows += chunk.live_count as u64;
+            match chunk_partial(&chunk, plan, &mut local) {
+                Some(partial) => partials.push(partial),
+                None => return Ok(None),
             }
-            partials.push(chunk_accs);
         }
-        Ok(Some((partials, hits, misses)))
+        Ok(Some((partials, rows, hits, misses)))
     })?;
 
+    let mut table_groups: Vec<Option<ColGroup>> = (0..domain).map(|_| None).collect();
     for run in results {
-        let Some((partials, hits, misses)) = run else {
+        let Some((partials, rows, hits, misses)) = run else {
             return Ok(None);
         };
+        stats.rows += rows;
         stats.cache_hits += hits;
         stats.cache_misses += misses;
-        for chunk_accs in partials {
-            for (dst, src) in accs.iter_mut().zip(&chunk_accs) {
-                dst.merge(src)?;
+        for partial in partials {
+            for (g, first, accs) in partial {
+                match &mut table_groups[g] {
+                    Some(group) => {
+                        for (dst, src) in group.accs.iter_mut().zip(&accs) {
+                            dst.merge(src)?;
+                        }
+                    }
+                    slot => {
+                        *slot = Some(ColGroup {
+                            first: Some(first),
+                            accs,
+                        })
+                    }
+                }
             }
         }
     }
-    Ok(Some((accs, stats)))
+    let mut groups: Vec<ColGroup> = table_groups.into_iter().flatten().collect();
+    if plan.group.is_none() && groups.is_empty() {
+        // An ungrouped aggregate over no rows still yields one row.
+        groups.push(ColGroup {
+            first: None,
+            accs: plan
+                .aggs
+                .iter()
+                .map(|a| Accumulator::new(a.func, false))
+                .collect(),
+        });
+    }
+    // Chunks are read in ascending slot order, so a group's first row is
+    // the first one its first partial saw.
+    groups.sort_unstable_by_key(|g| g.first);
+    Ok(Some((groups, stats)))
 }
 
 #[cfg(test)]
@@ -713,6 +1030,47 @@ mod tests {
         )
     }
 
+    /// A single-table plan: the no-dimension, no-group case.
+    fn plan_columnar(
+        schema: &TableSchema,
+        binding: &str,
+        layout1: &Layout,
+        agg_exprs: &[&Expr],
+        where_clause: Option<&Expr>,
+        params: &[Value],
+    ) -> Option<ColumnarPlan> {
+        let mut aggs = Vec::new();
+        for a in agg_exprs {
+            let Expr::Aggregate {
+                func,
+                arg,
+                distinct: false,
+            } = a
+            else {
+                return None;
+            };
+            let col = match arg {
+                None => None,
+                Some(e) => Some(super::super::select::resolve_base_col(e, binding, layout1)?),
+            };
+            aggs.push(compile_agg(schema, *func, col)?);
+        }
+        let mut preds = Vec::new();
+        for c in where_clause
+            .map(super::super::select::conjuncts)
+            .unwrap_or_default()
+        {
+            preds.push(compile_conjunct(c, schema, binding, layout1, params)?);
+        }
+        Some(ColumnarPlan::new(aggs, preds, 0, Vec::new(), None, None))
+    }
+
+    fn run(t: &Table, plan: &ColumnarPlan) -> (Vec<Accumulator>, ColScanStats) {
+        let (mut groups, stats) = execute_columnar(t, plan).unwrap().expect("no fallback");
+        assert_eq!(groups.len(), 1, "an ungrouped plan yields one group");
+        (groups.pop().unwrap().accs, stats)
+    }
+
     fn agg(func: AggregateFn, col: Option<&str>) -> Expr {
         Expr::Aggregate {
             func,
@@ -734,7 +1092,7 @@ mod tests {
         let refs: Vec<&Expr> = exprs.iter().collect();
         let plan = plan_columnar(sch, &sch.name, &l1, &refs, where_clause, &[])
             .expect("plan should compile");
-        let (cols, stats) = execute_columnar(t, &plan).unwrap().expect("no fallback");
+        let (cols, stats) = run(t, &plan);
         assert_eq!(stats.chunks, t.chunk_count());
 
         // Serial reference over the same rows.
@@ -916,10 +1274,10 @@ mod tests {
         let refs: Vec<&Expr> = exprs.iter().collect();
         let plan = plan_columnar(sch, &sch.name, &l1, &refs, None, &[]).unwrap();
         let serial_pool = pool::override_for_thread(1, usize::MAX);
-        let (one, _) = execute_columnar(&t, &plan).unwrap().unwrap();
+        let (one, _) = run(&t, &plan);
         drop(serial_pool);
         let wide_pool = pool::override_for_thread(4, 1);
-        let (four, _) = execute_columnar(&t, &plan).unwrap().unwrap();
+        let (four, _) = run(&t, &plan);
         drop(wide_pool);
         for (a, b) in one.iter().zip(&four) {
             assert_eq!(a.finish(), b.finish(), "bit-identical across worker counts");

@@ -9,17 +9,28 @@
 //! and it never changes what rows the plan produces, only how they are
 //! found.
 
-use super::ir::{base_scan_mut, pipeline_layout, pipeline_mut, Access, LogicalPlan};
+use super::ir::{
+    base_scan_mut, pipeline_layout, pipeline_mut, pipeline_scans, pipeline_scans_mut, Access,
+    LogicalPlan, ScanNode,
+};
 use crate::column::CHUNK_ROWS;
 use crate::error::Result;
-use crate::exec::select::{collect_aggregates, equi_offsets, grouped_only, index_candidates};
+use crate::exec::eval::Layout;
+use crate::exec::select::{
+    column_test, conjuncts, decompose, equi_offsets, index_candidates, index_choice, pushed_match,
+    refs_only_layout, BoundAggregate, ColumnTest, TestKind,
+};
 use crate::exec::vector;
-use crate::sql::ast::{Expr, JoinKind, Projection};
-use crate::value::Value;
+use crate::sql::ast::{BinaryOp, Expr, JoinKind};
+use crate::table::{Row, RowId, Table};
+use crate::value::{DataType, Value};
+use std::borrow::Cow;
+use std::sync::Arc;
+use std::time::Instant;
 
 /// An index is selective when the rows it selects, times this factor,
-/// are at most the table's live rows: it then beats a columnar scan, and
-/// a join probes it instead of hashing the whole right table.
+/// are at most the table's live rows: a join then probes it instead of
+/// hashing the whole right table.
 const SELECTIVE: usize = 4;
 
 /// Annotate every scan in the plan with its access decision.
@@ -28,33 +39,33 @@ pub(crate) fn decide_access(
     params: &[Value],
     had_subqueries: bool,
 ) -> Result<()> {
-    if let Some((plan, reason)) = columnar_choice(root, params, had_subqueries)? {
-        if let Some(scan) = base_scan_mut(root) {
+    if let Some(scan) = base_scan_mut(root) {
+        // Sort-elision may have preset an index-order scan; per-statement
+        // virtual materializations have no indexes.
+        if matches!(scan.access, Access::Seq) && !scan.source.is_virtual() {
+            let choice = index_candidates(
+                &scan.source,
+                &scan.binding,
+                &scan.layout1(),
+                scan.index_filter.as_ref(),
+                params,
+            )?;
+            if let Some(choice) = choice {
+                scan.access = Access::Index(choice);
+            }
+        }
+        decide_joins(pipeline_mut(root));
+    }
+    // The columnar path replaces the fact scan's row access; the other
+    // decisions stay for the row path a declined chunk falls back to.
+    if let Some((fact, plan, reason)) = columnar_choice(root, params, had_subqueries)? {
+        if let Some(scan) = pipeline_scans_mut(pipeline_mut(root)).into_iter().nth(fact) {
             scan.access = Access::Columnar {
                 plan: Box::new(plan),
                 reason,
             };
         }
-        return Ok(());
     }
-    let Some(scan) = base_scan_mut(root) else {
-        return Ok(());
-    };
-    // Sort-elision may have preset an index-order scan; per-statement
-    // virtual materializations have no indexes.
-    if matches!(scan.access, Access::Seq) && !scan.source.is_virtual() {
-        let choice = index_candidates(
-            &scan.source,
-            &scan.binding,
-            &scan.layout1(),
-            scan.index_filter.as_ref(),
-            params,
-        )?;
-        if let Some(choice) = choice {
-            scan.access = Access::Index(choice);
-        }
-    }
-    decide_joins(pipeline_mut(root));
     Ok(())
 }
 
@@ -106,120 +117,331 @@ fn decide_joins(node: &mut LogicalPlan<'_>) -> usize {
     }
 }
 
-/// Decide between columnar, index, and sequential execution for an
-/// eligible aggregate plan, using the same statistics thresholds the
-/// pre-IR heuristic applied. Returns `None` when row execution (index
-/// or seq) should run.
+/// Decide whether an aggregate runs on column chunks, and compile it.
+///
+/// The eligible shape is `Limit?(Sort?(Project(Aggregate(Filter?(P)))))`
+/// where `P` is one *fact* scan, INNER-joined to any number of
+/// *dimension* scans, each on `fact.fk = dim.pk` with `pk` the
+/// dimension's INTEGER PRIMARY KEY (join order is free). Every WHERE
+/// conjunct reads one table; the fact's must compile to typed kernels,
+/// and each dimension's are evaluated here, once, to the key set of its
+/// matching rows. Every GROUP BY key is the foreign key of one dimension
+/// or a column of that dimension, one of them the key itself; every
+/// aggregate is `COUNT(*)` or one over a bare fact column. With no join
+/// this is a single-table aggregate.
+///
+/// Under `Auto` the path is taken when it reads mostly candidate rows:
+/// when a fact index locates the candidates, there must be at least
+/// [`CHUNK_ROWS`] of them, filling at least half the slots of the chunks
+/// that hold them; without one, the fact must hold [`CHUNK_ROWS`] live
+/// rows. Returns the fact's layout position, the plan, and the reason
+/// EXPLAIN prints; `None` keeps row execution.
 fn columnar_choice(
     root: &LogicalPlan<'_>,
     params: &[Value],
     had_subqueries: bool,
-) -> Result<Option<(vector::ColumnarPlan, String)>> {
+) -> Result<Option<(usize, vector::ColumnarPlan, String)>> {
     // Subqueries resolve to literals before execution but EXPLAIN plans
     // them unresolved; decline in both so the paths agree.
-    if had_subqueries {
-        return Ok(None);
-    }
     let mode = vector::columnar_mode();
-    if mode == vector::ColumnarMode::Off {
+    if had_subqueries || mode == vector::ColumnarMode::Off {
         return Ok(None);
     }
-    // Eligible shape: Limit?(Project(Aggregate[ungrouped](Filter?(Scan))))
-    // — a single-table, ungrouped aggregate query whose projections are
-    // pure aggregate expressions. Any other node (Sort, Distinct, Join)
-    // breaks the pattern and keeps row execution.
-    let node = match root {
-        LogicalPlan::Limit { input, .. } => &**input,
-        other => other,
-    };
-    let LogicalPlan::Project { input, projections } = node else {
+    let tail = decompose(root);
+    let Some((group_by, having)) = tail.aggregate else {
         return Ok(None);
     };
-    let LogicalPlan::Aggregate {
-        input,
-        group_by,
-        having,
-    } = &**input
+    if tail.distinct {
+        return Ok(None);
+    }
+    let (filter, core) = match tail.pipeline {
+        LogicalPlan::Filter { input, predicate } => (Some(predicate), &**input),
+        node => (None, node),
+    };
+    let scans = pipeline_scans(core);
+    // Virtual tables are rematerialized per statement, so their chunk
+    // caches would never pay off: always take the row path.
+    if scans.is_empty() || scans.iter().any(|s| s.source.is_virtual()) {
+        return Ok(None);
+    }
+    let layout = pipeline_layout(core);
+    let Some((fact, dims)) = star(core, &scans, &layout) else {
+        return Ok(None);
+    };
+    let fact_scan = scans[fact];
+    let live = fact_scan.source.len();
+    if mode == vector::ColumnarMode::Auto && live < CHUNK_ROWS {
+        return Ok(None); // small table: the row path is fine
+    }
+
+    // The output, bound as the executor binds it, fixes the aggregate
+    // calls and their order.
+    let Ok(bound) =
+        BoundAggregate::bind(tail.projections, group_by, having, tail.order_by, &layout)
     else {
-        return Ok(None);
+        return Ok(None); // let the row path report the binding error
     };
-    if !group_by.is_empty() || having.is_some() {
+    if !bound.is_grouped_only() {
         return Ok(None);
     }
-    let (scan, pred) = match &**input {
-        LogicalPlan::Scan(s) => (s, None),
-        LogicalPlan::Filter { input, predicate } => match &**input {
-            LogicalPlan::Scan(s) => (s, Some(predicate)),
-            _ => return Ok(None),
-        },
-        _ => return Ok(None),
-    };
-    if scan.source.is_virtual() {
-        // Virtual tables are rematerialized per statement, so their chunk
-        // caches would never pay off: always take the row path.
-        return Ok(None);
-    }
-    if projections.is_empty()
-        || !projections.iter().all(|p| match p {
-            Projection::Expr { expr, .. } => expr.contains_aggregate() && grouped_only(expr, &[]),
-            _ => false,
-        })
-    {
-        return Ok(None);
-    }
-    let layout1 = scan.layout1();
-    // Same collection order as the executor, so accumulator `i` belongs
-    // to aggregate expression `i`.
-    let mut aggs: Vec<&Expr> = Vec::new();
-    for p in projections {
-        if let Projection::Expr { expr, .. } = p {
-            collect_aggregates(expr, &mut aggs);
+    let schema = &fact_scan.source.schema;
+    let mut aggs = Vec::new();
+    for a in bound.aggs() {
+        let Expr::Aggregate {
+            func,
+            arg,
+            distinct: false,
+        } = a
+        else {
+            return Ok(None); // DISTINCT pins the row path
+        };
+        let col = match arg.as_deref() {
+            None => None,
+            Some(Expr::Slot { binding, column }) if *binding == fact => Some(*column),
+            Some(_) => return Ok(None),
+        };
+        match vector::compile_agg(schema, *func, col) {
+            Some(spec) => aggs.push(spec),
+            None => return Ok(None),
         }
     }
-    let Some(plan) = vector::plan_columnar(
-        &scan.source.schema,
-        &scan.binding,
-        &layout1,
-        &aggs,
-        pred,
-        params,
-    ) else {
+    // Every GROUP BY key must name the same dimension: its foreign key
+    // in the fact, or one of its own columns. One of them must be the
+    // key itself (fk or pk), so that the key determines the group.
+    let mut group = None;
+    let mut keyed = false;
+    for g in bound.group_by() {
+        let Expr::Slot { binding, column } = g else {
+            return Ok(None);
+        };
+        let d = if *binding == fact {
+            keyed |= dims.iter().any(|&(_, fk)| fk == *column);
+            dims.iter().position(|&(_, fk)| fk == *column)
+        } else {
+            let pk = scans[*binding].source.schema.primary_key_index();
+            keyed |= pk == Some(*column);
+            dims.iter().position(|&(b, _)| b == *binding)
+        };
+        match (d, group) {
+            (Some(d), None) => group = Some(d),
+            (Some(d), Some(g)) if d == g => {}
+            _ => return Ok(None),
+        }
+    }
+    if group.is_some() && !keyed {
         return Ok(None);
+    }
+
+    // Sort the WHERE conjuncts (pushed into scans, or still in the
+    // filter when the optimizer is off) by the one table each reads.
+    let mut preds: Vec<Vec<&Expr>> = scans.iter().map(|s| s.pushed.iter().collect()).collect();
+    for c in filter.map(conjuncts).unwrap_or_default() {
+        if layout.bind(c).is_err() {
+            return Ok(None); // ambiguous or unknown: the row path reports it
+        }
+        let reads: Vec<usize> = (0..scans.len())
+            .filter(|&b| !refs_only_layout(c, &without(&layout, b)))
+            .collect();
+        match reads[..] {
+            [b] if refs_only_layout(c, &scans[b].layout1()) => preds[b].push(c),
+            _ => return Ok(None),
+        }
+    }
+
+    let fact_layout = fact_scan.layout1();
+    let mut col_preds = Vec::new();
+    for c in &preds[fact] {
+        match vector::compile_conjunct(c, schema, &fact_scan.binding, &fact_layout, params) {
+            Some(p) => col_preds.push(p),
+            None => return Ok(None),
+        }
+    }
+    // Candidate rows: the smallest set a fact index yields for one test.
+    let mut tests: Vec<ColumnTest> = preds[fact]
+        .iter()
+        .filter_map(|c| column_test(c, &fact_scan.binding, &fact_layout, params))
+        .collect();
+    let mut dimensions = Vec::with_capacity(dims.len());
+    for (i, &(b, fk)) in dims.iter().enumerate() {
+        let Some((keys, read, ns)) = key_set(scans[b], &preds[b], params) else {
+            return Ok(None);
+        };
+        let test = ColumnTest {
+            col: fk,
+            kind: TestKind::KeySet(keys.clone()),
+        };
+        let Some(pred) = vector::compile_test(test.clone(), schema) else {
+            return Ok(None);
+        };
+        // The group lookup tests the grouping dimension's keys itself.
+        if group != Some(i) {
+            col_preds.push(pred);
+        }
+        tests.push(test);
+        dimensions.push(vector::Dimension {
+            binding: b,
+            fk,
+            keys,
+            read,
+            ns,
+        });
+    }
+    let candidates = candidate_chunks(&fact_scan.source, &tests);
+    let slab = fact_scan.source.slab_len();
+    let reason = match (mode, &candidates) {
+        (vector::ColumnarMode::Force, _) => "forced by PERFDMF_COLUMNAR".to_string(),
+        (_, Some((n, index_name, chunks))) => {
+            let slots: usize = chunks
+                .iter()
+                .map(|&ci| CHUNK_ROWS.min(slab - ci * CHUNK_ROWS))
+                .sum();
+            if *n < CHUNK_ROWS || n.saturating_mul(2) < slots {
+                return Ok(None);
+            }
+            format!(
+                "{n} candidate row(s) via {index_name} fill {}% of {} chunk(s)",
+                n * 100 / slots.max(1),
+                chunks.len()
+            )
+        }
+        _ => format!("no usable index, {live} live row(s) ≥ {CHUNK_ROWS} threshold"),
     };
-    let live = scan.source.len();
-    let reason = match mode {
-        vector::ColumnarMode::Force => "forced by PERFDMF_COLUMNAR".to_string(),
-        vector::ColumnarMode::Auto => {
-            match index_candidates(
-                &scan.source,
-                &scan.binding,
-                &layout1,
-                scan.index_filter.as_ref(),
-                params,
-            )? {
-                Some(choice) => {
-                    // A selective index beats scanning every chunk; a
-                    // low-selectivity one does not.
-                    if choice.ids.len().saturating_mul(SELECTIVE) <= live {
-                        return Ok(None);
-                    }
-                    format!(
-                        "index {} unselective: {} candidate(s) of {} live row(s), {} distinct key(s)",
-                        choice.index_name,
-                        choice.ids.len(),
-                        live,
-                        choice.distinct_keys
-                    )
-                }
-                None => {
-                    if live < CHUNK_ROWS {
-                        return Ok(None); // small table: seq scan is fine
-                    }
-                    format!("no usable index, {live} live row(s) ≥ {CHUNK_ROWS} threshold")
-                }
+    let chunks = candidates.map(|(_, _, chunks)| chunks);
+    let plan = vector::ColumnarPlan::new(aggs, col_preds, fact, dimensions, group, chunks);
+    Ok(Some((fact, plan, reason)))
+}
+
+/// Locate the candidate rows through the fact index that serves the
+/// most selective of `tests`: their count, the index name, and the
+/// chunks that hold them, ascending. The ids are only counted and
+/// bucketed, never collected or sorted.
+fn candidate_chunks(table: &Table, tests: &[ColumnTest]) -> Option<(usize, String, Vec<usize>)> {
+    let (n, name, parts) = tests
+        .iter()
+        .filter_map(|t| {
+            let ix = table.index_on(t.col)?;
+            let parts: Vec<Cow<'_, [RowId]>> = match &t.kind {
+                TestKind::KeySet(keys) => keys
+                    .keys()
+                    .iter()
+                    .map(|&k| Cow::Borrowed(ix.ids(&Value::Int(k))))
+                    .collect(),
+                _ => vec![Cow::Owned(index_choice(table, t)?.ids)],
+            };
+            let n = parts.iter().map(|p| p.len()).sum::<usize>();
+            Some((n, &ix.name, parts))
+        })
+        .min_by_key(|(n, _, _)| *n)?;
+    let mut hit = vec![false; table.chunk_count()];
+    for &id in parts.iter().flat_map(|p| p.iter()) {
+        hit[id as usize / CHUNK_ROWS] = true;
+    }
+    let chunks = (0..hit.len()).filter(|&c| hit[c]).collect();
+    Some((n, name.clone(), chunks))
+}
+
+/// `layout` with binding `b`'s columns hidden.
+fn without(layout: &Layout, b: usize) -> Layout {
+    let mut bindings = layout.bindings().to_vec();
+    bindings[b].1.clear();
+    Layout::new(bindings)
+}
+
+/// Recognise a star: one fact scan whose every INNER join is
+/// `fact.fk = dim.pk` with `pk` the INTEGER PRIMARY KEY of a distinct
+/// dimension and `fk` an INTEGER fact column. Returns the fact's layout
+/// position and `(dimension position, fk column)` per dimension, in
+/// layout order. A lone scan is a star with no dimension.
+fn star(
+    core: &LogicalPlan<'_>,
+    scans: &[&ScanNode<'_>],
+    layout: &Layout,
+) -> Option<(usize, Vec<(usize, usize)>)> {
+    // Each ON, bound against the bindings joined so far, as an equality
+    // of two columns: ((binding, column), (binding, column)).
+    let mut edges = Vec::new();
+    let mut node = core;
+    while let LogicalPlan::Join { left, kind, on, .. } = node {
+        if *kind != JoinKind::Inner {
+            return None;
+        }
+        let prefix = Layout::new(layout.bindings()[..=pipeline_scans(left).len()].to_vec());
+        let Expr::Binary {
+            op: BinaryOp::Eq,
+            left: a,
+            right: b,
+        } = prefix.bind(on.as_ref()?).ok()?
+        else {
+            return None;
+        };
+        match (*a, *b) {
+            (
+                Expr::Slot {
+                    binding: ab,
+                    column: ac,
+                },
+                Expr::Slot {
+                    binding: bb,
+                    column: bc,
+                },
+            ) if ab != bb => edges.push(((ab, ac), (bb, bc))),
+            _ => return None,
+        }
+        node = left;
+    }
+    let int_col = |b: usize, c: usize| scans[b].source.schema.columns[c].ty == DataType::Integer;
+    let is_pk = |b: usize, c: usize| int_col(b, c) && scans[b].source.schema.columns[c].primary_key;
+    (0..scans.len()).find_map(|fact| {
+        let mut dims = Vec::with_capacity(edges.len());
+        for &(x, y) in &edges {
+            let ((_, fk), (d, pk)) = if x.0 == fact { (x, y) } else { (y, x) };
+            if !(x.0 == fact || y.0 == fact) || !int_col(fact, fk) || !is_pk(d, pk) {
+                return None;
+            }
+            dims.push((d, fk));
+        }
+        dims.sort_unstable();
+        dims.dedup_by_key(|&mut (d, _)| d);
+        (dims.len() == edges.len()).then_some((fact, dims))
+    })
+}
+
+/// Evaluate a dimension's predicates to the key set of its matching
+/// rows, reading its index candidates when an index serves one of them.
+/// Returns the set, the rows read and the wall ns; `None` when a
+/// predicate fails to bind or evaluate (the row path then reports it).
+fn key_set(
+    scan: &ScanNode<'_>,
+    preds: &[&Expr],
+    params: &[Value],
+) -> Option<(Arc<vector::KeySet>, u64, u64)> {
+    let t0 = Instant::now();
+    let table: &Table = &scan.source;
+    let layout1 = scan.layout1();
+    let pk = table.schema.primary_key_index()?;
+    let bound: Vec<Expr> = preds
+        .iter()
+        .map(|c| layout1.bind(c))
+        .collect::<Result<_>>()
+        .ok()?;
+    let candidates = preds
+        .iter()
+        .filter_map(|c| column_test(c, &scan.binding, &layout1, params))
+        .filter_map(|t| index_choice(table, &t))
+        .min_by_key(|c| c.ids.len());
+    let rows: Box<dyn Iterator<Item = (RowId, &Row)>> = match &candidates {
+        Some(c) => Box::new(c.ids.iter().filter_map(|&id| Some((id, table.row(id)?)))),
+        None => Box::new(table.iter()),
+    };
+    let (mut pairs, mut read) = (Vec::new(), 0u64);
+    for (id, row) in rows {
+        read += 1;
+        if pushed_match(&bound, row, params).ok()? {
+            if let Value::Int(k) = row[pk] {
+                pairs.push((k, id));
             }
         }
-        vector::ColumnarMode::Off => unreachable!("handled above"),
-    };
-    Ok(Some((plan, reason)))
+    }
+    let ns = t0.elapsed().as_nanos().min(u64::MAX as u128) as u64;
+    Some((Arc::new(vector::KeySet::new(pairs)), read, ns))
 }

@@ -279,6 +279,37 @@ pub(crate) fn pipeline_mut<'p, 'a>(node: &'p mut LogicalPlan<'a>) -> &'p mut Log
     }
 }
 
+/// The scans of a join pipeline in layout order: the base, then each
+/// join's right side.
+pub(crate) fn pipeline_scans<'p, 'a>(node: &'p LogicalPlan<'a>) -> Vec<&'p ScanNode<'a>> {
+    match node {
+        LogicalPlan::Scan(s) => vec![s],
+        LogicalPlan::Join { left, right, .. } => {
+            let mut scans = pipeline_scans(left);
+            scans.push(right);
+            scans
+        }
+        LogicalPlan::Filter { input, .. } => pipeline_scans(input),
+        _ => Vec::new(),
+    }
+}
+
+/// [`pipeline_scans`], mutably.
+pub(crate) fn pipeline_scans_mut<'p, 'a>(
+    node: &'p mut LogicalPlan<'a>,
+) -> Vec<&'p mut ScanNode<'a>> {
+    match node {
+        LogicalPlan::Scan(s) => vec![s],
+        LogicalPlan::Join { left, right, .. } => {
+            let mut scans = pipeline_scans_mut(left);
+            scans.push(right);
+            scans
+        }
+        LogicalPlan::Filter { input, .. } => pipeline_scans_mut(input),
+        _ => Vec::new(),
+    }
+}
+
 /// The layout of a join pipeline's output rows.
 pub(crate) fn pipeline_layout(node: &LogicalPlan<'_>) -> Layout {
     match node {

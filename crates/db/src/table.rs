@@ -437,10 +437,11 @@ impl Table {
         self.rows.len().div_ceil(CHUNK_ROWS)
     }
 
-    /// Get or build the column chunk `idx`; the flag is true on a cache
-    /// hit. `None` only when `idx` is past the slab end.
-    pub fn chunk(&self, idx: usize) -> (Option<Arc<Chunk>>, bool) {
-        self.colcache.chunk(&self.schema, &self.rows, idx)
+    /// Get or build the column chunk `idx` holding the columns `cols`;
+    /// the flag is true on a cache hit. `None` only when `idx` is past the
+    /// slab end.
+    pub(crate) fn chunk(&self, idx: usize, cols: &[usize]) -> (Option<Arc<Chunk>>, bool) {
+        self.colcache.chunk(&self.schema, &self.rows, idx, cols)
     }
 
     /// Number of column chunks currently cached (tests / EXPLAIN stats).

@@ -1343,8 +1343,9 @@ fn join_known_answer_spot_check() {
     assert_eq!(padded.query(sql, &[]).unwrap().rows, rs.rows);
 }
 
-/// `query_each` takes only SELECTs: any other statement is an error,
-/// not a panic, and is not executed.
+/// `query_each` takes only SELECTs and `query` only SELECTs and
+/// EXPLAINs: any other statement is an error, not a panic, and is not
+/// executed.
 #[test]
 fn query_each_rejects_non_select() {
     let conn = build_connection(&[vec![
@@ -1364,11 +1365,460 @@ fn query_each_rejects_non_select() {
         let got = conn.query_each(sql, &[], |_| called = true);
         assert!(got.is_err(), "{sql} must be rejected");
         assert!(!called, "{sql} must not hand on rows");
+        if !sql.starts_with("EXPLAIN") {
+            assert!(
+                conn.query(sql, &[]).is_err(),
+                "query({sql}) must be rejected"
+            );
+            let mut tx_result = None;
+            conn.transaction(|tx| {
+                tx_result = Some(tx.query(sql, &[]).is_err());
+                Ok(())
+            })
+            .unwrap();
+            assert_eq!(
+                tx_result,
+                Some(true),
+                "transaction query({sql}) must be rejected"
+            );
+        }
     }
+    assert!(
+        !conn
+            .query("EXPLAIN SELECT a FROM t", &[])
+            .unwrap()
+            .is_empty(),
+        "query keeps accepting EXPLAIN"
+    );
     assert_eq!(conn.row_count("t").unwrap(), 1);
     assert_eq!(
         conn.query_scalar("SELECT a FROM t", &[]).unwrap(),
         Value::Int(1)
     );
     assert!(!conn.has_table("z"));
+}
+
+// ---------------------------------------------------------------------------
+// Star joins: a fact table with two foreign keys into INTEGER PRIMARY KEY
+// dimensions, the shape the columnar engine runs on column chunks
+// ---------------------------------------------------------------------------
+//
+// f(k1, k2, x, y) ⋈ d1(id, g, label) ON f.k1 = d1.id
+//                 ⋈ d2(id, h)        ON f.k2 = d2.id
+//
+// The dimension keys are AUTO_INCREMENT (1..=n), and the fact's foreign
+// keys are indexed, NULL now and then, and sometimes dangle past the
+// last key. Predicates test both dimensions (and the fact's y); GROUP BY
+// is a foreign key plus a column of its dimension. Some cases put the
+// generated fact rows behind never-joining rows so that they straddle a
+// column-chunk boundary.
+
+/// Flattened layout of the joined row.
+const SCOL_NAMES: [&str; 9] = [
+    "f.k1", "f.k2", "f.x", "f.y", "d1.id", "d1.g", "d1.label", "d2.id", "d2.h",
+];
+const SCOL_K1: usize = 0;
+const SCOL_K2: usize = 1;
+const SCOL_X: usize = 2;
+const SCOL_Y: usize = 3;
+const SCOL_D1_ID: usize = 4;
+const SCOL_D1_G: usize = 5;
+const SCOL_D1_LABEL: usize = 6;
+const SCOL_D2_ID: usize = 7;
+const SCOL_D2_H: usize = 8;
+
+/// Rows a column chunk holds (`CHUNK_ROWS` in the engine).
+const CHUNK: usize = 4096;
+
+fn maybe_null(r: &mut u64, v: Value) -> Value {
+    if pick(r, 8) == 0 {
+        Value::Null
+    } else {
+        v
+    }
+}
+
+/// A fact row whose keys reach up to two past the dimensions' last keys.
+fn decode_f_row(seed: u64, n1: usize, n2: usize) -> Vec<Value> {
+    let mut r = seed;
+    let k1 = Value::Int(1 + pick(&mut r, n1 as u64 + 2) as i64);
+    let k2 = Value::Int(1 + pick(&mut r, n2 as u64 + 2) as i64);
+    let x = Value::Float(pick(&mut r, 64) as f64 * 0.375 - 9.0);
+    let y = Value::Int(pick(&mut r, 21) as i64 - 10);
+    vec![
+        maybe_null(&mut r, k1),
+        maybe_null(&mut r, k2),
+        maybe_null(&mut r, x),
+        maybe_null(&mut r, y),
+    ]
+}
+
+/// A d1 row: (g, label); its id is assigned on insert.
+fn decode_d1_row(seed: u64) -> Vec<Value> {
+    let mut r = seed;
+    let g = Value::Int(pick(&mut r, 5) as i64);
+    let label = Value::Text(TEXTS[pick(&mut r, 4) as usize].into());
+    vec![maybe_null(&mut r, g), maybe_null(&mut r, label)]
+}
+
+/// A d2 row: (h); its id is assigned on insert.
+fn decode_d2_row(seed: u64) -> Vec<Value> {
+    let mut r = seed;
+    let h = Value::Int(pick(&mut r, 5) as i64);
+    vec![maybe_null(&mut r, h)]
+}
+
+#[derive(Debug, Clone)]
+struct StarQuery {
+    /// One predicate per dimension, plus one over f.y.
+    d1_pred: Option<Pred>,
+    d2_pred: Option<Pred>,
+    f_pred: Option<Pred>,
+    /// GROUP BY columns (a foreign key and a column of its dimension),
+    /// empty for an ungrouped aggregate.
+    group: Vec<usize>,
+    ordered: bool,
+    aggs: Vec<AggSpec>,
+}
+
+/// A leaf predicate over one of `int_cols` (or IS NULL over `null_cols`).
+fn decode_star_leaf(r: &mut u64, int_cols: &[usize], null_cols: &[usize]) -> Pred {
+    let col = int_cols[pick(r, int_cols.len() as u64) as usize];
+    match pick(r, 4) {
+        0 => {
+            let op = [
+                CmpOp::Eq,
+                CmpOp::Ne,
+                CmpOp::Lt,
+                CmpOp::Le,
+                CmpOp::Gt,
+                CmpOp::Ge,
+            ][pick(r, 6) as usize];
+            Pred::Cmp(col, op, pick(r, 7) as i64 - 1)
+        }
+        1 => Pred::IsNull(
+            null_cols[pick(r, null_cols.len() as u64) as usize],
+            pick(r, 2) == 0,
+        ),
+        2 => {
+            let lo = pick(r, 7) as i64 - 1;
+            Pred::Between(col, lo, lo + pick(r, 4) as i64)
+        }
+        _ => {
+            let n = 1 + pick(r, 3) as usize;
+            Pred::InList(col, (0..n).map(|_| pick(r, 7) as i64 - 1).collect())
+        }
+    }
+}
+
+/// One or two leaves over the same table, ANDed or ORed.
+fn decode_star_pred(r: &mut u64, int_cols: &[usize], null_cols: &[usize]) -> Pred {
+    let leaf = decode_star_leaf(r, int_cols, null_cols);
+    match pick(r, 3) {
+        0 => Pred::And(
+            Box::new(leaf),
+            Box::new(decode_star_leaf(r, int_cols, null_cols)),
+        ),
+        1 => Pred::Or(
+            Box::new(leaf),
+            Box::new(decode_star_leaf(r, int_cols, null_cols)),
+        ),
+        _ => leaf,
+    }
+}
+
+fn decode_star_query(seed: u64) -> StarQuery {
+    let mut r = seed;
+    let d1_pred = (pick(&mut r, 4) != 0).then(|| {
+        decode_star_pred(
+            &mut r,
+            &[SCOL_D1_G, SCOL_D1_ID],
+            &[SCOL_D1_G, SCOL_D1_LABEL],
+        )
+    });
+    let d2_pred = (pick(&mut r, 4) != 0)
+        .then(|| decode_star_pred(&mut r, &[SCOL_D2_H, SCOL_D2_ID], &[SCOL_D2_H]));
+    let f_pred =
+        (pick(&mut r, 4) == 0).then(|| decode_star_pred(&mut r, &[SCOL_Y], &[SCOL_X, SCOL_Y]));
+    let group = match pick(&mut r, 6) {
+        0 => vec![],
+        1 => vec![SCOL_K1, SCOL_D1_LABEL],
+        2 => vec![SCOL_K2, SCOL_D2_H],
+        3 => vec![SCOL_D1_ID, SCOL_D1_G],
+        // Not keyed: labels repeat across d1 rows, so the star path
+        // declines it.
+        4 => vec![SCOL_D1_LABEL],
+        _ => vec![SCOL_K1],
+    };
+    let ordered = pick(&mut r, 2) == 0;
+    let n = 1 + pick(&mut r, 4) as usize;
+    let aggs = (0..n)
+        .map(|_| {
+            let col = [SCOL_X, SCOL_Y][pick(&mut r, 2) as usize];
+            match pick(&mut r, 8) {
+                0 => AggSpec::CountStar,
+                1 => AggSpec::Count(col),
+                2 => AggSpec::Sum(col),
+                3 => AggSpec::Avg(col),
+                4 => AggSpec::Min(col),
+                5 => AggSpec::Max(col),
+                6 => AggSpec::StdDev(col),
+                // Not columnar: the star path declines it.
+                _ => AggSpec::CountDistinct(col),
+            }
+        })
+        .collect();
+    StarQuery {
+        d1_pred,
+        d2_pred,
+        f_pred,
+        group,
+        ordered,
+        aggs,
+    }
+}
+
+fn star_query_sql(q: &StarQuery) -> String {
+    let mut proj: Vec<String> = q.group.iter().map(|c| SCOL_NAMES[*c].to_string()).collect();
+    proj.extend(q.aggs.iter().map(|a| agg_sql(a, &SCOL_NAMES)));
+    let preds: Vec<String> = [&q.d1_pred, &q.d2_pred, &q.f_pred]
+        .into_iter()
+        .flatten()
+        .map(|p| format!("({})", pred_sql(p, &SCOL_NAMES)))
+        .collect();
+    let mut sql = format!(
+        "SELECT {} FROM f JOIN d1 ON f.k1 = d1.id JOIN d2 ON f.k2 = d2.id",
+        proj.join(", ")
+    );
+    if !preds.is_empty() {
+        sql.push_str(&format!(" WHERE {}", preds.join(" AND ")));
+    }
+    if !q.group.is_empty() {
+        let keys: Vec<&str> = q.group.iter().map(|c| SCOL_NAMES[*c]).collect();
+        sql.push_str(&format!(" GROUP BY {}", keys.join(", ")));
+        if q.ordered {
+            sql.push_str(&format!(" ORDER BY {}", keys.join(", ")));
+        }
+    }
+    sql
+}
+
+/// Naive star join: each fact row in insertion order, with the one d1
+/// and d2 row its keys name (AUTO_INCREMENT ids are 1..=n), filtered,
+/// then grouped in first-occurrence order and sorted when ordered.
+fn oracle_star_run(
+    q: &StarQuery,
+    f: &[Vec<Value>],
+    d1: &[Vec<Value>],
+    d2: &[Vec<Value>],
+) -> Vec<Vec<Value>> {
+    let lookup = |dim: &[Vec<Value>], key: &Value| match key {
+        Value::Int(k) if *k >= 1 && (*k as usize) <= dim.len() => {
+            let mut row = vec![Value::Int(*k)];
+            row.extend(dim[*k as usize - 1].iter().cloned());
+            Some(row)
+        }
+        _ => None,
+    };
+    let joined: Vec<Vec<Value>> = f
+        .iter()
+        .filter_map(|fr| {
+            let a = lookup(d1, &fr[0])?;
+            let b = lookup(d2, &fr[1])?;
+            Some(fr.iter().chain(&a).chain(&b).cloned().collect())
+        })
+        .collect();
+    let filtered: Vec<&Vec<Value>> = joined
+        .iter()
+        .filter(|row| {
+            [&q.d1_pred, &q.d2_pred, &q.f_pred]
+                .into_iter()
+                .flatten()
+                .all(|p| pred_eval(p, row) == Some(true))
+        })
+        .collect();
+    let mut groups: Vec<(Vec<Value>, Vec<&Vec<Value>>)> = Vec::new();
+    if q.group.is_empty() {
+        groups.push((Vec::new(), filtered));
+    } else {
+        for row in filtered {
+            let key: Vec<Value> = q.group.iter().map(|c| row[*c].clone()).collect();
+            match groups.iter_mut().find(|(k, _)| *k == key) {
+                Some((_, members)) => members.push(row),
+                None => groups.push((key, vec![row])),
+            }
+        }
+        if q.ordered {
+            groups.sort_by(|a, b| a.0.cmp(&b.0));
+        }
+    }
+    groups
+        .into_iter()
+        .map(|(mut out, members)| {
+            out.extend(q.aggs.iter().map(|a| oracle_agg(a, &members)));
+            out
+        })
+        .collect()
+}
+
+/// The star tables, with `pad` never-joining fact rows (NULL keys) in
+/// front of the generated ones.
+fn build_star_connection(
+    f: &[Vec<Value>],
+    d1: &[Vec<Value>],
+    d2: &[Vec<Value>],
+    pad: usize,
+) -> Connection {
+    let conn = Connection::open_in_memory();
+    for ddl in [
+        "CREATE TABLE d1 (id INTEGER PRIMARY KEY AUTO_INCREMENT, g INTEGER, label TEXT)",
+        "CREATE TABLE d2 (id INTEGER PRIMARY KEY AUTO_INCREMENT, h INTEGER)",
+        "CREATE TABLE f (k1 INTEGER, k2 INTEGER, x DOUBLE, y INTEGER)",
+        "CREATE INDEX ix_f_k1 ON f (k1)",
+        "CREATE INDEX ix_f_k2 ON f (k2)",
+    ] {
+        conn.execute(ddl, &[]).expect(ddl);
+    }
+    if !d1.is_empty() {
+        conn.bulk_insert("d1", &["g", "label"], d1.to_vec())
+            .expect("insert d1");
+    }
+    if !d2.is_empty() {
+        conn.bulk_insert("d2", &["h"], d2.to_vec())
+            .expect("insert d2");
+    }
+    let mut rows = vec![vec![Value::Null, Value::Null, Value::Float(0.0), Value::Int(0)]; pad];
+    rows.extend_from_slice(f);
+    if !rows.is_empty() {
+        conn.bulk_insert("f", &["k1", "k2", "x", "y"], rows)
+            .expect("insert f");
+    }
+    conn
+}
+
+/// The engine's rows for `sql` with `threads` workers and the columnar
+/// mode pinned.
+fn star_rows(
+    conn: &Connection,
+    sql: &str,
+    threads: usize,
+    mode: ColumnarMode,
+) -> Result<Vec<Vec<Value>>, TestCaseError> {
+    let _p = pool::override_for_thread(threads, 1);
+    let _c = override_columnar(mode);
+    conn.query(sql, &[])
+        .map(|rs| rs.rows)
+        .map_err(|e| TestCaseError::fail(format!("{mode:?} run failed: {e}\n  sql: {sql}")))
+}
+
+proptest! {
+    /// Star-join aggregates agree across the serial and forced-parallel
+    /// row paths, the columnar path forced serially and across 4
+    /// partitions, and the naive oracle.
+    #[test]
+    fn star_joins_match_oracle_on_every_path(
+        f_seeds in proptest::collection::vec(0u64..=u64::MAX, 0..60),
+        d1_seeds in proptest::collection::vec(0u64..=u64::MAX, 0..8),
+        d2_seeds in proptest::collection::vec(0u64..=u64::MAX, 0..6),
+        query_seeds in proptest::collection::vec(0u64..=u64::MAX, 3..6),
+    ) {
+        let d1: Vec<Vec<Value>> = d1_seeds.iter().map(|s| decode_d1_row(*s)).collect();
+        let d2: Vec<Vec<Value>> = d2_seeds.iter().map(|s| decode_d2_row(*s)).collect();
+        let f: Vec<Vec<Value>> = f_seeds
+            .iter()
+            .map(|s| decode_f_row(*s, d1.len(), d2.len()))
+            .collect();
+        // One case in four straddles a chunk boundary.
+        let pad = if f_seeds.first().is_some_and(|s| s % 4 == 0) {
+            CHUNK - f.len() / 2
+        } else {
+            0
+        };
+        let conn = build_star_connection(&f, &d1, &d2, pad);
+        for seed in &query_seeds {
+            let query = decode_star_query(*seed);
+            let sql = star_query_sql(&query);
+            let expected = oracle_star_run(&query, &f, &d1, &d2);
+            let legs = [
+                ("serial", star_rows(&conn, &sql, 1, ColumnarMode::Off)?),
+                ("forced-parallel", star_rows(&conn, &sql, 4, ColumnarMode::Off)?),
+                ("columnar serial", star_rows(&conn, &sql, 1, ColumnarMode::Force)?),
+                ("columnar 4 partitions", star_rows(&conn, &sql, 4, ColumnarMode::Force)?),
+            ];
+            for (name, rows) in &legs {
+                prop_assert!(
+                    rows_match(rows, &expected),
+                    "{name} leg diverged from oracle\n  sql: {}\n  engine: {:?}\n  oracle: {:?}\n  f: {:?}\n  d1: {:?}\n  d2: {:?}\n  pad: {}",
+                    sql, rows, expected, f, d1, d2, pad,
+                );
+            }
+        }
+    }
+}
+
+/// A fixed star join that the columnar path must take when forced, and
+/// whose answer is known, so the generator above cannot turn vacuous.
+#[test]
+fn star_join_known_answer_spot_check() {
+    let d1 = vec![
+        vec![Value::Int(0), Value::Text("red".into())],
+        vec![Value::Int(1), Value::Text("blue".into())],
+        vec![Value::Int(1), Value::Null],
+    ];
+    let d2 = vec![vec![Value::Int(2)], vec![Value::Int(3)]];
+    let row = |k1: i64, k2: i64, x: f64| {
+        vec![Value::Int(k1), Value::Int(k2), Value::Float(x), Value::Null]
+    };
+    let f = vec![
+        row(2, 1, 1.0),
+        row(1, 1, 2.0),
+        row(2, 2, 4.0),
+        row(3, 1, 8.0),
+        row(4, 1, 16.0), // dangling d1 key
+        vec![Value::Null, Value::Int(1), Value::Float(32.0), Value::Null],
+        row(2, 1, 64.0),
+    ];
+    let sql = "SELECT f.k1, d1.label, COUNT(*), SUM(f.x) FROM f \
+               JOIN d1 ON f.k1 = d1.id JOIN d2 ON f.k2 = d2.id \
+               WHERE d1.g = 1 AND d2.h >= 2 GROUP BY f.k1, d1.label";
+    let want = vec![
+        vec![
+            Value::Int(2),
+            Value::Text("blue".into()),
+            Value::Int(3),
+            Value::Float(69.0),
+        ],
+        vec![Value::Int(3), Value::Null, Value::Int(1), Value::Float(8.0)],
+    ];
+    for pad in [0, CHUNK - 3] {
+        let conn = build_star_connection(&f, &d1, &d2, pad);
+        for mode in [ColumnarMode::Off, ColumnarMode::Force] {
+            let _c = override_columnar(mode);
+            assert_eq!(
+                conn.query(sql, &[]).unwrap().rows,
+                want,
+                "{mode:?}, pad {pad}"
+            );
+        }
+        let _c = override_columnar(ColumnarMode::Force);
+        let plan = conn.query(&format!("EXPLAIN {sql}"), &[]).unwrap();
+        let plan: Vec<&str> = plan.rows.iter().map(|r| r[0].as_text().unwrap()).collect();
+        assert!(plan[0].starts_with("columnar star scan on f"), "{plan:?}");
+        assert!(
+            plan.iter()
+                .filter(|l| l.starts_with("key-set join with"))
+                .count()
+                == 2,
+            "{plan:?}"
+        );
+    }
+    let q = StarQuery {
+        d1_pred: Some(Pred::Cmp(SCOL_D1_G, CmpOp::Eq, 1)),
+        d2_pred: Some(Pred::Cmp(SCOL_D2_H, CmpOp::Ge, 2)),
+        f_pred: None,
+        group: vec![SCOL_K1, SCOL_D1_LABEL],
+        ordered: false,
+        aggs: vec![AggSpec::CountStar, AggSpec::Sum(SCOL_X)],
+    };
+    assert_eq!(oracle_star_run(&q, &f, &d1, &d2), want);
 }

@@ -1,7 +1,7 @@
 //! End-to-end SQL suite exercising the engine through the Connection API,
 //! modeled on the statements PerfDMF issues against its schema.
 
-use perfdmf_db::{Connection, DbError, Outcome, Value};
+use perfdmf_db::{override_columnar, ColumnarMode, Connection, DbError, Outcome, Value};
 
 fn seeded() -> Connection {
     let conn = Connection::open_in_memory();
@@ -699,7 +699,9 @@ fn explain_reports_plan_decisions() {
         .unwrap();
     let plan = rs.rows[0][0].as_text().unwrap();
     assert!(plan.contains("index scan on trial"), "{plan}");
-    // join strategy and pushdown reported
+    // join strategy and pushdown reported (on the row path: a forced
+    // columnar mode would run this star join on column chunks)
+    let _row_plan = override_columnar(ColumnarMode::Auto);
     let rs = conn
         .query(
             "EXPLAIN SELECT COUNT(*) FROM experiment e

@@ -34,6 +34,23 @@ impl Moments {
         Moments { count, mean, m2 }
     }
 
+    /// Count, mean and spread of a batch of samples, two-pass: the sum,
+    /// then the squared deviations from its mean. No division per sample
+    /// (Welford's update has one), and at least as accurate; merging the
+    /// result equals pushing the samples up to rounding.
+    pub fn from_samples(xs: &[f64]) -> Self {
+        if xs.is_empty() {
+            return Moments::default();
+        }
+        let mean = xs.iter().sum::<f64>() / xs.len() as f64;
+        let m2 = xs.iter().map(|x| (x - mean) * (x - mean)).sum();
+        Moments {
+            count: xs.len() as u64,
+            mean,
+            m2,
+        }
+    }
+
     /// Fold in one sample (Welford).
     #[inline]
     pub fn push(&mut self, x: f64) {
@@ -199,6 +216,22 @@ mod tests {
         assert!((left.stddev().unwrap() - whole.stddev().unwrap()).abs() < 1e-12);
         assert_eq!(left.min, whole.min);
         assert_eq!(left.max, whole.max);
+    }
+
+    #[test]
+    fn batch_moments_match_pushed_samples() {
+        let xs: Vec<f64> = (0..100).map(|i| 1e6 + (i as f64).sin() * 10.0).collect();
+        let mut pushed = Moments::default();
+        for &x in &xs {
+            pushed.push(x);
+        }
+        let batch = Moments::from_samples(&xs);
+        assert_eq!(batch.count, pushed.count);
+        assert!((batch.mean - pushed.mean).abs() <= 1e-12 * pushed.mean.abs());
+        let (b, p) = (batch.stddev().unwrap(), pushed.stddev().unwrap());
+        assert!((b - p).abs() <= 1e-9 * p, "{b} vs {p}");
+        assert_eq!(Moments::from_samples(&[]), Moments::default());
+        assert_eq!(Moments::from_samples(&[3.0]).stddev(), None);
     }
 
     #[test]
