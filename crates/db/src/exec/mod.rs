@@ -3,6 +3,7 @@
 pub(crate) mod aggregate;
 pub(crate) mod eval;
 pub(crate) mod hash;
+pub(crate) mod predicate;
 pub(crate) mod select;
 pub(crate) mod vector;
 

@@ -11,6 +11,9 @@
 use super::aggregate::Accumulator;
 use super::eval::{eval_condition, eval_ref, Env, Layout};
 use super::hash::{FastMap, FastSet};
+use super::predicate::{
+    column_test, compile_pushed, pushed_match, resolve_base_col, ColumnTest, PredOp, TestKind,
+};
 use super::vector;
 use super::ResultSet;
 use crate::column::CHUNK_ROWS;
@@ -31,7 +34,6 @@ use std::cmp::Ordering;
 use std::convert::Infallible;
 use std::ops::Bound;
 use std::ops::Range;
-use std::sync::Arc;
 use std::time::Instant;
 
 /// A resolved FROM-clause table: either a borrowed base table or a
@@ -565,18 +567,6 @@ fn exec_pipeline<'p>(
     }
 }
 
-/// Evaluate a scan's bound pushed conjuncts against one of its rows.
-pub(crate) fn pushed_match(pushed: &[Expr], row: &Row, params: &[Value]) -> Result<bool> {
-    let tuple = [Some(row)];
-    let env = Env::new(&tuple, params);
-    for c in pushed {
-        if !eval_condition(c, &env)? {
-            return Ok(false);
-        }
-    }
-    Ok(true)
-}
-
 /// Read one scan according to its access decision.
 fn exec_scan<'p>(
     scan: &'p ScanNode<'_>,
@@ -585,7 +575,7 @@ fn exec_scan<'p>(
 ) -> Result<(Layout, Tuples<'p>, u64)> {
     let table: &'p Table = &scan.source;
     let layout1 = scan.layout1();
-    let pushed = bind_all(&scan.pushed, &layout1)?;
+    let pushed = compile_pushed(&scan.pushed, &scan.binding, &layout1, params)?;
     let _stage = telemetry::span("db.exec.scan");
     let t0 = prof.is_some().then(Instant::now);
 
@@ -706,7 +696,7 @@ fn exec_join<'p>(
     let _stage = telemetry::span("db.exec.join");
     let join_t0 = prof.is_some().then(Instant::now);
     let right_table: &'p Table = &right.source;
-    let right_pushed = bind_all(&right.pushed, &right.layout1())?;
+    let right_pushed = compile_pushed(&right.pushed, &right.binding, &right.layout1(), params)?;
 
     let mut bindings = left_layout.bindings().to_vec();
     bindings.push((right.binding.clone(), right.columns.clone()));
@@ -959,7 +949,7 @@ fn exec_columnar(
 /// `optimizer:` trail lines.
 pub(crate) fn explain_select(db: &Database, sel: &Select, params: &[Value]) -> Result<Vec<String>> {
     let planned = plan::plan_select(db, sel, params, select_has_subqueries(sel))?;
-    Ok(render_plan(&planned, None))
+    Ok(render_plan(&planned, params, None))
 }
 
 /// `EXPLAIN ANALYZE` for a SELECT: execute it for real with per-operator
@@ -977,7 +967,7 @@ pub(crate) fn explain_analyze_select(
     let mut prof = ExecProfile::default();
     let (planned, done) = run_select(db, sel, params, Some(&mut prof), &mut |_| {})?;
     prof.returned = done.returned;
-    let mut lines = render_plan(&planned, Some(&prof));
+    let mut lines = render_plan(&planned, params, Some(&prof));
     lines.push(format!(
         "total: {} row(s) returned, {} row(s) scanned, {}",
         done.returned,
@@ -997,7 +987,11 @@ fn noted(mut line: String, note: Option<String>) -> String {
 
 /// Render a plan, one line per operator. With a profile (`EXPLAIN
 /// ANALYZE`) each operator's line carries what it measured.
-fn render_plan(planned: &PlannedSelect<'_>, prof: Option<&ExecProfile>) -> Vec<String> {
+fn render_plan(
+    planned: &PlannedSelect<'_>,
+    params: &[Value],
+    prof: Option<&ExecProfile>,
+) -> Vec<String> {
     let tail = decompose(&planned.root);
     let mut lines = Vec::new();
     // Strip an optional Filter to reach the join chain / base scan.
@@ -1026,7 +1020,7 @@ fn render_plan(planned: &PlannedSelect<'_>, prof: Option<&ExecProfile>) -> Vec<S
     let cplan = columnar_plan(tail.pipeline);
     match cplan.filter(|c| !c.dims.is_empty()) {
         Some(cplan) => lines.extend(star_lines(tail.pipeline, cplan, prof)),
-        None => lines.extend(join_lines(base, &joins, prof)),
+        None => lines.extend(join_lines(base, &joins, params, prof)),
     }
 
     // A columnar scan fuses the WHERE predicates into the scan itself, so
@@ -1079,13 +1073,26 @@ fn render_plan(planned: &PlannedSelect<'_>, prof: Option<&ExecProfile>) -> Vec<S
 fn join_lines(
     base: &ScanNode<'_>,
     joins: &[(&ScanNode<'_>, JoinKind, Option<&Expr>)],
+    params: &[Value],
     prof: Option<&ExecProfile>,
 ) -> Vec<String> {
+    // How many of a scan's pushed conjuncts run as typed column tests
+    // (the rest go through `eval`).
+    let typed = |scan: &ScanNode<'_>| {
+        let layout1 = scan.layout1();
+        let n = scan
+            .pushed
+            .iter()
+            .filter(|c| column_test(c, &scan.binding, &layout1, params).is_some())
+            .count();
+        format!("({n} typed)")
+    };
     let mut lines = vec![scan_line(base, prof)];
     if !joins.is_empty() && !base.pushed.is_empty() {
         lines.push(format!(
-            "  pushdown: {} base-only conjunct(s)",
-            base.pushed.len()
+            "  pushdown: {} base-only conjunct(s) {}",
+            base.pushed.len(),
+            typed(base)
         ));
     }
 
@@ -1130,9 +1137,10 @@ fn join_lines(
         lines.push(noted(line, note));
         if !right.pushed.is_empty() {
             lines.push(format!(
-                "  pushdown: {} conjunct(s) into {}",
+                "  pushdown: {} conjunct(s) into {} {}",
                 right.pushed.len(),
-                right.table_name
+                right.table_name,
+                typed(right)
             ));
         }
         bindings.push((right.binding.clone(), right.columns.clone()));
@@ -1393,12 +1401,12 @@ pub(crate) fn index_choice(table: &Table, test: &ColumnTest) -> Option<IndexChoi
     let ix = table.index_on(test.col)?;
     let ids = match &test.kind {
         TestKind::Cmp { op, value } => match op {
-            BinaryOp::Eq => ix.ids(value).to_vec(),
-            BinaryOp::Lt => ix.range(Bound::Unbounded, Bound::Excluded(value)),
-            BinaryOp::LtEq => ix.range(Bound::Unbounded, Bound::Included(value)),
-            BinaryOp::Gt => ix.range(Bound::Excluded(value), Bound::Unbounded),
-            BinaryOp::GtEq => ix.range(Bound::Included(value), Bound::Unbounded),
-            _ => return None,
+            PredOp::Eq => ix.ids(value).to_vec(),
+            PredOp::Lt => ix.range(Bound::Unbounded, Bound::Excluded(value)),
+            PredOp::Le => ix.range(Bound::Unbounded, Bound::Included(value)),
+            PredOp::Gt => ix.range(Bound::Excluded(value), Bound::Unbounded),
+            PredOp::Ge => ix.range(Bound::Included(value), Bound::Unbounded),
+            PredOp::Ne => return None,
         },
         TestKind::Between {
             low,
@@ -1417,118 +1425,6 @@ pub(crate) fn index_choice(table: &Table, test: &ColumnTest) -> Option<IndexChoi
         _ => return None,
     };
     Some(IndexChoice::new(ix, ids))
-}
-
-/// A WHERE conjunct that tests one base-table column against constants,
-/// as matched by [`column_test`]. Index selection and the columnar
-/// predicate compiler both consume it, each serving the shapes it can.
-#[derive(Clone)]
-pub(crate) struct ColumnTest {
-    /// Offset of the tested column in the base layout.
-    pub col: usize,
-    pub kind: TestKind,
-}
-
-/// The shape of a [`ColumnTest`], with every constant bound.
-#[derive(Clone)]
-pub(crate) enum TestKind {
-    /// `col op value`: `op` is `=`, `!=`, `<`, `<=`, `>` or `>=`, already
-    /// flipped when the constant was written first, and `value` is never
-    /// NULL.
-    Cmp { op: BinaryOp, value: Value },
-    /// `col [NOT] BETWEEN low AND high` (either bound may be NULL).
-    Between {
-        low: Value,
-        high: Value,
-        negated: bool,
-    },
-    /// `col [NOT] IN (items)`, every item a constant (NULLs included).
-    InList { items: Vec<Value>, negated: bool },
-    /// `col IS [NOT] NULL`.
-    IsNull { negated: bool },
-    /// `col` holds one of a dimension's primary keys: the equi-join of a
-    /// star, with the dimension's predicates evaluated once into the set.
-    KeySet(Arc<vector::KeySet>),
-}
-
-/// Offset of `e` in the base layout when it is a column of `binding`.
-pub(crate) fn resolve_base_col(e: &Expr, binding: &str, layout1: &Layout) -> Option<usize> {
-    match e {
-        Expr::Column { table: Some(t), .. } if !t.eq_ignore_ascii_case(binding) => None,
-        Expr::Column { column, .. } => layout1.resolve(None, column).ok().map(|(_, c)| c),
-        _ => None,
-    }
-}
-
-/// The value of a literal or a bound parameter.
-fn const_val(e: &Expr, params: &[Value]) -> Option<Value> {
-    match e {
-        Expr::Literal(v) => Some(v.clone()),
-        Expr::Param(i) => params.get(*i).cloned(),
-        _ => None,
-    }
-}
-
-/// Match a conjunct against the column-vs-constant(s) shapes of
-/// [`TestKind`]; `None` when it has none of them.
-pub(crate) fn column_test(
-    c: &Expr,
-    binding: &str,
-    layout1: &Layout,
-    params: &[Value],
-) -> Option<ColumnTest> {
-    let col = |e: &Expr| resolve_base_col(e, binding, layout1);
-    let val = |e: &Expr| const_val(e, params);
-    let (col, kind) = match c {
-        Expr::Binary { op, left, right } => {
-            // The operator that reads the same with its operands swapped.
-            let flipped = match op {
-                BinaryOp::Eq | BinaryOp::NotEq => *op,
-                BinaryOp::Lt => BinaryOp::Gt,
-                BinaryOp::LtEq => BinaryOp::GtEq,
-                BinaryOp::Gt => BinaryOp::Lt,
-                BinaryOp::GtEq => BinaryOp::LtEq,
-                _ => return None,
-            };
-            let (col, op, value) = match (col(left), val(right)) {
-                (Some(c), Some(v)) => (c, *op, v),
-                _ => (col(right)?, flipped, val(left)?),
-            };
-            if value.is_null() {
-                return None;
-            }
-            (col, TestKind::Cmp { op, value })
-        }
-        Expr::Between {
-            operand,
-            low,
-            high,
-            negated,
-        } => (
-            col(operand)?,
-            TestKind::Between {
-                low: val(low)?,
-                high: val(high)?,
-                negated: *negated,
-            },
-        ),
-        Expr::InList {
-            operand,
-            list,
-            negated,
-        } => (
-            col(operand)?,
-            TestKind::InList {
-                items: list.iter().map(val).collect::<Option<_>>()?,
-                negated: *negated,
-            },
-        ),
-        Expr::IsNull { operand, negated } => {
-            (col(operand)?, TestKind::IsNull { negated: *negated })
-        }
-        _ => return None,
-    };
-    Some(ColumnTest { col, kind })
 }
 
 // ---------------- projection ----------------

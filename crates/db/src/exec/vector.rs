@@ -42,12 +42,11 @@
 //! constants) declines, and the query falls back to row execution.
 
 use super::aggregate::Accumulator;
-use super::eval::Layout;
-use super::select::{column_test, ColumnTest, TestKind};
+use super::predicate::{ColumnTest, PredOp, TestKind};
 use crate::column::{bit, Chunk, ColumnData, CHUNK_ROWS};
 use crate::error::Result;
 use crate::schema::TableSchema;
-use crate::sql::ast::{AggregateFn, BinaryOp, Expr};
+use crate::sql::ast::AggregateFn;
 use crate::table::{RowId, Table};
 use crate::value::{DataType, IStr, Value};
 use perfdmf_pool as pool;
@@ -117,85 +116,17 @@ pub(crate) struct AggSpec {
     pub col: Option<usize>,
 }
 
-/// A typed predicate constant.
+/// A predicate constant typed against its column: the key it compares
+/// as, and the view of the column's data it compares against.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum ColConst {
+    /// An integer against an INTEGER column, or a boolean (0/1) against a
+    /// BOOLEAN one.
     I(i64),
+    /// A double, or an integer against a DOUBLE column.
     F(f64),
-    B(bool),
     /// Interned dictionary id of a text constant.
     T(u32),
-}
-
-/// Comparison operator on the column's total order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum PredOp {
-    Eq,
-    Ne,
-    Lt,
-    Le,
-    Gt,
-    Ge,
-}
-
-impl PredOp {
-    fn from_binary(op: BinaryOp) -> Option<PredOp> {
-        Some(match op {
-            BinaryOp::Eq => PredOp::Eq,
-            BinaryOp::NotEq => PredOp::Ne,
-            BinaryOp::Lt => PredOp::Lt,
-            BinaryOp::LtEq => PredOp::Le,
-            BinaryOp::Gt => PredOp::Gt,
-            BinaryOp::GtEq => PredOp::Ge,
-            _ => return None,
-        })
-    }
-
-    #[inline]
-    fn test(self, ord: Ordering) -> bool {
-        match self {
-            PredOp::Eq => ord == Ordering::Equal,
-            PredOp::Ne => ord != Ordering::Equal,
-            PredOp::Lt => ord == Ordering::Less,
-            PredOp::Le => ord != Ordering::Greater,
-            PredOp::Gt => ord == Ordering::Greater,
-            PredOp::Ge => ord != Ordering::Less,
-        }
-    }
-}
-
-/// One compiled WHERE conjunct. All variants treat a NULL operand as
-/// not-selected, matching three-valued WHERE semantics.
-#[derive(Debug, Clone)]
-pub(crate) enum ColPred {
-    Cmp {
-        col: usize,
-        op: PredOp,
-        k: ColConst,
-    },
-    Between {
-        col: usize,
-        lo: ColConst,
-        hi: ColConst,
-        negated: bool,
-    },
-    InList {
-        col: usize,
-        items: Vec<ColConst>,
-        negated: bool,
-        /// The original list carried a NULL: a non-matching operand
-        /// yields NULL (not selected) instead of `negated`.
-        saw_null: bool,
-    },
-    IsNull {
-        col: usize,
-        negated: bool,
-    },
-    /// An INTEGER foreign key whose value is in a dimension's key set.
-    InKeys {
-        col: usize,
-        keys: Arc<KeySet>,
-    },
 }
 
 /// The primary keys of the dimension rows that passed the dimension's
@@ -260,6 +191,11 @@ impl KeySet {
         self.offsets.is_some()
     }
 
+    /// True when `k` is in the set.
+    pub(crate) fn contains(&self, k: i64) -> bool {
+        self.position(k).is_some()
+    }
+
     /// Position of `k` in the ascending key order, if it is in the set.
     #[inline]
     fn position(&self, k: i64) -> Option<usize> {
@@ -309,7 +245,8 @@ pub(crate) struct Dimension {
 pub(crate) struct ColumnarPlan {
     /// One kernel per aggregate call, in collection order.
     pub aggs: Vec<AggSpec>,
-    preds: Vec<ColPred>,
+    /// The fact's WHERE conjuncts and non-grouping key sets.
+    preds: Vec<ColumnTest>,
     /// Binding position of the fact table in the pipeline layout.
     pub fact: usize,
     /// The dimensions, in layout order (empty for a single table).
@@ -328,7 +265,7 @@ impl ColumnarPlan {
     /// `dims`.
     pub(crate) fn new(
         aggs: Vec<AggSpec>,
-        preds: Vec<ColPred>,
+        preds: Vec<ColumnTest>,
         fact: usize,
         dims: Vec<Dimension>,
         group: Option<usize>,
@@ -337,13 +274,7 @@ impl ColumnarPlan {
         debug_assert!(group.is_none_or(|g| g < dims.len()));
         let mut cols: Vec<usize> = preds
             .iter()
-            .map(|p| match p {
-                ColPred::Cmp { col, .. }
-                | ColPred::Between { col, .. }
-                | ColPred::InList { col, .. }
-                | ColPred::IsNull { col, .. }
-                | ColPred::InKeys { col, .. } => *col,
-            })
+            .map(|p| p.col)
             .chain(aggs.iter().filter_map(|a| a.col))
             .chain(group.map(|g| dims[g].fk))
             .collect();
@@ -403,7 +334,7 @@ fn typed_const(ty: DataType, v: &Value) -> Option<ColConst> {
     match (ty, v) {
         (DataType::Integer | DataType::Double, Value::Int(i)) => Some(ColConst::I(*i)),
         (DataType::Integer | DataType::Double, Value::Float(f)) => Some(ColConst::F(*f)),
-        (DataType::Boolean, Value::Bool(b)) => Some(ColConst::B(*b)),
+        (DataType::Boolean, Value::Bool(b)) => Some(ColConst::I(i64::from(*b))),
         (DataType::Text, Value::Text(s)) => Some(ColConst::T(s.id())),
         _ => None,
     }
@@ -441,197 +372,204 @@ pub(crate) fn compile_agg(
     Some(AggSpec { func, col })
 }
 
-/// Compile one WHERE conjunct over the fact table (see [`column_test`]).
-pub(crate) fn compile_conjunct(
-    c: &Expr,
-    schema: &TableSchema,
-    binding: &str,
-    layout1: &Layout,
-    params: &[Value],
-) -> Option<ColPred> {
-    compile_test(column_test(c, binding, layout1, params)?, schema)
-}
-
-/// Compile a column test; `None` when it has no exact typed kernel.
-pub(crate) fn compile_test(test: ColumnTest, schema: &TableSchema) -> Option<ColPred> {
-    let ColumnTest { col, kind } = test;
-    let ty = schema.columns[col].ty;
-    match kind {
-        TestKind::Cmp { op, value } => {
-            let op = PredOp::from_binary(op)?;
-            let k = typed_const(ty, &value)?;
-            // Text supports only dictionary-id equality; ordered text
-            // comparisons stay on the row path.
-            if matches!(k, ColConst::T(_)) && !matches!(op, PredOp::Eq | PredOp::Ne) {
-                return None;
-            }
-            Some(ColPred::Cmp { col, op, k })
+/// Whether the chunk kernels evaluate `test` exactly over its column:
+/// each constant must type against the column, text compares only for
+/// equality, BETWEEN needs a numeric column, and a key set an INTEGER
+/// one. An IN list's NULL and cross-type items are inert (they never
+/// equal a value of the column), but a BLOB column has no kernel.
+pub(crate) fn has_kernel(test: &ColumnTest, schema: &TableSchema) -> bool {
+    let ty = schema.columns[test.col].ty;
+    match &test.kind {
+        TestKind::Cmp { op, value } => match typed_const(ty, value) {
+            Some(ColConst::T(_)) => matches!(op, PredOp::Eq | PredOp::Ne),
+            k => k.is_some(),
+        },
+        TestKind::Between { low, high, .. } => {
+            matches!(ty, DataType::Integer | DataType::Double)
+                && typed_const(ty, low).is_some()
+                && typed_const(ty, high).is_some()
         }
-        TestKind::Between { low, high, negated } => {
-            let numeric = matches!(ty, DataType::Integer | DataType::Double);
-            if !numeric || low.is_null() || high.is_null() {
-                return None;
-            }
-            Some(ColPred::Between {
-                col,
-                lo: typed_const(ty, &low)?,
-                hi: typed_const(ty, &high)?,
-                negated,
-            })
-        }
-        TestKind::InList { items, negated } => Some(ColPred::InList {
-            col,
-            // A NULL or cross-type item never equals this column's values
-            // (sql_eq ranks by type): inert, drop it.
-            items: items.iter().filter_map(|v| typed_const(ty, v)).collect(),
-            negated,
-            saw_null: items.iter().any(Value::is_null),
-        }),
-        TestKind::IsNull { negated } => Some(ColPred::IsNull { col, negated }),
-        TestKind::KeySet(keys) => {
-            (ty == DataType::Integer).then_some(ColPred::InKeys { col, keys })
-        }
+        TestKind::InList { .. } => ty != DataType::Blob,
+        TestKind::IsNull { .. } => true,
+        TestKind::KeySet(_) => ty == DataType::Integer,
     }
 }
 
 // ---------------- predicate kernels ----------------
 
-/// Call `f` with the index of every set bit of a bitmap, ascending.
+/// Words in a full chunk's bitmaps.
+const WORDS: usize = CHUNK_ROWS / 64;
+
+/// The order key of a double: integer order on keys is `f64::total_cmp`
+/// order on the doubles (NaN and -0.0 included), the row path's order.
 #[inline(always)]
-fn for_each_one(words: &[u64], mut f: impl FnMut(usize)) {
-    for (w, &word) in words.iter().enumerate() {
-        let mut bits = word;
-        while bits != 0 {
-            f((w << 6) | bits.trailing_zeros() as usize);
-            bits &= bits - 1;
-        }
-    }
+fn f64_key(x: f64) -> i64 {
+    let bits = x.to_bits() as i64;
+    bits ^ (((bits >> 63) as u64) >> 1) as i64
 }
 
-/// `sel` without the rows whose bit is set in `nulls`.
-fn and_not(sel: &[u64], nulls: &[u64]) -> Vec<u64> {
-    sel.iter().zip(nulls).map(|(s, n)| s & !n).collect()
+/// A chunk column viewed as `i64` keys against one typed constant: key
+/// order is the row path's total order between the column's values and
+/// the constant, so one integer comparison decides each row.
+#[derive(Clone, Copy)]
+enum Keys<'a> {
+    /// INTEGER or BOOLEAN data against an integer constant.
+    Int(&'a [i64]),
+    /// INTEGER data against a double constant: compared as doubles.
+    IntAsFloat(&'a [i64]),
+    /// DOUBLE data against any numeric constant.
+    Float(&'a [f64]),
+    /// TEXT data against a text constant: dictionary ids (equality only).
+    Dict(&'a [u32]),
 }
 
-/// Compare row `i` of a typed column against a constant, on the same
-/// total order the row path uses. Caller guarantees the row is live and
-/// non-NULL. Returns `None` if the column data has no kernel.
-#[inline]
-fn cmp_cell(data: &ColumnData, i: usize, k: ColConst) -> Option<Ordering> {
+/// The key view of `data` against `k`, and `k`'s key; `None` when the
+/// data has no kernel for it.
+fn keyed(data: &ColumnData, k: ColConst) -> Option<(Keys<'_>, i64)> {
     Some(match (data, k) {
-        (ColumnData::Int(xs), ColConst::I(b)) => xs[i].cmp(&b),
-        (ColumnData::Int(xs), ColConst::F(b)) => (xs[i] as f64).total_cmp(&b),
-        (ColumnData::Int(xs), ColConst::B(b)) => (xs[i] != 0).cmp(&b),
-        (ColumnData::Float(xs), ColConst::I(b)) => xs[i].total_cmp(&(b as f64)),
-        (ColumnData::Float(xs), ColConst::F(b)) => xs[i].total_cmp(&b),
-        (ColumnData::Dict(ds), ColConst::T(id)) => {
-            if ds[i] == id {
-                Ordering::Equal
-            } else {
-                // Only Eq/Ne reach dictionary columns; any non-equal
-                // ordering stands in for "not equal".
-                Ordering::Less
-            }
-        }
+        (ColumnData::Int(xs), ColConst::I(k)) => (Keys::Int(xs), k),
+        (ColumnData::Int(xs), ColConst::F(f)) => (Keys::IntAsFloat(xs), f64_key(f)),
+        (ColumnData::Float(xs), ColConst::I(k)) => (Keys::Float(xs), f64_key(k as f64)),
+        (ColumnData::Float(xs), ColConst::F(f)) => (Keys::Float(xs), f64_key(f)),
+        (ColumnData::Dict(xs), ColConst::T(id)) => (Keys::Dict(xs), i64::from(id)),
         _ => return None,
     })
 }
 
-/// Apply one predicate to the selection bitmap. Returns `false` when the
-/// column data is unsupported and the query must fall back.
-fn apply_pred(sel: &mut [u64], chunk: &Chunk, pred: &ColPred) -> bool {
-    // Clear every selected row `keep` rejects.
-    fn retain(sel: &mut [u64], keep: impl Fn(usize) -> bool) {
-        for (w, word) in sel.iter_mut().enumerate() {
-            let mut bits = *word;
-            while bits != 0 {
-                let b = bits.trailing_zeros();
-                bits &= bits - 1;
-                if !keep((w << 6) | b as usize) {
-                    *word &= !(1u64 << b);
-                }
-            }
+/// `out[w]` gets bit `b` set ⇔ row `64w + b` passes `key op k`, for each
+/// word in which `sel` selects a row (the others get 0). Each (key view,
+/// operator) pair is its own branch-free loop over 64 rows per word.
+fn cmp_words(keys: Keys<'_>, op: PredOp, k: i64, sel: &[u64], out: &mut [u64]) {
+    #[inline(always)]
+    fn words<T: Copy>(xs: &[T], sel: &[u64], out: &mut [u64], keep: impl Fn(T) -> bool) {
+        let lane = |xs: &[T]| {
+            xs.iter()
+                .enumerate()
+                .fold(0, |m, (b, &x)| m | (u64::from(keep(x)) << b))
+        };
+        let full = xs.chunks_exact(64);
+        let tail = full.remainder();
+        let n = full.len();
+        for ((o, &s), xs) in out.iter_mut().zip(sel).zip(full) {
+            // A whole word: 64 fixed shifts, fully unrolled.
+            let xs: &[T; 64] = xs.try_into().expect("a full word");
+            *o = if s == 0 { 0 } else { lane(xs) };
+        }
+        if !tail.is_empty() {
+            out[n] = lane(tail);
         }
     }
-    if let ColPred::IsNull { col, negated } = pred {
-        let Some(cc) = chunk.col(*col) else {
-            return false;
-        };
-        let nulls = &cc.nulls;
-        retain(sel, |i| bit(nulls, i) != *negated);
+    #[inline(always)]
+    fn by_op<T: Copy>(
+        xs: &[T],
+        key: impl Fn(T) -> i64,
+        op: PredOp,
+        k: i64,
+        sel: &[u64],
+        out: &mut [u64],
+    ) {
+        match op {
+            PredOp::Eq => words(xs, sel, out, |x| key(x) == k),
+            PredOp::Ne => words(xs, sel, out, |x| key(x) != k),
+            PredOp::Lt => words(xs, sel, out, |x| key(x) < k),
+            PredOp::Le => words(xs, sel, out, |x| key(x) <= k),
+            PredOp::Gt => words(xs, sel, out, |x| key(x) > k),
+            PredOp::Ge => words(xs, sel, out, |x| key(x) >= k),
+        }
+    }
+    match keys {
+        Keys::Int(xs) => by_op(xs, |x| x, op, k, sel, out),
+        Keys::IntAsFloat(xs) => by_op(xs, |x| f64_key(x as f64), op, k, sel, out),
+        Keys::Float(xs) => by_op(xs, f64_key, op, k, sel, out),
+        Keys::Dict(xs) => by_op(xs, i64::from, op, k, sel, out),
+    }
+}
+
+/// Apply one column test to the selection bitmap, a 64-row word at a
+/// time; `ty` is the column's declared type, against which the test's
+/// constants are typed. Returns `false` when the column data has no
+/// kernel for it and the query must fall back.
+fn apply_pred(sel: &mut [u64], chunk: &Chunk, test: &ColumnTest, ty: DataType) -> bool {
+    let Some(cc) = chunk.col(test.col) else {
+        return false;
+    };
+    if let TestKind::IsNull { negated } = test.kind {
+        for (s, &n) in sel.iter_mut().zip(&cc.nulls) {
+            *s &= if negated { !n } else { n };
+        }
         return true;
     }
     // Every other test rejects NULL operands.
-    let (ColPred::Cmp { col, .. }
-    | ColPred::Between { col, .. }
-    | ColPred::InList { col, .. }
-    | ColPred::InKeys { col, .. }) = pred
-    else {
-        unreachable!("IS NULL handled above")
-    };
-    let Some(cc) = chunk.col(*col) else {
-        return false;
-    };
-    for (s, n) in sel.iter_mut().zip(&cc.nulls) {
+    for (s, &n) in sel.iter_mut().zip(&cc.nulls) {
         *s &= !n;
     }
-    // Only an empty IN list needs no column data.
-    let no_data = matches!(cc.data, ColumnData::Unsupported);
-    if no_data && !matches!(pred, ColPred::InList { items, .. } if items.is_empty()) {
-        return false;
-    }
-    match pred {
-        ColPred::IsNull { .. } => unreachable!("handled above"),
-        ColPred::Cmp { op, k, .. } => {
-            retain(sel, |i| {
-                cmp_cell(&cc.data, i, *k).is_some_and(|ord| op.test(ord))
-            });
-        }
-        ColPred::Between {
-            lo, hi, negated, ..
-        } => retain(sel, |i| {
-            match (cmp_cell(&cc.data, i, *lo), cmp_cell(&cc.data, i, *hi)) {
-                (Some(a), Some(b)) => (a != Ordering::Less && b != Ordering::Greater) != *negated,
-                _ => false,
-            }
-        }),
-        ColPred::InList {
-            items,
-            negated,
-            saw_null,
-            ..
-        } => retain(sel, |i| {
-            let matched = items
-                .iter()
-                .any(|k| cmp_cell(&cc.data, i, *k) == Some(Ordering::Equal));
-            if matched {
-                !*negated
-            } else if *saw_null {
-                false // NULL in the list ⇒ non-match is NULL
-            } else {
-                *negated
-            }
-        }),
-        ColPred::InKeys { keys, .. } => {
-            let ColumnData::Int(xs) = &cc.data else {
+    let key_of = |v: &Value| keyed(&cc.data, typed_const(ty, v)?);
+    // The rows that pass, then kept where selected.
+    let (mut pass, mut scratch) = ([0u64; WORDS], [0u64; WORDS]);
+    let (pass, scratch) = (&mut pass[..sel.len()], &mut scratch[..sel.len()]);
+    match &test.kind {
+        TestKind::IsNull { .. } => unreachable!("handled above"),
+        TestKind::Cmp { op, value } => {
+            let Some((keys, k)) = key_of(value) else {
                 return false;
             };
-            for (w, word) in sel.iter_mut().enumerate() {
-                if *word != 0 {
-                    *word &= keys.mask(&xs[w << 6..((w + 1) << 6).min(xs.len())]);
+            cmp_words(keys, *op, k, sel, pass);
+        }
+        TestKind::Between { low, high, negated } => {
+            let (Some((lo_keys, lo)), Some((hi_keys, hi))) = (key_of(low), key_of(high)) else {
+                return false;
+            };
+            cmp_words(lo_keys, PredOp::Ge, lo, sel, scratch);
+            cmp_words(hi_keys, PredOp::Le, hi, sel, pass);
+            let flip = if *negated { !0 } else { 0 };
+            for (p, &a) in pass.iter_mut().zip(scratch.iter()) {
+                *p = (*p & a) ^ flip;
+            }
+        }
+        TestKind::InList { items, negated } => {
+            // A NULL or cross-type item never equals a value of the
+            // column (sql_eq ranks by type): it is inert.
+            for k in items.iter().filter_map(|v| typed_const(ty, v)) {
+                let Some((keys, k)) = keyed(&cc.data, k) else {
+                    return false;
+                };
+                cmp_words(keys, PredOp::Eq, k, sel, scratch);
+                for (p, &hit) in pass.iter_mut().zip(scratch.iter()) {
+                    *p |= hit;
+                }
+            }
+            // A non-match is `negated`, or NULL (failing) when the list
+            // holds a NULL.
+            if *negated {
+                let saw_null = items.iter().any(Value::is_null);
+                for p in pass.iter_mut() {
+                    *p = if saw_null { 0 } else { !*p };
                 }
             }
         }
+        TestKind::KeySet(keys) => {
+            let ColumnData::Int(xs) = &cc.data else {
+                return false;
+            };
+            for (w, (p, &s)) in pass.iter_mut().zip(sel.iter()).enumerate() {
+                if s != 0 {
+                    *p = keys.mask(&xs[w << 6..((w + 1) << 6).min(xs.len())]);
+                }
+            }
+        }
+    }
+    for (s, &p) in sel.iter_mut().zip(pass.iter()) {
+        *s &= p;
     }
     true
 }
 
-/// Build the chunk's selection bitmap: live ∧ every predicate. `None`
-/// means an unsupported column forced a fallback.
-fn selection(chunk: &Chunk, preds: &[ColPred]) -> Option<Vec<u64>> {
+/// Build the chunk's selection bitmap: live ∧ every test. `None` means
+/// an unsupported column forced a fallback.
+fn selection(chunk: &Chunk, tests: &[ColumnTest], schema: &TableSchema) -> Option<Vec<u64>> {
     let mut sel = chunk.live.clone();
-    for p in preds {
-        if !apply_pred(&mut sel, chunk, p) {
+    for t in tests {
+        if !apply_pred(&mut sel, chunk, t, schema.columns[t.col].ty) {
             return None;
         }
     }
@@ -640,8 +578,63 @@ fn selection(chunk: &Chunk, preds: &[ColPred]) -> Option<Vec<u64>> {
 
 // ---------------- aggregate kernels ----------------
 
-/// A chunk's selected rows bucketed by chunk-local group, each bucket in
-/// ascending row order: group `g`'s rows are
+/// The selected rows of one chunk-local group.
+#[derive(Clone, Copy)]
+enum GroupRows<'a> {
+    /// The set bits of the selection: an ungrouped chunk's one group,
+    /// read in place.
+    Sel(&'a [u64]),
+    /// A bucket of chunk offsets, ascending.
+    List(&'a [u32]),
+}
+
+impl GroupRows<'_> {
+    /// Number of rows.
+    fn len(self) -> usize {
+        match self {
+            GroupRows::Sel(sel) => sel.iter().map(|w| w.count_ones() as usize).sum(),
+            GroupRows::List(rows) => rows.len(),
+        }
+    }
+
+    /// Number of rows not NULL in `nulls`.
+    fn count_non_null(self, nulls: &[u64]) -> usize {
+        match self {
+            GroupRows::Sel(sel) => sel
+                .iter()
+                .zip(nulls)
+                .map(|(s, n)| (s & !n).count_ones() as usize)
+                .sum(),
+            GroupRows::List(rows) => rows.iter().filter(|&&i| !bit(nulls, i as usize)).count(),
+        }
+    }
+
+    /// Call `f` with every row not NULL in `nulls`, ascending.
+    #[inline(always)]
+    fn non_null(self, nulls: &[u64], mut f: impl FnMut(usize)) {
+        match self {
+            GroupRows::Sel(sel) => {
+                let words = sel.iter().zip(nulls).map(|(s, n)| s & !n);
+                for (w, mut bits) in words.enumerate() {
+                    while bits != 0 {
+                        f((w << 6) | bits.trailing_zeros() as usize);
+                        bits &= bits - 1;
+                    }
+                }
+            }
+            GroupRows::List(rows) => {
+                for i in rows.iter().map(|&i| i as usize) {
+                    if !bit(nulls, i) {
+                        f(i);
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// A grouped chunk's selected rows bucketed by chunk-local group, each
+/// bucket in ascending row order: group `g`'s rows are
 /// `rows[starts[g]..starts[g + 1]]`. A kernel then folds each group's
 /// rows into a local accumulator, with no store-to-load chain through a
 /// group table per row.
@@ -673,111 +666,105 @@ impl Buckets {
         }
     }
 
-    fn len(&self) -> usize {
-        self.starts.len() - 1
-    }
-
-    /// Fold every bucket's rows with `f`, in group order.
-    fn map<T>(&self, mut f: impl FnMut(&[u32]) -> T) -> Vec<T> {
+    /// Every bucket's rows, in group order.
+    fn groups(&self) -> Vec<GroupRows<'_>> {
         self.starts
             .windows(2)
-            .map(|w| f(&self.rows[w[0]..w[1]]))
+            .map(|w| GroupRows::List(&self.rows[w[0]..w[1]]))
             .collect()
     }
 }
 
-/// Run one aggregate kernel over a chunk's bucketed rows, into one
-/// accumulator per bucket. `None` means the column data has no kernel
+/// Run one aggregate kernel over a chunk's grouped rows, into one
+/// accumulator per group. `None` means the column data has no kernel
 /// (fallback).
-fn agg_partial(chunk: &Chunk, buckets: &Buckets, spec: AggSpec) -> Option<Vec<Accumulator>> {
+fn agg_partial(chunk: &Chunk, groups: &[GroupRows<'_>], spec: AggSpec) -> Option<Vec<Accumulator>> {
     let AggSpec { func, col } = spec;
     let count = |n: usize| Accumulator::from_parts(func, n as u64, None, None);
+    let each = |f: &mut dyn FnMut(GroupRows<'_>) -> Accumulator| -> Vec<Accumulator> {
+        groups.iter().map(|&g| f(g)).collect()
+    };
     let Some(col) = col else {
         // COUNT(*): every selected row.
-        return Some(buckets.map(|rows| count(rows.len())));
+        return Some(each(&mut |g| count(g.len())));
     };
     let cc = chunk.col(col)?;
-    // The non-NULL rows of a bucket.
-    fn non_null<'a>(rows: &'a [u32], nulls: &'a [u64]) -> impl Iterator<Item = usize> + 'a {
-        rows.iter()
-            .map(|&i| i as usize)
-            .filter(move |&i| !bit(nulls, i))
-    }
     let nulls = &cc.nulls;
     let want = if func == AggregateFn::Min {
         Ordering::Less
     } else {
         Ordering::Greater
     };
-    let mut samples: Vec<f64> = Vec::new();
-    // STDDEV folds each bucket two-pass into its moments (see
+    // STDDEV folds each group two-pass into its moments (see
     // `Moments::from_samples`): no division per value.
-    let mut stddev = |xs: &mut dyn Iterator<Item = f64>| {
-        samples.clear();
-        samples.extend(xs);
-        Accumulator::from_moments(Moments::from_samples(&samples))
-    };
+    fn stddev(
+        s: &mut Vec<f64>,
+        g: GroupRows<'_>,
+        nulls: &[u64],
+        x: impl Fn(usize) -> f64,
+    ) -> Accumulator {
+        s.clear();
+        g.non_null(nulls, |i| s.push(x(i)));
+        Accumulator::from_moments(Moments::from_samples(s))
+    }
+    let mut samples: Vec<f64> = Vec::new();
     Some(match (&cc.data, func) {
-        (_, AggregateFn::Count) => buckets.map(|rows| count(non_null(rows, nulls).count())),
+        (_, AggregateFn::Count) => each(&mut |g| count(g.count_non_null(nulls))),
         (ColumnData::Int(xs), AggregateFn::StdDev) => {
-            buckets.map(|rows| stddev(&mut non_null(rows, nulls).map(|i| xs[i] as f64)))
+            each(&mut |g| stddev(&mut samples, g, nulls, |i| xs[i] as f64))
         }
         (ColumnData::Float(xs), AggregateFn::StdDev) => {
-            buckets.map(|rows| stddev(&mut non_null(rows, nulls).map(|i| xs[i])))
+            each(&mut |g| stddev(&mut samples, g, nulls, |i| xs[i]))
         }
-        (ColumnData::Int(xs), AggregateFn::Sum | AggregateFn::Avg) => buckets.map(|rows| {
+        (ColumnData::Int(xs), AggregateFn::Sum | AggregateFn::Avg) => each(&mut |g| {
             let mut acc = Accumulator::new(func, false);
-            for i in non_null(rows, nulls) {
-                acc.push_int(xs[i]);
-            }
+            g.non_null(nulls, |i| acc.push_int(xs[i]));
             acc
         }),
-        (ColumnData::Float(xs), AggregateFn::Sum | AggregateFn::Avg) => buckets.map(|rows| {
+        (ColumnData::Float(xs), AggregateFn::Sum | AggregateFn::Avg) => each(&mut |g| {
             let mut acc = Accumulator::new(func, false);
-            for i in non_null(rows, nulls) {
-                acc.push_float(xs[i]);
-            }
+            g.non_null(nulls, |i| acc.push_float(xs[i]));
             acc
         }),
-        (ColumnData::Int(xs), AggregateFn::Min | AggregateFn::Max) => buckets.map(|rows| {
+        (ColumnData::Int(xs), AggregateFn::Min | AggregateFn::Max) => each(&mut |g| {
             let (mut n, mut best) = (0, None);
-            for x in non_null(rows, nulls).map(|i| xs[i]) {
+            g.non_null(nulls, |i| {
                 n += 1;
-                if best.is_none_or(|b| x.cmp(&b) == want) {
-                    best = Some(x);
+                if best.is_none_or(|b: i64| xs[i].cmp(&b) == want) {
+                    best = Some(xs[i]);
                 }
-            }
+            });
             minmax_accumulator(func, n, best.map(Value::Int))
         }),
-        (ColumnData::Float(xs), AggregateFn::Min | AggregateFn::Max) => buckets.map(|rows| {
+        (ColumnData::Float(xs), AggregateFn::Min | AggregateFn::Max) => each(&mut |g| {
             let (mut n, mut best) = (0, None);
-            for x in non_null(rows, nulls).map(|i| xs[i]) {
+            g.non_null(nulls, |i| {
                 n += 1;
                 // total_cmp matches the row path's Value order (NaN and
                 // -0.0 included).
-                if best.is_none_or(|b| x.total_cmp(&b) == want) {
-                    best = Some(x);
+                if best.is_none_or(|b: f64| xs[i].total_cmp(&b) == want) {
+                    best = Some(xs[i]);
                 }
-            }
+            });
             minmax_accumulator(func, n, best.map(Value::Float))
         }),
         (ColumnData::Dict(ds), AggregateFn::Min | AggregateFn::Max) => {
             let mut known = true;
-            let accs = buckets.map(|rows| {
+            let accs = each(&mut |g| {
                 let (mut n, mut best) = (0, None::<IStr>);
-                for i in non_null(rows, nulls) {
+                g.non_null(nulls, |i| {
                     n += 1;
                     if best.is_some_and(|b| b.id() == ds[i]) {
-                        continue;
+                        return;
                     }
                     let Some(s) = IStr::from_id(ds[i]) else {
                         known = false;
-                        continue;
+                        return;
                     };
                     if best.is_none_or(|b| s.as_str().cmp(b.as_str()) == want) {
                         best = Some(s);
                     }
-                }
+                });
                 minmax_accumulator(func, n, best.map(Value::Text))
             });
             known.then_some(accs)?
@@ -805,29 +792,37 @@ type ChunkPartial = Vec<(usize, usize, Vec<Accumulator>)>;
 /// Aggregate one chunk. `local` maps a global group number to its
 /// chunk-local one (`NO_GROUP` when absent); it is left all `NO_GROUP`.
 /// `None` means the chunk's data forced a fallback.
-fn chunk_partial(chunk: &Chunk, plan: &ColumnarPlan, local: &mut [u32]) -> Option<ChunkPartial> {
-    let mut sel = selection(chunk, &plan.preds)?;
-    // The selected rows, ascending, each with its chunk-local group, and
-    // per chunk-local group its global group and first slot.
-    let mut rows: Vec<u32> = Vec::with_capacity(chunk.live_count);
-    let mut row_group: Vec<u32> = Vec::with_capacity(chunk.live_count);
-    let mut groups: Vec<(usize, usize)> = Vec::new();
-    match plan.group {
-        None => {
-            for_each_one(&sel, |i| rows.push(i as u32));
-            row_group.resize(rows.len(), 0);
-            if let Some(&first) = rows.first() {
-                groups.push((0, chunk.base + first as usize));
+fn chunk_partial(
+    chunk: &Chunk,
+    schema: &TableSchema,
+    plan: &ColumnarPlan,
+    local: &mut [u32],
+) -> Option<ChunkPartial> {
+    let sel = selection(chunk, &plan.preds, schema)?;
+    // Per chunk-local group: its global group and first slot, and its
+    // selected rows.
+    let buckets;
+    let (groups, rows): (Vec<(usize, usize)>, Vec<GroupRows<'_>>) = match plan.group {
+        // The selection itself is the one group: no row is copied.
+        None => match sel.iter().position(|&w| w != 0) {
+            Some(w) => {
+                let first = (w << 6) | sel[w].trailing_zeros() as usize;
+                (vec![(0, chunk.base + first)], vec![GroupRows::Sel(&sel)])
             }
-        }
+            None => return Some(Vec::new()),
+        },
         Some(d) => {
             let dim = &plan.dims[d];
             let fk = chunk.col(dim.fk)?;
             let ColumnData::Int(xs) = &fk.data else {
                 return None;
             };
-            sel = and_not(&sel, &fk.nulls);
-            for_each_one(&sel, |i| {
+            // The selected rows, ascending, each with its chunk-local
+            // group.
+            let mut rows: Vec<u32> = Vec::with_capacity(chunk.live_count);
+            let mut row_group: Vec<u32> = Vec::with_capacity(chunk.live_count);
+            let mut groups: Vec<(usize, usize)> = Vec::new();
+            GroupRows::Sel(&sel).non_null(&fk.nulls, |i| {
                 // This lookup is the grouping dimension's key-set test: a
                 // key outside the set deselects the row.
                 let Some(g) = dim.keys.position(xs[i]) else {
@@ -843,19 +838,16 @@ fn chunk_partial(chunk: &Chunk, plan: &ColumnarPlan, local: &mut [u32]) -> Optio
             for &(g, _) in &groups {
                 local[g] = NO_GROUP;
             }
+            buckets = Buckets::new(&rows, &row_group, groups.len());
+            (groups, buckets.groups())
         }
-    }
-    let buckets = Buckets::new(&rows, &row_group, groups.len());
-    debug_assert_eq!(buckets.len(), groups.len());
+    };
     let mut per_group: Vec<Vec<Accumulator>> = groups
         .iter()
         .map(|_| Vec::with_capacity(plan.aggs.len()))
         .collect();
     for spec in &plan.aggs {
-        for (dst, acc) in per_group
-            .iter_mut()
-            .zip(agg_partial(chunk, &buckets, *spec)?)
-        {
+        for (dst, acc) in per_group.iter_mut().zip(agg_partial(chunk, &rows, *spec)?) {
             dst.push(acc);
         }
     }
@@ -927,7 +919,7 @@ pub(crate) fn execute_columnar(
                 misses += 1;
             }
             rows += chunk.live_count as u64;
-            match chunk_partial(&chunk, plan, &mut local) {
+            match chunk_partial(&chunk, &table.schema, plan, &mut local) {
                 Some(partial) => partials.push(partial),
                 None => return Ok(None),
             }
@@ -981,8 +973,11 @@ pub(crate) fn execute_columnar(
 
 #[cfg(test)]
 mod tests {
+    use super::super::eval::Layout;
+    use super::super::predicate::{column_test, resolve_base_col};
     use super::*;
     use crate::schema::ColumnDef;
+    use crate::sql::ast::{BinaryOp, Expr};
     use crate::table::Row;
 
     fn schema() -> TableSchema {
@@ -1051,7 +1046,7 @@ mod tests {
             };
             let col = match arg {
                 None => None,
-                Some(e) => Some(super::super::select::resolve_base_col(e, binding, layout1)?),
+                Some(e) => Some(resolve_base_col(e, binding, layout1)?),
             };
             aggs.push(compile_agg(schema, *func, col)?);
         }
@@ -1060,7 +1055,11 @@ mod tests {
             .map(super::super::select::conjuncts)
             .unwrap_or_default()
         {
-            preds.push(compile_conjunct(c, schema, binding, layout1, params)?);
+            let test = column_test(c, binding, layout1, params)?;
+            if !has_kernel(&test, schema) {
+                return None;
+            }
+            preds.push(test);
         }
         Some(ColumnarPlan::new(aggs, preds, 0, Vec::new(), None, None))
     }
@@ -1226,6 +1225,123 @@ mod tests {
         for p in &preds {
             columnar_matches_serial(&t, &exprs, Some(p));
         }
+    }
+
+    /// Every word kernel equals the row test, row by row, on a chunk with
+    /// dead rows, NULLs and a short last word, for every (column data,
+    /// constant, operator) that `has_kernel` accepts.
+    #[test]
+    fn word_kernels_match_row_tests() {
+        let ints = [0, 1, -1, 2, i64::MIN, i64::MAX, 1 << 53, (1 << 53) + 1];
+        let floats = [
+            0.0,
+            -0.0,
+            1.0,
+            -1.0,
+            1.5,
+            2.0,
+            f64::NAN,
+            -f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            9_007_199_254_740_992.0,
+            9.223_372_036_854_776e18,
+        ];
+        let texts = ["alpha", "beta", "gamma"];
+        let mut cols = schema().columns;
+        cols.push(ColumnDef::new("y", DataType::Blob));
+        let mut t = Table::new(TableSchema::new("m", cols).unwrap());
+        for i in 0..200usize {
+            let null = |m: usize| i % m == 3;
+            let row = vec![
+                Value::from((!null(7)).then_some(ints[i % ints.len()])),
+                Value::from((!null(5)).then_some(floats[i % floats.len()])),
+                Value::from((!null(6)).then_some(texts[i % texts.len()])),
+                Value::from((!null(4)).then_some(i % 3 == 0)),
+                match null(8) {
+                    true => Value::Null,
+                    false => Value::Bytes(vec![i as u8 % 3].into()),
+                },
+            ];
+            t.insert(row).unwrap();
+        }
+        for id in (0..200).step_by(9) {
+            t.delete(id).unwrap();
+        }
+        let mut consts: Vec<Value> = ints.iter().map(|&i| Value::Int(i)).collect();
+        consts.extend(floats.iter().map(|&f| Value::Float(f)));
+        consts.extend(["alpha", "gamma", "delta"].map(Value::from));
+        consts.extend([Value::Bool(true), Value::Bool(false), Value::Null]);
+        consts.push(Value::Bytes(vec![1].into()));
+        let ops = [
+            PredOp::Eq,
+            PredOp::Ne,
+            PredOp::Lt,
+            PredOp::Le,
+            PredOp::Gt,
+            PredOp::Ge,
+        ];
+        let mut kinds = Vec::new();
+        for negated in [false, true] {
+            kinds.push(TestKind::IsNull { negated });
+            for lo in &consts {
+                for hi in &consts {
+                    let (low, high) = (lo.clone(), hi.clone());
+                    kinds.push(TestKind::Between { low, high, negated });
+                }
+            }
+            for n in 1..4 {
+                for items in consts.windows(n).chain([&consts[consts.len() - 2..]]) {
+                    let items = items.to_vec();
+                    kinds.push(TestKind::InList { items, negated });
+                }
+            }
+        }
+        for op in ops {
+            for value in consts.iter().filter(|v| !v.is_null()) {
+                let value = value.clone();
+                kinds.push(TestKind::Cmp { op, value });
+            }
+        }
+        for keys in [vec![0, 1, 2], vec![i64::MIN, 1, i64::MAX]] {
+            let set = KeySet::new(keys.into_iter().map(|k| (k, 0)).collect());
+            kinds.push(TestKind::KeySet(Arc::new(set)));
+        }
+        let mut compiled = std::collections::HashSet::new();
+        for col in 0..5 {
+            let (chunk, _) = t.chunk(0, &[col]);
+            let chunk = chunk.unwrap();
+            assert_eq!(chunk.len % 64, 8, "the last word is short");
+            for kind in &kinds {
+                let test = ColumnTest {
+                    col,
+                    kind: kind.clone(),
+                };
+                if !has_kernel(&test, &t.schema) {
+                    continue;
+                }
+                let sel = selection(&chunk, std::slice::from_ref(&test), &t.schema)
+                    .expect("has a kernel");
+                for i in 0..chunk.len {
+                    let want = t.row(i as RowId).is_some_and(|r| test.matches(&r[col]));
+                    assert_eq!(bit(&sel, i), want, "column {col}, row {i}: {test:?}");
+                }
+                use std::mem::discriminant as tag;
+                let shape = match &test.kind {
+                    TestKind::Cmp { op, value } => format!("cmp {op:?} {:?}", tag(value)),
+                    TestKind::Between { low, high, .. } => {
+                        format!("between {:?} {:?}", tag(low), tag(high))
+                    }
+                    other => format!("{:?}", tag(other)),
+                };
+                compiled.insert((col, shape));
+            }
+        }
+        // Comparisons: 6 ops × {int, double} constants on INTEGER and
+        // DOUBLE, 6 ops × bool on BOOLEAN, Eq/Ne × text on TEXT. BETWEEN:
+        // 4 bound kinds on each numeric column. IN on the 4 columns that
+        // are not BLOB, IS NULL on all 5, key sets on the INTEGER one.
+        assert_eq!(compiled.len(), 12 + 12 + 6 + 2 + 8 + 4 + 5 + 1);
     }
 
     #[test]

@@ -16,9 +16,12 @@ use super::ir::{
 use crate::column::CHUNK_ROWS;
 use crate::error::Result;
 use crate::exec::eval::Layout;
+use crate::exec::predicate::{
+    column_test, compile_pushed, pushed_match, ColumnTest, Conjunct, TestKind,
+};
 use crate::exec::select::{
-    column_test, conjuncts, decompose, equi_offsets, index_candidates, index_choice, pushed_match,
-    refs_only_layout, BoundAggregate, ColumnTest, TestKind,
+    conjuncts, decompose, equi_offsets, index_candidates, index_choice, refs_only_layout,
+    BoundAggregate,
 };
 use crate::exec::vector;
 use crate::sql::ast::{BinaryOp, Expr, JoinKind};
@@ -249,19 +252,17 @@ fn columnar_choice(
     }
 
     let fact_layout = fact_scan.layout1();
-    let mut col_preds = Vec::new();
+    // Every fact conjunct must be a column test with a chunk kernel.
+    let mut col_preds: Vec<ColumnTest> = Vec::new();
     for c in &preds[fact] {
-        match vector::compile_conjunct(c, schema, &fact_scan.binding, &fact_layout, params) {
-            Some(p) => col_preds.push(p),
-            None => return Ok(None),
+        match column_test(c, &fact_scan.binding, &fact_layout, params) {
+            Some(test) if vector::has_kernel(&test, schema) => col_preds.push(test),
+            _ => return Ok(None),
         }
     }
-    // Candidate rows: the smallest set a fact index yields for one test.
-    let mut tests: Vec<ColumnTest> = preds[fact]
-        .iter()
-        .filter_map(|c| column_test(c, &fact_scan.binding, &fact_layout, params))
-        .collect();
+    // Each dimension's key set tests the fact's INTEGER foreign key.
     let mut dimensions = Vec::with_capacity(dims.len());
+    let mut group_test = None;
     for (i, &(b, fk)) in dims.iter().enumerate() {
         let Some((keys, read, ns)) = key_set(scans[b], &preds[b], params) else {
             return Ok(None);
@@ -270,14 +271,12 @@ fn columnar_choice(
             col: fk,
             kind: TestKind::KeySet(keys.clone()),
         };
-        let Some(pred) = vector::compile_test(test.clone(), schema) else {
-            return Ok(None);
-        };
         // The group lookup tests the grouping dimension's keys itself.
-        if group != Some(i) {
-            col_preds.push(pred);
+        if group == Some(i) {
+            group_test = Some(test);
+        } else {
+            col_preds.push(test);
         }
-        tests.push(test);
         dimensions.push(vector::Dimension {
             binding: b,
             fk,
@@ -286,7 +285,8 @@ fn columnar_choice(
             ns,
         });
     }
-    let candidates = candidate_chunks(&fact_scan.source, &tests);
+    // Candidate rows: the smallest set a fact index yields for one test.
+    let candidates = candidate_chunks(&fact_scan.source, col_preds.iter().chain(&group_test));
     let slab = fact_scan.source.slab_len();
     let reason = match (mode, &candidates) {
         (vector::ColumnarMode::Force, _) => "forced by PERFDMF_COLUMNAR".to_string(),
@@ -315,9 +315,11 @@ fn columnar_choice(
 /// most selective of `tests`: their count, the index name, and the
 /// chunks that hold them, ascending. The ids are only counted and
 /// bucketed, never collected or sorted.
-fn candidate_chunks(table: &Table, tests: &[ColumnTest]) -> Option<(usize, String, Vec<usize>)> {
+fn candidate_chunks<'t>(
+    table: &Table,
+    tests: impl Iterator<Item = &'t ColumnTest>,
+) -> Option<(usize, String, Vec<usize>)> {
     let (n, name, parts) = tests
-        .iter()
         .filter_map(|t| {
             let ix = table.index_on(t.col)?;
             let parts: Vec<Cow<'_, [RowId]>> = match &t.kind {
@@ -419,15 +421,13 @@ fn key_set(
     let table: &Table = &scan.source;
     let layout1 = scan.layout1();
     let pk = table.schema.primary_key_index()?;
-    let bound: Vec<Expr> = preds
+    let compiled = compile_pushed(preds.iter().copied(), &scan.binding, &layout1, params).ok()?;
+    let candidates = compiled
         .iter()
-        .map(|c| layout1.bind(c))
-        .collect::<Result<_>>()
-        .ok()?;
-    let candidates = preds
-        .iter()
-        .filter_map(|c| column_test(c, &scan.binding, &layout1, params))
-        .filter_map(|t| index_choice(table, &t))
+        .filter_map(|c| match c {
+            Conjunct::Typed(t) => index_choice(table, t),
+            Conjunct::Eval(_) => None,
+        })
         .min_by_key(|c| c.ids.len());
     let rows: Box<dyn Iterator<Item = (RowId, &Row)>> = match &candidates {
         Some(c) => Box::new(c.ids.iter().filter_map(|&id| Some((id, table.row(id)?)))),
@@ -436,7 +436,7 @@ fn key_set(
     let (mut pairs, mut read) = (Vec::new(), 0u64);
     for (id, row) in rows {
         read += 1;
-        if pushed_match(&bound, row, params).ok()? {
+        if pushed_match(&compiled, row, params).ok()? {
             if let Value::Int(k) = row[pk] {
                 pairs.push((k, id));
             }

@@ -33,9 +33,9 @@ use std::sync::OnceLock;
 use super::ir::{
     base_scan_mut, map_pipeline, pipeline_layout, pipeline_mut, LogicalPlan, ScanNode, TrailEntry,
 };
+use crate::exec::predicate::resolve_base_col;
 use crate::exec::select::{
     collect_columns, conjuncts, decompose, grouped_only, index_candidates, refs_only_layout,
-    resolve_base_col,
 };
 use crate::sql::ast::{BinaryOp, Expr, JoinKind, Projection};
 use crate::value::Value;
