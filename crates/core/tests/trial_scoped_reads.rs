@@ -2,9 +2,10 @@
 //! archive: each join of `load_trial` and `event_aggregates` reads as
 //! many right-side rows (EXPLAIN ANALYZE `read=`) for a trial stored
 //! alone as for the same trial among seven others. Nothing is timed.
+//! The claim is about pushed-down reads, so the optimizer is pinned on.
 
 use perfdmf_core::{DatabaseSession, EVENT_AGGREGATES_SQL, INTERVAL_ROWS_SQL};
-use perfdmf_db::{Connection, Value};
+use perfdmf_db::{override_optimizer, Connection, OptimizerConfig, Value};
 use perfdmf_profile::{IntervalData, IntervalEvent, Metric, Profile, ThreadId};
 
 /// Two events on four threads, one metric; `scale` varies the values.
@@ -59,6 +60,7 @@ fn join_reads(others: usize) -> Vec<String> {
 
 #[test]
 fn trial_scoped_joins_read_the_same_rows_in_any_archive() {
+    let _o = override_optimizer(OptimizerConfig::all_on());
     let alone = join_reads(0);
     assert_eq!(alone.len(), 3, "{alone:?}");
     assert_eq!(alone, join_reads(7));

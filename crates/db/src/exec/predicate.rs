@@ -15,7 +15,7 @@
 //! Conjuncts of any other shape, and tests whose parameter is missing,
 //! stay expressions and go through `eval`, so their errors are unchanged.
 
-use super::eval::{eval_condition, Env, Layout};
+use super::eval::{eval_ref, Env, Layout};
 use super::vector::KeySet;
 use crate::error::Result;
 use crate::sql::ast::{BinaryOp, Expr};
@@ -107,33 +107,35 @@ pub(crate) enum TestKind {
 }
 
 impl ColumnTest {
-    /// The row evaluator: whether a row whose tested column holds `v`
-    /// passes. Equal to `eval_condition` of the conjunct on that row.
+    /// The row evaluator: the truth of the conjunct on a row whose tested
+    /// column holds `v`, `None` for NULL. Equal to `eval` of the conjunct
+    /// on that row.
     #[inline]
-    pub(crate) fn matches(&self, v: &Value) -> bool {
+    pub(crate) fn matches(&self, v: &Value) -> Option<bool> {
         match &self.kind {
-            TestKind::Cmp { op, value } => v.sql_cmp(value).is_some_and(|o| op.test(o)),
+            TestKind::Cmp { op, value } => v.sql_cmp(value).map(|o| op.test(o)),
             TestKind::Between { low, high, negated } => match (v.sql_cmp(low), v.sql_cmp(high)) {
-                (Some(a), Some(b)) => (a != Ordering::Less && b != Ordering::Greater) != *negated,
-                _ => false,
+                (Some(a), Some(b)) => {
+                    Some((a != Ordering::Less && b != Ordering::Greater) != *negated)
+                }
+                _ => None,
             },
             TestKind::InList { items, negated } => {
                 if v.is_null() {
-                    return false;
+                    return None;
                 }
                 let mut saw_null = false;
                 for w in items {
                     match v.sql_eq(w) {
-                        Some(true) => return !*negated,
+                        Some(true) => return Some(!*negated),
                         Some(false) => {}
                         None => saw_null = true,
                     }
                 }
-                // A NULL item makes a non-match NULL, which fails.
-                !saw_null && *negated
+                (!saw_null).then_some(*negated)
             }
-            TestKind::IsNull { negated } => v.is_null() != *negated,
-            TestKind::KeySet(keys) => matches!(v, Value::Int(k) if keys.contains(*k)),
+            TestKind::IsNull { negated } => Some(v.is_null() != *negated),
+            TestKind::KeySet(keys) => Some(matches!(v, Value::Int(k) if keys.contains(*k))),
         }
     }
 }
@@ -237,17 +239,22 @@ pub(crate) fn compile_pushed<'e>(
         .collect()
 }
 
-/// Evaluate a scan's compiled pushed conjuncts against one of its rows,
-/// stopping at the first that fails.
+/// Evaluate a scan's compiled pushed conjuncts against one of its rows
+/// as `eval` evaluates their `AND`: stop at the first FALSE, and go on
+/// past a NULL (so a later conjunct's error still surfaces), which then
+/// rejects the row.
 pub(crate) fn pushed_match(pushed: &[Conjunct], row: &Row, params: &[Value]) -> Result<bool> {
+    let mut all_true = true;
     for c in pushed {
-        let pass = match c {
+        let truth = match c {
             Conjunct::Typed(test) => test.matches(&row[test.col]),
-            Conjunct::Eval(e) => eval_condition(e, &Env::new(&[Some(row)], params))?,
+            Conjunct::Eval(e) => eval_ref(e, &Env::new(&[Some(row)], params))?.as_bool(),
         };
-        if !pass {
-            return Ok(false);
+        match truth {
+            Some(true) => {}
+            Some(false) => return Ok(false),
+            None => all_true = false,
         }
     }
-    Ok(true)
+    Ok(all_true)
 }

@@ -1369,7 +1369,7 @@ impl IndexChoice {
             index_name: ix.name.clone(),
             distinct_keys: ix.distinct_keys(),
             key_range: match (ix.min_key(), ix.max_key()) {
-                (Some(lo), Some(hi)) => Some((lo.clone(), hi.clone())),
+                (Some(lo), Some(hi)) => Some((lo, hi)),
                 _ => None,
             },
         }
@@ -1399,9 +1399,15 @@ pub(crate) fn index_candidates(
 /// its column, when there is one and it can serve the test.
 pub(crate) fn index_choice(table: &Table, test: &ColumnTest) -> Option<IndexChoice> {
     let ix = table.index_on(test.col)?;
+    // A double past 2^53 equals every integer key that rounds to it, and
+    // `ids` looks up one key; a range finds them all.
+    let equal = |v: &Value| match v {
+        Value::Float(_) => ix.range(Bound::Included(v), Bound::Included(v)),
+        _ => ix.ids(v).to_vec(),
+    };
     let ids = match &test.kind {
         TestKind::Cmp { op, value } => match op {
-            PredOp::Eq => ix.ids(value).to_vec(),
+            PredOp::Eq => equal(value),
             PredOp::Lt => ix.range(Bound::Unbounded, Bound::Excluded(value)),
             PredOp::Le => ix.range(Bound::Unbounded, Bound::Included(value)),
             PredOp::Gt => ix.range(Bound::Excluded(value), Bound::Unbounded),
@@ -1417,7 +1423,7 @@ pub(crate) fn index_choice(table: &Table, test: &ColumnTest) -> Option<IndexChoi
             items,
             negated: false,
         } => {
-            let mut ids: Vec<RowId> = items.iter().flat_map(|v| ix.ids(v)).copied().collect();
+            let mut ids: Vec<RowId> = items.iter().flat_map(equal).collect();
             ids.sort_unstable();
             ids.dedup();
             ids

@@ -1323,7 +1323,9 @@ mod tests {
                 let sel = selection(&chunk, std::slice::from_ref(&test), &t.schema)
                     .expect("has a kernel");
                 for i in 0..chunk.len {
-                    let want = t.row(i as RowId).is_some_and(|r| test.matches(&r[col]));
+                    let want = t
+                        .row(i as RowId)
+                        .is_some_and(|r| test.matches(&r[col]) == Some(true));
                     assert_eq!(bit(&sel, i), want, "column {col}, row {i}: {test:?}");
                 }
                 use std::mem::discriminant as tag;

@@ -8,7 +8,7 @@ use crate::column::{Chunk, ColumnCache, CHUNK_ROWS};
 use crate::error::{DbError, Result};
 use crate::index::Index;
 use crate::schema::{ColumnDef, TableSchema};
-use crate::value::Value;
+use crate::value::{DataType, Value};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -60,20 +60,19 @@ impl Table {
             colcache: ColumnCache::default(),
         };
         // Primary key and UNIQUE columns get implicit unique indexes so
-        // constraint checks are O(log n).
-        let implicit: Vec<(String, usize)> = t
-            .schema
-            .columns
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| c.unique || c.primary_key)
-            .map(|(i, c)| {
-                let name = format!("{IMPLICIT_INDEX_PREFIX}{}_{}", t.schema.name, c.name);
-                (name, i)
-            })
-            .collect();
-        for (name, col) in implicit {
-            t.indexes.insert(name.clone(), Index::new(name, col, true));
+        // constraint checks are O(log n). An integer AUTO_INCREMENT key is
+        // issued in ascending order, so its index starts dense: O(1).
+        for (col, c) in t.schema.columns.iter().enumerate() {
+            if !(c.unique || c.primary_key) {
+                continue;
+            }
+            let name = format!("{IMPLICIT_INDEX_PREFIX}{}_{}", t.schema.name, c.name);
+            let index = if c.primary_key && c.auto_increment && c.ty == DataType::Integer {
+                Index::dense(name.clone(), col)
+            } else {
+                Index::new(name.clone(), col, true)
+            };
+            t.indexes.insert(name, index);
         }
         t
     }
@@ -186,12 +185,13 @@ impl Table {
         Ok(())
     }
 
-    /// Advance the AUTO_INCREMENT counter past an explicit key in `row`.
+    /// Advance the AUTO_INCREMENT counter past an explicit key in `row`
+    /// (it stays at `i64::MAX` once a row holds that key).
     fn bump_auto(&mut self, row: &Row) {
         if let Some(pk) = self.schema.primary_key_index() {
             if self.schema.columns[pk].auto_increment {
                 if let Value::Int(v) = row[pk] {
-                    self.next_auto = self.next_auto.max(v + 1);
+                    self.next_auto = self.next_auto.max(v.saturating_add(1));
                 }
             }
         }

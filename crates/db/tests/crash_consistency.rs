@@ -18,6 +18,14 @@ use perfdmf_telemetry::{mix64, GOLDEN_GAMMA};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
+/// A durability fault dumps the flight recorder to one process-wide path,
+/// so a fault raised by a concurrent test can overwrite the dump test's
+/// file: the tests of this file run one at a time.
+fn serial() -> std::sync::MutexGuard<'static, ()> {
+    static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    SERIAL.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 fn tmpdir(tag: &str) -> std::path::PathBuf {
     let d = std::env::temp_dir().join(format!(
         "pdmf_crash_{tag}_{}_{:?}",
@@ -460,6 +468,7 @@ fn seeds_under_test() -> Vec<u64> {
 
 #[test]
 fn every_crash_point_recovers() {
+    let _serial = serial();
     let mut total_points = 0u64;
     for seed in seeds_under_test() {
         let steps = workload(seed);
@@ -493,6 +502,7 @@ fn every_crash_point_recovers() {
 
 #[test]
 fn fsync_failure_at_checkpoint_is_reported_and_survivable() {
+    let _serial = serial();
     let dir = tmpdir("fsync");
     // Probe: find the op index of the snapshot fsync during checkpoint.
     let probe = Arc::new(FaultVfs::on_disk(FaultPlan::default()));
@@ -537,6 +547,7 @@ fn fsync_failure_at_checkpoint_is_reported_and_survivable() {
 
 #[test]
 fn enospc_on_commit_rolls_back_and_recovers() {
+    let _serial = serial();
     let dir = tmpdir("enospc");
     let probe = Arc::new(FaultVfs::on_disk(FaultPlan::default()));
     {
@@ -573,6 +584,7 @@ fn enospc_on_commit_rolls_back_and_recovers() {
 
 #[test]
 fn bit_flip_on_snapshot_read_is_detected() {
+    let _serial = serial();
     let dir = tmpdir("bitflip");
     {
         let conn = Connection::open(&dir).unwrap();
@@ -593,6 +605,7 @@ fn bit_flip_on_snapshot_read_is_detected() {
 
 #[test]
 fn short_read_of_wal_never_panics() {
+    let _serial = serial();
     for seed in 0..16u64 {
         let dir = tmpdir(&format!("shortread_{seed}"));
         {
@@ -629,6 +642,7 @@ fn short_read_of_wal_never_panics() {
 
 #[test]
 fn recovery_telemetry_counters_are_emitted() {
+    let _serial = serial();
     let dir = tmpdir("telemetry");
     {
         let conn = Connection::open(&dir).unwrap();
@@ -663,6 +677,7 @@ fn recovery_telemetry_counters_are_emitted() {
 
 #[test]
 fn injected_fault_reopen_produces_flight_recorder_dump() {
+    let _serial = serial();
     let dir = tmpdir("trace_dump");
     {
         let conn = Connection::open(&dir).unwrap();
@@ -709,6 +724,7 @@ fn counter_value(name: &str) -> u64 {
 
 #[test]
 fn chunk_cache_is_rebuilt_after_crash_recovery() {
+    let _serial = serial();
     use perfdmf_db::{override_columnar, ColumnarMode};
     let dir = tmpdir("colcache_rebuild");
     let _force = override_columnar(ColumnarMode::Force);

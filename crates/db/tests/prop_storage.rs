@@ -513,7 +513,13 @@ fn index_contents(t: &Table) -> Vec<IndexContents> {
     let mut out: Vec<_> = t
         .indexes()
         .map(|ix| {
-            let entries = ix.keys().map(|k| (k.clone(), ix.ids(k).to_vec())).collect();
+            let entries = ix
+                .keys()
+                .map(|k| {
+                    let ids = ix.ids(&k).to_vec();
+                    (k, ids)
+                })
+                .collect();
             (ix.name.clone(), ix.unique, entries)
         })
         .collect();

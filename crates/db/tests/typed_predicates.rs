@@ -264,3 +264,25 @@ fn missing_parameter_errors_like_eval() {
         }
     }
 }
+
+/// A NULL conjunct does not hide a later conjunct's error. Pushed into the
+/// scan or evaluated whole after the join, `t.i BETWEEN 1 AND NULL` is
+/// NULL, so the `LIKE` on the BLOB `t.y` still runs and fails, as in
+/// `eval`'s three-valued AND; a FALSE conjunct before it stops the row.
+#[test]
+fn a_null_conjunct_still_reaches_a_later_error() {
+    let conn = build(&[7, 8, 9]);
+    let from = "SELECT t.k FROM t JOIN u ON t.k = u.k WHERE t.i BETWEEN 1 AND NULL";
+    for cfg in [OptimizerConfig::all_on(), OptimizerConfig::disabled()] {
+        let _o = override_optimizer(cfg);
+        let got = keys(&conn, &format!("{from} AND t.y LIKE 'x'"), &[]);
+        assert!(
+            got.as_ref()
+                .is_err_and(|e| e.contains("LIKE requires text operands")),
+            "optimizer {}: {got:?}",
+            cfg.enabled
+        );
+        let stopped = keys(&conn, &format!("{from} AND t.k < 0 AND t.y LIKE 'x'"), &[]);
+        assert_eq!(stopped, Ok(Vec::new()), "optimizer {}", cfg.enabled);
+    }
+}

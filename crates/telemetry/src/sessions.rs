@@ -154,8 +154,12 @@ pub fn clear() {
 mod tests {
     use super::*;
 
+    /// Both tests clear and refill the one process-wide registry.
+    static SERIAL: Mutex<()> = Mutex::new(());
+
     #[test]
     fn upsert_updates_in_place_and_log_orders_by_id() {
+        let _serial = SERIAL.lock();
         clear();
         upsert(SessionRecord::new(2, "b"));
         upsert(SessionRecord::new(1, "a"));
@@ -175,6 +179,7 @@ mod tests {
 
     #[test]
     fn closed_sessions_evict_before_live_ones() {
+        let _serial = SERIAL.lock();
         clear();
         // Fill well past any plausible capacity with closed sessions,
         // then insert one live session: it must survive.

@@ -7,8 +7,11 @@
 //!
 //! This example sweeps Miranda-shaped trials over processor counts,
 //! measuring generate / store / query / summarize times and printing the
-//! data-point counts and the process's resident memory right after each
-//! store. The default sweep tops out at 4K processors to stay
+//! data-point counts, the process's resident memory and its live heap
+//! right after each store. `rss (MiB)` never falls when an earlier sweep
+//! point frees its heap, so `heap (MiB)`, counted by a global allocator
+//! wrapper, is the store's own footprint (the source profile included).
+//! The default sweep tops out at 4K processors to stay
 //! quick in debug builds; pass `--full` for the paper's 8K and 16K points
 //! (use `--release`).
 //!
@@ -17,7 +20,50 @@
 use perfdmf::core::{load_trial_filtered, DatabaseSession, LoadFilter};
 use perfdmf::db::{Connection, Value};
 use perfdmf::workload::MirandaModel;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 use std::time::Instant;
+
+/// The system allocator, counting live bytes in [`LIVE`].
+struct Counting;
+
+static LIVE: AtomicUsize = AtomicUsize::new(0);
+
+#[global_allocator]
+static HEAP: Counting = Counting;
+
+// SAFETY: every call forwards to `System` unchanged; only a counter moves.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        let p = unsafe { System.alloc(layout) };
+        if !p.is_null() {
+            LIVE.fetch_add(layout.size(), Relaxed);
+        }
+        p
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        let p = unsafe { System.alloc_zeroed(layout) };
+        if !p.is_null() {
+            LIVE.fetch_add(layout.size(), Relaxed);
+        }
+        p
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        unsafe { System.dealloc(ptr, layout) };
+        LIVE.fetch_sub(layout.size(), Relaxed);
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        let p = unsafe { System.realloc(ptr, layout, new_size) };
+        if !p.is_null() {
+            LIVE.fetch_add(new_size, Relaxed);
+            LIVE.fetch_sub(layout.size(), Relaxed);
+        }
+        p
+    }
+}
 
 fn main() {
     let full = std::env::args().any(|a| a == "--full");
@@ -32,8 +78,15 @@ fn main() {
         model.events
     );
     println!(
-        "{:>8} {:>12} {:>10} {:>10} {:>10} {:>10} {:>10}",
-        "procs", "data points", "gen (s)", "store (s)", "rss (MiB)", "query (s)", "summ (s)"
+        "{:>8} {:>12} {:>10} {:>10} {:>10} {:>10} {:>10} {:>10}",
+        "procs",
+        "data points",
+        "gen (s)",
+        "store (s)",
+        "rss (MiB)",
+        "heap (MiB)",
+        "query (s)",
+        "summ (s)"
     );
 
     for &procs in proc_counts {
@@ -49,6 +102,7 @@ fn main() {
         let trial_id = session.store_profile("miranda", "bgl", &profile).unwrap();
         let store_s = t0.elapsed().as_secs_f64();
         let rss = rss_mib();
+        let heap = LIVE.load(Relaxed) as f64 / (1024.0 * 1024.0);
 
         // Representative analysis queries over the mass of data:
         let t0 = Instant::now();
@@ -85,7 +139,7 @@ fn main() {
         assert_eq!(totals.len(), model.events);
 
         println!(
-            "{procs:>8} {points:>12} {gen_s:>10.3} {store_s:>10.3} {rss:>10.1} {query_s:>10.3} {summ_s:>10.3}"
+            "{procs:>8} {points:>12} {gen_s:>10.3} {store_s:>10.3} {rss:>10.1} {heap:>10.1} {query_s:>10.3} {summ_s:>10.3}"
         );
     }
     if full {
