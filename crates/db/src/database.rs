@@ -20,7 +20,7 @@ use crate::error::{DbError, Result};
 use crate::introspect::check_ddl_name;
 use crate::schema::{ColumnDef, TableSchema};
 use crate::storage::{
-    read_snapshot, scan_wal, write_snapshot, Durability, Wal, WalBatch, WalRecord,
+    read_snapshot, scan_wal, write_snapshot, Durability, Wal, WalBatch, WalRecord, FORMAT_VERSION,
 };
 use crate::table::{is_implicit_index, Row, RowId, Table};
 use crate::value::{DataType, Value};
@@ -91,9 +91,12 @@ impl Database {
     /// whose generation is *older* than the snapshot's predates it (the
     /// crash hit between the checkpoint's rename and its WAL reset); its
     /// contents are already inside the snapshot, so it is discarded
-    /// instead of replayed. Any torn/uncommitted tail — or a stale or
-    /// old-format log — is repaired by an atomic rewrite (temp + rename)
-    /// so a crash mid-repair can never lose the committed prefix.
+    /// instead of replayed. Any torn/uncommitted tail — or a stale log —
+    /// is repaired by an atomic rewrite (temp + rename) so a crash
+    /// mid-repair can never lose the committed prefix. A snapshot or log
+    /// of format v2 is read, replayed, and then folded into a checkpoint,
+    /// which writes both files at the current format; a crash before the
+    /// checkpoint's rename leaves the v2 files as they were.
     pub fn open_with_vfs(dir: &Path, vfs: Arc<dyn Vfs>) -> Result<Self> {
         let _span = telemetry::span("db.open");
         vfs.create_dir_all(dir)
@@ -103,10 +106,13 @@ impl Database {
         telemetry::add("db.recovery.opens", 1);
         let snap_path = dir.join("snapshot.pdmf");
         let mut snap_gen = 0u64;
+        let mut upgrade = false;
         if vfs.exists(&snap_path) {
-            let (tables, generation) = read_snapshot(&*vfs, &snap_path)?;
-            snap_gen = generation;
-            db.tables = tables
+            let snapshot = read_snapshot(&*vfs, &snap_path)?;
+            snap_gen = snapshot.generation;
+            upgrade = snapshot.version != FORMAT_VERSION;
+            db.tables = snapshot
+                .tables
                 .into_iter()
                 .map(|t| (t.schema.name.clone(), t))
                 .collect();
@@ -116,6 +122,10 @@ impl Database {
             // Committed records are applied as the scan reaches them, each
             // moved into its table rather than copied.
             let scan = scan_wal(&*vfs, &wal_path, snap_gen, |rec| db.apply(rec))?;
+            // A v2 log is never rewritten: its frames are checksummed
+            // with FNV-1a. The checkpoint below replaces it.
+            let old_format = !scan.torn_header && scan.version != FORMAT_VERSION;
+            upgrade |= old_format;
             if scan.torn_tail || scan.torn_header {
                 telemetry::add("db.recovery.torn_tail", 1);
                 let _ = telemetry::trace::fault_dump();
@@ -132,7 +142,7 @@ impl Database {
                 Wal::rewrite(vfs.clone(), &wal_path, snap_gen, &[])?
             } else {
                 telemetry::add("db.recovery.replayed_records", scan.visited as u64);
-                if scan.needs_rewrite() {
+                if scan.needs_rewrite() && !old_format {
                     telemetry::add("db.recovery.wal_rewrites", 1);
                     Wal::rewrite(
                         vfs.clone(),
@@ -149,6 +159,10 @@ impl Database {
         };
         db.wal = Some(wal);
         db.dir = Some(dir.to_path_buf());
+        if upgrade {
+            telemetry::add("db.recovery.format_upgrades", 1);
+            db.checkpoint()?;
+        }
         Ok(db)
     }
 
@@ -183,6 +197,20 @@ impl Database {
     fn apply(&mut self, rec: WalRecord) -> Result<()> {
         match rec {
             WalRecord::Insert { table, id, row } => self.table_mut_raw(&table)?.insert_at(id, row),
+            WalRecord::InsertBatch {
+                table,
+                first_id,
+                rows,
+            } => {
+                let t = self.table_mut_raw(&table)?;
+                for (offset, row) in (0u64..).zip(rows) {
+                    let id = first_id.checked_add(offset).ok_or_else(|| {
+                        DbError::Corrupt(format!("row id past the end in {table}"))
+                    })?;
+                    t.insert_at(id, row)?;
+                }
+                Ok(())
+            }
             WalRecord::Delete { table, id } => self.table_mut_raw(&table)?.delete(id).map(drop),
             WalRecord::Update { table, id, row } => {
                 self.table_mut_raw(&table)?.update(id, row).map(drop)
@@ -667,6 +695,7 @@ impl Database {
             self.foreign_keys(&t.schema)
         };
         let id = self.insert_checked(&key, &mut fks, row)?;
+        self.log_inserted(&key, &[id]);
         self.undo.push(Undo::Inserted {
             table: key,
             ids: vec![id],
@@ -674,21 +703,34 @@ impl Database {
         Ok(id)
     }
 
-    /// Check `row`'s foreign keys, insert it into the table `key`, and log
-    /// it for the pending commit. The caller records the undo entry.
+    /// Check `row`'s foreign keys and insert it into the table `key`. The
+    /// caller logs the row and records the undo entry.
     fn insert_checked(&mut self, key: &str, fks: &mut [ForeignKey], row: Row) -> Result<RowId> {
         self.check_foreign_keys(key, fks, &row)?;
-        let logging = self.logging();
-        let t = self
-            .tables
+        self.tables
             .get_mut(key)
-            .ok_or_else(|| DbError::NoSuchTable(key.to_string()))?;
-        let id = t.insert(row)?;
-        if logging {
-            let row = t.row(id).expect("just inserted");
-            self.pending.push_insert(key, id, row);
+            .ok_or_else(|| DbError::NoSuchTable(key.to_string()))?
+            .insert(row)
+    }
+
+    /// Log the rows just inserted at `ids` of the table `key` for the
+    /// pending commit, encoded from the table's own rows: one InsertBatch
+    /// record when the ids are contiguous, else one Insert each.
+    fn log_inserted(&mut self, key: &str, ids: &[RowId]) {
+        if !self.logging() || ids.is_empty() {
+            return;
         }
-        Ok(id)
+        let t = &self.tables[key];
+        let row = |id: RowId| t.row(id).expect("just inserted");
+        let contiguous = ids.windows(2).all(|w| w[1] == w[0] + 1);
+        if ids.len() > 1 && contiguous {
+            let rows: Vec<&Row> = ids.iter().map(|&id| row(id)).collect();
+            self.pending.push_insert_batch(key, ids[0], &rows);
+        } else {
+            for &id in ids {
+                self.pending.push_insert(key, id, row(id));
+            }
+        }
     }
 
     /// Bulk-insert pre-evaluated value tuples into `table` — the
@@ -771,6 +813,7 @@ impl Database {
                 }
             }
         }
+        self.log_inserted(&key, &ids);
         let count = ids.len();
         let last = match (auto_pk, ids.last()) {
             (Some(pk), Some(&id)) => self.table(&key)?.row(id).and_then(|r| r[pk].as_int()),

@@ -678,6 +678,18 @@ fn exec_scan<'p>(
     Ok((layout1, Tuples { stride: 1, refs }, scanned))
 }
 
+/// The hash-join key of `v`. `Value` equality is not transitive past
+/// ±2^53: the double 2^53 equals the integers 2^53 and 2^53 + 1, which
+/// differ. So an integer there is keyed by the double it rounds to, every
+/// integer a double equals shares that double's bucket, and an integer
+/// probe key keeps only the bucket rows it equals.
+fn hash_key(v: &Value) -> Cow<'_, Value> {
+    match *v {
+        Value::Int(i) if i.unsigned_abs() >= 1 << 53 => Cow::Owned(Value::Float(i as f64)),
+        _ => Cow::Borrowed(v),
+    }
+}
+
 /// Join left tuples against a right scan node: an index nested-loop join
 /// when the cost pass chose a probe, else a hash join on an
 /// equi-condition, else a nested loop evaluating the full ON. Each
@@ -744,11 +756,11 @@ fn exec_join<'p>(
         on.and_then(|on| equi_offsets(on, &left_layout, right)),
     ) {
         (None, Some((l_slot, r_off))) => {
-            let mut table: FastMap<&Value, Vec<&'p Row>> = FastMap::default();
+            let mut table: FastMap<Cow<'p, Value>, Vec<&'p Row>> = FastMap::default();
             for &r in right_rows.iter().filter(|r| !r[r_off].is_null()) {
-                table.entry(&r[r_off]).or_default().push(r);
+                table.entry(hash_key(&r[r_off])).or_default().push(r);
             }
-            Some((l_slot, table))
+            Some((l_slot, r_off, table))
         }
         _ => None,
     };
@@ -760,7 +772,17 @@ fn exec_join<'p>(
         if let Some((left_slot, ix)) = probe {
             // NULL keys are not indexed: a NULL key matches nothing.
             let key = left_value(left_slot);
-            let ids = if key.is_null() { &[][..] } else { ix.ids(key) };
+            // A double past 2^53 equals every integer key that rounds to
+            // it, and `ids` looks up one key; a range finds them all.
+            let ranged;
+            let ids = match key {
+                Value::Null => &[][..],
+                Value::Float(_) => {
+                    ranged = ix.range(Bound::Included(key), Bound::Included(key));
+                    &ranged[..]
+                }
+                _ => ix.ids(key),
+            };
             read += ids.len() as u64;
             for r in ids.iter().filter_map(|&id| right_table.row(id)) {
                 if pushed_match(&right_pushed, r, params)? {
@@ -768,8 +790,14 @@ fn exec_join<'p>(
                     out.push(Some(r));
                 }
             }
-        } else if let Some((l_slot, table)) = &hashed {
-            for &m in table.get(left_value(*l_slot)).into_iter().flatten() {
+        } else if let Some((l_slot, r_off, table)) = &hashed {
+            let key = left_value(*l_slot);
+            let bucket = hash_key(key);
+            let exact = matches!(bucket, Cow::Owned(_));
+            for &m in table.get(&*bucket).into_iter().flatten() {
+                if exact && m[*r_off] != *key {
+                    continue;
+                }
                 out.extend_from_slice(l);
                 out.push(Some(m));
             }

@@ -1,6 +1,8 @@
-//! Crash-consistency harness: run a mixed DML/transaction workload,
-//! crash at *every* VFS operation boundary (WAL appends, snapshot write
-//! steps, header rewrites), reopen, and check invariants:
+//! Crash-consistency harness: run a mixed DML/transaction workload that
+//! includes bulk batches (so crashes and torn writes land inside
+//! multi-row batch frames and column-block snapshots), crash at *every*
+//! VFS operation boundary (WAL appends, snapshot write steps, header
+//! rewrites), reopen, and check invariants:
 //!
 //! * every transaction acknowledged as committed is fully present,
 //! * the at-most-one transaction in flight at the crash is either fully
@@ -76,6 +78,12 @@ enum Step {
     DeleteMetric {
         id: i64,
     },
+    /// One bulk insert of metrics `first, first + 1, …` of `trial`.
+    BulkMetrics {
+        trial: i64,
+        first: i64,
+        values: Vec<f64>,
+    },
     /// BEGIN; inner steps; COMMIT (or ROLLBACK).
     Txn {
         steps: Vec<Step>,
@@ -104,6 +112,15 @@ fn apply_step(model: &mut Model, step: &Step) {
         Step::DeleteMetric { id } => {
             model.metrics.remove(id);
         }
+        Step::BulkMetrics {
+            trial,
+            first,
+            values,
+        } => {
+            for (id, value) in (*first..).zip(values) {
+                model.metrics.insert(id, (*trial, *value));
+            }
+        }
         Step::Txn { steps, commit } => {
             if *commit {
                 for s in steps {
@@ -128,7 +145,7 @@ fn workload(seed: u64) -> Vec<Step> {
     let gen_one = |model: &Model, rng: &mut u64, nt: &mut i64, nm: &mut i64| -> Step {
         // Only generate steps that are valid against the current state.
         loop {
-            match splitmix64(rng) % 5 {
+            match splitmix64(rng) % 6 {
                 0 => {
                     let id = *nt;
                     *nt += 1;
@@ -176,6 +193,21 @@ fn workload(seed: u64) -> Vec<Step> {
                     let id = keys[(splitmix64(rng) as usize) % keys.len()];
                     return Step::DeleteMetric { id };
                 }
+                5 if !model.trials.is_empty() => {
+                    let keys: Vec<i64> = model.trials.keys().copied().collect();
+                    let trial = keys[(splitmix64(rng) as usize) % keys.len()];
+                    let n = 2 + (splitmix64(rng) % 6) as i64;
+                    let first = *nm;
+                    *nm += n;
+                    let values = (0..n)
+                        .map(|_| (splitmix64(rng) % 10_000) as f64 / 100.0)
+                        .collect();
+                    return Step::BulkMetrics {
+                        trial,
+                        first,
+                        values,
+                    };
+                }
                 _ => continue,
             }
         }
@@ -207,6 +239,16 @@ fn workload(seed: u64) -> Vec<Step> {
         }
     }
     steps
+}
+
+const METRIC_COLUMNS: &[&str] = &["id", "trial", "value"];
+
+/// The rows of a `BulkMetrics` step.
+fn metric_rows(trial: i64, first: i64, values: &[f64]) -> Vec<Vec<Value>> {
+    (first..)
+        .zip(values)
+        .map(|(id, v)| vec![Value::Int(id), Value::Int(trial), Value::Float(*v)])
+        .collect()
 }
 
 fn exec_step(conn: &Connection, step: &Step) -> Result<(), DbError> {
@@ -257,6 +299,17 @@ fn exec_step(conn: &Connection, step: &Step) -> Result<(), DbError> {
         Step::DeleteMetric { id } => conn
             .execute("DELETE FROM metric WHERE id = ?", &[Value::Int(*id)])
             .map(|_| ()),
+        Step::BulkMetrics {
+            trial,
+            first,
+            values,
+        } => conn
+            .bulk_insert(
+                "metric",
+                METRIC_COLUMNS,
+                metric_rows(*trial, *first, values),
+            )
+            .map(|_| ()),
         Step::Txn { steps, commit } => conn
             .transaction(|tx| {
                 for s in steps {
@@ -288,6 +341,17 @@ fn exec_step(conn: &Connection, step: &Step) -> Result<(), DbError> {
                         }
                         Step::DeleteMetric { id } => {
                             tx.execute("DELETE FROM metric WHERE id = ?", &[Value::Int(*id)])?;
+                        }
+                        Step::BulkMetrics {
+                            trial,
+                            first,
+                            values,
+                        } => {
+                            tx.bulk_insert(
+                                "metric",
+                                METRIC_COLUMNS,
+                                metric_rows(*trial, *first, values),
+                            )?;
                         }
                         _ => unreachable!("nested txn/ddl not generated"),
                     }
@@ -472,6 +536,10 @@ fn every_crash_point_recovers() {
     let mut total_points = 0u64;
     for seed in seeds_under_test() {
         let steps = workload(seed);
+        assert!(
+            steps.iter().any(|s| matches!(s, Step::BulkMetrics { .. })),
+            "seed {seed}: no bulk batch to crash inside"
+        );
         let total = profile_ops(&format!("profile_{seed}"), &steps);
         assert!(
             total > 30,

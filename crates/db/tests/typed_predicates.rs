@@ -286,3 +286,48 @@ fn a_null_conjunct_still_reaches_a_later_error() {
         assert_eq!(stopped, Ok(Vec::new()), "optimizer {}", cfg.enabled);
     }
 }
+
+/// An index nested-loop join on a DOUBLE key past 2^53 finds every
+/// integer key the double equals, as the hash join and the unoptimized
+/// plan do: 2^53 and 2^53 + 1 both equal the double 2^53.
+#[test]
+fn index_join_on_a_double_key_past_2_pow_53_finds_every_equal_integer() {
+    let conn = Connection::open_in_memory();
+    for ddl in [
+        "CREATE TABLE k (id INTEGER PRIMARY KEY)",
+        "CREATE TABLE kh (id INTEGER)",
+        "CREATE TABLE d (x DOUBLE)",
+    ] {
+        conn.execute(ddl, &[]).unwrap();
+    }
+    // Filler keys make the right side large enough for the probe.
+    for key in [1i64 << 53, (1 << 53) + 1].into_iter().chain(0..16) {
+        for table in ["k", "kh"] {
+            conn.execute(
+                &format!("INSERT INTO {table} (id) VALUES (?)"),
+                &[Value::Int(key)],
+            )
+            .unwrap();
+        }
+    }
+    conn.execute(
+        "INSERT INTO d (x) VALUES (?)",
+        &[Value::Float(2f64.powi(53))],
+    )
+    .unwrap();
+    let join = |table: &str| {
+        let sql = format!("SELECT {table}.id FROM d JOIN {table} ON d.x = {table}.id");
+        let plan = conn.query(&format!("EXPLAIN {sql}"), &[]).unwrap();
+        let plan: Vec<String> = plan.rows.iter().map(|r| r[0].to_string()).collect();
+        (keys(&conn, &sql, &[]).unwrap(), plan.join("\n"))
+    };
+    let want = vec![1i64 << 53, (1 << 53) + 1];
+    let (probed, plan) = join("k");
+    assert!(plan.contains("index nested-loop join"), "{plan}");
+    assert_eq!(probed, want);
+    let (hashed, plan) = join("kh");
+    assert!(plan.contains("hash join"), "{plan}");
+    assert_eq!(hashed, want);
+    let _o = override_optimizer(OptimizerConfig::disabled());
+    assert_eq!(join("k").0, want, "optimizer off");
+}

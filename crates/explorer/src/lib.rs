@@ -138,6 +138,34 @@ mod tests {
         server.shutdown();
     }
 
+    /// The fetch statement reads through the settings index, and a server
+    /// restarted on the same archive starts cleanly and keeps it.
+    #[test]
+    fn fetch_reads_results_through_the_settings_index() {
+        let (conn, trial) = setup();
+        let server = AnalysisServer::start(conn.clone(), 1).unwrap();
+        let client = ExplorerClient::connect(&server);
+        let Response::Clustering { settings_id, .. } = client.cluster(trial, "TIME", 3) else {
+            panic!("clustering failed");
+        };
+        server.shutdown();
+        let server = AnalysisServer::start(conn.clone(), 1).unwrap();
+        let client = ExplorerClient::connect(&server);
+        assert!(matches!(client.fetch(settings_id), Response::Stored { .. }));
+        server.shutdown();
+        let plan = conn
+            .query(
+                &format!("EXPLAIN {}", server::FETCH_RESULTS_SQL),
+                &[perfdmf_db::Value::Int(settings_id)],
+            )
+            .unwrap();
+        let plan: Vec<String> = plan.rows.iter().map(|r| r[0].to_string()).collect();
+        assert!(
+            plan.iter().any(|l| l.contains("via ix_result_settings")),
+            "{plan:?}"
+        );
+    }
+
     #[test]
     fn errors_are_responses_not_crashes() {
         let (conn, trial) = setup();

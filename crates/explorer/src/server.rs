@@ -49,6 +49,14 @@ pub const ANALYSIS_DDL: &[&str] = &[
         label TEXT)",
 ];
 
+/// Index behind [`FETCH_RESULTS_SQL`]: without it every fetch scans the
+/// whole, ever-growing `analysis_result` table.
+const RESULT_INDEX_DDL: &str = "CREATE INDEX ix_result_settings ON analysis_result (settings)";
+
+/// The statement a `FetchResult` request reads its stored rows with.
+pub(crate) const FETCH_RESULTS_SQL: &str = "SELECT result_type, item, value, label \
+     FROM analysis_result WHERE settings = ? ORDER BY id";
+
 /// A queued request: what to do, where to reply, when it was submitted
 /// (for the `explorer.queue_wait_ns` histogram), and the optional
 /// deadline after which a worker discards it unserved.
@@ -117,8 +125,14 @@ impl AnalysisServer {
         workers: usize,
         queue_capacity: usize,
     ) -> perfdmf_db::Result<AnalysisServer> {
+        // CREATE INDEX has no IF NOT EXISTS, so the index is made with
+        // the table; an archive whose table predates it keeps scanning.
+        let existed = conn.has_table("analysis_result");
         for ddl in ANALYSIS_DDL {
             conn.execute(ddl, &[])?;
+        }
+        if !existed {
+            conn.execute(RESULT_INDEX_DDL, &[])?;
         }
         let (tx, rx) = bounded::<Job>(queue_capacity.max(1));
         let mut handles = Vec::with_capacity(workers.max(1));
@@ -727,11 +741,7 @@ fn fetch_result(conn: &Connection, settings_id: i64) -> perfdmf_db::Result<Respo
         .and_then(|v| v.as_text())
         .unwrap_or("")
         .to_string();
-    let rs = conn.query(
-        "SELECT result_type, item, value, label FROM analysis_result
-         WHERE settings = ? ORDER BY id",
-        &[Value::Int(settings_id)],
-    )?;
+    let rs = conn.query(FETCH_RESULTS_SQL, &[Value::Int(settings_id)])?;
     let rows = rs
         .rows
         .iter()

@@ -30,7 +30,11 @@
 #   unresolved  the parent's own IQR is wider than that bound, and not
 #               every change run beats every parent run
 #   same        none of the above
-# It also prints each side's failed/attempted operation counts. Exits 1
+# It also prints each side's failed/attempted operation counts, and after
+# the verdict table each detail metric of the runs' reports
+# (`.bench_out/<workload>-seed7-trace0.json`) with both sides' median and
+# quartiles, so a moved end-to-end metric can be traced to its layer; the
+# detail metrics get no verdict. Exits 1
 # if any run reports `"correct": false` or prints no result line, or the
 # two sides' end-to-end lists differ; 2 on bad arguments.
 set -eu
@@ -82,6 +86,14 @@ run_side() {
             printf '{"correct": false, "attempted": 0, "failed": 0, "metrics": {}}\n' >>"$tmp/$side.jsonl"
             ;;
     esac
+    # Keep the run's detail metrics (one JSON list per line, empty when
+    # the report is missing) before its directory goes.
+    python3 -c 'import json, sys
+try:
+    detail = json.load(open(sys.argv[1]))["detail"]
+except (OSError, ValueError, KeyError):
+    detail = []
+print(json.dumps(detail))' "$dir/.bench_out/$workload-seed$seed-trace0.json" >>"$tmp/$side.detail.jsonl"
     rm -rf "$dir"
 }
 
@@ -158,6 +170,24 @@ for m in bench["end_to_end"]:
     print(f"  {name:<18}{quart(pq):<32}{quart(cq):<32}{f'{wins}/{n}':<8}{verdict}")
     print(f"    parent {', '.join(num(v) for v in p)}")
     print(f"    change {', '.join(num(v) for v in c)}")
+details = {
+    side: [json.loads(l) for l in open(f"{tmp}/{side}.detail.jsonl")]
+    for side in ("parent", "change")
+}
+names = []
+for side in details.values():
+    for run in side:
+        names += [m["name"] for m in run if m["name"] not in names]
+width = max([len(name) for name in names] + [len("detail metric")]) + 2
+if names:
+    print(f"  {'detail metric':<{width}}{'parent median [q1, q3]':<32}change median [q1, q3]")
+for name in names:
+    cols = []
+    for side in ("parent", "change"):
+        xs = [m["value"] for run in details[side] for m in run if m["name"] == name]
+        q = quartiles(xs) if xs else None
+        cols.append(f"{num(q[1])} [{num(q[0])}, {num(q[2])}]" if q else "missing")
+    print(f"  {name:<{width}}{cols[0]:<32}{cols[1]}")
 if changed["end_to_end"] != bench["end_to_end"]:
     print("  the change's BENCHMARK.json end_to_end list differs from the parent's; judged by the parent's")
     sys.exit(1)
