@@ -16,9 +16,9 @@
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use perfdmf_core::DatabaseSession;
 use perfdmf_db::Connection;
-use perfdmf_explorer::{ClusterMethod, FeatureSpace, Request, Response, RetryPolicy};
+use perfdmf_explorer::{ClusterMethod, FeatureSpace, Request, Response};
 use perfdmf_profile::{IntervalData, IntervalEvent, Metric, Profile, ThreadId};
-use perfdmf_server::{NetClient, PerfdmfServer, ServerConfig};
+use perfdmf_server::{NetClient, PerfdmfServer, RetryPolicy, ServerConfig};
 
 fn swarm_clients() -> usize {
     std::env::var("PERFDMF_E11_CLIENTS")

@@ -10,7 +10,7 @@
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use perfdmf_bench::store_fresh;
 use perfdmf_core::DatabaseSession;
-use perfdmf_explorer::{Request, Response, RetryPolicy};
+use perfdmf_explorer::{Request, Response};
 use perfdmf_telemetry as telemetry;
 use perfdmf_workload::Evh1Model;
 
@@ -64,7 +64,7 @@ fn bench_sql_aggregates_overhead(c: &mut Criterion) {
 /// analysis work; the acceptance bar is the same under-5% as the rest
 /// of the layer.
 fn bench_network_overhead(c: &mut Criterion) {
-    use perfdmf_server::{NetClient, PerfdmfServer, ServerConfig};
+    use perfdmf_server::{NetClient, PerfdmfServer, RetryPolicy, ServerConfig};
 
     let model = Evh1Model::default_mix(41);
     let profile = model.generate(8);

@@ -6,27 +6,27 @@
 //! to an analysis server back end, which is integrated with a performance
 //! database, using PerfDMF."
 //!
-//! * [`AnalysisServer`] — worker pool over the shared database; executes
-//!   clustering and correlation requests with `perfdmf-analysis` (the R
-//!   substitute) and persists results through the PerfDMF API into the
-//!   `analysis_settings` / `analysis_result` schema extension.
-//! * [`ExplorerClient`] — blocking request handle (cloneable; many
-//!   clients share one server).
-//! * [`Request`] / [`Response`] — the wire protocol.
+//! This crate is the analysis back end as a library:
 //!
-//! Transport is an in-process crossbeam channel rather than the paper's
-//! socket; the architecture (client → server → PerfDMF → DBMS → analysis
-//! package → results saved via PerfDMF) is preserved.
+//! * [`install`] — creates the `analysis_settings` / `analysis_result`
+//!   schema extension the results are persisted into.
+//! * [`handle`] — runs one clustering, correlation, speedup, regression
+//!   or watchdog request with `perfdmf-analysis` (the R substitute) and
+//!   persists its results through the PerfDMF API.
+//! * [`Request`] / [`Response`] — the protocol.
+//!
+//! In-process callers (the CLI, examples, tests) call [`handle`]
+//! directly. `perfdmf-server` is the paper's client/server socket: its
+//! bounded queue and analysis workers call the same function for remote
+//! clients.
 
 #![warn(unreachable_pub)]
 
-mod client;
+mod handlers;
 mod protocol;
-mod server;
 
-pub use client::{deadline_timeout, ExplorerClient, RetryPolicy};
+pub use handlers::{handle, install};
 pub use protocol::{ClusterMethod, ClusterSummary, FeatureSpace, Request, Response};
-pub use server::{AnalysisServer, ANALYSIS_DDL, DEFAULT_QUEUE_CAPACITY};
 
 #[cfg(test)]
 mod tests {
@@ -56,15 +56,31 @@ mod tests {
         let conn = Connection::open_in_memory();
         let mut session = DatabaseSession::new(conn.clone()).unwrap();
         let trial = bimodal_trial(&mut session);
+        install(&conn).unwrap();
         (conn, trial)
+    }
+
+    /// K-means clustering of a trial's threads by their per-event
+    /// breakdown of one metric, with silhouette-selected k.
+    fn cluster(trial_id: i64, metric: &str, max_k: usize) -> Request {
+        Request::ClusterTrial {
+            trial_id,
+            features: FeatureSpace::EventsOfMetric(metric.into()),
+            k: None,
+            max_k,
+            pca_components: 0,
+            method: ClusterMethod::KMeans,
+        }
+    }
+
+    fn fetch(settings_id: i64) -> Request {
+        Request::FetchResult { settings_id }
     }
 
     #[test]
     fn end_to_end_clustering() {
         let (conn, trial) = setup();
-        let server = AnalysisServer::start(conn.clone(), 2).unwrap();
-        let client = ExplorerClient::connect(&server);
-        match client.cluster(trial, "TIME", 5) {
+        match handle(&conn, &cluster(trial, "TIME", 5)) {
             Response::Clustering {
                 k,
                 assignments,
@@ -83,7 +99,7 @@ mod tests {
                 let sizes: Vec<_> = summaries.iter().map(|s| s.size).collect();
                 assert_eq!(sizes.iter().sum::<usize>(), 32);
                 // results were persisted and can be browsed back
-                match client.fetch(settings_id) {
+                match handle(&conn, &fetch(settings_id)) {
                     Response::Stored { method, rows } => {
                         assert_eq!(method, "kmeans");
                         assert!(rows.iter().any(|(t, _, _, _)| t == "assignment"));
@@ -95,7 +111,6 @@ mod tests {
             }
             other => panic!("{other:?}"),
         }
-        server.shutdown();
     }
 
     #[test]
@@ -121,9 +136,14 @@ mod tests {
             p.set_interval(e, t, m3, IntervalData::new(100.0 - x, 100.0 - x, 1.0, 0.0));
         }
         let trial = session.store_profile("app", "exp", &p).unwrap();
-        let server = AnalysisServer::start(conn, 1).unwrap();
-        let client = ExplorerClient::connect(&server);
-        match client.correlate(trial, "f") {
+        install(&conn).unwrap();
+        match handle(
+            &conn,
+            &Request::CorrelateMetrics {
+                trial_id: trial,
+                event: "f".into(),
+            },
+        ) {
             Response::Correlation {
                 metrics, matrix, ..
             } => {
@@ -135,27 +155,25 @@ mod tests {
             }
             other => panic!("{other:?}"),
         }
-        server.shutdown();
     }
 
-    /// The fetch statement reads through the settings index, and a server
-    /// restarted on the same archive starts cleanly and keeps it.
+    /// The fetch statement reads through the settings index, and
+    /// installing again on the same archive succeeds and keeps it.
     #[test]
     fn fetch_reads_results_through_the_settings_index() {
         let (conn, trial) = setup();
-        let server = AnalysisServer::start(conn.clone(), 1).unwrap();
-        let client = ExplorerClient::connect(&server);
-        let Response::Clustering { settings_id, .. } = client.cluster(trial, "TIME", 3) else {
+        let Response::Clustering { settings_id, .. } = handle(&conn, &cluster(trial, "TIME", 3))
+        else {
             panic!("clustering failed");
         };
-        server.shutdown();
-        let server = AnalysisServer::start(conn.clone(), 1).unwrap();
-        let client = ExplorerClient::connect(&server);
-        assert!(matches!(client.fetch(settings_id), Response::Stored { .. }));
-        server.shutdown();
+        install(&conn).unwrap();
+        assert!(matches!(
+            handle(&conn, &fetch(settings_id)),
+            Response::Stored { .. }
+        ));
         let plan = conn
             .query(
-                &format!("EXPLAIN {}", server::FETCH_RESULTS_SQL),
+                &format!("EXPLAIN {}", handlers::FETCH_RESULTS_SQL),
                 &[perfdmf_db::Value::Int(settings_id)],
             )
             .unwrap();
@@ -169,34 +187,35 @@ mod tests {
     #[test]
     fn errors_are_responses_not_crashes() {
         let (conn, trial) = setup();
-        let server = AnalysisServer::start(conn, 1).unwrap();
-        let client = ExplorerClient::connect(&server);
-        assert!(matches!(client.cluster(999, "TIME", 4), Response::Error(_)));
         assert!(matches!(
-            client.cluster(trial, "NO_SUCH_METRIC", 4),
+            handle(&conn, &cluster(999, "TIME", 4)),
             Response::Error(_)
         ));
-        assert!(matches!(client.fetch(12345), Response::Error(_)));
-        server.shutdown();
+        assert!(matches!(
+            handle(&conn, &cluster(trial, "NO_SUCH_METRIC", 4)),
+            Response::Error(_)
+        ));
+        assert!(matches!(handle(&conn, &fetch(12345)), Response::Error(_)));
     }
 
     #[test]
     fn hierarchical_method_agrees_with_kmeans_on_separable_data() {
         let (conn, trial) = setup();
-        let server = AnalysisServer::start(conn, 1).unwrap();
-        let client = ExplorerClient::connect(&server);
-        let km = match client.cluster(trial, "TIME", 4) {
+        let km = match handle(&conn, &cluster(trial, "TIME", 4)) {
             Response::Clustering { assignments, .. } => assignments,
             other => panic!("{other:?}"),
         };
-        let hc = match client.request(Request::ClusterTrial {
-            trial_id: trial,
-            features: FeatureSpace::EventsOfMetric("TIME".into()),
-            k: None,
-            max_k: 4,
-            pca_components: 0,
-            method: ClusterMethod::Hierarchical,
-        }) {
+        let hc = match handle(
+            &conn,
+            &Request::ClusterTrial {
+                trial_id: trial,
+                features: FeatureSpace::EventsOfMetric("TIME".into()),
+                k: None,
+                max_k: 4,
+                pca_components: 0,
+                method: ClusterMethod::Hierarchical,
+            },
+        ) {
             Response::Clustering {
                 k,
                 assignments,
@@ -205,7 +224,7 @@ mod tests {
             } => {
                 assert_eq!(k, 2);
                 // persisted under the hierarchical method name
-                match client.fetch(settings_id) {
+                match handle(&conn, &fetch(settings_id)) {
                     Response::Stored { method, .. } => assert_eq!(method, "hierarchical"),
                     other => panic!("{other:?}"),
                 }
@@ -218,7 +237,6 @@ mod tests {
             1.0,
             "both methods must find the same bimodal split"
         );
-        server.shutdown();
     }
 
     #[test]
@@ -232,9 +250,12 @@ mod tests {
                 .store_profile("evh1", "scaling", &model.generate(p))
                 .unwrap();
         }
-        let server = AnalysisServer::start(conn, 1).unwrap();
-        let client = ExplorerClient::connect(&server);
-        match client.speedup(1, "GET_TIME_OF_DAY") {
+        install(&conn).unwrap();
+        let speedup = |experiment_id| Request::SpeedupStudy {
+            experiment_id,
+            metric: "GET_TIME_OF_DAY".into(),
+        };
+        match handle(&conn, &speedup(1)) {
             Response::Speedup {
                 application,
                 amdahl_serial_fraction,
@@ -250,11 +271,7 @@ mod tests {
             other => panic!("{other:?}"),
         }
         // too-small experiments error as responses
-        assert!(matches!(
-            client.speedup(999, "GET_TIME_OF_DAY"),
-            Response::Error(_)
-        ));
-        server.shutdown();
+        assert!(matches!(handle(&conn, &speedup(999)), Response::Error(_)));
     }
 
     #[test]
@@ -283,9 +300,12 @@ mod tests {
             );
             session.store_profile("app", "nightly", &p).unwrap();
         }
-        let server = AnalysisServer::start(conn, 1).unwrap();
-        let client = ExplorerClient::connect(&server);
-        match client.regressions(1, 0.10) {
+        install(&conn).unwrap();
+        let scan = Request::RegressionScan {
+            experiment_id: 1,
+            threshold: 0.10,
+        };
+        match handle(&conn, &scan) {
             Response::Regressions {
                 findings,
                 pairs_compared,
@@ -301,7 +321,6 @@ mod tests {
             }
             other => panic!("{other:?}"),
         }
-        server.shutdown();
     }
 
     #[test]
@@ -331,9 +350,14 @@ mod tests {
             );
             candidate_id = session.store_profile("app", "watchdog", &p).unwrap();
         }
-        let server = AnalysisServer::start(conn.clone(), 1).unwrap();
-        let client = ExplorerClient::connect(&server);
-        match client.watchdog(1, candidate_id, "TIME", 1.25) {
+        install(&conn).unwrap();
+        let check = Request::WatchdogCheck {
+            experiment_id: 1,
+            trial_id: candidate_id,
+            metric: "TIME".into(),
+            min_ratio: 1.25,
+        };
+        match handle(&conn, &check) {
             Response::Watchdog {
                 baseline_trials,
                 findings,
@@ -362,180 +386,22 @@ mod tests {
             }),
             "{logged:?}"
         );
-        server.shutdown();
-    }
-
-    /// Current value of a telemetry counter (0 if never incremented).
-    /// Tests assert on before/after deltas, never absolute values, so
-    /// they stay correct when other tests run in parallel.
-    fn counter_value(name: &str) -> u64 {
-        perfdmf_telemetry::snapshot()
-            .counter(name)
-            .map(|c| c.value)
-            .unwrap_or(0)
-    }
-
-    #[test]
-    fn panicking_request_is_isolated_and_server_keeps_serving() {
-        let (conn, trial) = setup();
-        let server = AnalysisServer::start(conn, 1).unwrap();
-        let client = ExplorerClient::connect(&server);
-        let restarts_before = counter_value("explorer.worker_restarts");
-        match client.request(Request::InjectPanic("boom".into())) {
-            Response::Failed { reason, retryable } => {
-                assert!(reason.contains("panicked"), "{reason}");
-                assert!(reason.contains("boom"), "{reason}");
-                assert!(!retryable, "a deterministic panic is not retryable");
-            }
-            other => panic!("expected Failed, got {other:?}"),
-        }
-        // The single worker restarted and still serves real work.
-        match client.cluster(trial, "TIME", 4) {
-            Response::Clustering { k, .. } => assert_eq!(k, 2),
-            other => panic!("server did not survive the panic: {other:?}"),
-        }
-        assert!(
-            counter_value("explorer.worker_restarts") > restarts_before,
-            "worker restart must be visible in telemetry"
-        );
-        server.shutdown();
-    }
-
-    #[test]
-    fn saturated_queue_sheds_requests_as_overloaded() {
-        let (conn, _trial) = setup();
-        let server = AnalysisServer::start_with_capacity(conn, 1, 1).unwrap();
-        let client = ExplorerClient::connect(&server);
-        let shed_before = counter_value("explorer.sheds");
-        // Occupy the single worker, then fill the single queue slot.
-        let busy = {
-            let c = client.clone();
-            std::thread::spawn(move || c.request(Request::Stall { millis: 400 }))
-        };
-        std::thread::sleep(std::time::Duration::from_millis(100));
-        let queued = {
-            let c = client.clone();
-            std::thread::spawn(move || c.request(Request::Stall { millis: 1 }))
-        };
-        std::thread::sleep(std::time::Duration::from_millis(100));
-        // Worker busy + queue full: this submission must be shed, not block.
-        match client.request(Request::FetchResult { settings_id: 1 }) {
-            Response::Overloaded => {}
-            other => panic!("expected Overloaded, got {other:?}"),
-        }
-        assert!(
-            counter_value("explorer.sheds") > shed_before,
-            "shed must be visible in telemetry"
-        );
-        // The accepted requests still complete and the server keeps serving.
-        assert!(matches!(
-            busy.join().unwrap(),
-            Response::Stored { .. } | Response::Error(_)
-        ));
-        assert!(matches!(
-            queued.join().unwrap(),
-            Response::Stored { .. } | Response::Error(_)
-        ));
-        assert!(matches!(
-            client.request(Request::FetchResult { settings_id: 1 }),
-            Response::Error(_)
-        ));
-        server.shutdown();
-    }
-
-    #[test]
-    fn deadline_expiry_returns_retryable_failure_not_a_hang() {
-        let (conn, _trial) = setup();
-        let server = AnalysisServer::start(conn, 1).unwrap();
-        let client = ExplorerClient::connect(&server);
-        let timeouts_before = counter_value("explorer.timeouts");
-        // Occupy the single worker so the next request waits in the queue
-        // past its deadline.
-        let busy = {
-            let c = client.clone();
-            std::thread::spawn(move || c.request(Request::Stall { millis: 400 }))
-        };
-        std::thread::sleep(std::time::Duration::from_millis(100));
-        let started = std::time::Instant::now();
-        let response = client.request_with_deadline(
-            Request::FetchResult { settings_id: 1 },
-            std::time::Duration::from_millis(100),
-        );
-        match response {
-            Response::Failed { retryable, .. } => assert!(retryable),
-            other => panic!("expected retryable Failed, got {other:?}"),
-        }
-        assert!(
-            started.elapsed() < std::time::Duration::from_millis(350),
-            "the client must give up at its deadline, not wait for the worker"
-        );
-        assert!(
-            counter_value("explorer.timeouts") > timeouts_before,
-            "timeout must be visible in telemetry"
-        );
-        busy.join().unwrap();
-        server.shutdown();
-    }
-
-    #[test]
-    fn retry_backoff_jitter_is_seed_deterministic() {
-        use std::time::Duration;
-        let policy = RetryPolicy {
-            max_retries: 8,
-            base_delay: Duration::from_millis(10),
-            max_delay: Duration::from_millis(80),
-            jitter: Duration::from_millis(20),
-        };
-        // Replay: the whole schedule is a pure function of
-        // (seed, key, attempt), so a failing chaos run re-executes with
-        // identical backoff.
-        for attempt in 0..8 {
-            for key in [0u64, 1, 42, u64::MAX] {
-                let a = policy.delay_seeded(attempt, key, 7);
-                let b = policy.delay_seeded(attempt, key, 7);
-                assert_eq!(a, b, "attempt {attempt} key {key}");
-                // Jitter is additive and bounded: exp <= delay <= exp + jitter.
-                let exp = (policy.base_delay * (1u32 << attempt.min(16))).min(policy.max_delay);
-                assert!(a >= exp && a <= exp + policy.jitter, "{a:?} vs {exp:?}");
-            }
-        }
-        // Different seeds (or keys) decorrelate the schedules: at least
-        // one attempt must differ.
-        assert!(
-            (0..8).any(|n| policy.delay_seeded(n, 42, 7) != policy.delay_seeded(n, 42, 8)),
-            "seed must influence the jitter"
-        );
-        assert!(
-            (0..8).any(|n| policy.delay_seeded(n, 1, 7) != policy.delay_seeded(n, 2, 7)),
-            "key must influence the jitter"
-        );
-        // Zero jitter degrades to the pure exponential schedule.
-        let bare = RetryPolicy {
-            jitter: Duration::ZERO,
-            ..policy
-        };
-        assert_eq!(bare.delay_seeded(2, 9, 1), Duration::from_millis(40));
     }
 
     #[test]
     fn ping_answers_pong() {
         let (conn, _trial) = setup();
-        let server = AnalysisServer::start(conn, 1).unwrap();
-        let client = ExplorerClient::connect(&server);
-        assert_eq!(client.request(Request::Ping), Response::Pong);
-        server.shutdown();
+        assert_eq!(handle(&conn, &Request::Ping), Response::Pong);
     }
 
     #[test]
     fn concurrent_clients() {
         let (conn, trial) = setup();
-        let server = AnalysisServer::start(conn, 4).unwrap();
-        let client = ExplorerClient::connect(&server);
         let mut handles = Vec::new();
         for _ in 0..4 {
-            let c = client.clone();
+            let conn = conn.clone();
             handles.push(std::thread::spawn(move || {
-                match c.cluster(trial, "TIME", 4) {
+                match handle(&conn, &cluster(trial, "TIME", 4)) {
                     Response::Clustering { k, .. } => k,
                     other => panic!("{other:?}"),
                 }
@@ -544,6 +410,5 @@ mod tests {
         for h in handles {
             assert_eq!(h.join().unwrap(), 2);
         }
-        server.shutdown();
     }
 }

@@ -2,10 +2,9 @@
 //!
 //! The paper (§5.3): "Using the PerfExplorer client, the analyst selects a
 //! particular trial of interest, sets analysis parameters, and then
-//! requests data mining operations on the parallel dataset." Requests
-//! travel from [`crate::ExplorerClient`] to the [`crate::AnalysisServer`]
-//! over an in-process channel (the Rust substitute for the paper's
-//! client/server socket; component boundaries and data flow preserved).
+//! requests data mining operations on the parallel dataset." In-process
+//! callers pass a [`Request`] to [`crate::handle`]; remote ones send it
+//! over TCP to `perfdmf-server`, whose workers call the same function.
 
 /// Clustering algorithm to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -100,11 +99,12 @@ pub enum Request {
     /// the database. The cheapest possible request — used by network
     /// health checks and the `e11_server` round-trip benchmark.
     Ping,
-    /// Stop the server workers.
+    /// Control request, answered with [`Response::ShuttingDown`]. The
+    /// network server refuses it.
     Shutdown,
     /// Fault-injection aid: the worker panics with this message while
-    /// handling the request. Exercises the panic-isolation and
-    /// worker-restart paths; not part of the analysis API.
+    /// handling the request. Exercises the panic-isolation path; not
+    /// part of the analysis API.
     #[doc(hidden)]
     InjectPanic(String),
     /// Fault-injection aid: the worker sleeps for this many

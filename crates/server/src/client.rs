@@ -1,9 +1,8 @@
-//! The network client: `ExplorerClient` semantics over a TCP
-//! connection, with retries that survive torn connections.
+//! The network client: PerfExplorer requests over a TCP connection,
+//! with retries that survive torn connections.
 //!
-//! [`NetClient`] mirrors the in-process
-//! [`ExplorerClient`](perfdmf_explorer::ExplorerClient) API —
-//! `request(Request) -> Response` — and adds pipelining
+//! [`NetClient`] answers `request(Request) -> Response` like the
+//! in-process [`perfdmf_explorer::handle`], and adds pipelining
 //! ([`NetClient::pipeline`]) plus what a network hop requires. A single
 //! request is a pipelined batch of one: every call goes through one
 //! retry loop over one windowed send pass, so these rules hold for
@@ -13,8 +12,8 @@
 //!   corrupt frame, `Goodbye`, reply timeout) tears down the connection
 //!   and resends only the unanswered calls on a fresh one; `Overloaded`
 //!   and retryable `Failed` verdicts are resent too, until the policy's
-//!   last attempt. Retries are paced by the explorer's [`RetryPolicy`]
-//!   with seed-deterministic backoff jitter; an auth rejection is
+//!   last attempt. Retries are paced by a [`RetryPolicy`] with
+//!   seed-deterministic backoff jitter; an auth rejection is
 //!   terminal;
 //! * **idempotency keys** — every *effectful* request carries a key
 //!   drawn from the client's server-assigned key space (granted in
@@ -37,12 +36,12 @@
 //!
 //! Transport failures that outlive the retry budget surface as
 //! [`Response::Failed`] with `retryable: true` — the caller sees the
-//! same vocabulary the in-process client uses, never an `io::Error`.
+//! protocol's own vocabulary, never an `io::Error`.
 
 use crate::server::DEFAULT_PIPELINE_WINDOW;
 use crate::stream::{write_all, FrameReader, NetFaultPlan, ReadStep, RealStream, Stream};
 use crate::wire::{Message, PROTOCOL_VERSION};
-use perfdmf_explorer::{Request, Response, RetryPolicy};
+use perfdmf_explorer::{Request, Response};
 use perfdmf_telemetry as telemetry;
 use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
@@ -55,6 +54,82 @@ const READ_POLL: Duration = Duration::from_millis(25);
 
 /// How long to wait for a reply when the request has no deadline.
 const DEFAULT_REPLY_WAIT: Duration = Duration::from_secs(10);
+
+/// How [`NetClient`] retries requests that fail transiently.
+///
+/// Retries apply to [`Response::Overloaded`] (the queue was full) and to
+/// [`Response::Failed`] with `retryable: true` (a deadline expired in
+/// the queue, or the transport dropped mid-request). Deterministic
+/// failures — panics, analysis errors — are returned immediately. Delay
+/// doubles after each attempt, capped at `max_delay`, plus a jitter term
+/// of up to `jitter` so simultaneous retriers don't re-collide in
+/// lockstep.
+///
+/// The jitter is **seed-deterministic**: it is a pure function of
+/// `(seed, key, attempt)`, where the seed is the fixed `RETRY_SEED`
+/// and `key` is the client's per-exchange nonce (not the idempotency
+/// key: reads have none). A chaos-test failure therefore replays with
+/// exactly the same backoff schedule.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RetryPolicy {
+    /// Retries after the first attempt (0 = no retries).
+    pub max_retries: u32,
+    /// Delay before the first retry.
+    pub base_delay: Duration,
+    /// Upper bound on the per-attempt exponential delay (jitter rides
+    /// on top).
+    pub max_delay: Duration,
+    /// Upper bound on the additive per-attempt jitter.
+    pub jitter: Duration,
+}
+
+impl Default for RetryPolicy {
+    fn default() -> RetryPolicy {
+        RetryPolicy {
+            max_retries: 3,
+            base_delay: Duration::from_millis(10),
+            max_delay: Duration::from_millis(500),
+            jitter: Duration::from_millis(10),
+        }
+    }
+}
+
+/// The jitter seed.
+const RETRY_SEED: u64 = 0x5045_5246_444D_4601;
+
+impl RetryPolicy {
+    /// No retries at all: every failure is returned to the caller.
+    pub fn none() -> RetryPolicy {
+        RetryPolicy {
+            max_retries: 0,
+            base_delay: Duration::ZERO,
+            max_delay: Duration::ZERO,
+            jitter: Duration::ZERO,
+        }
+    }
+
+    /// Backoff before retry attempt `n` (0-based) of the request
+    /// identified by `key`: `base_delay` doubling per attempt and
+    /// saturating at `max_delay`, plus a deterministic jitter in
+    /// `[0, jitter]` drawn from `(seed, key, attempt)`.
+    pub fn delay(&self, attempt: u32, key: u64) -> Duration {
+        self.delay_seeded(attempt, key, RETRY_SEED)
+    }
+
+    /// [`RetryPolicy::delay`] with an explicit seed (tests).
+    fn delay_seeded(&self, attempt: u32, key: u64, seed: u64) -> Duration {
+        let factor = 1u32 << attempt.min(16);
+        let exp = (self.base_delay * factor).min(self.max_delay);
+        let jitter_ns = self.jitter.as_nanos().min(u64::MAX as u128) as u64;
+        if jitter_ns == 0 {
+            return exp;
+        }
+        // One SplitMix64 draw, the generator the fault seams use too.
+        let state = seed ^ key.rotate_left(17) ^ (u64::from(attempt) << 1);
+        let draw = telemetry::mix64(state.wrapping_add(telemetry::GOLDEN_GAMMA));
+        exp + Duration::from_nanos(draw % (jitter_ns + 1))
+    }
+}
 
 /// A TCP client for [`crate::PerfdmfServer`].
 pub struct NetClient {
@@ -540,4 +615,48 @@ fn read_message(stream: &mut dyn Stream, reply_by: Instant) -> std::io::Result<O
 
 fn wire_to_io(e: crate::wire::WireError) -> std::io::Error {
     std::io::Error::new(std::io::ErrorKind::InvalidData, format!("wire: {e}"))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn retry_backoff_jitter_is_seed_deterministic() {
+        let policy = RetryPolicy {
+            max_retries: 8,
+            base_delay: Duration::from_millis(10),
+            max_delay: Duration::from_millis(80),
+            jitter: Duration::from_millis(20),
+        };
+        // Replay: the whole schedule is a pure function of
+        // (seed, key, attempt), so a failing chaos run re-executes with
+        // identical backoff.
+        for attempt in 0..8 {
+            for key in [0u64, 1, 42, u64::MAX] {
+                let a = policy.delay_seeded(attempt, key, 7);
+                let b = policy.delay_seeded(attempt, key, 7);
+                assert_eq!(a, b, "attempt {attempt} key {key}");
+                // Jitter is additive and bounded: exp <= delay <= exp + jitter.
+                let exp = (policy.base_delay * (1u32 << attempt.min(16))).min(policy.max_delay);
+                assert!(a >= exp && a <= exp + policy.jitter, "{a:?} vs {exp:?}");
+            }
+        }
+        // Different seeds (or keys) decorrelate the schedules: at least
+        // one attempt must differ.
+        assert!(
+            (0..8).any(|n| policy.delay_seeded(n, 42, 7) != policy.delay_seeded(n, 42, 8)),
+            "seed must influence the jitter"
+        );
+        assert!(
+            (0..8).any(|n| policy.delay_seeded(n, 1, 7) != policy.delay_seeded(n, 2, 7)),
+            "key must influence the jitter"
+        );
+        // Zero jitter degrades to the pure exponential schedule.
+        let bare = RetryPolicy {
+            jitter: Duration::ZERO,
+            ..policy
+        };
+        assert_eq!(bare.delay_seeded(2, 9, 1), Duration::from_millis(40));
+    }
 }

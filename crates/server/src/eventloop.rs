@@ -3,8 +3,8 @@
 //! One OS thread per connection (stack, scheduler slot, context
 //! switches) collapses under thousands of mostly-idle sessions — the
 //! classic C10K wall. This module instead drives every session from a
-//! small sharded set of event-loop threads; the analysis worker pool
-//! behind the explorer queue is separate.
+//! small sharded set of event-loop threads; the analysis workers behind
+//! the server's one bounded queue are separate.
 //!
 //! Architecture:
 //!
@@ -12,17 +12,18 @@
 //! TcpListener ── acceptor ──(round robin)──┬─ executor 0 ─ poll(2) over N sessions
 //!                                          ├─ executor 1 ─ poll(2) over N sessions
 //!                                          └─ executor K ─ poll(2) over N sessions
-//!                                                 │ submit_with_notify
+//!                                                 │ try_send(Job)
 //!                                                 ▼
-//!                                          ExplorerClient → AnalysisServer workers
+//!                                          bounded queue → analysis workers
+//!                                                          (perfdmf_explorer::handle)
 //! ```
 //!
 //! Each accepted socket becomes a nonblocking [`Session`] state machine
 //! (handshake → framed read → dispatch → framed write) parked on
-//! readiness. Dispatch goes through [`ExplorerClient::submit_with_notify`]:
-//! the reply channel is polled with `try_recv`, and a [`WakeHandle`]
-//! (one byte down a socketpair) pokes the loop out of `poll` the moment
-//! a worker finishes — no thread ever blocks on a reply.
+//! readiness. Dispatch puts a [`Job`] on the analysis queue: the reply
+//! channel is polled with `try_recv`, and the job's [`WakeHandle`] (one
+//! byte down a socketpair) pokes the loop out of `poll` the moment a
+//! worker finishes — no thread ever blocks on a reply.
 //!
 //! Readiness comes from [`PollReactor`], which calls `poll(2)` directly
 //! through a one-function `extern "C"` declaration — no async runtime,
@@ -48,12 +49,12 @@
 //! `perfdmf_requests` row (`docs/server.md`, "Call lifecycle").
 
 use crate::server::{
-    authenticate, validate, ReplayEntry, Shared, DUPLICATE_WAIT, NEXT_SESSION, POLL_INTERVAL,
+    authenticate, validate, Job, ReplayEntry, Shared, DUPLICATE_WAIT, NEXT_SESSION, POLL_INTERVAL,
 };
 use crate::stream::{write_all, write_available, FrameReader, ReadStep, RealStream, Stream};
 use crate::wire::{Message, PROTOCOL_VERSION};
-use crossbeam::channel::{unbounded, Receiver, Sender, TryRecvError};
-use perfdmf_explorer::{deadline_timeout, Request, Response};
+use crossbeam::channel::{bounded, unbounded, Receiver, Sender, TryRecvError, TrySendError};
+use perfdmf_explorer::{Request, Response};
 use perfdmf_telemetry as telemetry;
 use perfdmf_telemetry::sessions::{SessionRecord, SessionState};
 use std::io::{Read, Write};
@@ -199,7 +200,7 @@ impl PollReactor {
 
 /// Wakes a parked executor by writing one byte down a nonblocking
 /// socketpair whose read end sits in the executor's interest list.
-/// Cloned (via `Arc`) into every `submit_with_notify` notify closure.
+/// Cloned (via `Arc`) into every [`Job`] the shard dispatches.
 pub(crate) struct WakeHandle {
     pipe: UnixStream,
     /// True while the owning shard is parked (or committing to park)
@@ -387,8 +388,8 @@ enum State {
         request: Request,
         wait_until: Instant,
     },
-    /// Submitted to the explorer; the reply channel is polled until a
-    /// response arrives or `deadline` lapses.
+    /// Queued for an analysis worker; the reply channel is polled until
+    /// a response arrives or `deadline` lapses.
     Dispatched {
         rx: Receiver<Response>,
         deadline: Option<Instant>,
@@ -399,7 +400,7 @@ enum State {
 /// filed under and the counters and session tallies it moves
 /// (`docs/server.md`, "Call lifecycle").
 enum Exit {
-    /// The explorer answered, shed it at submission, or its deadline
+    /// A worker answered, the full queue shed it, or its deadline
     /// lapsed: the status is read off the response.
     Answered,
     /// The recorded response of its idempotency key was re-delivered.
@@ -514,8 +515,9 @@ impl Call {
     }
 
     /// Decide the call's next step. A dispatched call settles once its
-    /// reply arrives or its deadline lapses. A parked call without a
-    /// key dispatches; with one, the replay cache decides: a recorded
+    /// reply arrives or its deadline lapses: this is the one place a
+    /// lapse is answered and counted. A parked call without a key
+    /// dispatches; with one, the replay cache decides: a recorded
     /// response replays, a free key is claimed and the call dispatches,
     /// and a key still in flight keeps it waiting until the server
     /// drains or `wait_until` passes.
@@ -524,16 +526,19 @@ impl Call {
             State::Dispatched { rx, deadline } => {
                 return match rx.try_recv() {
                     Ok(response) => Step::Settle(response, Exit::Answered),
-                    Err(TryRecvError::Disconnected) => Step::Settle(
-                        Response::Error("analysis server dropped the request".into()),
-                        Exit::Answered,
-                    ),
-                    // Dropping `rx` with the call discards a late reply.
-                    Err(TryRecvError::Empty) if deadline.is_some_and(|d| now >= d) => {
+                    Err(TryRecvError::Empty) if deadline.is_none_or(|d| now < d) => Step::Wait,
+                    // Past the deadline a missing reply is a lapse, whether
+                    // it is still to come or the worker dropped the lapsed
+                    // job unrun. Dropping `rx` with the call discards a
+                    // late reply.
+                    Err(_) if deadline.is_some_and(|d| Instant::now() >= d) => {
                         let deadline = Duration::from_millis(u64::from(self.deadline_ms));
                         Step::Settle(deadline_timeout(deadline, self.trace_id), Exit::Answered)
                     }
-                    Err(TryRecvError::Empty) => Step::Wait,
+                    Err(_) => Step::Settle(
+                        Response::Error("analysis server dropped the request".into()),
+                        Exit::Answered,
+                    ),
                 };
             }
             State::Parked { wait_until, .. } => *wait_until,
@@ -580,7 +585,6 @@ impl Call {
                 record.requests += 1;
                 match response {
                     Response::Overloaded => {
-                        telemetry::add("server.sheds", 1);
                         record.sheds += 1;
                         "overloaded"
                     }
@@ -664,6 +668,20 @@ impl Drop for Call {
             self.file("panic");
             telemetry::trace::fault_dump();
         }
+    }
+}
+
+/// The reply to a call whose deadline lapsed before its response
+/// arrived: a retryable `Failed` tagged with the caller's trace, counted
+/// in `explorer.timeouts`.
+fn deadline_timeout(deadline: Duration, trace_id: Option<u64>) -> Response {
+    telemetry::add("explorer.timeouts", 1);
+    let trace_tag = trace_id
+        .map(|t| format!(" [trace {t:016x}]"))
+        .unwrap_or_default();
+    Response::Failed {
+        reason: format!("no response within {deadline:?}{trace_tag}"),
+        retryable: true,
     }
 }
 
@@ -815,10 +833,10 @@ impl Session {
         }
     }
 
-    /// Submit a parked call to the explorer under its trace and meter,
-    /// so worker spans and usage attribute to it, with its deadline
-    /// counted from `now`. The call then waits dispatched, or settles
-    /// the shed.
+    /// Queue a parked call for the analysis workers with its trace
+    /// context and meter, so worker spans and usage attribute to it, and
+    /// its deadline counted from `now`. The call then waits dispatched,
+    /// or settles the shed.
     fn dispatch(
         &mut self,
         shared: &Arc<Shared>,
@@ -828,19 +846,32 @@ impl Session {
     ) {
         let request = std::mem::replace(call.request(), Request::Ping);
         let _adopted = call.trace.map(telemetry::trace::adopt_context);
-        let _metered = telemetry::adopt_meter(call.meter.clone());
         let deadline = (call.deadline_ms > 0)
             .then(|| now + Duration::from_millis(u64::from(call.deadline_ms)));
         call.submitted = now;
-        match shared
-            .explorer
-            .submit_with_notify(request, deadline, Some(notify_via(waker)))
-        {
-            Ok(rx) => {
+        let (reply, rx) = bounded(1);
+        let job = Job {
+            request,
+            reply,
+            submitted: Instant::now(),
+            deadline,
+            trace: telemetry::trace::current_context(),
+            meter: call.meter.clone(),
+            waker: waker.clone(),
+        };
+        match shared.queue.try_send(job) {
+            Ok(()) => {
                 call.state = State::Dispatched { rx, deadline };
                 self.calls.push(call);
             }
-            Err(shed) => self.finish(call, shed, Exit::Answered),
+            Err(TrySendError::Full(_)) => {
+                telemetry::add("explorer.sheds", 1);
+                self.finish(call, Response::Overloaded, Exit::Answered);
+            }
+            Err(TrySendError::Disconnected(_)) => {
+                let down = Response::Error("analysis server is down".into());
+                self.finish(call, down, Exit::Answered);
+            }
         }
     }
 
@@ -1117,7 +1148,7 @@ impl Session {
         telemetry::sessions::note_request_started(self.record.id, self.record.trace_id);
 
         // The traced, metered scope: everything from here to the
-        // explorer hand-off runs under the adopted client context and a
+        // queue hand-off runs under the adopted client context and a
         // `server.request` span, so worker spans parent correctly. The
         // span closes before `call` drops, so a session-injected panic
         // dumps the span along with the call's row.
@@ -1179,12 +1210,6 @@ impl Session {
         }
         shared.live_sessions.fetch_sub(1, Ordering::Relaxed);
     }
-}
-
-/// Wrap a waker in the `Arc<dyn Fn()>` shape `submit_with_notify` takes.
-fn notify_via(waker: &Arc<WakeHandle>) -> Arc<dyn Fn() + Send + Sync> {
-    let waker = waker.clone();
-    Arc::new(move || waker.wake())
 }
 
 // ---------------------------------------------------------------------

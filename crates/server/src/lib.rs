@@ -1,10 +1,11 @@
 //! perfdmf-server — the fault-tolerant TCP front door to the PerfDMF
 //! archive.
 //!
-//! PerfDMF's analysis API (`perfdmf-explorer`) runs in-process: a
-//! bounded queue, worker pool, deadline shedding, and panic isolation
-//! behind `ExplorerClient`. This crate puts that API on the network
-//! without weakening any of it:
+//! PerfDMF's analysis API (`perfdmf-explorer`) is a library function,
+//! `handle(&Connection, &Request) -> Response`. This crate is the
+//! paper's analysis server (Figure 3): it puts that function on the
+//! network behind one bounded queue and its own worker threads, with
+//! load shedding, deadlines, and panic isolation:
 //!
 //! * [`wire`] — a length-prefixed binary frame protocol (`"PDMF"`
 //!   magic, u32 length, CRC-32, tagged-tree body with one tag per
@@ -20,17 +21,21 @@
 //! * `server` — [`PerfdmfServer`]: acceptor, per-connection sessions
 //!   (handshake with optional token auth, tenant tag,
 //!   strictly-increasing sequence numbers, idempotency replay cache),
-//!   graceful drain, and telemetry that surfaces in the
-//!   `perfdmf_sessions` system table.
+//!   the analysis queue (a full queue sheds with `Overloaded`) and its
+//!   workers (each runs `handle` under the call's trace and meter and
+//!   isolates panics), graceful drain, and telemetry that surfaces in
+//!   the `perfdmf_sessions` system table.
 //! * `eventloop` — the session executor: sharded event-loop threads
 //!   over nonblocking sockets behind a minimal poll(2) reactor, so
 //!   sessions scale as parked state machines rather than OS threads,
-//!   with bounded-window request pipelining.
-//! * `client` — [`NetClient`]: `ExplorerClient` semantics over TCP
+//!   with bounded-window request pipelining; a call's deadline lapse is
+//!   answered and counted here, once.
+//! * `client` — [`NetClient`]: `request(Request) -> Response` over TCP
 //!   with pipelining, and one retry loop for single requests and
-//!   batches alike: reconnect-on-failure retries (seed-deterministic
-//!   backoff jitter), idempotency keys so retried writes apply at most
-//!   once, and deadlines propagated in every frame.
+//!   batches alike: reconnect-on-failure retries paced by a
+//!   [`RetryPolicy`] (seed-deterministic backoff jitter), idempotency
+//!   keys so retried writes apply at most once, and deadlines
+//!   propagated in every frame.
 //!
 //! The chaos harness (`tests/chaos.rs`) drives seeded multi-client
 //! workloads through randomized fault schedules and asserts the
@@ -45,7 +50,7 @@ mod server;
 pub mod stream;
 pub mod wire;
 
-pub use client::NetClient;
+pub use client::{NetClient, RetryPolicy};
 pub use server::{PerfdmfServer, ServerConfig, DEFAULT_PIPELINE_WINDOW};
 pub use stream::{FaultStream, NetFaultPlan, RealStream, Stream};
 pub use wire::{Message, WireError, MAX_FRAME_LEN, PROTOCOL_VERSION};
@@ -55,7 +60,8 @@ mod tests {
     use super::*;
     use perfdmf_core::DatabaseSession;
     use perfdmf_db::Connection;
-    use perfdmf_explorer::{Request, Response};
+    use perfdmf_explorer::{ClusterMethod, FeatureSpace, Request, Response};
+    use perfdmf_profile::{IntervalData, IntervalEvent, Metric, Profile, ThreadId};
 
     fn server() -> PerfdmfServer {
         let conn = Connection::open_in_memory();
@@ -70,6 +76,63 @@ mod tests {
             },
         )
         .expect("server start")
+    }
+
+    /// A handler panic over the network: the call gets a non-retryable
+    /// `Failed` naming the panic, `explorer.request_panics` rises, and
+    /// the same (single) worker serves the next call.
+    #[test]
+    fn panicking_request_is_isolated_and_server_keeps_serving() {
+        let conn = Connection::open_in_memory();
+        let mut session = DatabaseSession::new(conn.clone()).expect("schema");
+        // Two obvious thread-behaviour groups, so clustering finds k = 2.
+        let mut p = Profile::new("bimodal");
+        let m = p.add_metric(Metric::measured("TIME"));
+        let a = p.add_event(IntervalEvent::ungrouped("compute"));
+        let b = p.add_event(IntervalEvent::ungrouped("exchange"));
+        p.add_threads((0..8).map(|n| ThreadId::new(n, 0, 0)));
+        for (i, &t) in p.threads().to_vec().iter().enumerate() {
+            let (ca, cb) = if i < 4 { (100.0, 5.0) } else { (10.0, 80.0) };
+            p.set_interval(a, t, m, IntervalData::new(ca, ca, 10.0, 0.0));
+            p.set_interval(b, t, m, IntervalData::new(cb, cb, 10.0, 0.0));
+        }
+        let trial = session.store_profile("app", "exp", &p).expect("store");
+        let config = ServerConfig {
+            workers: 1,
+            allow_fault_injection: true,
+            ..ServerConfig::default()
+        };
+        let server = PerfdmfServer::start_with_config(conn, config).expect("server start");
+        let mut client = NetClient::new(server.addr(), "panic").with_policy(RetryPolicy::none());
+        let panics = || {
+            perfdmf_telemetry::snapshot()
+                .counter("explorer.request_panics")
+                .map_or(0, |c| c.value)
+        };
+        let before = panics();
+        match client.request(Request::InjectPanic("boom".into())) {
+            Response::Failed { reason, retryable } => {
+                assert!(reason.contains("panicked"), "{reason}");
+                assert!(reason.contains("boom"), "{reason}");
+                assert!(!retryable, "a deterministic panic is not retryable");
+            }
+            other => panic!("expected Failed, got {other:?}"),
+        }
+        let cluster = Request::ClusterTrial {
+            trial_id: trial,
+            features: FeatureSpace::EventsOfMetric("TIME".into()),
+            k: None,
+            max_k: 4,
+            pca_components: 0,
+            method: ClusterMethod::KMeans,
+        };
+        match client.request(cluster) {
+            Response::Clustering { k, .. } => assert_eq!(k, 2),
+            other => panic!("the worker did not survive the panic: {other:?}"),
+        }
+        assert!(panics() > before, "the panic must be visible in telemetry");
+        client.close();
+        server.shutdown();
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The TCP front door's shared protocol logic: configuration, the
 //! handshake's token check, the idempotency replay cache, network
-//! boundary validation, request accounting, and the server handle with
-//! its graceful drain.
+//! boundary validation, the analysis workers behind their one bounded
+//! queue, and the server handle with its graceful drain.
 //!
 //! Sessions are driven by the sharded event loop in
 //! [`crate::eventloop`]; each accepted connection becomes a nonblocking
@@ -12,11 +12,12 @@
 //!
 //! Each session speaks the frame protocol ([`crate::wire`]), tracks
 //! per-session state (tenant tag, statement sequence numbers,
-//! idempotency replays), and funnels decoded requests into the
-//! explorer's admission control. Every admission decision the
-//! in-process explorer makes — shed on a full queue, discard
-//! past-deadline work, isolate panics — is therefore made for network
-//! clients too, with no second code path.
+//! idempotency replays), and dispatches decoded requests onto the
+//! analysis queue. A full queue sheds the call as `Overloaded`; a worker
+//! runs [`perfdmf_explorer::handle`] with the call's trace and meter,
+//! isolates a handler panic as a non-retryable `Failed`, and drops
+//! unrun a job whose deadline lapsed in the queue (its call has already
+//! answered the lapse).
 //!
 //! Failure semantics (see `docs/server.md` for the client's view):
 //!
@@ -30,17 +31,20 @@
 //!   then every session gets `ShuttingDown`/`Goodbye` and the acceptor
 //!   stops; telemetry is flushed into the metrics time series.
 
+use crate::eventloop::WakeHandle;
 use crate::stream::NetFaultPlan;
 use crate::wire::Message;
+use crossbeam::channel::{bounded, Receiver, Sender};
 use perfdmf_db::Connection;
-use perfdmf_explorer::{AnalysisServer, ExplorerClient, Request, Response};
+use perfdmf_explorer::{Request, Response};
 use perfdmf_telemetry as telemetry;
 use std::collections::{HashMap, VecDeque};
 use std::net::{SocketAddr, TcpListener};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Longest the acceptor and each event-loop shard sleep before
 /// re-checking the drain flag, deadlines, and idle budgets.
@@ -67,6 +71,9 @@ pub(crate) const DUPLICATE_WAIT: Duration = Duration::from_secs(10);
 /// window, so a runaway client cannot queue unbounded work behind one
 /// connection.
 pub const DEFAULT_PIPELINE_WINDOW: usize = 32;
+
+/// Default bound on the analysis queue ([`ServerConfig::queue_capacity`]).
+const DEFAULT_QUEUE_CAPACITY: usize = 256;
 
 /// Tuning knobs for [`PerfdmfServer`].
 #[derive(Debug, Clone)]
@@ -110,7 +117,7 @@ impl Default for ServerConfig {
         ServerConfig {
             addr: SocketAddr::from(([127, 0, 0, 1], 0)),
             workers: 4,
-            queue_capacity: perfdmf_explorer::DEFAULT_QUEUE_CAPACITY,
+            queue_capacity: DEFAULT_QUEUE_CAPACITY,
             max_sessions: 4096,
             idle_timeout: Duration::from_secs(30),
             window: DEFAULT_PIPELINE_WINDOW,
@@ -256,9 +263,85 @@ impl ReplayCache {
     }
 }
 
+/// One dispatched call on its way to an analysis worker.
+pub(crate) struct Job {
+    pub(crate) request: Request,
+    /// Where the worker sends the response; the call polls the other end.
+    pub(crate) reply: Sender<Response>,
+    /// When the job was queued: the base of its queue wait.
+    pub(crate) submitted: Instant,
+    /// When the call stops waiting for the reply (`None`: never).
+    pub(crate) deadline: Option<Instant>,
+    /// Trace context of the dispatching scope, so the worker's spans are
+    /// children of the call's.
+    pub(crate) trace: Option<telemetry::SpanContext>,
+    /// The call's meter: queue wait, execution, and everything the
+    /// handler touches (rows, chunk cache, WAL) bill to the call.
+    pub(crate) meter: telemetry::RequestMeter,
+    /// Wakes the call's shard once the reply is sent.
+    pub(crate) waker: Arc<WakeHandle>,
+}
+
+/// An analysis worker: serve jobs until the queue is closed and empty.
+fn work(conn: &Connection, queue: &Receiver<Job>) {
+    while let Ok(job) = queue.recv() {
+        // The call of a job that lapsed in the queue has already answered
+        // and counted the lapse; running it would only delay calls that
+        // can still meet their deadlines.
+        if job.deadline.is_some_and(|d| Instant::now() > d) {
+            continue;
+        }
+        let _adopted = job.trace.map(telemetry::trace::adopt_context);
+        let _metered = telemetry::adopt_meter(job.meter);
+        let _span = telemetry::span("explorer.request");
+        let waited = job.submitted.elapsed();
+        telemetry::meter::add_queue_wait_ns(nanos(waited));
+        if telemetry::enabled() {
+            telemetry::record_duration("explorer.queue_wait_ns", waited);
+            telemetry::record("explorer.queue_depth", queue.len() as u64);
+        }
+        let _ = job.reply.send(execute(conn, &job.request));
+        job.waker.wake();
+    }
+}
+
+/// Run one request under the `explorer.handle` span. A handler panic
+/// becomes a non-retryable `Failed`, since the same request would panic
+/// again, and the worker goes on to its next job.
+fn execute(conn: &Connection, request: &Request) -> Response {
+    let _span = telemetry::span("explorer.handle");
+    let started = Instant::now();
+    let outcome = catch_unwind(AssertUnwindSafe(|| perfdmf_explorer::handle(conn, request)));
+    let busy = nanos(started.elapsed());
+    telemetry::meter::add_execute_ns(busy);
+    telemetry::add("explorer.busy_ns", busy);
+    outcome.unwrap_or_else(|payload| {
+        telemetry::add("explorer.request_panics", 1);
+        let reason = if let Some(s) = payload.downcast_ref::<&'static str>() {
+            s
+        } else if let Some(s) = payload.downcast_ref::<String>() {
+            s
+        } else {
+            "non-string panic payload"
+        };
+        let trace_tag = telemetry::trace::current_trace_id()
+            .map(|t| format!(" [trace {}]", t.as_hex()))
+            .unwrap_or_default();
+        Response::Failed {
+            reason: format!("analysis worker panicked: {reason}{trace_tag}"),
+            retryable: false,
+        }
+    })
+}
+
+fn nanos(d: Duration) -> u64 {
+    d.as_nanos().min(u64::MAX as u128) as u64
+}
+
 /// State shared by the acceptor and every session state machine.
 pub(crate) struct Shared {
-    pub(crate) explorer: ExplorerClient,
+    /// The analysis queue; a full queue sheds the call.
+    pub(crate) queue: Sender<Job>,
     pub(crate) config: ServerConfig,
     pub(crate) draining: AtomicBool,
     pub(crate) live_sessions: AtomicUsize,
@@ -268,10 +351,11 @@ pub(crate) struct Shared {
 /// A running network server.
 pub struct PerfdmfServer {
     addr: SocketAddr,
-    shared: Arc<Shared>,
+    /// `None` once stopped: dropping it closes the analysis queue.
+    shared: Option<Arc<Shared>>,
     acceptor: Option<JoinHandle<()>>,
     executors: Vec<crate::eventloop::ExecutorHandle>,
-    analysis: Option<AnalysisServer>,
+    workers: Vec<JoinHandle<()>>,
 }
 
 impl PerfdmfServer {
@@ -287,9 +371,7 @@ impl PerfdmfServer {
         conn: Connection,
         config: ServerConfig,
     ) -> perfdmf_db::Result<PerfdmfServer> {
-        let analysis =
-            AnalysisServer::start_with_capacity(conn, config.workers, config.queue_capacity)?;
-        let explorer = ExplorerClient::connect(&analysis);
+        perfdmf_explorer::install(&conn)?;
         let listener = TcpListener::bind(config.addr).map_err(io_to_db)?;
         listener.set_nonblocking(true).map_err(io_to_db)?;
         let addr = listener.local_addr().map_err(io_to_db)?;
@@ -297,8 +379,18 @@ impl PerfdmfServer {
         let shard_count = std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(1);
+        let (queue, jobs) = bounded::<Job>(config.queue_capacity.max(1));
+        let workers = (0..config.workers.max(1))
+            .map(|i| {
+                let (conn, jobs) = (conn.clone(), jobs.clone());
+                std::thread::Builder::new()
+                    .name(format!("perfdmf-analysis-{i}"))
+                    .spawn(move || work(&conn, &jobs))
+                    .expect("spawn analysis worker")
+            })
+            .collect();
         let shared = Arc::new(Shared {
-            explorer,
+            queue,
             config,
             draining: AtomicBool::new(false),
             live_sessions: AtomicUsize::new(0),
@@ -314,10 +406,10 @@ impl PerfdmfServer {
         };
         Ok(PerfdmfServer {
             addr,
-            shared,
+            shared: Some(shared),
             acceptor: Some(acceptor),
             executors,
-            analysis: Some(analysis),
+            workers,
         })
     }
 
@@ -328,7 +420,9 @@ impl PerfdmfServer {
 
     /// Number of currently live sessions.
     pub fn live_sessions(&self) -> usize {
-        self.shared.live_sessions.load(Ordering::Relaxed)
+        self.shared
+            .as_ref()
+            .map_or(0, |shared| shared.live_sessions.load(Ordering::Relaxed))
     }
 
     /// Graceful drain: stop accepting, let every session finish (or
@@ -345,15 +439,23 @@ impl PerfdmfServer {
     /// shards (each says goodbye to its sessions), and the analysis
     /// workers. Idempotent: later calls find the handles taken.
     fn stop(&mut self) {
-        self.shared.draining.store(true, Ordering::SeqCst);
+        let Some(shared) = self.shared.take() else {
+            return;
+        };
+        shared.draining.store(true, Ordering::SeqCst);
         if let Some(acceptor) = self.acceptor.take() {
             let _ = acceptor.join();
         }
         for executor in std::mem::take(&mut self.executors) {
             executor.join();
         }
-        if let Some(analysis) = self.analysis.take() {
-            analysis.shutdown();
+        // The acceptor and the shards have dropped their references, so
+        // this drop closes the queue: each worker finishes the jobs left
+        // in it and exits.
+        debug_assert_eq!(Arc::strong_count(&shared), 1);
+        drop(shared);
+        for worker in std::mem::take(&mut self.workers) {
+            let _ = worker.join();
         }
     }
 }
@@ -385,8 +487,8 @@ const MAX_STALL_MS: u64 = 60_000;
 pub(crate) fn validate(request: &Request, config: &ServerConfig) -> Result<(), String> {
     match request {
         Request::Shutdown => {
-            // Shutdown is an in-process control request; over the
-            // network it would let any client kill a worker thread.
+            // Shutdown is an in-process control request; no remote
+            // client may send it.
             Err("Shutdown is not accepted over the network".into())
         }
         Request::InjectPanic(_) | Request::Stall { .. } if !config.allow_fault_injection => {

@@ -33,9 +33,9 @@ mod common;
 use common::cluster_request;
 use perfdmf_core::DatabaseSession;
 use perfdmf_db::Connection;
-use perfdmf_explorer::{Request, Response, RetryPolicy};
+use perfdmf_explorer::{Request, Response};
 use perfdmf_profile::{IntervalData, IntervalEvent, Metric, Profile, ThreadId};
-use perfdmf_server::{NetClient, NetFaultPlan, PerfdmfServer, ServerConfig};
+use perfdmf_server::{NetClient, NetFaultPlan, PerfdmfServer, RetryPolicy, ServerConfig};
 use perfdmf_telemetry::{mix64, GOLDEN_GAMMA};
 use std::time::{Duration, Instant};
 

@@ -15,8 +15,8 @@
 mod common;
 
 use common::{cluster_request, seeded_database};
-use perfdmf_explorer::{Request, Response, RetryPolicy};
-use perfdmf_server::{NetClient, NetFaultPlan, PerfdmfServer, ServerConfig};
+use perfdmf_explorer::{Request, Response};
+use perfdmf_server::{NetClient, NetFaultPlan, PerfdmfServer, RetryPolicy, ServerConfig};
 use std::time::{Duration, Instant};
 
 #[test]

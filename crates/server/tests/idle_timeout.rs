@@ -10,9 +10,9 @@
 mod common;
 
 use common::closed_session;
-use perfdmf_explorer::{Request, Response, RetryPolicy};
+use perfdmf_explorer::{Request, Response};
 use perfdmf_server::{
-    Message, NetClient, NetFaultPlan, PerfdmfServer, ServerConfig, PROTOCOL_VERSION,
+    Message, NetClient, NetFaultPlan, PerfdmfServer, RetryPolicy, ServerConfig, PROTOCOL_VERSION,
 };
 use std::time::Duration;
 

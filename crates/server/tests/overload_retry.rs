@@ -6,8 +6,8 @@
 
 use perfdmf_core::DatabaseSession;
 use perfdmf_db::Connection;
-use perfdmf_explorer::{Request, Response, RetryPolicy};
-use perfdmf_server::{NetClient, PerfdmfServer, ServerConfig};
+use perfdmf_explorer::{Request, Response};
+use perfdmf_server::{NetClient, PerfdmfServer, RetryPolicy, ServerConfig};
 use std::net::SocketAddr;
 use std::thread::JoinHandle;
 use std::time::Duration;

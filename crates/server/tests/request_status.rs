@@ -24,8 +24,8 @@
 mod common;
 
 use common::{closed_session, cluster_request, seeded_database};
-use perfdmf_explorer::{Request, Response, RetryPolicy};
-use perfdmf_server::{NetClient, PerfdmfServer, ServerConfig};
+use perfdmf_explorer::{Request, Response};
+use perfdmf_server::{NetClient, PerfdmfServer, RetryPolicy, ServerConfig};
 use perfdmf_telemetry::requests::RequestRecord;
 use std::net::SocketAddr;
 use std::time::{Duration, Instant};

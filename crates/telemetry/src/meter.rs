@@ -6,7 +6,7 @@
 //! hops threads captures [`current_meter`] before the hop and adopts it
 //! on the other side — exactly the [`crate::trace::current_context`] /
 //! [`crate::trace::adopt_context`] pattern, so the meter follows the
-//! request through the explorer's admission queue, its worker, and every
+//! request through the server's analysis queue, its worker, and every
 //! pool partition the worker fans out to.
 //!
 //! Instrumented subsystems call the free hook functions

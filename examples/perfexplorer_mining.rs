@@ -2,8 +2,8 @@
 //!
 //! Reproduces the sPPM analysis: a large trial whose threads fall into a
 //! small number of hardware-counter behaviour classes (the structure Ahn &
-//! Vetter reported) is clustered by the PerfExplorer analysis server, the
-//! clusters are summarized, and the results are saved back into the
+//! Vetter reported) is clustered by the PerfExplorer analysis handlers,
+//! the clusters are summarized, and the results are saved back into the
 //! database through the PerfDMF API.
 //!
 //! The sPPM dataset is synthetic with *planted* classes, so the example
@@ -15,7 +15,7 @@
 use perfdmf::analysis::adjusted_rand_index;
 use perfdmf::core::DatabaseSession;
 use perfdmf::db::Connection;
-use perfdmf::explorer::{AnalysisServer, ExplorerClient, Response};
+use perfdmf::explorer::{handle, install, ClusterMethod, FeatureSpace, Request, Response};
 use perfdmf::workload::SppmModel;
 
 fn main() {
@@ -33,14 +33,21 @@ fn main() {
     let mut session = DatabaseSession::new(conn.clone()).unwrap();
     let trial_id = session.store_profile("sppm", "counters", &profile).unwrap();
 
-    // ---- start the analysis server (Figure 3) and connect a client ----
-    let server = AnalysisServer::start(conn.clone(), 2).expect("server");
-    let client = ExplorerClient::connect(&server);
+    // ---- install the analysis-result tables (Figure 3) ----
+    install(&conn).expect("analysis schema");
+    let counters = |method| Request::ClusterTrial {
+        trial_id,
+        features: FeatureSpace::MetricsOfEvent("sppm_timestep".into()),
+        k: None,
+        max_k: 6,
+        pca_components: 0,
+        method,
+    };
 
     // ---- request cluster analysis on the FP-operations metric ----
     // Cluster threads by their full 7-counter vectors at the timestep
     // event — the feature space of the Ahn & Vetter analysis.
-    let response = client.cluster_counters(trial_id, "sppm_timestep", 6);
+    let response = handle(&conn, &counters(ClusterMethod::KMeans));
     let Response::Clustering {
         settings_id,
         k,
@@ -75,8 +82,13 @@ fn main() {
     // ---- correlate the PAPI counters (Ahn & Vetter's other lens) ----
     if let Response::Correlation {
         metrics, matrix, ..
-    } = client.correlate(trial_id, "sppm_timestep")
-    {
+    } = handle(
+        &conn,
+        &Request::CorrelateMetrics {
+            trial_id,
+            event: "sppm_timestep".into(),
+        },
+    ) {
         println!("\nPAPI counter correlations (|r| > 0.8):");
         for i in 0..metrics.len() {
             for j in (i + 1)..metrics.len() {
@@ -95,14 +107,15 @@ fn main() {
         k: hk,
         assignments: h_assignments,
         ..
-    } = client.cluster_hierarchical(trial_id, "sppm_timestep", 6)
+    } = handle(&conn, &counters(ClusterMethod::Hierarchical))
     {
         let agreement = adjusted_rand_index(&assignments, &h_assignments);
         println!("\nhierarchical clustering agrees with k-means: k = {hk}, ARI = {agreement:.3}");
     }
 
     // ---- browse the stored results, as the PerfExplorer client would ----
-    if let Response::Stored { method, rows } = client.fetch(settings_id) {
+    if let Response::Stored { method, rows } = handle(&conn, &Request::FetchResult { settings_id })
+    {
         let assignments = rows.iter().filter(|(t, _, _, _)| t == "assignment").count();
         let centroids = rows.iter().filter(|(t, _, _, _)| t == "centroid").count();
         println!(
@@ -111,6 +124,5 @@ fn main() {
         );
     }
 
-    server.shutdown();
     println!("\n(cluster analysis recovered the planted FP-behaviour classes — the §5.3 result)");
 }

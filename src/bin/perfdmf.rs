@@ -21,9 +21,7 @@
 use perfdmf::analysis::SpeedupAnalysis;
 use perfdmf::core::{append_derived_metric, DatabaseSession};
 use perfdmf::db::{Connection, Value};
-use perfdmf::explorer::{
-    AnalysisServer, ClusterMethod, ExplorerClient, FeatureSpace, Request, Response,
-};
+use perfdmf::explorer::{handle, install, ClusterMethod, FeatureSpace, Request, Response};
 use perfdmf::import::{export_xml, load_path};
 use perfdmf::server::{NetClient, PerfdmfServer, ServerConfig};
 use std::collections::HashMap;
@@ -76,9 +74,9 @@ fn run(args: Vec<String>) -> Result<(), String> {
             .ok_or("missing --db DIR (the archive directory)")?;
         Connection::open(PathBuf::from(dir)).map_err(|e| e.to_string())
     };
-    // Analysis requests route either to an in-process worker pool over
-    // --db, or across the wire to a `perfdmf serve` instance named by
-    // --connect — same request, same rendering.
+    // Analysis requests run either in-process against --db, or across
+    // the wire to a `perfdmf serve` instance named by --connect — same
+    // request, same rendering.
     let dispatch = |request: Request| -> Result<Response, String> {
         if let Some(target) = flags.get("connect") {
             let addr = resolve_addr(target)?;
@@ -89,11 +87,8 @@ fn run(args: Vec<String>) -> Result<(), String> {
             Ok(response)
         } else {
             let conn = open_db()?;
-            let server = AnalysisServer::start(conn, 2).map_err(|e| e.to_string())?;
-            let client = ExplorerClient::connect(&server);
-            let response = client.request(request);
-            server.shutdown();
-            Ok(response)
+            install(&conn).map_err(|e| e.to_string())?;
+            Ok(handle(&conn, &request))
         }
     };
     match command.as_str() {

@@ -1,12 +1,25 @@
-//! Experiment E4 (paper §5.3): PerfExplorer client/server data mining on
-//! an sPPM-like dataset — clustering recovers the planted behaviour
-//! classes and results persist through the PerfDMF API.
+//! Experiment E4 (paper §5.3): PerfExplorer data mining on an sPPM-like
+//! dataset — the analysis handlers' clustering recovers the planted
+//! behaviour classes and results persist through the PerfDMF API.
 
 use perfdmf::analysis::adjusted_rand_index;
 use perfdmf::core::DatabaseSession;
 use perfdmf::db::{Connection, Value};
-use perfdmf::explorer::{AnalysisServer, ExplorerClient, Request, Response};
+use perfdmf::explorer::{handle, install, ClusterMethod, FeatureSpace, Request, Response};
 use perfdmf::workload::SppmModel;
+
+/// K-means clustering of a trial's threads by their hardware-counter
+/// vectors at one event, with silhouette-selected k.
+fn cluster_counters(trial_id: i64, event: &str, max_k: usize) -> Request {
+    Request::ClusterTrial {
+        trial_id,
+        features: FeatureSpace::MetricsOfEvent(event.into()),
+        k: None,
+        max_k,
+        pca_components: 0,
+        method: ClusterMethod::KMeans,
+    }
+}
 
 #[test]
 fn sppm_clusters_recovered_and_persisted() {
@@ -16,15 +29,14 @@ fn sppm_clusters_recovered_and_persisted() {
     let mut session = DatabaseSession::new(conn.clone()).unwrap();
     let trial = session.store_profile("sppm", "counters", &profile).unwrap();
 
-    let server = AnalysisServer::start(conn.clone(), 2).unwrap();
-    let client = ExplorerClient::connect(&server);
+    install(&conn).unwrap();
     let Response::Clustering {
         settings_id,
         k,
         assignments,
         summaries,
         ..
-    } = client.cluster_counters(trial, "sppm_timestep", 6)
+    } = handle(&conn, &cluster_counters(trial, "sppm_timestep", 6))
     else {
         panic!("clustering failed");
     };
@@ -48,7 +60,7 @@ fn sppm_clusters_recovered_and_persisted() {
     );
 
     // browse them back through the protocol
-    match client.fetch(settings_id) {
+    match handle(&conn, &Request::FetchResult { settings_id }) {
         Response::Stored { method, rows } => {
             assert_eq!(method, "kmeans");
             let assigns: Vec<usize> = rows
@@ -61,7 +73,6 @@ fn sppm_clusters_recovered_and_persisted() {
         }
         other => panic!("{other:?}"),
     }
-    server.shutdown();
 }
 
 #[test]
@@ -71,23 +82,24 @@ fn pca_reduction_preserves_cluster_structure() {
     let conn = Connection::open_in_memory();
     let mut session = DatabaseSession::new(conn.clone()).unwrap();
     let trial = session.store_profile("sppm", "pca", &profile).unwrap();
-    let server = AnalysisServer::start(conn, 1).unwrap();
-    let client = ExplorerClient::connect(&server);
+    install(&conn).unwrap();
     // cluster in a 2-component PCA space instead of the raw 7-D space
-    let resp = client.request(Request::ClusterTrial {
-        trial_id: trial,
-        features: perfdmf::explorer::FeatureSpace::MetricsOfEvent("sppm_timestep".into()),
-        k: Some(3),
-        max_k: 3,
-        pca_components: 2,
-        method: perfdmf::explorer::ClusterMethod::KMeans,
-    });
+    let resp = handle(
+        &conn,
+        &Request::ClusterTrial {
+            trial_id: trial,
+            features: FeatureSpace::MetricsOfEvent("sppm_timestep".into()),
+            k: Some(3),
+            max_k: 3,
+            pca_components: 2,
+            method: ClusterMethod::KMeans,
+        },
+    );
     let Response::Clustering { assignments, .. } = resp else {
         panic!("{resp:?}");
     };
     let ari = adjusted_rand_index(&assignments, &truth);
     assert!(ari > 0.9, "PCA-space ARI {ari}");
-    server.shutdown();
 }
 
 #[test]
@@ -108,23 +120,20 @@ fn analysis_results_survive_restart() {
         let (profile, t) = model.generate(64, &[0.5, 0.25, 0.25]);
         truth = t;
         let trial = session.store_profile("sppm", "persist", &profile).unwrap();
-        let server = AnalysisServer::start(conn.clone(), 1).unwrap();
-        let client = ExplorerClient::connect(&server);
+        install(&conn).unwrap();
         let Response::Clustering {
             settings_id: sid, ..
-        } = client.cluster_counters(trial, "sppm_timestep", 5)
+        } = handle(&conn, &cluster_counters(trial, "sppm_timestep", 5))
         else {
             panic!("clustering failed");
         };
         settings_id = sid;
-        server.shutdown();
         conn.checkpoint().unwrap();
     }
     {
         let conn = Connection::open(&dir).unwrap();
-        let server = AnalysisServer::start(conn, 1).unwrap();
-        let client = ExplorerClient::connect(&server);
-        match client.fetch(settings_id) {
+        install(&conn).unwrap();
+        match handle(&conn, &Request::FetchResult { settings_id }) {
             Response::Stored { rows, .. } => {
                 let assigns: Vec<usize> = rows
                     .iter()
@@ -136,7 +145,6 @@ fn analysis_results_survive_restart() {
             }
             other => panic!("{other:?}"),
         }
-        server.shutdown();
     }
     std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -6,7 +6,7 @@ use perfdmf::analysis::{
 };
 use perfdmf::core::{event_aggregates, load_trial, DatabaseSession, EventAggregate};
 use perfdmf::db::{Connection, Value};
-use perfdmf::explorer::{AnalysisServer, ExplorerClient, Response};
+use perfdmf::explorer::{handle, install, Request, Response};
 use perfdmf::profile::{IntervalData, Metric, MetricId, Profile, ThreadId, UNDEFINED};
 use perfdmf::workload::Evh1Model;
 
@@ -344,10 +344,13 @@ fn analyses_agree_from_profiles_and_from_sql() {
 
     // The explorer's handlers answer from the DBMS's aggregates: the same
     // results as the Profile producer's.
-    let server = AnalysisServer::start(conn.clone(), 1).unwrap();
-    let client = ExplorerClient::connect(&server);
+    install(&conn).unwrap();
     let exp = 1;
-    match client.speedup(exp, METRIC) {
+    let speedup = Request::SpeedupStudy {
+        experiment_id: exp,
+        metric: METRIC.into(),
+    };
+    match handle(&conn, &speedup) {
         Response::Speedup {
             application,
             routines,
@@ -362,11 +365,21 @@ fn analyses_agree_from_profiles_and_from_sql() {
         }
         other => panic!("{other:?}"),
     }
-    match client.regressions(exp, 0.10) {
+    let scan = Request::RegressionScan {
+        experiment_id: exp,
+        threshold: 0.10,
+    };
+    match handle(&conn, &scan) {
         Response::Regressions { findings, .. } => assert_eq!(findings.len(), flagged),
         other => panic!("{other:?}"),
     }
-    match client.watchdog(exp, trials[last], METRIC, 1.0) {
+    let check = Request::WatchdogCheck {
+        experiment_id: exp,
+        trial_id: trials[last],
+        metric: METRIC.into(),
+        min_ratio: 1.0,
+    };
+    match handle(&conn, &check) {
         Response::Watchdog { findings, .. } => {
             let strict = check_trial(
                 &p_base,
@@ -386,5 +399,4 @@ fn analyses_agree_from_profiles_and_from_sql() {
         }
         other => panic!("{other:?}"),
     }
-    server.shutdown();
 }
