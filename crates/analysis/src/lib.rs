@@ -12,7 +12,7 @@
 //! * `features` — profile → feature-matrix extraction for data mining.
 //! * [`hierarchical()`] — average-linkage agglomerative clustering with
 //!   dendrogram cut (PerfExplorer's second mining method).
-//! * [`kmeans()`] — k-means++ clustering with a parallel assignment step,
+//! * [`kmeans()`] — k-means++ clustering with Lloyd iterations,
 //!   silhouette k-selection, adjusted Rand index (PerfExplorer's cluster
 //!   analysis, §5.3 — the R substitute).
 //! * [`pca()`] — principal component analysis via cyclic Jacobi.

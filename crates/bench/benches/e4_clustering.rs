@@ -3,8 +3,8 @@
 //! Measures k-means over sPPM-like thread×counter data at growing thread
 //! counts, the silhouette-based k selection, and PCA reduction. Expected
 //! shape: the assignment-dominated k-means cost grows ~linearly in
-//! threads (the parallel assignment step keeps the constant low);
-//! silhouette (O(n²)) is the k-selection cost ceiling.
+//! threads (a serial Lloyd loop, O(n·k·d) per iteration); silhouette
+//! (O(n²)) is the k-selection cost ceiling.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use perfdmf_analysis::{kmeans, pca, select_k, thread_metric_matrix};

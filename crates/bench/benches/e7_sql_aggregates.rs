@@ -9,7 +9,7 @@
 //! the toolkit pays the full-trial load.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use perfdmf_bench::{quick, sizes, store_fresh};
+use perfdmf_bench::{sizes, store_fresh};
 use perfdmf_core::{load_trial, DatabaseSession};
 use perfdmf_workload::Evh1Model;
 
@@ -67,58 +67,10 @@ fn bench_load_then_analyze(c: &mut Criterion) {
     group.finish();
 }
 
-/// Serial vs parallel partitioned execution of the grouped-aggregate
-/// scan. The parallel runs force the pool past its size threshold; the
-/// answers are asserted identical (floats within 1e-9 relative) before
-/// anything is timed, so a speedup can never come from a wrong result.
-fn bench_parallel_aggregate_scaling(c: &mut Criterion) {
-    use perfdmf_db::Value;
-    use perfdmf_pool as pool;
-
-    const SQL: &str = "SELECT node, COUNT(*), AVG(exclusive), STDDEV(exclusive), \
-                       MIN(inclusive), MAX(inclusive) \
-                       FROM interval_location_profile GROUP BY node";
-    let model = Evh1Model::default_mix(41);
-    let profile = model.generate(if quick() { 16 } else { 256 });
-    let (conn, _trial) = store_fresh(&profile);
-
-    let serial = {
-        let _mode = pool::override_for_thread(1, 1);
-        conn.query(SQL, &[]).expect("serial aggregates").rows
-    };
-    let parallel = {
-        let _mode = pool::override_for_thread(4, 1);
-        conn.query(SQL, &[]).expect("parallel aggregates").rows
-    };
-    assert_eq!(serial.len(), parallel.len(), "parallel run dropped groups");
-    for (a, b) in serial.iter().zip(&parallel) {
-        for (x, y) in a.iter().zip(b) {
-            match (x, y) {
-                (Value::Float(x), Value::Float(y)) => assert!(
-                    (x - y).abs() <= 1e-9 * x.abs().max(1.0),
-                    "parallel aggregate diverged: {x} vs {y}"
-                ),
-                _ => assert_eq!(x, y, "parallel aggregate diverged"),
-            }
-        }
-    }
-
-    let mut group = c.benchmark_group("e7_parallel_aggregates");
-    group.throughput(Throughput::Elements(profile.data_point_count() as u64));
-    for (label, threads) in [("serial", 1usize), ("threads2", 2), ("threads4", 4)] {
-        group.bench_with_input(BenchmarkId::from_parameter(label), &(), |b, _| {
-            let _mode = pool::override_for_thread(threads, 1);
-            b.iter(|| conn.query(SQL, &[]).expect("aggregates"));
-        });
-    }
-    group.finish();
-}
-
 criterion_group!(
     benches,
     bench_sql_aggregates,
     bench_toolkit_aggregates,
-    bench_load_then_analyze,
-    bench_parallel_aggregate_scaling
+    bench_load_then_analyze
 );
 criterion_main!(benches);

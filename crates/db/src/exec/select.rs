@@ -27,13 +27,11 @@ use crate::plan::ir::{
 use crate::sql::ast::*;
 use crate::table::{Row, RowId, Table};
 use crate::value::Value;
-use perfdmf_pool as pool;
 use perfdmf_telemetry as telemetry;
 use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::convert::Infallible;
 use std::ops::Bound;
-use std::ops::Range;
 use std::time::Instant;
 
 /// A resolved FROM-clause table: either a borrowed base table or a
@@ -82,19 +80,19 @@ pub(crate) fn resolve_table<'a>(db: &'a Database, name: &str) -> Result<TableSou
 /// the normal path pays one `Option` check per stage.
 #[derive(Debug, Default)]
 pub(crate) struct ExecProfile {
-    /// (rows out, rows read, partitions used, wall ns) of the base scan.
-    /// Rows read are the index candidates or live rows visited, before
-    /// pushed conjuncts.
-    scan: Option<(u64, u64, usize, u64)>,
+    /// (rows out, rows read, wall ns) of the base scan. Rows read are
+    /// the index candidates or live rows visited, before pushed
+    /// conjuncts.
+    scan: Option<(u64, u64, u64)>,
     /// (live rows, chunks, cache hits, cache misses, partitions, wall ns)
     /// of a columnar scan (fused scan + filter + aggregate).
     colscan: Option<(u64, usize, u64, u64, usize, u64)>,
     /// (rows out, right-side rows read, wall ns) per join, left to right.
     joins: Vec<(u64, u64, u64)>,
-    /// (rows in, rows out, partitions used, wall ns) of the WHERE pass.
-    filter: Option<(u64, u64, usize, u64)>,
-    /// (groups, partitions used, wall ns) of the aggregate pass.
-    aggregate: Option<(u64, usize, u64)>,
+    /// (rows in, rows out, wall ns) of the WHERE pass.
+    filter: Option<(u64, u64, u64)>,
+    /// (groups, wall ns) of the aggregate pass.
+    aggregate: Option<(u64, u64)>,
     /// Wall ns of the ORDER BY sort (plain or grouped path).
     sort_ns: u64,
     /// (rows in, rows out) of the DISTINCT pass.
@@ -112,13 +110,9 @@ fn fmt_ns(ns: u64) -> String {
     format!("{:.3}ms", ns as f64 / 1e6)
 }
 
-/// The `actual ..., partitions=..., ...ms` note of a measured operator.
-fn measured(what: String, partitions: usize, ns: u64) -> String {
-    let partitions = match partitions {
-        0 => "serial".to_string(),
-        n => n.to_string(),
-    };
-    format!("actual {what}, partitions={partitions}, {}", fmt_ns(ns))
+/// The `actual ..., ...ms` note of a measured operator.
+fn measured(what: String, ns: u64) -> String {
+    format!("actual {what}, {}", fmt_ns(ns))
 }
 
 /// Replace uncorrelated subqueries (`IN (SELECT ...)`, scalar
@@ -615,57 +609,26 @@ fn exec_scan<'p>(
         .map(|c| c.ids),
     };
 
-    // A full scan without early exit runs partition-parallel when the
-    // pool and row count justify it. The slab is chunked by row-id range;
-    // live rows concatenated in partition order match `Table::iter`'s
-    // ascending-id order, so the parallel scan returns rows in exactly
-    // the serial order.
-    let parallel = match (&ids, scan.stop_after) {
-        (None, None) => pool::partitions(table.slab_len()),
-        _ => None,
+    // The candidate rows, pushed conjuncts tested row by row. With LIMIT
+    // pushdown the scan stops after `take` matches.
+    let take = scan.stop_after.unwrap_or(usize::MAX);
+    let candidates: Box<dyn Iterator<Item = &Row>> = match &ids {
+        Some(ids) => Box::new(ids.iter().filter_map(|&id| table.row(id))),
+        None => Box::new(table.iter().map(|(_, row)| row)),
     };
-    let mut partitions = 0usize;
     let mut read = 0u64;
-    let refs: Vec<Option<&'p Row>> = match parallel {
-        Some(ranges) => {
-            telemetry::add("db.exec.parallel_scans", 1);
-            partitions = ranges.len();
-            let chunks = pool::try_run(ranges.len(), |pi| {
-                let (mut part, mut read) = (Vec::new(), 0u64);
-                for row in ranges[pi].clone().filter_map(|id| table.row(id as RowId)) {
-                    read += 1;
-                    if pushed_match(&pushed, row, params)? {
-                        part.push(Some(row));
-                    }
-                }
-                Ok::<_, DbError>((part, read))
-            })?;
-            read = chunks.iter().map(|(_, n)| n).sum();
-            chunks.into_iter().flat_map(|(part, _)| part).collect()
-        }
-        None => {
-            // Serial scan over the candidate rows. With LIMIT pushdown it
-            // stops after `take` matches.
-            let take = scan.stop_after.unwrap_or(usize::MAX);
-            let candidates: Box<dyn Iterator<Item = &Row>> = match &ids {
-                Some(ids) => Box::new(ids.iter().filter_map(|&id| table.row(id))),
-                None => Box::new(table.iter().map(|(_, row)| row)),
-            };
-            let mut kept = Vec::new();
-            if take > 0 {
-                for row in candidates {
-                    read += 1;
-                    if pushed_match(&pushed, row, params)? {
-                        kept.push(Some(row));
-                        if kept.len() >= take {
-                            break;
-                        }
-                    }
+    let mut refs: Vec<Option<&'p Row>> = Vec::new();
+    if take > 0 {
+        for row in candidates {
+            read += 1;
+            if pushed_match(&pushed, row, params)? {
+                refs.push(Some(row));
+                if refs.len() >= take {
+                    break;
                 }
             }
-            kept
         }
-    };
+    }
     let rows_out = refs.len() as u64;
     // An early-exit scan reports rows *examined* as its scanned count.
     let scanned = match scan.stop_after {
@@ -673,7 +636,7 @@ fn exec_scan<'p>(
         None => rows_out,
     };
     if let Some(p) = prof {
-        p.scan = Some((rows_out, read, partitions, stage_ns(t0)));
+        p.scan = Some((rows_out, read, stage_ns(t0)));
     }
     Ok((layout1, Tuples { stride: 1, refs }, scanned))
 }
@@ -830,7 +793,7 @@ fn exec_join<'p>(
     Ok((full_layout, joined, scanned))
 }
 
-/// The WHERE pass: partition-parallel filtering of row tuples.
+/// The WHERE pass: keep the row tuples the predicate accepts, in order.
 fn exec_filter<'p>(
     layout: &Layout,
     rows: Tuples<'p>,
@@ -842,38 +805,18 @@ fn exec_filter<'p>(
     let _stage = telemetry::span("db.exec.filter");
     let t0 = prof.is_some().then(Instant::now);
     let rows_in = rows.len();
-    let keep = |range: Range<usize>| -> Result<Vec<Option<&'p Row>>> {
-        let mut kept = Vec::new();
-        for i in range {
-            let tuple = rows.get(i);
-            if eval_condition(&pred, &Env::new(tuple, params))? {
-                kept.extend_from_slice(tuple);
-            }
+    let mut refs = Vec::new();
+    for tuple in rows.iter() {
+        if eval_condition(&pred, &Env::new(tuple, params))? {
+            refs.extend_from_slice(tuple);
         }
-        Ok(kept)
-    };
-    let mut partitions_used = 0;
-    let refs = match pool::partitions(rows_in) {
-        Some(ranges) => {
-            // Concatenating kept tuples in partition order preserves the
-            // serial result order.
-            telemetry::add("db.exec.parallel_filters", 1);
-            partitions_used = ranges.len();
-            pool::try_run(ranges.len(), |pi| keep(ranges[pi].clone()))?.concat()
-        }
-        None => keep(0..rows_in)?,
-    };
+    }
     let rows = Tuples {
         stride: rows.stride,
         refs,
     };
     if let Some(p) = prof {
-        p.filter = Some((
-            rows_in as u64,
-            rows.len() as u64,
-            partitions_used,
-            stage_ns(t0),
-        ));
+        p.filter = Some((rows_in as u64, rows.len() as u64, stage_ns(t0)));
     }
     Ok(rows)
 }
@@ -954,7 +897,6 @@ fn exec_columnar(
         scans.len(),
         tail.order_by,
         params,
-        stats.partitions,
         t0,
         prof,
     )?;
@@ -1056,15 +998,13 @@ fn render_plan(
     if filter_present && cplan.is_none() {
         let note = prof
             .and_then(|p| p.filter)
-            .map(|(rows_in, rows_out, parts, ns)| {
-                measured(format!("rows={rows_out} of {rows_in}"), parts, ns)
-            });
+            .map(|(rows_in, rows_out, ns)| measured(format!("rows={rows_out} of {rows_in}"), ns));
         lines.push(noted("filter: WHERE".to_string(), note));
     }
     if let Some((group_by, having)) = tail.aggregate {
         let note = prof
             .and_then(|p| p.aggregate)
-            .map(|(groups, parts, ns)| measured(format!("groups={groups}"), parts, ns));
+            .map(|(groups, ns)| measured(format!("groups={groups}"), ns));
         let line = format!(
             "aggregate: group by {} expr(s){}",
             group_by.len(),
@@ -1287,16 +1227,24 @@ fn scan_line(scan: &ScanNode<'_>, prof: Option<&ExecProfile>) -> String {
         }
     }
     let note = prof.and_then(|p| match (columnar, p.colscan, p.scan) {
-        (true, Some((live, chunks, hits, misses, parts, ns)), _) => Some(measured(
-            format!("rows={live}, chunks={chunks}, cache hits={hits} misses={misses}"),
-            parts,
-            ns,
-        )),
+        (true, Some((live, chunks, hits, misses, parts, ns)), _) => {
+            let parts = match parts {
+                0 => "serial".to_string(),
+                n => n.to_string(),
+            };
+            Some(measured(
+                format!(
+                    "rows={live}, chunks={chunks}, cache hits={hits} misses={misses}, \
+                     partitions={parts}"
+                ),
+                ns,
+            ))
+        }
         // The plan chose columnar but the kernels declined a chunk at
         // run time and the row path executed instead.
         (true, None, Some(_)) => Some("fell back to row execution".to_string()),
-        (false, _, Some((rows_out, read, parts, ns))) => {
-            Some(measured(format!("rows={rows_out}, read={read}"), parts, ns))
+        (false, _, Some((rows_out, read, ns))) => {
+            Some(measured(format!("rows={rows_out}, read={read}"), ns))
         }
         _ => None,
     });
@@ -1663,9 +1611,9 @@ type Group<'t> = (Option<Cow<'t, [Option<&'t Row>]>>, Vec<Accumulator>);
 /// Turn accumulated groups into output rows: HAVING, the projections and
 /// the ORDER BY keys are evaluated on each group's representative tuple
 /// with its aggregate values substituted, then the rows are sorted. Both
-/// the row path and the columnar path end here. `agg_t0`/`partitions`
-/// describe the aggregate stage for EXPLAIN ANALYZE; its time excludes
-/// the sort, which is reported on its own line.
+/// the row path and the columnar path end here. `agg_t0` starts the
+/// aggregate stage's EXPLAIN ANALYZE time, which excludes the sort,
+/// reported on its own line.
 #[allow(clippy::too_many_arguments)]
 fn finish_groups(
     bound: &BoundAggregate,
@@ -1674,7 +1622,6 @@ fn finish_groups(
     stride: usize,
     order_by: &[OrderItem],
     params: &[Value],
-    partitions: usize,
     agg_t0: Option<Instant>,
     mut prof: Option<&mut ExecProfile>,
 ) -> Result<Vec<Row>> {
@@ -1709,7 +1656,7 @@ fn finish_groups(
         out_rows.push((key, out));
     }
     if let Some(p) = prof.as_deref_mut() {
-        p.aggregate = Some((group_count, partitions, stage_ns(agg_t0)));
+        p.aggregate = Some((group_count, stage_ns(agg_t0)));
     }
     if !order_by.is_empty() {
         let _stage = telemetry::span("db.exec.sort");
@@ -1737,35 +1684,9 @@ fn aggregate_path(
     let bound = BoundAggregate::bind(proj, group_by, having, order_by, layout)?;
     let aggs = bound.aggs();
 
-    // Group rows and accumulate aggregates, in parallel when the row count
-    // justifies it. DISTINCT aggregates dedupe through per-group hash sets
-    // that cannot be split across partitions, so they pin the serial path.
-    let has_distinct = aggs
-        .iter()
-        .any(|a| matches!(a, Expr::Aggregate { distinct: true, .. }));
-    let parallel = if has_distinct {
-        None
-    } else {
-        pool::partitions(rows.len())
-    };
-    let mut agg_partitions = 0usize;
-    let group_by = bound.group_by();
-    let groups = match parallel {
-        Some(ranges) => {
-            telemetry::add("db.exec.parallel_aggregates", 1);
-            agg_partitions = ranges.len();
-            let aggs_ref = &aggs;
-            let partials = pool::try_run(ranges.len(), |pi| {
-                group_and_accumulate(group_by, rows, params, aggs_ref, ranges[pi].clone())
-            })?;
-            let _merge = telemetry::span("db.exec.merge");
-            merge_group_partials(partials)?
-        }
-        None => group_and_accumulate(group_by, rows, params, &aggs, 0..rows.len())?,
-    };
-    let groups = groups
+    let groups = group_and_accumulate(bound.group_by(), rows, params, &aggs)?
         .into_iter()
-        .map(|(_, rep, accs)| (rep.map(|i| Cow::Borrowed(rows.get(i))), accs))
+        .map(|(rep, accs)| (rep.map(|i| Cow::Borrowed(rows.get(i))), accs))
         .collect();
     Ok(ResultSet {
         rows: finish_groups(
@@ -1775,7 +1696,6 @@ fn aggregate_path(
             rows.stride,
             order_by,
             params,
-            agg_partitions,
             agg_t0,
             prof,
         )?,
@@ -1783,11 +1703,6 @@ fn aggregate_path(
         ..ResultSet::default()
     })
 }
-
-/// Grouping state: key values (borrowed from the base rows where the key
-/// is a bare column), index of the group's first (representative) row,
-/// and one accumulator per aggregate expression.
-type GroupState<'t> = (Vec<Cow<'t, Value>>, Option<usize>, Vec<Accumulator>);
 
 fn new_accumulators(aggs: &[&Expr]) -> Vec<Accumulator> {
     aggs.iter()
@@ -1811,74 +1726,42 @@ fn update_accumulators(accs: &mut [Accumulator], aggs: &[&Expr], env: &Env) -> R
     Ok(())
 }
 
-/// Group `rows[range]` and feed the aggregates, producing groups in
-/// first-occurrence order with the range's first member as representative.
-/// Called with the full range on the serial path, and once per partition on
-/// the parallel path.
-fn group_and_accumulate<'t>(
+/// Group the rows and feed the aggregates, producing groups in
+/// first-occurrence order, each with the index of its first row as
+/// representative (`None` only for the one group of an ungrouped
+/// aggregate over no rows).
+fn group_and_accumulate(
     group_by: &[Expr],
-    rows: &'t Tuples<'_>,
-    params: &'t [Value],
+    rows: &Tuples<'_>,
+    params: &[Value],
     aggs: &[&Expr],
-    range: Range<usize>,
-) -> Result<Vec<GroupState<'t>>> {
-    let mut groups: Vec<GroupState<'t>> = Vec::new();
+) -> Result<Vec<(Option<usize>, Vec<Accumulator>)>> {
     if group_by.is_empty() {
-        let rep = (!range.is_empty()).then_some(range.start);
         let mut accs = new_accumulators(aggs);
-        for i in range {
-            update_accumulators(&mut accs, aggs, &Env::new(rows.get(i), params))?;
+        for tuple in rows.iter() {
+            update_accumulators(&mut accs, aggs, &Env::new(tuple, params))?;
         }
-        groups.push((Vec::new(), rep, accs));
-    } else {
-        let mut group_index: FastMap<Vec<Cow<'t, Value>>, usize> = FastMap::default();
-        // Reused per row; a key is copied only when its group is new.
-        let mut key: Vec<Cow<'t, Value>> = Vec::with_capacity(group_by.len());
-        for i in range {
-            let env = Env::new(rows.get(i), params);
-            key.clear();
-            for g in group_by {
-                key.push(eval_ref(g, &env)?);
-            }
-            let gi = match group_index.get(key.as_slice()) {
-                Some(&gi) => gi,
-                None => {
-                    group_index.insert(key.clone(), groups.len());
-                    groups.push((key.clone(), Some(i), new_accumulators(aggs)));
-                    groups.len() - 1
-                }
-            };
-            update_accumulators(&mut groups[gi].2, aggs, &env)?;
-        }
+        return Ok(vec![((rows.len() > 0).then_some(0), accs)]);
     }
-    Ok(groups)
-}
-
-/// Merge per-partition group partials in partition-index order. Because
-/// partitions cover ascending row ranges, first occurrence across the merge
-/// equals global first occurrence — group output order and representative
-/// rows match the serial path exactly.
-fn merge_group_partials(partials: Vec<Vec<GroupState<'_>>>) -> Result<Vec<GroupState<'_>>> {
-    let mut groups: Vec<GroupState> = Vec::new();
-    let mut group_index: FastMap<Vec<Cow<Value>>, usize> = FastMap::default();
-    for partial in partials {
-        for (key, rep, accs) in partial {
-            match group_index.get(&key) {
-                Some(&gi) => {
-                    // Keep the earlier representative; merge accumulators.
-                    for (dst, src) in groups[gi].2.iter_mut().zip(&accs) {
-                        dst.merge(src)?;
-                    }
-                    if groups[gi].1.is_none() {
-                        groups[gi].1 = rep;
-                    }
-                }
-                None => {
-                    group_index.insert(key.clone(), groups.len());
-                    groups.push((key, rep, accs));
-                }
-            }
+    let mut groups = Vec::new();
+    let mut group_index: FastMap<Vec<Cow<'_, Value>>, usize> = FastMap::default();
+    // Reused per row; a key is copied only when its group is new.
+    let mut key = Vec::with_capacity(group_by.len());
+    for (i, tuple) in rows.iter().enumerate() {
+        let env = Env::new(tuple, params);
+        key.clear();
+        for g in group_by {
+            key.push(eval_ref(g, &env)?);
         }
+        let gi = match group_index.get(key.as_slice()) {
+            Some(&gi) => gi,
+            None => {
+                group_index.insert(key.clone(), groups.len());
+                groups.push((Some(i), new_accumulators(aggs)));
+                groups.len() - 1
+            }
+        };
+        update_accumulators(&mut groups[gi].1, aggs, &env)?;
     }
     Ok(groups)
 }

@@ -860,11 +860,6 @@ fn chunk_partial(
     )
 }
 
-/// How many columnar rows cost as much as one row on the row path
-/// (`event_aggregates` over one trial: ~190 ns per row grouped on the
-/// row path, ~20 ns in the kernels).
-const ROW_COST_RATIO: usize = 8;
-
 /// Split `0..n_chunks` into at most `max_parts` contiguous runs.
 fn chunk_runs(n_chunks: usize, max_parts: usize) -> Vec<Range<usize>> {
     let parts = max_parts.clamp(1, n_chunks.max(1));
@@ -894,11 +889,10 @@ pub(crate) fn execute_columnar(
         chunks: chunks.len(),
         ..ColScanStats::default()
     };
-    // The pool's partition threshold is sized for row execution; a
-    // columnar row costs about an eighth of one, so the chunks go to the
-    // workers only when they hold eight times as many rows.
+    // The pool's threshold is in slab slots: the chunks go to the
+    // workers only when they span enough slots to repay the dispatch.
     let slots = (chunks.len() * CHUNK_ROWS).min(table.slab_len());
-    let runs = match pool::partitions(slots / ROW_COST_RATIO) {
+    let runs = match pool::partitions(slots) {
         Some(parts) => chunk_runs(chunks.len(), parts.len()),
         None => chunk_runs(chunks.len(), 1),
     };

@@ -179,9 +179,9 @@ fn predicate_pushdown<'a>(root: LogicalPlan<'a>, trail: &mut Vec<TrailEntry>) ->
             return pipe;
         };
         if !matches!(*input, LogicalPlan::Join { .. }) {
-            // Single-table WHERE stays a residual filter: the main
-            // filter pass is partition-parallel, a pushed conjunct
-            // would run serially in the scan.
+            // Single-table WHERE stays a residual filter, the plan the
+            // golden EXPLAIN corpus pins; the filter pass and a pushed
+            // conjunct both run serially.
             return LogicalPlan::Filter { input, predicate };
         }
         // A conjunct whose columns do not all resolve in the joined

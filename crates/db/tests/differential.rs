@@ -11,9 +11,12 @@
 //!   5. a naive, obviously-correct in-memory reference executor (the
 //!      "oracle") written directly against SQL semantics.
 //!
-//! All answers must agree: exactly for integers, text, and NULL, and
-//! within a small relative epsilon for floats (the parallel and columnar
-//! aggregate paths reassociate floating-point sums).
+//! The engine's answers must agree with the oracle exactly for integers,
+//! text, and NULL, and within a small relative epsilon for floats (the
+//! oracle and the columnar kernels bracket floating-point sums
+//! differently). The worker count changes no answer: the row path is
+//! serial and chunk partials merge in chunk order, so each serial run
+//! and its forced-parallel twin must print identical `{:?}` text.
 //!
 //! Query shapes are decoded from proptest-generated `u64` seeds with a
 //! splitmix-style mixer, which keeps the generator expressive without
@@ -531,7 +534,8 @@ fn oracle_run(q: &Query, table: &[Vec<Value>]) -> Vec<Vec<Value>> {
 // ---------------------------------------------------------------------------
 
 /// Exact for Int/Text/Null/Bool; relative epsilon for floats, because the
-/// engine's parallel aggregate merge reassociates floating-point math.
+/// oracle, the row path and the columnar kernels each bracket
+/// floating-point sums their own way.
 fn values_match(a: &Value, b: &Value) -> bool {
     match (a, b) {
         (Value::Float(x), Value::Float(y)) => {
@@ -540,6 +544,12 @@ fn values_match(a: &Value, b: &Value) -> bool {
         }
         _ => a == b,
     }
+}
+
+/// Identical rows, types and bits: `{:?}` text tells apart what `==`
+/// does not (`-0.0` and `0.0`, two NaNs).
+fn bit_identical(a: &[Vec<Value>], b: &[Vec<Value>]) -> bool {
+    format!("{a:?}") == format!("{b:?}")
 }
 
 fn rows_match(a: &[Vec<Value>], b: &[Vec<Value>]) -> bool {
@@ -614,7 +624,8 @@ fn build_connection(table: &[Vec<Value>]) -> Connection {
 
 proptest! {
     /// Engine (serial), engine (forced parallel), and the naive oracle
-    /// agree on every generated query.
+    /// agree on every generated query; the forced-parallel runs are
+    /// bit-identical to the serial ones.
     #[test]
     fn engine_matches_oracle(
         row_seeds in proptest::collection::vec(0u64..=u64::MAX, 0..120),
@@ -672,7 +683,7 @@ proptest! {
                 sql, parallel.rows, expected, table,
             );
             prop_assert!(
-                rows_match(&serial.rows, &parallel.rows),
+                bit_identical(&serial.rows, &parallel.rows),
                 "serial and parallel engine runs diverged\n  sql: {}\n  serial: {:?}\n  parallel: {:?}",
                 sql, serial.rows, parallel.rows,
             );
@@ -682,11 +693,58 @@ proptest! {
                 sql, columnar.rows, expected, table,
             );
             prop_assert!(
-                rows_match(&columnar_parallel.rows, &columnar.rows),
+                bit_identical(&columnar_parallel.rows, &columnar.rows),
                 "columnar partitioning changed the result\n  sql: {}\n  serial: {:?}\n  parallel: {:?}",
                 sql, columnar.rows, columnar_parallel.rows,
             );
         }
+    }
+}
+
+/// The generated tables above fit in one column chunk, so their
+/// columnar legs never split work across runs. Six chunks of doubles
+/// with inexact sums go through the columnar path at 1 to 4 workers,
+/// and every answer must print the same `{:?}` text as the serial one:
+/// the per-chunk partials merge in chunk order whatever the runs.
+#[test]
+fn columnar_chunk_merge_is_bit_identical_at_any_thread_count() {
+    let rows = 5 * 4096 + 123;
+    let table: Vec<Vec<Value>> = (0..rows as i64)
+        .map(|i| {
+            vec![
+                Value::Int(i % 41 - 20),
+                Value::Int(i % 5),
+                Value::Float(((i * 7919) % 1000) as f64 * 0.1 + 0.01),
+                Value::Null,
+            ]
+        })
+        .collect();
+    let conn = build_connection(&table);
+    let _col = override_columnar(ColumnarMode::Force);
+    for sql in [
+        "SELECT COUNT(*), SUM(c), AVG(c), STDDEV(c), MIN(c), MAX(c) FROM t",
+        "SELECT SUM(c), AVG(c), STDDEV(c), SUM(a) FROM t WHERE b > 1",
+    ] {
+        let at = |threads: usize| {
+            let _p = pool::override_for_thread(threads, 1);
+            conn.query(sql, &[]).expect(sql).rows
+        };
+        let serial = at(1);
+        for threads in 2..=4 {
+            let parallel = at(threads);
+            assert!(
+                bit_identical(&serial, &parallel),
+                "{threads} workers changed the answer\n  sql: {sql}\n  serial: {serial:?}\n  parallel: {parallel:?}",
+            );
+        }
+        let _p = pool::override_for_thread(4, 1);
+        let plan = conn.query(&format!("EXPLAIN ANALYZE {sql}"), &[]).unwrap();
+        let scan = plan.rows[0][0].as_text().unwrap().to_string();
+        assert!(
+            scan.starts_with("columnar scan on t") && scan.contains("chunks=6, "),
+            "{scan}"
+        );
+        assert!(!scan.contains("partitions=serial"), "{scan}");
     }
 }
 
@@ -1190,7 +1248,8 @@ proptest! {
     /// configuration, serially and across 4 workers. Non-aggregate legs
     /// must be *identical* across configurations (rewrites may not even
     /// reorder rows); aggregate legs allow the float-reassociation
-    /// epsilon (join reordering and parallel merges re-bracket sums).
+    /// epsilon (join reordering re-brackets sums). Each 4-worker leg is
+    /// bit-identical to its serial twin.
     #[test]
     fn join_queries_match_oracle_across_optimizer_legs(
         t_seeds in proptest::collection::vec(0u64..=u64::MAX, 0..60),
@@ -1231,6 +1290,13 @@ proptest! {
                     rows_match(rows, &expected),
                     "{name} leg diverged from oracle\n  sql: {}\n  engine: {:?}\n  oracle: {:?}\n  t: {:?}\n  u: {:?}\n  w: {:?}",
                     sql, rows, expected, t, u, w,
+                );
+            }
+            for (serial, parallel) in [(&legs[0], &legs[1]), (&legs[2], &legs[3])] {
+                prop_assert!(
+                    bit_identical(&serial.1, &parallel.1),
+                    "{} leg not bit-identical to {}\n  sql: {}\n  serial: {:?}\n  parallel: {:?}",
+                    parallel.0, serial.0, sql, serial.1, parallel.1,
                 );
             }
             if matches!(query.shape, JoinShape::Project { .. }) {
@@ -1716,7 +1782,8 @@ fn star_rows(
 proptest! {
     /// Star-join aggregates agree across the serial and forced-parallel
     /// row paths, the columnar path forced serially and across 4
-    /// partitions, and the naive oracle.
+    /// partitions, and the naive oracle; each forced-parallel leg is
+    /// bit-identical to its serial twin.
     #[test]
     fn star_joins_match_oracle_on_every_path(
         f_seeds in proptest::collection::vec(0u64..=u64::MAX, 0..60),
@@ -1752,6 +1819,13 @@ proptest! {
                     rows_match(rows, &expected),
                     "{name} leg diverged from oracle\n  sql: {}\n  engine: {:?}\n  oracle: {:?}\n  f: {:?}\n  d1: {:?}\n  d2: {:?}\n  pad: {}",
                     sql, rows, expected, f, d1, d2, pad,
+                );
+            }
+            for (serial, parallel) in [(&legs[0], &legs[1]), (&legs[2], &legs[3])] {
+                prop_assert!(
+                    bit_identical(&serial.1, &parallel.1),
+                    "{} leg not bit-identical to the {} leg\n  sql: {}\n  serial: {:?}\n  parallel: {:?}\n  pad: {}",
+                    parallel.0, serial.0, sql, serial.1, parallel.1, pad,
                 );
             }
         }

@@ -764,10 +764,7 @@ fn explain_analyze_matches_serial_execution() {
     // Per-operator actuals: the whole table was scanned serially, the
     // filter kept 2 of 6 rows, and the sort was timed.
     assert!(plan.contains("seq scan on trial"), "{plan}");
-    assert!(
-        plan.contains("[actual rows=6, read=6, partitions=serial"),
-        "{plan}"
-    );
+    assert!(plan.contains("[actual rows=6, read=6, "), "{plan}");
     assert!(plan.contains("filter: WHERE [actual rows=2 of 6"), "{plan}");
     assert!(plan.contains("sort: 1 key(s) ["), "{plan}");
     // The total line agrees with what a plain execution reports.
@@ -779,17 +776,28 @@ fn explain_analyze_matches_serial_execution() {
 #[test]
 fn explain_analyze_matches_parallel_execution() {
     use perfdmf_pool as pool;
-    let conn = seeded();
-    let sql = "SELECT experiment, COUNT(*), AVG(time) FROM trial GROUP BY experiment";
+    // Two chunks of rows, so the columnar scan has chunk runs to hand
+    // to the pool; the ungrouped aggregate takes that path.
+    let conn = Connection::open_in_memory();
+    conn.execute("CREATE TABLE sample (node INTEGER, time DOUBLE)", &[])
+        .unwrap();
+    let rows = (0..8192)
+        .map(|i| vec![Value::Int(i % 16), Value::Float(i as f64 + 0.5)])
+        .collect();
+    conn.bulk_insert("sample", &["node", "time"], rows).unwrap();
+    let sql = "SELECT COUNT(*), AVG(time) FROM sample";
     let _par = pool::override_for_thread(4, 1);
     let plain = conn.query(sql, &[]).unwrap();
     let rs = conn.query(&format!("EXPLAIN ANALYZE {sql}"), &[]).unwrap();
     let plan = plan_text(&rs);
-    assert!(plan.contains("aggregate: group by 1 expr(s)"), "{plan}");
-    assert!(plan.contains("[actual groups=3, partitions="), "{plan}");
-    // Forced-parallel: the aggregate must NOT report a serial pass.
-    let agg_line = plan.lines().find(|l| l.starts_with("aggregate: ")).unwrap();
-    assert!(!agg_line.contains("partitions=serial"), "{plan}");
+    assert!(plan.contains("aggregate: group by 0 expr(s)"), "{plan}");
+    assert!(plan.contains("[actual groups=1, "), "{plan}");
+    // Forced-parallel: the columnar scan must NOT report a serial pass.
+    let scan_line = plan.lines().next().unwrap();
+    assert!(scan_line.starts_with("columnar scan on sample"), "{plan}");
+    assert!(scan_line.contains("chunks=2, "), "{plan}");
+    assert!(scan_line.contains(", partitions="), "{plan}");
+    assert!(!scan_line.contains("partitions=serial"), "{plan}");
     let (returned, scanned) = analyze_totals(&plan);
     assert_eq!(returned, plain.rows.len() as u64);
     assert_eq!(scanned, plain.rows_scanned);
@@ -824,10 +832,7 @@ fn explain_analyze_reports_the_plan_that_ran_after_subquery_resolution() {
         scan.starts_with("index scan on t (1 candidate row(s) of 8)"),
         "{plan}"
     );
-    assert!(
-        scan.contains("[actual rows=1, read=1, partitions=serial"),
-        "{plan}"
-    );
+    assert!(scan.contains("[actual rows=1, read=1, "), "{plan}");
     assert!(!plan.contains("seq scan"), "{plan}");
     let (returned, scanned) = analyze_totals(&plan);
     assert_eq!(returned, 1);

@@ -9,7 +9,7 @@
 /// Clustering algorithm to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ClusterMethod {
-    /// k-means++ with Lloyd iterations (parallel assignment step).
+    /// k-means++ with Lloyd iterations.
     #[default]
     KMeans,
     /// Average-linkage agglomerative clustering, cut at k.

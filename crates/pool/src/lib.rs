@@ -28,9 +28,11 @@ use std::sync::OnceLock;
 use std::time::Instant;
 
 /// Work below this many items stays on the caller's serial path unless a
-/// test override lowers the threshold. Chosen so unit-test-sized tables
-/// never pay pool overhead (and keep bit-identical serial float results).
-pub const DEFAULT_MIN_PARTITION_ITEMS: usize = 4096;
+/// test override lowers the threshold. The unit is the one engine
+/// caller's, the columnar chunk scan's slab slots: at ~20 ns per row in
+/// the kernels, 32,768 slots (eight chunks) are ~0.65 ms of work, ten
+/// times the ~60 µs a 2-partition [`run`] spends spawning its threads.
+pub const DEFAULT_MIN_PARTITION_ITEMS: usize = 32_768;
 
 /// Dispatch-order seed.
 const DISPATCH_SEED: u64 = 0x5eed_9e37_79b9_7f4a;

@@ -1,9 +1,9 @@
 //! Causal tracing end to end: run a parallel SQL query with the flight
 //! recorder on, then export the trace as Chrome-trace JSON.
 //!
-//! 1. Seed an in-memory database with enough rows that the executor
-//!    partitions the scan/aggregate across the worker pool (forced via
-//!    `override_for_thread` so it engages even on one core).
+//! 1. Seed an in-memory database with two column chunks of rows, so the
+//!    columnar aggregate hands its chunk runs to the worker pool (forced
+//!    via `override_for_thread` so it engages even on one core).
 //! 2. Open a client span, run an aggregate query and its
 //!    `EXPLAIN ANALYZE`, and print the annotated plan.
 //! 3. Dump the flight recorder, keep the spans of our trace, export
@@ -13,7 +13,7 @@
 //!
 //! Run with: `cargo run --example trace_query [out.json]`
 
-use perfdmf::db::Connection;
+use perfdmf::db::{Connection, Value};
 use perfdmf::telemetry::{self, trace};
 
 fn main() {
@@ -28,39 +28,31 @@ fn main() {
     )
     .expect("ddl");
     let mut state = 0x5045_5246u64;
-    for chunk in 0..8 {
-        let mut rows = Vec::new();
-        for i in 0..128 {
+    let rows = (0..8192)
+        .map(|i| {
             // splitmix64 keeps the data deterministic run to run.
             state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
             let mut z = state;
             z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
             z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
             z ^= z >> 31;
-            rows.push(format!(
-                "({}, {}, {:.3})",
-                chunk * 128 + i,
-                z % 32,
-                (z % 10_000) as f64 / 100.0
-            ));
-        }
-        conn.insert(
-            &format!(
-                "INSERT INTO sample (trial, node, time) VALUES {}",
-                rows.join(", ")
-            ),
-            &[],
-        )
+            vec![
+                Value::Int(i),
+                Value::Int((z % 32) as i64),
+                Value::Float((z % 10_000) as f64 / 100.0),
+            ]
+        })
+        .collect();
+    conn.bulk_insert("sample", &["trial", "node", "time"], rows)
         .expect("seed rows");
-    }
 
-    let sql = "SELECT node, COUNT(*), AVG(time) FROM sample GROUP BY node ORDER BY node";
+    let sql = "SELECT COUNT(*), AVG(time), MAX(time) FROM sample";
     let (trace_id, plan) = {
         let _client = telemetry::span("trace_query.client");
         let trace_id = trace::current_trace_id().expect("tracing is on");
         let rs = conn.query(sql, &[]).expect("query");
         println!(
-            "query returned {} groups over {} scanned rows [trace {}]\n",
+            "query returned {} row(s) over {} scanned rows [trace {}]\n",
             rs.rows.len(),
             rs.rows_scanned,
             trace_id.as_hex()

@@ -42,16 +42,22 @@ git_rev=$(git rev-parse --short HEAD 2>/dev/null || echo unknown)
 export BENCH_SNAPSHOT_OUT="$out" BENCH_SNAPSHOT_GIT="$git_rev" BENCH_SNAPSHOT_LOG="$log"
 
 # The vendored criterion shim prints one line per result:
-#   bench: <group/name>            <mean>/iter  [<rate> elem/s|MiB/s]
+#   bench: <group/name>  <median>/iter  [<rate> elem/s|MiB/s]  (mad <mad>, <n> samples)
 # Parse those into a sorted JSON document; times are nanoseconds.
 python3 - <<'EOF'
 import json, os, re, datetime, sys
 
 UNIT_NS = {"ns": 1.0, "µs": 1e3, "us": 1e3, "ms": 1e6, "s": 1e9}
+TIME = r"[0-9.]+(?:ns|µs|us|ms|s)"
 line_re = re.compile(
     r"^bench:\s+(?P<id>\S+)\s+(?P<val>[0-9.]+)(?P<unit>ns|µs|us|ms|s)/iter"
     r"(?:\s+(?P<rate>[0-9.]+)\s+(?P<rate_unit>elem/s|MiB/s))?"
+    rf"(?:\s+\(mad (?P<mad>{TIME}), (?P<samples>[0-9]+) samples\))?"
 )
+
+def ns(text):
+    num = re.match(r"[0-9.]+", text).group(0)
+    return float(num) * UNIT_NS[text[len(num):]]
 
 results = {}
 for line in open(os.environ["BENCH_SNAPSHOT_LOG"]):
@@ -60,8 +66,11 @@ for line in open(os.environ["BENCH_SNAPSHOT_LOG"]):
         continue
     entry = {
         "id": m.group("id"),
-        "mean_ns": float(m.group("val")) * UNIT_NS[m.group("unit")],
+        "median_ns": float(m.group("val")) * UNIT_NS[m.group("unit")],
     }
+    if m.group("mad"):
+        entry["mad_ns"] = ns(m.group("mad"))
+        entry["samples"] = int(m.group("samples"))
     if m.group("rate"):
         key = "elems_per_s" if m.group("rate_unit") == "elem/s" else "mib_per_s"
         entry[key] = float(m.group("rate"))
