@@ -36,7 +36,10 @@ mod stats;
 pub use compare::{diff, merge, regressions, DiffEntry};
 pub use features::{thread_event_matrix, thread_metric_matrix, FeatureMatrix};
 pub use hierarchical::{hierarchical, Dendrogram, MergeStep};
-pub use kmeans::{adjusted_rand_index, kmeans, select_k, silhouette_score, KMeansResult};
+pub use kmeans::{
+    adjusted_rand_index, kmeans, select_by_silhouette, select_k, silhouette_score, silhouettes,
+    KMeansResult,
+};
 pub use pca::{pca, Pca};
 pub use regression::{check_samples, check_trial, Baseline, Finding, WatchdogConfig};
 pub use report::{

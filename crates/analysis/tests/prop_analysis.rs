@@ -1,10 +1,12 @@
 //! Property tests for the analysis toolkit.
 
 use perfdmf_analysis::{
-    adjusted_rand_index, amdahl_speedup, fit_amdahl, hierarchical, kmeans, pca, pearson,
-    silhouette_score, summarize,
+    adjusted_rand_index, amdahl_speedup, fit_amdahl, hierarchical, kmeans, pca, pearson, select_k,
+    silhouette_score, silhouettes, summarize,
 };
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 fn arb_matrix() -> impl Strategy<Value = Vec<Vec<f64>>> {
     (2usize..5, 4usize..40).prop_flat_map(|(d, n)| {
@@ -12,8 +14,135 @@ fn arb_matrix() -> impl Strategy<Value = Vec<Vec<f64>>> {
     })
 }
 
+/// One clustering's silhouette scored on its own, a row at a time: the
+/// oracle every blocked pass of `silhouettes` must match bit for bit.
+fn reference_silhouette(data: &[Vec<f64>], assignments: &[usize], k: usize) -> f64 {
+    let sq_dist =
+        |a: &[f64], b: &[f64]| -> f64 { a.iter().zip(b).map(|(x, y)| (x - y) * (x - y)).sum() };
+    let n = data.len();
+    if n < 2 || k < 2 {
+        return 0.0;
+    }
+    let mut total = 0.0;
+    let mut counted = 0usize;
+    for i in 0..n {
+        let own = assignments[i];
+        let mut sums = vec![0.0f64; k];
+        let mut counts = vec![0usize; k];
+        for j in 0..n {
+            if i == j {
+                continue;
+            }
+            let d = sq_dist(&data[i], &data[j]).sqrt();
+            sums[assignments[j]] += d;
+            counts[assignments[j]] += 1;
+        }
+        if counts[own] == 0 {
+            continue;
+        }
+        let a = sums[own] / counts[own] as f64;
+        let b = (0..k)
+            .filter(|&c| c != own && counts[c] > 0)
+            .map(|c| sums[c] / counts[c] as f64)
+            .fold(f64::INFINITY, f64::min);
+        if !b.is_finite() {
+            continue;
+        }
+        total += (b - a) / a.max(b);
+        counted += 1;
+    }
+    if counted == 0 {
+        0.0
+    } else {
+        total / counted as f64
+    }
+}
+
+/// Assignments and their k.
+type Clustering = (Vec<usize>, usize);
+
+/// `silhouettes` of `clusterings`, each checked against the oracle.
+fn assert_matches_reference(data: &[Vec<f64>], clusterings: &[Clustering]) {
+    let borrowed: Vec<(&[usize], usize)> = clusterings
+        .iter()
+        .map(|(a, k)| (a.as_slice(), *k))
+        .collect();
+    let scores = silhouettes(data, &borrowed);
+    assert_eq!(scores.len(), clusterings.len());
+    for (c, ((assignments, k), score)) in clusterings.iter().zip(&scores).enumerate() {
+        let want = reference_silhouette(data, assignments, *k);
+        assert_eq!(
+            score.to_bits(),
+            want.to_bits(),
+            "clustering {c} (k={k}): {score} vs {want}"
+        );
+    }
+}
+
+/// Rows with 0..30 entries and clusterings whose k runs past n, so they
+/// hold singletons, empty clusters and labels beyond the row count.
+fn arb_clusterings() -> impl Strategy<Value = (Vec<Vec<f64>>, Vec<Clustering>)> {
+    (0usize..30, 1usize..4).prop_flat_map(|(n, d)| {
+        let data = proptest::collection::vec(proptest::collection::vec(-1e3f64..1e3, d), n);
+        let clustering =
+            (1usize..n + 6).prop_flat_map(move |k| (proptest::collection::vec(0..k, n), Just(k)));
+        (data, proptest::collection::vec(clustering, 0..8))
+    })
+}
+
+/// 200 clusterings with k = 4096 over 64 rows, half with labels below 64
+/// and half spread over the whole range, score like the oracle and fast.
+#[test]
+fn silhouettes_of_wide_clusterings_match_the_reference() {
+    let mut rng = StdRng::seed_from_u64(38);
+    let data: Vec<Vec<f64>> = (0..64)
+        .map(|_| (0..3).map(|_| rng.gen_range(-10.0..10.0)).collect())
+        .collect();
+    let k = 4096;
+    let clusterings: Vec<Clustering> = (0..200)
+        .map(|c| {
+            let bound = if c % 2 == 0 { 64 } else { k };
+            let labels: Vec<usize> = (0..1 + c % 7).map(|_| rng.gen_range(0..bound)).collect();
+            let assignments = (0..64)
+                .map(|_| labels[rng.gen_range(0..labels.len())])
+                .collect();
+            (assignments, k)
+        })
+        .collect();
+    let borrowed: Vec<(&[usize], usize)> = clusterings
+        .iter()
+        .map(|(a, k)| (a.as_slice(), *k))
+        .collect();
+    let started = std::time::Instant::now();
+    let scores = silhouettes(&data, &borrowed);
+    let elapsed = started.elapsed();
+    assert!(elapsed < std::time::Duration::from_secs(1), "{elapsed:?}");
+    assert!(scores.iter().any(|&s| s != 0.0));
+    assert_matches_reference(&data, &clusterings);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The one-pass silhouette of every clustering has the bits of
+    /// scoring that clustering alone, whatever its shape.
+    #[test]
+    fn silhouettes_match_the_reference((data, clusterings) in arb_clusterings()) {
+        assert_matches_reference(&data, &clusterings);
+    }
+
+    /// `select_k` returns its winner's score, and it is the oracle's.
+    #[test]
+    fn select_k_score_is_the_winners(data in arb_matrix(), max_k in 2usize..6, seed in 0u64..100) {
+        let (k, r, score) = select_k(&data, 2..=max_k, seed);
+        let want = reference_silhouette(&data, &r.assignments, k);
+        prop_assert_eq!(score.to_bits(), want.to_bits());
+        for kk in 2..=max_k {
+            let other = kmeans(&data, kk, seed, 100);
+            let s = reference_silhouette(&data, &other.assignments, kk);
+            prop_assert!(s < score || (s == score && kk >= k) || s.is_nan(), "k={kk}: {s} vs {score}");
+        }
+    }
 
     /// k-means invariants: assignments in range, sizes sum to n, inertia
     /// non-negative and non-increasing in k, deterministic per seed.

@@ -3,8 +3,9 @@
 //! Measures k-means over sPPM-like thread×counter data at growing thread
 //! counts, the silhouette-based k selection, and PCA reduction. Expected
 //! shape: the assignment-dominated k-means cost grows ~linearly in
-//! threads (a serial Lloyd loop, O(n·k·d) per iteration); silhouette
-//! (O(n²)) is the k-selection cost ceiling.
+//! threads (a serial Lloyd loop, O(n·k·d) per iteration); k selection
+//! stays quadratic, but scores every candidate in one silhouette pass
+//! (the O(n²·d) distances once, then O(n²) per candidate).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use perfdmf_analysis::{kmeans, pca, select_k, thread_metric_matrix};

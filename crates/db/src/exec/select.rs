@@ -852,6 +852,10 @@ fn exec_columnar(
         }
     };
     telemetry::add("db.exec.columnar_scans", 1);
+    // The aggregate stage, representative rows included, starts where
+    // the scan ends, so the two lines never count the same time.
+    let scan_ns = stage_ns(t0);
+    let agg_t0 = prof.is_some().then(Instant::now);
 
     let layout = pipeline_layout(tail.pipeline);
     let (group_by, having) = tail.aggregate.unwrap_or_default();
@@ -887,7 +891,7 @@ fn exec_columnar(
             stats.cache_hits,
             stats.cache_misses,
             stats.partitions,
-            stage_ns(t0),
+            scan_ns,
         ));
     }
     let rows = finish_groups(
@@ -897,7 +901,7 @@ fn exec_columnar(
         scans.len(),
         tail.order_by,
         params,
-        t0,
+        agg_t0,
         prof,
     )?;
     Ok(Some(ResultSet {

@@ -1376,8 +1376,16 @@ mod tests {
 
     #[test]
     fn merge_order_is_chunk_order_for_any_partitioning() {
-        let t = table_with(20_000); // 5 chunks
+        // 5 chunks of inexact doubles, each chunk at its own scale, so
+        // their sums depend on the order the chunks merge in.
+        let mut t = Table::new(schema());
+        for (i, mut r) in rows(20_000).into_iter().enumerate() {
+            let scale = [1.0, 1e-3, 1e9, 7.0, 1e-6][i / CHUNK_ROWS];
+            r[1] = Value::Float((0.1 * i as f64 + 1e-3 * (i % 7) as f64) * scale);
+            t.insert(r).unwrap();
+        }
         let exprs = [
+            agg(AggregateFn::Sum, Some("x")),
             agg(AggregateFn::StdDev, Some("x")),
             agg(AggregateFn::Sum, Some("a")),
         ];

@@ -964,6 +964,45 @@ fn explain_analyze_columnar_reports_chunk_cache() {
     assert_eq!(scanned, 6);
 }
 
+/// The time on the line of `plan` that starts with `prefix`, in ms (the
+/// last `<x>ms` on the line).
+fn line_ms(plan: &str, prefix: &str) -> f64 {
+    let line = plan
+        .lines()
+        .find(|l| l.starts_with(prefix))
+        .unwrap_or_else(|| panic!("no `{prefix}` line in:\n{plan}"));
+    let end = line.rfind("ms").expect("timed line");
+    let start = line[..end]
+        .rfind(|c: char| !(c.is_ascii_digit() || c == '.'))
+        .map_or(0, |i| i + 1);
+    line[start..end].parse().unwrap()
+}
+
+/// The columnar scan and its aggregate each report their own time, so
+/// together they never exceed the statement's.
+#[test]
+fn explain_analyze_columnar_scan_and_aggregate_times_do_not_overlap() {
+    use perfdmf_db::{override_columnar, ColumnarMode};
+    let conn = Connection::open_in_memory();
+    conn.execute("CREATE TABLE sample (node INTEGER, time DOUBLE)", &[])
+        .unwrap();
+    let rows = (0..9 * 4096)
+        .map(|i| vec![Value::Int(i % 64), Value::Float(i as f64 * 0.1)])
+        .collect();
+    conn.bulk_insert("sample", &["node", "time"], rows).unwrap();
+    let sql = "SELECT COUNT(*), SUM(time), MAX(time) FROM sample";
+    let _force = override_columnar(ColumnarMode::Force);
+    conn.query(sql, &[]).unwrap();
+    let rs = conn.query(&format!("EXPLAIN ANALYZE {sql}"), &[]).unwrap();
+    let plan = plan_text(&rs);
+    assert!(plan.contains("chunks=9, "), "{plan}");
+    let scan = line_ms(&plan, "columnar scan on sample");
+    let aggregate = line_ms(&plan, "aggregate: ");
+    let total = line_ms(&plan, "total: ");
+    // Each figure is rounded to the microsecond.
+    assert!(scan + aggregate <= total + 0.0015, "{plan}");
+}
+
 #[test]
 fn auto_columnar_requires_stats_justification() {
     use perfdmf_db::{override_columnar, ColumnarMode};

@@ -16,8 +16,8 @@
 
 use crate::protocol::{ClusterMethod, ClusterSummary, FeatureSpace, Request, Response};
 use perfdmf_analysis::{
-    correlation_matrix, kmeans, pca, select_k, silhouette_score, thread_event_matrix,
-    thread_metric_matrix, FeatureMatrix,
+    correlation_matrix, kmeans, pca, select_by_silhouette, select_k, silhouette_score,
+    thread_event_matrix, thread_metric_matrix, FeatureMatrix,
 };
 use perfdmf_core::{event_aggregates, load_trial, EventAggregate};
 use perfdmf_db::{Connection, DbError, Value};
@@ -43,6 +43,10 @@ const ANALYSIS_DDL: &[&str] = &[
 /// Index behind [`FETCH_RESULTS_SQL`]: without it every fetch scans the
 /// whole, ever-growing `analysis_result` table.
 const RESULT_INDEX_DDL: &str = "CREATE INDEX ix_result_settings ON analysis_result (settings)";
+
+/// The `analysis_result` columns a stored result fills; the id is
+/// generated, so rows read back in the order they were stored.
+const RESULT_COLUMNS: &[&str] = &["settings", "result_type", "item", "value", "label"];
 
 /// The statement a `FetchResult` request reads its stored rows with.
 pub(crate) const FETCH_RESULTS_SQL: &str = "SELECT result_type, item, value, label \
@@ -302,48 +306,39 @@ fn cluster_trial(
     method: ClusterMethod,
 ) -> perfdmf_db::Result<Response> {
     let profile = load_trial(conn, trial_id)?;
-    let mut features = extract_features(&profile, trial_id, space)?;
+    // Cluster on standardized features; summarize in the raw ones.
+    let raw = extract_features(&profile, trial_id, space)?;
+    let mut features = raw.clone();
     features.standardize();
-    let mut rows = features.rows.clone();
+    let mut rows = features.rows;
     if pca_components > 0 && pca_components < features.columns.len() {
         if let Some(p) = pca(&rows) {
             rows = p.transform(&rows, pca_components);
         }
     }
     let seed = trial_id as u64 ^ 0x5045_5246;
-    let (chosen_k, assignments_vec) = match method {
+    let (chosen_k, assignments_vec, silhouette) = match method {
         ClusterMethod::KMeans => {
-            let (chosen_k, result) = match k {
-                Some(k) => (k, kmeans(&rows, k, seed, 200)),
+            let (k, result, silhouette) = match k {
+                Some(k) => {
+                    let result = kmeans(&rows, k, seed, 200);
+                    let silhouette = silhouette_score(&rows, &result.assignments, k);
+                    (k, result, silhouette)
+                }
                 None => select_k(&rows, 2..=max_k.max(2), seed),
             };
-            (chosen_k, result.assignments)
+            (k, result.assignments, silhouette)
         }
         ClusterMethod::Hierarchical => {
             let tree = perfdmf_analysis::hierarchical(&rows);
-            match k {
-                Some(k) => (k, tree.cut(k)),
-                None => {
-                    // silhouette-select the cut level
-                    let mut best: Option<(f64, usize, Vec<usize>)> = None;
-                    for kk in 2..=max_k.max(2) {
-                        let cut = tree.cut(kk);
-                        let score = silhouette_score(&rows, &cut, kk);
-                        if best.as_ref().is_none_or(|(s, _, _)| score > *s) {
-                            best = Some((score, kk, cut));
-                        }
-                    }
-                    let (_, kk, cut) = best.expect("k range non-empty");
-                    (kk, cut)
-                }
-            }
+            // A given k is the one candidate; else silhouette-select the cut.
+            let ks = k.map_or(2..=max_k.max(2), |k| k..=k);
+            select_by_silhouette(&rows, ks, |kk| tree.cut(kk), |c| c)
         }
     };
-    let silhouette = silhouette_score(&rows, &assignments_vec, chosen_k);
 
     // Per-cluster summary in *original* (unstandardized) feature space:
     // recompute means from the raw matrix for interpretability.
-    let raw = extract_features(&profile, trial_id, space)?;
     let d = raw.columns.len();
     let mut sums = vec![vec![0.0f64; d]; chosen_k];
     let mut counts = vec![0usize; chosen_k];
@@ -390,56 +385,27 @@ fn cluster_trial(
                 ],
             )?
             .expect("auto id");
-        let ins = conn.prepare(
-            "INSERT INTO analysis_result (settings, result_type, item, value, label)
-             VALUES (?, ?, ?, ?, ?)",
-        )?;
+        let row = |kind: &str, item: usize, value: f64, label: &str| {
+            vec![
+                Value::Int(sid),
+                Value::Text(kind.into()),
+                Value::Int(item as i64),
+                Value::Float(value),
+                Value::Text(label.into()),
+            ]
+        };
+        let mut rows = Vec::with_capacity(assignments_vec.len() + chosen_k * (1 + d) + 1);
         for (i, &a) in assignments_vec.iter().enumerate() {
-            tx.execute_prepared(
-                &ins,
-                &[
-                    Value::Int(sid),
-                    Value::Text("assignment".into()),
-                    Value::Int(i as i64),
-                    Value::Float(a as f64),
-                    Value::Text(raw.threads[i].to_string().into()),
-                ],
-            )?;
+            rows.push(row("assignment", i, a as f64, &raw.threads[i].to_string()));
         }
         for s in &summaries {
-            tx.execute_prepared(
-                &ins,
-                &[
-                    Value::Int(sid),
-                    Value::Text("cluster_size".into()),
-                    Value::Int(s.cluster as i64),
-                    Value::Float(s.size as f64),
-                    Value::Text("".into()),
-                ],
-            )?;
+            rows.push(row("cluster_size", s.cluster, s.size as f64, ""));
             for (ci, &v) in s.centroid.iter().enumerate() {
-                tx.execute_prepared(
-                    &ins,
-                    &[
-                        Value::Int(sid),
-                        Value::Text("centroid".into()),
-                        Value::Int((s.cluster * d + ci) as i64),
-                        Value::Float(v),
-                        Value::Text(raw.columns[ci].as_str().into()),
-                    ],
-                )?;
+                rows.push(row("centroid", s.cluster * d + ci, v, &raw.columns[ci]));
             }
         }
-        tx.execute_prepared(
-            &ins,
-            &[
-                Value::Int(sid),
-                Value::Text("silhouette".into()),
-                Value::Int(0),
-                Value::Float(silhouette),
-                Value::Text("".into()),
-            ],
-        )?;
+        rows.push(row("silhouette", 0, silhouette, ""));
+        tx.bulk_insert("analysis_result", RESULT_COLUMNS, rows)?;
         Ok(sid)
     })?;
 
@@ -480,23 +446,21 @@ fn correlate_metrics(
                 ],
             )?
             .expect("auto id");
-        let ins = conn.prepare(
-            "INSERT INTO analysis_result (settings, result_type, item, value, label)
-             VALUES (?, 'correlation', ?, ?, ?)",
-        )?;
-        for (i, row) in matrix.iter().enumerate() {
-            for (j, &v) in row.iter().enumerate() {
-                tx.execute_prepared(
-                    &ins,
-                    &[
-                        Value::Int(sid),
-                        Value::Int((i * d + j) as i64),
-                        Value::Float(v),
-                        Value::Text(format!("{}~{}", fm.columns[i], fm.columns[j]).into()),
-                    ],
-                )?;
-            }
-        }
+        let rows = matrix
+            .iter()
+            .enumerate()
+            .flat_map(|(i, row)| row.iter().enumerate().map(move |(j, &v)| (i, j, v)))
+            .map(|(i, j, v)| {
+                vec![
+                    Value::Int(sid),
+                    Value::Text("correlation".into()),
+                    Value::Int((i * d + j) as i64),
+                    Value::Float(v),
+                    Value::Text(format!("{}~{}", fm.columns[i], fm.columns[j]).into()),
+                ]
+            })
+            .collect();
+        tx.bulk_insert("analysis_result", RESULT_COLUMNS, rows)?;
         Ok(sid)
     })?;
     Ok(Response::Correlation {

@@ -184,6 +184,147 @@ mod tests {
         );
     }
 
+    /// Ids of one stored result, in storage order.
+    fn stored_ids(conn: &Connection, settings_id: i64) -> Vec<i64> {
+        conn.query(
+            "SELECT id FROM analysis_result WHERE settings = ? ORDER BY id",
+            &[perfdmf_db::Value::Int(settings_id)],
+        )
+        .unwrap()
+        .rows
+        .iter()
+        .map(|r| r[0].as_int().unwrap())
+        .collect()
+    }
+
+    /// A stored k-means result reads back as its assignments, then each
+    /// cluster's size and centroid, then the silhouette, in ascending
+    /// id and with the response's bits.
+    #[test]
+    fn stored_clustering_reads_back_in_storage_order() {
+        let (conn, trial) = setup();
+        let Response::Clustering {
+            settings_id,
+            k,
+            assignments,
+            summaries,
+            silhouette,
+            columns,
+        } = handle(&conn, &cluster(trial, "TIME", 5))
+        else {
+            panic!("clustering failed");
+        };
+        let Response::Stored { rows, .. } = handle(&conn, &fetch(settings_id)) else {
+            panic!("fetch failed");
+        };
+        let (n, d) = (assignments.len(), columns.len());
+        let mut want = Vec::new();
+        for (i, &a) in assignments.iter().enumerate() {
+            want.push((
+                "assignment",
+                i,
+                a as f64,
+                ThreadId::new(i as u32, 0, 0).to_string(),
+            ));
+        }
+        for s in &summaries {
+            want.push(("cluster_size", s.cluster, s.size as f64, String::new()));
+            for (ci, &v) in s.centroid.iter().enumerate() {
+                want.push(("centroid", s.cluster * d + ci, v, columns[ci].clone()));
+            }
+        }
+        want.push(("silhouette", 0, silhouette, String::new()));
+        assert_eq!(rows.len(), n + k * (1 + d) + 1);
+        assert_eq!(rows.len(), want.len());
+        for (got, want) in rows.iter().zip(&want) {
+            assert_eq!(got.0, want.0);
+            assert_eq!(got.1, want.1 as i64);
+            assert_eq!(got.2.to_bits(), want.2.to_bits(), "{got:?}");
+            assert_eq!(got.3, want.3);
+        }
+        let ids = stored_ids(&conn, settings_id);
+        assert_eq!(ids.len(), rows.len());
+        assert!(ids.windows(2).all(|w| w[1] == w[0] + 1), "{ids:?}");
+    }
+
+    /// A stored correlation reads back as its d² matrix cells, row-major,
+    /// in ascending id.
+    #[test]
+    fn stored_correlation_reads_back_in_storage_order() {
+        let (conn, trial) = setup();
+        let Response::Correlation {
+            settings_id,
+            metrics,
+            matrix,
+        } = handle(
+            &conn,
+            &Request::CorrelateMetrics {
+                trial_id: trial,
+                event: "compute".into(),
+            },
+        )
+        else {
+            panic!("correlation failed");
+        };
+        let Response::Stored { method, rows } = handle(&conn, &fetch(settings_id)) else {
+            panic!("fetch failed");
+        };
+        assert_eq!(method, "correlation");
+        let d = metrics.len();
+        assert_eq!(rows.len(), d * d);
+        for (cell, (kind, item, value, label)) in rows.iter().enumerate() {
+            let (i, j) = (cell / d, cell % d);
+            assert_eq!(kind, "correlation");
+            assert_eq!(*item, cell as i64);
+            assert_eq!(value.to_bits(), matrix[i][j].to_bits());
+            assert_eq!(label, &format!("{}~{}", metrics[i], metrics[j]));
+        }
+        let ids = stored_ids(&conn, settings_id);
+        assert!(ids.windows(2).all(|w| w[1] == w[0] + 1), "{ids:?}");
+    }
+
+    /// Hierarchical clustering picks the cut that scores best when each
+    /// cut is scored on its own, and reports that cut's score.
+    #[test]
+    fn hierarchical_cut_is_the_best_scored_alone() {
+        use perfdmf_analysis::{hierarchical, silhouette_score, thread_metric_matrix};
+        use perfdmf_workload::SppmModel;
+        let conn = Connection::open_in_memory();
+        let mut session = DatabaseSession::new(conn.clone()).unwrap();
+        let (profile, _) = SppmModel::default_classes(5).generate(48, &[0.5, 0.3, 0.2]);
+        let trial = session.store_profile("sppm", "exp", &profile).unwrap();
+        install(&conn).unwrap();
+        let max_k = 6;
+        let Response::Clustering { k, silhouette, .. } = handle(
+            &conn,
+            &Request::ClusterTrial {
+                trial_id: trial,
+                features: FeatureSpace::MetricsOfEvent("sppm_timestep".into()),
+                k: None,
+                max_k,
+                pca_components: 0,
+                method: ClusterMethod::Hierarchical,
+            },
+        ) else {
+            panic!("clustering failed");
+        };
+        let stored = perfdmf_core::load_trial(&conn, trial).unwrap();
+        let event = stored.find_event("sppm_timestep").unwrap();
+        let mut fm =
+            thread_metric_matrix(&stored, event, perfdmf_profile::IntervalField::Exclusive);
+        fm.standardize();
+        let tree = hierarchical(&fm.rows);
+        let mut best = (f64::NEG_INFINITY, 0);
+        for kk in 2..=max_k {
+            let score = silhouette_score(&fm.rows, &tree.cut(kk), kk);
+            if score > best.0 {
+                best = (score, kk);
+            }
+        }
+        assert_eq!(k, best.1);
+        assert_eq!(silhouette.to_bits(), best.0.to_bits());
+    }
+
     #[test]
     fn errors_are_responses_not_crashes() {
         let (conn, trial) = setup();
