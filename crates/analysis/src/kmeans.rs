@@ -398,14 +398,17 @@ fn silhouette_pass(data: &[Vec<f64>], clusterings: &[(&[usize], usize)]) -> Vec<
 /// Pick the k in `k_range` whose candidate `make(k)` has the highest
 /// silhouette, the first on a tie, and return it with that candidate
 /// and score. Candidates are made and scored a pass at a time, so at
-/// most one pass's worth is held.
+/// most one pass's worth is held. `make(k)` for k at or past the row
+/// count must equal `make(rows)` (k-means and tree cuts clamp k), so
+/// those candidates tie the first of them and are not made.
 pub fn select_by_silhouette<T>(
     data: &[Vec<f64>],
     k_range: std::ops::RangeInclusive<usize>,
     mut make: impl FnMut(usize) -> T,
     labels: impl Fn(&T) -> &[usize],
 ) -> (usize, T, f64) {
-    let ks: Vec<usize> = k_range.collect();
+    let (lo, hi) = k_range.into_inner();
+    let ks: Vec<usize> = (lo..=hi.min(data.len().max(lo))).collect();
     let mut best: Option<(f64, usize, T)> = None;
     let mut rest = &ks[..];
     while !rest.is_empty() {
@@ -526,6 +529,27 @@ mod tests {
         let (data, _) = blobs(30, 13);
         let (k, _, _) = select_k(&data, 2..=6, 1);
         assert_eq!(k, 3);
+    }
+
+    /// Every k at or past the row count clusters and scores as k = rows,
+    /// so capping the candidates there cannot change the choice.
+    #[test]
+    fn candidates_past_the_row_count_cannot_win() {
+        let (mut data, _) = blobs(22, 19);
+        data.truncate(64);
+        let at_n = kmeans(&data, 64, 1, 100);
+        let at_n_score = silhouette_score(&data, &at_n.assignments, 64);
+        for k in [65, 100, 640] {
+            let r = kmeans(&data, k, 1, 100);
+            assert_eq!(r.assignments, at_n.assignments);
+            let score = silhouette_score(&data, &r.assignments, k);
+            assert_eq!(score.to_bits(), at_n_score.to_bits());
+        }
+        let (k, r, score) = select_k(&data, 2..=640, 1);
+        let (k_n, r_n, score_n) = select_k(&data, 2..=64, 1);
+        assert_eq!(k, k_n);
+        assert_eq!(r.assignments, r_n.assignments);
+        assert_eq!(score.to_bits(), score_n.to_bits());
     }
 
     /// Clusterings past one pass's bound go to later passes and score

@@ -4,15 +4,16 @@
 //!
 //! Expected shape: parse cost scales with file size; the XML-based
 //! formats (psrun, PerfDMF exchange) are slower per byte than the
-//! line-oriented text formats; the TAU directory path is dominated by
-//! per-thread file parsing.
+//! line-oriented text formats; the TAU directory path
+//! (`e2_parse/tau_directory_64`, per data point) is dominated by
+//! per-thread file parsing, most of it `f64` field parses.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use perfdmf_import::{export_xml, import_xml};
 use perfdmf_profile::{Profile, ThreadId};
 use perfdmf_workload::{
     dynaprof_report_text, gprof_report_text, mpip_report_text, psrun_xml_text, sppm_timing_text,
-    tau_file_text, Evh1Model,
+    tau_file_text, write_tau_directory, Evh1Model, MirandaModel,
 };
 
 fn profiles() -> (Profile, perfdmf_profile::MetricId) {
@@ -89,6 +90,28 @@ fn bench_text_parsers(c: &mut Criterion) {
     group.finish();
 }
 
+/// The whole-directory TAU path: 64 Miranda-shaped `profile.n.0.0`
+/// files (101 events each) read, parsed and applied by
+/// `load_tau_directory`, derived fields included.
+fn bench_tau_directory(c: &mut Criterion) {
+    let procs = 64;
+    let profile = MirandaModel::default().generate(procs);
+    let dir = std::env::temp_dir().join(format!("pdmf_e2_tau_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    write_tau_directory(&profile, &dir).expect("write TAU directory");
+    let loaded = perfdmf_import::tau::load_tau_directory(&dir).expect("load");
+    assert_eq!(loaded.data_point_count(), profile.data_point_count());
+
+    let mut group = c.benchmark_group("e2_parse");
+    group.throughput(Throughput::Elements(profile.data_point_count() as u64));
+    group.bench_function(
+        BenchmarkId::from_parameter(format!("tau_directory_{procs}")),
+        |b| b.iter(|| perfdmf_import::tau::load_tau_directory(&dir).expect("load")),
+    );
+    group.finish();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 fn bench_xml_roundtrip(c: &mut Criterion) {
     let (p, _) = profiles();
     let xml = export_xml(&p);
@@ -99,5 +122,10 @@ fn bench_xml_roundtrip(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_text_parsers, bench_xml_roundtrip);
+criterion_group!(
+    benches,
+    bench_text_parsers,
+    bench_tau_directory,
+    bench_xml_roundtrip
+);
 criterion_main!(benches);

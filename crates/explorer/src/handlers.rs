@@ -305,6 +305,9 @@ fn cluster_trial(
     pca_components: usize,
     method: ClusterMethod,
 ) -> perfdmf_db::Result<Response> {
+    if k == Some(0) {
+        return Ok(Response::Error("cluster count k must be at least 1".into()));
+    }
     let profile = load_trial(conn, trial_id)?;
     // Cluster on standardized features; summarize in the raw ones.
     let raw = extract_features(&profile, trial_id, space)?;

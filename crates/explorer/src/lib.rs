@@ -339,6 +339,24 @@ mod tests {
         assert!(matches!(handle(&conn, &fetch(12345)), Response::Error(_)));
     }
 
+    /// A given k of 0 is an error response for either method, not a
+    /// worker panic.
+    #[test]
+    fn zero_k_is_an_error_response() {
+        let (conn, trial) = setup();
+        for method in [ClusterMethod::KMeans, ClusterMethod::Hierarchical] {
+            let request = Request::ClusterTrial {
+                trial_id: trial,
+                features: FeatureSpace::EventsOfMetric("TIME".into()),
+                k: Some(0),
+                max_k: 4,
+                pca_components: 0,
+                method,
+            };
+            assert!(matches!(handle(&conn, &request), Response::Error(_)));
+        }
+    }
+
     #[test]
     fn hierarchical_method_agrees_with_kmeans_on_separable_data() {
         let (conn, trial) = setup();

@@ -18,11 +18,17 @@
 //! # eventname numevents max min mean sumsqr
 //! "Message size" 12 1024 8 512 3.2e+06
 //! ```
+//!
+//! A point costs one pass over its line and no allocation: names and
+//! groups are byte ranges of the file text, and each line's event resolves
+//! by position, as every thread file lists the same events in one order.
 
 use crate::error::{ImportError, Result};
 use perfdmf_profile::{
-    AtomicData, AtomicEvent, IntervalData, IntervalEvent, Metric, MetricId, Profile, ThreadId,
+    AtomicData, AtomicEvent, EventId, IntervalData, IntervalEvent, Metric, MetricId, Profile,
+    ThreadId,
 };
+use std::ops::Range;
 use std::path::Path;
 
 const FORMAT: &str = "tau";
@@ -42,17 +48,19 @@ pub(crate) fn parse_profile_filename(name: &str) -> Option<ThreadId> {
 
 /// One parsed `profile.n.c.t` file, not yet applied to a [`Profile`].
 ///
-/// Parsing into a shard is a pure function of the file text, so shards can
-/// be produced on worker threads; applying them (which mutates the shared
-/// profile's registries) stays serial and cheap.
+/// Names, groups and the metric are byte ranges of the file text, which
+/// the loader keeps beside its shard until [`apply_tau_shard`] reads both.
+/// Parsing is a pure function of the text, so shards are produced on
+/// worker threads; applying them mutates the profile and stays serial.
 #[derive(Debug, Clone)]
 pub(crate) struct TauShard {
-    /// Metric named in the file header.
-    pub metric_name: String,
-    /// `(event name, group, data)` per function line, in file order.
-    pub functions: Vec<(String, String, IntervalData)>,
+    /// Metric named in the file header; `None` is TAU's default timer.
+    metric: Option<Range<usize>>,
+    /// `(event name, group, data)` per function line, in file order; a
+    /// `None` group is `TAU_DEFAULT`.
+    functions: Vec<(Range<usize>, Option<Range<usize>>, IntervalData)>,
     /// `(event name, data)` per userevent line, in file order.
-    pub userevents: Vec<(String, AtomicData)>,
+    userevents: Vec<(Range<usize>, AtomicData)>,
 }
 
 /// Parse one TAU profile file's text into `profile` for `thread`.
@@ -61,24 +69,37 @@ pub(crate) struct TauShard {
 /// profile; returns that metric's id.
 pub fn parse_tau_text(text: &str, thread: ThreadId, profile: &mut Profile) -> Result<MetricId> {
     let shard = parse_tau_shard(text)?;
-    Ok(apply_tau_shard(&shard, thread, profile))
+    Ok(apply_tau_shard(text, &shard, thread, profile))
 }
 
-/// Register a parsed shard's metric, events, and data under `thread`.
-/// Registration order follows file order, so applying shards in sorted
-/// thread order reproduces the serial importer's event/metric numbering.
+/// Register a shard (parsed from `text`) under `thread`, in file order, so
+/// applying shards in sorted thread order reproduces the serial numbering.
+/// Each line first tries the event after the previous line's: one string
+/// compare, no hash. Only a miss (the first thread, or a file whose order
+/// differs) registers or looks the event up by name.
 pub(crate) fn apply_tau_shard(
+    text: &str,
     shard: &TauShard,
     thread: ThreadId,
     profile: &mut Profile,
 ) -> MetricId {
-    let metric = profile.add_metric(Metric::measured(shard.metric_name.clone()));
-    profile.add_thread(thread);
+    let metric_name = shard.metric.clone().map_or("GET_TIME_OF_DAY", |r| &text[r]);
+    let metric = profile.add_metric(Metric::measured(metric_name));
+    let tpos = profile.add_thread(thread);
+    let mut next = 0;
     for (name, group, data) in &shard.functions {
-        let event = profile.add_event(IntervalEvent::new(name, group));
-        profile.set_interval(event, thread, metric, *data);
+        let name = &text[name.clone()];
+        let event = if profile.events().get(next).is_some_and(|e| e.name == name) {
+            EventId(next)
+        } else {
+            let group = group.clone().map_or("TAU_DEFAULT", |g| &text[g]);
+            profile.add_event(IntervalEvent::new(name, group))
+        };
+        profile.set_interval_at(event, tpos, metric, *data);
+        next = event.0 + 1;
     }
     for (name, data) in &shard.userevents {
+        let name = &text[name.clone()];
         let ae = profile.add_atomic_event(AtomicEvent::new(name, "TAU_EVENT"));
         profile.set_atomic(ae, thread, *data);
     }
@@ -90,106 +111,68 @@ pub(crate) fn parse_tau_shard(text: &str) -> Result<TauShard> {
     let mut lines = text.lines().enumerate();
 
     // Header: "<n> templated_functions[_MULTI_<METRIC>]"
-    let (_, header) = lines
-        .next()
-        .ok_or_else(|| ImportError::format(FORMAT, 1, "empty file"))?;
+    let (_, header) = lines.next().ok_or_else(|| bad(0, "empty file"))?;
     let mut hp = header.splitn(2, ' ');
     let n_funcs: usize = hp
         .next()
         .unwrap_or("")
         .trim()
         .parse()
-        .map_err(|_| ImportError::format(FORMAT, 1, "bad function count in header"))?;
+        .map_err(|_| bad(0, "bad function count in header"))?;
     let tail = hp.next().unwrap_or("").trim();
     if !tail.starts_with("templated_functions") {
-        return Err(ImportError::format(
-            FORMAT,
-            1,
-            format!("unexpected header {header:?}"),
-        ));
+        return Err(bad(0, format!("unexpected header {header:?}")));
     }
-    let metric_name = tail
-        .strip_prefix("templated_functions_MULTI_")
-        .unwrap_or("GET_TIME_OF_DAY")
-        .to_string();
     let mut shard = TauShard {
-        metric_name,
-        functions: Vec::new(),
+        metric: tail
+            .strip_prefix("templated_functions_MULTI_")
+            .map(|m| span(text, m)),
+        // A function line takes at least 12 bytes (`"" 0 0 0 0 0`), which
+        // bounds the reservation however large the header's count.
+        functions: Vec::with_capacity(n_funcs.min(text.len() / 12)),
         userevents: Vec::new(),
     };
 
     // Column-header comment line.
     let (_, columns) = lines
         .next()
-        .ok_or_else(|| ImportError::format(FORMAT, 2, "missing column header"))?;
+        .ok_or_else(|| bad(1, "missing column header"))?;
     if !columns.trim_start().starts_with('#') {
-        return Err(ImportError::format(
-            FORMAT,
-            2,
+        return Err(bad(
+            1,
             "expected '# Name Calls Subrs Excl Incl ...' comment",
         ));
     }
 
-    // Function lines.
-    let mut parsed_funcs = 0usize;
-    let mut rest_line = None;
-    for (lineno, line) in lines.by_ref() {
-        if parsed_funcs == n_funcs {
-            rest_line = Some((lineno, line));
-            break;
-        }
-        let line = line.trim();
-        if line.is_empty() {
-            continue;
-        }
-        let (name, tail) = parse_quoted(line)
-            .ok_or_else(|| ImportError::format(FORMAT, lineno + 1, "expected quoted event name"))?;
-        let mut fields = tail.split_whitespace();
-        let calls: f64 = next_num(&mut fields, FORMAT, lineno, "calls")?;
-        let subrs: f64 = next_num(&mut fields, FORMAT, lineno, "subrs")?;
-        let excl: f64 = next_num(&mut fields, FORMAT, lineno, "exclusive")?;
-        let incl: f64 = next_num(&mut fields, FORMAT, lineno, "inclusive")?;
-        let _profile_calls: f64 = next_num(&mut fields, FORMAT, lineno, "profile calls")?;
-        let group = tail
-            .split_once("GROUP=\"")
-            .and_then(|(_, g)| g.split('"').next())
-            .unwrap_or("TAU_DEFAULT")
-            .to_string();
-        shard.functions.push((
-            name.to_string(),
-            group,
-            IntervalData::new(incl, excl, calls, subrs),
-        ));
-        parsed_funcs += 1;
-    }
-    if parsed_funcs != n_funcs {
-        return Err(ImportError::format(
-            FORMAT,
-            0,
-            format!("header promised {n_funcs} functions, found {parsed_funcs}"),
-        ));
-    }
+    // Function lines: quoted name, five numbers, optional `GROUP="..."`.
+    const FUNCTION_FIELDS: [&str; 5] =
+        ["calls", "subrs", "exclusive", "inclusive", "profile calls"];
+    section(&mut lines, n_funcs, "functions", |lineno, line| {
+        let (name, tail) =
+            parse_quoted(line).ok_or_else(|| bad(lineno, "expected quoted event name"))?;
+        let ([calls, subrs, excl, incl, _profile_calls], rest) =
+            numbers(tail, lineno, FUNCTION_FIELDS)?;
+        let group = rest.split_once("GROUP=\"").map(|(_, g)| {
+            let end = g.find('"').unwrap_or(g.len());
+            span(text, &g[..end])
+        });
+        let data = IntervalData::new(incl, excl, calls, subrs);
+        shard.functions.push((span(text, name), group, data));
+        Ok(())
+    })?;
 
     // Aggregates section: "<n> aggregates" (we skip aggregate lines).
-    let mut lines: Box<dyn Iterator<Item = (usize, &str)>> = match rest_line {
-        Some(first) => Box::new(std::iter::once(first).chain(lines)),
-        None => Box::new(lines),
-    };
     let Some((lineno, agg_header)) = lines.next() else {
         return Ok(shard); // aggregates/userevents sections are optional
     };
     let n_aggregates = section_count(agg_header, "aggregates")
-        .ok_or_else(|| ImportError::format(FORMAT, lineno + 1, "expected '<n> aggregates'"))?;
+        .ok_or_else(|| bad(lineno, "expected '<n> aggregates'"))?;
     // Bound the skip by the remaining input, not the header's count: a
     // corrupt count (or a truncated file) must fail fast, not spin for
     // up to `usize::MAX` iterations on an exhausted iterator.
     for found in 0..n_aggregates {
         if lines.next().is_none() {
-            return Err(ImportError::format(
-                FORMAT,
-                0,
-                format!("header promised {n_aggregates} aggregates, found {found}"),
-            ));
+            return Err(promised(n_aggregates, "aggregates", found));
         }
     }
 
@@ -198,59 +181,89 @@ pub(crate) fn parse_tau_shard(text: &str) -> Result<TauShard> {
         return Ok(shard);
     };
     let n_userevents = section_count(ue_header, "userevents")
-        .ok_or_else(|| ImportError::format(FORMAT, lineno + 1, "expected '<n> userevents'"))?;
+        .ok_or_else(|| bad(lineno, "expected '<n> userevents'"))?;
     if n_userevents > 0 {
         let (lineno, comment) = lines
             .next()
-            .ok_or_else(|| ImportError::format(FORMAT, lineno + 2, "missing userevent header"))?;
+            .ok_or_else(|| bad(lineno + 1, "missing userevent header"))?;
         if !comment.trim_start().starts_with('#') {
-            return Err(ImportError::format(
-                FORMAT,
-                lineno + 1,
+            return Err(bad(
+                lineno,
                 "expected '# eventname numevents max min mean sumsqr'",
             ));
         }
-        let mut parsed = 0usize;
-        for (lineno, line) in lines.by_ref() {
-            if parsed == n_userevents {
-                break;
-            }
-            let line = line.trim();
-            if line.is_empty() {
-                continue;
-            }
-            let (name, tail) = parse_quoted(line).ok_or_else(|| {
-                ImportError::format(FORMAT, lineno + 1, "expected quoted userevent name")
-            })?;
-            let mut fields = tail.split_whitespace();
-            let count: f64 = next_num(&mut fields, FORMAT, lineno, "numevents")?;
-            let max: f64 = next_num(&mut fields, FORMAT, lineno, "max")?;
-            let min: f64 = next_num(&mut fields, FORMAT, lineno, "min")?;
-            let mean: f64 = next_num(&mut fields, FORMAT, lineno, "mean")?;
-            let sumsqr: f64 = next_num(&mut fields, FORMAT, lineno, "sumsqr")?;
-            // TAU stores sum of squares; sample stddev from moments.
-            let n = count;
-            let stddev = if n > 1.0 {
-                let var = ((sumsqr - n * mean * mean) / (n - 1.0)).max(0.0);
-                var.sqrt()
-            } else {
-                0.0
-            };
-            shard.userevents.push((
-                name.to_string(),
-                AtomicData::from_summary(count as u64, min, max, mean, stddev),
-            ));
-            parsed += 1;
-        }
-        if parsed != n_userevents {
-            return Err(ImportError::format(
-                FORMAT,
-                0,
-                format!("header promised {n_userevents} userevents, found {parsed}"),
-            ));
+    }
+    const USEREVENT_FIELDS: [&str; 5] = ["numevents", "max", "min", "mean", "sumsqr"];
+    section(&mut lines, n_userevents, "userevents", |lineno, line| {
+        let (name, tail) =
+            parse_quoted(line).ok_or_else(|| bad(lineno, "expected quoted userevent name"))?;
+        let ([count, max, min, mean, sumsqr], _) = numbers(tail, lineno, USEREVENT_FIELDS)?;
+        // TAU stores sum of squares; sample stddev from moments.
+        let var = ((sumsqr - count * mean * mean) / (count - 1.0)).max(0.0);
+        let stddev = if count > 1.0 { var.sqrt() } else { 0.0 };
+        shard.userevents.push((
+            span(text, name),
+            AtomicData::from_summary(count as u64, min, max, mean, stddev),
+        ));
+        Ok(())
+    })?;
+    Ok(shard)
+}
+
+/// Feed the next `n` non-blank lines, trimmed, to `each` with their
+/// 0-based line numbers; input that ends first is an error.
+fn section<'t>(
+    lines: &mut impl Iterator<Item = (usize, &'t str)>,
+    n: usize,
+    what: &str,
+    mut each: impl FnMut(usize, &'t str) -> Result<()>,
+) -> Result<()> {
+    let mut found = 0;
+    while found < n {
+        let (lineno, line) = lines.next().ok_or_else(|| promised(n, what, found))?;
+        let line = line.trim();
+        if !line.is_empty() {
+            each(lineno, line)?;
+            found += 1;
         }
     }
-    Ok(shard)
+    Ok(())
+}
+
+/// Parse the `N` whitespace-separated numbers that open `tail`, in one
+/// pass; returns them and the text after the last one.
+fn numbers<'t, const N: usize>(
+    tail: &'t str,
+    lineno: usize,
+    names: [&str; N],
+) -> Result<([f64; N], &'t str)> {
+    let mut fields = tail.split_ascii_whitespace();
+    let mut values = [0.0; N];
+    let mut last = &tail[..0];
+    for (value, what) in values.iter_mut().zip(names) {
+        last = fields.next().unwrap_or("");
+        *value = last
+            .parse()
+            .map_err(|_| bad(lineno, format!("bad or missing {what}")))?;
+    }
+    Ok((values, &tail[span(tail, last).end..]))
+}
+
+/// Byte range of `part` within `text`; `part` must be a subslice of it.
+fn span(text: &str, part: &str) -> Range<usize> {
+    let start = part.as_ptr() as usize - text.as_ptr() as usize;
+    start..start + part.len()
+}
+
+/// A format error at 0-based line `lineno`.
+fn bad(lineno: usize, message: impl Into<String>) -> ImportError {
+    ImportError::format(FORMAT, lineno + 1, message)
+}
+
+/// A section that ends before the count its header promised.
+fn promised(n: usize, what: &str, found: usize) -> ImportError {
+    let message = format!("header promised {n} {what}, found {found}");
+    ImportError::format(FORMAT, 0, message)
 }
 
 fn section_count(line: &str, keyword: &str) -> Option<usize> {
@@ -270,17 +283,6 @@ fn parse_quoted(line: &str) -> Option<(&str, &str)> {
     Some((&rest[..end], &rest[end + 1..]))
 }
 
-fn next_num<'a>(
-    it: &mut impl Iterator<Item = &'a str>,
-    format: &'static str,
-    lineno: usize,
-    what: &str,
-) -> Result<f64> {
-    it.next()
-        .and_then(|s| s.parse().ok())
-        .ok_or_else(|| ImportError::format(format, lineno + 1, format!("bad or missing {what}")))
-}
-
 /// Load a TAU run directory (flat `profile.n.c.t` files or `MULTI__<M>`
 /// subdirectories) into a single multi-metric [`Profile`].
 pub fn load_tau_directory(dir: &Path) -> Result<Profile> {
@@ -290,27 +292,23 @@ pub fn load_tau_directory(dir: &Path) -> Result<Profile> {
             .unwrap_or_else(|| dir.display().to_string()),
     );
     profile.source_format = "tau".into();
-    let entries: Vec<_> = std::fs::read_dir(dir)
+    let multi_dirs: Vec<_> = std::fs::read_dir(dir)
         .map_err(|e| ImportError::io(dir, e))?
         .filter_map(|e| e.ok())
-        .collect();
-    let multi_dirs: Vec<_> = entries
-        .iter()
         .filter(|e| e.file_name().to_string_lossy().starts_with("MULTI__") && e.path().is_dir())
         .collect();
     let mut loaded = 0usize;
-    if !multi_dirs.is_empty() {
-        for d in multi_dirs {
-            loaded += load_flat_dir(&d.path(), &mut profile)?;
-        }
-    } else {
+    for d in &multi_dirs {
+        loaded += load_flat_dir(&d.path(), &mut profile)?;
+    }
+    if multi_dirs.is_empty() {
         loaded = load_flat_dir(dir, &mut profile)?;
     }
     if loaded == 0 {
         return Err(ImportError::NoProfiles(dir.to_path_buf()));
     }
     for m in 0..profile.metrics().len() {
-        profile.recompute_derived_fields(perfdmf_profile::MetricId(m));
+        profile.recompute_derived_fields(MetricId(m));
     }
     Ok(profile)
 }
@@ -329,18 +327,19 @@ fn load_flat_dir(dir: &Path, profile: &mut Profile) -> Result<usize> {
     // re-striding of the dense storage.
     profile.add_threads(files.iter().map(|(t, _)| *t));
     // Read + parse each node-context-thread shard on the worker pool (pure
-    // per-file work), then apply in sorted thread order so event and
-    // metric registration matches the serial importer exactly.
+    // per-file work; each shard keeps its text, which its spans index),
+    // then apply in sorted thread order so event and metric registration
+    // matches the serial importer exactly.
     perfdmf_telemetry::add("import.tau.shards", files.len() as u64);
     let shards = perfdmf_pool::try_map(&files, |(_, path)| {
         let text = std::fs::read_to_string(path).map_err(|e| ImportError::io(path, e))?;
-        parse_tau_shard(&text)
+        let shard = parse_tau_shard(&text)?;
+        Ok::<_, ImportError>((text, shard))
     })?;
-    let count = shards.len();
-    for ((thread, _), shard) in files.iter().zip(&shards) {
-        apply_tau_shard(shard, *thread, profile);
+    for ((thread, _), (text, shard)) in files.iter().zip(&shards) {
+        apply_tau_shard(text, shard, *thread, profile);
     }
-    Ok(count)
+    Ok(shards.len())
 }
 
 #[cfg(test)]

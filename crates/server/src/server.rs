@@ -506,7 +506,9 @@ pub(crate) fn validate(request: &Request, config: &ServerConfig) -> Result<(), S
             ..
         } => {
             let biggest = k.unwrap_or(0).max(*max_k).max(*pca_components);
-            if biggest > MAX_CLUSTER_PARAM {
+            if *k == Some(0) {
+                Err("cluster count k must be at least 1".into())
+            } else if biggest > MAX_CLUSTER_PARAM {
                 Err(format!(
                     "clustering parameter {biggest} exceeds limit {MAX_CLUSTER_PARAM}"
                 ))
@@ -524,6 +526,24 @@ pub(crate) fn validate(request: &Request, config: &ServerConfig) -> Result<(), S
 #[cfg(test)]
 mod tests {
     use super::*;
+    use perfdmf_explorer::{ClusterMethod, FeatureSpace};
+
+    #[test]
+    fn validate_rejects_zero_and_oversized_cluster_counts() {
+        let cluster = |k| Request::ClusterTrial {
+            trial_id: 1,
+            features: FeatureSpace::EventsOfMetric("TIME".into()),
+            k,
+            max_k: 4,
+            pca_components: 0,
+            method: ClusterMethod::KMeans,
+        };
+        let config = ServerConfig::default();
+        assert!(validate(&cluster(Some(0)), &config).is_err());
+        assert!(validate(&cluster(Some(MAX_CLUSTER_PARAM + 1)), &config).is_err());
+        assert!(validate(&cluster(Some(1)), &config).is_ok());
+        assert!(validate(&cluster(None), &config).is_ok());
+    }
 
     #[test]
     fn replay_cache_evicts_oldest_done_but_never_in_flight() {
