@@ -258,9 +258,13 @@ impl Connection {
     }
 
     /// Execute a SELECT and call `each` with every output row, in order.
-    /// Each row is projected into one buffer that is reused for the next,
-    /// so no row is allocated unless ORDER BY, DISTINCT or grouping needs
-    /// the whole result first. Returns the number of rows delivered.
+    /// A projection that is a run of consecutive columns of one table
+    /// (`SELECT *` on one table, or `p.x, p.y, p.z` in column order) is
+    /// lent straight from the table's row, under the read lock, with no
+    /// value copied; any other projection, and a LEFT-join miss, fills one
+    /// buffer reused for the next row. So no row is allocated unless ORDER
+    /// BY, DISTINCT or grouping needs the whole result first. Returns the
+    /// number of rows delivered.
     ///
     /// `each` runs under the connection's read lock: it must not execute
     /// statements on this connection or its clones. The statement is

@@ -234,9 +234,13 @@ pub(crate) fn grouped_only(expr: &Expr, group_by: &[Expr]) -> bool {
 
 // ---------------- execution ----------------
 
-/// Receives a SELECT's output rows in order. The row is lent for the
-/// call; a collector may take it with [`std::mem::take`].
-pub(crate) type Sink<'s> = dyn FnMut(&mut Row) + 's;
+/// Receives a SELECT's output rows in order, each lent for the call. A
+/// streamed projection that is a run of consecutive columns of one
+/// binding arrives as `Cow::Borrowed`, a slice of the base row under the
+/// statement's read lock; any other row is owned (one reused buffer when
+/// streaming). A collector takes it with [`std::mem::take`] and
+/// [`Cow::into_owned`].
+pub(crate) type Sink<'s> = dyn FnMut(&mut Cow<'_, [Value]>) + 's;
 
 /// What a SELECT reports besides its rows.
 #[derive(Debug, Default)]
@@ -260,7 +264,9 @@ impl crate::observe::RowCounts for Streamed {
 /// Execute a SELECT and collect its rows.
 pub(crate) fn execute_select(db: &Database, sel: &Select, params: &[Value]) -> Result<ResultSet> {
     let mut rows = Vec::new();
-    let done = stream_select(db, sel, params, &mut |row| rows.push(std::mem::take(row)))?;
+    let done = stream_select(db, sel, params, &mut |row| {
+        rows.push(std::mem::take(row).into_owned())
+    })?;
     Ok(ResultSet {
         columns: done.columns,
         rows,
@@ -398,7 +404,7 @@ impl<'w, 's> Window<'w, 's> {
         self.left == 0
     }
 
-    fn push(&mut self, row: &mut Row) {
+    fn push(&mut self, row: &mut Cow<'_, [Value]>) {
         if self.skip > 0 {
             self.skip -= 1;
         } else if self.left > 0 {
@@ -418,8 +424,8 @@ impl<'w, 's> Window<'w, 's> {
                 p.distinct = Some((rows_in as u64, rows.len() as u64));
             }
         }
-        for row in &mut rows {
-            self.push(row);
+        for row in rows {
+            self.push(&mut Cow::Owned(row));
         }
     }
 }
@@ -1451,6 +1457,19 @@ fn expand_projections(projections: &[Projection], layout: &Layout) -> Result<Vec
     Ok(out)
 }
 
+/// `(binding, first column)` when the bound projection reads columns
+/// `c, c + 1, ..` of one binding in order, so each output row is a slice
+/// of one base row.
+fn column_run(exprs: &[Expr]) -> Option<(usize, usize)> {
+    let slot = |e: &Expr| match e {
+        Expr::Slot { binding, column } => Some((*binding, *column)),
+        _ => None,
+    };
+    let (b, c) = slot(exprs.first()?)?;
+    let in_order = (0..).zip(exprs).all(|(i, e)| slot(e) == Some((b, c + i)));
+    in_order.then_some((b, c))
+}
+
 fn plain_path(
     tail: &Tail<'_, '_>,
     layout: &Layout,
@@ -1463,15 +1482,22 @@ fn plain_path(
     let columns: Vec<String> = projections.iter().map(|(n, _)| n.clone()).collect();
     let exprs = bind_all(projections.iter().map(|(_, e)| e), layout)?;
 
-    // Without ORDER BY or DISTINCT each row is projected into one reused
-    // buffer and handed on at once, stopping when LIMIT is reached;
-    // otherwise the rows are collected first.
+    // Without ORDER BY or DISTINCT each row is handed on at once,
+    // stopping when LIMIT is reached: a run of consecutive columns of one
+    // binding is lent from its base row, any other projection (or a
+    // LEFT-join miss) fills one reused buffer. Otherwise the rows are
+    // collected first.
     let stream = tail.order_by.is_empty() && !tail.distinct;
+    let run = column_run(&exprs).filter(|_| stream);
     let mut out_rows = Vec::new();
     let mut buf = Vec::new();
     for tuple in rows.iter() {
         if out.is_full() {
             break;
+        }
+        if let Some((Some(base), c)) = run.map(|(b, c)| (tuple[b], c)) {
+            out.push(&mut Cow::Borrowed(&base[c..c + exprs.len()]));
+            continue;
         }
         let env = Env::new(tuple, params);
         buf.clear();
@@ -1480,7 +1506,11 @@ fn plain_path(
             buf.push(eval_ref(e, &env)?.into_owned());
         }
         if stream {
-            out.push(&mut buf);
+            let mut row = Cow::Owned(std::mem::take(&mut buf));
+            out.push(&mut row);
+            if let Cow::Owned(row) = row {
+                buf = row;
+            }
         } else {
             out_rows.push(std::mem::take(&mut buf));
         }
@@ -1852,4 +1882,90 @@ fn cmp_order_keys(a: &[Value], b: &[Value], order_by: &[OrderItem]) -> Ordering 
         })
         .find(|ord| ord.is_ne())
         .unwrap_or(Ordering::Equal)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::sql::parser::parse_statement;
+
+    fn database() -> Database {
+        let mut db = Database::new();
+        for sql in [
+            "CREATE TABLE e (id INTEGER PRIMARY KEY, trial INTEGER)",
+            "CREATE TABLE p (id INTEGER PRIMARY KEY, ev INTEGER, x DOUBLE, n INTEGER, s TEXT)",
+            "INSERT INTO e VALUES (1, 1), (2, 1), (3, 2), (4, 1)",
+            "INSERT INTO p VALUES (10, 1, 0.5, 7, 'a'), (11, 2, -0.0, NULL, 'b'),
+                                  (12, 1, 2.25, 9, NULL), (13, 3, 1.0, 1, 'c')",
+        ] {
+            crate::exec::execute(&mut db, &parse_statement(sql).unwrap(), &[]).unwrap();
+        }
+        db
+    }
+
+    /// Each row `sql` streams, with whether it arrived lent.
+    fn streamed(db: &Database, sql: &str) -> Vec<(bool, Row)> {
+        let Statement::Select(sel) = parse_statement(sql).unwrap() else {
+            panic!("not a SELECT: {sql}");
+        };
+        let mut out = Vec::new();
+        stream_select(db, &sel, &[], &mut |row| {
+            out.push((matches!(row, Cow::Borrowed(_)), row.to_vec()))
+        })
+        .unwrap();
+        out
+    }
+
+    /// The rows of `sql`, asserting that every one arrived lent (or not).
+    fn rows(db: &Database, sql: &str, lent: bool) -> Vec<Row> {
+        let out = streamed(db, sql);
+        assert!(out.iter().all(|(b, _)| *b == lent), "{sql}: {out:?}");
+        out.into_iter().map(|(_, r)| r).collect()
+    }
+
+    #[test]
+    fn column_runs_are_lent_and_other_projections_copied() {
+        let db = database();
+        let all = rows(&db, "SELECT * FROM p", true);
+        assert_eq!(all.len(), 4);
+
+        // Columns 1..5 of the fact table through a join, as a trial load.
+        let mut join = rows(
+            &db,
+            "SELECT p.ev, p.x, p.n, p.s FROM e JOIN p ON p.ev = e.id WHERE e.trial = 1",
+            true,
+        );
+        join.sort();
+        let mut want: Vec<Row> = all[..3].iter().map(|r| r[1..].to_vec()).collect();
+        want.sort();
+        assert_eq!(join, want);
+
+        // LIMIT and OFFSET count lent rows like any other.
+        assert_eq!(
+            rows(&db, "SELECT * FROM p LIMIT 2 OFFSET 1", true),
+            all[1..3]
+        );
+        let tail = rows(&db, "SELECT x, n FROM p LIMIT 5 OFFSET 3", true);
+        assert_eq!(tail, [all[3][2..4].to_vec()]);
+        assert!(rows(&db, "SELECT * FROM p LIMIT 0", true).is_empty());
+
+        // Computed and permuted columns, ORDER BY and DISTINCT are copied,
+        // with the same values.
+        let computed = rows(&db, "SELECT id, ev, x, n, s, 1 FROM p", false);
+        let with_one = |r: &Row| [r.as_slice(), &[Value::Int(1)]].concat();
+        assert_eq!(computed, all.iter().map(with_one).collect::<Vec<_>>());
+        let permuted = rows(&db, "SELECT ev, id, x, n, s FROM p", false);
+        let swapped = |r: &Row| [&[r[1].clone(), r[0].clone()], &r[2..]].concat();
+        assert_eq!(permuted, all.iter().map(swapped).collect::<Vec<_>>());
+        assert_eq!(rows(&db, "SELECT * FROM p ORDER BY id", false), all);
+        assert_eq!(rows(&db, "SELECT DISTINCT * FROM p", false), all);
+
+        // A LEFT-join miss has no base row to lend from.
+        let left = streamed(&db, "SELECT p.ev, p.x FROM e LEFT JOIN p ON p.ev = e.id");
+        assert_eq!(left.len(), 5);
+        for (lent, row) in &left {
+            assert_eq!(*lent, !row.iter().all(Value::is_null), "{left:?}");
+        }
+        assert!(left.iter().any(|(lent, _)| !lent));
+    }
 }

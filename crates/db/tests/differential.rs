@@ -376,9 +376,11 @@ fn oracle_agg(a: &AggSpec, rows: &[&Vec<Value>]) -> Value {
 
 #[derive(Debug, Clone)]
 enum Query {
-    /// `SELECT cols FROM t [WHERE p] [LIMIT n [OFFSET m]]`
+    /// `SELECT cols FROM t [WHERE p] [LIMIT n [OFFSET m]]`; with `star`,
+    /// the columns are all of t's, written `t.*`.
     Project {
         cols: Vec<usize>,
+        star: bool,
         pred: Option<Pred>,
         limit: Option<(usize, usize)>,
     },
@@ -401,11 +403,20 @@ fn decode_query(seed: u64) -> Query {
     let pred = (pick(&mut r, 3) != 0).then(|| decode_pred(&mut r, 0));
     match pick(&mut r, 3) {
         0 => {
-            let mask = 1 + pick(&mut r, 15) as usize; // non-empty subset of 4 columns
-            let cols = (0..4).filter(|i| mask & (1 << i) != 0).collect();
+            let (cols, star) = if pick(&mut r, 2) == 0 {
+                decode_run(&mut r, &[(0, 4)])
+            } else {
+                let mask = 1 + pick(&mut r, 15) as usize; // non-empty subset of 4 columns
+                ((0..4).filter(|i| mask & (1 << i) != 0).collect(), false)
+            };
             let limit = (pick(&mut r, 3) == 0)
                 .then(|| (pick(&mut r, 20) as usize, pick(&mut r, 8) as usize));
-            Query::Project { cols, pred, limit }
+            Query::Project {
+                cols,
+                star,
+                pred,
+                limit,
+            }
         }
         1 => {
             let n = 1 + pick(&mut r, 3) as usize;
@@ -427,15 +438,35 @@ fn decode_query(seed: u64) -> Query {
     }
 }
 
+/// A run of consecutive columns of one table, the tables spanning the
+/// column ranges `tables`: the projections the executor lends from the
+/// base row. A third of them are a whole table, to be written `<table>.*`
+/// (the `bool`).
+fn decode_run(r: &mut u64, tables: &[(usize, usize)]) -> (Vec<usize>, bool) {
+    let (lo, hi) = tables[pick(r, tables.len() as u64) as usize];
+    if pick(r, 3) == 0 {
+        return ((lo..hi).collect(), true);
+    }
+    let start = lo + pick(r, (hi - lo) as u64) as usize;
+    let end = start + 1 + pick(r, (hi - start) as u64) as usize;
+    ((start..end).collect(), false)
+}
+
 fn query_sql(q: &Query) -> String {
     let where_sql = |p: &Option<Pred>| match p {
         Some(p) => format!(" WHERE {}", pred_sql(p, &COL_NAMES)),
         None => String::new(),
     };
     match q {
-        Query::Project { cols, pred, limit } => {
+        Query::Project {
+            cols,
+            star,
+            pred,
+            limit,
+        } => {
             let proj: Vec<&str> = cols.iter().map(|c| COL_NAMES[*c]).collect();
-            let mut sql = format!("SELECT {} FROM t{}", proj.join(", "), where_sql(pred));
+            let proj = if *star { "t.*".into() } else { proj.join(", ") };
+            let mut sql = format!("SELECT {proj} FROM t{}", where_sql(pred));
             if let Some((n, off)) = limit {
                 sql.push_str(&format!(" LIMIT {n} OFFSET {off}"));
             }
@@ -582,18 +613,30 @@ fn materializing_variants(sql: &str) -> Vec<String> {
 
 /// `query_each` hands on exactly the rows `query` returns, in the same
 /// order and with the same types and bits, for `sql` and each of its
-/// materializing variants; where `query` fails, it fails too.
-fn check_query_each(conn: &Connection, sql: &str) -> Result<(), TestCaseError> {
-    for sql in materializing_variants(sql) {
+/// materializing variants; where `query` fails, it fails too. Both go
+/// through the same projection (lent or copied), so the rows streamed for
+/// `sql` itself must also match `expected`, the naive oracle's answer.
+fn check_query_each(
+    conn: &Connection,
+    sql: &str,
+    expected: &[Vec<Value>],
+) -> Result<(), TestCaseError> {
+    for (i, variant) in materializing_variants(sql).iter().enumerate() {
+        let sql = variant.as_str();
         let mut streamed = Vec::new();
-        let each = conn.query_each(&sql, &[], |row| streamed.push(row.to_vec()));
-        match (conn.query(&sql, &[]), each) {
+        let each = conn.query_each(sql, &[], |row| streamed.push(row.to_vec()));
+        match (conn.query(sql, &[]), each) {
             (Ok(rs), Ok(n)) => {
                 let (got, want) = (format!("{streamed:?}"), format!("{:?}", rs.rows));
                 prop_assert!(
                     n == rs.rows.len() && got == want,
                     "query_each diverged from query\n  sql: {}\n  query_each ({} rows): {}\n  query: {}",
                     sql, n, got, want,
+                );
+                prop_assert!(
+                    i > 0 || rows_match(&streamed, expected),
+                    "query_each diverged from the oracle\n  sql: {}\n  query_each: {:?}\n  oracle: {:?}",
+                    sql, streamed, expected,
                 );
             }
             (Err(_), Err(_)) => {}
@@ -637,11 +680,12 @@ proptest! {
         for seed in &query_seeds {
             let query = decode_query(*seed);
             let sql = query_sql(&query);
+            let expected = oracle_run(&query, &table);
 
             let serial = {
                 let _serial = pool::override_for_thread(1, 1);
                 let _row = override_columnar(ColumnarMode::Off);
-                check_query_each(&conn, &sql)?;
+                check_query_each(&conn, &sql, &expected)?;
                 conn.query(&sql, &[]).map_err(|e| {
                     TestCaseError::fail(format!("serial run failed: {e}\n  sql: {sql}"))
                 })?
@@ -658,7 +702,7 @@ proptest! {
             let columnar = {
                 let _serial = pool::override_for_thread(1, 1);
                 let _col = override_columnar(ColumnarMode::Force);
-                check_query_each(&conn, &sql)?;
+                check_query_each(&conn, &sql, &expected)?;
                 conn.query(&sql, &[]).map_err(|e| {
                     TestCaseError::fail(format!("columnar run failed: {e}\n  sql: {sql}"))
                 })?
@@ -670,7 +714,6 @@ proptest! {
                     TestCaseError::fail(format!("columnar parallel run failed: {e}\n  sql: {sql}"))
                 })?
             };
-            let expected = oracle_run(&query, &table);
 
             prop_assert!(
                 rows_match(&serial.rows, &expected),
@@ -878,8 +921,10 @@ struct JoinQuery {
 
 #[derive(Debug, Clone)]
 enum JoinShape {
+    /// With `star`, `cols` are all of one table's, written `<table>.*`.
     Project {
         cols: Vec<usize>,
+        star: bool,
         limit: Option<(usize, usize)>,
     },
     Aggregate {
@@ -950,13 +995,25 @@ fn decode_join_query(seed: u64) -> JoinQuery {
     let pred = (pick(&mut r, 3) != 0).then(|| decode_jpred(&mut r, 0, width));
     let kind = pick(&mut r, 3);
     let shape = if kind == 0 {
-        let ncols = 1 + pick(&mut r, 4) as usize;
-        let cols = (0..ncols)
-            .map(|_| pick(&mut r, width as u64) as usize)
-            .collect();
+        // Runs of one table's columns include u's, which a LEFT JOIN
+        // NULL-extends on a miss.
+        let (cols, star) = if pick(&mut r, 2) == 0 {
+            let tables: &[(usize, usize)] = if with_w {
+                &[(0, 4), (4, 7), (7, 9)]
+            } else {
+                &[(0, 4), (4, 7)]
+            };
+            decode_run(&mut r, tables)
+        } else {
+            let ncols = 1 + pick(&mut r, 4) as usize;
+            let cols = (0..ncols)
+                .map(|_| pick(&mut r, width as u64) as usize)
+                .collect();
+            (cols, false)
+        };
         let limit =
             (pick(&mut r, 3) == 0).then(|| (pick(&mut r, 30) as usize, pick(&mut r, 6) as usize));
-        JoinShape::Project { cols, limit }
+        JoinShape::Project { cols, star, limit }
     } else {
         let num_cols: &[usize] = if with_w {
             &[JCOL_TA, JCOL_TB, 2, JCOL_UK, JCOL_UD, 6, JCOL_WX]
@@ -1038,9 +1095,13 @@ fn join_query_sql(q: &JoinQuery) -> String {
         None => String::new(),
     };
     match &q.shape {
-        JoinShape::Project { cols, limit } => {
+        JoinShape::Project { cols, star, limit } => {
             let proj: Vec<&str> = cols.iter().map(|c| JCOL_NAMES[*c]).collect();
-            let mut sql = format!("SELECT {} {from}{where_sql}", proj.join(", "));
+            let proj = match proj[0].split_once('.') {
+                Some((table, _)) if *star => format!("{table}.*"),
+                _ => proj.join(", "),
+            };
+            let mut sql = format!("SELECT {proj} {from}{where_sql}");
             if let Some((n, off)) = limit {
                 sql.push_str(&format!(" LIMIT {n} OFFSET {off}"));
             }
@@ -1131,7 +1192,7 @@ fn oracle_join_run(
         })
         .collect();
     match &q.shape {
-        JoinShape::Project { cols, limit } => {
+        JoinShape::Project { cols, limit, .. } => {
             let projected = filtered
                 .iter()
                 .map(|row| cols.iter().map(|c| row[*c].clone()).collect());
@@ -1282,8 +1343,8 @@ proptest! {
             {
                 let _p = pool::override_for_thread(1, 1);
                 let _c = override_columnar(ColumnarMode::Off);
-                check_query_each(&conn, &sql)?;
-                check_query_each(&padded, &sql)?;
+                check_query_each(&conn, &sql, &expected)?;
+                check_query_each(&padded, &sql, &expected)?;
             }
             for (name, rows) in &legs {
                 prop_assert!(
@@ -1369,6 +1430,7 @@ fn join_known_answer_spot_check() {
         pred: None,
         shape: JoinShape::Project {
             cols: vec![JCOL_TA, JCOL_UD],
+            star: false,
             limit: None,
         },
     };
@@ -1392,11 +1454,44 @@ fn join_known_answer_spot_check() {
         pred: Some(Pred::IsNull(JCOL_UK, false)),
         shape: JoinShape::Project {
             cols: vec![JCOL_TA],
+            star: false,
             limit: None,
         },
     };
     let expected = oracle_join_run(&q, &t, &u, &[]);
     assert_eq!(expected, vec![vec![Value::Int(2)], vec![Value::Int(3)]]);
+
+    // u's columns as `u.*` under LEFT JOIN and OFFSET: matches stream
+    // lent from u's rows, misses as NULL rows, and both agree with the
+    // oracle and with `query`.
+    let q = JoinQuery {
+        left_join: true,
+        on_extra: false,
+        with_w: false,
+        second_on_base: false,
+        pred: None,
+        shape: JoinShape::Project {
+            cols: vec![JCOL_UK, JCOL_UD, 6],
+            star: true,
+            limit: Some((3, 1)),
+        },
+    };
+    let sql = join_query_sql(&q);
+    assert_eq!(
+        sql,
+        "SELECT u.* FROM t LEFT JOIN u ON t.b = u.k LIMIT 3 OFFSET 1"
+    );
+    let expected = oracle_join_run(&q, &t, &u, &[]);
+    let null_row = vec![Value::Null; 3];
+    assert_eq!(
+        expected,
+        vec![
+            vec![Value::Int(0), Value::Int(2), Value::Float(1.5)],
+            null_row.clone(),
+            null_row,
+        ]
+    );
+    check_query_each(&conn, &sql, &expected).unwrap();
 
     // Padding makes the cost pass probe u's index; the answers stay.
     let padded = build_padded_join_connection(&t, &u, &[], PAD_ROWS);

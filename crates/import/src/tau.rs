@@ -292,11 +292,14 @@ pub fn load_tau_directory(dir: &Path) -> Result<Profile> {
             .unwrap_or_else(|| dir.display().to_string()),
     );
     profile.source_format = "tau".into();
-    let multi_dirs: Vec<_> = std::fs::read_dir(dir)
+    let mut multi_dirs: Vec<_> = std::fs::read_dir(dir)
         .map_err(|e| ImportError::io(dir, e))?
         .filter_map(|e| e.ok())
         .filter(|e| e.file_name().to_string_lossy().starts_with("MULTI__") && e.path().is_dir())
         .collect();
+    // Metrics register in subdirectory name order, whatever order the
+    // file system lists them in.
+    multi_dirs.sort_by_key(|e| e.file_name());
     let mut loaded = 0usize;
     for d in &multi_dirs {
         loaded += load_flat_dir(&d.path(), &mut profile)?;

@@ -265,7 +265,7 @@ fn reference_file(text: &str, thread: ThreadId, p: &mut Profile) -> MetricId {
 fn reference_directory(dir: &Path) -> Profile {
     let mut p = Profile::new(dir.file_name().unwrap().to_string_lossy());
     p.source_format = "tau".into();
-    let multi: Vec<PathBuf> = std::fs::read_dir(dir)
+    let mut multi: Vec<PathBuf> = std::fs::read_dir(dir)
         .unwrap()
         .map(|e| e.unwrap().path())
         .filter(|path| {
@@ -277,6 +277,7 @@ fn reference_directory(dir: &Path) -> Profile {
                     .starts_with("MULTI__")
         })
         .collect();
+    multi.sort();
     let subdirs = if multi.is_empty() {
         vec![dir.to_path_buf()]
     } else {
@@ -396,4 +397,39 @@ proptest! {
         }
         assert_same(&one_by_one, &reference)?;
     }
+}
+
+/// `MULTI__<METRIC>` subdirectories load in name order, whatever order
+/// they were created (and so listed) in, and a second import of the same
+/// files numbers the metrics the same way.
+#[test]
+fn multi_metric_subdirectories_load_in_name_order() {
+    let dir = std::env::temp_dir().join(format!("pdmf_tau_multi_order_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut rng = StdRng::seed_from_u64(7);
+    let threads = [ThreadId::new(0, 0, 0), ThreadId::new(1, 0, 0)];
+    for metric in ["PAPI_L2_DCM", "GET_TIME_OF_DAY", "PAPI_FP_OPS"] {
+        let sub = dir.join(format!("MULTI__{metric}"));
+        std::fs::create_dir_all(&sub).unwrap();
+        for f in metric_files(&mut rng, metric, &threads) {
+            let t = f.thread;
+            let name = format!("profile.{}.{}.{}", t.node, t.context, t.thread);
+            std::fs::write(sub.join(name), &f.text).unwrap();
+        }
+    }
+    let first = load_tau_directory(&dir);
+    let again = load_tau_directory(&dir);
+    let want = reference_directory(&dir);
+    let _ = std::fs::remove_dir_all(&dir);
+    let (first, again) = (first.unwrap(), again.unwrap());
+
+    let names =
+        |p: &Profile| -> Vec<String> { p.metrics().iter().map(|m| m.name.clone()).collect() };
+    assert_eq!(
+        names(&first),
+        ["GET_TIME_OF_DAY", "PAPI_FP_OPS", "PAPI_L2_DCM"]
+    );
+    assert_eq!(names(&again), names(&first));
+    assert_same(&again, &first).unwrap();
+    assert_same(&first, &want).unwrap();
 }
