@@ -122,6 +122,8 @@ fn bench_swarm(c: &mut Criterion) {
     let addr = server.addr();
     let clients = swarm_clients();
     let requests_per_client = 2;
+    // The swarm's clients record into their own registry.
+    let swarm = perfdmf_telemetry::Registry::new();
 
     let mut group = c.benchmark_group("e11_swarm");
     group.sample_size(10);
@@ -129,7 +131,13 @@ fn bench_swarm(c: &mut Criterion) {
     group.bench_function(format!("{clients}_clients"), |b| {
         b.iter(|| {
             let handles: Vec<_> = (0..clients)
-                .map(|id| std::thread::spawn(move || swarm_client(addr, id, requests_per_client)))
+                .map(|id| {
+                    let swarm = swarm.clone();
+                    std::thread::spawn(move || {
+                        let _adopted = swarm.adopt();
+                        swarm_client(addr, id, requests_per_client)
+                    })
+                })
                 .collect();
             let good: usize = handles.into_iter().map(|h| h.join().expect("client")).sum();
             assert_eq!(
@@ -143,7 +151,7 @@ fn bench_swarm(c: &mut Criterion) {
 
     // Tail latency of the client-observed round trip, across everything
     // the swarm just did. These are the §E11 numbers.
-    let snap = perfdmf_telemetry::snapshot();
+    let snap = swarm.snapshot();
     if let Some(h) = snap
         .histograms
         .iter()
@@ -208,15 +216,18 @@ fn bench_swarm_tail(c: &mut Criterion) {
         let addr = server.addr();
         // Two barriers: `connected` holds every client until all N
         // sessions are live (one warmup ping each), `released`
-        // holds the measured pings until the main thread has reset
-        // the telemetry registry — so the histogram contains
-        // exactly the steady-state round trips.
+        // holds the measured pings until every client is connected.
+        // Clients adopt the burst's own registry only after the
+        // release, so its histogram contains exactly the steady-state
+        // round trips.
+        let measured = perfdmf_telemetry::Registry::new();
         let connected = std::sync::Arc::new(std::sync::Barrier::new(clients + 1));
         let released = std::sync::Arc::new(std::sync::Barrier::new(clients + 1));
         let handles: Vec<_> = (0..clients)
             .map(|id| {
                 let connected = std::sync::Arc::clone(&connected);
                 let released = std::sync::Arc::clone(&released);
+                let measured = measured.clone();
                 std::thread::spawn(move || {
                     let mut client = NetClient::new(addr, format!("e11-tail-{id}"));
                     assert!(
@@ -225,6 +236,7 @@ fn bench_swarm_tail(c: &mut Criterion) {
                     );
                     connected.wait();
                     released.wait();
+                    let _measured = measured.adopt();
                     let mut good = 0;
                     for _ in 0..requests_per_client {
                         if matches!(client.request(Request::Ping), Response::Pong) {
@@ -237,7 +249,6 @@ fn bench_swarm_tail(c: &mut Criterion) {
             })
             .collect();
         connected.wait();
-        perfdmf_telemetry::reset();
         let started = std::time::Instant::now();
         released.wait();
         let good: usize = handles.into_iter().map(|h| h.join().expect("client")).sum();
@@ -247,7 +258,7 @@ fn bench_swarm_tail(c: &mut Criterion) {
             clients * requests_per_client,
             "every swarm request must be answered"
         );
-        let snap = perfdmf_telemetry::snapshot();
+        let snap = measured.snapshot();
         let h = snap
             .histograms
             .iter()

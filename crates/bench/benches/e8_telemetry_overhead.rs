@@ -19,6 +19,7 @@ fn bench_sql_aggregates_overhead(c: &mut Criterion) {
     let model = Evh1Model::default_mix(41);
     let profile = model.generate(64);
     let (conn, trial) = store_fresh(&profile);
+    let registry = conn.telemetry();
     let mut session = DatabaseSession::new(conn).expect("session");
     session.set_trial(trial);
 
@@ -44,10 +45,14 @@ fn bench_sql_aggregates_overhead(c: &mut Criterion) {
     group.bench_function("tracing_off", |b| {
         b.iter(|| session.event_aggregates("GET_TIME_OF_DAY").expect("aggs"));
     });
-    // The background metrics sampler snapshots the whole registry on its
-    // own thread; the workload only pays for cache pressure and registry
-    // shard contention. Same 5% bar, at the default 250ms cadence.
-    let sampler = telemetry::metrics::start_sampler(telemetry::metrics::DEFAULT_INTERVAL);
+    // The background metrics sampler snapshots the database's whole
+    // registry on its own thread; the workload only pays for cache
+    // pressure and registry shard contention. Same 5% bar, at the
+    // default 250ms cadence.
+    let sampler = {
+        let _adopted = registry.adopt();
+        telemetry::metrics::start_sampler(telemetry::metrics::DEFAULT_INTERVAL)
+    };
     group.bench_function("sampler_on", |b| {
         b.iter(|| session.event_aggregates("GET_TIME_OF_DAY").expect("aggs"));
     });
@@ -143,6 +148,18 @@ fn bench_primitives(c: &mut Criterion) {
         b.iter(|| telemetry::add(black_box("e8.named"), 1));
     });
     telemetry::set_enabled(true);
+    // Every statement adopts its database's registry: the swap from
+    // another registry, and the no-op when it is already current.
+    let registry = telemetry::Registry::new();
+    group.bench_function("registry_adopt", |b| {
+        b.iter(|| drop(black_box(registry.adopt())));
+    });
+    {
+        let _current = registry.adopt();
+        group.bench_function("registry_adopt_current", |b| {
+            b.iter(|| drop(black_box(registry.adopt())));
+        });
+    }
     group.finish();
 }
 

@@ -261,6 +261,7 @@ impl DatabaseSession {
         experiment: &str,
         profile: &Profile,
     ) -> Result<i64> {
+        let _adopted = self.conn.telemetry().adopt();
         let _span = telemetry::span("session.store_profile");
         let app_id = match self
             .conn
@@ -332,6 +333,7 @@ impl DatabaseSession {
     /// Load the selected trial's profile, honoring the metric and
     /// node/context/thread selections.
     pub fn load_profile(&self) -> Result<Profile> {
+        let _adopted = self.conn.telemetry().adopt();
         let _span = telemetry::span("session.load_profile");
         let trial = self.require_trial()?;
         let filter = LoadFilter {

@@ -1,25 +1,26 @@
-//! The self-profiling loop, closed: live telemetry exported with
-//! `snapshot_to_profile()` is stored through `DataSession::store_profile`
-//! and read back with `load_profile` like any other trial.
+//! The self-profiling loop, closed: a database's live telemetry,
+//! exported with `profile_from_snapshot`, is stored through
+//! `DataSession::store_profile` and read back with `load_profile` like
+//! any other trial.
 
 use perfdmf_core::DatabaseSession;
 use perfdmf_db::Connection;
 use perfdmf_profile::ThreadId;
-use perfdmf_telemetry as telemetry;
-use perfdmf_telemetry::snapshot::{EXPORTED_QUANTILES, TELEMETRY_METRIC};
+use perfdmf_telemetry::snapshot::{profile_from_snapshot, EXPORTED_QUANTILES, TELEMETRY_METRIC};
 
 #[test]
 fn telemetry_snapshot_round_trips_through_database() {
-    // Open the session first so its schema DDL runs before the snapshot;
-    // unique names keep this test independent of parallel tests.
-    let mut session = DatabaseSession::new(Connection::open_in_memory()).unwrap();
+    // Open the session first so its schema DDL runs before the snapshot.
+    let conn = Connection::open_in_memory();
+    let registry = conn.telemetry();
+    let mut session = DatabaseSession::new(conn).unwrap();
 
-    telemetry::counter("rt.core.rows").add(42);
-    let h = telemetry::histogram("rt.core.latency_ns");
+    registry.counter("rt.core.rows").add(42);
+    let h = registry.histogram("rt.core.latency_ns");
     h.record(1_000);
     h.record(3_000);
 
-    let profile = telemetry::snapshot_to_profile();
+    let profile = profile_from_snapshot(&registry.snapshot());
     assert!(profile.validate().is_empty());
 
     let trial_id = session
@@ -46,7 +47,7 @@ fn telemetry_snapshot_round_trips_through_database() {
 
     // The instrumented store/load above fed the registry in turn: the
     // session spans themselves show up as latency histograms.
-    let snap = telemetry::snapshot();
+    let snap = registry.snapshot();
     assert!(snap
         .histogram("session.store_profile")
         .is_some_and(|s| s.count >= 1));
@@ -57,10 +58,12 @@ fn telemetry_snapshot_round_trips_through_database() {
 
 #[test]
 fn histogram_quantiles_survive_the_round_trip() {
-    let mut session = DatabaseSession::new(Connection::open_in_memory()).unwrap();
+    let conn = Connection::open_in_memory();
+    let registry = conn.telemetry();
+    let mut session = DatabaseSession::new(conn).unwrap();
 
     // A skewed distribution so p50 and p99 land in different buckets.
-    let h = telemetry::histogram("rt.quant.latency_ns");
+    let h = registry.histogram("rt.quant.latency_ns");
     for _ in 0..98 {
         h.record(1_000);
     }
@@ -68,8 +71,8 @@ fn histogram_quantiles_survive_the_round_trip() {
     h.record(2_000_000);
 
     // Freeze the expectation from the same snapshot that gets exported;
-    // other tests keep recording into the shared registry.
-    let snap = telemetry::snapshot();
+    // the store below keeps recording into the registry.
+    let snap = registry.snapshot();
     let live = snap.histogram("rt.quant.latency_ns").expect("histogram");
     let expected: Vec<(String, u64)> = EXPORTED_QUANTILES
         .iter()
@@ -80,7 +83,7 @@ fn histogram_quantiles_survive_the_round_trip() {
             )
         })
         .collect();
-    let profile = telemetry::snapshot::profile_from_snapshot(&snap);
+    let profile = profile_from_snapshot(&snap);
 
     let trial_id = session
         .store_profile("perfdmf", "self-profiling-quantiles", &profile)

@@ -201,10 +201,17 @@ impl Chunk {
 }
 
 /// Per-table chunk cache. Lives inside [`crate::Table`] behind a mutex
-/// so read-locked query execution can populate it.
-#[derive(Default)]
+/// so read-locked query execution can populate it. Tables charge the
+/// bytes they retain to the process-wide budget counter.
 pub(crate) struct ColumnCache {
     inner: Mutex<Vec<Option<Arc<Chunk>>>>,
+    charged: &'static AtomicUsize,
+}
+
+impl Default for ColumnCache {
+    fn default() -> Self {
+        ColumnCache::charging(&CACHED_BYTES)
+    }
 }
 
 impl std::fmt::Debug for ColumnCache {
@@ -216,9 +223,9 @@ impl std::fmt::Debug for ColumnCache {
 
 impl Clone for ColumnCache {
     /// Chunks are derived data; clones (undo snapshots, `CREATE TABLE AS`)
-    /// start cold so the global budget is never double-counted.
+    /// start cold so the budget is never double-counted.
     fn clone(&self) -> Self {
-        ColumnCache::default()
+        ColumnCache::charging(self.charged)
     }
 }
 
@@ -227,7 +234,7 @@ impl Drop for ColumnCache {
         if let Ok(inner) = self.inner.get_mut() {
             for slot in inner.iter_mut() {
                 if let Some(old) = slot.take() {
-                    CACHED_BYTES.fetch_sub(old.bytes(), Ordering::Relaxed);
+                    self.charged.fetch_sub(old.bytes(), Ordering::Relaxed);
                 }
             }
         }
@@ -235,6 +242,14 @@ impl Drop for ColumnCache {
 }
 
 impl ColumnCache {
+    /// An empty cache charging its retained bytes to `charged`.
+    fn charging(charged: &'static AtomicUsize) -> Self {
+        ColumnCache {
+            inner: Mutex::default(),
+            charged,
+        }
+    }
+
     /// Get or build the chunk with index `idx` holding (at least) the
     /// columns `cols`; the flag is true on a cache hit, i.e. when the
     /// cached chunk already held all of them. A cached chunk missing some
@@ -281,7 +296,7 @@ impl ColumnCache {
         // a slight overshoot under contention is acceptable. The chunk
         // replaces its cached narrower self, whose bytes it frees.
         let replaced = cached.map_or(0, |c| c.bytes());
-        if CACHED_BYTES.load(Ordering::Relaxed) + bytes > budget_bytes() + replaced {
+        if self.charged.load(Ordering::Relaxed) + bytes > budget_bytes() + replaced {
             telemetry::add("db.colcache.budget_declines", 1);
             return (Some(arc), false);
         }
@@ -290,9 +305,9 @@ impl ColumnCache {
             guard.resize(idx + 1, None);
         }
         if let Some(old) = guard[idx].take() {
-            CACHED_BYTES.fetch_sub(old.bytes(), Ordering::Relaxed);
+            self.charged.fetch_sub(old.bytes(), Ordering::Relaxed);
         }
-        CACHED_BYTES.fetch_add(bytes, Ordering::Relaxed);
+        self.charged.fetch_add(bytes, Ordering::Relaxed);
         guard[idx] = Some(Arc::clone(&arc));
         (Some(arc), false)
     }
@@ -303,7 +318,7 @@ impl ColumnCache {
         let mut guard = self.inner.lock().unwrap();
         if let Some(slot) = guard.get_mut(idx) {
             if let Some(old) = slot.take() {
-                CACHED_BYTES.fetch_sub(old.bytes(), Ordering::Relaxed);
+                self.charged.fetch_sub(old.bytes(), Ordering::Relaxed);
             }
         }
     }
@@ -313,7 +328,7 @@ impl ColumnCache {
         let mut guard = self.inner.lock().unwrap();
         for slot in guard.iter_mut() {
             if let Some(old) = slot.take() {
-                CACHED_BYTES.fetch_sub(old.bytes(), Ordering::Relaxed);
+                self.charged.fetch_sub(old.bytes(), Ordering::Relaxed);
             }
         }
         guard.clear();
@@ -438,16 +453,14 @@ mod tests {
 
     #[test]
     fn budget_accounting_releases_on_drop() {
-        if crate::isolation::run_alone("column::tests::budget_accounting_releases_on_drop") {
-            return;
-        }
+        let charged: &'static AtomicUsize = Box::leak(Box::default());
+        let bytes = || charged.load(Ordering::Relaxed);
         let rows = slab(256);
-        let before = cached_bytes();
         {
-            let cache = ColumnCache::default();
+            let cache = ColumnCache::charging(charged);
             cache.chunk(&schema(), &rows, 0, &[0, 2]);
-            assert!(cached_bytes() > before);
+            assert!(bytes() > 0);
         }
-        assert_eq!(cached_bytes(), before, "drop released the budget");
+        assert_eq!(bytes(), 0, "drop released the budget");
     }
 }

@@ -115,6 +115,8 @@ impl ParseCache {
 pub struct Connection {
     db: Arc<RwLock<Database>>,
     parse_cache: Arc<ParseCache>,
+    /// The database's registry, held here so adopting it takes no lock.
+    telemetry: telemetry::Registry,
 }
 
 impl std::fmt::Debug for Connection {
@@ -143,17 +145,19 @@ impl Prepared {
         &self.sql
     }
 
-    /// Run this statement with `params` through `exec`, inside one
-    /// `db.exec` span, and record it in the statement metrics and the
-    /// slow-query log. Every execution path of both handles ends here.
+    /// Run this statement with `params` through `exec` under `registry`,
+    /// inside one `db.exec` span, and record it in the statement metrics
+    /// and the slow-query log. Every execution path of both handles ends here.
     fn run<T: RowCounts>(
         &self,
+        registry: &telemetry::Registry,
         params: &[Value],
         exec: impl FnOnce(&Statement) -> Result<T>,
     ) -> Result<T> {
         if params.len() < self.param_count {
             return Err(DbError::MissingParameter(params.len()));
         }
+        let _adopted = registry.adopt();
         let _span = telemetry::span("db.exec");
         let started = telemetry::enabled().then(Instant::now);
         let outcome = exec(&self.statement);
@@ -177,20 +181,23 @@ fn returns_rows(prepared: &Prepared, method: &str) -> Result<()> {
 }
 
 impl Connection {
-    /// Open an in-memory database.
-    pub fn open_in_memory() -> Connection {
+    fn wrap(db: Database) -> Connection {
         Connection {
-            db: Arc::new(RwLock::new(Database::new())),
+            telemetry: db.telemetry().clone(),
+            db: Arc::new(RwLock::new(db)),
             parse_cache: Arc::new(ParseCache::default()),
         }
     }
 
-    /// Open (or create) a persistent database in `dir`.
+    /// Open an in-memory database.
+    pub fn open_in_memory() -> Connection {
+        Connection::wrap(Database::new())
+    }
+
+    /// Open (or create) a persistent database in `dir`. Fault dumps of
+    /// its registry go to `flight_recorder.json` in `dir`.
     pub fn open(dir: impl AsRef<Path>) -> Result<Connection> {
-        Ok(Connection {
-            db: Arc::new(RwLock::new(Database::open(dir.as_ref())?)),
-            parse_cache: Arc::new(ParseCache::default()),
-        })
+        Connection::open_with_vfs(dir, crate::vfs::real())
     }
 
     /// Open (or create) a persistent database with file I/O routed through
@@ -199,15 +206,20 @@ impl Connection {
         dir: impl AsRef<Path>,
         vfs: Arc<dyn crate::vfs::Vfs>,
     ) -> Result<Connection> {
-        Ok(Connection {
-            db: Arc::new(RwLock::new(Database::open_with_vfs(dir.as_ref(), vfs)?)),
-            parse_cache: Arc::new(ParseCache::default()),
-        })
+        let db = Database::open_with_vfs(dir.as_ref(), vfs)?;
+        Ok(Connection::wrap(db))
+    }
+
+    /// The database's telemetry registry, which `perfdmf_counters` and
+    /// `perfdmf_histograms` show. Clones share it.
+    pub fn telemetry(&self) -> telemetry::Registry {
+        self.telemetry.clone()
     }
 
     /// Parse a statement for repeated execution. Repeated SQL text hits
     /// the connection's LRU parse cache and skips the parser entirely.
     pub fn prepare(&self, sql: &str) -> Result<Prepared> {
+        let _adopted = self.telemetry.adopt();
         self.parse_cache.prepare(sql)
     }
 
@@ -219,7 +231,7 @@ impl Connection {
 
     /// Execute a prepared statement.
     pub fn execute_prepared(&self, prepared: &Prepared, params: &[Value]) -> Result<Outcome> {
-        prepared.run(params, |statement| match statement {
+        prepared.run(&self.telemetry, params, |statement| match statement {
             // SELECT and EXPLAIN SELECT never mutate; run them under the
             // read lock so they share with other readers.
             Statement::Select(sel) => {
@@ -278,7 +290,7 @@ impl Connection {
         mut each: impl FnMut(&[Value]),
     ) -> Result<usize> {
         let prepared = self.prepare(sql)?;
-        let done = prepared.run(params, |statement| match statement {
+        let done = prepared.run(&self.telemetry, params, |statement| match statement {
             Statement::Select(sel) => {
                 crate::exec::select::stream_select(&self.db.read(), sel, params, &mut |row| {
                     each(row)
@@ -318,6 +330,7 @@ impl Connection {
         columns: &[&str],
         rows: Vec<crate::table::Row>,
     ) -> Result<(usize, Option<i64>)> {
+        let _adopted = self.telemetry.adopt();
         let _span = telemetry::span("db.bulk_insert");
         self.db
             .write()
@@ -335,11 +348,13 @@ impl Connection {
         &self,
         f: impl FnOnce(&mut TransactionHandle<'_>) -> Result<T>,
     ) -> Result<T> {
+        let _adopted = self.telemetry.adopt();
         let mut db = self.db.write();
         db.begin()?;
         let mut handle = TransactionHandle {
             db: &mut db,
             parse_cache: &self.parse_cache,
+            telemetry: &self.telemetry,
         };
         match f(&mut handle) {
             Ok(v) => {
@@ -379,6 +394,7 @@ impl Connection {
 
     /// Write a snapshot and truncate the WAL (persistent databases only).
     pub fn checkpoint(&self) -> Result<()> {
+        let _adopted = self.telemetry.adopt();
         self.db.write().checkpoint()
     }
 }
@@ -387,6 +403,7 @@ impl Connection {
 pub struct TransactionHandle<'a> {
     db: &'a mut Database,
     parse_cache: &'a ParseCache,
+    telemetry: &'a telemetry::Registry,
 }
 
 impl TransactionHandle<'_> {
@@ -408,7 +425,7 @@ impl TransactionHandle<'_> {
                 "transaction control statements are managed by transaction()".into(),
             ));
         }
-        prepared.run(params, |statement| execute(self.db, statement, params))
+        prepared.run(self.telemetry, params, |st| execute(self.db, st, params))
     }
 
     /// Execute a pre-parsed INSERT and return the generated id.
@@ -453,31 +470,29 @@ impl TransactionHandle<'_> {
 mod tests {
     use super::*;
 
-    fn cache_counters() -> (u64, u64) {
+    fn cache_counters(conn: &Connection) -> (u64, u64) {
+        let count = |name| conn.telemetry().counter(name).value();
         (
-            telemetry::counter("db.sql.parse_cache_hits").value(),
-            telemetry::counter("db.sql.parse_cache_misses").value(),
+            count("db.sql.parse_cache_hits"),
+            count("db.sql.parse_cache_misses"),
         )
     }
 
     #[test]
     fn repeated_sql_parses_once() {
-        if crate::isolation::run_alone("connection::tests::repeated_sql_parses_once") {
-            return;
-        }
         let conn = Connection::open_in_memory();
         conn.execute("CREATE TABLE t (id INTEGER PRIMARY KEY, v INTEGER)", &[])
             .unwrap();
         let sql = "SELECT v FROM t WHERE id = ?";
-        let (h0, m0) = cache_counters();
+        let (h0, m0) = cache_counters(&conn);
         conn.query(sql, &[Value::Int(1)]).unwrap();
-        let (h1, m1) = cache_counters();
+        let (h1, m1) = cache_counters(&conn);
         assert_eq!(h1 - h0, 0, "first use must miss");
         assert!(m1 - m0 >= 1, "first use must miss");
         for i in 0..5 {
             conn.query(sql, &[Value::Int(i)]).unwrap();
         }
-        let (h2, m2) = cache_counters();
+        let (h2, m2) = cache_counters(&conn);
         assert_eq!(h2 - h1, 5, "every repeat must hit the parse cache");
         assert_eq!(m2 - m1, 0, "repeats must not re-parse");
         conn.transaction(|tx| {
@@ -487,7 +502,7 @@ mod tests {
             Ok(())
         })
         .unwrap();
-        let (h3, m3) = cache_counters();
+        let (h3, m3) = cache_counters(&conn);
         assert_eq!(h3 - h2, 3, "a transaction must use the same cache");
         assert_eq!(m3 - m2, 0, "a transaction must not re-parse");
     }
@@ -501,10 +516,10 @@ mod tests {
         }
         assert_eq!(conn.parse_cache_len(), PARSE_CACHE_CAP);
         // The oldest entries are gone; the newest survive.
-        let (h0, _) = cache_counters();
+        let (h0, _) = cache_counters(&conn);
         conn.prepare(&format!("SELECT {}", PARSE_CACHE_CAP + 9))
             .unwrap();
-        let (h1, _) = cache_counters();
+        let (h1, _) = cache_counters(&conn);
         assert_eq!(h1 - h0, 1, "most recent entry must still be cached");
     }
 
@@ -521,9 +536,9 @@ mod tests {
         let conn = Connection::open_in_memory();
         conn.prepare("SELECT 1").unwrap();
         let clone = conn.clone();
-        let (h0, _) = cache_counters();
+        let (h0, _) = cache_counters(&conn);
         clone.prepare("SELECT 1").unwrap();
-        let (h1, _) = cache_counters();
+        let (h1, _) = cache_counters(&conn);
         assert_eq!(h1 - h0, 1);
     }
 }

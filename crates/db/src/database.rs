@@ -55,6 +55,8 @@ pub struct Database {
     wal: Option<Wal>,
     dir: Option<PathBuf>,
     vfs: Arc<dyn Vfs>,
+    /// This database's counters, histograms and fault-dump path.
+    telemetry: telemetry::Registry,
 }
 
 impl Default for Database {
@@ -74,7 +76,13 @@ impl Database {
             wal: None,
             dir: None,
             vfs: crate::vfs::real(),
+            telemetry: telemetry::Registry::new(),
         }
+    }
+
+    /// This database's telemetry registry, which its statements adopt.
+    pub fn telemetry(&self) -> &telemetry::Registry {
+        &self.telemetry
     }
 
     /// Open (or create) a persistent database in directory `dir`.
@@ -97,11 +105,16 @@ impl Database {
     /// of format v2 is read, replayed, and then folded into a checkpoint,
     /// which writes both files at the current format; a crash before the
     /// checkpoint's rename leaves the v2 files as they were.
+    /// Recovery records into the new database's registry, whose fault
+    /// dumps go to `flight_recorder.json` in `dir`.
     pub fn open_with_vfs(dir: &Path, vfs: Arc<dyn Vfs>) -> Result<Self> {
+        let mut db = Database::new();
+        db.telemetry
+            .set_fault_dump_path(Some(dir.join("flight_recorder.json")));
+        let _adopted = db.telemetry.adopt();
         let _span = telemetry::span("db.open");
         vfs.create_dir_all(dir)
             .map_err(|e| DbError::io("create database dir", e))?;
-        let mut db = Database::new();
         db.vfs = vfs.clone();
         telemetry::add("db.recovery.opens", 1);
         let snap_path = dir.join("snapshot.pdmf");

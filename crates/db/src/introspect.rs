@@ -12,14 +12,14 @@
 //!
 //! | table | one row per | backing store |
 //! |---|---|---|
-//! | `perfdmf_counters`        | telemetry counter            | registry snapshot |
-//! | `perfdmf_histograms`      | telemetry histogram          | registry snapshot |
+//! | `perfdmf_counters`        | telemetry counter            | the database's registry |
+//! | `perfdmf_histograms`      | telemetry histogram          | the database's registry |
 //! | `perfdmf_slow_queries`    | retained slow statement      | [`crate::observe::slow_query_log`] |
 //! | `perfdmf_spans`           | flight-recorder span         | `telemetry::trace::dump()` |
 //! | `perfdmf_tables`          | user table                   | the live [`Database`] |
 //! | `perfdmf_columns`         | user table column            | the live [`Database`] |
-//! | `perfdmf_colcache`        | process (single row)         | column-chunk cache globals |
-//! | `perfdmf_pool`            | process (single row)         | worker pool config + `pool.*` metrics |
+//! | `perfdmf_colcache`        | process (single row)         | column-chunk budget + the database's `db.colcache.*` |
+//! | `perfdmf_pool`            | process (single row)         | worker pool config + the database's `pool.*` |
 //! | `perfdmf_metrics_history` | (sample, instrument) pair    | `telemetry::metrics::history()` |
 //! | `perfdmf_regressions`     | flagged perf regression      | `telemetry::regressions::log()` |
 //! | `perfdmf_sessions`        | network server session       | `telemetry::sessions::log()` |
@@ -71,14 +71,14 @@ pub(crate) fn check_dml_name(name: &str) -> Result<()> {
 /// names, which then fall through to `NoSuchTable`).
 pub(crate) fn materialize(db: &Database, name: &str) -> Option<Table> {
     match name.to_ascii_lowercase().as_str() {
-        "perfdmf_counters" => Some(counters_table()),
-        "perfdmf_histograms" => Some(histograms_table()),
+        "perfdmf_counters" => Some(counters_table(db)),
+        "perfdmf_histograms" => Some(histograms_table(db)),
         "perfdmf_slow_queries" => Some(slow_queries_table()),
         "perfdmf_spans" => Some(spans_table()),
         "perfdmf_tables" => Some(tables_table(db)),
         "perfdmf_columns" => Some(columns_table(db)),
-        "perfdmf_colcache" => Some(colcache_table()),
-        "perfdmf_pool" => Some(pool_table()),
+        "perfdmf_colcache" => Some(colcache_table(db)),
+        "perfdmf_pool" => Some(pool_table(db)),
         "perfdmf_metrics_history" => Some(metrics_history_table()),
         "perfdmf_regressions" => Some(regressions_table()),
         "perfdmf_sessions" => Some(sessions_table()),
@@ -113,8 +113,8 @@ fn text(s: impl Into<String>) -> Value {
     Value::Text(s.into().into())
 }
 
-fn counters_table() -> Table {
-    let snap = telemetry::snapshot();
+fn counters_table(db: &Database) -> Table {
+    let snap = db.telemetry().snapshot();
     build(
         "perfdmf_counters",
         vec![
@@ -155,8 +155,8 @@ fn histogram_row(h: &telemetry::HistogramSnapshot) -> Row {
     ]
 }
 
-fn histograms_table() -> Table {
-    let snap = telemetry::snapshot();
+fn histograms_table(db: &Database) -> Table {
+    let snap = db.telemetry().snapshot();
     build(
         "perfdmf_histograms",
         histogram_columns(),
@@ -302,11 +302,8 @@ fn columns_table(db: &Database) -> Table {
     )
 }
 
-fn counter_value(name: &str) -> u64 {
-    telemetry::counter(name).value()
-}
-
-fn colcache_table() -> Table {
+fn colcache_table(db: &Database) -> Table {
+    let counter_value = |name| db.telemetry().counter(name).value();
     build(
         "perfdmf_colcache",
         vec![
@@ -326,11 +323,13 @@ fn colcache_table() -> Table {
     )
 }
 
-fn pool_table() -> Table {
+fn pool_table(db: &Database) -> Table {
     // Utilization = worker busy time over the wall-clock capacity of all
     // parallel runs (capacity = wall × workers, recorded per run).
+    let registry = db.telemetry();
+    let counter_value = |name| registry.counter(name).value();
     let busy_ns = counter_value("pool.busy_ns");
-    let capacity_ns = telemetry::histogram("pool.run_capacity_ns").sum();
+    let capacity_ns = registry.histogram("pool.run_capacity_ns").sum();
     let utilization = if capacity_ns > 0 {
         Value::Float(busy_ns as f64 / capacity_ns as f64)
     } else {
@@ -627,28 +626,31 @@ mod tests {
 
     #[test]
     fn counters_table_reflects_registry() {
-        telemetry::add("introspect.test.counter", 41);
-        let t = counters_table();
+        let db = Database::new();
+        db.telemetry().counter("introspect.test.counter").add(41);
+        let t = counters_table(&db);
         let found = t
             .iter()
             .find(|(_, row)| row[0] == text("introspect.test.counter"))
             .expect("registered counter surfaces");
-        assert!(matches!(found.1[1], Value::Int(v) if v >= 41));
+        assert_eq!(found.1[1], Value::Int(41));
     }
 
     #[test]
     fn histograms_table_has_quantiles() {
+        let db = Database::new();
+        let h = db.telemetry().histogram("introspect.test.hist");
         for v in [10u64, 20, 30, 40, 1000] {
-            telemetry::record("introspect.test.hist", v);
+            h.record(v);
         }
-        let t = histograms_table();
+        let t = histograms_table(&db);
         let (_, row) = t
             .iter()
             .find(|(_, row)| row[0] == text("introspect.test.hist"))
             .expect("histogram surfaces");
         let cols = &t.schema.columns;
         let col = |n: &str| cols.iter().position(|c| c.name == n).unwrap();
-        assert!(matches!(row[col("count")], Value::Int(v) if v >= 5));
+        assert_eq!(row[col("count")], Value::Int(5));
         let p50 = &row[col("p50")];
         let p99 = &row[col("p99")];
         assert!(matches!((p50, p99), (Value::Int(a), Value::Int(b)) if b >= a));

@@ -84,36 +84,3 @@ pub use storage::Durability;
 pub use table::{Row, RowId, Table};
 pub use value::{Blob, DataType, IStr, Value};
 pub use vfs::{RealVfs, Vfs, VfsFile};
-
-/// Unit tests that assert exact deltas of process-wide state (telemetry
-/// counters, the column-cache byte budget) cannot share a process with
-/// tests that move that state concurrently.
-#[cfg(test)]
-pub(crate) mod isolation {
-    /// Set in the child process that runs one test alone.
-    const CHILD_ENV: &str = "PERFDMF_DB_ISOLATED_TEST";
-
-    /// Run the unit test `name` (its full path, e.g.
-    /// `column::tests::foo`) alone in a fresh copy of the test binary.
-    /// Returns `true` in the parent, after asserting that the child
-    /// passed; the caller then returns. Returns `false` in the child,
-    /// where the caller runs its body with the process to itself.
-    pub(crate) fn run_alone(name: &str) -> bool {
-        if std::env::var_os(CHILD_ENV).is_some() {
-            return false;
-        }
-        let exe = std::env::current_exe().expect("test binary path");
-        let out = std::process::Command::new(exe)
-            .args([name, "--exact", "--test-threads=1", "--nocapture"])
-            .env(CHILD_ENV, "1")
-            .output()
-            .expect("spawn isolated test");
-        let stdout = String::from_utf8_lossy(&out.stdout);
-        assert!(
-            out.status.success() && stdout.contains("1 passed"),
-            "isolated run of {name} failed:\n{stdout}\n{}",
-            String::from_utf8_lossy(&out.stderr)
-        );
-        true
-    }
-}

@@ -3,7 +3,7 @@
 //!
 //! Every statement executed through [`crate::Connection`] (directly or
 //! inside a transaction) passes through [`record_statement`], which
-//! feeds `db.*` metrics in the global `perfdmf_telemetry` registry:
+//! feeds `db.*` metrics in the database's telemetry registry:
 //!
 //! | metric | kind | meaning |
 //! |---|---|---|

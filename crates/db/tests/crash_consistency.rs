@@ -20,14 +20,6 @@ use perfdmf_telemetry::{mix64, GOLDEN_GAMMA};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-/// A durability fault dumps the flight recorder to one process-wide path,
-/// so a fault raised by a concurrent test can overwrite the dump test's
-/// file: the tests of this file run one at a time.
-fn serial() -> std::sync::MutexGuard<'static, ()> {
-    static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
-    SERIAL.lock().unwrap_or_else(|e| e.into_inner())
-}
-
 fn tmpdir(tag: &str) -> std::path::PathBuf {
     let d = std::env::temp_dir().join(format!(
         "pdmf_crash_{tag}_{}_{:?}",
@@ -532,7 +524,6 @@ fn seeds_under_test() -> Vec<u64> {
 
 #[test]
 fn every_crash_point_recovers() {
-    let _serial = serial();
     let mut total_points = 0u64;
     for seed in seeds_under_test() {
         let steps = workload(seed);
@@ -570,7 +561,6 @@ fn every_crash_point_recovers() {
 
 #[test]
 fn fsync_failure_at_checkpoint_is_reported_and_survivable() {
-    let _serial = serial();
     let dir = tmpdir("fsync");
     // Probe: find the op index of the snapshot fsync during checkpoint.
     let probe = Arc::new(FaultVfs::on_disk(FaultPlan::default()));
@@ -588,16 +578,14 @@ fn fsync_failure_at_checkpoint_is_reported_and_survivable() {
     let conn = Connection::open_with_vfs(&dir, vfs).unwrap();
     conn.execute("CREATE TABLE t (x INTEGER)", &[]).unwrap();
     conn.execute("INSERT INTO t (x) VALUES (1)", &[]).unwrap();
-    // Counters are global and monotone; other tests may bump them
-    // concurrently, so assert on the delta, not the absolute value.
-    let before = counter_value("db.fsync_errors");
+    let before = counter_value(&conn, "db.fsync_errors");
     let err = conn.checkpoint().expect_err("fsync failure must propagate");
     assert!(
         matches!(err, DbError::Io { ref op, .. } if op.contains("fsync")),
         "expected an fsync Io error, got {err:?}"
     );
     assert!(
-        counter_value("db.fsync_errors") > before,
+        counter_value(&conn, "db.fsync_errors") > before,
         "db.fsync_errors not incremented"
     );
     // The database keeps working, and the data survives a reopen.
@@ -615,7 +603,6 @@ fn fsync_failure_at_checkpoint_is_reported_and_survivable() {
 
 #[test]
 fn enospc_on_commit_rolls_back_and_recovers() {
-    let _serial = serial();
     let dir = tmpdir("enospc");
     let probe = Arc::new(FaultVfs::on_disk(FaultPlan::default()));
     {
@@ -652,7 +639,6 @@ fn enospc_on_commit_rolls_back_and_recovers() {
 
 #[test]
 fn bit_flip_on_snapshot_read_is_detected() {
-    let _serial = serial();
     let dir = tmpdir("bitflip");
     {
         let conn = Connection::open(&dir).unwrap();
@@ -673,7 +659,6 @@ fn bit_flip_on_snapshot_read_is_detected() {
 
 #[test]
 fn short_read_of_wal_never_panics() {
-    let _serial = serial();
     for seed in 0..16u64 {
         let dir = tmpdir(&format!("shortread_{seed}"));
         {
@@ -710,7 +695,6 @@ fn short_read_of_wal_never_panics() {
 
 #[test]
 fn recovery_telemetry_counters_are_emitted() {
-    let _serial = serial();
     let dir = tmpdir("telemetry");
     {
         let conn = Connection::open(&dir).unwrap();
@@ -732,11 +716,12 @@ fn recovery_telemetry_counters_are_emitted() {
         "db.recovery.torn_tail",
         "db.recovery.wal_rewrites",
     ];
-    let before: Vec<u64> = names.iter().map(|n| counter_value(n)).collect();
-    let _conn = Connection::open(&dir).unwrap();
-    for (name, before) in names.iter().zip(before) {
+    // The reopened database's registry starts empty: recovery is all
+    // it has counted.
+    let conn = Connection::open(&dir).unwrap();
+    for name in names {
         assert!(
-            counter_value(name) > before,
+            counter_value(&conn, name) > 0,
             "{name} not incremented during recovery"
         );
     }
@@ -745,7 +730,6 @@ fn recovery_telemetry_counters_are_emitted() {
 
 #[test]
 fn injected_fault_reopen_produces_flight_recorder_dump() {
-    let _serial = serial();
     let dir = tmpdir("trace_dump");
     {
         let conn = Connection::open(&dir).unwrap();
@@ -761,11 +745,10 @@ fn injected_fault_reopen_produces_flight_recorder_dump() {
             .unwrap();
         f.write_all(&[0xDE, 0xAD]).unwrap();
     }
+    // A database opened on a directory dumps into that directory.
     let dump_path = dir.join("flight_recorder.json");
     perfdmf_telemetry::set_tracing(true);
-    perfdmf_telemetry::trace::set_fault_dump_path(Some(dump_path.clone()));
     let reopened = Connection::open(&dir);
-    perfdmf_telemetry::trace::set_fault_dump_path(None);
     perfdmf_telemetry::set_tracing(false);
     reopened.expect("torn tail must be repaired on reopen");
     let json = std::fs::read_to_string(&dump_path)
@@ -783,16 +766,12 @@ fn injected_fault_reopen_produces_flight_recorder_dump() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-fn counter_value(name: &str) -> u64 {
-    perfdmf_telemetry::snapshot()
-        .counter(name)
-        .map(|c| c.value)
-        .unwrap_or(0)
+fn counter_value(conn: &Connection, name: &str) -> u64 {
+    conn.telemetry().counter(name).value()
 }
 
 #[test]
 fn chunk_cache_is_rebuilt_after_crash_recovery() {
-    let _serial = serial();
     use perfdmf_db::{override_columnar, ColumnarMode};
     let dir = tmpdir("colcache_rebuild");
     let _force = override_columnar(ColumnarMode::Force);
@@ -826,21 +805,21 @@ fn chunk_cache_is_rebuilt_after_crash_recovery() {
     // The recovered table starts with a cold cache: the first columnar
     // query must build its chunk (a cache miss), and its answer must
     // match the pre-crash result.
-    let misses_before = counter_value("db.colcache.chunk_misses");
+    let misses_before = counter_value(&conn, "db.colcache.chunk_misses");
     let recovered = conn
         .query("SELECT COUNT(*), SUM(x), AVG(y) FROM t WHERE x >= 10", &[])
         .unwrap();
     assert_eq!(recovered, expected, "recovered chunks changed the answer");
     assert!(
-        counter_value("db.colcache.chunk_misses") > misses_before,
+        counter_value(&conn, "db.colcache.chunk_misses") > misses_before,
         "reopened table should have rebuilt its chunk from the slab"
     );
     // And the rebuilt chunk is retained: a repeat hits the cache.
-    let hits_before = counter_value("db.colcache.chunk_hits");
+    let hits_before = counter_value(&conn, "db.colcache.chunk_hits");
     let again = conn
         .query("SELECT COUNT(*), SUM(x), AVG(y) FROM t WHERE x >= 10", &[])
         .unwrap();
     assert_eq!(again, expected);
-    assert!(counter_value("db.colcache.chunk_hits") > hits_before);
+    assert!(counter_value(&conn, "db.colcache.chunk_hits") > hits_before);
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -95,9 +95,15 @@ fn histograms_table_reports_quantiles_in_order() {
 fn metrics_history_accumulates_samples() {
     let conn = Connection::open_in_memory();
     workload(&conn);
-    telemetry::metrics::sample_now();
+    // Sample this database's registry.
+    let registry = conn.telemetry();
+    let sample = || {
+        let _adopted = registry.adopt();
+        telemetry::metrics::sample_now();
+    };
+    sample();
     workload_from(&conn, 200);
-    telemetry::metrics::sample_now();
+    sample();
 
     let samples = conn
         .query_scalar(

@@ -17,15 +17,11 @@
 //! prints no timings, and both the optimizer configuration and the
 //! columnar mode are pinned per query — environment toggles
 //! (`PERFDMF_OPTIMIZER`, `PERFDMF_COLUMNAR`) cannot reach this test.
-//! The `virtual_scan` plan cites the live `perfdmf_counters` row count,
-//! and counters register lazily in a process-global registry, so the
-//! corpus is rendered exactly once per process, in case order, and
-//! every test reads that one rendering. Two tests rendering it
-//! concurrently would let one register counters the other then counts.
+//! Each test builds its own fixture database and renders the corpus
+//! itself.
 
 use std::fmt::Write as _;
 use std::path::PathBuf;
-use std::sync::OnceLock;
 
 use perfdmf_db::{
     override_columnar, override_optimizer, ColumnarMode, Connection, OptimizerConfig, Value,
@@ -293,13 +289,10 @@ fn render(conn: &Connection, case: &Case) -> String {
     out
 }
 
-/// The whole corpus, rendered once per process in case order.
-fn rendered() -> &'static [String] {
-    static RENDERED: OnceLock<Vec<String>> = OnceLock::new();
-    RENDERED.get_or_init(|| {
-        let conn = fixture_db();
-        CASES.iter().map(|c| render(&conn, c)).collect()
-    })
+/// The whole corpus, rendered in case order over a fresh fixture.
+fn rendered() -> Vec<String> {
+    let conn = fixture_db();
+    CASES.iter().map(|c| render(&conn, c)).collect()
 }
 
 #[test]

@@ -1,5 +1,5 @@
 //! End-to-end checks that statements executed through [`Connection`]
-//! feed the telemetry registry and the slow-query log.
+//! feed the database's telemetry registry and the slow-query log.
 
 use std::time::Duration;
 
@@ -26,13 +26,14 @@ fn seeded_connection() -> Connection {
 #[test]
 fn queries_record_spans_counters_and_latency() {
     let conn = seeded_connection();
+    let registry = conn.telemetry();
 
-    let latency = telemetry::histogram("db.statement_latency_ns");
-    let parse = telemetry::histogram("db.parse");
-    let exec = telemetry::histogram("db.exec");
-    let statements = telemetry::counter("db.statements");
-    let returned = telemetry::counter("db.rows_returned");
-    let scanned = telemetry::counter("db.rows_scanned");
+    let latency = registry.histogram("db.statement_latency_ns");
+    let parse = registry.histogram("db.parse");
+    let exec = registry.histogram("db.exec");
+    let statements = registry.counter("db.statements");
+    let returned = registry.counter("db.rows_returned");
+    let scanned = registry.counter("db.rows_scanned");
 
     let before = (
         latency.count(),
@@ -64,8 +65,8 @@ fn queries_record_spans_counters_and_latency() {
 #[test]
 fn transaction_statements_are_recorded_too() {
     let conn = seeded_connection();
-    let statements = telemetry::counter("db.statements");
-    let affected = telemetry::counter("db.rows_affected");
+    let statements = conn.telemetry().counter("db.statements");
+    let affected = conn.telemetry().counter("db.rows_affected");
     let before = (statements.value(), affected.value());
 
     conn.transaction(|tx| {
@@ -118,4 +119,33 @@ fn slow_queries_emit_structured_events() {
         !slow_query_log().iter().any(|r| r.sql == fast),
         "fast query under threshold logged nothing"
     );
+}
+
+/// Two databases running statements at once: each one's
+/// `perfdmf_counters` counts its own parse-cache misses only.
+#[test]
+fn concurrent_connections_count_only_their_own_statements() {
+    let misses = |conn: &Connection| {
+        conn.query_scalar(
+            "SELECT value FROM perfdmf_counters WHERE name = 'db.sql.parse_cache_misses'",
+            &[],
+        )
+        .unwrap()
+    };
+    let (a, b) = (Connection::open_in_memory(), Connection::open_in_memory());
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            for i in 0..20 {
+                a.query(&format!("SELECT {i}"), &[]).unwrap();
+            }
+        });
+        s.spawn(|| {
+            for i in 0..50 {
+                b.query(&format!("SELECT {i}, 'b'"), &[]).unwrap();
+            }
+        });
+    });
+    // The counter query itself misses once before it reads the count.
+    assert_eq!(misses(&a), Value::Int(21));
+    assert_eq!(misses(&b), Value::Int(51));
 }

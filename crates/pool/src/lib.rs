@@ -171,8 +171,10 @@ where
     // join the same trace as children of the span that called run().
     let trace_ctx = telemetry::trace::current_context();
     // Likewise the resource meter, so work the partitions do (chunk
-    // cache lookups, row scans) bills to the request being served.
+    // cache lookups, row scans) bills to the request being served, and
+    // the registry, so their instruments land in the caller's database.
     let meter = telemetry::current_meter();
+    let registry = telemetry::current_registry();
     let f = &f;
 
     let mut slots: Vec<Option<R>> = std::thread::scope(|s| {
@@ -180,9 +182,11 @@ where
             let task_rx = task_rx.clone();
             let res_tx = res_tx.clone();
             let meter = meter.clone();
+            let registry = &registry;
             s.spawn(move || {
                 let _adopted = trace_ctx.map(telemetry::trace::adopt_context);
                 let _metered = meter.map(telemetry::adopt_meter);
+                let _registry = registry.adopt();
                 let mut busy_ns: u64 = 0;
                 while let Ok(i) = task_rx.recv() {
                     let _task_span = telemetry::span("pool.task");

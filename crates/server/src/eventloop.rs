@@ -327,6 +327,7 @@ impl ExecutorHandle {
 /// shedding connections past [`crate::ServerConfig::max_sessions`] and
 /// stopping once the server drains.
 pub(crate) fn accept_loop(listener: TcpListener, shared: Arc<Shared>, intakes: Vec<Intake>) {
+    let _adopted = shared.telemetry.adopt();
     let mut next = 0usize;
     while !shared.draining.load(Ordering::SeqCst) {
         match listener.accept() {
@@ -1224,6 +1225,7 @@ fn run(
     wake_rx: UnixStream,
     waker: Arc<WakeHandle>,
 ) {
+    let _adopted = shared.telemetry.adopt();
     let mut reactor = PollReactor::default();
     let window = shared.config.window;
     let wake_fd = wake_rx.as_raw_fd();

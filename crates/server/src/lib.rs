@@ -102,13 +102,10 @@ mod tests {
             allow_fault_injection: true,
             ..ServerConfig::default()
         };
+        let registry = conn.telemetry();
         let server = PerfdmfServer::start_with_config(conn, config).expect("server start");
         let mut client = NetClient::new(server.addr(), "panic").with_policy(RetryPolicy::none());
-        let panics = || {
-            perfdmf_telemetry::snapshot()
-                .counter("explorer.request_panics")
-                .map_or(0, |c| c.value)
-        };
+        let panics = || registry.counter("explorer.request_panics").value();
         let before = panics();
         match client.request(Request::InjectPanic("boom".into())) {
             Response::Failed { reason, retryable } => {

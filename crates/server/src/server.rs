@@ -284,6 +284,7 @@ pub(crate) struct Job {
 
 /// An analysis worker: serve jobs until the queue is closed and empty.
 fn work(conn: &Connection, queue: &Receiver<Job>) {
+    let _adopted = conn.telemetry().adopt();
     while let Ok(job) = queue.recv() {
         // The call of a job that lapsed in the queue has already answered
         // and counted the lapse; running it would only delay calls that
@@ -342,6 +343,8 @@ fn nanos(d: Duration) -> u64 {
 pub(crate) struct Shared {
     /// The analysis queue; a full queue sheds the call.
     pub(crate) queue: Sender<Job>,
+    /// The served database's registry, adopted by every server thread.
+    pub(crate) telemetry: telemetry::Registry,
     pub(crate) config: ServerConfig,
     pub(crate) draining: AtomicBool,
     pub(crate) live_sessions: AtomicUsize,
@@ -391,6 +394,7 @@ impl PerfdmfServer {
             .collect();
         let shared = Arc::new(Shared {
             queue,
+            telemetry: conn.telemetry(),
             config,
             draining: AtomicBool::new(false),
             live_sessions: AtomicUsize::new(0),
@@ -430,6 +434,7 @@ impl PerfdmfServer {
     /// workers, and flush a final telemetry sample into the metrics
     /// time series.
     pub fn shutdown(mut self) {
+        let _adopted = self.shared.as_ref().map(|s| s.telemetry.adopt());
         self.stop();
         telemetry::add("server.drains", 1);
         telemetry::sample_now();

@@ -38,13 +38,6 @@ fn guarded_server(conn: Connection) -> PerfdmfServer {
     .expect("server start")
 }
 
-fn counter(name: &str) -> u64 {
-    perfdmf_telemetry::snapshot()
-        .counter(name)
-        .map(|c| c.value)
-        .unwrap_or(0)
-}
-
 #[test]
 fn right_token_authenticates_and_marks_the_session() {
     let conn = open_database();
@@ -79,9 +72,16 @@ fn right_token_authenticates_and_marks_the_session() {
 #[test]
 fn wrong_token_is_rejected_without_retries() {
     let conn = open_database();
+    // Server counters land in the served database's registry, the
+    // client's in the registry this thread adopts.
+    let server_side = conn.telemetry();
+    let client_side = perfdmf_telemetry::Registry::new();
+    let _client_side = client_side.adopt();
+    let failures = || server_side.counter("server.auth_failures").value();
+    let retries = || client_side.counter("netclient.retries").value();
     let server = guarded_server(conn);
-    let failures_before = counter("server.auth_failures");
-    let retries_before = counter("netclient.retries");
+    let failures_before = failures();
+    let retries_before = retries();
 
     let mut client = NetClient::new(server.addr(), "auth-bad").with_token(Some("swordfish".into()));
     let started = Instant::now();
@@ -97,7 +97,7 @@ fn wrong_token_is_rejected_without_retries() {
     // Terminal means terminal: no backoff retries burned on a
     // credential that cannot start working.
     assert_eq!(
-        counter("netclient.retries"),
+        retries(),
         retries_before,
         "auth rejection must not be retried"
     );
@@ -106,7 +106,7 @@ fn wrong_token_is_rejected_without_retries() {
         "rejection must be immediate, took {elapsed:?}"
     );
     assert!(
-        counter("server.auth_failures") > failures_before,
+        failures() > failures_before,
         "the failure must be counted server-side"
     );
     // No session record exists for the rejected handshake.

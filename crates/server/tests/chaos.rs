@@ -56,23 +56,6 @@ const STORM_DEADLINE: Duration = Duration::from_secs(5);
 /// budget (3 retries, ≤500ms backoff each), and scheduling slack.
 const REQUEST_WALL_BOUND: Duration = Duration::from_secs(30);
 
-/// Serializes tests that assert on process-global telemetry counters:
-/// the storms require `server.session_panics` to stay flat while they
-/// run, and the panic-injection test below deliberately bumps it.
-fn telemetry_lock() -> std::sync::MutexGuard<'static, ()> {
-    static LOCK: std::sync::OnceLock<std::sync::Mutex<()>> = std::sync::OnceLock::new();
-    LOCK.get_or_init(std::sync::Mutex::default)
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-}
-
-fn counter(name: &str) -> u64 {
-    perfdmf_telemetry::snapshot()
-        .counter(name)
-        .map(|c| c.value)
-        .unwrap_or(0)
-}
-
 /// Trial with two obvious thread-behaviour groups (mirrors the
 /// explorer's own fixture) so clustering requests do real work.
 fn seeded_database() -> (Connection, i64) {
@@ -197,10 +180,8 @@ fn run_storm(seed: u64) {
     .expect("server start");
     let addr = server.addr();
 
-    let panics_before = perfdmf_telemetry::snapshot()
-        .counter("server.session_panics")
-        .map(|c| c.value)
-        .unwrap_or(0);
+    let session_panics = conn.telemetry().counter("server.session_panics");
+    let panics_before = session_panics.value();
 
     let handles: Vec<_> = (0..CLIENTS)
         .map(|client| std::thread::spawn(move || storm_client(addr, seed, client, trial)))
@@ -211,12 +192,9 @@ fn run_storm(seed: u64) {
         .collect();
 
     // Invariant 1: no session-loop panics server-side.
-    let panics_after = perfdmf_telemetry::snapshot()
-        .counter("server.session_panics")
-        .map(|c| c.value)
-        .unwrap_or(0);
     assert_eq!(
-        panics_after, panics_before,
+        session_panics.value(),
+        panics_before,
         "seed {seed}: server session loops must not panic"
     );
 
@@ -271,7 +249,6 @@ fn run_storm(seed: u64) {
 
 #[test]
 fn storms_across_fixed_seeds_hold_every_invariant() {
-    let _g = telemetry_lock();
     for seed in FIXED_SEEDS {
         run_storm(seed);
     }
@@ -283,7 +260,6 @@ fn storm_for_env_seed_holds_every_invariant() {
     // fresh schedule; locally the test is a no-op unless the var is set.
     if let Ok(seed) = std::env::var("RUST_SEED") {
         let seed: u64 = seed.parse().expect("RUST_SEED must be a u64");
-        let _g = telemetry_lock();
         run_storm(seed);
     }
 }
@@ -294,16 +270,17 @@ fn storm_for_env_seed_holds_every_invariant() {
 /// flight recorder dumps the span tree that was open when it died.
 #[test]
 fn injected_session_panic_is_observable_and_contained() {
-    let _g = telemetry_lock();
     let dump = std::env::temp_dir().join(format!(
         "perfdmf-chaos-fault-dump-{}.json",
         std::process::id()
     ));
     let _ = std::fs::remove_file(&dump);
     perfdmf_telemetry::set_tracing(true);
-    perfdmf_telemetry::trace::set_fault_dump_path(Some(dump.clone()));
 
     let (conn, _trial) = seeded_database();
+    let registry = conn.telemetry();
+    registry.set_fault_dump_path(Some(dump.clone()));
+    let counter = |name| registry.counter(name).value();
     let server = PerfdmfServer::start_with_config(
         conn,
         ServerConfig {
@@ -366,7 +343,6 @@ fn injected_session_panic_is_observable_and_contained() {
         "dump must contain the panicking request's span"
     );
 
-    perfdmf_telemetry::trace::set_fault_dump_path(None);
     perfdmf_telemetry::set_tracing(false);
     let _ = std::fs::remove_file(&dump);
     server.shutdown();

@@ -1,10 +1,8 @@
 //! A call whose deadline lapses while it waits in the analysis queue is
 //! answered and counted once: `explorer.timeouts` rises by exactly one,
 //! both at the reply and after the worker has dequeued (and dropped)
-//! the lapsed job.
-//!
-//! The binary holds one `#[test]`, so no other test moves the
-//! process-global counter between the two readings.
+//! the lapsed job. The count is read from the served database's own
+//! registry.
 
 mod common;
 
@@ -13,16 +11,11 @@ use perfdmf_explorer::{Request, Response};
 use perfdmf_server::{NetClient, PerfdmfServer, RetryPolicy, ServerConfig};
 use std::time::{Duration, Instant};
 
-fn timeouts() -> u64 {
-    perfdmf_telemetry::snapshot()
-        .counter("explorer.timeouts")
-        .map(|c| c.value)
-        .unwrap_or(0)
-}
-
 #[test]
 fn a_lapsed_deadline_is_answered_and_counted_once() {
     let (conn, _trial) = seeded_database("lapse", 4);
+    let registry = conn.telemetry();
+    let timeouts = || registry.counter("explorer.timeouts").value();
     let server = PerfdmfServer::start_with_config(
         conn,
         ServerConfig {

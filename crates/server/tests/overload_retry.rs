@@ -12,13 +12,6 @@ use std::net::SocketAddr;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-fn counter(name: &str) -> u64 {
-    perfdmf_telemetry::snapshot()
-        .counter(name)
-        .map(|c| c.value)
-        .unwrap_or(0)
-}
-
 /// Occupy the worker with a 400 ms stall and the queue slot with a
 /// second stall behind it; returns once both are admitted.
 fn hold_queue_full(addr: SocketAddr) -> Vec<JoinHandle<Response>> {
@@ -36,6 +29,13 @@ fn hold_queue_full(addr: SocketAddr) -> Vec<JoinHandle<Response>> {
 fn shed_requests_and_pipelines_are_retried_until_served() {
     let conn = Connection::open_in_memory();
     let _schema = DatabaseSession::new(conn.clone()).expect("schema");
+    // Server counters land in the served database's registry, the
+    // client's in the registry this thread adopts.
+    let server_side = conn.telemetry();
+    let client_side = perfdmf_telemetry::Registry::new();
+    let _client_side = client_side.adopt();
+    let sheds = || server_side.counter("explorer.sheds").value();
+    let retries = || client_side.counter("netclient.retries").value();
     let server = PerfdmfServer::start_with_config(
         conn,
         ServerConfig {
@@ -56,8 +56,7 @@ fn shed_requests_and_pipelines_are_retried_until_served() {
     // error; a shed call would come back as `Overloaded`.
     let served = |response: &Response| matches!(response, Response::Error(_));
 
-    let sheds = counter("explorer.sheds");
-    let retries = counter("netclient.retries");
+    let (sheds_before, retries_before) = (sheds(), retries());
     let holders = hold_queue_full(server.addr());
     let response = client.request(Request::FetchResult {
         settings_id: 424_242,
@@ -66,14 +65,13 @@ fn shed_requests_and_pipelines_are_retried_until_served() {
         served(&response),
         "request must be served, got {response:?}"
     );
-    assert!(counter("explorer.sheds") > sheds, "the first send was shed");
-    assert!(counter("netclient.retries") > retries, "and then retried");
+    assert!(sheds() > sheds_before, "the first send was shed");
+    assert!(retries() > retries_before, "and then retried");
     for holder in holders {
         holder.join().unwrap();
     }
 
-    let sheds = counter("explorer.sheds");
-    let retries = counter("netclient.retries");
+    let (sheds_before, retries_before) = (sheds(), retries());
     let holders = hold_queue_full(server.addr());
     let responses = client.pipeline(&[
         Request::FetchResult {
@@ -89,8 +87,8 @@ fn shed_requests_and_pipelines_are_retried_until_served() {
             "pipelined call {i} must be served, got {response:?}"
         );
     }
-    assert!(counter("explorer.sheds") > sheds, "the first pass was shed");
-    assert!(counter("netclient.retries") > retries, "and then retried");
+    assert!(sheds() > sheds_before, "the first pass was shed");
+    assert!(retries() > retries_before, "and then retried");
     for holder in holders {
         holder.join().unwrap();
     }

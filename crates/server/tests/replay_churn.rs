@@ -1,10 +1,8 @@
 //! The replay cache must hold only what retries need: effectful
 //! requests. Keying every Ping and read would churn the bounded FIFO
 //! cache until a genuine write retry finds its recorded response
-//! evicted — quietly weakening the at-most-once guarantee.
-//!
-//! This lives in its own test binary (own process) because it asserts
-//! exact deltas of process-global telemetry counters.
+//! evicted — quietly weakening the at-most-once guarantee. The exact
+//! counts come from the served database's own registry.
 
 mod common;
 
@@ -12,16 +10,11 @@ use common::{cluster_request, seeded_database};
 use perfdmf_explorer::{Request, Response};
 use perfdmf_server::{NetClient, PerfdmfServer};
 
-fn counter(name: &str) -> u64 {
-    perfdmf_telemetry::snapshot()
-        .counter(name)
-        .map(|c| c.value)
-        .unwrap_or(0)
-}
-
 #[test]
 fn only_effectful_requests_populate_the_replay_cache() {
     let (conn, trial) = seeded_database("churn", 8);
+    let registry = conn.telemetry();
+    let counter = |name| registry.counter(name).value();
     let server = PerfdmfServer::start(conn).expect("server start");
     let mut client = NetClient::new(server.addr(), "churn");
 

@@ -7,8 +7,14 @@
 //!   Each span records its elapsed nanoseconds into a latency
 //!   [`Histogram`] named after the span.
 //! * **Counters and histograms** ([`counter`], [`histogram`]) — named
-//!   atomics in a sharded global registry; histograms bucket by
-//!   power of two (65 buckets cover the full `u64` range).
+//!   atomics in a sharded [`Registry`]; histograms bucket by power of
+//!   two (65 buckets cover the full `u64` range).
+//!
+//! Instruments are scoped: each database owns a [`Registry`], and the
+//! name-based functions here record into the registry the calling
+//! thread has adopted ([`Registry::adopt`]), else into the process
+//! default. The switches ([`set_enabled`], [`set_tracing`]) and the
+//! record rings below stay process-wide.
 //!
 //! A third layer, [`trace`], turns the same spans into causal traces:
 //! trace/span ids with parent links, cross-thread context propagation,
@@ -36,7 +42,8 @@
 //! When telemetry is disabled ([`set_enabled`]`(false)`) every
 //! instrumentation point reduces to one relaxed atomic load.
 //!
-//! The loop is closed by [`snapshot_to_profile`]: live metrics become a
+//! The loop is closed by [`snapshot::profile_from_snapshot`]: a
+//! registry's [`Registry::snapshot`] becomes a
 //! [`perfdmf_profile::Profile`] (spans → interval events, counters →
 //! atomic events), so the framework's own behavior can be stored,
 //! queried, and analyzed with the very machinery it instruments.
@@ -61,11 +68,11 @@ pub use bounded::BoundedLog;
 pub use meter::{adopt_meter, current_meter, MeterGuard, RequestMeter, ResourceUsage};
 pub use metrics::{sample_now, start_sampler, MetricsSample, SamplerHandle};
 pub use perfdmf_profile::Moments;
-pub use registry::{Counter, Histogram, LocalCounter};
+pub use registry::{current_registry, Counter, Histogram, Registry, RegistryGuard};
 pub use regressions::RegressionRecord;
 pub use requests::{RequestKindSummary, RequestRecord};
 pub use sessions::{SessionRecord, SessionState};
-pub use snapshot::{snapshot, snapshot_to_profile, CounterSnapshot, HistogramSnapshot, Snapshot};
+pub use snapshot::{snapshot, CounterSnapshot, HistogramSnapshot, Snapshot};
 pub use span::{span, SpanGuard};
 pub use trace::{set_tracing, tracing_enabled, SpanContext, SpanId, SpanRecord, TraceId};
 
@@ -83,14 +90,16 @@ pub fn set_enabled(on: bool) {
     ENABLED.store(on, Ordering::Relaxed);
 }
 
-/// Handle to the named counter (creating it on first use).
+/// Handle to the named counter in the current registry (creating it on
+/// first use).
 pub fn counter(name: &str) -> Counter {
-    registry::global().counter(name)
+    registry::with_current(|r| r.counter(name))
 }
 
-/// Handle to the named histogram (creating it on first use).
+/// Handle to the named histogram in the current registry (creating it
+/// on first use).
 pub fn histogram(name: &str) -> Histogram {
-    registry::global().histogram(name)
+    registry::with_current(|r| r.histogram(name))
 }
 
 /// Add `delta` to the named counter (no-op while disabled).
@@ -113,13 +122,6 @@ pub fn record(name: &str, value: u64) {
 #[inline]
 pub fn record_duration(name: &str, elapsed: Duration) {
     record(name, elapsed.as_nanos().min(u64::MAX as u128) as u64);
-}
-
-/// Clear all counters and histograms. Intended for tests and between
-/// self-profiling runs; instruments running concurrently will re-create
-/// their metrics on next use.
-pub fn reset() {
-    registry::global().reset();
 }
 
 /// SplitMix64's increment, the golden-ratio constant 2^64 / φ.

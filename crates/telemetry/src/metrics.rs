@@ -4,11 +4,11 @@
 //!
 //! Two entry points:
 //!
-//! * [`sample_now`] takes one snapshot immediately (deterministic; used by
-//!   tests and by callers that sample at their own cadence).
-//! * [`start_sampler`] spawns a background thread that samples on a fixed
-//!   interval until the returned [`SamplerHandle`] is dropped;
-//!   [`DEFAULT_INTERVAL`] (250ms) is the usual cadence.
+//! * [`sample_now`] snapshots the current registry now (deterministic;
+//!   used by tests and by callers that sample at their own cadence).
+//! * [`start_sampler`] spawns a thread that samples the caller's current
+//!   registry on a fixed interval until the returned [`SamplerHandle`]
+//!   is dropped; [`DEFAULT_INTERVAL`] (250ms) is the usual cadence.
 //!
 //! [`history`] returns the most recent `METRICS_CAPACITY` samples;
 //! older samples fall off the front. Each sample is a full
@@ -50,8 +50,8 @@ pub struct MetricsSample {
 /// The process-wide history: the most recent [`METRICS_CAPACITY`] samples.
 static HISTORY: Mutex<BoundedLog<MetricsSample>> = Mutex::new(BoundedLog::new(METRICS_CAPACITY));
 
-/// Snapshot the registry into the history now; returns the sample's
-/// sequence number.
+/// Snapshot the current registry into the history now; returns the
+/// sample's sequence number.
 pub fn sample_now() -> u64 {
     let snapshot = snapshot();
     let elapsed_ms = crate::trace::epoch()
@@ -97,16 +97,18 @@ impl Drop for SamplerHandle {
     }
 }
 
-/// Start a background thread sampling into the history every
-/// `interval`. The thread takes one sample immediately so short-lived
-/// processes still record history, then sleeps in small slices so stop
-/// requests are honored promptly.
+/// Start a background thread sampling the caller's current registry
+/// into the history every `interval`. The thread takes one sample
+/// immediately so short-lived processes still record history, then
+/// sleeps in small slices so stop requests are honored promptly.
 pub fn start_sampler(interval: Duration) -> SamplerHandle {
     let stop = Arc::new(AtomicBool::new(false));
     let stop_flag = Arc::clone(&stop);
+    let registry = crate::current_registry();
     let join = std::thread::Builder::new()
         .name("perfdmf-metrics-sampler".into())
         .spawn(move || {
+            let _adopted = registry.adopt();
             sample_now();
             let slice = Duration::from_millis(10).min(interval);
             let mut since_sample = Duration::ZERO;

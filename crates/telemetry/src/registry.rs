@@ -1,18 +1,27 @@
-//! The global metric registry: named counters and histograms.
+//! Metric registries: named counters and histograms, plus where a fault
+//! dump goes. Each database owns one. A thread *adopts* a registry
+//! ([`Registry::adopt`]) as it adopts a request meter: until the guard
+//! drops, the free functions ([`crate::counter`], [`crate::add`],
+//! [`crate::span`], [`crate::snapshot()`], ...) on that thread use it, and
+//! a thread that adopted none uses the process default. Code that hops
+//! threads captures [`current_registry`] and adopts it on the far side.
 //!
 //! Lookups hash the metric name to one of 16 shards, each a
 //! `parking_lot::RwLock<HashMap>`, so unrelated instruments don't
 //! contend. Handles are `Arc`-backed and can be cached by hot paths to
-//! skip the lookup entirely; [`LocalCounter`] goes further and batches
-//! increments thread-locally, flushing on drop.
+//! skip the lookup entirely.
 
+use std::cell::RefCell;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use parking_lot::RwLock;
+
+use crate::snapshot::{CounterSnapshot, HistogramSnapshot, Snapshot};
 
 const SHARDS: usize = 16;
 
@@ -37,59 +46,9 @@ impl Counter {
         self.inner.value.fetch_add(delta, Ordering::Relaxed);
     }
 
-    /// Increment by one.
-    #[inline]
-    pub fn incr(&self) {
-        self.add(1);
-    }
-
     /// Current total.
     pub fn value(&self) -> u64 {
         self.inner.value.load(Ordering::Relaxed)
-    }
-
-    /// Start a thread-local batching view of this counter.
-    pub fn local(&self) -> LocalCounter {
-        LocalCounter {
-            counter: self.clone(),
-            pending: 0,
-        }
-    }
-}
-
-/// Per-thread accumulator over a [`Counter`]: increments touch a plain
-/// integer and hit the shared atomic once, when the accumulator drops
-/// (or on [`LocalCounter::flush`]). For loops incrementing per row.
-pub struct LocalCounter {
-    counter: Counter,
-    pending: u64,
-}
-
-impl LocalCounter {
-    /// Add `delta` locally; invisible to readers until flushed.
-    #[inline]
-    pub fn add(&mut self, delta: u64) {
-        self.pending += delta;
-    }
-
-    /// Increment by one locally.
-    #[inline]
-    pub fn incr(&mut self) {
-        self.pending += 1;
-    }
-
-    /// Push pending increments to the shared counter now.
-    pub fn flush(&mut self) {
-        if self.pending > 0 {
-            self.counter.add(self.pending);
-            self.pending = 0;
-        }
-    }
-}
-
-impl Drop for LocalCounter {
-    fn drop(&mut self) {
-        self.flush();
     }
 }
 
@@ -173,10 +132,25 @@ impl Histogram {
     }
 }
 
-/// Sharded name → instrument maps.
-pub(crate) struct Registry {
+#[derive(Default)]
+struct Instruments {
     counters: [RwLock<HashMap<String, Counter>>; SHARDS],
     histograms: [RwLock<HashMap<String, Histogram>>; SHARDS],
+    /// Where [`crate::trace::fault_dump`] writes; `None` disables dumps.
+    fault_dump_path: RwLock<Option<PathBuf>>,
+}
+
+/// Sharded name → instrument maps and the fault-dump path. Clones share
+/// the instruments.
+#[derive(Clone, Default)]
+pub struct Registry {
+    inner: Arc<Instruments>,
+}
+
+impl std::fmt::Debug for Registry {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Registry").finish_non_exhaustive()
+    }
 }
 
 fn shard_of(name: &str) -> usize {
@@ -186,16 +160,14 @@ fn shard_of(name: &str) -> usize {
 }
 
 impl Registry {
-    fn new() -> Self {
-        Registry {
-            counters: std::array::from_fn(|_| RwLock::new(HashMap::new())),
-            histograms: std::array::from_fn(|_| RwLock::new(HashMap::new())),
-        }
+    /// An empty registry with no fault-dump path.
+    pub fn new() -> Self {
+        Registry::default()
     }
 
     /// Get or create the named counter.
-    pub(crate) fn counter(&self, name: &str) -> Counter {
-        let shard = &self.counters[shard_of(name)];
+    pub fn counter(&self, name: &str) -> Counter {
+        let shard = &self.inner.counters[shard_of(name)];
         if let Some(c) = shard.read().get(name) {
             return c.clone();
         }
@@ -211,8 +183,8 @@ impl Registry {
     }
 
     /// Get or create the named histogram.
-    pub(crate) fn histogram(&self, name: &str) -> Histogram {
-        let shard = &self.histograms[shard_of(name)];
+    pub fn histogram(&self, name: &str) -> Histogram {
+        let shard = &self.inner.histograms[shard_of(name)];
         if let Some(h) = shard.read().get(name) {
             return h.clone();
         }
@@ -231,54 +203,102 @@ impl Registry {
             .clone()
     }
 
-    /// All counters as `(name, handle)` pairs, sorted by name.
-    pub(crate) fn counters(&self) -> Vec<(String, Counter)> {
-        let mut out: Vec<_> = self
-            .counters
-            .iter()
-            .flat_map(|s| {
-                s.read()
-                    .iter()
-                    .map(|(n, c)| (n.clone(), c.clone()))
-                    .collect::<Vec<_>>()
-            })
-            .collect();
-        out.sort_by(|a, b| a.0.cmp(&b.0));
-        out
-    }
-
-    /// All histograms as `(name, handle)` pairs, sorted by name.
-    pub(crate) fn histograms(&self) -> Vec<(String, Histogram)> {
-        let mut out: Vec<_> = self
-            .histograms
-            .iter()
-            .flat_map(|s| {
-                s.read()
-                    .iter()
-                    .map(|(n, h)| (n.clone(), h.clone()))
-                    .collect::<Vec<_>>()
-            })
-            .collect();
-        out.sort_by(|a, b| a.0.cmp(&b.0));
-        out
-    }
-
-    /// Drop every registered instrument. Cached handles keep working but
-    /// detach from future lookups of the same name.
-    pub(crate) fn reset(&self) {
-        for shard in &self.counters {
-            shard.write().clear();
+    /// Capture every registered instrument, names sorted. Concurrent
+    /// recording keeps going; per-field reads are atomic, the snapshot
+    /// as a whole is not.
+    pub fn snapshot(&self) -> Snapshot {
+        let counters = sorted(&self.inner.counters).into_iter();
+        let histograms = sorted(&self.inner.histograms).into_iter();
+        Snapshot {
+            counters: counters
+                .map(|(name, c)| CounterSnapshot {
+                    name,
+                    value: c.value(),
+                })
+                .collect(),
+            histograms: histograms
+                .map(|(name, h)| HistogramSnapshot {
+                    name,
+                    count: h.count(),
+                    sum: h.sum(),
+                    min: h.min(),
+                    max: h.max(),
+                    buckets: h.buckets(),
+                })
+                .collect(),
         }
-        for shard in &self.histograms {
-            shard.write().clear();
+    }
+
+    /// Where a fault dump taken under this registry is written.
+    pub fn fault_dump_path(&self) -> Option<PathBuf> {
+        self.inner.fault_dump_path.read().clone()
+    }
+
+    /// Set where [`crate::trace::fault_dump`] writes while this registry
+    /// is adopted; `None` disables fault dumps.
+    pub fn set_fault_dump_path(&self, path: Option<PathBuf>) {
+        *self.inner.fault_dump_path.write() = path;
+    }
+
+    /// Adopt this registry on the calling thread until the guard drops.
+    /// Adopting the registry already adopted costs one thread-local read.
+    pub fn adopt(&self) -> RegistryGuard {
+        let prev = CURRENT.with(|c| {
+            let mut current = c.borrow_mut();
+            match &*current {
+                Some(r) if Arc::ptr_eq(&r.inner, &self.inner) => None,
+                _ => Some(current.replace(self.clone())),
+            }
+        });
+        RegistryGuard { prev }
+    }
+}
+
+/// Every `(name, handle)` pair of `shards`, sorted by name.
+fn sorted<T: Clone>(shards: &[RwLock<HashMap<String, T>>; SHARDS]) -> Vec<(String, T)> {
+    let mut out = Vec::new();
+    for shard in shards {
+        out.extend(shard.read().iter().map(|(n, x)| (n.clone(), x.clone())));
+    }
+    out.sort_by(|a, b| a.0.cmp(&b.0));
+    out
+}
+
+thread_local! {
+    static CURRENT: RefCell<Option<Registry>> = const { RefCell::new(None) };
+}
+
+/// Restores the previously adopted registry when dropped.
+pub struct RegistryGuard {
+    /// `None` when the adoption was a no-op (the registry was current).
+    prev: Option<Option<Registry>>,
+}
+
+impl Drop for RegistryGuard {
+    fn drop(&mut self) {
+        if let Some(prev) = self.prev.take() {
+            CURRENT.with(|c| *c.borrow_mut() = prev);
         }
     }
 }
 
-/// The process-wide registry.
-pub(crate) fn global() -> &'static Registry {
-    static GLOBAL: OnceLock<Registry> = OnceLock::new();
-    GLOBAL.get_or_init(Registry::new)
+/// Run `f` on the registry adopted on this thread, else the process
+/// default registry.
+#[inline]
+pub(crate) fn with_current<R>(f: impl FnOnce(&Registry) -> R) -> R {
+    static DEFAULT: OnceLock<Registry> = OnceLock::new();
+    CURRENT.with(|c| {
+        f(c.borrow()
+            .as_ref()
+            .unwrap_or_else(|| DEFAULT.get_or_init(Registry::new)))
+    })
+}
+
+/// The registry adopted on this thread, else the process default.
+/// Capture it before handing work to another thread, then
+/// [`Registry::adopt`] it there.
+pub fn current_registry() -> Registry {
+    with_current(Registry::clone)
 }
 
 #[cfg(test)]
@@ -301,23 +321,11 @@ mod tests {
 
     #[test]
     fn same_name_same_instrument() {
-        let a = global().counter("registry.same");
-        let b = global().counter("registry.same");
+        let registry = Registry::new();
+        let a = registry.counter("registry.same");
+        let b = registry.counter("registry.same");
         a.add(2);
         b.add(3);
         assert_eq!(a.value(), 5);
-    }
-
-    #[test]
-    fn local_counter_flushes_on_drop() {
-        let c = global().counter("registry.local");
-        {
-            let mut l = c.local();
-            for _ in 0..100 {
-                l.incr();
-            }
-            assert_eq!(c.value(), 0, "pending increments stay local");
-        }
-        assert_eq!(c.value(), 100);
     }
 }

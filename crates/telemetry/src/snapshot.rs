@@ -11,7 +11,7 @@
 
 use perfdmf_profile::{AtomicEvent, IntervalData, IntervalEvent, Metric, Profile, ThreadId};
 
-use crate::registry::{self, BUCKETS};
+use crate::registry::{self, Registry, BUCKETS};
 
 /// Frozen view of one counter.
 #[derive(Debug, Clone, PartialEq)]
@@ -77,32 +77,10 @@ impl Snapshot {
     }
 }
 
-/// Capture every registered instrument. Concurrent recording keeps
-/// going; per-field reads are atomic, the snapshot as a whole is not.
+/// Capture every instrument of the current registry (see
+/// [`Registry::snapshot`]).
 pub fn snapshot() -> Snapshot {
-    let reg = registry::global();
-    Snapshot {
-        counters: reg
-            .counters()
-            .into_iter()
-            .map(|(name, c)| CounterSnapshot {
-                name,
-                value: c.value(),
-            })
-            .collect(),
-        histograms: reg
-            .histograms()
-            .into_iter()
-            .map(|(name, h)| HistogramSnapshot {
-                name,
-                count: h.count(),
-                sum: h.sum(),
-                min: h.min(),
-                max: h.max(),
-                buckets: h.buckets(),
-            })
-            .collect(),
-    }
+    registry::with_current(Registry::snapshot)
 }
 
 /// Metric name carrying span/histogram totals in the exported profile.
@@ -156,11 +134,6 @@ pub fn profile_from_snapshot(snap: &Snapshot) -> Profile {
 
     p.recompute_derived_fields(metric);
     p
-}
-
-/// Snapshot the live registry and export it as a profile in one call.
-pub fn snapshot_to_profile() -> Profile {
-    profile_from_snapshot(&snapshot())
 }
 
 #[cfg(test)]
@@ -309,12 +282,13 @@ mod tests {
 
     #[test]
     fn export_maps_instruments_to_profile_events() {
-        crate::counter("snap.test.rows").add(17);
-        crate::histogram("snap.test.latency").record(1000);
-        crate::histogram("snap.test.latency").record(3000);
-        crate::histogram("snap.test.empty"); // registered, never recorded
+        let r = Registry::new();
+        r.counter("snap.test.rows").add(17);
+        r.histogram("snap.test.latency").record(1000);
+        r.histogram("snap.test.latency").record(3000);
+        r.histogram("snap.test.empty"); // registered, never recorded
 
-        let p = snapshot_to_profile();
+        let p = profile_from_snapshot(&r.snapshot());
         let problems = p.validate();
         assert!(problems.is_empty(), "{problems:?}");
 
@@ -333,12 +307,13 @@ mod tests {
 
     #[test]
     fn export_surfaces_histogram_quantiles() {
-        crate::histogram("snap.test.quant").record(1000);
-        crate::histogram("snap.test.quant").record(1000);
-        crate::histogram("snap.test.quant").record(60_000);
+        let r = Registry::new();
+        r.histogram("snap.test.quant").record(1000);
+        r.histogram("snap.test.quant").record(1000);
+        r.histogram("snap.test.quant").record(60_000);
 
-        let p = snapshot_to_profile();
-        let snap = snapshot();
+        let snap = r.snapshot();
+        let p = profile_from_snapshot(&snap);
         let h = snap.histogram("snap.test.quant").expect("histogram");
         for (label, q) in EXPORTED_QUANTILES {
             let e = p

@@ -24,7 +24,7 @@
 //! thread's still-*open* spans, so the span that observed the fault is
 //! present even though it has not finished.
 
-use parking_lot::{Mutex, RwLock};
+use parking_lot::Mutex;
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::path::PathBuf;
@@ -342,22 +342,12 @@ pub(crate) fn open_spans() -> Vec<SpanRecord> {
     })
 }
 
-fn fault_dump_path() -> &'static RwLock<Option<PathBuf>> {
-    static PATH: OnceLock<RwLock<Option<PathBuf>>> = OnceLock::new();
-    PATH.get_or_init(|| RwLock::new(None))
-}
-
-/// Configure where [`fault_dump`] (and the panic hook) writes its
-/// Chrome-trace JSON; `None` disables fault dumps.
-pub fn set_fault_dump_path(path: Option<PathBuf>) {
-    *fault_dump_path().write() = path;
-}
-
 /// Dump the flight recorder (plus this thread's open spans) as
-/// Chrome-trace JSON to the configured fault-dump path. Called by the db
-/// layer when a durability fault counter fires (the counter names the
-/// fault); a no-op returning `None` when tracing is off or no path is
-/// configured.
+/// Chrome-trace JSON to the fault-dump path of the current registry
+/// ([`crate::Registry::set_fault_dump_path`]). Called by the db layer
+/// when a durability fault counter fires (the counter names the fault)
+/// and by the server when a request panics; a no-op returning `None`
+/// when tracing is off or no path is configured.
 ///
 /// The dump is written to a temp file beside the target and renamed
 /// over it, so a concurrent reader sees a whole dump, never a
@@ -367,7 +357,7 @@ pub fn fault_dump() -> Option<PathBuf> {
     if !tracing_enabled() {
         return None;
     }
-    let path = fault_dump_path().read().clone()?;
+    let path = crate::registry::with_current(crate::Registry::fault_dump_path)?;
     let mut records = dump();
     records.extend(open_spans());
     let json = export_chrome_trace(&records);

@@ -1,5 +1,6 @@
 //! Public-API checks for the instrument primitives: histogram bucketing
-//! at the extremes of `u64`, and counter correctness under contention.
+//! at the extremes of `u64`, counter correctness under contention, and
+//! registry adoption.
 //!
 //! These use direct [`Counter`]/[`Histogram`] handles, which record
 //! unconditionally (the global enabled flag only gates the name-based
@@ -42,25 +43,16 @@ fn concurrent_counter_increments_do_not_lose_updates() {
     const PER_THREAD: u64 = 20_000;
 
     let direct = telemetry::counter("itest.concurrent.direct");
-    let batched = telemetry::counter("itest.concurrent.batched");
     std::thread::scope(|s| {
         for _ in 0..THREADS {
             s.spawn(|| {
-                // Half the threads hammer the shared atomic directly...
                 for _ in 0..PER_THREAD {
-                    direct.incr();
-                }
-                // ...and every thread also batches through a LocalCounter,
-                // flushed on drop at scope exit.
-                let mut local = batched.local();
-                for _ in 0..PER_THREAD {
-                    local.incr();
+                    direct.add(1);
                 }
             });
         }
     });
     assert_eq!(direct.value(), THREADS as u64 * PER_THREAD);
-    assert_eq!(batched.value(), THREADS as u64 * PER_THREAD);
 }
 
 #[test]
@@ -84,4 +76,31 @@ fn concurrent_histogram_records_keep_every_sample() {
     assert_eq!(h.max(), Some(THREADS as u64 * PER_THREAD - 1));
     let expected_sum: u64 = (0..THREADS as u64 * PER_THREAD).sum();
     assert_eq!(h.sum(), expected_sum);
+}
+
+#[test]
+fn adopted_registry_scopes_the_free_functions() {
+    let (outer, inner) = (telemetry::Registry::new(), telemetry::Registry::new());
+    {
+        let _g = outer.adopt();
+        telemetry::add("itest.scoped", 1);
+        {
+            let _g = inner.adopt();
+            let _again = inner.adopt();
+            telemetry::add("itest.scoped", 10);
+        }
+        telemetry::add("itest.scoped", 2);
+        // Another thread has adopted nothing: it records into the default.
+        std::thread::scope(|s| {
+            s.spawn(|| telemetry::add("itest.scoped", 100));
+        });
+    }
+    assert_eq!(outer.counter("itest.scoped").value(), 3);
+    assert_eq!(inner.counter("itest.scoped").value(), 10);
+    assert_eq!(
+        telemetry::current_registry()
+            .counter("itest.scoped")
+            .value(),
+        100
+    );
 }

@@ -5,9 +5,10 @@
 //!    aggressive slow-query threshold feeding the slow-query log.
 //! 2. Print the live instruments (latency quantiles, row counters) and
 //!    the slowest statements, read from `perfdmf_slow_queries` by SQL.
-//! 3. Export the registry as a PerfDMF profile, store it as a trial in
-//!    the same database, and read it back through the `DataSession`
-//!    API — the framework's own behavior browsed with the framework.
+//! 3. Export the database's registry as a PerfDMF profile, store it as
+//!    a trial in the same database, and read it back through the
+//!    `DataSession` API — the framework's own behavior browsed with the
+//!    framework.
 //!
 //! Run with: `cargo run --example self_profile`
 
@@ -29,8 +30,12 @@ fn main() {
     let run = Evh1Model::default_mix(7).generate(16);
     write_tau_directory(&run, &dir).expect("write TAU profiles");
 
-    let profile = load_path(&dir).expect("import");
     let conn = Connection::open_in_memory();
+    // The database records into its own registry; adopting it here puts
+    // the import's instruments there too.
+    let registry = conn.telemetry();
+    let _adopted = registry.adopt();
+    let profile = load_path(&dir).expect("import");
     let mut session = DatabaseSession::new(conn.clone()).expect("schema");
     let trial = session
         .store_profile("evh1", "instrumented-run", &profile)
@@ -43,7 +48,7 @@ fn main() {
     );
 
     // --- 2. what did the framework observe about itself? ---
-    let snap = telemetry::snapshot();
+    let snap = registry.snapshot();
     println!(
         "instruments ({} counters, {} histograms), selected:",
         snap.counters.len(),
@@ -89,7 +94,7 @@ fn main() {
     }
 
     // --- 3. close the loop: the telemetry becomes a trial ---
-    let self_profile = telemetry::snapshot_to_profile();
+    let self_profile = telemetry::snapshot::profile_from_snapshot(&registry.snapshot());
     let self_trial = session
         .store_profile("perfdmf", "self-profiling", &self_profile)
         .expect("store self-profile");
