@@ -185,8 +185,8 @@ fn judge(
 }
 
 /// Compare named candidate samples against the baseline, reporting every
-/// flagged finding to the global regression log. `context` describes
-/// the comparison for the log, e.g. `"trial 7 vs experiment 1 baseline"`.
+/// flagged finding to the adopted telemetry registry's regression log.
+/// `context` describes the comparison, e.g. `"trial 7 vs experiment 1"`.
 pub fn check_samples<'a>(
     baseline: &Baseline,
     samples: impl IntoIterator<Item = (&'a str, f64)>,
@@ -261,6 +261,8 @@ mod tests {
     #[test]
     fn flags_synthetic_two_x_slowdown() {
         // Baseline: four trials with ±2% jitter. Candidate: compute 2×.
+        let registry = telemetry::Registry::new();
+        let _adopted = registry.adopt();
         let baseline = baseline(&[0.98, 1.0, 1.01, 1.02]);
         let mut candidate = profile(1.0);
         let m = candidate.find_metric("TIME").unwrap();
@@ -278,11 +280,11 @@ mod tests {
         assert_eq!(f.event, "compute");
         assert!((f.ratio - 2.0).abs() < 0.05, "ratio ≈ 2, got {}", f.ratio);
         assert!(f.zscore.unwrap() > 3.0);
-        // The finding landed in the global regression log.
-        let logged = telemetry::regressions::log();
-        assert!(logged
-            .iter()
-            .any(|r| r.context == "test 2x" && r.event == "compute"));
+        // The finding landed in the adopted registry's regression log.
+        let logged = registry.regressions();
+        assert_eq!(logged.len(), 1);
+        assert_eq!(logged[0].context, "test 2x");
+        assert_eq!(logged[0].event, "compute");
     }
 
     #[test]

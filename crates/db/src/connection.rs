@@ -162,7 +162,7 @@ impl Prepared {
         let started = telemetry::enabled().then(Instant::now);
         let outcome = exec(&self.statement);
         if let Some(started) = started {
-            observe::record_statement(&self.sql, &outcome, started.elapsed());
+            observe::record_statement(registry, &self.sql, &outcome, started.elapsed());
         }
         outcome
     }
@@ -210,8 +210,8 @@ impl Connection {
         Ok(Connection::wrap(db))
     }
 
-    /// The database's telemetry registry, which `perfdmf_counters` and
-    /// `perfdmf_histograms` show. Clones share it.
+    /// The database's telemetry registry, which every `perfdmf_*` record
+    /// table but `perfdmf_spans` shows. Clones share it.
     pub fn telemetry(&self) -> telemetry::Registry {
         self.telemetry.clone()
     }

@@ -14,17 +14,17 @@
 //! |---|---|---|
 //! | `perfdmf_counters`        | telemetry counter            | the database's registry |
 //! | `perfdmf_histograms`      | telemetry histogram          | the database's registry |
-//! | `perfdmf_slow_queries`    | retained slow statement      | [`crate::observe::slow_query_log`] |
-//! | `perfdmf_spans`           | flight-recorder span         | `telemetry::trace::dump()` |
+//! | `perfdmf_slow_queries`    | retained slow statement      | the database's registry |
+//! | `perfdmf_spans`           | flight-recorder span         | the flight recorder, the one process-wide record table (a trace crosses databases) |
 //! | `perfdmf_tables`          | user table                   | the live [`Database`] |
 //! | `perfdmf_columns`         | user table column            | the live [`Database`] |
 //! | `perfdmf_colcache`        | process (single row)         | column-chunk budget + the database's `db.colcache.*` |
 //! | `perfdmf_pool`            | process (single row)         | worker pool config + the database's `pool.*` |
-//! | `perfdmf_metrics_history` | (sample, instrument) pair    | `telemetry::metrics::history()` |
-//! | `perfdmf_regressions`     | flagged perf regression      | `telemetry::regressions::log()` |
-//! | `perfdmf_sessions`        | network server session       | `telemetry::sessions::log()` |
-//! | `perfdmf_requests`        | answered network request     | `telemetry::requests::log()` |
-//! | `perfdmf_request_summary` | request kind                 | `telemetry::requests::summary()` |
+//! | `perfdmf_metrics_history` | (sample, instrument) pair    | the database's registry |
+//! | `perfdmf_regressions`     | flagged perf regression      | the database's registry |
+//! | `perfdmf_sessions`        | network server session       | the database's registry |
+//! | `perfdmf_requests`        | answered network request     | the database's registry |
+//! | `perfdmf_request_summary` | request kind                 | the database's registry |
 //!
 //! Schemas and example queries are documented in `docs/introspection.md`.
 
@@ -73,17 +73,17 @@ pub(crate) fn materialize(db: &Database, name: &str) -> Option<Table> {
     match name.to_ascii_lowercase().as_str() {
         "perfdmf_counters" => Some(counters_table(db)),
         "perfdmf_histograms" => Some(histograms_table(db)),
-        "perfdmf_slow_queries" => Some(slow_queries_table()),
+        "perfdmf_slow_queries" => Some(slow_queries_table(db)),
         "perfdmf_spans" => Some(spans_table()),
         "perfdmf_tables" => Some(tables_table(db)),
         "perfdmf_columns" => Some(columns_table(db)),
         "perfdmf_colcache" => Some(colcache_table(db)),
         "perfdmf_pool" => Some(pool_table(db)),
-        "perfdmf_metrics_history" => Some(metrics_history_table()),
-        "perfdmf_regressions" => Some(regressions_table()),
-        "perfdmf_sessions" => Some(sessions_table()),
-        "perfdmf_requests" => Some(requests_table()),
-        "perfdmf_request_summary" => Some(request_summary_table()),
+        "perfdmf_metrics_history" => Some(metrics_history_table(db)),
+        "perfdmf_regressions" => Some(regressions_table(db)),
+        "perfdmf_sessions" => Some(sessions_table(db)),
+        "perfdmf_requests" => Some(requests_table(db)),
+        "perfdmf_request_summary" => Some(request_summary_table(db)),
         _ => None,
     }
 }
@@ -164,7 +164,7 @@ fn histograms_table(db: &Database) -> Table {
     )
 }
 
-fn slow_queries_table() -> Table {
+fn slow_queries_table(db: &Database) -> Table {
     build(
         "perfdmf_slow_queries",
         vec![
@@ -177,7 +177,7 @@ fn slow_queries_table() -> Table {
             ColumnDef::new("ok", DataType::Boolean).not_null(),
             ColumnDef::new("trace_id", DataType::Text),
         ],
-        crate::observe::slow_query_log().into_iter().map(|r| {
+        db.telemetry().slow_queries().into_iter().map(|r| {
             vec![
                 int(r.seq),
                 text(r.sql),
@@ -360,7 +360,7 @@ fn pool_table(db: &Database) -> Table {
     )
 }
 
-fn metrics_history_table() -> Table {
+fn metrics_history_table(db: &Database) -> Table {
     // Long format: one row per (sample, instrument), so windowed queries
     // can GROUP BY name or filter on sample ranges directly.
     let mut columns = vec![
@@ -377,7 +377,7 @@ fn metrics_history_table() -> Table {
     }));
     columns.insert(4, ColumnDef::new("value", DataType::Integer));
     let mut rows = Vec::new();
-    for s in telemetry::metrics::history() {
+    for s in db.telemetry().metrics_history() {
         let head = [int(s.seq), int(s.elapsed_ms)];
         for c in &s.snapshot.counters {
             let mut row: Row = head.to_vec();
@@ -400,7 +400,7 @@ fn metrics_history_table() -> Table {
     build("perfdmf_metrics_history", columns, rows)
 }
 
-fn regressions_table() -> Table {
+fn regressions_table(db: &Database) -> Table {
     build(
         "perfdmf_regressions",
         vec![
@@ -415,7 +415,7 @@ fn regressions_table() -> Table {
             ColumnDef::new("ratio", DataType::Double).not_null(),
             ColumnDef::new("zscore", DataType::Double),
         ],
-        telemetry::regressions::log().into_iter().map(|r| {
+        db.telemetry().regressions().into_iter().map(|r| {
             vec![
                 int(r.seq),
                 text(r.context),
@@ -432,7 +432,7 @@ fn regressions_table() -> Table {
     )
 }
 
-fn sessions_table() -> Table {
+fn sessions_table(db: &Database) -> Table {
     build(
         "perfdmf_sessions",
         vec![
@@ -451,7 +451,7 @@ fn sessions_table() -> Table {
             ColumnDef::new("requests_inflight", DataType::Integer).not_null(),
             ColumnDef::new("authenticated", DataType::Integer).not_null(),
         ],
-        telemetry::sessions::log().into_iter().map(|s| {
+        db.telemetry().sessions().into_iter().map(|s| {
             vec![
                 int(s.id),
                 text(s.tenant),
@@ -504,7 +504,7 @@ fn usage_values(u: &telemetry::ResourceUsage) -> Vec<Value> {
     ]
 }
 
-fn requests_table() -> Table {
+fn requests_table(db: &Database) -> Table {
     let mut columns = vec![
         ColumnDef::new("seq", DataType::Integer).not_null(),
         ColumnDef::new("trace", DataType::Text),
@@ -520,7 +520,7 @@ fn requests_table() -> Table {
     build(
         "perfdmf_requests",
         columns,
-        telemetry::requests::log().into_iter().map(|r| {
+        db.telemetry().requests().into_iter().map(|r| {
             let mut row = vec![
                 int(r.seq),
                 hex_or_null(r.trace_id),
@@ -538,7 +538,7 @@ fn requests_table() -> Table {
     )
 }
 
-fn request_summary_table() -> Table {
+fn request_summary_table(db: &Database) -> Table {
     let mut columns = vec![
         ColumnDef::new("kind", DataType::Text).not_null(),
         ColumnDef::new("count", DataType::Integer).not_null(),
@@ -552,7 +552,7 @@ fn request_summary_table() -> Table {
     build(
         "perfdmf_request_summary",
         columns,
-        telemetry::requests::summary().into_iter().map(|s| {
+        db.telemetry().request_summary().into_iter().map(|s| {
             let mut row = vec![
                 text(s.kind),
                 int(s.latency.count),

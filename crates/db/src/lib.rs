@@ -72,9 +72,7 @@ pub use exec::vector::{columnar_mode, override_for_thread as override_columnar, 
 pub use exec::{Outcome, ResultSet};
 pub use faults::{FaultKind, FaultPlan, FaultVfs};
 pub use introspect::is_reserved_name;
-pub use observe::{
-    set_slow_query_threshold, slow_query_log, slow_query_threshold, SlowQueryRecord,
-};
+pub use perfdmf_telemetry::SlowQueryRecord;
 pub use plan::{
     optimizer_config, override_for_thread as override_optimizer, OptimizerConfig,
     OptimizerOverrideGuard,

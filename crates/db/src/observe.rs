@@ -22,79 +22,21 @@
 //! prepared-statement parse cache (`db.sql.parse_cache_hits` /
 //! `.parse_cache_misses`). See `docs/columnar.md`.
 //!
-//! Statements slower than the configurable threshold are additionally
-//! retained, with their SQL text (truncated), latency, row counts and
-//! active trace id, in a process-wide [`telemetry::BoundedLog`]
-//! ([`slow_query_log`]) that backs the `perfdmf_slow_queries` virtual
-//! system table.
+//! Statements at or over the registry's slow-query threshold (default
+//! 50ms) are additionally retained, with their SQL text (truncated),
+//! latency, row counts and active trace id, in the registry's
+//! slow-query log ([`telemetry::Registry::slow_queries`]) that backs the
+//! `perfdmf_slow_queries` virtual system table.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
-
-use parking_lot::Mutex;
 
 use crate::error::Result;
 use crate::exec::Outcome;
 use perfdmf_telemetry as telemetry;
-use perfdmf_telemetry::BoundedLog;
-
-/// Default slow-query threshold: 50ms.
-const DEFAULT_SLOW_QUERY_NS: u64 = 50_000_000;
+use perfdmf_telemetry::{Registry, SlowQueryRecord};
 
 /// Longest SQL prefix retained in a [`SlowQueryRecord`].
 const SQL_SNIPPET_LEN: usize = 512;
-
-/// Slow statements retained by the ring (oldest evicted first).
-const SLOW_LOG_CAPACITY: usize = 256;
-
-/// One retained slow statement, as exposed by `perfdmf_slow_queries`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SlowQueryRecord {
-    /// Monotonically increasing record number (survives eviction).
-    pub seq: u64,
-    /// The SQL text, truncated to 512 bytes.
-    pub sql: String,
-    /// Execution latency in nanoseconds (parse excluded).
-    pub elapsed_ns: u64,
-    /// SELECT rows handed to the caller.
-    pub rows_returned: u64,
-    /// Base-table rows materialized during execution.
-    pub rows_scanned: u64,
-    /// Rows touched when the statement was DML.
-    pub rows_affected: u64,
-    /// False when the statement returned an error.
-    pub ok: bool,
-    /// Causal trace the statement ran in, when tracing was on.
-    pub trace_id: Option<u64>,
-}
-
-static SLOW_LOG: Mutex<BoundedLog<SlowQueryRecord>> =
-    Mutex::new(BoundedLog::new(SLOW_LOG_CAPACITY));
-
-/// Copy of the retained slow statements, oldest first.
-pub fn slow_query_log() -> Vec<SlowQueryRecord> {
-    SLOW_LOG.lock().to_vec()
-}
-
-fn retain_slow_query(record: SlowQueryRecord) {
-    SLOW_LOG
-        .lock()
-        .push(|seq| SlowQueryRecord { seq, ..record });
-}
-
-static SLOW_QUERY_THRESHOLD_NS: AtomicU64 = AtomicU64::new(DEFAULT_SLOW_QUERY_NS);
-
-/// Statements at or above this duration enter the slow-query log.
-pub fn slow_query_threshold() -> Duration {
-    Duration::from_nanos(SLOW_QUERY_THRESHOLD_NS.load(Ordering::Relaxed))
-}
-
-/// Change the slow-query threshold process-wide. `Duration::ZERO` logs
-/// every statement; `Duration::MAX`-ish values disable the log.
-pub fn set_slow_query_threshold(threshold: Duration) {
-    let ns = threshold.as_nanos().min(u64::MAX as u128) as u64;
-    SLOW_QUERY_THRESHOLD_NS.store(ns, Ordering::Relaxed);
-}
 
 /// What an executed statement reports to the statement metrics: rows
 /// returned, rows scanned and rows affected.
@@ -112,13 +54,18 @@ impl RowCounts for Outcome {
     }
 }
 
-/// Record one executed statement into the telemetry registry and, when
-/// slow, the slow-query log. No-op while telemetry is disabled.
+/// Record one executed statement into `registry` (the adopted one) and,
+/// when slow, its slow-query log. No-op while telemetry is disabled.
 ///
 /// Called while the statement's `db.exec` span is still open, so with
 /// causal tracing on the retained record carries the active trace id
 /// and can be joined to its span tree in a flight-recorder dump.
-pub(crate) fn record_statement<T: RowCounts>(sql: &str, outcome: &Result<T>, elapsed: Duration) {
+pub(crate) fn record_statement<T: RowCounts>(
+    registry: &Registry,
+    sql: &str,
+    outcome: &Result<T>,
+    elapsed: Duration,
+) {
     if !telemetry::enabled() {
         return;
     }
@@ -139,7 +86,7 @@ pub(crate) fn record_statement<T: RowCounts>(sql: &str, outcome: &Result<T>, ela
     // meter on this thread (inert otherwise).
     telemetry::meter::add_rows_scanned(rows_scanned);
 
-    if elapsed >= slow_query_threshold() {
+    if elapsed >= registry.slow_query_threshold() {
         telemetry::add("db.slow_queries", 1);
         let snippet: String = if sql.len() > SQL_SNIPPET_LEN {
             let mut end = SQL_SNIPPET_LEN;
@@ -150,7 +97,7 @@ pub(crate) fn record_statement<T: RowCounts>(sql: &str, outcome: &Result<T>, ela
         } else {
             sql.to_string()
         };
-        retain_slow_query(SlowQueryRecord {
+        registry.push_slow_query(SlowQueryRecord {
             seq: 0,
             sql: snippet,
             elapsed_ns: elapsed.as_nanos().min(u64::MAX as u128) as u64,
@@ -169,9 +116,16 @@ mod tests {
 
     #[test]
     fn threshold_is_configurable() {
-        let before = slow_query_threshold();
-        set_slow_query_threshold(Duration::from_millis(7));
-        assert_eq!(slow_query_threshold(), Duration::from_millis(7));
-        set_slow_query_threshold(before);
+        let (logs_all, default) = (Registry::new(), Registry::new());
+        logs_all.set_slow_query_threshold(Duration::ZERO);
+        assert_eq!(logs_all.slow_query_threshold(), Duration::ZERO);
+        assert_eq!(default.slow_query_threshold(), Duration::from_millis(50));
+        let done: Result<Outcome> = Ok(Outcome::Done);
+        for registry in [&logs_all, &default] {
+            record_statement(registry, "SELECT 1", &done, Duration::from_millis(1));
+        }
+        let logged = logs_all.slow_queries();
+        assert_eq!((logged.len(), &*logged[0].sql), (1, "SELECT 1"));
+        assert!(default.slow_queries().is_empty(), "1ms is under 50ms");
     }
 }

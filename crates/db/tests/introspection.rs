@@ -111,7 +111,7 @@ fn metrics_history_accumulates_samples() {
             &[],
         )
         .unwrap();
-    assert!(matches!(samples, Value::Int(n) if n >= 2), "{samples:?}");
+    assert_eq!(samples, Value::Int(2));
 
     // The statement counter is monotone across samples.
     let series = conn
@@ -121,7 +121,7 @@ fn metrics_history_accumulates_samples() {
             &[],
         )
         .unwrap();
-    assert!(series.rows.len() >= 2, "{series:?}");
+    assert_eq!(series.rows.len(), 2, "{series:?}");
     let values: Vec<i64> = series.rows.iter().map(|r| r[1].as_int().unwrap()).collect();
     assert!(values.windows(2).all(|w| w[0] <= w[1]), "{values:?}");
 
@@ -149,7 +149,12 @@ fn background_sampler_feeds_the_history_table() {
         .unwrap()
         .as_int()
         .unwrap();
-    let sampler = telemetry::start_sampler(Duration::from_millis(5));
+    assert_eq!(before, 0, "a new database has no history");
+    // The sampler samples the registry adopted where it starts.
+    let sampler = {
+        let _adopted = conn.telemetry().adopt();
+        telemetry::start_sampler(Duration::from_millis(5))
+    };
     workload(&conn);
     std::thread::sleep(Duration::from_millis(40));
     sampler.stop();
@@ -235,15 +240,13 @@ static TRACING: std::sync::Mutex<()> = std::sync::Mutex::new(());
 fn slow_query_log_surfaces_through_sql() {
     let conn = Connection::open_in_memory();
     let _tracing = TRACING.lock().unwrap_or_else(|e| e.into_inner());
-    let before = perfdmf_db::slow_query_threshold();
-    perfdmf_db::set_slow_query_threshold(Duration::ZERO); // log everything
+    conn.telemetry().set_slow_query_threshold(Duration::ZERO); // log everything
     conn.execute("CREATE TABLE slowq_marker_xyz (a INTEGER)", &[])
         .unwrap();
     telemetry::set_tracing(true);
     conn.execute("INSERT INTO slowq_marker_xyz VALUES (1)", &[])
         .unwrap();
     telemetry::set_tracing(false);
-    perfdmf_db::set_slow_query_threshold(before);
 
     let rows = conn
         .query(
@@ -251,7 +254,7 @@ fn slow_query_log_surfaces_through_sql() {
             &[],
         )
         .unwrap();
-    assert!(!rows.rows.is_empty(), "statement must be retained");
+    assert_eq!(rows.rows.len(), 2, "CREATE and INSERT are retained");
     assert!(rows.rows.iter().all(|r| r[1] == Value::Bool(true)));
 
     let traced = conn
@@ -393,8 +396,6 @@ fn reserved_prefix_rejects_ddl_and_dml() {
 #[test]
 fn regressions_table_starts_queryable() {
     let conn = Connection::open_in_memory();
-    // May or may not be empty (other tests share the process-wide log);
-    // the shape must hold either way.
     let rs = conn
         .query(
             "SELECT seq, context, event, ratio FROM perfdmf_regressions ORDER BY seq",
@@ -402,22 +403,23 @@ fn regressions_table_starts_queryable() {
         )
         .unwrap();
     assert_eq!(rs.columns.len(), 4);
+    assert!(rs.rows.is_empty(), "a new database has flagged nothing");
 }
 
 #[test]
 fn sessions_table_reflects_the_session_registry() {
     use telemetry::sessions::{SessionRecord, SessionState};
 
-    // Publish two sessions into the process-wide registry the way the
-    // network server does: one live, one closed with accounting. Use
-    // high ids so concurrent tests (or a real server in this process)
-    // can't collide.
-    let mut live = SessionRecord::new(9_000_001, "tenant-a");
+    // Publish two sessions into the database's registry the way the
+    // network server does: one live, one closed with accounting.
+    let conn = Connection::open_in_memory();
+    let _adopted = conn.telemetry().adopt();
+    let mut live = SessionRecord::new(1, "tenant-a");
     live.requests = 12;
     live.sheds = 2;
     live.last_seq = 12;
     telemetry::sessions::upsert(live);
-    let mut closed = SessionRecord::new(9_000_002, "tenant-b");
+    let mut closed = SessionRecord::new(2, "tenant-b");
     closed.state = SessionState::Closed;
     closed.requests = 3;
     closed.errors = 1;
@@ -427,12 +429,11 @@ fn sessions_table_reflects_the_session_registry() {
     closed.close_reason = Some("client goodbye".into());
     telemetry::sessions::upsert(closed);
 
-    let conn = Connection::open_in_memory();
     let rs = conn
         .query(
             "SELECT id, tenant, state, requests, sheds, errors, replays, \
                     protocol_errors, last_seq, connected_ms, close_reason \
-             FROM perfdmf_sessions WHERE id BETWEEN 9000001 AND 9000002 ORDER BY id",
+             FROM perfdmf_sessions ORDER BY id",
             &[],
         )
         .unwrap();
@@ -454,7 +455,7 @@ fn sessions_table_reflects_the_session_registry() {
     // Aggregates compose like any table: shed rate per tenant.
     let agg = conn
         .query(
-            "SELECT SUM(requests), SUM(sheds) FROM perfdmf_sessions WHERE id >= 9000001",
+            "SELECT SUM(requests), SUM(sheds) FROM perfdmf_sessions",
             &[],
         )
         .unwrap();
@@ -467,20 +468,20 @@ fn sessions_table_tracks_trace_and_inflight_churn() {
     use telemetry::sessions::SessionRecord;
 
     let conn = Connection::open_in_memory();
+    let _adopted = conn.telemetry().adopt();
     // Churn the way serve_session does: each request flips the session
     // to "one in flight, carrying this trace", then back to idle. The
     // columns must follow every flip.
     for round in 0..5u64 {
         let trace = 0xABCD_0000 + round;
-        let mut rec = SessionRecord::new(9_100_001, "tenant-trace");
+        let mut rec = SessionRecord::new(1, "tenant-trace");
         rec.requests = round;
         rec.trace_id = Some(trace);
         rec.requests_inflight = 1;
         telemetry::sessions::upsert(rec.clone());
         let busy = conn
             .query(
-                "SELECT trace_id, requests_inflight FROM perfdmf_sessions \
-                 WHERE id = 9100001",
+                "SELECT trace_id, requests_inflight FROM perfdmf_sessions",
                 &[],
             )
             .unwrap();
@@ -498,8 +499,7 @@ fn sessions_table_tracks_trace_and_inflight_churn() {
         telemetry::sessions::upsert(rec);
         let idle = conn
             .query(
-                "SELECT trace_id, requests_inflight, requests FROM perfdmf_sessions \
-                 WHERE id = 9100001",
+                "SELECT trace_id, requests_inflight, requests FROM perfdmf_sessions",
                 &[],
             )
             .unwrap();
@@ -516,8 +516,7 @@ fn sessions_table_tracks_trace_and_inflight_churn() {
     // stuck requests.
     let stuck = conn
         .query_scalar(
-            "SELECT COUNT(*) FROM perfdmf_sessions \
-             WHERE id = 9100001 AND requests_inflight > 0",
+            "SELECT COUNT(*) FROM perfdmf_sessions WHERE requests_inflight > 0",
             &[],
         )
         .unwrap();
@@ -528,12 +527,14 @@ fn sessions_table_tracks_trace_and_inflight_churn() {
 fn requests_tables_surface_the_accounting_ring() {
     use telemetry::{RequestRecord, ResourceUsage};
 
-    // Seed the ring the way the server does — one metered success, one
-    // deadline-free failure — under a kind no other test uses.
+    // Seed the database's ring the way the server does — one metered
+    // success, one deadline-free failure.
+    let conn = Connection::open_in_memory();
+    let _adopted = conn.telemetry().adopt();
     telemetry::requests::record(RequestRecord {
         seq: 0,
         trace_id: Some(0xC0FFEE),
-        session: 9_200_001,
+        session: 1,
         tenant: "tenant-req".into(),
         kind: "introspect_probe",
         status: "ok",
@@ -553,7 +554,7 @@ fn requests_tables_surface_the_accounting_ring() {
     telemetry::requests::record(RequestRecord {
         seq: 0,
         trace_id: None,
-        session: 9_200_001,
+        session: 1,
         tenant: "tenant-req".into(),
         kind: "introspect_probe",
         status: "error",
@@ -563,12 +564,11 @@ fn requests_tables_surface_the_accounting_ring() {
         usage: ResourceUsage::default(),
     });
 
-    let conn = Connection::open_in_memory();
     let rs = conn
         .query(
             "SELECT trace, session, tenant, status, deadline_slack_ms, \
                     rows_scanned, wal_bytes, execute_ns \
-             FROM perfdmf_requests WHERE kind = 'introspect_probe' ORDER BY seq",
+             FROM perfdmf_requests ORDER BY seq",
             &[],
         )
         .unwrap();
@@ -578,7 +578,7 @@ fn requests_tables_surface_the_accounting_ring() {
         Value::Text(format!("{:016x}", 0xC0FFEEu64).into()),
         "trace id surfaces as hex"
     );
-    assert_eq!(rs.rows[0][1], Value::Int(9_200_001));
+    assert_eq!(rs.rows[0][1], Value::Int(1));
     assert_eq!(rs.rows[0][2], Value::Text("tenant-req".into()));
     assert_eq!(rs.rows[0][3], Value::Text("ok".into()));
     assert_eq!(rs.rows[0][4], Value::Int(450));
@@ -595,7 +595,7 @@ fn requests_tables_surface_the_accounting_ring() {
         .query(
             "SELECT count, errors, slow, mean_latency_ns, stddev_latency_ns, \
                     max_latency_ns, rows_scanned, pool_tasks \
-             FROM perfdmf_request_summary WHERE kind = 'introspect_probe'",
+             FROM perfdmf_request_summary",
             &[],
         )
         .unwrap();

@@ -1,10 +1,12 @@
 //! End-to-end checks that statements executed through [`Connection`]
-//! feed the database's telemetry registry and the slow-query log.
+//! feed the database's telemetry registry and its slow-query log, and
+//! that every record log stays with the database that made it.
 
 use std::time::Duration;
 
-use perfdmf_db::{set_slow_query_threshold, slow_query_log, Connection, Value};
+use perfdmf_db::{Connection, Value};
 use perfdmf_telemetry as telemetry;
+use perfdmf_telemetry::{RegressionRecord, RequestRecord, ResourceUsage, SessionRecord};
 
 fn seeded_connection() -> Connection {
     let conn = Connection::open_in_memory();
@@ -92,16 +94,17 @@ fn transaction_statements_are_recorded_too() {
 #[test]
 fn slow_queries_emit_structured_events() {
     let conn = seeded_connection();
+    let registry = conn.telemetry();
 
     // Zero threshold: every statement is "slow".
-    set_slow_query_threshold(Duration::ZERO);
+    registry.set_slow_query_threshold(Duration::ZERO);
     telemetry::set_tracing(true);
     let marker = "SELECT name, node_count FROM trial WHERE id = 7";
     conn.query(marker, &[]).unwrap();
     telemetry::set_tracing(false);
-    set_slow_query_threshold(Duration::from_millis(50));
+    registry.set_slow_query_threshold(Duration::from_millis(50));
 
-    let log = slow_query_log();
+    let log = registry.slow_queries();
     let slow = log
         .iter()
         .find(|r| r.sql == marker)
@@ -112,11 +115,11 @@ fn slow_queries_emit_structured_events() {
         "retained inside the traced db.exec span"
     );
 
-    // Default threshold restored: an ordinary fast query is not retained.
+    // Back at the 50ms default: an ordinary fast query is not retained.
     let fast = "SELECT COUNT(*) FROM trial";
     conn.query(fast, &[]).unwrap();
     assert!(
-        !slow_query_log().iter().any(|r| r.sql == fast),
+        !registry.slow_queries().iter().any(|r| r.sql == fast),
         "fast query under threshold logged nothing"
     );
 }
@@ -148,4 +151,70 @@ fn concurrent_connections_count_only_their_own_statements() {
     // The counter query itself misses once before it reads the count.
     assert_eq!(misses(&a), Value::Int(21));
     assert_eq!(misses(&b), Value::Int(51));
+}
+
+/// Every record log belongs to one database: what `a` records fills
+/// `a`'s record tables and none of `b`'s.
+#[test]
+fn record_tables_show_only_their_own_database() {
+    let (a, b) = (Connection::open_in_memory(), Connection::open_in_memory());
+    let registry = a.telemetry();
+    {
+        let _adopted = registry.adopt();
+        registry.set_slow_query_threshold(Duration::ZERO);
+        a.execute("CREATE TABLE only_in_a (x INTEGER)", &[])
+            .unwrap();
+        registry.set_slow_query_threshold(Duration::MAX);
+        telemetry::sample_now();
+        telemetry::requests::record(RequestRecord {
+            seq: 0,
+            trace_id: None,
+            session: 1,
+            tenant: "a".into(),
+            kind: "ping",
+            status: "ok",
+            deadline_slack_ms: None,
+            elapsed_ns: 1_000,
+            slow: false,
+            usage: ResourceUsage::default(),
+        });
+        telemetry::sessions::upsert(SessionRecord::new(1, "a"));
+        telemetry::regressions::report(RegressionRecord {
+            seq: 0,
+            context: "a".into(),
+            event: "hot_loop".into(),
+            metric: "TIME".into(),
+            baseline_mean: 10.0,
+            baseline_stddev: 1.0,
+            baseline_count: 4,
+            candidate: 20.0,
+            ratio: 2.0,
+            zscore: Some(10.0),
+        });
+    }
+    let rows = |conn: &Connection, table: &str| {
+        let sql = format!("SELECT COUNT(*) FROM {table}");
+        conn.query_scalar(&sql, &[]).unwrap().as_int().unwrap()
+    };
+    // The one sample holds one row per instrument `a` had then.
+    let sample = &registry.metrics_history()[0].snapshot;
+    let instruments = (sample.counters.len() + sample.histograms.len()) as i64;
+    for (table, made) in [
+        ("perfdmf_slow_queries", 1),
+        ("perfdmf_metrics_history", instruments),
+        ("perfdmf_requests", 1),
+        ("perfdmf_request_summary", 1),
+        ("perfdmf_sessions", 1),
+        ("perfdmf_regressions", 1),
+    ] {
+        assert_eq!(rows(&a, table), made, "a's {table}");
+        assert_eq!(rows(&b, table), 0, "b's {table}");
+    }
+    let slow = a
+        .query_scalar("SELECT sql FROM perfdmf_slow_queries", &[])
+        .unwrap();
+    assert_eq!(
+        slow,
+        Value::Text("CREATE TABLE only_in_a (x INTEGER)".into())
+    );
 }

@@ -69,8 +69,10 @@ pub fn install(conn: &Connection) -> perfdmf_db::Result<()> {
 
 /// Run one request against an archive prepared by [`install`]. An
 /// analysis error comes back as [`Response::Error`]; the fault-injection
-/// request [`Request::InjectPanic`] panics, as its name says.
+/// request [`Request::InjectPanic`] panics, as its name says. It records
+/// into `conn`'s telemetry registry.
 pub fn handle(conn: &Connection, request: &Request) -> Response {
+    let _adopted = conn.telemetry().adopt();
     dispatch(conn, request).unwrap_or_else(|e| Response::Error(e.to_string()))
 }
 

@@ -49,7 +49,9 @@ fn right_token_authenticates_and_marks_the_session() {
 
     // The registry row claims authentication — and so does the
     // `perfdmf_sessions` system table the registry backs.
-    let record = perfdmf_telemetry::sessions::log()
+    let record = conn
+        .telemetry()
+        .sessions()
         .into_iter()
         .find(|r| r.id == session)
         .expect("session record");
@@ -111,9 +113,7 @@ fn wrong_token_is_rejected_without_retries() {
     );
     // No session record exists for the rejected handshake.
     assert!(
-        !perfdmf_telemetry::sessions::log()
-            .iter()
-            .any(|r| r.tenant == "auth-bad"),
+        server_side.sessions().is_empty(),
         "a rejected handshake must not create a session record"
     );
     server.shutdown();
@@ -135,7 +135,7 @@ fn missing_token_is_rejected_when_required() {
 fn open_server_admits_but_does_not_claim_authentication() {
     let conn = open_database();
     let server = PerfdmfServer::start_with_config(
-        conn,
+        conn.clone(),
         ServerConfig {
             workers: 2,
             ..ServerConfig::default()
@@ -149,7 +149,9 @@ fn open_server_admits_but_does_not_claim_authentication() {
     assert!(client.ping());
     let session = client.session();
     client.close();
-    let record = perfdmf_telemetry::sessions::log()
+    let record = conn
+        .telemetry()
+        .sessions()
         .into_iter()
         .find(|r| r.id == session)
         .expect("session record");

@@ -319,12 +319,10 @@ fn injected_session_panic_is_observable_and_contained() {
     );
 
     // The accounting ring kept the half-finished request.
-    let log = perfdmf_telemetry::requests::log();
-    let rec = log
-        .iter()
-        .rev()
-        .find(|r| r.status == "panic")
-        .expect("panicking request must land in the accounting ring");
+    let log = registry.requests();
+    let panics: Vec<_> = log.iter().filter(|r| r.status == "panic").collect();
+    assert_eq!(panics.len(), 1, "the panicking request is filed once");
+    let rec = panics[0];
     assert_eq!(rec.kind, "inject_panic");
     assert_eq!(rec.tenant, "panic-victim");
 
@@ -376,7 +374,7 @@ fn same_idempotency_key_twice_applies_once() {
 #[test]
 fn sessions_surface_in_the_registry_with_close_reasons() {
     let (conn, _trial) = seeded_database();
-    let server = PerfdmfServer::start(conn).expect("server start");
+    let server = PerfdmfServer::start(conn.clone()).expect("server start");
     let mut client = NetClient::new(server.addr(), "registry-probe");
     assert!(client.ping());
     let session = client.session();
@@ -385,7 +383,7 @@ fn sessions_surface_in_the_registry_with_close_reasons() {
     // briefly for the record to settle.
     let deadline = Instant::now() + Duration::from_secs(5);
     loop {
-        let log = perfdmf_telemetry::sessions::log();
+        let log = conn.telemetry().sessions();
         if let Some(record) = log.iter().find(|r| r.id == session) {
             assert_eq!(record.tenant, "registry-probe");
             if record.state == perfdmf_telemetry::sessions::SessionState::Closed {

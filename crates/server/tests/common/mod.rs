@@ -37,11 +37,14 @@ pub fn seeded_database(tag: &str, threads: u32) -> (Connection, i64) {
     (conn, trial)
 }
 
-/// Wait for the closed registry row of session `id`.
-pub fn closed_session(id: u64) -> SessionRecord {
+/// Wait for the closed row of session `id` in the served database's
+/// registry.
+pub fn closed_session(conn: &Connection, id: u64) -> SessionRecord {
     let deadline = Instant::now() + Duration::from_secs(10);
     loop {
-        if let Some(record) = perfdmf_telemetry::sessions::log()
+        if let Some(record) = conn
+            .telemetry()
+            .sessions()
             .into_iter()
             .find(|r| r.id == id && r.state == SessionState::Closed)
         {

@@ -29,7 +29,7 @@ fn peer_stalled_mid_frame_is_closed_as_idle() {
     let conn = perfdmf_db::Connection::open_in_memory();
     perfdmf_core::create_schema(&conn).expect("schema");
     let server = PerfdmfServer::start_with_config(
-        conn,
+        conn.clone(),
         ServerConfig {
             idle_timeout: IDLE_TIMEOUT,
             token: None,
@@ -70,7 +70,7 @@ fn peer_stalled_mid_frame_is_closed_as_idle() {
     let session = client.session();
     assert_ne!(session, 0, "the handshake completed before the stall");
 
-    let record = closed_session(session);
+    let record = closed_session(&conn, session);
     assert_eq!(record.tenant, TENANT);
     assert_eq!(record.close_reason.as_deref(), Some("idle timeout"));
     assert_eq!(record.requests, 0, "the torn call was never admitted");

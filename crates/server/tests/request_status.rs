@@ -17,16 +17,16 @@
 //!
 //! `shutting_down` is covered by the chaos harness's drain test.
 //!
-//! The binary holds one `#[test]` and filters rows by a tenant prefix
-//! no other test uses, so process-global counters and the 256-row
-//! request ring cannot blur what it reads.
+//! Rows and sessions are read from the served database's registry, so
+//! the test reads only what its own server filed.
 
 mod common;
 
 use common::{closed_session, cluster_request, seeded_database};
+use perfdmf_db::Connection;
 use perfdmf_explorer::{Request, Response};
 use perfdmf_server::{NetClient, PerfdmfServer, RetryPolicy, ServerConfig};
-use perfdmf_telemetry::requests::RequestRecord;
+use perfdmf_telemetry::RequestRecord;
 use std::net::SocketAddr;
 use std::time::{Duration, Instant};
 
@@ -42,19 +42,20 @@ fn client(addr: SocketAddr, name: &str) -> NetClient {
 }
 
 /// The rows filed for one tenant of this test, oldest first.
-fn rows(name: &str) -> Vec<RequestRecord> {
+fn rows(conn: &Connection, name: &str) -> Vec<RequestRecord> {
     let tenant = format!("{PREFIX}{name}");
-    perfdmf_telemetry::requests::log()
+    conn.telemetry()
+        .requests()
         .into_iter()
         .filter(|r| r.tenant == tenant)
         .collect()
 }
 
 /// `(requests, sheds, errors, replays)` of a session once it closes.
-fn tallies(c: NetClient) -> (u64, u64, u64, u64) {
+fn tallies(conn: &Connection, c: NetClient) -> (u64, u64, u64, u64) {
     let id = c.session();
     c.close();
-    let r = closed_session(id);
+    let r = closed_session(conn, id);
     (r.requests, r.sheds, r.errors, r.replays)
 }
 
@@ -72,7 +73,7 @@ fn check(row: &RequestRecord, status: &str, kind: &str, slack_positive: bool) {
 fn each_exit_files_one_row_with_its_status_and_tallies() {
     let (conn, trial) = seeded_database("status", 8);
     let server = PerfdmfServer::start_with_config(
-        conn,
+        conn.clone(),
         ServerConfig {
             workers: 1,
             queue_capacity: 1,
@@ -87,19 +88,19 @@ fn each_exit_files_one_row_with_its_status_and_tallies() {
     // ok
     let mut ok = client(addr, "ok");
     assert!(ok.ping());
-    assert_eq!(tallies(ok), (1, 0, 0, 0));
+    assert_eq!(tallies(&conn, ok), (1, 0, 0, 0));
 
     // error: the trial does not exist.
     let mut error = client(addr, "error");
     let response = error.request(cluster_request(987_654_321));
     assert!(matches!(response, Response::Error(_)), "{response:?}");
-    assert_eq!(tallies(error), (1, 0, 1, 0));
+    assert_eq!(tallies(&conn, error), (1, 0, 1, 0));
 
     // rejected by validation: never reaches the explorer.
     let mut invalid = client(addr, "invalid");
     let response = invalid.request(Request::Shutdown);
     assert!(matches!(response, Response::Error(_)), "{response:?}");
-    assert_eq!(tallies(invalid), (0, 0, 1, 0));
+    assert_eq!(tallies(&conn, invalid), (0, 0, 1, 0));
 
     // replayed: the second send of a key returns the recorded answer.
     let mut replay = client(addr, "replay");
@@ -107,7 +108,7 @@ fn each_exit_files_one_row_with_its_status_and_tallies() {
     assert!(matches!(first, Response::Clustering { .. }), "{first:?}");
     let second = replay.request_keyed(cluster_request(trial), 0x5157_0001);
     assert_eq!(first, second, "a replay returns the recorded response");
-    assert_eq!(tallies(replay), (1, 0, 0, 1));
+    assert_eq!(tallies(&conn, replay), (1, 0, 0, 1));
 
     // panic: the session dies mid-call; the client sees a transport
     // failure, the ring still gets the row.
@@ -126,7 +127,9 @@ fn each_exit_files_one_row_with_its_status_and_tallies() {
     // Once the server has admitted the stall, the idle worker takes it
     // off the queue at once; the pause covers that hand-off.
     let admitted = Instant::now() + Duration::from_secs(10);
-    while !perfdmf_telemetry::sessions::log()
+    while !conn
+        .telemetry()
+        .sessions()
         .iter()
         .any(|r| r.tenant == format!("{PREFIX}stall") && r.requests_inflight == 1)
     {
@@ -151,18 +154,18 @@ fn each_exit_files_one_row_with_its_status_and_tallies() {
         Response::Error(reason) => assert!(reason.contains("window"), "{reason}"),
         other => panic!("expected a window error, got {other:?}"),
     }
-    assert_eq!(tallies(windowed), (1, 0, 2, 0));
+    assert_eq!(tallies(&conn, windowed), (1, 0, 2, 0));
 
     // overloaded: the timed-out ping still holds the queue's one slot.
     let mut shed = client(addr, "shed");
     let response = shed.request(Request::Ping);
     assert_eq!(response, Response::Overloaded);
-    assert_eq!(tallies(shed), (1, 1, 0, 0));
+    assert_eq!(tallies(&conn, shed), (1, 1, 0, 0));
 
     staller.join().expect("staller");
 
     let one = |name: &str| {
-        let rows = rows(name);
+        let rows = rows(&conn, name);
         assert_eq!(rows.len(), 1, "{name}: {rows:?}");
         rows.into_iter().next().unwrap()
     };
@@ -173,13 +176,13 @@ fn each_exit_files_one_row_with_its_status_and_tallies() {
     check(&one("shed"), "overloaded", "ping", true);
     check(&one("stall"), "ok", "stall", true);
 
-    let replay = rows("replay");
+    let replay = rows(&conn, "replay");
     assert_eq!(replay.len(), 2, "{replay:?}");
     check(&replay[0], "ok", "cluster_trial", true);
     check(&replay[1], "replayed", "cluster_trial", true);
 
     // The window rejection is filed at admission, before the timeout.
-    let window = rows("window");
+    let window = rows(&conn, "window");
     assert_eq!(window.len(), 2, "{window:?}");
     check(&window[0], "rejected", "ping", true);
     check(&window[1], "failed", "ping", false);

@@ -1,6 +1,6 @@
-//! [`BoundedLog`]: the one retention policy behind every process-wide
-//! record ring — the flight recorder's spans, the db slow-query log, the
-//! metrics history, the request ring, and the regression log.
+//! [`BoundedLog`]: the one retention policy behind every record ring —
+//! the flight recorder's spans, and each registry's slow-query log,
+//! metrics history, request ring and regression log.
 
 /// Keeps the most recent `capacity` entries, evicting the oldest first,
 /// and numbers entries in push order. Numbers are never reused: they
@@ -16,7 +16,7 @@ pub struct BoundedLog<T> {
 
 impl<T> BoundedLog<T> {
     /// An empty log retaining at most `capacity` entries (min 1). `const`,
-    /// so a process-wide log is a plain `static Mutex<BoundedLog<_>>`.
+    /// so the flight recorder is a plain `static Mutex<BoundedLog<_>>`.
     pub const fn new(capacity: usize) -> Self {
         BoundedLog {
             entries: Vec::new(),

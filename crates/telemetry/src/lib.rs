@@ -10,11 +10,12 @@
 //!   atomics in a sharded [`Registry`]; histograms bucket by power of
 //!   two (65 buckets cover the full `u64` range).
 //!
-//! Instruments are scoped: each database owns a [`Registry`], and the
-//! name-based functions here record into the registry the calling
-//! thread has adopted ([`Registry::adopt`]), else into the process
-//! default. The switches ([`set_enabled`], [`set_tracing`]) and the
-//! record rings below stay process-wide.
+//! Everything telemetry keeps is scoped: each database owns a
+//! [`Registry`] of instruments and record logs, and the functions here
+//! record into the registry the calling thread adopted
+//! ([`Registry::adopt`]), else into the process default. Only the
+//! switches ([`set_enabled`], [`set_tracing`]) and the flight recorder
+//! of [`trace`] are process-wide: one causal trace crosses registries.
 //!
 //! A third layer, [`trace`], turns the same spans into causal traces:
 //! trace/span ids with parent links, cross-thread context propagation,
@@ -23,12 +24,13 @@
 //! priced separately; record logs stamp the active trace id
 //! ([`trace::current_trace_id`]).
 //!
-//! A notable occurrence (a slow request, a flagged regression, a
-//! panicked request) is recorded once: as a counter, plus a typed record
-//! in one of the retention layers below where one exists. Four
-//! retention layers make the instruments queryable after the
-//! fact: [`metrics`] keeps a bounded time series of registry snapshots
-//! (the background sampler behind the `perfdmf_metrics_history` system
+//! A notable occurrence (a slow statement, a slow request, a flagged
+//! regression, a panicked request) is recorded once: as a counter, plus
+//! a typed record in one of the registry's logs where one exists. The
+//! logs make the instruments queryable after the fact: the slow-query
+//! log ([`SlowQueryRecord`], the `perfdmf_slow_queries` system table),
+//! [`metrics`] keeps a bounded time series of registry snapshots (the
+//! background sampler behind the `perfdmf_metrics_history` system
 //! table), [`regressions`] keeps the bounded log of flagged
 //! performance regressions (the `perfdmf_regressions` system table),
 //! [`sessions`] keeps one record per network session (the
@@ -68,6 +70,7 @@ pub use bounded::BoundedLog;
 pub use meter::{adopt_meter, current_meter, MeterGuard, RequestMeter, ResourceUsage};
 pub use metrics::{sample_now, start_sampler, MetricsSample, SamplerHandle};
 pub use perfdmf_profile::Moments;
+pub use registry::SlowQueryRecord;
 pub use registry::{current_registry, Counter, Histogram, Registry, RegistryGuard};
 pub use regressions::RegressionRecord;
 pub use requests::{RequestKindSummary, RequestRecord};

@@ -1,6 +1,6 @@
-//! Metrics history: periodic snapshots of the registry in a
-//! [`BoundedLog`], so the engine's *recent past* — not just its
-//! lifetime totals — is queryable.
+//! Metrics history: periodic snapshots of a registry, kept in that
+//! registry's [`crate::BoundedLog`], so the engine's *recent past* — not
+//! just its lifetime totals — is queryable.
 //!
 //! Two entry points:
 //!
@@ -10,26 +10,24 @@
 //!   registry on a fixed interval until the returned [`SamplerHandle`]
 //!   is dropped; [`DEFAULT_INTERVAL`] (250ms) is the usual cadence.
 //!
-//! [`history`] returns the most recent `METRICS_CAPACITY` samples;
-//! older samples fall off the front. Each sample is a full
+//! [`crate::Registry::metrics_history`] returns the most recent 512
+//! samples; older samples fall off the front. Each sample is a full
 //! [`Snapshot`] stamped with a monotonically increasing sequence number
 //! and milliseconds since the telemetry epoch (the clock span timestamps
 //! use), so windowed queries (`WHERE sample >= ...`,
 //! `WHERE elapsed_ms > ...`) work without wall clocks. `perfdmf-db`
-//! exposes the history as the `perfdmf_metrics_history` virtual system
-//! table (see `docs/introspection.md`).
+//! exposes a database's history as the `perfdmf_metrics_history`
+//! virtual system table (see `docs/introspection.md`).
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use parking_lot::Mutex;
+use crate::registry::with_current;
+use crate::snapshot::Snapshot;
 
-use crate::snapshot::{snapshot, Snapshot};
-use crate::BoundedLog;
-
-/// Samples retained by the process-wide history.
+/// Samples retained by each registry's history.
 pub(crate) const METRICS_CAPACITY: usize = 512;
 
 /// The usual sampler interval.
@@ -47,27 +45,22 @@ pub struct MetricsSample {
     pub snapshot: Snapshot,
 }
 
-/// The process-wide history: the most recent [`METRICS_CAPACITY`] samples.
-static HISTORY: Mutex<BoundedLog<MetricsSample>> = Mutex::new(BoundedLog::new(METRICS_CAPACITY));
-
-/// Snapshot the current registry into the history now; returns the
+/// Snapshot the current registry into its own history now; returns the
 /// sample's sequence number.
 pub fn sample_now() -> u64 {
-    let snapshot = snapshot();
-    let elapsed_ms = crate::trace::epoch()
-        .elapsed()
-        .as_millis()
-        .min(u64::MAX as u128) as u64;
-    HISTORY.lock().push(|seq| MetricsSample {
-        seq,
-        elapsed_ms,
-        snapshot,
+    with_current(|registry| {
+        let snapshot = registry.snapshot();
+        let elapsed_ms = crate::trace::epoch()
+            .elapsed()
+            .as_millis()
+            .min(u64::MAX as u128) as u64;
+        let mut history = registry.inner.metrics_history.lock();
+        history.push(|seq| MetricsSample {
+            seq,
+            elapsed_ms,
+            snapshot,
+        })
     })
-}
-
-/// Copy of the retained samples, oldest first.
-pub fn history() -> Vec<MetricsSample> {
-    HISTORY.lock().to_vec()
 }
 
 /// Owner handle of a background sampler thread. Dropping it stops the
@@ -78,12 +71,13 @@ pub struct SamplerHandle {
 }
 
 impl SamplerHandle {
-    /// Ask the sampler to stop and wait for its thread to exit.
-    pub fn stop(mut self) {
-        self.shutdown();
-    }
+    /// Ask the sampler to stop and wait for its thread to exit, as
+    /// dropping the handle does.
+    pub fn stop(self) {}
+}
 
-    fn shutdown(&mut self) {
+impl Drop for SamplerHandle {
+    fn drop(&mut self) {
         self.stop.store(true, Ordering::Relaxed);
         if let Some(join) = self.join.take() {
             let _ = join.join();
@@ -91,14 +85,8 @@ impl SamplerHandle {
     }
 }
 
-impl Drop for SamplerHandle {
-    fn drop(&mut self) {
-        self.shutdown();
-    }
-}
-
 /// Start a background thread sampling the caller's current registry
-/// into the history every `interval`. The thread takes one sample
+/// into its history every `interval`. The thread takes one sample
 /// immediately so short-lived processes still record history, then
 /// sleeps in small slices so stop requests are honored promptly.
 pub fn start_sampler(interval: Duration) -> SamplerHandle {
@@ -131,58 +119,51 @@ pub fn start_sampler(interval: Duration) -> SamplerHandle {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// Serializes the tests that sample into the shared history.
-    fn test_lock() -> parking_lot::MutexGuard<'static, ()> {
-        static LOCK: Mutex<()> = Mutex::new(());
-        LOCK.lock()
-    }
-
-    fn last_seq() -> Option<u64> {
-        history().last().map(|s| s.seq)
-    }
+    use crate::Registry;
 
     #[test]
     fn ring_is_bounded_and_ordered() {
-        let _serial = test_lock();
-        let seqs: Vec<u64> = (0..10).map(|_| sample_now()).collect();
-        let hist = history();
-        assert!(hist.len() <= METRICS_CAPACITY);
-        let tail: Vec<u64> = hist[hist.len() - 10..].iter().map(|s| s.seq).collect();
-        assert_eq!(tail, seqs, "newest samples last, in order");
-        assert!(hist.windows(2).all(|w| w[0].seq < w[1].seq));
+        let registry = Registry::new();
+        let _adopted = registry.adopt();
+        let seqs: Vec<u64> = (0..METRICS_CAPACITY as u64 + 10)
+            .map(|_| sample_now())
+            .collect();
+        let hist = registry.metrics_history();
+        assert_eq!(hist.len(), METRICS_CAPACITY);
+        let kept: Vec<u64> = hist.iter().map(|s| s.seq).collect();
+        assert_eq!(kept, seqs[10..], "newest samples kept, in order");
         assert!(hist.windows(2).all(|w| w[0].elapsed_ms <= w[1].elapsed_ms));
     }
 
     #[test]
     fn samples_capture_live_counters() {
-        let _serial = test_lock();
+        let registry = Registry::new();
+        let _adopted = registry.adopt();
         crate::counter("metrics.test.c").add(3);
-        let first = sample_now();
+        sample_now();
         crate::counter("metrics.test.c").add(4);
-        let second = sample_now();
-        let value = |seq: u64| {
-            let hist = history();
-            let sample = hist.iter().find(|s| s.seq == seq).expect("sample retained");
-            sample.snapshot.counter("metrics.test.c").unwrap().value
-        };
-        assert_eq!(
-            value(second) - value(first),
-            4,
-            "consecutive samples expose the delta"
-        );
+        sample_now();
+        let values: Vec<u64> = registry
+            .metrics_history()
+            .iter()
+            .map(|s| s.snapshot.counter("metrics.test.c").unwrap().value)
+            .collect();
+        assert_eq!(values, [3, 7], "consecutive samples expose the delta");
     }
 
     #[test]
     fn sampler_thread_samples_and_stops() {
-        let _serial = test_lock();
-        let before = last_seq();
-        let handle = start_sampler(Duration::from_millis(5));
+        let registry = Registry::new();
+        let handle = {
+            let _adopted = registry.adopt();
+            start_sampler(Duration::from_millis(5))
+        };
         std::thread::sleep(Duration::from_millis(40));
         handle.stop();
-        let settled = last_seq();
-        assert!(settled > before, "sampler must have recorded samples");
+        let settled = registry.metrics_history().len();
+        assert!(settled > 0, "sampler must have recorded samples");
         std::thread::sleep(Duration::from_millis(30));
-        assert_eq!(last_seq(), settled, "no samples after stop");
+        let after = registry.metrics_history().len();
+        assert_eq!(after, settled, "no samples after stop");
     }
 }

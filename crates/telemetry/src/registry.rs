@@ -1,10 +1,13 @@
-//! Metric registries: named counters and histograms, plus where a fault
-//! dump goes. Each database owns one. A thread *adopts* a registry
+//! Registries: everything telemetry keeps for one database — named
+//! counters and histograms, where a fault dump goes, and the record logs
+//! (slow statements, metrics history, requests, sessions, regressions).
+//! Each database owns one. A thread *adopts* a registry
 //! ([`Registry::adopt`]) as it adopts a request meter: until the guard
-//! drops, the free functions ([`crate::counter`], [`crate::add`],
-//! [`crate::span`], [`crate::snapshot()`], ...) on that thread use it, and
-//! a thread that adopted none uses the process default. Code that hops
-//! threads captures [`current_registry`] and adopts it on the far side.
+//! drops, the free functions ([`crate::counter`], [`crate::span`],
+//! [`crate::sample_now`], [`crate::requests::record`], ...) on that
+//! thread use it, and a thread that adopted none uses the process
+//! default. Code that hops threads captures [`current_registry`] and
+//! adopts it on the far side. Readers name the registry they read.
 //!
 //! Lookups hash the metric name to one of 16 shards, each a
 //! `parking_lot::RwLock<HashMap>`, so unrelated instruments don't
@@ -13,17 +16,29 @@
 
 use std::cell::RefCell;
 use std::collections::hash_map::DefaultHasher;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::hash::{Hash, Hasher};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
+use std::time::Duration;
 
-use parking_lot::RwLock;
+use parking_lot::{Mutex, RwLock};
 
+use crate::metrics::{MetricsSample, METRICS_CAPACITY};
+use crate::regressions::{RegressionRecord, REGRESSIONS_CAPACITY};
+use crate::requests::{RequestKindSummary, RequestLog, RequestRecord, REQUESTS_CAPACITY};
+use crate::sessions::SessionRecord;
 use crate::snapshot::{CounterSnapshot, HistogramSnapshot, Snapshot};
+use crate::BoundedLog;
 
 const SHARDS: usize = 16;
+
+/// Default slow-query threshold: 50ms.
+const DEFAULT_SLOW_QUERY_NS: u64 = 50_000_000;
+
+/// Slow statements retained (oldest evicted first).
+const SLOW_QUERIES_CAPACITY: usize = 256;
 
 /// Number of log2 buckets: bucket 0 holds zeros, bucket `i` (1..=64)
 /// holds values with `i` significant bits, i.e. `[2^(i-1), 2^i)`.
@@ -132,19 +147,65 @@ impl Histogram {
     }
 }
 
-#[derive(Default)]
-struct Instruments {
+/// One retained slow statement, as exposed by `perfdmf_slow_queries`.
+#[derive(Debug, Clone, PartialEq)]
+pub struct SlowQueryRecord {
+    /// Monotonically increasing record number (survives eviction).
+    pub seq: u64,
+    /// The SQL text, truncated to 512 bytes.
+    pub sql: String,
+    /// Execution latency in nanoseconds (parse excluded).
+    pub elapsed_ns: u64,
+    /// SELECT rows handed to the caller.
+    pub rows_returned: u64,
+    /// Base-table rows materialized during execution.
+    pub rows_scanned: u64,
+    /// Rows touched when the statement was DML.
+    pub rows_affected: u64,
+    /// False when the statement returned an error.
+    pub ok: bool,
+    /// Causal trace the statement ran in, when tracing was on.
+    pub trace_id: Option<u64>,
+}
+
+pub(crate) struct Instruments {
     counters: [RwLock<HashMap<String, Counter>>; SHARDS],
     histograms: [RwLock<HashMap<String, Histogram>>; SHARDS],
     /// Where [`crate::trace::fault_dump`] writes; `None` disables dumps.
     fault_dump_path: RwLock<Option<PathBuf>>,
+    /// The slow-query threshold, nanoseconds.
+    slow_query_ns: AtomicU64,
+    slow_queries: Mutex<BoundedLog<SlowQueryRecord>>,
+    pub(crate) metrics_history: Mutex<BoundedLog<MetricsSample>>,
+    pub(crate) requests: Mutex<RequestLog>,
+    pub(crate) sessions: Mutex<BTreeMap<u64, SessionRecord>>,
+    pub(crate) regressions: Mutex<BoundedLog<RegressionRecord>>,
 }
 
-/// Sharded name → instrument maps and the fault-dump path. Clones share
-/// the instruments.
+impl Default for Instruments {
+    fn default() -> Self {
+        Instruments {
+            counters: Default::default(),
+            histograms: Default::default(),
+            fault_dump_path: Default::default(),
+            slow_query_ns: AtomicU64::new(DEFAULT_SLOW_QUERY_NS),
+            slow_queries: Mutex::new(BoundedLog::new(SLOW_QUERIES_CAPACITY)),
+            metrics_history: Mutex::new(BoundedLog::new(METRICS_CAPACITY)),
+            requests: Mutex::new(RequestLog {
+                ring: BoundedLog::new(REQUESTS_CAPACITY),
+                summary: BTreeMap::new(),
+            }),
+            sessions: Default::default(),
+            regressions: Mutex::new(BoundedLog::new(REGRESSIONS_CAPACITY)),
+        }
+    }
+}
+
+/// Sharded name → instrument maps, the fault-dump path and the record
+/// logs. Clones share them.
 #[derive(Clone, Default)]
 pub struct Registry {
-    inner: Arc<Instruments>,
+    pub(crate) inner: Arc<Instruments>,
 }
 
 impl std::fmt::Debug for Registry {
@@ -227,6 +288,61 @@ impl Registry {
                 })
                 .collect(),
         }
+    }
+
+    /// Retained slow statements, oldest first.
+    pub fn slow_queries(&self) -> Vec<SlowQueryRecord> {
+        self.inner.slow_queries.lock().to_vec()
+    }
+
+    /// Retain one slow statement, assigning its sequence number (returned).
+    pub fn push_slow_query(&self, record: SlowQueryRecord) -> u64 {
+        let mut log = self.inner.slow_queries.lock();
+        log.push(|seq| SlowQueryRecord { seq, ..record })
+    }
+
+    /// Statements at or above this duration enter the slow-query log.
+    pub fn slow_query_threshold(&self) -> Duration {
+        Duration::from_nanos(self.inner.slow_query_ns.load(Ordering::Relaxed))
+    }
+
+    /// Change this registry's slow-query threshold (default 50ms):
+    /// `Duration::ZERO` logs every statement, `Duration::MAX` none.
+    pub fn set_slow_query_threshold(&self, threshold: Duration) {
+        let ns = threshold.as_nanos().min(u64::MAX as u128) as u64;
+        self.inner.slow_query_ns.store(ns, Ordering::Relaxed);
+    }
+
+    /// Retained metrics-history samples, oldest first.
+    pub fn metrics_history(&self) -> Vec<MetricsSample> {
+        self.inner.metrics_history.lock().to_vec()
+    }
+
+    /// Retained network-request records, oldest first.
+    pub fn requests(&self) -> Vec<RequestRecord> {
+        self.inner.requests.lock().ring.to_vec()
+    }
+
+    /// Per-kind request aggregates, ordered by kind name. They cover
+    /// every request ever recorded, not just those still retained.
+    pub fn request_summary(&self) -> Vec<RequestKindSummary> {
+        self.inner
+            .requests
+            .lock()
+            .summary
+            .values()
+            .cloned()
+            .collect()
+    }
+
+    /// Retained network-session records, ordered by session id.
+    pub fn sessions(&self) -> Vec<SessionRecord> {
+        self.inner.sessions.lock().values().cloned().collect()
+    }
+
+    /// Retained regression findings, oldest first.
+    pub fn regressions(&self) -> Vec<RegressionRecord> {
+        self.inner.regressions.lock().to_vec()
     }
 
     /// Where a fault dump taken under this registry is written.

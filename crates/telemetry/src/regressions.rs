@@ -1,18 +1,17 @@
-//! The process-wide performance-regression log.
+//! The performance-regression log of a registry.
 //!
 //! Detection lives in `perfdmf-analysis` (the Chan–Welford baseline
 //! comparison) and in callers like the explorer's watchdog hook; this
-//! module only *retains* what they flag, in a [`BoundedLog`], so the
-//! findings are observable after the fact — `perfdmf-db` exposes the
-//! ring as the `perfdmf_regressions` virtual system table. Reporters
-//! count each finding in `analysis.regressions_flagged`.
+//! module only *retains* what they flag, in the current registry's
+//! bounded log, so the findings are observable after the fact:
+//! [`crate::Registry::regressions`] reads it back and `perfdmf-db`
+//! exposes it as the `perfdmf_regressions` virtual system table.
+//! Reporters count each finding in `analysis.regressions_flagged`.
 
-use parking_lot::Mutex;
+use crate::registry::with_current;
 
-use crate::BoundedLog;
-
-/// Findings retained by the ring (oldest evicted first).
-const LOG_CAPACITY: usize = 1024;
+/// Findings retained by each registry (oldest evicted first).
+pub(crate) const REGRESSIONS_CAPACITY: usize = 1024;
 
 /// One flagged deviation of a candidate measurement from its baseline.
 #[derive(Debug, Clone, PartialEq)]
@@ -40,26 +39,19 @@ pub struct RegressionRecord {
     pub zscore: Option<f64>,
 }
 
-static LOG: Mutex<BoundedLog<RegressionRecord>> = Mutex::new(BoundedLog::new(LOG_CAPACITY));
-
-/// Append a finding to the log, assigning its sequence number (returned).
+/// Append a finding to the current registry's log, assigning its
+/// sequence number (returned).
 pub fn report(record: RegressionRecord) -> u64 {
-    LOG.lock().push(|seq| RegressionRecord { seq, ..record })
-}
-
-/// Copy of the retained findings, oldest first.
-pub fn log() -> Vec<RegressionRecord> {
-    LOG.lock().to_vec()
-}
-
-/// Drop all retained findings (sequence numbers keep counting).
-pub fn clear() {
-    LOG.lock().clear();
+    with_current(|registry| {
+        let mut log = registry.inner.regressions.lock();
+        log.push(|seq| RegressionRecord { seq, ..record })
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Registry;
 
     fn record(event: &str) -> RegressionRecord {
         RegressionRecord {
@@ -78,15 +70,13 @@ mod tests {
 
     #[test]
     fn report_assigns_increasing_seqs() {
-        let a = report(record("a"));
-        let b = report(record("b"));
-        assert!(b > a);
-        let found: Vec<_> = log()
-            .into_iter()
-            .filter(|r| r.seq == a || r.seq == b)
-            .collect();
+        let registry = Registry::new();
+        let _adopted = registry.adopt();
+        assert_eq!(report(record("a")), 0);
+        assert_eq!(report(record("b")), 1);
+        let found = registry.regressions();
         assert_eq!(found.len(), 2);
-        assert_eq!(found[0].event, "a");
-        assert_eq!(found[1].event, "b");
+        assert_eq!((found[0].seq, found[0].event.as_str()), (0, "a"));
+        assert_eq!((found[1].seq, found[1].event.as_str()), (1, "b"));
     }
 }

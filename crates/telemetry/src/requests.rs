@@ -1,11 +1,13 @@
-//! The process-wide network-request log: a [`BoundedLog`] of recent
+//! The network-request log of a registry: a [`BoundedLog`] of recent
 //! requests with their [`ResourceUsage`], plus per-kind latency
 //! [`Moments`] and cost totals.
 //!
-//! `perfdmf-server` calls [`record`] once per answered request;
-//! `perfdmf-db` materializes the retained state as the
+//! `perfdmf-server` calls [`record`] once per answered request, on a
+//! thread that adopted the served database's registry.
+//! [`crate::Registry::requests`] and [`crate::Registry::request_summary`]
+//! read it back, and `perfdmf-db` materializes them as the
 //! `perfdmf_requests` and `perfdmf_request_summary` virtual system
-//! tables (the registry lives here, like [`crate::sessions`], because
+//! tables (the record types live here, like [`crate::sessions`], because
 //! the db layer cannot depend on the server crate without a cycle).
 //!
 //! A request at or over 100ms is flagged `slow` and counted in its
@@ -14,9 +16,8 @@
 
 use std::collections::BTreeMap;
 
-use parking_lot::Mutex;
-
 use crate::meter::ResourceUsage;
+use crate::registry::with_current;
 use crate::{BoundedLog, Moments};
 
 /// Request records retained by the ring.
@@ -56,7 +57,7 @@ pub struct RequestRecord {
 
 /// Aggregates for one request kind, as exposed by
 /// `perfdmf_request_summary`.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct RequestKindSummary {
     pub kind: &'static str,
     /// Requests that resolved as anything but `"ok"` or `"replayed"`.
@@ -72,33 +73,16 @@ pub struct RequestKindSummary {
     pub totals: ResourceUsage,
 }
 
-impl RequestKindSummary {
-    fn new(kind: &'static str) -> RequestKindSummary {
-        RequestKindSummary {
-            kind,
-            errors: 0,
-            slow: 0,
-            latency: Moments::default(),
-            max_latency_ns: 0,
-            totals: ResourceUsage::default(),
-        }
-    }
+/// A registry's retained requests and per-kind aggregates.
+pub(crate) struct RequestLog {
+    pub(crate) ring: BoundedLog<RequestRecord>,
+    pub(crate) summary: BTreeMap<&'static str, RequestKindSummary>,
 }
 
-struct Log {
-    ring: BoundedLog<RequestRecord>,
-    summary: BTreeMap<&'static str, RequestKindSummary>,
-}
-
-static LOG: Mutex<Log> = Mutex::new(Log {
-    ring: BoundedLog::new(REQUESTS_CAPACITY),
-    summary: BTreeMap::new(),
-});
-
-/// Record one completed request: assigns its sequence number, computes
-/// the `slow` flag, folds it into the per-kind summary and the ring, and
-/// — when slow — counts it in `server.slow_requests`.
-/// No-op while telemetry is disabled.
+/// Record one completed request into the current registry: assigns its
+/// sequence number, computes the `slow` flag, folds it into the per-kind
+/// summary and the ring, and — when slow — counts it in
+/// `server.slow_requests`. No-op while telemetry is disabled.
 pub fn record(mut record: RequestRecord) {
     if !crate::enabled() {
         return;
@@ -106,12 +90,15 @@ pub fn record(mut record: RequestRecord) {
     let slow = record.elapsed_ns >= SLOW_REQUEST_NS;
     record.slow = slow;
     let ok = matches!(record.status, "ok" | "replayed");
-    {
-        let mut log = LOG.lock();
+    with_current(|registry| {
+        let mut log = registry.inner.requests.lock();
         let entry = log
             .summary
             .entry(record.kind)
-            .or_insert_with(|| RequestKindSummary::new(record.kind));
+            .or_insert_with(|| RequestKindSummary {
+                kind: record.kind,
+                ..Default::default()
+            });
         entry.errors += u64::from(!ok);
         entry.slow += u64::from(slow);
         entry.latency.push(record.elapsed_ns as f64);
@@ -119,40 +106,16 @@ pub fn record(mut record: RequestRecord) {
         entry.totals = entry.totals.saturating_add(&record.usage);
 
         log.ring.push(|seq| RequestRecord { seq, ..record });
-    }
+    });
     if slow {
         crate::add("server.slow_requests", 1);
     }
 }
 
-/// Copy of the retained request records, oldest first.
-pub fn log() -> Vec<RequestRecord> {
-    LOG.lock().ring.to_vec()
-}
-
-/// Per-kind aggregates, ordered by kind name. Aggregates cover every
-/// request ever recorded, not just those still in the ring.
-pub fn summary() -> Vec<RequestKindSummary> {
-    LOG.lock().summary.values().cloned().collect()
-}
-
-/// Drop all retained records and aggregates (sequence numbers keep
-/// counting).
-pub fn clear() {
-    let mut log = LOG.lock();
-    log.ring.clear();
-    log.summary.clear();
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// Serializes the tests that mutate the shared request log.
-    fn test_lock() -> parking_lot::MutexGuard<'static, ()> {
-        static LOCK: Mutex<()> = Mutex::new(());
-        LOCK.lock()
-    }
+    use crate::Registry;
 
     fn sample(kind: &'static str, elapsed_ns: u64, status: &'static str) -> RequestRecord {
         RequestRecord {
@@ -175,56 +138,60 @@ mod tests {
 
     #[test]
     fn records_fold_into_ring_and_summary() {
-        let _serial = test_lock();
         let _on = crate::enabled_flag_lock().read();
-        clear();
-        let before = log().len();
+        let registry = Registry::new();
+        let _adopted = registry.adopt();
         record(sample("reqtest.Ping", 1_000, "ok"));
         record(sample("reqtest.Ping", 3_000, "ok"));
         record(sample("reqtest.Ping", 2_000, "error"));
-        assert_eq!(log().len(), before + 3);
-        let summary = summary()
-            .into_iter()
-            .find(|s| s.kind == "reqtest.Ping")
-            .expect("kind aggregated");
+        let seqs: Vec<u64> = registry.requests().iter().map(|r| r.seq).collect();
+        assert_eq!(seqs, [0, 1, 2]);
+        let summaries = registry.request_summary();
+        assert_eq!(summaries.len(), 1);
+        let summary = &summaries[0];
+        assert_eq!(summary.kind, "reqtest.Ping");
         assert_eq!(summary.errors, 1);
         assert_eq!(summary.latency.count, 3);
         assert!((summary.latency.mean - 2_000.0).abs() < 1e-6);
         assert_eq!(summary.max_latency_ns, 3_000);
         assert_eq!(summary.totals.rows_scanned, 30);
-        clear();
     }
 
     #[test]
     fn slow_requests_are_flagged_and_counted() {
-        let _serial = test_lock();
         let _on = crate::enabled_flag_lock().read();
-        clear();
+        let registry = Registry::new();
+        let _adopted = registry.adopt();
         record(sample("reqtest.Slow", 1_000, "ok"));
         record(sample("reqtest.Slow", SLOW_REQUEST_NS, "ok"));
-        let flags: Vec<(u64, bool)> = log()
+        let flags: Vec<(u64, bool)> = registry
+            .requests()
             .into_iter()
-            .filter(|r| r.kind == "reqtest.Slow")
             .map(|r| (r.elapsed_ns, r.slow))
             .collect();
         assert_eq!(flags, vec![(1_000, false), (SLOW_REQUEST_NS, true)]);
-        let summary = summary()
-            .into_iter()
-            .find(|s| s.kind == "reqtest.Slow")
-            .expect("kind aggregated");
+        let summary = &registry.request_summary()[0];
         assert_eq!(summary.slow, 1, "only the 100ms request counts as slow");
-        clear();
+        let counted = registry.counter("server.slow_requests").value();
+        assert_eq!(counted, 1);
     }
 
     #[test]
     fn ring_is_bounded() {
-        let _serial = test_lock();
         let _on = crate::enabled_flag_lock().read();
-        clear();
+        let registry = Registry::new();
+        let _adopted = registry.adopt();
         for i in 0..REQUESTS_CAPACITY + 10 {
             record(sample("reqtest.Bound", i as u64, "ok"));
         }
-        assert_eq!(log().len(), REQUESTS_CAPACITY);
-        clear();
+        let ring = registry.requests();
+        assert_eq!(ring.len(), REQUESTS_CAPACITY);
+        assert_eq!(ring[0].seq, 10, "the oldest ten were evicted");
+        let summarized = registry.request_summary()[0].latency.count;
+        assert_eq!(
+            summarized,
+            REQUESTS_CAPACITY as u64 + 10,
+            "outlives eviction"
+        );
     }
 }

@@ -1,28 +1,28 @@
-//! The process-wide network-session registry.
+//! The network-session log of a registry.
 //!
 //! The network front door (`perfdmf-server`) serves many short-lived
-//! client sessions; this module retains one record per session — live
-//! ones updated in place, closed ones kept until evicted — so the
-//! population is observable after the fact. `perfdmf-db` exposes the
-//! registry as the `perfdmf_sessions` virtual system table, mirroring
-//! how [`crate::regressions`] backs `perfdmf_regressions`.
+//! client sessions; this module retains one record per session in the
+//! served database's registry — live ones updated in place, closed ones
+//! kept until evicted — so the population is observable after the fact.
+//! [`crate::Registry::sessions`] reads it back, and `perfdmf-db` exposes
+//! it as the `perfdmf_sessions` virtual system table, mirroring how
+//! [`crate::regressions`] backs `perfdmf_regressions`.
 //!
-//! The registry lives here rather than in the server crate so the
+//! The record type lives here rather than in the server crate so the
 //! database layer (which cannot depend on the server without a cycle)
 //! can materialize it; any subsystem that models sessions may publish
 //! into it.
 
-use std::collections::BTreeMap;
-
-use parking_lot::Mutex;
+use crate::registry::with_current;
 
 /// Bound on retained session records.
 pub(crate) const SESSIONS_CAPACITY: usize = 1024;
 
 /// Lifecycle state of a session.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum SessionState {
     /// Handshake complete; the session is serving requests.
+    #[default]
     Active,
     /// The server is draining: the session answers in-flight work but
     /// accepts nothing new.
@@ -43,7 +43,7 @@ impl SessionState {
 }
 
 /// One network session, updated in place over its lifetime.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct SessionRecord {
     /// Server-assigned session id (unique per process).
     pub id: u64,
@@ -84,83 +84,65 @@ impl SessionRecord {
         SessionRecord {
             id,
             tenant: tenant.into(),
-            state: SessionState::Active,
-            requests: 0,
-            sheds: 0,
-            errors: 0,
-            replays: 0,
-            protocol_errors: 0,
-            last_seq: 0,
-            connected_ms: 0,
-            close_reason: None,
-            trace_id: None,
-            requests_inflight: 0,
-            authenticated: false,
+            ..Default::default()
         }
     }
 }
 
-static REGISTRY: Mutex<BTreeMap<u64, SessionRecord>> = Mutex::new(BTreeMap::new());
-
-/// Insert or update the record for `record.id`. When the registry is
-/// full, closed sessions are evicted oldest-id first; live sessions are
+/// Insert or update the record for `record.id` in the current
+/// registry. When the log is full, closed sessions are evicted oldest-id first; live sessions are
 /// never evicted to make room (the bound applies to the retained
 /// history, not to concurrency).
 pub fn upsert(record: SessionRecord) {
-    let mut sessions = REGISTRY.lock();
-    if !sessions.contains_key(&record.id) && sessions.len() >= SESSIONS_CAPACITY {
-        if let Some(oldest_closed) = sessions
-            .iter()
-            .find(|(_, r)| r.state == SessionState::Closed)
-            .map(|(&id, _)| id)
-        {
-            sessions.remove(&oldest_closed);
+    with_current(|registry| {
+        let mut sessions = registry.inner.sessions.lock();
+        if !sessions.contains_key(&record.id) && sessions.len() >= SESSIONS_CAPACITY {
+            if let Some(oldest_closed) = sessions
+                .iter()
+                .find(|(_, r)| r.state == SessionState::Closed)
+                .map(|(&id, _)| id)
+            {
+                sessions.remove(&oldest_closed);
+            }
         }
-    }
-    sessions.insert(record.id, record);
+        sessions.insert(record.id, record);
+    });
+}
+
+/// Run `f` on the current registry's record of session `id`, if retained.
+fn update(id: u64, f: impl FnOnce(&mut SessionRecord)) {
+    with_current(|registry| registry.inner.sessions.lock().get_mut(&id).map(f));
 }
 
 /// Mark a retained session as having one more request in flight,
 /// carrying `trace` (when the request was traced). In-place — no
 /// record clone — because it runs on every network request.
 pub fn note_request_started(id: u64, trace: Option<u64>) {
-    if let Some(r) = REGISTRY.lock().get_mut(&id) {
+    update(id, |r| {
         r.requests_inflight += 1;
         r.trace_id = trace;
-    }
+    });
 }
 
 /// Undo [`note_request_started`] once the request is answered.
 pub fn note_request_finished(id: u64) {
-    if let Some(r) = REGISTRY.lock().get_mut(&id) {
+    update(id, |r| {
         r.requests_inflight = r.requests_inflight.saturating_sub(1);
         if r.requests_inflight == 0 {
             r.trace_id = None;
         }
-    }
-}
-
-/// Copy of every retained session record, ordered by session id.
-pub fn log() -> Vec<SessionRecord> {
-    REGISTRY.lock().values().cloned().collect()
-}
-
-/// Drop all retained records (tests and process resets).
-pub fn clear() {
-    REGISTRY.lock().clear();
+    });
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// Both tests clear and refill the one process-wide registry.
-    static SERIAL: Mutex<()> = Mutex::new(());
+    use crate::Registry;
 
     #[test]
     fn upsert_updates_in_place_and_log_orders_by_id() {
-        let _serial = SERIAL.lock();
-        clear();
+        let registry = Registry::new();
+        let _adopted = registry.adopt();
         upsert(SessionRecord::new(2, "b"));
         upsert(SessionRecord::new(1, "a"));
         let mut r = SessionRecord::new(2, "b");
@@ -168,28 +150,30 @@ mod tests {
         r.state = SessionState::Closed;
         r.close_reason = Some("client goodbye".into());
         upsert(r);
-        let log = log();
-        let ours: Vec<_> = log.iter().filter(|r| r.id <= 2).collect();
-        assert_eq!(ours.len(), 2);
-        assert_eq!(ours[0].id, 1);
-        assert_eq!(ours[1].requests, 5);
-        assert_eq!(ours[1].state, SessionState::Closed);
-        clear();
+        note_request_started(1, Some(9));
+        let log = registry.sessions();
+        assert_eq!(log.len(), 2);
+        assert_eq!(log[0].id, 1);
+        assert_eq!((log[0].requests_inflight, log[0].trace_id), (1, Some(9)));
+        assert_eq!(log[1].requests, 5);
+        assert_eq!(log[1].state, SessionState::Closed);
     }
 
     #[test]
     fn closed_sessions_evict_before_live_ones() {
-        let _serial = SERIAL.lock();
-        clear();
-        // Fill well past any plausible capacity with closed sessions,
-        // then insert one live session: it must survive.
+        let registry = Registry::new();
+        let _adopted = registry.adopt();
+        // Fill the log with closed sessions, then insert one live
+        // session: it takes the oldest closed session's place.
         for id in 0..SESSIONS_CAPACITY as u64 {
             let mut r = SessionRecord::new(id, "old");
             r.state = SessionState::Closed;
             upsert(r);
         }
         upsert(SessionRecord::new(u64::MAX, "live"));
-        assert!(log().iter().any(|r| r.id == u64::MAX));
-        clear();
+        let log = registry.sessions();
+        assert_eq!(log.len(), SESSIONS_CAPACITY);
+        assert_eq!(log[0].id, 1, "the oldest closed session was evicted");
+        assert_eq!(log[SESSIONS_CAPACITY - 1].id, u64::MAX);
     }
 }

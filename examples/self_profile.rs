@@ -22,9 +22,6 @@ use std::time::Duration;
 
 fn main() {
     // --- 1. instrument an ordinary run ---
-    // Log any statement slower than 100µs (the default is 50ms).
-    perfdmf::db::set_slow_query_threshold(Duration::from_micros(100));
-
     let dir = std::env::temp_dir().join(format!("perfdmf_self_profile_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let run = Evh1Model::default_mix(7).generate(16);
@@ -35,6 +32,8 @@ fn main() {
     // the import's instruments there too.
     let registry = conn.telemetry();
     let _adopted = registry.adopt();
+    // Log any statement slower than 100µs (the default is 50ms).
+    registry.set_slow_query_threshold(Duration::from_micros(100));
     let profile = load_path(&dir).expect("import");
     let mut session = DatabaseSession::new(conn.clone()).expect("schema");
     let trial = session
