@@ -148,6 +148,13 @@ const CASES: &[Case] = &[
         "SELECT t.name, COUNT(*), SUM(m.v) FROM metric m JOIN trial t ON m.g = t.node_count \
          WHERE t.node_count = 4 GROUP BY t.name ORDER BY t.name",
     ),
+    (
+        "columnar_star_forced",
+        all_on,
+        ColumnarMode::Force,
+        "SELECT e.id, COUNT(*), SUM(t.time) FROM trial t JOIN experiment e ON t.experiment = e.id \
+         WHERE e.application = 1 GROUP BY e.id ORDER BY e.id",
+    ),
     // --- tail operators and rewrites ---
     (
         "limit_pushdown",
@@ -180,6 +187,15 @@ const CASES: &[Case] = &[
         ColumnarMode::Auto,
         "SELECT DISTINCT node_count FROM trial ORDER BY node_count",
     ),
+    (
+        "full_spine",
+        all_on,
+        ColumnarMode::Auto,
+        "SELECT DISTINCT a.name, COUNT(*), SUM(t.time) FROM trial t \
+         JOIN experiment e ON t.experiment = e.id JOIN application a ON e.application = a.id \
+         WHERE t.node_count >= 2 AND t.time < e.id * 60.0 GROUP BY a.name \
+         HAVING COUNT(*) > 0 ORDER BY a.name LIMIT 5 OFFSET 1",
+    ),
     // --- optimizer off: same queries, naive plans ---
     (
         "off_hash_join_pushdown",
@@ -199,6 +215,15 @@ const CASES: &[Case] = &[
         off,
         ColumnarMode::Auto,
         "SELECT name, node_count FROM trial ORDER BY node_count LIMIT 3",
+    ),
+    (
+        "off_full_spine",
+        off,
+        ColumnarMode::Auto,
+        "SELECT DISTINCT a.name, COUNT(*), SUM(t.time) FROM trial t \
+         JOIN experiment e ON t.experiment = e.id JOIN application a ON e.application = a.id \
+         WHERE t.node_count >= 2 AND t.time < e.id * 60.0 GROUP BY a.name \
+         HAVING COUNT(*) > 0 ORDER BY a.name LIMIT 5 OFFSET 1",
     ),
 ];
 
