@@ -399,8 +399,9 @@ fn matching_rows(
     params: &[Value],
 ) -> Result<Vec<(RowId, Row)>> {
     let pred = where_clause.map(|w| layout.bind(w)).transpose()?;
+    let conjuncts = where_clause.map(select::conjuncts).unwrap_or_default();
     let rows: Box<dyn Iterator<Item = (RowId, &Row)>> =
-        match select::index_candidates(t, &t.schema.name, layout, where_clause, params)? {
+        match select::index_candidates(t, &t.schema.name, layout, conjuncts, params)? {
             Some(choice) => Box::new(
                 choice
                     .ids

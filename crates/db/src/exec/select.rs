@@ -1,11 +1,11 @@
-//! SELECT execution over the logical-plan IR.
+//! SELECT execution over the plan IR.
 //!
 //! A SELECT no longer runs off ad-hoc heuristic branches: the statement
-//! is lowered to a [`LogicalPlan`] tree, rewritten by the rule-based
-//! optimizer, annotated with per-scan access decisions (`crate::plan`),
-//! and then *walked* here — [`run_planned`] decomposes the operator
-//! tail, [`exec_pipeline`] recurses over Filter/Join/Scan, and the
-//! EXPLAIN renderer prints the very same tree, so the reported plan
+//! is lowered to a [`Plan`], rewritten by the rule-based optimizer,
+//! annotated with per-scan access decisions (`crate::plan`), and then
+//! run here — [`exec_pipeline`] scans the base, joins each right side in
+//! turn and applies the residual filter, [`run_planned`] the tail — and
+//! the EXPLAIN renderer prints the very same plan, so the reported plan
 //! cannot drift from what executes.
 
 use super::aggregate::Accumulator;
@@ -21,9 +21,7 @@ use crate::database::Database;
 use crate::error::{DbError, Result};
 use crate::introspect;
 use crate::plan;
-use crate::plan::ir::{
-    pipeline_layout, pipeline_scans, Access, LogicalPlan, PlannedSelect, ScanNode,
-};
+use crate::plan::ir::{layout_of, Access, Columnar, Plan, PlannedSelect, ScanNode};
 use crate::sql::ast::*;
 use crate::table::{Row, RowId, Table};
 use crate::value::Value;
@@ -310,77 +308,6 @@ fn run_select<'a>(
     Ok((planned, out))
 }
 
-/// The operator tail of a plan, decomposed for direct execution. The
-/// lowering's canonical spine ordering makes this a straight-line
-/// pattern match.
-pub(crate) struct Tail<'p, 'a> {
-    limit: Option<u64>,
-    offset: Option<u64>,
-    has_limit: bool,
-    pub distinct: bool,
-    pub order_by: &'p [OrderItem],
-    pub projections: &'p [Projection],
-    /// `Some((group_by, having))` when an Aggregate node is present.
-    pub aggregate: Option<(&'p [Expr], Option<&'p Expr>)>,
-    /// The scan/join/filter pipeline below the tail.
-    pub pipeline: &'p LogicalPlan<'a>,
-}
-
-pub(crate) fn decompose<'p, 'a>(root: &'p LogicalPlan<'a>) -> Tail<'p, 'a> {
-    let mut node = root;
-    let (mut limit, mut offset, mut has_limit) = (None, None, false);
-    if let LogicalPlan::Limit {
-        input,
-        limit: l,
-        offset: o,
-    } = node
-    {
-        limit = *l;
-        offset = *o;
-        has_limit = true;
-        node = input;
-    }
-    let mut distinct = false;
-    if let LogicalPlan::Distinct { input } = node {
-        distinct = true;
-        node = input;
-    }
-    let mut order_by: &[OrderItem] = &[];
-    if let LogicalPlan::Sort { input, keys } = node {
-        order_by = keys;
-        node = input;
-    }
-    let mut projections: &[Projection] = &[];
-    if let LogicalPlan::Project {
-        input,
-        projections: p,
-    } = node
-    {
-        projections = p;
-        node = input;
-    }
-    let mut aggregate = None;
-    if let LogicalPlan::Aggregate {
-        input,
-        group_by,
-        having,
-    } = node
-    {
-        aggregate = Some((group_by.as_slice(), having.as_ref()));
-        node = input;
-    }
-    Tail {
-        limit,
-        offset,
-        has_limit,
-        distinct,
-        order_by,
-        projections,
-        aggregate,
-        pipeline: node,
-    }
-}
-
 /// OFFSET and LIMIT over the rows a SELECT hands its sink.
 struct Window<'w, 's> {
     skip: u64,
@@ -430,7 +357,7 @@ impl<'w, 's> Window<'w, 's> {
     }
 }
 
-/// Walk an optimized, access-annotated plan, handing its output rows to
+/// Run an optimized, access-annotated plan, handing its output rows to
 /// `sink`.
 fn run_planned(
     planned: &PlannedSelect<'_>,
@@ -438,15 +365,15 @@ fn run_planned(
     mut prof: Option<&mut ExecProfile>,
     sink: &mut Sink<'_>,
 ) -> Result<Streamed> {
-    let tail = decompose(&planned.root);
-    let mut window = Window::new(tail.offset, tail.limit, sink);
+    let plan = &planned.plan;
+    let mut window = Window::new(plan.offset, plan.limit, sink);
 
     // Columnar fast path: fused scan + filter + join + aggregate over the
     // fact table's column chunks. A `None` from the kernels (unsupported
     // chunk data) falls through to row execution below.
-    if let Some(cplan) = columnar_plan(tail.pipeline) {
-        if let Some(out) = exec_columnar(&tail, cplan, params, prof.as_deref_mut())? {
-            window.push_all(out.rows, tail.distinct, None);
+    if let Some(columnar) = &plan.columnar {
+        if let Some(out) = exec_columnar(plan, &columnar.plan, params, prof.as_deref_mut())? {
+            window.push_all(out.rows, plan.distinct, None);
             return Ok(Streamed {
                 columns: out.columns,
                 returned: window.returned,
@@ -456,27 +383,27 @@ fn run_planned(
         }
     }
 
-    let (layout, rows, rows_scanned) = exec_pipeline(tail.pipeline, params, prof.as_deref_mut())?;
+    let (layout, rows, rows_scanned) = exec_pipeline(plan, params, prof.as_deref_mut())?;
 
-    let columns = match tail.aggregate {
+    let columns = match &plan.aggregate {
         Some((group_by, having)) => {
             let _stage = telemetry::span("db.exec.aggregate");
             let out = aggregate_path(
-                tail.projections,
+                &plan.projections,
                 group_by,
-                having,
-                tail.order_by,
+                having.as_ref(),
+                &plan.order_by,
                 &layout,
                 &rows,
                 params,
                 prof.as_deref_mut(),
             )?;
-            window.push_all(out.rows, tail.distinct, prof);
+            window.push_all(out.rows, plan.distinct, prof);
             out.columns
         }
         None => {
             let _stage = telemetry::span("db.exec.project");
-            plain_path(&tail, &layout, &rows, params, prof, &mut window)?
+            plain_path(plan, &layout, &rows, params, prof, &mut window)?
         }
     };
     Ok(Streamed {
@@ -523,48 +450,26 @@ fn bind_all<'e>(exprs: impl IntoIterator<Item = &'e Expr>, layout: &Layout) -> R
 /// after scan + joins, before WHERE; or rows *examined* when a scan
 /// early-exits).
 fn exec_pipeline<'p>(
-    node: &'p LogicalPlan<'_>,
+    plan: &'p Plan<'_>,
     params: &[Value],
     mut prof: Option<&mut ExecProfile>,
 ) -> Result<(Layout, Tuples<'p>, u64)> {
-    match node {
+    let Some(base) = plan.scans.first() else {
         // A FROM-less SELECT reads one tuple of no bindings; its one
         // unused entry keeps the stride nonzero.
-        LogicalPlan::Empty => Ok((
-            Layout::default(),
-            Tuples {
-                stride: 1,
-                refs: vec![None],
-            },
-            0,
-        )),
-        LogicalPlan::Scan(scan) => exec_scan(scan, params, prof),
-        LogicalPlan::Join {
-            left,
-            right,
-            kind,
-            on,
-        } => {
-            let (left_layout, left_rows, _) = exec_pipeline(left, params, prof.as_deref_mut())?;
-            exec_join(
-                left_layout,
-                left_rows,
-                right,
-                *kind,
-                on.as_ref(),
-                params,
-                prof,
-            )
-        }
-        LogicalPlan::Filter { input, predicate } => {
-            let (layout, rows, scanned) = exec_pipeline(input, params, prof.as_deref_mut())?;
-            let rows = exec_filter(&layout, rows, predicate, params, prof)?;
-            Ok((layout, rows, scanned))
-        }
-        _ => Err(DbError::Unsupported(
-            "tail operator in scan pipeline".into(),
-        )),
+        let refs = vec![None];
+        return Ok((Layout::default(), Tuples { stride: 1, refs }, 0));
+    };
+    let (mut layout, mut rows, mut scanned) = exec_scan(base, params, prof.as_deref_mut())?;
+    for (right, (kind, on)) in plan.scans[1..].iter().zip(&plan.joins) {
+        let on = on.as_ref();
+        (layout, rows, scanned) =
+            exec_join(layout, rows, right, *kind, on, params, prof.as_deref_mut())?;
     }
+    if let Some(predicate) = &plan.filter {
+        rows = exec_filter(&layout, rows, predicate, params, prof)?;
+    }
+    Ok((layout, rows, scanned))
 }
 
 /// Read one scan according to its access decision.
@@ -581,9 +486,9 @@ fn exec_scan<'p>(
 
     // Candidate ids, when the access method prescribes an order other
     // than ascending row id.
-    let ids: Option<Vec<RowId>> = match &scan.access {
+    let ids: Option<Cow<'p, [RowId]>> = match &scan.access {
         Access::Seq | Access::Probe { .. } => None,
-        Access::Index(choice) => Some(choice.ids.clone()),
+        Access::Index(choice) => Some(Cow::Borrowed(&choice.ids)),
         Access::IndexOrder { column, .. } => {
             let (_, col) = layout1.resolve(None, column)?;
             let Some(ix) = table.index_on(col) else {
@@ -601,18 +506,8 @@ fn exec_scan<'p>(
                 .map(|(id, _)| id)
                 .collect();
             ids.extend(ix.scan_asc());
-            Some(ids)
+            Some(Cow::Owned(ids))
         }
-        // Runtime fallback from a declined columnar plan: make the index
-        // decision the row path would have made.
-        Access::Columnar { .. } => index_candidates(
-            table,
-            &scan.binding,
-            &layout1,
-            scan.index_filter.as_ref(),
-            params,
-        )?
-        .map(|c| c.ids),
     };
 
     // The candidate rows, pushed conjuncts tested row by row. With LIMIT
@@ -827,27 +722,17 @@ fn exec_filter<'p>(
     Ok(rows)
 }
 
-/// The columnar plan the cost pass put on one of the pipeline's scans.
-fn columnar_plan<'p>(pipeline: &'p LogicalPlan<'_>) -> Option<&'p vector::ColumnarPlan> {
-    pipeline_scans(pipeline)
-        .into_iter()
-        .find_map(|s| match &s.access {
-            Access::Columnar { plan, .. } => Some(&**plan),
-            _ => None,
-        })
-}
-
 /// Execute a decided columnar plan over the fact scan at layout
 /// position `cplan.fact`. Returns `Ok(None)` when a chunk exposed column
 /// data the kernels cannot handle — the caller falls back to row
 /// execution.
 fn exec_columnar(
-    tail: &Tail<'_, '_>,
+    plan: &Plan<'_>,
     cplan: &vector::ColumnarPlan,
     params: &[Value],
     mut prof: Option<&mut ExecProfile>,
 ) -> Result<Option<ResultSet>> {
-    let scans = pipeline_scans(tail.pipeline);
+    let scans = &plan.scans;
     let fact: &Table = &scans[cplan.fact].source;
     let t0 = prof.is_some().then(Instant::now);
     let (groups, stats) = {
@@ -863,9 +748,14 @@ fn exec_columnar(
     let scan_ns = stage_ns(t0);
     let agg_t0 = prof.is_some().then(Instant::now);
 
-    let layout = pipeline_layout(tail.pipeline);
-    let (group_by, having) = tail.aggregate.unwrap_or_default();
-    let bound = BoundAggregate::bind(tail.projections, group_by, having, tail.order_by, &layout)?;
+    let (group_by, having) = plan.aggregate.as_ref().expect("a columnar plan aggregates");
+    let bound = BoundAggregate::bind(
+        &plan.projections,
+        group_by,
+        having.as_ref(),
+        &plan.order_by,
+        &plan.layout(),
+    )?;
     let aggs = bound.aggs();
     debug_assert_eq!(aggs.len(), cplan.aggs.len());
     // Each group is represented by the joined tuple of its first fact
@@ -905,7 +795,7 @@ fn exec_columnar(
         &aggs,
         groups,
         scans.len(),
-        tail.order_by,
+        &plan.order_by,
         params,
         agg_t0,
         prof,
@@ -922,8 +812,8 @@ fn exec_columnar(
 
 /// Describe the plan the executor would use for a SELECT (`EXPLAIN`).
 ///
-/// The description is rendered from the very plan tree the executor
-/// walks — same lowering, same rewrite rules, same access decisions —
+/// The description is rendered from the very plan the executor runs —
+/// same lowering, same rewrite rules, same access decisions —
 /// so it cannot drift from reality. Subqueries are not run, so this
 /// plans the unresolved statement. Fired rewrite rules are appended as
 /// `optimizer:` trail lines.
@@ -972,46 +862,25 @@ fn render_plan(
     params: &[Value],
     prof: Option<&ExecProfile>,
 ) -> Vec<String> {
-    let tail = decompose(&planned.root);
-    let mut lines = Vec::new();
-    // Strip an optional Filter to reach the join chain / base scan.
-    let (filter_present, mut node) = match tail.pipeline {
-        LogicalPlan::Filter { input, .. } => (true, &**input),
-        n => (false, n),
-    };
-    // Flatten the left-deep join chain, outermost last.
-    let mut joins: Vec<(&ScanNode<'_>, JoinKind, Option<&Expr>)> = Vec::new();
-    while let LogicalPlan::Join {
-        left,
-        right,
-        kind,
-        on,
-    } = node
-    {
-        joins.push((right, *kind, on.as_ref()));
-        node = left;
-    }
-    joins.reverse();
-    let LogicalPlan::Scan(base) = node else {
+    let plan = &planned.plan;
+    if plan.scans.is_empty() {
         let note = prof.map(|_| "actual rows=1".to_string());
         return vec![noted("result: constant row (no FROM)".to_string(), note)];
-    };
-
-    let cplan = columnar_plan(tail.pipeline);
-    match cplan.filter(|c| !c.dims.is_empty()) {
-        Some(cplan) => lines.extend(star_lines(tail.pipeline, cplan, prof)),
-        None => lines.extend(join_lines(base, &joins, params, prof)),
     }
+    let mut lines = match &plan.columnar {
+        Some(c) if !c.plan.dims.is_empty() => star_lines(plan, c, prof),
+        columnar => join_lines(plan, columnar.as_ref(), params, prof),
+    };
 
     // A columnar scan fuses the WHERE predicates into the scan itself, so
     // there is no separate filter operator to report.
-    if filter_present && cplan.is_none() {
+    if plan.filter.is_some() && plan.columnar.is_none() {
         let note = prof
             .and_then(|p| p.filter)
             .map(|(rows_in, rows_out, ns)| measured(format!("rows={rows_out} of {rows_in}"), ns));
         lines.push(noted("filter: WHERE".to_string(), note));
     }
-    if let Some((group_by, having)) = tail.aggregate {
+    if let Some((group_by, having)) = &plan.aggregate {
         let note = prof
             .and_then(|p| p.aggregate)
             .map(|(groups, ns)| measured(format!("groups={groups}"), ns));
@@ -1022,19 +891,19 @@ fn render_plan(
         );
         lines.push(noted(line, note));
     }
-    if tail.distinct {
+    if plan.distinct {
         let note = prof
             .and_then(|p| p.distinct)
             .map(|(rows_in, rows_out)| format!("actual rows={rows_out} of {rows_in}"));
         lines.push(noted("distinct".to_string(), note));
     }
-    if !tail.order_by.is_empty() {
+    if !plan.order_by.is_empty() {
         let note = prof.map(|p| fmt_ns(p.sort_ns));
-        lines.push(noted(format!("sort: {} key(s)", tail.order_by.len()), note));
+        lines.push(noted(format!("sort: {} key(s)", plan.order_by.len()), note));
     }
-    if tail.has_limit {
+    if plan.limit.is_some() || plan.offset.is_some() {
         let note = prof.map(|p| format!("actual rows={}", p.returned));
-        let line = format!("limit {:?} offset {:?}", tail.limit, tail.offset);
+        let line = format!("limit {:?} offset {:?}", plan.limit, plan.offset);
         lines.push(noted(line, note));
     }
     if planned.optimizer_off {
@@ -1047,10 +916,11 @@ fn render_plan(
     lines
 }
 
-/// The base scan and join lines of a row-path plan, base first.
+/// The base scan and join lines of a row-path plan (or of a columnar
+/// single-table aggregate, whose fact is the base), base first.
 fn join_lines(
-    base: &ScanNode<'_>,
-    joins: &[(&ScanNode<'_>, JoinKind, Option<&Expr>)],
+    plan: &Plan<'_>,
+    columnar: Option<&Columnar>,
     params: &[Value],
     prof: Option<&ExecProfile>,
 ) -> Vec<String> {
@@ -1065,8 +935,9 @@ fn join_lines(
             .count();
         format!("({n} typed)")
     };
-    let mut lines = vec![scan_line(base, prof)];
-    if !joins.is_empty() && !base.pushed.is_empty() {
+    let base = &plan.scans[0];
+    let mut lines = vec![scan_line(base, columnar, prof)];
+    if !plan.joins.is_empty() && !base.pushed.is_empty() {
         lines.push(format!(
             "  pushdown: {} base-only conjunct(s) {}",
             base.pushed.len(),
@@ -1074,10 +945,7 @@ fn join_lines(
         ));
     }
 
-    let mut bindings: Vec<(String, Vec<String>)> =
-        vec![(base.binding.clone(), base.columns.clone())];
-    for (i, (right, kind, on)) in joins.iter().enumerate() {
-        let left_layout = Layout::new(bindings.clone());
+    for (i, (right, (kind, on))) in plan.scans[1..].iter().zip(&plan.joins).enumerate() {
         let k = match kind {
             JoinKind::Left => "left",
             _ => "inner",
@@ -1102,7 +970,10 @@ fn join_lines(
                      ({rows} row(s), {keys} distinct key(s))"
                 )
             }
-            _ => match on.and_then(|on| equi_offsets(on, &left_layout, right)) {
+            _ => match on
+                .as_ref()
+                .and_then(|on| equi_offsets(on, &layout_of(&plan.scans[..=i]), right))
+            {
                 Some(_) => format!("{k} hash join with {table} ({rows} row(s))"),
                 None => format!("{k} nested-loop join with {table} ({rows} row(s))"),
             },
@@ -1121,7 +992,6 @@ fn join_lines(
                 typed(right)
             ));
         }
-        bindings.push((right.binding.clone(), right.columns.clone()));
     }
 
     lines
@@ -1129,16 +999,11 @@ fn join_lines(
 
 /// The lines of a columnar star join: the fact scan, then one key-set
 /// line per dimension, in layout order.
-fn star_lines(
-    pipeline: &LogicalPlan<'_>,
-    cplan: &vector::ColumnarPlan,
-    prof: Option<&ExecProfile>,
-) -> Vec<String> {
-    let scans = pipeline_scans(pipeline);
-    let fact = scans[cplan.fact];
-    let mut lines = vec![scan_line(fact, prof)];
-    for d in &cplan.dims {
-        let dim = scans[d.binding];
+fn star_lines(plan: &Plan<'_>, columnar: &Columnar, prof: Option<&ExecProfile>) -> Vec<String> {
+    let fact = &plan.scans[columnar.plan.fact];
+    let mut lines = vec![scan_line(fact, Some(columnar), prof)];
+    for d in &columnar.plan.dims {
+        let dim = &plan.scans[d.binding];
         let line = format!(
             "key-set join with {} on {}.{} ({} row(s), {} key(s))",
             dim.table_name,
@@ -1160,7 +1025,13 @@ fn star_lines(
     lines
 }
 
-fn scan_line(scan: &ScanNode<'_>, prof: Option<&ExecProfile>) -> String {
+/// The line of one scan; `columnar` when it is the fact of the plan's
+/// columnar aggregate.
+fn scan_line(
+    scan: &ScanNode<'_>,
+    columnar: Option<&Columnar>,
+    prof: Option<&ExecProfile>,
+) -> String {
     let table: &Table = &scan.source;
     let mut line = if scan.source.is_virtual() {
         // System tables have no indexes or chunk caches; the executor
@@ -1170,49 +1041,51 @@ fn scan_line(scan: &ScanNode<'_>, prof: Option<&ExecProfile>) -> String {
             scan.table_name,
             table.len()
         )
+    } else if let Some(Columnar { plan, reason }) = columnar {
+        // A star join names its grouping and key-set tests; a
+        // single-table aggregate keeps the plain line.
+        let (kind, groups) = match plan.group.map(|g| &plan.dims[g]) {
+            _ if plan.dims.is_empty() => ("columnar scan", String::new()),
+            None => ("columnar star scan", String::new()),
+            Some(d) => (
+                "columnar star scan",
+                format!(
+                    ", {} group slot(s) by {} ({})",
+                    d.keys.len(),
+                    scan.columns[d.fk],
+                    if d.keys.is_dense() {
+                        "dense key offsets"
+                    } else {
+                        "sorted keys"
+                    }
+                ),
+            ),
+        };
+        format!(
+            "{kind} on {} ({} live row(s), {} chunk(s) of {}, {} kernel(s), {} fused predicate(s){groups}; {})",
+            scan.table_name,
+            table.len(),
+            plan.chunk_count(table),
+            CHUNK_ROWS,
+            plan.aggs.len(),
+            plan.pred_count(),
+            reason
+        )
     } else {
         match &scan.access {
-            Access::Columnar { plan, reason } => {
-                // A star join names its grouping and key-set tests; a
-                // single-table aggregate keeps the plain line.
-                let (kind, groups) = match plan.group.map(|g| &plan.dims[g]) {
-                    _ if plan.dims.is_empty() => ("columnar scan", String::new()),
-                    None => ("columnar star scan", String::new()),
-                    Some(d) => (
-                        "columnar star scan",
-                        format!(
-                            ", {} group slot(s) by {} ({})",
-                            d.keys.len(),
-                            scan.columns[d.fk],
-                            if d.keys.is_dense() {
-                                "dense key offsets"
-                            } else {
-                                "sorted keys"
-                            }
-                        ),
-                    ),
-                };
-                format!(
-                    "{kind} on {} ({} live row(s), {} chunk(s) of {}, {} kernel(s), {} fused predicate(s){groups}; {})",
-                    scan.table_name,
-                    table.len(),
-                    plan.chunk_count(table),
-                    CHUNK_ROWS,
-                    plan.aggs.len(),
-                    plan.pred_count(),
-                    reason
-                )
-            }
             Access::Index(choice) => {
+                // The index statistics are read here, under the same read
+                // lock the plan was made under.
+                let ix = table.indexes().find(|ix| ix.name == choice.index_name);
                 let mut l = format!(
                     "index scan on {} ({} candidate row(s) of {}) via {}, {} distinct key(s)",
                     scan.table_name,
                     choice.ids.len(),
                     table.len(),
                     choice.index_name,
-                    choice.distinct_keys
+                    ix.map_or(0, |ix| ix.distinct_keys())
                 );
-                if let Some((lo, hi)) = &choice.key_range {
+                if let Some((lo, hi)) = ix.and_then(|ix| Some((ix.min_key()?, ix.max_key()?))) {
                     l.push_str(&format!(", key range [{lo}, {hi}]"));
                 }
                 l
@@ -1230,7 +1103,7 @@ fn scan_line(scan: &ScanNode<'_>, prof: Option<&ExecProfile>) -> String {
             }
         }
     };
-    let columnar = matches!(scan.access, Access::Columnar { .. });
+    let columnar = columnar.is_some();
     if let Some(take) = scan.stop_after {
         if !columnar {
             line.push_str(&format!(" [early exit after {take} match(es)]"));
@@ -1333,49 +1206,28 @@ pub(crate) fn conjuncts(expr: &Expr) -> Vec<&Expr> {
     }
 }
 
-/// An index-restricted scan: the candidate row ids plus the statistics
-/// of the index that produced them (surfaced by EXPLAIN and consulted by
-/// the columnar-vs-index decision).
+/// An index-restricted scan: the candidate row ids and the index that
+/// produced them (EXPLAIN reads its statistics when it renders).
 #[derive(Debug)]
 pub(crate) struct IndexChoice {
     /// Candidate row ids, in index key order.
     pub ids: Vec<RowId>,
     /// Name of the consulted index.
     pub index_name: String,
-    /// Distinct non-NULL keys in the index (cardinality statistic).
-    pub distinct_keys: usize,
-    /// Smallest and largest indexed key, when the index is non-empty.
-    pub key_range: Option<(Value, Value)>,
 }
 
-impl IndexChoice {
-    fn new(ix: &crate::index::Index, ids: Vec<RowId>) -> Self {
-        IndexChoice {
-            ids,
-            index_name: ix.name.clone(),
-            distinct_keys: ix.distinct_keys(),
-            key_range: match (ix.min_key(), ix.max_key()) {
-                (Some(lo), Some(hi)) => Some((lo, hi)),
-                _ => None,
-            },
-        }
-    }
-}
-
-/// If the WHERE clause has an indexable conjunct on the base table, return
-/// the candidate row ids; `None` means full scan. Also used by the
-/// UPDATE/DELETE executors to avoid full-table target scans.
-pub(crate) fn index_candidates(
+/// The candidate row ids of the first of `conjuncts` that an index on the
+/// table serves; `None` means full scan. Callers pass a WHERE clause's
+/// conjuncts (a base scan, an UPDATE/DELETE target) or a scan's pushed
+/// ones (join reordering).
+pub(crate) fn index_candidates<'e>(
     table: &Table,
     binding: &str,
     layout1: &Layout,
-    where_clause: Option<&Expr>,
+    conjuncts: impl IntoIterator<Item = &'e Expr>,
     params: &[Value],
 ) -> Result<Option<IndexChoice>> {
-    let Some(pred) = where_clause else {
-        return Ok(None);
-    };
-    Ok(conjuncts(pred).into_iter().find_map(|c| {
+    Ok(conjuncts.into_iter().find_map(|c| {
         let test = column_test(c, binding, layout1, params)?;
         index_choice(table, &test)
     }))
@@ -1416,7 +1268,10 @@ pub(crate) fn index_choice(table: &Table, test: &ColumnTest) -> Option<IndexChoi
         }
         _ => return None,
     };
-    Some(IndexChoice::new(ix, ids))
+    Some(IndexChoice {
+        ids,
+        index_name: ix.name.clone(),
+    })
 }
 
 // ---------------- projection ----------------
@@ -1471,14 +1326,14 @@ fn column_run(exprs: &[Expr]) -> Option<(usize, usize)> {
 }
 
 fn plain_path(
-    tail: &Tail<'_, '_>,
+    plan: &Plan<'_>,
     layout: &Layout,
     rows: &Tuples<'_>,
     params: &[Value],
     mut prof: Option<&mut ExecProfile>,
     out: &mut Window<'_, '_>,
 ) -> Result<Vec<String>> {
-    let projections = expand_projections(tail.projections, layout)?;
+    let projections = expand_projections(&plan.projections, layout)?;
     let columns: Vec<String> = projections.iter().map(|(n, _)| n.clone()).collect();
     let exprs = bind_all(projections.iter().map(|(_, e)| e), layout)?;
 
@@ -1487,7 +1342,7 @@ fn plain_path(
     // binding is lent from its base row, any other projection (or a
     // LEFT-join miss) fills one reused buffer. Otherwise the rows are
     // collected first.
-    let stream = tail.order_by.is_empty() && !tail.distinct;
+    let stream = plan.order_by.is_empty() && !plan.distinct;
     let run = column_run(&exprs).filter(|_| stream);
     let mut out_rows = Vec::new();
     let mut buf = Vec::new();
@@ -1521,7 +1376,7 @@ fn plain_path(
 
     // ORDER BY sees the source row as well as the projected one, so sort
     // keys can use any source column.
-    let order_by = tail.order_by;
+    let order_by = &plan.order_by;
     if !order_by.is_empty() {
         let keys = bind_order_keys(order_by, &projections, layout)?;
         let _stage = telemetry::span("db.exec.sort");
@@ -1543,7 +1398,7 @@ fn plain_path(
             p.sort_ns = stage_ns(t0);
         }
     }
-    out.push_all(out_rows, tail.distinct, prof);
+    out.push_all(out_rows, plan.distinct, prof);
     Ok(columns)
 }
 

@@ -1,7 +1,8 @@
 //! Physical access selection: decide per [`ScanNode`] how its rows are
-//! read — columnar kernels, index candidates, index-order, or a
-//! sequential scan for the base; an index probe or a full read for each
-//! join right side — using table and index statistics.
+//! read — index candidates, index-order, or a sequential scan for the
+//! base; an index probe or a full read for each join right side — and
+//! whether the aggregate runs on column chunks instead (the plan's
+//! `columnar` field), using table and index statistics.
 //!
 //! This is a *cost* decision, not a rewrite: it runs with the optimizer
 //! off too (matching the pre-IR engine, where index and columnar
@@ -9,10 +10,7 @@
 //! and it never changes what rows the plan produces, only how they are
 //! found.
 
-use super::ir::{
-    base_scan_mut, pipeline_layout, pipeline_mut, pipeline_scans, pipeline_scans_mut, Access,
-    LogicalPlan, ScanNode,
-};
+use super::ir::{layout_of, Access, Columnar, Plan, ScanNode};
 use crate::column::CHUNK_ROWS;
 use crate::error::Result;
 use crate::exec::eval::Layout;
@@ -20,8 +18,7 @@ use crate::exec::predicate::{
     column_test, compile_pushed, pushed_match, ColumnTest, Conjunct, TestKind,
 };
 use crate::exec::select::{
-    conjuncts, decompose, equi_offsets, index_candidates, index_choice, refs_only_layout,
-    BoundAggregate,
+    conjuncts, equi_offsets, index_candidates, index_choice, refs_only_layout, BoundAggregate,
 };
 use crate::exec::vector;
 use crate::sql::ast::{BinaryOp, Expr, JoinKind};
@@ -36,87 +33,72 @@ use std::time::Instant;
 /// hashing the whole right table.
 const SELECTIVE: usize = 4;
 
-/// Annotate every scan in the plan with its access decision.
+/// Annotate every scan in the plan with its access decision, and decide
+/// whether the aggregate runs columnar.
 pub(crate) fn decide_access(
-    root: &mut LogicalPlan<'_>,
+    plan: &mut Plan<'_>,
     params: &[Value],
     had_subqueries: bool,
 ) -> Result<()> {
-    if let Some(scan) = base_scan_mut(root) {
+    if let Some(scan) = plan.scans.first_mut() {
         // Sort-elision may have preset an index-order scan; per-statement
         // virtual materializations have no indexes.
         if matches!(scan.access, Access::Seq) && !scan.source.is_virtual() {
+            let where_conjuncts = scan.index_filter.as_ref().map(conjuncts);
             let choice = index_candidates(
                 &scan.source,
                 &scan.binding,
                 &scan.layout1(),
-                scan.index_filter.as_ref(),
+                where_conjuncts.unwrap_or_default(),
                 params,
             )?;
             if let Some(choice) = choice {
                 scan.access = Access::Index(choice);
             }
         }
-        decide_joins(pipeline_mut(root));
+        decide_joins(plan);
     }
-    // The columnar path replaces the fact scan's row access; the other
-    // decisions stay for the row path a declined chunk falls back to.
-    if let Some((fact, plan, reason)) = columnar_choice(root, params, had_subqueries)? {
-        if let Some(scan) = pipeline_scans_mut(pipeline_mut(root)).into_iter().nth(fact) {
-            scan.access = Access::Columnar {
-                plan: Box::new(plan),
-                reason,
-            };
-        }
-    }
+    plan.columnar = columnar_choice(plan, params, had_subqueries)?;
     Ok(())
 }
 
-/// Pick each join's right-side access, left to right. Returns the
-/// pipeline's estimated rows: the base contributes its index candidate
-/// count (exact) or its live rows, and each join multiplies by the
-/// fan-out of the right side's index on the join column (live entries
-/// per distinct key; 1 without such an index).
-fn decide_joins(node: &mut LogicalPlan<'_>) -> usize {
-    match node {
-        LogicalPlan::Scan(scan) => match &scan.access {
-            Access::Index(choice) => choice.ids.len(),
-            _ => scan.source.len(),
-        },
-        LogicalPlan::Filter { input, .. } => decide_joins(input),
-        LogicalPlan::Join {
-            left,
-            right,
-            kind,
-            on,
-        } => {
-            let left_rows = decide_joins(left);
-            let equi = match (*kind, on) {
-                (JoinKind::Inner | JoinKind::Left, Some(on)) => {
-                    equi_offsets(on, &pipeline_layout(left), right)
-                }
-                _ => None,
-            };
-            let mut rows = left_rows;
-            if let Some((left_slot, right_col)) = equi {
-                if let Some(ix) = right.source.index_on(right_col) {
-                    rows = left_rows.saturating_mul(ix.len()) / ix.distinct_keys().max(1);
-                    if left_rows.saturating_mul(SELECTIVE) <= right.source.len() {
-                        right.access = Access::Probe {
-                            index_name: ix.name.clone(),
-                            left_slot,
-                            right_col,
-                        };
-                    }
-                }
+/// Pick each join's right-side access, left to right. The left side's
+/// estimated rows start at the base's index candidate count (exact) or
+/// its live rows, and each join multiplies them by the fan-out of the
+/// right side's index on the join column (live entries per distinct
+/// key; 1 without such an index).
+fn decide_joins(plan: &mut Plan<'_>) {
+    let mut left_rows = match &plan.scans[0].access {
+        Access::Index(choice) => choice.ids.len(),
+        _ => plan.scans[0].source.len(),
+    };
+    for (i, (kind, on)) in plan.joins.iter().enumerate() {
+        let (left, right) = plan.scans.split_at_mut(i + 1);
+        let right = &mut right[0];
+        let equi = match (*kind, on) {
+            (JoinKind::Inner | JoinKind::Left, Some(on)) => {
+                equi_offsets(on, &layout_of(left), right)
             }
-            match *kind {
-                JoinKind::Left => rows.max(left_rows),
-                JoinKind::Cross => left_rows.saturating_mul(right.source.len()),
-                JoinKind::Inner => rows,
+            _ => None,
+        };
+        let mut rows = left_rows;
+        if let Some((left_slot, right_col)) = equi {
+            if let Some(ix) = right.source.index_on(right_col) {
+                rows = left_rows.saturating_mul(ix.len()) / ix.distinct_keys().max(1);
+                if left_rows.saturating_mul(SELECTIVE) <= right.source.len() {
+                    right.access = Access::Probe {
+                        index_name: ix.name.clone(),
+                        left_slot,
+                        right_col,
+                    };
+                }
             }
         }
-        _ => 0,
+        left_rows = match *kind {
+            JoinKind::Left => rows.max(left_rows),
+            JoinKind::Cross => left_rows.saturating_mul(right.source.len()),
+            JoinKind::Inner => rows,
+        };
     }
 }
 
@@ -137,41 +119,36 @@ fn decide_joins(node: &mut LogicalPlan<'_>) -> usize {
 /// when a fact index locates the candidates, there must be at least
 /// [`CHUNK_ROWS`] of them, filling at least half the slots of the chunks
 /// that hold them; without one, the fact must hold [`CHUNK_ROWS`] live
-/// rows. Returns the fact's layout position, the plan, and the reason
-/// EXPLAIN prints; `None` keeps row execution.
+/// rows. Returns the plan and the reason EXPLAIN prints; `None` keeps
+/// row execution.
 fn columnar_choice(
-    root: &LogicalPlan<'_>,
+    plan: &Plan<'_>,
     params: &[Value],
     had_subqueries: bool,
-) -> Result<Option<(usize, vector::ColumnarPlan, String)>> {
+) -> Result<Option<Columnar>> {
     // Subqueries resolve to literals before execution but EXPLAIN plans
     // them unresolved; decline in both so the paths agree.
     let mode = vector::columnar_mode();
     if had_subqueries || mode == vector::ColumnarMode::Off {
         return Ok(None);
     }
-    let tail = decompose(root);
-    let Some((group_by, having)) = tail.aggregate else {
+    let Some((group_by, having)) = &plan.aggregate else {
         return Ok(None);
     };
-    if tail.distinct {
+    if plan.distinct {
         return Ok(None);
     }
-    let (filter, core) = match tail.pipeline {
-        LogicalPlan::Filter { input, predicate } => (Some(predicate), &**input),
-        node => (None, node),
-    };
-    let scans = pipeline_scans(core);
+    let scans = &plan.scans;
     // Virtual tables are rematerialized per statement, so their chunk
     // caches would never pay off: always take the row path.
     if scans.is_empty() || scans.iter().any(|s| s.source.is_virtual()) {
         return Ok(None);
     }
-    let layout = pipeline_layout(core);
-    let Some((fact, dims)) = star(core, &scans, &layout) else {
+    let layout = plan.layout();
+    let Some((fact, dims)) = star(plan, &layout) else {
         return Ok(None);
     };
-    let fact_scan = scans[fact];
+    let fact_scan = &scans[fact];
     let live = fact_scan.source.len();
     if mode == vector::ColumnarMode::Auto && live < CHUNK_ROWS {
         return Ok(None); // small table: the row path is fine
@@ -179,9 +156,13 @@ fn columnar_choice(
 
     // The output, bound as the executor binds it, fixes the aggregate
     // calls and their order.
-    let Ok(bound) =
-        BoundAggregate::bind(tail.projections, group_by, having, tail.order_by, &layout)
-    else {
+    let Ok(bound) = BoundAggregate::bind(
+        &plan.projections,
+        group_by,
+        having.as_ref(),
+        &plan.order_by,
+        &layout,
+    ) else {
         return Ok(None); // let the row path report the binding error
     };
     if !bound.is_grouped_only() {
@@ -238,7 +219,7 @@ fn columnar_choice(
     // Sort the WHERE conjuncts (pushed into scans, or still in the
     // filter when the optimizer is off) by the one table each reads.
     let mut preds: Vec<Vec<&Expr>> = scans.iter().map(|s| s.pushed.iter().collect()).collect();
-    for c in filter.map(conjuncts).unwrap_or_default() {
+    for c in plan.filter.as_ref().map(conjuncts).unwrap_or_default() {
         if layout.bind(c).is_err() {
             return Ok(None); // ambiguous or unknown: the row path reports it
         }
@@ -264,7 +245,7 @@ fn columnar_choice(
     let mut dimensions = Vec::with_capacity(dims.len());
     let mut group_test = None;
     for (i, &(b, fk)) in dims.iter().enumerate() {
-        let Some((keys, read, ns)) = key_set(scans[b], &preds[b], params) else {
+        let Some((keys, read, ns)) = key_set(&scans[b], &preds[b], params) else {
             return Ok(None);
         };
         let test = ColumnTest {
@@ -308,7 +289,7 @@ fn columnar_choice(
     };
     let chunks = candidates.map(|(_, _, chunks)| chunks);
     let plan = vector::ColumnarPlan::new(aggs, col_preds, fact, dimensions, group, chunks);
-    Ok(Some((fact, plan, reason)))
+    Ok(Some(Columnar { plan, reason }))
 }
 
 /// Locate the candidate rows through the fact index that serves the
@@ -354,20 +335,16 @@ fn without(layout: &Layout, b: usize) -> Layout {
 /// dimension and `fk` an INTEGER fact column. Returns the fact's layout
 /// position and `(dimension position, fk column)` per dimension, in
 /// layout order. A lone scan is a star with no dimension.
-fn star(
-    core: &LogicalPlan<'_>,
-    scans: &[&ScanNode<'_>],
-    layout: &Layout,
-) -> Option<(usize, Vec<(usize, usize)>)> {
+fn star(plan: &Plan<'_>, layout: &Layout) -> Option<(usize, Vec<(usize, usize)>)> {
+    let scans = &plan.scans;
     // Each ON, bound against the bindings joined so far, as an equality
     // of two columns: ((binding, column), (binding, column)).
     let mut edges = Vec::new();
-    let mut node = core;
-    while let LogicalPlan::Join { left, kind, on, .. } = node {
+    for (i, (kind, on)) in plan.joins.iter().enumerate() {
         if *kind != JoinKind::Inner {
             return None;
         }
-        let prefix = Layout::new(layout.bindings()[..=pipeline_scans(left).len()].to_vec());
+        let prefix = Layout::new(layout.bindings()[..=i + 1].to_vec());
         let Expr::Binary {
             op: BinaryOp::Eq,
             left: a,
@@ -389,7 +366,6 @@ fn star(
             ) if ab != bb => edges.push(((ab, ac), (bb, bc))),
             _ => return None,
         }
-        node = left;
     }
     let int_col = |b: usize, c: usize| scans[b].source.schema.columns[c].ty == DataType::Integer;
     let is_pk = |b: usize, c: usize| int_col(b, c) && scans[b].source.schema.columns[c].primary_key;

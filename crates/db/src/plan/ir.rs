@@ -1,20 +1,20 @@
-//! The logical-plan IR: an explicit operator tree lowered from a parsed
-//! `SELECT`, rewritten by the rule-based optimizer ([`super::rules`]),
-//! annotated with a physical access decision per scan ([`super::cost`]),
-//! and finally walked by the executor and EXPLAIN renderer.
+//! The plan IR: a parsed `SELECT` lowered to one flat [`Plan`], rewritten
+//! by the rule-based optimizer ([`super::rules`]), annotated with a
+//! physical access decision per scan and an optional columnar plan
+//! ([`super::cost`]), and finally read by the executor and the EXPLAIN
+//! renderer.
 //!
-//! The tree is left-deep: the right side of every [`LogicalPlan::Join`]
-//! is a [`ScanNode`], mirroring the executor's accumulate-left join
-//! pipeline. Lowering produces the canonical operator order
+//! Lowering only ever produces one shape of operators,
 //!
 //! ```text
 //! Limit ( Distinct ( Sort ( Project ( [Aggregate] ( [Filter] ( joins/Scan ))))))
 //! ```
 //!
-//! with optional nodes present only when the query uses them. Rules
-//! rewrite the tree in place (fusing filters into scans, eliding sorts,
-//! reordering joins) but never change that spine ordering, so the
-//! executor can decompose the tail with simple pattern matches.
+//! with left-deep joins whose right side is always a single scan, so the
+//! plan stores that spine as fields in that order rather than as a tree:
+//! the scans in layout order, one `(kind, ON)` per join, the residual
+//! filter, and the tail. Rules rewrite the fields (pushing conjuncts into
+//! scans, permuting joins, clearing the sort) but never the spine.
 
 use crate::database::Database;
 use crate::error::{DbError, Result};
@@ -36,14 +36,8 @@ pub(crate) enum Access {
     /// first (in row-id order), then `scan_asc`. Because ids are stored
     /// ascending within each key and `Value::total_cmp` sorts NULL
     /// first, this order is exactly the stable `ORDER BY col ASC` order
-    /// — which is what lets the sort-elision rule remove the Sort node.
+    /// — which is what lets the sort-elision rule drop the sort.
     IndexOrder { index_name: String, column: String },
-    /// Vectorized aggregate kernels over column chunks; carries the
-    /// compiled plan plus the statistics that justified it.
-    Columnar {
-        plan: Box<vector::ColumnarPlan>,
-        reason: String,
-    },
     /// Join right sides only — an index nested-loop join: each left
     /// row's key (slot `left_slot` of the left tuple: binding, column) is
     /// looked up in the index on `right_col`. Ids ascend within a key, so a left
@@ -91,42 +85,51 @@ impl ScanNode<'_> {
     }
 }
 
-/// The logical plan tree.
-pub(crate) enum LogicalPlan<'a> {
-    /// `SELECT` without FROM: one empty row.
-    Empty,
-    Scan(Box<ScanNode<'a>>),
-    Join {
-        left: Box<LogicalPlan<'a>>,
-        right: Box<ScanNode<'a>>,
-        kind: JoinKind,
-        on: Option<Expr>,
-    },
-    Filter {
-        input: Box<LogicalPlan<'a>>,
-        predicate: Expr,
-    },
-    Aggregate {
-        input: Box<LogicalPlan<'a>>,
-        group_by: Vec<Expr>,
-        having: Option<Expr>,
-    },
-    Project {
-        input: Box<LogicalPlan<'a>>,
-        projections: Vec<Projection>,
-    },
-    Distinct {
-        input: Box<LogicalPlan<'a>>,
-    },
-    Sort {
-        input: Box<LogicalPlan<'a>>,
-        keys: Vec<OrderItem>,
-    },
-    Limit {
-        input: Box<LogicalPlan<'a>>,
-        limit: Option<u64>,
-        offset: Option<u64>,
-    },
+/// A planned SELECT's operators, in the fixed spine order.
+pub(crate) struct Plan<'a> {
+    /// The base scan, then each join's right side, in layout order.
+    /// Empty for `SELECT` without FROM, which reads one empty row.
+    pub scans: Vec<ScanNode<'a>>,
+    /// One `(kind, ON)` per join: join `i` brings in `scans[i + 1]`.
+    pub joins: Vec<(JoinKind, Option<Expr>)>,
+    /// The residual WHERE, evaluated on the joined rows.
+    pub filter: Option<Expr>,
+    /// `(group_by, having)` when the statement aggregates.
+    pub aggregate: Option<(Vec<Expr>, Option<Expr>)>,
+    pub projections: Vec<Projection>,
+    /// ORDER BY keys; empty when there is no sort (or it was elided).
+    pub order_by: Vec<OrderItem>,
+    pub distinct: bool,
+    pub limit: Option<u64>,
+    pub offset: Option<u64>,
+    /// The vectorized aggregate over column chunks, when the cost pass
+    /// chose it. The scans keep their row access for the row path a
+    /// declined chunk falls back to.
+    pub columnar: Option<Columnar>,
+}
+
+impl Plan<'_> {
+    /// The layout of the joined rows: every scan's binding, in order.
+    pub(crate) fn layout(&self) -> Layout {
+        layout_of(&self.scans)
+    }
+}
+
+/// The layout of rows joined from `scans`, in order.
+pub(crate) fn layout_of(scans: &[ScanNode<'_>]) -> Layout {
+    Layout::new(
+        scans
+            .iter()
+            .map(|s| (s.binding.clone(), s.columns.clone()))
+            .collect(),
+    )
+}
+
+/// A decided columnar aggregate: the compiled plan (its `fact` is the
+/// fact scan's layout position) and the statistics EXPLAIN cites.
+pub(crate) struct Columnar {
+    pub plan: vector::ColumnarPlan,
+    pub reason: String,
 }
 
 /// One fired rewrite, recorded for EXPLAIN's rule trail.
@@ -135,9 +138,9 @@ pub(crate) struct TrailEntry {
     pub detail: String,
 }
 
-/// A fully planned SELECT: the optimized tree plus the rule trail.
+/// A fully planned SELECT: the optimized plan plus the rule trail.
 pub(crate) struct PlannedSelect<'a> {
-    pub root: LogicalPlan<'a>,
+    pub plan: Plan<'a>,
     pub trail: Vec<TrailEntry>,
     /// True when `PERFDMF_OPTIMIZER` (or a thread override) disabled
     /// every rewrite rule; EXPLAIN reports it.
@@ -164,54 +167,41 @@ fn scan_node<'a>(db: &'a Database, tref: &TableRef) -> Result<ScanNode<'a>> {
     })
 }
 
-/// Lower a parsed `SELECT` into the canonical plan tree. Validation that
-/// used to happen mid-execution (duplicate bindings, `JOIN` without
-/// `ON`, aggregates in WHERE) now happens here, before any rows move.
-pub(crate) fn lower<'a>(db: &'a Database, sel: &Select) -> Result<LogicalPlan<'a>> {
-    let mut node = match &sel.from {
-        None => LogicalPlan::Empty,
-        Some(base) => {
-            let base_scan = scan_node(db, base)?;
-            let mut bindings = vec![base_scan.binding.clone()];
-            let mut node = LogicalPlan::Scan(Box::new(base_scan));
-            for join in &sel.joins {
-                let right = scan_node(db, &join.table)?;
-                if bindings
-                    .iter()
-                    .any(|b| b.eq_ignore_ascii_case(&right.binding))
-                {
-                    return Err(DbError::Unsupported(format!(
-                        "duplicate table binding {:?} in FROM (use an alias)",
-                        right.binding
-                    )));
-                }
-                if matches!(join.kind, JoinKind::Inner | JoinKind::Left) && join.on.is_none() {
-                    return Err(DbError::Unsupported("JOIN requires ON".into()));
-                }
-                bindings.push(right.binding.clone());
-                node = LogicalPlan::Join {
-                    left: Box::new(node),
-                    right: Box::new(right),
-                    kind: join.kind,
-                    on: join.on.clone(),
-                };
+/// Lower a parsed `SELECT` into its plan. Validation that used to happen
+/// mid-execution (duplicate bindings, `JOIN` without `ON`, aggregates in
+/// WHERE) happens here, before any rows move.
+pub(crate) fn lower<'a>(db: &'a Database, sel: &Select) -> Result<Plan<'a>> {
+    let mut scans = Vec::with_capacity(sel.joins.len() + 1);
+    let mut joins = Vec::with_capacity(sel.joins.len());
+    if let Some(base) = &sel.from {
+        scans.push(scan_node(db, base)?);
+        for join in &sel.joins {
+            let right = scan_node(db, &join.table)?;
+            if scans
+                .iter()
+                .any(|s| s.binding.eq_ignore_ascii_case(&right.binding))
+            {
+                return Err(DbError::Unsupported(format!(
+                    "duplicate table binding {:?} in FROM (use an alias)",
+                    right.binding
+                )));
             }
-            node
+            if matches!(join.kind, JoinKind::Inner | JoinKind::Left) && join.on.is_none() {
+                return Err(DbError::Unsupported("JOIN requires ON".into()));
+            }
+            scans.push(right);
+            joins.push((join.kind, join.on.clone()));
         }
-    };
+    }
     if let Some(pred) = &sel.where_clause {
         if pred.contains_aggregate() {
             return Err(DbError::Eval("aggregates are not allowed in WHERE".into()));
         }
-        // Index selection consults the whole WHERE; record it on the
-        // base scan before the Filter node hides it.
-        if let Some(scan) = base_scan_mut(&mut node) {
-            scan.index_filter = Some(pred.clone());
+        // Index selection consults the whole WHERE, even when it stays
+        // a residual filter.
+        if let Some(base) = scans.first_mut() {
+            base.index_filter = Some(pred.clone());
         }
-        node = LogicalPlan::Filter {
-            input: Box::new(node),
-            predicate: pred.clone(),
-        };
     }
     let needs_aggregation = !sel.group_by.is_empty()
         || sel.having.is_some()
@@ -219,148 +209,16 @@ pub(crate) fn lower<'a>(db: &'a Database, sel: &Select) -> Result<LogicalPlan<'a
             Projection::Expr { expr, .. } => expr.contains_aggregate(),
             _ => false,
         });
-    if needs_aggregation {
-        node = LogicalPlan::Aggregate {
-            input: Box::new(node),
-            group_by: sel.group_by.clone(),
-            having: sel.having.clone(),
-        };
-    }
-    node = LogicalPlan::Project {
-        input: Box::new(node),
+    Ok(Plan {
+        scans,
+        joins,
+        filter: sel.where_clause.clone(),
+        aggregate: needs_aggregation.then(|| (sel.group_by.clone(), sel.having.clone())),
         projections: sel.projections.clone(),
-    };
-    if !sel.order_by.is_empty() {
-        node = LogicalPlan::Sort {
-            input: Box::new(node),
-            keys: sel.order_by.clone(),
-        };
-    }
-    if sel.distinct {
-        node = LogicalPlan::Distinct {
-            input: Box::new(node),
-        };
-    }
-    if sel.limit.is_some() || sel.offset.is_some() {
-        node = LogicalPlan::Limit {
-            input: Box::new(node),
-            limit: sel.limit,
-            offset: sel.offset,
-        };
-    }
-    Ok(node)
-}
-
-/// The left-most (base) scan of a plan, if any. Walks through the
-/// operator tail and down the left spine of the join chain.
-pub(crate) fn base_scan_mut<'p, 'a>(node: &'p mut LogicalPlan<'a>) -> Option<&'p mut ScanNode<'a>> {
-    match node {
-        LogicalPlan::Scan(s) => Some(s),
-        LogicalPlan::Join { left, .. } => base_scan_mut(left),
-        LogicalPlan::Filter { input, .. }
-        | LogicalPlan::Aggregate { input, .. }
-        | LogicalPlan::Project { input, .. }
-        | LogicalPlan::Distinct { input }
-        | LogicalPlan::Sort { input, .. }
-        | LogicalPlan::Limit { input, .. } => base_scan_mut(input),
-        LogicalPlan::Empty => None,
-    }
-}
-
-/// The scan/join/filter pipeline below the operator tail.
-pub(crate) fn pipeline_mut<'p, 'a>(node: &'p mut LogicalPlan<'a>) -> &'p mut LogicalPlan<'a> {
-    match node {
-        LogicalPlan::Aggregate { input, .. }
-        | LogicalPlan::Project { input, .. }
-        | LogicalPlan::Distinct { input }
-        | LogicalPlan::Sort { input, .. }
-        | LogicalPlan::Limit { input, .. } => pipeline_mut(input),
-        other => other,
-    }
-}
-
-/// The scans of a join pipeline in layout order: the base, then each
-/// join's right side.
-pub(crate) fn pipeline_scans<'p, 'a>(node: &'p LogicalPlan<'a>) -> Vec<&'p ScanNode<'a>> {
-    match node {
-        LogicalPlan::Scan(s) => vec![s],
-        LogicalPlan::Join { left, right, .. } => {
-            let mut scans = pipeline_scans(left);
-            scans.push(right);
-            scans
-        }
-        LogicalPlan::Filter { input, .. } => pipeline_scans(input),
-        _ => Vec::new(),
-    }
-}
-
-/// [`pipeline_scans`], mutably.
-pub(crate) fn pipeline_scans_mut<'p, 'a>(
-    node: &'p mut LogicalPlan<'a>,
-) -> Vec<&'p mut ScanNode<'a>> {
-    match node {
-        LogicalPlan::Scan(s) => vec![s],
-        LogicalPlan::Join { left, right, .. } => {
-            let mut scans = pipeline_scans_mut(left);
-            scans.push(right);
-            scans
-        }
-        LogicalPlan::Filter { input, .. } => pipeline_scans_mut(input),
-        _ => Vec::new(),
-    }
-}
-
-/// The layout of a join pipeline's output rows.
-pub(crate) fn pipeline_layout(node: &LogicalPlan<'_>) -> Layout {
-    match node {
-        LogicalPlan::Scan(s) => s.layout1(),
-        LogicalPlan::Join { left, right, .. } => {
-            let mut bindings = pipeline_layout(left).bindings().to_vec();
-            bindings.push((right.binding.clone(), right.columns.clone()));
-            Layout::new(bindings)
-        }
-        LogicalPlan::Filter { input, .. } => pipeline_layout(input),
-        _ => Default::default(),
-    }
-}
-
-/// Apply `f` to the pipeline subtree (everything below the
-/// Limit/Distinct/Sort/Project/Aggregate tail), rebuilding the tail
-/// around the result.
-pub(crate) fn map_pipeline<'a>(
-    node: LogicalPlan<'a>,
-    f: &mut impl FnMut(LogicalPlan<'a>) -> LogicalPlan<'a>,
-) -> LogicalPlan<'a> {
-    match node {
-        LogicalPlan::Limit {
-            input,
-            limit,
-            offset,
-        } => LogicalPlan::Limit {
-            input: Box::new(map_pipeline(*input, f)),
-            limit,
-            offset,
-        },
-        LogicalPlan::Distinct { input } => LogicalPlan::Distinct {
-            input: Box::new(map_pipeline(*input, f)),
-        },
-        LogicalPlan::Sort { input, keys } => LogicalPlan::Sort {
-            input: Box::new(map_pipeline(*input, f)),
-            keys,
-        },
-        LogicalPlan::Project { input, projections } => LogicalPlan::Project {
-            input: Box::new(map_pipeline(*input, f)),
-            projections,
-        },
-        LogicalPlan::Aggregate {
-            input,
-            group_by,
-            having,
-        } => LogicalPlan::Aggregate {
-            input: Box::new(map_pipeline(*input, f)),
-            group_by,
-            having,
-        },
-        pipeline => f(pipeline),
-    }
+        order_by: sel.order_by.clone(),
+        distinct: sel.distinct,
+        limit: sel.limit,
+        offset: sel.offset,
+        columnar: None,
+    })
 }

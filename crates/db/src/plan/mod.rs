@@ -1,18 +1,19 @@
-//! Logical-plan IR, rule-based optimizer, and physical access selection
-//! for SELECT execution.
+//! Plan IR, rule-based optimizer, and physical access selection for
+//! SELECT execution.
 //!
 //! Pipeline (entry point [`plan_select`]):
 //!
-//! 1. [`ir::lower`] turns a parsed `Select` into the canonical
-//!    [`ir::LogicalPlan`] operator tree.
+//! 1. [`ir::lower`] turns a parsed `Select` into one flat [`ir::Plan`]:
+//!    the scans, joins, residual filter and tail operators as fields.
 //! 2. [`rules::optimize`] applies the enabled rewrite rules (predicate
 //!    pushdown, join reordering, sort elision, LIMIT pushdown),
 //!    recording a trail of what fired.
 //! 3. [`cost::decide_access`] picks each scan's physical access method
-//!    (columnar / index / index-order / seq) from table and index
-//!    statistics. This runs even with the optimizer off.
+//!    (index / index-order / seq, or an index probe for a join's right
+//!    side) and whether the aggregate runs columnar, from table and
+//!    index statistics. This runs even with the optimizer off.
 //!
-//! The executor and the EXPLAIN renderer in `exec::select` both consume
+//! The executor and the EXPLAIN renderer in `exec::select` both read
 //! the resulting [`ir::PlannedSelect`], so the printed plan cannot
 //! drift from what actually runs. Plan-build and rewrite timings feed
 //! the `db.plan.*` telemetry counters (queryable through the
@@ -43,19 +44,19 @@ pub(crate) fn plan_select<'a>(
     had_subqueries: bool,
 ) -> Result<ir::PlannedSelect<'a>> {
     let t0 = std::time::Instant::now();
-    let root = ir::lower(db, sel)?;
+    let mut plan = ir::lower(db, sel)?;
     telemetry::add("db.plan.builds", 1);
     telemetry::add("db.plan.build_ns", elapsed_ns(t0));
 
     let cfg = rules::optimizer_config();
     let t1 = std::time::Instant::now();
-    let (mut root, trail) = rules::optimize(root, &cfg, params, had_subqueries);
-    cost::decide_access(&mut root, params, had_subqueries)?;
+    let trail = rules::optimize(&mut plan, &cfg, params, had_subqueries);
+    cost::decide_access(&mut plan, params, had_subqueries)?;
     telemetry::add("db.plan.rewrite_ns", elapsed_ns(t1));
     telemetry::add("db.plan.rules_fired", trail.len() as u64);
 
     Ok(ir::PlannedSelect {
-        root,
+        plan,
         trail,
         optimizer_off: !cfg.enabled,
     })

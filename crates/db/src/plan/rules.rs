@@ -30,14 +30,12 @@
 use std::cell::Cell;
 use std::sync::OnceLock;
 
-use super::ir::{
-    base_scan_mut, map_pipeline, pipeline_layout, pipeline_mut, LogicalPlan, ScanNode, TrailEntry,
-};
+use super::ir::{Access, Plan, ScanNode, TrailEntry};
 use crate::exec::predicate::resolve_base_col;
 use crate::exec::select::{
-    collect_columns, conjuncts, decompose, grouped_only, index_candidates, refs_only_layout,
+    collect_columns, conjuncts, grouped_only, index_candidates, refs_only_layout,
 };
-use crate::sql::ast::{BinaryOp, Expr, JoinKind, Projection};
+use crate::sql::ast::{Expr, JoinKind, Projection};
 use crate::value::Value;
 
 /// Which rewrite rules run. `enabled: false` turns the optimizer off
@@ -139,111 +137,77 @@ impl Drop for OptimizerOverrideGuard {
     }
 }
 
-/// Run the enabled rules over a lowered plan, returning the rewritten
-/// tree and the trail of fired rules.
-pub(crate) fn optimize<'a>(
-    root: LogicalPlan<'a>,
+/// Run the enabled rules over a lowered plan, rewriting it in place and
+/// returning the trail of fired rules.
+pub(crate) fn optimize(
+    plan: &mut Plan<'_>,
     cfg: &OptimizerConfig,
     params: &[Value],
     had_subqueries: bool,
-) -> (LogicalPlan<'a>, Vec<TrailEntry>) {
+) -> Vec<TrailEntry> {
     let mut trail = Vec::new();
     if !cfg.enabled {
-        return (root, trail);
+        return trail;
     }
-    let mut root = root;
     if cfg.predicate_pushdown {
-        root = predicate_pushdown(root, &mut trail);
+        predicate_pushdown(plan, &mut trail);
     }
     if cfg.join_reorder {
-        join_reorder(&mut root, params, &mut trail);
+        join_reorder(plan, params, &mut trail);
     }
-    limit_rules(&mut root, cfg, had_subqueries, &mut trail);
-    (root, trail)
+    limit_rules(plan, cfg, had_subqueries, &mut trail);
+    trail
 }
 
 // ---------------- predicate pushdown ----------------
 
 /// Push single-table WHERE conjuncts of a join query into the scans
-/// that own their columns. When every conjunct moved, the Filter goes:
+/// that own their columns. When every conjunct moved, the filter goes:
 /// conjuncts only enter the base and INNER/CROSS right sides, where
 /// dropping a row early removes exactly the joined rows the WHERE would
-/// have dropped. Otherwise the Filter keeps the full predicate.
-fn predicate_pushdown<'a>(root: LogicalPlan<'a>, trail: &mut Vec<TrailEntry>) -> LogicalPlan<'a> {
-    map_pipeline(root, &mut |pipe| {
-        let LogicalPlan::Filter {
-            mut input,
-            predicate,
-        } = pipe
-        else {
-            return pipe;
-        };
-        if !matches!(*input, LogicalPlan::Join { .. }) {
-            // Single-table WHERE stays a residual filter, the plan the
-            // golden EXPLAIN corpus pins; the filter pass and a pushed
-            // conjunct both run serially.
-            return LogicalPlan::Filter { input, predicate };
-        }
-        // A conjunct whose columns do not all resolve in the joined
-        // layout (an ambiguous unqualified name) must still fail there.
-        let joined = pipeline_layout(&input);
-        let mut pushed: Vec<(String, usize)> = Vec::new();
-        let mut note = |table: String| match pushed.iter_mut().find(|(t, _)| *t == table) {
-            Some((_, n)) => *n += 1,
-            None => pushed.push((table, 1)),
-        };
-        let mut residual = false;
-        for c in conjuncts(&predicate) {
-            residual |= !refs_only_layout(c, &joined);
-            if let Some(base) = base_scan_mut(&mut input) {
-                if refs_only_layout(c, &base.layout1()) {
-                    let t = base.table_name.clone();
-                    base.pushed.push(c.clone());
-                    note(t);
-                    continue;
-                }
-            }
-            match try_push_right(&mut input, c) {
-                Some(t) => note(t),
-                None => residual = true,
-            }
-        }
-        for (table, n) in pushed {
-            trail.push(TrailEntry {
-                rule: "predicate-pushdown",
-                detail: format!("{n} conjunct(s) into scan of {table}"),
-            });
-        }
-        if residual {
-            LogicalPlan::Filter { input, predicate }
-        } else {
-            *input
-        }
-    })
-}
-
-/// Push one conjunct into the left-most INNER/CROSS join right scan
-/// whose single-table layout resolves every column it references. LEFT
-/// join right sides are never eligible: prefiltering them would turn
-/// would-be-filtered matches into NULL extensions (visible to e.g.
+/// have dropped. Otherwise the filter keeps the full predicate.
+///
+/// A conjunct enters the base when it reads only the base, else the
+/// left-most INNER/CROSS right side that resolves every column it reads.
+/// LEFT join right sides are never eligible: prefiltering them would
+/// turn would-be-filtered matches into NULL extensions (visible to e.g.
 /// `right.col IS NULL` in the residual WHERE).
-fn try_push_right(node: &mut LogicalPlan<'_>, c: &Expr) -> Option<String> {
-    match node {
-        LogicalPlan::Join {
-            left, right, kind, ..
-        } => {
-            if let Some(t) = try_push_right(left, c) {
-                return Some(t);
-            }
-            if matches!(kind, JoinKind::Inner | JoinKind::Cross)
-                && refs_only_layout(c, &right.layout1())
-            {
-                right.pushed.push(c.clone());
-                return Some(right.table_name.clone());
-            }
-            None
+fn predicate_pushdown(plan: &mut Plan<'_>, trail: &mut Vec<TrailEntry>) {
+    // Single-table WHERE stays a residual filter, the plan the golden
+    // EXPLAIN corpus pins; the filter pass and a pushed conjunct both
+    // run serially.
+    let (Some(predicate), false) = (&plan.filter, plan.joins.is_empty()) else {
+        return;
+    };
+    // A conjunct whose columns do not all resolve in the joined layout
+    // (an ambiguous unqualified name) must still fail there.
+    let joined = plan.layout();
+    let mut pushed: Vec<(String, usize)> = Vec::new();
+    let mut residual = false;
+    for c in conjuncts(predicate) {
+        residual |= !refs_only_layout(c, &joined);
+        let eligible = |i: usize| i == 0 || plan.joins[i - 1].0 != JoinKind::Left;
+        let Some(scan) = (0..plan.scans.len())
+            .find(|&i| eligible(i) && refs_only_layout(c, &plan.scans[i].layout1()))
+            .map(|i| &mut plan.scans[i])
+        else {
+            residual = true;
+            continue;
+        };
+        scan.pushed.push(c.clone());
+        match pushed.iter_mut().find(|(t, _)| *t == scan.table_name) {
+            Some((_, n)) => *n += 1,
+            None => pushed.push((scan.table_name.clone(), 1)),
         }
-        _ => None,
+    }
+    for (table, n) in pushed {
+        trail.push(TrailEntry {
+            rule: "predicate-pushdown",
+            detail: format!("{n} conjunct(s) into scan of {table}"),
+        });
+    }
+    if !residual {
+        plan.filter = None;
     }
 }
 
@@ -263,120 +227,59 @@ fn try_push_right(node: &mut LogicalPlan<'_>, c: &Expr) -> Option<String> {
 /// already placed, so any permutation resolves names identically and
 /// joins legally. An order that would hand one join two ON conditions
 /// is not taken.
-fn join_reorder(root: &mut LogicalPlan<'_>, params: &[Value], trail: &mut Vec<TrailEntry>) {
-    if !order_insensitive(root) {
+fn join_reorder(plan: &mut Plan<'_>, params: &[Value], trail: &mut Vec<TrailEntry>) {
+    if plan.joins.is_empty() || !order_insensitive(plan) {
         return;
     }
-    let pipe = match pipeline_mut(root) {
-        LogicalPlan::Filter { input, .. } => &mut **input,
-        other => other,
+    let Some((first, steps, detail)) = new_order(plan, params) else {
+        return;
     };
-    if !matches!(pipe, LogicalPlan::Join { .. }) {
-        return;
+    trail.push(TrailEntry {
+        rule: "join-reorder",
+        detail,
+    });
+    let mut scans: Vec<Option<ScanNode<'_>>> = plan.scans.drain(..).map(Some).collect();
+    let mut ons: Vec<Option<Expr>> = plan.joins.drain(..).map(|(_, on)| on).collect();
+    let mut driver = scans[first].take().expect("each scan moves once");
+    if let Some(old_base) = scans[0].as_mut() {
+        driver.index_filter = old_base.index_filter.take();
     }
-    let owned = std::mem::replace(pipe, LogicalPlan::Empty);
-    let (base, joins) = flatten_joins(owned);
-    *pipe = reorder_chain(base, joins, params, trail);
+    plan.scans.push(driver);
+    for (s, j) in steps {
+        plan.scans
+            .push(scans[s].take().expect("each scan moves once"));
+        plan.joins.push((JoinKind::Inner, ons[j].take()));
+    }
 }
 
-/// True when an aggregate tail's result does not depend on the order its
+/// True when an aggregate's result does not depend on the order its
 /// input rows arrive in (float reassociation aside): every column read
 /// outside an aggregate — in projections, HAVING and ORDER BY — is a
 /// GROUP BY expression, and ORDER BY sorts on every GROUP BY expression
 /// (as a qualified column or a non-column expression, which no output
 /// alias can shadow), so the groups come out in one total order.
-fn order_insensitive(root: &LogicalPlan<'_>) -> bool {
-    let tail = decompose(root);
-    let Some((group_by, having)) = tail.aggregate else {
-        return false; // no Aggregate in the tail: row order is the result
+fn order_insensitive(plan: &Plan<'_>) -> bool {
+    let Some((group_by, having)) = &plan.aggregate else {
+        return false; // no aggregate: row order is the result
     };
     let grouped = |e: &Expr| grouped_only(e, group_by);
-    let keys = tail.order_by;
-    tail.projections
+    let keys = &plan.order_by;
+    plan.projections
         .iter()
         .all(|p| matches!(p, Projection::Expr { expr, .. } if grouped(expr)))
-        && having.is_none_or(grouped)
+        && having.as_ref().is_none_or(grouped)
         && keys.iter().all(|k| grouped(&k.expr))
         && group_by.iter().all(|g| {
             !matches!(g, Expr::Column { table: None, .. }) && keys.iter().any(|k| k.expr == *g)
         })
 }
 
-type JoinPart<'a> = (JoinKind, Option<Expr>, Box<ScanNode<'a>>);
-
-fn flatten_joins(node: LogicalPlan<'_>) -> (LogicalPlan<'_>, Vec<JoinPart<'_>>) {
-    match node {
-        LogicalPlan::Join {
-            left,
-            right,
-            kind,
-            on,
-        } => {
-            let (base, mut v) = flatten_joins(*left);
-            v.push((kind, on, right));
-            (base, v)
-        }
-        other => (other, Vec::new()),
-    }
-}
-
-fn rebuild_joins<'a>(base: LogicalPlan<'a>, joins: Vec<JoinPart<'a>>) -> LogicalPlan<'a> {
-    let mut node = base;
-    for (kind, on, right) in joins {
-        node = LogicalPlan::Join {
-            left: Box::new(node),
-            right,
-            kind,
-            on,
-        };
-    }
-    node
-}
-
 /// Index candidates selected by a scan's pushed conjuncts: (count,
 /// index name), or `None` when no pushed conjunct uses an index.
 fn index_selected(scan: &ScanNode<'_>, params: &[Value]) -> Option<(usize, String)> {
-    let filter = scan.pushed.iter().cloned().reduce(|a, b| Expr::Binary {
-        op: BinaryOp::And,
-        left: Box::new(a),
-        right: Box::new(b),
-    })?;
     let layout1 = scan.layout1();
-    let choice = index_candidates(&scan.source, &scan.binding, &layout1, Some(&filter), params);
+    let choice = index_candidates(&scan.source, &scan.binding, &layout1, &scan.pushed, params);
     choice.ok()?.map(|c| (c.ids.len(), c.index_name))
-}
-
-fn reorder_chain<'a>(
-    base: LogicalPlan<'a>,
-    joins: Vec<JoinPart<'a>>,
-    params: &[Value],
-    trail: &mut Vec<TrailEntry>,
-) -> LogicalPlan<'a> {
-    let LogicalPlan::Scan(base) = base else {
-        return rebuild_joins(base, joins);
-    };
-    let Some((first, steps, detail)) = new_order(&base, &joins, params) else {
-        return rebuild_joins(LogicalPlan::Scan(base), joins);
-    };
-    trail.push(TrailEntry {
-        rule: "join-reorder",
-        detail,
-    });
-    let mut ons = Vec::new();
-    let mut scans = vec![Some(base)];
-    for (_, on, right) in joins {
-        ons.push(on);
-        scans.push(Some(right));
-    }
-    let mut driver = scans[first].take().expect("each scan moves once");
-    if let Some(old_base) = scans[0].as_mut() {
-        driver.index_filter = old_base.index_filter.take();
-    }
-    let steps = steps.into_iter().map(|(s, j)| {
-        let scan = scans[s].take().expect("each scan moves once");
-        (JoinKind::Inner, ons[j].take(), scan)
-    });
-    rebuild_joins(LogicalPlan::Scan(driver), steps.collect())
 }
 
 /// A reordered chain, indexing scans base first and ON conditions by
@@ -384,16 +287,16 @@ fn reorder_chain<'a>(
 type Order = (usize, Vec<(usize, usize)>, String);
 
 /// The chain's new order; `None` keeps the written order.
-fn new_order(base: &ScanNode<'_>, joins: &[JoinPart<'_>], params: &[Value]) -> Option<Order> {
-    let mut scans = vec![base];
-    scans.extend(joins.iter().map(|(_, _, right)| &**right));
+fn new_order(plan: &Plan<'_>, params: &[Value]) -> Option<Order> {
+    let scans = &plan.scans;
     let bindings: Vec<&str> = scans.iter().map(|s| s.binding.as_str()).collect();
     // The scans each ON reads: its own right side, and only bindings the
     // written order placed before it.
-    let refs: Vec<Vec<usize>> = joins
+    let refs: Vec<Vec<usize>> = plan
+        .joins
         .iter()
         .enumerate()
-        .map(|(i, (kind, on, _))| {
+        .map(|(i, (kind, on))| {
             let mut cols = Vec::new();
             collect_columns(on.as_ref()?, &mut cols);
             let refs: Vec<usize> = cols
@@ -409,9 +312,9 @@ fn new_order(base: &ScanNode<'_>, joins: &[JoinPart<'_>], params: &[Value]) -> O
         })
         .collect::<Option<_>>()?;
 
-    let base_rows = index_selected(base, params).map_or(base.source.len(), |(n, _)| n);
+    let base_rows = index_selected(&scans[0], params).map_or(scans[0].source.len(), |(n, _)| n);
     let driver = (1..scans.len())
-        .filter_map(|i| index_selected(scans[i], params).map(|(n, ix)| (i, n, ix)))
+        .filter_map(|i| index_selected(&scans[i], params).map(|(n, ix)| (i, n, ix)))
         .filter(|(_, n, _)| *n < base_rows)
         .min_by_key(|(_, n, _)| *n);
     let first = driver.as_ref().map_or(0, |(i, _, _)| *i);
@@ -457,17 +360,18 @@ fn new_order(base: &ScanNode<'_>, joins: &[JoinPart<'_>], params: &[Value]) -> O
 
 // ---------------- LIMIT pushdown + sort elision ----------------
 
-/// Top-k rewrites under a `Limit` node. Two shapes fire:
+/// Top-k rewrites of a single-table `LIMIT` with no aggregate and no
+/// DISTINCT. Two shapes fire:
 ///
-/// * `Limit(Project(Filter?(Scan)))` — the classic early exit: fuse the
-///   WHERE into the scan and stop after OFFSET+LIMIT matches.
-/// * `Limit(Sort(Project(Filter?(Scan))))` with a single ascending
-///   bare-column key backed by an index — sort elision: drop the Sort,
-///   scan in index key order, and early-exit as above. Without the
-///   index the Sort blocks the pushdown (every row must be seen), which
-///   is exactly the regression the plan-equivalence harness pins.
+/// * no ORDER BY — the classic early exit: fuse the WHERE into the scan
+///   and stop after OFFSET+LIMIT matches.
+/// * a single ascending bare-column ORDER BY key backed by an index —
+///   sort elision: drop the sort, scan in index key order, and
+///   early-exit as above. Without the index the sort blocks the
+///   pushdown (every row must be seen), which is exactly the regression
+///   the plan-equivalence harness pins.
 fn limit_rules(
-    root: &mut LogicalPlan<'_>,
+    plan: &mut Plan<'_>,
     cfg: &OptimizerConfig,
     had_subqueries: bool,
     trail: &mut Vec<TrailEntry>,
@@ -478,150 +382,67 @@ fn limit_rules(
     if !cfg.limit_pushdown || had_subqueries {
         return;
     }
-    let LogicalPlan::Limit {
-        input,
-        limit: Some(limit),
-        offset,
-    } = root
-    else {
-        return;
-    };
-    let take = (offset.unwrap_or(0) as usize).saturating_add(*limit as usize);
-    match &mut **input {
-        LogicalPlan::Project { input: pinput, .. } => {
-            if let Some((scan, n_fused)) = fuse_filter_into_scan(pinput) {
-                scan.stop_after = Some(take);
-                trail.push(TrailEntry {
-                    rule: "limit-pushdown",
-                    detail: format!(
-                        "{} early-exits after {take} match(es){}",
-                        scan.table_name,
-                        if n_fused > 0 {
-                            format!(", {n_fused} WHERE conjunct(s) fused into the scan")
-                        } else {
-                            String::new()
-                        }
-                    ),
-                });
-            }
-        }
-        LogicalPlan::Sort { keys, .. } if cfg.sort_elision => {
-            // Single ascending bare-column key only.
-            let [key] = keys.as_slice() else { return };
-            let key_col = match (&key.expr, key.descending) {
-                (Expr::Column { column, .. }, false) => column.clone(),
-                _ => return,
-            };
-            let saved_keys = keys.clone();
-            let LogicalPlan::Sort { input: sinput, .. } =
-                std::mem::replace(&mut **input, LogicalPlan::Empty)
-            else {
-                unreachable!("matched above");
-            };
-            **input = *sinput; // tentatively drop the Sort
-            let restore = |input: &mut Box<LogicalPlan>, keys: Vec<crate::sql::ast::OrderItem>| {
-                let inner = std::mem::replace(&mut **input, LogicalPlan::Empty);
-                **input = LogicalPlan::Sort {
-                    input: Box::new(inner),
-                    keys,
-                };
-            };
-            let LogicalPlan::Project {
-                input: pinput,
-                projections,
-            } = &mut **input
-            else {
-                restore(input, saved_keys.clone());
+    let Some(limit) = plan.limit else { return };
+    if plan.aggregate.is_some() || plan.distinct || plan.scans.len() != 1 {
+        return; // Distinct, Aggregate or a join: no early exit
+    }
+    let take = (plan.offset.unwrap_or(0) as usize).saturating_add(limit as usize);
+    let elided = match plan.order_by.as_slice() {
+        [] => None,
+        // Single ascending bare-column key only.
+        [key] if cfg.sort_elision => {
+            let Expr::Column { column, .. } = &key.expr else {
                 return;
             };
             // A projection alias with the key's name shadows the table
             // column in ORDER BY resolution; don't second-guess that.
-            let shadowed = projections.iter().any(|p| {
+            let shadowed = plan.projections.iter().any(|p| {
                 matches!(p, Projection::Expr { alias: Some(a), .. }
-                         if a.eq_ignore_ascii_case(&key_col))
+                         if a.eq_ignore_ascii_case(column))
             });
-            let index = (!shadowed)
-                .then(|| match peel_filter(pinput) {
-                    LogicalPlan::Scan(scan) => {
-                        let col =
-                            resolve_base_col(&saved_keys[0].expr, &scan.binding, &scan.layout1())?;
-                        scan.source.index_on(col).map(|ix| ix.name.clone())
-                    }
-                    _ => None,
-                })
-                .flatten();
-            let Some(index_name) = index else {
-                restore(input, saved_keys.clone());
-                return;
-            };
-            let Some((scan, n_fused)) = fuse_filter_into_scan(pinput) else {
-                restore(input, saved_keys.clone());
-                return;
-            };
-            scan.access = super::ir::Access::IndexOrder {
-                index_name: index_name.clone(),
-                column: key_col.clone(),
-            };
-            scan.stop_after = Some(take);
-            let table = scan.table_name.clone();
-            trail.push(TrailEntry {
-                rule: "sort-elision",
-                detail: format!(
-                    "ORDER BY {key_col} satisfied by index {index_name} on {table}: \
-                     Sort dropped, scanning in key order"
-                ),
-            });
-            trail.push(TrailEntry {
-                rule: "limit-pushdown",
-                detail: format!(
-                    "{table} early-exits after {take} match(es){}",
-                    if n_fused > 0 {
-                        format!(", {n_fused} WHERE conjunct(s) fused into the scan")
-                    } else {
-                        String::new()
-                    }
-                ),
-            });
+            let scan = &plan.scans[0];
+            let index = resolve_base_col(&key.expr, &scan.binding, &scan.layout1())
+                .and_then(|col| scan.source.index_on(col));
+            match index {
+                Some(ix) if !key.descending && !shadowed => Some((ix.name.clone(), column.clone())),
+                _ => return,
+            }
         }
-        _ => {} // Sort without an index, Distinct, Aggregate: no early exit
+        _ => return, // a sort without an index
+    };
+    let n_fused = plan.filter.take().map_or(0, |predicate| {
+        let fused = conjuncts(&predicate);
+        plan.scans[0]
+            .pushed
+            .extend(fused.iter().map(|&c| c.clone()));
+        fused.len()
+    });
+    let scan = &mut plan.scans[0];
+    scan.stop_after = Some(take);
+    let table = scan.table_name.clone();
+    if let Some((index_name, key_col)) = elided {
+        plan.order_by.clear();
+        trail.push(TrailEntry {
+            rule: "sort-elision",
+            detail: format!(
+                "ORDER BY {key_col} satisfied by index {index_name} on {table}: \
+                 Sort dropped, scanning in key order"
+            ),
+        });
+        scan.access = Access::IndexOrder {
+            index_name,
+            column: key_col,
+        };
     }
-}
-
-fn peel_filter<'p, 'a>(node: &'p mut LogicalPlan<'a>) -> &'p mut LogicalPlan<'a> {
-    match node {
-        LogicalPlan::Filter { input, .. } => input,
-        other => other,
-    }
-}
-
-/// If `node` is `Filter?(Scan)` over a single table, fuse the filter's
-/// conjuncts into the scan (removing the Filter node) and return the
-/// scan plus the number of fused conjuncts. The fused conjunction is
-/// equivalent to the whole predicate because `conjuncts` splits on
-/// top-level AND only.
-fn fuse_filter_into_scan<'p, 'a>(
-    node: &'p mut Box<LogicalPlan<'a>>,
-) -> Option<(&'p mut ScanNode<'a>, usize)> {
-    match &mut **node {
-        LogicalPlan::Scan(_) => match &mut **node {
-            LogicalPlan::Scan(s) => Some((s, 0)),
-            _ => unreachable!(),
-        },
-        LogicalPlan::Filter { input, .. } if matches!(&**input, LogicalPlan::Scan(_)) => {
-            let LogicalPlan::Filter { input, predicate } =
-                std::mem::replace(&mut **node, LogicalPlan::Empty)
-            else {
-                unreachable!("matched above");
-            };
-            **node = *input;
-            let LogicalPlan::Scan(s) = &mut **node else {
-                unreachable!("matched above");
-            };
-            let fused: Vec<Expr> = conjuncts(&predicate).into_iter().cloned().collect();
-            let n = fused.len();
-            s.pushed.extend(fused);
-            Some((s, n))
-        }
-        _ => None,
-    }
+    trail.push(TrailEntry {
+        rule: "limit-pushdown",
+        detail: format!(
+            "{table} early-exits after {take} match(es){}",
+            if n_fused > 0 {
+                format!(", {n_fused} WHERE conjunct(s) fused into the scan")
+            } else {
+                String::new()
+            }
+        ),
+    });
 }
