@@ -754,7 +754,7 @@ fn exec_columnar(
         group_by,
         having.as_ref(),
         &plan.order_by,
-        &plan.layout(),
+        &layout_of(scans),
     )?;
     let aggs = bound.aggs();
     debug_assert_eq!(aggs.len(), cplan.aggs.len());

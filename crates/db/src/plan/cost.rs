@@ -144,7 +144,7 @@ fn columnar_choice(
     if scans.is_empty() || scans.iter().any(|s| s.source.is_virtual()) {
         return Ok(None);
     }
-    let layout = plan.layout();
+    let layout = layout_of(scans);
     let Some((fact, dims)) = star(plan, &layout) else {
         return Ok(None);
     };

@@ -108,13 +108,6 @@ pub(crate) struct Plan<'a> {
     pub columnar: Option<Columnar>,
 }
 
-impl Plan<'_> {
-    /// The layout of the joined rows: every scan's binding, in order.
-    pub(crate) fn layout(&self) -> Layout {
-        layout_of(&self.scans)
-    }
-}
-
 /// The layout of rows joined from `scans`, in order.
 pub(crate) fn layout_of(scans: &[ScanNode<'_>]) -> Layout {
     Layout::new(

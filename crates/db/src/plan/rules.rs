@@ -30,7 +30,7 @@
 use std::cell::Cell;
 use std::sync::OnceLock;
 
-use super::ir::{Access, Plan, ScanNode, TrailEntry};
+use super::ir::{layout_of, Access, Plan, ScanNode, TrailEntry};
 use crate::exec::predicate::resolve_base_col;
 use crate::exec::select::{
     collect_columns, conjuncts, grouped_only, index_candidates, refs_only_layout,
@@ -181,7 +181,7 @@ fn predicate_pushdown(plan: &mut Plan<'_>, trail: &mut Vec<TrailEntry>) {
     };
     // A conjunct whose columns do not all resolve in the joined layout
     // (an ambiguous unqualified name) must still fail there.
-    let joined = plan.layout();
+    let joined = layout_of(&plan.scans);
     let mut pushed: Vec<(String, usize)> = Vec::new();
     let mut residual = false;
     for c in conjuncts(predicate) {
@@ -408,7 +408,7 @@ fn limit_rules(
                 _ => return,
             }
         }
-        _ => return, // a sort without an index
+        _ => return, // several keys, or sort elision off: the sort blocks it
     };
     let n_fused = plan.filter.take().map_or(0, |predicate| {
         let fused = conjuncts(&predicate);
