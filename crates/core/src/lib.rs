@@ -14,8 +14,10 @@
 //!   selection (application → experiment → trial → metric →
 //!   node/context/thread), list operations, profile store/load, and
 //!   SQL-pushed aggregates.
-//! * [`event_aggregates`] — one trial's per-event [`EventAggregate`]
-//!   records, computed by the DBMS: what the multi-trial analyses read.
+//! * [`trials_event_aggregates`] — per-event [`EventAggregate`] records
+//!   of any number of trials, computed by the DBMS in one statement: what
+//!   the multi-trial analyses read ([`event_aggregates`] is the one-trial
+//!   case).
 //! * [`FileSession`] — the file-based access method over the importers.
 //! * [`save_profile`] / [`load_trial`] / [`load_trial_filtered`] /
 //!   [`append_derived_metric`] — bulk transfer between [`Profile`] and the
@@ -51,8 +53,8 @@ pub use archive::{dump_archive, restore_archive};
 pub use objects::{Application, Experiment, FlexRow, Trial};
 pub use schema::{create_schema, FLEXIBLE_TABLES, SCHEMA_DDL};
 pub use session::{
-    event_aggregates, AtomicEventRow, DatabaseSession, EventAggregate, FileSession,
-    IntervalEventRow, EVENT_AGGREGATES_SQL,
+    event_aggregates, event_aggregates_sql, trials_event_aggregates, AtomicEventRow,
+    DatabaseSession, EventAggregate, FileSession, IntervalEventRow, EVENT_AGGREGATES_SQL,
 };
 pub use upload::{
     append_derived_metric, load_trial, load_trial_filtered, save_profile, LoadFilter,

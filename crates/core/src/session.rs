@@ -21,6 +21,7 @@ use perfdmf_db::{Connection, DbError, Result, ResultSet, Value};
 pub use perfdmf_profile::EventAggregate;
 use perfdmf_profile::Profile;
 use perfdmf_telemetry as telemetry;
+use std::collections::HashMap;
 
 /// A row of the INTERVAL_EVENT table.
 #[derive(Debug, Clone, PartialEq)]
@@ -45,21 +46,22 @@ pub struct AtomicEventRow {
 }
 
 /// The statement behind [`event_aggregates`] (`?` = trial id, trial id,
-/// metric name), public so it can be `EXPLAIN`ed.
-/// `m.trial = ?` restates what the foreign keys imply, so the metric side
-/// is selected through its trial index too. The ORDER BY covers both
-/// GROUP BY keys, so the planner may let an index-selected table drive
-/// the join; `e.id` is the primary key, so the order is by event id.
-pub const EVENT_AGGREGATES_SQL: &str = "SELECT e.id, e.name, COUNT(*) AS n,
+/// metric name), public so it can be `EXPLAIN`ed; [`event_aggregates_sql`]
+/// gives its text for any number of trials. `m.trial` restates what the
+/// foreign keys imply, so the metric side is selected through its trial
+/// index too. The ORDER BY covers every GROUP BY key, so the planner may
+/// let an index-selected table drive the join; `e.id` is the primary
+/// key, so each trial's rows come in event-id order.
+pub const EVENT_AGGREGATES_SQL: &str = "SELECT e.trial, e.id, e.name, COUNT(*) AS n,
         MIN(p.exclusive) AS mn, MAX(p.exclusive) AS mx,
         AVG(p.exclusive) AS avg_excl, STDDEV(p.exclusive) AS sd,
         AVG(p.inclusive) AS avg_incl
      FROM interval_location_profile p
      JOIN interval_event e ON p.interval_event = e.id
      JOIN metric m ON p.metric = m.id
-     WHERE e.trial = ? AND m.trial = ? AND m.name = ?
-     GROUP BY e.id, e.name
-     ORDER BY e.id, e.name";
+     WHERE e.trial IN (?) AND m.trial IN (?) AND m.name = ?
+     GROUP BY e.trial, e.id, e.name
+     ORDER BY e.trial, e.id, e.name";
 
 /// Database-backed session with hierarchical selection filters.
 #[derive(Debug, Clone)]
@@ -357,35 +359,68 @@ impl DatabaseSession {
 }
 
 /// Per-event cross-thread aggregates of one trial and metric, computed by
-/// the DBMS with [`EVENT_AGGREGATES_SQL`], in event-id order. A trial or
-/// metric with no location rows yields no records.
+/// the DBMS with [`EVENT_AGGREGATES_SQL`], in event-id order: the
+/// one-trial case of [`trials_event_aggregates`]. A trial or metric with
+/// no location rows yields no records.
 pub fn event_aggregates(
     conn: &Connection,
     trial_id: i64,
     metric_name: &str,
 ) -> Result<Vec<EventAggregate>> {
-    let rs = conn.query(
-        EVENT_AGGREGATES_SQL,
-        &[
-            Value::Int(trial_id),
-            Value::Int(trial_id),
-            Value::Text(metric_name.into()),
-        ],
-    )?;
-    Ok(rs
-        .rows
-        .iter()
-        .map(|r| EventAggregate {
-            event_id: r[0].as_int().expect("pk"),
-            event_name: r[1].as_text().unwrap_or("").to_string(),
-            count: r[2].as_int().unwrap_or(0),
-            min_exclusive: r[3].as_float(),
-            max_exclusive: r[4].as_float(),
-            mean_exclusive: r[5].as_float(),
-            stddev_exclusive: r[6].as_float(),
-            mean_inclusive: r[7].as_float(),
-        })
-        .collect())
+    let mut one = trials_event_aggregates(conn, &[trial_id], metric_name)?;
+    Ok(one.pop().expect("one list per trial"))
+}
+
+/// [`EVENT_AGGREGATES_SQL`] for `trials` (≥ 1) trials: each `IN (?)`
+/// holds one placeholder per trial (`?` = the trial ids, the trial ids
+/// again, metric name).
+pub fn event_aggregates_sql(trials: usize) -> String {
+    let list = format!("IN (?{})", ", ?".repeat(trials.saturating_sub(1)));
+    EVENT_AGGREGATES_SQL.replace("IN (?)", &list)
+}
+
+/// [`event_aggregates`] of every trial in `trials`, in one statement:
+/// element `i` holds the records of `trials[i]` (an id may repeat).
+pub fn trials_event_aggregates(
+    conn: &Connection,
+    trials: &[i64],
+    metric_name: &str,
+) -> Result<Vec<Vec<EventAggregate>>> {
+    if trials.is_empty() {
+        return Ok(Vec::new());
+    }
+    let sql = event_aggregates_sql(trials.len());
+    let ids = trials.iter().map(|&t| Value::Int(t));
+    let params: Vec<Value> = ids
+        .clone()
+        .chain(ids)
+        .chain([Value::Text(metric_name.into())])
+        .collect();
+    let mut by_trial: HashMap<i64, Vec<EventAggregate>> = HashMap::new();
+    for r in &conn.query(&sql, &params)?.rows {
+        by_trial
+            .entry(r[0].as_int().expect("NOT NULL"))
+            .or_default()
+            .push(EventAggregate {
+                event_id: r[1].as_int().expect("pk"),
+                event_name: r[2].as_text().unwrap_or("").to_string(),
+                count: r[3].as_int().unwrap_or(0),
+                min_exclusive: r[4].as_float(),
+                max_exclusive: r[5].as_float(),
+                mean_exclusive: r[6].as_float(),
+                stddev_exclusive: r[7].as_float(),
+                mean_inclusive: r[8].as_float(),
+            });
+    }
+    let mut out: Vec<Vec<EventAggregate>> = Vec::with_capacity(trials.len());
+    for (i, t) in trials.iter().enumerate() {
+        let records = match trials[..i].iter().position(|u| u == t) {
+            Some(first) => out[first].clone(),
+            None => by_trial.remove(t).unwrap_or_default(),
+        };
+        out.push(records);
+    }
+    Ok(out)
 }
 
 fn materialize(rs: &ResultSet) -> Vec<FlexRow> {

@@ -59,9 +59,9 @@ pub(crate) enum ColumnData {
     Float(Vec<f64>),
     /// TEXT columns as dictionary ids (see [`crate::value::IStr`]).
     Dict(Vec<u32>),
-    /// BLOB columns, or a slot whose value defied the declared type:
-    /// kernels over this column decline to the row path.
-    Unsupported,
+    /// BLOB columns: only their null bitmap is read (no kernel takes
+    /// their values, so the planner keeps such statements on rows).
+    Blob,
 }
 
 /// One column's values + null bitmap within a chunk.
@@ -80,7 +80,7 @@ impl ColumnChunk {
                 ColumnData::Int(v) => v.len() * 8,
                 ColumnData::Float(v) => v.len() * 8,
                 ColumnData::Dict(v) => v.len() * 4,
-                ColumnData::Unsupported => 0,
+                ColumnData::Blob => 0,
             }
     }
 }
@@ -154,7 +154,7 @@ impl Chunk {
                 DataType::Integer | DataType::Boolean => ColumnData::Int(vec![0; len]),
                 DataType::Double => ColumnData::Float(vec![0.0; len]),
                 DataType::Text => ColumnData::Dict(vec![0; len]),
-                DataType::Blob => ColumnData::Unsupported,
+                DataType::Blob => ColumnData::Blob,
             })
             .collect();
         for (i, slot) in rows.iter().enumerate() {
@@ -166,8 +166,8 @@ impl Chunk {
                     (ColumnData::Int(xs), Value::Bool(b)) => xs[i] = *b as i64,
                     (ColumnData::Float(xs), Value::Float(x)) => xs[i] = *x,
                     (ColumnData::Dict(xs), Value::Text(s)) => xs[i] = s.id(),
-                    (ColumnData::Unsupported, _) => {}
-                    (d, _) => *d = ColumnData::Unsupported,
+                    (ColumnData::Blob, _) => {}
+                    (_, v) => unreachable!("a stored value has its column's type, not {v:?}"),
                 }
             }
         }

@@ -369,18 +369,16 @@ fn run_planned(
     let mut window = Window::new(plan.offset, plan.limit, sink);
 
     // Columnar fast path: fused scan + filter + join + aggregate over the
-    // fact table's column chunks. A `None` from the kernels (unsupported
-    // chunk data) falls through to row execution below.
+    // fact table's column chunks.
     if let Some(columnar) = &plan.columnar {
-        if let Some(out) = exec_columnar(plan, &columnar.plan, params, prof.as_deref_mut())? {
-            window.push_all(out.rows, plan.distinct, None);
-            return Ok(Streamed {
-                columns: out.columns,
-                returned: window.returned,
-                rows_scanned: out.rows_scanned,
-                ..Streamed::default()
-            });
-        }
+        let out = exec_columnar(plan, &columnar.plan, params, prof.as_deref_mut())?;
+        window.push_all(out.rows, plan.distinct, None);
+        return Ok(Streamed {
+            columns: out.columns,
+            returned: window.returned,
+            rows_scanned: out.rows_scanned,
+            ..Streamed::default()
+        });
     }
 
     let (layout, rows, rows_scanned) = exec_pipeline(plan, params, prof.as_deref_mut())?;
@@ -723,24 +721,19 @@ fn exec_filter<'p>(
 }
 
 /// Execute a decided columnar plan over the fact scan at layout
-/// position `cplan.fact`. Returns `Ok(None)` when a chunk exposed column
-/// data the kernels cannot handle — the caller falls back to row
-/// execution.
+/// position `cplan.fact`.
 fn exec_columnar(
     plan: &Plan<'_>,
     cplan: &vector::ColumnarPlan,
     params: &[Value],
     mut prof: Option<&mut ExecProfile>,
-) -> Result<Option<ResultSet>> {
+) -> Result<ResultSet> {
     let scans = &plan.scans;
     let fact: &Table = &scans[cplan.fact].source;
     let t0 = prof.is_some().then(Instant::now);
     let (groups, stats) = {
         let _stage = telemetry::span("db.exec.colscan");
-        match vector::execute_columnar(fact, cplan)? {
-            Some(out) => out,
-            None => return Ok(None),
-        }
+        vector::execute_columnar(fact, cplan)?
     };
     telemetry::add("db.exec.columnar_scans", 1);
     // The aggregate stage, representative rows included, starts where
@@ -800,12 +793,12 @@ fn exec_columnar(
         agg_t0,
         prof,
     )?;
-    Ok(Some(ResultSet {
+    Ok(ResultSet {
         columns: bound.columns,
         rows,
         rows_scanned: stats.rows,
         ..ResultSet::default()
-    }))
+    })
 }
 
 // ---------------- EXPLAIN ----------------
@@ -1123,9 +1116,6 @@ fn scan_line(
                 ns,
             ))
         }
-        // The plan chose columnar but the kernels declined a chunk at
-        // run time and the row path executed instead.
-        (true, None, Some(_)) => Some("fell back to row execution".to_string()),
         (false, _, Some((rows_out, read, ns))) => {
             Some(measured(format!("rows={rows_out}, read={read}"), ns))
         }

@@ -423,17 +423,17 @@ enum Keys<'a> {
     Dict(&'a [u32]),
 }
 
-/// The key view of `data` against `k`, and `k`'s key; `None` when the
-/// data has no kernel for it.
-fn keyed(data: &ColumnData, k: ColConst) -> Option<(Keys<'_>, i64)> {
-    Some(match (data, k) {
+/// The key view of `data` against `k`, and `k`'s key. `k` was typed
+/// against the column's declared type, which its chunk data has.
+fn keyed(data: &ColumnData, k: ColConst) -> (Keys<'_>, i64) {
+    match (data, k) {
         (ColumnData::Int(xs), ColConst::I(k)) => (Keys::Int(xs), k),
         (ColumnData::Int(xs), ColConst::F(f)) => (Keys::IntAsFloat(xs), f64_key(f)),
         (ColumnData::Float(xs), ColConst::I(k)) => (Keys::Float(xs), f64_key(k as f64)),
         (ColumnData::Float(xs), ColConst::F(f)) => (Keys::Float(xs), f64_key(f)),
         (ColumnData::Dict(xs), ColConst::T(id)) => (Keys::Dict(xs), i64::from(id)),
-        _ => return None,
-    })
+        _ => unreachable!("a constant typed against its column's declared type"),
+    }
 }
 
 /// `out[w]` gets bit `b` set ⇔ row `64w + b` passes `key op k`, for each
@@ -487,38 +487,33 @@ fn cmp_words(keys: Keys<'_>, op: PredOp, k: i64, sel: &[u64], out: &mut [u64]) {
 
 /// Apply one column test to the selection bitmap, a 64-row word at a
 /// time; `ty` is the column's declared type, against which the test's
-/// constants are typed. Returns `false` when the column data has no
-/// kernel for it and the query must fall back.
-fn apply_pred(sel: &mut [u64], chunk: &Chunk, test: &ColumnTest, ty: DataType) -> bool {
-    let Some(cc) = chunk.col(test.col) else {
-        return false;
-    };
+/// constants are typed. [`has_kernel`] admitted the test at plan time.
+fn apply_pred(sel: &mut [u64], chunk: &Chunk, test: &ColumnTest, ty: DataType) {
+    let cc = chunk
+        .col(test.col)
+        .expect("the plan builds the columns it tests");
     if let TestKind::IsNull { negated } = test.kind {
         for (s, &n) in sel.iter_mut().zip(&cc.nulls) {
             *s &= if negated { !n } else { n };
         }
-        return true;
+        return;
     }
     // Every other test rejects NULL operands.
     for (s, &n) in sel.iter_mut().zip(&cc.nulls) {
         *s &= !n;
     }
-    let key_of = |v: &Value| keyed(&cc.data, typed_const(ty, v)?);
+    let key_of = |v: &Value| keyed(&cc.data, typed_const(ty, v).expect("has_kernel typed it"));
     // The rows that pass, then kept where selected.
     let (mut pass, mut scratch) = ([0u64; WORDS], [0u64; WORDS]);
     let (pass, scratch) = (&mut pass[..sel.len()], &mut scratch[..sel.len()]);
     match &test.kind {
         TestKind::IsNull { .. } => unreachable!("handled above"),
         TestKind::Cmp { op, value } => {
-            let Some((keys, k)) = key_of(value) else {
-                return false;
-            };
+            let (keys, k) = key_of(value);
             cmp_words(keys, *op, k, sel, pass);
         }
         TestKind::Between { low, high, negated } => {
-            let (Some((lo_keys, lo)), Some((hi_keys, hi))) = (key_of(low), key_of(high)) else {
-                return false;
-            };
+            let ((lo_keys, lo), (hi_keys, hi)) = (key_of(low), key_of(high));
             cmp_words(lo_keys, PredOp::Ge, lo, sel, scratch);
             cmp_words(hi_keys, PredOp::Le, hi, sel, pass);
             let flip = if *negated { !0 } else { 0 };
@@ -530,9 +525,7 @@ fn apply_pred(sel: &mut [u64], chunk: &Chunk, test: &ColumnTest, ty: DataType) -
             // A NULL or cross-type item never equals a value of the
             // column (sql_eq ranks by type): it is inert.
             for k in items.iter().filter_map(|v| typed_const(ty, v)) {
-                let Some((keys, k)) = keyed(&cc.data, k) else {
-                    return false;
-                };
+                let (keys, k) = keyed(&cc.data, k);
                 cmp_words(keys, PredOp::Eq, k, sel, scratch);
                 for (p, &hit) in pass.iter_mut().zip(scratch.iter()) {
                     *p |= hit;
@@ -549,7 +542,7 @@ fn apply_pred(sel: &mut [u64], chunk: &Chunk, test: &ColumnTest, ty: DataType) -
         }
         TestKind::KeySet(keys) => {
             let ColumnData::Int(xs) = &cc.data else {
-                return false;
+                unreachable!("a key set tests an INTEGER column");
             };
             for (w, (p, &s)) in pass.iter_mut().zip(sel.iter()).enumerate() {
                 if s != 0 {
@@ -561,19 +554,15 @@ fn apply_pred(sel: &mut [u64], chunk: &Chunk, test: &ColumnTest, ty: DataType) -
     for (s, &p) in sel.iter_mut().zip(pass.iter()) {
         *s &= p;
     }
-    true
 }
 
-/// Build the chunk's selection bitmap: live ∧ every test. `None` means
-/// an unsupported column forced a fallback.
-fn selection(chunk: &Chunk, tests: &[ColumnTest], schema: &TableSchema) -> Option<Vec<u64>> {
+/// Build the chunk's selection bitmap: live ∧ every test.
+fn selection(chunk: &Chunk, tests: &[ColumnTest], schema: &TableSchema) -> Vec<u64> {
     let mut sel = chunk.live.clone();
     for t in tests {
-        if !apply_pred(&mut sel, chunk, t, schema.columns[t.col].ty) {
-            return None;
-        }
+        apply_pred(&mut sel, chunk, t, schema.columns[t.col].ty);
     }
-    Some(sel)
+    sel
 }
 
 // ---------------- aggregate kernels ----------------
@@ -676,9 +665,8 @@ impl Buckets {
 }
 
 /// Run one aggregate kernel over a chunk's grouped rows, into one
-/// accumulator per group. `None` means the column data has no kernel
-/// (fallback).
-fn agg_partial(chunk: &Chunk, groups: &[GroupRows<'_>], spec: AggSpec) -> Option<Vec<Accumulator>> {
+/// accumulator per group. [`compile_agg`] admitted the call at plan time.
+fn agg_partial(chunk: &Chunk, groups: &[GroupRows<'_>], spec: AggSpec) -> Vec<Accumulator> {
     let AggSpec { func, col } = spec;
     let count = |n: usize| Accumulator::from_parts(func, n as u64, None, None);
     let each = |f: &mut dyn FnMut(GroupRows<'_>) -> Accumulator| -> Vec<Accumulator> {
@@ -686,9 +674,11 @@ fn agg_partial(chunk: &Chunk, groups: &[GroupRows<'_>], spec: AggSpec) -> Option
     };
     let Some(col) = col else {
         // COUNT(*): every selected row.
-        return Some(each(&mut |g| count(g.len())));
+        return each(&mut |g| count(g.len()));
     };
-    let cc = chunk.col(col)?;
+    let cc = chunk
+        .col(col)
+        .expect("the plan builds the columns it aggregates");
     let nulls = &cc.nulls;
     let want = if func == AggregateFn::Min {
         Ordering::Less
@@ -708,7 +698,7 @@ fn agg_partial(chunk: &Chunk, groups: &[GroupRows<'_>], spec: AggSpec) -> Option
         Accumulator::from_moments(Moments::from_samples(s))
     }
     let mut samples: Vec<f64> = Vec::new();
-    Some(match (&cc.data, func) {
+    match (&cc.data, func) {
         (_, AggregateFn::Count) => each(&mut |g| count(g.count_non_null(nulls))),
         (ColumnData::Int(xs), AggregateFn::StdDev) => {
             each(&mut |g| stddev(&mut samples, g, nulls, |i| xs[i] as f64))
@@ -748,29 +738,22 @@ fn agg_partial(chunk: &Chunk, groups: &[GroupRows<'_>], spec: AggSpec) -> Option
             });
             minmax_accumulator(func, n, best.map(Value::Float))
         }),
-        (ColumnData::Dict(ds), AggregateFn::Min | AggregateFn::Max) => {
-            let mut known = true;
-            let accs = each(&mut |g| {
-                let (mut n, mut best) = (0, None::<IStr>);
-                g.non_null(nulls, |i| {
-                    n += 1;
-                    if best.is_some_and(|b| b.id() == ds[i]) {
-                        return;
-                    }
-                    let Some(s) = IStr::from_id(ds[i]) else {
-                        known = false;
-                        return;
-                    };
-                    if best.is_none_or(|b| s.as_str().cmp(b.as_str()) == want) {
-                        best = Some(s);
-                    }
-                });
-                minmax_accumulator(func, n, best.map(Value::Text))
+        (ColumnData::Dict(ds), AggregateFn::Min | AggregateFn::Max) => each(&mut |g| {
+            let (mut n, mut best) = (0, None::<IStr>);
+            g.non_null(nulls, |i| {
+                n += 1;
+                if best.is_some_and(|b| b.id() == ds[i]) {
+                    return;
+                }
+                let s = IStr::from_id(ds[i]).expect("dictionary ids are never freed");
+                if best.is_none_or(|b| s.as_str().cmp(b.as_str()) == want) {
+                    best = Some(s);
+                }
             });
-            known.then_some(accs)?
-        }
-        _ => return None,
-    })
+            minmax_accumulator(func, n, best.map(Value::Text))
+        }),
+        _ => unreachable!("compile_agg admits only typed aggregates"),
+    }
 }
 
 /// A MIN/MAX partial over `count` values whose extreme is `best`.
@@ -791,14 +774,13 @@ type ChunkPartial = Vec<(usize, usize, Vec<Accumulator>)>;
 
 /// Aggregate one chunk. `local` maps a global group number to its
 /// chunk-local one (`NO_GROUP` when absent); it is left all `NO_GROUP`.
-/// `None` means the chunk's data forced a fallback.
 fn chunk_partial(
     chunk: &Chunk,
     schema: &TableSchema,
     plan: &ColumnarPlan,
     local: &mut [u32],
-) -> Option<ChunkPartial> {
-    let sel = selection(chunk, &plan.preds, schema)?;
+) -> ChunkPartial {
+    let sel = selection(chunk, &plan.preds, schema);
     // Per chunk-local group: its global group and first slot, and its
     // selected rows.
     let buckets;
@@ -809,13 +791,13 @@ fn chunk_partial(
                 let first = (w << 6) | sel[w].trailing_zeros() as usize;
                 (vec![(0, chunk.base + first)], vec![GroupRows::Sel(&sel)])
             }
-            None => return Some(Vec::new()),
+            None => return Vec::new(),
         },
         Some(d) => {
             let dim = &plan.dims[d];
-            let fk = chunk.col(dim.fk)?;
+            let fk = chunk.col(dim.fk).expect("the plan builds the grouping key");
             let ColumnData::Int(xs) = &fk.data else {
-                return None;
+                unreachable!("a foreign key is an INTEGER column");
             };
             // The selected rows, ascending, each with its chunk-local
             // group.
@@ -847,17 +829,15 @@ fn chunk_partial(
         .map(|_| Vec::with_capacity(plan.aggs.len()))
         .collect();
     for spec in &plan.aggs {
-        for (dst, acc) in per_group.iter_mut().zip(agg_partial(chunk, &rows, *spec)?) {
+        for (dst, acc) in per_group.iter_mut().zip(agg_partial(chunk, &rows, *spec)) {
             dst.push(acc);
         }
     }
-    Some(
-        groups
-            .into_iter()
-            .zip(per_group)
-            .map(|((g, first), accs)| (g, first, accs))
-            .collect(),
-    )
+    groups
+        .into_iter()
+        .zip(per_group)
+        .map(|((g, first), accs)| (g, first, accs))
+        .collect()
 }
 
 /// Split `0..n_chunks` into at most `max_parts` contiguous runs.
@@ -870,16 +850,14 @@ fn chunk_runs(n_chunks: usize, max_parts: usize) -> Vec<Range<usize>> {
         .collect()
 }
 
-/// Execute a compiled plan over its fact table. Returns `Ok(None)` when
-/// a chunk exposed unsupported column data — the caller must fall back
-/// to row execution. Otherwise returns the groups in the order of their
-/// first row; an ungrouped plan returns exactly one group. Chunk
+/// Execute a compiled plan over its fact table: the groups in the order
+/// of their first row; an ungrouped plan returns exactly one group. Chunk
 /// partials merge in ascending chunk order regardless of worker count,
 /// so results are deterministic under any `PERFDMF_THREADS` setting.
 pub(crate) fn execute_columnar(
     table: &Table,
     plan: &ColumnarPlan,
-) -> Result<Option<(Vec<ColGroup>, ColScanStats)>> {
+) -> Result<(Vec<ColGroup>, ColScanStats)> {
     let chunks: Vec<usize> = match &plan.chunks {
         Some(list) => list.clone(),
         None => (0..table.chunk_count()).collect(),
@@ -898,9 +876,8 @@ pub(crate) fn execute_columnar(
     };
     stats.partitions = if runs.len() > 1 { runs.len() } else { 0 };
 
-    type RunOut = Option<(Vec<ChunkPartial>, u64, u64, u64)>;
     let (runs_ref, chunks_ref) = (&runs, &chunks);
-    let results: Vec<RunOut> = pool::try_run(runs.len(), |pi| -> Result<RunOut> {
+    let results = pool::run(runs.len(), |pi| {
         let mut partials = Vec::new();
         let (mut rows, mut hits, mut misses) = (0u64, 0u64, 0u64);
         let mut local = vec![NO_GROUP; if plan.group.is_some() { domain } else { 0 }];
@@ -913,19 +890,13 @@ pub(crate) fn execute_columnar(
                 misses += 1;
             }
             rows += chunk.live_count as u64;
-            match chunk_partial(&chunk, &table.schema, plan, &mut local) {
-                Some(partial) => partials.push(partial),
-                None => return Ok(None),
-            }
+            partials.push(chunk_partial(&chunk, &table.schema, plan, &mut local));
         }
-        Ok(Some((partials, rows, hits, misses)))
-    })?;
+        (partials, rows, hits, misses)
+    });
 
     let mut table_groups: Vec<Option<ColGroup>> = (0..domain).map(|_| None).collect();
-    for run in results {
-        let Some((partials, rows, hits, misses)) = run else {
-            return Ok(None);
-        };
+    for (partials, rows, hits, misses) in results {
         stats.rows += rows;
         stats.cache_hits += hits;
         stats.cache_misses += misses;
@@ -962,7 +933,7 @@ pub(crate) fn execute_columnar(
     // Chunks are read in ascending slot order, so a group's first row is
     // the first one its first partial saw.
     groups.sort_unstable_by_key(|g| g.first);
-    Ok(Some((groups, stats)))
+    Ok((groups, stats))
 }
 
 #[cfg(test)]
@@ -1059,7 +1030,7 @@ mod tests {
     }
 
     fn run(t: &Table, plan: &ColumnarPlan) -> (Vec<Accumulator>, ColScanStats) {
-        let (mut groups, stats) = execute_columnar(t, plan).unwrap().expect("no fallback");
+        let (mut groups, stats) = execute_columnar(t, plan).unwrap();
         assert_eq!(groups.len(), 1, "an ungrouped plan yields one group");
         (groups.pop().unwrap().accs, stats)
     }
@@ -1314,8 +1285,7 @@ mod tests {
                 if !has_kernel(&test, &t.schema) {
                     continue;
                 }
-                let sel = selection(&chunk, std::slice::from_ref(&test), &t.schema)
-                    .expect("has a kernel");
+                let sel = selection(&chunk, std::slice::from_ref(&test), &t.schema);
                 for i in 0..chunk.len {
                     let want = t
                         .row(i as RowId)

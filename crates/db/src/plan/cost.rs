@@ -44,14 +44,16 @@ pub(crate) fn decide_access(
         // Sort-elision may have preset an index-order scan; per-statement
         // virtual materializations have no indexes.
         if matches!(scan.access, Access::Seq) && !scan.source.is_virtual() {
-            let where_conjuncts = scan.index_filter.as_ref().map(conjuncts);
-            let choice = index_candidates(
-                &scan.source,
-                &scan.binding,
-                &scan.layout1(),
-                where_conjuncts.unwrap_or_default(),
-                params,
-            )?;
+            // Index selection is a physical decision, so it runs with the
+            // optimizer off too: it consults the whole WHERE while that
+            // survives, else the conjuncts pushdown moved into the base,
+            // which are then all of the WHERE that reads only the base.
+            let hint = match &plan.filter {
+                Some(filter) => conjuncts(filter),
+                None => scan.pushed.iter().collect(),
+            };
+            let choice =
+                index_candidates(&scan.source, &scan.binding, &scan.layout1(), hint, params)?;
             if let Some(choice) = choice {
                 scan.access = Access::Index(choice);
             }

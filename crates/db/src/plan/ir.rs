@@ -63,11 +63,6 @@ pub(crate) struct ScanNode<'a> {
     pub binding: String,
     /// Column names of the table, in schema order.
     pub columns: Vec<String>,
-    /// The full WHERE clause as the base scan's index-selection hint
-    /// (join-reorder hands it to a new driver). This is not a rewrite:
-    /// index selection is a physical access decision and stays active
-    /// even with the optimizer off, matching the pre-IR engine.
-    pub index_filter: Option<Expr>,
     /// Conjuncts the predicate-pushdown / limit-pushdown rules moved
     /// into the scan, evaluated on each row while scanning.
     pub pushed: Vec<Expr>,
@@ -103,8 +98,7 @@ pub(crate) struct Plan<'a> {
     pub limit: Option<u64>,
     pub offset: Option<u64>,
     /// The vectorized aggregate over column chunks, when the cost pass
-    /// chose it. The scans keep their row access for the row path a
-    /// declined chunk falls back to.
+    /// chose it; it then runs instead of the scans' row access.
     pub columnar: Option<Columnar>,
 }
 
@@ -153,7 +147,6 @@ fn scan_node<'a>(db: &'a Database, tref: &TableRef) -> Result<ScanNode<'a>> {
         table_name: tref.table.clone(),
         binding: tref.effective_name().to_string(),
         columns,
-        index_filter: None,
         pushed: Vec::new(),
         stop_after: None,
         access: Access::Seq,
@@ -186,15 +179,12 @@ pub(crate) fn lower<'a>(db: &'a Database, sel: &Select) -> Result<Plan<'a>> {
             joins.push((join.kind, join.on.clone()));
         }
     }
-    if let Some(pred) = &sel.where_clause {
-        if pred.contains_aggregate() {
-            return Err(DbError::Eval("aggregates are not allowed in WHERE".into()));
-        }
-        // Index selection consults the whole WHERE, even when it stays
-        // a residual filter.
-        if let Some(base) = scans.first_mut() {
-            base.index_filter = Some(pred.clone());
-        }
+    if sel
+        .where_clause
+        .as_ref()
+        .is_some_and(Expr::contains_aggregate)
+    {
+        return Err(DbError::Eval("aggregates are not allowed in WHERE".into()));
     }
     let needs_aggregation = !sel.group_by.is_empty()
         || sel.having.is_some()

@@ -240,11 +240,8 @@ fn join_reorder(plan: &mut Plan<'_>, params: &[Value], trail: &mut Vec<TrailEntr
     });
     let mut scans: Vec<Option<ScanNode<'_>>> = plan.scans.drain(..).map(Some).collect();
     let mut ons: Vec<Option<Expr>> = plan.joins.drain(..).map(|(_, on)| on).collect();
-    let mut driver = scans[first].take().expect("each scan moves once");
-    if let Some(old_base) = scans[0].as_mut() {
-        driver.index_filter = old_base.index_filter.take();
-    }
-    plan.scans.push(driver);
+    plan.scans
+        .push(scans[first].take().expect("each scan moves once"));
     for (s, j) in steps {
         plan.scans
             .push(scans[s].take().expect("each scan moves once"));

@@ -11,17 +11,20 @@
 //! creates.
 //!
 //! Speedup study, regression scan and watchdog read each trial as the
-//! DBMS's per-event aggregates (`perfdmf_core::event_aggregates`), not as
-//! a whole profile.
+//! DBMS's per-event aggregates, not as a whole profile, and aggregate
+//! the experiment's trials in one statement per metric
+//! (`perfdmf_core::trials_event_aggregates`): a request issues the same
+//! number of statements for any number of trials.
 
 use crate::protocol::{ClusterMethod, ClusterSummary, FeatureSpace, Request, Response};
 use perfdmf_analysis::{
     correlation_matrix, kmeans, pca, select_by_silhouette, select_k, silhouette_score,
     thread_event_matrix, thread_metric_matrix, FeatureMatrix,
 };
-use perfdmf_core::{event_aggregates, load_trial, EventAggregate};
+use perfdmf_core::{load_trial, trials_event_aggregates};
 use perfdmf_db::{Connection, DbError, Value};
 use perfdmf_profile::IntervalField;
+use std::collections::HashMap;
 
 /// DDL for the analysis-result schema extension.
 const ANALYSIS_DDL: &[&str] = &[
@@ -128,23 +131,46 @@ fn regression_scan(
     experiment_id: i64,
     threshold: f64,
 ) -> perfdmf_db::Result<Response> {
-    let trials = conn.query(
-        "SELECT id FROM trial WHERE experiment = ? ORDER BY id",
+    let rows = conn.query(
+        "SELECT t.id, m.name FROM trial t LEFT JOIN metric m ON m.trial = t.id
+         WHERE t.experiment = ? ORDER BY t.id, m.id",
         &[Value::Int(experiment_id)],
     )?;
+    // Each trial with its metric names, both in id order.
+    let mut trials: Vec<(i64, Vec<&str>)> = Vec::new();
+    for r in &rows.rows {
+        let id = r[0].as_int().expect("pk");
+        if trials.last().is_none_or(|(t, _)| *t != id) {
+            trials.push((id, Vec::new()));
+        }
+        if let (Some(name), Some((_, names))) = (r[1].as_text(), trials.last_mut()) {
+            names.push(name);
+        }
+    }
     if trials.len() < 2 {
         return Err(DbError::Unsupported(format!(
             "experiment {experiment_id} has fewer than two trials to compare"
         )));
     }
-    let summaries = trials
-        .rows
+    // One statement per metric name covers every trial.
+    let ids: Vec<i64> = trials.iter().map(|(id, _)| *id).collect();
+    let mut names: Vec<&str> = trials.iter().flat_map(|(_, n)| n.iter().copied()).collect();
+    names.sort_unstable();
+    names.dedup();
+    let by_name = names
+        .into_iter()
+        .map(|name| Ok((name, trials_event_aggregates(conn, &ids, name)?)))
+        .collect::<perfdmf_db::Result<HashMap<_, _>>>()?;
+    // Every metric of a trial with its per-event records: the operand of
+    // `perfdmf_analysis::diff`.
+    let summaries: Vec<_> = trials
         .iter()
-        .map(|r| {
-            let id = r[0].as_int().expect("pk");
-            Ok((id, metric_aggregates(conn, id)?))
+        .enumerate()
+        .map(|(i, (id, names))| {
+            let metrics = names.iter().map(|n| (n.to_string(), by_name[n][i].clone()));
+            (*id, metrics.collect::<Vec<_>>())
         })
-        .collect::<perfdmf_db::Result<Vec<_>>>()?;
+        .collect();
     let mut findings = Vec::new();
     for pair in summaries.windows(2) {
         let ((older, left), (newer, right)) = (&pair[0], &pair[1]);
@@ -164,26 +190,6 @@ fn regression_scan(
         findings,
         pairs_compared: summaries.len() - 1,
     })
-}
-
-/// Every metric of a trial with its per-event records, computed by the
-/// DBMS: the operand of `perfdmf_analysis::diff`.
-fn metric_aggregates(
-    conn: &Connection,
-    trial_id: i64,
-) -> perfdmf_db::Result<Vec<(String, Vec<EventAggregate>)>> {
-    let metrics = conn.query(
-        "SELECT name FROM metric WHERE trial = ? ORDER BY id",
-        &[Value::Int(trial_id)],
-    )?;
-    metrics
-        .rows
-        .iter()
-        .map(|r| {
-            let name = r[0].as_text().unwrap_or("");
-            Ok((name.to_string(), event_aggregates(conn, trial_id, name)?))
-        })
-        .collect()
 }
 
 fn watchdog_check(
@@ -208,12 +214,19 @@ fn watchdog_check(
             "trial {trial_id} does not exist"
         )));
     }
+    // The baseline trials, then the candidate, in one statement.
+    let mut ids: Vec<i64> = trials
+        .rows
+        .iter()
+        .map(|r| r[0].as_int().expect("pk"))
+        .collect();
+    ids.push(trial_id);
+    let mut records = trials_event_aggregates(conn, &ids, metric)?;
+    let candidate = records.pop().expect("one list per trial");
     let mut baseline = perfdmf_analysis::Baseline::new(metric);
-    for row in &trials.rows {
-        let id = row[0].as_int().expect("pk");
-        baseline.add_trial(&event_aggregates(conn, id, metric)?);
+    for events in &records {
+        baseline.add_trial(events);
     }
-    let candidate = event_aggregates(conn, trial_id, metric)?;
     let config = perfdmf_analysis::WatchdogConfig {
         min_ratio,
         ..Default::default()
@@ -243,11 +256,16 @@ fn speedup_study(
             "experiment {experiment_id} has fewer than two trials"
         )));
     }
+    let ids: Vec<i64> = trials
+        .rows
+        .iter()
+        .map(|r| r[0].as_int().expect("pk"))
+        .collect();
+    let records = trials_event_aggregates(conn, &ids, metric)?;
     let mut analysis = perfdmf_analysis::SpeedupAnalysis::default();
-    for row in &trials.rows {
-        let trial_id = row[0].as_int().expect("pk");
+    for (row, events) in trials.rows.iter().zip(records) {
         let procs = row[1].as_int().unwrap_or(1).max(1) as usize;
-        analysis.add_trial(procs, event_aggregates(conn, trial_id, metric)?);
+        analysis.add_trial(procs, events);
     }
     let scaling = analysis
         .application_scaling()

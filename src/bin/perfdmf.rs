@@ -19,7 +19,7 @@
 //! over the wire protocol, with the client's reconnect/retry machinery.
 
 use perfdmf::analysis::SpeedupAnalysis;
-use perfdmf::core::{append_derived_metric, DatabaseSession};
+use perfdmf::core::{append_derived_metric, trials_event_aggregates, DatabaseSession};
 use perfdmf::db::{Connection, Value};
 use perfdmf::explorer::{handle, install, ClusterMethod, FeatureSpace, Request, Response};
 use perfdmf::import::{export_xml, load_path};
@@ -214,16 +214,16 @@ fn run(args: Vec<String>) -> Result<(), String> {
                 .unwrap_or_else(|| "GET_TIME_OF_DAY".into());
             let mut session = DatabaseSession::new(conn).map_err(|e| e.to_string())?;
             session.set_experiment(exp);
+            let trials = session.trial_list().map_err(|e| e.to_string())?;
+            let ids: Vec<i64> = trials.iter().map(|t| t.id.unwrap_or(-1)).collect();
+            let records = trials_event_aggregates(session.connection(), &ids, &metric)
+                .map_err(|e| e.to_string())?;
             let mut analysis = SpeedupAnalysis::default();
-            for trial in session.trial_list().map_err(|e| e.to_string())? {
+            for (trial, events) in trials.iter().zip(records) {
                 let nodes = trial
                     .field("node_count")
                     .and_then(Value::as_int)
                     .unwrap_or(1) as usize;
-                session.set_trial(trial.id.unwrap_or(-1));
-                let events = session
-                    .event_aggregates(&metric)
-                    .map_err(|e| e.to_string())?;
                 analysis.add_trial(nodes, events);
             }
             if analysis.trial_count() < 2 {
